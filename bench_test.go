@@ -20,6 +20,7 @@ import (
 	"softpipe/internal/hier"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
+	"softpipe/internal/partition"
 	"softpipe/internal/pipeline"
 	"softpipe/internal/sim"
 	"softpipe/internal/workloads"
@@ -501,6 +502,85 @@ func BenchmarkCompileLivermore(b *testing.B) {
 			}
 		}
 	}
+}
+
+// livermoreProgram builds Livermore kernel id.
+func livermoreProgram(b *testing.B, id int) *ir.Program {
+	b.Helper()
+	for _, k := range workloads.Livermore() {
+		if k.ID == id {
+			p, err := k.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			return p
+		}
+	}
+	b.Fatalf("no Livermore kernel %d", id)
+	return nil
+}
+
+// BenchmarkPartitionPlan prices the array planner alone (no per-cell
+// compile): k7, the widest split search of the corpus, and k1 on four
+// cells, and a seeded chain program on two.  The metrics are the size of
+// the search, which should only ever fall.
+func BenchmarkPartitionPlan(b *testing.B) {
+	warp := machine.Warp()
+	for _, c := range []struct {
+		name  string
+		prog  *ir.Program
+		cells int
+	}{
+		{"k7@4", livermoreProgram(b, 7), 4},
+		{"k1@4", livermoreProgram(b, 1), 4},
+		{"chain", workloads.RandomChainProgram(0), 2},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var st partition.PlanStats
+			for i := 0; i < b.N; i++ {
+				plan, err := partition.Partition(c.prog, softpipe.Machines(warp, c.cells))
+				if err != nil {
+					b.Fatal(err)
+				}
+				st = plan.Stats
+			}
+			b.ReportMetric(float64(st.Clusters), "clusters")
+			b.ReportMetric(float64(st.CostEvals), "costEvals")
+			b.ReportMetric(float64(st.CostSkipped), "costSkipped")
+		})
+	}
+}
+
+// BenchmarkAnalyzeRecurrence prices depgraph.Analyze — bounds and
+// closures — on the recurrence-heaviest loop of the corpus, k22's
+// (90 nodes, 926 edges once the expandable registers are filtered).
+func BenchmarkAnalyzeRecurrence(b *testing.B) {
+	b.Run("k22", func(b *testing.B) {
+		m := machine.Warp()
+		p := livermoreProgram(b, 22)
+		var loop *ir.LoopStmt
+		for _, s := range p.Body.Stmts {
+			if l, ok := s.(*ir.LoopStmt); ok {
+				loop = l
+			}
+		}
+		nodes, err := hier.BuildNodes(p, m, loop.ID, loop.Body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		full := depgraph.BuildIndep(nodes, loop.ID, loop.Independent)
+		g := full.Filter(full.Expandable)
+		b.ResetTimer()
+		var mii int
+		for i := 0; i < b.N; i++ {
+			a, err := depgraph.Analyze(g, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mii = a.MII
+		}
+		b.ReportMetric(float64(mii), "MII")
+	})
 }
 
 func BenchmarkReduceConditional(b *testing.B) {

@@ -2,6 +2,7 @@ package depgraph
 
 import (
 	"fmt"
+	"slices"
 
 	"softpipe/internal/machine"
 )
@@ -42,14 +43,14 @@ func ResourceMII(g *Graph, m *machine.Machine) (int, error) {
 // branch in every steady-state window).
 func ResourceMIIExtra(g *Graph, m *machine.Machine, extra []machine.ResUse) (int, error) {
 	uses := make([]int, len(m.ResourceCount))
-	firstUser := make([]string, len(m.ResourceCount))
+	firstUser := make([]*Node, len(m.ResourceCount))
 	for _, n := range g.Nodes {
 		for _, u := range n.Reservation {
 			if int(u.Resource) >= len(uses) {
 				return 0, &MissingResourceError{Resource: u.Resource, Machine: m.Name, Node: n.String()}
 			}
 			if uses[u.Resource] == 0 {
-				firstUser[u.Resource] = n.String()
+				firstUser[u.Resource] = n
 			}
 			uses[u.Resource]++
 		}
@@ -66,7 +67,11 @@ func ResourceMIIExtra(g *Graph, m *machine.Machine, extra []machine.ResUse) (int
 			continue
 		}
 		if m.ResourceCount[r] <= 0 {
-			return 0, &MissingResourceError{Resource: machine.Resource(r), Machine: m.Name, Node: firstUser[r]}
+			who := ""
+			if firstUser[r] != nil {
+				who = firstUser[r].String()
+			}
+			return 0, &MissingResourceError{Resource: machine.Resource(r), Machine: m.Name, Node: who}
 		}
 		if v := ceilDiv(cnt, m.ResourceCount[r]); v > mii {
 			mii = v
@@ -75,71 +80,180 @@ func ResourceMIIExtra(g *Graph, m *machine.Machine, extra []machine.ResUse) (int
 	return mii, nil
 }
 
-// Analysis bundles the preprocessing results the iterative scheduler
-// needs: the SCC decomposition and, for each nontrivial component, its
-// symbolic longest-path closure.
-type Analysis struct {
-	Graph    *Graph
-	SCC      *SCC
-	Closures []*Closure // indexed by component; nil for trivial components
-	ResMII   int
-	// RecMII is the recurrence bound where it exceeds the resource bound
-	// (cycles already covered by ResMII are pruned from the closures).
+// Bounds holds the two lower bounds on the initiation interval that
+// Lam §2.2 derives before any scheduling starts.
+type Bounds struct {
+	ResMII int
+	// RecMII is the raw recurrence bound — the smallest interval at which
+	// no dependence cycle has positive slack — whether or not it exceeds
+	// ResMII; 0 when the graph has no recurrence.
 	RecMII int
-	MII    int
+	// MII is max(ResMII, RecMII, 1).
+	MII int
 	// HasRecurrence reports a nontrivial strongly connected component.
 	HasRecurrence bool
 }
 
+// Analysis bundles the preprocessing results the iterative scheduler
+// needs: the SCC decomposition, the MII bounds and, for each nontrivial
+// component, its symbolic longest-path closure.
+type Analysis struct {
+	Graph    *Graph
+	SCC      *SCC
+	Closures []*Closure // indexed by component; nil for trivial components
+	Bounds
+}
+
+// MIIBounds computes the resource and recurrence bounds of an
+// already-filtered graph without building the longest-path closures: what
+// a caller needs when it only asks how fast a set of operations could run
+// on m (the partition planner), not where to place them.  The bounds and
+// errors are Analyze's.
+func MIIBounds(g *Graph, m *machine.Machine) (Bounds, error) {
+	b, _, _, err := bounds(g, m)
+	return b, err
+}
+
 // Analyze performs the paper's preprocessing step on an already-filtered
-// graph: find components, build symbolic closures, derive the MII.
-// Closures are pruned against the resource MII, which every candidate
-// interval is known to meet or exceed.
+// graph: find components, derive the MII, build symbolic closures.
+// Closures are pruned against the MII, which every candidate interval is
+// known to meet or exceed; that keeps their Pareto frontiers tiny.
 func Analyze(g *Graph, m *machine.Machine) (*Analysis, error) {
-	res, err := ResourceMII(g, m)
+	b, scc, nontrivial, err := bounds(g, m)
 	if err != nil {
 		return nil, err
 	}
-	a := &Analysis{Graph: g, SCC: TarjanSCC(g), ResMII: res}
-	a.Closures = make([]*Closure, len(a.SCC.Components))
-	a.RecMII = 0
-	a.HasRecurrence = false
-	for ci := range a.SCC.Components {
-		if !a.SCC.IsTrivial(g, ci) {
-			a.HasRecurrence = true
+	a := &Analysis{Graph: g, SCC: scc, Bounds: b}
+	a.Closures = make([]*Closure, len(scc.Components))
+	for ci, comp := range scc.Components {
+		if !nontrivial[ci] {
+			continue
 		}
-	}
-	if a.HasRecurrence {
-		// The recurrence bound comes from the cheap concrete oracle
-		// (binary search over positive-cycle feasibility); the symbolic
-		// closures are then built once, pruned against the full MII
-		// floor, which keeps their Pareto frontiers tiny.
-		rec, err := RecurrenceMIIOracle(g)
+		cl, err := NewClosure(g, comp, b.MII)
 		if err != nil {
 			return nil, err
 		}
-		a.RecMII = rec
-		floor := a.ResMII
-		if rec > floor {
-			floor = rec
-		}
-		for ci, comp := range a.SCC.Components {
-			if a.SCC.IsTrivial(g, ci) {
-				continue
-			}
-			cl, err := NewClosure(g, comp, floor)
-			if err != nil {
-				return nil, err
-			}
-			a.Closures[ci] = cl
-		}
-	}
-	a.MII = a.ResMII
-	if a.RecMII > a.MII {
-		a.MII = a.RecMII
-	}
-	if a.MII < 1 {
-		a.MII = 1
+		a.Closures[ci] = cl
 	}
 	return a, nil
+}
+
+// bounds is the shared front of MIIBounds and Analyze; it also returns
+// the decomposition and which components are nontrivial, which Analyze
+// goes on to close.
+func bounds(g *Graph, m *machine.Machine) (Bounds, *SCC, []bool, error) {
+	res, err := ResourceMII(g, m)
+	if err != nil {
+		return Bounds{}, nil, nil, err
+	}
+	b := Bounds{ResMII: res, MII: res}
+	scc := TarjanSCC(g)
+	nontrivial := scc.nontrivial(g)
+	if b.HasRecurrence = slices.Contains(nontrivial, true); b.HasRecurrence {
+		if b.RecMII, err = recurrenceMII(g, scc, nontrivial); err != nil {
+			return Bounds{}, nil, nil, err
+		}
+	}
+	if b.RecMII > b.MII {
+		b.MII = b.RecMII
+	}
+	if b.MII < 1 {
+		b.MII = 1
+	}
+	return b, scc, nontrivial, nil
+}
+
+// RecurrenceMII returns the recurrence bound of g: the smallest
+// initiation interval s ≥ 1 at which no dependence cycle is positive,
+// i.e. max over cycles of ceil(delay/omega) (Lam §2.2, precedence
+// constraints).  It fails when a cycle has positive delay at iteration
+// distance zero — a self-dependence included — since no interval then
+// satisfies it.  This is the production bound; RecurrenceMIIOracle is
+// the all-pairs formulation tests compare it against.
+func RecurrenceMII(g *Graph) (int, error) {
+	scc := TarjanSCC(g)
+	return recurrenceMII(g, scc, scc.nontrivial(g))
+}
+
+// sccEdge is a dependence edge inside one component, endpoints renumbered
+// to member positions.
+type sccEdge struct{ from, to, delay, omega int }
+
+// recurrenceMII binary-searches each nontrivial component for its
+// smallest feasible interval.  Cycles never leave a component, so the
+// bound of the graph is the largest bound of any component, and a
+// component already feasible at the running maximum costs one probe.
+// A probe is a single-source longest-path relaxation (O(V·E) on the
+// component, no distance matrix).
+func recurrenceMII(g *Graph, scc *SCC, nontrivial []bool) (int, error) {
+	pos := make([]int, len(g.Nodes))
+	for _, comp := range scc.Components {
+		for i, v := range comp {
+			pos[v] = i
+		}
+	}
+	edges := make([][]sccEdge, len(scc.Components))
+	for _, e := range g.Edges {
+		if ci := scc.Comp[e.From]; ci == scc.Comp[e.To] && nontrivial[ci] {
+			edges[ci] = append(edges[ci], sccEdge{pos[e.From], pos[e.To], e.Delay, e.Omega})
+		}
+	}
+	scratch := make([]int, len(g.Nodes))
+	rec := 1
+	for ci, ce := range edges {
+		if !nontrivial[ci] {
+			continue
+		}
+		dist := scratch[:len(scc.Components[ci])]
+		if !positiveCycleAt(ce, dist, rec) {
+			continue
+		}
+		// Any cycle with omega ≥ 1 is non-positive once s exceeds the
+		// component's total positive delay; one still positive there has
+		// iteration distance zero.
+		hi := 1
+		for _, e := range ce {
+			if e.delay > 0 {
+				hi += e.delay
+			}
+		}
+		if hi <= rec || positiveCycleAt(ce, dist, hi) {
+			return 0, fmt.Errorf("depgraph: dependence cycle with zero iteration distance")
+		}
+		lo := rec + 1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if positiveCycleAt(ce, dist, mid) {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		rec = lo
+	}
+	return rec, nil
+}
+
+// positiveCycleAt reports whether the component has a cycle of positive
+// total weight delay − ii·omega.  Longest paths from a virtual source
+// joined to every member by a zero edge have at most len(dist)−1 real
+// edges unless such a cycle exists, so a relaxation pass that still
+// improves something after that many passes proves one.
+func positiveCycleAt(edges []sccEdge, dist []int, ii int) bool {
+	for i := range dist {
+		dist[i] = 0
+	}
+	for range dist {
+		changed := false
+		for _, e := range edges {
+			if d := dist[e.from] + e.delay - ii*e.omega; d > dist[e.to] {
+				dist[e.to] = d
+				changed = true
+			}
+		}
+		if !changed {
+			return false
+		}
+	}
+	return true
 }

@@ -296,7 +296,11 @@ func ceilDiv(a, b int) int {
 	return q
 }
 
-// --- Concrete oracles (used by tests and the ablation benches) ---------
+// --- Concrete oracles ---------------------------------------------------
+//
+// Independent all-pairs formulations that tests and the ablation benches
+// compare against; nothing on a compile path calls them.  The production
+// recurrence bound is RecurrenceMII (mii.go).
 
 // LongestPathsAt computes all-pairs longest paths over the whole graph at
 // a concrete initiation interval by Bellman–Ford-style relaxation.
@@ -338,7 +342,8 @@ func LongestPathsAt(g *Graph, ii int) (dist [][]int, ok bool) {
 }
 
 // RecurrenceMIIOracle finds the recurrence MII by binary search over the
-// feasibility predicate "no positive cycle at ii".
+// feasibility predicate "no positive cycle at ii", each probe an
+// all-pairs LongestPathsAt over the whole graph.
 func RecurrenceMIIOracle(g *Graph) (int, error) {
 	// Upper bound: total positive delay.
 	hi := 1

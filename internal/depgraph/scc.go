@@ -13,9 +13,20 @@ type SCC struct {
 // TarjanSCC runs Tarjan's algorithm on g.
 func TarjanSCC(g *Graph) *SCC {
 	n := len(g.Nodes)
-	adj := make([][]int, n)
+	// Successor lists in edge order, packed into one array: node v's are
+	// succ[first[v]:first[v+1]].
+	first := make([]int, n+1)
 	for _, e := range g.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
+		first[e.From+1]++
+	}
+	for v := 0; v < n; v++ {
+		first[v+1] += first[v]
+	}
+	succ := make([]int, len(g.Edges))
+	fill := append([]int(nil), first[:n]...)
+	for _, e := range g.Edges {
+		succ[fill[e.From]] = e.To
+		fill[e.From]++
 	}
 
 	s := &SCC{Comp: make([]int, n)}
@@ -49,8 +60,8 @@ func TarjanSCC(g *Graph) *SCC {
 		for len(call) > 0 {
 			f := &call[len(call)-1]
 			v := f.v
-			if f.ei < len(adj[v]) {
-				w := adj[v][f.ei]
+			if first[v]+f.ei < first[v+1] {
+				w := succ[first[v]+f.ei]
 				f.ei++
 				if index[w] == -1 {
 					index[w] = next
@@ -119,4 +130,19 @@ func (s *SCC) IsTrivial(g *Graph, c int) bool {
 		}
 	}
 	return true
+}
+
+// nontrivial reports, per component, whether it lies on a dependence
+// cycle (!IsTrivial for every component, in one pass over the edges).
+func (s *SCC) nontrivial(g *Graph) []bool {
+	nt := make([]bool, len(s.Components))
+	for ci, comp := range s.Components {
+		nt[ci] = len(comp) > 1
+	}
+	for _, e := range g.Edges {
+		if e.From == e.To {
+			nt[s.Comp[e.From]] = true
+		}
+	}
+	return nt
 }

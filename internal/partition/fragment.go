@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -10,38 +11,6 @@ import (
 	"softpipe/internal/machine"
 	"softpipe/internal/sim"
 )
-
-// intervalOps resolves one candidate stage covering clusters [i..j]: the
-// cut values entering and leaving it (including pass-through forwards),
-// and the body op positions it executes — stage ops plus the replicable
-// integer closure they need.
-func (pl *planner) intervalOps(i, j int, cuts []*cutValue) (ins, outs []*cutValue, included []int) {
-	for _, cv := range cuts {
-		if cv.prodStage < i && cv.lastConsum >= i {
-			ins = append(ins, cv)
-		}
-		if cv.prodStage <= j && cv.lastConsum > j {
-			outs = append(outs, cv)
-		}
-	}
-	inSet := map[int]bool{}
-	needed := map[ir.VReg]bool{}
-	for ci := i; ci <= j; ci++ {
-		for _, pos := range pl.clusters[ci] {
-			inSet[pos] = true
-			for _, r := range pl.sh.body[pos].Src {
-				needed[r] = true
-			}
-		}
-	}
-	pl.replClosure(needed, inSet)
-	included = make([]int, 0, len(inSet))
-	for pos := range inSet {
-		included = append(included, pos)
-	}
-	sort.Ints(included)
-	return ins, outs, included
-}
 
 // replClosure grows inSet with every replicable body op (transitively)
 // defining a needed register, updating needed with their sources.
@@ -63,41 +32,148 @@ func (pl *planner) replClosure(needed map[ir.VReg]bool, inSet map[int]bool) {
 	}
 }
 
-// stageCost estimates the MII of the fragment a stage would compile to on
-// its machine: the real dependence graph of its body ops plus the queue
-// receives/sends the cut inserts, analyzed with the machine's resource
-// table (so queue-port pressure and the Recv latency participate in the
-// balance, not just the float work).
-func (pl *planner) stageCost(i, j, s int, cuts []*cutValue) (int, error) {
-	ins, outs, included := pl.intervalOps(i, j, cuts)
-	m := pl.machines[s]
-	ops := make([]*ir.Op, 0, len(ins)+len(included)+len(outs))
-	id := 1 << 20 // synthetic queue ops; IDs only matter for diagnostics
-	for _, cv := range ins {
-		ops = append(ops, &ir.Op{ID: id, Class: machine.ClassRecv, Dst: cv.reg})
-		id++
-	}
-	for _, pos := range included {
-		ops = append(ops, pl.sh.body[pos])
-	}
-	for _, cv := range outs {
-		ops = append(ops, &ir.Op{ID: id, Class: machine.ClassSend, Dst: ir.NoReg, Src: []ir.VReg{cv.reg}})
-		id++
-	}
-	nodes := make([]*depgraph.Node, len(ops))
-	for k, o := range ops {
-		n, err := depgraph.NodeFromOp(m, o)
-		if err != nil {
-			return 0, fmt.Errorf("partition: stage %d on %s: %w", s, m.Name, err)
+// machineModel is what the split search knows about one target machine,
+// built once however many stages it hosts and intervals it is tried on.
+type machineModel struct {
+	m *machine.Machine
+	// nodes[pos] is the scheduling node of body op pos on m; nil where m
+	// has no descriptor for the op (stageCost then reports why).
+	nodes []*depgraph.Node
+	// use[c][r] counts the reservations of resource r by the stage ops of
+	// clusters [0, c): a prefix sum, so any interval's resource pressure
+	// is one subtraction per resource.
+	use [][]int
+	// memo caches stage costs by cluster interval.  A homogeneous array
+	// shares one model, so each interval is evaluated once, not once per
+	// stage.
+	memo map[[2]int]stageBound
+}
+
+// stageBound is a memoised stageCost result.
+type stageBound struct {
+	mii int
+	err error
+}
+
+// prepareSplit builds the tables the split search reads for every
+// candidate but that depend on no candidate: each cluster's op positions
+// closed over the replicable integer ops they need (the closure of a
+// union of clusters is the union of their closures), and per distinct
+// machine the body's scheduling nodes and resource-use prefix sums.
+func (pl *planner) prepareSplit() {
+	body := pl.sh.body
+	pl.closed = make([][]int, len(pl.clusters))
+	for c, ops := range pl.clusters {
+		inSet := map[int]bool{}
+		needed := map[ir.VReg]bool{}
+		for _, pos := range ops {
+			inSet[pos] = true
+			for _, r := range body[pos].Src {
+				needed[r] = true
+			}
 		}
-		nodes[k] = n
+		pl.replClosure(needed, inSet)
+		for pos := range body {
+			if inSet[pos] {
+				pl.closed[c] = append(pl.closed[c], pos)
+			}
+		}
+	}
+	pl.mark = make([]bool, len(body))
+	pl.models = map[*machine.Machine]*machineModel{}
+	for _, m := range pl.machines {
+		if pl.models[m] != nil {
+			continue
+		}
+		mm := &machineModel{m: m, nodes: make([]*depgraph.Node, len(body)), memo: map[[2]int]stageBound{}}
+		for pos, o := range body {
+			mm.nodes[pos], _ = depgraph.NodeFromOp(m, o)
+		}
+		mm.use = make([][]int, len(pl.clusters)+1)
+		mm.use[0] = make([]int, len(m.ResourceCount))
+		for c, ops := range pl.clusters {
+			row := append([]int(nil), mm.use[c]...)
+			for _, pos := range ops {
+				if n := mm.nodes[pos]; n != nil {
+					for _, u := range n.Reservation {
+						if int(u.Resource) < len(row) {
+							row[u.Resource]++
+						}
+					}
+				}
+			}
+			mm.use[c+1] = row
+		}
+		pl.models[m] = mm
+	}
+}
+
+// resourceFloor is a lower bound on stageCost(i, j) that needs no graph:
+// the resource MII of the interval's stage ops alone.  The replicated
+// integer ops and queue ops the real stage adds only raise it.
+func (mm *machineModel) resourceFloor(i, j int) int {
+	floor := 1
+	for r, units := range mm.m.ResourceCount {
+		if uses := mm.use[j+1][r] - mm.use[i][r]; units > 0 && uses > floor*units {
+			floor = (uses + units - 1) / units
+		}
+	}
+	return floor
+}
+
+// stageCost estimates the MII of the fragment a stage covering clusters
+// [i..j] would compile to on mm's machine: the real dependence graph of
+// its body ops — stage ops plus the replicable integer closure they need
+// — and of the queue receives/sends the cut inserts (cut values entering
+// and leaving, pass-through forwards included), bounded with the
+// machine's resource table (so queue-port pressure and the Recv latency
+// participate in the balance, not just the float work).  Only the two
+// bounds are computed; the fragment's longest-path closures are the
+// business of its own compile.
+func (pl *planner) stageCost(i, j int, mm *machineModel, cuts []*cutValue) (int, error) {
+	m := mm.m
+	var nodes []*depgraph.Node
+	id := 1 << 20 // synthetic queue ops; IDs only matter for diagnostics
+	queueOp := func(op *ir.Op) error {
+		op.ID = id
+		id++
+		n, err := depgraph.NodeFromOp(m, op)
+		nodes = append(nodes, n)
+		return err
+	}
+	for _, cv := range cuts {
+		if cv.prodStage < i && cv.lastConsum >= i {
+			if err := queueOp(&ir.Op{Class: machine.ClassRecv, Dst: cv.reg}); err != nil {
+				return 0, err
+			}
+		}
+	}
+	clear(pl.mark)
+	for c := i; c <= j; c++ {
+		for _, pos := range pl.closed[c] {
+			pl.mark[pos] = true
+		}
+	}
+	for pos, in := range pl.mark {
+		if !in {
+			continue
+		}
+		if mm.nodes[pos] == nil {
+			_, err := depgraph.NodeFromOp(m, pl.sh.body[pos])
+			return 0, err
+		}
+		nodes = append(nodes, mm.nodes[pos])
+	}
+	for _, cv := range cuts {
+		if cv.prodStage <= j && cv.lastConsum > j {
+			if err := queueOp(&ir.Op{Class: machine.ClassSend, Dst: ir.NoReg, Src: []ir.VReg{cv.reg}}); err != nil {
+				return 0, err
+			}
+		}
 	}
 	g := depgraph.BuildIndep(nodes, pl.sh.loop.ID, pl.sh.loop.Independent)
-	an, err := depgraph.Analyze(g, m)
-	if err != nil {
-		return 0, fmt.Errorf("partition: stage %d on %s: %w", s, m.Name, err)
-	}
-	return an.MII, nil
+	b, err := depgraph.MIIBounds(g, m)
+	return b.MII, err
 }
 
 // bestSplit balances the stages: dynamic programming over contiguous
@@ -106,29 +182,37 @@ func (pl *planner) stageCost(i, j, s int, cuts []*cutValue) (int, error) {
 // constraints (host receives on cell 0, host sends on the last cell) and
 // the queue capacity (a cut wider than the 512-word channel cannot even
 // hold one iteration's values).
-func (pl *planner) bestSplit(cuts []*cutValue) (ends []int, estMII []int, err error) {
+//
+// dp[s][j] is the best bottleneck of clusters [0..j] on cells [0..s];
+// a candidate first cluster i of stage s yields max(dp[s-1][i-1],
+// cost(i, j)).  A candidate whose dp[s-1][i-1] — or whose graph-free
+// resource floor — already reaches the incumbent dp[s][j] cannot win the
+// strict comparison, so its stage is never built.
+func (pl *planner) bestSplit(ctx context.Context, cuts []*cutValue) (ends []int, estMII []int, err error) {
 	C, N := len(pl.clusters), len(pl.machines)
 	if C < N {
 		return nil, nil, fmt.Errorf("partition: program decomposes into only %d pipeline stage(s); cannot fill %d cells", C, N)
 	}
+	pl.prepareSplit()
+	pl.stats.Clusters = C
 	const inf = math.MaxInt / 2
-	type key struct{ i, j, s int }
-	memo := map[key]int{}
+	// firstErr is the first stage-cost error met, in candidate order.
 	var firstErr error
 	cost := func(i, j, s int) int {
-		k := key{i, j, s}
-		if v, ok := memo[k]; ok {
-			return v
+		mm := pl.models[pl.machines[s]]
+		b, ok := mm.memo[[2]int{i, j}]
+		if !ok {
+			pl.stats.CostEvals++
+			b.mii, b.err = pl.stageCost(i, j, mm, cuts)
+			mm.memo[[2]int{i, j}] = b
 		}
-		v, cerr := pl.stageCost(i, j, s, cuts)
-		if cerr != nil {
+		if b.err != nil {
 			if firstErr == nil {
-				firstErr = cerr
+				firstErr = fmt.Errorf("partition: stage %d on %s: %w", s, mm.m.Name, b.err)
 			}
-			v = inf
+			return inf
 		}
-		memo[k] = v
-		return v
+		return b.mii
 	}
 	// boundaryOK: the channel entering cluster b fits one iteration's
 	// values in the 512-word queue.
@@ -139,49 +223,74 @@ func (pl *planner) bestSplit(cuts []*cutValue) (ends []int, estMII []int, err er
 	for s := range dp {
 		dp[s] = make([]int, C)
 		choice[s] = make([]int, C)
-		for j := range dp[s] {
-			dp[s][j] = inf
-			choice[s][j] = -1
-		}
 	}
-	for j := 0; j <= C-N; j++ {
-		if pl.recvCluster >= 0 && j < pl.recvCluster {
-			continue // host receives must land on cell 0
-		}
-		if pl.sendCluster >= 0 && N > 1 && j >= pl.sendCluster {
-			continue // host sends must land on the last cell
-		}
-		dp[0][j] = cost(0, j, 0)
-	}
-	for s := 1; s < N; s++ {
-		for j := s; j < C; j++ {
-			if s < N-1 {
-				if j > C-1-(N-1-s) {
-					continue // not enough clusters left for later stages
-				}
-				if pl.sendCluster >= 0 && j >= pl.sendCluster {
-					continue
-				}
-			} else if j != C-1 {
-				continue
-			}
-			for i := s; i <= j; i++ {
-				if dp[s-1][i-1] >= inf || !boundaryOK(i) {
-					continue
-				}
-				c := cost(i, j, s)
-				v := dp[s-1][i-1]
-				if c > v {
-					v = c
-				}
-				if v < dp[s][j] {
-					dp[s][j] = v
-					choice[s][j] = i
-				}
+	// fill runs the recurrence; it fails only when ctx is done.  With
+	// prune off every candidate is evaluated; the tables come out the same
+	// either way.
+	fill := func(prune bool) error {
+		firstErr = nil
+		for s := range dp {
+			for j := range dp[s] {
+				dp[s][j] = inf
+				choice[s][j] = -1
 			}
 		}
+		for j := 0; j <= C-N; j++ {
+			if pl.recvCluster >= 0 && j < pl.recvCluster {
+				continue // host receives must land on cell 0
+			}
+			if pl.sendCluster >= 0 && N > 1 && j >= pl.sendCluster {
+				continue // host sends must land on the last cell
+			}
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("partition: split search aborted: %w", err)
+			}
+			dp[0][j] = cost(0, j, 0)
+		}
+		for s := 1; s < N; s++ {
+			mm := pl.models[pl.machines[s]]
+			for j := s; j < C; j++ {
+				if s < N-1 {
+					if j > C-1-(N-1-s) {
+						continue // not enough clusters left for later stages
+					}
+					if pl.sendCluster >= 0 && j >= pl.sendCluster {
+						continue
+					}
+				} else if j != C-1 {
+					continue
+				}
+				if err := ctx.Err(); err != nil {
+					return fmt.Errorf("partition: split search aborted: %w", err)
+				}
+				for i := s; i <= j; i++ {
+					v := dp[s-1][i-1]
+					if v >= inf || !boundaryOK(i) {
+						continue
+					}
+					if prune && (v >= dp[s][j] || mm.resourceFloor(i, j) >= dp[s][j]) {
+						pl.stats.CostSkipped++
+						continue
+					}
+					v = max(v, cost(i, j, s))
+					if v < dp[s][j] {
+						dp[s][j] = v
+						choice[s][j] = i
+					}
+				}
+			}
+		}
+		return nil
+	}
+	if err := fill(true); err != nil {
+		return nil, nil, err
 	}
 	if dp[N-1][C-1] >= inf {
+		// Declining.  The diagnostic is the first stage-cost error among
+		// all candidates, so look at the ones pruning passed over too.
+		if err := fill(false); err != nil {
+			return nil, nil, err
+		}
 		if firstErr != nil {
 			return nil, nil, firstErr
 		}
@@ -195,7 +304,7 @@ func (pl *planner) bestSplit(cuts []*cutValue) (ends []int, estMII []int, err er
 	estMII = make([]int, N)
 	start := 0
 	for s := 0; s < N; s++ {
-		estMII[s] = memo[key{start, ends[s], s}]
+		estMII[s] = cost(start, ends[s], s)
 		start = ends[s] + 1
 	}
 	return ends, estMII, nil

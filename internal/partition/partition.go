@@ -22,6 +22,7 @@
 package partition
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -58,6 +59,22 @@ type Plan struct {
 	// (replicated integer ops appear in every cell that needs them and
 	// are not listed).
 	Stages [][]int
+	// Stats counts the planner's work, so a trace can say why a plan was
+	// slow.
+	Stats PlanStats
+}
+
+// PlanStats is the size of the split search behind a Plan.
+type PlanStats struct {
+	// Clusters is the number of indivisible op clusters the split ranged
+	// over; the search considers O(Clusters²) contiguous intervals.
+	Clusters int
+	// CostEvals is the number of stage-cost evaluations: candidate
+	// stages whose dependence graph was built and bounded.
+	CostEvals int
+	// CostSkipped is the number of split candidates dismissed on a lower
+	// bound, without evaluating their stage.
+	CostSkipped int
 }
 
 // Cells reports the array width of the plan.
@@ -157,6 +174,15 @@ type planner struct {
 	clusters  [][]int
 	clusterOf []int // body op index -> cluster index in topo order, -1 for replicable
 
+	// The split search's view of the clusters, built once by
+	// prepareSplit: closed[c] is cluster c's ops plus the replicable
+	// closure they need (ascending body positions), models holds the
+	// per-machine tables, and mark is stageCost's scratch.
+	closed [][]int
+	models map[*machine.Machine]*machineModel
+	mark   []bool
+	stats  PlanStats
+
 	recvCluster int // cluster holding the program's own Recv ops, -1 if none
 	sendCluster int // cluster holding the program's own Send ops, -1 if none
 }
@@ -166,30 +192,52 @@ type planner struct {
 // (producing the host output).  A single machine yields the trivial
 // one-cell plan.
 func Partition(p *ir.Program, machines []*machine.Machine) (*Plan, error) {
+	return PartitionContext(context.Background(), p, machines)
+}
+
+// PartitionContext is Partition bounded by ctx: the split search polls
+// it between the cells of its table and gives up with an error wrapping
+// ctx.Err().
+func PartitionContext(ctx context.Context, p *ir.Program, machines []*machine.Machine) (*Plan, error) {
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("partition: need at least one machine")
 	}
 	if len(machines) == 1 {
 		return trivialPlan(p, machines[0])
 	}
-	sh, err := analyzeShape(p)
+	pl, cuts, err := newPlanner(p, machines)
 	if err != nil {
 		return nil, err
+	}
+	split, estMII, err := pl.bestSplit(ctx, cuts)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := pl.emit(split, estMII, cuts)
+	if err != nil {
+		return nil, err
+	}
+	plan.Stats = pl.stats
+	return plan, nil
+}
+
+// newPlanner runs everything that precedes the split search: shape
+// check, body dependence graph, replicable-op classification, clustering
+// and the cut candidates between clusters.
+func newPlanner(p *ir.Program, machines []*machine.Machine) (*planner, []*cutValue, error) {
+	sh, err := analyzeShape(p)
+	if err != nil {
+		return nil, nil, err
 	}
 	pl := &planner{p: p, machines: machines, sh: sh}
 	if err := pl.buildGraph(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pl.classify()
 	if err := pl.cluster(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cuts := pl.cutCandidates()
-	split, estMII, err := pl.bestSplit(cuts)
-	if err != nil {
-		return nil, err
-	}
-	return pl.emit(split, estMII, cuts)
+	return pl, pl.cutCandidates(), nil
 }
 
 // trivialPlan wraps the whole program as a one-cell array.

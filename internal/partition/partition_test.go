@@ -1,10 +1,17 @@
 package partition
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"softpipe/internal/codegen"
+	"softpipe/internal/depgraph"
 	"softpipe/internal/ir"
 	"softpipe/internal/lang"
 	"softpipe/internal/machine"
@@ -303,5 +310,330 @@ func TestPartitionSingleCellIsClone(t *testing.T) {
 				t.Fatalf("array %q[%d] differs", name, i)
 			}
 		}
+	}
+}
+
+// --- Reference split search -----------------------------------------------
+//
+// The planner as it stood before stage costs went closure-free, memoised
+// per machine and pruned: every candidate of the recurrence evaluated, one
+// memo entry per (interval, stage index), each evaluation a fresh node
+// set, a map-and-sort op list and the full depgraph.Analyze (oracle-free
+// now, but closures and all).  It exists only so TestPlanIdentity can pin
+// the production search to it.
+
+func (pl *planner) refIntervalOps(i, j int, cuts []*cutValue) (ins, outs []*cutValue, included []int) {
+	for _, cv := range cuts {
+		if cv.prodStage < i && cv.lastConsum >= i {
+			ins = append(ins, cv)
+		}
+		if cv.prodStage <= j && cv.lastConsum > j {
+			outs = append(outs, cv)
+		}
+	}
+	inSet := map[int]bool{}
+	needed := map[ir.VReg]bool{}
+	for ci := i; ci <= j; ci++ {
+		for _, pos := range pl.clusters[ci] {
+			inSet[pos] = true
+			for _, r := range pl.sh.body[pos].Src {
+				needed[r] = true
+			}
+		}
+	}
+	pl.replClosure(needed, inSet)
+	for pos := range inSet {
+		included = append(included, pos)
+	}
+	sort.Ints(included)
+	return ins, outs, included
+}
+
+func (pl *planner) refStageCost(i, j, s int, cuts []*cutValue) (int, error) {
+	ins, outs, included := pl.refIntervalOps(i, j, cuts)
+	m := pl.machines[s]
+	var ops []*ir.Op
+	id := 1 << 20
+	for _, cv := range ins {
+		ops = append(ops, &ir.Op{ID: id, Class: machine.ClassRecv, Dst: cv.reg})
+		id++
+	}
+	for _, pos := range included {
+		ops = append(ops, pl.sh.body[pos])
+	}
+	for _, cv := range outs {
+		ops = append(ops, &ir.Op{ID: id, Class: machine.ClassSend, Dst: ir.NoReg, Src: []ir.VReg{cv.reg}})
+		id++
+	}
+	nodes := make([]*depgraph.Node, len(ops))
+	for k, o := range ops {
+		n, err := depgraph.NodeFromOp(m, o)
+		if err != nil {
+			return 0, fmt.Errorf("partition: stage %d on %s: %w", s, m.Name, err)
+		}
+		nodes[k] = n
+	}
+	g := depgraph.BuildIndep(nodes, pl.sh.loop.ID, pl.sh.loop.Independent)
+	an, err := depgraph.Analyze(g, m)
+	if err != nil {
+		return 0, fmt.Errorf("partition: stage %d on %s: %w", s, m.Name, err)
+	}
+	return an.MII, nil
+}
+
+// refBestSplit also reports how many stage costs it evaluated.
+func (pl *planner) refBestSplit(cuts []*cutValue) (ends []int, estMII []int, evals int, err error) {
+	C, N := len(pl.clusters), len(pl.machines)
+	if C < N {
+		return nil, nil, 0, fmt.Errorf("partition: program decomposes into only %d pipeline stage(s); cannot fill %d cells", C, N)
+	}
+	const inf = math.MaxInt / 2
+	type key struct{ i, j, s int }
+	memo := map[key]int{}
+	var firstErr error
+	cost := func(i, j, s int) int {
+		k := key{i, j, s}
+		if v, ok := memo[k]; ok {
+			return v
+		}
+		v, cerr := pl.refStageCost(i, j, s, cuts)
+		if cerr != nil {
+			if firstErr == nil {
+				firstErr = cerr
+			}
+			v = inf
+		}
+		memo[k] = v
+		return v
+	}
+	boundaryOK := func(b int) bool { return channelWidth(cuts, b) <= sim.QueueCapacity }
+
+	dp := make([][]int, N)
+	choice := make([][]int, N)
+	for s := range dp {
+		dp[s] = make([]int, C)
+		choice[s] = make([]int, C)
+		for j := range dp[s] {
+			dp[s][j] = inf
+			choice[s][j] = -1
+		}
+	}
+	for j := 0; j <= C-N; j++ {
+		if pl.recvCluster >= 0 && j < pl.recvCluster {
+			continue
+		}
+		if pl.sendCluster >= 0 && N > 1 && j >= pl.sendCluster {
+			continue
+		}
+		dp[0][j] = cost(0, j, 0)
+	}
+	for s := 1; s < N; s++ {
+		for j := s; j < C; j++ {
+			if s < N-1 {
+				if j > C-1-(N-1-s) {
+					continue
+				}
+				if pl.sendCluster >= 0 && j >= pl.sendCluster {
+					continue
+				}
+			} else if j != C-1 {
+				continue
+			}
+			for i := s; i <= j; i++ {
+				if dp[s-1][i-1] >= inf || !boundaryOK(i) {
+					continue
+				}
+				c := cost(i, j, s)
+				v := dp[s-1][i-1]
+				if c > v {
+					v = c
+				}
+				if v < dp[s][j] {
+					dp[s][j] = v
+					choice[s][j] = i
+				}
+			}
+		}
+	}
+	if dp[N-1][C-1] >= inf {
+		if firstErr != nil {
+			return nil, nil, len(memo), firstErr
+		}
+		return nil, nil, len(memo), fmt.Errorf("partition: no feasible %d-cell split (pinning or queue-capacity constraints unsatisfiable)", N)
+	}
+	ends = make([]int, N)
+	ends[N-1] = C - 1
+	for s := N - 1; s > 0; s-- {
+		ends[s-1] = choice[s][ends[s]] - 1
+	}
+	estMII = make([]int, N)
+	start := 0
+	for s := 0; s < N; s++ {
+		estMII[s] = memo[key{start, ends[s], s}]
+		start = ends[s] + 1
+	}
+	return ends, estMII, len(memo), nil
+}
+
+// planText renders everything a plan decides.
+func planText(plan *Plan) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "est=%v cuts=%v stages=%v\narrays=%v results=%v\n", plan.EstMII, plan.CutWidths, plan.Stages, plan.ArrayOwner, plan.ResultOwner)
+	for _, f := range plan.Fragments {
+		b.WriteString(f.String())
+	}
+	return b.String()
+}
+
+// identityCorpus is saxpy, the Livermore kernels and the chain corpus.
+func identityCorpus(t *testing.T) []*ir.Program {
+	t.Helper()
+	progs := []*ir.Program{buildSaxpy(t)}
+	for _, k := range workloads.Livermore() {
+		p, err := k.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	for _, seed := range workloads.ChainCorpusSeeds() {
+		progs = append(progs, workloads.RandomChainProgram(seed))
+	}
+	return progs
+}
+
+// Verdicts of comparePlanners.
+const (
+	planAccepted = iota
+	planDeclined
+	planDeclinedOnCost // declined with a stage-cost error as the diagnostic
+	planDiffers
+)
+
+// comparePlanners runs the production and the reference split search on
+// p over ms and fails the test unless they agree: the same verdict and
+// error text, and on acceptance the same split, estimates, cut widths,
+// stage lists, owners and fragment text.  saved is the number of stage
+// costs the production search did not evaluate.
+func comparePlanners(t *testing.T, p *ir.Program, name string, ms []*machine.Machine) (verdict, saved int) {
+	t.Helper()
+	sameErr := func(what string, err, refErr error) bool {
+		if (err != nil) != (refErr != nil) || (err != nil && err.Error() != refErr.Error()) {
+			t.Errorf("%s on %s: %s err = %v, reference %v", p.Name, name, what, err, refErr)
+			return false
+		}
+		return true
+	}
+	pl, cuts, err := newPlanner(p, ms)
+	ref, refCuts, refErr := newPlanner(p, ms)
+	if !sameErr("front end", err, refErr) {
+		return planDiffers, 0
+	}
+	if err != nil {
+		return planDeclined, 0
+	}
+	ends, est, err := pl.bestSplit(context.Background(), cuts)
+	refEnds, refEst, refEvals, refErr := ref.refBestSplit(refCuts)
+	if !sameErr("split", err, refErr) {
+		return planDiffers, 0
+	}
+	if err != nil {
+		if errors.As(err, new(*depgraph.MissingResourceError)) {
+			return planDeclinedOnCost, 0
+		}
+		return planDeclined, 0
+	}
+	if !slices.Equal(ends, refEnds) || !slices.Equal(est, refEst) {
+		t.Errorf("%s on %s: split %v est %v, reference %v est %v", p.Name, name, ends, est, refEnds, refEst)
+		return planDiffers, 0
+	}
+	if pl.stats.CostEvals > refEvals {
+		t.Errorf("%s on %s: %d stage costs evaluated, reference %d", p.Name, name, pl.stats.CostEvals, refEvals)
+	}
+	got, err := pl.emit(ends, est, cuts)
+	want, refErr := ref.emit(refEnds, refEst, refCuts)
+	if !sameErr("emit", err, refErr) {
+		return planDiffers, 0
+	}
+	if err != nil {
+		return planDeclined, 0
+	}
+	if g, w := planText(got), planText(want); g != w {
+		t.Errorf("%s on %s: plan differs from the reference\n--- got\n%s--- want\n%s", p.Name, name, g, w)
+		return planDiffers, 0
+	}
+	return planAccepted, refEvals - pl.stats.CostEvals
+}
+
+// lacking returns a Warp without units of resource r: every stage that
+// reserves r on it fails to cost.
+func lacking(r machine.Resource) *machine.Machine {
+	m := machine.Warp()
+	m.Name = fmt.Sprintf("warp-no-%v", r)
+	m.ResourceCount = append([]int(nil), m.ResourceCount...)
+	m.ResourceCount[r] = 0
+	return m
+}
+
+// TestPlanIdentity pins the production split search to the reference on
+// saxpy, the Livermore kernels and the chain corpus at 2 and 4
+// homogeneous cells, on one heterogeneous array, and on arrays with a
+// cell that cannot host every stage.
+func TestPlanIdentity(t *testing.T) {
+	warp := machine.Warp()
+	arrays := map[string][]*machine.Machine{
+		"warp@2":          {warp, warp},
+		"warp@4":          {warp, warp, warp, warp},
+		"warp,wide2":      {warp, machine.Wide(2)},
+		"warp,no-fmul":    {warp, lacking(machine.ResFMul)},
+		"no-fadd in four": {warp, warp, lacking(machine.ResFAdd), warp},
+	}
+	var verdicts [planDiffers + 1]int
+	saved := 0
+	for _, p := range identityCorpus(t) {
+		for name, ms := range arrays {
+			v, n := comparePlanners(t, p, name, ms)
+			verdicts[v]++
+			saved += n
+		}
+	}
+	t.Logf("accepted %d, declined %d + %d on a stage-cost error, stage-cost evaluations saved %d",
+		verdicts[planAccepted], verdicts[planDeclined], verdicts[planDeclinedOnCost], saved)
+	if verdicts[planAccepted] < 40 || verdicts[planDeclined] < 40 || verdicts[planDeclinedOnCost] == 0 || saved == 0 {
+		t.Errorf("corpus no longer exercises both verdicts, the stage-cost error path and the pruning")
+	}
+}
+
+// TestDeclineDiagnosticSurvivesPruning is the one shape where pruning
+// could change an answer: the reference's first stage-cost error sits on
+// a candidate the production search prunes.  Chain a is one cluster that
+// sends nothing forward, so on the middle cell (no receive port) the
+// first candidate of every table cell — starting at chain d's loads —
+// needs no receive and costs fine, while the later ones do and fail;
+// their predecessors cost as much as the incumbent (a's recurrence), so
+// they are pruned.  The last cell cannot store, so the split is declined
+// anyway — with the middle cell's error, as the reference reports it.
+func TestDeclineDiagnosticSurvivesPruning(t *testing.T) {
+	p, err := lang.Compile(`program twochains;
+const n = 64;
+var a: array [0..64] of real;
+    b, c, d: array [0..63] of real;
+    i: int;
+begin
+  for i := 0 to n-1 do begin
+    a[i+1] := a[i] * 2.0;
+    d[i] := (b[i] + c[i]) * b[i];
+  end;
+end.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := []*machine.Machine{machine.Warp(), lacking(machine.ResQRecv), lacking(machine.ResMemWr)}
+	if v, _ := comparePlanners(t, p, "warp,no-qrecv,no-memwr", ms); v != planDeclinedOnCost {
+		t.Fatalf("verdict %d, want a decline on a stage-cost error", v)
+	}
+	_, err = Partition(p, ms)
+	if err == nil || !strings.Contains(err.Error(), "stage 1 on warp-no-QRecv") {
+		t.Errorf("diagnostic %v does not name the first failing candidate (stage 1 on warp-no-QRecv)", err)
 	}
 }

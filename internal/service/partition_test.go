@@ -1,7 +1,12 @@
 package service
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -106,5 +111,38 @@ func TestRunPartitionedRejects(t *testing.T) {
 		if code, _ := post(t, s, "/run", c.req, nil); code != c.code {
 			t.Errorf("%s: status %d, want %d", c.name, code, c.code)
 		}
+	}
+}
+
+// TestRunPartitionedDeadlineStopsPlanner: a request whose context is
+// already done is turned away by the planner's split search — 504 with
+// the planner's error, not a full plan followed by a cell compile
+// noticing — and gives its admission slot back.
+func TestRunPartitionedDeadlineStopsPlanner(t *testing.T) {
+	s := newTestServer(t, Config{MaxConcurrent: 1})
+	raw, err := json.Marshal(RunRequest{Source: saxpySrc, Cells: 2, Partition: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("POST", "/run", bytes.NewReader(raw)).WithContext(ctx))
+	var resp errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("undecodable response %q: %v", rec.Body.String(), err)
+	}
+	if rec.Code != http.StatusGatewayTimeout || !resp.Timeout {
+		t.Fatalf("status %d timeout=%v, want 504 (resp %+v)", rec.Code, resp.Timeout, resp)
+	}
+	if !strings.Contains(resp.Error, "split search aborted") {
+		t.Errorf("error %q does not come from the planner", resp.Error)
+	}
+	if len(s.sem) != 0 || s.inflight.Load() != 0 {
+		t.Fatalf("slot not released: %d held, %d in flight", len(s.sem), s.inflight.Load())
+	}
+	// The slot is usable and the failure was not cached.
+	if code, _ := post(t, s, "/run", RunRequest{Source: saxpySrc, Cells: 2, Partition: true}, nil); code != http.StatusOK {
+		t.Fatalf("run after the aborted one: status %d", code)
 	}
 }

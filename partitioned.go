@@ -1,6 +1,7 @@
 package softpipe
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -90,13 +91,22 @@ func CompileSourcePartitioned(src string, machines []*Machine, opts Options) (*A
 // dependence graph, stages balanced by per-fragment MII) and compiles
 // each fragment for its machine.  The machines may be heterogeneous —
 // a stage with more floating-point work can target a wider gen: cell.
+// opts.Ctx bounds the planner's split search as well as the per-cell
+// compiles.
 func CompilePartitioned(p *Program, machines []*Machine, opts Options) (*ArrayObject, error) {
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	sp := opts.Tracer.Begin("partition")
-	plan, err := partition.Partition(p, machines)
-	sp.End()
+	plan, err := partition.PartitionContext(ctx, p, machines)
 	if err != nil {
+		sp.End()
 		return nil, err
 	}
+	sp.Arg("clusters", int64(plan.Stats.Clusters)).
+		Arg("cost_evals", int64(plan.Stats.CostEvals)).
+		Arg("cost_skipped", int64(plan.Stats.CostSkipped)).End()
 	ao := &ArrayObject{Plan: plan, source: p, tracer: opts.Tracer}
 	for i, frag := range plan.Fragments {
 		obj, err := Compile(frag, plan.Machines[i], opts)

@@ -1,6 +1,8 @@
 package softpipe
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -66,5 +68,20 @@ end.`
 	_, err := CompileSourcePartitioned(src, Machines(Warp(), 2), Options{})
 	if err == nil || !strings.Contains(err.Error(), "more than one top-level loop") {
 		t.Fatalf("expected shape rejection, got %v", err)
+	}
+}
+
+// TestCompilePartitionedHonorsCtx: the planner, not just the per-cell
+// compiles after it, gives up on a done context — k7 on four cells is
+// the corpus's widest split search.
+func TestCompilePartitionedHonorsCtx(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := CompilePartitioned(buildKernel(t, 7), Machines(Warp(), 4), Options{Ctx: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "split search aborted") {
+		t.Errorf("%v: the planner ran to completion and a cell compile noticed the context", err)
 	}
 }
