@@ -11,8 +11,9 @@
 //
 // -parallel sizes the compile/simulate worker pool (0 = GOMAXPROCS,
 // 1 = sequential); the table is identical either way.  -engine selects
-// the simulator implementation — "compiled" runs the same kernels on the
-// closure-specializing engine (identical table, faster wall clock).  -explain appends
+// the simulator implementation — "compiled" lets steady-state kernel
+// loops run on the dataflow fast path (identical table, faster wall
+// clock).  -explain appends
 // the per-loop II-search explain report under the table; -trace writes
 // a Chrome trace_event JSON of all compile/simulate phases (one trace
 // sink per worker, merged at the end).
@@ -26,6 +27,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"softpipe"
 	"softpipe/internal/bench"
 	"softpipe/internal/machine"
 	"softpipe/internal/schedule"
@@ -72,7 +74,7 @@ func main() {
 		}()
 	}
 
-	eng, err := bench.ParseEngine(*engineFlag)
+	eng, err := softpipe.ParseEngine(*engineFlag)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,9 +14,10 @@
 //
 // -engine selects the simulator implementation for -run: "interp" (the
 // reference cycle-accurate interpreter, the default) or "compiled" (the
-// closure-specializing engine of internal/sim/compiled — same observable
-// state, roughly 2× faster on pipelined kernels).  -exectrace and the
-// -verify differential check always use the interpreter.
+// same cell core with steady-state kernel loops retired on the dataflow
+// fast path of internal/sim — same observable state, about 1.5× faster on
+// pipelined kernels).  -exectrace and the -verify differential check
+// always use the interpreter.
 //
 // -explain prints the II-search explain report per loop: why every
 // candidate initiation interval below the accepted one failed (the

@@ -54,12 +54,12 @@ import (
 	"testing"
 	"time"
 
+	"softpipe"
 	"softpipe/internal/bench"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 	"softpipe/internal/schedule"
 	"softpipe/internal/sim"
-	"softpipe/internal/sim/compiled"
 	"softpipe/internal/trace"
 	"softpipe/internal/vliw"
 )
@@ -94,7 +94,7 @@ func main() {
 	flag.Parse()
 	all := !*t41 && !*f41 && !*f42 && !*stats
 
-	eng, err := bench.ParseEngine(*engineFlag)
+	eng, err := softpipe.ParseEngine(*engineFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -360,8 +360,8 @@ type HarnessBaseline struct {
 	SuiteMeanMFLOPS   float64  `json:"suite_mean_array_mflops"`
 
 	// Simulator steady-state hot loop on a synthetic pipelined kernel:
-	// the interpreter engine, then the compiled-closure engine on the
-	// same kernel (whole run, build amortized), and their ratio.
+	// the interpreter engine, then the compiled engine on the same
+	// kernel (whole run, build amortized), and their ratio.
 	SimNsPerCycle         float64 `json:"sim_ns_per_cycle"`
 	SimCyclesPerSec       float64 `json:"sim_cycles_per_sec"`
 	SimAllocsPerCycle     float64 `json:"sim_allocs_per_cycle"`
@@ -523,14 +523,15 @@ func measureSim(m *machine.Machine) (nsPerCycle, allocsPerCycle float64, err err
 	return float64(r.NsPerOp()), allocs, nil
 }
 
-// measureCompiledSim prices the compiled-closure engine on the same
-// kernel shape, whole-run: one Build plus one Run of ~bb.N cycles, so
-// the build cost is amortized exactly as a real caller would see it.
+// measureCompiledSim prices the compiled engine on the same kernel
+// shape, whole-run: one decode (with fast-path blocks) plus one Run of
+// ~bb.N cycles, so the build cost is amortized exactly as a real caller
+// would see it.
 func measureCompiledSim(m *machine.Machine) (nsPerCycle float64, err error) {
 	r := testing.Benchmark(func(bb *testing.B) {
 		p := simKernel(int64(bb.N) + 64)
 		bb.ResetTimer()
-		if _, _, rerr := compiled.Run(p, m); rerr != nil {
+		if _, _, rerr := sim.RunEngine(p, m, true); rerr != nil {
 			err = rerr
 			bb.FailNow()
 		}
@@ -545,13 +546,13 @@ func measureCompiledSim(m *machine.Machine) (nsPerCycle float64, err error) {
 // lanes over one compiled artifact, reported as lanes per second.
 func measureBatch(m *machine.Machine) (runsPerSec float64, err error) {
 	const lanes = 16
-	cp, err := compiled.Build(simKernel(10_000), m)
+	cp, err := sim.Decode(simKernel(10_000), m, true)
 	if err != nil {
 		return 0, err
 	}
 	r := testing.Benchmark(func(bb *testing.B) {
 		for i := 0; i < bb.N; i++ {
-			batch := compiled.NewBatch(cp, make([]compiled.Lane, lanes))
+			batch := sim.NewBatch(cp, make([]sim.Lane, lanes))
 			if _, berr := batch.Run(context.Background()); berr != nil {
 				err = berr
 				bb.FailNow()

@@ -94,7 +94,7 @@ type ArrayOpts struct {
 	// reference (provenance terms + both-engine differential).
 	Verify bool
 	// Engine selects the simulator for the timing runs.
-	Engine Engine
+	Engine softpipe.Engine
 }
 
 // MeasureArray partitions the corpus (saxpy + the Livermore kernels)
@@ -106,6 +106,9 @@ func MeasureArray(m *machine.Machine, o ArrayOpts) (*ArrayReport, error) {
 	widths := o.Widths
 	if len(widths) == 0 {
 		widths = []int{2, 4}
+	}
+	if o.Engine == "" {
+		o.Engine = softpipe.EngineInterp
 	}
 	for _, n := range widths {
 		if n < 2 {
@@ -142,20 +145,13 @@ func MeasureArray(m *machine.Machine, o ArrayOpts) (*ArrayReport, error) {
 		return nil, err
 	}
 
-	rep := &ArrayReport{Machine: m.Name, Widths: widths, Engine: string(engineOrDefault(o.Engine))}
+	rep := &ArrayReport{Machine: m.Name, Widths: widths, Engine: string(o.Engine)}
 	for _, r := range per {
 		rep.Rows = append(rep.Rows, r.rows...)
 		rep.Skipped = append(rep.Skipped, r.skips...)
 	}
 	rep.Summary = summarizeArray(rep.Rows, rep.Skipped)
 	return rep, nil
-}
-
-func engineOrDefault(e Engine) Engine {
-	if e == "" {
-		return EngineInterp
-	}
-	return e
 }
 
 // arrayOne measures one workload: the single-cell baseline, then each
@@ -178,7 +174,7 @@ func arrayOne(w GapWorkload, m *machine.Machine, widths []int, o ArrayOpts) ([]A
 				return nil, nil, fmt.Errorf("bench: array %s at %d cells: %w", w.Name, n, err)
 			}
 		}
-		res, err := ao.RunArray(nil, softpipe.Engine(engineOrDefault(o.Engine)))
+		res, err := ao.RunArray(nil, o.Engine)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: array %s at %d cells: %w", w.Name, n, err)
 		}

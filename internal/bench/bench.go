@@ -11,48 +11,16 @@ import (
 	"strings"
 	"time"
 
+	"softpipe"
 	"softpipe/internal/codegen"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 	"softpipe/internal/pipeline"
 	"softpipe/internal/schedule"
 	"softpipe/internal/sim"
-	"softpipe/internal/sim/compiled"
 	"softpipe/internal/trace"
-	"softpipe/internal/vliw"
 	"softpipe/internal/workloads"
 )
-
-// Engine selects the simulator implementation for a measurement run:
-// the reference interpreter or the compiled-closure engine.  Both are
-// bit-identical on observable state; they differ only in host-side
-// simulation speed, so tables and figures are engine-invariant.
-type Engine string
-
-// Available engines ("" means interp).
-const (
-	EngineInterp   Engine = "interp"
-	EngineCompiled Engine = "compiled"
-)
-
-// ParseEngine maps a -engine flag value to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", string(EngineInterp):
-		return EngineInterp, nil
-	case string(EngineCompiled):
-		return EngineCompiled, nil
-	}
-	return "", fmt.Errorf("bench: unknown engine %q (want %q or %q)", s, EngineInterp, EngineCompiled)
-}
-
-// simulate dispatches one program run to the selected engine.
-func simulate(prog *vliw.Program, m *machine.Machine, eng Engine) (*ir.State, sim.Stats, error) {
-	if eng == EngineCompiled {
-		return compiled.Run(prog, m)
-	}
-	return sim.Run(prog, m)
-}
 
 // RunResult is one compiled-and-simulated execution.
 type RunResult struct {
@@ -69,10 +37,10 @@ type RunResult struct {
 
 // Run compiles p in the given mode and simulates it on the interpreter.
 func Run(p *ir.Program, m *machine.Machine, mode codegen.Mode) (*RunResult, error) {
-	return run(p, m, codegen.Options{Mode: mode}, EngineInterp)
+	return run(p, m, codegen.Options{Mode: mode}, softpipe.EngineInterp)
 }
 
-func run(p *ir.Program, m *machine.Machine, opts codegen.Options, eng Engine) (*RunResult, error) {
+func run(p *ir.Program, m *machine.Machine, opts codegen.Options, eng softpipe.Engine) (*RunResult, error) {
 	sp := opts.Tracer.Begin("compile")
 	prog, rep, err := codegen.Compile(p, m, opts)
 	sp.End()
@@ -80,7 +48,7 @@ func run(p *ir.Program, m *machine.Machine, opts codegen.Options, eng Engine) (*
 		return nil, fmt.Errorf("bench: compile %s: %w", p.Name, err)
 	}
 	sp = opts.Tracer.Begin("sim.run")
-	st, stats, err := simulate(prog, m, eng)
+	st, stats, err := sim.RunEngine(prog, m, eng == softpipe.EngineCompiled)
 	sp.Arg("cycles", stats.Cycles).End()
 	if err != nil {
 		return nil, fmt.Errorf("bench: simulate %s: %w", p.Name, err)
@@ -100,10 +68,10 @@ func run(p *ir.Program, m *machine.Machine, opts codegen.Options, eng Engine) (*
 // (internal/verify) enabled at compile time, plus a differential check
 // of the simulated final state against the IR interpreter.
 func RunVerified(p *ir.Program, m *machine.Machine, mode codegen.Mode) (*RunResult, error) {
-	return runVerified(p, m, codegen.Options{Mode: mode, VerifyEmitted: true}, EngineInterp)
+	return runVerified(p, m, codegen.Options{Mode: mode, VerifyEmitted: true}, softpipe.EngineInterp)
 }
 
-func runVerified(p *ir.Program, m *machine.Machine, opts codegen.Options, eng Engine) (*RunResult, error) {
+func runVerified(p *ir.Program, m *machine.Machine, opts codegen.Options, eng softpipe.Engine) (*RunResult, error) {
 	want, err := ir.Run(p)
 	if err != nil {
 		return nil, fmt.Errorf("bench: interpret %s: %w", p.Name, err)
@@ -152,7 +120,7 @@ type Table42Opts struct {
 	// Engine selects the simulator implementation ("" = interp).  Rows
 	// are engine-invariant; the compiled engine only changes host-side
 	// wall clock.
-	Engine Engine
+	Engine softpipe.Engine
 	// Effort selects the II search backend (heuristic or exact); see
 	// schedule.Effort.  EffortBudget bounds the exact search per compile
 	// (0 means the built-in default).
@@ -274,12 +242,12 @@ type Table41Row struct {
 // actual simulated array.  Applications fan out over `workers`
 // goroutines (≤ 0 means GOMAXPROCS) with the row order fixed.
 func Table41(m *machine.Machine, verify bool, workers int) ([]Table41Row, error) {
-	return Table41Engine(m, verify, workers, EngineInterp)
+	return Table41Engine(m, verify, workers, softpipe.EngineInterp)
 }
 
 // Table41Engine is Table41 on the selected simulator engine (the
 // systolic matmul row always runs on the interpreter array).
-func Table41Engine(m *machine.Machine, verify bool, workers int, eng Engine) ([]Table41Row, error) {
+func Table41Engine(m *machine.Machine, verify bool, workers int, eng softpipe.Engine) ([]Table41Row, error) {
 	return Table41With(m, SuiteOpts{Verify: verify, Workers: workers, Engine: eng})
 }
 
@@ -288,7 +256,7 @@ type SuiteOpts struct {
 	Verify  bool
 	Workers int
 	Tracer  *trace.Tracer
-	Engine  Engine
+	Engine  softpipe.Engine
 	// Effort/EffortBudget select and bound the II search backend.
 	Effort       schedule.Effort
 	EffortBudget time.Duration
@@ -393,11 +361,11 @@ func RunSuite(m *machine.Machine, verify bool, workers int) ([]SuiteResult, erro
 // RunSuiteTraced is RunSuite recording per-phase spans into tr (one
 // trace sink per pool worker, merged at the end); nil tr traces nothing.
 func RunSuiteTraced(m *machine.Machine, verify bool, workers int, tr *trace.Tracer) ([]SuiteResult, error) {
-	return RunSuiteEngine(m, verify, workers, tr, EngineInterp)
+	return RunSuiteEngine(m, verify, workers, tr, softpipe.EngineInterp)
 }
 
 // RunSuiteEngine is RunSuiteTraced on the selected simulator engine.
-func RunSuiteEngine(m *machine.Machine, verify bool, workers int, tr *trace.Tracer, eng Engine) ([]SuiteResult, error) {
+func RunSuiteEngine(m *machine.Machine, verify bool, workers int, tr *trace.Tracer, eng softpipe.Engine) ([]SuiteResult, error) {
 	return RunSuiteWith(m, SuiteOpts{Verify: verify, Workers: workers, Tracer: tr, Engine: eng})
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"softpipe"
 	"softpipe/internal/codegen"
 	"softpipe/internal/ir"
 	"softpipe/internal/lang"
@@ -227,7 +228,7 @@ func gapOne(w GapWorkload, m *machine.Machine, o GapOpts, budget time.Duration) 
 	if o.Verify {
 		runner = runVerified
 	}
-	heur, err := runner(w.Prog, m, codegen.Options{Mode: codegen.ModePipelined, VerifyEmitted: o.Verify}, EngineInterp)
+	heur, err := runner(w.Prog, m, codegen.Options{Mode: codegen.ModePipelined, VerifyEmitted: o.Verify}, softpipe.EngineInterp)
 	if err != nil {
 		return nil, fmt.Errorf("bench: gap %s (heuristic): %w", w.Name, err)
 	}
@@ -235,7 +236,7 @@ func gapOne(w GapWorkload, m *machine.Machine, o GapOpts, budget time.Duration) 
 		Mode:          codegen.ModePipelined,
 		Pipeline:      pipelineOpts(schedule.EffortExact, budget),
 		VerifyEmitted: o.Verify,
-	}, EngineInterp)
+	}, softpipe.EngineInterp)
 	if err != nil {
 		return nil, fmt.Errorf("bench: gap %s (exact): %w", w.Name, err)
 	}

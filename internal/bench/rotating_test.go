@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"softpipe"
 	"softpipe/internal/codegen"
 	"softpipe/internal/machine"
 )
@@ -29,7 +30,7 @@ func TestRotatingEndToEnd(t *testing.T) {
 			pipelined := 0
 			for _, w := range ws {
 				var cycles []int64
-				for _, eng := range []Engine{EngineInterp, EngineCompiled} {
+				for _, eng := range []softpipe.Engine{softpipe.EngineInterp, softpipe.EngineCompiled} {
 					r, err := runVerified(w.Prog, m, codegen.Options{
 						Mode:          codegen.ModePipelined,
 						VerifyEmitted: true,
@@ -93,11 +94,11 @@ func TestRotatingSchedulesMatchMVE(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range ws {
-			a, err := run(w.Prog, mve, codegen.Options{Mode: codegen.ModePipelined}, EngineInterp)
+			a, err := run(w.Prog, mve, codegen.Options{Mode: codegen.ModePipelined}, softpipe.EngineInterp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := run(w.Prog, rot, codegen.Options{Mode: codegen.ModePipelined}, EngineInterp)
+			b, err := run(w.Prog, rot, codegen.Options{Mode: codegen.ModePipelined}, softpipe.EngineInterp)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"softpipe"
 	"softpipe/internal/codegen"
 	"softpipe/internal/machine"
 	"softpipe/internal/schedule"
@@ -122,7 +123,7 @@ type SweepOpts struct {
 	Effort       schedule.Effort
 	EffortBudget time.Duration
 	// Engine selects the simulator implementation ("" = interp).
-	Engine Engine
+	Engine softpipe.Engine
 }
 
 // MeasureSweep compiles and simulates the corpus on every grid point.
@@ -172,7 +173,7 @@ func MeasureSweep(o SweepOpts) (*SweepReport, error) {
 		rep.Set = SweepSetFull
 	}
 	if rep.Engine == "" {
-		rep.Engine = string(EngineInterp)
+		rep.Engine = string(softpipe.EngineInterp)
 	}
 	for mi, m := range ms {
 		sm := SweepMachine{

@@ -126,7 +126,7 @@ func checkAgainstReference(t *testing.T, src *ir.Program, plan *Plan, states []*
 // returning per-cell states, host output, and the array stats.
 func compileAndRunArray(t *testing.T, plan *Plan, input []float64) ([]*ir.State, []float64, sim.Stats) {
 	t.Helper()
-	cells := make([]sim.Cell, len(plan.Fragments))
+	cells := make([]*sim.Sim, len(plan.Fragments))
 	for i, f := range plan.Fragments {
 		obj, _, err := codegen.Compile(f, plan.Machines[i], codegen.Options{})
 		if err != nil {

@@ -11,9 +11,7 @@ import (
 
 	"softpipe"
 	"softpipe/internal/cache"
-	"softpipe/internal/ir"
 	"softpipe/internal/sim"
-	"softpipe/internal/sim/compiled"
 	"softpipe/internal/vliw"
 )
 
@@ -36,9 +34,11 @@ type RunRequest struct {
 	// II and stall statistics land in RunResponse.CellStats.
 	Partition bool `json:"partition,omitempty"`
 	// Engine selects the simulator implementation: "" or "interp" for
-	// the reference interpreter, "compiled" for the closure-specializing
-	// engine (bit-identical observable state, ~2× faster on pipelined
-	// kernels).  Batch mode always uses the compiled engine.
+	// the reference interpreter, "compiled" to let the run retire
+	// steady-state kernel loops on the dataflow fast path (same cell
+	// core, bit-identical observable state, about 1.5× faster on pipelined
+	// kernels).  Batch mode always uses the compiled engine; arrays step
+	// cycle by cycle, so there the engines are the same code.
 	Engine string `json:"engine,omitempty"`
 	// Batch > 0 runs the program on that many independent single-cell
 	// lanes over one compiled artifact (struct-of-arrays arenas, build
@@ -169,13 +169,11 @@ type RunResponse struct {
 
 // canonEngine validates and canonicalizes a request's engine name.
 func canonEngine(name string) (string, error) {
-	switch name {
-	case "", "interp":
-		return "interp", nil
-	case "compiled":
-		return "compiled", nil
+	eng, err := softpipe.ParseEngine(name)
+	if err != nil {
+		return "", fmt.Errorf("unknown engine %q (want interp or compiled)", name)
 	}
-	return "", fmt.Errorf("unknown engine %q (want interp or compiled)", name)
+	return string(eng), nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -227,12 +225,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.Engine = "compiled"
-		cp, err := compiled.Build(a.Binary, m)
+		prog, err := sim.Decode(a.Binary, m, true)
 		if err != nil {
 			s.fail(w, http.StatusUnprocessableEntity, err)
 			return
 		}
-		ls := make([]compiled.Lane, lanes)
+		ls := make([]sim.Lane, lanes)
 		for i := range ls {
 			if i < len(req.BatchInputs) {
 				ls[i].InputTape = req.BatchInputs[i]
@@ -240,7 +238,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				ls[i].InputTape = req.Input
 			}
 		}
-		batch := compiled.NewBatch(cp, ls)
+		batch := sim.NewBatch(prog, ls)
 		t1 := time.Now()
 		results, err := batch.Run(ctx)
 		if err != nil {
@@ -265,21 +263,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			resp.BatchRunsPerSec = float64(len(results)) / elapsed
 		}
 	case req.Cells > 1:
-		var arr *sim.Array
-		if eng == "compiled" {
-			cp, err := compiled.Build(a.Binary, m)
-			if err != nil {
-				s.fail(w, http.StatusUnprocessableEntity, err)
-				return
-			}
-			cells := make([]sim.Cell, req.Cells)
-			for i := range cells {
-				cells[i] = compiled.NewCell(cp)
-			}
-			arr = sim.NewArrayCells(cells, req.Input)
-		} else {
-			arr = sim.NewHomogeneousArray(a.Binary, m, req.Cells, req.Input)
-		}
+		arr := sim.NewHomogeneousArray(a.Binary, m, req.Cells, req.Input)
 		arr.Ctx = ctx
 		out, last, err := arr.Run()
 		if err != nil {
@@ -294,31 +278,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			resp.Scalars = toJSONScalars(last.Scalars)
 		}
 	default:
-		var (
-			state *ir.State
-			st    sim.Stats
-			err   error
-		)
-		if eng == "compiled" {
-			cp, berr := compiled.Build(a.Binary, m)
-			if berr != nil {
-				s.fail(w, http.StatusUnprocessableEntity, berr)
-				return
-			}
-			cell := compiled.NewCell(cp)
-			cell.Ctx = ctx
-			state, err = cell.Run()
-			st = cell.Stats()
-		} else {
-			cell := sim.New(a.Binary, m)
-			cell.Ctx = ctx
-			state, err = cell.Run()
-			st = cell.Stats()
+		prog, err := sim.Decode(a.Binary, m, eng == "compiled")
+		if err != nil {
+			s.fail(w, http.StatusUnprocessableEntity, err)
+			return
 		}
+		cell := sim.NewCell(prog)
+		cell.Ctx = ctx
+		state, err := cell.Run()
 		if err != nil {
 			s.writeRequestError(w, classifyRunErr(err))
 			return
 		}
+		st := cell.Stats()
 		resp.Cycles, resp.Flops = st.Cycles, st.Flops
 		resp.MFLOPS = st.MFLOPS(m, 1)
 		if state != nil {
@@ -455,20 +427,7 @@ func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	cells := make([]sim.Cell, len(a.Binaries))
-	for i, bin := range a.Binaries {
-		if eng == "compiled" {
-			cp, err := compiled.Build(bin, m)
-			if err != nil {
-				s.fail(w, http.StatusUnprocessableEntity, fmt.Errorf("cell %d: %w", i, err))
-				return
-			}
-			cells[i] = compiled.NewCell(cp)
-		} else {
-			cells[i] = sim.New(bin, m)
-		}
-	}
-	arr := sim.NewArrayCells(cells, req.Input)
+	arr := sim.NewArray(a.Binaries, m, req.Input)
 	arr.Ctx = ctx
 	out, last, err := arr.Run()
 	if err != nil {

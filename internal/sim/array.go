@@ -19,7 +19,7 @@ import (
 // exactly ("except for a short setup time at the beginning, these
 // programs never stall", §4.1 — the setup skew is where stalls happen).
 type Array struct {
-	Cells []Cell
+	Cells []*Sim
 	// MaxCycles bounds the run; 0 picks a generous default.
 	MaxCycles int64
 	// HostQueueBudget bounds the unbounded host collection queue: a
@@ -61,18 +61,19 @@ const QueueCapacity = 512
 // preloaded on the first cell's input channel; the last cell's sends
 // accumulate as the array output.
 func NewArray(progs []*vliw.Program, m *machine.Machine, input []float64) *Array {
-	cells := make([]Cell, len(progs))
+	cells := make([]*Sim, len(progs))
 	for i, p := range progs {
 		cells[i] = New(p, m)
 	}
 	return NewArrayCells(cells, input)
 }
 
-// NewArrayCells wires pre-built cells (any engine implementing Cell) into
-// a linear array: bounded queues between adjacent cells, unbounded host
-// queues at both ends, input preloaded on the first cell's channel.
-func NewArrayCells(cells []Cell, input []float64) *Array {
-	a := &Array{}
+// NewArrayCells wires pre-built cells into a linear array: bounded queues
+// between adjacent cells, unbounded host queues at both ends, input
+// preloaded on the first cell's channel.  An array only ever Steps its
+// cells, so which engine decoded them makes no difference here.
+func NewArrayCells(cells []*Sim, input []float64) *Array {
+	a := &Array{Cells: cells}
 	a.queues = make([]*Queue, len(cells)+1)
 	a.queues[0] = NewQueue(0) // host side: unbounded, preloaded
 	for i := 1; i < len(cells); i++ {
@@ -84,20 +85,20 @@ func NewArrayCells(cells []Cell, input []float64) *Array {
 	}
 	for i, c := range cells {
 		c.SetQueues(a.queues[i], a.queues[i+1])
-		a.Cells = append(a.Cells, c)
 	}
 	a.metrics = make([]CellMetrics, len(cells))
 	return a
 }
 
 // NewHomogeneousArray runs the same cell program on n cells (the shape of
-// all the paper's measured applications, §4.1).
+// all the paper's measured applications, §4.1), decoded once and shared.
 func NewHomogeneousArray(p *vliw.Program, m *machine.Machine, n int, input []float64) *Array {
-	progs := make([]*vliw.Program, n)
-	for i := range progs {
-		progs[i] = p
+	prog := decode(p, m)
+	cells := make([]*Sim, n)
+	for i := range cells {
+		cells[i] = NewCell(prog)
 	}
-	return NewArray(progs, m, input)
+	return NewArrayCells(cells, input)
 }
 
 // Run steps every cell until all halt, then drains in-flight writes.

@@ -1,11 +1,10 @@
-package compiled
+package sim
 
 import (
 	"context"
 	"fmt"
 
 	"softpipe/internal/ir"
-	"softpipe/internal/sim"
 )
 
 // Lane parameterizes one independent simulation of a batch: its own
@@ -21,41 +20,34 @@ type Lane struct {
 // does not abort the batch).
 type LaneResult struct {
 	State *ir.State
-	Stats sim.Stats
+	Stats Stats
 	Err   error
 }
 
-// Batch executes N independent cells over one compiled program.  The
+// Batch executes N independent cells over one decoded program.  The
 // lanes' register files and memories are slices of shared struct-of-
-// arrays arenas (four allocations for the whole batch), and the build
+// arrays arenas (four allocations for the whole batch), and the decode
 // cost of the program is amortized across all lanes — the point of the
 // /run batch mode: throughput scales with requests, not cycles×requests.
 type Batch struct {
 	// MaxCycles bounds each lane (0 = the engine default).
 	MaxCycles int64
 
-	prog  *Program
-	cells []*Cell
+	cells []*Sim
 }
 
 // NewBatch lays out len(lanes) cells over p in SoA arenas.
 func NewBatch(p *Program, lanes []Lane) *Batch {
 	n := len(lanes)
-	b := &Batch{prog: p, cells: make([]*Cell, n)}
-	fregs := make([]float64, n*p.numF)
-	iregs := make([]int64, n*p.numI)
-	memF := make([]float64, n*p.memW)
-	memI := make([]int64, n*p.memW)
+	numF, numI, memW := p.Src.NumFRegs, p.Src.NumIRegs, p.Src.MemWords
+	b := &Batch{cells: make([]*Sim, n)}
+	fregs := make([]float64, n*numF)
+	iregs := make([]int64, n*numI)
+	memF := make([]float64, n*memW)
+	memI := make([]int64, n*memW)
 	for i := range lanes {
-		c := &Cell{
-			prog:  p,
-			fregs: fregs[i*p.numF : (i+1)*p.numF],
-			iregs: iregs[i*p.numI : (i+1)*p.numI],
-			memF:  memF[i*p.memW : (i+1)*p.memW],
-			memI:  memI[i*p.memW : (i+1)*p.memW],
-		}
-		c.initShared()
-		c.initMemory()
+		c := newCell(p, fregs[i*numF:(i+1)*numF], iregs[i*numI:(i+1)*numI],
+			memF[i*memW:(i+1)*memW], memI[i*memW:(i+1)*memW])
 		c.InputTape = lanes[i].InputTape
 		for name, vals := range lanes[i].FloatArrays {
 			if arr := p.Src.Array(name); arr != nil && arr.Kind == ir.KindFloat {

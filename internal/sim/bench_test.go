@@ -79,6 +79,61 @@ func BenchmarkSimSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkFastSteadyState is the fast path's counterpart of
+// BenchmarkSimSteadyState: ns/op is ns/cycle inside an engaged block.
+func BenchmarkFastSteadyState(b *testing.B) {
+	m := machine.Warp()
+	p, err := Decode(kernelProg(int64(b.N)+1_000_000_000), m, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := NewCell(p)
+	// Warm up past the preamble so the ring holds the steady pattern.
+	for i := 0; i < 64; i++ {
+		if _, err := s.Step(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	blk := p.blocks[s.pc]
+	if blk == nil || !s.tryEngage(blk) {
+		b.Fatal("fast path did not engage")
+	}
+	ii := int64(blk.ii)
+	iters := (int64(b.N) + ii - 1) / ii
+	b.ResetTimer()
+	if _, err := s.fastChunk(blk, 0, iters); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// TestDecodeAllocsIndependentOfLength pins decode at O(1) allocations:
+// the program header, the word table and the flat op stream, however
+// many instruction words there are.
+func TestDecodeAllocsIndependentOfLength(t *testing.T) {
+	m := machine.Warp()
+	base := kernelProg(10)
+	rep := kernelProg(10)
+	body := rep.Instrs[:len(rep.Instrs)-1]
+	rep.Instrs = nil
+	for i := 0; i < 8; i++ {
+		rep.Instrs = append(rep.Instrs, body...)
+	}
+	rep.Instrs = append(rep.Instrs, base.Instrs[len(base.Instrs)-1])
+
+	allocs := func(p *vliw.Program) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Decode(p, m, false); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, eight := allocs(base), allocs(rep)
+	if one != eight || one > 3 {
+		t.Fatalf("decode allocations: %.0f for %d words, %.0f for %d words; want the same ≤ 3",
+			one, len(base.Instrs), eight, len(rep.Instrs))
+	}
+}
+
 // TestSimSteadyStateZeroAllocs asserts the acceptance criterion directly:
 // zero allocations per simulated cycle once the loop is warm.
 func TestSimSteadyStateZeroAllocs(t *testing.T) {

@@ -50,7 +50,7 @@ func TestArrayMixedEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed := sim.NewArrayCells([]sim.Cell{sim.New(relay(5, 10), m), NewCell(cp)}, input)
+	mixed := sim.NewArrayCells([]*sim.Sim{sim.New(relay(5, 10), m), NewCell(cp)}, input)
 	out, _, err := mixed.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestArrayCtxCancelMidSkew(t *testing.T) {
 	}
 	// No input at all: cell 0 blocks on its first receive forever, so
 	// without the context the run would end in a deadlock report.
-	a := sim.NewArrayCells([]sim.Cell{sim.New(relay(100000, 1), m), NewCell(cp)}, nil)
+	a := sim.NewArrayCells([]*sim.Sim{sim.New(relay(100000, 1), m), NewCell(cp)}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a.Ctx = ctx

@@ -8,36 +8,6 @@ import (
 	"softpipe/internal/sim"
 )
 
-// BenchmarkCompiledSteadyState is the compiled-engine counterpart of
-// internal/sim's BenchmarkSimSteadyState: ns/op is ns/cycle on the
-// steady-state kernel.  The ISSUE acceptance bar is ≥2× over the
-// interpreter's 76 ns/cycle.
-func BenchmarkCompiledSteadyState(b *testing.B) {
-	m := machine.Warp()
-	cp, err := Build(kernelProg(int64(b.N)+1_000_000_000), m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c := NewCell(cp)
-	c.MaxCycles = 1 << 62
-	// Warm up past the preamble so the loop is engaged steady state.
-	for i := 0; i < 64; i++ {
-		if _, err := c.Step(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	blk := cp.blocks[c.pc]
-	if blk == nil || !c.tryEngage(blk) {
-		b.Fatal("fast path did not engage")
-	}
-	ii := int64(blk.ii)
-	iters := (int64(b.N) + ii - 1) / ii
-	b.ResetTimer()
-	if _, err := c.fastChunk(blk, 0, iters); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkCompiledWholeRun measures Build+Run end to end on a 100k-iter
 // kernel (the amortization story: build once, run millions of cycles).
 func BenchmarkCompiledWholeRun(b *testing.B) {
@@ -105,37 +75,5 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	short, long := allocsFor(2_000), allocsFor(200_000)
 	if long > short {
 		t.Fatalf("steady state allocates: %.1f allocs at 2k iters vs %.1f at 200k", short, long)
-	}
-}
-
-// TestBuildAllocsBoundedByDistinctWords pins the build-time allocation
-// contract: compiling a program whose words repeat 8× must cost far less
-// than 8× the allocations of the distinct-word set (shared *word chains),
-// over and above the unavoidable per-pc slices.
-func TestBuildAllocsBoundedByDistinctWords(t *testing.T) {
-	m := machine.Warp()
-	base := kernelProg(10)
-	rep := kernelProg(10)
-	body := rep.Instrs[:len(rep.Instrs)-1]
-	rep.Instrs = nil
-	for i := 0; i < 8; i++ {
-		rep.Instrs = append(rep.Instrs, body...)
-	}
-	rep.Instrs = append(rep.Instrs, base.Instrs[len(base.Instrs)-1])
-
-	one := testing.AllocsPerRun(5, func() {
-		if _, err := Build(base, m); err != nil {
-			t.Fatal(err)
-		}
-	})
-	eight := testing.AllocsPerRun(5, func() {
-		if _, err := Build(rep, m); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// Closure compilation dominates build allocations; with full sharing
-	// the 8× program should cost well under 4× the baseline.
-	if eight > 4*one {
-		t.Fatalf("build allocations scale with program length, not distinct words: %0.f vs %.0f", eight, one)
 	}
 }

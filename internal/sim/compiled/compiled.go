@@ -1,838 +1,44 @@
-// Package compiled is the second execution engine for VLIW object
-// programs: instead of interpreting the pre-decoded op stream through a
-// per-cycle switch, Build translates each distinct instruction word once
-// into a fused chain of specialized Go closures (threaded code) with
-// class, latency, register indices and array bounds resolved at build
-// time.  On top of the per-word closures sits a steady-state fast path
-// (fast.go): innermost DBNZ self-loops with no control flow or queue
-// traffic inside run whole iterations at a time, replacing the generic
-// write-back ring with per-op modulo delay buffers and polling ctx /
-// cycle budget only at iteration boundaries.
-//
-// The interpreter (internal/sim) stays the reference semantics: this
-// engine is gated behind differential tests pinning final state, stats
-// and stall behavior bit-identical across the Livermore suite, the fuzz
-// corpus and array programs.  Timing contract, write-back conflict
-// detection and error conditions are reproduced exactly.
+// Package compiled names the entry points of the "compiled" engine.  The
+// engine has no state or semantics of its own: a compiled Program is a
+// sim.Program decoded with its steady-state blocks attached, a Cell is a
+// sim.Sim, and the only thing that differs from the interpreter is that
+// Run may retire whole kernel iterations through the dataflow fast path
+// (internal/sim/fast.go).  Step — and therefore every array — is the
+// interpreter's.  The names are kept for the benchmark module and for the
+// differential tests in this directory, which pin the fast path's final
+// state, stats and stall behavior bit-identical to stepping every cycle
+// across the Livermore suite, the fuzz corpus and array programs.
 package compiled
 
 import (
-	"context"
-	"fmt"
-	"math"
-	"strings"
-
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 	"softpipe/internal/sim"
 	"softpipe/internal/vliw"
 )
 
-// decOp mirrors the interpreter's pre-decoded slot operation; Build
-// resolves it further into closures.
-type decOp struct {
-	class    machine.Class
-	dst      int
-	src0     int
-	src1     int
-	src2     int
-	lat      int64
-	flops    int64
-	fimm     float64
-	iimm     int64
-	disp     int64
-	arrBase  int64
-	arrEnd   int64
-	arrFloat bool
-	arrName  string
-	selFloat bool
-}
+type (
+	Program    = sim.Program
+	Cell       = sim.Sim
+	Lane       = sim.Lane
+	LaneResult = sim.LaneResult
+	Batch      = sim.Batch
+)
 
-type writeback struct {
-	isFloat bool
-	reg     int
-	f       float64
-	i       int64
-	pc      int
-}
-
-type memStore struct {
-	isFloat bool
-	addr    int64
-	f       float64
-	i       int64
-}
-
-// opExec executes one slot operation of the current instruction word.
-type opExec func(c *Cell) error
-
-// word is one compiled instruction word: the fused closure chain plus the
-// word-level facts the step loop needs.  Distinct pcs holding identical
-// slot content share one *word (threaded code), so build cost is bounded
-// by the number of distinct words, not program length.
-type word struct {
-	execs    []opExec
-	pre      []machine.Class // Recv/Send prechecks, in slot order
-	nOps     int64           // slots incl. nops (stats parity)
-	flops    int64
-	hasStore bool
-}
-
-// rotSet holds the compiled variants of a rotating instruction word: the
-// ring operands repeat with period mod (the lcm of the word's ring
-// lengths), so words[rrb mod mod] is the word with every ring resolved
-// for that rotating base.  Burning the residues into closures keeps the
-// per-cycle cost of rotation to one modulus in Step.
-type rotSet struct {
-	mod   int
-	words []*word
-}
-
-// Program is a compiled object: per-pc word pointers (deduplicated),
-// sequencer fields, and the steady-state blocks the fast path may engage.
-type Program struct {
-	Src  *vliw.Program
-	Mach *machine.Machine
-
-	words   []*word
-	rot     []*rotSet // indexed by pc; nil = static word
-	ctl     []vliw.Ctl
-	blocks  []*block // indexed by head pc; nil = no fast path here
-	ringLen int
-	numF    int
-	numI    int
-	memW    int
-}
-
-// DistinctWords reports how many unique instruction words were compiled
-// (the build-time working set; repeated words share one closure chain).
-func (p *Program) DistinctWords() int {
-	seen := make(map[*word]bool, len(p.words))
-	for _, w := range p.words {
-		seen[w] = true
-	}
-	return len(seen)
-}
-
-// Blocks reports how many steady-state kernel blocks are eligible for the
-// fast path.
-func (p *Program) Blocks() int {
-	n := 0
-	for _, b := range p.blocks {
-		if b != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// Build compiles p for machine m.  Errors the interpreter would defer to
-// the first Step (unsupported class, unknown array) surface here.
+// Build decodes p for machine m with its fast-path blocks.  Errors the
+// interpreter defers to the first Step (unsupported class, unknown array,
+// out-of-range register) surface here.
 func Build(p *vliw.Program, m *machine.Machine) (*Program, error) {
-	maxLat := 1
-	for c := machine.Class(0); c < machine.Class(machine.NumClasses()); c++ {
-		if d := m.Desc(c); d != nil && d.Latency > maxLat {
-			maxLat = d.Latency
-		}
-	}
-	cp := &Program{
-		Src:     p,
-		Mach:    m,
-		words:   make([]*word, len(p.Instrs)),
-		rot:     make([]*rotSet, len(p.Instrs)),
-		ctl:     make([]vliw.Ctl, len(p.Instrs)),
-		blocks:  make([]*block, len(p.Instrs)),
-		ringLen: maxLat + 1,
-		numF:    p.NumFRegs,
-		numI:    p.NumIRegs,
-		memW:    p.MemWords,
-	}
-	decoded := make([][]decOp, len(p.Instrs))
-	uniq := make(map[string]*word)
-	var key strings.Builder
-	compile := func(pc int, slots []vliw.SlotOp) ([]decOp, *word, error) {
-		ops, err := decodeWord(p, m, pc, slots)
-		if err != nil {
-			return nil, nil, err
-		}
-		key.Reset()
-		for i := range ops {
-			o := &ops[i]
-			fmt.Fprintf(&key, "%d,%d,%d,%d,%d,%d,%x,%d,%d,%d,%d,%t,%t,%s;",
-				o.class, o.dst, o.src0, o.src1, o.src2, o.lat,
-				math.Float64bits(o.fimm), o.iimm, o.disp,
-				o.arrBase, o.arrEnd, o.arrFloat, o.selFloat, o.arrName)
-		}
-		k := key.String()
-		w := uniq[k]
-		if w == nil {
-			w = compileWord(ops)
-			uniq[k] = w
-		}
-		return ops, w, nil
-	}
-	for pc := range p.Instrs {
-		in := &p.Instrs[pc]
-		cp.ctl[pc] = in.Ctl
-		if mod := ringPeriod(in.Ops); mod > 1 {
-			// Rotating word: one resolved variant per rotating-base
-			// residue; Step picks variants[rrb mod mod].
-			variants := make([]*word, mod)
-			for v := 0; v < mod; v++ {
-				ops, w, err := compile(pc, resolveSlots(in.Ops, int64(v)))
-				if err != nil {
-					return nil, err
-				}
-				variants[v] = w
-				if v == 0 {
-					decoded[pc] = ops
-				}
-			}
-			cp.words[pc] = variants[0]
-			cp.rot[pc] = &rotSet{mod: mod, words: variants}
-			continue
-		}
-		ops, w, err := compile(pc, in.Ops)
-		if err != nil {
-			return nil, err
-		}
-		decoded[pc] = ops
-		cp.words[pc] = w
-	}
-	buildBlocks(cp, decoded)
-	return cp, nil
+	return sim.Decode(p, m, true)
 }
-
-// ringPeriod returns the period of a word's rotating operands: the lcm
-// of every ring length, 1 for static words.
-func ringPeriod(slots []vliw.SlotOp) int {
-	mod := 1
-	add := func(ring []int) {
-		if n := len(ring); n > 0 {
-			mod = mod / gcd(mod, n) * n
-		}
-	}
-	for i := range slots {
-		add(slots[i].DstRing)
-		for _, r := range slots[i].SrcRings {
-			add(r)
-		}
-	}
-	return mod
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// resolveSlots returns the word's slots with every ring operand replaced
-// by its effective register at rotating base rrb (rings dropped), so the
-// result compiles through the static path.
-func resolveSlots(slots []vliw.SlotOp, rrb int64) []vliw.SlotOp {
-	out := make([]vliw.SlotOp, len(slots))
-	for i := range slots {
-		o := slots[i]
-		o.Dst = vliw.EffReg(o.Dst, o.DstRing, rrb)
-		if len(o.SrcRings) > 0 {
-			src := make([]int, len(o.Src))
-			for j, r := range o.Src {
-				if j < len(o.SrcRings) {
-					r = vliw.EffReg(r, o.SrcRings[j], rrb)
-				}
-				src[j] = r
-			}
-			o.Src = src
-		}
-		o.DstRing = nil
-		o.SrcRings = nil
-		out[i] = o
-	}
-	return out
-}
-
-// decodeWord lowers one instruction's slots, mirroring the interpreter's
-// decode (latency/flops/array layout resolved once).
-func decodeWord(p *vliw.Program, m *machine.Machine, pc int, slots []vliw.SlotOp) ([]decOp, error) {
-	if len(slots) == 0 {
-		return nil, nil
-	}
-	ops := make([]decOp, 0, len(slots))
-	for oi := range slots {
-		o := &slots[oi]
-		d := m.Desc(o.Class)
-		if d == nil {
-			return nil, fmt.Errorf("sim: @%d: unsupported class %v", pc, o.Class)
-		}
-		dec := decOp{
-			class: o.Class,
-			dst:   o.Dst,
-			lat:   int64(d.Latency),
-			flops: int64(d.Flops),
-			fimm:  o.FImm,
-			iimm:  o.IImm,
-			disp:  o.Disp,
-		}
-		if len(o.Src) > 0 {
-			dec.src0 = o.Src[0]
-		}
-		if len(o.Src) > 1 {
-			dec.src1 = o.Src[1]
-		}
-		if len(o.Src) > 2 {
-			dec.src2 = o.Src[2]
-		}
-		switch o.Class {
-		case machine.ClassLoad, machine.ClassStore:
-			arr := p.Array(o.Array)
-			if arr == nil {
-				return nil, fmt.Errorf("sim: @%d: unknown array %q", pc, o.Array)
-			}
-			dec.arrBase = int64(arr.Base)
-			dec.arrEnd = int64(arr.Base + arr.Size)
-			dec.arrFloat = arr.Kind == ir.KindFloat
-			dec.arrName = arr.Name
-		case machine.ClassISelect:
-			dec.selFloat = o.FImm != 0
-		}
-		ops = append(ops, dec)
-	}
-	return ops, nil
-}
-
-// compileWord fuses one word's slots into its closure chain.
-func compileWord(ops []decOp) *word {
-	w := &word{nOps: int64(len(ops))}
-	for i := range ops {
-		o := &ops[i]
-		w.flops += o.flops
-		switch o.class {
-		case machine.ClassRecv, machine.ClassSend:
-			w.pre = append(w.pre, o.class)
-		case machine.ClassStore:
-			w.hasStore = true
-		}
-		if fn := buildExec(o); fn != nil {
-			w.execs = append(w.execs, fn)
-		}
-	}
-	return w
-}
-
-// buildExec specializes one slot operation: class dispatch, latency,
-// register indices and array bounds are burned into the closure.  The
-// closure reads c.pc/c.t dynamically so deduplicated words keep exact
-// diagnostics.  Nil means the op issues nothing (nop).
-func buildExec(o *decOp) opExec {
-	lat, dst := o.lat, o.dst
-	s0, s1, s2 := o.src0, o.src1, o.src2
-	switch o.class {
-	case machine.ClassNop:
-		return nil
-	case machine.ClassFAdd:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, true, dst, c.fregs[s0]+c.fregs[s1], 0); return nil }
-	case machine.ClassFSub:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, true, dst, c.fregs[s0]-c.fregs[s1], 0); return nil }
-	case machine.ClassFMul:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, true, dst, c.fregs[s0]*c.fregs[s1], 0); return nil }
-	case machine.ClassFNeg:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, true, dst, -c.fregs[s0], 0); return nil }
-	case machine.ClassFMov:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, true, dst, c.fregs[s0], 0); return nil }
-	case machine.ClassFConst:
-		fimm := o.fimm
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, true, dst, fimm, 0); return nil }
-	case machine.ClassRecv:
-		return func(c *Cell) error {
-			var v float64
-			if c.inQ != nil {
-				v = c.inQ.Pop()
-			} else {
-				v = c.InputTape[c.inPos]
-				c.inPos++
-			}
-			c.wb(c.t+lat, c.pc, true, dst, v, 0)
-			return nil
-		}
-	case machine.ClassSend:
-		return func(c *Cell) error {
-			if c.outQ != nil {
-				c.outQ.Push(c.fregs[s0])
-			} else {
-				c.OutputTape = append(c.OutputTape, c.fregs[s0])
-			}
-			return nil
-		}
-	case machine.ClassFRecipSeed:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, true, dst, ir.RecipSeed(c.fregs[s0]), 0); return nil }
-	case machine.ClassFRsqrtSeed:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, true, dst, ir.RsqrtSeed(c.fregs[s0]), 0); return nil }
-	case machine.ClassF2I:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, false, dst, 0, int64(c.fregs[s0])); return nil }
-	case machine.ClassI2F:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, true, dst, float64(c.iregs[s0]), 0); return nil }
-	case machine.ClassFCmp:
-		pred := ir.Pred(o.iimm)
-		return func(c *Cell) error {
-			c.wb(c.t+lat, c.pc, false, dst, 0, b2i(pred.Eval(signF(c.fregs[s0], c.fregs[s1]))))
-			return nil
-		}
-	case machine.ClassIAdd, machine.ClassAdrAdd:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, false, dst, 0, c.iregs[s0]+c.iregs[s1]); return nil }
-	case machine.ClassISub:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, false, dst, 0, c.iregs[s0]-c.iregs[s1]); return nil }
-	case machine.ClassIMul:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, false, dst, 0, c.iregs[s0]*c.iregs[s1]); return nil }
-	case machine.ClassIMov:
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, false, dst, 0, c.iregs[s0]); return nil }
-	case machine.ClassIConst:
-		iimm := o.iimm
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, false, dst, 0, iimm); return nil }
-	case machine.ClassIShr:
-		sh := uint(o.iimm)
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, false, dst, 0, int64(uint64(c.iregs[s0])>>sh)); return nil }
-	case machine.ClassIAnd:
-		iimm := o.iimm
-		return func(c *Cell) error { c.wb(c.t+lat, c.pc, false, dst, 0, c.iregs[s0]&iimm); return nil }
-	case machine.ClassICmp:
-		pred := ir.Pred(o.iimm)
-		return func(c *Cell) error {
-			c.wb(c.t+lat, c.pc, false, dst, 0, b2i(pred.Eval(signI(c.iregs[s0], c.iregs[s1]))))
-			return nil
-		}
-	case machine.ClassISelect:
-		if o.selFloat {
-			return func(c *Cell) error {
-				which := s2
-				if c.iregs[s0] != 0 {
-					which = s1
-				}
-				c.wb(c.t+lat, c.pc, true, dst, c.fregs[which], 0)
-				return nil
-			}
-		}
-		return func(c *Cell) error {
-			which := s2
-			if c.iregs[s0] != 0 {
-				which = s1
-			}
-			c.wb(c.t+lat, c.pc, false, dst, 0, c.iregs[which])
-			return nil
-		}
-	case machine.ClassLoad:
-		base, end, isF := o.arrBase, o.arrEnd, o.arrFloat
-		name, disp := o.arrName, o.disp
-		if isF {
-			return func(c *Cell) error {
-				addr := c.iregs[s0] + disp
-				if addr < base || addr >= end {
-					return boundsErr(name, base, end, c.pc, c.t, addr)
-				}
-				c.wb(c.t+lat, c.pc, true, dst, c.memF[addr], 0)
-				return nil
-			}
-		}
-		return func(c *Cell) error {
-			addr := c.iregs[s0] + disp
-			if addr < base || addr >= end {
-				return boundsErr(name, base, end, c.pc, c.t, addr)
-			}
-			c.wb(c.t+lat, c.pc, false, dst, 0, c.memI[addr])
-			return nil
-		}
-	case machine.ClassStore:
-		base, end, isF := o.arrBase, o.arrEnd, o.arrFloat
-		name, disp := o.arrName, o.disp
-		if isF {
-			return func(c *Cell) error {
-				addr := c.iregs[s0] + disp
-				if addr < base || addr >= end {
-					return boundsErr(name, base, end, c.pc, c.t, addr)
-				}
-				c.storeBuf = append(c.storeBuf, memStore{isFloat: true, addr: addr, f: c.fregs[s1]})
-				return nil
-			}
-		}
-		return func(c *Cell) error {
-			addr := c.iregs[s0] + disp
-			if addr < base || addr >= end {
-				return boundsErr(name, base, end, c.pc, c.t, addr)
-			}
-			c.storeBuf = append(c.storeBuf, memStore{addr: addr, i: c.iregs[s1]})
-			return nil
-		}
-	}
-	cls := o.class
-	return func(c *Cell) error { return fmt.Errorf("sim: @%d: cannot execute class %v", c.pc, cls) }
-}
-
-func boundsErr(name string, base, end int64, pc int, t int64, addr int64) error {
-	return fmt.Errorf("sim: @%d cycle %d: %s[%d] out of bounds (size %d)",
-		pc, t, name, addr-base, end-base)
-}
-
-// Cell is one execution instance of a compiled Program.  It implements
-// sim.Cell, so arrays can host compiled cells next to interpreted ones.
-// Note the compiled engine does not support per-cycle tracing; use the
-// interpreter for -exectrace.
-type Cell struct {
-	// MaxCycles guards against runaway programs; 0 means a generous
-	// default (same as the interpreter's).
-	MaxCycles int64
-	// InputTape feeds Recv when no input queue is attached; OutputTape
-	// collects Send values likewise.
-	InputTape  []float64
-	OutputTape []float64
-	// Ctx, when non-nil, is polled every few thousand cycles (at
-	// iteration boundaries inside the fast path).
-	Ctx context.Context
-
-	prog *Program
-
-	fregs []float64
-	iregs []int64
-	memF  []float64
-	memI  []int64
-
-	ring     [][]writeback
-	nPending int
-	lastWF   []int64
-	lastWI   []int64
-	storeBuf []memStore
-	fastErr  error // first memory fault of the current fast-path cycle
-
-	stats sim.Stats
-
-	pc     int
-	t      int64
-	rrb    int64 // rotating register base
-	halted bool
-	inPos  int
-	inQ    *sim.Queue
-	outQ   *sim.Queue
-
-	blocked      machine.Class
-	blockedValid bool
-
-	// bstates[i] is the lazily allocated delay-buffer state for
-	// prog block i (fast.go); fpool/ipool alias the engaged block's
-	// pooled buffers while the fast path runs.
-	bstates []*blockState
-	fpool   []float64
-	ipool   []int64
-}
-
-var _ sim.Cell = (*Cell)(nil)
 
 // NewCell prepares an execution instance with initialized memory.
-func NewCell(p *Program) *Cell {
-	c := &Cell{
-		prog:  p,
-		fregs: make([]float64, p.numF),
-		iregs: make([]int64, p.numI),
-		memF:  make([]float64, p.memW),
-		memI:  make([]int64, p.memW),
-	}
-	c.initShared()
-	c.initMemory()
-	return c
-}
+func NewCell(p *Program) *Cell { return sim.NewCell(p) }
 
-// initShared sets up the non-memory runtime state (shared with the batch
-// constructor, whose register/memory slices live in an arena).
-func (c *Cell) initShared() {
-	p := c.prog
-	c.ring = make([][]writeback, p.ringLen)
-	c.lastWF = make([]int64, p.numF)
-	c.lastWI = make([]int64, p.numI)
-	c.bstates = make([]*blockState, len(p.blocks))
-}
+// NewBatch lays out len(lanes) cells over p in struct-of-arrays arenas.
+func NewBatch(p *Program, lanes []Lane) *Batch { return sim.NewBatch(p, lanes) }
 
-func (c *Cell) initMemory() {
-	p := c.prog.Src
-	for _, a := range p.Arrays {
-		if a.Kind == ir.KindFloat {
-			copy(c.memF[a.Base:a.Base+a.Size], p.InitF[a.Name])
-		} else {
-			copy(c.memI[a.Base:a.Base+a.Size], p.InitI[a.Name])
-		}
-	}
-}
-
-// SetQueues attaches inter-cell channels (sim.Cell interface).
-func (c *Cell) SetQueues(in, out *sim.Queue) { c.inQ, c.outQ = in, out }
-
-// Halted reports whether the cell executed its halt instruction.
-func (c *Cell) Halted() bool { return c.halted }
-
-// Stats reports the counters accumulated so far.
-func (c *Cell) Stats() sim.Stats { return c.stats }
-
-// BlockedOn reports the queue operation the last (stalled) Step could not
-// complete (sim.Cell interface).
-func (c *Cell) BlockedOn() (class machine.Class, pc int, cycle int64, ok bool) {
-	if !c.blockedValid {
-		return 0, 0, 0, false
-	}
-	return c.blocked, c.pc, c.t, true
-}
-
-// Step executes one local cycle through the compiled word chain; the
-// semantics (stall prechecks, write-back application order, control
-// timing) mirror the interpreter exactly.
-func (c *Cell) Step() (stalled bool, err error) {
-	if c.halted {
-		return false, nil
-	}
-	pc := c.pc
-	if pc < 0 || pc >= len(c.prog.words) {
-		return false, fmt.Errorf("sim: pc %d out of range at cycle %d", pc, c.t)
-	}
-	w := c.prog.words[pc]
-	if rs := c.prog.rot[pc]; rs != nil {
-		w = rs.words[int(c.rrb%int64(rs.mod))]
-	}
-	for _, cl := range w.pre {
-		if cl == machine.ClassRecv {
-			if c.inQ != nil && c.inQ.Empty() {
-				c.blocked, c.blockedValid = machine.ClassRecv, true
-				return true, nil
-			}
-			if c.inQ == nil && c.inPos >= len(c.InputTape) {
-				return false, fmt.Errorf("sim: receive beyond end of input tape (pc=%d)", pc)
-			}
-		} else if c.outQ != nil && c.outQ.Full() {
-			c.blocked, c.blockedValid = machine.ClassSend, true
-			return true, nil
-		}
-	}
-	c.blockedValid = false
-	if err := c.applyWritebacks(c.t); err != nil {
-		return false, err
-	}
-	c.stats.Ops += w.nOps
-	c.stats.Flops += w.flops
-	for _, fn := range w.execs {
-		if err := fn(c); err != nil {
-			return false, err
-		}
-	}
-	if w.hasStore {
-		for i := range c.storeBuf {
-			st := &c.storeBuf[i]
-			if st.isFloat {
-				c.memF[st.addr] = st.f
-			} else {
-				c.memI[st.addr] = st.i
-			}
-		}
-		c.storeBuf = c.storeBuf[:0]
-	}
-	next := pc + 1
-	ctl := &c.prog.ctl[pc]
-	switch ctl.Kind {
-	case vliw.CtlNone:
-	case vliw.CtlHalt:
-		c.halted = true
-	case vliw.CtlJump:
-		next = ctl.Target
-	case vliw.CtlDBNZ:
-		c.iregs[ctl.Reg]--
-		if c.iregs[ctl.Reg] != 0 {
-			next = ctl.Target
-		}
-		if ctl.Rotate {
-			c.rrb++
-		}
-	case vliw.CtlJZ:
-		if c.iregs[vliw.EffReg(ctl.Reg, ctl.RegRing, c.rrb)] == 0 {
-			next = ctl.Target
-		}
-	case vliw.CtlJNZ:
-		if c.iregs[vliw.EffReg(ctl.Reg, ctl.RegRing, c.rrb)] != 0 {
-			next = ctl.Target
-		}
-	case vliw.CtlRotClear:
-		c.rrb = 0
-	}
-	c.stats.Instrs++
-	c.t++
-	c.pc = next
-	return false, nil
-}
-
-// Run executes until halt and returns the observable state.  Steady-state
-// kernel blocks run through the fast path; everything else steps through
-// the compiled word chain one cycle at a time.
-func (c *Cell) Run() (*ir.State, error) {
-	max := c.MaxCycles
-	if max == 0 {
-		max = 200_000_000
-	}
-	for !c.halted {
-		if c.t >= max {
-			return nil, fmt.Errorf("sim: exceeded %d cycles (pc=%d)", max, c.pc)
-		}
-		if c.Ctx != nil && c.t&0x1fff == 0 {
-			if err := c.Ctx.Err(); err != nil {
-				return nil, fmt.Errorf("sim: run aborted at cycle %d: %w", c.t, err)
-			}
-		}
-		if b := c.prog.blocks[c.pc]; b != nil && c.t+int64(b.ii) <= max && c.tryEngage(b) {
-			if err := c.runFast(b, max); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		stalled, err := c.Step()
-		if err != nil {
-			return nil, err
-		}
-		if stalled {
-			return nil, fmt.Errorf("sim: cell stalled outside an array (pc=%d)", c.pc)
-		}
-	}
-	if err := c.Drain(max); err != nil {
-		return nil, err
-	}
-	c.stats.Cycles = c.t
-	return c.State(), nil
-}
-
-// Drain advances local time until every in-flight write-back has landed,
-// honoring c.Ctx like the interpreter.
-func (c *Cell) Drain(max int64) error {
-	for c.nPending > 0 {
-		if c.Ctx != nil {
-			if err := c.Ctx.Err(); err != nil {
-				return fmt.Errorf("sim: drain aborted at cycle %d: %w", c.t, err)
-			}
-		}
-		if err := c.applyWritebacks(c.t); err != nil {
-			return err
-		}
-		c.t++
-		if max > 0 && c.t >= max {
-			return fmt.Errorf("sim: drain exceeded %d cycles", max)
-		}
-	}
-	return nil
-}
-
-func (c *Cell) wb(due int64, pc int, isFloat bool, reg int, f float64, i int64) {
-	slot := int(due % int64(len(c.ring)))
-	c.ring[slot] = append(c.ring[slot], writeback{isFloat: isFloat, reg: reg, f: f, i: i, pc: pc})
-	c.nPending++
-}
-
-func (c *Cell) applyWritebacks(t int64) error {
-	slot := int(t % int64(len(c.ring)))
-	wbs := c.ring[slot]
-	if len(wbs) == 0 {
-		return nil
-	}
-	stamp := t + 1
-	for k := range wbs {
-		w := &wbs[k]
-		if w.isFloat {
-			if c.lastWF[w.reg] == stamp {
-				return fmt.Errorf("sim: write-back conflict on f%d at cycle %d (pc %d and %d)",
-					w.reg, t, prevWriter(wbs[:k], true, w.reg), w.pc)
-			}
-			c.lastWF[w.reg] = stamp
-			c.fregs[w.reg] = w.f
-		} else {
-			if c.lastWI[w.reg] == stamp {
-				return fmt.Errorf("sim: write-back conflict on i%d at cycle %d (pc %d and %d)",
-					w.reg, t, prevWriter(wbs[:k], false, w.reg), w.pc)
-			}
-			c.lastWI[w.reg] = stamp
-			c.iregs[w.reg] = w.i
-		}
-	}
-	c.nPending -= len(wbs)
-	c.ring[slot] = wbs[:0]
-	return nil
-}
-
-func prevWriter(wbs []writeback, isFloat bool, reg int) int {
-	for k := range wbs {
-		if wbs[k].isFloat == isFloat && wbs[k].reg == reg {
-			return wbs[k].pc
-		}
-	}
-	return -1
-}
-
-// State snapshots the observable program state (sim.Cell interface).
-func (c *Cell) State() *ir.State {
-	p := c.prog.Src
-	var nf, ni int
-	for _, a := range p.Arrays {
-		if a.Kind == ir.KindFloat {
-			nf++
-		} else {
-			ni++
-		}
-	}
-	st := &ir.State{
-		FloatArrays: make(map[string][]float64, nf),
-		IntArrays:   make(map[string][]int64, ni),
-		Scalars:     make(map[string]float64, len(p.Results)),
-	}
-	for _, a := range p.Arrays {
-		if a.Kind == ir.KindFloat {
-			st.FloatArrays[a.Name] = append([]float64(nil), c.memF[a.Base:a.Base+a.Size]...)
-		} else {
-			st.IntArrays[a.Name] = append([]int64(nil), c.memI[a.Base:a.Base+a.Size]...)
-		}
-	}
-	for _, r := range p.Results {
-		if r.Kind == ir.KindFloat {
-			st.Scalars[r.Name] = c.fregs[r.Reg]
-		} else {
-			st.Scalars[r.Name] = float64(c.iregs[r.Reg])
-		}
-	}
-	return st
-}
-
-// Run builds and executes p on machine m (convenience mirror of sim.Run).
+// Run builds and executes p on machine m (mirror of sim.Run).
 func Run(p *vliw.Program, m *machine.Machine) (*ir.State, sim.Stats, error) {
-	cp, err := Build(p, m)
-	if err != nil {
-		return nil, sim.Stats{}, err
-	}
-	c := NewCell(cp)
-	st, err := c.Run()
-	return st, c.stats, err
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func signF(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func signI(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
+	return sim.RunEngine(p, m, true)
 }

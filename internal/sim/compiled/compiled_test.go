@@ -110,12 +110,12 @@ func TestDifferentialArray(t *testing.T) {
 	input = append(input, bm...)
 	input = append(input, a...)
 
-	runBoth := func(t *testing.T, mk func() sim.Cell, cells int, input []float64) {
+	runBoth := func(t *testing.T, mk func() *sim.Sim, cells int, input []float64) {
 		t.Helper()
 		ref := sim.NewHomogeneousArray(cellProg, m, cells, input)
 		wantOut, wantSt, wantErr := ref.Run()
 
-		cc := make([]sim.Cell, cells)
+		cc := make([]*sim.Sim, cells)
 		for i := range cc {
 			cc[i] = mk()
 		}
@@ -150,7 +150,7 @@ func TestDifferentialArray(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Run("systolic", func(t *testing.T) {
-		runBoth(t, func() sim.Cell { return NewCell(cp) }, 4, input)
+		runBoth(t, func() *sim.Sim { return NewCell(cp) }, 4, input)
 	})
 	t.Run("mixed-engines", func(t *testing.T) {
 		// Interleave interpreter and compiled cells in one array: the
@@ -160,7 +160,7 @@ func TestDifferentialArray(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cells := []sim.Cell{sim.New(cellProg, m), NewCell(cp), sim.New(cellProg, m), NewCell(cp)}
+		cells := []*sim.Sim{sim.New(cellProg, m), NewCell(cp), sim.New(cellProg, m), NewCell(cp)}
 		arr := sim.NewArrayCells(cells, input)
 		gotOut, gotSt, err := arr.Run()
 		if err != nil {

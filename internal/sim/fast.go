@@ -47,7 +47,7 @@
 //     it hands back to the generic loop, which reports the overrun at the
 //     identical cycle and pc.
 
-package compiled
+package sim
 
 import (
 	"fmt"
@@ -61,7 +61,7 @@ import (
 // cell's local time is frozen at the engagement cycle while the fast
 // path runs).  Memory faults go to c.fastErr, checked once per
 // iteration.
-type fastExec func(c *Cell, m int64)
+type fastExec func(c *Sim, m int64)
 
 // fastOp is one slot operation of a block with its periodic timing
 // resolved: issued at block cycle j, its result lands q iterations later
@@ -91,25 +91,25 @@ type opnd struct {
 	mask int64
 }
 
-func (x opnd) getF(c *Cell, m int64) float64 {
+func (x opnd) getF(c *Sim, m int64) float64 {
 	if x.pool {
 		return c.fpool[int64(x.off)+((m-x.lag)&x.mask)]
 	}
 	return c.fregs[x.reg]
 }
 
-func (x opnd) getI(c *Cell, m int64) int64 {
+func (x opnd) getI(c *Sim, m int64) int64 {
 	if x.pool {
 		return c.ipool[int64(x.off)+((m-x.lag)&x.mask)]
 	}
 	return c.iregs[x.reg]
 }
 
-func putF(c *Cell, off int32, mask, m int64, v float64) {
+func putF(c *Sim, off int32, mask, m int64, v float64) {
 	c.fpool[int64(off)+(m&mask)] = v
 }
 
-func putI(c *Cell, off int32, mask, m int64, v int64) {
+func putI(c *Sim, off int32, mask, m int64, v int64) {
 	c.ipool[int64(off)+(m&mask)] = v
 }
 
@@ -148,11 +148,12 @@ type blockState struct {
 	ipool []int64
 }
 
-// buildBlocks scans the compiled program for eligible kernel loops.
-func buildBlocks(cp *Program, decoded [][]decOp) {
+// buildBlocks scans the decoded program for eligible kernel loops.
+func (p *Program) buildBlocks() {
+	p.blocks = make([]*block, len(p.words))
 	idx := 0
-	for e := range cp.ctl {
-		ct := cp.ctl[e]
+	for e := range p.words {
+		ct := &p.words[e].ctl
 		// Rotating kernels stay on the generic path: the fast path's
 		// delay-buffer cursors assume register identity is static, and a
 		// Rotate-marked loop-back changes it every pass.
@@ -160,8 +161,8 @@ func buildBlocks(cp *Program, decoded [][]decOp) {
 			continue
 		}
 		h := ct.Target
-		if b := makeBlock(idx, h, e, cp, decoded); b != nil {
-			cp.blocks[h] = b
+		if b := p.makeBlock(idx, h, e); b != nil {
+			p.blocks[h] = b
 			idx++
 		}
 	}
@@ -169,22 +170,16 @@ func buildBlocks(cp *Program, decoded [][]decOp) {
 
 // makeBlock validates [h,e] and resolves its periodic timing; nil means
 // the loop keeps the generic path.
-func makeBlock(idx, h, e int, cp *Program, decoded [][]decOp) *block {
+func (p *Program) makeBlock(idx, h, e int) *block {
 	ii := e - h + 1
 	for pc := h; pc < e; pc++ {
-		if cp.ctl[pc].Kind != vliw.CtlNone {
+		if p.words[pc].ctl.Kind != vliw.CtlNone {
 			return nil
 		}
 	}
-	for pc := h; pc <= e; pc++ {
-		if cp.rot[pc] != nil {
-			return nil // rotating operands: generic path only
-		}
-	}
-	ctlReg := cp.ctl[e].Reg
+	ctlReg := p.words[e].ctl.Reg
 	b := &block{idx: idx, head: h, ii: ii, ctlReg: ctlReg}
 	staged := make([]bool, ii)
-	opLo := make([]int, ii+1)
 	type lkey struct {
 		isFloat bool
 		reg     int
@@ -193,12 +188,15 @@ func makeBlock(idx, h, e int, cp *Program, decoded [][]decOp) *block {
 	seen := make(map[landKey]bool)
 	for pc := h; pc <= e; pc++ {
 		j := pc - h
-		opLo[j] = len(b.ops)
 		sawStore := false
-		for oi := range decoded[pc] {
-			o := &decoded[pc][oi]
-			b.nOps++
-			b.flops += o.flops
+		w := &p.words[pc]
+		b.nOps += int64(w.hi - w.lo)
+		b.flops += w.flops
+		for oi := w.lo; oi < w.hi; oi++ {
+			o := &p.ops[oi]
+			if o.rotates {
+				return nil // rotating operands: generic path only
+			}
 			switch o.class {
 			case machine.ClassNop:
 				continue
@@ -211,14 +209,14 @@ func makeBlock(idx, h, e int, cp *Program, decoded [][]decOp) *block {
 			case machine.ClassStore:
 				sawStore = true
 			}
-			if touchesIntReg(o, ctlReg) {
+			if o.touchesIntReg(ctlReg) {
 				return nil // body uses the loop counter as data
 			}
 			fo := fastOp{j: j, pc: pc, lat: o.lat}
 			if o.class != machine.ClassStore {
 				fo.hasDst = true
 				fo.dst = o.dst
-				fo.isFloat = opWritesFloat(o)
+				fo.isFloat = o.sig.dst == fReg
 				tot := j + int(o.lat)
 				fo.q, fo.r = tot/ii, tot%ii
 				k := landKey{fo.isFloat, fo.dst, fo.r}
@@ -234,7 +232,6 @@ func makeBlock(idx, h, e int, cp *Program, decoded [][]decOp) *block {
 			b.ops = append(b.ops, fo)
 		}
 	}
-	opLo[ii] = len(b.ops)
 	// Pool layout: each result op gets a power-of-two window big enough
 	// for its in-flight history plus the engagement seed (q+2 slots).
 	for k := range b.ops {
@@ -279,14 +276,14 @@ func makeBlock(idx, h, e int, cp *Program, decoded [][]decOp) *block {
 		if best < 0 {
 			return opnd{reg: int32(reg)}
 		}
-		p := &b.ops[best]
-		return opnd{pool: true, off: p.off, mask: p.mask, lag: int64(p.q) + extra}
+		prod := &b.ops[best]
+		return opnd{pool: true, off: prod.off, mask: prod.mask, lag: int64(prod.q) + extra}
 	}
 	oi := 0
 	for pc := h; pc <= e; pc++ {
 		j := pc - h
-		for k := range decoded[pc] {
-			o := &decoded[pc][k]
+		for k := p.words[pc].lo; k < p.words[pc].hi; k++ {
+			o := &p.ops[k]
 			if o.class == machine.ClassNop {
 				continue
 			}
@@ -309,10 +306,10 @@ func makeBlock(idx, h, e int, cp *Program, decoded [][]decOp) *block {
 				best, bestR = k, b.ops[k].r
 			}
 		}
-		p := &b.ops[best]
+		prod := &b.ops[best]
 		b.mats = append(b.mats, matEntry{
 			isFloat: key.isFloat, reg: key.reg,
-			off: p.off, mask: p.mask, q: int64(p.q),
+			off: prod.off, mask: prod.mask, q: int64(prod.q),
 		})
 	}
 	return b
@@ -328,7 +325,7 @@ type landKey struct {
 
 // applyStagedStores is the pseudo-op closing a cycle whose stores must
 // stay invisible to that cycle's own loads.
-func applyStagedStores(c *Cell, m int64) {
+func applyStagedStores(c *Sim, m int64) {
 	for i := range c.storeBuf {
 		s := &c.storeBuf[i]
 		if s.isFloat {
@@ -340,52 +337,12 @@ func applyStagedStores(c *Cell, m int64) {
 	c.storeBuf = c.storeBuf[:0]
 }
 
-// touchesIntReg reports whether the op reads or writes integer register
-// r (used to keep counter-coupled bodies on the generic path, where the
-// per-iteration DBNZ decrement is visible to them).
-func touchesIntReg(o *decOp, r int) bool {
-	if o.dst == r && o.class != machine.ClassStore && o.class != machine.ClassNop && !opWritesFloat(o) {
-		return true
-	}
-	switch o.class {
-	case machine.ClassIAdd, machine.ClassAdrAdd, machine.ClassISub, machine.ClassIMul, machine.ClassICmp:
-		return o.src0 == r || o.src1 == r
-	case machine.ClassIMov, machine.ClassIShr, machine.ClassIAnd, machine.ClassI2F:
-		return o.src0 == r
-	case machine.ClassLoad:
-		return o.src0 == r
-	case machine.ClassStore:
-		return o.src0 == r || (!o.arrFloat && o.src1 == r)
-	case machine.ClassISelect:
-		if o.selFloat {
-			return o.src0 == r
-		}
-		return o.src0 == r || o.src1 == r || o.src2 == r
-	}
-	return false
-}
-
-// opWritesFloat reports which register file the op's result targets.
-func opWritesFloat(o *decOp) bool {
-	switch o.class {
-	case machine.ClassFAdd, machine.ClassFSub, machine.ClassFMul, machine.ClassFNeg,
-		machine.ClassFMov, machine.ClassFConst, machine.ClassRecv,
-		machine.ClassFRecipSeed, machine.ClassFRsqrtSeed, machine.ClassI2F:
-		return true
-	case machine.ClassLoad:
-		return o.arrFloat
-	case machine.ClassISelect:
-		return o.selFloat
-	}
-	return false
-}
-
 // tryEngage checks that the ring holds exactly the block's steady-state
 // in-flight pattern and, if so, moves those values into the delay
 // buffers and seeds the previous-landing slots from the register file.
 // A false return means "not warm yet" (or a transient shape the fast
 // path does not model); the caller falls back to a generic step.
-func (c *Cell) tryEngage(b *block) bool {
+func (c *Sim) tryEngage(b *block) bool {
 	if c.nPending != b.pending {
 		return false
 	}
@@ -399,7 +356,7 @@ func (c *Cell) tryEngage(b *block) bool {
 	}
 	c.fpool, c.ipool = bs.fpool, bs.ipool
 	t0 := c.t
-	ringLen := int64(len(c.ring))
+	ringMask := int64(len(c.ring) - 1)
 	for k := range b.ops {
 		op := &b.ops[k]
 		if !op.hasDst {
@@ -407,7 +364,7 @@ func (c *Cell) tryEngage(b *block) bool {
 		}
 		for i := 1; i <= op.q; i++ {
 			due := t0 + int64(op.j) + op.lat - int64(i*b.ii)
-			slot := c.ring[due%ringLen]
+			slot := c.ring[due&ringMask]
 			found := false
 			for e := range slot {
 				w := &slot[e]
@@ -458,7 +415,7 @@ func (c *Cell) tryEngage(b *block) bool {
 // return the registers have been materialized and the buffers flushed
 // back into the ring, so generic stepping (or the drain) resumes
 // bit-identically.
-func (c *Cell) runFast(b *block, max int64) error {
+func (c *Sim) runFast(b *block, max int64) error {
 	ii := int64(b.ii)
 	counter := c.iregs[b.ctlReg]
 	iters := (max - c.t) / ii // ≥ 1, caller-checked
@@ -509,7 +466,7 @@ func (c *Cell) runFast(b *block, max int64) error {
 // fastChunk runs whole iterations [m0, m1); it returns the number of
 // fully completed iterations alongside the fault that stopped it, if
 // any.
-func (c *Cell) fastChunk(b *block, m0, m1 int64) (int64, error) {
+func (c *Sim) fastChunk(b *block, m0, m1 int64) (int64, error) {
 	execs := b.execs
 	for m := m0; m < m1; m++ {
 		for _, fn := range execs {
@@ -527,7 +484,7 @@ func (c *Cell) fastChunk(b *block, m0, m1 int64) (int64, error) {
 
 // finishFast retires the batched bookkeeping for `executed` iterations:
 // local time, stats and the counter register.
-func (c *Cell) finishFast(b *block, executed, counter int64) {
+func (c *Sim) finishFast(b *block, executed, counter int64) {
 	c.t += executed * int64(b.ii)
 	c.stats.Ops += executed * b.nOps
 	c.stats.Flops += executed * b.flops
@@ -538,7 +495,7 @@ func (c *Cell) finishFast(b *block, executed, counter int64) {
 // materialize writes each landed register's architectural value (its
 // latest producer's last landed issue, from iteration n-1-q) back to the
 // register file.
-func (c *Cell) materialize(b *block, n int64) {
+func (c *Sim) materialize(b *block, n int64) {
 	for i := range b.mats {
 		mt := &b.mats[i]
 		idx := int64(mt.off) + ((n - 1 - mt.q) & mt.mask)
@@ -553,7 +510,7 @@ func (c *Cell) materialize(b *block, n int64) {
 // flush re-injects the buffers' still-in-flight values (issues from
 // iterations n-1 down to n-q) into the ring at their exact due cycles,
 // restoring the invariant the generic path and the drain rely on.
-func (c *Cell) flush(b *block, n int64) {
+func (c *Sim) flush(b *block, n int64) {
 	for k := range b.ops {
 		op := &b.ops[k]
 		if !op.hasDst || op.q == 0 {
@@ -584,75 +541,75 @@ func buildFastExec(o *decOp, fo *fastOp, pc, ii int, directStore bool, res func(
 	ii64, jOff := int64(ii), int64(j)
 	switch o.class {
 	case machine.ClassFAdd:
-		a, b := res(true, o.src0, j), res(true, o.src1, j)
-		return func(c *Cell, m int64) { putF(c, dOff, dMask, m, a.getF(c, m)+b.getF(c, m)) }
+		a, b := res(true, o.src[0], j), res(true, o.src[1], j)
+		return func(c *Sim, m int64) { putF(c, dOff, dMask, m, a.getF(c, m)+b.getF(c, m)) }
 	case machine.ClassFSub:
-		a, b := res(true, o.src0, j), res(true, o.src1, j)
-		return func(c *Cell, m int64) { putF(c, dOff, dMask, m, a.getF(c, m)-b.getF(c, m)) }
+		a, b := res(true, o.src[0], j), res(true, o.src[1], j)
+		return func(c *Sim, m int64) { putF(c, dOff, dMask, m, a.getF(c, m)-b.getF(c, m)) }
 	case machine.ClassFMul:
-		a, b := res(true, o.src0, j), res(true, o.src1, j)
-		return func(c *Cell, m int64) { putF(c, dOff, dMask, m, a.getF(c, m)*b.getF(c, m)) }
+		a, b := res(true, o.src[0], j), res(true, o.src[1], j)
+		return func(c *Sim, m int64) { putF(c, dOff, dMask, m, a.getF(c, m)*b.getF(c, m)) }
 	case machine.ClassFNeg:
-		a := res(true, o.src0, j)
-		return func(c *Cell, m int64) { putF(c, dOff, dMask, m, -a.getF(c, m)) }
+		a := res(true, o.src[0], j)
+		return func(c *Sim, m int64) { putF(c, dOff, dMask, m, -a.getF(c, m)) }
 	case machine.ClassFMov:
-		a := res(true, o.src0, j)
-		return func(c *Cell, m int64) { putF(c, dOff, dMask, m, a.getF(c, m)) }
+		a := res(true, o.src[0], j)
+		return func(c *Sim, m int64) { putF(c, dOff, dMask, m, a.getF(c, m)) }
 	case machine.ClassFConst:
 		fimm := o.fimm
-		return func(c *Cell, m int64) { putF(c, dOff, dMask, m, fimm) }
+		return func(c *Sim, m int64) { putF(c, dOff, dMask, m, fimm) }
 	case machine.ClassFRecipSeed:
-		a := res(true, o.src0, j)
-		return func(c *Cell, m int64) { putF(c, dOff, dMask, m, ir.RecipSeed(a.getF(c, m))) }
+		a := res(true, o.src[0], j)
+		return func(c *Sim, m int64) { putF(c, dOff, dMask, m, ir.RecipSeed(a.getF(c, m))) }
 	case machine.ClassFRsqrtSeed:
-		a := res(true, o.src0, j)
-		return func(c *Cell, m int64) { putF(c, dOff, dMask, m, ir.RsqrtSeed(a.getF(c, m))) }
+		a := res(true, o.src[0], j)
+		return func(c *Sim, m int64) { putF(c, dOff, dMask, m, ir.RsqrtSeed(a.getF(c, m))) }
 	case machine.ClassF2I:
-		a := res(true, o.src0, j)
-		return func(c *Cell, m int64) { putI(c, dOff, dMask, m, int64(a.getF(c, m))) }
+		a := res(true, o.src[0], j)
+		return func(c *Sim, m int64) { putI(c, dOff, dMask, m, int64(a.getF(c, m))) }
 	case machine.ClassI2F:
-		a := res(false, o.src0, j)
-		return func(c *Cell, m int64) { putF(c, dOff, dMask, m, float64(a.getI(c, m))) }
+		a := res(false, o.src[0], j)
+		return func(c *Sim, m int64) { putF(c, dOff, dMask, m, float64(a.getI(c, m))) }
 	case machine.ClassFCmp:
-		a, b := res(true, o.src0, j), res(true, o.src1, j)
+		a, b := res(true, o.src[0], j), res(true, o.src[1], j)
 		pred := ir.Pred(o.iimm)
-		return func(c *Cell, m int64) {
+		return func(c *Sim, m int64) {
 			putI(c, dOff, dMask, m, b2i(pred.Eval(signF(a.getF(c, m), b.getF(c, m)))))
 		}
 	case machine.ClassIAdd, machine.ClassAdrAdd:
-		a, b := res(false, o.src0, j), res(false, o.src1, j)
-		return func(c *Cell, m int64) { putI(c, dOff, dMask, m, a.getI(c, m)+b.getI(c, m)) }
+		a, b := res(false, o.src[0], j), res(false, o.src[1], j)
+		return func(c *Sim, m int64) { putI(c, dOff, dMask, m, a.getI(c, m)+b.getI(c, m)) }
 	case machine.ClassISub:
-		a, b := res(false, o.src0, j), res(false, o.src1, j)
-		return func(c *Cell, m int64) { putI(c, dOff, dMask, m, a.getI(c, m)-b.getI(c, m)) }
+		a, b := res(false, o.src[0], j), res(false, o.src[1], j)
+		return func(c *Sim, m int64) { putI(c, dOff, dMask, m, a.getI(c, m)-b.getI(c, m)) }
 	case machine.ClassIMul:
-		a, b := res(false, o.src0, j), res(false, o.src1, j)
-		return func(c *Cell, m int64) { putI(c, dOff, dMask, m, a.getI(c, m)*b.getI(c, m)) }
+		a, b := res(false, o.src[0], j), res(false, o.src[1], j)
+		return func(c *Sim, m int64) { putI(c, dOff, dMask, m, a.getI(c, m)*b.getI(c, m)) }
 	case machine.ClassIMov:
-		a := res(false, o.src0, j)
-		return func(c *Cell, m int64) { putI(c, dOff, dMask, m, a.getI(c, m)) }
+		a := res(false, o.src[0], j)
+		return func(c *Sim, m int64) { putI(c, dOff, dMask, m, a.getI(c, m)) }
 	case machine.ClassIConst:
 		iimm := o.iimm
-		return func(c *Cell, m int64) { putI(c, dOff, dMask, m, iimm) }
+		return func(c *Sim, m int64) { putI(c, dOff, dMask, m, iimm) }
 	case machine.ClassIShr:
-		a := res(false, o.src0, j)
+		a := res(false, o.src[0], j)
 		sh := uint(o.iimm)
-		return func(c *Cell, m int64) { putI(c, dOff, dMask, m, int64(uint64(a.getI(c, m))>>sh)) }
+		return func(c *Sim, m int64) { putI(c, dOff, dMask, m, int64(uint64(a.getI(c, m))>>sh)) }
 	case machine.ClassIAnd:
-		a := res(false, o.src0, j)
+		a := res(false, o.src[0], j)
 		iimm := o.iimm
-		return func(c *Cell, m int64) { putI(c, dOff, dMask, m, a.getI(c, m)&iimm) }
+		return func(c *Sim, m int64) { putI(c, dOff, dMask, m, a.getI(c, m)&iimm) }
 	case machine.ClassICmp:
-		a, b := res(false, o.src0, j), res(false, o.src1, j)
+		a, b := res(false, o.src[0], j), res(false, o.src[1], j)
 		pred := ir.Pred(o.iimm)
-		return func(c *Cell, m int64) {
+		return func(c *Sim, m int64) {
 			putI(c, dOff, dMask, m, b2i(pred.Eval(signI(a.getI(c, m), b.getI(c, m)))))
 		}
 	case machine.ClassISelect:
-		cnd := res(false, o.src0, j)
+		cnd := res(false, o.src[0], j)
 		if o.selFloat {
-			x, y := res(true, o.src1, j), res(true, o.src2, j)
-			return func(c *Cell, m int64) {
+			x, y := res(true, o.src[1], j), res(true, o.src[2], j)
+			return func(c *Sim, m int64) {
 				v := y.getF(c, m)
 				if cnd.getI(c, m) != 0 {
 					v = x.getF(c, m)
@@ -660,8 +617,8 @@ func buildFastExec(o *decOp, fo *fastOp, pc, ii int, directStore bool, res func(
 				putF(c, dOff, dMask, m, v)
 			}
 		}
-		x, y := res(false, o.src1, j), res(false, o.src2, j)
-		return func(c *Cell, m int64) {
+		x, y := res(false, o.src[1], j), res(false, o.src[2], j)
+		return func(c *Sim, m int64) {
 			v := y.getI(c, m)
 			if cnd.getI(c, m) != 0 {
 				v = x.getI(c, m)
@@ -669,68 +626,66 @@ func buildFastExec(o *decOp, fo *fastOp, pc, ii int, directStore bool, res func(
 			putI(c, dOff, dMask, m, v)
 		}
 	case machine.ClassLoad:
-		adr := res(false, o.src0, j)
-		base, end, isF := o.arrBase, o.arrEnd, o.arrFloat
-		name, disp := o.arrName, o.disp
+		adr := res(false, o.src[0], j)
+		base, end, isF, disp := o.arrBase, o.arrEnd, o.arrFloat, o.disp
 		if isF {
-			return func(c *Cell, m int64) {
+			return func(c *Sim, m int64) {
 				addr := adr.getI(c, m) + disp
 				if addr < base || addr >= end {
-					c.fastFault(name, base, end, pc, c.t+m*ii64+jOff, addr)
+					c.fastFault(o, pc, c.t+m*ii64+jOff, addr)
 					return
 				}
 				putF(c, dOff, dMask, m, c.memF[addr])
 			}
 		}
-		return func(c *Cell, m int64) {
+		return func(c *Sim, m int64) {
 			addr := adr.getI(c, m) + disp
 			if addr < base || addr >= end {
-				c.fastFault(name, base, end, pc, c.t+m*ii64+jOff, addr)
+				c.fastFault(o, pc, c.t+m*ii64+jOff, addr)
 				return
 			}
 			putI(c, dOff, dMask, m, c.memI[addr])
 		}
 	case machine.ClassStore:
-		adr := res(false, o.src0, j)
-		base, end, isF := o.arrBase, o.arrEnd, o.arrFloat
-		name, disp := o.arrName, o.disp
+		adr := res(false, o.src[0], j)
+		base, end, isF, disp := o.arrBase, o.arrEnd, o.arrFloat, o.disp
 		switch {
 		case isF && directStore:
-			v := res(true, o.src1, j)
-			return func(c *Cell, m int64) {
+			v := res(true, o.src[1], j)
+			return func(c *Sim, m int64) {
 				addr := adr.getI(c, m) + disp
 				if addr < base || addr >= end {
-					c.fastFault(name, base, end, pc, c.t+m*ii64+jOff, addr)
+					c.fastFault(o, pc, c.t+m*ii64+jOff, addr)
 					return
 				}
 				c.memF[addr] = v.getF(c, m)
 			}
 		case isF:
-			v := res(true, o.src1, j)
-			return func(c *Cell, m int64) {
+			v := res(true, o.src[1], j)
+			return func(c *Sim, m int64) {
 				addr := adr.getI(c, m) + disp
 				if addr < base || addr >= end {
-					c.fastFault(name, base, end, pc, c.t+m*ii64+jOff, addr)
+					c.fastFault(o, pc, c.t+m*ii64+jOff, addr)
 					return
 				}
 				c.storeBuf = append(c.storeBuf, memStore{isFloat: true, addr: addr, f: v.getF(c, m)})
 			}
 		case directStore:
-			v := res(false, o.src1, j)
-			return func(c *Cell, m int64) {
+			v := res(false, o.src[1], j)
+			return func(c *Sim, m int64) {
 				addr := adr.getI(c, m) + disp
 				if addr < base || addr >= end {
-					c.fastFault(name, base, end, pc, c.t+m*ii64+jOff, addr)
+					c.fastFault(o, pc, c.t+m*ii64+jOff, addr)
 					return
 				}
 				c.memI[addr] = v.getI(c, m)
 			}
 		default:
-			v := res(false, o.src1, j)
-			return func(c *Cell, m int64) {
+			v := res(false, o.src[1], j)
+			return func(c *Sim, m int64) {
 				addr := adr.getI(c, m) + disp
 				if addr < base || addr >= end {
-					c.fastFault(name, base, end, pc, c.t+m*ii64+jOff, addr)
+					c.fastFault(o, pc, c.t+m*ii64+jOff, addr)
 					return
 				}
 				c.storeBuf = append(c.storeBuf, memStore{addr: addr, i: v.getI(c, m)})
@@ -743,8 +698,8 @@ func buildFastExec(o *decOp, fo *fastOp, pc, ii int, directStore bool, res func(
 // fastFault records the first memory fault of the iteration (the run is
 // over either way; `cycle` is the true absolute cycle of the faulting
 // slot).
-func (c *Cell) fastFault(name string, base, end int64, pc int, cycle, addr int64) {
+func (c *Sim) fastFault(o *decOp, pc int, cycle, addr int64) {
 	if c.fastErr == nil {
-		c.fastErr = boundsErr(name, base, end, pc, cycle, addr)
+		c.fastErr = boundsErr(o, pc, cycle, addr)
 	}
 }

@@ -55,37 +55,6 @@ type writeback struct {
 	pc      int // issuing instruction, for diagnostics
 }
 
-// decOp is one pre-decoded slot operation: latency, flop count and array
-// layout are resolved at decode time so the cycle loop does no descriptor
-// or array-table lookups.
-type decOp struct {
-	class    machine.Class
-	dst      int
-	src0     int
-	src1     int
-	src2     int
-	lat      int64
-	flops    int64
-	fimm     float64
-	iimm     int64
-	disp     int64
-	arrBase  int64
-	arrEnd   int64 // base+size
-	arrFloat bool
-	arrName  string // diagnostics only
-	selFloat bool   // ClassISelect: float-file select
-
-	// Rotating-register operands: when rotates is set, the effective
-	// dst/src registers are ring[rrb mod len(ring)] at issue time (nil
-	// rings keep the static register).  Static programs never set these,
-	// so the hot path pays one bool test per op.
-	rotates  bool
-	dstRing  []int
-	srcRing0 []int
-	srcRing1 []int
-	srcRing2 []int
-}
-
 type memStore struct {
 	isFloat bool
 	addr    int64
@@ -93,16 +62,17 @@ type memStore struct {
 	i       int64
 }
 
-// Sim is a single-cell simulator instance.
+// Sim is a single-cell simulator instance: the one cell state and the one
+// cycle Step both engines run on.  "engine = compiled" means exactly that
+// the cell's Program carries steady-state blocks Run may engage (fast.go);
+// Step, and therefore every array, is the same code on both engines.
 type Sim struct {
-	Prog *vliw.Program
-	Mach *machine.Machine
 	// MaxCycles guards against runaway programs; 0 means a generous
 	// default.
 	MaxCycles int64
 	// Trace, when non-nil, receives one line per executed instruction
 	// word (cycle, pc, disassembly) for the first TraceCycles cycles
-	// (0 means unlimited).
+	// (0 means unlimited).  A traced Run never engages the fast path.
 	Trace       io.Writer
 	TraceCycles int64
 	// InputTape feeds Recv operations when the cell runs standalone;
@@ -110,28 +80,24 @@ type Sim struct {
 	// queues are used instead.
 	InputTape  []float64
 	OutputTape []float64
-	// Ctx, when non-nil, is polled every few thousand cycles: a canceled
-	// or deadlined context aborts Run with an error wrapping ctx.Err().
+	// Ctx, when non-nil, is polled every few thousand cycles (at
+	// iteration boundaries inside the fast path): a canceled or
+	// deadlined context aborts Run with an error wrapping ctx.Err().
 	// The serving layer bounds simulation requests with it.
 	Ctx context.Context
+
+	prog *Program
 
 	fregs []float64
 	iregs []int64
 	memF  []float64 // parallel typed views of the flat memory
 	memI  []int64
 
-	// Pre-decoded program: ops[opStart[pc]:opStart[pc+1]] are the slots
-	// of instruction pc, ctl[pc] its sequencer field.
-	ops       []decOp
-	opStart   []int32
-	ctl       []vliw.Ctl
-	decodeErr error
-
 	// ring[t mod len(ring)] holds the write-backs landing at cycle t;
-	// len(ring) = maxLatency+1, so a result issued at t (due ≤ t+maxLat)
-	// never wraps onto a slot that has not been drained yet.  Slots are
-	// truncated, not freed, after application: in steady state they keep
-	// their capacity and the loop allocates nothing.
+	// len(ring) is a power of two > maxLatency, so a result issued at t
+	// (due ≤ t+maxLat) never wraps onto a slot that has not been drained
+	// yet.  Slots are truncated, not freed, after application: in steady
+	// state they keep their capacity and the loop allocates nothing.
 	ring     [][]writeback
 	nPending int
 
@@ -160,6 +126,15 @@ type Sim struct {
 	// could not complete; valid only while the cell is stalled.
 	blocked      machine.Class
 	blockedValid bool
+
+	// Fast-path state (fast.go): bstates[i] is the lazily allocated
+	// delay-buffer state of program block i, fpool/ipool alias the
+	// engaged block's buffers, fastErr is the first memory fault of the
+	// current fast-path iteration.
+	bstates []*blockState
+	fpool   []float64
+	ipool   []int64
+	fastErr error
 }
 
 // BlockedOn reports the queue operation class (ClassRecv or ClassSend)
@@ -225,142 +200,57 @@ func (q *Queue) Pop() float64 {
 // contents returns the live queued values (host-side collection).
 func (q *Queue) contents() []float64 { return q.buf[q.head:] }
 
-// Cell is the execution-engine interface an Array drives: one local cycle
-// per Step (possibly stalled on a queue), a post-halt Drain, and the
-// observable state/stats accessors.  Both the interpreter (*Sim) and the
-// compiled engine (sim/compiled.*Cell) implement it, so arrays can host
-// either engine.
-type Cell interface {
-	// Step executes one local cycle; stalled means a queue operation
-	// could not proceed and local time did not advance.
-	Step() (stalled bool, err error)
-	// Halted reports whether the cell executed its halt instruction.
-	Halted() bool
-	// Drain advances local time until all in-flight write-backs land.
-	Drain(max int64) error
-	// BlockedOn describes the stalled queue operation (deadlock
-	// diagnostics); ok is false when the cell is not stalled.
-	BlockedOn() (class machine.Class, pc int, cycle int64, ok bool)
-	// SetQueues attaches the inter-cell channels; a nil queue falls back
-	// to the host-side tape on that side.
-	SetQueues(in, out *Queue)
-	// State snapshots the observable program state.
-	State() *ir.State
-	// Stats reports the run counters accumulated so far.
-	Stats() Stats
+// New prepares an interpreter cell for p with initialized memory.  A
+// program that does not decode (unsupported class, unknown array,
+// out-of-range register) reports the error on the first Step or Run.
+func New(p *vliw.Program, m *machine.Machine) *Sim { return NewCell(decode(p, m)) }
+
+// NewCell prepares an execution instance of a decoded program with
+// initialized memory.  Cells share the Program and nothing else.
+func NewCell(p *Program) *Sim {
+	src := p.Src
+	return newCell(p, make([]float64, src.NumFRegs), make([]int64, src.NumIRegs),
+		make([]float64, src.MemWords), make([]int64, src.MemWords))
 }
 
-// New prepares a simulator with initialized memory.
-func New(p *vliw.Program, m *machine.Machine) *Sim {
-	maxLat := 1
-	for c := machine.Class(0); c < machine.Class(machine.NumClasses()); c++ {
-		if d := m.Desc(c); d != nil && d.Latency > maxLat {
-			maxLat = d.Latency
-		}
-	}
+// newCell builds a cell over caller-provided (zeroed) register files and
+// memories; a Batch lays its lanes out in shared arenas through it.
+func newCell(p *Program, fregs []float64, iregs []int64, memF []float64, memI []int64) *Sim {
 	s := &Sim{
-		Prog:   p,
-		Mach:   m,
-		fregs:  make([]float64, p.NumFRegs),
-		iregs:  make([]int64, p.NumIRegs),
-		memF:   make([]float64, p.MemWords),
-		memI:   make([]int64, p.MemWords),
-		ring:   make([][]writeback, maxLat+1),
-		lastWF: make([]int64, p.NumFRegs),
-		lastWI: make([]int64, p.NumIRegs),
+		prog:    p,
+		fregs:   fregs,
+		iregs:   iregs,
+		memF:    memF,
+		memI:    memI,
+		ring:    make([][]writeback, p.ringLen),
+		lastWF:  make([]int64, len(fregs)),
+		lastWI:  make([]int64, len(iregs)),
+		bstates: make([]*blockState, p.Blocks()),
 	}
-	for _, a := range p.Arrays {
+	for _, a := range p.Src.Arrays {
 		if a.Kind == ir.KindFloat {
-			copy(s.memF[a.Base:a.Base+a.Size], p.InitF[a.Name])
+			copy(s.memF[a.Base:a.Base+a.Size], p.Src.InitF[a.Name])
 		} else {
-			copy(s.memI[a.Base:a.Base+a.Size], p.InitI[a.Name])
+			copy(s.memI[a.Base:a.Base+a.Size], p.Src.InitI[a.Name])
 		}
 	}
-	s.decode()
 	return s
-}
-
-// decode lowers the program into the dense pre-decoded form, resolving
-// operation descriptors and array layout once.  Unsupported classes and
-// unknown arrays surface as an error on the first Step/Run.
-func (s *Sim) decode() {
-	p, m := s.Prog, s.Mach
-	nOps := 0
-	for i := range p.Instrs {
-		nOps += len(p.Instrs[i].Ops)
-	}
-	s.ops = make([]decOp, 0, nOps)
-	s.opStart = make([]int32, len(p.Instrs)+1)
-	s.ctl = make([]vliw.Ctl, len(p.Instrs))
-	for pc := range p.Instrs {
-		in := &p.Instrs[pc]
-		s.opStart[pc] = int32(len(s.ops))
-		s.ctl[pc] = in.Ctl
-		for oi := range in.Ops {
-			o := &in.Ops[oi]
-			d := m.Desc(o.Class)
-			if d == nil {
-				s.decodeErr = fmt.Errorf("sim: @%d: unsupported class %v", pc, o.Class)
-				return
-			}
-			dec := decOp{
-				class: o.Class,
-				dst:   o.Dst,
-				lat:   int64(d.Latency),
-				flops: int64(d.Flops),
-				fimm:  o.FImm,
-				iimm:  o.IImm,
-				disp:  o.Disp,
-			}
-			if len(o.Src) > 0 {
-				dec.src0 = o.Src[0]
-			}
-			if len(o.Src) > 1 {
-				dec.src1 = o.Src[1]
-			}
-			if len(o.Src) > 2 {
-				dec.src2 = o.Src[2]
-			}
-			if o.Rotating() {
-				dec.rotates = true
-				dec.dstRing = o.DstRing
-				if len(o.SrcRings) > 0 {
-					dec.srcRing0 = o.SrcRings[0]
-				}
-				if len(o.SrcRings) > 1 {
-					dec.srcRing1 = o.SrcRings[1]
-				}
-				if len(o.SrcRings) > 2 {
-					dec.srcRing2 = o.SrcRings[2]
-				}
-			}
-			switch o.Class {
-			case machine.ClassLoad, machine.ClassStore:
-				arr := p.Array(o.Array)
-				if arr == nil {
-					s.decodeErr = fmt.Errorf("sim: @%d: unknown array %q", pc, o.Array)
-					return
-				}
-				dec.arrBase = int64(arr.Base)
-				dec.arrEnd = int64(arr.Base + arr.Size)
-				dec.arrFloat = arr.Kind == ir.KindFloat
-				dec.arrName = arr.Name
-			case machine.ClassISelect:
-				dec.selFloat = o.FImm != 0
-			}
-			s.ops = append(s.ops, dec)
-		}
-	}
-	s.opStart[len(p.Instrs)] = int32(len(s.ops))
 }
 
 // Run executes the program until halt and returns the observable state.
 // Standalone cells never stall: Recv reads the input tape (erroring past
-// its end) and Send appends to the output tape.
+// its end) and Send appends to the output tape.  When the program carries
+// steady-state blocks, Run retires whole kernel iterations through the
+// fast path wherever one engages and Steps everything else; a traced run
+// Steps every cycle.
 func (s *Sim) Run() (*ir.State, error) {
 	max := s.MaxCycles
 	if max == 0 {
 		max = 200_000_000
+	}
+	blocks := s.prog.blocks
+	if s.Trace != nil {
+		blocks = nil
 	}
 	for !s.halted {
 		if s.t >= max {
@@ -369,6 +259,14 @@ func (s *Sim) Run() (*ir.State, error) {
 		if s.Ctx != nil && s.t&0x1fff == 0 {
 			if err := s.Ctx.Err(); err != nil {
 				return nil, fmt.Errorf("sim: run aborted at cycle %d: %w", s.t, err)
+			}
+		}
+		if uint(s.pc) < uint(len(blocks)) {
+			if b := blocks[s.pc]; b != nil && s.t+int64(b.ii) <= max && s.tryEngage(b) {
+				if err := s.runFast(b, max); err != nil {
+					return nil, err
+				}
+				continue
 			}
 		}
 		stalled, err := s.Step()
@@ -408,8 +306,8 @@ func (s *Sim) Drain(max int64) error {
 	return nil
 }
 
-// SetQueues attaches inter-cell channels (Cell interface); nil restores
-// the host-side tape behavior on that side.
+// SetQueues attaches inter-cell channels; nil restores the host-side
+// tape behavior on that side.
 func (s *Sim) SetQueues(in, out *Queue) { s.inQ, s.outQ = in, out }
 
 // Halted reports whether the cell has executed its halt instruction.
@@ -423,29 +321,33 @@ func (s *Sim) Step() (stalled bool, err error) {
 	if s.halted {
 		return false, nil
 	}
-	if s.decodeErr != nil {
-		return false, s.decodeErr
+	p := s.prog
+	if p.err != nil {
+		return false, p.err
 	}
 	pc := s.pc
 	t := s.t
-	if pc < 0 || pc >= len(s.ctl) {
+	if pc < 0 || pc >= len(p.words) {
 		return false, fmt.Errorf("sim: pc %d out of range at cycle %d", pc, t)
 	}
-	ops := s.ops[s.opStart[pc]:s.opStart[pc+1]]
-	for oi := range ops {
-		switch ops[oi].class {
-		case machine.ClassRecv:
-			if s.inQ != nil && s.inQ.Empty() {
-				s.blocked, s.blockedValid = machine.ClassRecv, true
-				return true, nil
-			}
-			if s.inQ == nil && s.inPos >= len(s.InputTape) {
-				return false, fmt.Errorf("sim: receive beyond end of input tape (pc=%d)", pc)
-			}
-		case machine.ClassSend:
-			if s.outQ != nil && s.outQ.Full() {
-				s.blocked, s.blockedValid = machine.ClassSend, true
-				return true, nil
+	w := &p.words[pc]
+	ops := p.ops[w.lo:w.hi]
+	if w.queue {
+		for oi := range ops {
+			switch ops[oi].class {
+			case machine.ClassRecv:
+				if s.inQ != nil && s.inQ.Empty() {
+					s.blocked, s.blockedValid = machine.ClassRecv, true
+					return true, nil
+				}
+				if s.inQ == nil && s.inPos >= len(s.InputTape) {
+					return false, fmt.Errorf("sim: receive beyond end of input tape (pc=%d)", pc)
+				}
+			case machine.ClassSend:
+				if s.outQ != nil && s.outQ.Full() {
+					s.blocked, s.blockedValid = machine.ClassSend, true
+					return true, nil
+				}
 			}
 		}
 	}
@@ -454,9 +356,11 @@ func (s *Sim) Step() (stalled bool, err error) {
 		return false, err
 	}
 	if s.Trace != nil && (s.TraceCycles == 0 || t < s.TraceCycles) {
-		fmt.Fprintf(s.Trace, "%8d  @%-5d %s\n", t, pc, s.Prog.Instrs[pc].String())
+		fmt.Fprintf(s.Trace, "%8d  @%-5d %s\n", t, pc, p.Src.Instrs[pc].String())
 	}
 	next := pc + 1
+	s.stats.Ops += int64(len(ops))
+	s.stats.Flops += w.flops
 	// Issue all slots: reads first, then memory stores, then queued
 	// register write-backs.
 	stores := s.storeBuf[:0]
@@ -467,26 +371,24 @@ func (s *Sim) Step() (stalled bool, err error) {
 			// a scratch copy; the pre-decoded form stays position-independent.
 			ro := *o
 			ro.dst = vliw.EffReg(ro.dst, ro.dstRing, s.rrb)
-			ro.src0 = vliw.EffReg(ro.src0, ro.srcRing0, s.rrb)
-			ro.src1 = vliw.EffReg(ro.src1, ro.srcRing1, s.rrb)
-			ro.src2 = vliw.EffReg(ro.src2, ro.srcRing2, s.rrb)
+			for k := range ro.src {
+				ro.src[k] = vliw.EffReg(ro.src[k], ro.srcRing[k], s.rrb)
+			}
 			o = &ro
 		}
-		s.stats.Ops++
-		s.stats.Flops += o.flops
 		lat := o.lat
 		switch o.class {
 		case machine.ClassNop:
 		case machine.ClassFAdd:
-			s.wb(t+lat, pc, true, o.dst, s.fregs[o.src0]+s.fregs[o.src1], 0)
+			s.wb(t+lat, pc, true, o.dst, s.fregs[o.src[0]]+s.fregs[o.src[1]], 0)
 		case machine.ClassFSub:
-			s.wb(t+lat, pc, true, o.dst, s.fregs[o.src0]-s.fregs[o.src1], 0)
+			s.wb(t+lat, pc, true, o.dst, s.fregs[o.src[0]]-s.fregs[o.src[1]], 0)
 		case machine.ClassFMul:
-			s.wb(t+lat, pc, true, o.dst, s.fregs[o.src0]*s.fregs[o.src1], 0)
+			s.wb(t+lat, pc, true, o.dst, s.fregs[o.src[0]]*s.fregs[o.src[1]], 0)
 		case machine.ClassFNeg:
-			s.wb(t+lat, pc, true, o.dst, -s.fregs[o.src0], 0)
+			s.wb(t+lat, pc, true, o.dst, -s.fregs[o.src[0]], 0)
 		case machine.ClassFMov:
-			s.wb(t+lat, pc, true, o.dst, s.fregs[o.src0], 0)
+			s.wb(t+lat, pc, true, o.dst, s.fregs[o.src[0]], 0)
 		case machine.ClassFConst:
 			s.wb(t+lat, pc, true, o.dst, o.fimm, 0)
 		case machine.ClassRecv:
@@ -500,42 +402,42 @@ func (s *Sim) Step() (stalled bool, err error) {
 			s.wb(t+lat, pc, true, o.dst, v, 0)
 		case machine.ClassSend:
 			if s.outQ != nil {
-				s.outQ.Push(s.fregs[o.src0])
+				s.outQ.Push(s.fregs[o.src[0]])
 			} else {
-				s.OutputTape = append(s.OutputTape, s.fregs[o.src0])
+				s.OutputTape = append(s.OutputTape, s.fregs[o.src[0]])
 			}
 		case machine.ClassFRecipSeed:
-			s.wb(t+lat, pc, true, o.dst, ir.RecipSeed(s.fregs[o.src0]), 0)
+			s.wb(t+lat, pc, true, o.dst, ir.RecipSeed(s.fregs[o.src[0]]), 0)
 		case machine.ClassFRsqrtSeed:
-			s.wb(t+lat, pc, true, o.dst, ir.RsqrtSeed(s.fregs[o.src0]), 0)
+			s.wb(t+lat, pc, true, o.dst, ir.RsqrtSeed(s.fregs[o.src[0]]), 0)
 		case machine.ClassF2I:
-			s.wb(t+lat, pc, false, o.dst, 0, int64(s.fregs[o.src0]))
+			s.wb(t+lat, pc, false, o.dst, 0, int64(s.fregs[o.src[0]]))
 		case machine.ClassI2F:
-			s.wb(t+lat, pc, true, o.dst, float64(s.iregs[o.src0]), 0)
+			s.wb(t+lat, pc, true, o.dst, float64(s.iregs[o.src[0]]), 0)
 		case machine.ClassFCmp:
-			v := b2i(ir.Pred(o.iimm).Eval(signF(s.fregs[o.src0], s.fregs[o.src1])))
+			v := b2i(ir.Pred(o.iimm).Eval(signF(s.fregs[o.src[0]], s.fregs[o.src[1]])))
 			s.wb(t+lat, pc, false, o.dst, 0, v)
 		case machine.ClassIAdd, machine.ClassAdrAdd:
-			s.wb(t+lat, pc, false, o.dst, 0, s.iregs[o.src0]+s.iregs[o.src1])
+			s.wb(t+lat, pc, false, o.dst, 0, s.iregs[o.src[0]]+s.iregs[o.src[1]])
 		case machine.ClassISub:
-			s.wb(t+lat, pc, false, o.dst, 0, s.iregs[o.src0]-s.iregs[o.src1])
+			s.wb(t+lat, pc, false, o.dst, 0, s.iregs[o.src[0]]-s.iregs[o.src[1]])
 		case machine.ClassIMul:
-			s.wb(t+lat, pc, false, o.dst, 0, s.iregs[o.src0]*s.iregs[o.src1])
+			s.wb(t+lat, pc, false, o.dst, 0, s.iregs[o.src[0]]*s.iregs[o.src[1]])
 		case machine.ClassIMov:
-			s.wb(t+lat, pc, false, o.dst, 0, s.iregs[o.src0])
+			s.wb(t+lat, pc, false, o.dst, 0, s.iregs[o.src[0]])
 		case machine.ClassIConst:
 			s.wb(t+lat, pc, false, o.dst, 0, o.iimm)
 		case machine.ClassIShr:
-			s.wb(t+lat, pc, false, o.dst, 0, int64(uint64(s.iregs[o.src0])>>uint(o.iimm)))
+			s.wb(t+lat, pc, false, o.dst, 0, int64(uint64(s.iregs[o.src[0]])>>uint(o.iimm)))
 		case machine.ClassIAnd:
-			s.wb(t+lat, pc, false, o.dst, 0, s.iregs[o.src0]&o.iimm)
+			s.wb(t+lat, pc, false, o.dst, 0, s.iregs[o.src[0]]&o.iimm)
 		case machine.ClassICmp:
-			v := b2i(ir.Pred(o.iimm).Eval(signI(s.iregs[o.src0], s.iregs[o.src1])))
+			v := b2i(ir.Pred(o.iimm).Eval(signI(s.iregs[o.src[0]], s.iregs[o.src[1]])))
 			s.wb(t+lat, pc, false, o.dst, 0, v)
 		case machine.ClassISelect:
-			which := o.src2
-			if s.iregs[o.src0] != 0 {
-				which = o.src1
+			which := o.src[2]
+			if s.iregs[o.src[0]] != 0 {
+				which = o.src[1]
 			}
 			if o.selFloat {
 				s.wb(t+lat, pc, true, o.dst, s.fregs[which], 0)
@@ -543,9 +445,9 @@ func (s *Sim) Step() (stalled bool, err error) {
 				s.wb(t+lat, pc, false, o.dst, 0, s.iregs[which])
 			}
 		case machine.ClassLoad:
-			addr := s.iregs[o.src0] + o.disp
+			addr := s.iregs[o.src[0]] + o.disp
 			if addr < o.arrBase || addr >= o.arrEnd {
-				return false, s.boundsErr(o, pc, t, addr)
+				return false, boundsErr(o, pc, t, addr)
 			}
 			if o.arrFloat {
 				s.wb(t+lat, pc, true, o.dst, s.memF[addr], 0)
@@ -553,14 +455,14 @@ func (s *Sim) Step() (stalled bool, err error) {
 				s.wb(t+lat, pc, false, o.dst, 0, s.memI[addr])
 			}
 		case machine.ClassStore:
-			addr := s.iregs[o.src0] + o.disp
+			addr := s.iregs[o.src[0]] + o.disp
 			if addr < o.arrBase || addr >= o.arrEnd {
-				return false, s.boundsErr(o, pc, t, addr)
+				return false, boundsErr(o, pc, t, addr)
 			}
 			if o.arrFloat {
-				stores = append(stores, memStore{isFloat: true, addr: addr, f: s.fregs[o.src1]})
+				stores = append(stores, memStore{isFloat: true, addr: addr, f: s.fregs[o.src[1]]})
 			} else {
-				stores = append(stores, memStore{addr: addr, i: s.iregs[o.src1]})
+				stores = append(stores, memStore{addr: addr, i: s.iregs[o.src[1]]})
 			}
 		default:
 			return false, fmt.Errorf("sim: @%d: cannot execute class %v", pc, o.class)
@@ -575,7 +477,7 @@ func (s *Sim) Step() (stalled bool, err error) {
 		}
 	}
 	s.storeBuf = stores[:0]
-	ctl := &s.ctl[pc]
+	ctl := &w.ctl
 	switch ctl.Kind {
 	case vliw.CtlNone:
 	case vliw.CtlHalt:
@@ -612,19 +514,31 @@ func (s *Sim) Step() (stalled bool, err error) {
 // Stats reports the counters of the completed run.
 func (s *Sim) Stats() Stats { return s.stats }
 
-func (s *Sim) boundsErr(o *decOp, pc int, t int64, addr int64) error {
+func boundsErr(o *decOp, pc int, t int64, addr int64) error {
 	return fmt.Errorf("sim: @%d cycle %d: %s[%d] out of bounds (size %d)",
 		pc, t, o.arrName, addr-o.arrBase, o.arrEnd-o.arrBase)
 }
 
 func (s *Sim) wb(due int64, pc int, isFloat bool, reg int, f float64, i int64) {
-	slot := int(due % int64(len(s.ring)))
-	s.ring[slot] = append(s.ring[slot], writeback{isFloat: isFloat, reg: reg, f: f, i: i, pc: pc})
+	slot := int(due) & (len(s.ring) - 1)
+	r := s.ring[slot]
+	n := len(r)
+	if n < cap(r) {
+		r = r[:n+1]
+	} else {
+		r = append(r, writeback{})
+	}
+	// Field stores straight into the slot: appending a composite literal
+	// builds it on the stack and copies it with wide moves the narrow
+	// stores cannot forward to (the hottest stall in Step's profile).
+	w := &r[n]
+	w.isFloat, w.reg, w.f, w.i, w.pc = isFloat, reg, f, i, pc
+	s.ring[slot] = r
 	s.nPending++
 }
 
 func (s *Sim) applyWritebacks(t int64) error {
-	slot := int(t % int64(len(s.ring)))
+	slot := int(t) & (len(s.ring) - 1)
 	wbs := s.ring[slot]
 	if len(wbs) == 0 {
 		return nil
@@ -665,10 +579,10 @@ func prevWriter(wbs []writeback, isFloat bool, reg int) int {
 }
 
 // State snapshots the observable program state: declared arrays and
-// result scalars (Cell interface).
+// result scalars.
 func (s *Sim) State() *ir.State {
 	var nf, ni int
-	for _, a := range s.Prog.Arrays {
+	for _, a := range s.prog.Src.Arrays {
 		if a.Kind == ir.KindFloat {
 			nf++
 		} else {
@@ -678,16 +592,16 @@ func (s *Sim) State() *ir.State {
 	st := &ir.State{
 		FloatArrays: make(map[string][]float64, nf),
 		IntArrays:   make(map[string][]int64, ni),
-		Scalars:     make(map[string]float64, len(s.Prog.Results)),
+		Scalars:     make(map[string]float64, len(s.prog.Src.Results)),
 	}
-	for _, a := range s.Prog.Arrays {
+	for _, a := range s.prog.Src.Arrays {
 		if a.Kind == ir.KindFloat {
 			st.FloatArrays[a.Name] = append([]float64(nil), s.memF[a.Base:a.Base+a.Size]...)
 		} else {
 			st.IntArrays[a.Name] = append([]int64(nil), s.memI[a.Base:a.Base+a.Size]...)
 		}
 	}
-	for _, r := range s.Prog.Results {
+	for _, r := range s.prog.Src.Results {
 		if r.Kind == ir.KindFloat {
 			st.Scalars[r.Name] = s.fregs[r.Reg]
 		} else {
@@ -724,9 +638,20 @@ func signI(a, b int64) int {
 	return 0
 }
 
-// Run executes p on machine m and returns state and stats.
+// Run executes p on machine m on the reference interpreter and returns
+// state and stats.
 func Run(p *vliw.Program, m *machine.Machine) (*ir.State, Stats, error) {
-	s := New(p, m)
+	return RunEngine(p, m, false)
+}
+
+// RunEngine is Run on either engine: fast selects the compiled engine,
+// whose Run may engage the program's steady-state blocks.
+func RunEngine(p *vliw.Program, m *machine.Machine, fast bool) (*ir.State, Stats, error) {
+	prog, err := Decode(p, m, fast)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	s := NewCell(prog)
 	st, err := s.Run()
 	return st, s.stats, err
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Array-partitioning smoke for CI: cut saxpy and a Livermore kernel
 # across a 2-cell array with full verification (per-cell provenance
-# against the single-cell reference plus the both-engine differential),
-# and require the two simulator engines' printed runs to be
-# byte-identical.  Then run the full array measurement (warpbench
+# against the single-cell reference plus one simulated array run), and
+# require the printed runs under both -engine values to be byte-identical
+# (true by construction: an array only steps its cells, and Step is the
+# same code on both engines).  Then run the full array measurement (warpbench
 # -array) at width 2 and hold the checked-in acceptance bar: every row
 # verified and at least one kernel at >= 1.5x single-cell throughput.
 #

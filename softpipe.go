@@ -31,7 +31,6 @@ import (
 	"softpipe/internal/pipeline"
 	"softpipe/internal/schedule"
 	"softpipe/internal/sim"
-	"softpipe/internal/sim/compiled"
 	"softpipe/internal/trace"
 	"softpipe/internal/verify"
 	"softpipe/internal/vliw"
@@ -252,20 +251,22 @@ type Result struct {
 	ArrayMFLOPS float64 // cell rate × the machine's cell count (Lam §4.1)
 }
 
-// Engine selects the simulator implementation.  Both engines honor the
-// same timing contract and produce bit-identical observable state; the
-// compiled engine specializes each instruction word to Go closures and
-// runs steady-state kernels on a dataflow fast path (roughly 2× the
-// interpreter's throughput on pipelined loops).
+// Engine selects the simulator implementation.  There is one cell core:
+// both engines decode the program once and execute the same cycle Step,
+// so they honor the same timing contract and produce bit-identical
+// observable state.  The compiled engine differs in exactly one thing:
+// its Run retires steady-state kernel loops whole iterations at a time on
+// a dataflow fast path (about 1.5× the interpreter's throughput on the
+// sim-steady kernels; see EXPERIMENTS.md).
 type Engine string
 
 // Available engines.
 const (
 	// EngineInterp is the reference cycle-accurate interpreter.
 	EngineInterp Engine = "interp"
-	// EngineCompiled specializes instruction words to closures at build
-	// time.  Execution traces (Object.Trace, w2c -exectrace) remain
-	// interpreter-only.
+	// EngineCompiled lets Run engage the dataflow fast path.  Execution
+	// traces (Object.Trace, w2c -exectrace) step every cycle, so they
+	// never engage it.
 	EngineCompiled Engine = "compiled"
 )
 
@@ -287,16 +288,7 @@ func (o *Object) Run() (*Result, error) { return o.RunEngine(EngineInterp) }
 // RunEngine executes the object program on the selected engine.
 func (o *Object) RunEngine(eng Engine) (*Result, error) {
 	sp := o.tracer.Begin("sim.run")
-	var (
-		st    *State
-		stats sim.Stats
-		err   error
-	)
-	if eng == EngineCompiled {
-		st, stats, err = compiled.Run(o.Binary, o.Machine)
-	} else {
-		st, stats, err = sim.Run(o.Binary, o.Machine)
-	}
+	st, stats, err := sim.RunEngine(o.Binary, o.Machine, eng == EngineCompiled)
 	sp.Arg("cycles", stats.Cycles).End()
 	if err != nil {
 		return nil, err
