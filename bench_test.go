@@ -39,7 +39,7 @@ func BenchmarkTable41(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				r, err := bench.Run(p, m, codegen.ModePipelined)
+				r, err := bench.Run(p, m, bench.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -83,12 +83,12 @@ func BenchmarkTable42(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				pipe, err := bench.Run(p, m, codegen.ModePipelined)
+				pipe, err := bench.Run(p, m, bench.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
 				p2, _ := k.Build()
-				base, err := bench.Run(p2, m, codegen.ModeUnpipelined)
+				base, err := bench.Run(p2, m, bench.Config{Options: softpipe.Options{Baseline: true}})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -109,7 +109,7 @@ func BenchmarkFig41_MFLOPS(b *testing.B) {
 	m := machine.Warp()
 	var meanMF float64
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunSuite(m, false, 0)
+		res, err := bench.RunSuite(m, bench.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func BenchmarkFig42_Speedup(b *testing.B) {
 	m := machine.Warp()
 	var mean, condMean, noCondMean, metPct float64
 	for i := 0; i < b.N; i++ {
-		res, err := bench.RunSuite(m, false, 0)
+		res, err := bench.RunSuite(m, bench.Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -452,7 +452,7 @@ func BenchmarkScalingWide(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				r, err := bench.Run(p, m, codegen.ModePipelined)
+				r, err := bench.Run(p, m, bench.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -474,7 +474,7 @@ func BenchmarkScalingWide(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				r, err := bench.Run(p, m, codegen.ModePipelined)
+				r, err := bench.Run(p, m, bench.Config{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -23,79 +23,32 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"runtime"
-	"runtime/pprof"
 
-	"softpipe"
 	"softpipe/internal/bench"
-	"softpipe/internal/machine"
-	"softpipe/internal/schedule"
-	"softpipe/internal/trace"
+	"softpipe/internal/cliflags"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("livermore: ")
-	machineName := flag.String("machine", "warp", "target machine: warp, scalar, wideN (e.g. wide4), or gen:... (e.g. gen:fa2,fm2,mem2,rot)")
+	shared := cliflags.Bind(flag.CommandLine, "machine", "verify=true", "parallel", "explain", "engine",
+		"effort", "effort-budget", "trace", "cpuprofile", "memprofile")
 	cells := flag.Int("cells", 0, "auto-partition each kernel across an N-cell array and print the speedup table instead of Table 4-2")
-	verify := flag.Bool("verify", true, "run the independent object-code verifier on every emitted binary and differentially verify every run against the interpreter")
-	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential)")
-	explain := flag.Bool("explain", false, "print the II-search explain report for every loop of every kernel")
-	engineFlag := flag.String("engine", "interp", "simulator engine: interp or compiled")
-	effortFlag := flag.String("effort", "heuristic", "II search effort: heuristic or exact")
-	effortBudget := flag.Duration("effort-budget", 0, "with -effort=exact: per-kernel exact search budget (0 = default)")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the compile/simulate phases to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	run, err := shared.Open("livermore")
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer run.Close()
+	m := run.Machine
+	cfg := bench.Config{Options: run.Options, Engine: run.Engine, Workers: run.Workers}
+	cfg.Options.VerifyEmitted = run.Verify
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Fatal(err)
-			}
-		}()
-	}
-
-	eng, err := softpipe.ParseEngine(*engineFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	effort, err := schedule.ParseEffort(*effortFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m, err := machine.Parse(*machineName)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *cells > 0 {
 		if *cells < 2 {
 			log.Fatal("-cells needs at least 2 cells (1 is the Table 4-2 baseline)")
 		}
-		rep, err := bench.MeasureArray(m, bench.ArrayOpts{
-			Widths:  []int{*cells},
-			Workers: *parallel,
-			Verify:  *verify,
-			Engine:  eng,
-		})
+		rep, err := bench.MeasureArray(m, []int{*cells}, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -103,33 +56,9 @@ func main() {
 		fmt.Print(bench.FormatArrayReport(rep))
 		return
 	}
-	var tracer *trace.Tracer
-	if *traceOut != "" {
-		tracer = trace.New("livermore")
-	}
-	rows, err := bench.Table42With(m, bench.Table42Opts{
-		Verify:  *verify,
-		Workers: *parallel,
-		Explain: *explain,
-		Tracer:  tracer,
-		Engine:  eng,
-
-		Effort:       effort,
-		EffortBudget: *effortBudget,
-	})
+	rows, err := bench.Table42(m, cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if tracer != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tracer.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
-		fmt.Fprintf(os.Stderr, "livermore: wrote trace to %s\n", *traceOut)
 	}
 	fmt.Println("Table 4-2: Livermore loops on one cell (reproduction)")
 	fmt.Printf("machine: %s\n\n", m)
@@ -152,7 +81,7 @@ func main() {
 	fmt.Print(bench.FormatTable(
 		[]string{"Kernel", "Name", "MFLOPS", "Eff(LB)", "Speedup", "Pipelined", "Character"},
 		out))
-	if *explain {
+	if cfg.Options.Explain {
 		fmt.Println("\nII-search explain reports (-explain)")
 		for _, r := range rows {
 			for _, lr := range r.Report.Loops {

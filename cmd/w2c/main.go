@@ -37,13 +37,14 @@ import (
 	"strings"
 
 	"softpipe"
+	"softpipe/internal/cliflags"
 	"softpipe/internal/lang"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("w2c: ")
-	machineName := flag.String("machine", "warp", "target machine: warp, scalar, wideN (e.g. wide4), or gen:... (e.g. gen:fa2,fm2,mem2,rot)")
+	shared := cliflags.Bind(flag.CommandLine, "machine", "verify", "engine", "effort", "effort-budget", "explain", "trace")
 	baseline := flag.Bool("baseline", false, "disable software pipelining (locally compacted code)")
 	noMVE := flag.Bool("no-mve", false, "disable modulo variable expansion")
 	noHier := flag.Bool("no-hier", false, "disable hierarchical reduction")
@@ -57,27 +58,12 @@ func main() {
 	disasm := flag.Bool("S", false, "print the VLIW disassembly")
 	format := flag.Bool("fmt", false, "pretty-print the parsed source and exit")
 	run := flag.Bool("run", false, "simulate the program and print statistics")
-	verify := flag.Bool("verify", false, "with -run: run the independent object-code verifier (resources, dependences, provenance) and check the simulation against the interpreter")
 	exectrace := flag.Int64("exectrace", 0, "with -run: print an execution trace for the first N cycles")
-	engine := flag.String("engine", "interp", "simulator engine for -run: interp or compiled")
-	effort := flag.String("effort", "heuristic", "II search effort: heuristic (Lam's algorithm) or exact (prove the minimal II, falling back to the heuristic on budget exhaustion)")
-	effortBudget := flag.Duration("effort-budget", 0, "with -effort=exact: per-program search budget (0 means the built-in default)")
-	explain := flag.Bool("explain", false, "print the II-search explain report for every loop")
-	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the compile/run phases to this file")
 	timeout := flag.Duration("timeout", 0, "abort compilation after this long (the II search stops between candidate intervals); 0 means no limit")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Fatal("usage: w2c [flags] file.w2")
 	}
-	eng, err := softpipe.ParseEngine(*engine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	eff, err := softpipe.ParseEffort(*effort)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		log.Fatal(err)
@@ -90,39 +76,29 @@ func main() {
 		fmt.Print(lang.Format(ast))
 		return
 	}
-	m, err := softpipe.ParseMachine(*machineName)
+	cli, err := shared.Open(flag.Arg(0))
 	if err != nil {
 		log.Fatal(err)
 	}
-	var tracer *softpipe.Tracer
-	if *traceOut != "" {
-		tracer = softpipe.NewTracer(flag.Arg(0))
-		defer writeTrace(tracer, *traceOut)
-	}
-	var ctx context.Context
+	defer cli.Close()
+	m, eng, verify := cli.Machine, cli.Engine, cli.Verify
+	opts := cli.Options
 	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(context.Background(), *timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		defer cancel()
+		opts.Ctx = ctx
 	}
-	opts := softpipe.Options{
-		Ctx:                  ctx,
-		Baseline:             *baseline,
-		DisableMVE:           *noMVE,
-		DisableHier:          *noHier,
-		DisableLoopReduction: *noLoopRed,
-		BinarySearch:         *binSearch,
-		UnrollInnerTrip:      *unrollInner,
-		Effort:               eff,
-		EffortBudget:         *effortBudget,
-		Explain:              *explain,
-		Tracer:               tracer,
-	}
+	opts.Baseline = *baseline
+	opts.DisableMVE = *noMVE
+	opts.DisableHier = *noHier
+	opts.DisableLoopReduction = *noLoopRed
+	opts.BinarySearch = *binSearch
+	opts.UnrollInnerTrip = *unrollInner
 	if *partitionFlag {
 		if *cells < 2 {
 			log.Fatal("-partition needs -cells N with N >= 2")
 		}
-		runPartitioned(string(src), m, *cells, opts, readTape(*input), eng, *verify)
+		runPartitioned(string(src), m, *cells, opts, readTape(*input), eng, verify)
 		return
 	}
 	obj, err := softpipe.CompileSource(string(src), m, opts)
@@ -144,7 +120,7 @@ func main() {
 			}
 		}
 		fmt.Printf("; loop %d (trip %d): %s\n", lr.LoopID, lr.TripCount, status)
-		if *explain && lr.Explain != nil {
+		if lr.Explain != nil {
 			fmt.Print(lr.Explain.Format())
 		}
 		if *kernel && lr.Kernel != "" {
@@ -171,14 +147,14 @@ func main() {
 		}
 		return
 	}
-	if *run || *verify {
+	if *run || verify {
 		if *exectrace > 0 {
 			if err := obj.Trace(os.Stdout, *exectrace); err != nil {
 				log.Fatal(err)
 			}
 		}
 		res, err := obj.RunEngine(eng)
-		if *verify {
+		if verify {
 			res, err = obj.Verify()
 		}
 		if err != nil {
@@ -241,7 +217,7 @@ func runPartitioned(src string, m *softpipe.Machine, cells int, opts softpipe.Op
 		if err := ao.Verify(tape); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("; verified: partitioned array equivalent to single-cell reference (both engines)")
+		fmt.Println("; verified: partitioned array equivalent to single-cell reference")
 	}
 	res, err := ao.RunArray(tape, eng)
 	if err != nil {
@@ -256,17 +232,4 @@ func runPartitioned(src string, m *softpipe.Machine, cells int, opts softpipe.Op
 	for _, v := range res.Output {
 		fmt.Println(v)
 	}
-}
-
-// writeTrace dumps the collected spans as Chrome trace_event JSON.
-func writeTrace(t *softpipe.Tracer, path string) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := t.WriteJSON(f); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "w2c: wrote trace to %s\n", path)
 }

@@ -7,9 +7,8 @@ import (
 	"strings"
 
 	"softpipe"
-	"softpipe/internal/codegen"
 	"softpipe/internal/machine"
-	"softpipe/internal/workloads"
+	"softpipe/internal/trace"
 )
 
 // The array report measures auto-partitioning across the cell array
@@ -42,7 +41,7 @@ type ArrayRow struct {
 	StallCycles []int64 `json:"stall_cycles"`
 	MaxInQueue  []int   `json:"max_in_queue"`
 	// Verified means the partition passed the provenance-equivalence
-	// check against the single-cell reference on both engines.
+	// check against the single-cell reference (ArrayObject.Verify).
 	Verified bool `json:"verified"`
 	// CapacityWarnings counts channels whose estimated in-flight words
 	// approach the queue bound (legal under back-pressure).
@@ -84,121 +83,110 @@ type ArrayReport struct {
 	Summary ArraySummary `json:"summary"`
 }
 
-// ArrayOpts tunes an array measurement run.
-type ArrayOpts struct {
-	// Widths lists the array sizes to measure (nil means {2, 4}).
-	Widths []int
-	// Workers sizes the pool (≤ 0 means GOMAXPROCS).
-	Workers int
-	// Verify proves every partitioned run equivalent to the single-cell
-	// reference (provenance terms + both-engine differential).
-	Verify bool
-	// Engine selects the simulator for the timing runs.
-	Engine softpipe.Engine
-}
-
-// MeasureArray partitions the corpus (saxpy + the Livermore kernels)
-// across each requested array width, measures steady-state speedup over
-// the single-cell pipelined schedule, and reports per-cell II, stall
-// cycles and queue occupancy.  Kernels the planner rejects are recorded
-// as skips, not errors; a failed equivalence check is an error.
-func MeasureArray(m *machine.Machine, o ArrayOpts) (*ArrayReport, error) {
-	widths := o.Widths
+// MeasureArray partitions Corpus(SetFull, false) across each requested
+// array width (nil means {2, 4}), measures steady-state speedup over the
+// single-cell pipelined schedule, and reports per-cell II, stall cycles
+// and queue occupancy.  Kernels the planner rejects are recorded as
+// skips, not errors; a failed equivalence check is an error.
+// cfg.Options.VerifyEmitted here means the array-level proof
+// (ArrayObject.Verify) on every partitioned row: it covers each cell's
+// object code, so the per-cell compiles do not repeat the verifier, and
+// the single-cell leg is Table 4-2's to verify.
+func MeasureArray(m *machine.Machine, widths []int, cfg Config) (*ArrayReport, error) {
 	if len(widths) == 0 {
 		widths = []int{2, 4}
 	}
-	if o.Engine == "" {
-		o.Engine = softpipe.EngineInterp
+	if cfg.Engine == "" {
+		cfg.Engine = softpipe.EngineInterp
 	}
 	for _, n := range widths {
 		if n < 2 {
 			return nil, fmt.Errorf("bench: array width %d: need at least 2 cells", n)
 		}
 	}
-	saxpy, err := saxpyWorkload()
+	ws, err := Corpus(SetFull, false)
 	if err != nil {
 		return nil, err
 	}
-	ws := []GapWorkload{saxpy}
-	for _, k := range workloads.Livermore() {
-		p, err := k.Build()
-		if err != nil {
-			return nil, err
-		}
-		ws = append(ws, GapWorkload{Name: k.Name, Prog: p})
+	verify := cfg.Options.VerifyEmitted
+	cfg.Options.VerifyEmitted = false
+	jobs := make([]Job, len(ws))
+	for i, w := range ws {
+		jobs[i] = Job{"array " + w.Name + " (single cell)", w.Prog, m, cfg.Options}
+	}
+	singles, err := Measure(cfg, jobs)
+	if err != nil {
+		return nil, err
 	}
 
-	type result struct {
-		rows  []ArrayRow
-		skips []ArraySkip
+	// One pool job per (workload, width); exactly one of row and skip is
+	// set.  The report lists workloads in corpus order, widths within.
+	type cell struct {
+		row  *ArrayRow
+		skip *ArraySkip
 	}
-	per := make([]result, len(ws))
-	err = ForEach(context.Background(), len(ws), o.Workers, func(i int) error {
-		rows, skips, err := arrayOne(ws[i], m, widths, o)
+	cells := make([]cell, len(ws)*len(widths))
+	err = ForEachTraced(context.Background(), len(cells), cfg.Workers, cfg.Options.Tracer, func(i int, t *trace.Tracer) error {
+		w, n := ws[i/len(widths)], widths[i%len(widths)]
+		opts := cfg.Options
+		opts.Tracer = t
+		ao, err := softpipe.CompilePartitioned(w.Prog, softpipe.Machines(m, n), opts)
 		if err != nil {
-			return err
+			cells[i].skip = &ArraySkip{Workload: w.Name, Cells: n, Reason: err.Error()}
+			return nil
 		}
-		per[i] = result{rows, skips}
+		if cells[i].row, err = arrayRow(w.Name, ao, singles[i/len(widths)].Cycles, verify, cfg.Engine); err != nil {
+			return fmt.Errorf("bench: array %s at %d cells: %w", w.Name, n, err)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	rep := &ArrayReport{Machine: m.Name, Widths: widths, Engine: string(o.Engine)}
-	for _, r := range per {
-		rep.Rows = append(rep.Rows, r.rows...)
-		rep.Skipped = append(rep.Skipped, r.skips...)
+	rep := &ArrayReport{Machine: m.Name, Widths: widths, Engine: string(cfg.Engine)}
+	for _, c := range cells {
+		if c.row != nil {
+			rep.Rows = append(rep.Rows, *c.row)
+		} else {
+			rep.Skipped = append(rep.Skipped, *c.skip)
+		}
 	}
 	rep.Summary = summarizeArray(rep.Rows, rep.Skipped)
 	return rep, nil
 }
 
-// arrayOne measures one workload: the single-cell baseline, then each
-// requested width.
-func arrayOne(w GapWorkload, m *machine.Machine, widths []int, o ArrayOpts) ([]ArrayRow, []ArraySkip, error) {
-	single, err := run(w.Prog, m, codegen.Options{Mode: codegen.ModePipelined}, o.Engine)
+// arrayRow verifies (when asked) and runs one partitioned compile and
+// projects it onto its report row.
+func arrayRow(name string, ao *softpipe.ArrayObject, singleCycles int64, verify bool, eng softpipe.Engine) (*ArrayRow, error) {
+	if verify {
+		if err := ao.Verify(nil); err != nil {
+			return nil, err
+		}
+	}
+	res, err := ao.RunArray(nil, eng)
 	if err != nil {
-		return nil, nil, fmt.Errorf("bench: array %s (single cell): %w", w.Name, err)
+		return nil, err
 	}
-	var rows []ArrayRow
-	var skips []ArraySkip
-	for _, n := range widths {
-		ao, err := softpipe.CompilePartitioned(w.Prog, softpipe.Machines(m, n), softpipe.Options{})
-		if err != nil {
-			skips = append(skips, ArraySkip{Workload: w.Name, Cells: n, Reason: err.Error()})
-			continue
-		}
-		if o.Verify {
-			if err := ao.Verify(nil); err != nil {
-				return nil, nil, fmt.Errorf("bench: array %s at %d cells: %w", w.Name, n, err)
-			}
-		}
-		res, err := ao.RunArray(nil, o.Engine)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bench: array %s at %d cells: %w", w.Name, n, err)
-		}
-		row := ArrayRow{
-			Workload:         w.Name,
-			Cells:            n,
-			CellII:           ao.CellII(),
-			EstMII:           ao.Plan.EstMII,
-			CutWidths:        ao.Plan.CutWidths,
-			SingleCycles:     single.Cycles,
-			ArrayCycles:      res.Cycles,
-			Verified:         o.Verify,
-			CapacityWarnings: len(ao.CapacityWarnings),
-		}
-		if res.Cycles > 0 {
-			row.Speedup = float64(single.Cycles) / float64(res.Cycles)
-		}
-		for _, cs := range res.CellStats {
-			row.StallCycles = append(row.StallCycles, cs.StallCycles)
-			row.MaxInQueue = append(row.MaxInQueue, cs.MaxInQueue)
-		}
-		rows = append(rows, row)
+	row := &ArrayRow{
+		Workload:         name,
+		Cells:            ao.Width(),
+		CellII:           ao.CellII(),
+		EstMII:           ao.Plan.EstMII,
+		CutWidths:        ao.Plan.CutWidths,
+		SingleCycles:     singleCycles,
+		ArrayCycles:      res.Cycles,
+		Verified:         verify,
+		CapacityWarnings: len(ao.CapacityWarnings),
 	}
-	return rows, skips, nil
+	if res.Cycles > 0 {
+		row.Speedup = float64(singleCycles) / float64(res.Cycles)
+	}
+	for _, cs := range res.CellStats {
+		row.StallCycles = append(row.StallCycles, cs.StallCycles)
+		row.MaxInQueue = append(row.MaxInQueue, cs.MaxInQueue)
+	}
+	return row, nil
 }
 
 func summarizeArray(rows []ArrayRow, skips []ArraySkip) ArraySummary {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"softpipe"
 	"softpipe/internal/machine"
 )
 
@@ -14,7 +15,7 @@ import (
 // 1.5× steady-state speedup the paper's array-scaling argument (§4.1)
 // predicts for a balanced two-cell cut.
 func TestMeasureArray(t *testing.T) {
-	rep, err := MeasureArray(machine.Warp(), ArrayOpts{Widths: []int{2}, Verify: true})
+	rep, err := MeasureArray(machine.Warp(), []int{2}, Config{Options: softpipe.Options{VerifyEmitted: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestMeasureArray(t *testing.T) {
 // TestMeasureArrayRejectsWidthOne: replicating onto one cell is the
 // homogeneous path, not a partition.
 func TestMeasureArrayRejectsWidthOne(t *testing.T) {
-	if _, err := MeasureArray(machine.Warp(), ArrayOpts{Widths: []int{1}}); err == nil {
+	if _, err := MeasureArray(machine.Warp(), []int{1}, Config{}); err == nil {
 		t.Fatal("width 1 must be rejected")
 	}
 }

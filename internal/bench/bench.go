@@ -6,84 +6,50 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"softpipe"
-	"softpipe/internal/codegen"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
-	"softpipe/internal/pipeline"
-	"softpipe/internal/schedule"
-	"softpipe/internal/sim"
-	"softpipe/internal/trace"
 	"softpipe/internal/workloads"
 )
 
-// RunResult is one compiled-and-simulated execution.
+// RunResult is one compiled-and-simulated execution: the simulation
+// result (cycles, flops, single-cell and homogeneous-array MFLOPS of Lam
+// §4.1, final state) plus the compilation report.
 type RunResult struct {
-	Name   string
-	Cycles int64
-	Flops  int64
-	// CellMFLOPS is the single-cell rate; ArrayMFLOPS scales by the
-	// machine's homogeneous cell count (Lam §4.1).
-	CellMFLOPS  float64
-	ArrayMFLOPS float64
-	Report      *codegen.Report
-	State       *ir.State
+	Name string
+	*softpipe.Result
+	Report *softpipe.Report
 }
 
-// Run compiles p in the given mode and simulates it on the interpreter.
-func Run(p *ir.Program, m *machine.Machine, mode codegen.Mode) (*RunResult, error) {
-	return run(p, m, codegen.Options{Mode: mode}, softpipe.EngineInterp)
-}
-
-func run(p *ir.Program, m *machine.Machine, opts codegen.Options, eng softpipe.Engine) (*RunResult, error) {
-	sp := opts.Tracer.Begin("compile")
-	prog, rep, err := codegen.Compile(p, m, opts)
-	sp.End()
+// Run compiles p for m under cfg.Options and simulates it on cfg.Engine.
+// With cfg.Options.VerifyEmitted the compile runs the independent
+// emitted-code verifier (internal/verify) and the simulated final state
+// is checked against the IR interpreter.
+func Run(p *ir.Program, m *machine.Machine, cfg Config) (*RunResult, error) {
+	var want *ir.State
+	if cfg.Options.VerifyEmitted {
+		var err error
+		if want, err = ir.Run(p); err != nil {
+			return nil, fmt.Errorf("bench: interpret %s: %w", p.Name, err)
+		}
+	}
+	obj, err := softpipe.Compile(p, m, cfg.Options)
 	if err != nil {
 		return nil, fmt.Errorf("bench: compile %s: %w", p.Name, err)
 	}
-	sp = opts.Tracer.Begin("sim.run")
-	st, stats, err := sim.RunEngine(prog, m, eng == softpipe.EngineCompiled)
-	sp.Arg("cycles", stats.Cycles).End()
+	res, err := obj.RunEngine(cfg.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("bench: simulate %s: %w", p.Name, err)
 	}
-	return &RunResult{
-		Name:        p.Name,
-		Cycles:      stats.Cycles,
-		Flops:       stats.Flops,
-		CellMFLOPS:  stats.MFLOPS(m, 1),
-		ArrayMFLOPS: stats.MFLOPS(m, m.Cells),
-		Report:      rep,
-		State:       st,
-	}, nil
-}
-
-// RunVerified is Run with the independent emitted-code verifier
-// (internal/verify) enabled at compile time, plus a differential check
-// of the simulated final state against the IR interpreter.
-func RunVerified(p *ir.Program, m *machine.Machine, mode codegen.Mode) (*RunResult, error) {
-	return runVerified(p, m, codegen.Options{Mode: mode, VerifyEmitted: true}, softpipe.EngineInterp)
-}
-
-func runVerified(p *ir.Program, m *machine.Machine, opts codegen.Options, eng softpipe.Engine) (*RunResult, error) {
-	want, err := ir.Run(p)
-	if err != nil {
-		return nil, fmt.Errorf("bench: interpret %s: %w", p.Name, err)
+	if want != nil {
+		if d := want.Diff(res.State); d != "" {
+			return nil, fmt.Errorf("bench: %s: simulated state diverges from interpreter: %s", p.Name, d)
+		}
 	}
-	r, err := run(p, m, opts, eng)
-	if err != nil {
-		return nil, err
-	}
-	if d := want.Diff(r.State); d != "" {
-		return nil, fmt.Errorf("bench: %s: simulated state diverges from interpreter: %s", p.Name, d)
-	}
-	return r, nil
+	return &RunResult{Name: p.Name, Result: res, Report: obj.Report}, nil
 }
 
 // Table42Row is one Livermore kernel measurement (Lam Table 4-2).
@@ -101,102 +67,46 @@ type Table42Row struct {
 	Pipelined bool // any loop pipelined
 	Note      string
 	// Report is the pipelined compilation's per-loop report (with
-	// explain data when Table42Opts.Explain was set).
-	Report *codegen.Report
+	// explain data when cfg.Options.Explain was set).
+	Report *softpipe.Report
 }
 
-// Table42Opts tunes a Table 4-2 run beyond the mode flags.
-type Table42Opts struct {
-	// Verify enables the independent object-code verifier plus the
-	// differential interpreter check on every run.
-	Verify bool
-	// Workers sizes the pool (≤ 0 means GOMAXPROCS).
-	Workers int
-	// Explain records the II-search explain report per loop.
-	Explain bool
-	// Tracer receives per-phase spans (one sink per pool worker, merged
-	// at the end); nil traces nothing.
-	Tracer *trace.Tracer
-	// Engine selects the simulator implementation ("" = interp).  Rows
-	// are engine-invariant; the compiled engine only changes host-side
-	// wall clock.
-	Engine softpipe.Engine
-	// Effort selects the II search backend (heuristic or exact); see
-	// schedule.Effort.  EffortBudget bounds the exact search per compile
-	// (0 means the built-in default).
-	Effort       schedule.Effort
-	EffortBudget time.Duration
-}
-
-// pipelineOpts renders effort settings as scheduler options.
-func pipelineOpts(eff schedule.Effort, budget time.Duration) pipeline.Options {
-	return pipeline.Options{Effort: eff, SchedBudget: budget}
-}
-
-// Table42 reproduces Table 4-2 on machine m (one cell).  Kernels
-// compile and simulate on a pool of `workers` goroutines (≤ 0 means
-// GOMAXPROCS); results land in kernel order regardless of the pool size,
-// so parallel and sequential runs are byte-identical.
-func Table42(m *machine.Machine, verify bool, workers int) ([]Table42Row, error) {
-	return Table42With(m, Table42Opts{Verify: verify, Workers: workers})
-}
-
-// Table42With is Table42 with explain/trace instrumentation.
-func Table42With(m *machine.Machine, o Table42Opts) ([]Table42Row, error) {
+// Table42 reproduces Table 4-2 on machine m (one cell): every Livermore
+// kernel compiled under cfg.Options and as the locally compacted
+// baseline, both simulated.
+func Table42(m *machine.Machine, cfg Config) ([]Table42Row, error) {
 	kernels := workloads.Livermore()
-	rows := make([]Table42Row, len(kernels))
-	err := ForEachTraced(context.Background(), len(kernels), o.Workers, o.Tracer, func(i int, t *trace.Tracer) error {
-		row, err := runKernel42(kernels[i], m, o, t)
+	var jobs []Job
+	for _, k := range kernels {
+		p, err := k.Build()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rows[i] = *row
-		return nil
-	})
+		jobs = cfg.pair(jobs, "kernel."+k.Name, p, m)
+	}
+	res, err := Measure(cfg, jobs)
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]Table42Row, len(kernels))
+	for i, k := range kernels {
+		pipe, base := res[2*i], res[2*i+1]
+		rows[i] = Table42Row{
+			KernelID:   k.ID,
+			Name:       k.Name,
+			MFLOPS:     pipe.CellMFLOPS,
+			Efficiency: WeightedEfficiency(pipe.Report),
+			Speedup:    float64(base.Cycles) / float64(pipe.Cycles),
+			Note:       k.Note,
+			Report:     pipe.Report,
+		}
+		for _, lr := range pipe.Report.Loops {
+			if lr.Pipelined {
+				rows[i].Pipelined = true
+			}
+		}
 	}
 	return rows, nil
-}
-
-func runKernel42(k *workloads.Kernel, m *machine.Machine, o Table42Opts, t *trace.Tracer) (*Table42Row, error) {
-	p, err := k.Build()
-	if err != nil {
-		return nil, err
-	}
-	runner := run
-	if o.Verify {
-		runner = runVerified
-	}
-	job := t.Begin("kernel." + k.Name)
-	defer job.End()
-	pipe, err := runner(p, m, codegen.Options{Mode: codegen.ModePipelined, Pipeline: pipelineOpts(o.Effort, o.EffortBudget), VerifyEmitted: o.Verify, Explain: o.Explain, Tracer: t}, o.Engine)
-	if err != nil {
-		return nil, err
-	}
-	p2, err := k.Build()
-	if err != nil {
-		return nil, err
-	}
-	base, err := runner(p2, m, codegen.Options{Mode: codegen.ModeUnpipelined, VerifyEmitted: o.Verify, Tracer: t}, o.Engine)
-	if err != nil {
-		return nil, err
-	}
-	row := &Table42Row{
-		KernelID:   k.ID,
-		Name:       k.Name,
-		MFLOPS:     pipe.CellMFLOPS,
-		Efficiency: WeightedEfficiency(pipe.Report),
-		Speedup:    float64(base.Cycles) / float64(pipe.Cycles),
-		Note:       k.Note,
-		Report:     pipe.Report,
-	}
-	for _, lr := range pipe.Report.Loops {
-		if lr.Pipelined {
-			row.Pipelined = true
-		}
-	}
-	return row, nil
 }
 
 // WeightedEfficiency is the Table 4-2 efficiency lower bound: per loop
@@ -204,7 +114,7 @@ func runKernel42(k *workloads.Kernel, m *machine.Machine, o Table42Opts, t *trac
 // (trip count × II), with unpipelined loops counting as efficiency 1
 // against their own length (the paper weighs kernels with multiple loops
 // by execution time).
-func WeightedEfficiency(rep *codegen.Report) float64 {
+func WeightedEfficiency(rep *softpipe.Report) float64 {
 	var wsum, esum float64
 	for _, lr := range rep.Loops {
 		if lr.II <= 0 {
@@ -239,71 +149,44 @@ type Table41Row struct {
 
 // Table41 reproduces Table 4-1.  Single-cell kernels scale by the cell
 // count (the §4.1 homogeneous rule); the systolic matmul runs on the
-// actual simulated array.  Applications fan out over `workers`
-// goroutines (≤ 0 means GOMAXPROCS) with the row order fixed.
-func Table41(m *machine.Machine, verify bool, workers int) ([]Table41Row, error) {
-	return Table41Engine(m, verify, workers, softpipe.EngineInterp)
-}
-
-// Table41Engine is Table41 on the selected simulator engine (the
-// systolic matmul row always runs on the interpreter array).
-func Table41Engine(m *machine.Machine, verify bool, workers int, eng softpipe.Engine) ([]Table41Row, error) {
-	return Table41With(m, SuiteOpts{Verify: verify, Workers: workers, Engine: eng})
-}
-
-// SuiteOpts tunes Table41With and RunSuiteWith beyond the mode flags.
-type SuiteOpts struct {
-	Verify  bool
-	Workers int
-	Tracer  *trace.Tracer
-	Engine  softpipe.Engine
-	// Effort/EffortBudget select and bound the II search backend.
-	Effort       schedule.Effort
-	EffortBudget time.Duration
-}
-
-// Table41With is Table41Engine with the full option set.
-func Table41With(m *machine.Machine, o SuiteOpts) ([]Table41Row, error) {
-	verify, workers, eng := o.Verify, o.Workers, o.Engine
+// actual simulated array, whatever cfg.Engine says.  The row order is
+// fixed.
+func Table41(m *machine.Machine, cfg Config) ([]Table41Row, error) {
 	apps := workloads.Apps()
-	rows := make([]Table41Row, len(apps)+1)
-	runner := func(p *ir.Program, m *machine.Machine, mode codegen.Mode) (*RunResult, error) {
-		opts := codegen.Options{Mode: mode, Pipeline: pipelineOpts(o.Effort, o.EffortBudget), VerifyEmitted: verify}
-		if verify {
-			return runVerified(p, m, opts, eng)
-		}
-		opts.VerifyEmitted = false
-		return run(p, m, opts, eng)
-	}
-	err := ForEach(context.Background(), len(apps)+1, workers, func(i int) error {
-		if i == 0 {
-			sys, err := SystolicMatmulRow(m, 100, m.Cells)
-			if err != nil {
-				return err
-			}
-			rows[0] = sys
-			return nil
-		}
-		app := apps[i-1]
+	jobs := make([]Job, len(apps))
+	for i, app := range apps {
 		p, err := app.Build()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		r, err := runner(p, m, codegen.ModePipelined)
-		if err != nil {
-			return err
-		}
-		rows[i] = Table41Row{
-			Name:        app.Name,
-			ArrayMFLOPS: r.ArrayMFLOPS,
-			CellMFLOPS:  r.CellMFLOPS,
-			PaperMFLOPS: app.PaperMFLOPS,
-			Cycles:      r.Cycles,
-		}
-		return nil
-	})
+		jobs[i] = Job{"app." + app.Name, p, m, cfg.Options}
+	}
+	// The systolic row is the longest single job and is not a compile, so
+	// it runs beside the pool rather than in front of it.
+	var sys Table41Row
+	var sysErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sys, sysErr = SystolicMatmulRow(m, 100, m.Cells)
+	}()
+	res, err := Measure(cfg, jobs)
+	<-done
+	if sysErr != nil {
+		return nil, sysErr
+	}
 	if err != nil {
 		return nil, err
+	}
+	rows := []Table41Row{sys}
+	for i, r := range res {
+		rows = append(rows, Table41Row{
+			Name:        apps[i].Name,
+			ArrayMFLOPS: r.ArrayMFLOPS,
+			CellMFLOPS:  r.CellMFLOPS,
+			PaperMFLOPS: apps[i].PaperMFLOPS,
+			Cycles:      r.Cycles,
+		})
 	}
 	return rows, nil
 }
@@ -347,50 +230,24 @@ type SuiteResult struct {
 	HasCond     bool
 	ArrayMFLOPS float64
 	Speedup     float64
-	Report      *codegen.Report
+	Report      *softpipe.Report
 }
 
-// RunSuite measures the synthetic population in both modes.  One job
-// covers both compilations of a program (pipelined and the unpipelined
-// baseline share sp.Prog), fanned out over `workers` goroutines (≤ 0
-// means GOMAXPROCS); result order is the suite order either way.
-func RunSuite(m *machine.Machine, verify bool, workers int) ([]SuiteResult, error) {
-	return RunSuiteTraced(m, verify, workers, nil)
-}
-
-// RunSuiteTraced is RunSuite recording per-phase spans into tr (one
-// trace sink per pool worker, merged at the end); nil tr traces nothing.
-func RunSuiteTraced(m *machine.Machine, verify bool, workers int, tr *trace.Tracer) ([]SuiteResult, error) {
-	return RunSuiteEngine(m, verify, workers, tr, softpipe.EngineInterp)
-}
-
-// RunSuiteEngine is RunSuiteTraced on the selected simulator engine.
-func RunSuiteEngine(m *machine.Machine, verify bool, workers int, tr *trace.Tracer, eng softpipe.Engine) ([]SuiteResult, error) {
-	return RunSuiteWith(m, SuiteOpts{Verify: verify, Workers: workers, Tracer: tr, Engine: eng})
-}
-
-// RunSuiteWith is RunSuiteEngine with the full option set.
-func RunSuiteWith(m *machine.Machine, o SuiteOpts) ([]SuiteResult, error) {
-	verify, workers, tr, eng := o.Verify, o.Workers, o.Tracer, o.Engine
+// RunSuite measures the synthetic population under cfg.Options and as
+// the locally compacted baseline; result order is the suite order.
+func RunSuite(m *machine.Machine, cfg Config) ([]SuiteResult, error) {
 	progs := workloads.Suite()
+	var jobs []Job
+	for _, sp := range progs {
+		jobs = cfg.pair(jobs, "suite."+sp.Name, sp.Prog, m)
+	}
+	res, err := Measure(cfg, jobs)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]SuiteResult, len(progs))
-	err := ForEachTraced(context.Background(), len(progs), workers, tr, func(i int, t *trace.Tracer) error {
-		sp := progs[i]
-		runner := run
-		if verify {
-			runner = runVerified
-		}
-		job := t.Begin("suite." + sp.Name)
-		pipe, err := runner(sp.Prog, m, codegen.Options{Mode: codegen.ModePipelined, Pipeline: pipelineOpts(o.Effort, o.EffortBudget), VerifyEmitted: verify, Tracer: t}, eng)
-		if err != nil {
-			job.End()
-			return err
-		}
-		base, err := runner(sp.Prog, m, codegen.Options{Mode: codegen.ModeUnpipelined, VerifyEmitted: verify, Tracer: t}, eng)
-		job.End()
-		if err != nil {
-			return err
-		}
+	for i, sp := range progs {
+		pipe, base := res[2*i], res[2*i+1]
 		out[i] = SuiteResult{
 			Name:        sp.Name,
 			HasCond:     sp.HasCond,
@@ -398,10 +255,6 @@ func RunSuiteWith(m *machine.Machine, o SuiteOpts) ([]SuiteResult, error) {
 			Speedup:     float64(base.Cycles) / float64(pipe.Cycles),
 			Report:      pipe.Report,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -5,12 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"softpipe"
 	"softpipe/internal/machine"
 )
 
 func TestTable42Shape(t *testing.T) {
 	m := machine.Warp()
-	rows, err := Table42(m, true, 0)
+	rows, err := Table42(m, Config{Options: softpipe.Options{VerifyEmitted: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func TestTable42Shape(t *testing.T) {
 
 func TestTable41Shape(t *testing.T) {
 	m := machine.Warp()
-	rows, err := Table41(m, true, 0)
+	rows, err := Table41(m, Config{Options: softpipe.Options{VerifyEmitted: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestTable41Shape(t *testing.T) {
 
 func TestSuiteFigures(t *testing.T) {
 	m := machine.Warp()
-	res, err := RunSuite(m, false, 0)
+	res, err := RunSuite(m, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

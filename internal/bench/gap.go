@@ -1,19 +1,13 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"softpipe"
-	"softpipe/internal/codegen"
-	"softpipe/internal/ir"
-	"softpipe/internal/lang"
 	"softpipe/internal/machine"
 	"softpipe/internal/schedule"
-	"softpipe/internal/workloads"
 )
 
 // The gap report measures how far Lam's heuristic lands from the true
@@ -23,88 +17,6 @@ import (
 // understate the heuristic wherever MII itself is unachievable; the
 // exact backend closes that measurement gap by either finding a smaller
 // schedule or proving none exists.
-
-// saxpySource mirrors testdata/saxpy.w2 so the gap runner does not
-// depend on the working directory.
-const saxpySource = `
-program saxpy;
-const n = 200;
-var x, y: array [0..199] of real;
-    a: real;
-    i: int;
-begin
-  a := 3.0;
-  for i := 0 to n-1 do
-    y[i] := y[i] + a * x[i];
-end.
-`
-
-// GapWorkload is one program of the gap corpus.
-type GapWorkload struct {
-	Name string
-	Prog *ir.Program
-}
-
-// Gap corpus set names.
-const (
-	GapSetFull  = "full"  // saxpy + every Livermore kernel + the checked-in fuzz corpus
-	GapSetSmoke = "smoke" // saxpy + one resource-bound Livermore kernel (CI smoke)
-)
-
-// saxpyWorkload compiles the embedded saxpy source and fills its arrays
-// (shared by the gap and sweep corpora).
-func saxpyWorkload() (GapWorkload, error) {
-	saxpy, err := lang.Compile(saxpySource)
-	if err != nil {
-		return GapWorkload{}, fmt.Errorf("bench: compile saxpy: %w", err)
-	}
-	for _, a := range saxpy.Arrays {
-		for i := 0; i < a.Size; i++ {
-			a.InitF = append(a.InitF, float64(i%11))
-		}
-	}
-	return GapWorkload{Name: "saxpy", Prog: saxpy}, nil
-}
-
-// GapWorkloads builds the named gap corpus ("" means full).
-func GapWorkloads(set string) ([]GapWorkload, error) {
-	saxpy, err := saxpyWorkload()
-	if err != nil {
-		return nil, err
-	}
-	out := []GapWorkload{saxpy}
-	kernels := workloads.Livermore()
-	switch set {
-	case GapSetSmoke:
-		for _, k := range kernels {
-			if k.ID != 18 {
-				continue
-			}
-			p, err := k.Build()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, GapWorkload{Name: k.Name, Prog: p})
-		}
-	case "", GapSetFull:
-		for _, k := range kernels {
-			p, err := k.Build()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, GapWorkload{Name: k.Name, Prog: p})
-		}
-		for _, seed := range workloads.CorpusSeeds() {
-			out = append(out, GapWorkload{
-				Name: fmt.Sprintf("fuzz%d", seed),
-				Prog: workloads.RandomProgram(seed),
-			})
-		}
-	default:
-		return nil, fmt.Errorf("bench: unknown gap set %q (want %q or %q)", set, GapSetFull, GapSetSmoke)
-	}
-	return out, nil
-}
 
 // GapLoop is one pipelined loop measured under both backends.
 type GapLoop struct {
@@ -163,93 +75,64 @@ type GapReport struct {
 	Summary  GapSummary `json:"summary"`
 }
 
-// GapOpts tunes a gap run.
-type GapOpts struct {
-	// Set names the corpus (GapSetFull or GapSetSmoke; "" = full).
-	Set string
-	// Budget bounds the exact search per compile (0 = the backend's
-	// default).
-	Budget time.Duration
-	// Workers sizes the pool (≤ 0 means GOMAXPROCS).
-	Workers int
-	// Verify runs the independent object-code verifier on both compiles
-	// and checks both simulations against the interpreter.
-	Verify bool
-}
-
-// MeasureGap compiles the corpus under both backends and reports the
-// per-loop IIs.  It fails if any exact II exceeds the heuristic II (the
-// exact backend must never be worse: it keeps the heuristic schedule as
-// its fallback), or if the two backends disagree on which loops
-// pipeline at all.
-func MeasureGap(m *machine.Machine, o GapOpts) (*GapReport, error) {
-	ws, err := GapWorkloads(o.Set)
+// MeasureGap compiles the named corpus (Corpus(set, true)) under both
+// backends and reports the per-loop IIs; see MeasureGapWorkloads.
+func MeasureGap(m *machine.Machine, set string, cfg Config) (*GapReport, error) {
+	ws, err := Corpus(set, true)
 	if err != nil {
 		return nil, err
 	}
-	return MeasureGapWorkloads(m, ws, o)
+	return MeasureGapWorkloads(m, set, ws, cfg)
 }
 
-// MeasureGapWorkloads is MeasureGap over an explicit corpus.
-func MeasureGapWorkloads(m *machine.Machine, ws []GapWorkload, o GapOpts) (*GapReport, error) {
-	budget := o.Budget
-	if budget == 0 {
-		budget = schedule.DefaultExactBudget
+// MeasureGapWorkloads measures the gap over an explicit corpus: every
+// workload is one Measure job per backend, cfg.Options with Effort
+// overridden, cfg.Options.EffortBudget (0 = the backend's default)
+// bounding the exact search per compile.  It fails if any exact II
+// exceeds the heuristic II (the exact backend must never be worse: it
+// keeps the heuristic schedule as its fallback), or if the two backends
+// disagree on which loops pipeline at all.
+func MeasureGapWorkloads(m *machine.Machine, set string, ws []Workload, cfg Config) (*GapReport, error) {
+	heur, exact := cfg.Options, cfg.Options
+	heur.Effort = softpipe.EffortHeuristic
+	exact.Effort = softpipe.EffortExact
+	if exact.EffortBudget == 0 {
+		exact.EffortBudget = schedule.DefaultExactBudget
 	}
-	perWorkload := make([][]GapLoop, len(ws))
-	err := ForEach(context.Background(), len(ws), o.Workers, func(i int) error {
-		rows, err := gapOne(ws[i], m, o, budget)
+	var jobs []Job
+	for _, w := range ws {
+		jobs = append(jobs,
+			Job{"gap " + w.Name + " (heuristic)", w.Prog, m, heur},
+			Job{"gap " + w.Name + " (exact)", w.Prog, m, exact})
+	}
+	res, err := Measure(cfg, jobs)
+	if err != nil {
+		return nil, err
+	}
+	rep := &GapReport{Machine: m.Name, Set: set, BudgetMS: exact.EffortBudget.Milliseconds()}
+	for i, w := range ws {
+		rows, err := gapRows(w.Name, res[2*i].Report, res[2*i+1].Report)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		perWorkload[i] = rows
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep := &GapReport{
-		Machine:  m.Name,
-		Set:      o.Set,
-		BudgetMS: budget.Milliseconds(),
-	}
-	if rep.Set == "" {
-		rep.Set = GapSetFull
-	}
-	for _, rows := range perWorkload {
 		rep.Loops = append(rep.Loops, rows...)
 	}
 	rep.Summary = summarizeGap(rep.Loops)
 	return rep, nil
 }
 
-func gapOne(w GapWorkload, m *machine.Machine, o GapOpts, budget time.Duration) ([]GapLoop, error) {
-	runner := run
-	if o.Verify {
-		runner = runVerified
-	}
-	heur, err := runner(w.Prog, m, codegen.Options{Mode: codegen.ModePipelined, VerifyEmitted: o.Verify}, softpipe.EngineInterp)
-	if err != nil {
-		return nil, fmt.Errorf("bench: gap %s (heuristic): %w", w.Name, err)
-	}
-	exact, err := runner(w.Prog, m, codegen.Options{
-		Mode:          codegen.ModePipelined,
-		Pipeline:      pipelineOpts(schedule.EffortExact, budget),
-		VerifyEmitted: o.Verify,
-	}, softpipe.EngineInterp)
-	if err != nil {
-		return nil, fmt.Errorf("bench: gap %s (exact): %w", w.Name, err)
-	}
-	if len(heur.Report.Loops) != len(exact.Report.Loops) {
-		return nil, fmt.Errorf("bench: gap %s: backend loop counts differ (%d vs %d)", w.Name, len(heur.Report.Loops), len(exact.Report.Loops))
+// gapRows pairs one workload's loops across the two backends' reports.
+func gapRows(name string, heur, exact *softpipe.Report) ([]GapLoop, error) {
+	if len(heur.Loops) != len(exact.Loops) {
+		return nil, fmt.Errorf("bench: gap %s: backend loop counts differ (%d vs %d)", name, len(heur.Loops), len(exact.Loops))
 	}
 	var rows []GapLoop
-	for i, hl := range heur.Report.Loops {
-		el := exact.Report.Loops[i]
+	for i, hl := range heur.Loops {
+		el := exact.Loops[i]
 		if hl.Pipelined && !el.Pipelined {
 			// The exact backend keeps the heuristic as its fallback at
 			// every level, so it must pipeline whatever the heuristic can.
-			return nil, fmt.Errorf("bench: gap %s loop %d: pipelined under heuristic effort but not exact", w.Name, hl.LoopID)
+			return nil, fmt.Errorf("bench: gap %s loop %d: pipelined under heuristic effort but not exact", name, hl.LoopID)
 		}
 		if !hl.Pipelined {
 			// A loop only the exact backend pipelines has no heuristic II
@@ -257,10 +140,10 @@ func gapOne(w GapWorkload, m *machine.Machine, o GapOpts, budget time.Duration) 
 			continue
 		}
 		if el.II > hl.II {
-			return nil, fmt.Errorf("bench: gap %s loop %d: exact II %d exceeds heuristic II %d", w.Name, hl.LoopID, el.II, hl.II)
+			return nil, fmt.Errorf("bench: gap %s loop %d: exact II %d exceeds heuristic II %d", name, hl.LoopID, el.II, hl.II)
 		}
 		rows = append(rows, GapLoop{
-			Workload: w.Name,
+			Workload: name,
 			Loop:     hl.LoopID,
 			MII:      el.MII,
 			ResMII:   el.ResMII,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"softpipe"
 	"softpipe/internal/machine"
 	"softpipe/internal/workloads"
 )
@@ -20,6 +21,8 @@ var update = flag.Bool("update", false, "rewrite testdata golden files from curr
 // corpus decision trees are tiny (tens of nodes), so the budget is pure
 // slack, not expected runtime.
 const gapBudget = 30 * time.Second
+
+var gapConfig = Config{Options: softpipe.Options{VerifyEmitted: true, EffortBudget: gapBudget}}
 
 // checkGapInvariants asserts what every gap row must satisfy regardless
 // of corpus or machine.  MeasureGap itself fails if the exact backend is
@@ -62,11 +65,11 @@ func checkGapInvariants(t *testing.T, rep *GapReport) {
 // and the exact II is never above the heuristic II.  Short mode runs
 // the smoke corpus.
 func TestGapCorpusDifferential(t *testing.T) {
-	set := GapSetFull
+	set := SetFull
 	if testing.Short() {
-		set = GapSetSmoke
+		set = SetSmoke
 	}
-	rep, err := MeasureGap(machine.Warp(), GapOpts{Set: set, Budget: gapBudget, Verify: true})
+	rep, err := MeasureGap(machine.Warp(), set, gapConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,18 +86,18 @@ func TestGapCorpusSecondMachine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus second machine is not short")
 	}
-	rep, err := MeasureGap(machine.Wide(2), GapOpts{Set: GapSetFull, Budget: gapBudget, Verify: true})
+	rep, err := MeasureGap(machine.Wide(2), SetFull, gapConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGapInvariants(t, rep)
 }
 
-func TestGapWorkloadsUnknownSet(t *testing.T) {
-	if _, err := GapWorkloads("everything"); err == nil {
-		t.Fatal("unknown gap set accepted")
+func TestCorpusUnknownSet(t *testing.T) {
+	if _, err := Corpus("everything", true); err == nil {
+		t.Fatal("unknown corpus set accepted")
 	}
-	ws, err := GapWorkloads(GapSetSmoke)
+	ws, err := Corpus(SetSmoke, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,7 @@ func TestGapWorkloadsUnknownSet(t *testing.T) {
 // improvements are rejected by the unroll limit, so the heuristic
 // schedule is kept unproved).  Regenerate with -update.
 func TestGoldenGapReport(t *testing.T) {
-	var ws []GapWorkload
+	var ws []Workload
 	for _, id := range []int{5, 18} {
 		for _, k := range workloads.Livermore() {
 			if k.ID != id {
@@ -120,13 +123,13 @@ func TestGoldenGapReport(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ws = append(ws, GapWorkload{Name: k.Name, Prog: p})
+			ws = append(ws, Workload{Name: k.Name, Prog: p})
 		}
 	}
 	if len(ws) != 2 {
 		t.Fatalf("expected 2 golden workloads, got %d", len(ws))
 	}
-	rep, err := MeasureGapWorkloads(machine.Warp(), ws, GapOpts{Set: "golden", Budget: gapBudget, Verify: true})
+	rep, err := MeasureGapWorkloads(machine.Warp(), "golden", ws, gapConfig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@ import (
 
 // ForEach runs fn(0) … fn(n-1) on a bounded pool of worker goroutines
 // and waits for them.  workers ≤ 0 sizes the pool to
-// runtime.GOMAXPROCS(0); workers == 1 degenerates to a sequential loop
-// on the calling goroutine's clock, which keeps single-core behavior
-// identical to the historical code path.
+// runtime.GOMAXPROCS(0).  Jobs always run on pool goroutines, never on
+// the caller's: workers == 1 is one worker taking the jobs in index
+// order, which is sequential but not the calling goroutine.
 //
 // Jobs must be independent: callers get determinism by writing job i's
 // result into slot i of a pre-sized slice, never by sharing accumulators.

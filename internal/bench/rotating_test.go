@@ -14,7 +14,7 @@ import (
 // MVE unroll 1, pass the independent object-code verifier, and simulate
 // bit-identically to the IR interpreter on both engines.
 func TestRotatingEndToEnd(t *testing.T) {
-	ws, err := SweepWorkloads(SweepSetFull)
+	ws, err := Corpus(SetFull, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,10 +31,7 @@ func TestRotatingEndToEnd(t *testing.T) {
 			for _, w := range ws {
 				var cycles []int64
 				for _, eng := range []softpipe.Engine{softpipe.EngineInterp, softpipe.EngineCompiled} {
-					r, err := runVerified(w.Prog, m, codegen.Options{
-						Mode:          codegen.ModePipelined,
-						VerifyEmitted: true,
-					}, eng)
+					r, err := Run(w.Prog, m, Config{Options: softpipe.Options{VerifyEmitted: true}, Engine: eng})
 					if err != nil {
 						t.Fatalf("%s (%s): %v", w.Name, eng, err)
 					}
@@ -73,7 +70,7 @@ func TestRotatingEndToEnd(t *testing.T) {
 // strictly fewer copy registers, so it must never pipeline less, and
 // any II drift on shared loops stays small.
 func TestRotatingSchedulesMatchMVE(t *testing.T) {
-	ws, err := SweepWorkloads(SweepSetFull)
+	ws, err := Corpus(SetFull, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +91,11 @@ func TestRotatingSchedulesMatchMVE(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range ws {
-			a, err := run(w.Prog, mve, codegen.Options{Mode: codegen.ModePipelined}, softpipe.EngineInterp)
+			a, err := Run(w.Prog, mve, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := run(w.Prog, rot, codegen.Options{Mode: codegen.ModePipelined}, softpipe.EngineInterp)
+			b, err := Run(w.Prog, rot, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +132,7 @@ func TestRotatingSchedulesMatchMVE(t *testing.T) {
 // default grid on the smoke corpus, verified, and checks the report
 // invariants the checked-in artifact relies on.
 func TestSweepDefaultGridSmoke(t *testing.T) {
-	rep, err := MeasureSweep(SweepOpts{Set: SweepSetSmoke, Verify: true})
+	rep, err := MeasureSweep(nil, SetSmoke, Config{Options: softpipe.Options{VerifyEmitted: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,11 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"softpipe"
-	"softpipe/internal/codegen"
 	"softpipe/internal/machine"
-	"softpipe/internal/schedule"
-	"softpipe/internal/workloads"
 )
 
 // The sweep harness compiles one corpus across a family of machines and
@@ -20,38 +15,6 @@ import (
 // discussion.  Rotating-register grid points pin unroll to 1, so a
 // sweep over paired {MVE, rotating} machines prices exactly what the
 // rotating file buys.
-
-// Sweep corpus set names.
-const (
-	SweepSetFull  = "full"  // saxpy + every Livermore kernel
-	SweepSetSmoke = "smoke" // saxpy + one resource-bound Livermore kernel (CI smoke)
-)
-
-// SweepWorkloads builds the named sweep corpus ("" means full): the
-// deterministic kernels only, since the sweep measures machine
-// sensitivity, not scheduler robustness (the fuzz corpus stays in the
-// gap report).
-func SweepWorkloads(set string) ([]GapWorkload, error) {
-	switch set {
-	case SweepSetSmoke:
-		return GapWorkloads(GapSetSmoke)
-	case "", SweepSetFull:
-		saxpy, err := saxpyWorkload()
-		if err != nil {
-			return nil, err
-		}
-		out := []GapWorkload{saxpy}
-		for _, k := range workloads.Livermore() {
-			p, err := k.Build()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, GapWorkload{Name: k.Name, Prog: p})
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("bench: unknown sweep set %q (want %q or %q)", set, SweepSetFull, SweepSetSmoke)
-}
 
 // SweepLoop is one loop's schedule at one grid point.
 type SweepLoop struct {
@@ -106,31 +69,12 @@ type SweepReport struct {
 	Machines []SweepMachine `json:"machines"`
 }
 
-// SweepOpts tunes a sweep run.
-type SweepOpts struct {
-	// Machines lists grid-point names (machine.Parse grammar); empty
-	// means machine.DefaultGrid().
-	Machines []string
-	// Set names the corpus (SweepSetFull or SweepSetSmoke; "" = full).
-	Set string
-	// Workers sizes the pool (≤ 0 means GOMAXPROCS).
-	Workers int
-	// Verify runs the independent object-code verifier on every compile
-	// and checks every simulation against the IR interpreter.
-	Verify bool
-	// Effort selects the II search backend; EffortBudget bounds the
-	// exact search per compile (0 = default).
-	Effort       schedule.Effort
-	EffortBudget time.Duration
-	// Engine selects the simulator implementation ("" = interp).
-	Engine softpipe.Engine
-}
-
-// MeasureSweep compiles and simulates the corpus on every grid point.
-// The machine×workload cells run on one shared pool; results land in
-// grid order regardless of pool size.
-func MeasureSweep(o SweepOpts) (*SweepReport, error) {
-	names := o.Machines
+// MeasureSweep compiles and simulates Corpus(set, false) — the
+// deterministic kernels only, the fuzz corpus stays in the gap report —
+// on every named grid point (machine.Parse grammar; empty means
+// machine.DefaultGrid()).  The machine×workload cells are one Measure
+// call; results land in grid order regardless of pool size.
+func MeasureSweep(names []string, set string, cfg Config) (*SweepReport, error) {
 	if len(names) == 0 {
 		for _, g := range machine.DefaultGrid() {
 			names = append(names, g.Name())
@@ -144,33 +88,26 @@ func MeasureSweep(o SweepOpts) (*SweepReport, error) {
 		}
 		ms[i] = m
 	}
-	ws, err := SweepWorkloads(o.Set)
+	ws, err := Corpus(set, false)
 	if err != nil {
 		return nil, err
 	}
-
-	rows := make([]SweepRow, len(ms)*len(ws))
-	err = ForEach(context.Background(), len(rows), o.Workers, func(i int) error {
-		mi, wi := i/len(ws), i%len(ws)
-		row, err := sweepOne(ws[wi], ms[mi], o)
-		if err != nil {
-			return fmt.Errorf("bench: sweep %s on %s: %w", ws[wi].Name, ms[mi].Name, err)
+	var jobs []Job
+	for _, m := range ms {
+		for _, w := range ws {
+			jobs = append(jobs, Job{"sweep " + w.Name + " on " + m.Name, w.Prog, m, cfg.Options})
 		}
-		rows[i] = *row
-		return nil
-	})
+	}
+	res, err := Measure(cfg, jobs)
 	if err != nil {
 		return nil, err
 	}
 
 	rep := &SweepReport{
-		Set:      o.Set,
-		Effort:   o.Effort.String(),
-		Engine:   string(o.Engine),
-		Verified: o.Verify,
-	}
-	if rep.Set == "" {
-		rep.Set = SweepSetFull
+		Set:      set,
+		Effort:   cfg.Options.Effort.String(),
+		Engine:   string(cfg.Engine),
+		Verified: cfg.Options.VerifyEmitted,
 	}
 	if rep.Engine == "" {
 		rep.Engine = string(softpipe.EngineInterp)
@@ -180,10 +117,14 @@ func MeasureSweep(o SweepOpts) (*SweepReport, error) {
 			Machine:     m.Name,
 			Fingerprint: m.Fingerprint(),
 			Rotating:    m.RotatingRegs,
-			Rows:        rows[mi*len(ws) : (mi+1)*len(ws)],
 		}
 		var mflops float64
-		for _, row := range sm.Rows {
+		for wi, w := range ws {
+			row, err := sweepRow(w.Name, m, res[mi*len(ws)+wi])
+			if err != nil {
+				return nil, fmt.Errorf("bench: sweep %s on %s: %w", w.Name, m.Name, err)
+			}
+			sm.Rows = append(sm.Rows, row)
 			mflops += row.MFLOPS
 			for _, l := range row.Loops {
 				sm.Loops++
@@ -209,24 +150,10 @@ func MeasureSweep(o SweepOpts) (*SweepReport, error) {
 	return rep, nil
 }
 
-func sweepOne(w GapWorkload, m *machine.Machine, o SweepOpts) (*SweepRow, error) {
-	runner := run
-	if o.Verify {
-		runner = runVerified
-	}
-	r, err := runner(w.Prog, m, codegen.Options{
-		Mode:          codegen.ModePipelined,
-		Pipeline:      pipelineOpts(o.Effort, o.EffortBudget),
-		VerifyEmitted: o.Verify,
-	}, o.Engine)
-	if err != nil {
-		return nil, err
-	}
-	row := &SweepRow{
-		Workload: w.Name,
-		Cycles:   r.Cycles,
-		MFLOPS:   r.CellMFLOPS,
-	}
+// sweepRow projects one measured cell onto its report row, enforcing the
+// rotating-file invariants on the way.
+func sweepRow(name string, m *machine.Machine, r *RunResult) (SweepRow, error) {
+	row := SweepRow{Workload: name, Cycles: r.Cycles, MFLOPS: r.CellMFLOPS}
 	for _, lr := range r.Report.Loops {
 		l := SweepLoop{Loop: lr.LoopID, Pipelined: lr.Pipelined}
 		if lr.Pipelined {
@@ -234,10 +161,10 @@ func sweepOne(w GapWorkload, m *machine.Machine, o SweepOpts) (*SweepRow, error)
 			l.Unroll, l.Stages = lr.Unroll, lr.Stages
 			l.CopyRegsF, l.CopyRegsI = lr.CopyRegsF, lr.CopyRegsI
 			if m.RotatingRegs != lr.Rotating {
-				return nil, fmt.Errorf("loop %d: rotating flag %v on machine whose RotatingRegs=%v", lr.LoopID, lr.Rotating, m.RotatingRegs)
+				return row, fmt.Errorf("loop %d: rotating flag %v on machine whose RotatingRegs=%v", lr.LoopID, lr.Rotating, m.RotatingRegs)
 			}
 			if lr.Rotating && lr.Unroll != 1 {
-				return nil, fmt.Errorf("loop %d: unroll %d on a rotating machine (want 1)", lr.LoopID, lr.Unroll)
+				return row, fmt.Errorf("loop %d: unroll %d on a rotating machine (want 1)", lr.LoopID, lr.Unroll)
 			}
 		} else {
 			l.Reason = lr.Reason

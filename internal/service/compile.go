@@ -21,9 +21,10 @@ import (
 
 const maxRequestBytes = 4 << 20
 
-// CompileOptions is the request-visible subset of softpipe.Options.  Every
-// field participates in the cache key (see optionsKey), so two requests
-// differing in any of them never share an artifact.
+// CompileOptions is the wire form of the request-visible subset of
+// softpipe.Options — JSON field names and nothing else.  The service
+// reads it in exactly one place, resolve; the cache key, the compiler
+// call and the sweep grid all work from the resolved softpipe.Options.
 type CompileOptions struct {
 	Baseline             bool `json:"baseline,omitempty"`
 	DisableMVE           bool `json:"disable_mve,omitempty"`
@@ -44,33 +45,15 @@ type CompileOptions struct {
 	Effort string `json:"effort,omitempty"`
 }
 
-// optionsKey renders the options as a stable string for cache keying.
-// Field order is fixed; adding a field here is a cache-invalidating
-// change by construction (v1 → v2 added effort).  Effort is rendered in
-// canonical form so "" and "heuristic" share an artifact; callers must
-// have validated it (see validate).
-func (o CompileOptions) optionsKey() string {
-	b := func(v bool) byte {
-		if v {
-			return '1'
-		}
-		return '0'
+// resolve turns the wire options into the compiler's, rejecting values
+// that have no canonical form.  Ctx and Tracer are per request and set
+// by the caller that compiles.
+func (o CompileOptions) resolve() (softpipe.Options, error) {
+	eff, err := softpipe.ParseEffort(o.Effort)
+	if err != nil {
+		return softpipe.Options{}, err
 	}
-	eff, _ := softpipe.ParseEffort(o.Effort)
-	return fmt.Sprintf("v2:base=%c;mve=%c;hier=%c;lred=%c;bin=%c;lcm=%c;unroll=%d;verify=%c;effort=%s",
-		b(o.Baseline), b(o.DisableMVE), b(o.DisableHier), b(o.DisableLoopReduction),
-		b(o.BinarySearch), b(o.PolicyLCM), o.UnrollInnerTrip, b(o.Verify), eff)
-}
-
-// validate rejects option values that have no canonical form.
-func (o CompileOptions) validate() error {
-	_, err := softpipe.ParseEffort(o.Effort)
-	return err
-}
-
-func (o CompileOptions) lower(ctx context.Context) softpipe.Options {
 	opts := softpipe.Options{
-		Ctx:                  ctx,
 		Baseline:             o.Baseline,
 		DisableMVE:           o.DisableMVE,
 		DisableHier:          o.DisableHier,
@@ -78,15 +61,31 @@ func (o CompileOptions) lower(ctx context.Context) softpipe.Options {
 		BinarySearch:         o.BinarySearch,
 		UnrollInnerTrip:      o.UnrollInnerTrip,
 		VerifyEmitted:        o.Verify,
+		Effort:               eff,
 		Explain:              true, // explain text is part of the artifact
 	}
 	if o.PolicyLCM {
 		opts.Policy = softpipe.LCMUnroll
 	}
-	// Already validated at the request boundary; an invalid value here
-	// parses to the heuristic default.
-	opts.Effort, _ = softpipe.ParseEffort(o.Effort)
-	return opts
+	return opts, nil
+}
+
+// optionsKey renders resolved options as a stable string for cache
+// keying.  Field order is fixed; adding a field here is a
+// cache-invalidating change by construction (v1 → v2 added effort).
+// Rendering the resolved form is what makes "" and "heuristic" share an
+// artifact.  Every softpipe.Options field is either rendered here or on
+// the exempt list of TestOptionsKeyCoversOptions, with the reason.
+func optionsKey(o softpipe.Options) string {
+	b := func(v bool) byte {
+		if v {
+			return '1'
+		}
+		return '0'
+	}
+	return fmt.Sprintf("v2:base=%c;mve=%c;hier=%c;lred=%c;bin=%c;lcm=%c;unroll=%d;verify=%c;effort=%s",
+		b(o.Baseline), b(o.DisableMVE), b(o.DisableHier), b(o.DisableLoopReduction),
+		b(o.BinarySearch), b(o.Policy == softpipe.LCMUnroll), o.UnrollInnerTrip, b(o.VerifyEmitted), o.Effort)
 }
 
 // CompileRequest is the body of POST /compile.
@@ -182,54 +181,38 @@ type artifact struct {
 }
 
 // resolveMachine maps a request's machine name to a model through the
-// single parser (machine.Parse) and returns the canonical name, so
+// single parser (machine.Parse); m.Name is the canonical name, so
 // equivalent spellings of a gen: point share one artifact name.
-func resolveMachine(name string) (*machine.Machine, string, error) {
+func resolveMachine(name string) (*machine.Machine, error) {
 	if name == "" {
 		name = "warp"
 	}
-	m, err := machine.Parse(name)
-	if err != nil {
-		return nil, "", err
-	}
-	return m, m.Name, nil
+	return machine.Parse(name)
 }
 
 // validateArtifact is the disk-tier revalidator: decode, re-resolve the
 // machine, check the fingerprint still matches, and re-run the static
 // object-code checks (resource legality including kernel wraparound) from
-// internal/verify.  A stale or corrupted disk entry is deleted and costs
-// one recompile, never a wrong answer.
+// internal/verify on the binary — or, for the arrayArtifact a partitioned
+// compile caches under the same store, on every cell's binary.  A stale
+// or corrupted disk entry is deleted and costs one recompile, never a
+// wrong answer.
 func validateArtifact(_ cache.Key, data []byte) error {
-	var a artifact
+	var a struct {
+		artifact
+		Binaries []*vliw.Program `json:"binaries"`
+	}
 	if err := json.Unmarshal(data, &a); err != nil {
 		return fmt.Errorf("undecodable artifact: %w", err)
 	}
-	if a.Binary == nil {
-		// Partitioned compiles cache an arrayArtifact under the same
-		// store; it carries per-cell binaries instead of one.
-		var aa arrayArtifact
-		if err := json.Unmarshal(data, &aa); err != nil || len(aa.Binaries) == 0 {
-			return errors.New("artifact has no binary")
-		}
-		m, _, err := resolveMachine(aa.MachineName)
-		if err != nil {
-			return err
-		}
-		if fp := m.Fingerprint(); fp != aa.MachineFP {
-			return fmt.Errorf("machine %q fingerprint changed (%s != %s)", aa.MachineName, fp, aa.MachineFP)
-		}
-		for i, bin := range aa.Binaries {
-			if bin == nil {
-				return fmt.Errorf("array artifact cell %d has no binary", i)
-			}
-			if err := verify.Static(bin, m); err != nil {
-				return fmt.Errorf("array artifact cell %d: %w", i, err)
-			}
-		}
-		return nil
+	bins := a.Binaries
+	if a.Binary != nil {
+		bins = []*vliw.Program{a.Binary}
 	}
-	m, _, err := resolveMachine(a.MachineName)
+	if len(bins) == 0 {
+		return errors.New("artifact has no binary")
+	}
+	m, err := resolveMachine(a.MachineName)
 	if err != nil {
 		return err
 	}
@@ -239,30 +222,85 @@ func validateArtifact(_ cache.Key, data []byte) error {
 	if fp := m.Fingerprint(); fp != a.MachineFP {
 		return fmt.Errorf("machine %q fingerprint changed (%s != %s)", a.MachineName, fp, a.MachineFP)
 	}
-	return verify.Static(a.Binary, m)
+	for i, bin := range bins {
+		if bin == nil {
+			return fmt.Errorf("artifact cell %d has no binary", i)
+		}
+		if err := verify.Static(bin, m); err != nil {
+			return fmt.Errorf("artifact cell %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // canonicalSource parses and pretty-prints W2 text, so the cache key
-// depends on program structure, not whitespace.
+// depends on program structure, not whitespace.  A parse error is the
+// client's: 422.
 func canonicalSource(src string) (string, error) {
 	ast, err := lang.Parse(src)
 	if err != nil {
-		return "", err
+		return "", &requestError{http.StatusUnprocessableEntity, err}
 	}
 	return lang.Format(ast), nil
 }
 
-// compileArtifact runs the compiler and serializes the outcome.
-func compileArtifact(ctx context.Context, canon, machineName string, m *machine.Machine, opts CompileOptions, tracer *softpipe.Tracer) ([]byte, error) {
-	sopts := opts.lower(ctx)
-	sopts.Tracer = tracer
-	obj, err := softpipe.CompileSource(canon, m, sopts)
+// job is one compile, resolved and keyed: what every path that fills or
+// checks the cache (/compile, /run, /sweep, the peer forward) works from.
+type job struct {
+	canon string
+	m     *machine.Machine
+	// wire is forwarded to the key's owner as received; opts is what it
+	// resolved to, and what the key is computed from.
+	wire CompileOptions
+	opts softpipe.Options
+	// cells > 0 marks a partitioned compile across that many cells.
+	cells int
+	key   cache.Key
+}
+
+// newJob resolves the options and keys the compile.  cells > 0 keys a
+// partitioned compile: the cell count is appended, so requests differing
+// only in width never share an artifact.  Invalid options are a 400.
+func newJob(canon string, m *machine.Machine, wire CompileOptions, cells int) (*job, error) {
+	opts, err := wire.resolve()
+	if err != nil {
+		return nil, &requestError{http.StatusBadRequest, err}
+	}
+	okey := optionsKey(opts)
+	if cells > 0 {
+		okey = fmt.Sprintf("%s;cells=%d", okey, cells)
+	}
+	return &job{canon, m, wire, opts, cells, cache.KeyOf(canon, m.Fingerprint(), okey)}, nil
+}
+
+// resolveJob is the front of every source-carrying request: canonicalise
+// (422), resolve the machine (400), resolve the options (400), key.
+func resolveJob(src, machineName string, wire CompileOptions, cells int) (*job, error) {
+	canon, err := canonicalSource(src)
+	if err != nil {
+		return nil, err
+	}
+	m, err := resolveMachine(machineName)
+	if err != nil {
+		return nil, &requestError{http.StatusBadRequest, err}
+	}
+	return newJob(canon, m, wire, cells)
+}
+
+// compile runs the compiler and serializes the outcome.
+func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, error) {
+	opts := j.opts
+	opts.Ctx, opts.Tracer = ctx, tracer
+	if j.cells > 0 {
+		return j.compilePartitioned(opts)
+	}
+	obj, err := softpipe.CompileSource(j.canon, j.m, opts)
 	if err != nil {
 		return nil, err
 	}
 	a := artifact{
-		MachineName: machineName,
-		MachineFP:   m.Fingerprint(),
+		MachineName: j.m.Name,
+		MachineFP:   j.m.Fingerprint(),
 		Binary:      obj.Binary,
 		FRegs:       obj.Report.FRegsUsed,
 		IRegs:       obj.Report.IRegsUsed,
@@ -288,7 +326,7 @@ func compileArtifact(ctx context.Context, canon, machineName string, m *machine.
 			ls.FellBack = lr.FellBack
 		}
 		if lr.Pipelined && lr.II > 0 {
-			ls.EstMFLOPS = float64(lr.Flops) * m.ClockMHz / float64(lr.II)
+			ls.EstMFLOPS = float64(lr.Flops) * j.m.ClockMHz / float64(lr.II)
 		}
 		if lr.Explain != nil {
 			ls.Explain = lr.Explain.Format()
@@ -298,35 +336,39 @@ func compileArtifact(ctx context.Context, canon, machineName string, m *machine.
 	return json.Marshal(a)
 }
 
-// compileCached canonicalizes, keys, and compiles through the cache.
-// In a fleet, the singleflight leader for a local miss first forwards to
-// the key's owning node (see fillArtifact); a key this node owns — or any
-// unreachable owner — compiles locally.
-func (s *Server) compileCached(ctx context.Context, src, machineName string, opts CompileOptions, tracer *softpipe.Tracer) (key cache.Key, data []byte, hit bool, err error) {
-	canon, err := canonicalSource(src)
-	if err != nil {
-		return key, nil, false, &requestError{http.StatusUnprocessableEntity, err}
-	}
-	m, mname, err := resolveMachine(machineName)
-	if err != nil {
-		return key, nil, false, &requestError{http.StatusBadRequest, err}
-	}
-	if err := opts.validate(); err != nil {
-		return key, nil, false, &requestError{http.StatusBadRequest, err}
-	}
-	key = cache.KeyOf(canon, m.Fingerprint(), opts.optionsKey())
-	data, hit, err = s.cache.GetOrFill(ctx, key, func() ([]byte, bool, error) {
-		return s.fillArtifact(ctx, key, canon, mname, opts, func() ([]byte, error) {
-			if s.compileHook != nil {
-				s.compileHook()
-			}
-			return compileArtifact(ctx, canon, mname, m, opts, tracer)
-		})
+// compileCached compiles j through the cache.  In a fleet, the
+// singleflight leader for a local miss first forwards to the key's owning
+// node (see fillArtifact); a key this node owns — or any unreachable
+// owner — compiles locally.
+func (s *Server) compileCached(ctx context.Context, j *job, tracer *softpipe.Tracer) (data []byte, hit bool, err error) {
+	data, hit, err = s.cache.GetOrFill(ctx, j.key, func() ([]byte, bool, error) {
+		return s.fillArtifact(ctx, j, func() ([]byte, error) { return s.compileLocal(ctx, j, tracer) })
 	})
 	if err != nil {
-		return key, nil, false, classifyCompileErr(err)
+		return nil, false, classifyCompileErr(err)
 	}
-	return key, data, hit, nil
+	return data, hit, nil
+}
+
+// compileLocal is a compile on this node (the test seam runs first).
+func (s *Server) compileLocal(ctx context.Context, j *job, tracer *softpipe.Tracer) ([]byte, error) {
+	if s.compileHook != nil {
+		s.compileHook()
+	}
+	return j.compile(ctx, tracer)
+}
+
+// fillLocal compiles j through the cache on this node, never consulting
+// the fabric: the owner side of a forward, and partitioned compiles.
+func (s *Server) fillLocal(ctx context.Context, j *job) (data []byte, hit bool, err error) {
+	data, hit, err = s.cache.GetOrFill(ctx, j.key, func() ([]byte, bool, error) {
+		data, err := s.compileLocal(ctx, j, nil)
+		return data, true, err
+	})
+	if err != nil {
+		return nil, false, classifyCompileErr(err)
+	}
+	return data, hit, nil
 }
 
 // requestError pairs an HTTP status with the underlying cause.
@@ -376,7 +418,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if req.Trace {
 		tracer = softpipe.NewTracer("compile")
 	}
-	key, data, hit, err := s.compileCached(ctx, req.Source, req.Machine, req.Options, tracer)
+	j, err := resolveJob(req.Source, req.Machine, req.Options, 0)
+	if err != nil {
+		s.writeRequestError(w, err)
+		return
+	}
+	data, hit, err := s.compileCached(ctx, j, tracer)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
@@ -388,7 +435,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	sum := sha256.Sum256(data)
 	resp := CompileResponse{
-		Key:          key.String(),
+		Key:          j.key.String(),
 		Cached:       hit,
 		ObjectSHA256: hex.EncodeToString(sum[:]),
 		Machine:      a.MachineName,

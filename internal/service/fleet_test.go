@@ -14,7 +14,6 @@ import (
 
 	"softpipe/internal/cache"
 	"softpipe/internal/fabric"
-	"softpipe/internal/machine"
 	"softpipe/internal/workloads"
 )
 
@@ -112,14 +111,14 @@ func startFleet(t *testing.T, count int, mut func(i int, cfg *Config)) []*fleetN
 }
 
 // sourceKey computes the cache key a compile request will map to —
-// exactly as compileCached does.
+// through the same front every request takes.
 func sourceKey(t *testing.T, src string) cache.Key {
 	t.Helper()
-	canon, err := canonicalSource(src)
+	j, err := resolveJob(src, "warp", CompileOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cache.KeyOf(canon, machine.Warp().Fingerprint(), CompileOptions{}.optionsKey())
+	return j.key
 }
 
 // sourceOwnedBy finds a W2 source whose artifact key is owned by the

@@ -25,9 +25,10 @@ type forwardPayload struct {
 // key, and degrade to a local compile when the owner is unreachable.
 // The owner answering that the compile itself fails is terminal — a
 // local retry would fail identically, so the error is surfaced as-is.
-func (s *Server) fillArtifact(ctx context.Context, key cache.Key, canon, mname string, opts CompileOptions, compile func() ([]byte, error)) (data []byte, computed bool, err error) {
+func (s *Server) fillArtifact(ctx context.Context, j *job, compile func() ([]byte, error)) (data []byte, computed bool, err error) {
+	key := j.key
 	if s.fabric != nil && !s.fabric.Owns(key) {
-		payload, merr := json.Marshal(forwardPayload{Canon: canon, Machine: mname, Options: opts})
+		payload, merr := json.Marshal(forwardPayload{Canon: j.canon, Machine: j.m.Name, Options: j.wire})
 		if merr == nil {
 			data, ferr := s.fabric.Forward(ctx, key, payload)
 			switch {
@@ -80,29 +81,28 @@ func (s *Server) handleArtifactPost(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	m, mname, err := resolveMachine(p.Machine)
+	m, err := resolveMachine(p.Machine)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if got := cache.KeyOf(p.Canon, m.Fingerprint(), p.Options.optionsKey()); got != key {
+	j, err := newJob(p.Canon, m, p.Options, 0)
+	if err != nil {
+		s.writeRequestError(w, err)
+		return
+	}
+	if j.key != key {
 		s.fail(w, http.StatusBadRequest,
-			fmt.Errorf("key mismatch: body hashes to %s, path says %s (divergent builds in the fleet?)", got.String()[:12], key.String()[:12]))
+			fmt.Errorf("key mismatch: body hashes to %s, path says %s (divergent builds in the fleet?)", j.key.String()[:12], key.String()[:12]))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
-	data, hit, err := s.cache.GetOrFill(ctx, key, func() ([]byte, bool, error) {
-		// Owners never re-forward: they compile.  A request can cross
-		// the fleet at most once by construction.
-		if s.compileHook != nil {
-			s.compileHook()
-		}
-		data, err := compileArtifact(ctx, p.Canon, mname, m, p.Options, nil)
-		return data, true, err
-	})
+	// Owners never re-forward: they compile.  A request can cross the
+	// fleet at most once by construction.
+	data, hit, err := s.fillLocal(ctx, j)
 	if err != nil {
-		s.writeRequestError(w, classifyCompileErr(err))
+		s.writeRequestError(w, err)
 		return
 	}
 	s.writeArtifact(w, data, hit)

@@ -167,13 +167,40 @@ type RunResponse struct {
 	ElapsedMS float64        `json:"elapsed_ms"`
 }
 
-// canonEngine validates and canonicalizes a request's engine name.
-func canonEngine(name string) (string, error) {
-	eng, err := softpipe.ParseEngine(name)
+// Bounds on what one /run may ask the simulator to allocate: cells and
+// batch lanes come straight from the request body and size the array and
+// arena allocations, so they are capped like a sweep's grid.
+const (
+	maxRunCells = 64
+	maxRunBatch = 1024
+)
+
+// validate checks everything about a run request that needs only the
+// request: the engine name, the cell and lane bounds, and which modes
+// combine.  It returns the canonical engine and the batch lane count.
+func (req *RunRequest) validate() (eng string, lanes int, err error) {
+	e, err := softpipe.ParseEngine(req.Engine)
 	if err != nil {
-		return "", fmt.Errorf("unknown engine %q (want interp or compiled)", name)
+		return "", 0, fmt.Errorf("unknown engine %q (want interp or compiled)", req.Engine)
 	}
-	return string(eng), nil
+	lanes = max(req.Batch, len(req.BatchInputs))
+	switch {
+	case req.Cells > maxRunCells:
+		err = fmt.Errorf("cells %d exceeds the limit of %d", req.Cells, maxRunCells)
+	case lanes > maxRunBatch:
+		err = fmt.Errorf("batch of %d lanes exceeds the limit of %d", lanes, maxRunBatch)
+	case req.Partition && req.Cells < 2:
+		err = errors.New("partition needs cells >= 2")
+	case req.Partition && lanes > 0:
+		err = errors.New("partition and batch modes are exclusive")
+	case req.Partition && req.Source == "":
+		err = errors.New("partitioned runs need source (a single-cell artifact key cannot be re-cut)")
+	case lanes > 0 && req.Cells > 1:
+		err = errors.New("batch mode is single-cell: cells must be <= 1")
+	case req.Source == "" && req.Key == "":
+		err = errors.New("run request needs source or key")
+	}
+	return string(e), lanes, err
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -186,8 +213,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
 	defer cancel()
 
+	// Everything that needs only the request is checked before anything
+	// compiles, so a malformed request never costs a compile or fills the
+	// cache.
+	eng, lanes, err := req.validate()
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
 	if req.Partition {
-		s.handleRunPartitioned(ctx, w, &req, t0)
+		s.handleRunPartitioned(ctx, w, &req, eng, t0)
 		return
 	}
 
@@ -201,29 +236,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, fmt.Errorf("corrupt cached artifact: %w", err))
 		return
 	}
-	m, _, err := resolveMachine(a.MachineName)
+	m, err := resolveMachine(a.MachineName)
 	if err != nil {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
 
-	eng, err := canonEngine(req.Engine)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	lanes := req.Batch
-	if len(req.BatchInputs) > lanes {
-		lanes = len(req.BatchInputs)
-	}
-
 	resp := RunResponse{Key: key.String(), Cached: hit, Engine: eng}
 	switch {
 	case lanes > 0:
-		if req.Cells > 1 {
-			s.fail(w, http.StatusBadRequest, errors.New("batch mode is single-cell: cells must be <= 1"))
-			return
-		}
 		resp.Engine = "compiled"
 		prog, err := sim.Decode(a.Binary, m, true)
 		if err != nil {
@@ -324,11 +345,12 @@ func (s *Server) artifactFor(ctx context.Context, req *RunRequest) (cache.Key, [
 		}
 		return key, data, true, nil
 	}
-	if req.Source == "" {
-		var key cache.Key
-		return key, nil, false, &requestError{http.StatusBadRequest, errors.New("run request needs source or key")}
+	j, err := resolveJob(req.Source, req.Machine, req.Options, 0)
+	if err != nil {
+		return cache.Key{}, nil, false, err
 	}
-	return s.compileCached(ctx, req.Source, req.Machine, req.Options, nil)
+	data, hit, err := s.compileCached(ctx, j, nil)
+	return j.key, data, hit, err
 }
 
 // arrayArtifact is the cached value of a partitioned compile: one
@@ -346,73 +368,40 @@ type arrayArtifact struct {
 	Warnings    []string        `json:"capacity_warnings,omitempty"`
 }
 
-// partitionCached canonicalizes, keys (with the cell count), and
-// partition-compiles through the cache.  Partitioned fills always
-// compile locally: the fabric's forward path reproduces single-cell
-// artifacts from source and would cache the wrong shape for this key.
-func (s *Server) partitionCached(ctx context.Context, src, machineName string, opts CompileOptions, cells int) (key cache.Key, data []byte, hit bool, err error) {
-	canon, err := canonicalSource(src)
+// compilePartitioned is job.compile for a partitioned job: split the
+// program across j.cells cells and serialize the arrayArtifact.
+func (j *job) compilePartitioned(opts softpipe.Options) ([]byte, error) {
+	ao, err := softpipe.CompileSourcePartitioned(j.canon, softpipe.Machines(j.m, j.cells), opts)
 	if err != nil {
-		return key, nil, false, &requestError{http.StatusUnprocessableEntity, err}
+		return nil, err
 	}
-	m, mname, err := resolveMachine(machineName)
-	if err != nil {
-		return key, nil, false, &requestError{http.StatusBadRequest, err}
+	a := arrayArtifact{
+		MachineName: j.m.Name,
+		MachineFP:   j.m.Fingerprint(),
+		CellII:      ao.CellII(),
+		EstMII:      ao.Plan.EstMII,
+		CutWidths:   ao.Plan.CutWidths,
+		Warnings:    ao.CapacityWarnings,
 	}
-	if err := opts.validate(); err != nil {
-		return key, nil, false, &requestError{http.StatusBadRequest, err}
+	for _, c := range ao.Cells {
+		a.Binaries = append(a.Binaries, c.Binary)
 	}
-	key = cache.KeyOf(canon, m.Fingerprint(), fmt.Sprintf("%s;cells=%d", opts.optionsKey(), cells))
-	data, hit, err = s.cache.GetOrFill(ctx, key, func() ([]byte, bool, error) {
-		if s.compileHook != nil {
-			s.compileHook()
-		}
-		ao, err := softpipe.CompileSourcePartitioned(canon, softpipe.Machines(m, cells), opts.lower(ctx))
-		if err != nil {
-			return nil, false, err
-		}
-		a := arrayArtifact{
-			MachineName: mname,
-			MachineFP:   m.Fingerprint(),
-			CellII:      ao.CellII(),
-			EstMII:      ao.Plan.EstMII,
-			CutWidths:   ao.Plan.CutWidths,
-			Warnings:    ao.CapacityWarnings,
-		}
-		for _, c := range ao.Cells {
-			a.Binaries = append(a.Binaries, c.Binary)
-		}
-		out, err := json.Marshal(a)
-		return out, true, err
-	})
-	if err != nil {
-		return key, nil, false, classifyCompileErr(err)
-	}
-	return key, data, hit, nil
+	return json.Marshal(a)
 }
 
 // handleRunPartitioned is POST /run with partition=true: compile the
 // source as an auto-partitioned array (through the cache), run it on
 // the selected engine, and report per-cell II/stall/occupancy stats.
-func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter, req *RunRequest, t0 time.Time) {
-	if req.Cells < 2 {
-		s.fail(w, http.StatusBadRequest, errors.New("partition needs cells >= 2"))
-		return
-	}
-	if req.Batch > 0 || len(req.BatchInputs) > 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("partition and batch modes are exclusive"))
-		return
-	}
-	if req.Source == "" {
-		s.fail(w, http.StatusBadRequest, errors.New("partitioned runs need source (a single-cell artifact key cannot be re-cut)"))
-		return
-	}
-	eng, err := canonEngine(req.Engine)
+func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter, req *RunRequest, eng string, t0 time.Time) {
+	j, err := resolveJob(req.Source, req.Machine, req.Options, req.Cells)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		s.writeRequestError(w, err)
 		return
 	}
-	key, data, hit, err := s.partitionCached(ctx, req.Source, req.Machine, req.Options, req.Cells)
+	// Partitioned fills always compile locally: the fabric's forward path
+	// reproduces single-cell artifacts from source and would cache the
+	// wrong shape for this key.
+	data, hit, err := s.fillLocal(ctx, j)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
@@ -422,12 +411,7 @@ func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter
 		s.fail(w, http.StatusInternalServerError, fmt.Errorf("corrupt cached artifact: %w", err))
 		return
 	}
-	m, _, err := resolveMachine(a.MachineName)
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
-	arr := sim.NewArray(a.Binaries, m, req.Input)
+	arr := sim.NewArray(a.Binaries, j.m, req.Input)
 	arr.Ctx = ctx
 	out, last, err := arr.Run()
 	if err != nil {
@@ -436,12 +420,12 @@ func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter
 	}
 	st := arr.Stats()
 	resp := RunResponse{
-		Key:       key.String(),
+		Key:       j.key.String(),
 		Cached:    hit,
 		Engine:    eng,
 		Cycles:    st.Cycles,
 		Flops:     st.Flops,
-		MFLOPS:    st.MFLOPS(m, 1),
+		MFLOPS:    st.MFLOPS(j.m, 1),
 		Output:    toJSONFloats(out),
 		CutWidths: a.CutWidths,
 	}

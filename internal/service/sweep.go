@@ -88,20 +88,24 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// errors, not a sweep of failures.
 	ms := make([]*machine.Machine, len(names))
 	for i, n := range names {
-		m, _, err := resolveMachine(n)
+		m, err := resolveMachine(n)
 		if err != nil {
 			s.fail(w, http.StatusBadRequest, err)
 			return
 		}
 		ms[i] = m
 	}
-	if _, err := canonicalSource(req.Source); err != nil {
-		s.fail(w, http.StatusUnprocessableEntity, err)
+	canon, err := canonicalSource(req.Source)
+	if err != nil {
+		s.writeRequestError(w, err)
 		return
 	}
-	if err := req.Options.validate(); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+	jobs := make([]*job, len(ms))
+	for i, m := range ms {
+		if jobs[i], err = newJob(canon, m, req.Options, 0); err != nil {
+			s.writeRequestError(w, err)
+			return
+		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
 	defer cancel()
@@ -113,7 +117,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			Fingerprint: m.Fingerprint(),
 			Rotating:    m.RotatingRegs,
 		}
-		key, data, hit, err := s.compileCached(ctx, req.Source, m.Name, req.Options, nil)
+		data, hit, err := s.compileCached(ctx, jobs[i], nil)
 		switch {
 		case err == nil:
 			var a artifact
@@ -121,7 +125,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 				s.fail(w, http.StatusInternalServerError, fmt.Errorf("corrupt cached artifact: %w", uerr))
 				return
 			}
-			cell.Key = key.String()
+			cell.Key = jobs[i].key.String()
 			cell.Cached = hit
 			cell.Instrs = len(a.Binary.Instrs)
 			cell.FRegs = a.FRegs

@@ -172,7 +172,11 @@ func compileTestArtifact(t *testing.T) []byte {
 	if code, _ := post(t, s, "/compile", CompileRequest{Source: sumSource}, &resp); code != http.StatusOK {
 		t.Fatal("compile failed")
 	}
-	_, data, _, err := s.compileCached(context.Background(), sumSource, "warp", CompileOptions{}, nil)
+	j, err := resolveJob(sumSource, "warp", CompileOptions{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := s.compileCached(context.Background(), j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Engine differential smoke for CI: w2c must print byte-identical
 # results under -engine interp and -engine compiled on saxpy and a
-# Livermore kernel, and the harness baseline must show the compiled
-# engine no slower than the interpreter (scripts/simcheck).
+# Livermore kernel.  (How fast each engine runs is the repo benchmark's
+# to say: benchmark/run.sh --workload sim-steady.)
 #
-#   bash scripts/sim_smoke.sh [bench_harness_ci.json]
+#   bash scripts/sim_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-bench_json="${1:-bench_harness_ci.json}"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
@@ -23,5 +22,3 @@ for src in testdata/saxpy.w2 "$tmp/k1-hydro.w2"; do
   fi
   echo "sim_smoke: engines agree on $src"
 done
-
-go run ./scripts/simcheck -bench "$bench_json"

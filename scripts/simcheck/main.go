@@ -1,22 +1,11 @@
-// Command simcheck validates the engine-related invariants of the
-// harness baseline (BENCH_harness.json) without external tooling, and
-// emits Livermore kernel sources for CLI-level differential smoke runs
-// (scripts/sim_smoke.sh):
+// Command simcheck emits Livermore kernel sources for CLI-level
+// differential smoke runs (scripts/sim_smoke.sh, scripts/array_smoke.sh):
 //
-//	simcheck -bench bench_harness_ci.json
 //	simcheck -emit-kernel k1-hydro -o hydro.w2
-//
-// The -bench mode fails when the compiled engine is slower than the
-// interpreter, when batch throughput is missing, or when the parallel
-// speedup field violates the honesty rule: it must be present exactly
-// when parallel_measured is true, and a single-CPU host must never
-// claim a measured speedup.
 package main
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 
@@ -26,67 +15,20 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("simcheck: ")
-	benchPath := flag.String("bench", "", "harness baseline JSON to validate")
 	emit := flag.String("emit-kernel", "", "write this Livermore kernel's W2 source and exit")
 	out := flag.String("o", "", "output path for -emit-kernel")
 	flag.Parse()
 
-	switch {
-	case *emit != "":
-		if *out == "" {
-			log.Fatal("-emit-kernel needs -o out.w2")
-		}
-		for _, k := range workloads.Livermore() {
-			if k.Name == *emit {
-				if err := os.WriteFile(*out, []byte(k.Source), 0o644); err != nil {
-					log.Fatal(err)
-				}
-				return
+	if *emit == "" || *out == "" {
+		log.Fatal("usage: simcheck -emit-kernel name -o file.w2")
+	}
+	for _, k := range workloads.Livermore() {
+		if k.Name == *emit {
+			if err := os.WriteFile(*out, []byte(k.Source), 0o644); err != nil {
+				log.Fatal(err)
 			}
+			return
 		}
-		log.Fatalf("unknown Livermore kernel %q", *emit)
-	case *benchPath != "":
-		if err := checkBench(*benchPath); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatal("usage: simcheck -bench file.json | -emit-kernel name -o file.w2")
 	}
-}
-
-func checkBench(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var b struct {
-		NumCPU           int      `json:"num_cpu"`
-		ParallelMeasured bool     `json:"parallel_measured"`
-		SuiteSpeedup     *float64 `json:"suite_parallel_speedup"`
-		SimNs            float64  `json:"sim_ns_per_cycle"`
-		CompiledNs       float64  `json:"sim_compiled_ns_per_cycle"`
-		EngineSpeedup    float64  `json:"sim_engine_speedup"`
-		BatchRPS         float64  `json:"batch_runs_per_sec"`
-	}
-	if err := json.Unmarshal(raw, &b); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if b.SimNs <= 0 || b.CompiledNs <= 0 {
-		return fmt.Errorf("%s: missing engine timings (interp %.1f ns, compiled %.1f ns)", path, b.SimNs, b.CompiledNs)
-	}
-	if b.CompiledNs > b.SimNs {
-		return fmt.Errorf("%s: compiled engine slower than interpreter (%.1f vs %.1f ns/cycle)", path, b.CompiledNs, b.SimNs)
-	}
-	if b.BatchRPS <= 0 {
-		return fmt.Errorf("%s: batch_runs_per_sec missing or zero", path)
-	}
-	if b.ParallelMeasured != (b.SuiteSpeedup != nil) {
-		return fmt.Errorf("%s: parallel_measured=%v but suite_parallel_speedup present=%v", path, b.ParallelMeasured, b.SuiteSpeedup != nil)
-	}
-	if b.NumCPU == 1 && b.ParallelMeasured {
-		return fmt.Errorf("%s: single-CPU host claims a measured parallel speedup", path)
-	}
-	fmt.Printf("simcheck: %s ok (interp %.1f ns/cycle, compiled %.1f ns/cycle, %.2fx, batch %.0f runs/s)\n",
-		path, b.SimNs, b.CompiledNs, b.EngineSpeedup, b.BatchRPS)
-	return nil
+	log.Fatalf("unknown Livermore kernel %q", *emit)
 }
