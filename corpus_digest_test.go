@@ -1,0 +1,366 @@
+package softpipe_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"softpipe"
+	"softpipe/internal/machine"
+	"softpipe/internal/workloads"
+)
+
+// The eight goldens pin eight programs on warp at default options.  The
+// corpus digest pins everything the back end emits: one SHA-256 over the
+// disassembly and the per-loop scheduling facts of every corpus program
+// on every digest machine at every option point.  A refactor of codegen,
+// pipeline or hier that changes a single emitted word, register number
+// or loop verdict anywhere in that product changes the digest;
+// regenerate with
+//
+//	go test -run TestCorpusDigest -update
+//
+// and review the per-program lines of testdata/corpus.digest that moved.
+
+// digestShapes are hand-written loop shapes the generated corpora do not
+// reach: run-time trip counts (the two-version scheme, with and without a
+// masked remainder, straight and conditional bodies), pipelined inner
+// loops with a remainder emitted through loop reduction, several reduced
+// loops in one outer body, and the shapes reduction must refuse.
+var digestShapes = []struct{ name, src string }{
+	{"rt-straight", `
+program rtstraight;
+var a, c: array [0..99] of real;
+    cnt: array [0..1] of int;
+    i, m: int;
+begin
+  m := cnt[0];
+  for i := 0 to m do
+    c[i] := a[i]*2.0 + 1.0;
+end.
+`},
+	{"rt-longlived", `
+program rtlong;
+var a, c: array [0..99] of real;
+    cnt: array [0..1] of int;
+    x: real;
+    i, m: int;
+begin
+  m := cnt[0];
+  for i := 0 to m do begin
+    x := a[i];
+    c[i] := (x*2.0 + 1.0)*x + x;
+  end;
+end.
+`},
+	{"rt-cond", `
+program rtcond;
+var a, c: array [0..99] of real;
+    cnt: array [0..1] of int;
+    x: real;
+    i, m: int;
+begin
+  m := cnt[0];
+  for i := 0 to m do begin
+    x := a[i];
+    if x > 0.5 then
+      c[i] := (x*2.0 + 1.0)*x
+    else
+      c[i] := x + 1.5;
+  end;
+end.
+`},
+	{"rt-outer", `
+program rtouter;
+var a, c: array [0..15] of array [0..36] of real;
+    cnt: array [0..1] of int;
+    i, j, m: int;
+begin
+  m := cnt[0];
+  for i := 0 to m do
+    for j := 0 to 36 do
+      c[i][j] := a[i][j]*0.5 + c[i][j];
+end.
+`},
+	{"nest-scale", `
+program nestscale;
+var a, c: array [0..11] of array [0..39] of real;
+    s: real;
+    i, j: int;
+begin
+  s := 1.5;
+  for i := 0 to 11 do
+    for j := 0 to 39 do
+      c[i][j] := a[i][j]*s + 2.0;
+end.
+`},
+	{"nest-remainder", `
+program nestrem;
+var a, c: array [0..9] of array [0..40] of real;
+    x: real;
+    i, j: int;
+begin
+  for i := 0 to 9 do
+    for j := 0 to 36 do begin
+      x := a[i][j];
+      c[i][j] := (x*2.0 + 1.0)*x + x;
+    end;
+end.
+`},
+	{"nest-two-inner", `
+program nesttwo;
+var a, b, c: array [0..7] of array [0..47] of real;
+    r: array [0..7] of real;
+    s: real;
+    i, j: int;
+begin
+  for i := 0 to 7 do begin
+    s := r[i]*0.5;
+    for j := 0 to 47 do
+      b[i][j] := a[i][j]*s + 1.0;
+    s := s + 2.0;
+    for j := 0 to 44 do
+      c[i][j] := b[i][j]*s - a[i][j+1];
+    r[i] := s;
+  end;
+end.
+`},
+	{"nest-cond-inner", `
+program nestcond;
+var a, c: array [0..7] of array [0..40] of real;
+    x: real;
+    i, j: int;
+begin
+  for i := 0 to 7 do
+    for j := 0 to 36 do begin
+      x := a[i][j];
+      if x > 0.5 then
+        c[i][j] := (x*2.0 + 1.0)*x
+      else
+        c[i][j] := x + 1.5;
+    end;
+end.
+`},
+	{"nest-three", `
+program nestthree;
+var a, c: array [0..5] of array [0..30] of real;
+    i, j, k: int;
+begin
+  for i := 0 to 3 do
+    for j := 0 to 5 do
+      for k := 0 to 30 do
+        c[j][k] := a[j][k]*a[i][k] + c[j][k];
+end.
+`},
+	{"static-cond-remainder", `
+program condrem;
+var a, c: array [0..99] of real;
+    x: real;
+    i: int;
+begin
+  for i := 0 to 92 do begin
+    x := a[i];
+    if x > 0.5 then
+      c[i] := (x*2.0 + 1.0)*x
+    else
+      c[i] := x + 1.5;
+  end;
+end.
+`},
+	{"directives", `
+program directives;
+var a, c: array [0..99] of real;
+    i: int;
+begin
+  nopipeline for i := 0 to 98 do
+    c[i] := a[i]*2.0 + c[i+1];
+  independent for i := 1 to 98 do
+    c[i] := c[i-1]*0.5 + a[i];
+  for i := 0 to 2 do
+    a[i] := a[i] + 1.0;
+end.
+`},
+}
+
+type digestProgram struct {
+	name string
+	prog *softpipe.Program
+}
+
+func digestPrograms(t *testing.T) []digestProgram {
+	t.Helper()
+	var out []digestProgram
+	for _, sp := range workloads.Suite() {
+		out = append(out, digestProgram{"suite/" + sp.Name, sp.Prog})
+	}
+	for _, k := range workloads.Livermore() {
+		p, err := k.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, digestProgram{"livermore/" + k.Name, p})
+	}
+	for _, a := range workloads.Apps() {
+		p, err := a.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, digestProgram{"apps/" + a.Name, p})
+	}
+	for _, seed := range workloads.CorpusSeeds() {
+		out = append(out, digestProgram{fmt.Sprintf("fuzz/%d", seed), workloads.RandomProgram(seed)})
+	}
+	for seed := int64(1000); seed < 1080; seed++ {
+		out = append(out, digestProgram{fmt.Sprintf("draw/%d", seed), workloads.RandomProgram(seed)})
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		out = append(out, digestProgram{fmt.Sprintf("chain/%d", seed), workloads.RandomChainProgram(seed)})
+		p, err := softpipe.ParseSource(workloads.RandomSource(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, digestProgram{fmt.Sprintf("source/%d", seed), p})
+	}
+	for _, c := range goldenCases() {
+		p, err := softpipe.ParseSource(c.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, digestProgram{"golden/" + c.name, p})
+	}
+	for _, s := range digestShapes {
+		p, err := softpipe.ParseSource(s.src)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		out = append(out, digestProgram{"shape/" + s.name, p})
+	}
+	return out
+}
+
+// digestMachines: the hand-written cells, the sweep grid with its
+// rotating twins, and a 24-register pair where the copy budget binds.
+func digestMachines(t *testing.T) []*softpipe.Machine {
+	t.Helper()
+	ms := []*softpipe.Machine{softpipe.Warp(), softpipe.Wide(2)}
+	grid := machine.DefaultGrid()
+	grid = append(grid,
+		machine.Gen{FAdds: 2, FMuls: 2, MemPorts: 2, FloatRegs: 24},
+		machine.Gen{FAdds: 2, FMuls: 2, MemPorts: 2, FloatRegs: 24, RotatingRegs: true})
+	for _, g := range grid {
+		m, err := g.Machine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	return ms
+}
+
+// digestOptions are the deterministic option points (exact effort is
+// left out: its verdict depends on a wall-clock budget).
+var digestOptions = []struct {
+	name string
+	opts softpipe.Options
+}{
+	{"default", softpipe.Options{}},
+	{"baseline", softpipe.Options{Baseline: true}},
+	{"nomve", softpipe.Options{DisableMVE: true}},
+	{"nohier", softpipe.Options{DisableHier: true}},
+	{"noloopred", softpipe.Options{DisableLoopReduction: true}},
+	{"binsearch", softpipe.Options{BinarySearch: true}},
+	{"lcm", softpipe.Options{Policy: softpipe.LCMUnroll}},
+	{"unroll4", softpipe.Options{UnrollInnerTrip: 4}},
+}
+
+// digestObject renders what the digest covers of one compile: the error
+// text of a refused compile, or the disassembly and each loop's
+// scheduling verdict in report order.
+func digestObject(p *softpipe.Program, m *softpipe.Machine, opts softpipe.Options) string {
+	obj, err := softpipe.Compile(p, m, opts)
+	if err != nil {
+		return "error: " + err.Error() + "\n"
+	}
+	var b strings.Builder
+	b.WriteString(obj.Disassemble())
+	for _, lr := range obj.Report.Loops {
+		fmt.Fprintf(&b, "loop %d pipelined=%v II=%d MII=%d unroll=%d stages=%d reason=%q\n%s",
+			lr.LoopID, lr.Pipelined, lr.II, lr.MII, lr.Unroll, lr.Stages, lr.Reason, lr.Kernel)
+	}
+	return b.String()
+}
+
+func TestCorpusDigest(t *testing.T) {
+	progs := digestPrograms(t)
+	machines := digestMachines(t)
+
+	// One digest per program (over machines × option points, in order),
+	// computed on a small pool; Compile treats its program as read-only.
+	sums := make([][sha256.Size]byte, len(progs))
+	objects := len(progs) * len(machines) * len(digestOptions)
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				h := sha256.New()
+				for _, m := range machines {
+					for _, o := range digestOptions {
+						fmt.Fprintf(h, "== %s | %s | %s\n%s", progs[i].name, m.Name, o.name,
+							digestObject(progs[i].prog, m, o.opts))
+					}
+				}
+				h.Sum(sums[i][:0])
+			}
+		}()
+	}
+	for i := range progs {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
+
+	total := sha256.New()
+	var lines strings.Builder
+	for i, p := range progs {
+		total.Write(sums[i][:])
+		fmt.Fprintf(&lines, "%s sha256:%x\n", p.name, sums[i])
+	}
+	got := fmt.Sprintf("# corpus digest: %d programs x %d machines x %d option points = %d objects\n"+
+		"# regenerate: go test -run TestCorpusDigest -update\n"+
+		"total sha256:%x\n%s", len(progs), len(machines), len(digestOptions), objects, total.Sum(nil), lines.String())
+
+	path := filepath.Join("testdata", "corpus.digest")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing digest file (run `go test -run TestCorpusDigest -update`): %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	wantLines := map[string]bool{}
+	for _, l := range strings.Split(string(want), "\n") {
+		wantLines[l] = true
+	}
+	var moved []string
+	for _, l := range strings.Split(got, "\n") {
+		if !wantLines[l] && !strings.HasPrefix(l, "total ") {
+			moved = append(moved, strings.Fields(l)[0])
+		}
+	}
+	t.Errorf("emitted code or loop verdicts changed for %d corpus programs: %s\n(run with -update if the change is intended)",
+		len(moved), strings.Join(moved, " "))
+}

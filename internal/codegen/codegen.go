@@ -7,11 +7,12 @@
 package codegen
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
-	"softpipe/internal/depgraph"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 	"softpipe/internal/pipeline"
@@ -151,7 +152,7 @@ func Compile(p *ir.Program, m *machine.Machine, opts Options) (*vliw.Program, *R
 	e := newEmitter(p, m, opts)
 	e.layoutMemory()
 	e.prepass()
-	e.emitBlock(p.Body, topLevel)
+	e.emitBlock(p.Body)
 	e.drain()
 	e.emitResults()
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}})
@@ -194,27 +195,15 @@ func Compile(p *ir.Program, m *machine.Machine, opts Options) (*vliw.Program, *R
 
 // usesRecv reports whether any operation in the block tree receives
 // from the input channel.
-func usesRecv(b *ir.Block) bool {
-	for _, s := range b.Stmts {
-		switch s := s.(type) {
-		case *ir.OpStmt:
-			if s.Op.Class == machine.ClassRecv {
-				return true
-			}
-		case *ir.IfStmt:
-			if usesRecv(s.Then) || usesRecv(s.Else) {
-				return true
-			}
-		case *ir.LoopStmt:
-			if usesRecv(s.Body) {
-				return true
-			}
+func usesRecv(b *ir.Block) (recv bool) {
+	b.Walk(func(s ir.Stmt) bool {
+		if o, ok := s.(*ir.OpStmt); ok && o.Op.Class == machine.ClassRecv {
+			recv = true
 		}
-	}
-	return false
+		return !recv
+	})
+	return recv
 }
-
-const topLevel = math.MaxInt64 // position bound for the outermost block
 
 type regKey struct {
 	r    ir.VReg
@@ -419,69 +408,37 @@ func (e *emitter) releaseDead(upto int) {
 		start := e.loopBodyStart[len(e.loopBodyStart)-1]
 		return e.uncondWrite[r] && e.firstPos[r] >= start
 	}
-	var fks, iks []regKey
-	for k := range e.fmap {
-		if releasable(k.r) {
-			fks = append(fks, k)
-		}
-	}
-	for k := range e.imap {
-		if releasable(k.r) {
-			iks = append(iks, k)
-		}
-	}
-	sortKeys(fks)
-	sortKeys(iks)
-	for _, k := range fks {
-		e.fFree = append(e.fFree, e.fmap[k])
-		delete(e.fmap, k)
-	}
-	for _, k := range iks {
-		e.iFree = append(e.iFree, e.imap[k])
-		delete(e.imap, k)
-	}
-}
-
-func sortKeys(ks []regKey) {
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && less(ks[j], ks[j-1]); j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
-}
-
-func less(a, b regKey) bool {
-	if a.r != b.r {
-		return a.r < b.r
-	}
-	return a.copy < b.copy
+	e.release(func(k regKey) bool { return releasable(k.r) })
 }
 
 // releaseCopies frees the MVE copy registers (copy > 0) after a pipelined
 // loop region completes.  Safe at any loop depth: expanded registers are
 // written before every read on each execution of the region.
 func (e *emitter) releaseCopies() {
-	var fks, iks []regKey
-	for k := range e.fmap {
-		if k.copy > 0 {
-			fks = append(fks, k)
+	e.release(func(k regKey) bool { return k.copy > 0 })
+}
+
+// release returns the physical register of every mapping `dead` selects
+// to the free lists, in (vreg, copy) order: map iteration order must not
+// decide which register the next allocation gets.
+func (e *emitter) release(dead func(regKey) bool) {
+	free := func(m map[regKey]int, list *[]int) {
+		var ks []regKey
+		for k := range m {
+			if dead(k) {
+				ks = append(ks, k)
+			}
+		}
+		slices.SortFunc(ks, func(a, b regKey) int {
+			return cmp.Or(cmp.Compare(a.r, b.r), cmp.Compare(a.copy, b.copy))
+		})
+		for _, k := range ks {
+			*list = append(*list, m[k])
+			delete(m, k)
 		}
 	}
-	for k := range e.imap {
-		if k.copy > 0 {
-			iks = append(iks, k)
-		}
-	}
-	sortKeys(fks)
-	sortKeys(iks)
-	for _, k := range fks {
-		e.fFree = append(e.fFree, e.fmap[k])
-		delete(e.fmap, k)
-	}
-	for _, k := range iks {
-		e.iFree = append(e.iFree, e.imap[k])
-		delete(e.imap, k)
-	}
+	free(e.fmap, &e.fFree)
+	free(e.imap, &e.iFree)
 }
 
 // slotFor renders one op instance with the register copies of relative
@@ -551,57 +508,21 @@ func (e *emitter) ringFor(r ir.VReg, iter int, plan *pipeline.Plan) []int {
 	return ring
 }
 
-// minPosIn returns the smallest op position inside a block (MaxInt64 when
-// the block holds no ops).
-func (e *emitter) minPosIn(b *ir.Block) int {
-	min := math.MaxInt64
-	var walk func(b *ir.Block)
-	walk = func(b *ir.Block) {
-		for _, s := range b.Stmts {
-			switch s := s.(type) {
-			case *ir.OpStmt:
-				if p := e.pos[s.Op.ID]; p < min {
-					min = p
-				}
-			case *ir.IfStmt:
-				walk(s.Then)
-				walk(s.Else)
-			case *ir.LoopStmt:
-				walk(s.Body)
-			}
+// posRange returns the smallest and largest op position inside a block
+// tree (MaxInt64 and -1 when it holds no ops).
+func (e *emitter) posRange(b *ir.Block) (lo, hi int) {
+	lo, hi = math.MaxInt64, -1
+	b.Walk(func(s ir.Stmt) bool {
+		if o, ok := s.(*ir.OpStmt); ok {
+			lo, hi = min(lo, e.pos[o.Op.ID]), max(hi, e.pos[o.Op.ID])
 		}
-	}
-	walk(b)
-	return min
+		return true
+	})
+	return lo, hi
 }
 
-// maxPosIn returns the largest op position inside a block.
-func (e *emitter) maxPosIn(b *ir.Block) int {
-	max := -1
-	var walk func(b *ir.Block)
-	walk = func(b *ir.Block) {
-		for _, s := range b.Stmts {
-			switch s := s.(type) {
-			case *ir.OpStmt:
-				if p := e.pos[s.Op.ID]; p > max {
-					max = p
-				}
-			case *ir.IfStmt:
-				walk(s.Then)
-				walk(s.Else)
-			case *ir.LoopStmt:
-				walk(s.Body)
-			}
-		}
-	}
-	walk(b)
-	return max
-}
-
-// emitBlock lowers a block region by region; boundPos is the position
-// after which the enclosing construct guarantees no further references
-// (used for register release).
-func (e *emitter) emitBlock(b *ir.Block, boundPos int) {
+// emitBlock lowers a block region by region.
+func (e *emitter) emitBlock(b *ir.Block) {
 	var run []*ir.Op
 	flushRun := func() {
 		if len(run) > 0 {
@@ -618,13 +539,14 @@ func (e *emitter) emitBlock(b *ir.Block, boundPos int) {
 			run = append(run, s.Op)
 		case *ir.IfStmt:
 			flushRun()
-			e.emitIf(s, boundPos)
+			e.emitIf(s)
 		case *ir.LoopStmt:
 			flushRun()
 			e.emitLoop(s)
 			// releaseDead applies the iteration-local safety rule when
 			// this loop is itself nested.
-			e.releaseDead(e.maxPosIn(s.Body))
+			_, last := e.posRange(s.Body)
+			e.releaseDead(last)
 		}
 	}
 	flushRun()
@@ -633,35 +555,16 @@ func (e *emitter) emitBlock(b *ir.Block, boundPos int) {
 // emitBasicBlock list-schedules a straight-line run and emits it followed
 // by a drain barrier.
 func (e *emitter) emitBasicBlock(ops []*ir.Op) {
-	nodes := make([]*depgraph.Node, len(ops))
-	for i, op := range ops {
-		n, err := depgraph.NodeFromOp(e.m, op)
-		if err != nil {
-			e.fail(err)
-			return
-		}
-		nodes[i] = n
-	}
-	g := depgraph.Build(nodes, -1)
-	r, err := schedule.List(g, e.m)
+	rows, err := e.compactRows(ops, nil)
 	if err != nil {
 		e.fail(err)
 		return
 	}
-	cleanup := e.localAssign(ops, r.Time, 0)
-	instrs := make([]vliw.Instr, r.Length)
-	for i, op := range ops {
-		t := r.Time[i]
-		instrs[t].Ops = append(instrs[t].Ops, e.slotFor(op, 0, nil))
-	}
-	cleanup()
-	e.out = append(e.out, instrs...)
+	e.emitRows(rows)
 	e.drain()
 	maxP := -1
 	for _, op := range ops {
-		if p := e.pos[op.ID]; p > maxP {
-			maxP = p
-		}
+		maxP = max(maxP, e.pos[op.ID])
 	}
 	e.releaseDead(maxP)
 }
@@ -669,15 +572,15 @@ func (e *emitter) emitBasicBlock(ops []*ir.Op) {
 // emitIf lowers a conditional as control flow (used outside pipelined
 // loops; conditionals inside pipelined loops go through hierarchical
 // reduction instead).
-func (e *emitter) emitIf(s *ir.IfStmt, boundPos int) {
+func (e *emitter) emitIf(s *ir.IfStmt) {
 	cond := e.physReg(s.Cond, 0)
 	jzAt := len(e.out)
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJZ, Reg: cond}})
-	e.emitBlock(s.Then, boundPos)
+	e.emitBlock(s.Then)
 	jmpAt := len(e.out)
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJump}})
 	e.out[jzAt].Ctl.Target = len(e.out)
-	e.emitBlock(s.Else, boundPos)
+	e.emitBlock(s.Else)
 	e.out[jmpAt].Ctl.Target = len(e.out)
 }
 

@@ -24,41 +24,51 @@ func (e *emitter) emitLoop(l *ir.LoopStmt) {
 			return
 		}
 	}
-	ops, straight := l.Body.Ops()
 	static := l.CountReg == ir.NoReg
-	rep := LoopReport{LoopID: l.ID, BodyOps: len(ops), TripCount: -1}
-	if static {
+	rep := e.newLoopReport(l)
+	done := false
+	switch {
+	case l.NoPipeline:
+		rep.Reason = "nopipeline pragma"
+	case e.opts.Mode != ModePipelined:
+	case static && l.CountImm <= 0:
+		rep.Reason = "zero trip count"
+		done = true
+	case static:
+		done = e.tryPipelined(l, &rep) ||
+			(blockHasInnerLoop(l.Body) && !e.opts.DisableLoopReduction && !e.opts.DisableHier && e.tryOverlapped(l, &rep))
+	default:
+		done = e.tryPipelinedRuntime(l, &rep)
+	}
+	if !done {
+		e.emitUnpipelinedLoop(l, &rep)
+	}
+	e.report.Loops = append(e.report.Loops, rep)
+}
+
+// newLoopReport starts a loop's report with what is known before any
+// planning; every path that reports a loop starts here.
+func (e *emitter) newLoopReport(l *ir.LoopStmt) LoopReport {
+	ops, _ := l.Body.Ops()
+	rep := LoopReport{
+		LoopID: l.ID, BodyOps: len(ops), TripCount: -1,
+		HasCond: blockHasCond(l.Body), Flops: blockFlops(l.Body, e.m),
+	}
+	if l.CountReg == ir.NoReg {
 		rep.TripCount = l.CountImm
 	}
-	rep.HasCond = blockHasCond(l.Body)
-	rep.Flops = blockFlops(l.Body, e.m)
+	return rep
+}
 
-	_ = ops
-	_ = straight
-	if e.opts.Mode == ModePipelined && !l.NoPipeline {
-		if static && l.CountImm <= 0 {
-			rep.Reason = "zero trip count"
-			e.report.Loops = append(e.report.Loops, rep)
-			return
-		}
-		if static && e.tryPipelined(l, &rep) {
-			e.report.Loops = append(e.report.Loops, rep)
-			return
-		}
-		if !static && e.tryPipelinedRuntime(l, &rep) {
-			e.report.Loops = append(e.report.Loops, rep)
-			return
-		}
-		if static && blockHasInnerLoop(l.Body) && !e.opts.DisableLoopReduction && !e.opts.DisableHier && e.tryOverlapped(l, &rep) {
-			e.report.Loops = append(e.report.Loops, rep)
-			return
-		}
-	} else if l.NoPipeline {
-		rep.Reason = "nopipeline pragma"
-	}
-
-	e.emitUnpipelinedLoop(l, &rep)
-	e.report.Loops = append(e.report.Loops, rep)
+// pipelinedWith records the accepted plan the loop was emitted from,
+// whichever path emitted it.
+func (rep *LoopReport) pipelinedWith(plan *pipeline.Plan) {
+	rep.Pipelined = true
+	rep.II = plan.II
+	rep.MetLower = plan.SchedStats.MetLower
+	rep.Unroll = plan.Unroll
+	rep.Stages = plan.Stages
+	rep.Kernel = plan.FormatKernel()
 }
 
 func blockHasInnerLoop(b *ir.Block) bool {
@@ -100,18 +110,13 @@ func blockFlops(b *ir.Block, m *machine.Machine) int {
 	return total
 }
 
-func blockHasCond(b *ir.Block) bool {
-	for _, s := range b.Stmts {
-		switch s := s.(type) {
-		case *ir.IfStmt:
-			return true
-		case *ir.LoopStmt:
-			if blockHasCond(s.Body) {
-				return true
-			}
-		}
-	}
-	return false
+func blockHasCond(b *ir.Block) (cond bool) {
+	b.Walk(func(s ir.Stmt) bool {
+		_, isIf := s.(*ir.IfStmt)
+		cond = cond || isIf
+		return !cond
+	})
+	return cond
 }
 
 // liveOutOf conservatively collects registers referenced outside the
@@ -119,45 +124,30 @@ func blockHasCond(b *ir.Block) bool {
 // epilog fix-up moves.
 func (e *emitter) liveOutOf(l *ir.LoopStmt) map[ir.VReg]bool {
 	inside := map[int]bool{}
-	var mark func(b *ir.Block)
-	mark = func(b *ir.Block) {
-		for _, s := range b.Stmts {
-			switch s := s.(type) {
-			case *ir.OpStmt:
-				inside[s.Op.ID] = true
-			case *ir.IfStmt:
-				mark(s.Then)
-				mark(s.Else)
-			case *ir.LoopStmt:
-				mark(s.Body)
-			}
+	l.Body.Walk(func(s ir.Stmt) bool {
+		if o, ok := s.(*ir.OpStmt); ok {
+			inside[o.Op.ID] = true
 		}
-	}
-	mark(l.Body)
+		return true
+	})
 	lo := map[ir.VReg]bool{}
-	var walk func(b *ir.Block)
-	walk = func(b *ir.Block) {
-		for _, s := range b.Stmts {
-			switch s := s.(type) {
-			case *ir.OpStmt:
-				if !inside[s.Op.ID] {
-					for _, r := range s.Op.Src {
-						lo[r] = true
-					}
+	e.irp.Body.Walk(func(s ir.Stmt) bool {
+		switch s := s.(type) {
+		case *ir.OpStmt:
+			if !inside[s.Op.ID] {
+				for _, r := range s.Op.Src {
+					lo[r] = true
 				}
-			case *ir.IfStmt:
-				lo[s.Cond] = true
-				walk(s.Then)
-				walk(s.Else)
-			case *ir.LoopStmt:
-				if s.CountReg != ir.NoReg {
-					lo[s.CountReg] = true
-				}
-				walk(s.Body)
+			}
+		case *ir.IfStmt:
+			lo[s.Cond] = true
+		case *ir.LoopStmt:
+			if s.CountReg != ir.NoReg {
+				lo[s.CountReg] = true
 			}
 		}
-	}
-	walk(e.irp.Body)
+		return true
+	})
 	for _, r := range e.irp.Results {
 		lo[r.Reg] = true
 	}
@@ -170,55 +160,39 @@ func (e *emitter) liveOutOf(l *ir.LoopStmt) map[ir.VReg]bool {
 // It reports false (with the reason recorded) when the loop should fall
 // back to locally compacted code.
 func (e *emitter) tryPipelined(l *ir.LoopStmt, rep *LoopReport) bool {
-	nodes, plan, ok := e.planBody(l, false, rep)
+	nodes, plan, ok := e.planBody(l, false, false, rep)
 	if !ok {
 		return false
 	}
-	n := l.CountImm
-	mm, u, s := plan.Stages, plan.Unroll, plan.II
-	if int64(mm-1+u) > n {
-		rep.Reason = fmt.Sprintf("too few iterations (%d) for %d stages, unroll %d", n, mm, u)
+	r, passes, ok := plan.Split(l.CountImm)
+	if !ok {
+		rep.Reason = fmt.Sprintf("too few iterations (%d) for %d stages, unroll %d", l.CountImm, plan.Stages, plan.Unroll)
 		return false
 	}
-
-	q0 := n - int64(mm-1)
-	r := q0 % int64(u)
-	passes := (q0 - r) / int64(u)
-
-	// Remainder iterations run unpipelined first (Lam §2.4).
+	// Remainder iterations run unpipelined first (Lam §2.4); their
+	// counter is free again before the kernel's is claimed.
 	if r > 0 {
-		e.emitRemainderConst(l, r, rep)
+		e.emitCounted(l, r, nil)
 		if e.err != nil {
 			return false
 		}
 	}
-
 	counter := e.allocI()
 	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: passes}}})
 	e.emitPipelinedRegion(nodes, plan, counter)
 	e.freeI(counter)
 	e.releaseCopies()
-
-	rep.Pipelined = true
-	rep.II = s
-	rep.MetLower = plan.SchedStats.MetLower
-	rep.Unroll = u
-	rep.Stages = mm
-	rep.Kernel = plan.FormatKernel()
+	rep.pipelinedWith(plan)
 	return true
 }
 
 // planBody reduces the loop body to scheduling nodes and plans its
 // pipelining, applying the register copy budget; shared by the static
-// and runtime (two-version) paths.
-func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo bool, rep *LoopReport) ([]*depgraph.Node, *pipeline.Plan, bool) {
-	return e.planBodyOpts(l, powerOfTwo, false, rep)
-}
-
-// planBodyOpts additionally lets the caller keep marginal schedules
-// (II within 99% of the unpipelined period): loop reduction wants them
-// because its payoff is prolog/epilog overlap, not steady-state speed.
-func (e *emitter) planBodyOpts(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *LoopReport) ([]*depgraph.Node, *pipeline.Plan, bool) {
+// path, the runtime (two-version) path, which wants a power-of-two
+// unroll, and loop reduction, which keeps marginal schedules (II within
+// 99% of the unpipelined period) because its payoff is prolog/epilog
+// overlap, not steady-state speed.
+func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *LoopReport) ([]*depgraph.Node, *pipeline.Plan, bool) {
 	nodes, err := hier.BuildNodes(e.irp, e.m, l.ID, l.Body)
 	if err != nil {
 		rep.Reason = err.Error()
@@ -253,7 +227,7 @@ func (e *emitter) planBodyOpts(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, re
 	baseF, baseI := e.regsNeeded(baseRegs, 0, 0)
 	plOpts.CopyBudgetF = e.m.FloatRegs - baseF
 	plOpts.CopyBudgetI = e.m.IntRegs - baseI - 6 // counters and count math
-	plOpts.RegKind = func(r ir.VReg) ir.Kind { return e.irp.Kind(r) }
+	plOpts.RegKind = e.irp.Kind
 	plOpts.Explain = e.opts.Explain
 	plOpts.Tracer = e.opts.Tracer
 	plan, err := pipeline.PlanLoop(nodes, l.ID, e.m, plOpts)
@@ -282,7 +256,7 @@ func (e *emitter) planBodyOpts(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, re
 		rep.Proved = st.Proved
 		rep.FellBack = st.FellBack
 	}
-	cf, ci := plan.TotalCopyRegs(e.irp)
+	cf, ci := plan.CopyRegs(e.irp.Kind)
 	peakF, peakI := e.regsNeeded(baseRegs, cf, ci+6)
 	if peakF > e.m.FloatRegs || peakI > e.m.IntRegs {
 		rep.Reason = "register files too small for modulo variable expansion"
@@ -300,11 +274,11 @@ func (e *emitter) planBodyOpts(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, re
 // on the pipelined loop.  The unroll degree is rounded to a power of two
 // so the remainder is a mask and the pass count a shift.
 func (e *emitter) tryPipelinedRuntime(l *ir.LoopStmt, rep *LoopReport) bool {
-	nodes, plan, ok := e.planBody(l, true, rep)
+	nodes, plan, ok := e.planBody(l, true, false, rep)
 	if !ok {
 		return false
 	}
-	mm, u, s := plan.Stages, plan.Unroll, plan.II
+	mm, u := plan.Stages, plan.Unroll
 	log2u := 0
 	for 1<<log2u < u {
 		log2u++
@@ -338,11 +312,7 @@ func (e *emitter) tryPipelinedRuntime(l *ir.LoopStmt, rep *LoopReport) bool {
 		e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIAnd, Dst: rreg, Src: []int{t1}, IImm: int64(u - 1)}}})
 		skipRemAt := len(e.out)
 		e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJZ, Reg: rreg}})
-		if ops, straight := l.Body.Ops(); straight {
-			e.emitCompactBody(l, ops, rreg, nil)
-		} else {
-			e.emitGenericLoopBody(l, rreg, nil)
-		}
+		e.emitLoopBody(l, rreg, nil)
 		e.out[skipRemAt].Ctl.Target = len(e.out)
 		if e.err != nil {
 			return false
@@ -367,50 +337,83 @@ func (e *emitter) tryPipelinedRuntime(l *ir.LoopStmt, rep *LoopReport) bool {
 	e.freeI(m1c)
 	e.freeI(uc)
 	e.releaseCopies()
-
-	rep.Pipelined = true
-	rep.II = s
-	rep.MetLower = plan.SchedStats.MetLower
-	rep.Unroll = u
-	rep.Stages = mm
-	rep.Kernel = plan.FormatKernel()
+	rep.pipelinedWith(plan)
 	return true
 }
 
-// emitRemainderConst runs `r` leftover iterations unpipelined before the
-// pipelined region.
-func (e *emitter) emitRemainderConst(l *ir.LoopStmt, r int64, rep *LoopReport) {
-	if ops, straight := l.Body.Ops(); straight {
-		e.emitCompactCounted(l, ops, r, rep)
-	} else {
-		rcounter := e.allocI()
-		e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: rcounter, IImm: r}}})
-		e.emitGenericLoopBody(l, rcounter, nil)
-		e.freeI(rcounter)
+// emitPipelinedRegion emits one pipelined region on the spot, looped by
+// counter (see regionRows).
+func (e *emitter) emitPipelinedRegion(nodes []*depgraph.Node, plan *pipeline.Plan, counter int) {
+	p := &loopPayload{}
+	fixups := e.regionRows(p, nodes, plan, counter)
+	e.emitSegs(p)
+	if fixups > 0 {
+		e.drain() // the fix-up moves land before the next region issues
 	}
 }
 
-// emitPipelinedRegion emits prolog, kernel (looped by the counter, which
-// must hold the number of kernel passes ≥ 1) and epilog, plus live-out
-// fix-up moves.  The emission is count-independent (see buildRegionRows).
-func (e *emitter) emitPipelinedRegion(nodes []*depgraph.Node, plan *pipeline.Plan, counter int) {
-	prolog, kernel, epilog := e.buildRegionRows(nodes, plan)
+// regionRows appends one pipelined region to p: the rotating-base clear,
+// the prolog, the kernel as a segment repeated on counter (which must
+// hold the number of kernel passes ≥ 1 when the region is entered), the
+// epilog, a drain so every in-flight write lands, and the live-out
+// fix-up moves.  It returns how many fix-up rows it appended.  The rows
+// are count-independent, so one region serves a compile-time pass count
+// and the two-version scheme's run-time one.
+func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, counter int) int {
+	mm, u, s := plan.Stages, plan.Unroll, plan.II
+
+	// row resolves cycle t of the flat (unrolled-forever) schedule,
+	// keeping only iterations below bound when bound ≥ 0.
+	row := func(t, bound int) rrow {
+		row := rrow{}
+		for i, nd := range nodes {
+			sigma := plan.Time[i]
+			if t < sigma || (t-sigma)%s != 0 {
+				continue
+			}
+			iter := (t - sigma) / s
+			if bound >= 0 && iter >= bound {
+				continue
+			}
+			if nd.Op != nil {
+				row.ops = append(row.ops, e.slotFor(nd.Op, iter, plan))
+				continue
+			}
+			if row.cons != nil {
+				e.fail(fmt.Errorf("codegen: overlapping construct windows at cycle %d", t))
+				continue
+			}
+			row.cons = e.resolveConstruct(nd.Payload.(*hier.IfPayload), iter, plan)
+		}
+		return row
+	}
+
+	extent := 0
+	for i, nd := range nodes {
+		extent = max(extent, plan.Time[i]+schedule.Extent(nd))
+	}
 	if plan.Rotating {
 		// The region may be re-entered (enclosing loop, two-version
 		// scheme), so the rotating base starts from a known zero.
-		e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlRotClear}})
+		p.rows = append(p.rows, rrow{ctl: vliw.Ctl{Kind: vliw.CtlRotClear}})
+		p.rotating = true
 	}
-	e.emitRows(prolog)
-	kstart := len(e.out)
-	kernel[len(kernel)-1].ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: counter, Target: kstart, Rotate: plan.Rotating}
-	e.emitRows(kernel)
-	e.emitRows(epilog)
-	e.drain()
-
-	if fix := e.fixupRows(plan); len(fix) > 0 {
-		e.emitRows(fix)
-		e.drain()
+	t0 := (mm - 1) * s
+	for t := 0; t < t0; t++ { // prolog
+		p.rows = append(p.rows, row(t, -1))
 	}
+	kstart := len(p.rows)
+	for t := t0; t < t0+u*s; t++ { // kernel
+		p.rows = append(p.rows, row(t, -1))
+	}
+	p.segs = append(p.segs, loopSeg{start: kstart, end: len(p.rows), counter: counter, rotate: plan.Rotating})
+	for t := t0; t < t0+extent-s; t++ { // epilog: no iteration starts
+		p.rows = append(p.rows, row(t, mm-1))
+	}
+	p.drain(e.maxLat)
+	fix := e.fixupRows(plan)
+	p.rows = append(p.rows, fix...)
+	return len(fix)
 }
 
 // fixupRows builds the live-out fix-up moves for a pipelined region:
@@ -453,18 +456,9 @@ func (e *emitter) fixupRows(plan *pipeline.Plan) []rrow {
 // is padded so every inter-iteration dependence drains (the pipelines are
 // emptied at iteration boundaries, Lam §2).
 func (e *emitter) emitUnpipelinedLoop(l *ir.LoopStmt, rep *LoopReport) {
-	ops, straight := l.Body.Ops()
 	if l.CountReg == ir.NoReg {
-		if l.CountImm <= 0 {
-			return
-		}
-		if straight {
-			e.emitCompactCounted(l, ops, l.CountImm, rep)
-		} else {
-			counter := e.allocI()
-			e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: l.CountImm}}})
-			e.emitGenericLoopBody(l, counter, rep)
-			e.freeI(counter)
+		if l.CountImm > 0 {
+			e.emitCounted(l, l.CountImm, rep)
 		}
 		return
 	}
@@ -480,60 +474,83 @@ func (e *emitter) emitUnpipelinedLoop(l *ir.LoopStmt, rep *LoopReport) {
 	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassICmp, Dst: cond, Src: []int{count, zero}, IImm: int64(ir.PredLE)}}})
 	guardAt := len(e.out)
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJNZ, Reg: cond}})
-
-	if straight {
-		e.emitCompactBody(l, ops, counter, rep)
-	} else {
-		e.emitGenericLoopBody(l, counter, rep)
-	}
+	e.emitLoopBody(l, counter, rep)
 	e.out[guardAt].Ctl.Target = len(e.out)
 	e.freeI(zero)
 	e.freeI(cond)
 	e.freeI(counter)
 }
 
-// emitCompactCounted emits a locally compacted loop over a straight-line
-// body for a compile-time count n ≥ 1.
-func (e *emitter) emitCompactCounted(l *ir.LoopStmt, ops []*ir.Op, n int64, rep *LoopReport) {
+// emitCounted runs the loop body a compile-time n ≥ 1 times, unpipelined,
+// on a down-counter of its own.
+func (e *emitter) emitCounted(l *ir.LoopStmt, n int64, rep *LoopReport) {
 	counter := e.allocI()
 	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: n}}})
-	e.emitCompactBody(l, ops, counter, rep)
+	e.emitLoopBody(l, counter, rep)
 	e.freeI(counter)
 }
 
-// emitCompactBody emits the list-scheduled body, padded to the dependence
-// period, with the loop-back DBNZ in the final cycle.
-func (e *emitter) emitCompactBody(l *ir.LoopStmt, ops []*ir.Op, counter int, rep *LoopReport) {
-	nodes := make([]*depgraph.Node, len(ops))
-	for i, op := range ops {
-		n, err := depgraph.NodeFromOp(e.m, op)
-		if err != nil {
-			e.fail(err)
-			return
-		}
-		nodes[i] = n
+// emitLoopBody emits the unpipelined loop over l's body on a counter the
+// caller has loaded.  A straight-line body is compacted and padded to
+// the dependence period, with the loop-back DBNZ in its final cycle;
+// anything else is compiled recursively.
+func (e *emitter) emitLoopBody(l *ir.LoopStmt, counter int, rep *LoopReport) {
+	ops, straight := l.Body.Ops()
+	if !straight {
+		e.emitGenericLoopBody(l, counter, rep)
+		return
 	}
-	g := depgraph.BuildIndep(nodes, l.ID, l.Independent)
-	r, err := schedule.List(g, e.m)
+	rows, err := e.compactRows(ops, l)
 	if err != nil {
 		e.fail(err)
 		return
 	}
-	period := schedule.PeriodFor(g, r, r.Length)
-	cleanup := e.localAssign(ops, r.Time, period)
-	instrs := make([]vliw.Instr, period)
-	for i, op := range ops {
-		t := r.Time[i]
-		instrs[t].Ops = append(instrs[t].Ops, e.slotFor(op, 0, nil))
-	}
-	cleanup()
-	start := len(e.out)
-	instrs[period-1].Ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: counter, Target: start}
-	e.out = append(e.out, instrs...)
+	e.emitSegs(&loopPayload{rows: rows, segs: []loopSeg{{end: len(rows), counter: counter}}})
 	e.drain()
 	if rep != nil && !rep.Pipelined && rep.II == 0 {
-		rep.II = period
+		rep.II = len(rows)
 	}
+}
+
+// compactRows list-schedules a straight-line run of ops and resolves it
+// to rows, recycling block-local registers (localAssign).  With l nil
+// the run is a basic block: one row per cycle of the schedule.  With l
+// set it is that loop's whole body, scheduled under the loop's own
+// dependences and padded to the period at which every inter-iteration
+// dependence has drained, so the rows can repeat as a segment.  A caller
+// that repeats the rows claims its loop counter BEFORE calling:
+// localAssign draws from the same free list, and the order of the claims
+// decides the register numbers in the emitted code.
+func (e *emitter) compactRows(ops []*ir.Op, l *ir.LoopStmt) ([]rrow, error) {
+	nodes := make([]*depgraph.Node, len(ops))
+	for i, op := range ops {
+		n, err := depgraph.NodeFromOp(e.m, op)
+		if err != nil {
+			return nil, err
+		}
+		nodes[i] = n
+	}
+	loopID, independent := -1, false
+	if l != nil {
+		loopID, independent = l.ID, l.Independent
+	}
+	g := depgraph.BuildIndep(nodes, loopID, independent)
+	r, err := schedule.List(g, e.m)
+	if err != nil {
+		return nil, err
+	}
+	length, period := r.Length, 0
+	if l != nil {
+		period = schedule.PeriodFor(g, r, r.Length)
+		length = period
+	}
+	cleanup := e.localAssign(ops, r.Time, period)
+	rows := make([]rrow, length)
+	for i, op := range ops {
+		rows[r.Time[i]].ops = append(rows[r.Time[i]].ops, e.slotFor(op, 0, nil))
+	}
+	cleanup()
+	return rows, nil
 }
 
 // emitGenericLoopBody lowers a loop whose body contains control
@@ -542,8 +559,9 @@ func (e *emitter) emitCompactBody(l *ir.LoopStmt, ops []*ir.Op, counter int, rep
 func (e *emitter) emitGenericLoopBody(l *ir.LoopStmt, counter int, rep *LoopReport) {
 	start := len(e.out)
 	e.loopDepth++
-	e.loopBodyStart = append(e.loopBodyStart, e.minPosIn(l.Body))
-	e.emitBlock(l.Body, e.maxPosIn(l.Body))
+	first, _ := e.posRange(l.Body)
+	e.loopBodyStart = append(e.loopBodyStart, first)
+	e.emitBlock(l.Body)
 	e.loopBodyStart = e.loopBodyStart[:len(e.loopBodyStart)-1]
 	e.loopDepth--
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: counter, Target: start}})

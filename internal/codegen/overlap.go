@@ -2,13 +2,12 @@ package codegen
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"softpipe/internal/depgraph"
-	"softpipe/internal/hier"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
-	"softpipe/internal/pipeline"
 	"softpipe/internal/schedule"
 	"softpipe/internal/vliw"
 )
@@ -19,22 +18,6 @@ import (
 // but marks the steady state as fully consumed, so that list scheduling
 // of the enclosing body moves scalar code into the prolog/epilog zones
 // and overlaps the epilog of one inner loop with the prolog of the next.
-
-// loopSeg marks a sub-range of a reduced loop's rows that the sequencer
-// repeats: rows[start:end] loop back via DBNZ on `counter`.
-type loopSeg struct {
-	start, end int
-	counter    int
-	rotate     bool // kernel of a rotating plan: DBNZ bumps the rotating base
-}
-
-// loopPayload carries a reduced inner loop's fully resolved emission rows.
-type loopPayload struct {
-	rows     []rrow
-	segs     []loopSeg // repeated sub-ranges (remainder loop, kernel)
-	counters []int     // dedicated physical counters, freed on rollback
-	rotating bool      // rows use the (single, global) rotating register base
-}
 
 // reduceLoop plans and resolves an inner loop as a reduced node.  It
 // fails (reason != "") for shapes the reduction does not cover: runtime
@@ -47,75 +30,44 @@ func (e *emitter) reduceLoop(l *ir.LoopStmt) (*depgraph.Node, string) {
 	if l.NoPipeline || l.CountImm <= 0 {
 		return nil, "inner loop not eligible for pipelining"
 	}
-	var rep LoopReport
-	nodes, plan, ok := e.planBodyOpts(l, false, true, &rep)
+	rep := e.newLoopReport(l)
+	nodes, plan, ok := e.planBody(l, false, true, &rep)
 	if !ok {
 		return nil, "inner loop does not pipeline: " + rep.Reason
 	}
-	n := l.CountImm
-	mm, u := plan.Stages, plan.Unroll
-	if int64(mm-1+u) > n {
-		return nil, fmt.Sprintf("inner loop too short (%d) for %d stages, unroll %d", n, mm, u)
+	r, passes, ok := plan.Split(l.CountImm)
+	if !ok {
+		return nil, fmt.Sprintf("inner loop too short (%d) for %d stages, unroll %d", l.CountImm, plan.Stages, plan.Unroll)
 	}
-	q0 := n - int64(mm-1)
-	r := q0 % int64(u)
-	passes := (q0 - r) / int64(u)
 
 	p := &loopPayload{}
-	// Remainder iterations as a compact repeated segment.
+	iconst := func(dst int, v int64) rrow {
+		return rrow{ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: dst, IImm: v}}}
+	}
+	// Remainder iterations as a compact repeated segment.  Unlike direct
+	// emission the reduction holds the remainder counter to the end of
+	// the window: the enclosing schedule may move other code over it.
 	if r > 0 {
 		ops, straight := l.Body.Ops()
 		if !straight {
 			return nil, "inner loop needs a remainder but has control constructs"
 		}
-		bn, err := bodyNodesFor(e.m, ops)
-		if err != nil {
-			return nil, err.Error()
-		}
-		g := depgraph.BuildIndep(bn, l.ID, l.Independent)
-		lr, err := schedule.List(g, e.m)
-		if err != nil {
-			return nil, err.Error()
-		}
-		period := schedule.PeriodFor(g, lr, lr.Length)
 		rcounter := e.allocI()
+		body, err := e.compactRows(ops, l)
+		if err != nil {
+			e.freeI(rcounter)
+			return nil, err.Error()
+		}
 		p.counters = append(p.counters, rcounter)
-		p.rows = append(p.rows, rrow{ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: rcounter, IImm: r}}})
-		cleanup := e.localAssign(ops, lr.Time, period)
-		segStart := len(p.rows)
-		body := make([]rrow, period)
-		for i, op := range ops {
-			body[lr.Time[i]].ops = append(body[lr.Time[i]].ops, e.slotFor(op, 0, nil))
-		}
-		cleanup()
+		p.rows = append(p.rows, iconst(rcounter, r))
+		p.segs = append(p.segs, loopSeg{start: len(p.rows), end: len(p.rows) + len(body), counter: rcounter})
 		p.rows = append(p.rows, body...)
-		p.segs = append(p.segs, loopSeg{start: segStart, end: len(p.rows), counter: rcounter})
-		// Drain between the remainder and the pipelined region.
-		for i := 0; i < e.maxLat-1; i++ {
-			p.rows = append(p.rows, rrow{})
-		}
+		p.drain(e.maxLat) // between the remainder and the pipelined region
 	}
-
 	counter := e.allocI()
 	p.counters = append(p.counters, counter)
-	p.rows = append(p.rows, rrow{ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: passes}}})
-	p.rotating = plan.Rotating
-	if plan.Rotating {
-		// The enclosing loop re-enters the window, so the rotating base
-		// restarts from zero each time around.
-		p.rows = append(p.rows, rrow{ctl: vliw.Ctl{Kind: vliw.CtlRotClear}})
-	}
-	prolog, kernel, epilog := e.buildRegionRows(nodes, plan)
-	p.rows = append(p.rows, prolog...)
-	segStart := len(p.rows)
-	p.rows = append(p.rows, kernel...)
-	p.segs = append(p.segs, loopSeg{start: segStart, end: len(p.rows), counter: counter, rotate: plan.Rotating})
-	p.rows = append(p.rows, epilog...)
-	// Drain so in-flight writes land inside the window, then fix-ups.
-	for i := 0; i < e.maxLat-1; i++ {
-		p.rows = append(p.rows, rrow{})
-	}
-	p.rows = append(p.rows, e.fixupRows(plan)...)
+	p.rows = append(p.rows, iconst(counter, passes))
+	e.regionRows(p, nodes, plan, counter)
 
 	node := &depgraph.Node{
 		Len:         len(p.rows),
@@ -126,32 +78,9 @@ func (e *emitter) reduceLoop(l *ir.LoopStmt) (*depgraph.Node, string) {
 
 	// Record the inner loop in the report (it is pipelined, just emitted
 	// through the reduction).
-	rep.LoopID = l.ID
-	if ops, straight := l.Body.Ops(); straight {
-		rep.BodyOps = len(ops)
-	}
-	rep.TripCount = n
-	rep.Pipelined = true
-	rep.II = plan.II
-	rep.MetLower = plan.SchedStats.MetLower
-	rep.Unroll = u
-	rep.Stages = mm
-	rep.HasCond = blockHasCond(l.Body)
-	rep.Kernel = plan.FormatKernel()
+	rep.pipelinedWith(plan)
 	e.report.Loops = append(e.report.Loops, rep)
 	return node, ""
-}
-
-func bodyNodesFor(m *machine.Machine, ops []*ir.Op) ([]*depgraph.Node, error) {
-	nodes := make([]*depgraph.Node, len(ops))
-	for i, op := range ops {
-		n, err := depgraph.NodeFromOp(m, op)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = n
-	}
-	return nodes, nil
 }
 
 // rowsReservation derives the reduced node's reservation table: exact
@@ -159,7 +88,7 @@ func bodyNodesFor(m *machine.Machine, ops []*ir.Op) ([]*depgraph.Node, error) {
 // segments — "all resources in the steady state are marked as consumed"
 // (Lam §3.2).
 func (e *emitter) rowsReservation(p *loopPayload) []machine.ResUse {
-	use := map[useKeyCG]int{}
+	use := machine.Usage{}
 	inSeg := make([]bool, len(p.rows))
 	for _, s := range p.segs {
 		for i := s.start; i < s.end; i++ {
@@ -169,72 +98,41 @@ func (e *emitter) rowsReservation(p *loopPayload) []machine.ResUse {
 	for off, row := range p.rows {
 		if inSeg[off] {
 			for r, cnt := range e.m.ResourceCount {
-				use[useKeyCG{machine.Resource(r), off}] = cnt
+				use[machine.ResUse{Resource: machine.Resource(r), Offset: off}] = cnt
 			}
 			continue
 		}
 		e.accumulateRowUsage(row, off, use)
 	}
-	keys := make([]useKeyCG, 0, len(use))
-	for k := range use {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].off != keys[j].off {
-			return keys[i].off < keys[j].off
-		}
-		return keys[i].res < keys[j].res
-	})
-	var out []machine.ResUse
-	for _, k := range keys {
-		n := use[k]
-		if n > e.m.ResourceCount[k.res] {
-			n = e.m.ResourceCount[k.res]
-		}
-		for i := 0; i < n; i++ {
-			out = append(out, machine.ResUse{Resource: k.res, Offset: k.off})
-		}
-	}
-	return out
-}
-
-type useKeyCG struct {
-	res machine.Resource
-	off int
+	return use.Reservation(e.m)
 }
 
 // accumulateRowUsage folds a resolved row's resource demand (slot ops,
 // sequencer field, conditional-construct windows) into the usage map.
-func (e *emitter) accumulateRowUsage(row rrow, off int, use map[useKeyCG]int) {
+func (e *emitter) accumulateRowUsage(row rrow, off int, use machine.Usage) {
 	for _, op := range row.ops {
 		if d := e.m.Desc(op.Class); d != nil {
 			for _, u := range d.Reservation {
-				use[useKeyCG{u.Resource, off + u.Offset}]++
+				use.Add(u.Resource, off+u.Offset, 1)
 			}
 		}
 	}
 	if row.ctl.Kind != vliw.CtlNone {
-		use[useKeyCG{machine.ResBranch, off}]++
+		use.Add(machine.ResBranch, off, 1)
 	}
-	if row.cons != nil {
-		c := row.cons
+	if c := row.cons; c != nil {
 		for i := 0; i < c.length; i++ {
-			use[useKeyCG{machine.ResBranch, off + i}]++
+			use.Add(machine.ResBranch, off+i, 1)
 		}
-		thenUse := map[useKeyCG]int{}
-		elseUse := map[useKeyCG]int{}
+		arms, elseUse := machine.Usage{}, machine.Usage{}
 		for i, r := range c.thenRows {
-			e.accumulateRowUsage(r, off+1+i, thenUse)
+			e.accumulateRowUsage(r, off+1+i, arms)
 		}
 		for i, r := range c.elseRows {
 			e.accumulateRowUsage(r, off+1+i, elseUse)
 		}
-		for k, v := range elseUse {
-			if v > thenUse[k] {
-				thenUse[k] = v
-			}
-		}
-		for k, v := range thenUse {
+		arms.Max(elseUse)
+		for k, v := range arms {
 			use[k] += v
 		}
 	}
@@ -252,48 +150,32 @@ func (e *emitter) loopAccesses(l *ir.LoopStmt, node *depgraph.Node) {
 		store bool
 	}
 	mems := map[memKey]bool{}
-	var walk func(b *ir.Block)
-	walk = func(b *ir.Block) {
-		for _, s := range b.Stmts {
-			switch s := s.(type) {
-			case *ir.OpStmt:
-				for _, r := range s.Op.Src {
-					reads[r] = true
-				}
-				if s.Op.Dst != ir.NoReg {
-					writes[s.Op.Dst] = true
-				}
-				if s.Op.Mem != nil {
-					mems[memKey{s.Op.Mem.Array, s.Op.Class == machine.ClassStore}] = true
-				}
-			case *ir.IfStmt:
-				reads[s.Cond] = true
-				walk(s.Then)
-				walk(s.Else)
-			case *ir.LoopStmt:
-				if s.CountReg != ir.NoReg {
-					reads[s.CountReg] = true
-				}
-				walk(s.Body)
+	l.Body.Walk(func(s ir.Stmt) bool {
+		switch s := s.(type) {
+		case *ir.OpStmt:
+			for _, r := range s.Op.Src {
+				reads[r] = true
+			}
+			if s.Op.Dst != ir.NoReg {
+				writes[s.Op.Dst] = true
+			}
+			if s.Op.Mem != nil {
+				mems[memKey{s.Op.Mem.Array, s.Op.Class == machine.ClassStore}] = true
+			}
+		case *ir.IfStmt:
+			reads[s.Cond] = true
+		case *ir.LoopStmt:
+			if s.CountReg != ir.NoReg {
+				reads[s.CountReg] = true
 			}
 		}
-	}
-	walk(l.Body)
+		return true
+	})
 	last := node.Len - 1
-	var regs []ir.VReg
-	for r := range reads {
-		regs = append(regs, r)
-	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
-	for _, r := range regs {
+	for _, r := range sortedRegs(reads) {
 		node.Reads = append(node.Reads, depgraph.RegRead{Reg: r, First: 0, Last: last})
 	}
-	regs = regs[:0]
-	for r := range writes {
-		regs = append(regs, r)
-	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
-	for _, r := range regs {
+	for _, r := range sortedRegs(writes) {
 		node.Writes = append(node.Writes, depgraph.RegWrite{
 			Reg: r, AvailFirst: 1, AvailLast: last + e.maxLat, Killing: false,
 		})
@@ -302,11 +184,14 @@ func (e *emitter) loopAccesses(l *ir.LoopStmt, node *depgraph.Node) {
 	for k := range mems {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].arr != keys[j].arr {
-			return keys[i].arr < keys[j].arr
+	slices.SortFunc(keys, func(a, b memKey) int { // by array, loads before stores
+		if c := strings.Compare(a.arr, b.arr); c != 0 || a.store == b.store {
+			return c
 		}
-		return !keys[i].store
+		if b.store {
+			return -1
+		}
+		return 1
 	})
 	for _, k := range keys {
 		node.Mems = append(node.Mems, depgraph.MemAcc{
@@ -315,53 +200,13 @@ func (e *emitter) loopAccesses(l *ir.LoopStmt, node *depgraph.Node) {
 	}
 }
 
-// buildRegionRows produces the pipelined region's prolog, kernel and
-// epilog rows (shared by direct emission and loop reduction); the caller
-// attaches the kernel's DBNZ.
-func (e *emitter) buildRegionRows(nodes []*depgraph.Node, plan *pipeline.Plan) (prolog, kernel, epilog []rrow) {
-	mm, u, s := plan.Stages, plan.Unroll, plan.II
-
-	buildRow := func(t int64, bound int64) rrow {
-		row := rrow{}
-		for i, nd := range nodes {
-			sigma := int64(plan.Time[i])
-			if t < sigma || (t-sigma)%int64(s) != 0 {
-				continue
-			}
-			iter := (t - sigma) / int64(s)
-			if bound >= 0 && iter >= bound {
-				continue
-			}
-			if nd.Op != nil {
-				row.ops = append(row.ops, e.slotFor(nd.Op, int(iter), plan))
-				continue
-			}
-			if row.cons != nil {
-				e.fail(fmt.Errorf("codegen: overlapping construct windows at cycle %d", t))
-				continue
-			}
-			row.cons = e.resolveConstruct(nd.Payload.(*hier.IfPayload), int(iter), plan)
-		}
-		return row
+func sortedRegs(set map[ir.VReg]bool) []ir.VReg {
+	regs := make([]ir.VReg, 0, len(set))
+	for r := range set {
+		regs = append(regs, r)
 	}
-
-	extent := 0
-	for i, nd := range nodes {
-		if v := plan.Time[i] + schedule.Extent(nd); v > extent {
-			extent = v
-		}
-	}
-	t0 := int64(mm-1) * int64(s)
-	for t := int64(0); t < t0; t++ {
-		prolog = append(prolog, buildRow(t, -1))
-	}
-	for tau := 0; tau < u*s; tau++ {
-		kernel = append(kernel, buildRow(t0+int64(tau), -1))
-	}
-	for tau := int64(0); tau <= int64(extent)-int64(s)-1; tau++ {
-		epilog = append(epilog, buildRow(t0+tau, int64(mm-1)))
-	}
-	return prolog, kernel, epilog
+	slices.Sort(regs)
+	return regs
 }
 
 // tryOverlapped handles outer loops whose body is straight-line code plus
@@ -429,14 +274,10 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 		p := nd.Payload.(*loopPayload)
 		for _, sg := range p.segs {
 			segs = append(segs, loopSeg{start: r.Time[i] + sg.start, end: r.Time[i] + sg.end, counter: sg.counter, rotate: sg.rotate})
-			if r.Time[i]+sg.end+1 > maxEnd {
-				maxEnd = r.Time[i] + sg.end + 1
-			}
+			maxEnd = max(maxEnd, r.Time[i]+sg.end+1)
 		}
 	}
-	if period < maxEnd {
-		period = maxEnd
-	}
+	period = max(period, maxEnd)
 	// A rotating register file has a single base shared by every loop in
 	// flight, and each reduced rotating loop clears and advances it.  Two
 	// rotating windows may therefore not overlap; roll back to plain
@@ -452,7 +293,7 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 			rotWins = append(rotWins, window{r.Time[i], r.Time[i] + nd.Len})
 		}
 	}
-	sort.Slice(rotWins, func(i, j int) bool { return rotWins[i].start < rotWins[j].start })
+	slices.SortFunc(rotWins, func(a, b window) int { return a.start - b.start })
 	for i := 1; i < len(rotWins); i++ {
 		if rotWins[i].start < rotWins[i-1].end {
 			return rollback("rotating inner-loop windows overlap (one rotating base per machine)")
@@ -484,7 +325,7 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 			}
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
+	slices.SortFunc(segs, func(a, b loopSeg) int { return a.start - b.start })
 	for i := 1; i < len(segs); i++ {
 		if segs[i].start < segs[i-1].end {
 			return rollback("internal: repeated segments overlap")
@@ -504,17 +345,8 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	// Outer loop counter and emission.
 	counter := e.allocI()
 	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: l.CountImm}}})
-	regionStart := len(e.out)
-	cursor := 0
-	for _, sg := range segs {
-		e.emitRows(rows[cursor:sg.start])
-		kstart := len(e.out)
-		rows[sg.end-1].ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: sg.counter, Target: kstart, Rotate: sg.rotate}
-		e.emitRows(rows[sg.start:sg.end])
-		cursor = sg.end
-	}
-	rows[period-1].ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: counter, Target: regionStart}
-	e.emitRows(rows[cursor:period])
+	rows[period-1].ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: counter, Target: len(e.out)}
+	e.emitSegs(&loopPayload{rows: rows, segs: segs})
 	e.drain()
 	if e.err != nil {
 		return false

@@ -32,6 +32,34 @@ type rcons struct {
 	elseRows []rrow
 }
 
+// loopSeg marks a sub-range of a loop's rows that the sequencer repeats:
+// rows[start:end] loop back via DBNZ on `counter`.
+type loopSeg struct {
+	start, end int
+	counter    int
+	rotate     bool // kernel of a rotating plan: DBNZ bumps the rotating base
+}
+
+// loopPayload is the one form every loop takes before emission: fully
+// resolved rows plus the segments of them that repeat (a remainder loop,
+// a kernel, a compacted body).  The direct paths build one and emit it
+// on the spot; loop reduction builds one, hangs it on a scheduling node
+// and emits it merged into the enclosing body's rows.
+type loopPayload struct {
+	rows     []rrow
+	segs     []loopSeg // repeated sub-ranges, in row order, disjoint
+	counters []int     // dedicated physical counters of a reduced loop, freed on rollback
+	rotating bool      // rows use the (single, global) rotating register base
+}
+
+// drain appends empty rows so every in-flight write-back lands before
+// the rows that follow.
+func (p *loopPayload) drain(maxLat int) {
+	for i := 0; i < maxLat-1; i++ {
+		p.rows = append(p.rows, rrow{})
+	}
+}
+
 // pendElse is an out-of-line ELSE block awaiting emission: the JZ to
 // patch, the join instruction its trailing jump returns to, and its rows.
 type pendElse struct {
@@ -124,6 +152,20 @@ func (e *emitter) emitRows(rows []rrow) {
 		}
 		i += c.length - 1
 	}
+}
+
+// emitSegs emits a loop's rows, closing each repeated segment with its
+// loop-back DBNZ in the segment's final row (whose sequencer field the
+// builder left free).
+func (e *emitter) emitSegs(p *loopPayload) {
+	cursor := 0
+	for _, sg := range p.segs {
+		e.emitRows(p.rows[cursor:sg.start])
+		p.rows[sg.end-1].ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: sg.counter, Target: len(e.out), Rotate: sg.rotate}
+		e.emitRows(p.rows[sg.start:sg.end])
+		cursor = sg.end
+	}
+	e.emitRows(p.rows[cursor:])
 }
 
 // flushPends emits every deferred ELSE block (and any blocks their nested

@@ -113,18 +113,13 @@ func unrollable(s *ir.LoopStmt, maxTrip int64, inLoop bool) bool {
 	return inLoop && s.CountImm <= maxTrip && maxTrip > 0
 }
 
-func hasLoop(b *ir.Block) bool {
-	for _, s := range b.Stmts {
-		switch s := s.(type) {
-		case *ir.LoopStmt:
-			return true
-		case *ir.IfStmt:
-			if hasLoop(s.Then) || hasLoop(s.Else) {
-				return true
-			}
-		}
-	}
-	return false
+func hasLoop(b *ir.Block) (loop bool) {
+	b.Walk(func(s ir.Stmt) bool {
+		_, isLoop := s.(*ir.LoopStmt)
+		loop = loop || isLoop
+		return !loop
+	})
+	return loop
 }
 
 // cloneStmtAt deep-copies one statement for unrolled copy k of loop

@@ -20,7 +20,9 @@
 package hier
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"softpipe/internal/depgraph"
 	"softpipe/internal/ir"
@@ -92,11 +94,7 @@ func ReduceIf(p *ir.Program, m *machine.Machine, loopID int, s *ir.IfStmt) (*dep
 	if err != nil {
 		return nil, err
 	}
-	armLen := thenLen
-	if elseLen > armLen {
-		armLen = elseLen
-	}
-	length := 1 + armLen
+	length := 1 + max(thenLen, elseLen)
 
 	n := &depgraph.Node{
 		Len:     length,
@@ -108,28 +106,14 @@ func ReduceIf(p *ir.Program, m *machine.Machine, loopID int, s *ir.IfStmt) (*dep
 	// (this keeps construct windows pairwise disjoint; nested constructs
 	// already hold the sequencer inside their own sub-windows, so a max
 	// — not a sum — is what capacity requires).
-	thenUse := armUsage(thenPl)
-	elseUse := armUsage(elsePl)
-	use := map[useKey]int{}
-	for key, cnt := range unionMax(thenUse, elseUse) {
-		use[useKey{key.res, 1 + key.off}] = cnt
-	}
+	use := armUsage(thenPl)
+	use.Max(armUsage(elsePl))
+	window := machine.Usage{}
 	for off := 0; off < length; off++ {
-		k := useKey{machine.ResBranch, off}
-		if use[k] < 1 {
-			use[k] = 1
-		}
+		window.Add(machine.ResBranch, off, 1)
 	}
-	keys := make([]useKey, 0, len(use))
-	for k := range use {
-		keys = append(keys, k)
-	}
-	sortUseKeys(keys)
-	for _, k := range keys {
-		for i := 0; i < use[k]; i++ {
-			n.Reservation = append(n.Reservation, machine.ResUse{Resource: k.res, Offset: k.off})
-		}
-	}
+	use.Max(window)
+	n.Reservation = use.Reservation(m)
 
 	// Register accesses: the condition at cycle 0, plus the union of the
 	// arms' accesses shifted past the fork cycle.  Writes are killing
@@ -148,8 +132,8 @@ func ReduceIf(p *ir.Program, m *machine.Machine, loopID int, s *ir.IfStmt) (*dep
 	for _, rd := range reads {
 		n.Reads = append(n.Reads, *rd)
 	}
-	sortReads(n.Reads)
-	sortWrites(n.Writes)
+	slices.SortFunc(n.Reads, func(a, b depgraph.RegRead) int { return cmp.Compare(a.Reg, b.Reg) })
+	slices.SortFunc(n.Writes, func(a, b depgraph.RegWrite) int { return cmp.Compare(a.Reg, b.Reg) })
 
 	// Memory accesses: union of both arms (conservative).
 	collectMems(thenPl, 1, n)
@@ -184,29 +168,13 @@ func scheduleArm(p *ir.Program, m *machine.Machine, loopID int, b *ir.Block) ([]
 	return placed, armLen, nil
 }
 
-type useKey struct {
-	res machine.Resource
-	off int
-}
-
-func armUsage(arm []Placed) map[useKey]int {
-	u := map[useKey]int{}
+// armUsage sums an arm's resource demand at window-relative offsets (the
+// arms start one cycle after the fork).
+func armUsage(arm []Placed) machine.Usage {
+	u := machine.Usage{}
 	for _, pl := range arm {
 		for _, ru := range pl.Node.Reservation {
-			u[useKey{ru.Resource, pl.Time + ru.Offset}]++
-		}
-	}
-	return u
-}
-
-func unionMax(a, b map[useKey]int) map[useKey]int {
-	u := map[useKey]int{}
-	for k, v := range a {
-		u[k] = v
-	}
-	for k, v := range b {
-		if v > u[k] {
-			u[k] = v
+			u.Add(ru.Resource, 1+pl.Time+ru.Offset, 1)
 		}
 	}
 	return u
@@ -269,30 +237,6 @@ func collectMems(arm []Placed, shift int, n *depgraph.Node) {
 				First: base + ma.First,
 				Last:  base + ma.Last,
 			})
-		}
-	}
-}
-
-func sortUseKeys(ks []useKey) {
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && (ks[j].off < ks[j-1].off || (ks[j].off == ks[j-1].off && ks[j].res < ks[j-1].res)); j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
-}
-
-func sortReads(rs []depgraph.RegRead) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Reg < rs[j-1].Reg; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
-
-func sortWrites(ws []depgraph.RegWrite) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j].Reg < ws[j-1].Reg; j-- {
-			ws[j], ws[j-1] = ws[j-1], ws[j]
 		}
 	}
 }

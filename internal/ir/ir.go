@@ -404,6 +404,24 @@ func (b *Block) Ops() (ops []*Op, ok bool) {
 	return ops, true
 }
 
+// Walk calls fn on every statement of the block tree in pre-order (a
+// conditional or loop before the statements of its arms or body); when fn
+// returns false the statement's children are skipped.
+func (b *Block) Walk(fn func(Stmt) bool) {
+	for _, s := range b.Stmts {
+		if !fn(s) {
+			continue
+		}
+		switch s := s.(type) {
+		case *IfStmt:
+			s.Then.Walk(fn)
+			s.Else.Walk(fn)
+		case *LoopStmt:
+			s.Body.Walk(fn)
+		}
+	}
+}
+
 // Validate checks structural invariants: register kinds consistent with op
 // classes, operand counts, memory ops annotated, loop counts sane.
 func (p *Program) Validate(m *machine.Machine) error {

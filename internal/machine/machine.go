@@ -9,7 +9,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -48,6 +50,42 @@ func (r Resource) String() string {
 type ResUse struct {
 	Resource Resource
 	Offset   int
+}
+
+// Usage counts resource demand per (resource, cycle offset): the working
+// form of a reduced construct's reservation table (Lam §3) until
+// Reservation flattens it.
+type Usage map[ResUse]int
+
+// Add records n more uses of resource r at cycle offset off.
+func (u Usage) Add(r Resource, off, n int) { u[ResUse{Resource: r, Offset: off}] += n }
+
+// Max raises u to the pointwise maximum of u and v: of two alternatives
+// only one executes (the arms of a conditional), so the construct needs
+// the larger demand at each point, not the sum.
+func (u Usage) Max(v Usage) {
+	for k, n := range v {
+		u[k] = max(u[k], n)
+	}
+}
+
+// Reservation flattens u into a reservation table ordered by (offset,
+// resource), each count capped at the machine's capacity.
+func (u Usage) Reservation(m *Machine) []ResUse {
+	keys := make([]ResUse, 0, len(u))
+	for k := range u {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b ResUse) int {
+		return cmp.Or(cmp.Compare(a.Offset, b.Offset), cmp.Compare(a.Resource, b.Resource))
+	})
+	var out []ResUse
+	for _, k := range keys {
+		for i := min(u[k], m.ResourceCount[k.Resource]); i > 0; i-- {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // OpDesc describes one operation class on a particular machine.

@@ -8,6 +8,7 @@ package pipeline
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -35,12 +36,23 @@ const (
 	PolicyLCM
 )
 
+const (
+	// maxUnroll bounds the unrolled kernel size: a plan whose MVE unroll
+	// degree exceeds it is refused.
+	maxUnroll = 32
+	// maxBodyLen is the pipelining threshold of Lam §4.2: loops whose
+	// locally compacted body exceeds it are not even attempted (the EXP
+	// loop of Livermore kernel 22, at 331 instructions, was beyond the
+	// Warp compiler's threshold).
+	maxBodyLen = 300
+)
+
 // Options tunes planning.
 type Options struct {
 	// Ctx, when non-nil, bounds the whole plan: the II search checks it
 	// between candidate intervals and the copy-budget retry loop checks
 	// it between reschedules, so a deadlined compile request aborts
-	// instead of running to MaxII.
+	// instead of running to the largest candidate interval.
 	Ctx          context.Context
 	Policy       Policy
 	BinarySearch bool // ablation: FPS-style binary search for the II
@@ -52,22 +64,12 @@ type Options struct {
 	// SchedBudget bounds the exact backend's wall clock per Search call;
 	// 0 means schedule.DefaultExactBudget.  Ignored by the heuristic.
 	SchedBudget time.Duration
-	MaxII       int
 	// MinII forces the search to start above the natural MII (used to
 	// honor construct-window constraints).
 	MinII int
 	// LiveOut lists registers whose final values are observed after the
 	// loop; expanded registers in this set receive fix-up moves.
 	LiveOut map[ir.VReg]bool
-	// MaxUnroll bounds the unrolled kernel size; plans that would exceed
-	// it are degraded to smaller unrolls by giving up expansion of the
-	// longest-lived variables.  0 means 32.
-	MaxUnroll int
-	// MaxBodyLen is the pipelining threshold of Lam §4.2: loops whose
-	// locally compacted body exceeds it are not even attempted (the EXP
-	// loop of Livermore kernel 22, at 331 instructions, was beyond the
-	// Warp compiler's threshold).  0 means 300.
-	MaxBodyLen int
 	// IndependentMem asserts the loop carries no memory dependences
 	// across iterations (source-level directive).
 	IndependentMem bool
@@ -152,15 +154,74 @@ func (p *Plan) CopyIndex(r ir.VReg, iter int) int {
 	return 0
 }
 
-// MinPipelined returns the smallest number of iterations the pipelined
-// region can execute: the prolog starts Stages-1 iterations and at least
-// one full kernel pass must run.
-func (p *Plan) MinPipelined() int { return p.Stages - 1 + p.Unroll }
+// Split divides n loop iterations between the unpipelined remainder and
+// the pipelined region (Lam §2.4): the prolog starts Stages-1 iterations
+// and every kernel pass Unroll more, so r = (n-(Stages-1)) mod Unroll
+// iterations run first on their own and the kernel makes passes ≥ 1
+// passes.  ok is false when n is too small for even one pass.
+func (p *Plan) Split(n int64) (r, passes int64, ok bool) {
+	q := n - int64(p.Stages-1)
+	u := int64(p.Unroll)
+	if q < u {
+		return 0, 0, false
+	}
+	return q % u, q / u, true
+}
 
-// KernelPasses returns how many kernel passes cover k pipelined
-// iterations; k must satisfy k ≥ MinPipelined and (k-(Stages-1)) % Unroll
-// == 0.
-func (p *Plan) KernelPasses(k int) int { return (k - (p.Stages - 1)) / p.Unroll }
+// CopyRegs returns how many extra registers modulo variable expansion
+// costs beyond one per variable, per register kind.
+func (p *Plan) CopyRegs(kind func(ir.VReg) ir.Kind) (flt, intg int) {
+	for r, n := range p.Copies {
+		if n <= 1 {
+			continue
+		}
+		if kind(r) == ir.KindFloat {
+			flt += n - 1
+		} else {
+			intg += n - 1
+		}
+	}
+	return
+}
+
+// fits reports whether the plan's copy registers stay within the budget
+// (a budget ≤ 0 is unlimited, and without RegKind nothing is budgeted).
+func (o *Options) fits(p *Plan) bool {
+	if o.RegKind == nil {
+		return true
+	}
+	cf, ci := p.CopyRegs(o.RegKind)
+	return (o.CopyBudgetF <= 0 || cf <= o.CopyBudgetF) && (o.CopyBudgetI <= 0 || ci <= o.CopyBudgetI)
+}
+
+// victim picks the expanded variable to give up when the copy budget
+// binds, or NoReg when nothing is expanded.  Copy-count ties break on the
+// lower register number: ranging over the Copies map visits keys in a
+// randomized order, and letting that order pick the victim makes the
+// whole schedule differ from run to run.
+func (p *Plan) victim() ir.VReg {
+	worst, worstQ := ir.NoReg, 0
+	for r, n := range p.Copies {
+		if n <= 1 {
+			continue
+		}
+		if p.Rotating {
+			// Un-expanding a variable restores an anti-dependence that
+			// bounds II from below by roughly its lifetime, so on a
+			// rotating machine — where shrinking the unroll degree is
+			// not a motive (it is already 1) — the cheapest victim is
+			// the SHORTEST-lived expanded variable, not the longest.
+			// (Under MVE the longest-lived victim also shrinks u, which
+			// is what the retry is after.)
+			if worst == ir.NoReg || n < worstQ || (n == worstQ && r < worst) {
+				worstQ, worst = n, r
+			}
+		} else if n > worstQ || (n == worstQ && (worst == ir.NoReg || r < worst)) {
+			worstQ, worst = n, r
+		}
+	}
+	return worst
+}
 
 // PlanLoop analyzes and schedules one loop body.  When the modulo-
 // variable-expansion register cost exceeds the copy budget, the
@@ -206,45 +267,11 @@ func planLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 		if err != nil {
 			return nil, err
 		}
-		if opts.RegKind == nil || (opts.CopyBudgetF <= 0 && opts.CopyBudgetI <= 0) {
+		if opts.fits(p) {
 			return p, nil
 		}
-		var cf, ci int
-		worst := ir.NoReg
-		worstQ := 0
-		for r, n := range p.Copies {
-			if n <= 1 {
-				continue
-			}
-			if opts.RegKind(r) == ir.KindFloat {
-				cf += n - 1
-			} else {
-				ci += n - 1
-			}
-			// Break copy-count ties on the lower register number:
-			// ranging over the Copies map visits keys in a randomized
-			// order, and letting that order pick the victim makes the
-			// whole schedule differ from run to run.
-			if p.Rotating {
-				// Un-expanding a variable restores an anti-dependence that
-				// bounds II from below by roughly its lifetime, so on a
-				// rotating machine — where shrinking the unroll degree is
-				// not a motive (it is already 1) — the cheapest victim is
-				// the SHORTEST-lived expanded variable, not the longest.
-				// (Under MVE the longest-lived victim also shrinks u, which
-				// is what the retry is after.)
-				if worst == ir.NoReg || n < worstQ || (n == worstQ && r < worst) {
-					worstQ, worst = n, r
-				}
-				continue
-			}
-			if n > worstQ || (n == worstQ && (worst == ir.NoReg || r < worst)) {
-				worstQ, worst = n, r
-			}
-		}
-		okF := opts.CopyBudgetF <= 0 || cf <= opts.CopyBudgetF
-		okI := opts.CopyBudgetI <= 0 || ci <= opts.CopyBudgetI
-		if (okF && okI) || worst == ir.NoReg {
+		worst := p.victim()
+		if worst == ir.NoReg {
 			return p, nil
 		}
 		if p.Rotating {
@@ -267,16 +294,13 @@ func planLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 				}
 			}
 			pB, errB := planWith(nodes, full, exB, m, opts)
-			fitsOf := func(pp *Plan) (int, bool) {
-				f, i := copyCost(pp, opts.RegKind)
-				okF := opts.CopyBudgetF <= 0 || f <= opts.CopyBudgetF
-				okI := opts.CopyBudgetI <= 0 || i <= opts.CopyBudgetI
-				return f + i, okF && okI
+			cost := func(pp *Plan) int {
+				f, i := pp.CopyRegs(opts.RegKind)
+				return f + i
 			}
 			switch {
 			case errA == nil && errB == nil:
-				costA, fitA := fitsOf(pA)
-				costB, fitB := fitsOf(pB)
+				fitA, fitB := opts.fits(pA), opts.fits(pB)
 				switch {
 				case fitA && fitB:
 					if pA.II <= pB.II {
@@ -287,7 +311,7 @@ func planLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 					return pA, nil
 				case fitB:
 					return pB, nil
-				case costA < costB:
+				case cost(pA) < cost(pB):
 					opts.MinII = po.MinII
 				default:
 					expanded = exB
@@ -305,21 +329,6 @@ func planLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 		}
 		delete(expanded, worst)
 	}
-}
-
-// copyCost sums a plan's extra float/int copy registers.
-func copyCost(p *Plan, kind func(ir.VReg) ir.Kind) (cf, ci int) {
-	for r, n := range p.Copies {
-		if n <= 1 {
-			continue
-		}
-		if kind(r) == ir.KindFloat {
-			cf += n - 1
-		} else {
-			ci += n - 1
-		}
-	}
-	return
 }
 
 func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg]bool, m *machine.Machine, opts Options) (*Plan, error) {
@@ -372,17 +381,10 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 	if err != nil {
 		return nil, err
 	}
-	maxBody := opts.MaxBodyLen
-	if maxBody <= 0 {
-		maxBody = 300
+	if compact.Length > maxBodyLen {
+		return nil, fmt.Errorf("pipeline: body length %d beyond pipelining threshold %d", compact.Length, maxBodyLen)
 	}
-	if compact.Length > maxBody {
-		return nil, fmt.Errorf("pipeline: body length %d beyond pipelining threshold %d", compact.Length, maxBody)
-	}
-	effMII := a.MII
-	if minII > effMII {
-		effMII = minII
-	}
+	effMII := max(a.MII, minII)
 	// The unpipelined comparison point is the full iteration period: the
 	// locally compacted length padded until every inter-iteration
 	// dependence drains.
@@ -391,10 +393,7 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 		return nil, fmt.Errorf("pipeline: initiation interval bound %d within 99%% of unpipelined length %d", effMII, period)
 	}
 
-	maxII := opts.MaxII
-	if maxII <= 0 {
-		maxII = schedule.DefaultMaxII(a) + minII
-	}
+	maxII := schedule.DefaultMaxII(a) + minII
 	var res *schedule.Result
 	var st *schedule.Stats
 	// One scheduler serves every construct-window retry: the SCC closures
@@ -451,7 +450,7 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 		FullGraph:     full,
 		II:            res.II,
 		Time:          res.Time,
-		MII:           maxInt(a.MII, minII),
+		MII:           max(a.MII, minII),
 		ResMII:        a.ResMII,
 		RecMII:        a.RecMII,
 		HasRecurrence: a.HasRecurrence,
@@ -481,10 +480,6 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 // the final schedule, pick the unroll degree per policy, and allocate
 // register copies.
 func (p *Plan) expand(opts Options) error {
-	maxUnroll := opts.MaxUnroll
-	if maxUnroll <= 0 {
-		maxUnroll = 32
-	}
 	type life struct {
 		def  int
 		use  int
@@ -588,23 +583,8 @@ func (p *Plan) expand(opts Options) error {
 			p.Fixups = append(p.Fixups, r)
 		}
 	}
-	sortRegs(p.Fixups)
+	slices.Sort(p.Fixups)
 	return nil
-}
-
-// TotalCopyRegs returns how many extra registers MVE costs, per kind.
-func (p *Plan) TotalCopyRegs(prog *ir.Program) (flt, intg int) {
-	for r, n := range p.Copies {
-		if n <= 1 {
-			continue
-		}
-		if prog.Kind(r) == ir.KindFloat {
-			flt += n - 1
-		} else {
-			intg += n - 1
-		}
-	}
-	return
 }
 
 func smallestFactorAtLeast(u, q int) int {
@@ -624,21 +604,6 @@ func gcd(a, b int) int {
 }
 
 func lcm(a, b int) int { return a / gcd(a, b) * b }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func sortRegs(rs []ir.VReg) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j] < rs[j-1]; j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
-}
 
 // FormatKernel renders the steady-state kernel as the paper draws it
 // (Figure 2-2): one row per cycle of the initiation interval, each row

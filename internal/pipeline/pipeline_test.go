@@ -1,12 +1,15 @@
 package pipeline
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"softpipe/internal/depgraph"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
+	"softpipe/internal/schedule"
 )
 
 func innerNodes(t *testing.T, p *ir.Program, m *machine.Machine) ([]*depgraph.Node, int) {
@@ -181,19 +184,38 @@ func TestSmallestFactorQuick(t *testing.T) {
 	}
 }
 
-func TestKernelPassesMath(t *testing.T) {
+// TestSplit: Split is the one place a trip count is divided
+// between remainder and kernel; the pieces must add back up to n, the
+// remainder must stay below the unroll degree, and the shortest loop the
+// region can run makes exactly one pass.
+func TestSplit(t *testing.T) {
 	m := machine.Warp()
 	nodes, loopID := innerNodes(t, longLived(), m)
 	plan, err := PlanLoop(nodes, loopID, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := plan.MinPipelined()
-	if got := plan.KernelPasses(k); got != 1 {
-		t.Errorf("KernelPasses(MinPipelined) = %d, want 1", got)
+	u, fill := int64(plan.Unroll), int64(plan.Stages-1)
+	if u < 2 {
+		t.Fatalf("unroll = %d, want > 1 so the remainder is exercised", u)
 	}
-	if got := plan.KernelPasses(k + 3*plan.Unroll); got != 4 {
-		t.Errorf("KernelPasses(+3u) = %d, want 4", got)
+	if _, _, ok := plan.Split(fill + u - 1); ok {
+		t.Errorf("Split(%d) accepted a loop too short for one kernel pass", fill+u-1)
+	}
+	for n := fill + u; n < fill+5*u; n++ {
+		r, passes, ok := plan.Split(n)
+		if !ok {
+			t.Fatalf("Split(%d) refused", n)
+		}
+		if r < 0 || r >= u || passes < 1 || r+fill+passes*u != n {
+			t.Errorf("Split(%d) = remainder %d, passes %d (stages %d, unroll %d)", n, r, passes, plan.Stages, u)
+		}
+	}
+	if r, passes, _ := plan.Split(fill + u); r != 0 || passes != 1 {
+		t.Errorf("Split(min) = %d, %d, want 0, 1", r, passes)
+	}
+	if r, passes, _ := plan.Split(fill + 4*u + 1); r != 1 || passes != 4 {
+		t.Errorf("Split(min+3u+1) = %d, %d, want 1, 4", r, passes)
 	}
 }
 
@@ -227,19 +249,12 @@ func TestCopyIndexProperties(t *testing.T) {
 		t.Error("unexpanded register must always use copy 0")
 	}
 
-	prog := longLived()
-	f, i := plan.TotalCopyRegs(prog)
+	f, i := plan.CopyRegs(longLived().Kind)
 	if f <= 0 {
 		t.Errorf("float copy registers = %d, want > 0", f)
 	}
 	if i < 0 {
 		t.Errorf("int copy registers = %d", i)
-	}
-
-	// MinPipelined/KernelPasses consistency.
-	k := plan.MinPipelined()
-	if plan.KernelPasses(k) < 1 {
-		t.Errorf("KernelPasses(MinPipelined) = %d, want >= 1", plan.KernelPasses(k))
 	}
 }
 
@@ -277,5 +292,116 @@ func TestDeadFinalWriteLifetime(t *testing.T) {
 		if qn*plan.II < lt {
 			t.Errorf("r%d: q=%d II=%d does not cover lifetime %d", r, qn, plan.II, lt)
 		}
+	}
+}
+
+// TestProfitabilityGuards: the two §4.2 refusals, each against the
+// locally compacted body — a loop whose initiation-interval bound is
+// within 99% of the unpipelined period (KeepMarginal lifts that one, for
+// loop reduction), and a body beyond the length threshold.
+func TestProfitabilityGuards(t *testing.T) {
+	m := machine.Warp()
+	// acc := acc + a[i]: the recurrence through the adder makes the bound
+	// 7, and the unpipelined loop already runs at 7 cycles an iteration.
+	accumulate := func() *ir.Program {
+		b := ir.NewBuilder("acc")
+		b.Array("a", ir.KindFloat, 64)
+		acc := b.FConst(0)
+		b.ForN(64, func(l *ir.LoopCtx) {
+			p := l.Pointer(0, 1)
+			b.FAddTo(acc, acc, b.Load("a", p, ir.Aff(l.ID, 1, 0)))
+		})
+		return b.P
+	}
+	// A dependent chain of n adds compacts to 7n+ cycles.
+	chain := func(n int) *ir.Program {
+		b := ir.NewBuilder("chain")
+		b.Array("a", ir.KindFloat, 64)
+		b.Array("c", ir.KindFloat, 64)
+		b.ForN(64, func(l *ir.LoopCtx) {
+			p := l.Pointer(0, 1)
+			q := l.Pointer(0, 1)
+			v := b.Load("a", p, ir.Aff(l.ID, 1, 0))
+			for i := 0; i < n; i++ {
+				v = b.FAdd(v, v)
+			}
+			b.Store("c", q, v, ir.Aff(l.ID, 1, 0))
+		})
+		return b.P
+	}
+	for _, tc := range []struct {
+		name    string
+		prog    *ir.Program
+		opts    Options
+		wantErr string // "" means the loop must plan
+	}{
+		{"marginal loop refused", accumulate(), Options{}, "within 99% of unpipelined length"},
+		{"marginal loop kept on request", accumulate(), Options{KeepMarginal: true}, ""},
+		{"body at the threshold planned", chain(42), Options{}, ""},
+		{"body beyond the threshold refused", chain(43), Options{}, "beyond pipelining threshold 300"},
+		{"threshold holds at exact effort too", chain(43), Options{Effort: schedule.EffortExact}, "beyond pipelining threshold 300"},
+	} {
+		nodes, loopID := innerNodes(t, tc.prog, m)
+		plan, err := PlanLoop(nodes, loopID, m, tc.opts)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr == "":
+			if k := plan.FormatKernel(); !strings.Contains(k, fmt.Sprintf("II=%d ", plan.II)) {
+				t.Errorf("%s: kernel rendering lacks the II:\n%s", tc.name, k)
+			}
+		case err == nil || !strings.Contains(err.Error(), tc.wantErr):
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestConstructWindowRetry: a reduced construct must sit inside one
+// initiation interval so the emitted kernel can fork into its arms
+// without crossing the loop-back.  hier's constructs hold the sequencer
+// for their whole window, which makes the modulo table enforce that; a
+// construct that does not is caught by the re-check on the achieved
+// schedule, and the search repeats one interval up until it fits.
+func TestConstructWindowRetry(t *testing.T) {
+	m := machine.Warp()
+	b := ir.NewBuilder("window")
+	var bump *ir.Op
+	b.ForN(64, func(l *ir.LoopCtx) {
+		bump = b.P.NewOp(machine.ClassIAdd)
+		bump.Dst = b.P.NewReg(ir.KindInt)
+		bump.Src = []ir.VReg{l.Pointer(0, 1), l.Pointer(0, 1)}
+		b.Emit(bump)
+	})
+	nodes, loopID := innerNodes(t, b.P, m)
+	// The construct reads what the add produced one cycle earlier, so the
+	// scheduler wants it at cycle 1 of a 3-cycle interval: cycles 1..3.
+	window := &depgraph.Node{
+		Len:         3,
+		Payload:     "window",
+		Reservation: []machine.ResUse{{Resource: machine.ResFAdd}},
+		Reads:       []depgraph.RegRead{{Reg: bump.Dst}},
+	}
+	var at int
+	for i, n := range nodes {
+		if n.Op == bump {
+			at = i + 1
+		}
+	}
+	nodes = append(nodes[:at:at], append([]*depgraph.Node{window}, nodes[at:]...)...)
+	plan, err := PlanLoop(nodes, loopID, m, Options{KeepMarginal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off := plan.Time[at] % plan.II; off+window.Len > plan.II {
+		t.Errorf("construct at offset %d of II %d crosses the loop-back (len %d)", off, plan.II, window.Len)
+	}
+	if plan.II <= window.Len {
+		t.Errorf("II = %d: the window fit at its own length, so the retry was not exercised", plan.II)
+	}
+	if plan.MII != plan.II {
+		t.Errorf("MII = %d, II = %d: the bound must follow the floor the retry raised", plan.MII, plan.II)
+	}
+	if !strings.Contains(plan.FormatKernel(), "construct/3") {
+		t.Errorf("kernel rendering lacks the construct:\n%s", plan.FormatKernel())
 	}
 }

@@ -74,6 +74,44 @@ func get(t *testing.T, s *Server, path string, out any) int {
 	return rec.Code
 }
 
+// TestCompileReducedLoopEstMFLOPS: an inner loop pipelined through loop
+// reduction (the enclosing body overlaps its prolog and epilog) reports
+// the same steady-state estimate as one emitted on the spot: 2 flops an
+// iteration at II = 1 on the 5 MHz warp cell is 10 MFLOPS, not 0.
+func TestCompileReducedLoopEstMFLOPS(t *testing.T) {
+	s := newTestServer(t, Config{})
+	const nest = `
+program nestscale;
+var a, c: array [0..11] of array [0..39] of real;
+    s: real;
+    i, j: int;
+begin
+  s := 1.5;
+  for i := 0 to 11 do
+    for j := 0 to 39 do
+      c[i][j] := a[i][j]*s + 2.0;
+end.
+`
+	var resp CompileResponse
+	if code, _ := post(t, s, "/compile", CompileRequest{Source: nest}, &resp); code != http.StatusOK {
+		t.Fatalf("compile: status %d", code)
+	}
+	var inner *LoopStats
+	for i := range resp.Loops {
+		if resp.Loops[i].Pipelined {
+			inner = &resp.Loops[i]
+		} else if !strings.Contains(resp.Loops[i].Reason, "reduced inner loops") {
+			t.Fatalf("outer loop did not go through loop reduction: %+v", resp.Loops[i])
+		}
+	}
+	if inner == nil {
+		t.Fatalf("no pipelined loop in %+v", resp.Loops)
+	}
+	if inner.II != 1 || inner.Flops != 2 || inner.EstMFLOPS != 10 {
+		t.Errorf("inner loop II=%d flops=%d est_mflops=%v, want 1, 2, 10", inner.II, inner.Flops, inner.EstMFLOPS)
+	}
+}
+
 func TestCompileColdThenWarm(t *testing.T) {
 	s := newTestServer(t, Config{})
 	var cold CompileResponse

@@ -4,19 +4,22 @@
 #
 #   scripts/covergate.sh [profile-out]
 #
-# Gated packages (75% statement coverage each): the scheduler, the code
-# generator, and the independent object-code verifier — the three layers
-# whose regressions silently corrupt emitted code — and the simulator,
-# the single cell semantics both engines and every array run on.  The
-# simulator's fast path is differential-tested from internal/sim/compiled,
-# so its figure is the union over both test packages (a second, small
-# `go test -coverpkg` run).
+# Gated packages (75% statement coverage each): the scheduler, the
+# pipeliner (II search driver, MVE, copy budget), hierarchical reduction,
+# the code generator, and the independent object-code verifier — the
+# layers whose regressions silently corrupt emitted code — and the
+# simulator, the single cell semantics both engines and every array run
+# on.  The simulator's fast path is differential-tested from
+# internal/sim/compiled, so its figure is the union over both test
+# packages (a second, small `go test -coverpkg` run).
 set -euo pipefail
 
 profile="${1:-coverage.out}"
 floor=75.0
 gated=(
   softpipe/internal/schedule
+  softpipe/internal/pipeline
+  softpipe/internal/hier
   softpipe/internal/codegen
   softpipe/internal/verify
 )

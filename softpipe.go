@@ -355,7 +355,9 @@ func (o *Object) WithFloatData(data map[string][]float64) *Object {
 	for k, v := range data {
 		bin.InitF[k] = v
 	}
-	return &Object{Binary: &bin, Report: o.Report, Machine: o.Machine, source: o.source}
+	c := *o
+	c.Binary = &bin
+	return &c
 }
 
 // ArrayResult is a completed array simulation.

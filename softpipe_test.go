@@ -275,3 +275,29 @@ end.
 		}
 	}
 }
+
+// TestWithFloatDataKeepsTracer: a per-cell copy is the same object with
+// other data, so its runs and verifications land in the tracer the
+// compile was given, like the original's.
+func TestWithFloatDataKeepsTracer(t *testing.T) {
+	tr := softpipe.NewTracer("cells")
+	obj, err := softpipe.CompileSource(apiSrc, softpipe.Warp(), softpipe.Options{Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Zero data is what the source declares, so Verify's comparison with
+	// the reference interpreter still holds for the copy.
+	cell := obj.WithFloatData(map[string][]float64{"x": make([]float64, 64)})
+	if _, ok := tr.PhaseTotals()["sim.run"]; ok {
+		t.Fatal("sim.run span before any run")
+	}
+	if _, err := cell.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	after := tr.PhaseTotals()
+	for _, span := range []string{"sim.run", "verify"} {
+		if _, ok := after[span]; !ok {
+			t.Errorf("no %q span from a WithFloatData copy: the copy dropped the tracer", span)
+		}
+	}
+}
