@@ -60,7 +60,14 @@ func Array(src *ir.Program, pl ArrayPlan, objs []*vliw.Program, ms []*machine.Ma
 		}
 	}
 
-	itn := newInterner()
+	capHint := 0
+	for _, obj := range objs {
+		capHint += termCapHint(obj)
+	}
+	itn, err := newInterner(capHint)
+	if err != nil {
+		return err
+	}
 	sp := opts.Tracer.Begin("verify.array.ref")
 	ref, err := runRef(src, itn, opts.Input, opts.MaxSteps)
 	sp.End()
@@ -98,6 +105,7 @@ func Array(src *ir.Program, pl ArrayPlan, objs []*vliw.Program, ms []*machine.Ma
 	}
 	sp.End()
 	opts.Tracer.Count("verify.array.terms", int64(len(itn.nodes)))
+	opts.Tracer.Count("verify.array.term_lookups", itn.lookups)
 
 	// Array dataflow: every source observable, at its owning cell,
 	// against the single-cell reference.

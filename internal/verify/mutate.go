@@ -18,7 +18,8 @@ type Mutation struct {
 }
 
 // CloneProgram deep-copies the instruction stream (the part mutations
-// touch); layout, initial data and result descriptors are shared.
+// touch), rotation rings included; layout, initial data and result
+// descriptors are shared.
 func CloneProgram(p *vliw.Program) *vliw.Program {
 	q := *p
 	q.Instrs = make([]vliw.Instr, len(p.Instrs))
@@ -28,12 +29,28 @@ func CloneProgram(p *vliw.Program) *vliw.Program {
 		for j := range in.Ops {
 			o := in.Ops[j]
 			o.Src = append([]int(nil), o.Src...)
+			o.DstRing = append([]int(nil), o.DstRing...)
+			if o.SrcRings != nil {
+				o.SrcRings = make([][]int, len(o.SrcRings))
+				for k, ring := range in.Ops[j].SrcRings {
+					o.SrcRings[k] = append([]int(nil), ring...)
+				}
+			}
 			ops[j] = o
 		}
 		in.Ops = ops
+		in.Ctl.RegRing = append([]int(nil), in.Ctl.RegRing...)
 		q.Instrs[i] = in
 	}
 	return &q
+}
+
+// rotateRing turns a rotation ring by one position in place: what a
+// pre-rotation off by one would have emitted.
+func rotateRing(ring []int) {
+	first := ring[0]
+	copy(ring, ring[1:])
+	ring[len(ring)-1] = first
 }
 
 // Mutations enumerates every single-slot/operand perturbation of p:
@@ -42,8 +59,22 @@ func CloneProgram(p *vliw.Program) *vliw.Program {
 // compare predicate.  Every mutation models a real scheduler or
 // allocator bug class (stale operand, live-range clobber, mis-addressed
 // access, inverted guard).
+//
+// A program with rotating operands also gets each ring of two or more
+// entries turned by one position (a mis-rotated ring; bumping one entry
+// would not do — outside the kernel most entries are never selected, and
+// such a mutant survives legitimately) and each rotating loop-back
+// stripped of its Rotate mark.  A program without rings gets exactly the
+// list above.
 func Mutations(p *vliw.Program) []Mutation {
 	var muts []Mutation
+	hasRing := false
+	for pc := range p.Instrs {
+		for oi := range p.Instrs[pc].Ops {
+			hasRing = hasRing || p.Instrs[pc].Ops[oi].Rotating()
+		}
+		hasRing = hasRing || len(p.Instrs[pc].Ctl.RegRing) > 0
+	}
 	bump := func(r int, isFloat bool) int {
 		size := p.NumIRegs
 		if isFloat {
@@ -63,6 +94,9 @@ func Mutations(p *vliw.Program) []Mutation {
 				continue
 			}
 			for si := 0; si < n && si < len(o.Src); si++ {
+				if si < len(o.SrcRings) && len(o.SrcRings[si]) > 0 {
+					continue // the ring, not Src[si], names the register
+				}
 				pc, oi, si := pc, oi, si
 				isF := srcIsFloat(p, o, si)
 				if nr := bump(o.Src[si], isF); nr != o.Src[si] {
@@ -75,7 +109,7 @@ func Mutations(p *vliw.Program) []Mutation {
 					})
 				}
 			}
-			if isF, wb := writesBack(p, o); wb {
+			if isF, wb := writesBack(p, o); wb && len(o.DstRing) == 0 {
 				pc, oi := pc, oi
 				if nr := bump(o.Dst, isF); nr != o.Dst {
 					muts = append(muts, Mutation{
@@ -110,6 +144,36 @@ func Mutations(p *vliw.Program) []Mutation {
 					},
 				})
 			}
+			if len(o.DstRing) >= 2 {
+				pc, oi := pc, oi
+				muts = append(muts, Mutation{
+					Desc:  fmt.Sprintf("@%d slot %d (%s): rotate dst ring %v", pc, oi, o.Class, o.DstRing),
+					Apply: func(p *vliw.Program) { rotateRing(p.Instrs[pc].Ops[oi].DstRing) },
+				})
+			}
+			for si, ring := range o.SrcRings {
+				if len(ring) >= 2 {
+					pc, oi, si := pc, oi, si
+					muts = append(muts, Mutation{
+						Desc:  fmt.Sprintf("@%d slot %d (%s): rotate src%d ring %v", pc, oi, o.Class, si, ring),
+						Apply: func(p *vliw.Program) { rotateRing(p.Instrs[pc].Ops[oi].SrcRings[si]) },
+					})
+				}
+			}
+		}
+		if len(in.Ctl.RegRing) >= 2 {
+			pc := pc
+			muts = append(muts, Mutation{
+				Desc:  fmt.Sprintf("@%d: rotate branch register ring %v", pc, in.Ctl.RegRing),
+				Apply: func(p *vliw.Program) { rotateRing(p.Instrs[pc].Ctl.RegRing) },
+			})
+		}
+		if in.Ctl.Kind == vliw.CtlDBNZ && in.Ctl.Rotate && hasRing {
+			pc := pc
+			muts = append(muts, Mutation{
+				Desc:  fmt.Sprintf("@%d: dbnz loses its rotate mark", pc),
+				Apply: func(p *vliw.Program) { p.Instrs[pc].Ctl.Rotate = false },
+			})
 		}
 	}
 	return muts

@@ -10,7 +10,8 @@ import (
 
 // refResult is the observable outcome of the concolic reference run:
 // every memory word, scalar result and output word paired with the term
-// recording its provenance.
+// recording its provenance.  The by-name maps are the view compare and
+// Array read; execution itself goes through refExec.arrays.
 type refResult struct {
 	memT map[string][]termID
 	memF map[string][]float64
@@ -38,9 +39,8 @@ type refExec struct {
 	ft []termID
 	it []termID
 
-	memF map[string][]float64
-	memI map[string][]int64
-	memT map[string][]termID
+	// arrays is parallel to p.Arrays.
+	arrays []refArray
 
 	input []float64
 	// inT, when non-nil, carries a caller-supplied provenance term per
@@ -53,6 +53,29 @@ type refExec struct {
 
 	steps    int64
 	maxSteps int64
+}
+
+// refArray is the reference's copy of one declared array: the words of
+// its kind and a provenance term beside each.
+type refArray struct {
+	decl *ir.ArrayDecl
+	f    []float64
+	i    []int64
+	t    []termID
+}
+
+// refStmt is one source statement with what execution would otherwise
+// look up on every visit resolved once: exactly one of op, ifs and loop
+// is set.
+type refStmt struct {
+	op *ir.Op
+	// arr is the array a load or store touches; nil on other operations
+	// and for a name the program does not declare.
+	arr  *refArray
+	ifs  *ir.IfStmt
+	loop *ir.LoopStmt
+	// body is the loop body or the THEN arm; els the ELSE arm.
+	body, els []refStmt
 }
 
 func runRef(p *ir.Program, itn *interner, input []float64, maxSteps int64) (*refResult, error) {
@@ -70,9 +93,7 @@ func runRefTape(p *ir.Program, itn *interner, input []float64, inT []termID, max
 		iv:       make([]int64, n),
 		ft:       make([]termID, n),
 		it:       make([]termID, n),
-		memF:     map[string][]float64{},
-		memI:     map[string][]int64{},
-		memT:     map[string][]termID{},
+		arrays:   make([]refArray, len(p.Arrays)),
 		input:    input,
 		inT:      inT,
 		maxSteps: maxSteps,
@@ -82,29 +103,44 @@ func runRefTape(p *ir.Program, itn *interner, input []float64, inT []termID, max
 		r.ft[i] = zf
 		r.it[i] = zi
 	}
-	for _, a := range p.Arrays {
-		t := make([]termID, a.Size)
-		for i := range t {
-			t[i] = itn.memInit(a.Name, int64(i))
+	for ai, a := range p.Arrays {
+		num, err := itn.arrayNum(a.Name)
+		if err != nil {
+			return nil, err
 		}
-		r.memT[a.Name] = t
+		ra := &r.arrays[ai]
+		ra.decl = a
+		ra.t = make([]termID, a.Size)
+		for i := range ra.t {
+			ra.t[i] = itn.memInit(num, int64(i))
+		}
 		if a.Kind == ir.KindFloat {
-			m := make([]float64, a.Size)
-			copy(m, a.InitF)
-			r.memF[a.Name] = m
+			ra.f = make([]float64, a.Size)
+			copy(ra.f, a.InitF)
 		} else {
-			m := make([]int64, a.Size)
-			copy(m, a.InitI)
-			r.memI[a.Name] = m
+			ra.i = make([]int64, a.Size)
+			copy(ra.i, a.InitI)
 		}
 	}
-	if err := r.block(p.Body); err != nil {
+	if err := r.block(r.resolve(p.Body)); err != nil {
 		return nil, err
 	}
 	res := &refResult{
-		memT: r.memT, memF: r.memF, memI: r.memI,
+		memT: map[string][]termID{}, memF: map[string][]float64{}, memI: map[string][]int64{},
 		resT: map[string]termID{}, resF: map[string]float64{}, resI: map[string]int64{},
 		outT: r.outT, outV: r.outV,
+	}
+	for i := range r.arrays {
+		ra := &r.arrays[i]
+		if _, dup := res.memT[ra.decl.Name]; dup {
+			continue // operations resolve a name to its first declaration
+		}
+		res.memT[ra.decl.Name] = ra.t
+		if ra.decl.Kind == ir.KindFloat {
+			res.memF[ra.decl.Name] = ra.f
+		} else {
+			res.memI[ra.decl.Name] = ra.i
+		}
 	}
 	for _, sr := range p.Results {
 		if p.Kind(sr.Reg) == ir.KindFloat {
@@ -118,28 +154,57 @@ func runRefTape(p *ir.Program, itn *interner, input []float64, inT []termID, max
 	return res, nil
 }
 
-func (r *refExec) block(b *ir.Block) error {
+// resolve pairs every statement of b with the array it touches.
+func (r *refExec) resolve(b *ir.Block) []refStmt {
+	if b == nil {
+		return nil
+	}
+	out := make([]refStmt, 0, len(b.Stmts))
 	for _, s := range b.Stmts {
 		switch s := s.(type) {
 		case *ir.OpStmt:
-			if err := r.op(s.Op); err != nil {
+			rs := refStmt{op: s.Op}
+			if s.Op.Mem != nil {
+				for i := range r.arrays {
+					if r.arrays[i].decl.Name == s.Op.Mem.Array {
+						rs.arr = &r.arrays[i]
+						break
+					}
+				}
+			}
+			out = append(out, rs)
+		case *ir.IfStmt:
+			out = append(out, refStmt{ifs: s, body: r.resolve(s.Then), els: r.resolve(s.Else)})
+		case *ir.LoopStmt:
+			out = append(out, refStmt{loop: s, body: r.resolve(s.Body)})
+		}
+	}
+	return out
+}
+
+func (r *refExec) block(stmts []refStmt) error {
+	for si := range stmts {
+		s := &stmts[si]
+		switch {
+		case s.op != nil:
+			if err := r.op(s.op, s.arr); err != nil {
 				return err
 			}
-		case *ir.IfStmt:
-			br := s.Else
-			if r.iv[s.Cond] != 0 {
-				br = s.Then
+		case s.ifs != nil:
+			br := s.els
+			if r.iv[s.ifs.Cond] != 0 {
+				br = s.body
 			}
 			if err := r.block(br); err != nil {
 				return err
 			}
-		case *ir.LoopStmt:
-			n := s.CountImm
-			if s.CountReg != ir.NoReg {
-				n = r.iv[s.CountReg]
+		default:
+			n := s.loop.CountImm
+			if s.loop.CountReg != ir.NoReg {
+				n = r.iv[s.loop.CountReg]
 			}
 			for i := int64(0); i < n; i++ {
-				if err := r.block(s.Body); err != nil {
+				if err := r.block(s.body); err != nil {
 					return err
 				}
 			}
@@ -175,102 +240,109 @@ func bool2i(b bool) int64 {
 	return 0
 }
 
-func (r *refExec) op(o *ir.Op) error {
+// setF and setI write a register's concrete value and its term together.
+func (r *refExec) setF(d ir.VReg, v float64, t termID) { r.fv[d], r.ft[d] = v, t }
+func (r *refExec) setI(d ir.VReg, v int64, t termID)   { r.iv[d], r.it[d] = v, t }
+
+// op executes one operation; arr is the array it touches when it is a
+// load or store.  Moves and selects are term-transparent: the code
+// generator inserts fix-up moves (MVE copy splicing) the source program
+// does not have, so a move must carry its operand's provenance
+// unchanged.
+func (r *refExec) op(o *ir.Op, arr *refArray) error {
 	r.steps++
 	if r.maxSteps > 0 && r.steps > r.maxSteps {
 		return fmt.Errorf("reference step limit %d exceeded", r.maxSteps)
 	}
 	itn := r.itn
-	// setF/setI write the concrete value and its term together.  Moves
-	// and selects are term-transparent: the code generator inserts
-	// fix-up moves (MVE copy splicing) the source program does not have,
-	// so a move must carry its operand's provenance unchanged.
-	setF := func(v float64, t termID) { r.fv[o.Dst] = v; r.ft[o.Dst] = t }
-	setI := func(v int64, t termID) { r.iv[o.Dst] = v; r.it[o.Dst] = t }
 	switch o.Class {
 	case machine.ClassNop:
 	case machine.ClassFAdd:
-		setF(r.fv[o.Src[0]]+r.fv[o.Src[1]], itn.op(o.Class, 0, r.ft[o.Src[0]], r.ft[o.Src[1]]))
+		r.setF(o.Dst, r.fv[o.Src[0]]+r.fv[o.Src[1]], itn.op2(o.Class, 0, r.ft[o.Src[0]], r.ft[o.Src[1]]))
 	case machine.ClassFSub:
-		setF(r.fv[o.Src[0]]-r.fv[o.Src[1]], itn.op(o.Class, 0, r.ft[o.Src[0]], r.ft[o.Src[1]]))
+		r.setF(o.Dst, r.fv[o.Src[0]]-r.fv[o.Src[1]], itn.op2(o.Class, 0, r.ft[o.Src[0]], r.ft[o.Src[1]]))
 	case machine.ClassFMul:
-		setF(r.fv[o.Src[0]]*r.fv[o.Src[1]], itn.op(o.Class, 0, r.ft[o.Src[0]], r.ft[o.Src[1]]))
+		r.setF(o.Dst, r.fv[o.Src[0]]*r.fv[o.Src[1]], itn.op2(o.Class, 0, r.ft[o.Src[0]], r.ft[o.Src[1]]))
 	case machine.ClassFNeg:
-		setF(-r.fv[o.Src[0]], itn.op(o.Class, 0, r.ft[o.Src[0]]))
+		r.setF(o.Dst, -r.fv[o.Src[0]], itn.op1(o.Class, 0, r.ft[o.Src[0]]))
 	case machine.ClassFMov:
-		setF(r.fv[o.Src[0]], r.ft[o.Src[0]])
+		r.setF(o.Dst, r.fv[o.Src[0]], r.ft[o.Src[0]])
 	case machine.ClassFConst:
-		setF(o.FImm, itn.op(o.Class, math.Float64bits(o.FImm)))
+		r.setF(o.Dst, o.FImm, itn.op0(o.Class, math.Float64bits(o.FImm)))
 	case machine.ClassRecv:
 		if r.inPos >= len(r.input) {
 			return fmt.Errorf("reference: receive beyond end of input (op %d)", o.ID)
 		}
-		t := itn.input(r.inPos)
+		var t termID
 		if r.inT != nil {
 			t = r.inT[r.inPos]
+		} else {
+			t = itn.input(r.inPos)
 		}
-		setF(r.input[r.inPos], t)
+		r.setF(o.Dst, r.input[r.inPos], t)
 		r.inPos++
 	case machine.ClassSend:
 		r.outV = append(r.outV, r.fv[o.Src[0]])
 		r.outT = append(r.outT, r.ft[o.Src[0]])
 	case machine.ClassFRecipSeed:
-		setF(ir.RecipSeed(r.fv[o.Src[0]]), itn.op(o.Class, 0, r.ft[o.Src[0]]))
+		r.setF(o.Dst, ir.RecipSeed(r.fv[o.Src[0]]), itn.op1(o.Class, 0, r.ft[o.Src[0]]))
 	case machine.ClassFRsqrtSeed:
-		setF(ir.RsqrtSeed(r.fv[o.Src[0]]), itn.op(o.Class, 0, r.ft[o.Src[0]]))
+		r.setF(o.Dst, ir.RsqrtSeed(r.fv[o.Src[0]]), itn.op1(o.Class, 0, r.ft[o.Src[0]]))
 	case machine.ClassF2I:
-		setI(int64(r.fv[o.Src[0]]), itn.op(o.Class, 0, r.ft[o.Src[0]]))
+		r.setI(o.Dst, int64(r.fv[o.Src[0]]), itn.op1(o.Class, 0, r.ft[o.Src[0]]))
 	case machine.ClassI2F:
-		setF(float64(r.iv[o.Src[0]]), itn.op(o.Class, 0, r.it[o.Src[0]]))
+		r.setF(o.Dst, float64(r.iv[o.Src[0]]), itn.op1(o.Class, 0, r.it[o.Src[0]]))
 	case machine.ClassFCmp:
 		v := bool2i(ir.Pred(o.IImm).Eval(sign3f(r.fv[o.Src[0]], r.fv[o.Src[1]])))
-		setI(v, itn.op(o.Class, uint64(o.IImm), r.ft[o.Src[0]], r.ft[o.Src[1]]))
+		r.setI(o.Dst, v, itn.op2(o.Class, uint64(o.IImm), r.ft[o.Src[0]], r.ft[o.Src[1]]))
 	case machine.ClassIAdd, machine.ClassAdrAdd:
-		setI(r.iv[o.Src[0]]+r.iv[o.Src[1]], itn.op(o.Class, 0, r.it[o.Src[0]], r.it[o.Src[1]]))
+		r.setI(o.Dst, r.iv[o.Src[0]]+r.iv[o.Src[1]], itn.op2(o.Class, 0, r.it[o.Src[0]], r.it[o.Src[1]]))
 	case machine.ClassISub:
-		setI(r.iv[o.Src[0]]-r.iv[o.Src[1]], itn.op(o.Class, 0, r.it[o.Src[0]], r.it[o.Src[1]]))
+		r.setI(o.Dst, r.iv[o.Src[0]]-r.iv[o.Src[1]], itn.op2(o.Class, 0, r.it[o.Src[0]], r.it[o.Src[1]]))
 	case machine.ClassIMul:
-		setI(r.iv[o.Src[0]]*r.iv[o.Src[1]], itn.op(o.Class, 0, r.it[o.Src[0]], r.it[o.Src[1]]))
+		r.setI(o.Dst, r.iv[o.Src[0]]*r.iv[o.Src[1]], itn.op2(o.Class, 0, r.it[o.Src[0]], r.it[o.Src[1]]))
 	case machine.ClassIMov:
-		setI(r.iv[o.Src[0]], r.it[o.Src[0]])
+		r.setI(o.Dst, r.iv[o.Src[0]], r.it[o.Src[0]])
 	case machine.ClassIConst:
-		setI(o.IImm, itn.op(o.Class, uint64(o.IImm)))
+		r.setI(o.Dst, o.IImm, itn.op0(o.Class, uint64(o.IImm)))
 	case machine.ClassICmp:
 		v := bool2i(ir.Pred(o.IImm).Eval(sign3i(r.iv[o.Src[0]], r.iv[o.Src[1]])))
-		setI(v, itn.op(o.Class, uint64(o.IImm), r.it[o.Src[0]], r.it[o.Src[1]]))
+		r.setI(o.Dst, v, itn.op2(o.Class, uint64(o.IImm), r.it[o.Src[0]], r.it[o.Src[1]]))
 	case machine.ClassISelect:
 		which := o.Src[2]
 		if r.iv[o.Src[0]] != 0 {
 			which = o.Src[1]
 		}
 		if r.p.Kind(o.Dst) == ir.KindFloat {
-			setF(r.fv[which], r.ft[which])
+			r.setF(o.Dst, r.fv[which], r.ft[which])
 		} else {
-			setI(r.iv[which], r.it[which])
+			r.setI(o.Dst, r.iv[which], r.it[which])
 		}
 	case machine.ClassLoad:
-		addr := r.iv[o.Src[0]] + o.Mem.Disp
-		arr := r.p.Array(o.Mem.Array)
-		if addr < 0 || addr >= int64(arr.Size) {
-			return fmt.Errorf("reference: load %s[%d] out of bounds (size %d), op %d", o.Mem.Array, addr, arr.Size, o.ID)
+		if arr == nil {
+			return fmt.Errorf("reference: load of undeclared array %s, op %d", o.Mem.Array, o.ID)
 		}
-		if arr.Kind == ir.KindFloat {
-			setF(r.memF[o.Mem.Array][addr], r.memT[o.Mem.Array][addr])
+		addr := r.iv[o.Src[0]] + o.Mem.Disp
+		if addr < 0 || addr >= int64(arr.decl.Size) {
+			return fmt.Errorf("reference: load %s[%d] out of bounds (size %d), op %d", o.Mem.Array, addr, arr.decl.Size, o.ID)
+		}
+		if arr.decl.Kind == ir.KindFloat {
+			r.setF(o.Dst, arr.f[addr], arr.t[addr])
 		} else {
-			setI(r.memI[o.Mem.Array][addr], r.memT[o.Mem.Array][addr])
+			r.setI(o.Dst, arr.i[addr], arr.t[addr])
 		}
 	case machine.ClassStore:
-		addr := r.iv[o.Src[0]] + o.Mem.Disp
-		arr := r.p.Array(o.Mem.Array)
-		if addr < 0 || addr >= int64(arr.Size) {
-			return fmt.Errorf("reference: store %s[%d] out of bounds (size %d), op %d", o.Mem.Array, addr, arr.Size, o.ID)
+		if arr == nil {
+			return fmt.Errorf("reference: store to undeclared array %s, op %d", o.Mem.Array, o.ID)
 		}
-		if arr.Kind == ir.KindFloat {
-			r.memF[o.Mem.Array][addr] = r.fv[o.Src[1]]
-			r.memT[o.Mem.Array][addr] = r.ft[o.Src[1]]
+		addr := r.iv[o.Src[0]] + o.Mem.Disp
+		if addr < 0 || addr >= int64(arr.decl.Size) {
+			return fmt.Errorf("reference: store %s[%d] out of bounds (size %d), op %d", o.Mem.Array, addr, arr.decl.Size, o.ID)
+		}
+		if arr.decl.Kind == ir.KindFloat {
+			arr.f[addr], arr.t[addr] = r.fv[o.Src[1]], r.ft[o.Src[1]]
 		} else {
-			r.memI[o.Mem.Array][addr] = r.iv[o.Src[1]]
-			r.memT[o.Mem.Array][addr] = r.it[o.Src[1]]
+			arr.i[addr], arr.t[addr] = r.iv[o.Src[1]], r.it[o.Src[1]]
 		}
 	default:
 		return fmt.Errorf("reference: cannot execute class %v (op %d)", o.Class, o.ID)

@@ -125,8 +125,12 @@ func runShadowTape(p *vliw.Program, m *machine.Machine, itn *interner, input []f
 		s.memT[i] = noTerm
 	}
 	for _, a := range p.Arrays {
+		num, err := itn.arrayNum(a.Name)
+		if err != nil {
+			return nil, err
+		}
 		for i := 0; i < a.Size; i++ {
-			s.memT[a.Base+i] = itn.memInit(a.Name, int64(i))
+			s.memT[a.Base+i] = itn.memInit(num, int64(i))
 		}
 		if a.Kind == ir.KindFloat {
 			copy(s.memF[a.Base:a.Base+a.Size], p.InitF[a.Name])
@@ -207,278 +211,255 @@ func (s *shadowExec) applyWritebacks(t int64) error {
 	return nil
 }
 
+// srcReg resolves source operand i against the rotating base at issue
+// time; static programs carry no rings and EffReg is the identity.
+func (s *shadowExec) srcReg(o *vliw.SlotOp, i int) int {
+	r := o.Src[i]
+	if i < len(o.SrcRings) {
+		r = vliw.EffReg(r, o.SrcRings[i], s.rrb)
+	}
+	return r
+}
+
+// readF and readI read source operand i of the op at pc, bounds-checked
+// so mutated programs fail loudly.
+func (s *shadowExec) readF(pc int, o *vliw.SlotOp, i int) (float64, termID, error) {
+	r := s.srcReg(o, i)
+	if r < 0 || r >= len(s.fv) {
+		return 0, noTerm, fmt.Errorf("shadow: @%d: float register f%d out of range", pc, r)
+	}
+	return s.fv[r], s.ft[r], nil
+}
+
+func (s *shadowExec) readI(pc int, o *vliw.SlotOp, i int) (int64, termID, error) {
+	r := s.srcReg(o, i)
+	if r < 0 || r >= len(s.iv) {
+		return 0, noTerm, fmt.Errorf("shadow: @%d: int register i%d out of range", pc, r)
+	}
+	return s.iv[r], s.it[r], nil
+}
+
+// writeF and writeI queue the result of the op at pc for write-back at
+// cycle due into its (possibly rotating) destination.
+func (s *shadowExec) writeF(pc int, due int64, o *vliw.SlotOp, v float64, tm termID) error {
+	dst := vliw.EffReg(o.Dst, o.DstRing, s.rrb)
+	if dst < 0 || dst >= len(s.fv) {
+		return fmt.Errorf("shadow: @%d: float register f%d out of range", pc, dst)
+	}
+	s.wb(due, pc, true, dst, v, 0, tm)
+	return nil
+}
+
+func (s *shadowExec) writeI(pc int, due int64, o *vliw.SlotOp, v int64, tm termID) error {
+	dst := vliw.EffReg(o.Dst, o.DstRing, s.rrb)
+	if dst < 0 || dst >= len(s.iv) {
+		return fmt.Errorf("shadow: @%d: int register i%d out of range", pc, dst)
+	}
+	s.wb(due, pc, false, dst, 0, v, tm)
+	return nil
+}
+
+// slot executes one operation of instruction pc at cycle t: operands
+// are read now, the result lands after the class's latency, a store
+// joins s.stores.
+func (s *shadowExec) slot(pc int, t int64, o *vliw.SlotOp) error {
+	d := s.m.Desc(o.Class)
+	if d == nil {
+		return fmt.Errorf("shadow: @%d: class %v unsupported on %s", pc, o.Class, s.m.Name)
+	}
+	due := t + int64(d.Latency)
+	itn := s.itn
+	switch o.Class {
+	case machine.ClassNop:
+	case machine.ClassFAdd, machine.ClassFSub, machine.ClassFMul:
+		a, ta, err := s.readF(pc, o, 0)
+		if err != nil {
+			return err
+		}
+		b, tb, err := s.readF(pc, o, 1)
+		if err != nil {
+			return err
+		}
+		var v float64
+		switch o.Class {
+		case machine.ClassFAdd:
+			v = a + b
+		case machine.ClassFSub:
+			v = a - b
+		default:
+			v = a * b
+		}
+		return s.writeF(pc, due, o, v, itn.op2(o.Class, 0, ta, tb))
+	case machine.ClassFNeg, machine.ClassFMov, machine.ClassFRecipSeed, machine.ClassFRsqrtSeed, machine.ClassF2I, machine.ClassSend:
+		a, ta, err := s.readF(pc, o, 0)
+		if err != nil {
+			return err
+		}
+		switch o.Class {
+		case machine.ClassFNeg:
+			return s.writeF(pc, due, o, -a, itn.op1(o.Class, 0, ta))
+		case machine.ClassFMov:
+			return s.writeF(pc, due, o, a, ta) // term-transparent, like the reference
+		case machine.ClassFRecipSeed:
+			return s.writeF(pc, due, o, ir.RecipSeed(a), itn.op1(o.Class, 0, ta))
+		case machine.ClassFRsqrtSeed:
+			return s.writeF(pc, due, o, ir.RsqrtSeed(a), itn.op1(o.Class, 0, ta))
+		case machine.ClassF2I:
+			return s.writeI(pc, due, o, int64(a), itn.op1(o.Class, 0, ta))
+		default: // Send
+			s.outV = append(s.outV, a)
+			s.outT = append(s.outT, ta)
+		}
+	case machine.ClassFConst:
+		return s.writeF(pc, due, o, o.FImm, itn.op0(o.Class, math.Float64bits(o.FImm)))
+	case machine.ClassRecv:
+		if s.inPos >= len(s.input) {
+			return fmt.Errorf("shadow: @%d: receive beyond end of input tape", pc)
+		}
+		var tm termID
+		if s.inT != nil {
+			tm = s.inT[s.inPos]
+		} else {
+			tm = itn.input(s.inPos)
+		}
+		err := s.writeF(pc, due, o, s.input[s.inPos], tm)
+		s.inPos++
+		return err
+	case machine.ClassFCmp:
+		a, ta, err := s.readF(pc, o, 0)
+		if err != nil {
+			return err
+		}
+		b, tb, err := s.readF(pc, o, 1)
+		if err != nil {
+			return err
+		}
+		return s.writeI(pc, due, o, bool2i(ir.Pred(o.IImm).Eval(sign3f(a, b))), itn.op2(o.Class, uint64(o.IImm), ta, tb))
+	case machine.ClassIAdd, machine.ClassAdrAdd, machine.ClassISub, machine.ClassIMul, machine.ClassICmp:
+		a, ta, err := s.readI(pc, o, 0)
+		if err != nil {
+			return err
+		}
+		b, tb, err := s.readI(pc, o, 1)
+		if err != nil {
+			return err
+		}
+		var v int64
+		imm := uint64(0)
+		switch o.Class {
+		case machine.ClassISub:
+			v = a - b
+		case machine.ClassIMul:
+			v = a * b
+		case machine.ClassICmp:
+			v, imm = bool2i(ir.Pred(o.IImm).Eval(sign3i(a, b))), uint64(o.IImm)
+		default: // IAdd, AdrAdd
+			v = a + b
+		}
+		return s.writeI(pc, due, o, v, itn.op2(o.Class, imm, ta, tb))
+	case machine.ClassI2F, machine.ClassIMov, machine.ClassIShr, machine.ClassIAnd:
+		a, ta, err := s.readI(pc, o, 0)
+		if err != nil {
+			return err
+		}
+		switch o.Class {
+		case machine.ClassI2F:
+			return s.writeF(pc, due, o, float64(a), itn.op1(o.Class, 0, ta))
+		case machine.ClassIMov:
+			return s.writeI(pc, due, o, a, ta) // term-transparent
+		case machine.ClassIShr:
+			return s.writeI(pc, due, o, int64(uint64(a)>>uint(o.IImm)), itn.op1(o.Class, uint64(o.IImm), ta))
+		default: // IAnd
+			return s.writeI(pc, due, o, a&o.IImm, itn.op1(o.Class, uint64(o.IImm), ta))
+		}
+	case machine.ClassIConst:
+		return s.writeI(pc, due, o, o.IImm, itn.op0(o.Class, uint64(o.IImm)))
+	case machine.ClassISelect:
+		c, _, err := s.readI(pc, o, 0)
+		if err != nil {
+			return err
+		}
+		which := 2
+		if c != 0 {
+			which = 1
+		}
+		// Select is term-transparent to the chosen operand.
+		if o.FImm != 0 {
+			v, tv, err := s.readF(pc, o, which)
+			if err != nil {
+				return err
+			}
+			return s.writeF(pc, due, o, v, tv)
+		}
+		v, tv, err := s.readI(pc, o, which)
+		if err != nil {
+			return err
+		}
+		return s.writeI(pc, due, o, v, tv)
+	case machine.ClassLoad:
+		arr := s.p.Array(o.Array)
+		if arr == nil {
+			return fmt.Errorf("shadow: @%d: unknown array %q", pc, o.Array)
+		}
+		a, _, err := s.readI(pc, o, 0)
+		if err != nil {
+			return err
+		}
+		addr := a + o.Disp
+		if addr < int64(arr.Base) || addr >= int64(arr.Base+arr.Size) {
+			return fmt.Errorf("shadow: @%d cycle %d: load %s[%d] out of bounds (size %d)", pc, t, arr.Name, addr-int64(arr.Base), arr.Size)
+		}
+		if arr.Kind == ir.KindFloat {
+			return s.writeF(pc, due, o, s.memF[addr], s.memT[addr])
+		}
+		return s.writeI(pc, due, o, s.memI[addr], s.memT[addr])
+	case machine.ClassStore:
+		arr := s.p.Array(o.Array)
+		if arr == nil {
+			return fmt.Errorf("shadow: @%d: unknown array %q", pc, o.Array)
+		}
+		a, _, err := s.readI(pc, o, 0)
+		if err != nil {
+			return err
+		}
+		addr := a + o.Disp
+		if addr < int64(arr.Base) || addr >= int64(arr.Base+arr.Size) {
+			return fmt.Errorf("shadow: @%d cycle %d: store %s[%d] out of bounds (size %d)", pc, t, arr.Name, addr-int64(arr.Base), arr.Size)
+		}
+		if arr.Kind == ir.KindFloat {
+			v, tv, err := s.readF(pc, o, 1)
+			if err != nil {
+				return err
+			}
+			s.stores = append(s.stores, pendStore{isFloat: true, addr: addr, f: v, t: tv})
+		} else {
+			v, tv, err := s.readI(pc, o, 1)
+			if err != nil {
+				return err
+			}
+			s.stores = append(s.stores, pendStore{addr: addr, i: v, t: tv})
+		}
+	default:
+		return fmt.Errorf("shadow: @%d: cannot execute class %v", pc, o.Class)
+	}
+	return nil
+}
+
 // issue executes all slots of instruction pc at cycle t and returns the
 // next pc.
 func (s *shadowExec) issue(pc int, t int64) (next int, halted bool, err error) {
 	in := &s.p.Instrs[pc]
 	next = pc + 1
-	stores := s.stores[:0]
-	itn := s.itn
+	s.stores = s.stores[:0]
 	for oi := range in.Ops {
-		o := &in.Ops[oi]
-		d := s.m.Desc(o.Class)
-		if d == nil {
-			return 0, false, fmt.Errorf("shadow: @%d: class %v unsupported on %s", pc, o.Class, s.m.Name)
-		}
-		lat := int64(d.Latency)
-		// Ring operands resolve against the rotating base at issue time;
-		// static programs carry no rings and EffReg is the identity.
-		dst := vliw.EffReg(o.Dst, o.DstRing, s.rrb)
-		src := func(i int) int {
-			r := o.Src[i]
-			if i < len(o.SrcRings) {
-				r = vliw.EffReg(r, o.SrcRings[i], s.rrb)
-			}
-			return r
-		}
-		// reg reads bounds-checked so mutated programs fail loudly.
-		rf := func(i int) (float64, termID, error) {
-			r := src(i)
-			if r < 0 || r >= len(s.fv) {
-				return 0, noTerm, fmt.Errorf("shadow: @%d: float register f%d out of range", pc, r)
-			}
-			return s.fv[r], s.ft[r], nil
-		}
-		ri := func(i int) (int64, termID, error) {
-			r := src(i)
-			if r < 0 || r >= len(s.iv) {
-				return 0, noTerm, fmt.Errorf("shadow: @%d: int register i%d out of range", pc, r)
-			}
-			return s.iv[r], s.it[r], nil
-		}
-		wf := func(v float64, tm termID) error {
-			if dst < 0 || dst >= len(s.fv) {
-				return fmt.Errorf("shadow: @%d: float register f%d out of range", pc, dst)
-			}
-			s.wb(t+lat, pc, true, dst, v, 0, tm)
-			return nil
-		}
-		wi := func(v int64, tm termID) error {
-			if dst < 0 || dst >= len(s.iv) {
-				return fmt.Errorf("shadow: @%d: int register i%d out of range", pc, dst)
-			}
-			s.wb(t+lat, pc, false, dst, 0, v, tm)
-			return nil
-		}
-		fbin := func() error {
-			a, ta, err := rf(0)
-			if err != nil {
-				return err
-			}
-			b, tb, err := rf(1)
-			if err != nil {
-				return err
-			}
-			var v float64
-			switch o.Class {
-			case machine.ClassFAdd:
-				v = a + b
-			case machine.ClassFSub:
-				v = a - b
-			default:
-				v = a * b
-			}
-			return wf(v, itn.op(o.Class, 0, ta, tb))
-		}
-		ibin := func() error {
-			a, ta, err := ri(0)
-			if err != nil {
-				return err
-			}
-			b, tb, err := ri(1)
-			if err != nil {
-				return err
-			}
-			var v int64
-			switch o.Class {
-			case machine.ClassISub:
-				v = a - b
-			case machine.ClassIMul:
-				v = a * b
-			default: // IAdd, AdrAdd
-				v = a + b
-			}
-			return wi(v, itn.op(o.Class, 0, ta, tb))
-		}
-		switch o.Class {
-		case machine.ClassNop:
-		case machine.ClassFAdd, machine.ClassFSub, machine.ClassFMul:
-			err = fbin()
-		case machine.ClassFNeg:
-			var a float64
-			var ta termID
-			if a, ta, err = rf(0); err == nil {
-				err = wf(-a, itn.op(o.Class, 0, ta))
-			}
-		case machine.ClassFMov:
-			var a float64
-			var ta termID
-			if a, ta, err = rf(0); err == nil {
-				err = wf(a, ta) // term-transparent, like the reference
-			}
-		case machine.ClassFConst:
-			err = wf(o.FImm, itn.op(o.Class, math.Float64bits(o.FImm)))
-		case machine.ClassRecv:
-			if s.inPos >= len(s.input) {
-				return 0, false, fmt.Errorf("shadow: @%d: receive beyond end of input tape", pc)
-			}
-			tm := itn.input(s.inPos)
-			if s.inT != nil {
-				tm = s.inT[s.inPos]
-			}
-			err = wf(s.input[s.inPos], tm)
-			s.inPos++
-		case machine.ClassSend:
-			var a float64
-			var ta termID
-			if a, ta, err = rf(0); err == nil {
-				s.outV = append(s.outV, a)
-				s.outT = append(s.outT, ta)
-			}
-		case machine.ClassFRecipSeed:
-			var a float64
-			var ta termID
-			if a, ta, err = rf(0); err == nil {
-				err = wf(ir.RecipSeed(a), itn.op(o.Class, 0, ta))
-			}
-		case machine.ClassFRsqrtSeed:
-			var a float64
-			var ta termID
-			if a, ta, err = rf(0); err == nil {
-				err = wf(ir.RsqrtSeed(a), itn.op(o.Class, 0, ta))
-			}
-		case machine.ClassF2I:
-			var a float64
-			var ta termID
-			if a, ta, err = rf(0); err == nil {
-				err = wi(int64(a), itn.op(o.Class, 0, ta))
-			}
-		case machine.ClassI2F:
-			var a int64
-			var ta termID
-			if a, ta, err = ri(0); err == nil {
-				err = wf(float64(a), itn.op(o.Class, 0, ta))
-			}
-		case machine.ClassFCmp:
-			var a, b float64
-			var ta, tb termID
-			if a, ta, err = rf(0); err != nil {
-				break
-			}
-			if b, tb, err = rf(1); err != nil {
-				break
-			}
-			err = wi(bool2i(ir.Pred(o.IImm).Eval(sign3f(a, b))), itn.op(o.Class, uint64(o.IImm), ta, tb))
-		case machine.ClassIAdd, machine.ClassAdrAdd, machine.ClassISub, machine.ClassIMul:
-			err = ibin()
-		case machine.ClassIMov:
-			var a int64
-			var ta termID
-			if a, ta, err = ri(0); err == nil {
-				err = wi(a, ta) // term-transparent
-			}
-		case machine.ClassIConst:
-			err = wi(o.IImm, itn.op(o.Class, uint64(o.IImm)))
-		case machine.ClassIShr:
-			var a int64
-			var ta termID
-			if a, ta, err = ri(0); err == nil {
-				err = wi(int64(uint64(a)>>uint(o.IImm)), itn.op(o.Class, uint64(o.IImm), ta))
-			}
-		case machine.ClassIAnd:
-			var a int64
-			var ta termID
-			if a, ta, err = ri(0); err == nil {
-				err = wi(a&o.IImm, itn.op(o.Class, uint64(o.IImm), ta))
-			}
-		case machine.ClassICmp:
-			var a, b int64
-			var ta, tb termID
-			if a, ta, err = ri(0); err != nil {
-				break
-			}
-			if b, tb, err = ri(1); err != nil {
-				break
-			}
-			err = wi(bool2i(ir.Pred(o.IImm).Eval(sign3i(a, b))), itn.op(o.Class, uint64(o.IImm), ta, tb))
-		case machine.ClassISelect:
-			var c int64
-			if c, _, err = ri(0); err != nil {
-				break
-			}
-			which := 2
-			if c != 0 {
-				which = 1
-			}
-			// Select is term-transparent to the chosen operand.
-			if o.FImm != 0 {
-				var v float64
-				var tv termID
-				if v, tv, err = rf(which); err == nil {
-					err = wf(v, tv)
-				}
-			} else {
-				var v int64
-				var tv termID
-				if v, tv, err = ri(which); err == nil {
-					err = wi(v, tv)
-				}
-			}
-		case machine.ClassLoad:
-			arr := s.p.Array(o.Array)
-			if arr == nil {
-				return 0, false, fmt.Errorf("shadow: @%d: unknown array %q", pc, o.Array)
-			}
-			var a int64
-			if a, _, err = ri(0); err != nil {
-				break
-			}
-			addr := a + o.Disp
-			if addr < int64(arr.Base) || addr >= int64(arr.Base+arr.Size) {
-				return 0, false, fmt.Errorf("shadow: @%d cycle %d: load %s[%d] out of bounds (size %d)", pc, t, arr.Name, addr-int64(arr.Base), arr.Size)
-			}
-			if arr.Kind == ir.KindFloat {
-				err = wf(s.memF[addr], s.memT[addr])
-			} else {
-				err = wi(s.memI[addr], s.memT[addr])
-			}
-		case machine.ClassStore:
-			arr := s.p.Array(o.Array)
-			if arr == nil {
-				return 0, false, fmt.Errorf("shadow: @%d: unknown array %q", pc, o.Array)
-			}
-			var a int64
-			if a, _, err = ri(0); err != nil {
-				break
-			}
-			addr := a + o.Disp
-			if addr < int64(arr.Base) || addr >= int64(arr.Base+arr.Size) {
-				return 0, false, fmt.Errorf("shadow: @%d cycle %d: store %s[%d] out of bounds (size %d)", pc, t, arr.Name, addr-int64(arr.Base), arr.Size)
-			}
-			if arr.Kind == ir.KindFloat {
-				var v float64
-				var tv termID
-				if v, tv, err = rf(1); err == nil {
-					stores = append(stores, pendStore{isFloat: true, addr: addr, f: v, t: tv})
-				}
-			} else {
-				var v int64
-				var tv termID
-				if v, tv, err = ri(1); err == nil {
-					stores = append(stores, pendStore{addr: addr, i: v, t: tv})
-				}
-			}
-		default:
-			err = fmt.Errorf("shadow: @%d: cannot execute class %v", pc, o.Class)
-		}
-		if err != nil {
+		if err := s.slot(pc, t, &in.Ops[oi]); err != nil {
 			return 0, false, err
 		}
 	}
 	// Stores land after every load of the same instruction, as on the
 	// real cell.
-	for i := range stores {
-		st := &stores[i]
+	for i := range s.stores {
+		st := &s.stores[i]
 		if st.isFloat {
 			s.memF[st.addr] = st.f
 		} else {
@@ -486,7 +467,6 @@ func (s *shadowExec) issue(pc int, t int64) (next int, halted bool, err error) {
 		}
 		s.memT[st.addr] = st.t
 	}
-	s.stores = stores[:0]
 	switch in.Ctl.Kind {
 	case vliw.CtlNone:
 	case vliw.CtlHalt:
@@ -502,7 +482,7 @@ func (s *shadowExec) issue(pc int, t int64) (next int, halted bool, err error) {
 		// The counter's new value has sequencer provenance, not data
 		// provenance; ClassCJump never appears in data terms, so this
 		// can never alias a term the reference produces.
-		s.it[r] = s.itn.op(machine.ClassCJump, uint64(s.iv[r]))
+		s.it[r] = s.itn.op0(machine.ClassCJump, uint64(s.iv[r]))
 		if s.iv[r] != 0 {
 			next = in.Ctl.Target
 		}

@@ -38,6 +38,7 @@ import (
 	"strings"
 
 	"softpipe/internal/machine"
+	"softpipe/internal/vliw"
 )
 
 // termID names one interned term.  Equal IDs mean structurally equal
@@ -49,66 +50,142 @@ const noTerm termID = -1
 type termKind uint8
 
 const (
-	// tkOp is a computation: Class applied to the argument terms with
-	// the immediate bits in imm.
+	// tkOp is a computation: the class in sub applied to the argument
+	// terms with the immediate bits in imm.
 	tkOp termKind = iota
 	// tkZero is the power-on register value (both the interpreter and
 	// the cell zero their register files; imm distinguishes the float
 	// and int files).
 	tkZero
 	// tkMemInit is the pre-execution content of one memory word:
-	// aux = array name, imm = element index.
+	// sub = array number (see interner.arrayNum), imm = element index.
 	tkMemInit
 	// tkInput is one word of the input tape: imm = tape position.
 	tkInput
 )
 
-// termNode is the interned representation.  It is a comparable struct so
-// hash-consing is a plain map lookup.
+// termNode is the interned representation: three pointer-free words, so
+// the node slice is never scanned by the collector and a node compares
+// and hashes as 24 bytes.
 type termNode struct {
-	kind       termKind
-	class      machine.Class
 	imm        uint64
-	aux        string
 	a0, a1, a2 termID
+	kind       termKind
 	nargs      uint8
+	// sub is the machine.Class of a tkOp node and the array number of a
+	// tkMemInit leaf; zero on the other kinds.
+	sub uint16
+}
+
+// subLimit is how many distinct values termNode.sub holds.
+const subLimit = 1 << 16
+
+// fitsSub reports, as an error, a count of classes or arrays that
+// termNode.sub cannot number: packing must never fold two of them into
+// one term.
+func fitsSub(count int, what string) error {
+	if count > subLimit {
+		return fmt.Errorf("verify: %d %s exceed the %d the term store can number", count, what, subLimit)
+	}
+	return nil
+}
+
+// hash mixes the node's three words.  It only picks where probing
+// starts: two nodes are the same term when they are equal, whatever
+// their hashes.
+func (n *termNode) hash() uint64 {
+	const k = 0x9E3779B97F4A7C15
+	h := n.imm * k
+	h = (h ^ h>>32 ^ (uint64(uint32(n.a0)) | uint64(uint32(n.a1))<<32)) * k
+	h = (h ^ h>>32 ^ (uint64(uint32(n.a2)) | uint64(n.kind)<<32 | uint64(n.nargs)<<40 | uint64(n.sub)<<48)) * k
+	return h
 }
 
 // interner hash-conses terms.  One interner is shared by the reference
 // and shadow executions of a verification run, so equal provenance means
-// equal termID on both sides.
+// equal termID on both sides.  It belongs to that run alone.
 type interner struct {
 	nodes []termNode
-	index map[termNode]termID
+	// table is the hash-cons index: open addressing with linear probing
+	// over a power-of-two number of slots, at least twice cap(nodes) of
+	// them, noTerm marking a free one.  Probing starts at the top bits
+	// of the node's hash (shift = 64 - log2 len).
+	table []termID
+	shift uint
+	// arrays[n] is the name of array number n, for render.
+	arrays []string
+	// lookups counts mk calls; len(nodes) of them missed.
+	lookups int64
 }
 
-func newInterner() *interner {
-	return &interner{index: make(map[termNode]termID, 1024)}
+// newInterner returns a store with room for capHint terms before its
+// first growth.
+func newInterner(capHint int) (*interner, error) {
+	if err := fitsSub(machine.NumClasses(), "operation classes"); err != nil {
+		return nil, err
+	}
+	in := &interner{}
+	in.resize(max(capHint, 1))
+	return in, nil
+}
+
+// resize gives the store room for nodeCap nodes and a table they fill
+// at most half, re-entering every node: nodes and table grow together,
+// here and nowhere else.
+func (in *interner) resize(nodeCap int) {
+	in.nodes = append(make([]termNode, 0, nodeCap), in.nodes...)
+	bits := uint(1)
+	for 1<<bits < 2*nodeCap {
+		bits++
+	}
+	in.table = make([]termID, 1<<bits)
+	for i := range in.table {
+		in.table[i] = noTerm
+	}
+	in.shift = 64 - bits
+	for id := range in.nodes {
+		in.table[in.probe(&in.nodes[id])] = termID(id)
+	}
+}
+
+// probe returns the slot that holds n's ID, or the free slot n belongs
+// in.  Whether a slot holds n is decided by comparing whole nodes.
+func (in *interner) probe(n *termNode) int {
+	mask := len(in.table) - 1
+	i := int(n.hash() >> in.shift)
+	for id := in.table[i]; id != noTerm && in.nodes[id] != *n; id = in.table[i] {
+		i = (i + 1) & mask
+	}
+	return i
 }
 
 func (in *interner) mk(n termNode) termID {
-	if id, ok := in.index[n]; ok {
+	in.lookups++
+	i := in.probe(&n)
+	if id := in.table[i]; id != noTerm {
 		return id
+	}
+	if len(in.nodes) == cap(in.nodes) {
+		in.resize(2 * cap(in.nodes))
+		i = in.probe(&n)
 	}
 	id := termID(len(in.nodes))
 	in.nodes = append(in.nodes, n)
-	in.index[n] = id
+	in.table[i] = id
 	return id
 }
 
-// op interns a computation node.
-func (in *interner) op(class machine.Class, imm uint64, args ...termID) termID {
-	n := termNode{kind: tkOp, class: class, imm: imm, a0: noTerm, a1: noTerm, a2: noTerm, nargs: uint8(len(args))}
-	if len(args) > 0 {
-		n.a0 = args[0]
-	}
-	if len(args) > 1 {
-		n.a1 = args[1]
-	}
-	if len(args) > 2 {
-		n.a2 = args[2]
-	}
-	return in.mk(n)
+// op0, op1 and op2 intern a computation node of that many arguments.
+func (in *interner) op0(class machine.Class, imm uint64) termID {
+	return in.mk(termNode{kind: tkOp, sub: uint16(class), imm: imm, a0: noTerm, a1: noTerm, a2: noTerm})
+}
+
+func (in *interner) op1(class machine.Class, imm uint64, a termID) termID {
+	return in.mk(termNode{kind: tkOp, sub: uint16(class), imm: imm, a0: a, a1: noTerm, a2: noTerm, nargs: 1})
+}
+
+func (in *interner) op2(class machine.Class, imm uint64, a, b termID) termID {
+	return in.mk(termNode{kind: tkOp, sub: uint16(class), imm: imm, a0: a, a1: b, a2: noTerm, nargs: 2})
 }
 
 // zero returns the power-on register leaf for one register file.
@@ -120,9 +197,25 @@ func (in *interner) zero(float bool) termID {
 	return in.mk(termNode{kind: tkZero, imm: imm, a0: noTerm, a1: noTerm, a2: noTerm})
 }
 
-// memInit returns the leaf for the initial content of array[idx].
-func (in *interner) memInit(array string, idx int64) termID {
-	return in.mk(termNode{kind: tkMemInit, aux: array, imm: uint64(idx), a0: noTerm, a1: noTerm, a2: noTerm})
+// arrayNum returns the number memInit leaves name the array by: arrays
+// of one name, in whichever program of the run, share a number.
+func (in *interner) arrayNum(name string) (uint16, error) {
+	for i, a := range in.arrays {
+		if a == name {
+			return uint16(i), nil
+		}
+	}
+	if err := fitsSub(len(in.arrays)+1, "arrays"); err != nil {
+		return 0, err
+	}
+	in.arrays = append(in.arrays, name)
+	return uint16(len(in.arrays) - 1), nil
+}
+
+// memInit returns the leaf for the initial content of word idx of the
+// array numbered array.
+func (in *interner) memInit(array uint16, idx int64) termID {
+	return in.mk(termNode{kind: tkMemInit, sub: array, imm: uint64(idx), a0: noTerm, a1: noTerm, a2: noTerm})
 }
 
 // input returns the leaf for input-tape word pos.
@@ -143,13 +236,14 @@ func (in *interner) render(id termID, depth int) string {
 		}
 		return "zeroI"
 	case tkMemInit:
-		return fmt.Sprintf("init(%s[%d])", n.aux, int64(n.imm))
+		return fmt.Sprintf("init(%s[%d])", in.arrays[n.sub], int64(n.imm))
 	case tkInput:
 		return fmt.Sprintf("input[%d]", int64(n.imm))
 	}
+	class := machine.Class(n.sub)
 	var b strings.Builder
-	b.WriteString(n.class.String())
-	switch n.class {
+	b.WriteString(class.String())
+	switch class {
 	case machine.ClassFConst:
 		fmt.Fprintf(&b, " %g", math.Float64frombits(n.imm))
 	case machine.ClassIConst, machine.ClassFCmp, machine.ClassICmp, machine.ClassIShr, machine.ClassIAnd:
@@ -170,4 +264,11 @@ func (in *interner) render(id termID, depth int) string {
 		b.WriteByte(')')
 	}
 	return b.String()
+}
+
+// termCapHint estimates, from what is known before execution, how many
+// terms verifying obj interns: a leaf per memory word, and per word a
+// few operations of the loop bodies that overwrite it.
+func termCapHint(obj *vliw.Program) int {
+	return 4*obj.MemWords + len(obj.Instrs)
 }

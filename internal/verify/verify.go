@@ -21,8 +21,9 @@ type Options struct {
 	MaxSteps int64
 	// Input is the program's input tape (one word per Recv).
 	Input []float64
-	// Tracer receives per-stage spans and the interned-term counter; nil
-	// disables tracing at zero cost.
+	// Tracer receives per-stage spans and two counters, the terms
+	// interned and the lookups that found or interned them; nil disables
+	// tracing at zero cost.
 	Tracer *trace.Tracer
 }
 
@@ -63,7 +64,10 @@ func ProgramOpts(src *ir.Program, obj *vliw.Program, m *machine.Machine, opts Op
 	}
 	// One interner is shared by both executions: identical provenance
 	// interns to the identical termID, so comparison is ID equality.
-	itn := newInterner()
+	itn, err := newInterner(termCapHint(obj))
+	if err != nil {
+		return err
+	}
 	sp := opts.Tracer.Begin("verify.ref")
 	ref, err := runRef(src, itn, opts.Input, opts.MaxSteps)
 	sp.End()
@@ -77,6 +81,7 @@ func ProgramOpts(src *ir.Program, obj *vliw.Program, m *machine.Machine, opts Op
 		return fmt.Errorf("verify: object execution failed: %w", err)
 	}
 	opts.Tracer.Count("verify.terms", int64(len(itn.nodes)))
+	opts.Tracer.Count("verify.term_lookups", itn.lookups)
 	sp = opts.Tracer.Begin("verify.compare")
 	err = compare(src, obj, itn, ref, sh)
 	sp.End()

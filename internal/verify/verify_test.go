@@ -7,6 +7,7 @@ import (
 	"softpipe/internal/codegen"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
+	"softpipe/internal/trace"
 	"softpipe/internal/verify"
 	"softpipe/internal/vliw"
 	"softpipe/internal/workloads"
@@ -123,6 +124,23 @@ func compileK1(t *testing.T, m *machine.Machine) (*ir.Program, *vliw.Program) {
 	return p, obj
 }
 
+// TestVerifyReportsTermCounters: a traced run says how many terms it
+// interned and how many lookups that took; on a sound object the second
+// execution re-finds what the first interned, so lookups exceed terms.
+func TestVerifyReportsTermCounters(t *testing.T) {
+	m := machine.Warp()
+	p, obj := compileK1(t, m)
+	tr := trace.New("test")
+	if err := verify.ProgramOpts(p, obj, m, verify.Options{Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	terms, ok := lastCount(tr, "verify.terms")
+	lookups, ok2 := lastCount(tr, "verify.term_lookups")
+	if !ok || !ok2 || terms <= 0 || lookups <= terms {
+		t.Errorf("verify.terms = %d (reported %v), verify.term_lookups = %d (reported %v)", terms, ok, lookups, ok2)
+	}
+}
+
 // TestVerifyRejectsOversubscription: two loads forced into one row must
 // trip the resource check (one memory read port on the Warp cell).
 func TestVerifyRejectsOversubscription(t *testing.T) {
@@ -207,9 +225,9 @@ func TestVerifyRejectsSwappedDependentRows(t *testing.T) {
 func TestVerifyCatchesValueCoincidence(t *testing.T) {
 	m := machine.Warp()
 	b := ir.NewBuilder("coincidence")
-	arr := b.Array("a", ir.KindFloat, 8)
+	arr := b.Array("a", ir.KindFloat, 9) // one word more than the loop reads, so a load one over stays in bounds
 	b.Array("o", ir.KindFloat, 8)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 9; i++ {
 		arr.InitF = append(arr.InitF, 2.0) // every element equal: stale reads are value-invisible
 	}
 	b.ForN(8, func(l *ir.LoopCtx) {
@@ -237,7 +255,7 @@ func TestVerifyCatchesValueCoincidence(t *testing.T) {
 		for oi := range mut.Instrs[pc].Ops {
 			o := &mut.Instrs[pc].Ops[oi]
 			if o.Class == machine.ClassLoad && o.Array == "a" {
-				o.Disp-- // shift to the previous (equal-valued) element
+				o.Disp++ // shift to the next (equal-valued) element
 				done = true
 				break
 			}
@@ -250,5 +268,11 @@ func TestVerifyCatchesValueCoincidence(t *testing.T) {
 	if err == nil {
 		t.Fatal("verifier accepted a stale load hidden by equal values")
 	}
-	t.Logf("caught: %v", err)
+	// The diagnosis names both provenances, array names included.
+	const want = "verify: o[0] provenance mismatch:\n" +
+		"  object:    fadd(init(a[1]), init(a[1]))\n" +
+		"  reference: fadd(init(a[0]), init(a[0]))"
+	if err.Error() != want {
+		t.Errorf("caught as:\n%v\nwant:\n%s", err, want)
+	}
 }
