@@ -9,7 +9,7 @@
 // The cache stores opaque byte slices.  Compiles are deterministic
 // (softpipe.Compile is read-only and map-free on every ordering-sensitive
 // path), so a hit is bit-identical to the miss that populated it — the
-// service layer's tests and the softpipe-load smoke pin that property.
+// service layer's tests (TestCompileColdThenWarm) pin that property.
 package cache
 
 import (

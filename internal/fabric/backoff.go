@@ -3,7 +3,6 @@ package fabric
 import (
 	"context"
 	"math/rand"
-	"sync"
 	"time"
 )
 
@@ -35,30 +34,15 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// lockedRand is a tiny concurrency-safe PRNG wrapper; fabric seeds it
-// explicitly so fault-injection runs are reproducible.
-type lockedRand struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-func newLockedRand(seed int64) *lockedRand {
-	return &lockedRand{rng: rand.New(rand.NewSource(seed))}
-}
-
-func (l *lockedRand) Int63n(n int64) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rng.Int63n(n)
-}
-
-// backoff returns the full-jitter sleep before retry attempt k (k ≥ 1).
-func (p RetryPolicy) backoff(attempt int, rng *lockedRand) time.Duration {
+// backoff returns the full-jitter sleep before retry attempt k (k ≥ 1),
+// drawn from math/rand's auto-seeded top-level source: nodes that failed
+// together must not share a jitter sequence.
+func (p RetryPolicy) backoff(attempt int) time.Duration {
 	ceil := p.BaseDelay << uint(attempt)
 	if ceil <= 0 || ceil > p.MaxDelay { // <=0 guards shift overflow
 		ceil = p.MaxDelay
 	}
-	return time.Duration(rng.Int63n(int64(ceil) + 1))
+	return time.Duration(rand.Int63n(int64(ceil) + 1))
 }
 
 // sleepBudgeted sleeps d unless the context ends first or the deadline

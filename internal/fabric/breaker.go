@@ -13,10 +13,14 @@ const (
 	BreakerClosed BreakerState = "closed"
 	// BreakerOpen: requests are refused locally until the cooldown ends.
 	BreakerOpen BreakerState = "open"
-	// BreakerHalfOpen: a bounded number of probe requests may pass; one
-	// success closes the breaker, one failure re-opens it.
+	// BreakerHalfOpen: one probe request at a time may pass; its success
+	// closes the breaker, its failure re-opens it.
 	BreakerHalfOpen BreakerState = "half-open"
 )
+
+// halfOpenMax bounds concurrent probes in half-open, so a recovering
+// peer is not re-stampeded by every waiting caller at once.
+const halfOpenMax = 1
 
 // BreakerConfig tunes a Breaker.  The zero value gets defaults.
 type BreakerConfig struct {
@@ -25,9 +29,6 @@ type BreakerConfig struct {
 	// OpenFor is the cooldown before an open breaker admits probes
 	// (default 500ms).
 	OpenFor time.Duration
-	// HalfOpenMax bounds concurrent probes in half-open (default 1), so a
-	// recovering peer is not re-stampeded by every waiting caller at once.
-	HalfOpenMax int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -37,15 +38,12 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.OpenFor <= 0 {
 		c.OpenFor = 500 * time.Millisecond
 	}
-	if c.HalfOpenMax <= 0 {
-		c.HalfOpenMax = 1
-	}
 	return c
 }
 
 // Breaker is a per-peer circuit breaker.  It is safe for concurrent use.
-// Callers bracket each attempt with Allow / (OnSuccess | OnFailure); an
-// Allow that returns false must not be followed by either.
+// Callers bracket each attempt with Allow / (OnSuccess | OnFailure |
+// abandon); an Allow that returns false must not be followed by any.
 type Breaker struct {
 	cfg BreakerConfig
 	now func() time.Time // injectable for deterministic tests
@@ -78,7 +76,7 @@ func (b *Breaker) Allow() bool {
 		b.probes = 0
 		fallthrough
 	default: // half-open
-		if b.probes >= b.cfg.HalfOpenMax {
+		if b.probes >= halfOpenMax {
 			return false
 		}
 		b.probes++
@@ -114,6 +112,17 @@ func (b *Breaker) OnFailure() {
 			b.state = BreakerOpen
 			b.openedAt = b.now()
 		}
+	}
+}
+
+// abandon ends an allowed attempt that produced no verdict on the peer
+// (the caller gave up first): a half-open probe slot is handed back so
+// the next caller can probe, and nothing else moves.
+func (b *Breaker) abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == BreakerHalfOpen && b.probes > 0 {
+		b.probes--
 	}
 }
 

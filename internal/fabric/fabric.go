@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -51,33 +52,16 @@ type Config struct {
 	Self string
 	// Peers is the full static fleet membership, self included.
 	Peers []string
-	// Replicas is the virtual-node count per peer on the hash ring
-	// (default 64).
-	Replicas int
-	// Transport overrides the HTTP transport for peer calls; the fleet
-	// harness wraps it with the fault injector.
+	// Transport overrides the HTTP transport for peer calls; tests fail
+	// or observe peer traffic through it.
 	Transport http.RoundTripper
 	// Retry bounds the forward retry loop.
 	Retry RetryPolicy
 	// Breaker tunes the per-peer circuit breakers.
 	Breaker BreakerConfig
-	// AttemptTimeout caps one peer call (default 30s); the caller's
-	// context may end it sooner.
-	AttemptTimeout time.Duration
-	// HedgeAfter launches a hedge fetch for hot keys when the primary
-	// forward has not answered within this delay (default 25ms; 0
-	// disables hedging).  The hedge is a GET — fetch-only, so it can
-	// never start a duplicate compile.
-	HedgeAfter time.Duration
-	// HotThreshold is how many sightings inside the hot window make a
-	// key hot (default 4); HotWindow is the window length (default 10s).
-	HotThreshold int
-	HotWindow    time.Duration
 	// HealthInterval paces the active /healthz prober (default 500ms;
 	// negative disables, for tests that drive breakers by hand).
 	HealthInterval time.Duration
-	// Seed makes the backoff jitter reproducible under fault injection.
-	Seed int64
 	// Logf, when non-nil, receives one line per peer state change and
 	// abandoned forward.
 	Logf func(format string, args ...any)
@@ -95,23 +79,8 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	c.Peers = peers
-	if c.AttemptTimeout <= 0 {
-		c.AttemptTimeout = 30 * time.Second
-	}
-	if c.HedgeAfter == 0 {
-		c.HedgeAfter = 25 * time.Millisecond
-	}
-	if c.HotThreshold <= 0 {
-		c.HotThreshold = 4
-	}
-	if c.HotWindow <= 0 {
-		c.HotWindow = 10 * time.Second
-	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = 500 * time.Millisecond
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
 	}
 	c.Retry = c.Retry.withDefaults()
 	c.Breaker = c.Breaker.withDefaults()
@@ -132,16 +101,16 @@ type Fabric struct {
 	cfg    Config
 	ring   *ring
 	client *http.Client
-	rng    *lockedRand
 	peers  map[string]*peerState
-	hot    *hotTracker
+	// attemptTimeout caps one peer call (the caller's context may end it
+	// sooner).  Always 30s; a field only because this package's tests
+	// cannot wait that long for a call to expire.
+	attemptTimeout time.Duration
 
 	forwardHits   atomic.Int64 // owner answered a forward with bytes
 	forwardFails  atomic.Int64 // forward abandoned → caller compiles locally
 	terminalFails atomic.Int64 // owner reported a deterministic compile error
 	keyFetches    atomic.Int64 // GET-by-key successes (run-by-key path)
-	hedges        atomic.Int64
-	hedgeWins     atomic.Int64
 	probes        atomic.Int64
 
 	stopc    chan struct{}
@@ -156,13 +125,12 @@ func New(cfg Config) (*Fabric, error) {
 		return nil, errors.New("fabric: Self advertise URL required")
 	}
 	f := &Fabric{
-		cfg:    cfg,
-		ring:   newRing(cfg.Peers, cfg.Replicas),
-		client: &http.Client{Transport: cfg.Transport},
-		rng:    newLockedRand(cfg.Seed),
-		peers:  map[string]*peerState{},
-		hot:    newHotTracker(cfg.HotWindow, cfg.HotThreshold),
-		stopc:  make(chan struct{}),
+		cfg:            cfg,
+		ring:           newRing(cfg.Peers),
+		client:         &http.Client{Transport: cfg.Transport},
+		peers:          map[string]*peerState{},
+		attemptTimeout: 30 * time.Second,
+		stopc:          make(chan struct{}),
 	}
 	for _, p := range cfg.Peers {
 		if p == cfg.Self {
@@ -187,9 +155,6 @@ func (f *Fabric) Close() {
 
 // Enabled reports whether there is any peer to talk to.
 func (f *Fabric) Enabled() bool { return len(f.peers) > 0 }
-
-// Self returns this node's advertise URL.
-func (f *Fabric) Self() string { return f.cfg.Self }
 
 // OwnerOf returns the advertise URL of the node owning key.
 func (f *Fabric) OwnerOf(key cache.Key) string { return f.ring.owner(key) }
@@ -229,24 +194,25 @@ var ErrPeerUnavailable = errors.New("fabric: owner unavailable")
 // exhausted, deadline budget spent — it returns an error wrapping
 // ErrPeerUnavailable and the caller degrades to a local compile.  A
 // TerminalError (the owner compiled and the compile itself failed) is
-// returned as-is and must not be retried.
+// returned as-is and must not be retried.  When the caller's own ctx
+// ends first, its error is returned and nothing is booked against the
+// owner: a client's short deadline says nothing about the peer's health.
 func (f *Fabric) Forward(ctx context.Context, key cache.Key, payload []byte) ([]byte, error) {
 	owner := f.ring.owner(key)
 	if owner == "" || owner == f.cfg.Self {
 		return nil, fmt.Errorf("%w: key is self-owned", ErrPeerUnavailable)
 	}
 	ps := f.peers[owner]
-	hot := f.hot.touch(key)
 	var lastErr error
 	for attempt := 0; attempt < f.cfg.Retry.MaxAttempts; attempt++ {
-		if ctx.Err() != nil {
-			break
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		if !ps.breaker.Allow() {
 			f.forwardFails.Add(1)
 			return nil, fmt.Errorf("%w: breaker %s for %s", ErrPeerUnavailable, ps.breaker.State(), owner)
 		}
-		data, err := f.attempt(ctx, ps, key, payload, hot)
+		data, err := f.post(ctx, ps, key, payload)
 		if err == nil {
 			ps.breaker.OnSuccess()
 			f.forwardHits.Add(1)
@@ -259,12 +225,16 @@ func (f *Fabric) Forward(ctx context.Context, key cache.Key, payload []byte) ([]
 			f.terminalFails.Add(1)
 			return nil, err
 		}
+		if cerr := ctx.Err(); cerr != nil {
+			ps.breaker.abandon()
+			return nil, cerr
+		}
 		ps.breaker.OnFailure()
 		ps.failures.Add(1)
 		lastErr = err
 		// minUseful ≈ the cost of starting a local fallback compile: if
 		// the backoff would eat the deadline past that, stop retrying.
-		if !sleepBudgeted(ctx, f.cfg.Retry.backoff(attempt+1, f.rng), 50*time.Millisecond) {
+		if !sleepBudgeted(ctx, f.cfg.Retry.backoff(attempt+1), 50*time.Millisecond) {
 			break
 		}
 	}
@@ -286,77 +256,33 @@ func (f *Fabric) FetchByKey(ctx context.Context, key cache.Key) (data []byte, fo
 		return nil, false
 	}
 	data, err := f.get(ctx, ps, key)
-	if err != nil {
-		if errors.Is(err, errNotFound) {
-			ps.breaker.OnSuccess() // the peer answered; the key just isn't there
-		} else {
-			ps.breaker.OnFailure()
-			ps.failures.Add(1)
-		}
-		return nil, false
+	switch {
+	case err == nil:
+		ps.breaker.OnSuccess()
+		f.keyFetches.Add(1)
+		return data, true
+	case errors.Is(err, errNotFound):
+		ps.breaker.OnSuccess() // the peer answered; the key just isn't there
+	case ctx.Err() != nil:
+		ps.breaker.abandon() // the caller gave up; no verdict on the peer
+	default:
+		ps.breaker.OnFailure()
+		ps.failures.Add(1)
 	}
-	ps.breaker.OnSuccess()
-	f.keyFetches.Add(1)
-	return data, true
-}
-
-// attempt runs one forward POST, optionally racing a hedge GET for hot
-// keys.  First success wins; a hedge error (including 404: the owner has
-// not cached it yet) never fails the attempt.
-func (f *Fabric) attempt(ctx context.Context, ps *peerState, key cache.Key, payload []byte, hot bool) ([]byte, error) {
-	actx, cancel := context.WithTimeout(ctx, f.cfg.AttemptTimeout)
-	defer cancel()
-	type result struct {
-		data  []byte
-		err   error
-		hedge bool
-	}
-	resc := make(chan result, 2)
-	ps.forwards.Add(1)
-	go func() {
-		data, err := f.post(actx, ps.url, key, payload)
-		resc <- result{data, err, false}
-	}()
-	var hedgeTimer <-chan time.Time
-	if hot && f.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(f.cfg.HedgeAfter)
-		defer t.Stop()
-		hedgeTimer = t.C
-	}
-	hedgeDone := false
-	for {
-		select {
-		case r := <-resc:
-			if r.hedge {
-				hedgeDone = true
-				if r.err == nil {
-					f.hedgeWins.Add(1)
-					return r.data, nil
-				}
-				continue // hedge missed; keep waiting for the primary
-			}
-			return r.data, r.err
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if hedgeDone {
-				continue
-			}
-			f.hedges.Add(1)
-			go func() {
-				data, err := f.get(actx, ps, key)
-				resc <- result{data, err, true}
-			}()
-		}
-	}
+	return nil, false
 }
 
 var errNotFound = errors.New("fabric: not cached at owner")
 
-// post is the forward call: POST {owner}/artifact/{key} with the opaque
-// compile payload; 200 returns the raw artifact bytes.
-func (f *Fabric) post(ctx context.Context, owner string, key cache.Key, payload []byte) ([]byte, error) {
+// post is one forward attempt: POST {owner}/artifact/{key} with the
+// opaque compile payload, under attemptTimeout; 200 returns the raw
+// artifact bytes.
+func (f *Fabric) post(ctx context.Context, ps *peerState, key cache.Key, payload []byte) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, f.attemptTimeout)
+	defer cancel()
+	ps.forwards.Add(1)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		owner+"/artifact/"+key.String(), strings.NewReader(string(payload)))
+		ps.url+"/artifact/"+key.String(), bytes.NewReader(payload))
 	if err != nil {
 		return nil, err
 	}
@@ -435,7 +361,7 @@ func (f *Fabric) probe(ps *peerState) {
 		return // open and still cooling down: probing would be rude
 	}
 	f.probes.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), f.cfg.AttemptTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), f.attemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ps.url+"/healthz", nil)
 	if err != nil {
@@ -483,8 +409,6 @@ type Stats struct {
 	ForwardFails  int64        `json:"forward_fails"`
 	TerminalFails int64        `json:"terminal_fails"`
 	KeyFetches    int64        `json:"key_fetches"`
-	Hedges        int64        `json:"hedges"`
-	HedgeWins     int64        `json:"hedge_wins"`
 	HealthProbes  int64        `json:"health_probes"`
 }
 
@@ -496,8 +420,6 @@ func (f *Fabric) Snapshot() Stats {
 		ForwardFails:  f.forwardFails.Load(),
 		TerminalFails: f.terminalFails.Load(),
 		KeyFetches:    f.keyFetches.Load(),
-		Hedges:        f.hedges.Load(),
-		HedgeWins:     f.hedgeWins.Load(),
 		HealthProbes:  f.probes.Load(),
 	}
 	for _, p := range f.cfg.Peers {
@@ -514,35 +436,4 @@ func (f *Fabric) Snapshot() Stats {
 		})
 	}
 	return s
-}
-
-// hotTracker counts key sightings in two flipping epoch windows: a key is
-// hot when its count across the current and previous epoch reaches the
-// threshold.  Epoch flipping bounds memory without per-key timestamps.
-type hotTracker struct {
-	mu        sync.Mutex
-	window    time.Duration
-	threshold int
-	flipped   time.Time
-	cur, prev map[cache.Key]int
-}
-
-func newHotTracker(window time.Duration, threshold int) *hotTracker {
-	return &hotTracker{
-		window: window, threshold: threshold,
-		flipped: time.Now(),
-		cur:     map[cache.Key]int{}, prev: map[cache.Key]int{},
-	}
-}
-
-// touch records one sighting and reports whether key is now hot.
-func (h *hotTracker) touch(key cache.Key) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if now := time.Now(); now.Sub(h.flipped) > h.window {
-		h.prev, h.cur = h.cur, map[cache.Key]int{}
-		h.flipped = now
-	}
-	h.cur[key]++
-	return h.cur[key]+h.prev[key] >= h.threshold
 }

@@ -11,16 +11,15 @@ import (
 	"time"
 
 	"softpipe/internal/cache"
-	"softpipe/internal/fabric/fault"
 )
 
 func keyN(n int) cache.Key { return cache.KeyOf(fmt.Sprintf("key-%d", n)) }
 
 func TestRingDeterministicAndComplete(t *testing.T) {
 	peers := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r1 := newRing(peers, 64)
+	r1 := newRing(peers)
 	// Peer order must not matter: every node computes the same ownership.
-	r2 := newRing([]string{peers[2], peers[0], peers[1]}, 64)
+	r2 := newRing([]string{peers[2], peers[0], peers[1]})
 	counts := map[string]int{}
 	for i := 0; i < 3000; i++ {
 		k := keyN(i)
@@ -46,8 +45,8 @@ func TestRingStability(t *testing.T) {
 	// Removing one peer must only move keys that peer owned: consistent
 	// hashing's whole point.
 	all := []string{"http://a:1", "http://b:1", "http://c:1"}
-	rAll := newRing(all, 64)
-	rTwo := newRing(all[:2], 64)
+	rAll := newRing(all)
+	rTwo := newRing(all[:2])
 	for i := 0; i < 2000; i++ {
 		k := keyN(i)
 		was, now := rAll.owner(k), rTwo.owner(k)
@@ -59,7 +58,7 @@ func TestRingStability(t *testing.T) {
 
 func TestBreakerTransitions(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := NewBreaker(BreakerConfig{FailThreshold: 3, OpenFor: time.Second, HalfOpenMax: 1})
+	b := NewBreaker(BreakerConfig{FailThreshold: 3, OpenFor: time.Second})
 	b.now = func() time.Time { return now }
 
 	for i := 0; i < 3; i++ {
@@ -83,7 +82,7 @@ func TestBreakerTransitions(t *testing.T) {
 		t.Fatalf("state after cooldown Allow: %s", b.State())
 	}
 	if b.Allow() {
-		t.Fatal("half-open admitted a second concurrent probe (HalfOpenMax=1)")
+		t.Fatal("half-open admitted a second concurrent probe")
 	}
 	b.OnFailure() // the probe fails: straight back to open
 	if b.State() != BreakerOpen {
@@ -120,15 +119,48 @@ func TestBackoffRespectsDeadlineBudget(t *testing.T) {
 
 func TestBackoffJitterBounded(t *testing.T) {
 	p := RetryPolicy{}.withDefaults()
-	rng := newLockedRand(7)
 	for attempt := 1; attempt < 20; attempt++ {
 		for i := 0; i < 50; i++ {
-			d := p.backoff(attempt, rng)
+			d := p.backoff(attempt)
 			if d < 0 || d > p.MaxDelay {
 				t.Fatalf("backoff(%d) = %v out of [0, %v]", attempt, d, p.MaxDelay)
 			}
 		}
 	}
+
+	// Two default-configured nodes must not draw the same jitter: a shared
+	// sequence is the synchronized retry stampede full jitter exists to
+	// prevent.
+	var draws [2][8]time.Duration
+	for n := range draws {
+		f, err := New(Config{Self: "http://self.invalid", Peers: []string{"http://peer.invalid"}, HealthInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(f.Close)
+		for i := range draws[n] {
+			draws[n][i] = f.cfg.Retry.backoff(i + 1)
+		}
+	}
+	if draws[0] == draws[1] {
+		t.Fatalf("two default fabrics drew the same backoff sequence: %v", draws[0])
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// failingWhile is a Config.Transport that refuses every peer call for
+// which down() reports true and passes the rest to the real network.
+func failingWhile(down func() bool) http.RoundTripper {
+	return roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if down() {
+			return nil, fmt.Errorf("injected connection failure to %s", r.URL.Host)
+		}
+		return http.DefaultTransport.RoundTrip(r)
+	})
 }
 
 // testOwner is a minimal artifact endpoint: POST returns the payload
@@ -184,7 +216,6 @@ func newTestFabric(t *testing.T, self string, peers []string, mut func(*Config))
 		Retry:          RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 		Breaker:        BreakerConfig{FailThreshold: 3, OpenFor: 100 * time.Millisecond},
 		HealthInterval: -1, // tests drive traffic by hand
-		HedgeAfter:     -1, // no hedging unless the test asks
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -233,10 +264,11 @@ func TestForwardRetriesThroughTransientFaults(t *testing.T) {
 	self := "http://self.invalid"
 	peers := []string{self, owner.URL}
 
-	inj := fault.New(nil)
-	// First two attempts die with a connection reset; the third passes.
-	inj.Set(&fault.Rule{Path: "/artifact/", Mode: fault.Reset, First: 2})
-	f := newTestFabric(t, self, peers, func(c *Config) { c.Transport = inj })
+	// The first two attempts die on the wire; the third passes.
+	var calls atomic.Int64
+	f := newTestFabric(t, self, peers, func(c *Config) {
+		c.Transport = failingWhile(func() bool { return calls.Add(1) <= 2 })
+	})
 
 	k := ownedKey(t, peers, owner.URL)
 	data, err := f.Forward(context.Background(), k, []byte(`{}`))
@@ -258,9 +290,9 @@ func TestForwardOpensBreakerThenRecovers(t *testing.T) {
 	self := "http://self.invalid"
 	peers := []string{self, owner.URL}
 
-	inj := fault.New(nil)
-	inj.Set(&fault.Rule{Mode: fault.Drop}) // everything fails
-	f := newTestFabric(t, self, peers, func(c *Config) { c.Transport = inj })
+	var down atomic.Bool
+	down.Store(true) // everything fails
+	f := newTestFabric(t, self, peers, func(c *Config) { c.Transport = failingWhile(down.Load) })
 	k := ownedKey(t, peers, owner.URL)
 
 	if _, err := f.Forward(context.Background(), k, nil); !errors.Is(err, ErrPeerUnavailable) {
@@ -281,7 +313,7 @@ func TestForwardOpensBreakerThenRecovers(t *testing.T) {
 
 	// Heal the network, wait out the cooldown: the next forward is the
 	// half-open probe and closes the breaker.
-	inj.Clear()
+	down.Store(false)
 	time.Sleep(120 * time.Millisecond)
 	if _, err := f.Forward(context.Background(), k, []byte(`{}`)); err != nil {
 		t.Fatalf("probe forward after heal: %v", err)
@@ -317,75 +349,84 @@ func TestForwardTerminalErrorNotRetried(t *testing.T) {
 	}
 }
 
-func TestHedgedFetchWinsOnSlowPrimary(t *testing.T) {
-	self := "http://self.invalid"
-	var cachedBody = "hedged-artifact"
-	// Owner: POST is slow (200ms), GET answers immediately from cache.
-	var owner *httptest.Server
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /artifact/{key}", func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case <-time.After(200 * time.Millisecond):
-		case <-r.Context().Done():
-			return
-		}
-		fmt.Fprint(w, "slow-primary")
-	})
-	mux.HandleFunc("GET /artifact/{key}", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, cachedBody)
-	})
-	owner = httptest.NewServer(mux)
+// TestForwardCallerDeadlineIsNotAPeerFailure: callers whose own deadline
+// expires while a healthy owner is still compiling must not open its
+// breaker — or client behaviour alone costs the fleet exactly-once for
+// every key that owner holds.
+func TestForwardCallerDeadlineIsNotAPeerFailure(t *testing.T) {
+	owner := testOwner(t, nil, nil, 200*time.Millisecond)
 	defer owner.Close()
+	self := "http://self.invalid"
 	peers := []string{self, owner.URL}
-	f := newTestFabric(t, self, peers, func(c *Config) {
-		c.HedgeAfter = 10 * time.Millisecond
-		c.HotThreshold = 2
-	})
+	f := newTestFabric(t, self, peers, nil)
 	k := ownedKey(t, peers, owner.URL)
 
-	// First touch is cold (no hedge); from the second the key is hot.
-	payload := []byte(`{}`)
-	if _, err := f.Forward(context.Background(), k, payload); err != nil {
-		t.Fatalf("cold forward: %v", err)
+	for i := 0; i < 5; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		_, err := f.Forward(ctx, k, []byte(`{}`))
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrPeerUnavailable) {
+			t.Fatalf("caller timeout %d: err = %v, want the caller's deadline error", i, err)
+		}
 	}
-	t0 := time.Now()
-	data, err := f.Forward(context.Background(), k, payload)
-	if err != nil {
-		t.Fatalf("hot forward: %v", err)
+	// An already-cancelled caller takes the same exit.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := f.Forward(ctx, k, []byte(`{}`)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled caller: err = %v, want context.Canceled", err)
 	}
-	if string(data) != cachedBody {
-		t.Fatalf("hot forward returned %q, want the hedge's %q", data, cachedBody)
-	}
-	if elapsed := time.Since(t0); elapsed > 150*time.Millisecond {
-		t.Fatalf("hedge did not cut the tail: took %v", elapsed)
+	if _, found := f.FetchByKey(ctx, k); found {
+		t.Fatal("cancelled fetch found a key")
 	}
 	st := f.Snapshot()
-	if st.Hedges == 0 || st.HedgeWins == 0 {
-		t.Fatalf("hedge counters: %+v", st)
+	if p := st.Peers[0]; p.Breaker != BreakerClosed || p.Failures != 0 || st.ForwardFails != 0 {
+		t.Fatalf("caller deadlines booked against the peer: breaker=%s failures=%d forward_fails=%d",
+			p.Breaker, p.Failures, st.ForwardFails)
+	}
+	// The owner is still served: a patient caller gets its bytes.
+	if _, err := f.Forward(context.Background(), k, []byte(`{}`)); err != nil {
+		t.Fatalf("patient forward after caller timeouts: %v", err)
 	}
 }
 
-func TestHedgeMissFallsBackToPrimary(t *testing.T) {
-	self := "http://self.invalid"
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /artifact/{key}", func(w http.ResponseWriter, r *http.Request) {
-		time.Sleep(50 * time.Millisecond)
-		fmt.Fprint(w, "primary")
-	})
-	mux.HandleFunc("GET /artifact/{key}", func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, `{"error":"not cached"}`, http.StatusNotFound)
-	})
-	owner := httptest.NewServer(mux)
+// TestForwardAttemptTimeoutCountsAgainstPeer: the other deadline — the
+// fabric's own per-attempt cap expiring under a live caller — is the
+// peer being too slow, and still feeds the breaker.
+func TestForwardAttemptTimeoutCountsAgainstPeer(t *testing.T) {
+	owner := testOwner(t, nil, nil, 200*time.Millisecond)
 	defer owner.Close()
+	self := "http://self.invalid"
 	peers := []string{self, owner.URL}
-	f := newTestFabric(t, self, peers, func(c *Config) {
-		c.HedgeAfter = 5 * time.Millisecond
-		c.HotThreshold = 1 // every key is hot
-	})
+	f := newTestFabric(t, self, peers, nil)
+	f.attemptTimeout = 5 * time.Millisecond
 	k := ownedKey(t, peers, owner.URL)
-	data, err := f.Forward(context.Background(), k, []byte(`{}`))
-	if err != nil || string(data) != "primary" {
-		t.Fatalf("data=%q err=%v (a 404 hedge must not fail the forward)", data, err)
+
+	if _, err := f.Forward(context.Background(), k, []byte(`{}`)); !errors.Is(err, ErrPeerUnavailable) {
+		t.Fatalf("want ErrPeerUnavailable, got %v", err)
+	}
+	st := f.Snapshot()
+	if p := st.Peers[0]; p.Breaker != BreakerOpen || p.Failures != 3 || st.ForwardFails != 1 {
+		t.Fatalf("attempt timeouts not booked: breaker=%s failures=%d forward_fails=%d",
+			p.Breaker, p.Failures, st.ForwardFails)
+	}
+}
+
+// TestHalfOpenProbeAbandonedByCallerIsHandedBack: a caller that gives up
+// while holding the single half-open probe slot must free it, or the
+// breaker would refuse the peer forever.
+func TestHalfOpenProbeAbandonedByCallerIsHandedBack(t *testing.T) {
+	now := time.Unix(0, 0)
+	b := NewBreaker(BreakerConfig{FailThreshold: 1, OpenFor: time.Second})
+	b.now = func() time.Time { return now }
+	b.Allow()
+	b.OnFailure()
+	now = now.Add(2 * time.Second)
+	if !b.Allow() || b.Allow() {
+		t.Fatal("half-open must admit exactly one probe")
+	}
+	b.abandon()
+	if b.State() != BreakerHalfOpen || !b.Allow() {
+		t.Fatalf("abandoned probe slot not handed back (state %s)", b.State())
 	}
 }
 

@@ -12,9 +12,6 @@
 //     per request;
 //   - bounded retries with full-jitter exponential backoff that respect
 //     the caller's context deadline budget;
-//   - optional hedged fetches for hot keys: the hedge is a side-effect-free
-//     GET (it can only hit the owner's cache, never start a second
-//     compile), so hedging is safe by construction;
 //   - active health checking against each peer's /healthz, which doubles
 //     as the half-open probe traffic that closes a breaker after the peer
 //     recovers.
@@ -31,6 +28,9 @@ import (
 
 	"softpipe/internal/cache"
 )
+
+// replicas is the virtual-node count per peer on the hash ring.
+const replicas = 64
 
 // ring maps keys to peers by consistent hashing: each peer contributes
 // `replicas` virtual points on a 64-bit circle, and a key is owned by the
@@ -54,10 +54,7 @@ func hash64(s string) uint64 {
 	return binary.BigEndian.Uint64(k[:8])
 }
 
-func newRing(peers []string, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = 64
-	}
+func newRing(peers []string) *ring {
 	r := &ring{peers: append([]string(nil), peers...)}
 	sort.Strings(r.peers)
 	for _, p := range r.peers {
@@ -87,8 +84,9 @@ func (r *ring) owner(key cache.Key) string {
 	return r.points[i].peer
 }
 
-// Owner is the exported ownership lookup used by the fleet harness to
-// aim faults at the node that owns a chosen key.
+// Owner is the ownership lookup without a Fabric: the fleet tests in
+// internal/service (sourceOwnedBy in fleet_test.go) use it to find a
+// source whose key a chosen node owns.
 func Owner(peers []string, key cache.Key) string {
-	return newRing(peers, 0).owner(key)
+	return newRing(peers).owner(key)
 }

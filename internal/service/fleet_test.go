@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -88,7 +89,6 @@ func startFleet(t *testing.T, count int, mut func(i int, cfg *Config)) []*fleetN
 				Retry:          fabric.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
 				Breaker:        fabric.BreakerConfig{FailThreshold: 2, OpenFor: 100 * time.Millisecond},
 				HealthInterval: 25 * time.Millisecond,
-				HedgeAfter:     -1,
 			},
 		}
 		if mut != nil {
@@ -156,39 +156,76 @@ func waitCond(t *testing.T, desc string, pred func() bool) {
 	t.Fatalf("timeout waiting for %s", desc)
 }
 
-// TestFleetCompilesEachKeyExactlyOnce: the same source compiled through
-// every node must run exactly one compile fleet-wide (owner-side
-// singleflight), and every response must carry the identical artifact.
-func TestFleetCompilesEachKeyExactlyOnce(t *testing.T) {
-	nodes := startFleet(t, 3, nil)
-	src := workloads.RandomSource(777)
+// fleetCorpus is a small mixed corpus: three Livermore kernels, one
+// systolic cell program and four seeded random sources.
+func fleetCorpus() []string {
+	ks := workloads.Livermore()
+	srcs := []string{ks[0].Source, ks[1].Source, ks[2].Source, workloads.SystolicMatmulSource(4, 2)}
+	for seed := int64(777); seed < 781; seed++ {
+		srcs = append(srcs, workloads.RandomSource(seed))
+	}
+	return srcs
+}
 
-	shas := map[string]bool{}
-	for round := 0; round < 2; round++ {
-		for _, n := range nodes {
-			var resp CompileResponse
-			code, _ := doJSON(t, "POST", n.url+"/compile", CompileRequest{Source: src}, &resp, nil)
-			if code != http.StatusOK {
-				t.Fatalf("compile via %s: status %d", n.url, code)
-			}
-			shas[resp.ObjectSHA256] = true
+// peerView is the caller's /metrics row for one peer.
+func peerView(caller *fleetNode, peerURL string) fabric.PeerStatus {
+	for _, p := range caller.server().metrics().Fabric.Peers {
+		if p.URL == peerURL {
+			return p
 		}
 	}
-	if len(shas) != 1 {
-		t.Fatalf("divergent artifacts across the fleet: %v", shas)
+	return fabric.PeerStatus{}
+}
+
+// TestFleetCompilesEachKeyExactlyOnce: every source of a mixed corpus
+// compiled through every node, twice, must run exactly one compile per
+// key fleet-wide (owner-side singleflight), every response for a key
+// must carry the identical artifact, and the second round must be served
+// from cache on whichever node it enters.
+func TestFleetCompilesEachKeyExactlyOnce(t *testing.T) {
+	nodes := startFleet(t, 3, nil)
+	corpus := fleetCorpus()
+
+	shaOf := map[string]string{} // key → artifact digest
+	for round := 0; round < 2; round++ {
+		for i, src := range corpus {
+			for _, n := range nodes {
+				var resp CompileResponse
+				code, _ := doJSON(t, "POST", n.url+"/compile", CompileRequest{Source: src}, &resp, nil)
+				if code != http.StatusOK {
+					t.Fatalf("round %d: compile of source %d via %s: status %d", round, i, n.url, code)
+				}
+				if prev, seen := shaOf[resp.Key]; seen && prev != resp.ObjectSHA256 {
+					t.Fatalf("divergent artifacts across the fleet for key %s: %s vs %s", resp.Key, prev, resp.ObjectSHA256)
+				}
+				shaOf[resp.Key] = resp.ObjectSHA256
+				if round == 1 && !resp.Cached {
+					t.Fatalf("warm round: source %d via %s missed the fleet cache", i, n.url)
+				}
+			}
+		}
 	}
-	var computes int64
+	if len(shaOf) != len(corpus) {
+		t.Fatalf("%d sources mapped to %d keys", len(corpus), len(shaOf))
+	}
+	var computes, forwardHits int64
 	for _, n := range nodes {
 		computes += n.server().CacheStats().Computes
+		forwardHits += n.server().FabricStats().ForwardHits
 	}
-	if computes != 1 {
-		t.Fatalf("fleet ran %d compiles for one key, want exactly 1", computes)
+	if computes != int64(len(shaOf)) {
+		t.Fatalf("fleet ran %d compiles for %d unique keys, want exactly one each", computes, len(shaOf))
+	}
+	if forwardHits == 0 {
+		t.Fatal("fabric never forwarded — nodes not sharded?")
 	}
 }
 
-// TestFleetOwnerDeathDegradesToLocalCompile: killing a key's owner must
-// not surface errors — the forwarding node compiles locally, its breaker
-// opens, and after restart the breaker re-closes via health probes.
+// TestFleetOwnerDeathDegradesToLocalCompile: killing a key's owner —
+// mid-compile, with requests for that key in flight against a survivor —
+// must not surface errors: the forwarding node compiles locally, its
+// breaker opens, and after restart the breaker re-closes via health
+// probes.
 func TestFleetOwnerDeathDegradesToLocalCompile(t *testing.T) {
 	nodes := startFleet(t, 3, nil)
 	urls := fleetURLs(nodes)
@@ -196,11 +233,44 @@ func TestFleetOwnerDeathDegradesToLocalCompile(t *testing.T) {
 	src := sourceOwnedBy(t, urls, urls[ownerIdx], 0)
 	caller := nodes[2]
 
+	// Hold the owner inside the compile the survivor forwarded to it, so
+	// the kill lands while all eight requests are in flight.
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	nodes[ownerIdx].server().compileHook = func() {
+		once.Do(func() { close(started) })
+		<-release
+	}
+	body, err := json.Marshal(CompileRequest{Source: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(caller.url+"/compile", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
+			}
+		}(i)
+	}
+	<-started
 	nodes[ownerIdx].kill()
-	var resp CompileResponse
-	code, _ := doJSON(t, "POST", caller.url+"/compile", CompileRequest{Source: src}, &resp, nil)
-	if code != http.StatusOK {
-		t.Fatalf("compile with dead owner: status %d", code)
+	close(release)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("request %d in flight across the owner's death: %v", i, err)
+		}
 	}
 	if caller.server().CacheStats().Computes != 1 {
 		t.Fatal("caller did not compile locally")
@@ -212,23 +282,14 @@ func TestFleetOwnerDeathDegradesToLocalCompile(t *testing.T) {
 
 	// The dead peer's breaker opens (request failures + health probes).
 	waitCond(t, "breaker open on caller", func() bool {
-		for _, p := range caller.server().metrics().Fabric.Peers {
-			if p.URL == urls[ownerIdx] {
-				return p.Breaker == fabric.BreakerOpen
-			}
-		}
-		return false
+		return peerView(caller, urls[ownerIdx]).Breaker == fabric.BreakerOpen
 	})
 
 	// Restart: health probes act as the half-open probe and re-close.
 	nodes[ownerIdx].restart()
 	waitCond(t, "breaker closed after restart", func() bool {
-		for _, p := range caller.server().metrics().Fabric.Peers {
-			if p.URL == urls[ownerIdx] {
-				return p.Breaker == fabric.BreakerClosed && p.Healthy
-			}
-		}
-		return false
+		p := peerView(caller, urls[ownerIdx])
+		return p.Breaker == fabric.BreakerClosed && p.Healthy
 	})
 
 	// With the owner back, a fresh key owned by it forwards again.
@@ -236,12 +297,80 @@ func TestFleetOwnerDeathDegradesToLocalCompile(t *testing.T) {
 	if src2 == src {
 		t.Fatal("sourceOwnedBy returned the same source")
 	}
-	code, _ = doJSON(t, "POST", caller.url+"/compile", CompileRequest{Source: src2}, nil, nil)
+	code, _ := doJSON(t, "POST", caller.url+"/compile", CompileRequest{Source: src2}, nil, nil)
 	if code != http.StatusOK {
 		t.Fatalf("compile after recovery: status %d", code)
 	}
 	if got := nodes[ownerIdx].server().CacheStats().Computes; got != 1 {
 		t.Fatalf("restarted owner computes = %d, want 1 (forwarding resumed)", got)
+	}
+}
+
+// TestFleetPartitionDegradesThenHeals: an application-level partition —
+// one host's /artifact/ traffic fails while its /healthz still answers —
+// must degrade fresh keys that host owns to local compiles, never to
+// errors, and forwarding must resume once the partition heals.
+func TestFleetPartitionDegradesThenHeals(t *testing.T) {
+	var cutHost atomic.Value // host:port whose artifact traffic fails; "" = healed
+	cutHost.Store("")
+	partition := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if h := cutHost.Load().(string); h != "" && req.URL.Host == h && strings.HasPrefix(req.URL.Path, "/artifact/") {
+			return nil, fmt.Errorf("injected partition: connect refused to %s", h)
+		}
+		return http.DefaultTransport.RoundTrip(req)
+	})
+	nodes := startFleet(t, 3, func(i int, cfg *Config) { cfg.Fabric.Transport = partition })
+	urls := fleetURLs(nodes)
+	victim := nodes[2]
+	cutHost.Store(strings.TrimPrefix(victim.url, "http://"))
+
+	seen := map[string]bool{}
+	fresh := func(seedBase int64) string {
+		src := sourceOwnedBy(t, urls, victim.url, seedBase)
+		if seen[src] {
+			t.Fatal("sourceOwnedBy returned the same source twice")
+		}
+		seen[src] = true
+		return src
+	}
+	for i := 0; i < 4; i++ {
+		caller := nodes[i%2]
+		code, _ := doJSON(t, "POST", caller.url+"/compile", CompileRequest{Source: fresh(60000 + 1000*int64(i))}, nil, nil)
+		if code != http.StatusOK {
+			t.Fatalf("partitioned compile %d via %s: status %d", i, caller.url, code)
+		}
+	}
+	var fallbacks int64
+	for _, caller := range nodes[:2] {
+		fallbacks += caller.server().metrics().FallbackLocal
+		if !peerView(caller, victim.url).Healthy {
+			t.Fatalf("%s sees the partitioned host as unhealthy; its /healthz should still answer", caller.url)
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("partition never exercised the local-compile fallback")
+	}
+	if got := victim.server().CacheStats().Computes; got != 0 {
+		t.Fatalf("partitioned host compiled %d keys; its artifact traffic should not have arrived", got)
+	}
+
+	// Heal: health probes re-close whatever the failed forwards opened,
+	// and the next fresh key is compiled by its owner again.
+	cutHost.Store("")
+	caller := nodes[0]
+	waitCond(t, "breaker closed after heal", func() bool {
+		return peerView(caller, victim.url).Breaker == fabric.BreakerClosed
+	})
+	before := caller.server().FabricStats().ForwardHits
+	code, _ := doJSON(t, "POST", caller.url+"/compile", CompileRequest{Source: fresh(70000)}, nil, nil)
+	if code != http.StatusOK {
+		t.Fatalf("compile after heal: status %d", code)
+	}
+	if got := victim.server().CacheStats().Computes; got != 1 {
+		t.Fatalf("healed owner computes = %d, want 1 (forwarding resumed)", got)
+	}
+	if after := caller.server().FabricStats().ForwardHits; after != before+1 {
+		t.Fatalf("forward_hits %d → %d after heal, want one more", before, after)
 	}
 }
 

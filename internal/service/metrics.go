@@ -123,7 +123,7 @@ type Metrics struct {
 		MaxInQueue  int64 `json:"max_in_queue"`
 	} `json:"array"`
 	// Fabric is present only on fleet members: per-peer breaker state
-	// and health, forward/hedge/fallback counters.
+	// and health, forward/fallback counters.
 	Fabric        *fabric.Stats `json:"fabric,omitempty"`
 	FallbackLocal int64         `json:"fallback_local_compiles,omitempty"`
 	Latency       struct {

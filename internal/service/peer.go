@@ -108,8 +108,8 @@ func (s *Server) handleArtifactPost(w http.ResponseWriter, r *http.Request) {
 	s.writeArtifact(w, data, hit)
 }
 
-// handleArtifactGet is the fetch-only peer path (hedges, run-by-key):
-// cached bytes or 404, never a compile.
+// handleArtifactGet is the fetch-only peer path (run-by-key): cached
+// bytes or 404, never a compile.
 func (s *Server) handleArtifactGet(w http.ResponseWriter, r *http.Request) {
 	key, err := cache.ParseKey(r.PathValue("key"))
 	if err != nil {

@@ -45,8 +45,8 @@ func RandomSource(seed int64) string {
 // HeavySource generates a program with `loops` independent loops, enough
 // compile work that a millisecond-scale deadline reliably trips the
 // compiler's between-loop and between-candidate-II context checks before
-// compilation can finish.  Deterministic; used by the deadline smoke of
-// cmd/softpipe-load and the service tests.
+// compilation can finish.  Deterministic; used by the service's deadline
+// tests.
 func HeavySource(loops int) string {
 	var b strings.Builder
 	b.WriteString("program heavy;\nvar a, bb, c, d: array [0..255] of real;\n    k: int;\nbegin\n")

@@ -7,9 +7,11 @@
 # Gated packages (75% statement coverage each): the scheduler, the
 # pipeliner (II search driver, MVE, copy budget), hierarchical reduction,
 # the code generator, and the independent object-code verifier — the
-# layers whose regressions silently corrupt emitted code — and the
-# simulator, the single cell semantics both engines and every array run
-# on.  The simulator's fast path is differential-tested from
+# layers whose regressions silently corrupt emitted code; the simulator,
+# the single cell semantics both engines and every array run on; and the
+# compile fabric and the service, whose fleet contract (exactly-once,
+# degrade-never-error) has no evidence but `go test`.
+# The simulator's fast path is differential-tested from
 # internal/sim/compiled, so its figure is the union over both test
 # packages (a second, small `go test -coverpkg` run).
 set -euo pipefail
@@ -22,6 +24,8 @@ gated=(
   softpipe/internal/hier
   softpipe/internal/codegen
   softpipe/internal/verify
+  softpipe/internal/fabric
+  softpipe/internal/service
 )
 
 summary="$(mktemp)"

@@ -1,55 +1,40 @@
 #!/usr/bin/env bash
-# service_smoke.sh: end-to-end check of the compile service.  Builds
-# softpiped and softpipe-load, starts the daemon with a disk cache tier,
-# runs the load harness's deterministic smoke assertions plus a short
-# replay, and asserts: /healthz answers OK, /metrics parses with zero
-# recovered panics, the warm hit rate is 100%, N concurrent identical
-# requests ran exactly one compile, and the replay error count is zero.
-#
-#   scripts/service_smoke.sh [report-out]   (default BENCH_service.json)
+# service_smoke.sh: the one thing `go test ./internal/service` cannot see —
+# the real softpiped binary: its flags, its listener, the -cache-dir tier
+# across a restart, /metrics, and a SIGTERM drain that exits 0.  Driven by
+# curl alone; everything else about the service is held by the tests.
 set -euo pipefail
 
-out="${1:-BENCH_service.json}"
 addr="127.0.0.1:8575"
-cache_dir="$(mktemp -d)"
-bin_dir="$(mktemp -d)"
+work="$(mktemp -d)"
+pid=""
+trap '[ -z "$pid" ] || kill "$pid" 2>/dev/null || true; rm -rf "$work"' EXIT
+go build -o "$work/softpiped" ./cmd/softpiped
+python3 -c 'import json,sys; json.dump({"source": open(sys.argv[1]).read()}, sys.stdout)' \
+  testdata/saxpy.w2 >"$work/req.json"
 
-go build -o "$bin_dir/softpiped" ./cmd/softpiped
-go build -o "$bin_dir/softpipe-load" ./cmd/softpipe-load
+start() {
+  "$work/softpiped" -addr "$addr" -cache-dir "$work/cache" -quiet &
+  pid=$!
+  for _ in $(seq 1 50); do
+    curl -fsS "http://$addr/healthz" >/dev/null 2>&1 && return
+    sleep 0.1
+  done
+  curl -fsS "http://$addr/healthz" >/dev/null  # liveness gate
+}
+compile() { # $1 = cold|warm: assert "cached" accordingly, print object_sha256
+  curl -fsS -H 'Content-Type: application/json' -d @"$work/req.json" "http://$addr/compile" |
+    python3 -c 'import json,sys; r=json.load(sys.stdin); assert r["cached"] == (sys.argv[1] == "warm"), r; print(r["object_sha256"])' "$1"
+}
+stop() { kill -TERM "$pid"; wait "$pid"; pid=""; }  # a non-zero drain exit fails the script
 
-"$bin_dir/softpiped" -addr "$addr" -cache-dir "$cache_dir" -quiet &
-pid=$!
-trap 'kill "$pid" 2>/dev/null || true; rm -rf "$cache_dir" "$bin_dir"' EXIT
-
-for _ in $(seq 1 50); do
-  curl -fsS "http://$addr/healthz" >/dev/null 2>&1 && break
-  sleep 0.1
-done
-curl -fsS "http://$addr/healthz" >/dev/null  # liveness gate
-
-# Smoke assertions (exit non-zero on any failure) + a 5s paced replay.
-"$bin_dir/softpipe-load" -addr "http://$addr" -smoke \
-  -duration 5s -rps 100 -concurrency 8 -out "$out"
-
-# /metrics parses and the daemon recovered no panics.
+start
+sha="$(compile cold)"
+[ "$(compile warm)" = "$sha" ]
+stop
+start  # same -cache-dir: the disk tier must answer
+[ "$(compile warm)" = "$sha" ]
 curl -fsS "http://$addr/metrics" | python3 -c \
-  'import json,sys; m=json.load(sys.stdin); assert m["panics"]==0, m'
-
-# Replay error rate must be zero; smoke invariants must hold.
-python3 - "$out" <<'EOF'
-import json, sys
-rep = json.load(open(sys.argv[1]))
-replay, smoke = rep["replay"], rep["smoke"]
-assert replay["requests"] > 0, replay
-assert replay["errors"] == 0, replay
-assert smoke["passed"], smoke
-assert smoke["warm_hit_rate"] == 1.0, smoke
-assert smoke["singleflight_computes"] == 1, smoke
-print("service smoke OK: %d requests, 0 errors, hit rate %.0f%%, p95 %.1fms"
-      % (replay["requests"], 100*replay["hit_rate"],
-         replay["latency_ms"]["p95_ms"]))
-EOF
-
-# Graceful drain: SIGTERM must exit cleanly after finishing in-flight work.
-kill -TERM "$pid"
-wait "$pid"
+  'import json,sys; m=json.load(sys.stdin); assert m["panics"]==0 and m["errors"]==0, m'
+stop
+echo "service smoke OK: softpiped compiled, cached, survived a restart and drained cleanly"
