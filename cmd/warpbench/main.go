@@ -11,8 +11,8 @@
 //	          [-engine interp|compiled]
 //	          [-effort heuristic|exact] [-effort-budget d]
 //	          [-cpuprofile f] [-memprofile f] [-trace out.json]
-//	          [-gap] [-gapset full|smoke] [-gapout f]
-//	          [-sweep] [-sweepset full|smoke] [-machines "a;b;..."] [-sweepout f]
+//	          [-gap] [-gapout f]
+//	          [-sweep] [-machines "a;b;..."] [-sweepout f]
 //	          [-array] [-cells "2,4"] [-arrayout f]
 //
 // With no selection flags, everything runs.  -parallel sizes the
@@ -61,13 +61,11 @@ func main() {
 	f42 := flag.Bool("fig42", false, "Figure 4-2: speedup histogram")
 	stats := flag.Bool("stats", false, "§4.1 population statistics")
 	gap := flag.Bool("gap", false, "measure the heuristic-vs-optimal II gap over the corpus and print the per-loop table")
-	gapSet := flag.String("gapset", "full", "with -gap: corpus to measure, full or smoke")
 	gapOut := flag.String("gapout", "", "with -gap: also write the BENCH_gap.json artifact to this file")
 	array := flag.Bool("array", false, "auto-partition the corpus across the cell array and print the per-width speedup table")
 	arrayCells := flag.String("cells", "2,4", "with -array: comma-separated array widths to measure")
 	arrayOut := flag.String("arrayout", "", "with -array: also write the BENCH_array.json artifact to this file")
 	sweep := flag.Bool("sweep", false, "compile the sweep corpus across a machine grid and print the per-machine table")
-	sweepSet := flag.String("sweepset", "full", "with -sweep: corpus to sweep, full or smoke")
 	sweepOut := flag.String("sweepout", "", "with -sweep: also write the BENCH_sweep.json artifact to this file")
 	sweepMachines := flag.String("machines", "", "with -sweep: semicolon-separated machine names overriding the default grid (gen: names contain commas)")
 	flag.Parse()
@@ -110,7 +108,7 @@ func main() {
 				grid = append(grid, n)
 			}
 		}
-		rep, err := bench.MeasureSweep(grid, *sweepSet, cfg)
+		rep, err := bench.MeasureSweep(grid, bench.SetFull, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -118,7 +116,7 @@ func main() {
 		writeReport(*sweepOut, rep)
 		return
 	case *gap:
-		rep, err := bench.MeasureGap(m, *gapSet, cfg)
+		rep, err := bench.MeasureGap(m, bench.SetFull, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -99,10 +99,10 @@ type Workload struct {
 	Prog *ir.Program
 }
 
-// Corpus set names (the -gapset / -sweepset values).
+// Corpus set names: the reports measure the full set, tests the smoke set.
 const (
 	SetFull  = "full"  // saxpy + every Livermore kernel
-	SetSmoke = "smoke" // saxpy + one resource-bound Livermore kernel (CI smoke)
+	SetSmoke = "smoke" // saxpy + one resource-bound Livermore kernel
 )
 
 // Corpus builds the named report corpus.  fuzz appends the checked-in

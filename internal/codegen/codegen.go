@@ -55,17 +55,16 @@ type Options struct {
 	// enclosing loop becomes innermost and is modulo scheduled directly
 	// (outer-loop software pipelining, §3.2 taken to its limit).  The
 	// pass rewrites a private clone; the caller's program is never
-	// modified.
+	// modified.  Values outside [0, forceUnrollCap] are an error: the
+	// expansion is paid for before any deadline is consulted.
 	UnrollInnerTrip int
 	// VerifyEmitted runs the independent checker of internal/verify over
 	// the emitted object code against the *original* input program (so
 	// the internal unroll rewrite is verified too) and fails compilation
-	// on any violation.  Tests turn this on by default.
+	// on any violation.  Tests turn this on by default.  A program that
+	// receives has no input tape at compile time to drive the concolic
+	// run, so it gets the static checks only.
 	VerifyEmitted bool
-	// VerifyInput is the input tape (one word per receive) handed to the
-	// verifier.  Programs that receive with no tape provided get only the
-	// static checks.
-	VerifyInput []float64
 	// Explain records a per-candidate II-search failure report for each
 	// pipelining attempt (LoopReport.Explain).
 	Explain bool
@@ -132,6 +131,9 @@ type Report struct {
 // pass, the one rewriting transformation, works on a private clone), so
 // the same program may be compiled from many goroutines concurrently.
 func Compile(p *ir.Program, m *machine.Machine, opts Options) (*vliw.Program, *Report, error) {
+	if opts.UnrollInnerTrip < 0 || opts.UnrollInnerTrip > forceUnrollCap {
+		return nil, nil, fmt.Errorf("codegen: unroll-inner trip %d outside [0, %d]", opts.UnrollInnerTrip, forceUnrollCap)
+	}
 	sp := opts.Tracer.Begin("codegen.validate")
 	err := p.Validate(m)
 	sp.End()
@@ -178,12 +180,12 @@ func Compile(p *ir.Program, m *machine.Machine, opts Options) (*vliw.Program, *R
 	if opts.VerifyEmitted {
 		sp := opts.Tracer.Begin("verify")
 		var err error
-		if usesRecv(orig.Body) && len(opts.VerifyInput) == 0 {
+		if usesRecv(orig.Body) {
 			// No tape to drive a concolic run: prove what can be proven
 			// statically (encoding, resources, modulo wraparound).
 			err = verify.Static(e.prog, m)
 		} else {
-			err = verify.ProgramOpts(orig, e.prog, m, verify.Options{Input: opts.VerifyInput, Tracer: opts.Tracer})
+			err = verify.ProgramOpts(orig, e.prog, m, verify.Options{Tracer: opts.Tracer})
 		}
 		sp.End()
 		if err != nil {
@@ -252,19 +254,13 @@ type emitter struct {
 }
 
 func newEmitter(p *ir.Program, m *machine.Machine, opts Options) *emitter {
-	maxLat := 1
-	for c := machine.Class(0); c < machine.Class(machine.NumClasses()); c++ {
-		if d := m.Desc(c); d != nil && d.Latency > maxLat {
-			maxLat = d.Latency
-		}
-	}
 	return &emitter{
 		irp:         p,
 		m:           m,
 		opts:        opts,
 		prog:        &vliw.Program{Name: p.Name, InitF: map[string][]float64{}, InitI: map[string][]int64{}},
 		report:      &Report{},
-		maxLat:      maxLat,
+		maxLat:      m.MaxLatency(),
 		fmap:        map[regKey]int{},
 		imap:        map[regKey]int{},
 		pos:         map[int]int{},

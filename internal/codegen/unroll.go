@@ -24,8 +24,9 @@ import (
 // a + c·j for inner counter j becomes, in copy k, the *constant* address
 // a + c·k, so copies disambiguate against each other exactly.
 
-// forceUnrollCap bounds the `unroll` directive: expanding more
-// iterations than this would dwarf any schedule it could improve.
+// forceUnrollCap bounds the `unroll` directive and Options.UnrollInnerTrip:
+// expanding more iterations than this would dwarf any schedule it could
+// improve.
 const forceUnrollCap = 64
 
 // unrollSmallLoops rewrites p's block tree in place, replacing every

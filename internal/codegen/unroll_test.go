@@ -365,3 +365,15 @@ func TestForceUnrollDirective(t *testing.T) {
 		t.Errorf("trip-100 forced loop exceeds the cap and must survive, got %d", len(rep.Loops))
 	}
 }
+
+// TestUnrollInnerTripBounded: the option is capped where the `unroll`
+// directive is — a larger (or negative) value is a compile error, not an
+// expansion paid for before any deadline is consulted; the cap compiles.
+func TestUnrollInnerTripBounded(t *testing.T) {
+	for _, trip := range []int{forceUnrollCap + 1, -1, 1000000000} {
+		if _, _, err := Compile(firProgram(8, 4), machine.Warp(), Options{UnrollInnerTrip: trip}); err == nil {
+			t.Errorf("UnrollInnerTrip %d compiled, want a range error", trip)
+		}
+	}
+	runUnrolled(t, func() *ir.Program { return firProgram(8, 4) }, forceUnrollCap)
+}

@@ -56,17 +56,6 @@ type Graph struct {
 	Expandable map[ir.VReg]bool
 }
 
-// Out returns the edges leaving node i (by scanning; graphs are small).
-func (g *Graph) Out(i int) []Edge {
-	var out []Edge
-	for _, e := range g.Edges {
-		if e.From == i {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // String renders the graph for diagnostics.
 func (g *Graph) String() string {
 	var b strings.Builder

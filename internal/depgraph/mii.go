@@ -1,6 +1,7 @@
 package depgraph
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
@@ -119,6 +120,13 @@ func MIIBounds(g *Graph, m *machine.Machine) (Bounds, error) {
 // Closures are pruned against the MII, which every candidate interval is
 // known to meet or exceed; that keeps their Pareto frontiers tiny.
 func Analyze(g *Graph, m *machine.Machine) (*Analysis, error) {
+	return AnalyzeContext(context.TODO(), g, m)
+}
+
+// AnalyzeContext is Analyze under a deadline: a closure is cubic in the
+// size of its component, so each one polls ctx as it goes and the
+// analysis fails with an error wrapping ctx.Err() once ctx is done.
+func AnalyzeContext(ctx context.Context, g *Graph, m *machine.Machine) (*Analysis, error) {
 	b, scc, nontrivial, err := bounds(g, m)
 	if err != nil {
 		return nil, err
@@ -129,7 +137,7 @@ func Analyze(g *Graph, m *machine.Machine) (*Analysis, error) {
 		if !nontrivial[ci] {
 			continue
 		}
-		cl, err := NewClosure(g, comp, b.MII)
+		cl, err := newClosure(ctx, g, comp, b.MII)
 		if err != nil {
 			return nil, err
 		}

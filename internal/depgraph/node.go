@@ -77,26 +77,6 @@ func (n *Node) String() string {
 	return fmt.Sprintf("n%d{reduced len=%d}", n.Index, n.Len)
 }
 
-// ReadOf returns the read access of reg r, if any.
-func (n *Node) ReadOf(r ir.VReg) (RegRead, bool) {
-	for _, a := range n.Reads {
-		if a.Reg == r {
-			return a, true
-		}
-	}
-	return RegRead{}, false
-}
-
-// WriteOf returns the write access of reg r, if any.
-func (n *Node) WriteOf(r ir.VReg) (RegWrite, bool) {
-	for _, a := range n.Writes {
-		if a.Reg == r {
-			return a, true
-		}
-	}
-	return RegWrite{}, false
-}
-
 // NodeFromOp builds the scheduling node of a single operation on machine
 // m.  It fails when the machine has no descriptor for the op's class
 // (a narrow machine variant), rather than panicking mid-compile.

@@ -1,6 +1,7 @@
 package depgraph
 
 import (
+	"context"
 	"fmt"
 	"math"
 )
@@ -105,6 +106,12 @@ const maxWind = 64
 // comp of graph g, with the initiation interval symbolic.  Evaluations
 // are valid for intervals ≥ sMin (pass 1 when no better bound is known).
 func NewClosure(g *Graph, comp []int, sMin int) (*Closure, error) {
+	return newClosure(context.TODO(), g, comp, sMin)
+}
+
+// newClosure is NewClosure under a deadline: the relaxation polls ctx once
+// per pivot (one pivot is O(n²) pair merges, a sweep O(n³)).
+func newClosure(ctx context.Context, g *Graph, comp []int, sMin int) (*Closure, error) {
 	if sMin < 1 {
 		sMin = 1
 	}
@@ -151,6 +158,9 @@ func NewClosure(g *Graph, comp []int, sMin int) (*Closure, error) {
 	for {
 		changed := false
 		for k := 0; k < n; k++ {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("depgraph: closure of a %d-node component aborted: %w", n, err)
+			}
 			for i := 0; i < n; i++ {
 				if len(c.Dist[i][k]) == 0 {
 					continue

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"softpipe/internal/machine"
 )
@@ -58,56 +59,59 @@ func (b *Builder) newOp(c machine.Class, dst VReg, src ...VReg) *Op {
 	return b.Emit(o)
 }
 
+// fresh emits class c over src into a fresh register of the kind the
+// class's row gives its destination (for a select, the kind of its arms),
+// or into no register when the class has no destination.
+func (b *Builder) fresh(c machine.Class, src ...VReg) *Op {
+	row := c.Info()
+	selFloat := false
+	if k := slices.Index(row.Src[:], machine.FileSelect); k >= 0 {
+		selFloat = b.P.Kind(src[k]) == KindFloat
+	}
+	d := NoReg
+	switch row.Dst.Resolve(false, selFloat) {
+	case machine.FileFloat:
+		d = b.P.NewReg(KindFloat)
+	case machine.FileInt:
+		d = b.P.NewReg(KindInt)
+	}
+	return b.newOp(c, d, src...)
+}
+
+// Op emits an operation of class c over src and returns the fresh
+// register holding its result (NoReg for a class that has none).  It
+// serves every class whose result kind the class table decides; a load's
+// comes from its array, so loads go through LoadAt.
+func (b *Builder) Op(c machine.Class, src ...VReg) VReg { return b.fresh(c, src...).Dst }
+
 // FConst materializes a float constant.
 func (b *Builder) FConst(v float64) VReg {
-	d := b.P.NewReg(KindFloat)
-	o := b.newOp(machine.ClassFConst, d)
+	o := b.fresh(machine.ClassFConst)
 	o.FImm = v
-	return d
+	return o.Dst
 }
 
 // IConst materializes an int constant.
 func (b *Builder) IConst(v int64) VReg {
-	d := b.P.NewReg(KindInt)
-	o := b.newOp(machine.ClassIConst, d)
+	o := b.fresh(machine.ClassIConst)
 	o.IImm = v
-	return d
+	return o.Dst
 }
 
 // FAdd emits dst = x + y.
-func (b *Builder) FAdd(x, y VReg) VReg {
-	d := b.P.NewReg(KindFloat)
-	b.newOp(machine.ClassFAdd, d, x, y)
-	return d
-}
+func (b *Builder) FAdd(x, y VReg) VReg { return b.Op(machine.ClassFAdd, x, y) }
 
 // FSub emits dst = x - y.
-func (b *Builder) FSub(x, y VReg) VReg {
-	d := b.P.NewReg(KindFloat)
-	b.newOp(machine.ClassFSub, d, x, y)
-	return d
-}
+func (b *Builder) FSub(x, y VReg) VReg { return b.Op(machine.ClassFSub, x, y) }
 
 // FMul emits dst = x * y.
-func (b *Builder) FMul(x, y VReg) VReg {
-	d := b.P.NewReg(KindFloat)
-	b.newOp(machine.ClassFMul, d, x, y)
-	return d
-}
+func (b *Builder) FMul(x, y VReg) VReg { return b.Op(machine.ClassFMul, x, y) }
 
 // FNeg emits dst = -x.
-func (b *Builder) FNeg(x VReg) VReg {
-	d := b.P.NewReg(KindFloat)
-	b.newOp(machine.ClassFNeg, d, x)
-	return d
-}
+func (b *Builder) FNeg(x VReg) VReg { return b.Op(machine.ClassFNeg, x) }
 
 // FMov emits dst = x (float copy into a fresh register).
-func (b *Builder) FMov(x VReg) VReg {
-	d := b.P.NewReg(KindFloat)
-	b.newOp(machine.ClassFMov, d, x)
-	return d
-}
+func (b *Builder) FMov(x VReg) VReg { return b.Op(machine.ClassFMov, x) }
 
 // FAssign emits dst = x into an existing register (a mutable variable).
 func (b *Builder) FAssign(dst, x VReg) { b.newOp(machine.ClassFMov, dst, x) }
@@ -125,63 +129,39 @@ func (b *Builder) FSubTo(dst, x, y VReg) { b.newOp(machine.ClassFSub, dst, x, y)
 func (b *Builder) FMulTo(dst, x, y VReg) { b.newOp(machine.ClassFMul, dst, x, y) }
 
 // IAdd emits dst = x + y.
-func (b *Builder) IAdd(x, y VReg) VReg {
-	d := b.P.NewReg(KindInt)
-	b.newOp(machine.ClassIAdd, d, x, y)
-	return d
-}
+func (b *Builder) IAdd(x, y VReg) VReg { return b.Op(machine.ClassIAdd, x, y) }
 
 // ISub emits dst = x - y.
-func (b *Builder) ISub(x, y VReg) VReg {
-	d := b.P.NewReg(KindInt)
-	b.newOp(machine.ClassISub, d, x, y)
-	return d
-}
+func (b *Builder) ISub(x, y VReg) VReg { return b.Op(machine.ClassISub, x, y) }
 
 // IMul emits dst = x * y.
-func (b *Builder) IMul(x, y VReg) VReg {
-	d := b.P.NewReg(KindInt)
-	b.newOp(machine.ClassIMul, d, x, y)
-	return d
-}
+func (b *Builder) IMul(x, y VReg) VReg { return b.Op(machine.ClassIMul, x, y) }
 
 // IAddTo emits dst = x + y into an existing int register.
 func (b *Builder) IAddTo(dst, x, y VReg) { b.newOp(machine.ClassIAdd, dst, x, y) }
 
 // FCmp emits an int 0/1 register = pred(x, y) over floats.
 func (b *Builder) FCmp(p Pred, x, y VReg) VReg {
-	d := b.P.NewReg(KindInt)
-	o := b.newOp(machine.ClassFCmp, d, x, y)
+	o := b.fresh(machine.ClassFCmp, x, y)
 	o.IImm = int64(p)
-	return d
+	return o.Dst
 }
 
 // ICmp emits an int 0/1 register = pred(x, y) over ints.
 func (b *Builder) ICmp(p Pred, x, y VReg) VReg {
-	d := b.P.NewReg(KindInt)
-	o := b.newOp(machine.ClassICmp, d, x, y)
+	o := b.fresh(machine.ClassICmp, x, y)
 	o.IImm = int64(p)
-	return d
+	return o.Dst
 }
 
 // Select emits dst = cond != 0 ? x : y, with dst of the kind of x.
-func (b *Builder) Select(cond, x, y VReg) VReg {
-	d := b.P.NewReg(b.P.Kind(x))
-	b.newOp(machine.ClassISelect, d, cond, x, y)
-	return d
-}
+func (b *Builder) Select(cond, x, y VReg) VReg { return b.Op(machine.ClassISelect, cond, x, y) }
 
 // Recv emits dst = one word dequeued from the cell's input channel.
-func (b *Builder) Recv() VReg {
-	d := b.P.NewReg(KindFloat)
-	b.newOp(machine.ClassRecv, d)
-	return d
-}
+func (b *Builder) Recv() VReg { return b.Op(machine.ClassRecv) }
 
 // Send enqueues x on the cell's output channel.
-func (b *Builder) Send(x VReg) {
-	b.newOp(machine.ClassSend, NoReg, x)
-}
+func (b *Builder) Send(x VReg) { b.Op(machine.ClassSend, x) }
 
 // Load emits dst = arr[addr] with an optional affine annotation.
 func (b *Builder) Load(arr string, addr VReg, aff *Affine) VReg {
@@ -266,82 +246,55 @@ func (b *Builder) If(cond VReg, thenFn, elseFn func()) {
 	b.cur().Stmts = append(b.cur().Stmts, s)
 }
 
-func (l *LoopCtx) preheader(o *Op) {
-	l.parent.Stmts = append(l.parent.Stmts, &OpStmt{Op: o})
-}
-
 // IV returns the loop's 0-based iteration index register, materializing
 // the counter on first use: the register is initialized to 0 in the
 // preheader and incremented at the end of each iteration, so the body
 // observes values 0, 1, 2, ...
 func (l *LoopCtx) IV() VReg {
-	if l.iv != NoReg {
-		return l.iv
+	if l.iv == NoReg {
+		l.b.InPreheader(l, func() { l.iv = l.b.IConst(0) })
+		l.step(machine.ClassIAdd, l.iv, 1)
 	}
-	b := l.b
-	iv := b.P.NewReg(KindInt)
-	init := b.P.NewOp(machine.ClassIConst)
-	init.Dst = iv
-	l.preheader(init)
-	one := l.stepConst(1)
-	inc := b.P.NewOp(machine.ClassIAdd)
-	inc.Dst = iv
-	inc.Src = []VReg{iv, one}
-	l.deferred = append(l.deferred, inc)
-	l.iv = iv
-	return iv
+	return l.iv
 }
 
 // Pointer creates a strength-reduced address register for the loop: it is
 // initialized to `init` in the preheader and incremented by `step` at the
 // end of every iteration, so it holds init + step·k during iteration k.
-func (l *LoopCtx) Pointer(init int64, step int64) VReg {
-	b := l.b
-	p := b.P.NewReg(KindInt)
-	o := b.P.NewOp(machine.ClassIConst)
-	o.Dst = p
-	o.IImm = init
-	l.preheader(o)
-	l.addStep(p, step)
+func (l *LoopCtx) Pointer(init int64, step int64) (p VReg) {
+	l.b.InPreheader(l, func() { p = l.b.IConst(init) })
+	l.step(machine.ClassAdrAdd, p, step)
 	return p
 }
 
 // PointerFrom is like Pointer but starts from a register value computed in
 // the enclosing block (e.g. an outer-loop pointer).
-func (l *LoopCtx) PointerFrom(init VReg, step int64) VReg {
-	b := l.b
-	p := b.P.NewReg(KindInt)
-	o := b.P.NewOp(machine.ClassIMov)
-	o.Dst = p
-	o.Src = []VReg{init}
-	l.preheader(o)
-	l.addStep(p, step)
+func (l *LoopCtx) PointerFrom(init VReg, step int64) (p VReg) {
+	l.b.InPreheader(l, func() { p = l.b.Op(machine.ClassIMov, init) })
+	l.step(machine.ClassAdrAdd, p, step)
 	return p
 }
 
-func (l *LoopCtx) addStep(p VReg, step int64) {
-	inc := l.b.P.NewOp(machine.ClassAdrAdd)
-	inc.Dst = p
-	inc.Src = []VReg{p, l.stepConst(step)}
+// step defers r = r + by (an op of class c) to the end of each iteration.
+func (l *LoopCtx) step(c machine.Class, r VReg, by int64) {
+	inc := l.b.P.NewOp(c)
+	inc.Dst = r
+	inc.Src = []VReg{r, l.stepConst(by)}
 	l.deferred = append(l.deferred, inc)
 }
 
 // stepConst returns a register holding the given constant, shared among
 // this loop's pointer steps and emitted once in the preheader.
 func (l *LoopCtx) stepConst(v int64) VReg {
-	if r, ok := l.steps[v]; ok {
-		return r
+	r, ok := l.steps[v]
+	if !ok {
+		l.b.InPreheader(l, func() { r = l.b.IConst(v) })
+		if l.steps == nil {
+			l.steps = map[int64]VReg{}
+		}
+		l.steps[v] = r
 	}
-	b := l.b
-	op := b.P.NewOp(machine.ClassIConst)
-	op.Dst = b.P.NewReg(KindInt)
-	op.IImm = v
-	l.preheader(op)
-	if l.steps == nil {
-		l.steps = map[int64]VReg{}
-	}
-	l.steps[v] = op.Dst
-	return op.Dst
+	return r
 }
 
 // InPreheader runs fn with emission redirected to the block enclosing the

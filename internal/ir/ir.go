@@ -167,12 +167,6 @@ type Op struct {
 	Mem   *MemRef
 }
 
-// Reads returns the registers the op reads (at issue time).
-func (o *Op) Reads() []VReg { return o.Src }
-
-// Writes returns the register the op writes, or NoReg.
-func (o *Op) Writes() VReg { return o.Dst }
-
 // Clone returns a deep copy of the op (fresh Src slice and MemRef).
 func (o *Op) Clone() *Op {
 	c := *o
@@ -188,8 +182,6 @@ func (o *Op) Clone() *Op {
 // String renders the op for diagnostics.
 func (o *Op) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "v%d? ", o.ID)
-	b.Reset()
 	if o.Dst != NoReg {
 		fmt.Fprintf(&b, "r%d = ", o.Dst)
 	}
@@ -300,7 +292,8 @@ func (p *Program) NewReg(k Kind) VReg {
 // NumRegs reports how many virtual registers exist.
 func (p *Program) NumRegs() int { return len(p.RegKind) }
 
-// Kind returns the kind of register r.
+// Kind returns the kind of register r, which must exist (Validate checks
+// untrusted programs before anything asks).
 func (p *Program) Kind(r VReg) Kind { return p.RegKind[r] }
 
 // NewOp allocates an op with a fresh ID.
@@ -422,10 +415,38 @@ func (b *Block) Walk(fn func(Stmt) bool) {
 	}
 }
 
-// Validate checks structural invariants: register kinds consistent with op
-// classes, operand counts, memory ops annotated, loop counts sane.
+// Validate checks structural invariants: every register named by an op, a
+// condition, a loop count or a result exists and has the kind its use
+// demands, operand counts and memory annotations match the op's class
+// (machine.ClassInfo), and structured statements are well formed.  It is
+// total: no program, however malformed, makes it panic.
 func (p *Program) Validate(m *machine.Machine) error {
-	return p.validateBlock(p.Body, m)
+	if err := p.validateBlock(p.Body, m); err != nil {
+		return err
+	}
+	for _, r := range p.Results {
+		if err := p.regOK(r.Reg, anyKind); err != nil {
+			return fmt.Errorf("result %s: bad %w", r.Name, err)
+		}
+	}
+	return nil
+}
+
+// anyKind is regOK's wildcard: the register must exist, in either file.
+const anyKind Kind = -1
+
+func (p *Program) hasReg(r VReg) bool { return 0 <= r && int(r) < len(p.RegKind) }
+
+// regOK is the one register check: r must name a register of the program,
+// of kind want.
+func (p *Program) regOK(r VReg, want Kind) error {
+	if !p.hasReg(r) {
+		return fmt.Errorf("register r%d out of range (program has %d)", r, len(p.RegKind))
+	}
+	if want != anyKind && p.RegKind[r] != want {
+		return fmt.Errorf("register r%d is %v, want %v", r, p.RegKind[r], want)
+	}
+	return nil
 }
 
 func (p *Program) validateBlock(b *Block, m *machine.Machine) error {
@@ -436,8 +457,8 @@ func (p *Program) validateBlock(b *Block, m *machine.Machine) error {
 				return err
 			}
 		case *IfStmt:
-			if s.Cond == NoReg || int(s.Cond) >= p.NumRegs() || p.Kind(s.Cond) != KindInt {
-				return fmt.Errorf("if: bad condition register r%d", s.Cond)
+			if err := p.regOK(s.Cond, KindInt); err != nil {
+				return fmt.Errorf("if: bad condition %w", err)
 			}
 			if s.Then == nil || s.Else == nil {
 				return fmt.Errorf("if: nil branch block")
@@ -449,8 +470,10 @@ func (p *Program) validateBlock(b *Block, m *machine.Machine) error {
 				return err
 			}
 		case *LoopStmt:
-			if s.CountReg != NoReg && p.Kind(s.CountReg) != KindInt {
-				return fmt.Errorf("loop %d: count register r%d is not int", s.ID, s.CountReg)
+			if s.CountReg != NoReg {
+				if err := p.regOK(s.CountReg, KindInt); err != nil {
+					return fmt.Errorf("loop %d: bad count %w", s.ID, err)
+				}
 			}
 			if s.Body == nil {
 				return fmt.Errorf("loop %d: nil body", s.ID)
@@ -465,151 +488,52 @@ func (p *Program) validateBlock(b *Block, m *machine.Machine) error {
 	return nil
 }
 
+// validateOp holds one op to its class's row: IR-legal, the row's source
+// count, a memory annotation exactly when some operand lives in the
+// array's file, and every operand a register of the row's kind.
 func (p *Program) validateOp(o *Op, m *machine.Machine) error {
 	if m.Desc(o.Class) == nil {
 		return fmt.Errorf("op %d: class %v unsupported on %s", o.ID, o.Class, m.Name)
 	}
-	check := func(r VReg, want Kind, what string) error {
-		if r == NoReg || int(r) >= p.NumRegs() {
-			return fmt.Errorf("op %d (%v): bad %s register r%d", o.ID, o.Class, what, r)
-		}
-		if p.Kind(r) != want {
-			return fmt.Errorf("op %d (%v): %s register r%d is %v, want %v", o.ID, o.Class, what, r, p.Kind(r), want)
-		}
-		return nil
-	}
-	wantSrc := func(n int) error {
-		if len(o.Src) != n {
-			return fmt.Errorf("op %d (%v): have %d operands, want %d", o.ID, o.Class, len(o.Src), n)
-		}
-		return nil
-	}
-	switch o.Class {
-	case machine.ClassFAdd, machine.ClassFSub, machine.ClassFMul:
-		if err := wantSrc(2); err != nil {
-			return err
-		}
-		for _, s := range o.Src {
-			if err := check(s, KindFloat, "source"); err != nil {
-				return err
-			}
-		}
-		return check(o.Dst, KindFloat, "dest")
-	case machine.ClassFNeg, machine.ClassFMov, machine.ClassFRecipSeed, machine.ClassFRsqrtSeed:
-		if err := wantSrc(1); err != nil {
-			return err
-		}
-		if err := check(o.Src[0], KindFloat, "source"); err != nil {
-			return err
-		}
-		return check(o.Dst, KindFloat, "dest")
-	case machine.ClassF2I:
-		if err := wantSrc(1); err != nil {
-			return err
-		}
-		if err := check(o.Src[0], KindFloat, "source"); err != nil {
-			return err
-		}
-		return check(o.Dst, KindInt, "dest")
-	case machine.ClassI2F:
-		if err := wantSrc(1); err != nil {
-			return err
-		}
-		if err := check(o.Src[0], KindInt, "source"); err != nil {
-			return err
-		}
-		return check(o.Dst, KindFloat, "dest")
-	case machine.ClassFConst:
-		if err := wantSrc(0); err != nil {
-			return err
-		}
-		return check(o.Dst, KindFloat, "dest")
-	case machine.ClassRecv:
-		if err := wantSrc(0); err != nil {
-			return err
-		}
-		return check(o.Dst, KindFloat, "dest")
-	case machine.ClassSend:
-		if err := wantSrc(1); err != nil {
-			return err
-		}
-		if o.Dst != NoReg {
-			return fmt.Errorf("op %d: send with destination", o.ID)
-		}
-		return check(o.Src[0], KindFloat, "value")
-	case machine.ClassFCmp:
-		if err := wantSrc(2); err != nil {
-			return err
-		}
-		for _, s := range o.Src {
-			if err := check(s, KindFloat, "source"); err != nil {
-				return err
-			}
-		}
-		return check(o.Dst, KindInt, "dest")
-	case machine.ClassIAdd, machine.ClassISub, machine.ClassIMul, machine.ClassICmp, machine.ClassAdrAdd:
-		if err := wantSrc(2); err != nil {
-			return err
-		}
-		for _, s := range o.Src {
-			if err := check(s, KindInt, "source"); err != nil {
-				return err
-			}
-		}
-		return check(o.Dst, KindInt, "dest")
-	case machine.ClassIMov:
-		if err := wantSrc(1); err != nil {
-			return err
-		}
-		if err := check(o.Src[0], KindInt, "source"); err != nil {
-			return err
-		}
-		return check(o.Dst, KindInt, "dest")
-	case machine.ClassIConst:
-		if err := wantSrc(0); err != nil {
-			return err
-		}
-		return check(o.Dst, KindInt, "dest")
-	case machine.ClassISelect:
-		if err := wantSrc(3); err != nil {
-			return err
-		}
-		if err := check(o.Src[0], KindInt, "condition"); err != nil {
-			return err
-		}
-		k := p.Kind(o.Dst)
-		if err := check(o.Src[1], k, "source"); err != nil {
-			return err
-		}
-		return check(o.Src[2], k, "source")
-	case machine.ClassLoad:
-		if err := wantSrc(1); err != nil {
-			return err
-		}
-		if o.Mem == nil || p.Array(o.Mem.Array) == nil {
-			return fmt.Errorf("op %d: load without valid memory annotation", o.ID)
-		}
-		if err := check(o.Src[0], KindInt, "address"); err != nil {
-			return err
-		}
-		return check(o.Dst, p.Array(o.Mem.Array).Kind, "dest")
-	case machine.ClassStore:
-		if err := wantSrc(2); err != nil {
-			return err
-		}
-		if o.Mem == nil || p.Array(o.Mem.Array) == nil {
-			return fmt.Errorf("op %d: store without valid memory annotation", o.ID)
-		}
-		if err := check(o.Src[0], KindInt, "address"); err != nil {
-			return err
-		}
-		if o.Dst != NoReg {
-			return fmt.Errorf("op %d: store with destination", o.ID)
-		}
-		return check(o.Src[1], p.Array(o.Mem.Array).Kind, "value")
-	default:
+	row := o.Class.Info()
+	if !row.IR {
 		return fmt.Errorf("op %d: class %v not valid in IR bodies", o.ID, o.Class)
 	}
+	if n := row.NSrc(); len(o.Src) != n {
+		return fmt.Errorf("op %d (%v): have %d operands, want %d", o.ID, o.Class, len(o.Src), n)
+	}
+	var arr *ArrayDecl
+	if o.Mem != nil {
+		arr = p.Array(o.Mem.Array)
+	}
+	switch usesArray := row.UsesArray(); {
+	case usesArray && arr == nil:
+		return fmt.Errorf("op %d: %v without valid memory annotation", o.ID, o.Class)
+	case !usesArray && o.Mem != nil:
+		return fmt.Errorf("op %d: %v with a memory annotation", o.ID, o.Class)
+	}
+	// A select moves whatever kind its destination holds; an unusable
+	// destination is reported by its own check below.
+	selFloat := p.hasReg(o.Dst) && p.RegKind[o.Dst] == KindFloat
+	kind := func(f machine.File) Kind {
+		if f.Resolve(arr != nil && arr.Kind == KindFloat, selFloat) == machine.FileFloat {
+			return KindFloat
+		}
+		return KindInt
+	}
+	if row.Dst == machine.FileNone {
+		if o.Dst != NoReg {
+			return fmt.Errorf("op %d: %v with destination", o.ID, o.Class)
+		}
+	} else if err := p.regOK(o.Dst, kind(row.Dst)); err != nil {
+		return fmt.Errorf("op %d (%v): bad dest %w", o.ID, o.Class, err)
+	}
+	for k, r := range o.Src {
+		if err := p.regOK(r, kind(row.Src[k])); err != nil {
+			return fmt.Errorf("op %d (%v): bad source %d %w", o.ID, o.Class, k, err)
+		}
+	}
+	return nil
 }
 
 // String pretty-prints the whole program.

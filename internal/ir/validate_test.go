@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestValidateRejections(t *testing.T) {
 				o.Src = []VReg{99}
 				p.Body.Stmts = append(p.Body.Stmts, &OpStmt{Op: o})
 			},
-			want: "bad source register",
+			want: "bad source 0 register r99 out of range",
 		},
 		{
 			name: "load without mem annotation",
@@ -86,7 +87,7 @@ func TestValidateRejections(t *testing.T) {
 				o.Mem = &MemRef{Array: "a"}
 				p.Body.Stmts = append(p.Body.Stmts, &OpStmt{Op: o})
 			},
-			want: "address register",
+			want: "bad source 0 register r1 is float, want int",
 		},
 		{
 			name: "store with destination",
@@ -149,7 +150,7 @@ func TestValidateRejections(t *testing.T) {
 			build: func(p *Program) {
 				p.Body.Stmts = append(p.Body.Stmts, &LoopStmt{CountReg: 0, Body: &Block{}})
 			},
-			want: "not int",
+			want: "bad count register r0 is float, want int",
 		},
 		{
 			name: "loop nil body",
@@ -222,5 +223,151 @@ func TestValidateAccepts(t *testing.T) {
 	})
 	if err := b.P.Validate(machine.Warp()); err != nil {
 		t.Fatalf("valid program rejected: %v", err)
+	}
+}
+
+// TestValidateEveryClassFromTable generates, for every class the table
+// admits to IR (and each array kind and select kind it can take), the one
+// well-formed op its row describes — which must validate — and then every
+// single-operand corruption of it, each of which must not: an operand
+// moved to the other file, set to NoReg, −2 or NumRegs, a source dropped
+// or added, the memory annotation removed or one attached where none
+// belongs.  Classes the table keeps out of IR are rejected even when well
+// formed.
+func TestValidateEveryClassFromTable(t *testing.T) {
+	m := machine.Warp()
+	// Registers 0-3 are float, 4-7 int; reg(k, n) is the n-th of kind k.
+	reg := func(k Kind, n int) VReg {
+		if k == KindFloat {
+			return VReg(n)
+		}
+		return VReg(4 + n)
+	}
+	other := map[Kind]Kind{KindFloat: KindInt, KindInt: KindFloat}
+	newProg := func() *Program {
+		p := NewProgram("one")
+		for _, k := range []Kind{KindFloat, KindInt} {
+			for i := 0; i < 4; i++ {
+				p.NewReg(k)
+			}
+		}
+		p.AddArray("af", KindFloat, 4)
+		p.AddArray("ai", KindInt, 4)
+		return p
+	}
+	check := func(name string, p *Program, o *Op, wantOK bool) {
+		t.Helper()
+		p.Body.Stmts = []Stmt{&OpStmt{Op: o}}
+		if err := p.Validate(m); (err == nil) != wantOK {
+			t.Errorf("%s: %v: Validate = %v, want ok=%v", name, o, err, wantOK)
+		}
+	}
+	for c := machine.Class(0); c < machine.Class(machine.NumClasses()); c++ {
+		row := c.Info()
+		for _, arrKind := range []Kind{KindFloat, KindInt} {
+			for _, selKind := range []Kind{KindFloat, KindInt} {
+				usesSel := row.Dst == machine.FileSelect
+				if (!row.UsesArray() && arrKind == KindInt) || (!usesSel && selKind == KindInt) {
+					continue // the class has one form only
+				}
+				kind := func(f machine.File) Kind {
+					if f.Resolve(arrKind == KindFloat, selKind == KindFloat) == machine.FileFloat {
+						return KindFloat
+					}
+					return KindInt
+				}
+				name := fmt.Sprintf("%v/arr=%v/sel=%v", c, arrKind, selKind)
+				p := newProg()
+				good := p.NewOp(c)
+				if row.Dst != machine.FileNone {
+					good.Dst = reg(kind(row.Dst), 0)
+				}
+				for k := 0; k < row.NSrc(); k++ {
+					good.Src = append(good.Src, reg(kind(row.Src[k]), k+1))
+				}
+				if row.UsesArray() {
+					good.Mem = &MemRef{Array: map[Kind]string{KindFloat: "af", KindInt: "ai"}[arrKind]}
+				}
+				if !row.IR {
+					check(name+"/not IR", p, good, false)
+					continue
+				}
+				check(name, p, good, true)
+
+				// Every operand position, dst first (-1).
+				for pos := -1; pos < row.NSrc(); pos++ {
+					f := row.Dst
+					if pos >= 0 {
+						f = row.Src[pos]
+					}
+					bad := []VReg{NoReg, -2, VReg(p.NumRegs())}
+					if f == machine.FileNone {
+						bad = []VReg{0, 4, -2, VReg(p.NumRegs())} // no destination: any register is wrong
+					} else {
+						bad = append(bad, reg(other[kind(f)], 0))
+					}
+					for _, r := range bad {
+						o := good.Clone()
+						if pos < 0 {
+							o.Dst = r
+						} else {
+							o.Src[pos] = r
+						}
+						check(fmt.Sprintf("%s/operand %d = r%d", name, pos, r), p, o, false)
+					}
+				}
+				short, long := good.Clone(), good.Clone()
+				long.Src = append(long.Src, reg(KindInt, 3))
+				check(name+"/one source too many", p, long, false)
+				if row.NSrc() > 0 {
+					short.Src = short.Src[:row.NSrc()-1]
+					check(name+"/one source too few", p, short, false)
+				}
+				mem := good.Clone()
+				if row.UsesArray() {
+					mem.Mem = nil
+				} else {
+					mem.Mem = &MemRef{Array: "af"}
+				}
+				check(name+"/memory annotation flipped", p, mem, false)
+			}
+		}
+	}
+}
+
+// TestBuilderOpTakesKindFromTable: Builder.Op allocates the result
+// register in the file the class's row names — for a select, the file of
+// its arms; for a class without a destination, none — and what it emits
+// validates.
+func TestBuilderOpTakesKindFromTable(t *testing.T) {
+	b := NewBuilder("op")
+	f, i := b.FConst(1), b.IConst(1)
+	for _, tc := range []struct {
+		class machine.Class
+		src   []VReg
+		want  Kind // ignored when the class has no destination
+	}{
+		{machine.ClassI2F, []VReg{i}, KindFloat},
+		{machine.ClassF2I, []VReg{f}, KindInt},
+		{machine.ClassFRecipSeed, []VReg{f}, KindFloat},
+		{machine.ClassFRsqrtSeed, []VReg{f}, KindFloat},
+		{machine.ClassFCmp, []VReg{f, f}, KindInt},
+		{machine.ClassAdrAdd, []VReg{i, i}, KindInt},
+		{machine.ClassISelect, []VReg{i, f, f}, KindFloat},
+		{machine.ClassISelect, []VReg{i, i, i}, KindInt},
+		{machine.ClassRecv, nil, KindFloat},
+		{machine.ClassSend, []VReg{f}, 0},
+	} {
+		r := b.Op(tc.class, tc.src...)
+		if tc.class.Info().Dst == machine.FileNone {
+			if r != NoReg {
+				t.Errorf("%v: Op returned r%d for a class without a destination", tc.class, r)
+			}
+		} else if r == NoReg || b.P.Kind(r) != tc.want {
+			t.Errorf("%v%v: result r%d, want a fresh %v register", tc.class, tc.src, r, tc.want)
+		}
+	}
+	if err := b.P.Validate(machine.Warp()); err != nil {
+		t.Fatalf("Builder.Op emitted an invalid program: %v", err)
 	}
 }

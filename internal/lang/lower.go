@@ -514,14 +514,7 @@ func assignedScalars(ss []StmtAST) map[string]bool {
 	return out
 }
 
-func (lo *lowerer) i2f(r ir.VReg) ir.VReg {
-	d := lo.b.P.NewReg(ir.KindFloat)
-	op := lo.b.P.NewOp(machine.ClassI2F)
-	op.Dst = d
-	op.Src = []ir.VReg{r}
-	lo.b.Emit(op)
-	return d
-}
+func (lo *lowerer) i2f(r ir.VReg) ir.VReg { return lo.b.Op(machine.ClassI2F, r) }
 
 // --- affine index analysis -------------------------------------------
 
@@ -1088,12 +1081,7 @@ func (lo *lowerer) call(e *CallExpr) (ir.VReg, Type, error) {
 		if !types[0].Real {
 			return args[0], Type{}, nil
 		}
-		d := lo.b.P.NewReg(ir.KindInt)
-		op := lo.b.P.NewOp(machine.ClassF2I)
-		op.Dst = d
-		op.Src = []ir.VReg{args[0]}
-		lo.b.Emit(op)
-		return d, Type{}, nil
+		return lo.b.Op(machine.ClassF2I, args[0]), Type{}, nil
 	case "inverse":
 		return lo.inverse(needReal(0)), Type{Real: true}, nil
 	case "sqrt":
@@ -1129,7 +1117,7 @@ func (lo *lowerer) call(e *CallExpr) (ir.VReg, Type, error) {
 // (x·(2−y·x)), the 7-operation INVERSE expansion of Lam §4.2.
 func (lo *lowerer) inverse(y ir.VReg) ir.VReg {
 	two := lo.constF(2)
-	x := lo.seed(machine.ClassFRecipSeed, y)
+	x := lo.b.Op(machine.ClassFRecipSeed, y)
 	for i := 0; i < 2; i++ {
 		t := lo.b.FMul(y, x)
 		d := lo.b.FSub(two, t)
@@ -1144,7 +1132,7 @@ func (lo *lowerer) inverse(y ir.VReg) ir.VReg {
 func (lo *lowerer) sqrt(y ir.VReg) ir.VReg {
 	half := lo.constF(0.5)
 	threeHalf := lo.constF(1.5)
-	r := lo.seed(machine.ClassFRsqrtSeed, y)
+	r := lo.b.Op(machine.ClassFRsqrtSeed, y)
 	for i := 0; i < 4; i++ {
 		t := lo.b.FMul(y, r)
 		t2 := lo.b.FMul(t, r)
@@ -1155,15 +1143,6 @@ func (lo *lowerer) sqrt(y ir.VReg) ir.VReg {
 	s := lo.b.FMul(y, r)
 	pos := lo.b.FCmp(ir.PredGT, y, lo.constF(0))
 	return lo.b.Select(pos, s, lo.constF(0))
-}
-
-func (lo *lowerer) seed(class machine.Class, y ir.VReg) ir.VReg {
-	d := lo.b.P.NewReg(ir.KindFloat)
-	op := lo.b.P.NewOp(class)
-	op.Dst = d
-	op.Src = []ir.VReg{y}
-	lo.b.Emit(op)
-	return d
 }
 
 // exp expands e^x by argument reduction (x = k·ln2 + r), a degree-6
@@ -1177,11 +1156,7 @@ func (lo *lowerer) exp(x ir.VReg) ir.VReg {
 	ln2 := lo.constF(math.Ln2)
 
 	t := lo.b.FMul(x, invLn2)
-	k := lo.b.P.NewReg(ir.KindInt)
-	f2i := lo.b.P.NewOp(machine.ClassF2I)
-	f2i.Dst = k
-	f2i.Src = []ir.VReg{t}
-	lo.b.Emit(f2i)
+	k := lo.b.Op(machine.ClassF2I, t)
 	// k is mutated by the scaling conditionals below; copy it.
 	kvar := lo.b.P.NewReg(ir.KindInt)
 	lo.b.IAssign(kvar, k)

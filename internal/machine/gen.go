@@ -109,17 +109,18 @@ func (g Gen) Machine() (*Machine, error) {
 	m.FloatRegs = g.FloatRegs * g.Lanes
 	m.IntRegs = 64 * g.Lanes
 
-	setLat := func(classes []Class, lat int) {
-		for _, c := range classes {
-			d := *m.Ops[c]
-			d.Latency = lat
-			m.Ops[c] = &d
+	// Warp() builds fresh descriptors, so the requested latencies are set
+	// in place: every class issued on a unit takes that unit's latency.
+	for c := range classes {
+		switch classes[c].Unit {
+		case ResFAdd:
+			m.Ops[c].Latency = g.FAddLat
+		case ResFMul:
+			m.Ops[c].Latency = g.FMulLat
+		case ResMemRd:
+			m.Ops[c].Latency = g.LoadLat
 		}
 	}
-	setLat([]Class{ClassFAdd, ClassFSub, ClassFNeg, ClassFMov, ClassFConst,
-		ClassFCmp, ClassF2I, ClassI2F}, g.FAddLat)
-	setLat([]Class{ClassFMul, ClassFRecipSeed, ClassFRsqrtSeed}, g.FMulLat)
-	setLat([]Class{ClassLoad}, g.LoadLat)
 
 	if err := m.Validate(); err != nil {
 		return nil, err

@@ -105,9 +105,8 @@ type OpDesc struct {
 // machine-independent; each Machine maps them to an OpDesc.
 type Class int
 
-// Operation classes.  FAdd/FSub/FMul/FNeg/FMin/FMax/FCmp* run on the
-// floating units; the I* classes and address arithmetic run on the ALU;
-// Load/Store use the memory port; CJump/Jump use the sequencer.
+// Operation classes.  The numbering is part of Machine.Fingerprint: append,
+// never insert.  What each class is lives in its row of the classes table.
 const (
 	ClassNop Class = iota
 	ClassFAdd
@@ -141,19 +140,123 @@ const (
 	numClasses
 )
 
-var classNames = [...]string{
-	"nop", "fadd", "fsub", "fmul", "fneg", "fmov", "fconst", "fcmp",
-	"iadd", "isub", "imul", "imov", "iconst", "icmp", "iselect",
-	"load", "store", "cjump", "jump", "halt", "adradd",
-	"recv", "send",
-	"ishr", "iand",
-	"frecipseed", "frsqrtseed", "f2i", "i2f",
+// File names the register file an operand lives in.  Two files are left
+// to the individual op: a load's result and a store's value live where the
+// array's elements do, and a select's result and arms live wherever the
+// value it moves does.
+type File uint8
+
+// Operand files.
+const (
+	FileNone   File = iota // the class has no such operand
+	FileFloat              // the float register file
+	FileInt                // the int register file
+	FileArray              // the file of the op's array kind
+	FileSelect             // the file of the select's kind
+)
+
+// Resolve returns the concrete file — FileFloat, FileInt or FileNone — f
+// stands for in an op whose array holds floats iff arrFloat and whose
+// select moves a float iff selFloat.
+func (f File) Resolve(arrFloat, selFloat bool) File {
+	switch {
+	case f == FileArray && arrFloat, f == FileSelect && selFloat:
+		return FileFloat
+	case f == FileArray, f == FileSelect:
+		return FileInt
+	}
+	return f
+}
+
+// ClassInfo is the one declaration of an operation class: everything about
+// it that is not its arithmetic.  Mnemonics, machine descriptors, IR
+// validation, the IR builder, simulator decode and object-code validation
+// are all derived from these rows (DESIGN.md, "Operation classes: one
+// declaration"); adding a class is one row plus its evaluation.
+type ClassInfo struct {
+	Name string
+	// Unit is the issue resource the class reserves on the Warp-like
+	// datapath (noUnit for Nop), Latency and Flops its Warp descriptor
+	// values; generated machines rescale latencies per unit.
+	Unit    Resource
+	Latency int
+	Flops   int
+	// Dst and Src give the file of the destination and of each source;
+	// the sources end at the first FileNone.
+	Dst File
+	Src [3]File
+	// IR reports whether IR bodies may contain the class; the rest exist
+	// only in object code (the sequencer's view of control flow, and the
+	// immediate-operand forms the code generator introduces).
+	IR bool
+}
+
+// noUnit marks a class that reserves no issue resource.
+const noUnit Resource = -1
+
+var classes = func() [numClasses]ClassInfo {
+	const f, i, arr, sel = FileFloat, FileInt, FileArray, FileSelect
+	return [numClasses]ClassInfo{
+		ClassNop:        {Name: "nop", Unit: noUnit, Latency: 1},
+		ClassFAdd:       {"fadd", ResFAdd, 7, 1, f, [3]File{f, f}, true},
+		ClassFSub:       {"fsub", ResFAdd, 7, 1, f, [3]File{f, f}, true},
+		ClassFMul:       {"fmul", ResFMul, 7, 1, f, [3]File{f, f}, true},
+		ClassFNeg:       {"fneg", ResFAdd, 7, 0, f, [3]File{f}, true},
+		ClassFMov:       {"fmov", ResFAdd, 7, 0, f, [3]File{f}, true},
+		ClassFConst:     {"fconst", ResFAdd, 7, 0, f, [3]File{}, true},
+		ClassFCmp:       {"fcmp", ResFAdd, 7, 0, i, [3]File{f, f}, true},
+		ClassIAdd:       {"iadd", ResALU, 1, 0, i, [3]File{i, i}, true},
+		ClassISub:       {"isub", ResALU, 1, 0, i, [3]File{i, i}, true},
+		ClassIMul:       {"imul", ResALU, 2, 0, i, [3]File{i, i}, true},
+		ClassIMov:       {"imov", ResALU, 1, 0, i, [3]File{i}, true},
+		ClassIConst:     {"iconst", ResALU, 1, 0, i, [3]File{}, true},
+		ClassICmp:       {"icmp", ResALU, 1, 0, i, [3]File{i, i}, true},
+		ClassISelect:    {"iselect", ResALU, 1, 0, sel, [3]File{i, sel, sel}, true},
+		ClassLoad:       {"load", ResMemRd, 3, 0, arr, [3]File{i}, true},
+		ClassStore:      {"store", ResMemWr, 1, 0, FileNone, [3]File{i, arr}, true},
+		ClassCJump:      {Name: "cjump", Unit: ResBranch, Latency: 1},
+		ClassJump:       {Name: "jump", Unit: ResBranch, Latency: 1},
+		ClassHalt:       {Name: "halt", Unit: ResBranch, Latency: 1},
+		ClassAdrAdd:     {"adradd", ResAGU, 1, 0, i, [3]File{i, i}, true},
+		ClassRecv:       {"recv", ResQRecv, 2, 0, f, [3]File{}, true},
+		ClassSend:       {"send", ResQSend, 1, 0, FileNone, [3]File{f}, true},
+		ClassIShr:       {"ishr", ResALU, 1, 0, i, [3]File{i}, false},
+		ClassIAnd:       {"iand", ResALU, 1, 0, i, [3]File{i}, false},
+		ClassFRecipSeed: {"frecipseed", ResFMul, 7, 1, f, [3]File{f}, true},
+		ClassFRsqrtSeed: {"frsqrtseed", ResFMul, 7, 1, f, [3]File{f}, true},
+		ClassF2I:        {"f2i", ResFAdd, 7, 0, i, [3]File{f}, true},
+		ClassI2F:        {"i2f", ResFAdd, 7, 0, f, [3]File{i}, true},
+	}
+}()
+
+// Info returns the class's row; an unknown class has the zero row (no
+// name, no operands, not valid in IR).
+func (c Class) Info() ClassInfo {
+	if c < 0 || c >= numClasses {
+		return ClassInfo{}
+	}
+	return classes[c]
+}
+
+// NSrc reports how many source operands the class takes.
+func (ci ClassInfo) NSrc() int {
+	n := 0
+	for n < len(ci.Src) && ci.Src[n] != FileNone {
+		n++
+	}
+	return n
+}
+
+// UsesArray reports whether an op of the class names an array: some
+// operand lives in the file of the array's kind.
+func (ci ClassInfo) UsesArray() bool {
+	return ci.Dst == FileArray || slices.Contains(ci.Src[:], FileArray)
 }
 
 // String returns the mnemonic for the class.
 func (c Class) String() string {
-	if 0 <= int(c) && int(c) < len(classNames) {
-		return classNames[c]
+	if name := c.Info().Name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("class(%d)", int(c))
 }
@@ -162,19 +265,10 @@ func (c Class) String() string {
 func NumClasses() int { return int(numClasses) }
 
 // IsFloat reports whether the class produces a floating-point value.
-func (c Class) IsFloat() bool {
-	switch c {
-	case ClassFAdd, ClassFSub, ClassFMul, ClassFNeg, ClassFMov, ClassFConst,
-		ClassFRecipSeed, ClassFRsqrtSeed, ClassI2F, ClassRecv:
-		return true
-	}
-	return false
-}
+func (c Class) IsFloat() bool { return c.Info().Dst == FileFloat }
 
 // IsBranch reports whether the class occupies the sequencer.
-func (c Class) IsBranch() bool {
-	return c == ClassCJump || c == ClassJump || c == ClassHalt
-}
+func (c Class) IsBranch() bool { return c.Info().Unit == ResBranch }
 
 // Machine is a complete target description.
 type Machine struct {
@@ -207,10 +301,23 @@ type Machine struct {
 
 // Desc returns the descriptor for class c, or nil if unsupported.
 func (m *Machine) Desc(c Class) *OpDesc {
-	if int(c) >= len(m.Ops) {
+	if c < 0 || int(c) >= len(m.Ops) {
 		return nil
 	}
 	return m.Ops[int(c)]
+}
+
+// MaxLatency returns the longest result latency of any supported class
+// (at least 1): how long after its last issue a region still has
+// write-backs in flight.
+func (m *Machine) MaxLatency() int {
+	maxLat := 1
+	for _, d := range m.Ops {
+		if d != nil {
+			maxLat = max(maxLat, d.Latency)
+		}
+	}
+	return maxLat
 }
 
 // Latency returns the result latency of class c.  Unsupported classes have
@@ -275,8 +382,6 @@ func (m *Machine) String() string {
 	return b.String()
 }
 
-func use(r Resource) []ResUse { return []ResUse{{Resource: r, Offset: 0}} }
-
 // Warp returns the default Warp-like cell description.
 //
 // The real Warp cell (Annaratone et al. 1987) has a 5-stage pipelined
@@ -295,35 +400,13 @@ func Warp() *Machine {
 		ClockMHz:      5,
 		Cells:         10,
 	}
-	m.Ops[ClassNop] = &OpDesc{Latency: 1}
-	m.Ops[ClassFAdd] = &OpDesc{Latency: 7, Reservation: use(ResFAdd), Flops: 1}
-	m.Ops[ClassFSub] = &OpDesc{Latency: 7, Reservation: use(ResFAdd), Flops: 1}
-	m.Ops[ClassFNeg] = &OpDesc{Latency: 7, Reservation: use(ResFAdd), Flops: 0}
-	m.Ops[ClassFMov] = &OpDesc{Latency: 7, Reservation: use(ResFAdd), Flops: 0}
-	m.Ops[ClassFConst] = &OpDesc{Latency: 7, Reservation: use(ResFAdd), Flops: 0}
-	m.Ops[ClassFMul] = &OpDesc{Latency: 7, Reservation: use(ResFMul), Flops: 1}
-	m.Ops[ClassFCmp] = &OpDesc{Latency: 7, Reservation: use(ResFAdd), Flops: 0}
-	m.Ops[ClassIAdd] = &OpDesc{Latency: 1, Reservation: use(ResALU)}
-	m.Ops[ClassISub] = &OpDesc{Latency: 1, Reservation: use(ResALU)}
-	m.Ops[ClassIMul] = &OpDesc{Latency: 2, Reservation: use(ResALU)}
-	m.Ops[ClassIMov] = &OpDesc{Latency: 1, Reservation: use(ResALU)}
-	m.Ops[ClassIConst] = &OpDesc{Latency: 1, Reservation: use(ResALU)}
-	m.Ops[ClassICmp] = &OpDesc{Latency: 1, Reservation: use(ResALU)}
-	m.Ops[ClassISelect] = &OpDesc{Latency: 1, Reservation: use(ResALU)}
-	m.Ops[ClassLoad] = &OpDesc{Latency: 3, Reservation: use(ResMemRd)}
-	m.Ops[ClassStore] = &OpDesc{Latency: 1, Reservation: use(ResMemWr)}
-	m.Ops[ClassCJump] = &OpDesc{Latency: 1, Reservation: use(ResBranch)}
-	m.Ops[ClassJump] = &OpDesc{Latency: 1, Reservation: use(ResBranch)}
-	m.Ops[ClassHalt] = &OpDesc{Latency: 1, Reservation: use(ResBranch)}
-	m.Ops[ClassAdrAdd] = &OpDesc{Latency: 1, Reservation: use(ResAGU)}
-	m.Ops[ClassRecv] = &OpDesc{Latency: 2, Reservation: use(ResQRecv)}
-	m.Ops[ClassSend] = &OpDesc{Latency: 1, Reservation: use(ResQSend)}
-	m.Ops[ClassIShr] = &OpDesc{Latency: 1, Reservation: use(ResALU)}
-	m.Ops[ClassIAnd] = &OpDesc{Latency: 1, Reservation: use(ResALU)}
-	m.Ops[ClassFRecipSeed] = &OpDesc{Latency: 7, Reservation: use(ResFMul), Flops: 1}
-	m.Ops[ClassFRsqrtSeed] = &OpDesc{Latency: 7, Reservation: use(ResFMul), Flops: 1}
-	m.Ops[ClassF2I] = &OpDesc{Latency: 7, Reservation: use(ResFAdd)}
-	m.Ops[ClassI2F] = &OpDesc{Latency: 7, Reservation: use(ResFAdd)}
+	for c := range classes {
+		ci := &classes[c]
+		m.Ops[c] = &OpDesc{Latency: ci.Latency, Flops: ci.Flops}
+		if ci.Unit != noUnit {
+			m.Ops[c].Reservation = []ResUse{{Resource: ci.Unit}}
+		}
+	}
 	return m
 }
 
@@ -337,13 +420,8 @@ func Scalar() *Machine {
 	// One extra resource acts as the single issue slot.
 	slot := Resource(len(m.ResourceCount))
 	m.ResourceCount = append(m.ResourceCount, 1)
-	for c := range m.Ops {
-		if m.Ops[c] == nil {
-			continue
-		}
-		d := *m.Ops[c]
-		d.Reservation = append(append([]ResUse{}, d.Reservation...), ResUse{Resource: slot})
-		m.Ops[c] = &d
+	for _, d := range m.Ops { // Warp() builds fresh descriptors
+		d.Reservation = append(d.Reservation, ResUse{Resource: slot})
 	}
 	return m
 }

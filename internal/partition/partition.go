@@ -82,17 +82,18 @@ func (p *Plan) Cells() int { return len(p.Fragments) }
 
 // replicableClass reports op classes cheap enough to duplicate into any
 // cell that needs their value: pure integer/address arithmetic (loop
-// counters, strength-reduced pointers).  Everything else — float ops,
-// memory, queue ops, int values derived from floats — is assigned to
-// exactly one stage.
+// counters, strength-reduced pointers) — by the class table, a result and
+// every source in the int file.  Everything else — float ops, memory,
+// queue ops, int values derived from floats — is assigned to exactly one
+// stage.
 func replicableClass(c machine.Class) bool {
-	switch c {
-	case machine.ClassIConst, machine.ClassIAdd, machine.ClassISub,
-		machine.ClassIMul, machine.ClassIMov, machine.ClassAdrAdd,
-		machine.ClassIShr, machine.ClassIAnd, machine.ClassICmp:
-		return true
+	row := c.Info()
+	for _, f := range row.Src[:row.NSrc()] {
+		if f != machine.FileInt {
+			return false
+		}
 	}
-	return false
+	return row.Dst == machine.FileInt
 }
 
 // shape is the program form the partitioner accepts: straight-line setup,

@@ -637,3 +637,20 @@ end.`)
 		t.Errorf("diagnostic %v does not name the first failing candidate (stage 1 on warp-no-QRecv)", err)
 	}
 }
+
+// TestReplicableClassesPinned: "a result and every source in the int
+// file", read off the class table, is exactly the pure integer/address
+// classes.  A class that joins or leaves the set changes plans, so it is
+// written out.
+func TestReplicableClassesPinned(t *testing.T) {
+	var got []string
+	for c := machine.Class(0); c < machine.Class(machine.NumClasses()); c++ {
+		if replicableClass(c) {
+			got = append(got, c.String())
+		}
+	}
+	want := "iadd isub imul imov iconst icmp adradd ishr iand"
+	if s := strings.Join(got, " "); s != want {
+		t.Errorf("replicable classes %q, want %q", s, want)
+	}
+}

@@ -334,8 +334,32 @@ func planLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg]bool, m *machine.Machine, opts Options) (*Plan, error) {
 	g := full.Filter(expanded)
 
+	// The loop-back branch occupies one sequencer slot of every steady-
+	// state window; fold it into the resource bound so MetLower reflects
+	// the true floor.  Computed first: a machine that lacks a reserved
+	// resource is the error to report, and List cannot place on it.
+	resMII, err := depgraph.ResourceMIIExtra(g, m, []machine.ResUse{{Resource: machine.ResBranch}})
+	if err != nil {
+		return nil, err
+	}
+	// The §4.2 profitability guards are computed against the locally
+	// compacted body length.  The threshold needs nothing else, so it
+	// goes before the dependence analysis — whose closure is cubic in the
+	// size of a recurrence — and "not even attempted" is literally true.
+	compact, err := schedule.List(g, m)
+	if err != nil {
+		return nil, err
+	}
+	if compact.Length > maxBodyLen {
+		return nil, fmt.Errorf("pipeline: body length %d beyond pipelining threshold %d", compact.Length, maxBodyLen)
+	}
+
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	sp := opts.Tracer.Begin("depgraph.analyze")
-	a, err := depgraph.Analyze(g, m)
+	a, err := depgraph.AnalyzeContext(ctx, g, m)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -350,19 +374,8 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 	opts.Tracer.Count("depgraph.nodes", int64(len(g.Nodes)))
 	opts.Tracer.Count("depgraph.edges", int64(len(g.Edges)))
 	opts.Tracer.Count("depgraph.sccs", int64(sccs))
-	// The loop-back branch occupies one sequencer slot of every steady-
-	// state window; fold it into the resource bound so MetLower reflects
-	// the true floor.
-	v, err := depgraph.ResourceMIIExtra(g, m, []machine.ResUse{{Resource: machine.ResBranch}})
-	if err != nil {
-		return nil, err
-	}
-	if v > a.ResMII {
-		a.ResMII = v
-		if v > a.MII {
-			a.MII = v
-		}
-	}
+	a.ResMII = max(a.ResMII, resMII)
+	a.MII = max(a.MII, resMII)
 	// Construct windows: a reduced construct of length L must fit within
 	// one initiation interval so that the emitted kernel can fork into
 	// its branches without crossing the loop-back boundary (see
@@ -375,15 +388,6 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 		}
 	}
 
-	// The §4.2 profitability guards, both computed against the locally
-	// compacted body length.
-	compact, err := schedule.List(g, m)
-	if err != nil {
-		return nil, err
-	}
-	if compact.Length > maxBodyLen {
-		return nil, fmt.Errorf("pipeline: body length %d beyond pipelining threshold %d", compact.Length, maxBodyLen)
-	}
 	effMII := max(a.MII, minII)
 	// The unpipelined comparison point is the full iteration period: the
 	// locally compacted length padded until every inter-iteration

@@ -24,17 +24,6 @@ type Result struct {
 	Explain *Explain
 }
 
-// Span returns the number of pipeline stages: ceil((max σ + 1) / II).
-func (r *Result) Span() int {
-	maxT := 0
-	for _, t := range r.Time {
-		if t > maxT {
-			maxT = t
-		}
-	}
-	return maxT/r.II + 1
-}
-
 // Verify checks the schedule against every edge of the graph and the
 // resource capacities of machine m; it returns the first violation.
 func Verify(g *depgraph.Graph, m *machine.Machine, r *Result) error {
@@ -176,6 +165,7 @@ func List(g *depgraph.Graph, m *machine.Machine) (*Result, error) {
 	}
 	scheduled := make([]bool, n)
 	tab := NewFlatTable(m)
+	extent := totalExtent(g)
 	for placed := 0; placed < n; placed++ {
 		// Pick the ready node with the greatest height.
 		best := -1
@@ -200,7 +190,7 @@ func List(g *depgraph.Graph, m *machine.Machine) (*Result, error) {
 			}
 		}
 		t := earliest
-		bound := earliest + tab.Len() + totalExtent(g) + 64
+		bound := earliest + tab.Len() + extent + 64
 		for !tab.Fits(g.Nodes[best].Reservation, t) {
 			t++
 			if t > bound {

@@ -21,6 +21,11 @@ import (
 
 const maxRequestBytes = 4 << 20
 
+// maxUnrollInnerTrip is the compiler's own cap on unroll_inner_trip
+// (codegen rejects anything larger), applied before keying so that
+// out-of-range values neither fragment the cache nor reach a worker.
+const maxUnrollInnerTrip = 64
+
 // CompileOptions is the wire form of the request-visible subset of
 // softpipe.Options — JSON field names and nothing else.  The service
 // reads it in exactly one place, resolve; the cache key, the compiler
@@ -52,6 +57,9 @@ func (o CompileOptions) resolve() (softpipe.Options, error) {
 	eff, err := softpipe.ParseEffort(o.Effort)
 	if err != nil {
 		return softpipe.Options{}, err
+	}
+	if o.UnrollInnerTrip < 0 || o.UnrollInnerTrip > maxUnrollInnerTrip {
+		return softpipe.Options{}, fmt.Errorf("unroll_inner_trip %d outside [0, %d]", o.UnrollInnerTrip, maxUnrollInnerTrip)
 	}
 	opts := softpipe.Options{
 		Baseline:             o.Baseline,

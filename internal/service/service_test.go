@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -218,6 +219,33 @@ func TestCompileErrors(t *testing.T) {
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad JSON: status %d", rec.Code)
+	}
+}
+
+// TestCompileBoundsUnrollInnerTrip: unroll_inner_trip multiplies the work
+// of a compile before any deadline is consulted, so one past the
+// compiler's cap (and any negative value) is a 400 naming the cap that
+// computes nothing and keys nothing; the cap itself compiles.
+func TestCompileBoundsUnrollInnerTrip(t *testing.T) {
+	s := newTestServer(t, Config{})
+	for _, trip := range []int{maxUnrollInnerTrip + 1, -1} {
+		var e errorResponse
+		req := CompileRequest{Source: sumSource, Options: CompileOptions{UnrollInnerTrip: trip}}
+		if code, _ := post(t, s, "/compile", req, &e); code != http.StatusBadRequest {
+			t.Errorf("unroll_inner_trip %d: status %d, want 400", trip, code)
+		} else if !strings.Contains(e.Error, fmt.Sprint(maxUnrollInnerTrip)) {
+			t.Errorf("unroll_inner_trip %d: error %q does not name the cap", trip, e.Error)
+		}
+		if got := s.CacheStats().Computes; got != 0 {
+			t.Errorf("unroll_inner_trip %d: rejected request still compiled (%d computes)", trip, got)
+		}
+	}
+	req := CompileRequest{Source: sumSource, Options: CompileOptions{UnrollInnerTrip: maxUnrollInnerTrip}}
+	if code, _ := post(t, s, "/compile", req, nil); code != http.StatusOK {
+		t.Fatalf("unroll_inner_trip at the cap: status %d", code)
+	}
+	if got := s.CacheStats().Computes; got != 1 {
+		t.Fatalf("unroll_inner_trip at the cap: %d computes, want 1", got)
 	}
 }
 

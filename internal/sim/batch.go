@@ -63,9 +63,6 @@ func NewBatch(p *Program, lanes []Lane) *Batch {
 	return b
 }
 
-// Len reports the lane count.
-func (b *Batch) Len() int { return len(b.cells) }
-
 // Run executes every lane to completion and returns per-lane results.
 // The only batch-level error is context cancellation; it annotates which
 // lane was interrupted.

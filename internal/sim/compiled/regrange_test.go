@@ -1,6 +1,7 @@
 package compiled
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -59,5 +60,82 @@ func TestOutOfRangeRegisterRejected(t *testing.T) {
 				t.Errorf("Step: err = %v", err)
 			}
 		})
+	}
+}
+
+// TestOutOfRangeRegisterRejectedEveryClass drives the same check from the
+// class table: for every slot class (and each array kind and select kind
+// it can take), the well-formed op its row describes decodes, and moving
+// any one operand — static register or a ring entry — one past its file or
+// below zero is a decode error naming that file.
+func TestOutOfRangeRegisterRejectedEveryClass(t *testing.T) {
+	m := machine.Warp()
+	const fileSize = 4
+	halt := vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}}
+	for c := machine.Class(0); c < machine.Class(machine.NumClasses()); c++ {
+		row := c.Info()
+		if c.IsBranch() {
+			continue // the sequencer's view of control flow; never in a slot
+		}
+		for _, arrFloat := range []bool{true, false} {
+			for _, selFloat := range []bool{true, false} {
+				if (!row.UsesArray() && !arrFloat) || (row.Dst != machine.FileSelect && !selFloat) {
+					continue // the class has one form only
+				}
+				good := vliw.SlotOp{Class: c, Src: make([]int, row.NSrc())}
+				if row.UsesArray() {
+					good.Array = map[bool]string{true: "a", false: "n"}[arrFloat]
+				}
+				if row.Dst == machine.FileSelect && selFloat {
+					good.FImm = 1
+				}
+				decode := func(o vliw.SlotOp) error {
+					p := &vliw.Program{
+						Name: c.String(), NumFRegs: fileSize, NumIRegs: fileSize, MemWords: 8,
+						Arrays: []vliw.ArrayInfo{
+							{Name: "a", Kind: ir.KindFloat, Base: 0, Size: 4},
+							{Name: "n", Kind: ir.KindInt, Base: 4, Size: 4},
+						},
+						Instrs: []vliw.Instr{{Ops: []vliw.SlotOp{o}}, halt},
+					}
+					_, err := sim.Decode(p, m, true)
+					return err
+				}
+				name := fmt.Sprintf("%v/arrFloat=%v/selFloat=%v", c, arrFloat, selFloat)
+				if err := decode(good); err != nil {
+					t.Errorf("%s: well-formed op rejected: %v", name, err)
+					continue
+				}
+				// Every operand position, dst first (-1).
+				for pos := -1; pos < row.NSrc(); pos++ {
+					f := row.Dst
+					if pos >= 0 {
+						f = row.Src[pos]
+					}
+					file := map[machine.File]string{machine.FileFloat: "f", machine.FileInt: "i"}[f.Resolve(arrFloat, selFloat)]
+					if file == "" {
+						continue // the class has no destination
+					}
+					for _, r := range []int{fileSize, -1} {
+						static, ring := good, good
+						static.Src = append([]int(nil), good.Src...)
+						if pos < 0 {
+							static.Dst = r
+							ring.DstRing = []int{0, r}
+						} else {
+							static.Src[pos] = r
+							ring.SrcRings = make([][]int, row.NSrc())
+							ring.SrcRings[pos] = []int{0, r}
+						}
+						want := fmt.Sprintf("sim: @0: register %s%d out of range (file has %d)", file, r, fileSize)
+						for form, o := range map[string]vliw.SlotOp{"static": static, "ring": ring} {
+							if err := decode(o); err == nil || err.Error() != want {
+								t.Errorf("%s/operand %d/%s: err = %v, want %q", name, pos, form, err, want)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -216,7 +216,7 @@ func (p *Program) makeBlock(idx, h, e int) *block {
 			if o.class != machine.ClassStore {
 				fo.hasDst = true
 				fo.dst = o.dst
-				fo.isFloat = o.sig.dst == fReg
+				fo.isFloat = o.dstFile == machine.FileFloat
 				tot := j + int(o.lat)
 				fo.q, fo.r = tot/ii, tot%ii
 				k := landKey{fo.isFloat, fo.dst, fo.r}

@@ -8,61 +8,18 @@ import (
 	"softpipe/internal/vliw"
 )
 
-// regFile names a register file; noReg marks an operand the class does
-// not have.
-type regFile uint8
-
-const (
-	noReg regFile = iota
-	fReg
-	iReg
-)
-
-func (f regFile) String() string { return [...]string{"?", "f", "i"}[f] }
-
-// opSig is the operand signature of a slot operation: which register file
-// its destination and each of its sources live in.  It is the one place
-// that says so; the decode-time range check and the fast path's
-// file/counter analysis both read it.
-type opSig struct {
-	dst regFile
-	src [3]regFile
-}
-
-// classSigs gives the signature of every class whose operand files are
-// fixed.  Load, store and select depend on the decoded op (array kind,
-// float-select flag); see decOp.resolveSig.
-var classSigs = [...]opSig{
-	machine.ClassFAdd:       {fReg, [3]regFile{fReg, fReg}},
-	machine.ClassFSub:       {fReg, [3]regFile{fReg, fReg}},
-	machine.ClassFMul:       {fReg, [3]regFile{fReg, fReg}},
-	machine.ClassFNeg:       {fReg, [3]regFile{fReg}},
-	machine.ClassFMov:       {fReg, [3]regFile{fReg}},
-	machine.ClassFConst:     {dst: fReg},
-	machine.ClassFCmp:       {iReg, [3]regFile{fReg, fReg}},
-	machine.ClassIAdd:       {iReg, [3]regFile{iReg, iReg}},
-	machine.ClassISub:       {iReg, [3]regFile{iReg, iReg}},
-	machine.ClassIMul:       {iReg, [3]regFile{iReg, iReg}},
-	machine.ClassIMov:       {iReg, [3]regFile{iReg}},
-	machine.ClassIConst:     {dst: iReg},
-	machine.ClassICmp:       {iReg, [3]regFile{iReg, iReg}},
-	machine.ClassAdrAdd:     {iReg, [3]regFile{iReg, iReg}},
-	machine.ClassRecv:       {dst: fReg},
-	machine.ClassSend:       {src: [3]regFile{fReg}},
-	machine.ClassIShr:       {iReg, [3]regFile{iReg}},
-	machine.ClassIAnd:       {iReg, [3]regFile{iReg}},
-	machine.ClassFRecipSeed: {fReg, [3]regFile{fReg}},
-	machine.ClassFRsqrtSeed: {fReg, [3]regFile{fReg}},
-	machine.ClassF2I:        {iReg, [3]regFile{fReg}},
-	machine.ClassI2F:        {fReg, [3]regFile{iReg}},
-}
-
 // decOp is one pre-decoded slot operation: latency, flop count, array
 // layout and operand files are resolved at decode time so the cycle loop
 // does no descriptor or array-table lookups.
 type decOp struct {
-	class    machine.Class
-	sig      opSig
+	class machine.Class
+	// dstFile and srcFile are the class's operand files
+	// (machine.ClassInfo) resolved against this op's array kind and
+	// select flag: FileFloat, FileInt, or FileNone for an operand the
+	// class lacks.  The decode-time range check and the fast path's
+	// file/counter analysis both read them.
+	dstFile  machine.File
+	srcFile  [3]machine.File
 	dst      int
 	src      [3]int
 	lat      int64
@@ -85,38 +42,14 @@ type decOp struct {
 	srcRing [3][]int
 }
 
-// resolveSig fills o.sig: the class's fixed signature, or for the three
-// classes whose files depend on the op, the one its decoded facts select.
-func (o *decOp) resolveSig() {
-	file := func(isFloat bool) regFile {
-		if isFloat {
-			return fReg
-		}
-		return iReg
-	}
-	switch o.class {
-	case machine.ClassLoad:
-		o.sig = opSig{file(o.arrFloat), [3]regFile{iReg}}
-	case machine.ClassStore:
-		o.sig = opSig{noReg, [3]regFile{iReg, file(o.arrFloat)}}
-	case machine.ClassISelect:
-		f := file(o.selFloat)
-		o.sig = opSig{f, [3]regFile{iReg, f, f}}
-	default:
-		if int(o.class) < len(classSigs) {
-			o.sig = classSigs[o.class]
-		}
-	}
-}
-
 // touchesIntReg reports whether the op reads or writes static integer
 // register r.
 func (o *decOp) touchesIntReg(r int) bool {
-	if o.sig.dst == iReg && o.dst == r {
+	if o.dstFile == machine.FileInt && o.dst == r {
 		return true
 	}
-	for k, f := range o.sig.src {
-		if f == iReg && o.src[k] == r {
+	for k, f := range o.srcFile {
+		if f == machine.FileInt && o.src[k] == r {
 			return true
 		}
 	}
@@ -167,15 +100,9 @@ func Decode(p *vliw.Program, m *machine.Machine, fast bool) (*Program, error) {
 // decode is Decode without blocks; a failure is kept in the program's err
 // (New defers it to the first Step).
 func decode(p *vliw.Program, m *machine.Machine) *Program {
-	maxLat := 1
-	for c := machine.Class(0); c < machine.Class(machine.NumClasses()); c++ {
-		if d := m.Desc(c); d != nil && d.Latency > maxLat {
-			maxLat = d.Latency
-		}
-	}
 	// A power of two, so a due cycle's ring slot is a mask, not a division.
 	ringLen := 2
-	for ringLen <= maxLat {
+	for maxLat := m.MaxLatency(); ringLen <= maxLat; {
 		ringLen <<= 1
 	}
 	nOps := 0
@@ -213,8 +140,8 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 			}
 			copy(dec.src[:], o.Src)
 			copy(dec.srcRing[:], o.SrcRings)
-			switch o.Class {
-			case machine.ClassLoad, machine.ClassStore:
+			row := o.Class.Info()
+			if row.UsesArray() {
 				arr := p.Array(o.Array)
 				if arr == nil {
 					d.err = fmt.Errorf("sim: @%d: unknown array %q", pc, o.Array)
@@ -224,17 +151,17 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 				dec.arrEnd = int64(arr.Base + arr.Size)
 				dec.arrFloat = arr.Kind == ir.KindFloat
 				dec.arrName = arr.Name
-			case machine.ClassISelect:
-				dec.selFloat = o.FImm != 0
-			case machine.ClassRecv, machine.ClassSend:
-				w.queue = true
 			}
-			dec.resolveSig()
-			if d.err = d.checkOperand(pc, dec.sig.dst, dec.dst, dec.dstRing); d.err != nil {
+			// The code generator marks a float select with FImm = 1.
+			dec.selFloat = row.Dst == machine.FileSelect && o.FImm != 0
+			w.queue = w.queue || o.Class == machine.ClassRecv || o.Class == machine.ClassSend
+			dec.dstFile = row.Dst.Resolve(dec.arrFloat, dec.selFloat)
+			if d.err = d.checkOperand(pc, dec.dstFile, dec.dst, dec.dstRing); d.err != nil {
 				return d
 			}
-			for k, f := range dec.sig.src {
-				if d.err = d.checkOperand(pc, f, dec.src[k], dec.srcRing[k]); d.err != nil {
+			for k, f := range row.Src {
+				dec.srcFile[k] = f.Resolve(dec.arrFloat, dec.selFloat)
+				if d.err = d.checkOperand(pc, dec.srcFile[k], dec.src[k], dec.srcRing[k]); d.err != nil {
 					return d
 				}
 			}
@@ -244,15 +171,15 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 		w.hi = int32(len(d.ops))
 		switch in.Ctl.Kind {
 		case vliw.CtlDBNZ, vliw.CtlJZ, vliw.CtlJNZ:
-			if d.err = d.checkOperand(pc, iReg, in.Ctl.Reg, in.Ctl.RegRing); d.err != nil {
+			if d.err = d.checkOperand(pc, machine.FileInt, in.Ctl.Reg, in.Ctl.RegRing); d.err != nil {
 				return d
 			}
 		}
 	}
 	for _, r := range p.Results {
-		f := iReg
+		f := machine.FileInt
 		if r.Kind == ir.KindFloat {
-			f = fReg
+			f = machine.FileFloat
 		}
 		if err := d.checkReg(f, r.Reg); err != nil {
 			d.err = fmt.Errorf("sim: result %s: %w", r.Name, err)
@@ -264,8 +191,8 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 
 // checkOperand range-checks one operand of the word at pc: its static
 // register and every entry of its ring.
-func (p *Program) checkOperand(pc int, f regFile, static int, ring []int) error {
-	if f == noReg {
+func (p *Program) checkOperand(pc int, f machine.File, static int, ring []int) error {
+	if f == machine.FileNone {
 		return nil
 	}
 	err := p.checkReg(f, static)
@@ -278,13 +205,13 @@ func (p *Program) checkOperand(pc int, f regFile, static int, ring []int) error 
 	return nil
 }
 
-func (p *Program) checkReg(f regFile, r int) error {
-	n := p.Src.NumIRegs
-	if f == fReg {
-		n = p.Src.NumFRegs
+func (p *Program) checkReg(f machine.File, r int) error {
+	name, n := "i", p.Src.NumIRegs
+	if f == machine.FileFloat {
+		name, n = "f", p.Src.NumFRegs
 	}
 	if r < 0 || r >= n {
-		return fmt.Errorf("register %v%d out of range (file has %d)", f, r, n)
+		return fmt.Errorf("register %s%d out of range (file has %d)", name, r, n)
 	}
 	return nil
 }

@@ -93,12 +93,7 @@ func runShadow(p *vliw.Program, m *machine.Machine, itn *interner, input []float
 // runShadowTape is runShadow with an explicit provenance term per input
 // word; a nil inT mints fresh input leaves.
 func runShadowTape(p *vliw.Program, m *machine.Machine, itn *interner, input []float64, inT []termID, maxCycles int64) (*shadowResult, error) {
-	maxLat := 1
-	for c := machine.Class(0); c < machine.Class(machine.NumClasses()); c++ {
-		if d := m.Desc(c); d != nil && d.Latency > maxLat {
-			maxLat = d.Latency
-		}
-	}
+	maxLat := m.MaxLatency()
 	s := &shadowExec{
 		p: p, m: m, itn: itn,
 		fv:       make([]float64, p.NumFRegs),

@@ -112,12 +112,6 @@ func hasDst(c machine.Class) bool {
 	return c != machine.ClassStore && c != machine.ClassNop
 }
 
-// writesReg reports whether the class writes back a destination register
-// (Send and the sequencer classes carry no result).
-func writesReg(c machine.Class) bool {
-	return hasDst(c) && c != machine.ClassSend && !c.IsBranch()
-}
-
 func regPrefix(c machine.Class) string {
 	if c.IsFloat() || c == machine.ClassLoad {
 		return "f" // may still be an int load; prefix is cosmetic
@@ -287,22 +281,23 @@ func (p *Program) Validate(m *machine.Machine) error {
 					}
 				}
 			}
+			row := o.Class.Info()
+			arrFloat := false
+			if row.UsesArray() {
+				a := p.Array(o.Array)
+				if a == nil {
+					return fmt.Errorf("vliw: @%d: unknown array %q", pc, o.Array)
+				}
+				arrFloat = a.Kind == ir.KindFloat
+			}
 			// Two same-latency ops in one instruction writing the same
 			// register always collide in the write-back stage.  (Writes
 			// with different latencies land on different cycles and are
 			// legal — the allocator packs adjacent lifetimes that way.)
-			if writesReg(o.Class) {
-				k := dst{float: o.Class.IsFloat(), reg: o.Dst, lat: d.Latency}
-				switch o.Class {
-				case machine.ClassLoad:
-					if a := p.Array(o.Array); a != nil {
-						k.float = a.Kind == ir.KindFloat
-					}
-				case machine.ClassISelect:
-					// A select writes the file its operands live in; the
-					// code generator marks float selects with FImm = 1.
-					k.float = o.FImm != 0
-				}
+			// The class's row says whether and where an op writes; the
+			// code generator marks float selects with FImm = 1.
+			if f := row.Dst.Resolve(arrFloat, o.FImm != 0); f != machine.FileNone {
+				k := dst{float: f == machine.FileFloat, reg: o.Dst, lat: d.Latency}
 				if len(o.DstRing) > 0 {
 					ringWrites = append(ringWrites, ringWrite{float: k.float, lat: k.lat, ring: o.DstRing})
 				} else {
@@ -322,11 +317,6 @@ func (p *Program) Validate(m *machine.Machine) error {
 			for _, s := range o.Src {
 				if s < 0 {
 					return fmt.Errorf("vliw: @%d: negative register", pc)
-				}
-			}
-			if o.Class == machine.ClassLoad || o.Class == machine.ClassStore {
-				if p.Array(o.Array) == nil {
-					return fmt.Errorf("vliw: @%d: unknown array %q", pc, o.Array)
 				}
 			}
 		}

@@ -3,9 +3,11 @@ package softpipe_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"softpipe"
 	"softpipe/internal/ir"
+	"softpipe/internal/machine"
 )
 
 const apiSrc = `
@@ -299,5 +301,89 @@ func TestWithFloatDataKeepsTracer(t *testing.T) {
 		if _, ok := after[span]; !ok {
 			t.Errorf("no %q span from a WithFloatData copy: the copy dropped the tracer", span)
 		}
+	}
+}
+
+// TestCompileRejectsMalformedIR: ir.Program.Validate is total, so a
+// malformed hand-built program is a compile error naming the op or
+// statement — never an index panic in the validator or, later, the
+// emitter: every register of every op, condition, loop count and result
+// goes through one range test.
+func TestCompileRejectsMalformedIR(t *testing.T) {
+	op := func(p *ir.Program, c machine.Class, dst ir.VReg, src ...ir.VReg) {
+		o := p.NewOp(c)
+		o.Dst, o.Src = dst, src
+		p.Body.Stmts = append(p.Body.Stmts, &ir.OpStmt{Op: o})
+	}
+	cases := []struct {
+		name  string
+		build func(p *ir.Program) // p starts with r0 float, r1 int
+		want  string
+	}{
+		{"iselect without destination", func(p *ir.Program) {
+			op(p, machine.ClassISelect, ir.NoReg, 1, 0, 0)
+		}, "op 0 (iselect): bad dest register r-1"},
+		{"loop count register out of range", func(p *ir.Program) {
+			p.RegKind = nil
+			p.Body.Stmts = append(p.Body.Stmts, &ir.LoopStmt{CountReg: 7, Body: &ir.Block{}})
+		}, "loop 0: bad count register r7"},
+		{"operand below NoReg", func(p *ir.Program) {
+			op(p, machine.ClassFNeg, 0, -2)
+		}, "op 0 (fneg): bad source 0 register r-2"},
+		{"result register out of range", func(p *ir.Program) {
+			p.Results = []ir.ScalarResult{{Name: "total", Reg: 9}}
+		}, "result total: bad register r9"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := ir.NewProgram("bad")
+			p.NewReg(ir.KindFloat)
+			p.NewReg(ir.KindInt)
+			tc.build(p)
+			_, err := softpipe.Compile(p, softpipe.Warp(), softpipe.Options{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestHugeBodyIsNotAnalysed: a loop body far beyond the §4.2 pipelining
+// threshold is turned away on its locally compacted length alone, before
+// the dependence analysis whose closure is cubic in a recurrence this
+// long (minutes at this size) — so 3,000 chained statements compile to
+// unpipelined code in a fraction of a second with no deadline to save
+// them.
+func TestHugeBodyIsNotAnalysed(t *testing.T) {
+	src := "program huge;\nvar a: array [0..0] of real;\n    s: real;\n    i: int;\nbegin\n  for i := 0 to 9 do begin\n" +
+		strings.Repeat("    s := s + a[0];\n", 3000) + "  end;\nend.\n"
+	var tr *softpipe.Tracer
+	var obj *softpipe.Object
+	var took time.Duration
+	// Wall clock on a shared host: a descheduled process misses the bound
+	// once, a body that reaches the closure misses it every time.
+	for attempt := 0; attempt < 3; attempt++ {
+		tr = softpipe.NewTracer("huge")
+		start := time.Now()
+		var err error
+		if obj, err = softpipe.CompileSource(src, softpipe.Warp(), softpipe.Options{Tracer: tr}); err != nil {
+			t.Fatal(err)
+		}
+		if took = time.Since(start); took <= 2*time.Second {
+			break
+		}
+	}
+	if took > 2*time.Second {
+		t.Errorf("compile took %v, want under 2s", took)
+	}
+	if _, analysed := tr.PhaseTotals()["depgraph.analyze"]; analysed {
+		t.Error("the dependence analysis ran on a body beyond the pipelining threshold")
+	}
+	loops := obj.Report.Loops
+	if len(loops) != 1 || loops[0].Pipelined || !strings.Contains(loops[0].Reason, "beyond pipelining threshold") {
+		t.Fatalf("want one loop refused on the body-length threshold, got %+v", loops)
+	}
+	if _, err := obj.Verify(); err != nil {
+		t.Fatal(err)
 	}
 }
