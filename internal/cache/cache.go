@@ -10,6 +10,12 @@
 // (softpipe.Compile is read-only and map-free on every ordering-sensitive
 // path), so a hit is bit-identical to the miss that populated it — the
 // service layer's tests (TestCompileColdThenWarm) pin that property.
+//
+// Beside its bytes a resident entry may carry one view: a value its
+// caller derives from the bytes (View), built at most once per residency,
+// charged to the byte budget and dropped with the entry.  The bytes are
+// the truth — only they reach the disk tier or a peer; the cache never
+// looks inside a view.
 package cache
 
 import (
@@ -77,16 +83,17 @@ type Stats struct {
 	// RemoteHits counts fills satisfied from a remote tier (a fabric
 	// peer) instead of a local compute — see GetOrFill.
 	RemoteHits int64
-	// Bytes and Entries describe the current in-memory tier.
+	// Bytes and Entries describe the current in-memory tier; Bytes is what
+	// MaxBytes bounds, value lengths plus view sizes.
 	Bytes   int64
 	Entries int64
 }
 
 // Config tunes a Cache.
 type Config struct {
-	// MaxBytes bounds the in-memory tier (sum of value lengths).  Values
-	// larger than MaxBytes are returned to the caller but not retained.
-	// 0 means 256 MiB.
+	// MaxBytes bounds the in-memory tier (sum of value lengths and view
+	// sizes).  Values larger than MaxBytes are returned to the caller but
+	// not retained.  0 means 256 MiB.
 	MaxBytes int64
 	// Dir, when non-empty, enables the on-disk tier rooted there.
 	Dir string
@@ -96,14 +103,34 @@ type Config struct {
 	// as misses, so a corrupted or stale disk tier can only cost time,
 	// never correctness.
 	Validate func(Key, []byte) error
-	// OnEvict, when non-nil, observes in-memory evictions (tests use it
-	// to pin LRU order).
+	// OnEvict, when non-nil, observes in-memory evictions with the bytes
+	// each one freed, view included (tests use it to pin LRU order).
 	OnEvict func(Key, int)
 }
 
 type entry struct {
 	key  Key
 	data []byte
+	// view is nil until View first asks for it.
+	view *view
+}
+
+// view is the slot for one entry's derived value.  build serialises the
+// single build, so concurrent first hits wait for one result; v and size
+// are guarded by Cache.mu, and size is what the entry is charged for v.
+type view struct {
+	build sync.Mutex
+	v     any
+	size  int64
+}
+
+// cost is what the entry holds of the byte budget.
+func (e *entry) cost() int64 {
+	n := int64(len(e.data))
+	if e.view != nil {
+		n += e.view.size
+	}
+	return n
 }
 
 // call is one in-flight compute, shared by every concurrent request for
@@ -300,6 +327,12 @@ func (c *Cache) put(key Key, data []byte) {
 	c.items[key] = c.ll.PushFront(&entry{key: key, data: data})
 	c.stats.Bytes += int64(len(data))
 	c.stats.Entries++
+	c.shrink()
+}
+
+// shrink evicts from the LRU tail until the byte budget holds; an evicted
+// entry takes its view with it.  The caller holds c.mu.
+func (c *Cache) shrink() {
 	for c.stats.Bytes > c.cfg.MaxBytes {
 		el := c.ll.Back()
 		if el == nil {
@@ -307,13 +340,102 @@ func (c *Cache) put(key Key, data []byte) {
 		}
 		e := c.ll.Remove(el).(*entry)
 		delete(c.items, e.key)
-		c.stats.Bytes -= int64(len(e.data))
+		freed := e.cost()
+		c.stats.Bytes -= freed
 		c.stats.Entries--
 		c.stats.Evictions++
 		if c.evictCB != nil {
-			c.evictCB(e.key, len(e.data))
+			c.evictCB(e.key, int(freed))
 		}
 	}
+}
+
+// View returns the value derived from key's bytes.  While the entry is
+// resident the value is built at most once — concurrent first callers wait
+// for one build — charged size bytes against MaxBytes together with the
+// entry, and dropped when the entry is evicted; a key that is re-filled
+// later builds a fresh one.  The cache never inspects the value: build
+// gets the entry's bytes and says what was made of them and what it costs
+// to keep.  A build error is returned and not cached, and neither is a nil
+// value.
+//
+// data is what the caller's Get or GetOrFill just returned for key: when
+// the entry is not resident (never retained, or evicted since) the value
+// is built from data and not kept.  Likewise an entry whose bytes and view
+// together exceed MaxBytes keeps serving its bytes and retains no view.
+func (c *Cache) View(key Key, data []byte, build func(data []byte) (v any, size int64, err error)) (any, error) {
+	c.mu.Lock()
+	e := c.resident(key)
+	if e == nil {
+		c.mu.Unlock()
+		v, _, err := build(data)
+		return v, err
+	}
+	if e.view == nil {
+		e.view = &view{}
+	}
+	vw := e.view
+	v := vw.v
+	c.mu.Unlock()
+	if v != nil {
+		return v, nil
+	}
+
+	vw.build.Lock()
+	defer vw.build.Unlock()
+	c.mu.Lock()
+	v = vw.v
+	c.mu.Unlock()
+	if v != nil {
+		return v, nil // a concurrent first hit built it
+	}
+	v, size, err := build(e.data)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	vw.v = v
+	if c.resident(key) == e {
+		c.charge(e, size)
+	}
+	return v, nil
+}
+
+// Grow charges n more bytes to key's view v, for a view that builds parts
+// of itself lazily and reports each part as it is made (v must be
+// comparable; a pointer is).  It does nothing when v is no longer the
+// resident entry's view, so a view held past its entry's eviction cannot
+// charge a later residency of the same key.
+func (c *Cache) Grow(key Key, v any, n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e := c.resident(key); e != nil && e.view != nil && e.view.v == v {
+		c.charge(e, n)
+	}
+}
+
+// resident returns key's in-memory entry, or nil.  The caller holds c.mu.
+func (c *Cache) resident(key Key) *entry {
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*entry)
+	}
+	return nil
+}
+
+// charge adds n bytes to the cost of resident entry e's view and evicts
+// from the LRU tail to make room.  An entry that would exceed the whole
+// budget by itself drops its view instead: the bytes keep serving, and
+// whoever holds the view keeps using it unretained.  The caller holds c.mu.
+func (c *Cache) charge(e *entry, n int64) {
+	if e.cost()+n > c.cfg.MaxBytes {
+		c.stats.Bytes -= e.view.size
+		e.view = nil
+		return
+	}
+	e.view.size += n
+	c.stats.Bytes += n
+	c.shrink()
 }
 
 // diskGet consults the validated disk tier.

@@ -78,7 +78,9 @@ type Options struct {
 type LoopReport struct {
 	LoopID    int
 	TripCount int64
-	BodyOps   int
+	// BodyOps counts the operations of the loop body, those inside its
+	// conditionals and inner loops included (each once).
+	BodyOps int
 	// Flops counts the floating-point operations of one body iteration
 	// (machine flop weights); a pipelined loop's steady-state rate is
 	// Flops·ClockMHz/II MFLOPS, which the serving layer reports per loop.

@@ -120,3 +120,78 @@ func TestPipelinedLoopsReportFlops(t *testing.T) {
 		t.Fatalf("corpus reached %d pipelined loops, %d of them nested: the sweep no longer covers loop reduction", pipelined, reduced)
 	}
 }
+
+// TestBodyOpsCountsThroughControlFlow: BodyOps is the size of the body
+// tree, not of its straight-line prefix — a pipelined conditional loop and
+// a loop around an inner loop report their operations like a straight
+// body does.
+func TestBodyOpsCountsThroughControlFlow(t *testing.T) {
+	compile := func(src string) []codegen.LoopReport {
+		t.Helper()
+		p, err := lang.Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rep, err := codegen.Compile(p, machine.Warp(), codegen.Options{VerifyEmitted: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Loops
+	}
+	straight := compile(`
+program scale;
+var a, c: array [0..299] of real;
+    i: int;
+begin
+  for i := 0 to 299 do
+    c[i] := a[i] * 1.5;
+end.
+`)
+	if len(straight) != 1 || straight[0].HasCond {
+		t.Fatalf("straight body: %+v", straight)
+	}
+	// Address arithmetic, a load, a multiply, a store: what Body.Ops()
+	// returned before, and still the count.
+	plain := straight[0].BodyOps
+	if plain < 4 {
+		t.Fatalf("straight body reports %d ops", plain)
+	}
+
+	cond := compile(`
+program clip;
+var a, c: array [0..299] of real;
+    i: int;
+begin
+  for i := 0 to 299 do
+    if a[i] > 0.0 then
+      c[i] := a[i] * 1.5
+    else
+      c[i] := a[i] + 1.5;
+end.
+`)
+	if len(cond) != 1 || !cond[0].Pipelined || !cond[0].HasCond {
+		t.Fatalf("conditional loop: %+v", cond)
+	}
+	// The condition plus two arms, each about a straight body's worth.
+	if cond[0].BodyOps <= plain {
+		t.Errorf("pipelined conditional loop reports %d body ops; the straight body alone has %d", cond[0].BodyOps, plain)
+	}
+
+	nest := compile(`
+program nestscale;
+var a, c: array [0..11] of array [0..39] of real;
+    i, j: int;
+begin
+  for i := 0 to 11 do
+    for j := 0 to 39 do
+      c[i][j] := a[i][j] * 1.5;
+end.
+`)
+	if len(nest) != 2 {
+		t.Fatalf("nest: %d loop reports, want inner + outer", len(nest))
+	}
+	inner, outer := nest[0], nest[1]
+	if inner.BodyOps < 4 || outer.BodyOps < inner.BodyOps {
+		t.Errorf("nest: inner body %d ops, outer body %d; the outer body contains the inner", inner.BodyOps, outer.BodyOps)
+	}
+}

@@ -49,9 +49,8 @@ func (e *emitter) emitLoop(l *ir.LoopStmt) {
 // newLoopReport starts a loop's report with what is known before any
 // planning; every path that reports a loop starts here.
 func (e *emitter) newLoopReport(l *ir.LoopStmt) LoopReport {
-	ops, _ := l.Body.Ops()
 	rep := LoopReport{
-		LoopID: l.ID, BodyOps: len(ops), TripCount: -1,
+		LoopID: l.ID, BodyOps: blockOps(l.Body), TripCount: -1,
 		HasCond: blockHasCond(l.Body), Flops: blockFlops(l.Body, e.m),
 	}
 	if l.CountReg == ir.NoReg {
@@ -108,6 +107,18 @@ func blockFlops(b *ir.Block, m *machine.Machine) int {
 		}
 	}
 	return total
+}
+
+// blockOps counts the operations of the block tree, through conditionals
+// and inner loops (each counted once, whatever its trip count).
+func blockOps(b *ir.Block) (n int) {
+	b.Walk(func(s ir.Stmt) bool {
+		if _, isOp := s.(*ir.OpStmt); isOp {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 func blockHasCond(b *ir.Block) (cond bool) {

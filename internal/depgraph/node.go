@@ -15,6 +15,7 @@ package depgraph
 
 import (
 	"fmt"
+	"slices"
 
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
@@ -90,11 +91,10 @@ func NodeFromOp(m *machine.Machine, op *ir.Op) (*Node, error) {
 		Len:         1,
 		Reservation: d.Reservation,
 	}
-	seen := map[ir.VReg]bool{}
-	for _, s := range op.Src {
-		if s != ir.NoReg && !seen[s] {
+	// An op has at most three sources: a repeat is found by looking back.
+	for i, s := range op.Src {
+		if s != ir.NoReg && !slices.Contains(op.Src[:i], s) {
 			n.Reads = append(n.Reads, RegRead{Reg: s})
-			seen[s] = true
 		}
 	}
 	if op.Dst != ir.NoReg {

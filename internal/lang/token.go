@@ -187,7 +187,11 @@ tokenStart:
 // LexAll tokenizes the whole input (including the trailing EOF token).
 func LexAll(src string) ([]Token, error) {
 	l := NewLexer(src)
-	var toks []Token
+	// W2 text runs at two to three bytes a token, so half the length
+	// holds a whole program without regrowing (the canonicaliser runs on
+	// every request, hits included); the cap keeps a large, mostly blank
+	// input from reserving memory it will not use.
+	toks := make([]Token, 0, min(len(src)/2+1, 4096))
 	for {
 		t, err := l.Next()
 		if err != nil {

@@ -3,8 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -206,19 +204,13 @@ func resolveMachine(name string) (*machine.Machine, error) {
 // or corrupted disk entry is deleted and costs one recompile, never a
 // wrong answer.
 func validateArtifact(_ cache.Key, data []byte) error {
-	var a struct {
-		artifact
-		Binaries []*vliw.Program `json:"binaries"`
-	}
+	var a anyArtifact
 	if err := json.Unmarshal(data, &a); err != nil {
 		return fmt.Errorf("undecodable artifact: %w", err)
 	}
-	bins := a.Binaries
-	if a.Binary != nil {
-		bins = []*vliw.Program{a.Binary}
-	}
-	if len(bins) == 0 {
-		return errors.New("artifact has no binary")
+	bins, err := a.binaries()
+	if err != nil {
+		return err
 	}
 	m, err := resolveMachine(a.MachineName)
 	if err != nil {
@@ -231,9 +223,6 @@ func validateArtifact(_ cache.Key, data []byte) error {
 		return fmt.Errorf("machine %q fingerprint changed (%s != %s)", a.MachineName, fp, a.MachineFP)
 	}
 	for i, bin := range bins {
-		if bin == nil {
-			return fmt.Errorf("artifact cell %d has no binary", i)
-		}
 		if err := verify.Static(bin, m); err != nil {
 			return fmt.Errorf("artifact cell %d: %w", i, err)
 		}
@@ -295,8 +284,10 @@ func resolveJob(src, machineName string, wire CompileOptions, cells int) (*job, 
 	return newJob(canon, m, wire, cells)
 }
 
-// compile runs the compiler and serializes the outcome.
-func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, error) {
+// compile runs the compiler and serializes the outcome.  Beside the
+// bytes it returns the reply header of their view, taken from the compile
+// result so that nobody has to parse what was just marshalled.
+func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, *view, error) {
 	opts := j.opts
 	opts.Ctx, opts.Tracer = ctx, tracer
 	if j.cells > 0 {
@@ -304,7 +295,7 @@ func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, err
 	}
 	obj, err := softpipe.CompileSource(j.canon, j.m, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	a := artifact{
 		MachineName: j.m.Name,
@@ -341,42 +332,48 @@ func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, err
 		}
 		a.Loops = append(a.Loops, ls)
 	}
-	return json.Marshal(a)
+	data, err := json.Marshal(a)
+	return data, a.header(), err
 }
 
-// compileCached compiles j through the cache.  In a fleet, the
-// singleflight leader for a local miss first forwards to the key's owning
-// node (see fillArtifact); a key this node owns — or any unreachable
-// owner — compiles locally.
-func (s *Server) compileCached(ctx context.Context, j *job, tracer *softpipe.Tracer) (data []byte, hit bool, err error) {
-	data, hit, err = s.cache.GetOrFill(ctx, j.key, func() ([]byte, bool, error) {
-		return s.fillArtifact(ctx, j, func() ([]byte, error) { return s.compileLocal(ctx, j, tracer) })
-	})
-	if err != nil {
-		return nil, false, classifyCompileErr(err)
+// compileCached compiles j through the cache and returns the entry's view.
+// In a fleet, the singleflight leader for a local miss first forwards to
+// the key's owning node (see fillArtifact); a key this node owns — or any
+// unreachable owner — compiles locally.
+func (s *Server) compileCached(ctx context.Context, j *job, tracer *softpipe.Tracer) (v *view, hit bool, err error) {
+	return s.fill(ctx, j, tracer, true)
+}
+
+// fillLocal is compileCached on this node only, never consulting the
+// fabric: the owner side of a forward, and partitioned compiles.
+func (s *Server) fillLocal(ctx context.Context, j *job) (v *view, hit bool, err error) {
+	return s.fill(ctx, j, nil, false)
+}
+
+// fill is GetOrFill for j, then the entry's view.  When this request is
+// the one that compiles, the header its compile returns becomes the view
+// and the bytes it marshalled are not parsed.
+func (s *Server) fill(ctx context.Context, j *job, tracer *softpipe.Tracer, forward bool) (*view, bool, error) {
+	var built *view
+	compile := func() (data []byte, err error) {
+		if s.compileHook != nil {
+			s.compileHook()
+		}
+		data, built, err = j.compile(ctx, tracer)
+		return data, err
 	}
-	return data, hit, nil
-}
-
-// compileLocal is a compile on this node (the test seam runs first).
-func (s *Server) compileLocal(ctx context.Context, j *job, tracer *softpipe.Tracer) ([]byte, error) {
-	if s.compileHook != nil {
-		s.compileHook()
-	}
-	return j.compile(ctx, tracer)
-}
-
-// fillLocal compiles j through the cache on this node, never consulting
-// the fabric: the owner side of a forward, and partitioned compiles.
-func (s *Server) fillLocal(ctx context.Context, j *job) (data []byte, hit bool, err error) {
-	data, hit, err = s.cache.GetOrFill(ctx, j.key, func() ([]byte, bool, error) {
-		data, err := s.compileLocal(ctx, j, nil)
+	data, hit, err := s.cache.GetOrFill(ctx, j.key, func() ([]byte, bool, error) {
+		if forward {
+			return s.fillArtifact(ctx, j, compile)
+		}
+		data, err := compile()
 		return data, true, err
 	})
 	if err != nil {
 		return nil, false, classifyCompileErr(err)
 	}
-	return data, hit, nil
+	v, err := s.viewOf(j.key, data, built)
+	return v, hit, err
 }
 
 // requestError pairs an HTTP status with the underlying cause.
@@ -431,26 +428,20 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeRequestError(w, err)
 		return
 	}
-	data, hit, err := s.compileCached(ctx, j, tracer)
+	v, hit, err := s.compileCached(ctx, j, tracer)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	var a artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		s.fail(w, http.StatusInternalServerError, fmt.Errorf("corrupt cached artifact: %w", err))
-		return
-	}
-	sum := sha256.Sum256(data)
 	resp := CompileResponse{
 		Key:          j.key.String(),
 		Cached:       hit,
-		ObjectSHA256: hex.EncodeToString(sum[:]),
-		Machine:      a.MachineName,
-		Instrs:       len(a.Binary.Instrs),
-		FRegs:        a.FRegs,
-		IRegs:        a.IRegs,
-		Loops:        a.Loops,
+		ObjectSHA256: v.sha,
+		Machine:      v.machine,
+		Instrs:       v.instrs,
+		FRegs:        v.fregs,
+		IRegs:        v.iregs,
+		Loops:        v.loops,
 		ElapsedMS:    float64(time.Since(t0).Microseconds()) / 1e3,
 	}
 	if tracer != nil && !hit {

@@ -110,9 +110,13 @@ type Metrics struct {
 		DiskHits    int64   `json:"disk_hits"`
 		DiskRejects int64   `json:"disk_rejects"`
 		RemoteHits  int64   `json:"remote_hits"`
-		Bytes       int64   `json:"bytes"`
+		Bytes       int64   `json:"bytes"` // artifact bytes plus their views
 		Entries     int64   `json:"entries"`
 	} `json:"cache"`
+	// ArtifactDecodes counts the times a request path parsed artifact
+	// bytes: at most once per cache residency of an entry, and not at all
+	// for an entry this node compiled until something runs it.
+	ArtifactDecodes int64 `json:"artifact_decodes"`
 	// Array aggregates partitioned /run traffic: runs served, cells
 	// simulated, total stall cycles, and the worst input-queue
 	// high-water mark any cell has reached.
@@ -160,6 +164,7 @@ func (s *Server) metrics() Metrics {
 	m.Cache.RemoteHits = cs.RemoteHits
 	m.Cache.Bytes = cs.Bytes
 	m.Cache.Entries = cs.Entries
+	m.ArtifactDecodes = s.decodes.Load()
 	m.Array.Runs = s.arrRuns.Load()
 	m.Array.Cells = s.arrCells.Load()
 	m.Array.StallCycles = s.arrStalls.Load()

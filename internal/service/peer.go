@@ -100,12 +100,12 @@ func (s *Server) handleArtifactPost(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// Owners never re-forward: they compile.  A request can cross the
 	// fleet at most once by construction.
-	data, hit, err := s.fillLocal(ctx, j)
+	v, hit, err := s.fillLocal(ctx, j)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	s.writeArtifact(w, data, hit)
+	s.writeArtifact(w, v.data, hit)
 }
 
 // handleArtifactGet is the fetch-only peer path (run-by-key): cached

@@ -226,31 +226,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key, data, hit, err := s.artifactFor(ctx, &req)
+	v, hit, err := s.artifactFor(ctx, &req)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	var a artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		s.fail(w, http.StatusInternalServerError, fmt.Errorf("corrupt cached artifact: %w", err))
-		return
-	}
-	m, err := resolveMachine(a.MachineName)
+	// Batch mode always runs compiled; an array only ever Steps its cells,
+	// so there the interpreter's program serves either engine.
+	prog, m, err := s.simProgram(v, lanes > 0 || eng == "compiled" && req.Cells <= 1)
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
+		s.writeRequestError(w, err)
 		return
 	}
 
-	resp := RunResponse{Key: key.String(), Cached: hit, Engine: eng}
+	resp := RunResponse{Key: v.key.String(), Cached: hit, Engine: eng}
 	switch {
 	case lanes > 0:
 		resp.Engine = "compiled"
-		prog, err := sim.Decode(a.Binary, m, true)
-		if err != nil {
-			s.fail(w, http.StatusUnprocessableEntity, err)
-			return
-		}
 		ls := make([]sim.Lane, lanes)
 		for i := range ls {
 			if i < len(req.BatchInputs) {
@@ -284,7 +276,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			resp.BatchRunsPerSec = float64(len(results)) / elapsed
 		}
 	case req.Cells > 1:
-		arr := sim.NewHomogeneousArray(a.Binary, m, req.Cells, req.Input)
+		cells := make([]*sim.Sim, req.Cells)
+		for i := range cells {
+			cells[i] = sim.NewCell(prog)
+		}
+		arr := sim.NewArrayCells(cells, req.Input)
 		arr.Ctx = ctx
 		out, last, err := arr.Run()
 		if err != nil {
@@ -299,11 +295,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			resp.Scalars = toJSONScalars(last.Scalars)
 		}
 	default:
-		prog, err := sim.Decode(a.Binary, m, eng == "compiled")
-		if err != nil {
-			s.fail(w, http.StatusUnprocessableEntity, err)
-			return
-		}
 		cell := sim.NewCell(prog)
 		cell.Ctx = ctx
 		state, err := cell.Run()
@@ -322,14 +313,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, http.StatusOK, resp)
 }
 
-// artifactFor obtains the compiled artifact for a run request: by content
-// address when Key is set, otherwise by compiling Source through the
-// cache.
-func (s *Server) artifactFor(ctx context.Context, req *RunRequest) (cache.Key, []byte, bool, error) {
+// artifactFor obtains the view of the compiled artifact for a run request:
+// by content address when Key is set, otherwise by compiling Source
+// through the cache.
+func (s *Server) artifactFor(ctx context.Context, req *RunRequest) (*view, bool, error) {
 	if req.Key != "" {
 		key, err := cache.ParseKey(req.Key)
 		if err != nil {
-			return key, nil, false, &requestError{http.StatusBadRequest, err}
+			return nil, false, &requestError{http.StatusBadRequest, err}
 		}
 		data, ok := s.cache.Get(key)
 		if !ok && s.fabric != nil && !s.fabric.Owns(key) {
@@ -341,16 +332,16 @@ func (s *Server) artifactFor(ctx context.Context, req *RunRequest) (cache.Key, [
 			}
 		}
 		if !ok {
-			return key, nil, false, &requestError{http.StatusNotFound, fmt.Errorf("no cached artifact for key %s", req.Key)}
+			return nil, false, &requestError{http.StatusNotFound, fmt.Errorf("no cached artifact for key %s", req.Key)}
 		}
-		return key, data, true, nil
+		v, err := s.viewOf(key, data, nil)
+		return v, true, err
 	}
 	j, err := resolveJob(req.Source, req.Machine, req.Options, 0)
 	if err != nil {
-		return cache.Key{}, nil, false, err
+		return nil, false, err
 	}
-	data, hit, err := s.compileCached(ctx, j, nil)
-	return j.key, data, hit, err
+	return s.compileCached(ctx, j, nil)
 }
 
 // arrayArtifact is the cached value of a partitioned compile: one
@@ -370,10 +361,10 @@ type arrayArtifact struct {
 
 // compilePartitioned is job.compile for a partitioned job: split the
 // program across j.cells cells and serialize the arrayArtifact.
-func (j *job) compilePartitioned(opts softpipe.Options) ([]byte, error) {
+func (j *job) compilePartitioned(opts softpipe.Options) ([]byte, *view, error) {
 	ao, err := softpipe.CompileSourcePartitioned(j.canon, softpipe.Machines(j.m, j.cells), opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	a := arrayArtifact{
 		MachineName: j.m.Name,
@@ -386,7 +377,9 @@ func (j *job) compilePartitioned(opts softpipe.Options) ([]byte, error) {
 	for _, c := range ao.Cells {
 		a.Binaries = append(a.Binaries, c.Binary)
 	}
-	return json.Marshal(a)
+	data, err := json.Marshal(a)
+	return data, &view{machine: a.MachineName, cells: len(a.Binaries),
+		cellII: a.CellII, estMII: a.EstMII, cutWidths: a.CutWidths}, err
 }
 
 // handleRunPartitioned is POST /run with partition=true: compile the
@@ -401,17 +394,17 @@ func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter
 	// Partitioned fills always compile locally: the fabric's forward path
 	// reproduces single-cell artifacts from source and would cache the
 	// wrong shape for this key.
-	data, hit, err := s.fillLocal(ctx, j)
+	v, hit, err := s.fillLocal(ctx, j)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	var a arrayArtifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		s.fail(w, http.StatusInternalServerError, fmt.Errorf("corrupt cached artifact: %w", err))
+	bins, err := s.binaries(v)
+	if err != nil {
+		s.writeRequestError(w, err)
 		return
 	}
-	arr := sim.NewArray(a.Binaries, j.m, req.Input)
+	arr := sim.NewArray(bins, j.m, req.Input)
 	arr.Ctx = ctx
 	out, last, err := arr.Run()
 	if err != nil {
@@ -427,18 +420,18 @@ func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter
 		Flops:     st.Flops,
 		MFLOPS:    st.MFLOPS(j.m, 1),
 		Output:    toJSONFloats(out),
-		CutWidths: a.CutWidths,
+		CutWidths: v.cutWidths,
 	}
 	if last != nil {
 		resp.Scalars = toJSONScalars(last.Scalars)
 	}
 	for i, cm := range arr.Metrics() {
 		cs := CellRunStats{Cell: i, StallCycles: cm.StallCycles, MaxInQueue: cm.MaxInQueue}
-		if i < len(a.CellII) {
-			cs.II = a.CellII[i]
+		if i < len(v.cellII) {
+			cs.II = v.cellII[i]
 		}
-		if i < len(a.EstMII) {
-			cs.EstMII = a.EstMII[i]
+		if i < len(v.estMII) {
+			cs.EstMII = v.estMII[i]
 		}
 		resp.CellStats = append(resp.CellStats, cs)
 	}

@@ -92,6 +92,7 @@ type Server struct {
 	rejected    atomic.Int64 // 429s from admission control
 	panics      atomic.Int64
 	fallbacks   atomic.Int64 // local compiles of keys another node owns
+	decodes     atomic.Int64 // times a request path parsed artifact bytes
 
 	// Partitioned-array /run aggregates (see noteArrayRun).
 	arrRuns     atomic.Int64

@@ -401,7 +401,8 @@ func TestHealthzAndDrain(t *testing.T) {
 
 func TestMetricsShape(t *testing.T) {
 	s := newTestServer(t, Config{})
-	post(t, s, "/compile", CompileRequest{Source: sumSource}, nil)
+	var cold CompileResponse
+	post(t, s, "/compile", CompileRequest{Source: sumSource}, &cold)
 	post(t, s, "/compile", CompileRequest{Source: sumSource}, nil)
 	var m Metrics
 	if code := get(t, s, "/metrics", &m); code != http.StatusOK {
@@ -418,6 +419,19 @@ func TestMetricsShape(t *testing.T) {
 	}
 	if m.UptimeS < 0 || m.InFlight != 0 || m.QueueDepth != 0 {
 		t.Fatalf("gauges %+v", m)
+	}
+	// Neither the miss nor the hit parsed the artifact; the first run does,
+	// and cache.bytes then counts the decoded view beside the bytes.
+	var fields map[string]json.RawMessage
+	if get(t, s, "/metrics", &fields); string(fields["artifact_decodes"]) != "0" {
+		t.Fatalf("artifact_decodes = %s after two /compile, want 0", fields["artifact_decodes"])
+	}
+	post(t, s, "/run", RunRequest{Key: cold.Key}, nil)
+	var after Metrics
+	get(t, s, "/metrics", &after)
+	if after.ArtifactDecodes != 1 || after.Cache.Bytes <= m.Cache.Bytes || after.Cache.Entries != 1 {
+		t.Fatalf("after the first run: artifact_decodes=%d cache.bytes %d -> %d entries=%d",
+			after.ArtifactDecodes, m.Cache.Bytes, after.Cache.Bytes, after.Cache.Entries)
 	}
 }
 

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -117,20 +116,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			Fingerprint: m.Fingerprint(),
 			Rotating:    m.RotatingRegs,
 		}
-		data, hit, err := s.compileCached(ctx, jobs[i], nil)
+		v, hit, err := s.compileCached(ctx, jobs[i], nil)
 		switch {
 		case err == nil:
-			var a artifact
-			if uerr := json.Unmarshal(data, &a); uerr != nil {
-				s.fail(w, http.StatusInternalServerError, fmt.Errorf("corrupt cached artifact: %w", uerr))
-				return
-			}
 			cell.Key = jobs[i].key.String()
 			cell.Cached = hit
-			cell.Instrs = len(a.Binary.Instrs)
-			cell.FRegs = a.FRegs
-			cell.IRegs = a.IRegs
-			cell.Loops = a.Loops
+			cell.Instrs = v.instrs
+			cell.FRegs = v.fregs
+			cell.IRegs = v.iregs
+			cell.Loops = v.loops
 		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 			// The sweep's deadline blew: the cells already compiled are
 			// not worth a 504-with-body protocol of their own, and the

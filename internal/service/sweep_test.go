@@ -176,11 +176,11 @@ func compileTestArtifact(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := s.compileCached(context.Background(), j, nil)
+	v, _, err := s.compileCached(context.Background(), j, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	return v.data
 }
 
 // TestDiskTierTornFingerprintRecompiles: a disk entry whose machine_fp

@@ -242,21 +242,25 @@ func (p *Program) Array(name string) *ArrayInfo {
 // Validate checks structural sanity: register and target ranges and
 // per-instruction resource usage against machine m.
 func (p *Program) Validate(m *machine.Machine) error {
+	type dst struct {
+		float bool
+		reg   int
+		lat   int
+	}
+	type ringWrite struct {
+		float bool
+		lat   int
+		ring  []int
+	}
+	// Per-word state, allocated once and cleared for every word.
+	use := make([]int, len(m.ResourceCount))
+	written := map[dst]bool{}
+	var ringWrites []ringWrite
 	for pc := range p.Instrs {
 		in := &p.Instrs[pc]
-		use := make([]int, len(m.ResourceCount))
-		type dst struct {
-			float bool
-			reg   int
-			lat   int
-		}
-		written := map[dst]bool{}
-		type ringWrite struct {
-			float bool
-			lat   int
-			ring  []int
-		}
-		var ringWrites []ringWrite
+		clear(use)
+		clear(written)
+		ringWrites = ringWrites[:0]
 		for i := range in.Ops {
 			o := &in.Ops[i]
 			d := m.Desc(o.Class)

@@ -134,3 +134,48 @@ func TestValidateWriteBackCollision(t *testing.T) {
 		t.Error("int select + int op double write must be rejected")
 	}
 }
+
+// TestValidateStateDoesNotLeakBetweenWords: the collision and resource
+// checks are per instruction word.  Two ops that collide in one word are
+// legal in consecutive words — what one word wrote or reserved is
+// forgotten at the next — for static writes, for a ring write against a
+// static write, and for unit reservations.
+func TestValidateStateDoesNotLeakBetweenWords(t *testing.T) {
+	rot, err := machine.Parse("gen:rot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		m    *machine.Machine
+		a, b SlotOp
+	}{
+		{"static writes to one register at one latency", machine.Warp(),
+			SlotOp{Class: machine.ClassIAdd, Dst: 0, Src: []int{0, 0}},
+			SlotOp{Class: machine.ClassAdrAdd, Dst: 0, Src: []int{0, 0}}},
+		{"ring write against a static write", rot,
+			SlotOp{Class: machine.ClassIAdd, Dst: 0, DstRing: []int{0, 1}, Src: []int{2, 2}},
+			SlotOp{Class: machine.ClassAdrAdd, Dst: 1, Src: []int{2, 2}}},
+		{"static write against a ring write", rot,
+			SlotOp{Class: machine.ClassAdrAdd, Dst: 1, Src: []int{2, 2}},
+			SlotOp{Class: machine.ClassIAdd, Dst: 0, DstRing: []int{0, 1}, Src: []int{2, 2}}},
+		{"two ops on one unit", machine.Warp(),
+			SlotOp{Class: machine.ClassFAdd, Dst: 0, Src: []int{1, 2}},
+			SlotOp{Class: machine.ClassFSub, Dst: 1, Src: []int{1, 2}}},
+	}
+	for _, c := range cases {
+		if la, lb := c.m.Latency(c.a.Class), c.m.Latency(c.b.Class); la != lb {
+			t.Fatalf("%s: latencies %d and %d differ, the ops would never collide", c.name, la, lb)
+		}
+		p := base()
+		p.Instrs = []Instr{{Ops: []SlotOp{c.a, c.b}}, {Ctl: Ctl{Kind: CtlHalt}}}
+		if err := p.Validate(c.m); err == nil {
+			t.Errorf("%s: accepted in one word", c.name)
+		}
+		p = base()
+		p.Instrs = []Instr{{Ops: []SlotOp{c.a}}, {Ops: []SlotOp{c.b}}, {Ctl: Ctl{Kind: CtlHalt}}}
+		if err := p.Validate(c.m); err != nil {
+			t.Errorf("%s: rejected across two words: %v", c.name, err)
+		}
+	}
+}

@@ -10,7 +10,9 @@
 # layers whose regressions silently corrupt emitted code; the simulator,
 # the single cell semantics both engines and every array run on; and the
 # compile fabric and the service, whose fleet contract (exactly-once,
-# degrade-never-error) has no evidence but `go test`.
+# degrade-never-error) has no evidence but `go test`; and the cache,
+# which owns the accounting invariant (bytes plus views within MaxBytes,
+# no view outliving its entry) the service's hit path rests on.
 # The simulator's fast path is differential-tested from
 # internal/sim/compiled, so its figure is the union over both test
 # packages (a second, small `go test -coverpkg` run).
@@ -26,6 +28,7 @@ gated=(
   softpipe/internal/verify
   softpipe/internal/fabric
   softpipe/internal/service
+  softpipe/internal/cache
 )
 
 summary="$(mktemp)"
