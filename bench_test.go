@@ -354,85 +354,6 @@ func benchUnrollInner(b *testing.B, trip int) {
 func BenchmarkAblationUnrollInner_On(b *testing.B)  { benchUnrollInner(b, 4) }
 func BenchmarkAblationUnrollInner_Off(b *testing.B) { benchUnrollInner(b, 0) }
 
-// --- Ablation: symbolic closure vs per-II recomputation (§2.2.2) --------
-
-func closureGraph() *depgraph.Graph {
-	bld := ir.NewBuilder("closure")
-	bld.Array("a", ir.KindFloat, 64)
-	acc := bld.FConst(0)
-	bld.ForN(64, func(l *ir.LoopCtx) {
-		p := l.Pointer(0, 1)
-		v := bld.Load("a", p, ir.Aff(l.ID, 1, 0))
-		w := bld.FMul(v, v)
-		bld.FAddTo(acc, acc, w)
-		bld.Store("a", p, w, ir.Aff(l.ID, 1, 0))
-	})
-	var loop *ir.LoopStmt
-	for _, s := range bld.P.Body.Stmts {
-		if l, ok := s.(*ir.LoopStmt); ok {
-			loop = l
-		}
-	}
-	ops, _ := loop.Body.Ops()
-	m := machine.Warp()
-	nodes := make([]*depgraph.Node, len(ops))
-	for i, op := range ops {
-		nodes[i] = depgraph.MustNodeFromOp(m, op)
-	}
-	return depgraph.Build(nodes, loop.ID)
-}
-
-// BenchmarkAblationClosure_Symbolic prices the paper's preprocessing:
-// compute the symbolic all-points closure once, then evaluate it at 16
-// candidate intervals.
-func BenchmarkAblationClosure_Symbolic(b *testing.B) {
-	g := closureGraph()
-	scc := depgraph.TarjanSCC(g)
-	var comp []int
-	for ci, c := range scc.Components {
-		if !scc.IsTrivial(g, ci) && len(c) > len(comp) {
-			comp = c
-		}
-	}
-	floor, err := depgraph.RecurrenceMIIOracle(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cl, err := depgraph.NewClosure(g, comp, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for ii := floor; ii < floor+16; ii++ {
-			for _, u := range comp {
-				for _, v := range comp {
-					_ = cl.DistAt(u, v, ii)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkAblationClosure_Recompute prices the alternative the paper
-// avoids: recompute all longest paths from scratch at each candidate
-// interval.
-func BenchmarkAblationClosure_Recompute(b *testing.B) {
-	g := closureGraph()
-	floor, err := depgraph.RecurrenceMIIOracle(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for ii := floor; ii < floor+16; ii++ {
-			if _, ok := depgraph.LongestPathsAt(g, ii); !ok {
-				b.Fatal("infeasible")
-			}
-		}
-	}
-}
-
 // --- Scaling: wider data paths (Lam §6) ---------------------------------
 
 func BenchmarkScalingWide(b *testing.B) {
@@ -551,8 +472,8 @@ func BenchmarkPartitionPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeRecurrence prices depgraph.Analyze — bounds and
-// closures — on the recurrence-heaviest loop of the corpus, k22's
+// BenchmarkAnalyzeRecurrence prices depgraph.Analyze — components and
+// bounds — on the recurrence-heaviest loop of the corpus, k22's
 // (90 nodes, 926 edges once the expandable registers are filtered).
 func BenchmarkAnalyzeRecurrence(b *testing.B) {
 	b.Run("k22", func(b *testing.B) {

@@ -162,7 +162,7 @@ func (g *Graph) regDepsFor(r ir.VReg, seq []regAccess) {
 	// are transitively implied by chains through it (each dropped edge's
 	// constraint equals a sum of retained edges with equal-or-larger
 	// total delay and equal total omega).  Small graphs keep the
-	// symbolic closure of §2.2.2 cheap.
+	// longest-path sweeps of §2.2.2 cheap.
 	var prevWrite *regAccess // most recent write, for the output chain
 	for i := range seq {
 		a := &seq[i]

@@ -3,7 +3,6 @@ package depgraph
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"softpipe/internal/machine"
 )
@@ -96,79 +95,54 @@ type Bounds struct {
 }
 
 // Analysis bundles the preprocessing results the iterative scheduler
-// needs: the SCC decomposition, the MII bounds and, for each nontrivial
-// component, its symbolic longest-path closure.
+// needs: the SCC decomposition, the MII bounds and each component's own
+// edges, from which PathsAt and ZeroPaths compute longest paths at the
+// interval being tried.
 type Analysis struct {
-	Graph    *Graph
-	SCC      *SCC
-	Closures []*Closure // indexed by component; nil for trivial components
+	Graph *Graph
+	SCC   *SCC
+	edges [][]sccEdge // indexed by component; see SCC.edges
 	Bounds
 }
 
 // MIIBounds computes the resource and recurrence bounds of an
-// already-filtered graph without building the longest-path closures: what
-// a caller needs when it only asks how fast a set of operations could run
-// on m (the partition planner), not where to place them.  The bounds and
-// errors are Analyze's.
+// already-filtered graph: what a caller needs when it only asks how fast
+// a set of operations could run on m (the partition planner), not where
+// to place them.  The bounds and errors are Analyze's.
 func MIIBounds(g *Graph, m *machine.Machine) (Bounds, error) {
-	b, _, _, err := bounds(g, m)
-	return b, err
+	a, err := AnalyzeContext(context.Background(), g, m)
+	if err != nil {
+		return Bounds{}, err
+	}
+	return a.Bounds, nil
 }
 
 // Analyze performs the paper's preprocessing step on an already-filtered
-// graph: find components, derive the MII, build symbolic closures.
-// Closures are pruned against the MII, which every candidate interval is
-// known to meet or exceed; that keeps their Pareto frontiers tiny.
+// graph: find components and derive the MII.
 func Analyze(g *Graph, m *machine.Machine) (*Analysis, error) {
 	return AnalyzeContext(context.TODO(), g, m)
 }
 
-// AnalyzeContext is Analyze under a deadline: a closure is cubic in the
-// size of its component, so each one polls ctx as it goes and the
-// analysis fails with an error wrapping ctx.Err() once ctx is done.
+// AnalyzeContext is Analyze under a deadline: the recurrence bound's
+// positive-cycle probes poll ctx once a relaxation pass, and the analysis
+// fails with an error wrapping ctx.Err() once ctx is done.
 func AnalyzeContext(ctx context.Context, g *Graph, m *machine.Machine) (*Analysis, error) {
-	b, scc, nontrivial, err := bounds(g, m)
+	res, err := ResourceMII(g, m)
 	if err != nil {
 		return nil, err
 	}
-	a := &Analysis{Graph: g, SCC: scc, Bounds: b}
-	a.Closures = make([]*Closure, len(scc.Components))
-	for ci, comp := range scc.Components {
-		if !nontrivial[ci] {
-			continue
-		}
-		cl, err := newClosure(ctx, g, comp, b.MII)
-		if err != nil {
+	a := &Analysis{Graph: g, SCC: TarjanSCC(g), Bounds: Bounds{ResMII: res, MII: res}}
+	a.edges = a.SCC.edges(g)
+	for _, ce := range a.edges {
+		a.HasRecurrence = a.HasRecurrence || len(ce) > 0
+	}
+	if a.HasRecurrence {
+		if a.RecMII, err = recurrenceMII(ctx, a.SCC, a.edges); err != nil {
 			return nil, err
 		}
-		a.Closures[ci] = cl
 	}
+	a.MII = max(a.MII, a.RecMII, 1)
 	return a, nil
-}
-
-// bounds is the shared front of MIIBounds and Analyze; it also returns
-// the decomposition and which components are nontrivial, which Analyze
-// goes on to close.
-func bounds(g *Graph, m *machine.Machine) (Bounds, *SCC, []bool, error) {
-	res, err := ResourceMII(g, m)
-	if err != nil {
-		return Bounds{}, nil, nil, err
-	}
-	b := Bounds{ResMII: res, MII: res}
-	scc := TarjanSCC(g)
-	nontrivial := scc.nontrivial(g)
-	if b.HasRecurrence = slices.Contains(nontrivial, true); b.HasRecurrence {
-		if b.RecMII, err = recurrenceMII(g, scc, nontrivial); err != nil {
-			return Bounds{}, nil, nil, err
-		}
-	}
-	if b.RecMII > b.MII {
-		b.MII = b.RecMII
-	}
-	if b.MII < 1 {
-		b.MII = 1
-	}
-	return b, scc, nontrivial, nil
 }
 
 // RecurrenceMII returns the recurrence bound of g: the smallest
@@ -180,40 +154,28 @@ func bounds(g *Graph, m *machine.Machine) (Bounds, *SCC, []bool, error) {
 // the all-pairs formulation tests compare it against.
 func RecurrenceMII(g *Graph) (int, error) {
 	scc := TarjanSCC(g)
-	return recurrenceMII(g, scc, scc.nontrivial(g))
+	return recurrenceMII(context.Background(), scc, scc.edges(g))
 }
 
-// sccEdge is a dependence edge inside one component, endpoints renumbered
-// to member positions.
-type sccEdge struct{ from, to, delay, omega int }
-
-// recurrenceMII binary-searches each nontrivial component for its
+// recurrenceMII binary-searches each component that has edges for its
 // smallest feasible interval.  Cycles never leave a component, so the
 // bound of the graph is the largest bound of any component, and a
 // component already feasible at the running maximum costs one probe.
 // A probe is a single-source longest-path relaxation (O(V·E) on the
 // component, no distance matrix).
-func recurrenceMII(g *Graph, scc *SCC, nontrivial []bool) (int, error) {
-	pos := make([]int, len(g.Nodes))
-	for _, comp := range scc.Components {
-		for i, v := range comp {
-			pos[v] = i
-		}
-	}
-	edges := make([][]sccEdge, len(scc.Components))
-	for _, e := range g.Edges {
-		if ci := scc.Comp[e.From]; ci == scc.Comp[e.To] && nontrivial[ci] {
-			edges[ci] = append(edges[ci], sccEdge{pos[e.From], pos[e.To], e.Delay, e.Omega})
-		}
-	}
-	scratch := make([]int, len(g.Nodes))
+func recurrenceMII(ctx context.Context, scc *SCC, edges [][]sccEdge) (int, error) {
+	scratch := make([]int, len(scc.Comp))
 	rec := 1
 	for ci, ce := range edges {
-		if !nontrivial[ci] {
+		if len(ce) == 0 {
 			continue
 		}
 		dist := scratch[:len(scc.Components[ci])]
-		if !positiveCycleAt(ce, dist, rec) {
+		positive, err := positiveCycleAt(ctx, ce, dist, rec)
+		if err != nil {
+			return 0, err
+		}
+		if !positive {
 			continue
 		}
 		// Any cycle with omega ≥ 1 is non-positive once s exceeds the
@@ -225,13 +187,21 @@ func recurrenceMII(g *Graph, scc *SCC, nontrivial []bool) (int, error) {
 				hi += e.delay
 			}
 		}
-		if hi <= rec || positiveCycleAt(ce, dist, hi) {
+		if hi > rec {
+			if positive, err = positiveCycleAt(ctx, ce, dist, hi); err != nil {
+				return 0, err
+			}
+		}
+		if positive {
 			return 0, fmt.Errorf("depgraph: dependence cycle with zero iteration distance")
 		}
 		lo := rec + 1
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if positiveCycleAt(ce, dist, mid) {
+			if positive, err = positiveCycleAt(ctx, ce, dist, mid); err != nil {
+				return 0, err
+			}
+			if positive {
 				lo = mid + 1
 			} else {
 				hi = mid
@@ -246,12 +216,16 @@ func recurrenceMII(g *Graph, scc *SCC, nontrivial []bool) (int, error) {
 // total weight delay − ii·omega.  Longest paths from a virtual source
 // joined to every member by a zero edge have at most len(dist)−1 real
 // edges unless such a cycle exists, so a relaxation pass that still
-// improves something after that many passes proves one.
-func positiveCycleAt(edges []sccEdge, dist []int, ii int) bool {
+// improves something after that many passes proves one.  It polls ctx
+// once a pass.
+func positiveCycleAt(ctx context.Context, edges []sccEdge, dist []int, ii int) (bool, error) {
 	for i := range dist {
 		dist[i] = 0
 	}
 	for range dist {
+		if err := ctx.Err(); err != nil {
+			return false, fmt.Errorf("depgraph: recurrence bound of a %d-node component aborted: %w", len(dist), err)
+		}
 		changed := false
 		for _, e := range edges {
 			if d := dist[e.from] + e.delay - ii*e.omega; d > dist[e.to] {
@@ -260,8 +234,8 @@ func positiveCycleAt(edges []sccEdge, dist []int, ii int) bool {
 			}
 		}
 		if !changed {
-			return false
+			return false, nil
 		}
 	}
-	return true
+	return true, nil
 }

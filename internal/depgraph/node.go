@@ -7,10 +7,10 @@
 //
 //	σ(v) − σ(u) ≥ Delay − s·Omega
 //
-// The package also provides Tarjan's strongly connected components and the
-// paper's preprocessing step: the all-points longest-path closure of each
-// component computed symbolically in the initiation interval s, so that
-// the iterative scheduling step never recomputes paths (§2.2.2).
+// The package also provides Tarjan's strongly connected components, the
+// lower bounds on s, and the all-points longest paths of each component
+// at a concrete s, which the iterative scheduling step asks for once per
+// candidate interval (§2.2.2).
 package depgraph
 
 import (

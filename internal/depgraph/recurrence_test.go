@@ -47,51 +47,15 @@ func loopGraphs(t *testing.T, p *ir.Program, m *machine.Machine) map[string]*dep
 	return out
 }
 
-// closureRecMII is the third formulation of the recurrence bound: the
-// largest Closure.RecurrenceMII over the nontrivial components.  The
-// closures are built with an evaluation floor, as Analyze builds them,
-// and only report a bound that exceeds it.
-func closureRecMII(g *depgraph.Graph, floor int) (int, error) {
-	scc := depgraph.TarjanSCC(g)
-	rec := 0
-	for ci, comp := range scc.Components {
-		if scc.IsTrivial(g, ci) {
-			continue
-		}
-		cl, err := depgraph.NewClosure(g, comp, floor)
-		if err != nil {
-			return 0, err
-		}
-		if v := cl.RecurrenceMII(); v > rec {
-			rec = v
-		}
-	}
-	return rec, nil
-}
-
-// checkRecurrence asserts the three formulations agree on g: the
-// production per-SCC positive-cycle bound, the all-pairs oracle, and the
-// symbolic closures — in value, or all in refusing the graph.  res is
-// the resource bound the graph is paired with.
-//
-// A closure is only cheap at a floor no cycle exceeds: one below the
-// recurrence bound the critical cycle is profitable to wind maxWind
-// times and the Pareto frontiers explode (k22: a minute, against 8 ms at
-// the bound).  So graphs of up to 64 edges get the floor max(res,
-// bound−1), where the closures must find the critical cycle themselves
-// and report the bound exactly; larger ones get max(res, bound), where
-// the closures confirm that nothing exceeds it.
-func checkRecurrence(t *testing.T, name string, g *depgraph.Graph, res int) {
+// checkRecurrence asserts the two formulations agree on g: the
+// production per-SCC positive-cycle bound and the all-pairs oracle — in
+// value, or both in refusing the graph.
+func checkRecurrence(t *testing.T, name string, g *depgraph.Graph) {
 	t.Helper()
 	got, gotErr := depgraph.RecurrenceMII(g)
 	oracle, oracleErr := depgraph.RecurrenceMIIOracle(g)
-	floor := max(res, oracle)
-	if len(g.Edges) <= 64 {
-		floor = max(res, oracle-1)
-	}
-	closure, closureErr := closureRecMII(g, floor)
-	if (gotErr != nil) != (oracleErr != nil) || (gotErr != nil) != (closureErr != nil) {
-		t.Errorf("%s: verdicts differ: RecurrenceMII err=%v, oracle err=%v, closure err=%v", name, gotErr, oracleErr, closureErr)
+	if (gotErr != nil) != (oracleErr != nil) {
+		t.Errorf("%s: verdicts differ: RecurrenceMII err=%v, oracle err=%v", name, gotErr, oracleErr)
 		return
 	}
 	if gotErr != nil {
@@ -100,14 +64,14 @@ func checkRecurrence(t *testing.T, name string, g *depgraph.Graph, res int) {
 		}
 		return
 	}
-	if got != oracle || max(got, floor) != max(closure, floor) {
-		t.Errorf("%s: RecurrenceMII=%d oracle=%d closure=%d (floor %d)\n%v", name, got, oracle, closure, floor, g)
+	if got != oracle {
+		t.Errorf("%s: RecurrenceMII=%d oracle=%d\n%v", name, got, oracle, g)
 	}
 }
 
 // TestRecurrenceMIIDifferential pins the production recurrence bound to
-// the two independent formulations on every innermost-loop graph of the
-// evaluation corpora and on the synthetic ablation graph.
+// the independent formulation on every innermost-loop graph of the
+// evaluation corpora and on a synthetic doubly recurrent body.
 func TestRecurrenceMIIDifferential(t *testing.T) {
 	m := machine.Warp()
 	var progs []*ir.Program
@@ -127,9 +91,9 @@ func TestRecurrenceMIIDifferential(t *testing.T) {
 	for _, seed := range workloads.ChainCorpusSeeds() {
 		progs = append(progs, workloads.RandomChainProgram(seed))
 	}
-	// The ablation benches' closureGraph: a load/fmul/accumulate/store
-	// body whose store and accumulator both recur.
-	bld := ir.NewBuilder("closure")
+	// A load/fmul/accumulate/store body whose store and accumulator both
+	// recur.
+	bld := ir.NewBuilder("tworec")
 	bld.Array("a", ir.KindFloat, 64)
 	acc := bld.FConst(0)
 	bld.ForN(64, func(l *ir.LoopCtx) {
@@ -144,11 +108,7 @@ func TestRecurrenceMIIDifferential(t *testing.T) {
 	graphs, recurrent := 0, 0
 	for _, p := range progs {
 		for name, g := range loopGraphs(t, p, m) {
-			res, err := depgraph.ResourceMII(g, m)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			checkRecurrence(t, name, g, res)
+			checkRecurrence(t, name, g)
 			graphs++
 			if rec, err := depgraph.RecurrenceMII(g); err == nil && rec > 1 {
 				recurrent++
@@ -162,48 +122,41 @@ func TestRecurrenceMIIDifferential(t *testing.T) {
 
 // TestRecurrenceMIIRejectsTogether hand-builds the two illegal shapes —
 // a zero-distance dependence cycle and a self-dependence within one
-// iteration — next to their legal neighbours: all three formulations
-// refuse the former and agree on the latter.
+// iteration — next to their legal neighbours: both formulations refuse
+// the former and agree on the latter.
 func TestRecurrenceMIIRejectsTogether(t *testing.T) {
-	graph := func(n int, edges ...depgraph.Edge) *depgraph.Graph {
-		g := &depgraph.Graph{Edges: edges}
-		for i := 0; i < n; i++ {
-			g.Nodes = append(g.Nodes, &depgraph.Node{Index: i, Len: 1})
-		}
-		return g
-	}
 	cases := []struct {
 		name    string
 		g       *depgraph.Graph
 		wantErr bool
 		want    int
 	}{
-		{"zero-distance-cycle", graph(2,
+		{"zero-distance-cycle", bareGraph(2,
 			depgraph.Edge{From: 0, To: 1, Delay: 7},
 			depgraph.Edge{From: 1, To: 0, Delay: 7}), true, 0},
-		{"zero-distance-cycle-beside-legal-recurrence", graph(4,
+		{"zero-distance-cycle-beside-legal-recurrence", bareGraph(4,
 			depgraph.Edge{From: 0, To: 1, Delay: 3},
 			depgraph.Edge{From: 1, To: 0, Delay: 4, Omega: 1},
 			depgraph.Edge{From: 2, To: 3, Delay: 1},
 			depgraph.Edge{From: 3, To: 2, Delay: 1}), true, 0},
-		{"self-dependence", graph(1,
+		{"self-dependence", bareGraph(1,
 			depgraph.Edge{From: 0, To: 0, Delay: 2}), true, 0},
-		{"zero-distance-cycle-of-zero-delay", graph(2,
+		{"zero-distance-cycle-of-zero-delay", bareGraph(2,
 			depgraph.Edge{From: 0, To: 1, Delay: 0},
 			depgraph.Edge{From: 1, To: 0, Delay: 0}), false, 1},
-		{"self-recurrence", graph(1,
+		{"self-recurrence", bareGraph(1,
 			depgraph.Edge{From: 0, To: 0, Delay: 7, Omega: 1}), false, 7},
-		{"two-components", graph(4,
+		{"two-components", bareGraph(4,
 			depgraph.Edge{From: 0, To: 1, Delay: 3},
 			depgraph.Edge{From: 1, To: 0, Delay: 4, Omega: 1},
 			depgraph.Edge{From: 1, To: 2, Delay: 9},
 			depgraph.Edge{From: 2, To: 3, Delay: 5},
 			depgraph.Edge{From: 3, To: 2, Delay: 6, Omega: 2}), false, 7},
-		{"acyclic", graph(2,
+		{"acyclic", bareGraph(2,
 			depgraph.Edge{From: 0, To: 1, Delay: 7}), false, 1},
 	}
 	for _, tc := range cases {
-		checkRecurrence(t, tc.name, tc.g, 1)
+		checkRecurrence(t, tc.name, tc.g)
 		got, err := depgraph.RecurrenceMII(tc.g)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)

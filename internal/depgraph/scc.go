@@ -132,17 +132,25 @@ func (s *SCC) IsTrivial(g *Graph, c int) bool {
 	return true
 }
 
-// nontrivial reports, per component, whether it lies on a dependence
-// cycle (!IsTrivial for every component, in one pass over the edges).
-func (s *SCC) nontrivial(g *Graph) []bool {
-	nt := make([]bool, len(s.Components))
-	for ci, comp := range s.Components {
-		nt[ci] = len(comp) > 1
-	}
-	for _, e := range g.Edges {
-		if e.From == e.To {
-			nt[s.Comp[e.From]] = true
+// sccEdge is a dependence edge inside one component, endpoints renumbered
+// to member positions.
+type sccEdge struct{ from, to, delay, omega int }
+
+// edges lists, per component, the dependence edges that stay inside it.
+// A component lies on a dependence cycle (!IsTrivial) exactly when its
+// list is not empty.
+func (s *SCC) edges(g *Graph) [][]sccEdge {
+	pos := make([]int, len(g.Nodes))
+	for _, comp := range s.Components {
+		for i, v := range comp {
+			pos[v] = i
 		}
 	}
-	return nt
+	edges := make([][]sccEdge, len(s.Components))
+	for _, e := range g.Edges {
+		if ci := s.Comp[e.From]; ci == s.Comp[e.To] {
+			edges[ci] = append(edges[ci], sccEdge{pos[e.From], pos[e.To], e.Delay, e.Omega})
+		}
+	}
+	return edges
 }

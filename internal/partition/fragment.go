@@ -128,8 +128,8 @@ func (mm *machineModel) resourceFloor(i, j int) int {
 // and leaving, pass-through forwards included), bounded with the
 // machine's resource table (so queue-port pressure and the Recv latency
 // participate in the balance, not just the float work).  Only the two
-// bounds are computed; the fragment's longest-path closures are the
-// business of its own compile.
+// bounds are computed; the fragment's longest paths are the business of
+// its own compile.
 func (pl *planner) stageCost(i, j int, mm *machineModel, cuts []*cutValue) (int, error) {
 	m := mm.m
 	var nodes []*depgraph.Node

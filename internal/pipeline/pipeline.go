@@ -344,8 +344,9 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 	}
 	// The §4.2 profitability guards are computed against the locally
 	// compacted body length.  The threshold needs nothing else, so it
-	// goes before the dependence analysis — whose closure is cubic in the
-	// size of a recurrence — and "not even attempted" is literally true.
+	// goes before the dependence analysis and the search — whose longest-
+	// path sweeps are cubic in the size of a recurrence — and "not even
+	// attempted" is literally true.
 	compact, err := schedule.List(g, m)
 	if err != nil {
 		return nil, err
@@ -400,8 +401,8 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 	maxII := schedule.DefaultMaxII(a) + minII
 	var res *schedule.Result
 	var st *schedule.Stats
-	// One scheduler serves every construct-window retry: the SCC closures
-	// and scheduling scratch carry over, only the floor MinII moves.
+	// One scheduler serves every construct-window retry: its per-component
+	// tables and scheduling scratch carry over, only the floor MinII moves.
 	searcher := schedule.New(opts.Effort, a, m)
 	search := opts.Tracer.Begin("schedule.search")
 	for {

@@ -3,6 +3,7 @@ package schedule
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -90,11 +91,21 @@ func (c *countdownCtx) Err() error {
 func TestExactSearchAbortsMidSearch(t *testing.T) {
 	a, m := gapLoopAnalysis(t)
 	// The heuristic on this loop probes the context once per candidate
-	// (II 7, 8, 9); a countdown of 3 lets it finish and cancels on the
+	// (II 7, 8, 9) and once a pivot of every longest-path sweep; a
+	// countdown of exactly that many lets it finish and cancels on the
 	// exact refinement's first probe.
-	ctx := &countdownCtx{Context: context.Background(), n: 3}
-	r, _, err := New(EffortExact, a, m).Search(Options{
-		Ctx: ctx, ReserveBranch: true, BranchResource: machine.ResBranch, Budget: time.Minute})
+	opts := Options{ReserveBranch: true, BranchResource: machine.ResBranch, Budget: time.Minute}
+	count := &countdownCtx{Context: context.Background(), n: math.MaxInt}
+	opts.Ctx = count
+	_, hst, err := Modulo(a, m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Ctx = &countdownCtx{Context: context.Background(), n: math.MaxInt - count.n}
+	r, st, err := New(EffortExact, a, m).Search(opts)
+	if st.Attempts != hst.Attempts {
+		t.Fatalf("canceled after %d of the heuristic's %d attempts, not past them", st.Attempts, hst.Attempts)
+	}
 	if err == nil {
 		t.Fatalf("exact search canceled mid-refinement returned II %d instead of an error", r.II)
 	}

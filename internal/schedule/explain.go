@@ -77,10 +77,10 @@ type Cause struct {
 	WinHi    int
 
 	// Dependence bound: the empty range [Lo, Hi] and the already-placed
-	// nodes whose (closure) paths imposed each side (-1 = unset).  When a
+	// nodes whose longest paths imposed each side (-1 = unset).  When a
 	// direct dependence edge connects the pair it is attached with its
-	// delay/omega; otherwise the bound came through a longer path of the
-	// component's closure.
+	// delay/omega; otherwise the bound came through a longer path inside
+	// the component (its depgraph PathsAt matrix at the candidate).
 	Lo, Hi         int
 	LoFrom, HiFrom int
 	LoEdge, HiEdge *depgraph.Edge
@@ -235,7 +235,7 @@ func failAttempt(s, node, comp int, desc string, aggregate bool, cause Cause) At
 
 // directEdge returns a dependence edge from → to when one exists in g
 // (preferring the tightest delay), or nil when the constraint came
-// through a longer closure path.
+// through a longer path.
 func directEdge(g *depgraph.Graph, from, to int) *depgraph.Edge {
 	var best *depgraph.Edge
 	for i := range g.Edges {

@@ -13,8 +13,8 @@ import (
 // missMIIAnalysis hand-builds the smallest loop that provably misses its
 // MII.  Two ALU ops form a recurrence A→B (delay 2) and B→A (delay 2,
 // omega 2): the cycle bounds RecMII = ceil(4/2) = 2, and two ALU uses on
-// the single ALU give ResMII = 2, so MII = 2.  At II=2 the closure pins
-// B to exactly A+2 — the same modulo row as A — so the one ALU unit
+// the single ALU give ResMII = 2, so MII = 2.  At II=2 the longest paths
+// pin B to exactly A+2 — the same modulo row as A — so the one ALU unit
 // conflicts at every placement and the search must settle for II=3.
 func missMIIAnalysis(t *testing.T, m *machine.Machine) *depgraph.Analysis {
 	t.Helper()

@@ -12,9 +12,10 @@ import (
 // Options tunes the modulo scheduler.
 type Options struct {
 	// Ctx, when non-nil, is checked between candidate initiation
-	// intervals: a canceled or deadlined context aborts the search with
-	// an error wrapping ctx.Err() instead of running to MaxII.  The
-	// serving layer threads per-request deadlines through here.
+	// intervals and once a pivot of each longest-path sweep inside one: a
+	// canceled or deadlined context aborts the search with an error
+	// wrapping ctx.Err() instead of running to MaxII.  The serving layer
+	// threads per-request deadlines through here.
 	Ctx context.Context
 	// MaxII bounds the iterative search; 0 means DefaultMaxII.
 	MaxII int
@@ -105,9 +106,9 @@ type compData struct {
 	edges []compEdge // omega-0 intra-component edges, from != to
 	indeg []int      // indegrees over edges
 	h     []int      // list priority: critical-path height over edges
-	zero  []int      // dense intra-iteration distances (ZeroMatrix)
+	zero  []int      // intra-iteration longest paths (ZeroPaths); nil until the first attempt
 
-	dense  []int // closure instantiated at the current candidate II
+	dense  []int // longest paths at the current candidate II (PathsAt)
 	lo, hi []int // precedence-constrained ranges
 	// loFrom/hiFrom track which already-placed member imposed each bound
 	// (-1 = unset), so the explain report can name the constraining node.
@@ -119,11 +120,11 @@ type compData struct {
 
 // Searcher runs the iterative search of Lam §2.2 for one analyzed loop.
 // It front-loads every II-independent computation (SCC member indexing,
-// intra-component edge lists, list priorities, intra-iteration distance
-// matrices, condensation edges) and keeps all scheduling scratch —
-// modulo reservation tables included — alive across candidate intervals,
-// so trying II = s+1 after s fails allocates almost nothing.  A Searcher
-// is not safe for concurrent use; compile pipelines create one per loop.
+// intra-component edge lists, list priorities, condensation edges) and
+// keeps all scheduling scratch — modulo reservation tables and distance
+// matrices included — alive across candidate intervals, so trying
+// II = s+1 after s fails allocates almost nothing.  A Searcher is not
+// safe for concurrent use; compile pipelines create one per loop.
 type Searcher struct {
 	a *depgraph.Analysis
 	m *machine.Machine
@@ -189,7 +190,6 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 		cd := &sr.comps[ci]
 		cd.indeg = make([]int, k)
 		cd.h = make([]int, k)
-		cd.zero = a.Closures[ci].ZeroMatrix(nil)
 		cd.lo = make([]int, k)
 		cd.hi = make([]int, k)
 		cd.loFrom = make([]int, k)
@@ -251,6 +251,9 @@ func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
 	}
 	st := &Stats{MII: floor}
 	sr.retries = 0
+	if opts.Ctx == nil {
+		opts.Ctx = context.Background()
+	}
 	if maxII < floor {
 		// An explicit MaxII below the search floor is a caller
 		// misconfiguration, not infeasibility: fail loudly and
@@ -277,7 +280,12 @@ func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
 			return nil, st, err
 		}
 		st.Attempts++
-		if r := sr.attempt(opts, s); r != nil {
+		r, err := sr.attempt(opts, s)
+		if err != nil {
+			st.Backtracks = sr.retries
+			return nil, st, err
+		}
+		if r != nil {
 			st.Achieved = s
 			st.MetLower = s == st.MII
 			st.Backtracks = sr.retries
@@ -309,7 +317,11 @@ func (sr *Searcher) searchBinary(opts Options, floor, maxII int, st *Stats) (*Re
 			return nil, err
 		}
 		st.Attempts++
-		if r := sr.attempt(opts, mid); r != nil {
+		r, err := sr.attempt(opts, mid)
+		if err != nil {
+			return nil, err
+		}
+		if r != nil {
 			best, bestII = r, mid
 			hi = mid - 1
 		} else {
@@ -340,9 +352,10 @@ func ctxErr(ctx context.Context, candidate int) error {
 	return nil
 }
 
-// attempt tries to build a schedule with initiation interval s; nil means
-// infeasible under the non-backtracking heuristics.
-func (sr *Searcher) attempt(opts Options, s int) *Result {
+// attempt tries to build a schedule with initiation interval s; a nil
+// result means infeasible under the non-backtracking heuristics, an error
+// that opts.Ctx ended under the longest-path sweeps.
+func (sr *Searcher) attempt(opts Options, s int) (*Result, error) {
 	a, g := sr.a, sr.a.Graph
 	n := len(g.Nodes)
 	nc := len(a.SCC.Components)
@@ -361,10 +374,22 @@ func (sr *Searcher) attempt(opts Options, s int) *Result {
 		if a.SCC.IsTrivial(g, ci) {
 			continue
 		}
-		if !sr.scheduleComponent(ci, comp, s) {
-			return nil
-		}
+		// The component's longest paths at this candidate interval, once:
+		// every range update in scheduleComponent is then two array reads.
+		// Its intra-iteration paths are the same at every interval.
 		cd := &sr.comps[ci]
+		var err error
+		if cd.zero == nil {
+			if cd.zero, err = a.ZeroPaths(opts.Ctx, ci, nil); err != nil {
+				return nil, err
+			}
+		}
+		if cd.dense, err = a.PathsAt(opts.Ctx, ci, s, cd.dense); err != nil {
+			return nil, err
+		}
+		if !sr.scheduleComponent(ci, comp, s) {
+			return nil, nil
+		}
 		minT := cd.times[0]
 		for _, t := range cd.times {
 			if t < minT {
@@ -448,7 +473,7 @@ func (sr *Searcher) attempt(opts Options, s int) *Result {
 	if len(order) != nc {
 		// Should not happen: condensation is acyclic.
 		sr.record(failAttempt(s, -1, -1, "", false, Cause{Kind: CauseMalformed, LoFrom: -1, HiFrom: -1}))
-		return nil
+		return nil, nil
 	}
 	for i := nc - 1; i >= 0; i-- {
 		v := order[i]
@@ -480,7 +505,7 @@ func (sr *Searcher) attempt(opts Options, s int) *Result {
 		}
 		if best == -1 {
 			sr.record(failAttempt(s, -1, -1, "", false, Cause{Kind: CauseMalformed, LoFrom: -1, HiFrom: -1}))
-			return nil
+			return nil, nil
 		}
 		earliest := 0
 		for ei, e := range sr.cross {
@@ -506,7 +531,7 @@ func (sr *Searcher) attempt(opts Options, s int) *Result {
 				}
 				sr.record(failAttempt(s, members[0], best, g.Nodes[members[0]].String(), len(members) > 1, cause))
 			}
-			return nil
+			return nil, nil
 		}
 		tab.Place(sr.vres[best], t)
 		vtime[best] = t
@@ -529,7 +554,7 @@ func (sr *Searcher) attempt(opts Options, s int) *Result {
 			}
 		}
 	}
-	return res
+	return res, nil
 }
 
 // findSlot scans the s consecutive slots starting at `earliest` for one
@@ -554,9 +579,6 @@ func (sr *Searcher) scheduleComponent(ci int, comp []int, s int) bool {
 	cd := &sr.comps[ci]
 	k := len(comp)
 
-	// Instantiate the symbolic closure at this candidate interval once;
-	// every range update below is then two array reads.
-	cd.dense = sr.a.Closures[ci].InstantiateAt(s, cd.dense)
 	copy(cd.deg, cd.indeg)
 	for i := 0; i < k; i++ {
 		cd.lo[i] = -inf
@@ -654,8 +676,8 @@ func (sr *Searcher) scheduleComponent(ci int, comp []int, s int) bool {
 				cd.deg[e.to]--
 			}
 		}
-		// Update precedence-constrained ranges from the instantiated
-		// closure.
+		// Update precedence-constrained ranges from the longest paths at
+		// s.
 		row := cd.dense[best*k : (best+1)*k]
 		for j := 0; j < k; j++ {
 			if cd.sched[j] {

@@ -350,8 +350,8 @@ func TestCompileRejectsMalformedIR(t *testing.T) {
 
 // TestHugeBodyIsNotAnalysed: a loop body far beyond the §4.2 pipelining
 // threshold is turned away on its locally compacted length alone, before
-// the dependence analysis whose closure is cubic in a recurrence this
-// long (minutes at this size) — so 3,000 chained statements compile to
+// the dependence analysis and a search whose longest-path sweeps are
+// cubic in a recurrence this long — so 3,000 chained statements compile to
 // unpipelined code in a fraction of a second with no deadline to save
 // them.
 func TestHugeBodyIsNotAnalysed(t *testing.T) {
@@ -361,7 +361,7 @@ func TestHugeBodyIsNotAnalysed(t *testing.T) {
 	var obj *softpipe.Object
 	var took time.Duration
 	// Wall clock on a shared host: a descheduled process misses the bound
-	// once, a body that reaches the closure misses it every time.
+	// once, a body that reaches the search misses it every time.
 	for attempt := 0; attempt < 3; attempt++ {
 		tr = softpipe.NewTracer("huge")
 		start := time.Now()
