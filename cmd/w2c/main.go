@@ -41,6 +41,19 @@ import (
 	"softpipe/internal/lang"
 )
 
+// splitNote says how a pipelined loop's compile-time trip count was
+// split: kernel passes and the iterations that start in the tail, or
+// that the loop has no kernel at all.  Empty for a run-time count.
+func splitNote(lr softpipe.LoopInfo) string {
+	switch {
+	case lr.Flat:
+		return "; flat, no kernel"
+	case lr.Passes > 0:
+		return fmt.Sprintf("; passes %d, tail %d", lr.Passes, lr.Tail)
+	}
+	return ""
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("w2c: ")
@@ -111,8 +124,8 @@ func main() {
 	loops := append([]softpipe.LoopInfo(nil), obj.Report.Loops...)
 	sort.Slice(loops, func(i, j int) bool { return loops[i].LoopID < loops[j].LoopID })
 	for _, lr := range loops {
-		status := fmt.Sprintf("pipelined II=%d (bound %d, met=%v, unroll %d, stages %d)",
-			lr.II, lr.MII, lr.MetLower, lr.Unroll, lr.Stages)
+		status := fmt.Sprintf("pipelined II=%d (bound %d, met=%v, unroll %d, stages %d%s)",
+			lr.II, lr.MII, lr.MetLower, lr.Unroll, lr.Stages, splitNote(lr))
 		if !lr.Pipelined {
 			status = "not pipelined"
 			if lr.Reason != "" {

@@ -36,6 +36,8 @@ type ArrayRow struct {
 	SingleCycles int64   `json:"single_cell_cycles"`
 	ArrayCycles  int64   `json:"array_cycles"`
 	Speedup      float64 `json:"speedup"`
+	// Words is the instruction words of the cells' objects, summed.
+	Words int `json:"words"`
 	// StallCycles and MaxInQueue are per-cell runtime counters: global
 	// cycles spent blocked on a queue, and the input-queue high-water mark.
 	StallCycles []int64 `json:"stall_cycles"`
@@ -181,6 +183,9 @@ func arrayRow(name string, ao *softpipe.ArrayObject, singleCycles int64, verify 
 	}
 	if res.Cycles > 0 {
 		row.Speedup = float64(singleCycles) / float64(res.Cycles)
+	}
+	for _, c := range ao.Cells {
+		row.Words += len(c.Binary.Instrs)
 	}
 	for _, cs := range res.CellStats {
 		row.StallCycles = append(row.StallCycles, cs.StallCycles)

@@ -22,6 +22,7 @@ type RunResult struct {
 	Name string
 	*softpipe.Result
 	Report *softpipe.Report
+	Words  int // instruction words of the object
 }
 
 // Run compiles p for m under cfg.Options and simulates it on cfg.Engine.
@@ -49,7 +50,7 @@ func Run(p *ir.Program, m *machine.Machine, cfg Config) (*RunResult, error) {
 			return nil, fmt.Errorf("bench: %s: simulated state diverges from interpreter: %s", p.Name, d)
 		}
 	}
-	return &RunResult{Name: p.Name, Result: res, Report: obj.Report}, nil
+	return &RunResult{Name: p.Name, Result: res, Report: obj.Report, Words: len(obj.Binary.Instrs)}, nil
 }
 
 // Table42Row is one Livermore kernel measurement (Lam Table 4-2).

@@ -135,12 +135,12 @@ func TestExplainGoldenHydro2D(t *testing.T) {
 		t.Errorf("loop 3 final attempt = II=%d OK=%v, want II=20 ok", last.II, last.OK)
 	}
 
-	// The sweeps nested inside conditionals never reach the II search;
+	// The outer loops of the three sweeps never reach the II search;
 	// their reports carry the structural pre-failure instead.
 	for _, id := range []int{0, 2, 4} {
 		exp := loopExplain(t, rep, id)
-		if !strings.Contains(exp.PreFailure, "nested inside conditional") {
-			t.Errorf("loop %d PreFailure = %q, want the nested-conditional reason", id, exp.PreFailure)
+		if !strings.Contains(exp.PreFailure, "contains an inner loop") {
+			t.Errorf("loop %d PreFailure = %q, want the inner-loop reason", id, exp.PreFailure)
 		}
 	}
 }

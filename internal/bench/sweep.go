@@ -36,6 +36,7 @@ type SweepLoop struct {
 type SweepRow struct {
 	Workload string      `json:"workload"`
 	Cycles   int64       `json:"cycles"`
+	Words    int         `json:"words"` // instruction words of the object
 	MFLOPS   float64     `json:"mflops"`
 	Loops    []SweepLoop `json:"loops"`
 }
@@ -153,7 +154,7 @@ func MeasureSweep(names []string, set string, cfg Config) (*SweepReport, error) 
 // sweepRow projects one measured cell onto its report row, enforcing the
 // rotating-file invariants on the way.
 func sweepRow(name string, m *machine.Machine, r *RunResult) (SweepRow, error) {
-	row := SweepRow{Workload: name, Cycles: r.Cycles, MFLOPS: r.CellMFLOPS}
+	row := SweepRow{Workload: name, Cycles: r.Cycles, Words: r.Words, MFLOPS: r.CellMFLOPS}
 	for _, lr := range r.Report.Loops {
 		l := SweepLoop{Loop: lr.LoopID, Pipelined: lr.Pipelined}
 		if lr.Pipelined {

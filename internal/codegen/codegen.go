@@ -101,6 +101,15 @@ type LoopReport struct {
 	FellBack bool
 	Unroll   int
 	Stages   int
+	// Passes and Tail say how a pipelined loop's compile-time trip count
+	// was split (Plan.Split): the prolog starts Stages-1 iterations, the
+	// kernel makes Passes passes of Unroll more, and the remaining Tail
+	// iterations start in the epilog.  Flat marks a loop too short for a
+	// kernel pass, emitted as its flat schedule with no kernel at all.
+	// All zero for run-time counts (the split is computed at run time).
+	Passes   int64
+	Tail     int64
+	Flat     bool
 	HasCond  bool
 	HasRecur bool
 	// Rotating marks a loop pipelined against a rotating register file

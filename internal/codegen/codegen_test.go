@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"softpipe/internal/ir"
+	"softpipe/internal/lang"
 	"softpipe/internal/machine"
 	"softpipe/internal/sim"
 )
@@ -297,9 +298,74 @@ func TestPipelinedLoopsReported(t *testing.T) {
 	}
 }
 
+// runtimeBodies are the loop bodies of the root package's
+// TestCountedLoopCyclesAffine with the trip count read from memory, so
+// they take the two-version scheme instead of the compile-time split.
+var runtimeBodies = []struct{ name, src string }{
+	{"vmac", `
+program vmac;
+var x, z, y: array [0..99] of real;
+    cnt: array [0..1] of int;
+    k, m: int;
+begin
+  m := cnt[0];
+  for k := 1 to m do
+    y[k] := y[k] + z[k]*x[k];
+end.
+`},
+	{"k7", `
+program kernel7;
+var x, y, z: array [0..99] of real;
+    u: array [0..105] of real;
+    cnt: array [0..1] of int;
+    q, r, t: real;
+    k, m: int;
+begin
+  q := 0.5; r := 0.25; t := 0.125;
+  m := cnt[0];
+  for k := 1 to m do
+    x[k] := u[k] + r*(z[k] + r*y[k]) +
+            t*(u[k+3] + r*(u[k+2] + r*u[k+1]) +
+               t*(u[k+6] + q*(u[k+5] + q*u[k+4])));
+end.
+`},
+	{"cond", `
+program cond;
+var a, c: array [0..99] of real;
+    cnt: array [0..1] of int;
+    i, m: int;
+begin
+  m := cnt[0];
+  for i := 1 to m do
+    if a[i] > 4.0 then
+      c[i] := (a[i]*2.0 + 1.0)*a[i]
+    else
+      c[i] := a[i] + 1.5;
+end.
+`},
+	{"liveout", `
+program liveout;
+var a, c: array [0..99] of real;
+    cnt: array [0..1] of int;
+    s, x: real;
+    i, m: int;
+begin
+  s := 0.0;
+  m := cnt[0];
+  for i := 1 to m do begin
+    x := a[i];
+    c[i] := (x*2.0 + 1.0)*x + x;
+    s := s + x;
+  end;
+end.
+`},
+}
+
 // TestRuntimeCountSweep drives the two-version scheme of §2.4 across the
 // boundary between the unpipelined fallback and the pipelined path: every
-// runtime count from 0 to 40 must execute correctly.
+// runtime count from 0 to 40 must execute correctly, and the loop's
+// report carries no compile-time split — the masked remainder still runs
+// unpipelined, ahead of the kernel.
 func TestRuntimeCountSweep(t *testing.T) {
 	for n := int64(0); n <= 40; n++ {
 		b := ir.NewBuilder("rtsweep")
@@ -324,6 +390,31 @@ func TestRuntimeCountSweep(t *testing.T) {
 		})
 		b.Result("acc", acc)
 		runAllWays(t, b.P)
+
+		for _, body := range runtimeBodies {
+			p, err := lang.Compile(body.src)
+			if err != nil {
+				t.Fatalf("%s: %v", body.name, err)
+			}
+			for _, a := range p.Arrays {
+				if a.Kind == ir.KindInt {
+					a.InitI = []int64{n, 0}
+					continue
+				}
+				for i := 0; i < a.Size; i++ {
+					a.InitF = append(a.InitF, float64(i%9)+0.5)
+				}
+			}
+			runAllWays(t, p)
+			_, rep, err := Compile(p, machine.Warp(), Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", body.name, err)
+			}
+			if lr := rep.Loops[0]; !lr.Pipelined || lr.Passes != 0 || lr.Tail != 0 || lr.Flat {
+				t.Errorf("%s n=%d: run-time count loop reports pipelined=%v passes=%d tail=%d flat=%v (%s)",
+					body.name, n, lr.Pipelined, lr.Passes, lr.Tail, lr.Flat, lr.Reason)
+			}
+		}
 	}
 }
 

@@ -34,9 +34,17 @@ func (e *emitter) emitLoop(l *ir.LoopStmt) {
 	case static && l.CountImm <= 0:
 		rep.Reason = "zero trip count"
 		done = true
+	case static && blockHasInnerLoop(l.Body):
+		// A nest never reaches the II search: its body is schedulable only
+		// with its inner loops reduced (Lam §3.2), and then by list
+		// scheduling.  A rollback replaces the reason with its own.
+		rep.Reason = hier.ErrLoopInside.Error()
+		if e.opts.Explain {
+			rep.Explain = &schedule.Explain{PreFailure: rep.Reason}
+		}
+		done = !e.opts.DisableLoopReduction && !e.opts.DisableHier && e.tryOverlapped(l, &rep)
 	case static:
-		done = e.tryPipelined(l, &rep) ||
-			(blockHasInnerLoop(l.Body) && !e.opts.DisableLoopReduction && !e.opts.DisableHier && e.tryOverlapped(l, &rep))
+		done = e.tryPipelined(l, &rep)
 	default:
 		done = e.tryPipelinedRuntime(l, &rep)
 	}
@@ -175,26 +183,67 @@ func (e *emitter) tryPipelined(l *ir.LoopStmt, rep *LoopReport) bool {
 	if !ok {
 		return false
 	}
-	r, passes, ok := plan.Split(l.CountImm)
-	if !ok {
-		rep.Reason = fmt.Sprintf("too few iterations (%d) for %d stages, unroll %d", l.CountImm, plan.Stages, plan.Unroll)
+	p := &loopPayload{}
+	if !e.countedRows(p, nodes, plan, l.CountImm, rep) {
 		return false
 	}
-	// Remainder iterations run unpipelined first (Lam §2.4); their
-	// counter is free again before the kernel's is claimed.
-	if r > 0 {
-		e.emitCounted(l, r, nil)
-		if e.err != nil {
+	p.drain(e.inFlight(p.rows)) // the fix-up moves land before the next region issues
+	e.emitSegs(p)
+	for _, c := range p.counters {
+		e.freeI(c)
+	}
+	e.releaseCopies()
+	return true
+}
+
+// countedRows appends the pipelined form of a loop of n ≥ 1 iterations,
+// n known at compile time, to p, and records how n was split in rep.
+// No iteration runs unpipelined: with r, passes = plan.Split(n) the form
+// is counter load, prolog, kernel × passes and a tail that starts the r
+// left-over iterations itself.  A loop too short for one kernel pass is
+// its flat schedule — n iterations started II apart, no kernel and no
+// counter — when that takes fewer cycles than the unpipelined loop
+// (flatWins); otherwise countedRows reports false with the reason
+// recorded and p untouched.
+func (e *emitter) countedRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, n int64, rep *LoopReport) bool {
+	r, passes, ok := plan.Split(n)
+	switch {
+	case ok:
+		counter := e.allocI()
+		p.counters = append(p.counters, counter)
+		p.rows = append(p.rows, rrow{ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: passes}}})
+		e.regionRows(p, nodes, plan, counter, int(r))
+		rep.Passes, rep.Tail = passes, r
+	case e.flatWins(nodes, plan, int(n)):
+		e.flatRows(p, nodes, plan, int(n))
+		rep.Flat = true
+	default:
+		rep.Reason = fmt.Sprintf("too few iterations (%d) for %d stages, unroll %d", n, plan.Stages, plan.Unroll)
+		return false
+	}
+	rep.pipelinedWith(plan)
+	return true
+}
+
+// flatWins reports whether n iterations take fewer cycles as the plan's
+// flat schedule than as the unpipelined loop emitCounted would emit: a
+// counter load, n periods of the body compacted under every dependence,
+// and a full drain.  That is known exactly only for a straight-line
+// body; with a conditional the unpipelined loop is real control flow
+// whose length depends on the data, and the flat form is not offered.
+func (e *emitter) flatWins(nodes []*depgraph.Node, plan *pipeline.Plan, n int) bool {
+	for _, nd := range nodes {
+		if nd.Op == nil {
 			return false
 		}
 	}
-	counter := e.allocI()
-	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: passes}}})
-	e.emitPipelinedRegion(nodes, plan, counter)
-	e.freeI(counter)
-	e.releaseCopies()
-	rep.pipelinedWith(plan)
-	return true
+	compact, err := schedule.List(plan.FullGraph, e.m)
+	if err != nil {
+		return false
+	}
+	period := schedule.PeriodFor(plan.FullGraph, compact, compact.Length)
+	_, landed := planSpan(nodes, plan)
+	return (n-1)*plan.II+landed < n*period+e.maxLat
 }
 
 // planBody reduces the loop body to scheduling nodes and plans its
@@ -332,7 +381,10 @@ func (e *emitter) tryPipelinedRuntime(l *ir.LoopStmt, rep *LoopReport) bool {
 
 	// Kernel passes = t1 >> log2(u) (the masked-off remainder already ran).
 	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIShr, Dst: counter, Src: []int{t1}, IImm: int64(log2u)}}})
-	e.emitPipelinedRegion(nodes, plan, counter)
+	p := &loopPayload{}
+	e.regionRows(p, nodes, plan, counter, 0)
+	p.drain(e.inFlight(p.rows))
+	e.emitSegs(p)
 	doneJmpAt := len(e.out)
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJump}})
 
@@ -352,57 +404,59 @@ func (e *emitter) tryPipelinedRuntime(l *ir.LoopStmt, rep *LoopReport) bool {
 	return true
 }
 
-// emitPipelinedRegion emits one pipelined region on the spot, looped by
-// counter (see regionRows).
-func (e *emitter) emitPipelinedRegion(nodes []*depgraph.Node, plan *pipeline.Plan, counter int) {
-	p := &loopPayload{}
-	fixups := e.regionRows(p, nodes, plan, counter)
-	e.emitSegs(p)
-	if fixups > 0 {
-		e.drain() // the fix-up moves land before the next region issues
+// scheduleRow resolves cycle t of the plan's flat (unrolled-forever)
+// schedule, keeping only iterations below bound when bound ≥ 0.
+func (e *emitter) scheduleRow(nodes []*depgraph.Node, plan *pipeline.Plan, t, bound int) rrow {
+	row := rrow{}
+	for i, nd := range nodes {
+		sigma := plan.Time[i]
+		if t < sigma || (t-sigma)%plan.II != 0 {
+			continue
+		}
+		iter := (t - sigma) / plan.II
+		if bound >= 0 && iter >= bound {
+			continue
+		}
+		if nd.Op != nil {
+			row.ops = append(row.ops, e.slotFor(nd.Op, iter, plan))
+			continue
+		}
+		if row.cons != nil {
+			e.fail(fmt.Errorf("codegen: overlapping construct windows at cycle %d", t))
+			continue
+		}
+		row.cons = e.resolveConstruct(nd.Payload.(*hier.IfPayload), iter, plan)
 	}
+	return row
+}
+
+// planSpan measures one iteration of the plan's schedule: extent is the
+// cycle after its last node ends, landed (≥ extent) the cycle by which
+// its last register write-back has landed as well.  Every instance of a
+// node in an earlier iteration lands earlier, so landed-extent empty rows
+// behind the last iteration's last row leave nothing in flight.
+func planSpan(nodes []*depgraph.Node, plan *pipeline.Plan) (extent, landed int) {
+	for i, nd := range nodes {
+		extent = max(extent, plan.Time[i]+schedule.Extent(nd))
+		for _, w := range nd.Writes {
+			landed = max(landed, plan.Time[i]+w.AvailLast)
+		}
+	}
+	return extent, max(extent, landed)
 }
 
 // regionRows appends one pipelined region to p: the rotating-base clear,
 // the prolog, the kernel as a segment repeated on counter (which must
 // hold the number of kernel passes ≥ 1 when the region is entered), the
-// epilog, a drain so every in-flight write lands, and the live-out
-// fix-up moves.  It returns how many fix-up rows it appended.  The rows
-// are count-independent, so one region serves a compile-time pass count
-// and the two-version scheme's run-time one.
-func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, counter int) int {
+// tail, a drain of exactly what is still in flight (planSpan), and the
+// live-out fix-up moves.  The tail is the epilog generalised: it starts `tail` more
+// iterations (0 ≤ tail < Unroll, the remainder of Plan.Split) II apart
+// while the pipeline empties — after any number of kernel passes the
+// copy alignment is the one at the end of the prolog, so the flat
+// schedule simply continues.  With tail 0 the rows are count-independent
+// and serve the two-version scheme's run-time pass count.
+func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, counter, tail int) {
 	mm, u, s := plan.Stages, plan.Unroll, plan.II
-
-	// row resolves cycle t of the flat (unrolled-forever) schedule,
-	// keeping only iterations below bound when bound ≥ 0.
-	row := func(t, bound int) rrow {
-		row := rrow{}
-		for i, nd := range nodes {
-			sigma := plan.Time[i]
-			if t < sigma || (t-sigma)%s != 0 {
-				continue
-			}
-			iter := (t - sigma) / s
-			if bound >= 0 && iter >= bound {
-				continue
-			}
-			if nd.Op != nil {
-				row.ops = append(row.ops, e.slotFor(nd.Op, iter, plan))
-				continue
-			}
-			if row.cons != nil {
-				e.fail(fmt.Errorf("codegen: overlapping construct windows at cycle %d", t))
-				continue
-			}
-			row.cons = e.resolveConstruct(nd.Payload.(*hier.IfPayload), iter, plan)
-		}
-		return row
-	}
-
-	extent := 0
-	for i, nd := range nodes {
-		extent = max(extent, plan.Time[i]+schedule.Extent(nd))
-	}
 	if plan.Rotating {
 		// The region may be re-entered (enclosing loop, two-version
 		// scheme), so the rotating base starts from a known zero.
@@ -411,31 +465,51 @@ func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipel
 	}
 	t0 := (mm - 1) * s
 	for t := 0; t < t0; t++ { // prolog
-		p.rows = append(p.rows, row(t, -1))
+		p.rows = append(p.rows, e.scheduleRow(nodes, plan, t, -1))
 	}
 	kstart := len(p.rows)
 	for t := t0; t < t0+u*s; t++ { // kernel
-		p.rows = append(p.rows, row(t, -1))
+		p.rows = append(p.rows, e.scheduleRow(nodes, plan, t, -1))
 	}
 	p.segs = append(p.segs, loopSeg{start: kstart, end: len(p.rows), counter: counter, rotate: plan.Rotating})
-	for t := t0; t < t0+extent-s; t++ { // epilog: no iteration starts
-		p.rows = append(p.rows, row(t, mm-1))
+	extent, landed := planSpan(nodes, plan)
+	end := t0 + (tail-1)*s + extent
+	for t := t0; t < end; t++ { // tail: iterations mm-1 .. mm-2+tail start, none after
+		p.rows = append(p.rows, e.scheduleRow(nodes, plan, t, mm-1+tail))
 	}
-	p.drain(e.maxLat)
-	fix := e.fixupRows(plan)
-	p.rows = append(p.rows, fix...)
-	return len(fix)
+	p.drain(landed - extent)
+	p.rows = append(p.rows, e.fixupRows(plan, mm-2+tail)...)
 }
 
-// fixupRows builds the live-out fix-up moves for a pipelined region:
-// the final iteration's copy moves to the base register.  On static
-// plans the final pipelined iteration count K satisfies K ≡ m-1
-// (mod u), so the source copy is known at compile time; on rotating
-// plans the source copy depends on the pass count, so the move reads
-// through a ring at the region's final rotating base.
-func (e *emitter) fixupRows(plan *pipeline.Plan) []rrow {
-	mm, u := plan.Stages, plan.Unroll
-	finalClass := ((mm-2)%u + u) % u
+// flatRows appends a loop of n iterations as its flat schedule, every
+// iteration started II after the one before and nothing repeated; see
+// countedRows for when.  Without a kernel there is no loop-back to
+// advance a rotating base, so copies are addressed statically: iteration
+// i uses copy i mod Copies, which is what a ring resolves to at base i.
+func (e *emitter) flatRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, n int) {
+	static := *plan
+	static.Rotating = false
+	extent, landed := planSpan(nodes, plan)
+	end := (n-1)*plan.II + extent
+	for t := 0; t < end; t++ {
+		p.rows = append(p.rows, e.scheduleRow(nodes, &static, t, n))
+	}
+	p.drain(landed - extent)
+	p.rows = append(p.rows, e.fixupRows(&static, n-1)...)
+}
+
+// fixupRows builds the live-out fix-up moves of a pipelined loop whose
+// final iteration is relative iteration `last` ≥ -1: that iteration's
+// copy moves to the base register.  On static plans the copy is known at
+// compile time (-1 is the last iteration of a kernel pass, Unroll-1, and
+// copy counts divide the unroll); on rotating plans it depends on the
+// pass count, so the move reads through a ring at the region's final
+// rotating base.
+func (e *emitter) fixupRows(plan *pipeline.Plan, last int) []rrow {
+	class := last // its unroll class, which picks the copy on a static plan
+	if class < 0 {
+		class += plan.Unroll
+	}
 	var rows []rrow
 	for _, reg := range plan.Fixups {
 		dst := e.physReg(reg, 0)
@@ -444,7 +518,7 @@ func (e *emitter) fixupRows(plan *pipeline.Plan) []rrow {
 			cls = machine.ClassFMov
 		}
 		if plan.Rotating {
-			ring := e.ringFor(reg, mm-2, plan)
+			ring := e.ringFor(reg, last, plan)
 			if ring == nil {
 				continue // single copy: the base register already holds it
 			}
@@ -453,7 +527,7 @@ func (e *emitter) fixupRows(plan *pipeline.Plan) []rrow {
 			}}})
 			continue
 		}
-		src := e.physReg(reg, plan.CopyIndex(reg, finalClass))
+		src := e.physReg(reg, plan.CopyIndex(reg, class))
 		if src == dst {
 			continue
 		}

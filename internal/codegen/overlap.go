@@ -1,7 +1,6 @@
 package codegen
 
 import (
-	"fmt"
 	"slices"
 	"strings"
 
@@ -21,8 +20,7 @@ import (
 
 // reduceLoop plans and resolves an inner loop as a reduced node.  It
 // fails (reason != "") for shapes the reduction does not cover: runtime
-// counts, bodies that do not pipeline, or loops needing a non-straight
-// remainder.
+// counts and bodies that do not pipeline.
 func (e *emitter) reduceLoop(l *ir.LoopStmt) (*depgraph.Node, string) {
 	if l.CountReg != ir.NoReg {
 		return nil, "inner loop has a runtime trip count"
@@ -32,42 +30,12 @@ func (e *emitter) reduceLoop(l *ir.LoopStmt) (*depgraph.Node, string) {
 	}
 	rep := e.newLoopReport(l)
 	nodes, plan, ok := e.planBody(l, false, true, &rep)
-	if !ok {
+	// Unlike direct emission the reduction holds the loop's counter to the
+	// end of the window: the enclosing schedule may move other code over it.
+	p := &loopPayload{}
+	if !ok || !e.countedRows(p, nodes, plan, l.CountImm, &rep) {
 		return nil, "inner loop does not pipeline: " + rep.Reason
 	}
-	r, passes, ok := plan.Split(l.CountImm)
-	if !ok {
-		return nil, fmt.Sprintf("inner loop too short (%d) for %d stages, unroll %d", l.CountImm, plan.Stages, plan.Unroll)
-	}
-
-	p := &loopPayload{}
-	iconst := func(dst int, v int64) rrow {
-		return rrow{ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: dst, IImm: v}}}
-	}
-	// Remainder iterations as a compact repeated segment.  Unlike direct
-	// emission the reduction holds the remainder counter to the end of
-	// the window: the enclosing schedule may move other code over it.
-	if r > 0 {
-		ops, straight := l.Body.Ops()
-		if !straight {
-			return nil, "inner loop needs a remainder but has control constructs"
-		}
-		rcounter := e.allocI()
-		body, err := e.compactRows(ops, l)
-		if err != nil {
-			e.freeI(rcounter)
-			return nil, err.Error()
-		}
-		p.counters = append(p.counters, rcounter)
-		p.rows = append(p.rows, iconst(rcounter, r))
-		p.segs = append(p.segs, loopSeg{start: len(p.rows), end: len(p.rows) + len(body), counter: rcounter})
-		p.rows = append(p.rows, body...)
-		p.drain(e.maxLat) // between the remainder and the pipelined region
-	}
-	counter := e.allocI()
-	p.counters = append(p.counters, counter)
-	p.rows = append(p.rows, iconst(counter, passes))
-	e.regionRows(p, nodes, plan, counter)
 
 	node := &depgraph.Node{
 		Len:         len(p.rows),
@@ -78,7 +46,6 @@ func (e *emitter) reduceLoop(l *ir.LoopStmt) (*depgraph.Node, string) {
 
 	// Record the inner loop in the report (it is pipelined, just emitted
 	// through the reduction).
-	rep.pipelinedWith(plan)
 	e.report.Loops = append(e.report.Loops, rep)
 	return node, ""
 }
@@ -225,9 +192,7 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 		}
 		e.releaseCopies()
 		e.report.Loops = e.report.Loops[:reportMark]
-		if rep.Reason == "" {
-			rep.Reason = reason
-		}
+		rep.Reason = reason
 		return false
 	}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"softpipe/internal/hier"
+	"softpipe/internal/machine"
 	"softpipe/internal/pipeline"
 	"softpipe/internal/vliw"
 )
@@ -52,12 +53,37 @@ type loopPayload struct {
 	rotating bool      // rows use the (single, global) rotating register base
 }
 
-// drain appends empty rows so every in-flight write-back lands before
-// the rows that follow.
-func (p *loopPayload) drain(maxLat int) {
-	for i := 0; i < maxLat-1; i++ {
+// drain appends n empty rows (n ≤ 0: none).
+func (p *loopPayload) drain(n int) {
+	for i := 0; i < n; i++ {
 		p.rows = append(p.rows, rrow{})
 	}
+}
+
+// inFlight reports how many cycles past the end of rows the last register
+// write-back issued in them lands — the drain after which nothing is in
+// flight.  Both arms of every construct count.  Rows that repeat are
+// taken once, in place: whatever follows a loop follows its last pass.
+// The direct paths close a loop with it, behind the fix-up moves.
+func (e *emitter) inFlight(rows []rrow) int {
+	return e.landing(rows) - len(rows)
+}
+
+// landing is the row, relative to rows[0], at which the last register
+// write-back issued in rows has landed.
+func (e *emitter) landing(rows []rrow) int {
+	last := 0
+	for i, r := range rows {
+		for _, op := range r.ops {
+			if op.Class.Info().Dst != machine.FileNone {
+				last = max(last, i+e.m.Latency(op.Class))
+			}
+		}
+		if c := r.cons; c != nil {
+			last = max(last, i+1+e.landing(c.thenRows), i+1+e.landing(c.elseRows))
+		}
+	}
+	return last
 }
 
 // pendElse is an out-of-line ELSE block awaiting emission: the JZ to

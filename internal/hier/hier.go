@@ -21,6 +21,7 @@ package hier
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -48,9 +49,15 @@ type IfPayload struct {
 	Len int
 }
 
-// ErrLoopInside reports a construct we do not reduce (inner loops inside
-// conditionals); callers fall back to unpipelined code.
-var ErrLoopInside = fmt.Errorf("hier: loop nested inside conditional")
+// ErrLoopInside reports a loop statement directly in the body BuildNodes
+// was given, ErrLoopInCond one inside an arm of a conditional.  Loops
+// are not reduced here: callers reduce a body's own inner loops
+// themselves (codegen's loop reduction), and a loop under a conditional
+// falls back to unpipelined code.
+var (
+	ErrLoopInside = errors.New("hier: loop body contains an inner loop")
+	ErrLoopInCond = errors.New("hier: loop nested inside conditional")
+)
 
 // BuildNodes converts a loop body into scheduling nodes: plain operations
 // become simple nodes; conditionals are reduced recursively.  Loop
@@ -146,6 +153,9 @@ func ReduceIf(p *ir.Program, m *machine.Machine, loopID int, s *ir.IfStmt) (*dep
 // that nested windows always have a join row inside the arm.
 func scheduleArm(p *ir.Program, m *machine.Machine, loopID int, b *ir.Block) ([]Placed, int, error) {
 	nodes, err := BuildNodes(p, m, loopID, b)
+	if errors.Is(err, ErrLoopInside) {
+		err = ErrLoopInCond
+	}
 	if err != nil {
 		return nil, 0, err
 	}

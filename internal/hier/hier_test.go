@@ -1,6 +1,7 @@
 package hier
 
 import (
+	"errors"
 	"testing"
 
 	"softpipe/internal/depgraph"
@@ -170,8 +171,29 @@ func TestBuildNodesRejectsLoops(t *testing.T) {
 			outer = l
 		}
 	}
-	if _, err := BuildNodes(b.P, machine.Warp(), outer.ID, outer.Body); err == nil {
-		t.Fatal("nested loop must be rejected by BuildNodes")
+	if _, err := BuildNodes(b.P, machine.Warp(), outer.ID, outer.Body); !errors.Is(err, ErrLoopInside) {
+		t.Fatalf("nested loop: BuildNodes returned %v, want ErrLoopInside", err)
+	}
+}
+
+// TestBuildNodesNamesWhatItFound: a loop under a conditional and a loop
+// directly in the body are refused with different texts — the reason
+// reaches the user through LoopReport.Reason.
+func TestBuildNodesNamesWhatItFound(t *testing.T) {
+	b := ir.NewBuilder("condloop")
+	b.Array("a", ir.KindFloat, 8)
+	zero := b.FConst(0)
+	outer := b.ForN(4, func(l *ir.LoopCtx) {
+		v := b.Load("a", l.Pointer(0, 1), nil)
+		b.If(b.FCmp(ir.PredGT, v, zero), func() {
+			b.ForN(4, func(inner *ir.LoopCtx) {
+				p := inner.Pointer(0, 1)
+				b.Store("a", p, v, nil)
+			})
+		}, func() {})
+	})
+	if _, err := BuildNodes(b.P, machine.Warp(), outer.ID, outer.Body); !errors.Is(err, ErrLoopInCond) {
+		t.Fatalf("loop under a conditional: BuildNodes returned %v, want ErrLoopInCond", err)
 	}
 }
 

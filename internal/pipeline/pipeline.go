@@ -154,11 +154,12 @@ func (p *Plan) CopyIndex(r ir.VReg, iter int) int {
 	return 0
 }
 
-// Split divides n loop iterations between the unpipelined remainder and
-// the pipelined region (Lam §2.4): the prolog starts Stages-1 iterations
-// and every kernel pass Unroll more, so r = (n-(Stages-1)) mod Unroll
-// iterations run first on their own and the kernel makes passes ≥ 1
-// passes.  ok is false when n is too small for even one pass.
+// Split divides n loop iterations over the pipelined region (Lam §2.4):
+// the prolog starts Stages-1 iterations and every kernel pass Unroll
+// more, which leaves r = (n-(Stages-1)) mod Unroll over after passes ≥ 1
+// kernel passes.  The code generator starts those r in the epilog when n
+// is a compile-time constant and runs them first, unpipelined, when it is
+// not.  ok is false when n is too small for even one pass.
 func (p *Plan) Split(n int64) (r, passes int64, ok bool) {
 	q := n - int64(p.Stages-1)
 	u := int64(p.Unroll)

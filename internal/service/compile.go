@@ -136,7 +136,14 @@ type LoopStats struct {
 	FellBack bool   `json:"fell_back,omitempty"`
 	Unroll   int    `json:"unroll,omitempty"`
 	Stages   int    `json:"stages,omitempty"`
-	Flops    int    `json:"flops"`
+	// Passes, Tail and Flat say how a pipelined loop's compile-time trip
+	// count was split: Stages-1 iterations start in the prolog, Unroll in
+	// each of Passes kernel passes and Tail in the epilog; a Flat loop was
+	// too short for a kernel pass and has no kernel.
+	Passes int64 `json:"passes,omitempty"`
+	Tail   int64 `json:"tail,omitempty"`
+	Flat   bool  `json:"flat,omitempty"`
+	Flops  int   `json:"flops"`
 	// EstMFLOPS is the steady-state kernel rate Flops·ClockMHz/II; zero
 	// for unpipelined loops.
 	EstMFLOPS float64 `json:"est_mflops"`
@@ -317,6 +324,9 @@ func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, *vi
 			MetLower:  lr.MetLower,
 			Unroll:    lr.Unroll,
 			Stages:    lr.Stages,
+			Passes:    lr.Passes,
+			Tail:      lr.Tail,
+			Flat:      lr.Flat,
 			Flops:     lr.Flops,
 		}
 		if lr.Pipelined && lr.Effort != softpipe.EffortHeuristic {

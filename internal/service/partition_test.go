@@ -23,6 +23,21 @@ begin
 end.
 `
 
+const decaySrc = `
+program decay;
+const n = 200;
+var x, y: array [0..199] of real;
+    s: real;
+    i: int;
+begin
+  s := 0.0;
+  for i := 0 to n-1 do begin
+    s := s * 0.5 + x[i] * 2.0;
+    y[i] := s;
+  end;
+end.
+`
+
 // TestRunPartitioned: partition=true must cut the program across the
 // cells, report per-cell II and stall stats, cache the partitioned
 // artifact under its own key, and feed the /metrics array aggregates.
@@ -81,11 +96,19 @@ func TestRunPartitioned(t *testing.T) {
 		}
 	}
 
+	// A recurrence-bound consumer (II 14) behind a load-only producer
+	// (II 1): the producer runs ahead, so values wait in the queue.  The
+	// saxpy cut no longer queues — both cells issue at II 1 from their
+	// first iteration now that no remainder runs unpipelined.
+	if code, _ := post(t, s, "/run", RunRequest{Source: decaySrc, Cells: 2, Partition: true}, new(RunResponse)); code != http.StatusOK {
+		t.Fatal("queueing partitioned run failed")
+	}
+
 	var m Metrics
 	if code := get(t, s, "/metrics", &m); code != http.StatusOK {
 		t.Fatal("metrics failed")
 	}
-	if m.Array.Runs != 3 || m.Array.Cells != 6 {
+	if m.Array.Runs != 4 || m.Array.Cells != 8 {
 		t.Fatalf("array aggregates: %+v", m.Array)
 	}
 	if m.Array.MaxInQueue <= 0 {

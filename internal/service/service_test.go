@@ -111,6 +111,11 @@ end.
 	if inner.II != 1 || inner.Flops != 2 || inner.EstMFLOPS != 10 {
 		t.Errorf("inner loop II=%d flops=%d est_mflops=%v, want 1, 2, 10", inner.II, inner.Flops, inner.EstMFLOPS)
 	}
+	// The reply says how the 40 iterations were split, and the split adds up.
+	if n := inner.Stages - 1 + int(inner.Passes)*inner.Unroll + int(inner.Tail); inner.Passes == 0 || inner.Flat || n != 40 {
+		t.Errorf("inner loop: %d prolog iterations + %d passes × unroll %d + tail %d = %d, want 40 (flat=%v)",
+			inner.Stages-1, inner.Passes, inner.Unroll, inner.Tail, n, inner.Flat)
+	}
 }
 
 func TestCompileColdThenWarm(t *testing.T) {

@@ -2,9 +2,14 @@ package verify_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"softpipe/internal/codegen"
+	"softpipe/internal/ir"
+	"softpipe/internal/lang"
+	"softpipe/internal/machine"
 	"softpipe/internal/verify"
 	"softpipe/internal/vliw"
 )
@@ -26,26 +31,39 @@ import (
 func TestMutationKillRate(t *testing.T) {
 	groups := map[string]tally{}
 	for _, tc := range []struct {
-		kernel    int // Livermore kernel number
+		prog      string
+		p         *ir.Program
 		mach      string
+		tail      int64 // iterations some loop starts in its tail; 0: not checked
 		all, rot  tally // recorded: every mutant, and the rotation mutants among them
 		survivors string
 	}{
 		// Two Warp schedules of different character: a memory-bound
 		// parallel loop and an adder-bound accumulator recurrence.
-		{1, "warp", tally{732, 711}, tally{}, k1Survivors},
-		{3, "warp", tally{61, 52}, tally{}, k3Survivors},
+		{"k1", livermore(t, 1), "warp", 0, tally{887, 861}, tally{}, k1Survivors},
+		{"k3", livermore(t, 3), "warp", 0, tally{61, 52}, tally{}, k3Survivors},
+		// Two whose trip counts leave a remainder, so iterations start in
+		// the tail: 500 = 6 + 3·164 + 2 emitted directly, and k21's inner
+		// loop, 25 = 5 + 4·4 + 1, emitted through loop reduction.
+		{"vmac", vmacProgram(), "warp", 2, tally{336, 321}, tally{}, vmacSurvivors},
+		{"k21", livermore(t, 21), "warp", 1, tally{409, 386}, tally{}, k21Survivors},
 		// Rotating objects: ring rotations and the Rotate mark join the
 		// operand perturbations.
-		{1, rotMachine, tally{498, 476}, tally{25, 25}, ""},
-		{7, rotMachine, tally{776, 747}, tally{81, 81}, ""},
-		{9, rotMachine, tally{772, 748}, tally{97, 97}, ""},
+		{"k1", livermore(t, 1), rotMachine, 0, tally{498, 476}, tally{25, 25}, ""},
+		{"k7", livermore(t, 7), rotMachine, 0, tally{776, 747}, tally{81, 81}, ""},
+		{"k9", livermore(t, 9), rotMachine, 0, tally{772, 748}, tally{97, 97}, ""},
 	} {
-		name := fmt.Sprintf("k%d/%s", tc.kernel, tc.mach)
-		p := livermore(t, tc.kernel)
+		name := tc.prog + "/" + tc.mach
+		p := tc.p
 		obj, m := compileOn(t, p, tc.mach)
 		if err := verify.Program(p, obj, m); err != nil {
 			t.Fatalf("%s: pristine schedule rejected: %v", name, err)
+		}
+		if tc.tail > 0 {
+			_, rep, err := codegen.Compile(p, m, codegen.Options{})
+			if err != nil || !slices.ContainsFunc(rep.Loops, func(lr codegen.LoopReport) bool { return lr.Tail == tc.tail }) {
+				t.Fatalf("%s: no loop starts %d iterations in its tail: %v %+v", name, tc.tail, err, rep)
+			}
 		}
 		muts := verify.Mutations(obj)
 		if len(muts) < 50 {
@@ -93,6 +111,77 @@ func TestMutationKillRate(t *testing.T) {
 	}
 }
 
+// TestTailMutantsKilled: the iterations a compile-time trip count leaves
+// over start in the epilog, and the live-out fix-up move reads the copy of
+// the last of them.  A wrong register copy there is a wrong answer only
+// the last few iterations show, so every float-operand mutant of a tail
+// row and of the fix-up move must be rejected by the verifier itself, not
+// left to a state diff.
+func TestTailMutantsKilled(t *testing.T) {
+	p, err := lang.Compile(`
+program tailfix;
+var a, c: array [0..99] of real;
+    x: real;
+    j: int;
+begin
+  for j := 0 to 36 do begin
+    x := a[j];
+    c[j] := (x*2.0 + 1.0)*x + x;
+  end;
+end.
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.Warp()
+	obj, rep, err := codegen.Compile(p, m, codegen.Options{Mode: codegen.ModePipelined})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lr := rep.Loops[0]; !lr.Pipelined || lr.Tail == 0 || lr.CopyRegsF == 0 {
+		t.Fatalf("want a pipelined loop with a tail and expanded registers, got %+v", lr)
+	}
+	kernelEnd, fixup := -1, -1
+	for pc, in := range obj.Instrs {
+		if in.Ctl.Kind == vliw.CtlDBNZ {
+			kernelEnd = pc
+		}
+		for _, o := range in.Ops {
+			if o.Class == machine.ClassFMov && kernelEnd >= 0 && o.Dst == obj.Results[0].Reg {
+				fixup = pc
+			}
+		}
+	}
+	if obj.Results[0].Name != "x" || kernelEnd < 0 || fixup < kernelEnd {
+		t.Fatalf("no fix-up move of x after the kernel (kernel ends @%d, fix-up @%d):\n%s", kernelEnd, fixup, obj)
+	}
+	tail, fix := 0, 0
+	for _, mu := range verify.Mutations(obj) {
+		var pc int
+		if _, err := fmt.Sscanf(mu.Desc, "@%d", &pc); err != nil {
+			t.Fatalf("mutation %q names no instruction", mu.Desc)
+		}
+		float := strings.Contains(mu.Desc, "(fmov)") || strings.Contains(mu.Desc, "(fmul)") || strings.Contains(mu.Desc, "(fadd)")
+		if pc <= kernelEnd || !float {
+			continue
+		}
+		if pc == fixup {
+			fix++
+		} else {
+			tail++
+		}
+		mut := verify.CloneProgram(obj)
+		mu.Apply(mut)
+		if verify.Program(p, mut, m) == nil {
+			t.Errorf("survived: %s", mu.Desc)
+		}
+	}
+	t.Logf("killed %d tail-row and %d fix-up operand mutants", tail, fix)
+	if tail == 0 || fix == 0 {
+		t.Errorf("mutated %d tail operands and %d fix-up operands, want some of each", tail, fix)
+	}
+}
+
 // tally counts mutants and the ones the verifier rejected.
 type tally struct{ total, killed int }
 
@@ -104,6 +193,26 @@ func (c *tally) count(dead bool) {
 }
 
 func (c tally) plus(d tally) tally { return tally{c.total + d.total, c.killed + d.killed} }
+
+// vmacProgram is testdata/golden's vmac, y[k] += z[k+1]*x[k+2] over 500
+// iterations — 7 stages, unroll 3 on warp, so two iterations start in the
+// tail.  The operands are skewed so that no two pointers hold the same
+// value: with all three at k, every pointer-for-pointer mutant preserves
+// the semantics and says nothing about the verifier.
+func vmacProgram() *ir.Program {
+	b := ir.NewBuilder("vmac")
+	b.Array("x", ir.KindFloat, 502)
+	b.Array("z", ir.KindFloat, 502)
+	b.Array("y", ir.KindFloat, 502)
+	b.ForN(500, func(l *ir.LoopCtx) {
+		px, pz, py := l.Pointer(2, 1), l.Pointer(1, 1), l.Pointer(0, 1)
+		x := b.Load("x", px, ir.Aff(l.ID, 1, 2))
+		z := b.Load("z", pz, ir.Aff(l.ID, 1, 1))
+		y := b.Load("y", py, ir.Aff(l.ID, 1, 0))
+		b.Store("y", l.Pointer(0, 1), b.FAdd(y, b.FMul(z, x)), ir.Aff(l.ID, 1, 0))
+	})
+	return b.P
+}
 
 const k1Survivors = `
 @0 slot 0 (iconst): dst 2 -> 3
@@ -120,13 +229,18 @@ const k1Survivors = `
 @17 slot 0 (load): src0 6 -> 7
 @18 slot 0 (load): src0 6 -> 7
 @18 slot 1 (adradd): src0 6 -> 7
-@57 slot 0 (load): src0 6 -> 7
-@58 slot 0 (load): src0 6 -> 7
-@58 slot 1 (adradd): src0 6 -> 7
-@139 slot 0 (store): src0 7 -> 0
-@139 slot 1 (adradd): src0 7 -> 0
-@139 slot 1 (adradd): src1 5 -> 6
-@139 slot 1 (adradd): dst 7 -> 0
+@19 slot 1 (adradd): src1 5 -> 6
+@21 slot 2 (adradd): src1 5 -> 6
+@22 slot 0 (load): src0 4 -> 5
+@22 slot 1 (adradd): src0 4 -> 5
+@81 slot 3 (adradd): src0 6 -> 7
+@81 slot 3 (adradd): src1 5 -> 6
+@82 slot 3 (adradd): src0 4 -> 5
+@82 slot 3 (adradd): src1 5 -> 6
+@114 slot 0 (store): src0 7 -> 0
+@114 slot 1 (adradd): src0 7 -> 0
+@114 slot 1 (adradd): src1 5 -> 6
+@114 slot 1 (adradd): dst 7 -> 0
 `
 
 const k3Survivors = `
@@ -192,3 +306,47 @@ func TestCloneProgramCopiesRings(t *testing.T) {
 		t.Error("applying the mutations to clones changed the source object")
 	}
 }
+
+const vmacSurvivors = `
+@3 slot 0 (iconst): dst 3 -> 4
+@4 slot 0 (iconst): dst 4 -> 5
+@12 slot 1 (adradd): src1 1 -> 2
+@13 slot 1 (adradd): src1 1 -> 2
+@14 slot 0 (load): src0 3 -> 4
+@14 slot 1 (adradd): src0 3 -> 4
+@42 slot 2 (adradd): src0 0 -> 1
+@42 slot 2 (adradd): src1 1 -> 2
+@43 slot 2 (adradd): src0 2 -> 3
+@43 slot 2 (adradd): src1 1 -> 2
+@44 slot 2 (adradd): src0 3 -> 4
+@44 slot 2 (adradd): src1 1 -> 2
+@60 slot 1 (adradd): src0 4 -> 5
+@60 slot 1 (adradd): src1 1 -> 2
+@60 slot 1 (adradd): dst 4 -> 5
+`
+
+const k21Survivors = `
+@0 slot 0 (iconst): dst 3 -> 4
+@4 slot 0 (iconst): dst 1 -> 2
+@5 slot 0 (iconst): dst 2 -> 3
+@6 slot 0 (isub): src0 5 -> 6
+@6 slot 0 (isub): src1 6 -> 7
+@6 slot 0 (isub): dst 0 -> 1
+@7 slot 0 (imov): dst 3 -> 4
+@15 slot 0 (isub): src0 5 -> 6
+@15 slot 0 (isub): src1 6 -> 7
+@15 slot 0 (isub): dst 7 -> 8
+@37 slot 0 (isub): src0 5 -> 6
+@37 slot 0 (isub): src1 6 -> 7
+@37 slot 0 (isub): dst 12 -> 13
+@37 slot 1 (load): src0 10 -> 11
+@37 slot 2 (adradd): src0 10 -> 11
+@60 slot 2 (adradd): src0 8 -> 9
+@60 slot 2 (adradd): src1 9 -> 10
+@60 slot 3 (iadd): src0 2 -> 3
+@61 slot 3 (adradd): src0 10 -> 11
+@61 slot 3 (adradd): src1 9 -> 10
+@77 slot 1 (adradd): src0 11 -> 12
+@77 slot 1 (adradd): src1 9 -> 10
+@77 slot 1 (adradd): dst 11 -> 12
+`

@@ -5,7 +5,9 @@
 # so any difference is a behaviour change in the compiler, the simulator
 # or the harness's projections, and the fix is either the code or a
 # deliberate re-record (copy the regenerated file over the checked-in
-# one and say why in the PR).
+# one and say why in the PR).  A report that differs is followed by the
+# rows that moved (scripts/rowdiff: "workload/machine: cycles a -> b,
+# words c -> d"), which is what the PR should paste.
 #
 #   bash scripts/bench_regen.sh
 set -euo pipefail
@@ -22,7 +24,8 @@ for report in gap sweep array; do
   if cmp "$tmp/$report.json" "BENCH_$report.json"; then
     echo "bench_regen: BENCH_$report.json regenerates byte-identically"
   else
-    echo "bench_regen: BENCH_$report.json differs from warpbench -$report -${report}out" >&2
+    echo "bench_regen: BENCH_$report.json differs from warpbench -$report -${report}out; rows that moved:" >&2
+    go run ./scripts/rowdiff "BENCH_$report.json" "$tmp/$report.json" >&2
     status=1
   fi
 done
