@@ -2,10 +2,12 @@ package softpipe_test
 
 import (
 	"crypto/sha256"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +28,16 @@ import (
 //	go test -run TestCorpusDigest -update
 //
 // and review the per-program lines of testdata/corpus.digest that moved.
+// The digest says an object changed, not that it is still right:
+// TestCorpusVerify puts the same product through Object.Verify, a slice
+// of it in tier-1 and all of it (≈ 4 min) with
+//
+//	go test -run TestCorpusVerify -grid -v
+//
+// whose -v output is one line an object (cycles and words, or the
+// refusal), so two commits are compared by diffing two runs.
+
+var grid = flag.Bool("grid", false, "TestCorpusVerify: verify every digest object, not the tier-1 slice")
 
 // digestShapes are hand-written loop shapes the generated corpora do not
 // reach: run-time trip counts (the two-version scheme, with and without a
@@ -264,10 +276,12 @@ func digestMachines(t *testing.T) []*softpipe.Machine {
 
 // digestOptions are the deterministic option points (exact effort is
 // left out: its verdict depends on a wall-clock budget).
-var digestOptions = []struct {
+type digestOption struct {
 	name string
 	opts softpipe.Options
-}{
+}
+
+var digestOptions = []digestOption{
 	{"default", softpipe.Options{}},
 	{"baseline", softpipe.Options{Baseline: true}},
 	{"nomve", softpipe.Options{DisableMVE: true}},
@@ -295,14 +309,9 @@ func digestObject(p *softpipe.Program, m *softpipe.Machine, opts softpipe.Option
 	return b.String()
 }
 
-func TestCorpusDigest(t *testing.T) {
-	progs := digestPrograms(t)
-	machines := digestMachines(t)
-
-	// One digest per program (over machines × option points, in order),
-	// computed on a small pool; Compile treats its program as read-only.
-	sums := make([][sha256.Size]byte, len(progs))
-	objects := len(progs) * len(machines) * len(digestOptions)
+// eachProgram calls f(i) for i in [0, n) on a small pool; Compile treats
+// its program as read-only.
+func eachProgram(n int, f func(i int)) {
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
@@ -310,22 +319,34 @@ func TestCorpusDigest(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				h := sha256.New()
-				for _, m := range machines {
-					for _, o := range digestOptions {
-						fmt.Fprintf(h, "== %s | %s | %s\n%s", progs[i].name, m.Name, o.name,
-							digestObject(progs[i].prog, m, o.opts))
-					}
-				}
-				h.Sum(sums[i][:0])
+				f(i)
 			}
 		}()
 	}
-	for i := range progs {
+	for i := 0; i < n; i++ {
 		next <- i
 	}
 	close(next)
 	wg.Wait()
+}
+
+func TestCorpusDigest(t *testing.T) {
+	progs := digestPrograms(t)
+	machines := digestMachines(t)
+
+	// One digest per program (over machines × option points, in order).
+	sums := make([][sha256.Size]byte, len(progs))
+	objects := len(progs) * len(machines) * len(digestOptions)
+	eachProgram(len(progs), func(i int) {
+		h := sha256.New()
+		for _, m := range machines {
+			for _, o := range digestOptions {
+				fmt.Fprintf(h, "== %s | %s | %s\n%s", progs[i].name, m.Name, o.name,
+					digestObject(progs[i].prog, m, o.opts))
+			}
+		}
+		h.Sum(sums[i][:0])
+	})
 
 	total := sha256.New()
 	var lines strings.Builder
@@ -363,4 +384,65 @@ func TestCorpusDigest(t *testing.T) {
 	}
 	t.Errorf("emitted code or loop verdicts changed for %d corpus programs: %s\n(run with -update if the change is intended)",
 		len(moved), strings.Join(moved, " "))
+}
+
+// corpusRefusal reports whether err is one of the refusals the grid has
+// for reasons of its own: a program that receives has no input tape to be
+// verified against, shape/directives asserts an `independent` that is
+// false (so the verifier must object wherever the loop was pipelined on
+// the strength of it), and on the 24-register machines some compiles run
+// out of float registers.
+func corpusRefusal(prog string, m *softpipe.Machine, err error) bool {
+	switch msg := err.Error(); {
+	case prog == "golden/systolic-cell":
+		return strings.Contains(msg, "receive beyond end of input")
+	case prog == "shape/directives":
+		return strings.Contains(msg, "provenance mismatch")
+	default:
+		return m.FloatRegs == 24 && strings.Contains(msg, "float registers needed")
+	}
+}
+
+// TestCorpusVerify: every object of the slice compiles, passes the
+// independent verifier and matches the reference interpreter, or is
+// refused for a listed reason.  Tier-1 takes every program on warp and on
+// one rotating grid point at default, baseline and nohier; -grid takes
+// the digest's whole product.
+func TestCorpusVerify(t *testing.T) {
+	progs := digestPrograms(t)
+	machines := digestMachines(t)
+	options := digestOptions
+	if !*grid {
+		rot := slices.IndexFunc(machines, func(m *softpipe.Machine) bool { return m.RotatingRegs })
+		machines = []*softpipe.Machine{machines[0], machines[rot]}
+		options = slices.DeleteFunc(slices.Clone(options), func(o digestOption) bool {
+			return o.name != "default" && o.name != "baseline" && o.name != "nohier"
+		})
+	}
+	lines := make([][]string, len(progs))
+	eachProgram(len(progs), func(i int) {
+		for _, m := range machines {
+			for _, o := range options {
+				at := fmt.Sprintf("%s | %s | %s", progs[i].name, m.Name, o.name)
+				obj, err := softpipe.Compile(progs[i].prog, m, o.opts)
+				var res *softpipe.Result
+				if err == nil {
+					res, err = obj.Verify()
+				}
+				switch {
+				case err == nil:
+					lines[i] = append(lines[i], fmt.Sprintf("%s: %d cycles, %d words", at, res.Cycles, len(obj.Binary.Instrs)))
+				case corpusRefusal(progs[i].name, m, err):
+					lines[i] = append(lines[i], fmt.Sprintf("%s: refused: %v", at, err))
+				default:
+					t.Errorf("%s: %v", at, err)
+				}
+			}
+		}
+	})
+	for _, ls := range lines {
+		for _, l := range ls {
+			t.Log(l)
+		}
+	}
 }

@@ -166,7 +166,6 @@ func Compile(p *ir.Program, m *machine.Machine, opts Options) (*vliw.Program, *R
 	e.layoutMemory()
 	e.prepass()
 	e.emitBlock(p.Body)
-	e.drain()
 	e.emitResults()
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}})
 	e.flushPends()
@@ -233,8 +232,6 @@ type emitter struct {
 	report *Report
 	err    error
 
-	maxLat int
-
 	fmap, imap   map[regKey]int
 	fFree, iFree []int
 	fNext, iNext int
@@ -271,7 +268,6 @@ func newEmitter(p *ir.Program, m *machine.Machine, opts Options) *emitter {
 		opts:        opts,
 		prog:        &vliw.Program{Name: p.Name, InitF: map[string][]float64{}, InitI: map[string][]int64{}},
 		report:      &Report{},
-		maxLat:      m.MaxLatency(),
 		fmap:        map[regKey]int{},
 		imap:        map[regKey]int{},
 		pos:         map[int]int{},
@@ -288,14 +284,6 @@ func (e *emitter) fail(err error) {
 }
 
 func (e *emitter) append(in vliw.Instr) { e.out = append(e.out, in) }
-
-// drain appends empty instructions so every in-flight write-back lands
-// before the next region issues (a scheduling barrier between regions).
-func (e *emitter) drain() {
-	for i := 0; i < e.maxLat-1; i++ {
-		e.append(vliw.Instr{})
-	}
-}
 
 func (e *emitter) layoutMemory() {
 	base := 0
@@ -559,16 +547,15 @@ func (e *emitter) emitBlock(b *ir.Block) {
 	flushRun()
 }
 
-// emitBasicBlock list-schedules a straight-line run and emits it followed
-// by a drain barrier.
+// emitBasicBlock list-schedules a straight-line run and emits it as a
+// region of its own.
 func (e *emitter) emitBasicBlock(ops []*ir.Op) {
 	rows, err := e.compactRows(ops, nil)
 	if err != nil {
 		e.fail(err)
 		return
 	}
-	e.emitRows(rows)
-	e.drain()
+	e.closeRegion(&loopPayload{rows: rows})
 	maxP := -1
 	for _, op := range ops {
 		maxP = max(maxP, e.pos[op.ID])

@@ -187,8 +187,7 @@ func (e *emitter) tryPipelined(l *ir.LoopStmt, rep *LoopReport) bool {
 	if !e.countedRows(p, nodes, plan, l.CountImm, rep) {
 		return false
 	}
-	p.drain(e.inFlight(p.rows)) // the fix-up moves land before the next region issues
-	e.emitSegs(p)
+	e.closeRegion(p)
 	for _, c := range p.counters {
 		e.freeI(c)
 	}
@@ -226,11 +225,12 @@ func (e *emitter) countedRows(p *loopPayload, nodes []*depgraph.Node, plan *pipe
 }
 
 // flatWins reports whether n iterations take fewer cycles as the plan's
-// flat schedule than as the unpipelined loop emitCounted would emit: a
-// counter load, n periods of the body compacted under every dependence,
-// and a full drain.  That is known exactly only for a straight-line
-// body; with a conditional the unpipelined loop is real control flow
-// whose length depends on the data, and the flat form is not offered.
+// flat schedule than as the unpipelined loop, each closed on what it
+// leaves in flight: a counter load, n compacted periods and the last
+// pass's tail, against n iterations II apart, the last one's tail and the
+// fix-up moves with theirs.  That is known exactly only for a
+// straight-line body; with a conditional the unpipelined loop is real
+// control flow of data-dependent length, and the flat form is not offered.
 func (e *emitter) flatWins(nodes []*depgraph.Node, plan *pipeline.Plan, n int) bool {
 	for _, nd := range nodes {
 		if nd.Op == nil {
@@ -242,8 +242,15 @@ func (e *emitter) flatWins(nodes []*depgraph.Node, plan *pipeline.Plan, n int) b
 		return false
 	}
 	period := schedule.PeriodFor(plan.FullGraph, compact, compact.Length)
-	_, landed := planSpan(nodes, plan)
-	return (n-1)*plan.II+landed < n*period+e.maxLat
+	_, lastPass := span(nodes, compact.Time)
+	_, landed := span(nodes, plan.Time)
+	flat := (n-1)*plan.II + landed
+	moved := flat
+	for _, reg := range fixupRegs(plan, n-1, false) { // one move a row
+		moved = max(moved, flat+e.m.Latency(e.movClass(reg)))
+		flat++
+	}
+	return max(flat, moved) < 1+(n-1)*period+max(period, lastPass)
 }
 
 // planBody reduces the loop body to scheduling nodes and plans its
@@ -383,8 +390,7 @@ func (e *emitter) tryPipelinedRuntime(l *ir.LoopStmt, rep *LoopReport) bool {
 	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIShr, Dst: counter, Src: []int{t1}, IImm: int64(log2u)}}})
 	p := &loopPayload{}
 	e.regionRows(p, nodes, plan, counter, 0)
-	p.drain(e.inFlight(p.rows))
-	e.emitSegs(p)
+	e.closeRegion(p)
 	doneJmpAt := len(e.out)
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJump}})
 
@@ -430,16 +436,17 @@ func (e *emitter) scheduleRow(nodes []*depgraph.Node, plan *pipeline.Plan, t, bo
 	return row
 }
 
-// planSpan measures one iteration of the plan's schedule: extent is the
-// cycle after its last node ends, landed (≥ extent) the cycle by which
-// its last register write-back has landed as well.  Every instance of a
-// node in an earlier iteration lands earlier, so landed-extent empty rows
-// behind the last iteration's last row leave nothing in flight.
-func planSpan(nodes []*depgraph.Node, plan *pipeline.Plan) (extent, landed int) {
+// span measures one iteration of a schedule of nodes (time[i] is node i's
+// issue cycle): extent is the cycle after its last node ends, landed
+// (≥ extent) the cycle by which its last register write-back has landed
+// as well.  Every instance of a node in an earlier iteration lands
+// earlier, so landed-extent empty rows behind the last iteration's last
+// row leave nothing in flight.
+func span(nodes []*depgraph.Node, time []int) (extent, landed int) {
 	for i, nd := range nodes {
-		extent = max(extent, plan.Time[i]+schedule.Extent(nd))
+		extent = max(extent, time[i]+schedule.Extent(nd))
 		for _, w := range nd.Writes {
-			landed = max(landed, plan.Time[i]+w.AvailLast)
+			landed = max(landed, time[i]+w.AvailLast)
 		}
 	}
 	return extent, max(extent, landed)
@@ -448,7 +455,7 @@ func planSpan(nodes []*depgraph.Node, plan *pipeline.Plan) (extent, landed int) 
 // regionRows appends one pipelined region to p: the rotating-base clear,
 // the prolog, the kernel as a segment repeated on counter (which must
 // hold the number of kernel passes ≥ 1 when the region is entered), the
-// tail, a drain of exactly what is still in flight (planSpan), and the
+// tail, a drain of exactly what is still in flight (span), and the
 // live-out fix-up moves.  The tail is the epilog generalised: it starts `tail` more
 // iterations (0 ≤ tail < Unroll, the remainder of Plan.Split) II apart
 // while the pipeline empties — after any number of kernel passes the
@@ -472,7 +479,7 @@ func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipel
 		p.rows = append(p.rows, e.scheduleRow(nodes, plan, t, -1))
 	}
 	p.segs = append(p.segs, loopSeg{start: kstart, end: len(p.rows), counter: counter, rotate: plan.Rotating})
-	extent, landed := planSpan(nodes, plan)
+	extent, landed := span(nodes, plan.Time)
 	end := t0 + (tail-1)*s + extent
 	for t := t0; t < end; t++ { // tail: iterations mm-1 .. mm-2+tail start, none after
 		p.rows = append(p.rows, e.scheduleRow(nodes, plan, t, mm-1+tail))
@@ -489,7 +496,7 @@ func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipel
 func (e *emitter) flatRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, n int) {
 	static := *plan
 	static.Rotating = false
-	extent, landed := planSpan(nodes, plan)
+	extent, landed := span(nodes, plan.Time)
 	end := (n-1)*plan.II + extent
 	for t := 0; t < end; t++ {
 		p.rows = append(p.rows, e.scheduleRow(nodes, &static, t, n))
@@ -498,40 +505,47 @@ func (e *emitter) flatRows(p *loopPayload, nodes []*depgraph.Node, plan *pipelin
 	p.rows = append(p.rows, e.fixupRows(&static, n-1)...)
 }
 
+// fixupRegs lists the live-out registers a pipelined loop must move from
+// its final iteration's copy to the base register; class ≥ 0 is that
+// iteration's unroll class.  Addressed statically the class picks the
+// copy, and copy 0 is the base register itself; through a rotating base
+// the copy depends on the pass count, so every register with copies moves.
+func fixupRegs(plan *pipeline.Plan, class int, rotating bool) []ir.VReg {
+	var regs []ir.VReg
+	for _, reg := range plan.Fixups {
+		if plan.Copies[reg] > 1 && (rotating || plan.CopyIndex(reg, class) != 0) {
+			regs = append(regs, reg)
+		}
+	}
+	return regs
+}
+
+func (e *emitter) movClass(reg ir.VReg) machine.Class {
+	if e.irp.Kind(reg) == ir.KindFloat {
+		return machine.ClassFMov
+	}
+	return machine.ClassIMov
+}
+
 // fixupRows builds the live-out fix-up moves of a pipelined loop whose
-// final iteration is relative iteration `last` ≥ -1: that iteration's
-// copy moves to the base register.  On static plans the copy is known at
-// compile time (-1 is the last iteration of a kernel pass, Unroll-1, and
-// copy counts divide the unroll); on rotating plans it depends on the
-// pass count, so the move reads through a ring at the region's final
-// rotating base.
+// final iteration is relative iteration `last` ≥ -1 (-1 is the last
+// iteration of a kernel pass, class Unroll-1; copy counts divide the
+// unroll), one move a row.  A rotating plan's move reads through a ring
+// at the region's final rotating base.
 func (e *emitter) fixupRows(plan *pipeline.Plan, last int) []rrow {
-	class := last // its unroll class, which picks the copy on a static plan
+	class := last
 	if class < 0 {
 		class += plan.Unroll
 	}
 	var rows []rrow
-	for _, reg := range plan.Fixups {
-		dst := e.physReg(reg, 0)
-		cls := machine.ClassIMov
-		if e.irp.Kind(reg) == ir.KindFloat {
-			cls = machine.ClassFMov
+	for _, reg := range fixupRegs(plan, class, plan.Rotating) {
+		mov := vliw.SlotOp{Class: e.movClass(reg), Dst: e.physReg(reg, 0)}
+		if ring := e.ringFor(reg, last, plan); ring != nil {
+			mov.Src, mov.SrcRings = []int{ring[0]}, [][]int{ring}
+		} else {
+			mov.Src = []int{e.physReg(reg, plan.CopyIndex(reg, class))}
 		}
-		if plan.Rotating {
-			ring := e.ringFor(reg, last, plan)
-			if ring == nil {
-				continue // single copy: the base register already holds it
-			}
-			rows = append(rows, rrow{ops: []vliw.SlotOp{{
-				Class: cls, Dst: dst, Src: []int{ring[0]}, SrcRings: [][]int{ring},
-			}}})
-			continue
-		}
-		src := e.physReg(reg, plan.CopyIndex(reg, class))
-		if src == dst {
-			continue
-		}
-		rows = append(rows, rrow{ops: []vliw.SlotOp{{Class: cls, Dst: dst, Src: []int{src}}}})
+		rows = append(rows, rrow{ops: []vliw.SlotOp{mov}})
 	}
 	return rows
 }
@@ -543,7 +557,10 @@ func (e *emitter) fixupRows(plan *pipeline.Plan, last int) []rrow {
 func (e *emitter) emitUnpipelinedLoop(l *ir.LoopStmt, rep *LoopReport) {
 	if l.CountReg == ir.NoReg {
 		if l.CountImm > 0 {
-			e.emitCounted(l, l.CountImm, rep)
+			counter := e.allocI()
+			e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: l.CountImm}}})
+			e.emitLoopBody(l, counter, rep)
+			e.freeI(counter)
 		}
 		return
 	}
@@ -566,15 +583,6 @@ func (e *emitter) emitUnpipelinedLoop(l *ir.LoopStmt, rep *LoopReport) {
 	e.freeI(counter)
 }
 
-// emitCounted runs the loop body a compile-time n ≥ 1 times, unpipelined,
-// on a down-counter of its own.
-func (e *emitter) emitCounted(l *ir.LoopStmt, n int64, rep *LoopReport) {
-	counter := e.allocI()
-	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: n}}})
-	e.emitLoopBody(l, counter, rep)
-	e.freeI(counter)
-}
-
 // emitLoopBody emits the unpipelined loop over l's body on a counter the
 // caller has loaded.  A straight-line body is compacted and padded to
 // the dependence period, with the loop-back DBNZ in its final cycle;
@@ -590,8 +598,7 @@ func (e *emitter) emitLoopBody(l *ir.LoopStmt, counter int, rep *LoopReport) {
 		e.fail(err)
 		return
 	}
-	e.emitSegs(&loopPayload{rows: rows, segs: []loopSeg{{end: len(rows), counter: counter}}})
-	e.drain()
+	e.closeRegion(&loopPayload{rows: rows, segs: []loopSeg{{end: len(rows), counter: counter}}})
 	if rep != nil && !rep.Pipelined && rep.II == 0 {
 		rep.II = len(rows)
 	}

@@ -107,8 +107,9 @@ func (e *emitter) accumulateRowUsage(row rrow, off int, use machine.Usage) {
 
 // loopAccesses attaches conservative register and memory access summaries
 // to a reduced loop node: every register read/written anywhere in the
-// body may be touched anywhere in the window, every write lands by
-// window-end + max latency, and no write is killing.
+// body may be touched anywhere in the window, every write has landed
+// where the node's rows say the last of them does (landing, never before
+// the window's end), and no write is killing.
 func (e *emitter) loopAccesses(l *ir.LoopStmt, node *depgraph.Node) {
 	reads := map[ir.VReg]bool{}
 	writes := map[ir.VReg]bool{}
@@ -139,12 +140,13 @@ func (e *emitter) loopAccesses(l *ir.LoopStmt, node *depgraph.Node) {
 		return true
 	})
 	last := node.Len - 1
+	landed := max(node.Len, e.landing(node.Payload.(*loopPayload).rows))
 	for _, r := range sortedRegs(reads) {
 		node.Reads = append(node.Reads, depgraph.RegRead{Reg: r, First: 0, Last: last})
 	}
 	for _, r := range sortedRegs(writes) {
 		node.Writes = append(node.Writes, depgraph.RegWrite{
-			Reg: r, AvailFirst: 1, AvailLast: last + e.maxLat, Killing: false,
+			Reg: r, AvailFirst: 1, AvailLast: landed, Killing: false,
 		})
 	}
 	var keys []memKey
@@ -184,12 +186,15 @@ func sortedRegs(set map[ir.VReg]bool) []ir.VReg {
 func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	reportMark := len(e.report.Loops)
 	var built []*loopPayload
-	rollback := func(reason string) bool {
+	freeCounters := func() {
 		for _, p := range built {
 			for _, c := range p.counters {
 				e.freeI(c)
 			}
 		}
+	}
+	rollback := func(reason string) bool {
+		freeCounters()
 		e.releaseCopies()
 		e.report.Loops = e.report.Loops[:reportMark]
 		rep.Reason = reason
@@ -230,7 +235,9 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	period := schedule.PeriodFor(g, r, r.Length)
 
 	// Merge the reduced loops' resolved rows with the scalar slots.
+	type window struct{ start, end int }
 	var segs []loopSeg
+	var rotWins []window
 	maxEnd := r.Length
 	for i, nd := range nodes {
 		if nd.Op != nil {
@@ -241,6 +248,16 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 			segs = append(segs, loopSeg{start: r.Time[i] + sg.start, end: r.Time[i] + sg.end, counter: sg.counter, rotate: sg.rotate})
 			maxEnd = max(maxEnd, r.Time[i]+sg.end+1)
 		}
+		// A construct window holds the sequencer to its last row, so the
+		// outer loop-back comes after every window as well.
+		for j, rw := range p.rows {
+			if rw.cons != nil {
+				maxEnd = max(maxEnd, r.Time[i]+j+rw.cons.length+1)
+			}
+		}
+		if p.rotating {
+			rotWins = append(rotWins, window{r.Time[i], r.Time[i] + nd.Len})
+		}
 	}
 	period = max(period, maxEnd)
 	// A rotating register file has a single base shared by every loop in
@@ -248,16 +265,6 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	// rotating windows may therefore not overlap; roll back to plain
 	// emission (each inner loop still pipelines, just without the
 	// prolog/epilog overlap).
-	type window struct{ start, end int }
-	var rotWins []window
-	for i, nd := range nodes {
-		if nd.Op != nil {
-			continue
-		}
-		if nd.Payload.(*loopPayload).rotating {
-			rotWins = append(rotWins, window{r.Time[i], r.Time[i] + nd.Len})
-		}
-	}
 	slices.SortFunc(rotWins, func(a, b window) int { return a.start - b.start })
 	for i := 1; i < len(rotWins); i++ {
 		if rotWins[i].start < rotWins[i-1].end {
@@ -311,17 +318,12 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	counter := e.allocI()
 	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: l.CountImm}}})
 	rows[period-1].ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: counter, Target: len(e.out)}
-	e.emitSegs(&loopPayload{rows: rows, segs: segs})
-	e.drain()
+	e.closeRegion(&loopPayload{rows: rows, segs: segs})
 	if e.err != nil {
 		return false
 	}
 
-	for _, p := range built {
-		for _, c := range p.counters {
-			e.freeI(c)
-		}
-	}
+	freeCounters()
 	e.freeI(counter)
 	e.releaseCopies()
 

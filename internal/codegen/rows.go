@@ -60,17 +60,21 @@ func (p *loopPayload) drain(n int) {
 	}
 }
 
-// inFlight reports how many cycles past the end of rows the last register
-// write-back issued in them lands — the drain after which nothing is in
-// flight.  Both arms of every construct count.  Rows that repeat are
-// taken once, in place: whatever follows a loop follows its last pass.
-// The direct paths close a loop with it, behind the fix-up moves.
-func (e *emitter) inFlight(rows []rrow) int {
-	return e.landing(rows) - len(rows)
+// closeRegion is the one way a region ends: p's rows, each segment
+// repeating on its counter, then one empty word for every cycle a register
+// write-back issued in them is still in flight.  Its successor issues as
+// if nothing preceded it and its registers are released behind their last
+// write: the pipelines are emptied at a region boundary (Lam §2), not
+// idled for the machine's longest latency.
+func (e *emitter) closeRegion(p *loopPayload) {
+	p.drain(e.landing(p.rows) - len(p.rows))
+	e.emitSegs(p)
 }
 
 // landing is the row, relative to rows[0], at which the last register
-// write-back issued in rows has landed.
+// write-back issued in rows has landed.  Both arms of every construct
+// count; rows that repeat are taken once, in place, since whatever
+// follows a loop follows its last pass.
 func (e *emitter) landing(rows []rrow) int {
 	last := 0
 	for i, r := range rows {

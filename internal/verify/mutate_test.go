@@ -310,19 +310,19 @@ func TestCloneProgramCopiesRings(t *testing.T) {
 const vmacSurvivors = `
 @3 slot 0 (iconst): dst 3 -> 4
 @4 slot 0 (iconst): dst 4 -> 5
-@12 slot 1 (adradd): src1 1 -> 2
-@13 slot 1 (adradd): src1 1 -> 2
-@14 slot 0 (load): src0 3 -> 4
-@14 slot 1 (adradd): src0 3 -> 4
-@42 slot 2 (adradd): src0 0 -> 1
-@42 slot 2 (adradd): src1 1 -> 2
-@43 slot 2 (adradd): src0 2 -> 3
-@43 slot 2 (adradd): src1 1 -> 2
-@44 slot 2 (adradd): src0 3 -> 4
-@44 slot 2 (adradd): src1 1 -> 2
-@60 slot 1 (adradd): src0 4 -> 5
-@60 slot 1 (adradd): src1 1 -> 2
-@60 slot 1 (adradd): dst 4 -> 5
+@6 slot 1 (adradd): src1 1 -> 2
+@7 slot 1 (adradd): src1 1 -> 2
+@8 slot 0 (load): src0 3 -> 4
+@8 slot 1 (adradd): src0 3 -> 4
+@36 slot 2 (adradd): src0 0 -> 1
+@36 slot 2 (adradd): src1 1 -> 2
+@37 slot 2 (adradd): src0 2 -> 3
+@37 slot 2 (adradd): src1 1 -> 2
+@38 slot 2 (adradd): src0 3 -> 4
+@38 slot 2 (adradd): src1 1 -> 2
+@54 slot 1 (adradd): src0 4 -> 5
+@54 slot 1 (adradd): src1 1 -> 2
+@54 slot 1 (adradd): dst 4 -> 5
 `
 
 const k21Survivors = `
@@ -333,20 +333,20 @@ const k21Survivors = `
 @6 slot 0 (isub): src1 6 -> 7
 @6 slot 0 (isub): dst 0 -> 1
 @7 slot 0 (imov): dst 3 -> 4
-@15 slot 0 (isub): src0 5 -> 6
-@15 slot 0 (isub): src1 6 -> 7
-@15 slot 0 (isub): dst 7 -> 8
-@37 slot 0 (isub): src0 5 -> 6
-@37 slot 0 (isub): src1 6 -> 7
-@37 slot 0 (isub): dst 12 -> 13
-@37 slot 1 (load): src0 10 -> 11
-@37 slot 2 (adradd): src0 10 -> 11
-@60 slot 2 (adradd): src0 8 -> 9
-@60 slot 2 (adradd): src1 9 -> 10
-@60 slot 3 (iadd): src0 2 -> 3
-@61 slot 3 (adradd): src0 10 -> 11
-@61 slot 3 (adradd): src1 9 -> 10
-@77 slot 1 (adradd): src0 11 -> 12
-@77 slot 1 (adradd): src1 9 -> 10
-@77 slot 1 (adradd): dst 11 -> 12
+@9 slot 0 (isub): src0 5 -> 6
+@9 slot 0 (isub): src1 6 -> 7
+@9 slot 0 (isub): dst 7 -> 8
+@25 slot 0 (isub): src0 5 -> 6
+@25 slot 0 (isub): src1 6 -> 7
+@25 slot 0 (isub): dst 12 -> 13
+@25 slot 1 (load): src0 10 -> 11
+@25 slot 2 (adradd): src0 10 -> 11
+@48 slot 2 (adradd): src0 8 -> 9
+@48 slot 2 (adradd): src1 9 -> 10
+@48 slot 3 (iadd): src0 2 -> 3
+@49 slot 3 (adradd): src0 10 -> 11
+@49 slot 3 (adradd): src1 9 -> 10
+@65 slot 1 (adradd): src0 11 -> 12
+@65 slot 1 (adradd): src1 9 -> 10
+@65 slot 1 (adradd): dst 11 -> 12
 `

@@ -7,7 +7,8 @@
 # deliberate re-record (copy the regenerated file over the checked-in
 # one and say why in the PR).  A report that differs is followed by the
 # rows that moved (scripts/rowdiff: "workload/machine: cycles a -> b,
-# words c -> d"), which is what the PR should paste.
+# words c -> d", the worse ones first) and by rowdiff's closing
+# "rows moved: N, worse: M", which is what the PR should paste.
 #
 #   bash scripts/bench_regen.sh
 set -euo pipefail
@@ -25,7 +26,8 @@ for report in gap sweep array; do
     echo "bench_regen: BENCH_$report.json regenerates byte-identically"
   else
     echo "bench_regen: BENCH_$report.json differs from warpbench -$report -${report}out; rows that moved:" >&2
-    go run ./scripts/rowdiff "BENCH_$report.json" "$tmp/$report.json" >&2
+    go run ./scripts/rowdiff "BENCH_$report.json" "$tmp/$report.json" | tee "$tmp/$report.rows" >&2
+    echo "bench_regen: BENCH_$report.json $(tail -n 1 "$tmp/$report.rows")" >&2
     status=1
   fi
 done

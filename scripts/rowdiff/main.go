@@ -7,8 +7,13 @@
 //
 // A row is a JSON object; its name is the workload, machine, cells and
 // loop fields met on the way down to it, its values are its scalar
-// fields.  scripts/bench_regen.sh runs it when a report does not
-// regenerate byte-identically, so "did any row get worse" is one grep.
+// fields.  A row is worse when its cycles, array_cycles or words rose;
+// the worse rows print first, and the last line is
+//
+//	rows moved: 2, worse: 0
+//
+// scripts/bench_regen.sh runs it when a report does not regenerate
+// byte-identically, so "did any row get worse" is that line.
 //
 // Usage: rowdiff old.json new.json
 package main
@@ -17,13 +22,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"slices"
+	"strconv"
 	"strings"
 )
 
 // naming lists the fields that name a row, in the order they print.
 var naming = []string{"workload", "machine", "cells", "loop"}
+
+// costs lists the fields whose rise makes a row worse.
+var costs = []string{"cycles", "array_cycles", "words"}
 
 // rows flattens a report: row name -> field -> rendered scalar.  Lists of
 // scalars (cell_ii, stall_cycles) render as one value.
@@ -108,6 +118,7 @@ func main() {
 		sorted = append(sorted, n)
 	}
 	slices.Sort(sorted)
+	var worse, rest []string
 	for _, n := range sorted {
 		fields := map[string]bool{}
 		for f := range old[n] {
@@ -117,6 +128,7 @@ func main() {
 			fields[f] = true
 		}
 		var moved []string
+		rose := false
 		for f := range fields {
 			if slices.Contains(naming, f) {
 				continue // part of the row's name
@@ -131,6 +143,7 @@ func main() {
 			}
 			if a != b {
 				moved = append(moved, fmt.Sprintf("%s %s -> %s", f, a, b))
+				rose = rose || slices.Contains(costs, f) && number(b) > number(a)
 			}
 		}
 		if len(moved) == 0 {
@@ -141,8 +154,27 @@ func main() {
 		if n == "" {
 			n = "(report)"
 		}
-		fmt.Printf("%s: %s\n", n, strings.Join(moved, ", "))
+		line := fmt.Sprintf("%s: %s", n, strings.Join(moved, ", "))
+		if rose {
+			worse = append(worse, line)
+		} else {
+			rest = append(rest, line)
+		}
 	}
+	for _, line := range append(worse, rest...) {
+		fmt.Println(line)
+	}
+	fmt.Printf("rows moved: %d, worse: %d\n", len(worse)+len(rest), len(worse))
+}
+
+// number reads a rendered field as a number; anything else (a missing
+// field, a list) is NaN and so neither rose nor fell.
+func number(s string) float64 {
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return math.NaN()
+	}
+	return v
 }
 
 func rank(moved string) string {
