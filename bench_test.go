@@ -252,13 +252,13 @@ func BenchmarkAblationPolicy_LCM(b *testing.B)       { benchPolicy(b, pipeline.P
 
 // --- Ablation: hierarchical reduction on/off (§3) -----------------------
 
-func benchHier(b *testing.B, disable bool) {
+func benchHier(b *testing.B, opts codegen.Options) {
 	m := machine.Warp()
 	var cycles float64
 	for i := 0; i < b.N; i++ {
 		cycles = 0
 		for _, sp := range workloads.Suite()[:workloads.SuiteCondSize] {
-			prog, _, err := codegen.Compile(sp.Prog, m, codegen.Options{DisableHier: disable})
+			prog, _, err := codegen.Compile(sp.Prog, m, opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -272,8 +272,12 @@ func benchHier(b *testing.B, disable bool) {
 	b.ReportMetric(cycles, "condSuiteCycles")
 }
 
-func BenchmarkAblationHier_On(b *testing.B)  { benchHier(b, false) }
-func BenchmarkAblationHier_Off(b *testing.B) { benchHier(b, true) }
+func BenchmarkAblationHier_On(b *testing.B)  { benchHier(b, codegen.Options{}) }
+func BenchmarkAblationHier_Off(b *testing.B) { benchHier(b, codegen.Options{DisableHier: true}) }
+
+// Reduction as Lam §3.1 has it, every arm whole: what lifting arm-private
+// operations out of the arms adds to Hier_On.
+func BenchmarkAblationHier_WholeArms(b *testing.B) { benchHier(b, codegen.Options{WholeArms: true}) }
 
 // --- Ablation: loop reduction on/off (§3.2) ------------------------------
 

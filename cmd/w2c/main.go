@@ -43,15 +43,20 @@ import (
 
 // splitNote says how a pipelined loop's compile-time trip count was
 // split: kernel passes and the iterations that start in the tail, or
-// that the loop has no kernel at all.  Empty for a run-time count.
+// that the loop has no kernel at all (nothing for a run-time count), and
+// how many operations were lifted out of its conditionals.
 func splitNote(lr softpipe.LoopInfo) string {
+	note := ""
 	switch {
 	case lr.Flat:
-		return "; flat, no kernel"
+		note = "; flat, no kernel"
 	case lr.Passes > 0:
-		return fmt.Sprintf("; passes %d, tail %d", lr.Passes, lr.Tail)
+		note = fmt.Sprintf("; passes %d, tail %d", lr.Passes, lr.Tail)
 	}
-	return ""
+	if lr.Hoisted > 0 {
+		note += fmt.Sprintf("; hoisted %d", lr.Hoisted)
+	}
+	return note
 }
 
 func main() {

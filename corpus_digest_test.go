@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"softpipe"
+	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 	"softpipe/internal/workloads"
 )
@@ -43,7 +44,9 @@ var grid = flag.Bool("grid", false, "TestCorpusVerify: verify every digest objec
 // reach: run-time trip counts (the two-version scheme, with and without a
 // masked remainder, straight and conditional bodies), pipelined inner
 // loops with a remainder emitted through loop reduction, several reduced
-// loops in one outer body, and the shapes reduction must refuse.
+// loops in one outer body, the shapes reduction must refuse, and — the
+// lift-* shapes — each legal and illegal neighbour of lifting an
+// operation out of a reduced conditional's arm.
 var digestShapes = []struct{ name, src string }{
 	{"rt-straight", `
 program rtstraight;
@@ -197,6 +200,109 @@ begin
     a[i] := a[i] + 1.0;
 end.
 `},
+	// A private chain feeding a store: the chain leaves, the store stays.
+	{"lift-chain", `
+program liftchain;
+var a, c: array [0..99] of real;
+    x: real;
+    i: int;
+begin
+  for i := 0 to 95 do begin
+    x := a[i];
+    if x > 0.5 then
+      c[i] := (x*2.0 + 1.0)*(x - 3.0);
+  end;
+end.
+`},
+	// s is read after the conditional and by the next iteration: the
+	// write to it stays, the product feeding it leaves.
+	{"lift-liveout", `
+program liftliveout;
+var a, c: array [0..99] of real;
+    x, s: real;
+    i: int;
+begin
+  s := 1.0;
+  for i := 0 to 95 do begin
+    x := a[i];
+    if x > 0.5 then
+      s := x*2.0 + s;
+    c[i] := s;
+  end;
+end.
+`},
+	// The load is guarded by its own condition and stays; so does the
+	// product of what it loaded.
+	{"lift-guarded-load", `
+program liftload;
+var a, c: array [0..99] of real;
+    idx: array [0..99] of int;
+    i, k: int;
+begin
+  for i := 0 to 95 do begin
+    k := idx[i];
+    if k < 100 then
+      c[i] := a[k]*2.0 + 1.0;
+  end;
+end.
+`},
+	// The inner condition and both inner chains are private to the outer
+	// arm: they cascade out of both windows.
+	{"lift-nested", `
+program liftnested;
+var a, c: array [0..99] of real;
+    x: real;
+    i: int;
+begin
+  for i := 0 to 95 do begin
+    x := a[i];
+    if x > 0.5 then begin
+      if x*x > 2.0 then
+        c[i] := x*x*3.0
+      else
+        c[i] := x*x - 1.0;
+    end else
+      c[i] := x + 1.5;
+  end;
+end.
+`},
+	// y is assigned from a load earlier in the arm, so what reads it stays
+	// behind the load.
+	{"lift-redefined-source", `
+program liftsource;
+var a, b, c: array [0..99] of real;
+    x, y: real;
+    i: int;
+begin
+  for i := 0 to 95 do begin
+    x := a[i];
+    if x > 0.5 then begin
+      y := b[i];
+      c[i] := y*2.0 + x;
+    end;
+  end;
+end.
+`},
+}
+
+// liftEmptyArm is the one lift shape W2 text cannot say (every W2
+// statement stores or assigns a named scalar, and neither leaves an arm):
+// the THEN arm holds only a private chain nobody reads, so lifting
+// empties it entirely and the window is the ELSE arm's store.
+func liftEmptyArm() *softpipe.Program {
+	b := softpipe.NewBuilder("liftempty")
+	b.Array("a", ir.KindFloat, 100)
+	b.Array("c", ir.KindFloat, 100)
+	half := b.FConst(0.5)
+	b.ForN(96, func(l *ir.LoopCtx) {
+		v := b.Load("a", l.Pointer(0, 1), ir.Aff(l.ID, 1, 0))
+		b.If(b.FCmp(ir.PredGT, v, half), func() {
+			b.FAdd(b.FMul(v, v), half)
+		}, func() {
+			b.Store("c", l.Pointer(0, 1), v, ir.Aff(l.ID, 1, 0))
+		})
+	})
+	return b.P
 }
 
 type digestProgram struct {
@@ -252,6 +358,7 @@ func digestPrograms(t *testing.T) []digestProgram {
 		}
 		out = append(out, digestProgram{"shape/" + s.name, p})
 	}
+	out = append(out, digestProgram{"shape/lift-empty-arm", liftEmptyArm()})
 	return out
 }
 

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"softpipe"
+	"softpipe/internal/codegen"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 	"softpipe/internal/workloads"
@@ -37,7 +38,7 @@ func Run(p *ir.Program, m *machine.Machine, cfg Config) (*RunResult, error) {
 			return nil, fmt.Errorf("bench: interpret %s: %w", p.Name, err)
 		}
 	}
-	obj, err := softpipe.Compile(p, m, cfg.Options)
+	obj, err := softpipe.CompileWith(p, m, cfg.Options, func(o *codegen.Options) { o.WholeArms = cfg.WholeArms })
 	if err != nil {
 		return nil, fmt.Errorf("bench: compile %s: %w", p.Name, err)
 	}

@@ -31,6 +31,10 @@ type Config struct {
 	Engine softpipe.Engine
 	// Workers sizes the pool (≤ 0 means GOMAXPROCS).
 	Workers int
+	// WholeArms reduces conditionals with their arms whole, as Lam §3.1
+	// does (codegen.Options.WholeArms): Figure 4-2 in the paper's own
+	// configuration.  No softpipe.Options field reaches it.
+	WholeArms bool
 }
 
 // Job is one point of the (program × machine × options) grid.
@@ -55,7 +59,7 @@ func Measure(cfg Config, jobs []Job) ([]*RunResult, error) {
 		j := jobs[i]
 		j.Options.Tracer = t
 		sp := t.Begin(j.Name)
-		r, err := Run(j.Prog, j.Machine, Config{Options: j.Options, Engine: cfg.Engine})
+		r, err := Run(j.Prog, j.Machine, Config{Options: j.Options, Engine: cfg.Engine, WholeArms: cfg.WholeArms})
 		sp.End()
 		if err != nil {
 			return fmt.Errorf("bench: %s: %w", j.Name, err)

@@ -13,6 +13,7 @@ import (
 	"math"
 	"slices"
 
+	"softpipe/internal/hier"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 	"softpipe/internal/pipeline"
@@ -71,6 +72,11 @@ type Options struct {
 	// Tracer receives per-phase spans and counters for the whole compile;
 	// nil disables tracing at zero cost.
 	Tracer *trace.Tracer
+	// WholeArms reduces every conditional with its arms whole, as Lam §3.1
+	// describes it, never lifting arm-private operations out.  Not a
+	// product option (softpipe.Options cannot set it): the comparison
+	// point of TestLiftNeverLosesToWholeArms and warpbench -fig42.
+	WholeArms bool
 }
 
 // LoopReport records how one loop was compiled, feeding the evaluation
@@ -112,6 +118,11 @@ type LoopReport struct {
 	Flat     bool
 	HasCond  bool
 	HasRecur bool
+	// Hoisted counts the arm-private pure operations lifted out of the
+	// body's reduced conditionals and scheduled as ordinary nodes; 0 when
+	// there were none or the whole-arm form was kept (Explain's notes say
+	// which of the three reasons kept it).
+	Hoisted int
 	// Rotating marks a loop pipelined against a rotating register file
 	// (MVE without unrolling); CopyRegsF/I count the extra float/int
 	// registers modulo variable expansion claimed beyond one per
@@ -226,6 +237,7 @@ type emitter struct {
 	irp  *ir.Program
 	m    *machine.Machine
 	opts Options
+	red  *hier.Reducer // one per compile: its reference counts are taken once
 
 	prog   *vliw.Program
 	out    []vliw.Instr
@@ -266,6 +278,7 @@ func newEmitter(p *ir.Program, m *machine.Machine, opts Options) *emitter {
 		irp:         p,
 		m:           m,
 		opts:        opts,
+		red:         hier.NewReducer(p, m),
 		prog:        &vliw.Program{Name: p.Name, InitF: map[string][]float64{}, InitI: map[string][]int64{}},
 		report:      &Report{},
 		fmap:        map[regKey]int{},

@@ -140,23 +140,15 @@ func blockHasCond(b *ir.Block) (cond bool) {
 
 // liveOutOf conservatively collects registers referenced outside the
 // loop body (or named as results); expanded registers in this set need
-// epilog fix-up moves.
+// epilog fix-up moves.  The loop's own count is read on entry, outside;
+// the conditions of its own conditionals are not.
 func (e *emitter) liveOutOf(l *ir.LoopStmt) map[ir.VReg]bool {
-	inside := map[int]bool{}
-	l.Body.Walk(func(s ir.Stmt) bool {
-		if o, ok := s.(*ir.OpStmt); ok {
-			inside[o.Op.ID] = true
-		}
-		return true
-	})
 	lo := map[ir.VReg]bool{}
 	e.irp.Body.Walk(func(s ir.Stmt) bool {
 		switch s := s.(type) {
 		case *ir.OpStmt:
-			if !inside[s.Op.ID] {
-				for _, r := range s.Op.Src {
-					lo[r] = true
-				}
+			for _, r := range s.Op.Src {
+				lo[r] = true
 			}
 		case *ir.IfStmt:
 			lo[s.Cond] = true
@@ -164,6 +156,7 @@ func (e *emitter) liveOutOf(l *ir.LoopStmt) map[ir.VReg]bool {
 			if s.CountReg != ir.NoReg {
 				lo[s.CountReg] = true
 			}
+			return s != l
 		}
 		return true
 	})
@@ -218,6 +211,7 @@ func (e *emitter) countedRows(p *loopPayload, nodes []*depgraph.Node, plan *pipe
 		rep.Flat = true
 	default:
 		rep.Reason = fmt.Sprintf("too few iterations (%d) for %d stages, unroll %d", n, plan.Stages, plan.Unroll)
+		rep.Hoisted = 0 // the loop is emitted from its statements, not from the plan
 		return false
 	}
 	rep.pipelinedWith(plan)
@@ -254,25 +248,100 @@ func (e *emitter) flatWins(nodes []*depgraph.Node, plan *pipeline.Plan, n int) b
 }
 
 // planBody reduces the loop body to scheduling nodes and plans its
-// pipelining, applying the register copy budget; shared by the static
-// path, the runtime (two-version) path, which wants a power-of-two
-// unroll, and loop reduction, which keeps marginal schedules (II within
-// 99% of the unpipelined period) because its payoff is prolog/epilog
-// overlap, not steady-state speed.
+// pipelining; shared by the static path, the runtime (two-version) path,
+// which wants a power-of-two unroll, and loop reduction, which keeps
+// marginal schedules (II within 99% of the unpipelined period) because
+// its payoff is prolog/epilog overlap, not steady-state speed.
+//
+// Conditionals are reduced with their arm-private pure operations lifted
+// out (hier.Reducer).  That shortens the indivisible windows, and with
+// them the floor they put under II, but it is not always the better
+// body: the lifted operations now run on every iteration and lengthen
+// the schedule.  The whole-arm form of Lam §3.1 is planned as well, and
+// kept, when the lifted body does not pipeline, is too short in
+// iterations for its own stages, or — where the whole-arm windows leave
+// room below the lifted II at all — lands on a higher II.
 func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *LoopReport) ([]*depgraph.Node, *pipeline.Plan, bool) {
-	nodes, err := hier.BuildNodes(e.irp, e.m, l.ID, l.Body)
-	if err != nil {
-		rep.Reason = err.Error()
-		if e.opts.Explain {
-			rep.Explain = &schedule.Explain{PreFailure: err.Error()}
+	base := *rep
+	reduce := func(lift bool, rep *LoopReport) ([]*depgraph.Node, int, bool) {
+		nodes, hoisted, err := e.red.Reduce(l.ID, l.Body, lift)
+		if err != nil {
+			rep.Reason = err.Error()
+			if e.opts.Explain {
+				rep.Explain = &schedule.Explain{PreFailure: err.Error()}
+			}
 		}
+		return nodes, hoisted, err == nil
+	}
+	// runs reports whether the plan has an emitted form for the loop's
+	// trip count (countedRows); a run-time count always has one.
+	runs := func(nodes []*depgraph.Node, plan *pipeline.Plan) bool {
+		if l.CountReg != ir.NoReg {
+			return true
+		}
+		_, _, ok := plan.Split(l.CountImm)
+		return ok || e.flatWins(nodes, plan, int(l.CountImm))
+	}
+
+	nodes, hoisted, ok := reduce(!e.opts.WholeArms && !e.opts.DisableHier, rep)
+	if !ok {
 		return nil, nil, false
 	}
+	plan, ok := e.planNodes(l, nodes, powerOfTwo, keepMarginal, rep)
+	if hoisted == 0 {
+		return nodes, plan, ok
+	}
+	fits := ok && runs(nodes, plan)
+	wrep := base
+	if whole, _, wok := reduce(false, &wrep); wok {
+		var why string
+		switch {
+		case !ok:
+			why = "the lifted body does not pipeline (" + rep.Reason + ")"
+		case !fits:
+			why = fmt.Sprintf("the lifted body's %d stages are too many for %d iterations", plan.Stages, l.CountImm)
+		case plan.II > e.windowBound(whole):
+			why = fmt.Sprintf("the lifted body lands on II %d", plan.II)
+		}
+		if why != "" {
+			wplan, planned := e.planNodes(l, whole, powerOfTwo, keepMarginal, &wrep)
+			if planned && runs(whole, wplan) && (!fits || wplan.II < plan.II) {
+				if wrep.Explain != nil {
+					wrep.Explain.Notes = append(wrep.Explain.Notes, "whole-arm conditionals kept: "+why)
+				}
+				*rep = wrep
+				return whole, wplan, true
+			}
+		}
+	}
+	if ok {
+		rep.Hoisted = hoisted
+		e.opts.Tracer.Count("hier.hoisted_ops", int64(hoisted))
+	}
+	return nodes, plan, ok
+}
+
+// windowBound is a search-free lower bound on the initiation interval of
+// a body: its construct windows each hold the one sequencer from end to
+// end, and the loop-back needs one more slot.
+func (e *emitter) windowBound(nodes []*depgraph.Node) int {
+	slots := 1
+	for _, nd := range nodes {
+		if nd.Payload != nil {
+			slots += nd.Len
+		}
+	}
+	return slots
+}
+
+// planNodes plans the pipelining of a reduced body, applying the
+// register copy budget, and records the outcome in rep.
+func (e *emitter) planNodes(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo, keepMarginal bool, rep *LoopReport) (*pipeline.Plan, bool) {
 	if e.opts.DisableHier {
 		for _, nd := range nodes {
 			if nd.Payload != nil {
 				rep.Reason = "conditional construct (hierarchical reduction disabled)"
-				return nil, nil, false
+				return nil, false
 			}
 		}
 	}
@@ -311,7 +380,7 @@ func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *L
 				rep.Explain = &schedule.Explain{PreFailure: err.Error()}
 			}
 		}
-		return nil, nil, false
+		return nil, false
 	}
 	rep.MII = plan.MII
 	rep.ResMII = plan.ResMII
@@ -327,11 +396,11 @@ func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *L
 	peakF, peakI := e.regsNeeded(baseRegs, cf, ci+6)
 	if peakF > e.m.FloatRegs || peakI > e.m.IntRegs {
 		rep.Reason = "register files too small for modulo variable expansion"
-		return nil, nil, false
+		return nil, false
 	}
 	rep.Rotating = plan.Rotating
 	rep.CopyRegsF, rep.CopyRegsI = cf, ci
-	return nodes, plan, true
+	return plan, true
 }
 
 // tryPipelinedRuntime implements the two-version scheme of Lam §2.4 for

@@ -186,3 +186,20 @@ func TestFileResolve(t *testing.T) {
 		}
 	}
 }
+
+// TestPureClassesPinned: the classes that may run when their result is not
+// wanted (hier lifts them out of conditional arms), written out: every IR
+// class with a destination except the two that can fault or consume —
+// load and recv.  Store and send have no destination.
+func TestPureClassesPinned(t *testing.T) {
+	const want = "fadd fsub fmul fneg fmov fconst fcmp iadd isub imul imov iconst icmp iselect adradd frecipseed frsqrtseed f2i i2f"
+	var got []string
+	for c := Class(0); c < numClasses; c++ {
+		if c.Info().Pure() {
+			got = append(got, c.String())
+		}
+	}
+	if s := strings.Join(got, " "); s != want {
+		t.Errorf("pure classes:\n got %s\nwant %s", s, want)
+	}
+}

@@ -253,6 +253,14 @@ func (ci ClassInfo) UsesArray() bool {
 	return ci.Dst == FileArray || slices.Contains(ci.Src[:], FileArray)
 }
 
+// Pure reports whether an op of the class is pure and total: it computes
+// a register from registers, touches neither memory nor a queue, and
+// cannot fault, so executing it when its result is not wanted changes
+// nothing but that register.  Never load, store, recv or send.
+func (ci ClassInfo) Pure() bool {
+	return ci.IR && ci.Dst != FileNone && !ci.UsesArray() && ci.Unit != ResQRecv
+}
+
 // String returns the mnemonic for the class.
 func (c Class) String() string {
 	if name := c.Info().Name; name != "" {

@@ -64,8 +64,10 @@ type Options struct {
 	// SchedBudget bounds the exact backend's wall clock per Search call;
 	// 0 means schedule.DefaultExactBudget.  Ignored by the heuristic.
 	SchedBudget time.Duration
-	// MinII forces the search to start above the natural MII (used to
-	// honor construct-window constraints).
+	// MinII forces the search to start above the natural MII (the
+	// rotating copy-budget probe of planLoop asks for II+1).  A body's
+	// construct windows raise the floor to their own length whatever MinII
+	// says.
 	MinII int
 	// LiveOut lists registers whose final values are observed after the
 	// loop; expanded registers in this set receive fix-up moves.
@@ -235,8 +237,8 @@ func PlanLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 	if err != nil && opts.Effort == schedule.EffortExact &&
 		(opts.Ctx == nil || opts.Ctx.Err() == nil) {
 		// A tighter exact schedule can fail checks downstream of the II
-		// search — construct windows, the MVE unroll limit, the copy
-		// budget — that the heuristic schedule would have passed.  Exact
+		// search — the MVE unroll limit, the copy budget — that the
+		// heuristic schedule would have passed.  Exact
 		// effort must never pipeline less than the heuristic, so retry
 		// the loop without it before giving up.
 		ho := opts
@@ -399,56 +401,39 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 		return nil, fmt.Errorf("pipeline: initiation interval bound %d within 99%% of unpipelined length %d", effMII, period)
 	}
 
-	maxII := schedule.DefaultMaxII(a) + minII
-	var res *schedule.Result
-	var st *schedule.Stats
-	// One scheduler serves every construct-window retry: its per-component
-	// tables and scheduling scratch carry over, only the floor MinII moves.
 	searcher := schedule.New(opts.Effort, a, m)
 	search := opts.Tracer.Begin("schedule.search")
-	for {
-		res, st, err = searcher.Search(schedule.Options{
-			Ctx:            opts.Ctx,
-			MaxII:          maxII,
-			MinII:          minII,
-			BinarySearch:   opts.BinarySearch,
-			ReserveBranch:  true,
-			BranchResource: machine.ResBranch,
-			Explain:        opts.Explain,
-			Budget:         opts.SchedBudget,
-		})
-		if st != nil {
-			opts.Tracer.Count("schedule.attempts", int64(st.Attempts))
-			opts.Tracer.Count("schedule.backtracks", int64(st.Backtracks))
-		}
-		if err != nil {
-			search.End()
-			return nil, err
-		}
-		if verr := schedule.Verify(g, m, res); verr != nil {
-			return nil, fmt.Errorf("pipeline: internal schedule verification failed: %w", verr)
-		}
-		// Re-check construct windows against the achieved schedule.
-		ok := true
-		for i, n := range nodes {
-			if n.Payload == nil {
-				continue
-			}
-			if res.Time[i]%res.II+n.Len > res.II {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			break
-		}
-		if res.II+1 > maxII {
-			search.End()
-			return nil, fmt.Errorf("pipeline: cannot fit construct windows within any II ≤ %d", maxII)
-		}
-		minII = res.II + 1
+	res, st, err := searcher.Search(schedule.Options{
+		Ctx:            opts.Ctx,
+		MaxII:          schedule.DefaultMaxII(a) + minII,
+		MinII:          minII,
+		BinarySearch:   opts.BinarySearch,
+		ReserveBranch:  true,
+		BranchResource: machine.ResBranch,
+		Explain:        opts.Explain,
+		Budget:         opts.SchedBudget,
+	})
+	if st != nil {
+		opts.Tracer.Count("schedule.attempts", int64(st.Attempts))
+		opts.Tracer.Count("schedule.backtracks", int64(st.Backtracks))
+	}
+	if err != nil {
+		search.End()
+		return nil, err
 	}
 	search.Arg("ii", int64(res.II)).End()
+	if verr := schedule.Verify(g, m, res); verr != nil {
+		return nil, fmt.Errorf("pipeline: internal schedule verification failed: %w", verr)
+	}
+	// No construct window wraps around the interval: a window holds the
+	// sequencer from end to end, the search reserved the sequencer's row
+	// II-1 for the loop-back before placing anything, and every machine has
+	// one sequencer — a wrapping window would have had to cover that row.
+	for i, n := range nodes {
+		if n.Payload != nil && res.Time[i]%res.II+n.Len > res.II {
+			return nil, fmt.Errorf("pipeline: internal: construct window of %d cycles at %d wraps II %d", n.Len, res.Time[i], res.II)
+		}
+	}
 
 	p := &Plan{
 		Nodes:         nodes,

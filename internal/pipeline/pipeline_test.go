@@ -356,38 +356,46 @@ func TestProfitabilityGuards(t *testing.T) {
 	}
 }
 
-// TestConstructWindowRetry: a reduced construct must sit inside one
-// initiation interval so the emitted kernel can fork into its arms
-// without crossing the loop-back.  hier's constructs hold the sequencer
-// for their whole window, which makes the modulo table enforce that; a
-// construct that does not is caught by the re-check on the achieved
-// schedule, and the search repeats one interval up until it fits.
-func TestConstructWindowRetry(t *testing.T) {
+// TestConstructWindowFitsOneInterval: a reduced construct must fit
+// within one initiation interval so the emitted kernel can fork into its
+// arms without crossing the loop-back.  hier's constructs hold the
+// sequencer for their whole window, and the search reserves the
+// sequencer's last row for the loop-back first, so the modulo table
+// enforces it and the floor is the window plus one.  A construct that
+// does not hold the sequencer can wrap; that is a bug in whoever built
+// it, reported as an internal error — not searched around.
+func TestConstructWindowFitsOneInterval(t *testing.T) {
 	m := machine.Warp()
-	b := ir.NewBuilder("window")
-	var bump *ir.Op
-	b.ForN(64, func(l *ir.LoopCtx) {
-		bump = b.P.NewOp(machine.ClassIAdd)
-		bump.Dst = b.P.NewReg(ir.KindInt)
-		bump.Src = []ir.VReg{l.Pointer(0, 1), l.Pointer(0, 1)}
-		b.Emit(bump)
-	})
-	nodes, loopID := innerNodes(t, b.P, m)
-	// The construct reads what the add produced one cycle earlier, so the
-	// scheduler wants it at cycle 1 of a 3-cycle interval: cycles 1..3.
-	window := &depgraph.Node{
-		Len:         3,
-		Payload:     "window",
-		Reservation: []machine.ResUse{{Resource: machine.ResFAdd}},
-		Reads:       []depgraph.RegRead{{Reg: bump.Dst}},
-	}
-	var at int
-	for i, n := range nodes {
-		if n.Op == bump {
-			at = i + 1
+	build := func(reservation []machine.ResUse) ([]*depgraph.Node, int, int, *depgraph.Node) {
+		b := ir.NewBuilder("window")
+		var bump *ir.Op
+		b.ForN(64, func(l *ir.LoopCtx) {
+			bump = b.P.NewOp(machine.ClassIAdd)
+			bump.Dst = b.P.NewReg(ir.KindInt)
+			bump.Src = []ir.VReg{l.Pointer(0, 1), l.Pointer(0, 1)}
+			b.Emit(bump)
+		})
+		nodes, loopID := innerNodes(t, b.P, m)
+		// The construct reads what the add produced one cycle earlier, so the
+		// scheduler wants it at cycle 1: cycles 1..3.
+		window := &depgraph.Node{
+			Len:         3,
+			Payload:     "window",
+			Reservation: reservation,
+			Reads:       []depgraph.RegRead{{Reg: bump.Dst}},
 		}
+		var at int
+		for i, n := range nodes {
+			if n.Op == bump {
+				at = i + 1
+			}
+		}
+		return append(nodes[:at:at], append([]*depgraph.Node{window}, nodes[at:]...)...), loopID, at, window
 	}
-	nodes = append(nodes[:at:at], append([]*depgraph.Node{window}, nodes[at:]...)...)
+
+	nodes, loopID, at, window := build([]machine.ResUse{
+		{Resource: machine.ResBranch}, {Resource: machine.ResBranch, Offset: 1}, {Resource: machine.ResBranch, Offset: 2},
+	})
 	plan, err := PlanLoop(nodes, loopID, m, Options{KeepMarginal: true})
 	if err != nil {
 		t.Fatal(err)
@@ -395,13 +403,15 @@ func TestConstructWindowRetry(t *testing.T) {
 	if off := plan.Time[at] % plan.II; off+window.Len > plan.II {
 		t.Errorf("construct at offset %d of II %d crosses the loop-back (len %d)", off, plan.II, window.Len)
 	}
-	if plan.II <= window.Len {
-		t.Errorf("II = %d: the window fit at its own length, so the retry was not exercised", plan.II)
-	}
-	if plan.MII != plan.II {
-		t.Errorf("MII = %d, II = %d: the bound must follow the floor the retry raised", plan.MII, plan.II)
+	if plan.II != window.Len+1 || plan.MII != plan.II {
+		t.Errorf("II = %d, MII = %d: both should be the window (%d) plus the loop-back slot", plan.II, plan.MII, window.Len)
 	}
 	if !strings.Contains(plan.FormatKernel(), "construct/3") {
 		t.Errorf("kernel rendering lacks the construct:\n%s", plan.FormatKernel())
+	}
+
+	nodes, loopID, _, _ = build([]machine.ResUse{{Resource: machine.ResFAdd}})
+	if _, err := PlanLoop(nodes, loopID, m, Options{KeepMarginal: true}); err == nil || !strings.Contains(err.Error(), "internal: construct window") {
+		t.Errorf("a construct that leaves the sequencer free and wraps: err = %v, want the internal error", err)
 	}
 }

@@ -104,9 +104,9 @@ func NewExactSearcher(a *depgraph.Analysis, m *machine.Machine) *ExactSearcher {
 	}
 	// Reduced constructs must fit within one interval row so the emitted
 	// kernel can fork into their branches without crossing the loop-back
-	// boundary; the pipeline enforces this after every search, so the
-	// exact search folds it into feasibility rather than proving
-	// intervals "feasible" that the pipeline would then reject.
+	// boundary; the pipeline treats a schedule that breaks this as an
+	// internal error, so the exact search folds it into feasibility
+	// rather than proving intervals "feasible" that cannot be emitted.
 	for v, nd := range g.Nodes {
 		if nd.Payload != nil {
 			ex.payLen[v] = nd.Len

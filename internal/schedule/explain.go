@@ -111,7 +111,7 @@ type Attempt struct {
 // Explain is the II-search explain report: why each candidate interval
 // below the accepted one failed, and what bound the search floor.
 // Enable with Options.Explain; the report accumulates across repeated
-// Search calls on one Searcher (construct-window retries).
+// Search calls on one Searcher.
 type Explain struct {
 	MII    int // search floor actually used (incl. Options.MinII)
 	ResMII int

@@ -19,8 +19,8 @@ type Options struct {
 	Ctx context.Context
 	// MaxII bounds the iterative search; 0 means DefaultMaxII.
 	MaxII int
-	// MinII raises the search floor above the natural MII (used by the
-	// pipeliner to honor construct-window constraints).
+	// MinII raises the search floor above the natural MII (the pipeliner
+	// passes the longest construct window, which must fit in one interval).
 	MinII int
 	// BinarySearch switches the II search from the paper's linear scan
 	// to the FPS-164 compiler's binary search (Touzeau 1984).  Lam §2.2
@@ -148,8 +148,8 @@ type Searcher struct {
 	compTab *ModTable
 
 	// exp is the accumulating explain report; nil unless a Search ran
-	// with Options.Explain (it then persists across construct-window
-	// retries on the same Searcher).
+	// with Options.Explain (it then persists across Search calls on the
+	// same Searcher).
 	exp *Explain
 	// retries counts failed placement probes of the current Search call.
 	retries int
@@ -238,8 +238,8 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 
 // Search finds the smallest feasible initiation interval ≥ the MII using
 // the iterative approach of Lam §2.2 and returns the kernel schedule.
-// It may be called repeatedly (e.g. with a raised MinII after a
-// construct-window violation); scratch carries over between calls.
+// It may be called repeatedly (e.g. with a raised MinII); scratch
+// carries over between calls.
 func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
 	maxII := opts.MaxII
 	if maxII <= 0 {

@@ -52,10 +52,9 @@ func ParseEffort(s string) (Effort, error) {
 
 // Scheduler finds the smallest feasible initiation interval for one
 // analyzed loop and returns its kernel schedule.  Search may be called
-// repeatedly on one Scheduler (the pipeliner raises Options.MinII after
-// a construct-window violation); implementations carry scratch and the
-// accumulating explain report across calls.  A Scheduler is not safe for
-// concurrent use.
+// repeatedly on one Scheduler, say with a raised Options.MinII;
+// implementations carry scratch and the accumulating explain report
+// across calls.  A Scheduler is not safe for concurrent use.
 type Scheduler interface {
 	Search(opts Options) (*Result, *Stats, error)
 }

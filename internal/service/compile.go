@@ -143,7 +143,11 @@ type LoopStats struct {
 	Passes int64 `json:"passes,omitempty"`
 	Tail   int64 `json:"tail,omitempty"`
 	Flat   bool  `json:"flat,omitempty"`
-	Flops  int   `json:"flops"`
+	// Hoisted counts the arm-private operations lifted out of the loop's
+	// reduced conditionals (0 when the whole-arm form was kept; Explain
+	// says why).
+	Hoisted int `json:"hoisted,omitempty"`
+	Flops   int `json:"flops"`
 	// EstMFLOPS is the steady-state kernel rate Flops·ClockMHz/II; zero
 	// for unpipelined loops.
 	EstMFLOPS float64 `json:"est_mflops"`
@@ -327,6 +331,7 @@ func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, *vi
 			Passes:    lr.Passes,
 			Tail:      lr.Tail,
 			Flat:      lr.Flat,
+			Hoisted:   lr.Hoisted,
 			Flops:     lr.Flops,
 		}
 		if lr.Pipelined && lr.Effort != softpipe.EffortHeuristic {

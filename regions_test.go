@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"softpipe"
+	"softpipe/internal/codegen"
 	"softpipe/internal/machine"
 	"softpipe/internal/vliw"
 )
@@ -196,4 +197,61 @@ func TestLoopReductionNeverLosesToItsAblation(t *testing.T) {
 	if seen != len(nests) {
 		t.Errorf("found %d of %d nests in the corpus", seen, len(nests))
 	}
+}
+
+// TestLiftNeverLosesToWholeArms: on warp, wide2 and the first rotating
+// grid point, every fixed program of the corpus and four draws — draw/1012
+// (the lifted body's stages outnumber an inner loop's 4 iterations),
+// draw/1026 (the lifted II is higher), draw/1050 (the lifted body trips
+// the 99% rule and would run as control flow) and draw/1054 (lifted
+// everywhere, the largest growth in words among the draws) — run in no
+// more cycles with arm-private operations lifted out of their reduced
+// conditionals than with Lam's whole arms.  Lifting with no way back to
+// the whole-arm form fails it on the first three.
+func TestLiftNeverLosesToWholeArms(t *testing.T) {
+	machines := digestMachines(t)
+	rot := slices.IndexFunc(machines, func(m *softpipe.Machine) bool { return m.RotatingRegs })
+	machines = []*softpipe.Machine{machines[0], machines[1], machines[rot]}
+	draws := []string{"draw/1012", "draw/1026", "draw/1050", "draw/1054"}
+	progs := slices.DeleteFunc(digestPrograms(t), func(dp digestProgram) bool {
+		kind, _, _ := strings.Cut(dp.name, "/")
+		return !slices.Contains([]string{"suite", "livermore", "apps", "golden", "shape"}, kind) && !slices.Contains(draws, dp.name)
+	})
+	moved := make([]int, len(progs))
+	eachProgram(len(progs), func(i int) {
+		dp := progs[i]
+		for _, m := range machines {
+			run := func(opts codegen.Options) (string, int64) {
+				bin, _, err := codegen.Compile(dp.prog, m, opts)
+				if err != nil {
+					t.Errorf("%s | %s: %v", dp.name, m.Name, err)
+					return "", 0
+				}
+				res, err := (&softpipe.Object{Binary: bin, Machine: m}).Run()
+				if err != nil {
+					if !corpusRefusal(dp.name, m, err) {
+						t.Errorf("%s | %s: %v", dp.name, m.Name, err)
+					}
+					return "", 0
+				}
+				return bin.String(), res.Cycles
+			}
+			lifted, cycles := run(codegen.Options{})
+			whole, wholeCycles := run(codegen.Options{WholeArms: true})
+			if lifted != whole {
+				moved[i]++
+			}
+			if cycles > wholeCycles {
+				t.Errorf("%s | %s: %d cycles with operations lifted, %d with whole arms", dp.name, m.Name, cycles, wholeCycles)
+			}
+		}
+	})
+	total := 0
+	for _, n := range moved {
+		total += n
+	}
+	if total < 100 {
+		t.Errorf("the whole-arm switch changes %d objects; it changed 100 and more when this was written", total)
+	}
+	t.Logf("%d programs x %d machines: the switch changes %d objects", len(progs), len(machines), total)
 }

@@ -230,8 +230,21 @@ func CompileSource(src string, m *Machine, opts Options) (*Object, error) {
 
 // Compile lowers an IR program to VLIW code for machine m.
 func Compile(p *Program, m *Machine, opts Options) (*Object, error) {
+	return CompileWith(p, m, opts, nil)
+}
+
+// CompileWith is Compile with the back end's own options adjusted after
+// opts is lowered to them.  It is the module's seam, not a product
+// surface: codegen is internal, so only this module's harness and tests
+// can write an adjust (warpbench -fig42 forces Lam's whole-arm
+// conditionals with it).
+func CompileWith(p *Program, m *Machine, opts Options, adjust func(*codegen.Options)) (*Object, error) {
+	lowered := opts.lower()
+	if adjust != nil {
+		adjust(&lowered)
+	}
 	sp := opts.Tracer.Begin("compile")
-	bin, rep, err := codegen.Compile(p, m, opts.lower())
+	bin, rep, err := codegen.Compile(p, m, lowered)
 	sp.End()
 	if err != nil {
 		return nil, err
