@@ -43,8 +43,9 @@ import (
 
 // splitNote says how a pipelined loop's compile-time trip count was
 // split: kernel passes and the iterations that start in the tail, or
-// that the loop has no kernel at all (nothing for a run-time count), and
-// how many operations were lifted out of its conditionals.
+// that the loop has no kernel at all (nothing for a run-time count), how
+// many operations were lifted out of its conditionals, and how many setup
+// operations of an outer body rotated into the previous iteration.
 func splitNote(lr softpipe.LoopInfo) string {
 	note := ""
 	switch {
@@ -55,6 +56,9 @@ func splitNote(lr softpipe.LoopInfo) string {
 	}
 	if lr.Hoisted > 0 {
 		note += fmt.Sprintf("; hoisted %d", lr.Hoisted)
+	}
+	if lr.Rotated > 0 {
+		note += fmt.Sprintf("; rotated %d", lr.Rotated)
 	}
 	return note
 }
@@ -136,6 +140,7 @@ func main() {
 			if lr.Reason != "" {
 				status += ": " + lr.Reason
 			}
+			status += splitNote(lr)
 		}
 		fmt.Printf("; loop %d (trip %d): %s\n", lr.LoopID, lr.TripCount, status)
 		if lr.Explain != nil {

@@ -161,6 +161,22 @@ begin
     end;
 end.
 `},
+	// s is read by every pass of a one-row kernel and bumped after the
+	// inner loop: the add may not issue until the kernel's last pass.
+	{"nest-fill-invariant", `
+program nestfill;
+var a: array [0..7] of array [0..63] of real;
+    s: real;
+    i, j: int;
+begin
+  s := 1.0;
+  for i := 0 to 7 do begin
+    for j := 0 to 63 do
+      a[i][j] := s;
+    s := s + 2.0;
+  end;
+end.
+`},
 	{"nest-three", `
 program nestthree;
 var a, c: array [0..5] of array [0..30] of real;

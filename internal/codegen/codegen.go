@@ -77,6 +77,10 @@ type Options struct {
 	// product option (softpipe.Options cannot set it): the comparison
 	// point of TestLiftNeverLosesToWholeArms and warpbench -fig42.
 	WholeArms bool
+	// NoRotation keeps every outer body in program order: no pure setup
+	// rotates across the loop-back into the previous iteration.  Not a
+	// product option: the comparison point of TestRotationNeverLoses.
+	NoRotation bool
 }
 
 // LoopReport records how one loop was compiled, feeding the evaluation
@@ -123,6 +127,11 @@ type LoopReport struct {
 	// there were none or the whole-arm form was kept (Explain's notes say
 	// which of the three reasons kept it).
 	Hoisted int
+	// Rotated counts the setup operations of an outer body with reduced
+	// inner loops that run one iteration early, at the end of the previous
+	// iteration (once before the loop for the first); 0 when none could or
+	// the body in program order was shorter (Explain's notes say which).
+	Rotated int
 	// Rotating marks a loop pipelined against a rotating register file
 	// (MVE without unrolling); CopyRegsF/I count the extra float/int
 	// registers modulo variable expansion claimed beyond one per

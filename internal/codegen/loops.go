@@ -3,6 +3,7 @@ package codegen
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"softpipe/internal/depgraph"
 	"softpipe/internal/hier"
@@ -191,8 +192,9 @@ func (e *emitter) tryPipelined(l *ir.LoopStmt, rep *LoopReport) bool {
 // countedRows appends the pipelined form of a loop of n ≥ 1 iterations,
 // n known at compile time, to p, and records how n was split in rep.
 // No iteration runs unpipelined: with r, passes = plan.Split(n) the form
-// is counter load, prolog, kernel × passes and a tail that starts the r
-// left-over iterations itself.  A loop too short for one kernel pass is
+// is prolog, kernel × passes and a tail that starts the r left-over
+// iterations itself, the pass count loaded in the prolog where a row has
+// room for it (loadCounter).  A loop too short for one kernel pass is
 // its flat schedule — n iterations started II apart, no kernel and no
 // counter — when that takes fewer cycles than the unpipelined loop
 // (flatWins); otherwise countedRows reports false with the reason
@@ -203,8 +205,9 @@ func (e *emitter) countedRows(p *loopPayload, nodes []*depgraph.Node, plan *pipe
 	case ok:
 		counter := e.allocI()
 		p.counters = append(p.counters, counter)
-		p.rows = append(p.rows, rrow{ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: passes}}})
+		start := len(p.rows)
 		e.regionRows(p, nodes, plan, counter, int(r))
+		e.loadCounter(p, start, vliw.SlotOp{Class: machine.ClassIConst, Dst: counter, IImm: passes})
 		rep.Passes, rep.Tail = passes, r
 	case e.flatWins(nodes, plan, int(n)):
 		e.flatRows(p, nodes, plan, int(n))
@@ -216,6 +219,36 @@ func (e *emitter) countedRows(p *loopPayload, nodes []*depgraph.Node, plan *pipe
 	}
 	rep.pipelinedWith(plan)
 	return true
+}
+
+// loadCounter places the kernel's pass-count load, the region's rows
+// starting at row start: in the latest row before the kernel where the
+// load's units are free and its value lands by the kernel's loop-back,
+// or, when no row qualifies (an empty prolog, a full one), in a row of
+// its own in front of the region.
+func (e *emitter) loadCounter(p *loopPayload, start int, load vliw.SlotOp) {
+	kernel := &p.segs[len(p.segs)-1]
+	use := machine.Usage{}
+	for i := start; i < kernel.start; i++ {
+		e.accumulateRowUsage(p.rows[i], i, use)
+	}
+	fits := func(at int) bool {
+		for _, u := range e.m.Desc(load.Class).Reservation {
+			if at+u.Offset >= kernel.start || use[machine.ResUse{Resource: u.Resource, Offset: at + u.Offset}] >= e.m.ResourceCount[u.Resource] {
+				return false
+			}
+		}
+		return at+e.m.Latency(load.Class) <= kernel.end-1
+	}
+	for at := kernel.start - 1; at >= start; at-- {
+		if fits(at) {
+			p.rows[at].ops = append(p.rows[at].ops, load)
+			return
+		}
+	}
+	p.rows = slices.Insert(p.rows, start, rrow{ops: []vliw.SlotOp{load}})
+	kernel.start++
+	kernel.end++
 }
 
 // flatWins reports whether n iterations take fewer cycles as the plan's

@@ -1,6 +1,8 @@
 package codegen
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -42,13 +44,25 @@ func (e *emitter) reduceLoop(l *ir.LoopStmt) (*depgraph.Node, string) {
 		Payload:     p,
 		Reservation: e.rowsReservation(p),
 	}
-	e.loopAccesses(l, node)
+	e.loopAccesses(node)
+	if p.rotating {
+		// The rotating register base is one per machine, and a rotating
+		// loop clears and advances it: to the enclosing schedule it is a
+		// register such a loop reads and writes throughout its window, so
+		// two rotating windows never overlap.
+		node.Reads = append(node.Reads, depgraph.RegRead{Reg: rotatingBase, First: 0, Last: node.Len - 1})
+		node.Writes = append(node.Writes, depgraph.RegWrite{Reg: rotatingBase, AvailFirst: 0, AvailLast: node.Len - 1})
+	}
 
 	// Record the inner loop in the report (it is pipelined, just emitted
 	// through the reduction).
 	e.report.Loops = append(e.report.Loops, rep)
 	return node, ""
 }
+
+// rotatingBase stands for the rotating register base in the access
+// summaries of reduced loops; no program register has its number.
+const rotatingBase ir.VReg = -2
 
 // rowsReservation derives the reduced node's reservation table: exact
 // usage for overlappable rows, full consumption for repeated (looping)
@@ -105,48 +119,150 @@ func (e *emitter) accumulateRowUsage(row rrow, off int, use machine.Usage) {
 	}
 }
 
-// loopAccesses attaches conservative register and memory access summaries
-// to a reduced loop node: every register read/written anywhere in the
-// body may be touched anywhere in the window, every write has landed
-// where the node's rows say the last of them does (landing, never before
-// the window's end), and no write is killing.
-func (e *emitter) loopAccesses(l *ir.LoopStmt, node *depgraph.Node) {
-	reads := map[ir.VReg]bool{}
-	writes := map[ir.VReg]bool{}
+// rowSpan is the first and last row of what a reduced loop does to one
+// register or array.
+type rowSpan struct{ first, last int }
+
+// widen records [first, last] for k in spans.
+func widen[K comparable](spans map[K]*rowSpan, k K, first, last int) {
+	if s := spans[k]; s != nil {
+		s.first, s.last = min(s.first, first), max(s.last, last)
+		return
+	}
+	spans[k] = &rowSpan{first, last}
+}
+
+// loopAccesses attaches a reduced loop node's register and memory access
+// summaries, read off its payload rows: for each register the first and
+// last row that reads it and the first and last landing of a write, for
+// each array the first and last row that touches it.  A physical register
+// is reported as the program register whose base copy it is; counters and
+// the copies modulo variable expansion adds are the loop's own.  No write
+// is killing.
+//
+// The rows are compressed time: a segment's rows run once per pass, so
+// what follows a segment runs (passes−1)·len cycles later than its row
+// says, and what precedes it does not.  The segment rule keeps the
+// summary exact anyway.  An access at or after a segment's start holds
+// any later writer until the segment has ended: a read, or a write's
+// landing, is reported no earlier than the segment's last row plus the
+// machine's longest latency (a writer issued before the segment would
+// land during its passes), a memory access no earlier than the segment's
+// last row (whose resources the reservation marks consumed).  A write
+// landing at or after a segment's start is reported as landing at that
+// start at the earliest, so nothing that reads or writes the register
+// before the node moves past the segment.  The held values may exceed the
+// node's length.
+func (e *emitter) loopAccesses(node *depgraph.Node) {
+	p := node.Payload.(*loopPayload)
+	type phys struct {
+		float bool
+		reg   int
+	}
+	owner := map[phys]ir.VReg{}
+	for k, r := range e.fmap {
+		if k.copy == 0 {
+			owner[phys{true, r}] = k.r
+		}
+	}
+	for k, r := range e.imap {
+		if k.copy == 0 {
+			owner[phys{false, r}] = k.r
+		}
+	}
+	// heldTo is the last row of the last segment starting at or before row
+	// j (-1: none); landsBy the start of the first segment ending after j.
+	segs := p.segs
+	if waived&rotSegments != 0 {
+		segs = nil
+	}
+	heldTo := func(j int) int {
+		held := -1
+		for _, s := range segs {
+			if s.start <= j {
+				held = s.end - 1
+			}
+		}
+		return held
+	}
+	landsBy := func(j int) int {
+		for _, s := range segs {
+			if s.end > j {
+				return s.start
+			}
+		}
+		return math.MaxInt
+	}
+	maxLat := e.m.MaxLatency()
+	hold := func(j, at int) int {
+		if held := heldTo(j); held >= 0 {
+			return max(at, held+maxLat)
+		}
+		return at
+	}
+
+	reads, writes := map[ir.VReg]*rowSpan{}, map[ir.VReg]*rowSpan{}
 	type memKey struct {
 		arr   string
 		store bool
 	}
-	mems := map[memKey]bool{}
-	l.Body.Walk(func(s ir.Stmt) bool {
-		switch s := s.(type) {
-		case *ir.OpStmt:
-			for _, r := range s.Op.Src {
-				reads[r] = true
-			}
-			if s.Op.Dst != ir.NoReg {
-				writes[s.Op.Dst] = true
-			}
-			if s.Op.Mem != nil {
-				mems[memKey{s.Op.Mem.Array, s.Op.Class == machine.ClassStore}] = true
-			}
-		case *ir.IfStmt:
-			reads[s.Cond] = true
-		case *ir.LoopStmt:
-			if s.CountReg != ir.NoReg {
-				reads[s.CountReg] = true
+	mems := map[memKey]*rowSpan{}
+	touch := func(spans map[ir.VReg]*rowSpan, float bool, static int, ring []int, first, last int) {
+		if r, ok := owner[phys{float, static}]; ok {
+			widen(spans, r, first, last)
+		}
+		for _, reg := range ring {
+			if r, ok := owner[phys{float, reg}]; ok {
+				widen(spans, r, first, last)
 			}
 		}
-		return true
-	})
-	last := node.Len - 1
-	landed := max(node.Len, e.landing(node.Payload.(*loopPayload).rows))
-	for _, r := range sortedRegs(reads) {
-		node.Reads = append(node.Reads, depgraph.RegRead{Reg: r, First: 0, Last: last})
 	}
-	for _, r := range sortedRegs(writes) {
+	var walk func(rows []rrow, off int)
+	walk = func(rows []rrow, off int) {
+		for i, row := range rows {
+			j := off + i
+			for _, op := range row.ops {
+				info := op.Class.Info()
+				arrFloat := info.UsesArray() && e.prog.Array(op.Array).Kind == ir.KindFloat
+				file := func(f machine.File) bool { return f.Resolve(arrFloat, op.FImm != 0) == machine.FileFloat }
+				for k, src := range op.Src {
+					var ring []int
+					if k < len(op.SrcRings) {
+						ring = op.SrcRings[k]
+					}
+					touch(reads, file(info.Src[k]), src, ring, j, hold(j, j))
+				}
+				if info.Dst != machine.FileNone {
+					land := j + e.m.Latency(op.Class)
+					touch(writes, file(info.Dst), op.Dst, op.DstRing, min(land, landsBy(j)), hold(j, land))
+				}
+				arr, store := op.Array, op.Class == machine.ClassStore
+				if q := depgraph.QueueArray(op.Class); q != "" {
+					arr, store = q, true
+				}
+				if arr != "" {
+					last := j
+					if held := heldTo(j); held > j {
+						last = held
+					}
+					widen(mems, memKey{arr, store}, j, last)
+				}
+			}
+			if c := row.cons; c != nil {
+				touch(reads, false, c.cond, c.condRing, j, hold(j, j))
+				walk(c.thenRows, j+1)
+				walk(c.elseRows, j+1)
+			}
+		}
+	}
+	walk(p.rows, 0)
+
+	for _, r := range sortedKeys(reads) {
+		node.Reads = append(node.Reads, depgraph.RegRead{Reg: r, First: reads[r].first, Last: reads[r].last})
+	}
+	for _, r := range sortedKeys(writes) {
 		node.Writes = append(node.Writes, depgraph.RegWrite{
-			Reg: r, AvailFirst: 1, AvailLast: landed, Killing: false,
+			Reg: r, AvailFirst: writes[r].first, AvailLast: writes[r].last, Killing: false,
 		})
 	}
 	var keys []memKey
@@ -164,12 +280,12 @@ func (e *emitter) loopAccesses(l *ir.LoopStmt, node *depgraph.Node) {
 	})
 	for _, k := range keys {
 		node.Mems = append(node.Mems, depgraph.MemAcc{
-			Array: k.arr, Store: k.store, First: 0, Last: last,
+			Array: k.arr, Store: k.store, First: mems[k].first, Last: mems[k].last,
 		})
 	}
 }
 
-func sortedRegs(set map[ir.VReg]bool) []ir.VReg {
+func sortedKeys[V any](set map[ir.VReg]V) []ir.VReg {
 	regs := make([]ir.VReg, 0, len(set))
 	for r := range set {
 		regs = append(regs, r)
@@ -183,6 +299,13 @@ func sortedRegs(set map[ir.VReg]bool) []ir.VReg {
 // reduced to pseudo-operations, overlapping scalar code with their
 // prologs and epilogs, and epilogs of one inner loop with prologs of the
 // next (Lam §3.2/3.3).
+//
+// The body's pure setup may also rotate across the loop-back (rotatable):
+// those leading operations run once before the loop for the first
+// iteration and then at the end of every iteration for the next, where
+// the list schedule can put them in the last inner loop's epilog.  The
+// rotated body is kept only when it takes fewer cycles than the body in
+// program order, the peeled operations included.
 func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	reportMark := len(e.report.Loops)
 	var built []*loopPayload
@@ -202,7 +325,7 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	}
 
 	var nodes []*depgraph.Node
-	hasLoop := false
+	lead := -1 // operations before the first inner loop
 	for _, s := range l.Body.Stmts {
 		switch s := s.(type) {
 		case *ir.OpStmt:
@@ -217,64 +340,34 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 				return rollback(reason)
 			}
 			built = append(built, nd.Payload.(*loopPayload))
+			if lead < 0 {
+				lead = len(nodes)
+			}
 			nodes = append(nodes, nd)
-			hasLoop = true
 		default:
 			return rollback("body mixes conditionals with inner loops")
 		}
 	}
-	if !hasLoop {
+	if lead < 0 {
 		return rollback("no inner loop to overlap")
 	}
 
-	g := depgraph.BuildIndep(nodes, l.ID, l.Independent)
-	r, err := schedule.List(g, e.m)
-	if err != nil {
-		return rollback(err.Error())
+	body, reason := e.scheduleOverlapped(l, nodes)
+	if body == nil {
+		return rollback(reason)
 	}
-	period := schedule.PeriodFor(g, r, r.Length)
+	var peel *overlapped
+	if !e.opts.NoRotation {
+		if stay, moved := e.rotatable(l, nodes[:lead]); len(moved) > 0 {
+			order := append(append(stay, nodes[lead:]...), moved...)
+			peel, body = e.tryRotation(l, order, moved, body, rep)
+		}
+	}
 
 	// Merge the reduced loops' resolved rows with the scalar slots.
-	type window struct{ start, end int }
-	var segs []loopSeg
-	var rotWins []window
-	maxEnd := r.Length
-	for i, nd := range nodes {
-		if nd.Op != nil {
-			continue
-		}
-		p := nd.Payload.(*loopPayload)
-		for _, sg := range p.segs {
-			segs = append(segs, loopSeg{start: r.Time[i] + sg.start, end: r.Time[i] + sg.end, counter: sg.counter, rotate: sg.rotate})
-			maxEnd = max(maxEnd, r.Time[i]+sg.end+1)
-		}
-		// A construct window holds the sequencer to its last row, so the
-		// outer loop-back comes after every window as well.
-		for j, rw := range p.rows {
-			if rw.cons != nil {
-				maxEnd = max(maxEnd, r.Time[i]+j+rw.cons.length+1)
-			}
-		}
-		if p.rotating {
-			rotWins = append(rotWins, window{r.Time[i], r.Time[i] + nd.Len})
-		}
-	}
-	period = max(period, maxEnd)
-	// A rotating register file has a single base shared by every loop in
-	// flight, and each reduced rotating loop clears and advances it.  Two
-	// rotating windows may therefore not overlap; roll back to plain
-	// emission (each inner loop still pipelines, just without the
-	// prolog/epilog overlap).
-	slices.SortFunc(rotWins, func(a, b window) int { return a.start - b.start })
-	for i := 1; i < len(rotWins); i++ {
-		if rotWins[i].start < rotWins[i-1].end {
-			return rollback("rotating inner-loop windows overlap (one rotating base per machine)")
-		}
-	}
-
-	rows := make([]rrow, period)
-	for i, nd := range nodes {
-		t := r.Time[i]
+	rows := make([]rrow, body.period)
+	for i, nd := range body.nodes {
+		t := body.time[i]
 		if nd.Op != nil {
 			rows[t].ops = append(rows[t].ops, e.slotFor(nd.Op, 0, nil))
 			continue
@@ -297,28 +390,32 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 			}
 		}
 	}
-	slices.SortFunc(segs, func(a, b loopSeg) int { return a.start - b.start })
-	for i := 1; i < len(segs); i++ {
-		if segs[i].start < segs[i-1].end {
-			return rollback("internal: repeated segments overlap")
-		}
-	}
 	// The loop-back branches are written into the merged rows below;
 	// those cycles must still have a free sequencer field.
-	for _, sg := range segs {
+	for _, sg := range body.segs {
 		if rows[sg.end-1].ctl.Kind != vliw.CtlNone {
 			return rollback("internal: loop-back cycle already carries control")
 		}
 	}
-	if rows[period-1].ctl.Kind != vliw.CtlNone {
+	if rows[body.period-1].ctl.Kind != vliw.CtlNone {
 		return rollback("internal: outer loop-back cycle already carries control")
 	}
 
+	// The peeled setup of the first iteration is a region of its own, its
+	// registers the loop's (never recycled by localAssign: the body's
+	// rotated copies write the same ones).
+	if peel != nil {
+		prows := make([]rrow, peel.period)
+		for i, nd := range peel.nodes {
+			prows[peel.time[i]].ops = append(prows[peel.time[i]].ops, e.slotFor(nd.Op, 0, nil))
+		}
+		e.closeRegion(&loopPayload{rows: prows})
+	}
 	// Outer loop counter and emission.
 	counter := e.allocI()
 	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: l.CountImm}}})
-	rows[period-1].ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: counter, Target: len(e.out)}
-	e.closeRegion(&loopPayload{rows: rows, segs: segs})
+	rows[body.period-1].ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: counter, Target: len(e.out)}
+	e.closeRegion(&loopPayload{rows: rows, segs: body.segs})
 	if e.err != nil {
 		return false
 	}
@@ -327,7 +424,164 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	e.freeI(counter)
 	e.releaseCopies()
 
-	rep.II = period
+	rep.II = body.period
 	rep.Reason = "body scheduled with reduced inner loops (prolog/epilog overlap)"
 	return true
 }
+
+// overlapped is one list schedule of an outer body with its inner loops
+// reduced: the nodes in the order they were scheduled, each one's issue
+// cycle, the period at which the body repeats, and the reduced loops'
+// repeated segments placed in the body's rows, in row order.
+type overlapped struct {
+	nodes  []*depgraph.Node
+	time   []int
+	period int
+	segs   []loopSeg
+}
+
+// scheduleOverlapped list-schedules an outer body, nodes in program order;
+// reason says why the schedule cannot be emitted when it is nil.
+func (e *emitter) scheduleOverlapped(l *ir.LoopStmt, nodes []*depgraph.Node) (*overlapped, string) {
+	g := depgraph.BuildIndep(nodes, l.ID, l.Independent)
+	r, err := schedule.List(g, e.m)
+	if err != nil {
+		return nil, err.Error()
+	}
+	period := schedule.PeriodFor(g, r, r.Length)
+
+	var segs []loopSeg
+	maxEnd := r.Length
+	for i, nd := range nodes {
+		if nd.Op != nil {
+			continue
+		}
+		p := nd.Payload.(*loopPayload)
+		for _, sg := range p.segs {
+			segs = append(segs, loopSeg{start: r.Time[i] + sg.start, end: r.Time[i] + sg.end, counter: sg.counter, rotate: sg.rotate})
+			maxEnd = max(maxEnd, r.Time[i]+sg.end+1)
+		}
+		// A construct window holds the sequencer to its last row, so the
+		// outer loop-back comes after every window as well.
+		for j, rw := range p.rows {
+			if rw.cons != nil {
+				maxEnd = max(maxEnd, r.Time[i]+j+rw.cons.length+1)
+			}
+		}
+	}
+	slices.SortFunc(segs, func(a, b loopSeg) int { return a.start - b.start })
+	for i := 1; i < len(segs); i++ {
+		if segs[i].start < segs[i-1].end {
+			return nil, "internal: repeated segments overlap"
+		}
+	}
+	return &overlapped{nodes: nodes, time: r.Time, period: max(period, maxEnd), segs: segs}, ""
+}
+
+// cycles is what n iterations of the schedule take, up to the landing of
+// the last one's last register write.
+func (e *emitter) cycles(o *overlapped, n int64) int64 {
+	landed := 0
+	for i, nd := range o.nodes {
+		if nd.Op == nil {
+			landed = max(landed, o.time[i]+e.landing(nd.Payload.(*loopPayload).rows))
+		} else if nd.Op.Dst != ir.NoReg {
+			landed = max(landed, o.time[i]+e.m.Latency(nd.Op.Class))
+		}
+	}
+	return n*int64(o.period) + int64(max(0, landed-o.period))
+}
+
+// tryRotation schedules the outer body in the rotated order, the moved
+// operations at its end, and the peeled copy that runs them for the first
+// iteration.  It returns the peel and the rotated body when the two take
+// fewer cycles than the plain body, and no peel and the plain body
+// otherwise; the explain report says which and why.
+func (e *emitter) tryRotation(l *ir.LoopStmt, order, moved []*depgraph.Node, plain *overlapped, rep *LoopReport) (*overlapped, *overlapped) {
+	note := func(format string, args ...any) {
+		if rep.Explain != nil {
+			rep.Explain.Notes = append(rep.Explain.Notes, fmt.Sprintf(format, args...))
+		}
+	}
+	rotated, reason := e.scheduleOverlapped(l, order)
+	if rotated == nil {
+		note("outer body not rotated: %s", reason)
+		return nil, plain
+	}
+	pg := depgraph.BuildIndep(moved, -1, false)
+	pr, err := schedule.List(pg, e.m)
+	if err != nil {
+		note("outer body not rotated: %v", err)
+		return nil, plain
+	}
+	_, peeled := span(moved, pr.Time)
+	peel := &overlapped{nodes: moved, time: pr.Time, period: peeled}
+
+	n := l.CountImm
+	with, without := int64(peeled)+e.cycles(rotated, n), e.cycles(plain, n)
+	switch {
+	case rotated.period >= plain.period:
+		note("outer body not rotated: rotated period %d ≥ %d", rotated.period, plain.period)
+		return nil, plain
+	case with >= without:
+		note("outer body not rotated: rotated period %d < %d, but %d iterations and %d peeled cycles take %d ≥ %d",
+			rotated.period, plain.period, n, peeled, with, without)
+		return nil, plain
+	}
+	note("outer body rotated: %d setup operations run one iteration early, period %d → %d", len(moved), plain.period, rotated.period)
+	rep.Rotated = len(moved)
+	e.opts.Tracer.Count("codegen.rotated_ops", int64(len(moved)))
+	return peel, rotated
+}
+
+// rotatable splits the leading operations of an outer body (those before
+// its first inner loop, in order) into the ones that stay and the ones
+// that may rotate across the loop-back: run at the end of each iteration
+// for the next one, and once before the loop for the first.  An operation
+// qualifies when its class is pure and total (the last trip computes a
+// value nobody wants, and must not fault doing it), its destination is not
+// live after the loop (liveOutOf: the last trip overwrites it), and it can
+// move in front of the leading operations that stay — it writes nothing
+// an earlier staying operation reads or writes, and reads nothing one
+// writes.
+func (e *emitter) rotatable(l *ir.LoopStmt, lead []*depgraph.Node) (stay, moved []*depgraph.Node) {
+	live := e.liveOutOf(l)
+	read, written := map[ir.VReg]bool{}, map[ir.VReg]bool{} // by what stays, so far
+	for _, nd := range lead {
+		op := nd.Op
+		ok := (op.Class.Info().Pure() || waived&rotPure != 0) && op.Dst != ir.NoReg &&
+			(!live[op.Dst] || waived&rotLive != 0) &&
+			(!read[op.Dst] && !written[op.Dst] || waived&rotOrder != 0)
+		for _, src := range op.Src {
+			ok = ok && (!written[src] || waived&rotOrder != 0)
+		}
+		if ok {
+			moved = append(moved, nd)
+			continue
+		}
+		stay = append(stay, nd)
+		for _, src := range op.Src {
+			read[src] = true
+		}
+		if op.Dst != ir.NoReg {
+			written[op.Dst] = true
+		}
+	}
+	return stay, moved
+}
+
+// waiver names one condition of loop rotation, or the segment rule of a
+// reduced loop's summary (loopAccesses).
+type waiver uint8
+
+const (
+	rotPure     waiver = 1 << iota // a rotated operation is pure and total
+	rotLive                        // its destination is not live after the loop
+	rotOrder                       // it moves past no staying operation it conflicts with
+	rotSegments                    // accesses in and after a segment hold later writers to its end
+)
+
+// waived lists the conditions rotatable and loopAccesses do not check.
+// Always zero outside this package's tests, which waive one at a time to
+// show the verifier refuses what that condition exists to prevent.
+var waived waiver

@@ -112,16 +112,24 @@ func NodeFromOp(m *machine.Machine, op *ir.Op) (*Node, error) {
 			Store: op.Class == machine.ClassStore,
 		})
 	}
-	// Queue operations are FIFO side effects: model each channel as an
-	// opaque pseudo-array written by every access, so the dependence
-	// builder chains them in program order within and across iterations.
-	switch op.Class {
-	case machine.ClassRecv:
-		n.Mems = append(n.Mems, MemAcc{Array: "\x00qin", Store: true})
-	case machine.ClassSend:
-		n.Mems = append(n.Mems, MemAcc{Array: "\x00qout", Store: true})
+	if q := QueueArray(op.Class); q != "" {
+		n.Mems = append(n.Mems, MemAcc{Array: q, Store: true})
 	}
 	return n, nil
+}
+
+// QueueArray names the pseudo-array a queue operation of class c touches,
+// "" for every other class.  Queue operations are FIFO side effects: each
+// channel is an opaque array written by every access, so the dependence
+// builder chains them in program order within and across iterations.
+func QueueArray(c machine.Class) string {
+	switch c {
+	case machine.ClassRecv:
+		return "\x00qin"
+	case machine.ClassSend:
+		return "\x00qout"
+	}
+	return ""
 }
 
 // MustNodeFromOp is NodeFromOp for callers that know the class is

@@ -48,7 +48,7 @@ type loopFrame struct {
 	// same array, stride pattern and access direction share a single
 	// strength-reduced pointer (constant offsets become displacements),
 	// and term sums computed in the preheader are reused.
-	ptrCache map[string]ir.VReg
+	ptrCache map[string]pointer
 	sumCache map[string]ir.VReg
 }
 
@@ -695,18 +695,50 @@ func (lo *lowerer) address(v *VarRef, sym *symbol, isStore bool) (ir.VReg, int64
 	// part of the reference becomes the displacement.
 	key := v.Name + "|" + formKey(form, isStore)
 	if inner.ptrCache == nil {
-		inner.ptrCache = map[string]ir.VReg{}
+		inner.ptrCache = map[string]pointer{}
 	}
 	if ptr, ok := inner.ptrCache[key]; ok {
-		return ptr, form.c, lo.annotate(form), nil
+		return ptr.reg, form.c + ptr.shift, lo.annotate(form), nil
 	}
-	initReg, err := lo.evalTerms(form, inner)
+	initReg, shift, err := lo.pointerStart(form, inner)
 	if err != nil {
 		return ir.NoReg, 0, nil, err
 	}
-	ptr := inner.ctx.PointerFrom(initReg, step)
+	ptr := pointer{inner.ctx.PointerFrom(initReg, step), shift}
 	inner.ptrCache[key] = ptr
-	return ptr, form.c, lo.annotate(form), nil
+	return ptr.reg, form.c + ptr.shift, lo.annotate(form), nil
+}
+
+// pointer is a strength-reduced address register and what every
+// reference through it adds to its displacement.
+type pointer struct {
+	reg   ir.VReg
+	shift int64
+}
+
+// pointerStart returns the register a loop's pointer starts from and the
+// shift its references' displacements take.  When the loop starts at a
+// compile-time constant, the loop variable's term is that constant times
+// its coefficient: it moves into the displacements, and the pointer's
+// start no longer reads the variable, whose `v := lo` the enclosing code
+// must otherwise finish first (an outer body may never rotate it: v is a
+// program variable).  That is done only where other terms remain; with
+// none, the start would be a constant of its own, a hoisted operation on
+// the serial integer unit.
+func (lo *lowerer) pointerStart(form *affForm, frame *loopFrame) (ir.VReg, int64, error) {
+	rest := &affForm{loop: map[*loopFrame]int64{}, inv: form.inv}
+	for f, c := range form.loop {
+		if f != frame {
+			rest.loop[f] = c
+		}
+	}
+	coef := form.loop[frame]
+	if coef == 0 || !frame.loKnown || len(formTerms(rest)) == 0 {
+		r, err := lo.evalTerms(form, frame)
+		return r, 0, err
+	}
+	r, err := lo.evalTerms(rest, frame)
+	return r, coef * frame.loConst, err
 }
 
 // formKey canonicalizes the non-constant part of an affine form, with

@@ -146,22 +146,22 @@ func (e *Explain) Format() string {
 	var b strings.Builder
 	if e.PreFailure != "" {
 		fmt.Fprintf(&b, "  not scheduled: %s\n", e.PreFailure)
-		return b.String()
-	}
-	fmt.Fprintf(&b, "  II search: floor %d bound by %s (resource MII %d, recurrence MII %d), max %d\n",
-		e.MII, e.Bound(), e.ResMII, e.RecMII, e.MaxII)
-	for _, a := range e.Attempts {
-		b.WriteString("  ")
-		b.WriteString(a.Format())
-		b.WriteByte('\n')
-	}
-	switch {
-	case e.Achieved == 0:
-		fmt.Fprintf(&b, "  no feasible initiation interval in [%d, %d]\n", e.MII, e.MaxII)
-	case e.Achieved == e.MII:
-		fmt.Fprintf(&b, "  accepted II=%d: met the lower bound\n", e.Achieved)
-	default:
-		fmt.Fprintf(&b, "  accepted II=%d: %d above the lower bound\n", e.Achieved, e.Achieved-e.MII)
+	} else {
+		fmt.Fprintf(&b, "  II search: floor %d bound by %s (resource MII %d, recurrence MII %d), max %d\n",
+			e.MII, e.Bound(), e.ResMII, e.RecMII, e.MaxII)
+		for _, a := range e.Attempts {
+			b.WriteString("  ")
+			b.WriteString(a.Format())
+			b.WriteByte('\n')
+		}
+		switch {
+		case e.Achieved == 0:
+			fmt.Fprintf(&b, "  no feasible initiation interval in [%d, %d]\n", e.MII, e.MaxII)
+		case e.Achieved == e.MII:
+			fmt.Fprintf(&b, "  accepted II=%d: met the lower bound\n", e.Achieved)
+		default:
+			fmt.Fprintf(&b, "  accepted II=%d: %d above the lower bound\n", e.Achieved, e.Achieved-e.MII)
+		}
 	}
 	for _, n := range e.Notes {
 		fmt.Fprintf(&b, "  note: %s\n", n)

@@ -147,6 +147,9 @@ type LoopStats struct {
 	// reduced conditionals (0 when the whole-arm form was kept; Explain
 	// says why).
 	Hoisted int `json:"hoisted,omitempty"`
+	// Rotated counts the setup operations of an outer body that run one
+	// iteration early, in the previous iteration's inner-loop epilog.
+	Rotated int `json:"rotated,omitempty"`
 	Flops   int `json:"flops"`
 	// EstMFLOPS is the steady-state kernel rate Flops·ClockMHz/II; zero
 	// for unpipelined loops.
@@ -332,6 +335,7 @@ func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, *vi
 			Tail:      lr.Tail,
 			Flat:      lr.Flat,
 			Hoisted:   lr.Hoisted,
+			Rotated:   lr.Rotated,
 			Flops:     lr.Flops,
 		}
 		if lr.Pipelined && lr.Effort != softpipe.EffortHeuristic {

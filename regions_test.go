@@ -255,3 +255,57 @@ func TestLiftNeverLosesToWholeArms(t *testing.T) {
 	}
 	t.Logf("%d programs x %d machines: the switch changes %d objects", len(progs), len(machines), total)
 }
+
+// TestRotationNeverLoses: on warp, wide2 and the first rotating grid point,
+// every fixed program of the corpus runs in no more cycles with the pure
+// setup of its outer bodies rotated into the previous iteration than with
+// every outer body in program order.  Rotating whatever qualifies, without
+// comparing the rotated body's cycles and its peeled copy against the
+// plain body's, is slower on apps/warshall, shape/nest-two-inner,
+// shape/nest-fill-invariant and, on wide2, k4.
+func TestRotationNeverLoses(t *testing.T) {
+	machines := digestMachines(t)
+	rot := slices.IndexFunc(machines, func(m *softpipe.Machine) bool { return m.RotatingRegs })
+	machines = []*softpipe.Machine{machines[0], machines[1], machines[rot]}
+	progs := slices.DeleteFunc(digestPrograms(t), func(dp digestProgram) bool {
+		kind, _, _ := strings.Cut(dp.name, "/")
+		return !slices.Contains([]string{"suite", "livermore", "apps", "golden", "shape"}, kind)
+	})
+	moved := make([]int, len(progs))
+	eachProgram(len(progs), func(i int) {
+		dp := progs[i]
+		for _, m := range machines {
+			run := func(opts codegen.Options) (string, int64) {
+				bin, _, err := codegen.Compile(dp.prog, m, opts)
+				if err != nil {
+					t.Errorf("%s | %s: %v", dp.name, m.Name, err)
+					return "", 0
+				}
+				res, err := (&softpipe.Object{Binary: bin, Machine: m}).Run()
+				if err != nil {
+					if !corpusRefusal(dp.name, m, err) {
+						t.Errorf("%s | %s: %v", dp.name, m.Name, err)
+					}
+					return "", 0
+				}
+				return bin.String(), res.Cycles
+			}
+			rotated, cycles := run(codegen.Options{})
+			plain, plainCycles := run(codegen.Options{NoRotation: true})
+			if rotated != plain {
+				moved[i]++
+			}
+			if cycles > plainCycles {
+				t.Errorf("%s | %s: %d cycles with setup rotated, %d with every outer body in order", dp.name, m.Name, cycles, plainCycles)
+			}
+		}
+	})
+	total := 0
+	for _, n := range moved {
+		total += n
+	}
+	if total < 40 {
+		t.Errorf("the rotation switch changes %d objects; it changed 40 and more when this was written", total)
+	}
+	t.Logf("%d programs x %d machines: the switch changes %d objects", len(progs), len(machines), total)
+}

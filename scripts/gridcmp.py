@@ -1,5 +1,7 @@
 """Compare two `go test -run TestCorpusVerify -grid -v` outputs object by
-object; see scripts/gridcmp.sh, which produces them.
+object; see scripts/gridcmp.sh, which produces them.  Beside the totals and
+the worst rows it prints, for every program with an object that got slower
+or larger, how many did and by how much ("k5: 79 objects +1 cycle").
 
     python3 scripts/gridcmp.py parent.txt change.txt [rows=10]
 """
@@ -18,6 +20,33 @@ def read(path):
             name, cycles, words, refusal = m.groups()
             objs[name] = (int(cycles), int(words)) if cycles else refusal
     return objs
+
+
+def growth(deltas, unit):
+    """'79 objects +1 cycle' or '3 objects +1..+4 words'; '' for none."""
+    if not deltas:
+        return ""
+    lo, hi = min(deltas), max(deltas)
+    span = f"+{lo}" if lo == hi else f"+{lo}..+{hi}"
+    return f"{len(deltas)} object{'s' * (len(deltas) > 1)} {span} {unit}{'s' * (hi > 1)}"
+
+
+def by_program(parent, change, moved):
+    """For every program with an object that got slower or larger: how many
+    objects did, and by how much."""
+    worse = {}
+    for k in moved:
+        slower, larger = worse.setdefault(k.split(" | ")[0], ([], []))
+        if change[k][0] > parent[k][0]:
+            slower.append(change[k][0] - parent[k][0])
+        if change[k][1] > parent[k][1]:
+            larger.append(change[k][1] - parent[k][1])
+    rows = sorted(((p, s, l) for p, (s, l) in worse.items() if s or l), key=lambda r: (-len(r[1]), -len(r[2]), r[0]))
+    if rows:
+        print("\nby program, objects slower and objects larger:")
+    for prog, slower, larger in rows:
+        parts = [growth(slower, "cycle"), growth(larger, "word")]
+        print(f"  {prog}: {'; '.join(p for p in parts if p)}")
 
 
 def main():
@@ -57,6 +86,7 @@ def main():
             (pc, pw), (cc, cw) = parent[k], change[k]
             print(f"  {k}: cycles {pc} -> {cc}, words {pw} -> {cw}")
 
+    by_program(parent, change, moved)
     show("more cycles:", sorted(worse_cycles, key=lambda k: parent[k][0] - change[k][0]))
     grown = sorted(worse_words, key=lambda k: parent[k][1] - change[k][1])
     shown = grown if rows == 0 else grown[:rows]

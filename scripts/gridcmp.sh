@@ -17,10 +17,11 @@
 #
 # Prints "objects: N, moved: M, worse cycles: C, worse words: W", the
 # refusals of each side and whether they are the same objects, totals by
-# option point, and the worst rows: every object that takes more cycles,
-# then the <rows> largest growths in words with their cycles (rows=0: all
-# of them).  Exits non-zero if either side fails, the refusals differ or
-# an object takes more cycles.
+# option point, for every program with an object that got slower or
+# larger how many did and by how much, and the worst rows: every object
+# that takes more cycles, then the <rows> largest growths in words with
+# their cycles (rows=0: all of them).  Exits non-zero if either side
+# fails, the refusals differ or an object takes more cycles.
 set -euo pipefail
 if [ $# -lt 1 ]; then
 	echo "usage: $0 <parent-ref> [rows=10]" >&2
