@@ -6,14 +6,10 @@
 // Usage:
 //
 //	livermore [-machine warp|scalar|wideN|gen:...] [-verify] [-parallel N]
-//	          [-engine interp|compiled] [-explain] [-trace out.json]
-//	          [-cpuprofile f] [-memprofile f]
+//	          [-explain] [-trace out.json] [-cpuprofile f] [-memprofile f]
 //
 // -parallel sizes the compile/simulate worker pool (0 = GOMAXPROCS,
-// 1 = sequential); the table is identical either way.  -engine selects
-// the simulator implementation — "compiled" lets steady-state kernel
-// loops run on the dataflow fast path (identical table, faster wall
-// clock).  -explain appends
+// 1 = sequential); the table is identical either way.  -explain appends
 // the per-loop II-search explain report under the table; -trace writes
 // a Chrome trace_event JSON of all compile/simulate phases (one trace
 // sink per worker, merged at the end).
@@ -31,7 +27,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("livermore: ")
-	shared := cliflags.Bind(flag.CommandLine, "machine", "verify=true", "parallel", "explain", "engine",
+	shared := cliflags.Bind(flag.CommandLine, "machine", "verify=true", "parallel", "explain",
 		"effort", "effort-budget", "trace", "cpuprofile", "memprofile")
 	cells := flag.Int("cells", 0, "auto-partition each kernel across an N-cell array and print the speedup table instead of Table 4-2")
 	flag.Parse()
@@ -41,7 +37,7 @@ func main() {
 	}
 	defer run.Close()
 	m := run.Machine
-	cfg := bench.Config{Options: run.Options, Engine: run.Engine, Workers: run.Workers}
+	cfg := bench.Config{Options: run.Options, Workers: run.Workers}
 	cfg.Options.VerifyEmitted = run.Verify
 
 	if *cells > 0 {

@@ -9,15 +9,11 @@
 // Usage:
 //
 //	w2c [-machine warp|scalar|wideN|gen:...] [-baseline] [-S] [-run] [-verify]
-//	    [-engine interp|compiled] [-explain] [-trace out.json]
-//	    [-exectrace N] [-timeout d] file.w2
+//	    [-explain] [-trace out.json] [-exectrace N] [-timeout d] file.w2
 //
-// -engine selects the simulator implementation for -run: "interp" (the
-// reference cycle-accurate interpreter, the default) or "compiled" (the
-// same cell core with steady-state kernel loops retired on the dataflow
-// fast path of internal/sim — same observable state, about 1.5× faster on
-// pipelined kernels).  -exectrace and the -verify differential check
-// always use the interpreter.
+// -run retires steady-state kernel loops on the dataflow fast path of
+// internal/sim, bit-identical to stepping every cycle; -exectrace steps
+// every cycle.
 //
 // -explain prints the II-search explain report per loop: why every
 // candidate initiation interval below the accepted one failed (the
@@ -66,7 +62,7 @@ func splitNote(lr softpipe.LoopInfo) string {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("w2c: ")
-	shared := cliflags.Bind(flag.CommandLine, "machine", "verify", "engine", "effort", "effort-budget", "explain", "trace")
+	shared := cliflags.Bind(flag.CommandLine, "machine", "verify", "effort", "effort-budget", "explain", "trace")
 	baseline := flag.Bool("baseline", false, "disable software pipelining (locally compacted code)")
 	noMVE := flag.Bool("no-mve", false, "disable modulo variable expansion")
 	noHier := flag.Bool("no-hier", false, "disable hierarchical reduction")
@@ -103,7 +99,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer cli.Close()
-	m, eng, verify := cli.Machine, cli.Engine, cli.Verify
+	m, verify := cli.Machine, cli.Verify
 	opts := cli.Options
 	if *timeout > 0 {
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
@@ -120,7 +116,7 @@ func main() {
 		if *cells < 2 {
 			log.Fatal("-partition needs -cells N with N >= 2")
 		}
-		runPartitioned(string(src), m, *cells, opts, readTape(*input), eng, verify)
+		runPartitioned(string(src), m, *cells, opts, readTape(*input), verify)
 		return
 	}
 	obj, err := softpipe.CompileSource(string(src), m, opts)
@@ -176,10 +172,11 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		res, err := obj.RunEngine(eng)
+		simulate := obj.Run
 		if verify {
-			res, err = obj.Verify()
+			simulate = obj.Verify
 		}
+		res, err := simulate()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -220,7 +217,7 @@ func readTape(path string) []float64 {
 // runPartitioned compiles the source as an auto-partitioned N-cell
 // array, prints the per-cell schedule and runtime stats, and optionally
 // proves the partition equivalent to the single-cell program.
-func runPartitioned(src string, m *softpipe.Machine, cells int, opts softpipe.Options, tape []float64, eng softpipe.Engine, verify bool) {
+func runPartitioned(src string, m *softpipe.Machine, cells int, opts softpipe.Options, tape []float64, verify bool) {
 	ao, err := softpipe.CompileSourcePartitioned(src, softpipe.Machines(m, cells), opts)
 	if err != nil {
 		log.Fatal(err)
@@ -242,7 +239,7 @@ func runPartitioned(src string, m *softpipe.Machine, cells int, opts softpipe.Op
 		}
 		fmt.Println("; verified: partitioned array equivalent to single-cell reference")
 	}
-	res, err := ao.RunArray(tape, eng)
+	res, err := ao.RunArray(tape, "")
 	if err != nil {
 		log.Fatal(err)
 	}

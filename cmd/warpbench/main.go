@@ -8,7 +8,6 @@
 //
 //	warpbench [-table41] [-fig41] [-fig42] [-stats] [-verify]
 //	          [-machine warp|scalar|wideN|gen:...] [-parallel N]
-//	          [-engine interp|compiled]
 //	          [-effort heuristic|exact] [-effort-budget d]
 //	          [-cpuprofile f] [-memprofile f] [-trace out.json]
 //	          [-gap] [-gapout f]
@@ -17,10 +16,9 @@
 //
 // With no selection flags, everything runs.  -parallel sizes the
 // compile/simulate worker pool (0 = GOMAXPROCS, 1 = sequential).
-// -engine selects the simulator implementation for the table/figure
-// runs (identical artifacts, different wall clock).  -effort selects
-// the II-search backend for the table/figure compiles.  (How fast the
-// harness itself runs is benchmark/run.sh's to say; see README.)
+// -effort selects the II-search backend for the table/figure compiles.
+// (How fast the harness itself runs is benchmark/run.sh's to say; see
+// README.)
 // -gap instead compiles the gap corpus (saxpy +
 // Livermore + the checked-in fuzz seeds) under both scheduler backends,
 // prints the per-loop heuristic-vs-optimal II table, and exits nonzero
@@ -54,7 +52,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("warpbench: ")
-	shared := cliflags.Bind(flag.CommandLine, "machine", "verify", "parallel", "engine",
+	shared := cliflags.Bind(flag.CommandLine, "machine", "verify", "parallel",
 		"effort", "effort-budget", "trace", "cpuprofile", "memprofile")
 	t41 := flag.Bool("table41", false, "Table 4-1: application kernels")
 	f41 := flag.Bool("fig41", false, "Figure 4-1: MFLOPS histogram")
@@ -77,7 +75,7 @@ func main() {
 	}
 	defer run.Close()
 	m := run.Machine
-	cfg := bench.Config{Options: run.Options, Engine: run.Engine, Workers: run.Workers}
+	cfg := bench.Config{Options: run.Options, Workers: run.Workers}
 	// The three reports are always verified; the tables on -verify.
 	cfg.Options.VerifyEmitted = run.Verify || *array || *sweep || *gap
 

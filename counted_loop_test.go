@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"softpipe"
+	"softpipe/internal/sim"
 )
 
 // countedBodies are loop bodies compiled at every trip count from 1 to
@@ -81,7 +82,7 @@ end.
 // conditional body has two plans: below one pass of the plan with its
 // arm-private operations lifted (9 stages) the whole-arm plan (2 stages)
 // is kept, and the rule holds along each.  Every object passes the
-// verifier and the state diff, on both engines.
+// verifier and the state diff, and the fast path matches step-only.
 func TestCountedLoopCyclesAffine(t *testing.T) {
 	for _, mach := range []string{"warp", "gen:fa2,fm2,mem2,lat7/7/3,fr62,rot"} {
 		m, err := softpipe.ParseMachine(mach)
@@ -105,12 +106,12 @@ func TestCountedLoopCyclesAffine(t *testing.T) {
 					if err != nil {
 						t.Fatalf("n=%d: %v\n%s", n, err, obj.Disassemble())
 					}
-					fast, err := obj.RunEngine(softpipe.EngineCompiled)
+					st, ref, err := sim.Run(obj.Binary, m)
 					if err != nil {
-						t.Fatalf("n=%d: compiled engine: %v", n, err)
+						t.Fatalf("n=%d: step-only run: %v", n, err)
 					}
-					if d := res.State.Diff(fast.State); d != "" || fast.Cycles != res.Cycles {
-						t.Fatalf("n=%d: engines disagree (%d vs %d cycles): %s", n, res.Cycles, fast.Cycles, d)
+					if d := st.Diff(res.State); d != "" || ref.Cycles != res.Cycles {
+						t.Fatalf("n=%d: fast path and step-only disagree (%d vs %d cycles): %s", n, res.Cycles, ref.Cycles, d)
 					}
 					return obj, res.Cycles
 				}

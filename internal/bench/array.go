@@ -79,7 +79,6 @@ type ArraySummary struct {
 type ArrayReport struct {
 	Machine string       `json:"machine"`
 	Widths  []int        `json:"widths"`
-	Engine  string       `json:"engine"`
 	Rows    []ArrayRow   `json:"rows"`
 	Skipped []ArraySkip  `json:"skipped,omitempty"`
 	Summary ArraySummary `json:"summary"`
@@ -97,9 +96,6 @@ type ArrayReport struct {
 func MeasureArray(m *machine.Machine, widths []int, cfg Config) (*ArrayReport, error) {
 	if len(widths) == 0 {
 		widths = []int{2, 4}
-	}
-	if cfg.Engine == "" {
-		cfg.Engine = softpipe.EngineInterp
 	}
 	for _, n := range widths {
 		if n < 2 {
@@ -137,7 +133,7 @@ func MeasureArray(m *machine.Machine, widths []int, cfg Config) (*ArrayReport, e
 			cells[i].skip = &ArraySkip{Workload: w.Name, Cells: n, Reason: err.Error()}
 			return nil
 		}
-		if cells[i].row, err = arrayRow(w.Name, ao, singles[i/len(widths)].Cycles, verify, cfg.Engine); err != nil {
+		if cells[i].row, err = arrayRow(w.Name, ao, singles[i/len(widths)].Cycles, verify); err != nil {
 			return fmt.Errorf("bench: array %s at %d cells: %w", w.Name, n, err)
 		}
 		return nil
@@ -146,7 +142,7 @@ func MeasureArray(m *machine.Machine, widths []int, cfg Config) (*ArrayReport, e
 		return nil, err
 	}
 
-	rep := &ArrayReport{Machine: m.Name, Widths: widths, Engine: string(cfg.Engine)}
+	rep := &ArrayReport{Machine: m.Name, Widths: widths}
 	for _, c := range cells {
 		if c.row != nil {
 			rep.Rows = append(rep.Rows, *c.row)
@@ -160,13 +156,13 @@ func MeasureArray(m *machine.Machine, widths []int, cfg Config) (*ArrayReport, e
 
 // arrayRow verifies (when asked) and runs one partitioned compile and
 // projects it onto its report row.
-func arrayRow(name string, ao *softpipe.ArrayObject, singleCycles int64, verify bool, eng softpipe.Engine) (*ArrayRow, error) {
+func arrayRow(name string, ao *softpipe.ArrayObject, singleCycles int64, verify bool) (*ArrayRow, error) {
 	if verify {
 		if err := ao.Verify(nil); err != nil {
 			return nil, err
 		}
 	}
-	res, err := ao.RunArray(nil, eng)
+	res, err := ao.RunArray(nil, "")
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +219,7 @@ func summarizeArray(rows []ArrayRow, skips []ArraySkip) ArraySummary {
 // by `warpbench -array` and `livermore -cells`.
 func FormatArrayReport(rep *ArrayReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "array partitioning on %s (%s engine), widths %v\n", rep.Machine, rep.Engine, rep.Widths)
+	fmt.Fprintf(&b, "array partitioning on %s, widths %v\n", rep.Machine, rep.Widths)
 	fmt.Fprintf(&b, "%-24s %5s  %-12s %6s %6s  %7s  %-14s %s\n",
 		"workload", "cells", "cell II", "1-cell", "array", "speedup", "stall cycles", "verified")
 	rows := append([]ArrayRow(nil), rep.Rows...)

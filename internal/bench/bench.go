@@ -26,7 +26,7 @@ type RunResult struct {
 	Words  int // instruction words of the object
 }
 
-// Run compiles p for m under cfg.Options and simulates it on cfg.Engine.
+// Run compiles p for m under cfg.Options and simulates it.
 // With cfg.Options.VerifyEmitted the compile runs the independent
 // emitted-code verifier (internal/verify) and the simulated final state
 // is checked against the IR interpreter.
@@ -42,7 +42,7 @@ func Run(p *ir.Program, m *machine.Machine, cfg Config) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: compile %s: %w", p.Name, err)
 	}
-	res, err := obj.RunEngine(cfg.Engine)
+	res, err := obj.Run()
 	if err != nil {
 		return nil, fmt.Errorf("bench: simulate %s: %w", p.Name, err)
 	}
@@ -151,8 +151,7 @@ type Table41Row struct {
 
 // Table41 reproduces Table 4-1.  Single-cell kernels scale by the cell
 // count (the §4.1 homogeneous rule); the systolic matmul runs on the
-// actual simulated array, whatever cfg.Engine says.  The row order is
-// fixed.
+// actual simulated array.  The row order is fixed.
 func Table41(m *machine.Machine, cfg Config) ([]Table41Row, error) {
 	apps := workloads.Apps()
 	jobs := make([]Job, len(apps))

@@ -15,9 +15,9 @@ import (
 // Config is the one harness configuration.  Every table and report is a
 // projection of the same compile-verify-simulate-diff job, so they all
 // take the compile configuration exactly as the library, w2c and the
-// service do — a softpipe.Options — plus where to simulate and how wide
-// to fan out.  Report-specific extras (corpus set, machine list, array
-// widths) are plain arguments of the report that needs them.
+// service do — a softpipe.Options — plus how wide to fan out.
+// Report-specific extras (corpus set, machine list, array widths) are
+// plain arguments of the report that needs them.
 type Config struct {
 	// Options is the compile configuration.  VerifyEmitted means
 	// "verified" throughout the harness: the independent object-code
@@ -25,10 +25,6 @@ type Config struct {
 	// simulated final state against the IR interpreter.  Tracer is the
 	// root that the per-worker sinks merge into (nil traces nothing).
 	Options softpipe.Options
-	// Engine selects the simulator implementation ("" = interp).  Rows
-	// are engine-invariant; the compiled engine only changes host-side
-	// wall clock.
-	Engine softpipe.Engine
 	// Workers sizes the pool (≤ 0 means GOMAXPROCS).
 	Workers int
 	// WholeArms reduces conditionals with their arms whole, as Lam §3.1
@@ -48,7 +44,7 @@ type Job struct {
 	Options softpipe.Options
 }
 
-// Measure runs every job on cfg's pool, simulating on cfg.Engine.
+// Measure runs every job on cfg's pool.
 // Results land in job order regardless of the pool size, so parallel and
 // sequential runs are byte-identical; on failure the first error by job
 // index is returned.  Compiling never writes to the program, so jobs may
@@ -59,7 +55,7 @@ func Measure(cfg Config, jobs []Job) ([]*RunResult, error) {
 		j := jobs[i]
 		j.Options.Tracer = t
 		sp := t.Begin(j.Name)
-		r, err := Run(j.Prog, j.Machine, Config{Options: j.Options, Engine: cfg.Engine, WholeArms: cfg.WholeArms})
+		r, err := Run(j.Prog, j.Machine, Config{Options: j.Options, WholeArms: cfg.WholeArms})
 		sp.End()
 		if err != nil {
 			return fmt.Errorf("bench: %s: %w", j.Name, err)

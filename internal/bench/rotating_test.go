@@ -7,12 +7,14 @@ import (
 	"softpipe"
 	"softpipe/internal/codegen"
 	"softpipe/internal/machine"
+	"softpipe/internal/sim"
 )
 
 // TestRotatingEndToEnd is the rotating-register acceptance gate: on a
 // rotating grid machine every pipelined corpus loop must collapse to
-// MVE unroll 1, pass the independent object-code verifier, and simulate
-// bit-identically to the IR interpreter on both engines.
+// MVE unroll 1, pass the independent object-code verifier, simulate
+// bit-identically to the IR interpreter, and run the fast path
+// bit-identically to the step-only reference.
 func TestRotatingEndToEnd(t *testing.T) {
 	ws, err := Corpus(SetFull, false)
 	if err != nil {
@@ -29,28 +31,32 @@ func TestRotatingEndToEnd(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			pipelined := 0
 			for _, w := range ws {
-				var cycles []int64
-				for _, eng := range []softpipe.Engine{softpipe.EngineInterp, softpipe.EngineCompiled} {
-					r, err := Run(w.Prog, m, Config{Options: softpipe.Options{VerifyEmitted: true}, Engine: eng})
-					if err != nil {
-						t.Fatalf("%s (%s): %v", w.Name, eng, err)
-					}
-					cycles = append(cycles, r.Cycles)
-					for _, lr := range r.Report.Loops {
-						if !lr.Pipelined {
-							continue
-						}
-						pipelined++
-						if !lr.Rotating {
-							t.Errorf("%s loop %d: pipelined without the rotating schedule", w.Name, lr.LoopID)
-						}
-						if lr.Unroll != 1 {
-							t.Errorf("%s loop %d: MVE unroll %d on a rotating machine (want 1)", w.Name, lr.LoopID, lr.Unroll)
-						}
-					}
+				obj, err := softpipe.Compile(w.Prog, m, softpipe.Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", w.Name, err)
 				}
-				if cycles[0] != cycles[1] {
-					t.Errorf("%s: engines disagree on cycle count (%d vs %d)", w.Name, cycles[0], cycles[1])
+				res, err := obj.Verify()
+				if err != nil {
+					t.Fatalf("%s: %v", w.Name, err)
+				}
+				st, ref, err := sim.Run(obj.Binary, m)
+				if err != nil {
+					t.Fatalf("%s: step-only run: %v", w.Name, err)
+				}
+				if d := st.Diff(res.State); d != "" || ref.Cycles != res.Cycles {
+					t.Errorf("%s: fast path and step-only disagree (%d vs %d cycles): %s", w.Name, res.Cycles, ref.Cycles, d)
+				}
+				for _, lr := range obj.Report.Loops {
+					if !lr.Pipelined {
+						continue
+					}
+					pipelined++
+					if !lr.Rotating {
+						t.Errorf("%s loop %d: pipelined without the rotating schedule", w.Name, lr.LoopID)
+					}
+					if lr.Unroll != 1 {
+						t.Errorf("%s loop %d: MVE unroll %d on a rotating machine (want 1)", w.Name, lr.LoopID, lr.Unroll)
+					}
 				}
 			}
 			if pipelined == 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"softpipe"
 	"softpipe/internal/machine"
 )
 
@@ -65,7 +64,6 @@ type SweepMachine struct {
 type SweepReport struct {
 	Set      string         `json:"set"`
 	Effort   string         `json:"effort"`
-	Engine   string         `json:"engine"`
 	Verified bool           `json:"verified"`
 	Machines []SweepMachine `json:"machines"`
 }
@@ -107,11 +105,7 @@ func MeasureSweep(names []string, set string, cfg Config) (*SweepReport, error) 
 	rep := &SweepReport{
 		Set:      set,
 		Effort:   cfg.Options.Effort.String(),
-		Engine:   string(cfg.Engine),
 		Verified: cfg.Options.VerifyEmitted,
-	}
-	if rep.Engine == "" {
-		rep.Engine = string(softpipe.EngineInterp)
 	}
 	for mi, m := range ms {
 		sm := SweepMachine{
@@ -200,7 +194,7 @@ func (rep *SweepReport) RotPartner(i int) int {
 // only in the register file.
 func FormatSweepReport(rep *SweepReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "machine sweep (%s corpus, %s effort, %s engine", rep.Set, rep.Effort, rep.Engine)
+	fmt.Fprintf(&b, "machine sweep (%s corpus, %s effort", rep.Set, rep.Effort)
 	if rep.Verified {
 		b.WriteString(", verified")
 	}

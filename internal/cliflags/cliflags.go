@@ -1,9 +1,9 @@
 // Package cliflags declares, once, the flags that w2c, livermore and
 // warpbench share, and owns what those flags set up and tear down: the
-// parsed machine, engine and compile options, the CPU/heap profiles and
+// parsed machine and compile options, the CPU/heap profiles and
 // the Chrome trace file.  A driver binds only the names it has:
 //
-//	shared := cliflags.Bind(flag.CommandLine, "machine", "engine", "verify=true", ...)
+//	shared := cliflags.Bind(flag.CommandLine, "machine", "verify=true", ...)
 //	flag.Parse()
 //	run, err := shared.Open("livermore")
 //	defer run.Close()
@@ -28,7 +28,7 @@ import (
 
 // Set holds the raw values of the shared flags bound to one FlagSet.
 type Set struct {
-	machine, engine, effort       string
+	machine, effort               string
 	effortBudget                  time.Duration
 	verify, explain               bool
 	parallel                      int
@@ -45,8 +45,6 @@ func Bind(fs *flag.FlagSet, names ...string) *Set {
 		switch name {
 		case "machine":
 			fs.StringVar(&s.machine, name, "warp", "target machine: warp, scalar, wideN (e.g. wide4), or gen:... (e.g. gen:fa2,fm2,mem2,rot)")
-		case "engine":
-			fs.StringVar(&s.engine, name, "interp", "simulator engine: interp or compiled (identical results, different wall clock)")
 		case "effort":
 			fs.StringVar(&s.effort, name, "heuristic", "II search effort: heuristic (Lam's algorithm) or exact (prove the minimal II, falling back to the heuristic on budget exhaustion)")
 		case "effort-budget":
@@ -80,7 +78,6 @@ func Bind(fs *flag.FlagSet, names ...string) *Set {
 // Run is the parsed, opened state of the shared flags.
 type Run struct {
 	Machine *softpipe.Machine
-	Engine  softpipe.Engine
 	// Options carries what the flags say about a compile: Effort,
 	// EffortBudget, Explain and — with -trace — a Tracer named after the
 	// run.  -verify is reported separately: w2c verifies the finished
@@ -99,9 +96,6 @@ type Run struct {
 func (s *Set) Open(traceName string) (*Run, error) {
 	r := &Run{Verify: s.verify, Workers: s.parallel, trace: s.trace, memprofile: s.memprofile}
 	var err error
-	if r.Engine, err = softpipe.ParseEngine(s.engine); err != nil {
-		return nil, err
-	}
 	if r.Options.Effort, err = softpipe.ParseEffort(s.effort); err != nil {
 		return nil, err
 	}

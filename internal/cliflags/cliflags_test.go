@@ -26,13 +26,13 @@ func TestBindOnlyNamedFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Lookup("engine") != nil || fs.Lookup("parallel") != nil {
+	if fs.Lookup("effort") != nil || fs.Lookup("parallel") != nil {
 		t.Error("unbound shared flags were declared")
 	}
 	if f := fs.Lookup("verify"); f == nil || f.DefValue != "true" || f.Value.String() != "true" {
 		t.Errorf("verify=true did not become the default: %+v", f)
 	}
-	if _, _, err := bind(t, []string{"machine"}, "-engine", "compiled"); err == nil {
+	if _, _, err := bind(t, []string{"machine"}, "-effort", "exact"); err == nil {
 		t.Error("a flag the driver did not bind was accepted")
 	}
 }
@@ -46,13 +46,13 @@ func TestBindUnknownNamePanics(t *testing.T) {
 	Bind(flag.NewFlagSet("test", flag.ContinueOnError), "no-such-flag")
 }
 
-// TestOpenResolves: the flag values land in (machine, engine, options,
+// TestOpenResolves: the flag values land in (machine, options,
 // workers, verify), and -trace / -memprofile produce their files on Close.
 func TestOpenResolves(t *testing.T) {
 	dir := t.TempDir()
 	trace, mem := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.prof")
-	s, _, err := bind(t, []string{"machine", "engine", "effort", "effort-budget", "verify", "explain", "parallel", "trace", "memprofile"},
-		"-machine", "wide2", "-engine", "compiled", "-effort", "exact", "-effort-budget", "2s",
+	s, _, err := bind(t, []string{"machine", "effort", "effort-budget", "verify", "explain", "parallel", "trace", "memprofile"},
+		"-machine", "wide2", "-effort", "exact", "-effort-budget", "2s",
 		"-verify", "-explain", "-parallel", "3", "-trace", trace, "-memprofile", mem)
 	if err != nil {
 		t.Fatal(err)
@@ -61,8 +61,8 @@ func TestOpenResolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Machine.Name != "wide2" || r.Engine != softpipe.EngineCompiled || !r.Verify || r.Workers != 3 {
-		t.Errorf("resolved %s/%s verify=%v workers=%d", r.Machine.Name, r.Engine, r.Verify, r.Workers)
+	if r.Machine.Name != "wide2" || !r.Verify || r.Workers != 3 {
+		t.Errorf("resolved %s verify=%v workers=%d", r.Machine.Name, r.Verify, r.Workers)
 	}
 	o := r.Options
 	if o.Effort != softpipe.EffortExact || o.EffortBudget != 2*time.Second || !o.Explain || o.Tracer == nil || o.VerifyEmitted {
@@ -77,8 +77,8 @@ func TestOpenResolves(t *testing.T) {
 }
 
 func TestOpenRejectsBadValues(t *testing.T) {
-	for _, args := range [][]string{{"-machine", "nope"}, {"-engine", "quantum"}, {"-effort", "maximal"}} {
-		s, _, err := bind(t, []string{"machine", "engine", "effort"}, args...)
+	for _, args := range [][]string{{"-machine", "nope"}, {"-effort", "maximal"}} {
+		s, _, err := bind(t, []string{"machine", "effort"}, args...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -53,19 +53,17 @@ func BenchmarkWarmCompile(b *testing.B) {
 
 // BenchmarkWarmRun: /run of a resident artifact that has run before.
 func BenchmarkWarmRun(b *testing.B) {
-	for _, eng := range []string{"interp", "compiled"} {
-		for _, bs := range benchSources {
-			b.Run(eng+"/"+bs.name, func(b *testing.B) {
-				s := newBenchServer(b)
-				body := mustJSON(RunRequest{Source: bs.src(b), Engine: eng})
-				serve(b, s, "/run", body) // the miss and the first run
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					serve(b, s, "/run", body)
-				}
-			})
-		}
+	for _, bs := range benchSources {
+		b.Run(bs.name, func(b *testing.B) {
+			s := newBenchServer(b)
+			body := mustJSON(RunRequest{Source: bs.src(b)})
+			serve(b, s, "/run", body) // the miss and the first run
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(b, s, "/run", body)
+			}
+		})
 	}
 }
 

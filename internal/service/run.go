@@ -33,12 +33,9 @@ type RunRequest struct {
 	// Source: a cached single-cell artifact cannot be re-cut.  Per-cell
 	// II and stall statistics land in RunResponse.CellStats.
 	Partition bool `json:"partition,omitempty"`
-	// Engine selects the simulator implementation: "" or "interp" for
-	// the reference interpreter, "compiled" to let the run retire
-	// steady-state kernel loops on the dataflow fast path (same cell
-	// core, bit-identical observable state, about 1.5× faster on pipelined
-	// kernels).  Batch mode always uses the compiled engine; arrays step
-	// cycle by cycle, so there the engines are the same code.
+	// Engine is accepted and ignored: every run takes the one simulator
+	// path.  It is kept because the frozen benchmark module sends it and
+	// unknown fields are refused; ROADMAP item 3c deletes it.
 	Engine string `json:"engine,omitempty"`
 	// Batch > 0 runs the program on that many independent single-cell
 	// lanes over one compiled artifact (struct-of-arrays arenas, build
@@ -147,7 +144,6 @@ type CellRunStats struct {
 type RunResponse struct {
 	Key    string  `json:"key"`
 	Cached bool    `json:"cached"`
-	Engine string  `json:"engine"`
 	Cycles int64   `json:"cycles"`
 	Flops  int64   `json:"flops"`
 	MFLOPS float64 `json:"mflops"`
@@ -176,13 +172,9 @@ const (
 )
 
 // validate checks everything about a run request that needs only the
-// request: the engine name, the cell and lane bounds, and which modes
-// combine.  It returns the canonical engine and the batch lane count.
-func (req *RunRequest) validate() (eng string, lanes int, err error) {
-	e, err := softpipe.ParseEngine(req.Engine)
-	if err != nil {
-		return "", 0, fmt.Errorf("unknown engine %q (want interp or compiled)", req.Engine)
-	}
+// request: the cell and lane bounds, and which modes combine.  It returns
+// the batch lane count.
+func (req *RunRequest) validate() (lanes int, err error) {
 	lanes = max(req.Batch, len(req.BatchInputs))
 	switch {
 	case req.Cells > maxRunCells:
@@ -200,7 +192,7 @@ func (req *RunRequest) validate() (eng string, lanes int, err error) {
 	case req.Source == "" && req.Key == "":
 		err = errors.New("run request needs source or key")
 	}
-	return string(e), lanes, err
+	return lanes, err
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -216,13 +208,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Everything that needs only the request is checked before anything
 	// compiles, so a malformed request never costs a compile or fills the
 	// cache.
-	eng, lanes, err := req.validate()
+	lanes, err := req.validate()
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Partition {
-		s.handleRunPartitioned(ctx, w, &req, eng, t0)
+		s.handleRunPartitioned(ctx, w, &req, t0)
 		return
 	}
 
@@ -231,18 +223,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.writeRequestError(w, err)
 		return
 	}
-	// Batch mode always runs compiled; an array only ever Steps its cells,
-	// so there the interpreter's program serves either engine.
-	prog, m, err := s.simProgram(v, lanes > 0 || eng == "compiled" && req.Cells <= 1)
+	prog, m, err := s.simProgram(v)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
 
-	resp := RunResponse{Key: v.key.String(), Cached: hit, Engine: eng}
+	resp := RunResponse{Key: v.key.String(), Cached: hit}
 	switch {
 	case lanes > 0:
-		resp.Engine = "compiled"
 		ls := make([]sim.Lane, lanes)
 		for i := range ls {
 			if i < len(req.BatchInputs) {
@@ -384,8 +373,8 @@ func (j *job) compilePartitioned(opts softpipe.Options) ([]byte, *view, error) {
 
 // handleRunPartitioned is POST /run with partition=true: compile the
 // source as an auto-partitioned array (through the cache), run it on
-// the selected engine, and report per-cell II/stall/occupancy stats.
-func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter, req *RunRequest, eng string, t0 time.Time) {
+// the array, and report per-cell II/stall/occupancy stats.
+func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter, req *RunRequest, t0 time.Time) {
 	j, err := resolveJob(req.Source, req.Machine, req.Options, req.Cells)
 	if err != nil {
 		s.writeRequestError(w, err)
@@ -415,7 +404,6 @@ func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter
 	resp := RunResponse{
 		Key:       j.key.String(),
 		Cached:    hit,
-		Engine:    eng,
 		Cycles:    st.Cycles,
 		Flops:     st.Flops,
 		MFLOPS:    st.MFLOPS(j.m, 1),

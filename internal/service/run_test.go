@@ -49,13 +49,13 @@ func checkRunRejected(t *testing.T, mention string, reqs map[string]RunRequest) 
 }
 
 // TestRunValidatesBeforeCompile: a request that is malformed on its face
-// must be turned away before its source is compiled — fresh source, bad
-// engine (or batch on an array) answers 400 and /metrics cache.computes
-// does not move.
+// must be turned away before its source is compiled — fresh source, too
+// many cells (or batch on an array) answers 400 and /metrics
+// cache.computes does not move.
 func TestRunValidatesBeforeCompile(t *testing.T) {
 	s := newTestServer(t, Config{})
 	for name, req := range map[string]RunRequest{
-		"bad engine":       {Source: sumSource, Engine: "quantum"},
+		"too many cells":   {Source: sumSource, Cells: maxRunCells + 1},
 		"batch with cells": {Source: sumSource, Batch: 2, Cells: 4},
 	} {
 		if code, _ := post(t, s, "/run", req, nil); code != http.StatusBadRequest {

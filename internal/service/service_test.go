@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"softpipe/internal/cache"
+	"softpipe/internal/sim"
 	"softpipe/internal/workloads"
 )
 
@@ -487,30 +489,46 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestRunEngineParity: the compiled engine must answer /run with the
-// same cycles, flops, and scalar state as the interpreter.
-func TestRunEngineParity(t *testing.T) {
+// TestRunMatchesStepOnly: /run, which takes the fast path, must answer with
+// the cycles, flops and scalar state of the step-only reference run of
+// the same artifact (Livermore k7, whose kernel the fast path engages).
+func TestRunMatchesStepOnly(t *testing.T) {
 	s := newTestServer(t, Config{})
-	var interp, comp RunResponse
-	if code, _ := post(t, s, "/run", RunRequest{Source: sumSource}, &interp); code != http.StatusOK {
-		t.Fatalf("interp run: status %d", code)
+	var fast RunResponse
+	if code, _ := post(t, s, "/run", RunRequest{Source: livermoreSource(t, 7)}, &fast); code != http.StatusOK {
+		t.Fatalf("run: status %d", code)
 	}
-	if code, _ := post(t, s, "/run", RunRequest{Source: sumSource, Engine: "compiled"}, &comp); code != http.StatusOK {
-		t.Fatalf("compiled run: status %d", code)
+	key, err := cache.ParseKey(fast.Key)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if comp.Engine != "compiled" || interp.Engine != "interp" {
-		t.Fatalf("engine labels: interp=%q compiled=%q", interp.Engine, comp.Engine)
+	data, ok := s.cache.Get(key)
+	if !ok {
+		t.Fatal("artifact left the cache")
 	}
-	if comp.Cycles != interp.Cycles || comp.Flops != interp.Flops {
-		t.Fatalf("engines diverge: interp %d cycles/%d flops, compiled %d/%d",
-			interp.Cycles, interp.Flops, comp.Cycles, comp.Flops)
+	a, bins, err := s.decodeArtifact(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if comp.Scalars["s"] != interp.Scalars["s"] {
-		t.Fatalf("scalar s: interp %v vs compiled %v", interp.Scalars["s"], comp.Scalars["s"])
+	m, err := resolveMachine(a.MachineName)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var e errorResponse
-	if code, _ := post(t, s, "/run", RunRequest{Source: sumSource, Engine: "turbo"}, &e); code != http.StatusBadRequest {
-		t.Fatalf("unknown engine: status %d", code)
+	if p, err := sim.Decode(bins[0], m); err != nil || p.Blocks() == 0 {
+		t.Fatalf("no fast-path block to compare (%v)", err)
+	}
+	st, ref, err := sim.Run(bins[0], m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.Cycles != ref.Cycles || fast.Flops != ref.Flops || len(fast.Scalars) != len(st.Scalars) {
+		t.Fatalf("fast path diverges: %d cycles/%d flops/%d scalars, step-only %d/%d/%d",
+			fast.Cycles, fast.Flops, len(fast.Scalars), ref.Cycles, ref.Flops, len(st.Scalars))
+	}
+	for k, v := range st.Scalars {
+		if fast.Scalars[k] != JSONFloat(v) {
+			t.Fatalf("scalar %s: fast path %v, step-only %v", k, fast.Scalars[k], v)
+		}
 	}
 }
 
@@ -526,8 +544,8 @@ func TestRunBatch(t *testing.T) {
 	if code, _ := post(t, s, "/run", RunRequest{Source: sumSource, Batch: 4}, &batch); code != http.StatusOK {
 		t.Fatalf("batch run: status %d", code)
 	}
-	if batch.Engine != "compiled" || len(batch.Lanes) != 4 {
-		t.Fatalf("batch shape: engine=%q lanes=%d", batch.Engine, len(batch.Lanes))
+	if len(batch.Lanes) != 4 {
+		t.Fatalf("batch shape: lanes=%d", len(batch.Lanes))
 	}
 	for i, lane := range batch.Lanes {
 		if lane.Error != "" {

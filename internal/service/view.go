@@ -25,7 +25,7 @@ import (
 // leader from the compile result it has in hand, or by one decode of the
 // bytes when they came from the disk tier, a peer or another request's
 // fill.  What only /run needs — the decoded binaries and the simulator's
-// program per engine — is made on first use, so an entry that is compiled
+// program — is made on first use, so an entry that is compiled
 // and never run holds its header and nothing else.  Every part is charged
 // to the cache budget as it is made.
 type view struct {
@@ -49,16 +49,16 @@ type view struct {
 	// read-only by every run of the entry.
 	mu   sync.Mutex
 	bins []*vliw.Program // one per cell; a single-cell artifact has one
-	// m is the machine the artifact names and progs the single-cell binary
-	// decoded for it, by engine: interp, compiled.
-	m     *machine.Machine
-	progs [2]*sim.Program
+	// m is the machine the artifact names and prog the single-cell binary
+	// decoded for it.
+	m    *machine.Machine
+	prog *sim.Program
 }
 
 // What a view's parts are charged, in multiples of the artifact's length
 // as JSON: measured over the benchmark's hot set, the decoded binaries
-// take about twice the JSON they were read from and each engine's
-// sim.Program about three times (TestViewChargeCoversHeap).
+// take about twice the JSON they were read from and the sim.Program about
+// three times (TestViewChargeCoversHeap).
 const (
 	binariesCost   = 2
 	simProgramCost = 3
@@ -174,12 +174,11 @@ func (s *Server) binaries(v *view) ([]*vliw.Program, error) {
 	return v.bins, nil
 }
 
-// simProgram returns the single-cell binary decoded for the simulator —
-// with the compiled engine's steady-state blocks when compiled is set —
-// and the machine it was decoded for.  Both are made by the first run that
-// needs them and shared by every later one: a sim.Program is immutable,
-// cells hold all run state.
-func (s *Server) simProgram(v *view, compiled bool) (*sim.Program, *machine.Machine, error) {
+// simProgram returns the single-cell binary decoded for the simulator,
+// fast-path blocks attached, and the machine it was decoded for.  Both are
+// made by the first run that needs them and shared by every later one: a
+// sim.Program is immutable, cells hold all run state.
+func (s *Server) simProgram(v *view) (*sim.Program, *machine.Machine, error) {
 	if v.cells > 0 {
 		return nil, nil, &requestError{http.StatusUnprocessableEntity,
 			errors.New("key names a partitioned artifact: run it from source with partition set")}
@@ -188,10 +187,6 @@ func (s *Server) simProgram(v *view, compiled bool) (*sim.Program, *machine.Mach
 	if err != nil {
 		return nil, nil, err
 	}
-	eng := 0
-	if compiled {
-		eng = 1
-	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.m == nil {
@@ -199,13 +194,13 @@ func (s *Server) simProgram(v *view, compiled bool) (*sim.Program, *machine.Mach
 			return nil, nil, &requestError{http.StatusInternalServerError, err}
 		}
 	}
-	if v.progs[eng] == nil {
-		p, err := sim.Decode(bins[0], v.m, compiled)
+	if v.prog == nil {
+		p, err := sim.Decode(bins[0], v.m)
 		if err != nil {
 			return nil, nil, &requestError{http.StatusUnprocessableEntity, err}
 		}
-		v.progs[eng] = p
+		v.prog = p
 		s.cache.Grow(v.key, v, simProgramCost*int64(len(v.data)))
 	}
-	return v.progs[eng], v.m, nil
+	return v.prog, v.m, nil
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"softpipe/internal/cache"
 	"softpipe/internal/workloads"
 )
 
@@ -65,8 +66,8 @@ func decodes(t *testing.T, s *Server) int64 {
 // TestWarmHitParsesNothing pins what a hit costs: the miss that compiled
 // the artifact answers from the compile result, every later /compile from
 // the entry's view, and the artifact's bytes are parsed once — by the
-// first /run — however many requests follow, on either engine.  Every warm
-// reply is byte-identical to the one before it.
+// first /run — however many requests follow.  Every warm reply is
+// byte-identical to the one before it.
 func TestWarmHitParsesNothing(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestServer(t, Config{CacheDir: dir})
@@ -100,24 +101,18 @@ func TestWarmHitParsesNothing(t *testing.T) {
 		} else if stable(body) != want["compile"] {
 			t.Fatalf("warm compile %d answered differently:\n%s\nvs\n%s", i, stable(body), want["compile"])
 		}
-		eng := []string{"interp", "compiled"}[i%2]
-		code, body = rawPost(s, "/run", RunRequest{Source: src, Engine: eng})
+		code, body = rawPost(s, "/run", RunRequest{Source: src})
 		if code != http.StatusOK {
-			t.Fatalf("run %d on %s: status %d: %s", i, eng, code, body)
+			t.Fatalf("run %d: status %d: %s", i, code, body)
 		}
-		if want[eng] == "" {
-			want[eng] = stable(body)
-		} else if stable(body) != want[eng] {
-			t.Fatalf("run %d on %s answered differently:\n%s\nvs\n%s", i, eng, stable(body), want[eng])
+		if want["run"] == "" {
+			want["run"] = stable(body)
+		} else if stable(body) != want["run"] {
+			t.Fatalf("run %d answered differently:\n%s\nvs\n%s", i, stable(body), want["run"])
 		}
 	}
 	if n := decodes(t, s); n != 1 {
 		t.Fatalf("artifact_decodes = %d after one miss, 50 warm /compile and 50 /run; want 1 (the first run)", n)
-	}
-	// The engines' replies differ in the engine label alone.
-	if a, b := want["interp"], want["compiled"]; regexp.MustCompile(`"engine": "[a-z]+"`).ReplaceAllString(a, "") !=
-		regexp.MustCompile(`"engine": "[a-z]+"`).ReplaceAllString(b, "") {
-		t.Fatalf("engines answer differently:\n%s\nvs\n%s", a, b)
 	}
 
 	// A new daemon over the same disk tier: the bytes come back revalidated
@@ -128,9 +123,9 @@ func TestWarmHitParsesNothing(t *testing.T) {
 	if code != http.StatusOK || stable(body) != want["compile"] {
 		t.Fatalf("after restart: status %d, body\n%s\nwant\n%s", code, stable(body), want["compile"])
 	}
-	for _, eng := range []string{"interp", "compiled", "interp"} {
-		if code, body := rawPost(s2, "/run", RunRequest{Key: miss.Key, Engine: eng}); code != http.StatusOK || stable(body) != want[eng] {
-			t.Fatalf("after restart, run on %s: status %d, body\n%s\nwant\n%s", eng, code, stable(body), want[eng])
+	for i := 0; i < 3; i++ {
+		if code, body := rawPost(s2, "/run", RunRequest{Key: miss.Key}); code != http.StatusOK || stable(body) != want["run"] {
+			t.Fatalf("after restart, run %d: status %d, body\n%s\nwant\n%s", i, code, stable(body), want["run"])
 		}
 	}
 	if n := decodes(t, s2); n != 1 {
@@ -161,9 +156,9 @@ func TestWarmCompileAllocs(t *testing.T) {
 }
 
 // TestConcurrentRunsShareOneDecode: concurrent first runs of one entry —
-// both engines, a batch and a homogeneous array among them — wait for one
-// decode of its bytes and one sim.Program per engine, then share them
-// read-only (run under -race in CI).
+// a batch and a homogeneous array among them — wait for one decode of its
+// bytes and one sim.Program, then share them read-only (run under -race
+// in CI).
 func TestConcurrentRunsShareOneDecode(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 8, MaxQueue: 256})
 	src := livermoreSource(t, 7)
@@ -174,7 +169,6 @@ func TestConcurrentRunsShareOneDecode(t *testing.T) {
 	before := decodes(t, s)
 
 	const n = 32
-	engines := []string{"interp", "compiled"}
 	resps := make([]RunResponse, 2*n+2)
 	var wg sync.WaitGroup
 	start := make(chan struct{})
@@ -190,7 +184,7 @@ func TestConcurrentRunsShareOneDecode(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 2*n; i++ {
-		run(i, RunRequest{Source: src, Engine: engines[i%2]})
+		run(i, RunRequest{Source: src})
 	}
 	run(2*n, RunRequest{Key: miss.Key, Batch: 3})
 	run(2*n+1, RunRequest{Key: miss.Key, Cells: 2})
@@ -203,10 +197,10 @@ func TestConcurrentRunsShareOneDecode(t *testing.T) {
 	ref := resps[0]
 	for i, r := range resps[:2*n] {
 		if r.Cycles != ref.Cycles || r.Flops != ref.Flops || fmt.Sprint(r.Scalars) != fmt.Sprint(ref.Scalars) {
-			t.Fatalf("run %d (%s): %d cycles %v, run 0 had %d cycles %v", i, r.Engine, r.Cycles, r.Scalars, ref.Cycles, ref.Scalars)
+			t.Fatalf("run %d: %d cycles %v, run 0 had %d cycles %v", i, r.Cycles, r.Scalars, ref.Cycles, ref.Scalars)
 		}
-		if r.Engine != engines[i%2] || !r.Cached {
-			t.Fatalf("run %d: engine %q cached=%v", i, r.Engine, r.Cached)
+		if !r.Cached {
+			t.Fatalf("run %d: not cached", i)
 		}
 	}
 	batch := resps[2*n]
@@ -265,10 +259,49 @@ func TestPartitionedRunsShareOneDecode(t *testing.T) {
 	}
 }
 
+// TestRunDecodesOneProgram: /run by one key with engine interp, with
+// compiled and with no engine builds one sim.Program for the view — the
+// runs are charged the decoded binaries and one program, and parse the
+// artifact at most once — and all three replies are the same.
+func TestRunDecodesOneProgram(t *testing.T) {
+	s := newTestServer(t, Config{})
+	var miss CompileResponse
+	if code, _ := post(t, s, "/compile", CompileRequest{Source: livermoreSource(t, 7)}, &miss); code != http.StatusOK {
+		t.Fatalf("compile: status %d", code)
+	}
+	key, err := cache.ParseKey(miss.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, ok := s.cache.Get(key)
+	if !ok {
+		t.Fatal("artifact not cached")
+	}
+	bytes0, decodes0 := s.CacheStats().Bytes, decodes(t, s)
+	var want string
+	for _, eng := range []string{"interp", "compiled", ""} {
+		code, body := rawPost(s, "/run", RunRequest{Key: miss.Key, Engine: eng})
+		if code != http.StatusOK {
+			t.Fatalf("run with engine %q: status %d: %s", eng, code, body)
+		}
+		if want == "" {
+			want = stable(body)
+		} else if stable(body) != want {
+			t.Fatalf("run with engine %q answered differently:\n%s\nvs\n%s", eng, stable(body), want)
+		}
+	}
+	if n := decodes(t, s) - decodes0; n > 1 {
+		t.Fatalf("three runs of one key parsed its artifact %d times", n)
+	}
+	if grew, charge := s.CacheStats().Bytes-bytes0, int64((binariesCost+simProgramCost)*len(data)); grew != charge {
+		t.Fatalf("three runs of one key grew the view by %d bytes, want %d (binaries and one sim.Program)", grew, charge)
+	}
+}
+
 // TestViewChargeCoversHeap holds the view's charges to the heap they stand
 // for: over the Livermore kernels and a dozen seeded sources, what the
-// cache is charged for headers, decoded binaries and both engines'
-// programs is within a third of what the Go heap grew by.
+// cache is charged for headers, decoded binaries and programs is within a
+// third of what the Go heap grew by.
 func TestViewChargeCoversHeap(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()
@@ -287,15 +320,12 @@ func TestViewChargeCoversHeap(t *testing.T) {
 	s := newTestServer(t, Config{})
 	// One request of each kind first, so that what the packages set up on
 	// first use is not counted.
-	post(t, s, "/run", RunRequest{Source: sumSource, Engine: "compiled"}, nil)
 	post(t, s, "/run", RunRequest{Source: sumSource}, nil)
 
 	heap0, bytes0 := heap(), s.CacheStats().Bytes
 	for _, src := range srcs {
-		for _, eng := range []string{"interp", "compiled"} {
-			if code, body := rawPost(s, "/run", RunRequest{Source: src, Engine: eng}); code != http.StatusOK {
-				t.Fatalf("run: status %d: %s", code, body)
-			}
+		if code, body := rawPost(s, "/run", RunRequest{Source: src}); code != http.StatusOK {
+			t.Fatalf("run: status %d: %s", code, body)
 		}
 	}
 	grew, charged := heap()-heap0, s.CacheStats().Bytes-bytes0

@@ -71,7 +71,8 @@ func NewArray(progs []*vliw.Program, m *machine.Machine, input []float64) *Array
 // NewArrayCells wires pre-built cells into a linear array: bounded queues
 // between adjacent cells, unbounded host queues at both ends, input
 // preloaded on the first cell's channel.  An array only ever Steps its
-// cells, so which engine decoded them makes no difference here.
+// cells, so whether their program carries fast-path blocks makes no
+// difference here.
 func NewArrayCells(cells []*Sim, input []float64) *Array {
 	a := &Array{Cells: cells}
 	a.queues = make([]*Queue, len(cells)+1)

@@ -30,7 +30,7 @@ type LaneResult struct {
 // cost of the program is amortized across all lanes — the point of the
 // /run batch mode: throughput scales with requests, not cycles×requests.
 type Batch struct {
-	// MaxCycles bounds each lane (0 = the engine default).
+	// MaxCycles bounds each lane (0 = the simulator default).
 	MaxCycles int64
 
 	cells []*Sim

@@ -83,7 +83,7 @@ func BenchmarkSimSteadyState(b *testing.B) {
 // BenchmarkSimSteadyState: ns/op is ns/cycle inside an engaged block.
 func BenchmarkFastSteadyState(b *testing.B) {
 	m := machine.Warp()
-	p, err := Decode(kernelProg(int64(b.N)+1_000_000_000), m, true)
+	p, err := Decode(kernelProg(int64(b.N)+1_000_000_000), m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -106,9 +106,9 @@ func BenchmarkFastSteadyState(b *testing.B) {
 	}
 }
 
-// TestDecodeAllocsIndependentOfLength pins decode at O(1) allocations:
-// the program header, the word table and the flat op stream, however
-// many instruction words there are.
+// TestDecodeAllocsIndependentOfLength pins decode (Decode before it builds
+// fast-path blocks) at O(1) allocations: the program header, the word
+// table and the flat op stream, however many instruction words there are.
 func TestDecodeAllocsIndependentOfLength(t *testing.T) {
 	m := machine.Warp()
 	base := kernelProg(10)
@@ -122,8 +122,8 @@ func TestDecodeAllocsIndependentOfLength(t *testing.T) {
 
 	allocs := func(p *vliw.Program) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := Decode(p, m, false); err != nil {
-				t.Fatal(err)
+			if d := decode(p, m); d.err != nil {
+				t.Fatal(d.err)
 			}
 		})
 	}

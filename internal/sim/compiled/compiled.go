@@ -1,13 +1,12 @@
-// Package compiled names the entry points of the "compiled" engine.  The
-// engine has no state or semantics of its own: a compiled Program is a
-// sim.Program decoded with its steady-state blocks attached, a Cell is a
-// sim.Sim, and the only thing that differs from the interpreter is that
-// Run may retire whole kernel iterations through the dataflow fast path
-// (internal/sim/fast.go).  Step — and therefore every array — is the
-// interpreter's.  The names are kept for the benchmark module and for the
-// differential tests in this directory, which pin the fast path's final
-// state, stats and stall behavior bit-identical to stepping every cycle
-// across the Livermore suite, the fuzz corpus and array programs.
+// Package compiled keeps the names the frozen benchmark module calls the
+// "compiled" engine; ROADMAP item 3c deletes it.  There is one simulator
+// path: a Program is a sim.Program from sim.Decode (steady-state blocks
+// attached), a Cell is a sim.Sim, and Run retires whole kernel iterations
+// through the dataflow fast path (internal/sim/fast.go) where it can.
+// The differential tests in this directory pin that path's final state,
+// stats and stall behavior bit-identical to the step-only reference
+// (sim.New, sim.Run) across the Livermore suite, the fuzz corpus and
+// array programs.
 package compiled
 
 import (
@@ -25,20 +24,22 @@ type (
 	Batch      = sim.Batch
 )
 
-// Build decodes p for machine m with its fast-path blocks.  Errors the
-// interpreter defers to the first Step (unsupported class, unknown array,
-// out-of-range register) surface here.
-func Build(p *vliw.Program, m *machine.Machine) (*Program, error) {
-	return sim.Decode(p, m, true)
-}
+// Build is sim.Decode.
+func Build(p *vliw.Program, m *machine.Machine) (*Program, error) { return sim.Decode(p, m) }
 
-// NewCell prepares an execution instance with initialized memory.
+// NewCell is sim.NewCell.
 func NewCell(p *Program) *Cell { return sim.NewCell(p) }
 
-// NewBatch lays out len(lanes) cells over p in struct-of-arrays arenas.
+// NewBatch is sim.NewBatch.
 func NewBatch(p *Program, lanes []Lane) *Batch { return sim.NewBatch(p, lanes) }
 
-// Run builds and executes p on machine m (mirror of sim.Run).
+// Run decodes p for machine m and runs it on the fast path.
 func Run(p *vliw.Program, m *machine.Machine) (*ir.State, sim.Stats, error) {
-	return sim.RunEngine(p, m, true)
+	prog, err := sim.Decode(p, m)
+	if err != nil {
+		return nil, sim.Stats{}, err
+	}
+	c := sim.NewCell(prog)
+	st, err := c.Run()
+	return st, c.Stats(), err
 }

@@ -14,9 +14,9 @@ import (
 	"softpipe/internal/workloads"
 )
 
-// diffEngines runs prog on both engines and demands bit-identical final
-// state, stats, and error behavior.  Returns the interpreter outcome for
-// further checks.
+// diffEngines runs prog step-only (sim.Run) and on the fast path (Run) and
+// demands bit-identical final state, stats, and error behavior.  Returns
+// the step-only outcome for further checks.
 func diffEngines(t *testing.T, name string, prog *vliw.Program, m *machine.Machine) (*ir.State, sim.Stats) {
 	t.Helper()
 	wantSt, wantStats, wantErr := sim.Run(prog, m)

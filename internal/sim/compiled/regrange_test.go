@@ -98,7 +98,7 @@ func TestOutOfRangeRegisterRejectedEveryClass(t *testing.T) {
 						},
 						Instrs: []vliw.Instr{{Ops: []vliw.SlotOp{o}}, halt},
 					}
-					_, err := sim.Decode(p, m, true)
+					_, err := sim.Decode(p, m)
 					return err
 				}
 				name := fmt.Sprintf("%v/arrFloat=%v/selFloat=%v", c, arrFloat, selFloat)

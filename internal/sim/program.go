@@ -77,23 +77,21 @@ type Program struct {
 	err     error
 
 	// blocks[pc], when non-nil, is the steady-state kernel block headed
-	// at pc that Run may engage (fast.go).  A nil slice is the
-	// interpreter engine: Run steps every cycle.
+	// at pc that Run may engage (fast.go).  A nil slice is the step-only
+	// reference New builds: Run steps every cycle.
 	blocks []*block
 }
 
 // Decode lowers p for machine m, resolving operation descriptors and
-// array layout and checking every register operand against its file once.
-// With fast set it also attaches the steady-state blocks Run may engage —
-// the whole of what "engine = compiled" means; Step is unaffected.
-func Decode(p *vliw.Program, m *machine.Machine, fast bool) (*Program, error) {
+// array layout and checking every register operand against its file once,
+// and attaches the steady-state blocks Run may engage (fast.go); Step is
+// unaffected.
+func Decode(p *vliw.Program, m *machine.Machine) (*Program, error) {
 	d := decode(p, m)
 	if d.err != nil {
 		return nil, d.err
 	}
-	if fast {
-		d.buildBlocks()
-	}
+	d.buildBlocks()
 	return d, nil
 }
 

@@ -196,7 +196,7 @@ func TestRingOperandKeepsLoopOffFastPath(t *testing.T) {
 		ring []int
 		want int
 	}{{nil, 1}, {[]int{1, 3}, 0}} {
-		p, err := Decode(loop(tc.ring), m, true)
+		p, err := Decode(loop(tc.ring), m)
 		if err != nil {
 			t.Fatal(err)
 		}

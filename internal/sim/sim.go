@@ -63,9 +63,10 @@ type memStore struct {
 }
 
 // Sim is a single-cell simulator instance: the one cell state and the one
-// cycle Step both engines run on.  "engine = compiled" means exactly that
-// the cell's Program carries steady-state blocks Run may engage (fast.go);
-// Step, and therefore every array, is the same code on both engines.
+// cycle Step.  A cell of a Decoded program carries steady-state blocks Run
+// may engage (fast.go); a cell from New is the step-only reference the
+// differential tests hold the fast path to.  Step, and therefore every
+// array, is the same code either way.
 type Sim struct {
 	// MaxCycles guards against runaway programs; 0 means a generous
 	// default.
@@ -200,7 +201,7 @@ func (q *Queue) Pop() float64 {
 // contents returns the live queued values (host-side collection).
 func (q *Queue) contents() []float64 { return q.buf[q.head:] }
 
-// New prepares an interpreter cell for p with initialized memory.  A
+// New prepares a step-only cell for p with initialized memory.  A
 // program that does not decode (unsupported class, unknown array,
 // out-of-range register) reports the error on the first Step or Run.
 func New(p *vliw.Program, m *machine.Machine) *Sim { return NewCell(decode(p, m)) }
@@ -638,20 +639,11 @@ func signI(a, b int64) int {
 	return 0
 }
 
-// Run executes p on machine m on the reference interpreter and returns
-// state and stats.
+// Run executes p on machine m step by step, never engaging the fast path,
+// and returns state and stats: the reference the product's runs (Decode,
+// NewCell, Sim.Run) are held bit-identical to.
 func Run(p *vliw.Program, m *machine.Machine) (*ir.State, Stats, error) {
-	return RunEngine(p, m, false)
-}
-
-// RunEngine is Run on either engine: fast selects the compiled engine,
-// whose Run may engage the program's steady-state blocks.
-func RunEngine(p *vliw.Program, m *machine.Machine, fast bool) (*ir.State, Stats, error) {
-	prog, err := Decode(p, m, fast)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	s := NewCell(prog)
+	s := New(p, m)
 	st, err := s.Run()
 	return st, s.stats, err
 }

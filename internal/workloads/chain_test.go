@@ -12,7 +12,7 @@ import (
 // chainDifferential partitions the seed's chain program across two
 // cells and proves the realization equivalent to the single-cell
 // reference: per-cell object code by provenance, owner-cell dataflow,
-// host output, and both simulator engines bit-identical (see
+// host output, and a simulated run of the array (see
 // softpipe.ArrayObject.Verify).  A seed the planner cannot cut (too
 // few clusters for the array) is skipped, not failed: the generator
 // aims at partitionable shapes but the planner's clustering rules are

@@ -136,9 +136,9 @@ func CompilePartitioned(p *Program, machines []*Machine, opts Options) (*ArrayOb
 
 // RunArray executes the partitioned program as a linear array,
 // preloading `input` on cell 0's channel.  The result carries per-cell
-// II/stall/occupancy stats alongside the usual aggregate counters.  An
-// array steps its cells cycle by cycle and Step is the same code on both
-// engines, so the engine argument selects nothing.
+// II/stall/occupancy stats alongside the usual aggregate counters.  The
+// Engine argument is ignored: it is kept only for the frozen benchmark
+// module, and ROADMAP item 3c deletes it.
 func (ao *ArrayObject) RunArray(input []float64, _ Engine) (*ArrayResult, error) {
 	cells := make([]*sim.Sim, len(ao.Cells))
 	for i, o := range ao.Cells {
@@ -194,8 +194,8 @@ func (ao *ArrayObject) Verify(input []float64) error {
 	if err != nil {
 		return err
 	}
-	if _, err := ao.RunArray(input, EngineInterp); err != nil {
-		return fmt.Errorf("softpipe: interp array run: %w", err)
+	if _, err := ao.RunArray(input, ""); err != nil {
+		return fmt.Errorf("softpipe: array run: %w", err)
 	}
 	return nil
 }

@@ -36,7 +36,7 @@ func TestCompilePartitionedK1(t *testing.T) {
 	if err := ao.Verify(nil); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ao.RunArray(nil, EngineInterp)
+	res, err := ao.RunArray(nil, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 # pipeliner (II search driver, MVE, copy budget), hierarchical reduction,
 # the code generator, and the independent object-code verifier — the
 # layers whose regressions silently corrupt emitted code; the simulator,
-# the single cell semantics both engines and every array run on; and the
+# the single cell semantics the fast path and every array run on; and the
 # compile fabric and the service, whose fleet contract (exactly-once,
 # degrade-never-error) has no evidence but `go test`; and the cache,
 # which owns the accounting invariant (bytes plus views within MaxBytes,

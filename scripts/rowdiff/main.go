@@ -12,6 +12,9 @@
 //
 //	rows moved: 2, worse: 0
 //
+// A field that no row of one report has is a schema change, not a row
+// moving: it prints once, as "fields: engine dropped", before the rows.
+//
 // scripts/bench_regen.sh runs it when a report does not regenerate
 // byte-identically, so "did any row get worse" is that line.
 //
@@ -106,6 +109,22 @@ func main() {
 		log.Fatal("usage: rowdiff old.json new.json")
 	}
 	old, cur := load(os.Args[1]), load(os.Args[2])
+	oldF, curF := fieldSet(old), fieldSet(cur)
+	var schema []string
+	for f := range oldF {
+		if !curF[f] {
+			schema = append(schema, f+" dropped")
+		}
+	}
+	for f := range curF {
+		if !oldF[f] {
+			schema = append(schema, f+" added")
+		}
+	}
+	if len(schema) > 0 {
+		slices.Sort(schema)
+		fmt.Printf("fields: %s\n", strings.Join(schema, ", "))
+	}
 	names := map[string]bool{}
 	for n := range old {
 		names[n] = true
@@ -130,8 +149,8 @@ func main() {
 		var moved []string
 		rose := false
 		for f := range fields {
-			if slices.Contains(naming, f) {
-				continue // part of the row's name
+			if slices.Contains(naming, f) || !oldF[f] || !curF[f] {
+				continue // part of the row's name, or a schema change
 			}
 			a, inOld := old[n][f]
 			b, inCur := cur[n][f]
@@ -165,6 +184,17 @@ func main() {
 		fmt.Println(line)
 	}
 	fmt.Printf("rows moved: %d, worse: %d\n", len(worse)+len(rest), len(worse))
+}
+
+// fieldSet is every field some row of a report has.
+func fieldSet(rep map[string]map[string]string) map[string]bool {
+	out := map[string]bool{}
+	for _, row := range rep {
+		for f := range row {
+			out[f] = true
+		}
+	}
+	return out
 }
 
 // number reads a rendered field as a number; anything else (a missing

@@ -264,45 +264,32 @@ type Result struct {
 	ArrayMFLOPS float64 // cell rate × the machine's cell count (Lam §4.1)
 }
 
-// Engine selects the simulator implementation.  There is one cell core:
-// both engines decode the program once and execute the same cycle Step,
-// so they honor the same timing contract and produce bit-identical
-// observable state.  The compiled engine differs in exactly one thing:
-// its Run retires steady-state kernel loops whole iterations at a time on
-// a dataflow fast path (about 1.5× the interpreter's throughput on the
-// sim-steady kernels; see EXPERIMENTS.md).
-type Engine string
-
-// Available engines.
-const (
-	// EngineInterp is the reference cycle-accurate interpreter.
-	EngineInterp Engine = "interp"
-	// EngineCompiled lets Run engage the dataflow fast path.  Execution
-	// traces (Object.Trace, w2c -exectrace) step every cycle, so they
-	// never engage it.
-	EngineCompiled Engine = "compiled"
-)
-
-// ParseEngine maps a -engine flag value to an Engine ("" means interp).
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", string(EngineInterp):
-		return EngineInterp, nil
-	case string(EngineCompiled):
-		return EngineCompiled, nil
-	}
-	return "", fmt.Errorf("softpipe: unknown engine %q (want %q or %q)", s, EngineInterp, EngineCompiled)
+// Run executes the object program on its machine's cycle-accurate model.
+// The program is decoded with its steady-state blocks, so Run retires
+// kernel loops whole iterations at a time on the dataflow fast path
+// (internal/sim/fast.go); state, stats and cycle count are bit-identical
+// to stepping every cycle, which the step-only reference sim.Run does and
+// the differential tests hold Run to.
+func (o *Object) Run() (*Result, error) {
+	sp := o.tracer.Begin("sim.run")
+	st, stats, err := runCell(o.Binary, o.Machine)
+	sp.Arg("cycles", stats.Cycles).End()
+	return o.result(st, stats, err)
 }
 
-// Run executes the object program on its machine's cycle-accurate model
-// (the reference interpreter engine).
-func (o *Object) Run() (*Result, error) { return o.RunEngine(EngineInterp) }
+// runCell decodes p for m, steady-state blocks attached, and runs one cell.
+func runCell(p *vliw.Program, m *Machine) (*State, sim.Stats, error) {
+	prog, err := sim.Decode(p, m)
+	if err != nil {
+		return nil, sim.Stats{}, err
+	}
+	cell := sim.NewCell(prog)
+	st, err := cell.Run()
+	return st, cell.Stats(), err
+}
 
-// RunEngine executes the object program on the selected engine.
-func (o *Object) RunEngine(eng Engine) (*Result, error) {
-	sp := o.tracer.Begin("sim.run")
-	st, stats, err := sim.RunEngine(o.Binary, o.Machine, eng == EngineCompiled)
-	sp.Arg("cycles", stats.Cycles).End()
+// result projects a finished run onto a Result.
+func (o *Object) result(st *State, stats sim.Stats, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -313,6 +300,26 @@ func (o *Object) RunEngine(eng Engine) (*Result, error) {
 		CellMFLOPS:  stats.MFLOPS(o.Machine, 1),
 		ArrayMFLOPS: stats.MFLOPS(o.Machine, o.Machine.Cells),
 	}, nil
+}
+
+// Engine, its two constants and Object.RunEngine are the names the frozen
+// benchmark module (benchmark/) compiles against; nothing else selects an
+// engine, and ROADMAP item 3c deletes them.
+type Engine string
+
+const (
+	EngineInterp   Engine = "interp"
+	EngineCompiled Engine = "compiled"
+)
+
+// RunEngine is Run for EngineCompiled and the step-only reference sim.Run
+// for anything else.
+func (o *Object) RunEngine(eng Engine) (*Result, error) {
+	if eng == EngineCompiled {
+		return o.Run()
+	}
+	st, stats, err := sim.Run(o.Binary, o.Machine)
+	return o.result(st, stats, err)
 }
 
 // Trace executes the program while writing a per-cycle execution trace
