@@ -8,8 +8,15 @@
 //
 // Usage:
 //
-//	w2c [-machine warp|scalar|wideN|gen:...] [-baseline] [-S] [-run] [-verify]
-//	    [-explain] [-trace out.json] [-exectrace N] [-timeout d] file.w2
+//	w2c [-machine warp|scalar|wideN|gen:...] [-effort heuristic|exact]
+//	    [-effort-budget d] [-baseline] [-unroll-inner N] [-timeout d]
+//	    [-S] [-kernel] [-run] [-exectrace N] [-verify] [-explain]
+//	    [-trace out.json] [-cells N [-partition] [-input tape]] file.w2
+//	w2c -fmt file.w2
+//
+// The paper's ablations (MVE, hierarchical and loop reduction off, binary
+// II search, the lcm unroll policy) are not flags; the BenchmarkAblation*
+// benchmarks of the root package measure them.
 //
 // -run retires steady-state kernel loops on the dataflow fast path of
 // internal/sim, bit-identical to stepping every cycle; -exectrace steps
@@ -64,10 +71,6 @@ func main() {
 	log.SetPrefix("w2c: ")
 	shared := cliflags.Bind(flag.CommandLine, "machine", "verify", "effort", "effort-budget", "explain", "trace")
 	baseline := flag.Bool("baseline", false, "disable software pipelining (locally compacted code)")
-	noMVE := flag.Bool("no-mve", false, "disable modulo variable expansion")
-	noHier := flag.Bool("no-hier", false, "disable hierarchical reduction")
-	noLoopRed := flag.Bool("no-loop-reduction", false, "disable inner-loop reduction (prolog/epilog overlap)")
-	binSearch := flag.Bool("binary-search", false, "binary search for the initiation interval (FPS-164 style)")
 	unrollInner := flag.Int("unroll-inner", 0, "fully unroll constant-trip inner loops of at most N iterations (outer-loop pipelining)")
 	kernel := flag.Bool("kernel", false, "print each pipelined loop's steady-state kernel schedule")
 	cells := flag.Int("cells", 0, "run the program on an N-cell array, streaming -input through the inter-cell queues")
@@ -107,10 +110,6 @@ func main() {
 		opts.Ctx = ctx
 	}
 	opts.Baseline = *baseline
-	opts.DisableMVE = *noMVE
-	opts.DisableHier = *noHier
-	opts.DisableLoopReduction = *noLoopRed
-	opts.BinarySearch = *binSearch
 	opts.UnrollInnerTrip = *unrollInner
 	if *partitionFlag {
 		if *cells < 2 {

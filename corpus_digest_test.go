@@ -13,8 +13,10 @@ import (
 	"testing"
 
 	"softpipe"
+	"softpipe/internal/codegen"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
+	"softpipe/internal/pipeline"
 	"softpipe/internal/workloads"
 )
 
@@ -398,28 +400,36 @@ func digestMachines(t *testing.T) []*softpipe.Machine {
 }
 
 // digestOptions are the deterministic option points (exact effort is
-// left out: its verdict depends on a wall-clock budget).
+// left out: its verdict depends on a wall-clock budget).  The paper's
+// ablations are not product options; adjust sets them in the back end's.
 type digestOption struct {
-	name string
-	opts softpipe.Options
+	name   string
+	opts   softpipe.Options
+	adjust func(*codegen.Options)
 }
 
 var digestOptions = []digestOption{
-	{"default", softpipe.Options{}},
-	{"baseline", softpipe.Options{Baseline: true}},
-	{"nomve", softpipe.Options{DisableMVE: true}},
-	{"nohier", softpipe.Options{DisableHier: true}},
-	{"noloopred", softpipe.Options{DisableLoopReduction: true}},
-	{"binsearch", softpipe.Options{BinarySearch: true}},
-	{"lcm", softpipe.Options{Policy: softpipe.LCMUnroll}},
-	{"unroll4", softpipe.Options{UnrollInnerTrip: 4}},
+	{name: "default"},
+	{name: "baseline", opts: softpipe.Options{Baseline: true}},
+	{name: "nomve", adjust: func(o *codegen.Options) { o.Pipeline.DisableMVE = true }},
+	{name: "nohier", adjust: func(o *codegen.Options) { o.DisableHier = true }},
+	{name: "noloopred", adjust: func(o *codegen.Options) { o.DisableLoopReduction = true }},
+	{name: "binsearch", adjust: func(o *codegen.Options) { o.Pipeline.BinarySearch = true }},
+	{name: "lcm", adjust: func(o *codegen.Options) { o.Pipeline.Policy = pipeline.PolicyLCM }},
+	{name: "unroll4", opts: softpipe.Options{UnrollInnerTrip: 4}},
+}
+
+// compile is the one compile of p at this option point, for the digest
+// and the verify grid alike.
+func (o digestOption) compile(p *softpipe.Program, m *softpipe.Machine) (*softpipe.Object, error) {
+	return softpipe.CompileWith(p, m, o.opts, o.adjust)
 }
 
 // digestObject renders what the digest covers of one compile: the error
 // text of a refused compile, or the disassembly and each loop's
 // scheduling verdict in report order.
-func digestObject(p *softpipe.Program, m *softpipe.Machine, opts softpipe.Options) string {
-	obj, err := softpipe.Compile(p, m, opts)
+func digestObject(p *softpipe.Program, m *softpipe.Machine, o digestOption) string {
+	obj, err := o.compile(p, m)
 	if err != nil {
 		return "error: " + err.Error() + "\n"
 	}
@@ -465,7 +475,7 @@ func TestCorpusDigest(t *testing.T) {
 		for _, m := range machines {
 			for _, o := range digestOptions {
 				fmt.Fprintf(h, "== %s | %s | %s\n%s", progs[i].name, m.Name, o.name,
-					digestObject(progs[i].prog, m, o.opts))
+					digestObject(progs[i].prog, m, o))
 			}
 		}
 		h.Sum(sums[i][:0])
@@ -547,7 +557,7 @@ func TestCorpusVerify(t *testing.T) {
 		for _, m := range machines {
 			for _, o := range options {
 				at := fmt.Sprintf("%s | %s | %s", progs[i].name, m.Name, o.name)
-				obj, err := softpipe.Compile(progs[i].prog, m, o.opts)
+				obj, err := o.compile(progs[i].prog, m)
 				var res *softpipe.Result
 				if err == nil {
 					res, err = obj.Verify()

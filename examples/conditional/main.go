@@ -2,8 +2,7 @@
 // contains an if/then/else be software pipelined.  The conditional is
 // scheduled as a pseudo-operation (both arms compacted, resources
 // unioned), the kernel forks into padded arms, and iterations still
-// overlap.  Compare against the same compiler with hierarchical
-// reduction disabled.
+// overlap.
 package main
 
 import (
@@ -46,7 +45,6 @@ func main() {
 		opts softpipe.Options
 	}{
 		{"hierarchical reduction", softpipe.Options{}},
-		{"hier disabled (ablation)", softpipe.Options{DisableHier: true}},
 		{"unpipelined baseline", softpipe.Options{Baseline: true}},
 	} {
 		obj, err := softpipe.Compile(build(), warp, cfg.opts)

@@ -45,12 +45,6 @@ type Options struct {
 	Ctx      context.Context
 	Mode     Mode
 	Pipeline pipeline.Options
-	// DisableHier turns off hierarchical reduction: loops containing
-	// conditionals are then never pipelined (ablation).
-	DisableHier bool
-	// DisableLoopReduction turns off §3.2 loop reduction: outer bodies
-	// then emit inner loops between scheduling barriers (ablation).
-	DisableLoopReduction bool
 	// UnrollInnerTrip, when positive, fully unrolls constant-trip inner
 	// loops of at most that many iterations before scheduling, so the
 	// enclosing loop becomes innermost and is modulo scheduled directly
@@ -72,14 +66,29 @@ type Options struct {
 	// Tracer receives per-phase spans and counters for the whole compile;
 	// nil disables tracing at zero cost.
 	Tracer *trace.Tracer
+
+	// The comparison points: the four fields below and pipeline.Options'
+	// DisableMVE, BinarySearch and Policy.  A comparison only a benchmark
+	// or a test reads is a field here or there, reached through
+	// softpipe.CompileWith, never a product option; a comparison the
+	// product reports (softpipe.Options.Baseline, the denominator of every
+	// speedup) is an option.
+
+	// DisableHier turns off hierarchical reduction (§3.1): loops containing
+	// conditionals are then never pipelined.  BenchmarkAblationHier_*.
+	DisableHier bool
+	// DisableLoopReduction turns off §3.2 loop reduction: outer bodies
+	// then emit inner loops between scheduling barriers.
+	// BenchmarkAblationLoopReduction_* and
+	// TestLoopReductionNeverLosesToItsAblation.
+	DisableLoopReduction bool
 	// WholeArms reduces every conditional with its arms whole, as Lam §3.1
-	// describes it, never lifting arm-private operations out.  Not a
-	// product option (softpipe.Options cannot set it): the comparison
-	// point of TestLiftNeverLosesToWholeArms and warpbench -fig42.
+	// describes it, never lifting arm-private operations out.
+	// TestLiftNeverLosesToWholeArms and warpbench -fig42.
 	WholeArms bool
 	// NoRotation keeps every outer body in program order: no pure setup
-	// rotates across the loop-back into the previous iteration.  Not a
-	// product option: the comparison point of TestRotationNeverLoses.
+	// rotates across the loop-back into the previous iteration.
+	// TestRotationNeverLoses.
 	NoRotation bool
 }
 

@@ -78,6 +78,9 @@ func TestParseErrors(t *testing.T) {
 		"program p; var x: array[1..4] of real; begin end.",
 		"program p; begin for 3 := 0 to 1 do x := 1; end.",
 		"program p; var x: real; begin x := ; end.",
+		// Input that ends where a token is consumed unchecked.
+		"program p; const a =",
+		"program p; const a = -",
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {

@@ -34,8 +34,17 @@ func Parse(src string) (*ProgramAST, error) {
 	return p.program()
 }
 
-func (p *Parser) cur() Token  { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *Parser) cur() Token { return p.toks[p.pos] }
+
+// next consumes the current token; the final EOF is never consumed, so a
+// parse that runs off the end of its input reports an error at EOF.
+func (p *Parser) next() Token {
+	t := p.toks[p.pos]
+	if t.Kind != TokEOF {
+		p.pos++
+	}
+	return t
+}
 
 func (p *Parser) errf(format string, args ...any) error {
 	t := p.cur()

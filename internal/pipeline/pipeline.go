@@ -53,10 +53,14 @@ type Options struct {
 	// between candidate intervals and the copy-budget retry loop checks
 	// it between reschedules, so a deadlined compile request aborts
 	// instead of running to the largest candidate interval.
-	Ctx          context.Context
+	Ctx context.Context
+	// Policy, BinarySearch and DisableMVE are comparison points (see
+	// codegen.Options): §2.3's lcm unroll, §2.2's FPS-style binary search
+	// for the II, and §2.3 without modulo variable expansion (no
+	// expandable-register edge is removed).
 	Policy       Policy
-	BinarySearch bool // ablation: FPS-style binary search for the II
-	DisableMVE   bool // ablation: never remove expandable-register edges
+	BinarySearch bool
+	DisableMVE   bool
 	// Effort selects the II-search backend: the paper's heuristic
 	// (default) or the exact optimality-proving search with heuristic
 	// fallback (schedule.EffortExact).

@@ -29,14 +29,7 @@ const maxUnrollInnerTrip = 64
 // reads it in exactly one place, resolve; the cache key, the compiler
 // call and the sweep grid all work from the resolved softpipe.Options.
 type CompileOptions struct {
-	Baseline             bool `json:"baseline,omitempty"`
-	DisableMVE           bool `json:"disable_mve,omitempty"`
-	DisableHier          bool `json:"disable_hier,omitempty"`
-	DisableLoopReduction bool `json:"disable_loop_reduction,omitempty"`
-	BinarySearch         bool `json:"binary_search,omitempty"`
-	// PolicyLCM selects lcm(qᵢ) modulo-variable-expansion unrolling
-	// instead of the default min-unroll policy.
-	PolicyLCM       bool `json:"policy_lcm,omitempty"`
+	Baseline        bool `json:"baseline,omitempty"`
 	UnrollInnerTrip int  `json:"unroll_inner_trip,omitempty"`
 	// Verify runs the independent object-code verifier as part of the
 	// compile; a verified artifact is cached like any other.
@@ -59,21 +52,13 @@ func (o CompileOptions) resolve() (softpipe.Options, error) {
 	if o.UnrollInnerTrip < 0 || o.UnrollInnerTrip > maxUnrollInnerTrip {
 		return softpipe.Options{}, fmt.Errorf("unroll_inner_trip %d outside [0, %d]", o.UnrollInnerTrip, maxUnrollInnerTrip)
 	}
-	opts := softpipe.Options{
-		Baseline:             o.Baseline,
-		DisableMVE:           o.DisableMVE,
-		DisableHier:          o.DisableHier,
-		DisableLoopReduction: o.DisableLoopReduction,
-		BinarySearch:         o.BinarySearch,
-		UnrollInnerTrip:      o.UnrollInnerTrip,
-		VerifyEmitted:        o.Verify,
-		Effort:               eff,
-		Explain:              true, // explain text is part of the artifact
-	}
-	if o.PolicyLCM {
-		opts.Policy = softpipe.LCMUnroll
-	}
-	return opts, nil
+	return softpipe.Options{
+		Baseline:        o.Baseline,
+		UnrollInnerTrip: o.UnrollInnerTrip,
+		VerifyEmitted:   o.Verify,
+		Effort:          eff,
+		Explain:         true, // explain text is part of the artifact
+	}, nil
 }
 
 // optionsKey renders resolved options as a stable string for cache
@@ -82,6 +67,11 @@ func (o CompileOptions) resolve() (softpipe.Options, error) {
 // Rendering the resolved form is what makes "" and "heuristic" share an
 // artifact.  Every softpipe.Options field is either rendered here or on
 // the exempt list of TestOptionsKeyCoversOptions, with the reason.
+//
+// mve, hier, lred, bin and lcm were ablation switches; they left the
+// options and render as a fixed 0, so every key this build produces is
+// byte-identical to the one a build that still had them produced for
+// the same request, and disk caches and a mixed fleet keep agreeing.
 func optionsKey(o softpipe.Options) string {
 	b := func(v bool) byte {
 		if v {
@@ -89,9 +79,8 @@ func optionsKey(o softpipe.Options) string {
 		}
 		return '0'
 	}
-	return fmt.Sprintf("v2:base=%c;mve=%c;hier=%c;lred=%c;bin=%c;lcm=%c;unroll=%d;verify=%c;effort=%s",
-		b(o.Baseline), b(o.DisableMVE), b(o.DisableHier), b(o.DisableLoopReduction),
-		b(o.BinarySearch), b(o.Policy == softpipe.LCMUnroll), o.UnrollInnerTrip, b(o.VerifyEmitted), o.Effort)
+	return fmt.Sprintf("v2:base=%c;mve=0;hier=0;lred=0;bin=0;lcm=0;unroll=%d;verify=%c;effort=%s",
+		b(o.Baseline), o.UnrollInnerTrip, b(o.VerifyEmitted), o.Effort)
 }
 
 // CompileRequest is the body of POST /compile.
@@ -432,7 +421,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	var req CompileRequest
 	if err := decodeJSON(r, &req, maxRequestBytes); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		s.writeRequestError(w, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))

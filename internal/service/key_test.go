@@ -102,10 +102,11 @@ func TestOptionsKeyCoversOptions(t *testing.T) {
 
 // TestKeyPinned pins literal keys to their values before the key was
 // computed from the resolved options, so a mixed fleet of old and new
-// builds agrees on every key, and no restart orphans a disk cache.
+// builds agrees on every key, and no restart orphans a disk cache.  The
+// every-field and partitioned pins are what builds that still had the
+// ablation fields produced for the same four fields set.
 func TestKeyPinned(t *testing.T) {
-	every := CompileOptions{Baseline: true, DisableMVE: true, DisableHier: true, DisableLoopReduction: true,
-		BinarySearch: true, PolicyLCM: true, UnrollInnerTrip: 3, Verify: true, Effort: "exact"}
+	every := CompileOptions{Baseline: true, UnrollInnerTrip: 3, Verify: true, Effort: "exact"}
 	for i := 0; i < reflect.TypeOf(every).NumField(); i++ {
 		if reflect.ValueOf(every).Field(i).IsZero() {
 			t.Fatalf("the every-field-set pin leaves CompileOptions.%s zero", reflect.TypeOf(every).Field(i).Name)
@@ -117,7 +118,7 @@ func TestKeyPinned(t *testing.T) {
 		want string
 	}{
 		{"zero options on warp", CompileOptions{}, "c753b3be55b984f520df7ab15e8fad32e1c69b2fd42ddfec0a744d94e68b1ed6"},
-		{"every wire field set", every, "0bc5521c96f8c03397ff39a28feeadcf1ff766854c4e9a84b583efd248ca9f65"},
+		{"every wire field set", every, "4d059fb27fad90a3b7839d1ecde4ce1edccd8ca6a5a83061378379ab7e1da058"},
 		{`effort "heuristic" is effort ""`, CompileOptions{Effort: "heuristic"}, "c753b3be55b984f520df7ab15e8fad32e1c69b2fd42ddfec0a744d94e68b1ed6"},
 	} {
 		if got := wireKey(t, c.opts); got != c.want {
@@ -129,7 +130,7 @@ func TestKeyPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := j.key.String(), "46d1bfe0d8d289278f536499eccabbcdb312ea86955c2d6d9c1bee59b15b11a8"; got != want {
+	if got, want := j.key.String(), "1194fe0ab934e62b1ccf012213061ebd4486ffa8b987ecb3dea55d4b00eb0bc5"; got != want {
 		t.Errorf("partitioned key %s, want %s", got, want)
 	}
 }

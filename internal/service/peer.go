@@ -78,7 +78,7 @@ func (s *Server) handleArtifactPost(w http.ResponseWriter, r *http.Request) {
 	}
 	var p forwardPayload
 	if err := decodeJSON(r, &p, maxRequestBytes); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		s.writeRequestError(w, err)
 		return
 	}
 	m, err := resolveMachine(p.Machine)

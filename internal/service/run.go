@@ -199,7 +199,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	var req RunRequest
 	if err := decodeJSON(r, &req, maxRequestBytes); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		s.writeRequestError(w, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))

@@ -340,12 +340,13 @@ func (s *Server) timeout(ms int64) time.Duration {
 	return d
 }
 
-// decodeJSON reads a bounded request body.
+// decodeJSON reads a bounded request body.  Any failure, an unknown field
+// included, is the client's: a 400.
 func decodeJSON(r *http.Request, dst any, maxBytes int64) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		return &requestError{http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)}
 	}
 	return nil
 }

@@ -67,7 +67,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	var req SweepRequest
 	if err := decodeJSON(r, &req, maxRequestBytes); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		s.writeRequestError(w, err)
 		return
 	}
 	names := req.Machines

@@ -174,8 +174,8 @@ func TestLoopReductionNeverLosesToItsAblation(t *testing.T) {
 			continue
 		}
 		seen++
-		run := func(opts softpipe.Options) (*softpipe.Object, int64) {
-			obj, err := softpipe.Compile(dp.prog, m, opts)
+		run := func(adjust func(*codegen.Options)) (*softpipe.Object, int64) {
+			obj, err := softpipe.CompileWith(dp.prog, m, softpipe.Options{}, adjust)
 			if err != nil {
 				t.Fatalf("%s: %v", dp.name, err)
 			}
@@ -185,8 +185,8 @@ func TestLoopReductionNeverLosesToItsAblation(t *testing.T) {
 			}
 			return obj, res.Cycles
 		}
-		with, cycles := run(softpipe.Options{})
-		without, ablated := run(softpipe.Options{DisableLoopReduction: true})
+		with, cycles := run(nil)
+		without, ablated := run(func(o *codegen.Options) { o.DisableLoopReduction = true })
 		if with.Disassemble() == without.Disassemble() {
 			t.Errorf("%s: the switch no longer changes the object", dp.name)
 		}

@@ -77,20 +77,10 @@ func NewBuilder(name string) *Builder { return ir.NewBuilder(name) }
 // State is the observable outcome of running a program.
 type State = ir.State
 
-// MVEPolicy selects the modulo-variable-expansion unroll policy (Lam
-// §2.3).
-type MVEPolicy = pipeline.Policy
-
-// Unroll policies.
-const (
-	// MinUnroll unrolls max(qᵢ) times, rounding register counts up to
-	// factors of the unroll (the paper's preferred policy).
-	MinUnroll = pipeline.PolicyMinUnroll
-	// LCMUnroll unrolls lcm(qᵢ) times with minimal registers.
-	LCMUnroll = pipeline.PolicyLCM
-)
-
-// Options tunes compilation.
+// Options tunes compilation.  The paper's ablations (MVE off, the lcm
+// unroll policy, hierarchical and loop reduction off, binary II search)
+// are not options: they are codegen.Options/pipeline.Options fields a
+// benchmark or test reaches through CompileWith.
 type Options struct {
 	// Ctx, when non-nil, bounds the compile: a canceled or deadlined
 	// context aborts the II search between candidate initiation
@@ -101,19 +91,6 @@ type Options struct {
 	// Baseline disables software pipelining: loop bodies are locally
 	// compacted but iterations never overlap (the Figure 4-2 baseline).
 	Baseline bool
-	// DisableMVE keeps all inter-iteration register constraints
-	// (ablation: shows what modulo variable expansion buys).
-	DisableMVE bool
-	// DisableHier turns off hierarchical reduction: loops containing
-	// conditionals fall back to unpipelined code (ablation).
-	DisableHier bool
-	// DisableLoopReduction turns off the §3.2 loop reduction that
-	// overlaps scalar code with inner-loop prologs and epilogs
-	// (ablation).
-	DisableLoopReduction bool
-	// BinarySearch uses the FPS-164 compiler's binary search for the
-	// initiation interval instead of the paper's linear search.
-	BinarySearch bool
 	// Effort selects the II-search backend: EffortHeuristic (default) is
 	// Lam's near-optimal iterative scheduler; EffortExact additionally
 	// proves optimality by exhaustive search below the heuristic's II,
@@ -123,8 +100,6 @@ type Options struct {
 	// 0 means schedule.DefaultExactBudget (250ms).  Ignored by the
 	// heuristic backend.
 	EffortBudget time.Duration
-	// Policy selects the MVE unroll policy (default MinUnroll).
-	Policy MVEPolicy
 	// UnrollInnerTrip, when positive, fully unrolls constant-trip inner
 	// loops of at most that many iterations so the enclosing loop is
 	// modulo scheduled directly (outer-loop software pipelining).
@@ -179,21 +154,13 @@ func (o Options) lower() codegen.Options {
 		mode = codegen.ModeUnpipelined
 	}
 	return codegen.Options{
-		Ctx:                  o.Ctx,
-		Mode:                 mode,
-		DisableHier:          o.DisableHier,
-		DisableLoopReduction: o.DisableLoopReduction,
-		UnrollInnerTrip:      o.UnrollInnerTrip,
-		VerifyEmitted:        o.VerifyEmitted,
-		Explain:              o.Explain,
-		Tracer:               o.Tracer,
-		Pipeline: pipeline.Options{
-			Policy:       o.Policy,
-			DisableMVE:   o.DisableMVE,
-			BinarySearch: o.BinarySearch,
-			Effort:       o.Effort,
-			SchedBudget:  o.EffortBudget,
-		},
+		Ctx:             o.Ctx,
+		Mode:            mode,
+		UnrollInnerTrip: o.UnrollInnerTrip,
+		VerifyEmitted:   o.VerifyEmitted,
+		Explain:         o.Explain,
+		Tracer:          o.Tracer,
+		Pipeline:        pipeline.Options{Effort: o.Effort, SchedBudget: o.EffortBudget},
 	}
 }
 
@@ -236,8 +203,9 @@ func Compile(p *Program, m *Machine, opts Options) (*Object, error) {
 // CompileWith is Compile with the back end's own options adjusted after
 // opts is lowered to them.  It is the module's seam, not a product
 // surface: codegen is internal, so only this module's harness and tests
-// can write an adjust (warpbench -fig42 forces Lam's whole-arm
-// conditionals with it).
+// can write an adjust, and it is how they reach the paper's comparison
+// points (warpbench -fig42 forces Lam's whole-arm conditionals with it,
+// the corpus digest the ablations).
 func CompileWith(p *Program, m *Machine, opts Options, adjust func(*codegen.Options)) (*Object, error) {
 	lowered := opts.lower()
 	if adjust != nil {

@@ -110,21 +110,16 @@ func TestPublicAPITrace(t *testing.T) {
 	}
 }
 
+// TestPublicAPIAblationKnobs: the baseline option and every ablation
+// CompileWith reaches (the digest's option points) compile and verify.
 func TestPublicAPIAblationKnobs(t *testing.T) {
-	for _, opts := range []softpipe.Options{
-		{DisableMVE: true},
-		{DisableHier: true},
-		{DisableLoopReduction: true},
-		{BinarySearch: true},
-		{Policy: softpipe.LCMUnroll},
-		{Baseline: true},
-	} {
-		obj, err := softpipe.Compile(buildAPIProgram(t), softpipe.Warp(), opts)
+	for _, o := range digestOptions {
+		obj, err := o.compile(buildAPIProgram(t), softpipe.Warp())
 		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
+			t.Fatalf("%s: %v", o.name, err)
 		}
 		if _, err := obj.Verify(); err != nil {
-			t.Fatalf("%+v: %v", opts, err)
+			t.Fatalf("%s: %v", o.name, err)
 		}
 	}
 }
