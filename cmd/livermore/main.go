@@ -10,9 +10,10 @@
 //
 // -parallel sizes the compile/simulate worker pool (0 = GOMAXPROCS,
 // 1 = sequential); the table is identical either way.  -explain appends
-// the per-loop II-search explain report under the table; -trace writes
-// a Chrome trace_event JSON of all compile/simulate phases (one trace
-// sink per worker, merged at the end).
+// every loop's explain report under the table; -trace writes a Chrome
+// trace_event JSON of all compile/simulate phases (one trace sink per
+// worker, merged at the end).  The kernels partitioned across a cell
+// array are warpbench -array -cells N.
 package main
 
 import (
@@ -29,7 +30,6 @@ func main() {
 	log.SetPrefix("livermore: ")
 	shared := cliflags.Bind(flag.CommandLine, "machine", "verify=true", "parallel", "explain",
 		"effort", "effort-budget", "trace", "cpuprofile", "memprofile")
-	cells := flag.Int("cells", 0, "auto-partition each kernel across an N-cell array and print the speedup table instead of Table 4-2")
 	flag.Parse()
 	run, err := shared.Open("livermore")
 	if err != nil {
@@ -40,18 +40,6 @@ func main() {
 	cfg := bench.Config{Options: run.Options, Workers: run.Workers}
 	cfg.Options.VerifyEmitted = run.Verify
 
-	if *cells > 0 {
-		if *cells < 2 {
-			log.Fatal("-cells needs at least 2 cells (1 is the Table 4-2 baseline)")
-		}
-		rep, err := bench.MeasureArray(m, []int{*cells}, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("Livermore loops partitioned across %d cells\n", *cells)
-		fmt.Print(bench.FormatArrayReport(rep))
-		return
-	}
 	rows, err := bench.Table42(m, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -77,13 +65,10 @@ func main() {
 	fmt.Print(bench.FormatTable(
 		[]string{"Kernel", "Name", "MFLOPS", "Eff(LB)", "Speedup", "Pipelined", "Character"},
 		out))
-	if cfg.Options.Explain {
+	if run.Explain {
 		fmt.Println("\nII-search explain reports (-explain)")
 		for _, r := range rows {
 			for _, lr := range r.Report.Loops {
-				if lr.Explain == nil {
-					continue
-				}
 				fmt.Printf("kernel %d (%s), loop %d (trip %d):\n", r.KernelID, r.Name, lr.LoopID, lr.TripCount)
 				fmt.Print(lr.Explain.Format())
 			}

@@ -22,9 +22,10 @@
 // internal/sim, bit-identical to stepping every cycle; -exectrace steps
 // every cycle.
 //
-// -explain prints the II-search explain report per loop: why every
-// candidate initiation interval below the accepted one failed (the
-// failing op and whether a resource or a dependence bound blocked it).
+// -explain prints the explain report every compile records for each loop:
+// why every candidate initiation interval below the accepted one failed
+// (the failing op and whether a resource or a dependence bound blocked
+// it), or why a loop that is not pipelined is not.  It only adds lines.
 // -trace writes a Chrome trace_event JSON of the compile (and -run /
 // -verify) phases, viewable in chrome://tracing or Perfetto.
 package main
@@ -138,7 +139,7 @@ func main() {
 			status += splitNote(lr)
 		}
 		fmt.Printf("; loop %d (trip %d): %s\n", lr.LoopID, lr.TripCount, status)
-		if lr.Explain != nil {
+		if cli.Explain {
 			fmt.Print(lr.Explain.Format())
 		}
 		if *kernel && lr.Kernel != "" {

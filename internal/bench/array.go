@@ -216,7 +216,7 @@ func summarizeArray(rows []ArrayRow, skips []ArraySkip) ArraySummary {
 }
 
 // FormatArrayReport renders the report as the fixed-width table printed
-// by `warpbench -array` and `livermore -cells`.
+// by `warpbench -array`.
 func FormatArrayReport(rep *ArrayReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "array partitioning on %s, widths %v\n", rep.Machine, rep.Widths)

@@ -68,8 +68,8 @@ type Table42Row struct {
 	Speedup   float64
 	Pipelined bool // any loop pipelined
 	Note      string
-	// Report is the pipelined compilation's per-loop report (with
-	// explain data when cfg.Options.Explain was set).
+	// Report is the pipelined compilation's per-loop report, explain
+	// reports included.
 	Report *softpipe.Report
 }
 

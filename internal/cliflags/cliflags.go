@@ -79,11 +79,14 @@ func Bind(fs *flag.FlagSet, names ...string) *Set {
 type Run struct {
 	Machine *softpipe.Machine
 	// Options carries what the flags say about a compile: Effort,
-	// EffortBudget, Explain and — with -trace — a Tracer named after the
-	// run.  -verify is reported separately: w2c verifies the finished
-	// object, the harness drivers set Options.VerifyEmitted.
+	// EffortBudget and — with -trace — a Tracer named after the run.
+	// -verify is reported separately: w2c verifies the finished object,
+	// the harness drivers set Options.VerifyEmitted.
 	Options softpipe.Options
 	Verify  bool
+	// Explain is -explain: print every loop's explain report, which every
+	// compile records.
+	Explain bool
 	// Workers is -parallel.
 	Workers int
 
@@ -94,7 +97,7 @@ type Run struct {
 // Open resolves the flag values (call it after fs.Parse) and starts the
 // CPU profile.  traceName labels the tracer -trace creates.
 func (s *Set) Open(traceName string) (*Run, error) {
-	r := &Run{Verify: s.verify, Workers: s.parallel, trace: s.trace, memprofile: s.memprofile}
+	r := &Run{Verify: s.verify, Explain: s.explain, Workers: s.parallel, trace: s.trace, memprofile: s.memprofile}
 	var err error
 	if r.Options.Effort, err = softpipe.ParseEffort(s.effort); err != nil {
 		return nil, err
@@ -103,7 +106,6 @@ func (s *Set) Open(traceName string) (*Run, error) {
 		return nil, err
 	}
 	r.Options.EffortBudget = s.effortBudget
-	r.Options.Explain = s.explain
 	if s.trace != "" {
 		r.Options.Tracer = softpipe.NewTracer(traceName)
 	}

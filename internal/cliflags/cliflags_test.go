@@ -61,11 +61,11 @@ func TestOpenResolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Machine.Name != "wide2" || !r.Verify || r.Workers != 3 {
-		t.Errorf("resolved %s verify=%v workers=%d", r.Machine.Name, r.Verify, r.Workers)
+	if r.Machine.Name != "wide2" || !r.Verify || !r.Explain || r.Workers != 3 {
+		t.Errorf("resolved %s verify=%v explain=%v workers=%d", r.Machine.Name, r.Verify, r.Explain, r.Workers)
 	}
 	o := r.Options
-	if o.Effort != softpipe.EffortExact || o.EffortBudget != 2*time.Second || !o.Explain || o.Tracer == nil || o.VerifyEmitted {
+	if o.Effort != softpipe.EffortExact || o.EffortBudget != 2*time.Second || o.Tracer == nil || o.VerifyEmitted {
 		t.Errorf("options %+v", o)
 	}
 	r.Close()

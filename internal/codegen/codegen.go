@@ -60,9 +60,6 @@ type Options struct {
 	// receives has no input tape at compile time to drive the concolic
 	// run, so it gets the static checks only.
 	VerifyEmitted bool
-	// Explain records a per-candidate II-search failure report for each
-	// pipelining attempt (LoopReport.Explain).
-	Explain bool
 	// Tracer receives per-phase spans and counters for the whole compile;
 	// nil disables tracing at zero cost.
 	Tracer *trace.Tracer
@@ -153,10 +150,12 @@ type LoopReport struct {
 	// row per II offset, as in the paper's Figure 2-2); empty when the
 	// loop was not pipelined.
 	Kernel string
-	// Explain is the II-search explain report for this loop's pipelining
-	// attempt; nil unless Options.Explain was set.  For loops that never
-	// reached the search (analysis or profitability failures) only
-	// Explain.PreFailure is populated.
+	// Explain is the explain report of this loop, never nil: the II
+	// search's per-candidate record, or for a loop that never reached the
+	// search (a pragma, analysis or profitability failure, a nest) only
+	// Explain.PreFailure.  It never contradicts the outcome: a loop that
+	// is not pipelined carries its Reason there, as PreFailure or, when
+	// the search succeeded and the plan was refused afterwards, as a note.
 	Explain *schedule.Explain
 }
 

@@ -32,7 +32,7 @@ func TestWholeArmsKeptWhenLiftingLoses(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := workloads.RandomProgram(tc.seed)
-		obj, rep, err := codegen.Compile(p, m, codegen.Options{Explain: true, VerifyEmitted: true})
+		obj, rep, err := codegen.Compile(p, m, codegen.Options{VerifyEmitted: true})
 		if err != nil {
 			t.Fatalf("draw/%d: %v", tc.seed, err)
 		}
@@ -48,8 +48,8 @@ func TestWholeArmsKeptWhenLiftingLoses(t *testing.T) {
 				lr = &rep.Loops[i]
 			}
 		}
-		if lr == nil || !lr.Pipelined || lr.Explain == nil {
-			t.Fatalf("draw/%d: loop %d not pipelined with an explain report: %+v", tc.seed, tc.loop, lr)
+		if lr == nil || !lr.Pipelined {
+			t.Fatalf("draw/%d: loop %d not pipelined: %+v", tc.seed, tc.loop, lr)
 		}
 		notes := strings.Join(lr.Explain.Notes, "\n")
 		if tc.note == "" {

@@ -30,20 +30,20 @@ func (e *emitter) emitLoop(l *ir.LoopStmt) {
 	done := false
 	switch {
 	case l.NoPipeline:
-		rep.Reason = "nopipeline pragma"
+		rep.notScheduled("nopipeline pragma")
 	case e.opts.Mode != ModePipelined:
+		rep.Explain = &schedule.Explain{PreFailure: "unpipelined baseline"}
 	case static && l.CountImm <= 0:
-		rep.Reason = "zero trip count"
+		rep.notScheduled("zero trip count")
 		done = true
 	case static && blockHasInnerLoop(l.Body):
 		// A nest never reaches the II search: its body is schedulable only
 		// with its inner loops reduced (Lam §3.2), and then by list
-		// scheduling.  A rollback replaces the reason with its own.
-		rep.Reason = hier.ErrLoopInside.Error()
-		if e.opts.Explain {
-			rep.Explain = &schedule.Explain{PreFailure: rep.Reason}
-		}
+		// scheduling.  Overlap and a rollback each replace the reason with
+		// their own, and the report says which happened.
+		rep.notScheduled(hier.ErrLoopInside.Error())
 		done = !e.opts.DisableLoopReduction && !e.opts.DisableHier && e.tryOverlapped(l, &rep)
+		rep.Explain.PreFailure = rep.Reason
 	case static:
 		done = e.tryPipelined(l, &rep)
 	default:
@@ -77,6 +77,20 @@ func (rep *LoopReport) pipelinedWith(plan *pipeline.Plan) {
 	rep.Unroll = plan.Unroll
 	rep.Stages = plan.Stages
 	rep.Kernel = plan.FormatKernel()
+}
+
+// notScheduled records why the loop never reached the II search; that is
+// all its explain report says.
+func (rep *LoopReport) notScheduled(reason string) {
+	rep.Reason = reason
+	rep.Explain = &schedule.Explain{PreFailure: reason}
+}
+
+// refuse records why a loop whose II search succeeded is not emitted from
+// the plan: the search's report stands, and a note on it says so.
+func (rep *LoopReport) refuse(reason string) {
+	rep.Reason = reason
+	rep.Explain.Notes = append(rep.Explain.Notes, "not pipelined: "+reason)
 }
 
 func blockHasInnerLoop(b *ir.Block) bool {
@@ -213,7 +227,7 @@ func (e *emitter) countedRows(p *loopPayload, nodes []*depgraph.Node, plan *pipe
 		e.flatRows(p, nodes, plan, int(n))
 		rep.Flat = true
 	default:
-		rep.Reason = fmt.Sprintf("too few iterations (%d) for %d stages, unroll %d", n, plan.Stages, plan.Unroll)
+		rep.refuse(fmt.Sprintf("too few iterations (%d) for %d stages, unroll %d", n, plan.Stages, plan.Unroll))
 		rep.Hoisted = 0 // the loop is emitted from its statements, not from the plan
 		return false
 	}
@@ -264,12 +278,7 @@ func (e *emitter) flatWins(nodes []*depgraph.Node, plan *pipeline.Plan, n int) b
 			return false
 		}
 	}
-	compact, err := schedule.List(plan.FullGraph, e.m)
-	if err != nil {
-		return false
-	}
-	period := schedule.PeriodFor(plan.FullGraph, compact, compact.Length)
-	_, lastPass := span(nodes, compact.Time)
+	_, lastPass := span(nodes, plan.Compact.Time)
 	_, landed := span(nodes, plan.Time)
 	flat := (n-1)*plan.II + landed
 	moved := flat
@@ -277,7 +286,7 @@ func (e *emitter) flatWins(nodes []*depgraph.Node, plan *pipeline.Plan, n int) b
 		moved = max(moved, flat+e.m.Latency(e.movClass(reg)))
 		flat++
 	}
-	return max(flat, moved) < 1+(n-1)*period+max(period, lastPass)
+	return max(flat, moved) < 1+(n-1)*plan.Period+max(plan.Period, lastPass)
 }
 
 // planBody reduces the loop body to scheduling nodes and plans its
@@ -299,10 +308,7 @@ func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *L
 	reduce := func(lift bool, rep *LoopReport) ([]*depgraph.Node, int, bool) {
 		nodes, hoisted, err := e.red.Reduce(l.ID, l.Body, lift)
 		if err != nil {
-			rep.Reason = err.Error()
-			if e.opts.Explain {
-				rep.Explain = &schedule.Explain{PreFailure: err.Error()}
-			}
+			rep.notScheduled(err.Error())
 		}
 		return nodes, hoisted, err == nil
 	}
@@ -339,9 +345,7 @@ func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *L
 		if why != "" {
 			wplan, planned := e.planNodes(l, whole, powerOfTwo, keepMarginal, &wrep)
 			if planned && runs(whole, wplan) && (!fits || wplan.II < plan.II) {
-				if wrep.Explain != nil {
-					wrep.Explain.Notes = append(wrep.Explain.Notes, "whole-arm conditionals kept: "+why)
-				}
+				wrep.Explain.Notes = append(wrep.Explain.Notes, "whole-arm conditionals kept: "+why)
 				*rep = wrep
 				return whole, wplan, true
 			}
@@ -373,7 +377,7 @@ func (e *emitter) planNodes(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo, 
 	if e.opts.DisableHier {
 		for _, nd := range nodes {
 			if nd.Payload != nil {
-				rep.Reason = "conditional construct (hierarchical reduction disabled)"
+				rep.notScheduled("conditional construct (hierarchical reduction disabled)")
 				return nil, false
 			}
 		}
@@ -397,21 +401,17 @@ func (e *emitter) planNodes(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo, 
 	plOpts.CopyBudgetF = e.m.FloatRegs - baseF
 	plOpts.CopyBudgetI = e.m.IntRegs - baseI - 6 // counters and count math
 	plOpts.RegKind = e.irp.Kind
-	plOpts.Explain = e.opts.Explain
 	plOpts.Tracer = e.opts.Tracer
 	plan, err := pipeline.PlanLoop(nodes, l.ID, e.m, plOpts)
 	if err != nil {
-		rep.Reason = err.Error()
-		if e.opts.Explain {
-			// A failed II search carries its per-candidate report; any
-			// earlier failure (analysis, profitability guards, missing
-			// resources) becomes a PreFailure line.
-			var ie *schedule.InfeasibleError
-			if errors.As(err, &ie) && ie.Explain != nil {
-				rep.Explain = ie.Explain
-			} else {
-				rep.Explain = &schedule.Explain{PreFailure: err.Error()}
-			}
+		// A failed II search carries its per-candidate report; any earlier
+		// failure (analysis, profitability guards, missing resources) is a
+		// PreFailure line.
+		var ie *schedule.InfeasibleError
+		if errors.As(err, &ie) {
+			rep.Reason, rep.Explain = err.Error(), ie.Explain
+		} else {
+			rep.notScheduled(err.Error())
 		}
 		return nil, false
 	}
@@ -428,7 +428,7 @@ func (e *emitter) planNodes(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo, 
 	cf, ci := plan.CopyRegs(e.irp.Kind)
 	peakF, peakI := e.regsNeeded(baseRegs, cf, ci+6)
 	if peakF > e.m.FloatRegs || peakI > e.m.IntRegs {
-		rep.Reason = "register files too small for modulo variable expansion"
+		rep.refuse("register files too small for modulo variable expansion")
 		return nil, false
 	}
 	rep.Rotating = plan.Rotating
@@ -453,7 +453,7 @@ func (e *emitter) tryPipelinedRuntime(l *ir.LoopStmt, rep *LoopReport) bool {
 		log2u++
 	}
 	if 1<<log2u != u {
-		rep.Reason = fmt.Sprintf("internal: unroll %d not a power of two", u)
+		rep.refuse(fmt.Sprintf("internal: unroll %d not a power of two", u))
 		return false
 	}
 

@@ -499,9 +499,7 @@ func (e *emitter) cycles(o *overlapped, n int64) int64 {
 // otherwise; the explain report says which and why.
 func (e *emitter) tryRotation(l *ir.LoopStmt, order, moved []*depgraph.Node, plain *overlapped, rep *LoopReport) (*overlapped, *overlapped) {
 	note := func(format string, args ...any) {
-		if rep.Explain != nil {
-			rep.Explain.Notes = append(rep.Explain.Notes, fmt.Sprintf(format, args...))
-		}
+		rep.Explain.Notes = append(rep.Explain.Notes, fmt.Sprintf(format, args...))
 	}
 	rotated, reason := e.scheduleOverlapped(l, order)
 	if rotated == nil {

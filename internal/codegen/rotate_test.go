@@ -238,7 +238,7 @@ func TestRotationReported(t *testing.T) {
 		{"warshall", workload(t, "warshall"), false, "outer body not rotated: rotated period"},
 	} {
 		tr := trace.New(tc.name)
-		_, rep, err := codegen.Compile(tc.prog, machine.Warp(), codegen.Options{Explain: true, Tracer: tr})
+		_, rep, err := codegen.Compile(tc.prog, machine.Warp(), codegen.Options{Tracer: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,9 +250,7 @@ func TestRotationReported(t *testing.T) {
 		}
 		var notes []string
 		for _, lr := range rep.Loops {
-			if lr.Explain != nil {
-				notes = append(notes, lr.Explain.Notes...)
-			}
+			notes = append(notes, lr.Explain.Notes...)
 		}
 		if got := rotated(rep); (got > 0) != tc.rotated || int64(got) != counted {
 			t.Errorf("%s: rotated %d, counter %d, want rotation %v", tc.name, got, counted, tc.rotated)

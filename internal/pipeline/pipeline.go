@@ -98,9 +98,6 @@ type Options struct {
 	// because pipelining cannot pay for its code growth (Lam §4.2,
 	// kernels 16 and 20).
 	KeepMarginal bool
-	// Explain asks the II search to record a per-candidate failure report
-	// (Plan.Explain / schedule.InfeasibleError.Explain).
-	Explain bool
 	// Tracer receives per-phase spans and counters; nil disables tracing
 	// at zero cost.
 	Tracer *trace.Tracer
@@ -113,6 +110,12 @@ type Plan struct {
 	// removable edges for verification.
 	Graph     *depgraph.Graph
 	FullGraph *depgraph.Graph
+	// Compact is the locally compacted body (the list schedule of
+	// FullGraph) and Period the iteration period the unpipelined loop runs
+	// at: Compact's length padded until every inter-iteration dependence of
+	// FullGraph drains.  They are what pipelining is measured against.
+	Compact *schedule.Result
+	Period  int
 
 	II       int
 	Stages   int // number of concurrently active iterations (m)
@@ -143,7 +146,7 @@ type Plan struct {
 	Fixups []ir.VReg
 
 	SchedStats *schedule.Stats
-	// Explain is the II-search explain report; nil unless Options.Explain.
+	// Explain is the II-search explain report.
 	Explain *schedule.Explain
 }
 
@@ -254,8 +257,45 @@ func PlanLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 	return p, err
 }
 
+// body is what every plan of one loop shares.  The copy-budget retries
+// of planLoop differ only in which omega-1 edges they drop, and none of
+// this reads those of the filtered graph: the resource bound reads
+// reservations, the list schedule omega-0 edges, and the period the
+// full graph, because the unpipelined loop keeps every edge.
+type body struct {
+	nodes   []*depgraph.Node
+	full    *depgraph.Graph
+	m       *machine.Machine
+	resMII  int              // the resource bound with the loop-back branch
+	compact *schedule.Result // the locally compacted body
+	period  int              // its period as the unpipelined loop
+}
+
 func planLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Options) (*Plan, error) {
 	full := depgraph.BuildIndep(nodes, loopID, opts.IndependentMem)
+	// The loop-back branch occupies one sequencer slot of every steady-
+	// state window; fold it into the resource bound so MetLower reflects
+	// the true floor.  Computed first: a machine that lacks a reserved
+	// resource is the error to report, and List cannot place on it.
+	resMII, err := depgraph.ResourceMIIExtra(full, m, []machine.ResUse{{Resource: machine.ResBranch}})
+	if err != nil {
+		return nil, err
+	}
+	// The §4.2 profitability guards are computed against the locally
+	// compacted body.  The threshold needs nothing else, so it goes before
+	// the dependence analysis and the search — whose longest-path sweeps
+	// are cubic in the size of a recurrence — and "not even attempted" is
+	// literally true.
+	compact, err := schedule.List(full, m)
+	if err != nil {
+		return nil, err
+	}
+	if compact.Length > maxBodyLen {
+		return nil, fmt.Errorf("pipeline: body length %d beyond pipelining threshold %d", compact.Length, maxBodyLen)
+	}
+	b := &body{nodes: nodes, full: full, m: m, resMII: resMII, compact: compact,
+		period: schedule.PeriodFor(full, compact, compact.Length)}
+
 	expanded := map[ir.VReg]bool{}
 	if !opts.DisableMVE {
 		for r, ok := range full.Expandable {
@@ -270,7 +310,7 @@ func planLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 				return nil, fmt.Errorf("pipeline: plan aborted: %w", err)
 			}
 		}
-		p, err := planWith(nodes, full, expanded, m, opts)
+		p, err := planWith(b, expanded, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -293,14 +333,14 @@ func planLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 			// progress when neither fits yet).
 			po := opts
 			po.MinII = p.II + 1
-			pA, errA := planWith(nodes, full, expanded, m, po)
+			pA, errA := planWith(b, expanded, po)
 			exB := make(map[ir.VReg]bool, len(expanded))
 			for r := range expanded {
 				if r != worst {
 					exB[r] = true
 				}
 			}
-			pB, errB := planWith(nodes, full, exB, m, opts)
+			pB, errB := planWith(b, exB, opts)
 			cost := func(pp *Plan) int {
 				f, i := pp.CopyRegs(opts.RegKind)
 				return f + i
@@ -338,29 +378,9 @@ func planLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 	}
 }
 
-func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg]bool, m *machine.Machine, opts Options) (*Plan, error) {
-	g := full.Filter(expanded)
-
-	// The loop-back branch occupies one sequencer slot of every steady-
-	// state window; fold it into the resource bound so MetLower reflects
-	// the true floor.  Computed first: a machine that lacks a reserved
-	// resource is the error to report, and List cannot place on it.
-	resMII, err := depgraph.ResourceMIIExtra(g, m, []machine.ResUse{{Resource: machine.ResBranch}})
-	if err != nil {
-		return nil, err
-	}
-	// The §4.2 profitability guards are computed against the locally
-	// compacted body length.  The threshold needs nothing else, so it
-	// goes before the dependence analysis and the search — whose longest-
-	// path sweeps are cubic in the size of a recurrence — and "not even
-	// attempted" is literally true.
-	compact, err := schedule.List(g, m)
-	if err != nil {
-		return nil, err
-	}
-	if compact.Length > maxBodyLen {
-		return nil, fmt.Errorf("pipeline: body length %d beyond pipelining threshold %d", compact.Length, maxBodyLen)
-	}
+func planWith(b *body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
+	nodes, m := b.nodes, b.m
+	g := b.full.Filter(expanded)
 
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -382,8 +402,8 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 	opts.Tracer.Count("depgraph.nodes", int64(len(g.Nodes)))
 	opts.Tracer.Count("depgraph.edges", int64(len(g.Edges)))
 	opts.Tracer.Count("depgraph.sccs", int64(sccs))
-	a.ResMII = max(a.ResMII, resMII)
-	a.MII = max(a.MII, resMII)
+	a.ResMII = max(a.ResMII, b.resMII)
+	a.MII = max(a.MII, b.resMII)
 	// Construct windows: a reduced construct of length L must fit within
 	// one initiation interval so that the emitted kernel can fork into
 	// its branches without crossing the loop-back boundary (see
@@ -396,13 +416,11 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 		}
 	}
 
+	// The unpipelined comparison point is the loop that would be emitted
+	// instead (b.period).
 	effMII := max(a.MII, minII)
-	// The unpipelined comparison point is the full iteration period: the
-	// locally compacted length padded until every inter-iteration
-	// dependence drains.
-	period := schedule.PeriodFor(g, compact, compact.Length)
-	if !opts.KeepMarginal && effMII*100 >= period*99 {
-		return nil, fmt.Errorf("pipeline: initiation interval bound %d within 99%% of unpipelined length %d", effMII, period)
+	if !opts.KeepMarginal && effMII*100 >= b.period*99 {
+		return nil, fmt.Errorf("pipeline: initiation interval bound %d within 99%% of unpipelined length %d", effMII, b.period)
 	}
 
 	searcher := schedule.New(opts.Effort, a, m)
@@ -414,7 +432,6 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 		BinarySearch:   opts.BinarySearch,
 		ReserveBranch:  true,
 		BranchResource: machine.ResBranch,
-		Explain:        opts.Explain,
 		Budget:         opts.SchedBudget,
 	})
 	if st != nil {
@@ -442,7 +459,9 @@ func planWith(nodes []*depgraph.Node, full *depgraph.Graph, expanded map[ir.VReg
 	p := &Plan{
 		Nodes:         nodes,
 		Graph:         g,
-		FullGraph:     full,
+		FullGraph:     b.full,
+		Compact:       b.compact,
+		Period:        b.period,
 		II:            res.II,
 		Time:          res.Time,
 		MII:           max(a.MII, minII),

@@ -147,8 +147,7 @@ func TestExactBudgetFallsBackToHeuristic(t *testing.T) {
 
 func TestExactBudgetFallbackExplainNote(t *testing.T) {
 	a, m := gapLoopAnalysis(t)
-	opts := Options{ReserveBranch: true, BranchResource: machine.ResBranch,
-		Explain: true, Budget: time.Microsecond}
+	opts := Options{ReserveBranch: true, BranchResource: machine.ResBranch, Budget: time.Microsecond}
 	er, est, err := New(EffortExact, a, m).Search(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -242,14 +242,12 @@ func (ex *ExactSearcher) refine(opts Options, st *Stats, floor, hiBound int, fal
 			st.Proved = true
 			st.FellBack = false
 			res := ex.buildResult(s, times)
-			ex.recordExact(Attempt{II: s, OK: true, Node: -1, Comp: -1, Note: "exact: feasible"})
-			if exp := ex.heur.exp; exp != nil {
-				exp.Achieved = s
-				res.Explain = exp
-			}
+			ex.heur.record(Attempt{II: s, OK: true, Node: -1, Comp: -1, Note: "exact: feasible"})
+			ex.heur.exp.Achieved = s
+			res.Explain = ex.heur.exp
 			return res, nil
 		case decInfeasible:
-			ex.recordExact(Attempt{II: s, Node: -1, Comp: -1, Note: "exact: proved infeasible",
+			ex.heur.record(Attempt{II: s, Node: -1, Comp: -1, Note: "exact: proved infeasible",
 				Cause: Cause{LoFrom: -1, HiFrom: -1}})
 		case decAbortCtx:
 			return nil, ctxErr(opts.Ctx, s)
@@ -268,17 +266,8 @@ func (ex *ExactSearcher) refine(opts Options, st *Stats, floor, hiBound int, fal
 
 func (ex *ExactSearcher) fellBack(st *Stats, s, hiBound int) {
 	st.FellBack = true
-	if exp := ex.heur.exp; exp != nil {
-		exp.Notes = append(exp.Notes, fmt.Sprintf(
-			"exact search budget exhausted with candidates [%d, %d] undecided; heuristic schedule kept", s, hiBound))
-	}
-}
-
-func (ex *ExactSearcher) recordExact(a Attempt) {
-	if ex.heur.exp == nil {
-		return
-	}
-	ex.heur.exp.Attempts = append(ex.heur.exp.Attempts, a)
+	ex.heur.exp.Notes = append(ex.heur.exp.Notes, fmt.Sprintf(
+		"exact search budget exhausted with candidates [%d, %d] undecided; heuristic schedule kept", s, hiBound))
 }
 
 func (ex *ExactSearcher) buildResult(s int, times []int) *Result {

@@ -15,8 +15,7 @@ import (
 var ErrMaxIIBelowMII = errors.New("MaxII below the minimum initiation interval")
 
 // InfeasibleError reports that no candidate interval in [MII, MaxII]
-// admitted a schedule; when the search ran with Options.Explain the
-// per-candidate failure causes ride along.
+// admitted a schedule; the per-candidate failure causes ride along.
 type InfeasibleError struct {
 	MII, MaxII int
 	Binary     bool // the FPS-style binary search was in use
@@ -109,9 +108,9 @@ type Attempt struct {
 }
 
 // Explain is the II-search explain report: why each candidate interval
-// below the accepted one failed, and what bound the search floor.
-// Enable with Options.Explain; the report accumulates across repeated
-// Search calls on one Searcher.
+// below the accepted one failed, and what bound the search floor.  Every
+// search records one; it accumulates across repeated Search calls on one
+// Searcher.
 type Explain struct {
 	MII    int // search floor actually used (incl. Options.MinII)
 	ResMII int
@@ -219,11 +218,8 @@ func edgeSuffix(e *depgraph.Edge) string {
 	return fmt.Sprintf(" (edge n%d->n%d %v delay=%d omega=%d)", e.From, e.To, e.Kind, e.Delay, e.Omega)
 }
 
-// record appends an attempt when explaining is on.
+// record appends an attempt to the explain report.
 func (sr *Searcher) record(a Attempt) {
-	if sr.exp == nil {
-		return
-	}
 	sr.exp.Attempts = append(sr.exp.Attempts, a)
 }
 

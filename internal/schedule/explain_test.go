@@ -45,7 +45,7 @@ func missMIIAnalysis(t *testing.T, m *machine.Machine) *depgraph.Analysis {
 func TestExplainRecordsMIIMiss(t *testing.T) {
 	m := machine.Warp()
 	a := missMIIAnalysis(t, m)
-	r, st, err := Modulo(a, m, Options{Explain: true})
+	r, st, err := Modulo(a, m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestExplainRecordsMIIMiss(t *testing.T) {
 	}
 	exp := r.Explain
 	if exp == nil {
-		t.Fatal("Result.Explain is nil with Options.Explain set")
+		t.Fatal("Result.Explain is nil")
 	}
 	if exp.Achieved != 3 || exp.MII != 2 {
 		t.Errorf("Explain Achieved/MII = %d/%d, want 3/2", exp.Achieved, exp.MII)
@@ -96,7 +96,7 @@ func TestExplainRecordsMIIMiss(t *testing.T) {
 func TestInfeasibleErrorCarriesExplain(t *testing.T) {
 	m := machine.Warp()
 	a := missMIIAnalysis(t, m)
-	_, _, err := Modulo(a, m, Options{MaxII: 2, Explain: true})
+	_, _, err := Modulo(a, m, Options{MaxII: 2})
 	if err == nil {
 		t.Fatal("Modulo succeeded with MaxII=2; II=2 must be infeasible")
 	}
@@ -108,7 +108,7 @@ func TestInfeasibleErrorCarriesExplain(t *testing.T) {
 		t.Errorf("InfeasibleError = %+v, want MII=2 MaxII=2 linear", ie)
 	}
 	if ie.Explain == nil {
-		t.Fatal("InfeasibleError.Explain is nil with Options.Explain set")
+		t.Fatal("InfeasibleError.Explain is nil")
 	}
 	if ie.Explain.Achieved != 0 {
 		t.Errorf("Achieved = %d on an infeasible search, want 0", ie.Explain.Achieved)
@@ -127,7 +127,7 @@ func TestInfeasibleErrorCarriesExplain(t *testing.T) {
 func TestMaxIIBelowMIIRejectedUpFront(t *testing.T) {
 	m := machine.Warp()
 	a := missMIIAnalysis(t, m)
-	_, _, err := Modulo(a, m, Options{MaxII: 1, Explain: true})
+	_, _, err := Modulo(a, m, Options{MaxII: 1})
 	if err == nil {
 		t.Fatal("Modulo accepted MaxII=1 below MII=2")
 	}

@@ -19,8 +19,7 @@ type Result struct {
 	// node (the compacted length of one iteration).
 	Length int
 	// Explain is the II-search explain report (why each candidate II
-	// below the accepted one failed); nil unless the search ran with
-	// Options.Explain.
+	// below the accepted one failed); nil for a list schedule.
 	Explain *Explain
 }
 

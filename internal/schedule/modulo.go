@@ -34,11 +34,6 @@ type Options struct {
 	// BranchResource identifies the sequencer resource when
 	// ReserveBranch is set.
 	BranchResource machine.Resource
-	// Explain records, for every candidate II, which op failed placement
-	// and the binding constraint (resource conflict or dependence bound);
-	// the report lands in Result.Explain (or InfeasibleError.Explain on
-	// total failure).  Off by default: the search then records nothing.
-	Explain bool
 	// Budget bounds the wall-clock time of one Search call of the exact
 	// backend (EffortExact), measured from entry; past it the exact
 	// search stops and the heuristic schedule is kept (Stats.FellBack).
@@ -147,9 +142,10 @@ type Searcher struct {
 	condTab *ModTable
 	compTab *ModTable
 
-	// exp is the accumulating explain report; nil unless a Search ran
-	// with Options.Explain (it then persists across Search calls on the
-	// same Searcher).
+	// exp is the explain report: for every candidate II, which op failed
+	// placement and the binding constraint.  It accumulates across Search
+	// calls on the same Searcher and lands in Result.Explain (or
+	// InfeasibleError.Explain on total failure).
 	exp *Explain
 	// retries counts failed placement probes of the current Search call.
 	retries int
@@ -174,6 +170,7 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 		placed:  make([]bool, nc),
 		condTab: NewModTable(1, m),
 		compTab: NewModTable(1, m),
+		exp:     &Explain{ResMII: a.ResMII, RecMII: a.RecMII},
 	}
 	memberIdx := make([]int, n)
 	for _, comp := range a.SCC.Components {
@@ -262,13 +259,8 @@ func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
 		return nil, st, fmt.Errorf("schedule: Options.MaxII %d is below the search floor %d (MII %d): %w",
 			maxII, floor, sr.a.MII, ErrMaxIIBelowMII)
 	}
-	if opts.Explain && sr.exp == nil {
-		sr.exp = &Explain{ResMII: sr.a.ResMII, RecMII: sr.a.RecMII}
-	}
-	if sr.exp != nil {
-		sr.exp.MII = floor
-		sr.exp.MaxII = maxII
-	}
+	sr.exp.MII = floor
+	sr.exp.MaxII = maxII
 	if opts.BinarySearch {
 		r, err := sr.searchBinary(opts, floor, maxII, st)
 		st.Backtracks = sr.retries
@@ -289,10 +281,8 @@ func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
 			st.Achieved = s
 			st.MetLower = s == st.MII
 			st.Backtracks = sr.retries
-			if sr.exp != nil {
-				sr.exp.Achieved = s
-				r.Explain = sr.exp
-			}
+			sr.exp.Achieved = s
+			r.Explain = sr.exp
 			return r, st, nil
 		}
 	}
@@ -333,10 +323,8 @@ func (sr *Searcher) searchBinary(opts Options, floor, maxII int, st *Stats) (*Re
 	}
 	st.Achieved = bestII
 	st.MetLower = bestII == st.MII
-	if sr.exp != nil {
-		sr.exp.Achieved = bestII
-		best.Explain = sr.exp
-	}
+	sr.exp.Achieved = bestII
+	best.Explain = sr.exp
 	return best, nil
 }
 
@@ -523,14 +511,12 @@ func (sr *Searcher) attempt(opts Options, s int) (*Result, error) {
 			sr.retries += s
 		}
 		if !ok {
-			if sr.exp != nil {
-				members := a.SCC.Components[best]
-				cause := Cause{Kind: CauseResource, WinLo: earliest, WinHi: earliest + s - 1, LoFrom: -1, HiFrom: -1}
-				if rr, row, blocked := tab.Conflict(sr.vres[best], earliest); blocked {
-					cause.Resource, cause.Row = rr, row
-				}
-				sr.record(failAttempt(s, members[0], best, g.Nodes[members[0]].String(), len(members) > 1, cause))
+			members := a.SCC.Components[best]
+			cause := Cause{Kind: CauseResource, WinLo: earliest, WinHi: earliest + s - 1, LoFrom: -1, HiFrom: -1}
+			if rr, row, blocked := tab.Conflict(sr.vres[best], earliest); blocked {
+				cause.Resource, cause.Row = rr, row
 			}
+			sr.record(failAttempt(s, members[0], best, g.Nodes[members[0]].String(), len(members) > 1, cause))
 			return nil, nil
 		}
 		tab.Place(sr.vres[best], t)
@@ -607,19 +593,17 @@ func (sr *Searcher) scheduleComponent(ci int, comp []int, s int) bool {
 		}
 		l, u := cd.lo[best], cd.hi[best]
 		if l > u {
-			if sr.exp != nil {
-				v := comp[best]
-				cause := Cause{Kind: CauseDependence, Lo: l, Hi: u, LoFrom: -1, HiFrom: -1}
-				if f := cd.loFrom[best]; f >= 0 {
-					cause.LoFrom = comp[f]
-					cause.LoEdge = directEdge(g, comp[f], v)
-				}
-				if f := cd.hiFrom[best]; f >= 0 {
-					cause.HiFrom = comp[f]
-					cause.HiEdge = directEdge(g, v, comp[f])
-				}
-				sr.record(failAttempt(s, v, ci, g.Nodes[v].String(), false, cause))
+			v := comp[best]
+			cause := Cause{Kind: CauseDependence, Lo: l, Hi: u, LoFrom: -1, HiFrom: -1}
+			if f := cd.loFrom[best]; f >= 0 {
+				cause.LoFrom = comp[f]
+				cause.LoEdge = directEdge(g, comp[f], v)
 			}
+			if f := cd.hiFrom[best]; f >= 0 {
+				cause.HiFrom = comp[f]
+				cause.HiEdge = directEdge(g, v, comp[f])
+			}
+			sr.record(failAttempt(s, v, ci, g.Nodes[v].String(), false, cause))
 			return false
 		}
 		// Anchor the scan at the intra-iteration lower bound so that a
@@ -658,14 +642,12 @@ func (sr *Searcher) scheduleComponent(ci int, comp []int, s int) bool {
 			sr.retries++
 		}
 		if placedAt == -1 {
-			if sr.exp != nil {
-				v := comp[best]
-				cause := Cause{Kind: CauseResource, WinLo: start, WinHi: limit, LoFrom: -1, HiFrom: -1}
-				if rr, row, blocked := tab.Conflict(g.Nodes[v].Reservation, start); blocked {
-					cause.Resource, cause.Row = rr, row
-				}
-				sr.record(failAttempt(s, v, ci, g.Nodes[v].String(), false, cause))
+			v := comp[best]
+			cause := Cause{Kind: CauseResource, WinLo: start, WinHi: limit, LoFrom: -1, HiFrom: -1}
+			if rr, row, blocked := tab.Conflict(g.Nodes[v].Reservation, start); blocked {
+				cause.Resource, cause.Row = rr, row
 			}
+			sr.record(failAttempt(s, v, ci, g.Nodes[v].String(), false, cause))
 			return false
 		}
 		tab.Place(g.Nodes[comp[best]].Reservation, placedAt)

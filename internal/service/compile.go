@@ -57,7 +57,6 @@ func (o CompileOptions) resolve() (softpipe.Options, error) {
 		UnrollInnerTrip: o.UnrollInnerTrip,
 		VerifyEmitted:   o.Verify,
 		Effort:          eff,
-		Explain:         true, // explain text is part of the artifact
 	}, nil
 }
 
@@ -143,9 +142,10 @@ type LoopStats struct {
 	// EstMFLOPS is the steady-state kernel rate Flops·ClockMHz/II; zero
 	// for unpipelined loops.
 	EstMFLOPS float64 `json:"est_mflops"`
-	// Explain is the II-search explain report (schedule.Explain.Format):
-	// for each candidate interval below the accepted one, which operation
-	// and which resource or dependence edge killed it.
+	// Explain is the loop's explain report (schedule.Explain.Format): for
+	// each candidate interval below the accepted one, which operation and
+	// which resource or dependence edge killed it, or why the loop is not
+	// pipelined.
 	Explain string `json:"explain,omitempty"`
 }
 
@@ -326,6 +326,7 @@ func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, *vi
 			Hoisted:   lr.Hoisted,
 			Rotated:   lr.Rotated,
 			Flops:     lr.Flops,
+			Explain:   lr.Explain.Format(),
 		}
 		if lr.Pipelined && lr.Effort != softpipe.EffortHeuristic {
 			ls.Effort = lr.Effort.String()
@@ -334,9 +335,6 @@ func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, *vi
 		}
 		if lr.Pipelined && lr.II > 0 {
 			ls.EstMFLOPS = float64(lr.Flops) * j.m.ClockMHz / float64(lr.II)
-		}
-		if lr.Explain != nil {
-			ls.Explain = lr.Explain.Format()
 		}
 		a.Loops = append(a.Loops, ls)
 	}

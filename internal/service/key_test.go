@@ -61,7 +61,6 @@ func TestKeyCoversEveryWireField(t *testing.T) {
 var optionsKeyExempt = map[string]string{
 	"Ctx":          "non-semantic: bounds the compile, never changes its result",
 	"Tracer":       "non-semantic: observes the compile, never changes its result",
-	"Explain":      "pinned true by resolve — every artifact carries its explain text, so there is nothing to distinguish",
 	"EffortBudget": "left 0 (the backend's default) by resolve — no wire field sets it; when one does, it must be keyed",
 }
 
@@ -95,7 +94,7 @@ func TestOptionsKeyCoversOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Explain || got.EffortBudget != 0 || got.Ctx != nil || got.Tracer != nil {
+	if got.EffortBudget != 0 || got.Ctx != nil || got.Tracer != nil {
 		t.Errorf("resolve no longer pins what the exempt list relies on: %+v", got)
 	}
 }

@@ -4,7 +4,7 @@
 // Endpoints:
 //
 //	POST /compile  W2 source → compiled object stats (per-loop II/MII/
-//	               MFLOPS, explain text on infeasibility), served from the
+//	               MFLOPS, explain text for every loop), served from the
 //	               cache when the canonicalized source, machine fingerprint
 //	               and options match a previous compile.
 //	POST /run      compile (or look up) and simulate, returning cycles,

@@ -4,10 +4,11 @@
 #
 #   scripts/covergate.sh [profile-out]
 #
-# Gated packages (75% statement coverage each): the scheduler, the
-# pipeliner (II search driver, MVE, copy budget), hierarchical reduction,
-# the code generator, and the independent object-code verifier — the
-# layers whose regressions silently corrupt emitted code; the simulator,
+# Gated packages (75% statement coverage each): the front end (lang), the
+# dependence graph, the scheduler, the pipeliner (II search driver, MVE,
+# copy budget), hierarchical reduction, the code generator, the array
+# partitioner and the independent object-code verifier — the layers
+# whose regressions silently corrupt emitted code; the simulator,
 # the single cell semantics the fast path and every array run on; and the
 # compile fabric and the service, whose fleet contract (exactly-once,
 # degrade-never-error) has no evidence but `go test`; and the cache,
@@ -21,10 +22,13 @@ set -euo pipefail
 profile="${1:-coverage.out}"
 floor=75.0
 gated=(
+  softpipe/internal/lang
+  softpipe/internal/depgraph
   softpipe/internal/schedule
   softpipe/internal/pipeline
   softpipe/internal/hier
   softpipe/internal/codegen
+  softpipe/internal/partition
   softpipe/internal/verify
   softpipe/internal/fabric
   softpipe/internal/service

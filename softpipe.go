@@ -110,11 +110,6 @@ type Options struct {
 	// proof that the pipelined code reproduces the sequential program's
 	// value provenance.  Compilation fails on any violation.
 	VerifyEmitted bool
-	// Explain records, for every pipelining attempt, why each candidate
-	// initiation interval below the accepted one failed (which op, which
-	// resource or dependence edge); the report lands in
-	// LoopInfo.Explain.  See also the -explain flag of cmd/w2c.
-	Explain bool
 	// Tracer, when non-nil, receives hierarchical spans and counters for
 	// every compilation phase (Chrome trace_event export via
 	// Tracer.WriteJSON).  A nil tracer costs nothing.
@@ -128,7 +123,10 @@ type Tracer = trace.Tracer
 // NewTracer returns an enabled tracer named after the workload.
 func NewTracer(name string) *Tracer { return trace.New(name) }
 
-// ExplainReport is the per-loop II-search explain report.
+// ExplainReport is the per-loop explain report every compile records
+// (LoopInfo.Explain): why each candidate initiation interval below the
+// accepted one failed (which op, which resource or dependence edge), or
+// why the loop never reached the search.  cmd/w2c -explain prints it.
 type ExplainReport = schedule.Explain
 
 // Effort selects the II-search backend; see schedule.Effort.
@@ -158,7 +156,6 @@ func (o Options) lower() codegen.Options {
 		Mode:            mode,
 		UnrollInnerTrip: o.UnrollInnerTrip,
 		VerifyEmitted:   o.VerifyEmitted,
-		Explain:         o.Explain,
 		Tracer:          o.Tracer,
 		Pipeline:        pipeline.Options{Effort: o.Effort, SchedBudget: o.EffortBudget},
 	}
