@@ -342,7 +342,11 @@ end.
 func benchUnrollInner(b *testing.B, trip int) {
 	var cycles float64
 	for i := 0; i < b.N; i++ {
-		obj, err := softpipe.CompileSource(firSrc, softpipe.Warp(), softpipe.Options{UnrollInnerTrip: trip})
+		p, err := softpipe.ParseSource(firSrc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		obj, err := softpipe.CompileWith(p, softpipe.Warp(), softpipe.Options{}, func(o *codegen.Options) { o.UnrollInnerTrip = trip })
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,14 +9,15 @@
 // Usage:
 //
 //	w2c [-machine warp|scalar|wideN|gen:...] [-effort heuristic|exact]
-//	    [-effort-budget d] [-baseline] [-unroll-inner N] [-timeout d]
+//	    [-effort-budget d] [-baseline] [-timeout d]
 //	    [-S] [-kernel] [-run] [-exectrace N] [-verify] [-explain]
 //	    [-trace out.json] [-cells N [-partition] [-input tape]] file.w2
 //	w2c -fmt file.w2
 //
 // The paper's ablations (MVE, hierarchical and loop reduction off, binary
 // II search, the lcm unroll policy) are not flags; the BenchmarkAblation*
-// benchmarks of the root package measure them.
+// benchmarks of the root package measure them.  Nor is full unrolling of
+// inner loops: the source asks for it per loop, `unroll for j := ...`.
 //
 // -run retires steady-state kernel loops on the dataflow fast path of
 // internal/sim, bit-identical to stepping every cycle; -exectrace steps
@@ -72,7 +73,6 @@ func main() {
 	log.SetPrefix("w2c: ")
 	shared := cliflags.Bind(flag.CommandLine, "machine", "verify", "effort", "effort-budget", "explain", "trace")
 	baseline := flag.Bool("baseline", false, "disable software pipelining (locally compacted code)")
-	unrollInner := flag.Int("unroll-inner", 0, "fully unroll constant-trip inner loops of at most N iterations (outer-loop pipelining)")
 	kernel := flag.Bool("kernel", false, "print each pipelined loop's steady-state kernel schedule")
 	cells := flag.Int("cells", 0, "run the program on an N-cell array, streaming -input through the inter-cell queues")
 	partitionFlag := flag.Bool("partition", false, "with -cells: auto-partition the loop nest across the cells (one fragment per cell wired by queue cuts) instead of replicating the whole program")
@@ -111,7 +111,6 @@ func main() {
 		opts.Ctx = ctx
 	}
 	opts.Baseline = *baseline
-	opts.UnrollInnerTrip = *unrollInner
 	if *partitionFlag {
 		if *cells < 2 {
 			log.Fatal("-partition needs -cells N with N >= 2")

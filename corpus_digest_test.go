@@ -401,7 +401,8 @@ func digestMachines(t *testing.T) []*softpipe.Machine {
 
 // digestOptions are the deterministic option points (exact effort is
 // left out: its verdict depends on a wall-clock budget).  The paper's
-// ablations are not product options; adjust sets them in the back end's.
+// ablations and the inner-loop unroll threshold are not product options;
+// adjust sets them in the back end's.
 type digestOption struct {
 	name   string
 	opts   softpipe.Options
@@ -416,7 +417,7 @@ var digestOptions = []digestOption{
 	{name: "noloopred", adjust: func(o *codegen.Options) { o.DisableLoopReduction = true }},
 	{name: "binsearch", adjust: func(o *codegen.Options) { o.Pipeline.BinarySearch = true }},
 	{name: "lcm", adjust: func(o *codegen.Options) { o.Pipeline.Policy = pipeline.PolicyLCM }},
-	{name: "unroll4", opts: softpipe.Options{UnrollInnerTrip: 4}},
+	{name: "unroll4", adjust: func(o *codegen.Options) { o.UnrollInnerTrip = 4 }},
 }
 
 // compile is the one compile of p at this option point, for the digest

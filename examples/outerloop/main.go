@@ -3,14 +3,16 @@
 // the 7-cycle adder, so the inner loop cannot initiate faster than one
 // tap per 7 cycles, and loop reduction additionally pays the inner
 // prolog and epilog once per output sample.  Fully unrolling the four
-// taps (Options.UnrollInnerTrip) makes the *outer* loop innermost: the
-// accumulator is re-initialized every sample, the recurrence disappears,
-// and the modulo scheduler initiates a whole sample per memory-bound II.
+// taps (the `unroll` directive on the inner loop) makes the *outer* loop
+// innermost: the accumulator is re-initialized every sample, the
+// recurrence disappears, and the modulo scheduler initiates a whole
+// sample per memory-bound II.
 package main
 
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"softpipe"
 )
@@ -26,14 +28,14 @@ var a: array [0..515] of real;
 begin
   for i := 0 to n-1 do begin
     s := 0.0;
-    for j := 0 to 3 do
+    unroll for j := 0 to 3 do
       s := s + a[i+j]*w[j];
     c[i] := s;
   end;
 end.
 `
 
-func compile(unroll int) (*softpipe.Object, *softpipe.Result) {
+func compile(src string) (*softpipe.Object, *softpipe.Result) {
 	prog, err := softpipe.ParseSource(src)
 	if err != nil {
 		log.Fatal(err)
@@ -43,7 +45,7 @@ func compile(unroll int) (*softpipe.Object, *softpipe.Result) {
 		a.InitF = append(a.InitF, float64(i%17)*0.5-4)
 	}
 	prog.Array("w").InitF = []float64{0.125, 0.375, 0.375, 0.125}
-	obj, err := softpipe.Compile(prog, softpipe.Warp(), softpipe.Options{UnrollInnerTrip: unroll})
+	obj, err := softpipe.Compile(prog, softpipe.Warp(), softpipe.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,8 +57,8 @@ func compile(unroll int) (*softpipe.Object, *softpipe.Result) {
 }
 
 func main() {
-	_, reduced := compile(0)
-	obj, unrolled := compile(4)
+	_, reduced := compile(strings.Replace(src, "unroll ", "", 1))
+	obj, unrolled := compile(src)
 
 	fmt.Printf("loop reduction only:    %6d cycles  %5.2f MFLOPS/cell\n",
 		reduced.Cycles, reduced.CellMFLOPS)

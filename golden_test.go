@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"softpipe"
+	"softpipe/internal/codegen"
 	"softpipe/internal/workloads"
 )
 
@@ -25,8 +26,9 @@ var update = flag.Bool("update", false, "rewrite testdata/golden/*.golden from t
 type goldenCase struct {
 	name string
 	src  string
-	opts softpipe.Options
-	init func(p *softpipe.Program)
+	// adjust sets a comparison point in the back end's options.
+	adjust func(*codegen.Options)
+	init   func(p *softpipe.Program)
 }
 
 func initAll(v func(i int) float64) func(p *softpipe.Program) {
@@ -142,8 +144,8 @@ begin
   end;
 end.
 `,
-			opts: softpipe.Options{UnrollInnerTrip: 4},
-			init: initAll(func(i int) float64 { return float64(i%7) * 0.5 }),
+			adjust: func(o *codegen.Options) { o.UnrollInnerTrip = 4 },
+			init:   initAll(func(i int) float64 { return float64(i%7) * 0.5 }),
 		},
 		{
 			name: "edges",
@@ -220,7 +222,7 @@ func TestGoldenSchedules(t *testing.T) {
 			if c.init != nil {
 				c.init(prog)
 			}
-			obj, err := softpipe.Compile(prog, warp, c.opts)
+			obj, err := softpipe.CompileWith(prog, warp, softpipe.Options{}, c.adjust)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,14 +45,6 @@ type Options struct {
 	Ctx      context.Context
 	Mode     Mode
 	Pipeline pipeline.Options
-	// UnrollInnerTrip, when positive, fully unrolls constant-trip inner
-	// loops of at most that many iterations before scheduling, so the
-	// enclosing loop becomes innermost and is modulo scheduled directly
-	// (outer-loop software pipelining, §3.2 taken to its limit).  The
-	// pass rewrites a private clone; the caller's program is never
-	// modified.  Values outside [0, forceUnrollCap] are an error: the
-	// expansion is paid for before any deadline is consulted.
-	UnrollInnerTrip int
 	// VerifyEmitted runs the independent checker of internal/verify over
 	// the emitted object code against the *original* input program (so
 	// the internal unroll rewrite is verified too) and fails compilation
@@ -64,13 +56,18 @@ type Options struct {
 	// nil disables tracing at zero cost.
 	Tracer *trace.Tracer
 
-	// The comparison points: the four fields below and pipeline.Options'
+	// The comparison points: the five fields below and pipeline.Options'
 	// DisableMVE, BinarySearch and Policy.  A comparison only a benchmark
 	// or a test reads is a field here or there, reached through
 	// softpipe.CompileWith, never a product option; a comparison the
 	// product reports (softpipe.Options.Baseline, the denominator of every
 	// speedup) is an option.
 
+	// UnrollInnerTrip, when positive, fully unrolls constant-trip loops of
+	// at most that many iterations nested in another loop, as the `unroll`
+	// directive does per loop (unroll.go).  BenchmarkAblationUnrollInner_*,
+	// the corpus digest's unroll4 point and TestUnrollSpellingsAgree.
+	UnrollInnerTrip int
 	// DisableHier turns off hierarchical reduction (§3.1): loops containing
 	// conditionals are then never pipelined.  BenchmarkAblationHier_*.
 	DisableHier bool
@@ -170,9 +167,6 @@ type Report struct {
 // pass, the one rewriting transformation, works on a private clone), so
 // the same program may be compiled from many goroutines concurrently.
 func Compile(p *ir.Program, m *machine.Machine, opts Options) (*vliw.Program, *Report, error) {
-	if opts.UnrollInnerTrip < 0 || opts.UnrollInnerTrip > forceUnrollCap {
-		return nil, nil, fmt.Errorf("codegen: unroll-inner trip %d outside [0, %d]", opts.UnrollInnerTrip, forceUnrollCap)
-	}
 	sp := opts.Tracer.Begin("codegen.validate")
 	err := p.Validate(m)
 	sp.End()
@@ -180,10 +174,11 @@ func Compile(p *ir.Program, m *machine.Machine, opts Options) (*vliw.Program, *R
 		return nil, nil, err
 	}
 	orig := p
-	if needsUnroll(p.Body, int64(opts.UnrollInnerTrip), false) {
+	unroll := planUnroll(p, int64(opts.UnrollInnerTrip))
+	if len(unroll.expand) > 0 {
 		sp := opts.Tracer.Begin("codegen.unroll")
 		p = p.Clone()
-		err := unrollSmallLoops(p, int64(opts.UnrollInnerTrip))
+		err := unroll.apply(p, p.Body)
 		sp.End()
 		if err != nil {
 			return nil, nil, err
@@ -206,6 +201,11 @@ func Compile(p *ir.Program, m *machine.Machine, opts Options) (*vliw.Program, *R
 	e.prog.NumIRegs = e.iNext
 	e.report.FRegsUsed = e.fNext
 	e.report.IRegsUsed = e.iNext
+	for _, lr := range e.report.Loops {
+		if why, ok := unroll.notHonoured[lr.LoopID]; ok {
+			lr.Explain.Notes = append(lr.Explain.Notes, "unroll directive not honoured: "+why)
+		}
+	}
 	if e.fNext > m.FloatRegs {
 		return nil, nil, fmt.Errorf("codegen: %d float registers needed, machine has %d", e.fNext, m.FloatRegs)
 	}

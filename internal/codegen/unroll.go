@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"errors"
 	"fmt"
 
 	"softpipe/internal/ir"
@@ -15,7 +16,8 @@ import (
 // replace the loop with that many copies of its body, so the outer loop
 // becomes innermost and the modulo scheduler pipelines it directly,
 // initiating outer iterations at a software-pipelined II instead of
-// once per inner-loop drain.
+// once per inner-loop drain.  The product asks for it per loop with the
+// `unroll` directive; Options.UnrollInnerTrip is the comparison point.
 //
 // Unrolling is semantics-preserving without renaming because a loop
 // body already updates its own induction registers: executing the
@@ -24,103 +26,108 @@ import (
 // a + c·j for inner counter j becomes, in copy k, the *constant* address
 // a + c·k, so copies disambiguate against each other exactly.
 
-// forceUnrollCap bounds the `unroll` directive and Options.UnrollInnerTrip:
-// expanding more iterations than this would dwarf any schedule it could
-// improve.
+// forceUnrollCap bounds the copies one nest makes of any statement: the
+// product of the trip counts expanded around it, whichever spelling
+// selected them.  Expansions multiply (three nested 64-trip loops would
+// make 262,144 copies), so a loop whose expansion would pass the cap
+// stays a loop, and so does every loop around it.
 const forceUnrollCap = 64
 
-// unrollSmallLoops rewrites p's block tree in place, replacing every
-// constant-trip inner loop of at most maxTrip iterations (and with a
-// loop-free body) nested inside another loop by that many copies of its
-// body.  Loops carrying the `unroll` directive expand regardless of
-// maxTrip or nesting; loops marked NoPipeline are left alone.
-// Compile only calls this on a program it owns (see needsUnroll).
-func unrollSmallLoops(p *ir.Program, maxTrip int64) error {
-	return unrollInBlock(p, p.Body, maxTrip, false)
+// unrollPlan is the pass's decision, made on the unexpanded program
+// before anything is cloned: the loops it expands and, for each loop
+// that carries the `unroll` directive and is kept, why — both by loop ID.
+type unrollPlan struct {
+	expand      map[int]bool
+	notHonoured map[int]string
 }
 
-// needsUnroll reports whether unrollSmallLoops would change the block
-// tree: true iff some loop in b is unrollable under the same traversal.
-// Compile uses it to decide whether the program must be cloned before
-// the (mutating) unroll pass runs — programs without expandable loops
-// go straight to emission with zero copying.  An inner loop that blocks
-// its parent (hasLoop) is either unrollable itself, in which case this
-// scan already answers true, or survives in the real pass too, so the
-// answer matches the pass exactly.
-func needsUnroll(b *ir.Block, maxTrip int64, inLoop bool) bool {
+// planUnroll decides, inner loops first, to expand each constant-trip
+// loop whose body keeps no loop, that carries the `unroll` directive or
+// is nested in another loop and runs at most maxTrip iterations, and
+// whose expansion stays within forceUnrollCap; never a NoPipeline loop.
+// A negative trip count runs the body no times, as zero copies do.
+func planUnroll(p *ir.Program, maxTrip int64) *unrollPlan {
+	u := &unrollPlan{expand: map[int]bool{}, notHonoured: map[int]string{}}
+	u.block(p.Body, maxTrip, false)
+	return u
+}
+
+// block decides the loops of b and returns the most copies their
+// expansions make of any one statement of b (1 when none) and whether a
+// loop is kept anywhere in b.
+func (u *unrollPlan) block(b *ir.Block, maxTrip int64, inLoop bool) (copies int64, kept bool) {
+	copies = 1
 	for _, s := range b.Stmts {
 		switch s := s.(type) {
 		case *ir.IfStmt:
-			if needsUnroll(s.Then, maxTrip, inLoop) || needsUnroll(s.Else, maxTrip, inLoop) {
-				return true
-			}
+			ct, kt := u.block(s.Then, maxTrip, inLoop)
+			ce, ke := u.block(s.Else, maxTrip, inLoop)
+			copies, kept = max(copies, ct, ce), kept || kt || ke
 		case *ir.LoopStmt:
-			if needsUnroll(s.Body, maxTrip, true) || unrollable(s, maxTrip, inLoop) {
-				return true
-			}
+			c, k := u.loop(s, maxTrip, inLoop)
+			copies, kept = max(copies, c), kept || k
 		}
 	}
-	return false
+	return copies, kept
 }
 
-func unrollInBlock(p *ir.Program, b *ir.Block, maxTrip int64, inLoop bool) error {
+// loop decides one loop, after the loops of its body; see block.
+func (u *unrollPlan) loop(s *ir.LoopStmt, maxTrip int64, inLoop bool) (int64, bool) {
+	inner, innerKept := u.block(s.Body, maxTrip, true)
+	var why string
+	switch {
+	case s.NoPipeline:
+		why = "nopipeline pragma"
+	case s.CountReg != ir.NoReg:
+		why = "run-time trip count"
+	case innerKept:
+		why = "the body keeps an inner loop"
+	case !s.ForceUnroll && !(inLoop && maxTrip > 0 && s.CountImm <= maxTrip):
+		return inner, true
+	case s.CountImm > forceUnrollCap/inner: // CountImm·inner > cap, without overflow
+		why = fmt.Sprintf("trip count %d above the cap of %d", s.CountImm, forceUnrollCap)
+		if inner > 1 {
+			why = fmt.Sprintf("the nest would make %d × %d copies, above the cap of %d", s.CountImm, inner, forceUnrollCap)
+		}
+	default:
+		u.expand[s.ID] = true
+		return s.CountImm * inner, false
+	}
+	if s.ForceUnroll {
+		u.notHonoured[s.ID] = why
+	}
+	return inner, true
+}
+
+// apply rewrites b in place, inner loops first, replacing each loop the
+// plan expands by copies of its body; Compile calls it on its own clone.
+func (u *unrollPlan) apply(p *ir.Program, b *ir.Block) error {
 	var out []ir.Stmt
 	for _, s := range b.Stmts {
 		switch s := s.(type) {
 		case *ir.IfStmt:
-			if err := unrollInBlock(p, s.Then, maxTrip, inLoop); err != nil {
+			if err := errors.Join(u.apply(p, s.Then), u.apply(p, s.Else)); err != nil {
 				return err
 			}
-			if err := unrollInBlock(p, s.Else, maxTrip, inLoop); err != nil {
-				return err
-			}
-			out = append(out, s)
 		case *ir.LoopStmt:
-			if err := unrollInBlock(p, s.Body, maxTrip, true); err != nil {
+			if err := u.apply(p, s.Body); err != nil {
 				return err
 			}
-			if unrollable(s, maxTrip, inLoop) {
+			if u.expand[s.ID] {
 				for k := int64(0); k < s.CountImm; k++ {
-					for _, bs := range s.Body.Stmts {
-						c, err := cloneStmtAt(p, bs, s.ID, k)
-						if err != nil {
-							return err
-						}
-						out = append(out, c)
+					c, err := cloneStmtsAt(p, s.Body.Stmts, s.ID, k)
+					if err != nil {
+						return err
 					}
+					out = append(out, c...)
 				}
-			} else {
-				out = append(out, s)
+				continue
 			}
-		default:
-			out = append(out, s)
 		}
+		out = append(out, s)
 	}
 	b.Stmts = out
 	return nil
-}
-
-// unrollable reports whether the loop is a compile-time-counted loop
-// small enough to expand.  A nested loop inside the body blocks
-// unrolling (the inner pass runs first, so a surviving nested loop is
-// one that was itself not unrollable).
-func unrollable(s *ir.LoopStmt, maxTrip int64, inLoop bool) bool {
-	if s.NoPipeline || s.CountReg != ir.NoReg || s.CountImm < 0 || hasLoop(s.Body) {
-		return false
-	}
-	if s.ForceUnroll {
-		return s.CountImm <= forceUnrollCap
-	}
-	return inLoop && s.CountImm <= maxTrip && maxTrip > 0
-}
-
-func hasLoop(b *ir.Block) (loop bool) {
-	b.Walk(func(s ir.Stmt) bool {
-		_, isLoop := s.(*ir.LoopStmt)
-		loop = loop || isLoop
-		return !loop
-	})
-	return loop
 }
 
 // cloneStmtAt deep-copies one statement for unrolled copy k of loop
@@ -131,28 +138,31 @@ func cloneStmtAt(p *ir.Program, s ir.Stmt, loopID int, k int64) (ir.Stmt, error)
 	case *ir.OpStmt:
 		return &ir.OpStmt{Op: cloneOpAt(p, s.Op, loopID, k)}, nil
 	case *ir.IfStmt:
-		c := &ir.IfStmt{Cond: s.Cond, Then: &ir.Block{}, Else: &ir.Block{}}
-		for _, t := range s.Then.Stmts {
-			ct, err := cloneStmtAt(p, t, loopID, k)
-			if err != nil {
-				return nil, err
-			}
-			c.Then.Stmts = append(c.Then.Stmts, ct)
+		then, terr := cloneStmtsAt(p, s.Then.Stmts, loopID, k)
+		els, eerr := cloneStmtsAt(p, s.Else.Stmts, loopID, k)
+		if err := errors.Join(terr, eerr); err != nil {
+			return nil, err
 		}
-		for _, e := range s.Else.Stmts {
-			ce, err := cloneStmtAt(p, e, loopID, k)
-			if err != nil {
-				return nil, err
-			}
-			c.Else.Stmts = append(c.Else.Stmts, ce)
-		}
-		return c, nil
+		return &ir.IfStmt{Cond: s.Cond, Then: &ir.Block{Stmts: then}, Else: &ir.Block{Stmts: els}}, nil
 	default:
-		// unrollable rejects bodies containing loops, so only a new,
+		// The plan expands no loop whose body keeps a loop, so only a new,
 		// unhandled statement kind lands here; fail the compile rather
 		// than panicking mid-rewrite.
 		return nil, fmt.Errorf("codegen: cannot unroll statement of kind %T in loop %d", s, loopID)
 	}
+}
+
+// cloneStmtsAt clones a statement list with cloneStmtAt.
+func cloneStmtsAt(p *ir.Program, stmts []ir.Stmt, loopID int, k int64) ([]ir.Stmt, error) {
+	var out []ir.Stmt
+	for _, s := range stmts {
+		c, err := cloneStmtAt(p, s, loopID, k)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, c)
+	}
+	return out, nil
 }
 
 func cloneOpAt(p *ir.Program, o *ir.Op, loopID int, k int64) *ir.Op {

@@ -1,7 +1,10 @@
 package codegen
 
 import (
+	"context"
+	"strings"
 	"testing"
+	"time"
 
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
@@ -296,10 +299,11 @@ func TestUnrollRandomized(t *testing.T) {
 
 // TestForceUnrollDirective: the per-loop ForceUnroll flag expands a loop
 // the global threshold would skip — including at top level — while the
-// cap and the NoPipeline conflict still gate it.
+// cap and the NoPipeline conflict still gate it, and a loop kept in spite
+// of the directive says why in its explain report.
 func TestForceUnrollDirective(t *testing.T) {
 	m := machine.Warp()
-	compile := func(mark func(*ir.LoopStmt)) []LoopReport {
+	compile := func(trip int64, mark func(*ir.LoopStmt)) []LoopReport {
 		t.Helper()
 		b := ir.NewBuilder("force")
 		arr := b.Array("a", ir.KindFloat, 128)
@@ -307,7 +311,7 @@ func TestForceUnrollDirective(t *testing.T) {
 			arr.InitF = append(arr.InitF, float64(i))
 		}
 		one := b.FConst(1)
-		ls := b.ForN(6, func(l *ir.LoopCtx) {
+		ls := b.ForN(trip, func(l *ir.LoopCtx) {
 			p := l.Pointer(0, 1)
 			v := b.Load("a", p, ir.Aff(l.ID, 1, 0))
 			b.Store("a", p, b.FAdd(v, one), ir.Aff(l.ID, 1, 0))
@@ -330,50 +334,99 @@ func TestForceUnrollDirective(t *testing.T) {
 		}
 		return rep.Loops
 	}
-
-	// Marked: the top-level trip-6 loop expands with no option set.
-	if loops := compile(func(l *ir.LoopStmt) { l.ForceUnroll = true }); len(loops) != 0 {
-		t.Errorf("forced loop should vanish, got %d reports", len(loops))
-	}
-	// Unmarked: it survives.
-	if loops := compile(func(l *ir.LoopStmt) {}); len(loops) != 1 {
-		t.Errorf("unmarked loop must survive, got %d reports", len(loops))
-	}
-	// Forced but nopipeline: the pragma conflict resolves to keeping it.
-	if loops := compile(func(l *ir.LoopStmt) { l.ForceUnroll = true; l.NoPipeline = true }); len(loops) != 1 {
-		t.Errorf("nopipeline must win over unroll, got %d reports", len(loops))
-	}
-	// Forced beyond the cap: kept.
-	b := ir.NewBuilder("big")
-	arr := b.Array("a", ir.KindFloat, 128)
-	for i := 0; i < 128; i++ {
-		arr.InitF = append(arr.InitF, 1)
-	}
-	one := b.FConst(1)
-	ls := b.ForN(100, func(l *ir.LoopCtx) {
-		p := l.Pointer(0, 1)
-		v := b.Load("a", p, nil)
-		b.Store("a", p, b.FAdd(v, one), nil)
-	})
-	_ = ls
-	ls.ForceUnroll = true
-	_, rep, err := Compile(b.P, m, Options{Mode: ModePipelined})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Loops) != 1 {
-		t.Errorf("trip-100 forced loop exceeds the cap and must survive, got %d", len(rep.Loops))
-	}
-}
-
-// TestUnrollInnerTripBounded: the option is capped where the `unroll`
-// directive is — a larger (or negative) value is a compile error, not an
-// expansion paid for before any deadline is consulted; the cap compiles.
-func TestUnrollInnerTripBounded(t *testing.T) {
-	for _, trip := range []int{forceUnrollCap + 1, -1, 1000000000} {
-		if _, _, err := Compile(firProgram(8, 4), machine.Warp(), Options{UnrollInnerTrip: trip}); err == nil {
-			t.Errorf("UnrollInnerTrip %d compiled, want a range error", trip)
+	// kept checks that the one loop left says why the directive was not
+	// honoured, and that the reason for its outcome is untouched.
+	kept := func(what string, loops []LoopReport, reason, why string) {
+		t.Helper()
+		if len(loops) != 1 {
+			t.Fatalf("%s: %d reports, want the loop kept", what, len(loops))
+		}
+		lr := loops[0]
+		if lr.Reason != reason {
+			t.Errorf("%s: reason %q, want %q", what, lr.Reason, reason)
+		}
+		if want := "note: unroll directive not honoured: " + why + "\n"; !strings.Contains(lr.Explain.Format(), want) {
+			t.Errorf("%s: report does not say %q:\n%s", what, want, lr.Explain.Format())
 		}
 	}
-	runUnrolled(t, func() *ir.Program { return firProgram(8, 4) }, forceUnrollCap)
+
+	// Marked: the top-level trip-6 loop expands with no option set.
+	if loops := compile(6, func(l *ir.LoopStmt) { l.ForceUnroll = true }); len(loops) != 0 {
+		t.Errorf("forced loop should vanish, got %d reports", len(loops))
+	}
+	// Unmarked: it survives, and has no directive to explain.
+	loops := compile(6, func(l *ir.LoopStmt) {})
+	if len(loops) != 1 || strings.Contains(loops[0].Explain.Format(), "unroll directive") {
+		t.Errorf("unmarked loop must survive and say nothing of unrolling, got %+v", loops)
+	}
+	// Forced but nopipeline: the pragma conflict resolves to keeping it.
+	kept("nopipeline", compile(6, func(l *ir.LoopStmt) { l.ForceUnroll = true; l.NoPipeline = true }),
+		"nopipeline pragma", "nopipeline pragma")
+	// Forced beyond the cap: kept, with the outcome the unmarked loop has.
+	kept("trip 100", compile(100, func(l *ir.LoopStmt) { l.ForceUnroll = true }),
+		compile(100, func(l *ir.LoopStmt) {})[0].Reason, "trip count 100 above the cap of 64")
+}
+
+// unrollNest builds depth loops of trip iterations each, nested, around
+// a[k] += 1 on the innermost counter k; force marks every loop with the
+// `unroll` directive.
+func unrollNest(depth int, trip int64, force bool) *ir.Program {
+	b := ir.NewBuilder("nest")
+	arr := b.Array("a", ir.KindFloat, int(trip))
+	for i := int64(0); i < trip; i++ {
+		arr.InitF = append(arr.InitF, float64(i))
+	}
+	one := b.FConst(1)
+	var level func(d int)
+	level = func(d int) {
+		ls := b.ForN(trip, func(l *ir.LoopCtx) {
+			if d < depth-1 {
+				level(d + 1)
+				return
+			}
+			p := l.Pointer(0, 1)
+			v := b.Load("a", p, ir.Aff(l.ID, 1, 0))
+			b.Store("a", p, b.FAdd(v, one), ir.Aff(l.ID, 1, 0))
+		})
+		ls.ForceUnroll = force
+	}
+	level(0)
+	return b.P
+}
+
+// TestUnrollInnerTripBounded: the cap bounds the copies a nest makes, not
+// each loop's trip count, because expansions multiply.  Three nested
+// 64-trip loops carrying the directive (262,144 copies of the body
+// unbounded) keep the outer two, each saying why, and so does a four-deep
+// nest under UnrollInnerTrip 64; an 8×8 nest, 64 copies, still expands
+// whole.  Every compile finishes well inside a 5 s deadline.
+func TestUnrollInnerTripBounded(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		p            *ir.Program
+		trip         int
+		loops, notes int
+	}{
+		{"three 64-trip directives", unrollNest(3, 64, true), 0, 2, 2},
+		{"four deep, UnrollInnerTrip 64", unrollNest(4, 64, false), 64, 3, 0},
+		{"8×8 directives", unrollNest(2, 8, true), 0, 0, 0},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, rep, err := Compile(c.p, machine.Warp(), Options{Ctx: ctx, UnrollInnerTrip: c.trip})
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		notes := 0
+		for _, lr := range rep.Loops {
+			if strings.Contains(lr.Explain.Format(), "note: unroll directive not honoured: ") {
+				notes++
+			}
+		}
+		if len(rep.Loops) != c.loops || notes != c.notes {
+			t.Errorf("%s: %d loops, %d saying why the directive was not honoured; want %d and %d",
+				c.name, len(rep.Loops), notes, c.loops, c.notes)
+		}
+	}
+	runUnrolled(t, func() *ir.Program { return unrollNest(2, 8, true) }, 0)
 }

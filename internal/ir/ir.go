@@ -234,8 +234,8 @@ type LoopStmt struct {
 	// loop-carried memory edges.
 	Independent bool
 	// ForceUnroll marks the loop for full expansion before scheduling
-	// (the `unroll` source directive), independent of the compiler-wide
-	// unroll threshold.  Only constant-trip, loop-free bodies qualify.
+	// (the `unroll` source directive), within the back end's cap on the
+	// copies one nest makes.  Only constant-trip, loop-free bodies qualify.
 	ForceUnroll bool
 }
 

@@ -233,6 +233,61 @@ end.
 	}
 }
 
+// TestUnrollDirectiveNotHonoured: a loop the compiler keeps in spite of
+// its `unroll` directive says why in its explain report — here a
+// triangular inner loop (run-time trip count) and a 16×8 nest whose outer
+// expansion would pass the cap on the copies one nest makes (the inner
+// loop expands, the outer stays) — and the program still runs right.
+func TestUnrollDirectiveNotHonoured(t *testing.T) {
+	p, err := Compile(`
+program keep;
+var a: array [0..15] of real;
+    i, j: int;
+begin
+  for i := 0 to 7 do
+    unroll for j := 0 to i do
+      a[j] := a[j] + 1.0;
+  unroll for i := 0 to 15 do
+    unroll for j := 0 to 7 do
+      a[j] := a[j] + 2.0;
+end.
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ir.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.Warp()
+	prog, rep, err := codegen.Compile(p, m, codegen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var notes []string
+	for _, lr := range rep.Loops {
+		for _, n := range lr.Explain.Notes {
+			if strings.HasPrefix(n, "unroll directive not honoured: ") {
+				notes = append(notes, n)
+			}
+		}
+	}
+	wantNotes := []string{
+		"unroll directive not honoured: run-time trip count",
+		"unroll directive not honoured: the nest would make 16 × 8 copies, above the cap of 64",
+	}
+	if len(rep.Loops) != 3 || strings.Join(notes, "\n") != strings.Join(wantNotes, "\n") {
+		t.Errorf("%d loops noting %q; want 3 loops noting %q", len(rep.Loops), notes, wantNotes)
+	}
+	got, _, err := sim.Run(prog, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := want.Diff(got); d != "" {
+		t.Fatalf("mismatch: %s", d)
+	}
+}
+
 // TestUnrollDirectiveErrors: the directive must precede a for loop.
 func TestUnrollDirectiveErrors(t *testing.T) {
 	_, err := Compile(`

@@ -19,18 +19,13 @@ import (
 
 const maxRequestBytes = 4 << 20
 
-// maxUnrollInnerTrip is the compiler's own cap on unroll_inner_trip
-// (codegen rejects anything larger), applied before keying so that
-// out-of-range values neither fragment the cache nor reach a worker.
-const maxUnrollInnerTrip = 64
-
 // CompileOptions is the wire form of the request-visible subset of
 // softpipe.Options — JSON field names and nothing else.  The service
 // reads it in exactly one place, resolve; the cache key, the compiler
 // call and the sweep grid all work from the resolved softpipe.Options.
+// The source asks for full unrolling per loop (`unroll`); it is keyed there.
 type CompileOptions struct {
-	Baseline        bool `json:"baseline,omitempty"`
-	UnrollInnerTrip int  `json:"unroll_inner_trip,omitempty"`
+	Baseline bool `json:"baseline,omitempty"`
 	// Verify runs the independent object-code verifier as part of the
 	// compile; a verified artifact is cached like any other.
 	Verify bool `json:"verify,omitempty"`
@@ -49,14 +44,10 @@ func (o CompileOptions) resolve() (softpipe.Options, error) {
 	if err != nil {
 		return softpipe.Options{}, err
 	}
-	if o.UnrollInnerTrip < 0 || o.UnrollInnerTrip > maxUnrollInnerTrip {
-		return softpipe.Options{}, fmt.Errorf("unroll_inner_trip %d outside [0, %d]", o.UnrollInnerTrip, maxUnrollInnerTrip)
-	}
 	return softpipe.Options{
-		Baseline:        o.Baseline,
-		UnrollInnerTrip: o.UnrollInnerTrip,
-		VerifyEmitted:   o.Verify,
-		Effort:          eff,
+		Baseline:      o.Baseline,
+		VerifyEmitted: o.Verify,
+		Effort:        eff,
 	}, nil
 }
 
@@ -67,10 +58,10 @@ func (o CompileOptions) resolve() (softpipe.Options, error) {
 // artifact.  Every softpipe.Options field is either rendered here or on
 // the exempt list of TestOptionsKeyCoversOptions, with the reason.
 //
-// mve, hier, lred, bin and lcm were ablation switches; they left the
-// options and render as a fixed 0, so every key this build produces is
-// byte-identical to the one a build that still had them produced for
-// the same request, and disk caches and a mixed fleet keep agreeing.
+// mve, hier, lred, bin, lcm (ablation switches) and unroll (an unroll
+// threshold) left the options and render as a fixed 0: every key this
+// build produces is byte-identical to the one a build that still had them
+// produced for the same request, so disk caches and a mixed fleet agree.
 func optionsKey(o softpipe.Options) string {
 	b := func(v bool) byte {
 		if v {
@@ -78,8 +69,8 @@ func optionsKey(o softpipe.Options) string {
 		}
 		return '0'
 	}
-	return fmt.Sprintf("v2:base=%c;mve=0;hier=0;lred=0;bin=0;lcm=0;unroll=%d;verify=%c;effort=%s",
-		b(o.Baseline), o.UnrollInnerTrip, b(o.VerifyEmitted), o.Effort)
+	return fmt.Sprintf("v2:base=%c;mve=0;hier=0;lred=0;bin=0;lcm=0;unroll=0;verify=%c;effort=%s",
+		b(o.Baseline), b(o.VerifyEmitted), o.Effort)
 }
 
 // CompileRequest is the body of POST /compile.

@@ -12,12 +12,14 @@ import (
 	"testing"
 )
 
-// TestRequestsRefuseAblationFields: the paper's ablation switches are not
-// request options, so every source-carrying endpoint answers one with a
-// 400 that names it, compiles nothing and panics nowhere.
+// TestRequestsRefuseAblationFields: the paper's ablation switches and the
+// inner-loop unroll threshold (the source's `unroll` directive asks for
+// that per loop) are not request options, so every source-carrying
+// endpoint answers one with a 400 that names it, compiles nothing and
+// panics nowhere.
 func TestRequestsRefuseAblationFields(t *testing.T) {
 	s := newTestServer(t, Config{})
-	for _, name := range []string{"disable_mve", "disable_hier", "disable_loop_reduction", "binary_search", "policy_lcm"} {
+	for _, name := range []string{"disable_mve", "disable_hier", "disable_loop_reduction", "binary_search", "policy_lcm", "unroll_inner_trip"} {
 		for _, path := range []string{"/compile", "/run", "/sweep"} {
 			code, reply := rawPost(s, path, map[string]any{"source": sumSource, "options": map[string]bool{name: true}})
 			var e errorResponse
@@ -57,10 +59,10 @@ func FuzzRequestFront(f *testing.F) {
 			{Source: string(src), Machine: "wide2"},
 			{Source: string(src), Machine: "gen:fa2,fm2,mem2,lat7/7/3,fr62,rot"},
 			{Source: string(src), Options: CompileOptions{Effort: "psychic"}},
-			{Source: string(src), Options: CompileOptions{UnrollInnerTrip: maxUnrollInnerTrip + 1}},
 		} {
 			f.Add(mustJSON(req))
 		}
+		f.Add(mustJSON(map[string]any{"source": string(src), "options": map[string]int{"unroll_inner_trip": 4}}))
 		f.Add(mustJSON(map[string]any{"source": string(src), "options": map[string]bool{"disable_mve": true}}))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

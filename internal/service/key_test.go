@@ -103,9 +103,10 @@ func TestOptionsKeyCoversOptions(t *testing.T) {
 // computed from the resolved options, so a mixed fleet of old and new
 // builds agrees on every key, and no restart orphans a disk cache.  The
 // every-field and partitioned pins are what builds that still had the
-// ablation fields produced for the same four fields set.
+// ablation fields and unroll_inner_trip produced for the same three fields
+// set.
 func TestKeyPinned(t *testing.T) {
-	every := CompileOptions{Baseline: true, UnrollInnerTrip: 3, Verify: true, Effort: "exact"}
+	every := CompileOptions{Baseline: true, Verify: true, Effort: "exact"}
 	for i := 0; i < reflect.TypeOf(every).NumField(); i++ {
 		if reflect.ValueOf(every).Field(i).IsZero() {
 			t.Fatalf("the every-field-set pin leaves CompileOptions.%s zero", reflect.TypeOf(every).Field(i).Name)
@@ -117,7 +118,7 @@ func TestKeyPinned(t *testing.T) {
 		want string
 	}{
 		{"zero options on warp", CompileOptions{}, "c753b3be55b984f520df7ab15e8fad32e1c69b2fd42ddfec0a744d94e68b1ed6"},
-		{"every wire field set", every, "4d059fb27fad90a3b7839d1ecde4ce1edccd8ca6a5a83061378379ab7e1da058"},
+		{"every wire field set", every, "0cc50aa241efe62b4c7d02858736e3f5976a5a17dbacfd381836a0bae5930175"},
 		{`effort "heuristic" is effort ""`, CompileOptions{Effort: "heuristic"}, "c753b3be55b984f520df7ab15e8fad32e1c69b2fd42ddfec0a744d94e68b1ed6"},
 	} {
 		if got := wireKey(t, c.opts); got != c.want {
@@ -129,7 +130,7 @@ func TestKeyPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := j.key.String(), "1194fe0ab934e62b1ccf012213061ebd4486ffa8b987ecb3dea55d4b00eb0bc5"; got != want {
+	if got, want := j.key.String(), "2e6633ae0ff60cae57c457ece3afa06213a0e4c947b1b6b229eb3081bcb97174"; got != want {
 		t.Errorf("partitioned key %s, want %s", got, want)
 	}
 }

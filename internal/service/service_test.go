@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -229,32 +228,43 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
-// TestCompileBoundsUnrollInnerTrip: unroll_inner_trip multiplies the work
-// of a compile before any deadline is consulted, so one past the
-// compiler's cap (and any negative value) is a 400 naming the cap that
-// computes nothing and keys nothing; the cap itself compiles.
+// TestCompileBoundsUnrollInnerTrip: full unrolling multiplies the work of
+// a compile before any deadline is consulted, and the expansions of a
+// nest multiply each other, so a cap on each loop's trip count bounds
+// nothing.  A request cannot ask for unrolling (unroll_inner_trip is
+// refused, TestRequestsRefuseAblationFields); its source can, and three
+// nested 64-trip `unroll` loops — 262,144 copies of the body unbounded —
+// compile well inside their deadline, the loops the compiler kept saying
+// why.
 func TestCompileBoundsUnrollInnerTrip(t *testing.T) {
 	s := newTestServer(t, Config{})
-	for _, trip := range []int{maxUnrollInnerTrip + 1, -1} {
-		var e errorResponse
-		req := CompileRequest{Source: sumSource, Options: CompileOptions{UnrollInnerTrip: trip}}
-		if code, _ := post(t, s, "/compile", req, &e); code != http.StatusBadRequest {
-			t.Errorf("unroll_inner_trip %d: status %d, want 400", trip, code)
-		} else if !strings.Contains(e.Error, fmt.Sprint(maxUnrollInnerTrip)) {
-			t.Errorf("unroll_inner_trip %d: error %q does not name the cap", trip, e.Error)
-		}
-		if got := s.CacheStats().Computes; got != 0 {
-			t.Errorf("unroll_inner_trip %d: rejected request still compiled (%d computes)", trip, got)
+	var resp CompileResponse
+	start := time.Now()
+	if code, _ := post(t, s, "/compile", CompileRequest{Source: deepUnrollSource, TimeoutMS: 5000}, &resp); code != http.StatusOK {
+		t.Fatalf("nested unroll directives: status %d after %v", code, time.Since(start))
+	}
+	kept := 0
+	for _, l := range resp.Loops {
+		if strings.Contains(l.Explain, "note: unroll directive not honoured: ") {
+			kept++
 		}
 	}
-	req := CompileRequest{Source: sumSource, Options: CompileOptions{UnrollInnerTrip: maxUnrollInnerTrip}}
-	if code, _ := post(t, s, "/compile", req, nil); code != http.StatusOK {
-		t.Fatalf("unroll_inner_trip at the cap: status %d", code)
-	}
-	if got := s.CacheStats().Computes; got != 1 {
-		t.Fatalf("unroll_inner_trip at the cap: %d computes, want 1", got)
+	if len(resp.Loops) != 2 || kept != 2 {
+		t.Errorf("want the outer two loops kept, each saying why; got %+v", resp.Loops)
 	}
 }
+
+// deepUnrollSource asks for 64·64·64 copies of its body.
+const deepUnrollSource = `program deep;
+var a: array [0..63] of real;
+    i, j, k: int;
+begin
+  unroll for i := 0 to 63 do
+    unroll for j := 0 to 63 do
+      unroll for k := 0 to 63 do
+        a[k] := a[k] + 1.0;
+end.
+`
 
 func TestCompileTraceOnlyOnActualCompile(t *testing.T) {
 	s := newTestServer(t, Config{})

@@ -80,7 +80,8 @@ type State = ir.State
 // Options tunes compilation.  The paper's ablations (MVE off, the lcm
 // unroll policy, hierarchical and loop reduction off, binary II search)
 // are not options: they are codegen.Options/pipeline.Options fields a
-// benchmark or test reaches through CompileWith.
+// benchmark or test reaches through CompileWith.  Nor is full unrolling
+// of inner loops: the `unroll` source directive asks for it per loop.
 type Options struct {
 	// Ctx, when non-nil, bounds the compile: a canceled or deadlined
 	// context aborts the II search between candidate initiation
@@ -100,10 +101,6 @@ type Options struct {
 	// 0 means schedule.DefaultExactBudget (250ms).  Ignored by the
 	// heuristic backend.
 	EffortBudget time.Duration
-	// UnrollInnerTrip, when positive, fully unrolls constant-trip inner
-	// loops of at most that many iterations so the enclosing loop is
-	// modulo scheduled directly (outer-loop software pipelining).
-	UnrollInnerTrip int
 	// VerifyEmitted runs the independent object-code checker
 	// (internal/verify) on the emitted binary as part of compilation:
 	// resource legality including kernel wraparound, plus a concolic
@@ -152,12 +149,11 @@ func (o Options) lower() codegen.Options {
 		mode = codegen.ModeUnpipelined
 	}
 	return codegen.Options{
-		Ctx:             o.Ctx,
-		Mode:            mode,
-		UnrollInnerTrip: o.UnrollInnerTrip,
-		VerifyEmitted:   o.VerifyEmitted,
-		Tracer:          o.Tracer,
-		Pipeline:        pipeline.Options{Effort: o.Effort, SchedBudget: o.EffortBudget},
+		Ctx:           o.Ctx,
+		Mode:          mode,
+		VerifyEmitted: o.VerifyEmitted,
+		Tracer:        o.Tracer,
+		Pipeline:      pipeline.Options{Effort: o.Effort, SchedBudget: o.EffortBudget},
 	}
 }
 

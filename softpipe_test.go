@@ -1,11 +1,16 @@
 package softpipe_test
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"softpipe"
+	"softpipe/internal/codegen"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 )
@@ -159,6 +164,9 @@ func TestScalarAndWideMachines(t *testing.T) {
 	}
 }
 
+// TestUnrollInnerOption: the `unroll` directive on the FIR's tap loop
+// collapses the nest to one pipelined loop, which beats loop reduction of
+// the same source without it by more than 2×.
 func TestUnrollInnerOption(t *testing.T) {
 	src := `
 program fir;
@@ -171,13 +179,13 @@ var a: array [0..67] of real;
 begin
   for i := 0 to n-1 do begin
     s := 0.0;
-    for j := 0 to 3 do
+    unroll for j := 0 to 3 do
       s := s + a[i+j]*w[j];
     c[i] := s;
   end;
 end.
 `
-	compile := func(trip int) *softpipe.Object {
+	compile := func(src string) *softpipe.Object {
 		t.Helper()
 		p, err := softpipe.ParseSource(src)
 		if err != nil {
@@ -188,13 +196,13 @@ end.
 			a.InitF = append(a.InitF, float64(i%9)-4)
 		}
 		wv.InitF = []float64{0.25, 0.5, 0.75, 1}
-		obj, err := softpipe.Compile(p, softpipe.Warp(), softpipe.Options{UnrollInnerTrip: trip})
+		obj, err := softpipe.Compile(p, softpipe.Warp(), softpipe.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return obj
 	}
-	unrolled, reduced := compile(4), compile(0)
+	unrolled, reduced := compile(src), compile(strings.Replace(src, "unroll ", "", 1))
 	ur, err := unrolled.Verify()
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +216,55 @@ end.
 	}
 	if ur.Cycles*2 > rr.Cycles {
 		t.Errorf("outer-loop pipelining should dominate: %d vs %d cycles", ur.Cycles, rr.Cycles)
+	}
+}
+
+// TestUnrollSpellingsAgree: the `unroll` directive on the FIR's tap loop
+// (testdata/fir.w2, the examples/outerloop source) and the comparison
+// field codegen.Options.UnrollInnerTrip on the same source without it
+// compile to the same code and the same loop reports, on Warp and on the
+// first rotating grid point.
+func TestUnrollSpellingsAgree(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "fir.w2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	directive, err := softpipe.ParseSource(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := softpipe.ParseSource(strings.Replace(string(src), "unroll ", "", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(obj *softpipe.Object) string {
+		var b strings.Builder
+		b.WriteString(obj.Disassemble())
+		fmt.Fprintf(&b, "fregs %d, iregs %d\n", obj.Report.FRegsUsed, obj.Report.IRegsUsed)
+		for _, lr := range obj.Report.Loops {
+			explain := lr.Explain.Format()
+			lr.Explain = nil
+			fmt.Fprintf(&b, "%+v\n%s", lr, explain)
+		}
+		return b.String()
+	}
+	machines := digestMachines(t)
+	rot := slices.IndexFunc(machines, func(m *softpipe.Machine) bool { return m.RotatingRegs })
+	for _, m := range []*softpipe.Machine{machines[0], machines[rot]} {
+		byDirective, err := softpipe.Compile(directive, m, softpipe.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		byField, err := softpipe.CompileWith(plain, m, softpipe.Options{}, func(o *codegen.Options) { o.UnrollInnerTrip = 4 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(byDirective.Report.Loops) != 1 {
+			t.Fatalf("%s: the directive did not collapse the nest: %d loops", m.Name, len(byDirective.Report.Loops))
+		}
+		if a, b := render(byDirective), render(byField); a != b {
+			t.Errorf("%s: the two spellings compile differently\n--- unroll directive ---\n%s--- UnrollInnerTrip 4 ---\n%s", m.Name, a, b)
+		}
 	}
 }
 
