@@ -211,23 +211,26 @@ func (e *emitter) tryPipelined(l *ir.LoopStmt, rep *LoopReport) bool {
 // room for it (loadCounter).  A loop too short for one kernel pass is
 // its flat schedule — n iterations started II apart, no kernel and no
 // counter — when that takes fewer cycles than the unpipelined loop
-// (flatWins); otherwise countedRows reports false with the reason
+// (whyNotFlat); otherwise countedRows reports false with the reason
 // recorded and p untouched.
 func (e *emitter) countedRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, n int64, rep *LoopReport) bool {
-	r, passes, ok := plan.Split(n)
-	switch {
-	case ok:
+	if r, passes, ok := plan.Split(n); ok {
 		counter := e.allocI()
 		p.counters = append(p.counters, counter)
 		start := len(p.rows)
 		e.regionRows(p, nodes, plan, counter, int(r))
 		e.loadCounter(p, start, vliw.SlotOp{Class: machine.ClassIConst, Dst: counter, IImm: passes})
 		rep.Passes, rep.Tail = passes, r
-	case e.flatWins(nodes, plan, int(n)):
-		e.flatRows(p, nodes, plan, int(n))
+	} else if why := e.whyNotFlat(rep.LoopID, nodes, plan, n); why == "" {
+		// No loop-back advances a rotating base, so copies are addressed
+		// statically: iteration i uses copy i mod Copies, as a ring at base i.
+		static := *plan
+		static.Rotating = false
+		e.tailRows(p, nodes, &static, 0, int(n)-1)
 		rep.Flat = true
-	default:
+	} else {
 		rep.refuse(fmt.Sprintf("too few iterations (%d) for %d stages, unroll %d", n, plan.Stages, plan.Unroll))
+		rep.Explain.Notes = append(rep.Explain.Notes, why)
 		rep.Hoisted = 0 // the loop is emitted from its statements, not from the plan
 		return false
 	}
@@ -265,28 +268,78 @@ func (e *emitter) loadCounter(p *loopPayload, start int, load vliw.SlotOp) {
 	kernel.end++
 }
 
-// flatWins reports whether n iterations take fewer cycles as the plan's
-// flat schedule than as the unpipelined loop, each closed on what it
-// leaves in flight: a counter load, n compacted periods and the last
-// pass's tail, against n iterations II apart, the last one's tail and the
-// fix-up moves with theirs.  That is known exactly only for a
-// straight-line body; with a conditional the unpipelined loop is real
-// control flow of data-dependent length, and the flat form is not offered.
-func (e *emitter) flatWins(nodes []*depgraph.Node, plan *pipeline.Plan, n int) bool {
-	for _, nd := range nodes {
-		if nd.Op == nil {
-			return false
+// whyNotFlat says why n iterations of loop are not its flat schedule, ""
+// when they are: when that is shorter than the unpipelined loop, which with
+// a conditional is control flow of data-dependent length, never offered.
+func (e *emitter) whyNotFlat(loop int, nodes []*depgraph.Node, plan *pipeline.Plan, n int64) string {
+	if slices.ContainsFunc(nodes, func(nd *depgraph.Node) bool { return nd.Op == nil }) {
+		return "flat schedule not offered: the body has a conditional"
+	}
+	flat, unpipelined := e.compare("codegen.flat", loop, e.flatForm(nodes, plan, int(n)), e.repeatedForm(1, nodes, plan.Compact.Time, plan.Period), n)
+	if flat < unpipelined {
+		return ""
+	}
+	return fmt.Sprintf("flat schedule not taken: %d cycles ≥ %d unpipelined", flat, unpipelined)
+}
+
+// form is one way to emit a loop, as the cycles model sees it: lead cycles
+// before its first iteration, period cycles from one iteration's start to
+// the next's, and last cycles from the last one's start until everything
+// it wrote has landed.  Both keep-the-shorter choices of the back end,
+// whyNotFlat (Lam §2.4) and tryRotation (§3.2), compare cycles(form, n)
+// before either form is emitted; TestCyclesModelPredictsSimulator pins it.
+type form struct{ lead, period, last int }
+
+// cycles is what n ≥ 1 iterations of f take.
+func cycles(f form, n int64) int64 { return int64(f.lead) + (n-1)*int64(f.period) + int64(f.last) }
+
+// repeatedForm is a body issuing nodes at time, repeated at period after lead
+// cycles: the unpipelined loop behind its counter load, an outer body
+// behind its peel (the outer counter load, in both forms, is left out).
+func (e *emitter) repeatedForm(lead int, nodes []*depgraph.Node, time []int, period int) form {
+	_, landed := e.span(nodes, time)
+	return form{lead, period, max(period, landed)}
+}
+
+// flatForm is the plan's flat schedule of n iterations: the iterations II
+// apart, then the live-out fix-up moves, one a row.
+func (e *emitter) flatForm(nodes []*depgraph.Node, plan *pipeline.Plan, n int) form {
+	_, landed := e.span(nodes, plan.Time)
+	moves := fixupRegs(plan, n-1, false)
+	last := landed + len(moves)
+	for i, reg := range moves {
+		last = max(last, landed+i+e.m.Latency(e.movClass(reg)))
+	}
+	return form{0, plan.II, last}
+}
+
+// compare is one choice between forms a and b of a loop: what n iterations
+// take as each.  A trace records it as a span named for the choice.
+func (e *emitter) compare(choice string, loop int, a, b form, n int64) (int64, int64) {
+	ca, cb := cycles(a, n), cycles(b, n)
+	e.opts.Tracer.Begin(choice).Arg("loop", int64(loop)).Arg("cycles", ca).Arg("against", cb).End()
+	return ca, cb
+}
+
+// span measures one iteration of a schedule of nodes (time[i] is node i's
+// issue cycle): extent is the cycle after its last node ends, landed
+// (≥ extent) the cycle by which all it wrote has landed, by the one
+// per-node rule: a reduced loop where its rows' last write-back lands
+// (landing), any other node at its writes' AvailLast.  An earlier
+// iteration lands earlier, so landed−extent empty rows behind the last
+// one leave nothing in flight.
+func (e *emitter) span(nodes []*depgraph.Node, time []int) (extent, landed int) {
+	for i, nd := range nodes {
+		extent = max(extent, time[i]+schedule.Extent(nd))
+		if p, ok := nd.Payload.(*loopPayload); ok {
+			landed = max(landed, time[i]+e.landing(p.rows))
+			continue
+		}
+		for _, w := range nd.Writes {
+			landed = max(landed, time[i]+w.AvailLast)
 		}
 	}
-	_, lastPass := span(nodes, plan.Compact.Time)
-	_, landed := span(nodes, plan.Time)
-	flat := (n-1)*plan.II + landed
-	moved := flat
-	for _, reg := range fixupRegs(plan, n-1, false) { // one move a row
-		moved = max(moved, flat+e.m.Latency(e.movClass(reg)))
-		flat++
-	}
-	return max(flat, moved) < 1+(n-1)*plan.Period+max(plan.Period, lastPass)
+	return extent, max(extent, landed)
 }
 
 // planBody reduces the loop body to scheduling nodes and plans its
@@ -315,11 +368,8 @@ func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *L
 	// runs reports whether the plan has an emitted form for the loop's
 	// trip count (countedRows); a run-time count always has one.
 	runs := func(nodes []*depgraph.Node, plan *pipeline.Plan) bool {
-		if l.CountReg != ir.NoReg {
-			return true
-		}
 		_, _, ok := plan.Split(l.CountImm)
-		return ok || e.flatWins(nodes, plan, int(l.CountImm))
+		return l.CountReg != ir.NoReg || ok || e.whyNotFlat(l.ID, nodes, plan, l.CountImm) == ""
 	}
 
 	nodes, hoisted, ok := reduce(!e.opts.WholeArms && !e.opts.DisableHier, rep)
@@ -538,27 +588,10 @@ func (e *emitter) scheduleRow(nodes []*depgraph.Node, plan *pipeline.Plan, t, bo
 	return row
 }
 
-// span measures one iteration of a schedule of nodes (time[i] is node i's
-// issue cycle): extent is the cycle after its last node ends, landed
-// (≥ extent) the cycle by which its last register write-back has landed
-// as well.  Every instance of a node in an earlier iteration lands
-// earlier, so landed-extent empty rows behind the last iteration's last
-// row leave nothing in flight.
-func span(nodes []*depgraph.Node, time []int) (extent, landed int) {
-	for i, nd := range nodes {
-		extent = max(extent, time[i]+schedule.Extent(nd))
-		for _, w := range nd.Writes {
-			landed = max(landed, time[i]+w.AvailLast)
-		}
-	}
-	return extent, max(extent, landed)
-}
-
 // regionRows appends one pipelined region to p: the rotating-base clear,
 // the prolog, the kernel as a segment repeated on counter (which must
-// hold the number of kernel passes ≥ 1 when the region is entered), the
-// tail, a drain of exactly what is still in flight (span), and the
-// live-out fix-up moves.  The tail is the epilog generalised: it starts `tail` more
+// hold the number of kernel passes ≥ 1 when the region is entered), and
+// the tail (tailRows).  The tail is the epilog generalised: it starts `tail` more
 // iterations (0 ≤ tail < Unroll, the remainder of Plan.Split) II apart
 // while the pipeline empties — after any number of kernel passes the
 // copy alignment is the one at the end of the prolog, so the flat
@@ -581,30 +614,20 @@ func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipel
 		p.rows = append(p.rows, e.scheduleRow(nodes, plan, t, -1))
 	}
 	p.segs = append(p.segs, loopSeg{start: kstart, end: len(p.rows), counter: counter, rotate: plan.Rotating})
-	extent, landed := span(nodes, plan.Time)
-	end := t0 + (tail-1)*s + extent
-	for t := t0; t < end; t++ { // tail: iterations mm-1 .. mm-2+tail start, none after
-		p.rows = append(p.rows, e.scheduleRow(nodes, plan, t, mm-1+tail))
-	}
-	p.drain(landed - extent)
-	p.rows = append(p.rows, e.fixupRows(plan, mm-2+tail)...)
+	e.tailRows(p, nodes, plan, t0, mm-2+tail) // iterations mm-1 .. mm-2+tail start, none after
 }
 
-// flatRows appends a loop of n iterations as its flat schedule, every
-// iteration started II after the one before and nothing repeated; see
-// countedRows for when.  Without a kernel there is no loop-back to
-// advance a rotating base, so copies are addressed statically: iteration
-// i uses copy i mod Copies, which is what a ring resolves to at base i.
-func (e *emitter) flatRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, n int) {
-	static := *plan
-	static.Rotating = false
-	extent, landed := span(nodes, plan.Time)
-	end := (n-1)*plan.II + extent
-	for t := 0; t < end; t++ {
-		p.rows = append(p.rows, e.scheduleRow(nodes, &static, t, n))
+// tailRows appends the plan's flat schedule from cycle from to the end of
+// iteration last, starting none after it, then a drain of exactly what is
+// still in flight (span) and last's live-out fix-up moves: the tail of a
+// pipelined region, and the whole of a flat one.
+func (e *emitter) tailRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, from, last int) {
+	extent, landed := e.span(nodes, plan.Time)
+	for t := from; t < last*plan.II+extent; t++ {
+		p.rows = append(p.rows, e.scheduleRow(nodes, plan, t, last+1))
 	}
 	p.drain(landed - extent)
-	p.rows = append(p.rows, e.fixupRows(&static, n-1)...)
+	p.rows = append(p.rows, e.fixupRows(plan, last)...)
 }
 
 // fixupRegs lists the live-out registers a pipelined loop must move from
@@ -729,7 +752,13 @@ func (e *emitter) compactRows(ops []*ir.Op, l *ir.LoopStmt) ([]rrow, error) {
 		loopID, independent = l.ID, l.Independent
 	}
 	g := depgraph.BuildIndep(nodes, loopID, independent)
+	if err := e.aborted("before list scheduling"); err != nil {
+		return nil, err
+	}
 	r, err := schedule.List(g, e.m)
+	if err == nil {
+		err = e.aborted("after list scheduling")
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -745,6 +774,15 @@ func (e *emitter) compactRows(ops []*ir.Op, l *ir.LoopStmt) ([]rrow, error) {
 	}
 	cleanup()
 	return rows, nil
+}
+
+// aborted is nil while the compile's context is live, and once it is done
+// (canceled, past its deadline) the error that stops the compile at what.
+func (e *emitter) aborted(what string) error {
+	if e.opts.Ctx == nil || e.opts.Ctx.Err() == nil {
+		return nil
+	}
+	return fmt.Errorf("codegen: compile aborted %s: %w", what, e.opts.Ctx.Err())
 }
 
 // emitGenericLoopBody lowers a loop whose body contains control

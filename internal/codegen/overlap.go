@@ -298,14 +298,8 @@ func sortedKeys[V any](set map[ir.VReg]V) []ir.VReg {
 // pipelined inner loops: the body is list-scheduled with the inner loops
 // reduced to pseudo-operations, overlapping scalar code with their
 // prologs and epilogs, and epilogs of one inner loop with prologs of the
-// next (Lam §3.2/3.3).
-//
-// The body's pure setup may also rotate across the loop-back (rotatable):
-// those leading operations run once before the loop for the first
-// iteration and then at the end of every iteration for the next, where
-// the list schedule can put them in the last inner loop's epilog.  The
-// rotated body is kept only when it takes fewer cycles than the body in
-// program order, the peeled operations included.
+// next (Lam §3.2/3.3).  Its pure leading setup may also rotate across the
+// loop-back into the last inner loop's epilog (rotatable, tryRotation).
 func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	reportMark := len(e.report.Loops)
 	var built []*loopPayload
@@ -356,11 +350,9 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	if body == nil {
 		return rollback(reason)
 	}
-	var peel *overlapped
 	if !e.opts.NoRotation {
 		if stay, moved := e.rotatable(l, nodes[:lead]); len(moved) > 0 {
-			order := append(append(stay, nodes[lead:]...), moved...)
-			peel, body = e.tryRotation(l, order, moved, body, rep)
+			body = e.tryRotation(l, append(append(stay, nodes[lead:]...), moved...), moved, body, rep)
 		}
 	}
 
@@ -404,7 +396,7 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	// The peeled setup of the first iteration is a region of its own, its
 	// registers the loop's (never recycled by localAssign: the body's
 	// rotated copies write the same ones).
-	if peel != nil {
+	if peel := body.peel; peel != nil {
 		prows := make([]rrow, peel.period)
 		for i, nd := range peel.nodes {
 			prows[peel.time[i]].ops = append(prows[peel.time[i]].ops, e.slotFor(nd.Op, 0, nil))
@@ -431,13 +423,15 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 
 // overlapped is one list schedule of an outer body with its inner loops
 // reduced: the nodes in the order they were scheduled, each one's issue
-// cycle, the period at which the body repeats, and the reduced loops'
-// repeated segments placed in the body's rows, in row order.
+// cycle, the period at which the body repeats, the reduced loops' repeated
+// segments placed in the body's rows, in row order, and the peel that runs
+// rotated setup for the first iteration (tryRotation), if any.
 type overlapped struct {
 	nodes  []*depgraph.Node
 	time   []int
 	period int
 	segs   []loopSeg
+	peel   *overlapped
 }
 
 // scheduleOverlapped list-schedules an outer body, nodes in program order;
@@ -451,7 +445,6 @@ func (e *emitter) scheduleOverlapped(l *ir.LoopStmt, nodes []*depgraph.Node) (*o
 	period := schedule.PeriodFor(g, r, r.Length)
 
 	var segs []loopSeg
-	maxEnd := r.Length
 	for i, nd := range nodes {
 		if nd.Op != nil {
 			continue
@@ -459,13 +452,13 @@ func (e *emitter) scheduleOverlapped(l *ir.LoopStmt, nodes []*depgraph.Node) (*o
 		p := nd.Payload.(*loopPayload)
 		for _, sg := range p.segs {
 			segs = append(segs, loopSeg{start: r.Time[i] + sg.start, end: r.Time[i] + sg.end, counter: sg.counter, rotate: sg.rotate})
-			maxEnd = max(maxEnd, r.Time[i]+sg.end+1)
+			period = max(period, r.Time[i]+sg.end+1)
 		}
 		// A construct window holds the sequencer to its last row, so the
 		// outer loop-back comes after every window as well.
 		for j, rw := range p.rows {
 			if rw.cons != nil {
-				maxEnd = max(maxEnd, r.Time[i]+j+rw.cons.length+1)
+				period = max(period, r.Time[i]+j+rw.cons.length+1)
 			}
 		}
 	}
@@ -475,61 +468,45 @@ func (e *emitter) scheduleOverlapped(l *ir.LoopStmt, nodes []*depgraph.Node) (*o
 			return nil, "internal: repeated segments overlap"
 		}
 	}
-	return &overlapped{nodes: nodes, time: r.Time, period: max(period, maxEnd), segs: segs}, ""
-}
-
-// cycles is what n iterations of the schedule take, up to the landing of
-// the last one's last register write.
-func (e *emitter) cycles(o *overlapped, n int64) int64 {
-	landed := 0
-	for i, nd := range o.nodes {
-		if nd.Op == nil {
-			landed = max(landed, o.time[i]+e.landing(nd.Payload.(*loopPayload).rows))
-		} else if nd.Op.Dst != ir.NoReg {
-			landed = max(landed, o.time[i]+e.m.Latency(nd.Op.Class))
-		}
-	}
-	return n*int64(o.period) + int64(max(0, landed-o.period))
+	return &overlapped{nodes: nodes, time: r.Time, period: period, segs: segs}, ""
 }
 
 // tryRotation schedules the outer body in the rotated order, the moved
-// operations at its end, and the peeled copy that runs them for the first
-// iteration.  It returns the peel and the rotated body when the two take
-// fewer cycles than the plain body, and no peel and the plain body
-// otherwise; the explain report says which and why.
-func (e *emitter) tryRotation(l *ir.LoopStmt, order, moved []*depgraph.Node, plain *overlapped, rep *LoopReport) (*overlapped, *overlapped) {
+// operations at its end, and the peel that runs them for the first
+// iteration.  It returns the rotated body, its peel attached, when the two
+// take fewer cycles than the plain body, and the plain body otherwise; the
+// explain report says which and why.
+func (e *emitter) tryRotation(l *ir.LoopStmt, order, moved []*depgraph.Node, plain *overlapped, rep *LoopReport) *overlapped {
 	note := func(format string, args ...any) {
 		rep.Explain.Notes = append(rep.Explain.Notes, fmt.Sprintf(format, args...))
 	}
 	rotated, reason := e.scheduleOverlapped(l, order)
 	if rotated == nil {
 		note("outer body not rotated: %s", reason)
-		return nil, plain
+		return plain
 	}
-	pg := depgraph.BuildIndep(moved, -1, false)
-	pr, err := schedule.List(pg, e.m)
+	pr, err := schedule.List(depgraph.BuildIndep(moved, -1, false), e.m)
 	if err != nil {
 		note("outer body not rotated: %v", err)
-		return nil, plain
+		return plain
 	}
-	_, peeled := span(moved, pr.Time)
-	peel := &overlapped{nodes: moved, time: pr.Time, period: peeled}
-
-	n := l.CountImm
-	with, without := int64(peeled)+e.cycles(rotated, n), e.cycles(plain, n)
+	_, peeled := e.span(moved, pr.Time)
+	with, without := e.compare("codegen.rotate", l.ID, e.repeatedForm(peeled, rotated.nodes, rotated.time, rotated.period),
+		e.repeatedForm(0, plain.nodes, plain.time, plain.period), l.CountImm)
 	switch {
 	case rotated.period >= plain.period:
 		note("outer body not rotated: rotated period %d ≥ %d", rotated.period, plain.period)
-		return nil, plain
+		return plain
 	case with >= without:
 		note("outer body not rotated: rotated period %d < %d, but %d iterations and %d peeled cycles take %d ≥ %d",
-			rotated.period, plain.period, n, peeled, with, without)
-		return nil, plain
+			rotated.period, plain.period, l.CountImm, peeled, with, without)
+		return plain
 	}
 	note("outer body rotated: %d setup operations run one iteration early, period %d → %d", len(moved), plain.period, rotated.period)
 	rep.Rotated = len(moved)
 	e.opts.Tracer.Count("codegen.rotated_ops", int64(len(moved)))
-	return peel, rotated
+	rotated.peel = &overlapped{nodes: moved, time: pr.Time, period: peeled}
+	return rotated
 }
 
 // rotatable splits the leading operations of an outer body (those before

@@ -81,11 +81,21 @@ func TestParseErrors(t *testing.T) {
 		// Input that ends where a token is consumed unchecked.
 		"program p; const a =",
 		"program p; const a = -",
+		// Identifiers are ASCII letters, digits and '_': a UTF-8 letter, an
+		// accented one and stray high bytes are unexpected characters.
+		"program p; var xĪ: real; begin end.",
+		"program p; var xê: real; begin end.",
+		"program p; var x\xe3, x\xe4: real; begin end.",
 	}
 	for _, src := range cases {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("no parse error for %q", src)
 		}
+	}
+	// The error names the character the text holds, not one of its bytes.
+	want := `line 2:6: unexpected character "Ī"`
+	if _, err := Parse("program p;\nvar xĪ: real; begin end."); err == nil || err.Error() != want {
+		t.Errorf("error %v, want %s", err, want)
 	}
 }
 

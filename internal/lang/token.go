@@ -10,7 +10,7 @@ package lang
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // TokKind enumerates token kinds.
@@ -118,13 +118,9 @@ tokenStart:
 	line, col := l.line, l.col
 	c := l.peek()
 	switch {
-	case unicode.IsLetter(rune(c)) || c == '_':
+	case isLetter(c):
 		var b strings.Builder
-		for l.pos < len(l.src) {
-			c := l.peek()
-			if !unicode.IsLetter(rune(c)) && !unicode.IsDigit(rune(c)) && c != '_' {
-				break
-			}
+		for l.pos < len(l.src) && (isLetter(l.peek()) || isDigit(l.peek())) {
 			b.WriteByte(l.advance())
 		}
 		text := strings.ToLower(b.String())
@@ -133,16 +129,16 @@ tokenStart:
 			kind = TokKeyword
 		}
 		return Token{Kind: kind, Text: text, Line: line, Col: col}, nil
-	case unicode.IsDigit(rune(c)):
+	case isDigit(c):
 		var b strings.Builder
 		isReal := false
-		for l.pos < len(l.src) && unicode.IsDigit(rune(l.peek())) {
+		for l.pos < len(l.src) && isDigit(l.peek()) {
 			b.WriteByte(l.advance())
 		}
-		if l.peek() == '.' && unicode.IsDigit(rune(l.peek2())) {
+		if l.peek() == '.' && isDigit(l.peek2()) {
 			isReal = true
 			b.WriteByte(l.advance())
-			for l.pos < len(l.src) && unicode.IsDigit(rune(l.peek())) {
+			for l.pos < len(l.src) && isDigit(l.peek()) {
 				b.WriteByte(l.advance())
 			}
 		}
@@ -152,10 +148,10 @@ tokenStart:
 			if l.peek() == '+' || l.peek() == '-' {
 				b.WriteByte(l.advance())
 			}
-			if !unicode.IsDigit(rune(l.peek())) {
+			if !isDigit(l.peek()) {
 				return Token{}, fmt.Errorf("line %d: malformed exponent", line)
 			}
-			for l.pos < len(l.src) && unicode.IsDigit(rune(l.peek())) {
+			for l.pos < len(l.src) && isDigit(l.peek()) {
 				b.WriteByte(l.advance())
 			}
 		}
@@ -180,9 +176,17 @@ tokenStart:
 			l.advance()
 			return Token{Kind: TokOp, Text: string(c), Line: line, Col: col}, nil
 		}
-		return Token{}, fmt.Errorf("line %d:%d: unexpected character %q", line, col, string(c))
+		_, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		return Token{}, fmt.Errorf("line %d:%d: unexpected character %q", line, col, l.src[l.pos:l.pos+size])
 	}
 }
+
+// isLetter and isDigit are the bytes an identifier is made of: ASCII
+// letters, '_' and ASCII digits.  Any other byte, each byte of a
+// multi-byte UTF-8 character included, is an unexpected character.
+func isLetter(c byte) bool { return 'a' <= c|0x20 && c|0x20 <= 'z' || c == '_' }
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // LexAll tokenizes the whole input (including the trailing EOF token).
 func LexAll(src string) ([]Token, error) {

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"container/heap"
 	"fmt"
 
 	"softpipe/internal/depgraph"
@@ -144,6 +145,23 @@ func topoOrder(g *depgraph.Graph, n int, keep func(depgraph.Edge) bool) ([]int, 
 	return order, len(order) == n
 }
 
+// ready holds the nodes whose omega-0 predecessors are all placed, the
+// greatest height first and, among equal heights, the lowest index.
+type ready struct{ nodes, h []int }
+
+func (r *ready) Len() int { return len(r.nodes) }
+func (r *ready) Less(i, j int) bool {
+	a, b := r.nodes[i], r.nodes[j]
+	return r.h[a] > r.h[b] || r.h[a] == r.h[b] && a < b
+}
+func (r *ready) Swap(i, j int) { r.nodes[i], r.nodes[j] = r.nodes[j], r.nodes[i] }
+func (r *ready) Push(x any)    { r.nodes = append(r.nodes, x.(int)) }
+func (r *ready) Pop() any {
+	last := r.nodes[len(r.nodes)-1]
+	r.nodes = r.nodes[:len(r.nodes)-1]
+	return last
+}
+
 // List performs basic-block list scheduling (Fisher 1979): nodes are
 // placed in a topological order of the omega-0 edges, each at the
 // earliest cycle that satisfies its scheduled predecessors and the flat
@@ -162,23 +180,22 @@ func List(g *depgraph.Graph, m *machine.Machine) (*Result, error) {
 			indeg[e.To]++
 		}
 	}
+	q := &ready{h: h}
+	for i, d := range indeg {
+		if d == 0 {
+			q.nodes = append(q.nodes, i)
+		}
+	}
+	heap.Init(q)
 	scheduled := make([]bool, n)
 	tab := NewFlatTable(m)
 	extent := totalExtent(g)
 	for placed := 0; placed < n; placed++ {
-		// Pick the ready node with the greatest height.
-		best := -1
-		for i := 0; i < n; i++ {
-			if scheduled[i] || indeg[i] > 0 {
-				continue
-			}
-			if best == -1 || h[i] > h[best] || (h[i] == h[best] && i < best) {
-				best = i
-			}
-		}
-		if best == -1 {
+		// Place the ready node with the greatest height.
+		if q.Len() == 0 {
 			return nil, fmt.Errorf("schedule: cycle among omega-0 edges")
 		}
+		best := heap.Pop(q).(int)
 		earliest := 0
 		for _, e := range ix.ins[best] {
 			if !scheduled[e.From] {
@@ -204,7 +221,9 @@ func List(g *depgraph.Graph, m *machine.Machine) (*Result, error) {
 		}
 		for _, e := range ix.outs[best] {
 			if e.To != best {
-				indeg[e.To]--
+				if indeg[e.To]--; indeg[e.To] == 0 {
+					heap.Push(q, e.To)
+				}
 			}
 		}
 	}
