@@ -141,8 +141,8 @@ func main() {
 		if cli.Explain {
 			fmt.Print(lr.Explain.Format())
 		}
-		if *kernel && lr.Kernel != "" {
-			fmt.Print(lr.Kernel)
+		if *kernel && lr.Kernel() != "" {
+			fmt.Print(lr.Kernel())
 		}
 	}
 	if *disasm {

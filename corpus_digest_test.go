@@ -438,7 +438,7 @@ func digestObject(p *softpipe.Program, m *softpipe.Machine, o digestOption) stri
 	b.WriteString(obj.Disassemble())
 	for _, lr := range obj.Report.Loops {
 		fmt.Fprintf(&b, "loop %d pipelined=%v II=%d MII=%d unroll=%d stages=%d reason=%q\n%s",
-			lr.LoopID, lr.Pipelined, lr.II, lr.MII, lr.Unroll, lr.Stages, lr.Reason, lr.Kernel)
+			lr.LoopID, lr.Pipelined, lr.II, lr.MII, lr.Unroll, lr.Stages, lr.Reason, lr.Kernel())
 	}
 	return b.String()
 }

@@ -84,7 +84,7 @@ end.
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(obj.Report.Loops[0].Kernel)
+	fmt.Print(obj.Report.Loops[0].Kernel())
 
 	// Output:
 	// II=1 stages=11 unroll=1  (MII=1: res=1 rec=1)

@@ -196,8 +196,8 @@ func renderGolden(c goldenCase, obj *softpipe.Object) string {
 			fmt.Fprintf(&b, " reason=%q", lr.Reason)
 		}
 		b.WriteByte('\n')
-		if lr.Kernel != "" {
-			for _, line := range strings.Split(strings.TrimRight(lr.Kernel, "\n"), "\n") {
+		if lr.Kernel() != "" {
+			for _, line := range strings.Split(strings.TrimRight(lr.Kernel(), "\n"), "\n") {
 				fmt.Fprintf(&b, "  %s\n", line)
 			}
 		}

@@ -12,12 +12,15 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
+	"softpipe/internal/depgraph"
 	"softpipe/internal/hier"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 	"softpipe/internal/pipeline"
 	"softpipe/internal/schedule"
+	"softpipe/internal/slab"
 	"softpipe/internal/trace"
 	"softpipe/internal/verify"
 	"softpipe/internal/vliw"
@@ -103,8 +106,13 @@ type LoopReport struct {
 	MII       int
 	ResMII    int
 	RecMII    int
-	II        int
-	MetLower  bool
+	// II is the initiation interval of a pipelined loop.  A loop emitted
+	// unpipelined reports its period instead: the rows of its compacted
+	// body, or, when its body holds a conditional or an inner loop and is
+	// emitted as control flow, its code length in words — not a cycle
+	// count, since each pass takes the branch it takes.
+	II       int
+	MetLower bool
 	// Effort names the II-search backend that scheduled the loop;
 	// Proved means the exact backend refuted every smaller interval (II
 	// is optimal, not just heuristically good), FellBack that it hit its
@@ -143,10 +151,9 @@ type LoopReport struct {
 	Rotating  bool
 	CopyRegsF int
 	CopyRegsI int
-	// Kernel is a rendering of the steady-state modulo schedule (one
-	// row per II offset, as in the paper's Figure 2-2); empty when the
-	// loop was not pipelined.
-	Kernel string
+	// kernel is the steady-state modulo schedule Kernel renders; zero
+	// when the loop was not pipelined.
+	kernel pipeline.Kernel
 	// Explain is the explain report of this loop, never nil: the II
 	// search's per-candidate record, or for a loop that never reached the
 	// search (a pragma, analysis or profitability failure, a nest) only
@@ -155,6 +162,12 @@ type LoopReport struct {
 	// the search succeeded and the plan was refused afterwards, as a note.
 	Explain *schedule.Explain
 }
+
+// Kernel renders the steady-state modulo schedule (one row per II
+// offset, as in the paper's Figure 2-2); "" when the loop was not
+// pipelined.  The text is built on each call: a compile does not render
+// what nobody reads.
+func (r *LoopReport) Kernel() string { return r.kernel.String() }
 
 // Report aggregates compilation statistics.
 type Report struct {
@@ -196,7 +209,7 @@ func Compile(p *ir.Program, m *machine.Machine, opts Options) (*vliw.Program, *R
 	if e.err != nil {
 		return nil, nil, e.err
 	}
-	e.prog.Instrs = e.out
+	e.prog.Instrs = e.pack()
 	e.prog.NumFRegs = e.fNext
 	e.prog.NumIRegs = e.iNext
 	e.report.FRegsUsed = e.fNext
@@ -212,7 +225,10 @@ func Compile(p *ir.Program, m *machine.Machine, opts Options) (*vliw.Program, *R
 	if e.iNext > m.IntRegs {
 		return nil, nil, fmt.Errorf("codegen: %d int registers needed, machine has %d", e.iNext, m.IntRegs)
 	}
-	if err := e.prog.Validate(m); err != nil {
+	sp = opts.Tracer.Begin("vliw.validate")
+	err = e.prog.Validate(m)
+	sp.End()
+	if err != nil {
 		return nil, nil, err
 	}
 	if opts.VerifyEmitted {
@@ -231,6 +247,59 @@ func Compile(p *ir.Program, m *machine.Machine, opts Options) (*vliw.Program, *R
 		}
 	}
 	return e.prog, e.report, nil
+}
+
+// outPool holds the emitters' instruction buffers: emission appends to
+// one, and pack copies the finished code out of it.
+var outPool = sync.Pool{New: func() any { return new([]vliw.Instr) }}
+
+// pack returns the emitted code, copied out of the emitter's buffer into a
+// slice of its own length, its op lists and operand lists moved out of the
+// slabs they were carved from into one block each, sized exactly: the
+// object then holds what it uses, not a buffer's slack or the unused ends
+// of the compile's chunks.  The buffer goes back to outPool.
+func (e *emitter) pack() []vliw.Instr {
+	instrs := slices.Clone(e.out)
+	clear(e.out) // the words point into this compile's slabs: let go of them
+	*e.outBuf = e.out[:0]
+	outPool.Put(e.outBuf)
+	nops, nints := 0, 0
+	for _, in := range instrs {
+		nops += len(in.Ops)
+		nints += len(in.Ctl.RegRing)
+		for _, op := range in.Ops {
+			nints += len(op.Src) + len(op.DstRing)
+			for _, r := range op.SrcRings {
+				nints += len(r)
+			}
+		}
+	}
+	ops, ints := make([]vliw.SlotOp, nops), make([]int, nints)
+	move := func(v []int) []int {
+		if len(v) == 0 {
+			return v
+		}
+		n := copy(ints, v)
+		v, ints = ints[:n:n], ints[n:]
+		return v
+	}
+	for i := range instrs {
+		in := &instrs[i]
+		in.Ctl.RegRing = move(in.Ctl.RegRing)
+		if len(in.Ops) == 0 {
+			continue
+		}
+		n := copy(ops, in.Ops)
+		in.Ops, ops = ops[:n:n], ops[n:]
+		for j := range in.Ops {
+			op := &in.Ops[j]
+			op.Src, op.DstRing = move(op.Src), move(op.DstRing)
+			for k := range op.SrcRings {
+				op.SrcRings[k] = move(op.SrcRings[k])
+			}
+		}
+	}
+	return instrs
 }
 
 // usesRecv reports whether any operation in the block tree receives
@@ -257,23 +326,25 @@ type emitter struct {
 	red  *hier.Reducer // one per compile: its reference counts are taken once
 
 	prog   *vliw.Program
-	out    []vliw.Instr
+	out    []vliw.Instr // the code so far, in outBuf's storage (pack)
+	outBuf *[]vliw.Instr
 	report *Report
 	err    error
 
-	fmap, imap   map[regKey]int
+	regs         regMap
 	fFree, iFree []int
 	fNext, iNext int
 
 	// pos assigns each op ID a sequence position; firstPos/lastPos[r]
-	// bound the positions referencing virtual register r (lastPos is
-	// MaxInt for results).  uncondWrite[r] reports that r's first
-	// reference is a write outside any conditional, so each execution of
-	// its defining region recreates it before any use.
-	pos         map[int]int
-	firstPos    map[ir.VReg]int
-	lastPos     map[ir.VReg]int
-	uncondWrite map[ir.VReg]bool
+	// bound the positions referencing virtual register r (firstPos is -1
+	// for a register nothing references, lastPos is MaxInt for results).
+	// uncondWrite[r] reports that r's first reference is a write outside
+	// any conditional, so each execution of its defining region recreates
+	// it before any use.
+	pos         []int
+	firstPos    []int
+	lastPos     []int
+	uncondWrite []bool
 	nextPos     int
 
 	// loopBodyStart[d] is the first op position of the loop body at
@@ -288,22 +359,38 @@ type emitter struct {
 	// pends holds out-of-line ELSE blocks of reduced conditionals,
 	// emitted after the main stream (see rows.go).
 	pends []pendElse
+
+	// bodies holds the body planNodes built for each loop it planned, so
+	// the loop's unpipelined form (compactRows) reads its schedule instead
+	// of building it again.
+	bodies map[*ir.LoopStmt]*pipeline.Body
+	// deadKeys is release's scratch.
+	deadKeys []regKey
+	// arena holds the nodes of the bodies compactRows and tryOverlapped
+	// build themselves (the reducer holds its own).
+	arena depgraph.Arena
+	// ints and slots back the operand lists and row contents of the
+	// emitted code (slotFor, ringFor, scheduleRow, compactRows,
+	// mergeRows); rowOps and rowCount are scheduleRow's and compactRows'
+	// scratch.
+	ints     slab.Of[int]
+	slots    slab.Of[vliw.SlotOp]
+	rowOps   []vliw.SlotOp
+	rowCount []int
 }
 
 func newEmitter(p *ir.Program, m *machine.Machine, opts Options) *emitter {
+	buf := outPool.Get().(*[]vliw.Instr)
 	return &emitter{
-		irp:         p,
-		m:           m,
-		opts:        opts,
-		red:         hier.NewReducer(p, m),
-		prog:        &vliw.Program{Name: p.Name, InitF: map[string][]float64{}, InitI: map[string][]int64{}},
-		report:      &Report{},
-		fmap:        map[regKey]int{},
-		imap:        map[regKey]int{},
-		pos:         map[int]int{},
-		firstPos:    map[ir.VReg]int{},
-		lastPos:     map[ir.VReg]int{},
-		uncondWrite: map[ir.VReg]bool{},
+		out:    (*buf)[:0],
+		outBuf: buf,
+		irp:    p,
+		m:      m,
+		opts:   opts,
+		red:    hier.NewReducer(p, m),
+		prog:   &vliw.Program{Name: p.Name, InitF: map[string][]float64{}, InitI: map[string][]int64{}},
+		report: &Report{},
+		bodies: map[*ir.LoopStmt]*pipeline.Body{},
 	}
 }
 
@@ -334,12 +421,19 @@ func (e *emitter) layoutMemory() {
 // prepass numbers every op and computes last-reference positions for
 // region-based register reuse.
 func (e *emitter) prepass() {
+	n := e.irp.NumRegs()
+	regs := make([]int, 3*n)
+	e.firstPos, e.lastPos, e.regs.base = regs[:n:n], regs[n:2*n:2*n], regs[2*n:]
+	for r := range e.firstPos {
+		e.firstPos[r] = -1
+	}
+	e.uncondWrite = make([]bool, n)
 	var walk func(b *ir.Block, ifDepth int)
 	touch := func(r ir.VReg, p int, write, uncond bool) {
 		if r == ir.NoReg {
 			return
 		}
-		if _, seen := e.firstPos[r]; !seen {
+		if e.firstPos[r] < 0 {
 			e.firstPos[r] = p
 			e.uncondWrite[r] = write && uncond
 		}
@@ -353,6 +447,9 @@ func (e *emitter) prepass() {
 			case *ir.OpStmt:
 				p := e.nextPos
 				e.nextPos++
+				if id := s.Op.ID; id >= len(e.pos) {
+					e.pos = append(e.pos, make([]int, id+1-len(e.pos))...)
+				}
 				e.pos[s.Op.ID] = p
 				for _, r := range s.Op.Src {
 					touch(r, p, false, false)
@@ -374,22 +471,81 @@ func (e *emitter) prepass() {
 	}
 }
 
+// regMap maps (virtual register, copy) to a physical register, in the
+// file the register's kind selects.  Copy 0 — every mapped register has
+// one, and most have no other — is a slice indexed by register; the
+// copies modulo variable expansion adds are a map.
+type regMap struct {
+	base   []int // base[r]: r's copy-0 physical register + 1, 0 when unmapped
+	copies map[regKey]int
+	dead   []regKey // keys' scratch
+}
+
+func (m *regMap) get(k regKey) (int, bool) {
+	if k.copy == 0 {
+		p := m.base[k.r] - 1
+		return p, p >= 0
+	}
+	p, ok := m.copies[k]
+	return p, ok
+}
+
+func (m *regMap) set(k regKey, p int) {
+	if k.copy == 0 {
+		m.base[k.r] = p + 1
+		return
+	}
+	if m.copies == nil {
+		m.copies = map[regKey]int{}
+	}
+	m.copies[k] = p
+}
+
+func (m *regMap) del(k regKey) {
+	if k.copy == 0 {
+		m.base[k.r] = 0
+		return
+	}
+	delete(m.copies, k)
+}
+
+// keys appends to out the mapped keys dead selects, in (register, copy)
+// order.
+func (m *regMap) keys(out []regKey, dead func(regKey) bool) []regKey {
+	copies := m.dead[:0]
+	for k := range m.copies {
+		if dead(k) {
+			copies = append(copies, k)
+		}
+	}
+	slices.SortFunc(copies, func(a, b regKey) int {
+		return cmp.Or(cmp.Compare(a.r, b.r), cmp.Compare(a.copy, b.copy))
+	})
+	m.dead = copies
+	for r, p := range m.base {
+		if k := (regKey{r: ir.VReg(r)}); p > 0 && dead(k) {
+			out = append(out, k)
+		}
+		for len(copies) > 0 && copies[0].r == ir.VReg(r) {
+			out, copies = append(out, copies[0]), copies[1:]
+		}
+	}
+	return out
+}
+
 // physReg maps (vreg, copy) to a physical register, allocating on demand.
 func (e *emitter) physReg(r ir.VReg, copy int) int {
 	k := regKey{r: r, copy: copy}
+	if p, ok := e.regs.get(k); ok {
+		return p
+	}
+	var p int
 	if e.irp.Kind(r) == ir.KindFloat {
-		if p, ok := e.fmap[k]; ok {
-			return p
-		}
-		p := e.allocF()
-		e.fmap[k] = p
-		return p
+		p = e.allocF()
+	} else {
+		p = e.allocI()
 	}
-	if p, ok := e.imap[k]; ok {
-		return p
-	}
-	p := e.allocI()
-	e.imap[k] = p
+	e.regs.set(k, p)
 	return p
 }
 
@@ -444,26 +600,19 @@ func (e *emitter) releaseCopies() {
 }
 
 // release returns the physical register of every mapping `dead` selects
-// to the free lists, in (vreg, copy) order: map iteration order must not
-// decide which register the next allocation gets.
+// to its file's free list, in (vreg, copy) order: map iteration order
+// must not decide which register the next allocation gets.
 func (e *emitter) release(dead func(regKey) bool) {
-	free := func(m map[regKey]int, list *[]int) {
-		var ks []regKey
-		for k := range m {
-			if dead(k) {
-				ks = append(ks, k)
-			}
-		}
-		slices.SortFunc(ks, func(a, b regKey) int {
-			return cmp.Or(cmp.Compare(a.r, b.r), cmp.Compare(a.copy, b.copy))
-		})
-		for _, k := range ks {
-			*list = append(*list, m[k])
-			delete(m, k)
+	e.deadKeys = e.regs.keys(e.deadKeys[:0], dead)
+	for _, k := range e.deadKeys {
+		p, _ := e.regs.get(k)
+		e.regs.del(k)
+		if e.irp.Kind(k.r) == ir.KindFloat {
+			e.fFree = append(e.fFree, p)
+		} else {
+			e.iFree = append(e.iFree, p)
 		}
 	}
-	free(e.fmap, &e.fFree)
-	free(e.imap, &e.iFree)
 }
 
 // slotFor renders one op instance with the register copies of relative
@@ -484,8 +633,11 @@ func (e *emitter) slotFor(op *ir.Op, iter int, plan *pipeline.Plan) vliw.SlotOp 
 		s.Dst = e.physReg(op.Dst, cp(op.Dst))
 		s.DstRing = e.ringFor(op.Dst, iter, plan)
 	}
-	for _, r := range op.Src {
-		s.Src = append(s.Src, e.physReg(r, cp(r)))
+	if len(op.Src) > 0 {
+		s.Src = e.ints.Take(len(op.Src))
+		for i, r := range op.Src {
+			s.Src[i] = e.physReg(r, cp(r))
+		}
 	}
 	if plan != nil && plan.Rotating {
 		for i, r := range op.Src {
@@ -526,7 +678,7 @@ func (e *emitter) ringFor(r ir.VReg, iter int, plan *pipeline.Plan) []int {
 	if n <= 1 {
 		return nil
 	}
-	ring := make([]int, n)
+	ring := e.ints.Take(n)
 	for j := 0; j < n; j++ {
 		ring[j] = e.physReg(r, ((iter+j)%n+n)%n)
 	}

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"softpipe/internal/lang"
 	"softpipe/internal/machine"
 	"softpipe/internal/sim"
+	"softpipe/internal/trace"
 )
 
 // runAllWays executes p by interpretation and by simulation of both
@@ -465,20 +467,20 @@ func TestKernelView(t *testing.T) {
 		t.Fatal(err)
 	}
 	lr := rep.Loops[0]
-	if !lr.Pipelined || lr.Kernel == "" {
+	if !lr.Pipelined || lr.Kernel() == "" {
 		t.Fatalf("no kernel view: %+v", lr)
 	}
-	lines := strings.Split(strings.TrimRight(lr.Kernel, "\n"), "\n")
+	lines := strings.Split(strings.TrimRight(lr.Kernel(), "\n"), "\n")
 	if len(lines) != 1+lr.II {
-		t.Fatalf("kernel view has %d rows, want header + II=%d:\n%s", len(lines)-1, lr.II, lr.Kernel)
+		t.Fatalf("kernel view has %d rows, want header + II=%d:\n%s", len(lines)-1, lr.II, lr.Kernel())
 	}
 	if !strings.Contains(lines[0], fmt.Sprintf("II=%d", lr.II)) ||
 		!strings.Contains(lines[0], fmt.Sprintf("stages=%d", lr.Stages)) {
 		t.Errorf("kernel header inconsistent with report: %q", lines[0])
 	}
 	for _, want := range []string{"load[a]", "store[c]", "fadd"} {
-		if !strings.Contains(lr.Kernel, want) {
-			t.Errorf("kernel view missing %q:\n%s", want, lr.Kernel)
+		if !strings.Contains(lr.Kernel(), want) {
+			t.Errorf("kernel view missing %q:\n%s", want, lr.Kernel())
 		}
 	}
 	// Unpipelined loops carry no kernel.
@@ -486,7 +488,33 @@ func TestKernelView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Loops[0].Kernel != "" {
+	if rep.Loops[0].Kernel() != "" {
 		t.Error("unpipelined loop must not render a kernel")
+	}
+}
+
+// TestCompileSelfTimesSumToRoot: under a root span, the self times of a
+// compile's spans add up to the root's inclusive time, and the emission
+// steps the spans name — pipelined rows, compacted rows, the object's
+// validation — each have one.
+func TestCompileSelfTimesSumToRoot(t *testing.T) {
+	tr := trace.New("self")
+	root := tr.Begin("op")
+	if _, _, err := Compile(vectorAddProgram(64), machine.Warp(), Options{Tracer: tr}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	phases := tr.PhaseTotals()
+	sum := 0.0
+	for _, p := range phases {
+		sum += p.Self
+	}
+	if math.Abs(sum-phases["op"].Incl) > 1e-9 {
+		t.Errorf("self times sum to %v ms, the root's inclusive time is %v ms", sum, phases["op"].Incl)
+	}
+	for _, name := range []string{"codegen.rows", "codegen.compact", "vliw.validate", "schedule.search"} {
+		if _, ok := phases[name]; !ok {
+			t.Errorf("no %s span in %v", name, phases)
+		}
 	}
 }

@@ -47,12 +47,7 @@ func (e *emitter) localAssign(ops []*ir.Op, times []int, period int) func() {
 			return false
 		}
 		// Already globally mapped (e.g. loop-carried from elsewhere)?
-		k := regKey{r: r}
-		if e.irp.Kind(r) == ir.KindFloat {
-			_, mapped := e.fmap[k]
-			return !mapped
-		}
-		_, mapped := e.imap[k]
+		_, mapped := e.regs.get(regKey{r: r})
 		return !mapped
 	}
 
@@ -138,20 +133,12 @@ func (e *emitter) localAssign(ops []*ir.Op, times []int, period int) func() {
 			*pool = append(*pool, poolEntry{phys: phys, until: s.end})
 		}
 		k := regKey{r: s.reg}
-		if kind == ir.KindFloat {
-			e.fmap[k] = phys
-		} else {
-			e.imap[k] = phys
-		}
+		e.regs.set(k, phys)
 		assigned = append(assigned, k)
 	}
 	return func() {
 		for _, k := range assigned {
-			if e.irp.Kind(k.r) == ir.KindFloat {
-				delete(e.fmap, k)
-			} else {
-				delete(e.imap, k)
-			}
+			e.regs.del(k)
 		}
 		// Free each pooled register exactly once (several locals may
 		// share one).
@@ -170,15 +157,13 @@ func (e *emitter) localAssign(ops []*ir.Op, times []int, period int) func() {
 func (e *emitter) regsNeeded(regs map[ir.VReg]bool, extraF, extraI int) (peakF, peakI int) {
 	needF, needI := extraF, extraI
 	for r := range regs {
-		k := regKey{r: r}
+		if _, ok := e.regs.get(regKey{r: r}); ok {
+			continue
+		}
 		if e.irp.Kind(r) == ir.KindFloat {
-			if _, ok := e.fmap[k]; !ok {
-				needF++
-			}
+			needF++
 		} else {
-			if _, ok := e.imap[k]; !ok {
-				needI++
-			}
+			needI++
 		}
 	}
 	peakF = e.fNext

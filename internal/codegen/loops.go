@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -76,7 +77,7 @@ func (rep *LoopReport) pipelinedWith(plan *pipeline.Plan) {
 	rep.MetLower = plan.SchedStats.MetLower
 	rep.Unroll = plan.Unroll
 	rep.Stages = plan.Stages
-	rep.Kernel = plan.FormatKernel()
+	rep.kernel = plan.Kernel()
 }
 
 // notScheduled records why the loop never reached the II search; that is
@@ -452,7 +453,12 @@ func (e *emitter) planNodes(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo, 
 	plOpts.CopyBudgetI = e.m.IntRegs - baseI - 6 // counters and count math
 	plOpts.RegKind = e.irp.Kind
 	plOpts.Tracer = e.opts.Tracer
-	plan, err := pipeline.PlanLoop(nodes, l.ID, e.m, plOpts)
+	body, err := pipeline.NewBody(e.opts.Ctx, nodes, l.ID, e.m, l.Independent)
+	var plan *pipeline.Plan
+	if err == nil {
+		e.bodies[l] = body
+		plan, err = body.Plan(plOpts)
+	}
 	if err != nil {
 		// A failed II search carries its per-candidate report; any earlier
 		// failure (analysis, profitability guards, missing resources) is a
@@ -566,6 +572,7 @@ func (e *emitter) tryPipelinedRuntime(l *ir.LoopStmt, rep *LoopReport) bool {
 // schedule, keeping only iterations below bound when bound ≥ 0.
 func (e *emitter) scheduleRow(nodes []*depgraph.Node, plan *pipeline.Plan, t, bound int) rrow {
 	row := rrow{}
+	ops := e.rowOps[:0]
 	for i, nd := range nodes {
 		sigma := plan.Time[i]
 		if t < sigma || (t-sigma)%plan.II != 0 {
@@ -576,7 +583,7 @@ func (e *emitter) scheduleRow(nodes []*depgraph.Node, plan *pipeline.Plan, t, bo
 			continue
 		}
 		if nd.Op != nil {
-			row.ops = append(row.ops, e.slotFor(nd.Op, iter, plan))
+			ops = append(ops, e.slotFor(nd.Op, iter, plan))
 			continue
 		}
 		if row.cons != nil {
@@ -585,6 +592,8 @@ func (e *emitter) scheduleRow(nodes []*depgraph.Node, plan *pipeline.Plan, t, bo
 		}
 		row.cons = e.resolveConstruct(nd.Payload.(*hier.IfPayload), iter, plan)
 	}
+	row.ops = e.slots.Copy(ops)
+	e.rowOps = ops
 	return row
 }
 
@@ -598,6 +607,7 @@ func (e *emitter) scheduleRow(nodes []*depgraph.Node, plan *pipeline.Plan, t, bo
 // schedule simply continues.  With tail 0 the rows are count-independent
 // and serve the two-version scheme's run-time pass count.
 func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, counter, tail int) {
+	sp := e.opts.Tracer.Begin("codegen.rows")
 	mm, u, s := plan.Stages, plan.Unroll, plan.II
 	if plan.Rotating {
 		// The region may be re-entered (enclosing loop, two-version
@@ -606,6 +616,7 @@ func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipel
 		p.rotating = true
 	}
 	t0 := (mm - 1) * s
+	p.rows = slices.Grow(p.rows, t0+u*s)
 	for t := 0; t < t0; t++ { // prolog
 		p.rows = append(p.rows, e.scheduleRow(nodes, plan, t, -1))
 	}
@@ -614,6 +625,7 @@ func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipel
 		p.rows = append(p.rows, e.scheduleRow(nodes, plan, t, -1))
 	}
 	p.segs = append(p.segs, loopSeg{start: kstart, end: len(p.rows), counter: counter, rotate: plan.Rotating})
+	sp.End()
 	e.tailRows(p, nodes, plan, t0, mm-2+tail) // iterations mm-1 .. mm-2+tail start, none after
 }
 
@@ -622,7 +634,9 @@ func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipel
 // still in flight (span) and last's live-out fix-up moves: the tail of a
 // pipelined region, and the whole of a flat one.
 func (e *emitter) tailRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, from, last int) {
+	defer e.opts.Tracer.Begin("codegen.rows").End()
 	extent, landed := e.span(nodes, plan.Time)
+	p.rows = slices.Grow(p.rows, max(0, last*plan.II+landed-from)+len(plan.Fixups))
 	for t := from; t < last*plan.II+extent; t++ {
 		p.rows = append(p.rows, e.scheduleRow(nodes, plan, t, last+1))
 	}
@@ -739,11 +753,49 @@ func (e *emitter) emitLoopBody(l *ir.LoopStmt, counter int, rep *LoopReport) {
 // localAssign draws from the same free list, and the order of the claims
 // decides the register numbers in the emitted code.
 func (e *emitter) compactRows(ops []*ir.Op, l *ir.LoopStmt) ([]rrow, error) {
+	defer e.opts.Tracer.Begin("codegen.compact").End()
+	time, length, err := e.listSchedule(ops, l)
+	if err != nil {
+		return nil, err
+	}
+	period := 0
+	if l != nil {
+		period = length
+	}
+	cleanup := e.localAssign(ops, time, period)
+	rows := make([]rrow, length)
+	// Each row's ops are a slice of one block, sized by a count first.
+	count := append(e.rowCount[:0], make([]int, length)...)
+	for _, t := range time {
+		count[t]++
+	}
+	block := e.slots.Take(len(ops))
+	for i, n := range count {
+		if n > 0 {
+			rows[i].ops, block = block[:0:n], block[n:]
+		}
+	}
+	e.rowCount = count
+	for i, op := range ops {
+		rows[time[i]].ops = append(rows[time[i]].ops, e.slotFor(op, 0, nil))
+	}
+	cleanup()
+	return rows, nil
+}
+
+// listSchedule list-schedules a straight-line run of ops for compactRows:
+// each op's issue cycle and the rows the run takes, which for a loop's
+// body (l set) is the period at which it repeats.  A body planNodes built
+// already is not built again: its Body holds the same schedule.
+func (e *emitter) listSchedule(ops []*ir.Op, l *ir.LoopStmt) (time []int, length int, err error) {
+	if b := e.bodies[l]; b != nil && slices.EqualFunc(b.Nodes, ops, func(nd *depgraph.Node, op *ir.Op) bool { return nd.Op == op }) {
+		return b.Compact.Time, b.Period, nil
+	}
 	nodes := make([]*depgraph.Node, len(ops))
 	for i, op := range ops {
-		n, err := depgraph.NodeFromOp(e.m, op)
+		n, err := e.arena.NodeFromOp(e.m, op)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		nodes[i] = n
 	}
@@ -751,29 +803,32 @@ func (e *emitter) compactRows(ops []*ir.Op, l *ir.LoopStmt) ([]rrow, error) {
 	if l != nil {
 		loopID, independent = l.ID, l.Independent
 	}
-	g := depgraph.BuildIndep(nodes, loopID, independent)
-	if err := e.aborted("before list scheduling"); err != nil {
-		return nil, err
+	g, err := depgraph.BuildContext(e.ctx(), nodes, loopID, independent)
+	if err == nil {
+		err = e.aborted("before list scheduling")
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	r, err := schedule.List(g, e.m)
 	if err == nil {
 		err = e.aborted("after list scheduling")
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	length, period := r.Length, 0
 	if l != nil {
-		period = schedule.PeriodFor(g, r, r.Length)
-		length = period
+		return r.Time, schedule.PeriodFor(g, r, r.Length), nil
 	}
-	cleanup := e.localAssign(ops, r.Time, period)
-	rows := make([]rrow, length)
-	for i, op := range ops {
-		rows[r.Time[i]].ops = append(rows[r.Time[i]].ops, e.slotFor(op, 0, nil))
+	return r.Time, r.Length, nil
+}
+
+// ctx is the compile's context, never nil.
+func (e *emitter) ctx() context.Context {
+	if e.opts.Ctx == nil {
+		return context.Background()
 	}
-	cleanup()
-	return rows, nil
+	return e.opts.Ctx
 }
 
 // aborted is nil while the compile's context is live, and once it is done

@@ -124,12 +124,11 @@ func (e *emitter) accumulateRowUsage(row rrow, off int, use machine.Usage) {
 type rowSpan struct{ first, last int }
 
 // widen records [first, last] for k in spans.
-func widen[K comparable](spans map[K]*rowSpan, k K, first, last int) {
-	if s := spans[k]; s != nil {
-		s.first, s.last = min(s.first, first), max(s.last, last)
-		return
+func widen[K comparable](spans map[K]rowSpan, k K, first, last int) {
+	if s, ok := spans[k]; ok {
+		first, last = min(s.first, first), max(s.last, last)
 	}
-	spans[k] = &rowSpan{first, last}
+	spans[k] = rowSpan{first, last}
 }
 
 // loopAccesses attaches a reduced loop node's register and memory access
@@ -160,14 +159,9 @@ func (e *emitter) loopAccesses(node *depgraph.Node) {
 		reg   int
 	}
 	owner := map[phys]ir.VReg{}
-	for k, r := range e.fmap {
-		if k.copy == 0 {
-			owner[phys{true, r}] = k.r
-		}
-	}
-	for k, r := range e.imap {
-		if k.copy == 0 {
-			owner[phys{false, r}] = k.r
+	for r, p := range e.regs.base {
+		if p > 0 {
+			owner[phys{e.irp.Kind(ir.VReg(r)) == ir.KindFloat, p - 1}] = ir.VReg(r)
 		}
 	}
 	// heldTo is the last row of the last segment starting at or before row
@@ -201,13 +195,13 @@ func (e *emitter) loopAccesses(node *depgraph.Node) {
 		return at
 	}
 
-	reads, writes := map[ir.VReg]*rowSpan{}, map[ir.VReg]*rowSpan{}
+	reads, writes := map[ir.VReg]rowSpan{}, map[ir.VReg]rowSpan{}
 	type memKey struct {
 		arr   string
 		store bool
 	}
-	mems := map[memKey]*rowSpan{}
-	touch := func(spans map[ir.VReg]*rowSpan, float bool, static int, ring []int, first, last int) {
+	mems := map[memKey]rowSpan{}
+	touch := func(spans map[ir.VReg]rowSpan, float bool, static int, ring []int, first, last int) {
 		if r, ok := owner[phys{float, static}]; ok {
 			widen(spans, r, first, last)
 		}
@@ -323,7 +317,7 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	for _, s := range l.Body.Stmts {
 		switch s := s.(type) {
 		case *ir.OpStmt:
-			nd, err := depgraph.NodeFromOp(e.m, s.Op)
+			nd, err := e.arena.NodeFromOp(e.m, s.Op)
 			if err != nil {
 				return rollback(err.Error())
 			}
@@ -367,7 +361,12 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 		p := nd.Payload.(*loopPayload)
 		for j, rw := range p.rows {
 			at := t + j
-			rows[at].ops = append(rows[at].ops, rw.ops...)
+			if rows[at].ops == nil {
+				// Shared, clipped: an append to either copies first.
+				rows[at].ops = slices.Clip(rw.ops)
+			} else {
+				rows[at].ops = append(rows[at].ops, rw.ops...)
+			}
 			if rw.ctl.Kind != vliw.CtlNone {
 				if rows[at].ctl.Kind != vliw.CtlNone {
 					return rollback("internal: sequencer fields collided during overlap")

@@ -144,7 +144,12 @@ func (e *emitter) mergeRows(outer, arm []rrow) []rrow {
 			e.fail(fmt.Errorf("codegen: construct window overlaps control at row %d", i))
 			return merged
 		}
-		merged[i].ops = append(append([]vliw.SlotOp{}, outer[i].ops...), arm[i].ops...)
+		if ops := e.slots.Take(len(outer[i].ops) + len(arm[i].ops)); ops != nil {
+			merged[i].ops = ops
+			copy(ops[copy(ops, outer[i].ops):], arm[i].ops)
+		} else {
+			merged[i].ops = []vliw.SlotOp{}
+		}
 		merged[i].cons = arm[i].cons
 	}
 	return merged

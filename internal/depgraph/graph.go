@@ -1,9 +1,11 @@
 package depgraph
 
 import (
+	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"softpipe/internal/ir"
 )
@@ -85,77 +87,167 @@ func Build(nodes []*Node, loopID int) *Graph {
 // loop-carried memory dependences are dropped (the paper's compiler
 // directives that disambiguate array references, Table 4-2).
 func BuildIndep(nodes []*Node, loopID int, independent bool) *Graph {
-	// Bodies average three to four dependences per node; starting there
-	// saves most of the regrowth of Edges.
-	g := &Graph{Nodes: nodes, Edges: make([]Edge, 0, 4*len(nodes)), Expandable: map[ir.VReg]bool{}}
-	for i, n := range nodes {
-		n.Index = i
-	}
-	g.buildRegDeps()
-	g.buildMemDeps(loopID, independent)
+	g, _ := BuildContext(context.Background(), nodes, loopID, independent) // a live context never fails
 	return g
 }
 
-// regAccess is one ordered access to a register during the body.
+// pollEvery is how many register accesses or memory pairs the build
+// handles between two polls of its context.
+const pollEvery = 1 << 12
+
+// BuildContext is BuildIndep under a deadline: the register and memory
+// dependence builds poll ctx as they go, and the build fails with an
+// error wrapping ctx.Err() once ctx is done.
+func BuildContext(ctx context.Context, nodes []*Node, loopID int, independent bool) (*Graph, error) {
+	// Bodies average three to four dependences per node; starting there
+	// saves most of the regrowth of Edges.
+	g := &Graph{Nodes: nodes, Edges: make([]Edge, 0, 4*len(nodes))}
+	for i, n := range nodes {
+		n.Index = i
+	}
+	if err := g.buildRegDeps(ctx); err != nil {
+		return nil, err
+	}
+	if err := g.buildMemDeps(ctx, loopID, independent); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// aborted wraps a done context's error for the build.
+func aborted(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("depgraph: build aborted: %w", err)
+	}
+	return nil
+}
+
+// regAccess is one ordered access to a register during the body: the
+// node's read and/or write of it.  nextWrite is the position, in the
+// register's sequence, of the first later access that writes it
+// (len(seq) when none does).
 type regAccess struct {
-	node  int
-	read  *RegRead
-	write *RegWrite
+	reg       ir.VReg
+	node      int
+	nextWrite int
+	read      *RegRead
+	write     *RegWrite
 }
 
-func (g *Graph) buildRegDeps() {
-	// Gather ordered accesses per register: one entry per (register,
-	// node), holding the node's read and/or write of it.  Nodes are
-	// visited in order, so a node's entry for r, if any, is the last one.
-	accesses := map[ir.VReg][]regAccess{}
-	access := func(r ir.VReg, node int) *regAccess {
-		seq := accesses[r]
-		if n := len(seq); n == 0 || seq[n-1].node != node {
-			seq = append(seq, regAccess{node: node})
-			accesses[r] = seq
-		}
-		return &seq[len(seq)-1]
-	}
-	for i, n := range g.Nodes {
-		for j := range n.Reads {
-			access(n.Reads[j].Reg, i).read = &n.Reads[j]
-		}
-		for j := range n.Writes {
-			access(n.Writes[j].Reg, i).write = &n.Writes[j]
-		}
-	}
-	regs := make([]ir.VReg, 0, len(accesses))
-	for r := range accesses {
-		regs = append(regs, r)
-	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
-
-	for _, r := range regs {
-		g.regDepsFor(r, accesses[r])
-	}
+// regScratch is buildRegDeps' working storage, shared through regPool by
+// the many builds of a compile: every access in program order, a sort key
+// per access, the accesses merged and grouped by register, and the live
+// writes of the register being built.
+type regScratch struct {
+	acc, merged, live []regAccess
+	keys              []uint64
 }
 
-// regDepsFor emits all dependences carried by register r.
+var regPool = sync.Pool{New: func() any { return new(regScratch) }}
+
+func (g *Graph) buildRegDeps(ctx context.Context) error {
+	sc := regPool.Get().(*regScratch)
+	defer func() {
+		// The accesses point into the nodes: let go of them.
+		clear(sc.acc)
+		clear(sc.merged)
+		clear(sc.live[:cap(sc.live)])
+		regPool.Put(sc)
+	}()
+	// Every access, node by node, then grouped by register: each
+	// register's accesses form one run in program order, a node's read
+	// ahead of its write.  The key is the register (registers are
+	// non-negative and below 2³²) above the access's position, so a plain
+	// sort of the keys is that order.  A node's read and write of r merge
+	// into one entry (a repeated read: the later one stands).
+	acc := sc.acc[:0]
+	for i, nd := range g.Nodes {
+		for j := range nd.Reads {
+			acc = append(acc, regAccess{reg: nd.Reads[j].Reg, node: i, read: &nd.Reads[j]})
+		}
+		for j := range nd.Writes {
+			acc = append(acc, regAccess{reg: nd.Writes[j].Reg, node: i, write: &nd.Writes[j]})
+		}
+	}
+	keys := sc.keys[:0]
+	for k, a := range acc {
+		keys = append(keys, uint64(a.reg)<<32|uint64(k))
+	}
+	slices.Sort(keys)
+	merged := sc.merged[:0]
+	regs := 0
+	for _, key := range keys {
+		a := acc[uint32(key)]
+		if k := len(merged) - 1; k >= 0 && merged[k].reg == a.reg && merged[k].node == a.node {
+			if a.read != nil {
+				merged[k].read = a.read
+			}
+			if a.write != nil {
+				merged[k].write = a.write
+			}
+			continue
+		}
+		if len(merged) == 0 || merged[len(merged)-1].reg != a.reg {
+			regs++
+		}
+		merged = append(merged, a)
+	}
+	sc.acc, sc.keys, sc.merged = acc, keys, merged
+	g.Expandable = make(map[ir.VReg]bool, regs)
+
+	polled := 0
+	for start := 0; start < len(merged); {
+		end := start + 1
+		for end < len(merged) && merged[end].reg == merged[start].reg {
+			end++
+		}
+		if polled += end - start; polled >= pollEvery {
+			polled = 0
+			if err := aborted(ctx); err != nil {
+				return err
+			}
+		}
+		sc.live = g.regDepsFor(merged[start].reg, merged[start:end], sc.live[:0])
+		start = end
+	}
+	return nil
+}
+
+// regDepsFor emits all dependences carried by register r, whose accesses
+// are seq, in time linear in len(seq).  live is scratch, returned for
+// reuse.
 //
 // Semantics recap (see internal/sim): a node issued at σ reads its
 // operands at σ+readOffset and its results become readable at
 // σ+avail.  A write must land strictly after every read of the previous
 // value and strictly after earlier writes.
-func (g *Graph) regDepsFor(r ir.VReg, seq []regAccess) {
+func (g *Graph) regDepsFor(r ir.VReg, seq []regAccess, live []regAccess) []regAccess {
 	hasWrite := false
 	allKilling := true
-	for _, a := range seq {
-		if a.write != nil {
+	// killedBy is the node of the first killing write: a read at a later
+	// node cannot see the previous iteration's value.
+	killedBy := -1
+	next := len(seq)
+	for i := len(seq) - 1; i >= 0; i-- {
+		seq[i].nextWrite = next
+		if w := seq[i].write; w != nil {
+			next = i
 			hasWrite = true
-			if !a.write.Killing {
+			if !w.Killing {
 				allKilling = false
 			}
+		}
+	}
+	for _, a := range seq {
+		if a.write != nil && a.write.Killing {
+			killedBy = a.node
+			break
 		}
 	}
 
 	// liveWrites tracks writes whose value may still reach the current
 	// scan point (cleared by killing writes).
-	var liveWrites []regAccess
+	liveWrites := live
 	upwardExposed := false
 
 	// Only the canonical minimal edge set is emitted; all-pairs variants
@@ -182,18 +274,15 @@ func (g *Graph) regDepsFor(r ir.VReg, seq []regAccess) {
 					Delay: w.write.AvailLast - a.read.First,
 				})
 			}
-			// Anti dependence to the next write this iteration; the
-			// output chain implies the constraint for later writes.
-			for j := i; j < len(seq); j++ {
+			// Anti dependence to the next write this iteration (a later
+			// node: each node has one entry); the output chain implies the
+			// constraint for later writes.
+			if j := a.nextWrite; j < len(seq) {
 				b := &seq[j]
-				if b.write == nil || b.node == a.node {
-					continue
-				}
 				g.Edges = append(g.Edges, Edge{
 					From: a.node, To: b.node, Kind: DepAnti, Reg: r,
 					Delay: a.read.Last + 1 - b.write.AvailFirst,
 				})
-				break
 			}
 		}
 		if a.write != nil {
@@ -233,8 +322,9 @@ func (g *Graph) regDepsFor(r ir.VReg, seq []regAccess) {
 			continue
 		}
 		// Flow from writes reaching the end of the body to upward-
-		// exposed reads of the next iteration.
-		if isUpwardExposed(seq, a.node) {
+		// exposed reads of the next iteration: reads no killing write at
+		// an earlier node precedes.
+		if killedBy < 0 || killedBy >= a.node {
 			for _, w := range liveWrites {
 				g.Edges = append(g.Edges, Edge{
 					From: w.node, To: a.node, Kind: DepFlow, Reg: r, Omega: 1,
@@ -261,6 +351,7 @@ func (g *Graph) regDepsFor(r ir.VReg, seq []regAccess) {
 			Removable: removable,
 		})
 	}
+	return liveWrites
 }
 
 // anyLivePartialPath reports whether the live writes leave a path on which
@@ -275,41 +366,47 @@ func anyLivePartialPath(liveWrites []regAccess) bool {
 	return true
 }
 
-// isUpwardExposed reports whether node i's read of the register can see a
-// value from the previous iteration (no killing write strictly before it).
-func isUpwardExposed(seq []regAccess, node int) bool {
-	for _, a := range seq {
-		if a.node >= node {
-			break
-		}
-		if a.write != nil && a.write.Killing {
-			return false
-		}
-	}
-	return true
+// memAccess is one access of a node to an array, for buildMemDeps.
+type memAccess struct {
+	node int
+	acc  *MemAcc
 }
 
-func (g *Graph) buildMemDeps(loopID int, independent bool) {
-	type memAcc struct {
-		node int
-		acc  *MemAcc
-	}
-	byArray := map[string][]memAcc{}
+// memPool shares buildMemDeps' list of accesses between builds.
+var memPool = sync.Pool{New: func() any { return new([]memAccess) }}
+
+func (g *Graph) buildMemDeps(ctx context.Context, loopID int, independent bool) error {
+	// Every access, then grouped by array name, in name order; within an
+	// array in program order (the sort is stable).
+	buf := memPool.Get().(*[]memAccess)
+	defer func() {
+		clear(*buf) // the accesses point into the nodes: let go of them
+		memPool.Put(buf)
+	}()
+	all := (*buf)[:0]
 	for i, n := range g.Nodes {
 		for j := range n.Mems {
-			m := &n.Mems[j]
-			byArray[m.Array] = append(byArray[m.Array], memAcc{node: i, acc: m})
+			all = append(all, memAccess{node: i, acc: &n.Mems[j]})
 		}
 	}
-	names := make([]string, 0, len(byArray))
-	for k := range byArray {
-		names = append(names, k)
-	}
-	sort.Strings(names)
+	slices.SortStableFunc(all, func(a, b memAccess) int { return strings.Compare(a.acc.Array, b.acc.Array) })
+	*buf = all
 
-	for _, name := range names {
-		seq := byArray[name]
+	polled := 0
+	for start := 0; start < len(all); {
+		end := start + 1
+		for end < len(all) && all[end].acc.Array == all[start].acc.Array {
+			end++
+		}
+		seq := all[start:end]
+		start = end
 		for i, a := range seq {
+			if polled += len(seq); polled >= pollEvery {
+				polled = 0
+				if err := aborted(ctx); err != nil {
+					return err
+				}
+			}
 			for j, b := range seq {
 				if !a.acc.Store && !b.acc.Store {
 					continue // load-load: no dependence
@@ -336,6 +433,7 @@ func (g *Graph) buildMemDeps(loopID int, independent bool) {
 			}
 		}
 	}
+	return nil
 }
 
 // memDistance computes the minimum iteration distance at which access b

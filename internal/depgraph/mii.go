@@ -105,6 +105,10 @@ type Analysis struct {
 	Bounds
 }
 
+// Cyclic reports whether component c lies on a dependence cycle, a
+// self-loop included.
+func (a *Analysis) Cyclic(c int) bool { return len(a.edges[c]) > 0 }
+
 // MIIBounds computes the resource and recurrence bounds of an
 // already-filtered graph: what a caller needs when it only asks how fast
 // a set of operations could run on m (the partition planner), not where

@@ -19,6 +19,7 @@ import (
 
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
+	"softpipe/internal/slab"
 )
 
 // RegRead records that a node reads Reg somewhere in cycle offsets
@@ -82,28 +83,66 @@ func (n *Node) String() string {
 // m.  It fails when the machine has no descriptor for the op's class
 // (a narrow machine variant), rather than panicking mid-compile.
 func NodeFromOp(m *machine.Machine, op *ir.Op) (*Node, error) {
+	return (*Arena)(nil).NodeFromOp(m, op)
+}
+
+// Arena builds nodes from shared storage: the nodes themselves and their
+// read, write and memory lists are carved from slabs, so a compile's
+// bodies cost a few allocations, not four a node.  Nodes live as long as
+// anything points into their slab.  The zero Arena is ready to use; it is
+// not safe for concurrent use.
+type Arena struct {
+	nodes  slab.Of[Node]
+	reads  slab.Of[RegRead]
+	writes slab.Of[RegWrite]
+	mems   slab.Of[MemAcc]
+}
+
+// NodeFromOp is the package's NodeFromOp, from the arena's storage; a nil
+// arena allocates the node on its own.
+func (a *Arena) NodeFromOp(m *machine.Machine, op *ir.Op) (*Node, error) {
 	d := m.Desc(op.Class)
 	if d == nil {
 		return nil, fmt.Errorf("depgraph: class %v (%s) unsupported on machine %s", op.Class, op, m.Name)
 	}
-	n := &Node{
-		Op:          op,
-		Len:         1,
-		Reservation: d.Reservation,
+	var (
+		nodes  *slab.Of[Node]
+		reads  *slab.Of[RegRead]
+		writes *slab.Of[RegWrite]
+		mems   *slab.Of[MemAcc]
+	)
+	if a != nil {
+		nodes, reads, writes, mems = &a.nodes, &a.reads, &a.writes, &a.mems
 	}
+	n := &take(nodes, 1)[0]
+	n.Op, n.Len, n.Reservation = op, 1, d.Reservation
 	// An op has at most three sources: a repeat is found by looking back.
+	nr := 0
 	for i, s := range op.Src {
 		if s != ir.NoReg && !slices.Contains(op.Src[:i], s) {
-			n.Reads = append(n.Reads, RegRead{Reg: s})
+			nr++
+		}
+	}
+	if nr > 0 {
+		n.Reads = take(reads, nr)[:0]
+		for i, s := range op.Src {
+			if s != ir.NoReg && !slices.Contains(op.Src[:i], s) {
+				n.Reads = append(n.Reads, RegRead{Reg: s})
+			}
 		}
 	}
 	if op.Dst != ir.NoReg {
-		n.Writes = append(n.Writes, RegWrite{
+		n.Writes = take(writes, 1)
+		n.Writes[0] = RegWrite{
 			Reg:        op.Dst,
 			AvailFirst: d.Latency,
 			AvailLast:  d.Latency,
 			Killing:    true,
-		})
+		}
+	}
+	q := QueueArray(op.Class)
+	if nm := btoi(op.Mem != nil) + btoi(q != ""); nm > 0 {
+		n.Mems = take(mems, nm)[:0]
 	}
 	if op.Mem != nil {
 		n.Mems = append(n.Mems, MemAcc{
@@ -112,10 +151,25 @@ func NodeFromOp(m *machine.Machine, op *ir.Op) (*Node, error) {
 			Store: op.Class == machine.ClassStore,
 		})
 	}
-	if q := QueueArray(op.Class); q != "" {
+	if q != "" {
 		n.Mems = append(n.Mems, MemAcc{Array: q, Store: true})
 	}
 	return n, nil
+}
+
+// take is s.Take(n), or n elements of their own when there is no slab.
+func take[T any](s *slab.Of[T], n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	return s.Take(n)
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // QueueArray names the pseudo-array a queue operation of class c touches,

@@ -1,5 +1,7 @@
 package depgraph
 
+import "slices"
+
 // SCC computes the strongly connected components of the graph with
 // Tarjan's algorithm (Tarjan 1972, reference [29] of the paper).
 // Components are returned in reverse topological order of the condensed
@@ -12,41 +14,46 @@ type SCC struct {
 
 // TarjanSCC runs Tarjan's algorithm on g.
 func TarjanSCC(g *Graph) *SCC {
-	n := len(g.Nodes)
-	// Successor lists in edge order, packed into one array: node v's are
-	// succ[first[v]:first[v+1]].
-	first := make([]int, n+1)
+	n, m := len(g.Nodes), len(g.Edges)
+	// One block of scratch: successor lists in edge order, packed (node
+	// v's are succ[first[v]:first[v+1]]), Tarjan's index and low-link per
+	// node, and its stack.
+	block := make([]int, (n+1)+m+n+n+n+n)
+	first, block := block[:n+1], block[n+1:]
+	succ, block := block[:m], block[m:]
+	fill, block := block[:n], block[n:]
+	index, block := block[:n], block[n:]
+	low, block := block[:n], block[n:]
+	stack := block[:0:n]
 	for _, e := range g.Edges {
 		first[e.From+1]++
 	}
 	for v := 0; v < n; v++ {
 		first[v+1] += first[v]
 	}
-	succ := make([]int, len(g.Edges))
-	fill := append([]int(nil), first[:n]...)
+	copy(fill, first[:n])
 	for _, e := range g.Edges {
 		succ[fill[e.From]] = e.To
 		fill[e.From]++
 	}
 
-	s := &SCC{Comp: make([]int, n)}
+	// Components are runs of one member array, in the order found.
+	members := make([]int, 0, n)
+	s := &SCC{Comp: make([]int, n), Components: make([][]int, 0, n)}
 	for i := range s.Comp {
 		s.Comp[i] = -1
 	}
-	index := make([]int, n)
-	low := make([]int, n)
 	onStack := make([]bool, n)
 	for i := range index {
 		index[i] = -1
 	}
-	var stack []int
 	next := 0
 
 	// Iterative Tarjan to avoid deep recursion on long bodies.
 	type frame struct {
 		v, ei int
 	}
-	var call []frame
+	call := make([]frame, 0, n)
 	for root := 0; root < n; root++ {
 		if index[root] != -1 {
 			continue
@@ -84,22 +91,22 @@ func TarjanSCC(g *Graph) *SCC {
 				}
 			}
 			if low[v] == index[v] {
-				var comp []int
+				start := len(members)
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
 					s.Comp[w] = len(s.Components)
-					comp = append(comp, w)
+					members = append(members, w)
 					if w == v {
 						break
 					}
 				}
 				// Keep members in program order for deterministic
-				// scheduling.
-				for i, j := 0, len(comp)-1; i < j; i, j = i+1, j-1 {
-					comp[i], comp[j] = comp[j], comp[i]
-				}
+				// scheduling.  They came off the stack latest first, so
+				// reversed they are nearly sorted already.
+				comp := members[start:len(members):len(members)]
+				slices.Reverse(comp)
 				sortInts(comp)
 				s.Components = append(s.Components, comp)
 			}
@@ -116,29 +123,13 @@ func sortInts(a []int) {
 	}
 }
 
-// IsTrivial reports whether component c is a single node without a
-// self-loop (i.e. not part of any dependence cycle).
-func (s *SCC) IsTrivial(g *Graph, c int) bool {
-	comp := s.Components[c]
-	if len(comp) > 1 {
-		return false
-	}
-	v := comp[0]
-	for _, e := range g.Edges {
-		if e.From == v && e.To == v {
-			return false
-		}
-	}
-	return true
-}
-
 // sccEdge is a dependence edge inside one component, endpoints renumbered
 // to member positions.
 type sccEdge struct{ from, to, delay, omega int }
 
-// edges lists, per component, the dependence edges that stay inside it.
-// A component lies on a dependence cycle (!IsTrivial) exactly when its
-// list is not empty.
+// edges lists, per component, the dependence edges that stay inside it,
+// all in one array.  A component lies on a dependence cycle (a self-loop
+// included) exactly when its list is not empty.
 func (s *SCC) edges(g *Graph) [][]sccEdge {
 	pos := make([]int, len(g.Nodes))
 	for _, comp := range s.Components {
@@ -146,7 +137,22 @@ func (s *SCC) edges(g *Graph) [][]sccEdge {
 			pos[v] = i
 		}
 	}
+	// Count per component, then cut one array into the lists; pos is
+	// reused as the fill cursor once every edge is renumbered.
+	count := make([]int, len(s.Components)+1)
+	for _, e := range g.Edges {
+		if ci := s.Comp[e.From]; ci == s.Comp[e.To] {
+			count[ci+1]++
+		}
+	}
+	for ci := range s.Components {
+		count[ci+1] += count[ci]
+	}
+	all := make([]sccEdge, count[len(s.Components)])
 	edges := make([][]sccEdge, len(s.Components))
+	for ci := range edges {
+		edges[ci] = all[count[ci]:count[ci]:count[ci+1]]
+	}
 	for _, e := range g.Edges {
 		if ci := s.Comp[e.From]; ci == s.Comp[e.To] {
 			edges[ci] = append(edges[ci], sccEdge{pos[e.From], pos[e.To], e.Delay, e.Omega})

@@ -99,6 +99,8 @@ type Reducer struct {
 	// the references that read it (operands, conditions, loop counts,
 	// results) anywhere in the program; nil until first needed.
 	defs, uses []int32
+	// arena holds the nodes of every body the reducer builds.
+	arena depgraph.Arena
 }
 
 // NewReducer returns a reducer for the loops of p on machine m.  p must
@@ -135,7 +137,7 @@ func (r *Reducer) nodes(loopID int, b *ir.Block, lift bool) ([]*depgraph.Node, e
 	for _, s := range b.Stmts {
 		switch s := s.(type) {
 		case *ir.OpStmt:
-			n, err := depgraph.NodeFromOp(r.m, s.Op)
+			n, err := r.arena.NodeFromOp(r.m, s.Op)
 			if err != nil {
 				return nil, err
 			}

@@ -105,17 +105,13 @@ type Options struct {
 
 // Plan is a complete pipelining decision for one loop.
 type Plan struct {
-	Nodes []*depgraph.Node
-	// Graph is the scheduled (filtered) graph; FullGraph retains the
-	// removable edges for verification.
-	Graph     *depgraph.Graph
-	FullGraph *depgraph.Graph
-	// Compact is the locally compacted body (the list schedule of
-	// FullGraph) and Period the iteration period the unpipelined loop runs
-	// at: Compact's length padded until every inter-iteration dependence of
-	// FullGraph drains.  They are what pipelining is measured against.
-	Compact *schedule.Result
-	Period  int
+	// Body is what the plan was made from: the nodes, the full graph, and
+	// the locally compacted body and its period as the unpipelined loop,
+	// which are what pipelining is measured against.
+	*Body
+	// Graph is the scheduled graph: Body.Full without the edges modulo
+	// variable expansion removed.
+	Graph *depgraph.Graph
 
 	II       int
 	Stages   int // number of concurrently active iterations (m)
@@ -240,7 +236,68 @@ func (p *Plan) victim() ir.VReg {
 // graceful version of the paper's "when we run out of registers, we
 // resort to simple techniques" (§2.3).
 func PlanLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Options) (*Plan, error) {
-	p, err := planLoop(nodes, loopID, m, opts)
+	b, err := NewBody(opts.Ctx, nodes, loopID, m, opts.IndependentMem)
+	if err != nil {
+		return nil, err
+	}
+	return b.Plan(opts)
+}
+
+// Body is what every plan of one loop body shares, built once: the nodes,
+// their full dependence graph, and the locally compacted body with its
+// period as the unpipelined loop.  The copy-budget retries differ only in
+// which omega-1 edges they drop, and none of this reads those: the
+// resource bound reads reservations, the list schedule omega-0 edges, and
+// the period the full graph, because the unpipelined loop keeps every
+// edge.  So the retries, the exact effort's heuristic retry and the code
+// generator's unpipelined form of the loop all read one Body.
+type Body struct {
+	Nodes []*depgraph.Node
+	// Full is the dependence graph with every edge.
+	Full *depgraph.Graph
+	// Compact is the locally compacted body (the list schedule of Full)
+	// and Period the iteration period the unpipelined loop runs at:
+	// Compact's length padded until every inter-iteration dependence of
+	// Full drains.
+	Compact *schedule.Result
+	Period  int
+
+	m      *machine.Machine
+	resMII int // the resource bound with the loop-back branch
+}
+
+// NewBody builds the dependence graph of the body nodes of loop loopID
+// (independent is the loop's `independent` assertion) and list-schedules
+// it for m.  It fails when m lacks a resource the body reserves, and,
+// with an error wrapping ctx.Err(), when ctx (nil: none) ends the build.
+func NewBody(ctx context.Context, nodes []*depgraph.Node, loopID int, m *machine.Machine, independent bool) (*Body, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	full, err := depgraph.BuildContext(ctx, nodes, loopID, independent)
+	if err != nil {
+		return nil, err
+	}
+	// The loop-back branch occupies one sequencer slot of every steady-
+	// state window; fold it into the resource bound so MetLower reflects
+	// the true floor.  Computed first: a machine that lacks a reserved
+	// resource is the error to report, and List cannot place on it.
+	resMII, err := depgraph.ResourceMIIExtra(full, m, []machine.ResUse{{Resource: machine.ResBranch}})
+	if err != nil {
+		return nil, err
+	}
+	compact, err := schedule.List(full, m)
+	if err != nil {
+		return nil, err
+	}
+	return &Body{Nodes: nodes, Full: full, Compact: compact,
+		Period: schedule.PeriodFor(full, compact, compact.Length), m: m, resMII: resMII}, nil
+}
+
+// Plan is PlanLoop on a body already built (opts.IndependentMem is then
+// the body's own and not read).
+func (b *Body) Plan(opts Options) (*Plan, error) {
+	p, err := b.plan(opts)
 	if err != nil && opts.Effort == schedule.EffortExact &&
 		(opts.Ctx == nil || opts.Ctx.Err() == nil) {
 		// A tighter exact schedule can fail checks downstream of the II
@@ -250,55 +307,25 @@ func PlanLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 		// the loop without it before giving up.
 		ho := opts
 		ho.Effort = schedule.EffortHeuristic
-		if hp, herr := planLoop(nodes, loopID, m, ho); herr == nil {
+		if hp, herr := b.plan(ho); herr == nil {
 			return hp, nil
 		}
 	}
 	return p, err
 }
 
-// body is what every plan of one loop shares.  The copy-budget retries
-// of planLoop differ only in which omega-1 edges they drop, and none of
-// this reads those of the filtered graph: the resource bound reads
-// reservations, the list schedule omega-0 edges, and the period the
-// full graph, because the unpipelined loop keeps every edge.
-type body struct {
-	nodes   []*depgraph.Node
-	full    *depgraph.Graph
-	m       *machine.Machine
-	resMII  int              // the resource bound with the loop-back branch
-	compact *schedule.Result // the locally compacted body
-	period  int              // its period as the unpipelined loop
-}
-
-func planLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Options) (*Plan, error) {
-	full := depgraph.BuildIndep(nodes, loopID, opts.IndependentMem)
-	// The loop-back branch occupies one sequencer slot of every steady-
-	// state window; fold it into the resource bound so MetLower reflects
-	// the true floor.  Computed first: a machine that lacks a reserved
-	// resource is the error to report, and List cannot place on it.
-	resMII, err := depgraph.ResourceMIIExtra(full, m, []machine.ResUse{{Resource: machine.ResBranch}})
-	if err != nil {
-		return nil, err
-	}
+func (b *Body) plan(opts Options) (*Plan, error) {
 	// The §4.2 profitability guards are computed against the locally
 	// compacted body.  The threshold needs nothing else, so it goes before
 	// the dependence analysis and the search — whose longest-path sweeps
 	// are cubic in the size of a recurrence — and "not even attempted" is
 	// literally true.
-	compact, err := schedule.List(full, m)
-	if err != nil {
-		return nil, err
+	if b.Compact.Length > maxBodyLen {
+		return nil, fmt.Errorf("pipeline: body length %d beyond pipelining threshold %d", b.Compact.Length, maxBodyLen)
 	}
-	if compact.Length > maxBodyLen {
-		return nil, fmt.Errorf("pipeline: body length %d beyond pipelining threshold %d", compact.Length, maxBodyLen)
-	}
-	b := &body{nodes: nodes, full: full, m: m, resMII: resMII, compact: compact,
-		period: schedule.PeriodFor(full, compact, compact.Length)}
-
 	expanded := map[ir.VReg]bool{}
 	if !opts.DisableMVE {
-		for r, ok := range full.Expandable {
+		for r, ok := range b.Full.Expandable {
 			if ok {
 				expanded[r] = true
 			}
@@ -378,9 +405,9 @@ func planLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 	}
 }
 
-func planWith(b *body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
-	nodes, m := b.nodes, b.m
-	g := b.full.Filter(expanded)
+func planWith(b *Body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
+	nodes, m := b.Nodes, b.m
+	g := b.Full.Filter(expanded)
 
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -394,7 +421,7 @@ func planWith(b *body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
 	}
 	sccs := 0
 	for ci := range a.SCC.Components {
-		if !a.SCC.IsTrivial(g, ci) {
+		if a.Cyclic(ci) {
 			sccs++
 		}
 	}
@@ -417,10 +444,10 @@ func planWith(b *body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
 	}
 
 	// The unpipelined comparison point is the loop that would be emitted
-	// instead (b.period).
+	// instead (b.Period).
 	effMII := max(a.MII, minII)
-	if !opts.KeepMarginal && effMII*100 >= b.period*99 {
-		return nil, fmt.Errorf("pipeline: initiation interval bound %d within 99%% of unpipelined length %d", effMII, b.period)
+	if !opts.KeepMarginal && effMII*100 >= b.Period*99 {
+		return nil, fmt.Errorf("pipeline: initiation interval bound %d within 99%% of unpipelined length %d", effMII, b.Period)
 	}
 
 	searcher := schedule.New(opts.Effort, a, m)
@@ -457,11 +484,8 @@ func planWith(b *body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
 	}
 
 	p := &Plan{
-		Nodes:         nodes,
+		Body:          b,
 		Graph:         g,
-		FullGraph:     b.full,
-		Compact:       b.compact,
-		Period:        b.period,
 		II:            res.II,
 		Time:          res.Time,
 		MII:           max(a.MII, minII),
@@ -470,9 +494,6 @@ func planWith(b *body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
 		HasRecurrence: a.HasRecurrence,
 		Rotating:      m.RotatingRegs,
 		Expanded:      expanded,
-		Copies:        map[ir.VReg]int{},
-		Q:             map[ir.VReg]int{},
-		Lifetime:      map[ir.VReg]int{},
 		SchedStats:    st,
 		Explain:       res.Explain,
 	}
@@ -495,22 +516,29 @@ func planWith(b *body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
 // register copies.
 func (p *Plan) expand(opts Options) error {
 	type life struct {
+		reg  ir.VReg
 		def  int
 		use  int
 		used bool
 	}
-	lives := map[ir.VReg]*life{}
+	// lives holds one entry per expanded register written, found through
+	// at: a map of indices and one slice, not a map of pointers.
+	lives := make([]life, 0, len(p.Expanded))
+	at := make(map[ir.VReg]int, len(p.Expanded))
 	for i, n := range p.Nodes {
 		t := p.Time[i]
 		for _, w := range n.Writes {
 			if !p.Expanded[w.Reg] {
 				continue
 			}
-			l := lives[w.Reg]
-			if l == nil {
-				l = &life{def: t + w.AvailFirst, use: t + w.AvailFirst}
-				lives[w.Reg] = l
-			} else if t+w.AvailFirst < l.def {
+			k, ok := at[w.Reg]
+			if !ok {
+				k = len(lives)
+				at[w.Reg] = k
+				lives = append(lives, life{reg: w.Reg, def: t + w.AvailFirst, use: t + w.AvailFirst})
+			}
+			l := &lives[k]
+			if ok && t+w.AvailFirst < l.def {
 				l.def = t + w.AvailFirst
 			}
 			// A copy stays occupied until its last write lands, even if
@@ -525,18 +553,23 @@ func (p *Plan) expand(opts Options) error {
 	for i, n := range p.Nodes {
 		t := p.Time[i]
 		for _, rd := range n.Reads {
-			l := lives[rd.Reg]
-			if l == nil {
+			k, ok := at[rd.Reg]
+			if !ok {
 				continue
 			}
+			l := &lives[k]
 			l.used = true
 			if t+rd.Last > l.use {
 				l.use = t + rd.Last
 			}
 		}
 	}
+	p.Copies = make(map[ir.VReg]int, len(lives))
+	p.Q = make(map[ir.VReg]int, len(lives))
+	p.Lifetime = make(map[ir.VReg]int, len(lives))
 	u := 1
-	for r, l := range lives {
+	for _, l := range lives {
+		r := l.reg
 		lt := l.use - l.def + 1
 		if lt < 1 {
 			lt = 1
@@ -619,32 +652,70 @@ func gcd(a, b int) int {
 
 func lcm(a, b int) int { return a / gcd(a, b) * b }
 
-// FormatKernel renders the steady-state kernel as the paper draws it
-// (Figure 2-2): one row per cycle of the initiation interval, each row
-// listing the operations issued at that offset with the pipeline stage
-// (⌊σ/II⌋) they belong to.  Reduced constructs print as their occupancy
-// window.
-func (p *Plan) FormatKernel() string {
+// Kernel is what String renders, held apart from the plan: the
+// schedule's numbers and, per node, its issue time and what it prints as.
+// A loop report keeps one, so neither the plan's graphs nor its nodes stay
+// alive behind it, and renders it only when someone asks.  The zero Kernel
+// renders as "".
+type Kernel struct {
+	ii, stages, unroll, mii, resMII, recMII int
+	slots                                   []kernelSlot
+}
+
+// kernelSlot is one node of a kernel: an operation of class class (on
+// array, when it touches memory), or, when op is false, a reduced
+// construct of len cycles.  It holds no pointer, so two reports of one
+// kernel compare and print alike.
+type kernelSlot struct {
+	op        bool
+	class     machine.Class
+	array     string
+	time, len int32
+}
+
+// Kernel returns the plan's kernel, to be rendered later.
+func (p *Plan) Kernel() Kernel {
+	slots := make([]kernelSlot, len(p.Nodes))
+	for i, n := range p.Nodes {
+		slots[i] = kernelSlot{time: int32(p.Time[i]), len: int32(n.Len)}
+		if op := n.Op; op != nil {
+			slots[i].op, slots[i].class = true, op.Class
+			if op.Mem != nil {
+				slots[i].array = op.Mem.Array
+			}
+		}
+	}
+	return Kernel{p.II, p.Stages, p.Unroll, p.MII, p.ResMII, p.RecMII, slots}
+}
+
+// String renders the steady-state kernel as the paper draws it (Figure
+// 2-2): one row per cycle of the initiation interval, each row listing the
+// operations issued at that offset with the pipeline stage (⌊σ/II⌋) they
+// belong to.  Reduced constructs print as their occupancy window.
+func (k Kernel) String() string {
+	if k.ii == 0 {
+		return ""
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "II=%d stages=%d unroll=%d  (MII=%d: res=%d rec=%d)\n",
-		p.II, p.Stages, p.Unroll, p.MII, p.ResMII, p.RecMII)
+		k.ii, k.stages, k.unroll, k.mii, k.resMII, k.recMII)
 	type slot struct {
 		stage int
 		desc  string
 	}
-	rows := make([][]slot, p.II)
-	for i, n := range p.Nodes {
-		t := p.Time[i]
+	rows := make([][]slot, k.ii)
+	for _, n := range k.slots {
+		t := int(n.time)
 		desc := ""
 		switch {
-		case n.Op != nil && n.Op.Mem != nil:
-			desc = fmt.Sprintf("%v[%s]", n.Op.Class, n.Op.Mem.Array)
-		case n.Op != nil:
-			desc = n.Op.Class.String()
+		case n.op && n.array != "":
+			desc = fmt.Sprintf("%v[%s]", n.class, n.array)
+		case n.op:
+			desc = n.class.String()
 		default:
-			desc = fmt.Sprintf("construct/%d", n.Len)
+			desc = fmt.Sprintf("construct/%d", n.len)
 		}
-		rows[t%p.II] = append(rows[t%p.II], slot{t / p.II, desc})
+		rows[t%k.ii] = append(rows[t%k.ii], slot{t / k.ii, desc})
 	}
 	for off, ops := range rows {
 		sort.Slice(ops, func(i, j int) bool {
@@ -657,7 +728,7 @@ func (p *Plan) FormatKernel() string {
 		for i, s := range ops {
 			parts[i] = fmt.Sprintf("s%d:%s", s.stage, s.desc)
 		}
-		fmt.Fprintf(&b, "  t%%%d=%d | %s\n", p.II, off, strings.Join(parts, "  "))
+		fmt.Fprintf(&b, "  t%%%d=%d | %s\n", k.ii, off, strings.Join(parts, "  "))
 	}
 	return b.String()
 }

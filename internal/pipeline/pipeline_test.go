@@ -347,7 +347,7 @@ func TestProfitabilityGuards(t *testing.T) {
 		case tc.wantErr == "" && err != nil:
 			t.Errorf("%s: %v", tc.name, err)
 		case tc.wantErr == "":
-			if k := plan.FormatKernel(); !strings.Contains(k, fmt.Sprintf("II=%d ", plan.II)) {
+			if k := plan.Kernel().String(); !strings.Contains(k, fmt.Sprintf("II=%d ", plan.II)) {
 				t.Errorf("%s: kernel rendering lacks the II:\n%s", tc.name, k)
 			}
 		case err == nil || !strings.Contains(err.Error(), tc.wantErr):
@@ -406,8 +406,8 @@ func TestConstructWindowFitsOneInterval(t *testing.T) {
 	if plan.II != window.Len+1 || plan.MII != plan.II {
 		t.Errorf("II = %d, MII = %d: both should be the window (%d) plus the loop-back slot", plan.II, plan.MII, window.Len)
 	}
-	if !strings.Contains(plan.FormatKernel(), "construct/3") {
-		t.Errorf("kernel rendering lacks the construct:\n%s", plan.FormatKernel())
+	if !strings.Contains(plan.Kernel().String(), "construct/3") {
+		t.Errorf("kernel rendering lacks the construct:\n%s", plan.Kernel().String())
 	}
 
 	nodes, loopID, _, _ = build([]machine.ResUse{{Resource: machine.ResFAdd}})

@@ -118,8 +118,7 @@ func NewExactSearcher(a *depgraph.Analysis, m *machine.Machine) *ExactSearcher {
 		ex.outA[e.From] = append(ex.outA[e.From], ai)
 		ex.inA[e.To] = append(ex.inA[e.To], ai)
 	}
-	ix := indexOmega0(g, n)
-	ex.h = heights(g, ix)
+	ex.h, _, _ = heights(g, indexOmega0(g, n), nil, nil, nil)
 	// Weakly connected components by union-find over all edges.
 	parent := make([]int, n)
 	for i := range parent {

@@ -3,6 +3,8 @@ package schedule
 import (
 	"container/heap"
 	"fmt"
+	"slices"
+	"sync"
 
 	"softpipe/internal/depgraph"
 	"softpipe/internal/machine"
@@ -54,95 +56,120 @@ func Verify(g *depgraph.Graph, m *machine.Machine, r *Result) error {
 	return nil
 }
 
-// omega0Index holds the intra-iteration (omega = 0) edges bucketed by
-// endpoint, built once per scheduling call so the height sweep and the
-// placement loop touch only each node's own edges instead of rescanning
-// the full edge list per node (previously O(V·E)).
+// omega0Index holds the intra-iteration (omega = 0) edges of a graph in
+// compressed sparse rows, built once per scheduling call so the height
+// sweep and the placement loop touch only each node's own edges instead
+// of rescanning the full edge list per node: node v's outgoing edges are
+// the indices out[outAt[v]:outAt[v+1]] into g.Edges, its incoming ones
+// in[inAt[v]:inAt[v+1]], in edge order, self-edges included (the
+// consumers keep the original per-edge guards).
 type omega0Index struct {
-	// outs[v] are the omega-0 edges with From == v, self-edges included
-	// (the consumers preserve the original per-edge guards).
-	outs [][]depgraph.Edge
-	// ins[v] are the omega-0 edges with To == v, self-edges included.
-	ins [][]depgraph.Edge
+	outAt, inAt []int
+	out, in     []int32
+}
+
+// outs and ins are v's outgoing and incoming omega-0 edge indices.
+func (ix *omega0Index) outs(v int) []int32 { return ix.out[ix.outAt[v]:ix.outAt[v+1]] }
+func (ix *omega0Index) ins(v int) []int32  { return ix.in[ix.inAt[v]:ix.inAt[v+1]] }
+
+// index fills ix with g's omega-0 edges over n nodes, reusing its
+// storage.
+func (ix *omega0Index) index(g *depgraph.Graph, n int) {
+	ix.outAt = resize(ix.outAt, n+1)
+	ix.inAt = resize(ix.inAt, n+1)
+	m := 0
+	for _, e := range g.Edges {
+		if e.Omega == 0 {
+			ix.outAt[e.From+1]++
+			ix.inAt[e.To+1]++
+			m++
+		}
+	}
+	for v := 0; v < n; v++ {
+		ix.outAt[v+1] += ix.outAt[v]
+		ix.inAt[v+1] += ix.inAt[v]
+	}
+	ix.out = slices.Grow(ix.out[:0], m)[:m]
+	ix.in = slices.Grow(ix.in[:0], m)[:m]
+	// Fill from the back, so each row ends up in edge order with the
+	// offsets intact.
+	for i := len(g.Edges) - 1; i >= 0; i-- {
+		if e := g.Edges[i]; e.Omega == 0 {
+			ix.outAt[e.From+1]--
+			ix.out[ix.outAt[e.From+1]] = int32(i)
+			ix.inAt[e.To+1]--
+			ix.in[ix.inAt[e.To+1]] = int32(i)
+		}
+	}
+	// Each offset now points at its row's first entry, one row late.
+	copy(ix.outAt, ix.outAt[1:])
+	copy(ix.inAt, ix.inAt[1:])
+	ix.outAt[n], ix.inAt[n] = m, m
 }
 
 func indexOmega0(g *depgraph.Graph, n int) *omega0Index {
-	ix := &omega0Index{outs: make([][]depgraph.Edge, n), ins: make([][]depgraph.Edge, n)}
-	for _, e := range g.Edges {
-		if e.Omega != 0 {
-			continue
-		}
-		ix.outs[e.From] = append(ix.outs[e.From], e)
-		ix.ins[e.To] = append(ix.ins[e.To], e)
-	}
+	ix := &omega0Index{}
+	ix.index(g, n)
 	return ix
 }
 
-// heights computes the list-scheduling priority: the critical-path height
-// of each node over intra-iteration (omega = 0) edges.  The omega-0
-// subgraph is acyclic in any legal program.
-func heights(g *depgraph.Graph, ix *omega0Index) []int {
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// heights computes the list-scheduling priority into h (len(g.Nodes)
+// long, or nil to allocate): the critical-path height of each node over
+// intra-iteration (omega = 0) edges.  The omega-0 subgraph is acyclic in
+// any legal program.  Heights are longest paths, the same in every
+// topological order, so the order is whatever a stack of ready nodes
+// gives; indeg and order are scratch, returned for reuse.
+func heights(g *depgraph.Graph, ix *omega0Index, h, indeg, order []int) ([]int, []int, []int) {
 	n := len(g.Nodes)
-	h := make([]int, n)
-	order, ok := topoOrder(g, n, func(e depgraph.Edge) bool { return e.Omega == 0 })
-	if !ok {
-		// Defensive: fall back to extents; Analyze rejects such graphs.
-		for i, nd := range g.Nodes {
-			h[i] = Extent(nd)
-		}
-		return h
+	if h == nil {
+		h = make([]int, n)
 	}
 	for i := range h {
 		h[i] = Extent(g.Nodes[i])
 	}
+	indeg = resize(indeg, n)
+	for _, e := range g.Edges {
+		if e.Omega == 0 && e.From != e.To {
+			indeg[e.To]++
+		}
+	}
+	order = order[:0]
+	for v := 0; v < n; v++ {
+		if indeg[v] == 0 {
+			order = append(order, v)
+		}
+	}
+	for next := 0; next < len(order); next++ {
+		for _, ei := range ix.outs(order[next]) {
+			if e := &g.Edges[ei]; e.From != e.To {
+				if indeg[e.To]--; indeg[e.To] == 0 {
+					order = append(order, e.To)
+				}
+			}
+		}
+	}
+	if len(order) != n {
+		// Defensive: fall back to extents; Analyze rejects such graphs.
+		return h, indeg, order
+	}
 	for i := n - 1; i >= 0; i-- {
 		v := order[i]
-		for _, e := range ix.outs[v] {
+		for _, ei := range ix.outs(v) {
+			e := &g.Edges[ei]
 			if c := h[e.To] + e.Delay; c > h[v] {
 				h[v] = c
 			}
 		}
 	}
-	return h
-}
-
-// topoOrder returns a topological order over the edges selected by keep.
-func topoOrder(g *depgraph.Graph, n int, keep func(depgraph.Edge) bool) ([]int, bool) {
-	indeg := make([]int, n)
-	adj := make([][]int, n)
-	for _, e := range g.Edges {
-		if !keep(e) || e.From == e.To {
-			continue
-		}
-		adj[e.From] = append(adj[e.From], e.To)
-		indeg[e.To]++
-	}
-	var order []int
-	var ready []int
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-	for len(ready) > 0 {
-		// Lowest index first for determinism.
-		best := 0
-		for i := range ready {
-			if ready[i] < ready[best] {
-				best = i
-			}
-		}
-		v := ready[best]
-		ready = append(ready[:best], ready[best+1:]...)
-		order = append(order, v)
-		for _, w := range adj[v] {
-			indeg[w]--
-			if indeg[w] == 0 {
-				ready = append(ready, w)
-			}
-		}
-	}
-	return order, len(order) == n
+	return h, indeg, order
 }
 
 // ready holds the nodes whose omega-0 predecessors are all placed, the
@@ -162,6 +189,19 @@ func (r *ready) Pop() any {
 	return last
 }
 
+// listScratch is what one List call needs and does not return; List
+// calls take it from listPool, so a compile's many list schedules share
+// a few.
+type listScratch struct {
+	ix              omega0Index
+	h, indeg, order []int
+	scheduled       []bool
+	q               ready
+	tab             FlatTable
+}
+
+var listPool = sync.Pool{New: func() any { return new(listScratch) }}
+
 // List performs basic-block list scheduling (Fisher 1979): nodes are
 // placed in a topological order of the omega-0 edges, each at the
 // earliest cycle that satisfies its scheduled predecessors and the flat
@@ -169,26 +209,33 @@ func (r *ready) Pop() any {
 // that loop the block (the unpipelined baseline) must pad the iteration
 // period using PeriodFor.
 func List(g *depgraph.Graph, m *machine.Machine) (*Result, error) {
+	sc := listPool.Get().(*listScratch)
+	defer listPool.Put(sc)
 	n := len(g.Nodes)
 	res := &Result{Time: make([]int, n)}
-	ix := indexOmega0(g, n)
-	h := heights(g, ix)
+	ix := &sc.ix
+	ix.index(g, n)
+	sc.h, sc.indeg, sc.order = heights(g, ix, resize(sc.h, n), sc.indeg, sc.order)
+	h := sc.h
 
-	indeg := make([]int, n)
+	indeg := resize(sc.indeg, n)
 	for _, e := range g.Edges {
 		if e.Omega == 0 && e.From != e.To {
 			indeg[e.To]++
 		}
 	}
-	q := &ready{h: h}
+	q := &sc.q
+	q.nodes, q.h = q.nodes[:0], h
 	for i, d := range indeg {
 		if d == 0 {
 			q.nodes = append(q.nodes, i)
 		}
 	}
 	heap.Init(q)
-	scheduled := make([]bool, n)
-	tab := NewFlatTable(m)
+	scheduled := resize(sc.scheduled, n)
+	sc.scheduled = scheduled
+	tab := &sc.tab
+	tab.reset(m, reservationBound(g, m))
 	extent := totalExtent(g)
 	for placed := 0; placed < n; placed++ {
 		// Place the ready node with the greatest height.
@@ -197,7 +244,8 @@ func List(g *depgraph.Graph, m *machine.Machine) (*Result, error) {
 		}
 		best := heap.Pop(q).(int)
 		earliest := 0
-		for _, e := range ix.ins[best] {
+		for _, ei := range ix.ins(best) {
+			e := &g.Edges[ei]
 			if !scheduled[e.From] {
 				continue
 			}
@@ -219,8 +267,8 @@ func List(g *depgraph.Graph, m *machine.Machine) (*Result, error) {
 		if end := t + Extent(g.Nodes[best]); end > res.Length {
 			res.Length = end
 		}
-		for _, e := range ix.outs[best] {
-			if e.To != best {
+		for _, ei := range ix.outs(best) {
+			if e := &g.Edges[ei]; e.To != best {
 				if indeg[e.To]--; indeg[e.To] == 0 {
 					heap.Push(q, e.To)
 				}
@@ -229,6 +277,27 @@ func List(g *depgraph.Graph, m *machine.Machine) (*Result, error) {
 	}
 	res.II = res.Length
 	return res, nil
+}
+
+// reservationBound is a lower bound on the cycles a list schedule of g
+// occupies: its busiest resource's uses over the units there are.  It
+// sizes the flat table up front.
+func reservationBound(g *depgraph.Graph, m *machine.Machine) int {
+	var uses [64]int
+	bound := 0
+	for _, nd := range g.Nodes {
+		for _, u := range nd.Reservation {
+			if int(u.Resource) < len(uses) {
+				uses[u.Resource]++
+			}
+		}
+	}
+	for r, c := range m.ResourceCount {
+		if r < len(uses) && c > 0 {
+			bound = max(bound, (uses[r]+c-1)/c)
+		}
+	}
+	return bound
 }
 
 // PeriodFor returns the iteration period a non-overlapped (unpipelined)

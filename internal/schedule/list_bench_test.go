@@ -53,9 +53,10 @@ func BenchmarkList(b *testing.B) {
 func BenchmarkHeights(b *testing.B) {
 	g := denseGraph(600, 8)
 	ix := indexOmega0(g, len(g.Nodes))
+	var h, indeg, order []int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		heights(g, ix)
+		h, indeg, order = heights(g, ix, h, indeg, order)
 	}
 }

@@ -98,10 +98,11 @@ type crossEdge struct {
 // searcher.  Everything except dense, lo, hi, times, sched, deg is
 // independent of the candidate initiation interval and computed once.
 type compData struct {
-	edges []compEdge // omega-0 intra-component edges, from != to
-	indeg []int      // indegrees over edges
-	h     []int      // list priority: critical-path height over edges
-	zero  []int      // intra-iteration longest paths (ZeroPaths); nil until the first attempt
+	edges  []compEdge // omega-0 intra-component edges, from != to
+	indeg  []int      // indegrees over edges
+	h      []int      // list priority: critical-path height over edges
+	zero   []int      // intra-iteration longest paths (ZeroPaths), once zeroed
+	zeroed bool
 
 	dense  []int // longest paths at the current candidate II (PathsAt)
 	lo, hi []int // precedence-constrained ranges
@@ -124,7 +125,8 @@ type Searcher struct {
 	a *depgraph.Analysis
 	m *machine.Machine
 
-	comps  []compData
+	comps  []compData // one per cyclic component, in component order
+	cyc    []int      // cyc[ci] indexes comps for a cyclic component, -1 otherwise
 	cross  []crossEdge
 	cindeg []int // condensation indegrees over cross
 
@@ -151,51 +153,109 @@ type Searcher struct {
 	retries int
 }
 
+// comp is cyclic component ci's preprocessing and scratch.
+func (sr *Searcher) comp(ci int) *compData { return &sr.comps[sr.cyc[ci]] }
+
 // NewSearcher prepares a reusable searcher for the analyzed loop.
 func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 	g := a.Graph
 	n := len(g.Nodes)
 	nc := len(a.SCC.Components)
+	// Everything per node and per component comes out of a few blocks,
+	// sized by a counting pass: the per-member scratch of every cyclic
+	// component (k members: eight int lists of k and two k×k path
+	// matrices), its omega-0 edges, the condensation's edges and each
+	// component's reservations.
+	members, cyclic, compEdges, crosses, uses, paths := 0, 0, 0, 0, 0, 0
+	for ci, comp := range a.SCC.Components {
+		if a.Cyclic(ci) {
+			members += len(comp)
+			cyclic++
+			paths += 2 * len(comp) * len(comp)
+		}
+		for _, v := range comp {
+			uses += len(g.Nodes[v].Reservation)
+		}
+	}
+	ints := make([]int, n+7*nc+8*members+len(g.Edges)+paths)
+	cut := func(k int) []int {
+		s := ints[:k:k]
+		ints = ints[k:]
+		return s
+	}
+	ecount := cut(nc)
+	for _, e := range g.Edges {
+		cf, ct := a.SCC.Comp[e.From], a.SCC.Comp[e.To]
+		switch {
+		case cf != ct:
+			crosses++
+		case e.Omega == 0 && e.From != e.To && a.Cyclic(cf):
+			compEdges++
+			ecount[cf]++
+		}
+	}
 	sr := &Searcher{
 		a: a, m: m,
-		cindeg:  make([]int, nc),
-		intTime: make([]int, n),
-		compLen: make([]int, nc),
+		cindeg:  cut(nc),
+		intTime: cut(n),
+		compLen: cut(nc),
 		vres:    make([][]machine.ResUse, nc),
-		ch:      make([]int, nc),
-		deg:     make([]int, nc),
-		order:   make([]int, 0, nc),
-		ready:   make([]int, 0, nc),
-		vtime:   make([]int, nc),
-		placed:  make([]bool, nc),
+		ch:      cut(nc),
+		deg:     cut(nc),
+		order:   make([]int, 0, 2*nc),
+		vtime:   cut(nc),
+		placed:  make([]bool, nc+members),
+		cross:   make([]crossEdge, 0, crosses),
+		cdelay:  cut(crosses),
 		condTab: NewModTable(1, m),
 		compTab: NewModTable(1, m),
 		exp:     &Explain{ResMII: a.ResMII, RecMII: a.RecMII},
+		cyc:     cut(nc),
 	}
-	memberIdx := make([]int, n)
+	sr.order, sr.ready = sr.order[:0:nc], sr.order[nc:nc]
+	sched := sr.placed[nc:]
+	sr.placed = sr.placed[:nc:nc]
+	allUses := make([]machine.ResUse, uses)
+	allEdges := make([]compEdge, compEdges)
+	memberIdx := sr.intTime // free until the first attempt
 	for _, comp := range a.SCC.Components {
 		for i, v := range comp {
 			memberIdx[v] = i
 		}
 	}
-	sr.comps = make([]compData, nc)
+	sr.comps = make([]compData, 0, cyclic)
 	for ci, comp := range a.SCC.Components {
-		if a.SCC.IsTrivial(g, ci) {
+		k := 0
+		for _, v := range comp {
+			k += len(g.Nodes[v].Reservation)
+		}
+		sr.vres[ci], allUses = allUses[:0:k], allUses[k:]
+		sr.cyc[ci] = -1
+		if !a.Cyclic(ci) {
 			continue
 		}
-		k := len(comp)
-		cd := &sr.comps[ci]
-		cd.indeg = make([]int, k)
-		cd.h = make([]int, k)
-		cd.lo = make([]int, k)
-		cd.hi = make([]int, k)
-		cd.loFrom = make([]int, k)
-		cd.hiFrom = make([]int, k)
-		cd.times = make([]int, k)
-		cd.sched = make([]bool, k)
-		cd.deg = make([]int, k)
+		sr.cyc[ci] = len(sr.comps)
+		sr.comps = append(sr.comps, compData{})
+		k = len(comp)
+		cd := sr.comp(ci)
+		cd.indeg = cut(k)
+		cd.h = cut(k)
+		cd.lo = cut(k)
+		cd.hi = cut(k)
+		cd.loFrom = cut(k)
+		cd.hiFrom = cut(k)
+		cd.times = cut(k)
+		cd.deg = cut(k)
+		cd.zero, cd.dense = cut(k * k)[:0], cut(k * k)[:0]
+		cd.sched, sched = sched[:k:k], sched[k:]
 		for i, v := range comp {
 			cd.h[i] = Extent(g.Nodes[v])
+		}
+	}
+	// Each cyclic component's omega-0 edges are one run of allEdges.
+	for ci, k := range ecount {
+		if k > 0 {
+			sr.comp(ci).edges, allEdges = allEdges[:0:k], allEdges[k:]
 		}
 	}
 	for _, e := range g.Edges {
@@ -209,14 +269,15 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 			sr.cindeg[ct]++
 			continue
 		}
-		if e.Omega == 0 && e.From != e.To && !a.SCC.IsTrivial(g, cf) {
-			cd := &sr.comps[cf]
+		if e.Omega == 0 && e.From != e.To && a.Cyclic(cf) {
+			cd := sr.comp(cf)
 			cd.edges = append(cd.edges, compEdge{
 				from: memberIdx[e.From], to: memberIdx[e.To], delay: e.Delay,
 			})
 			cd.indeg[memberIdx[e.To]]++
 		}
 	}
+	clear(memberIdx)
 	// Heights within each component by reverse relaxation over the
 	// omega-0 edges (|comp| sweeps suffice on a DAG).
 	for ci := range sr.comps {
@@ -229,7 +290,6 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 			}
 		}
 	}
-	sr.cdelay = make([]int, len(sr.cross))
 	return sr
 }
 
@@ -359,18 +419,19 @@ func (sr *Searcher) attempt(opts Options, s int) (*Result, error) {
 		compLen[ci] = 0
 	}
 	for ci, comp := range a.SCC.Components {
-		if a.SCC.IsTrivial(g, ci) {
+		if !a.Cyclic(ci) {
 			continue
 		}
 		// The component's longest paths at this candidate interval, once:
 		// every range update in scheduleComponent is then two array reads.
 		// Its intra-iteration paths are the same at every interval.
-		cd := &sr.comps[ci]
+		cd := sr.comp(ci)
 		var err error
-		if cd.zero == nil {
-			if cd.zero, err = a.ZeroPaths(opts.Ctx, ci, nil); err != nil {
+		if !cd.zeroed {
+			if cd.zero, err = a.ZeroPaths(opts.Ctx, ci, cd.zero); err != nil {
 				return nil, err
 			}
+			cd.zeroed = true
 		}
 		if cd.dense, err = a.PathsAt(opts.Ctx, ci, s, cd.dense); err != nil {
 			return nil, err
@@ -562,7 +623,7 @@ func findSlot(tab *ModTable, res []machine.ResUse, earliest, s int) (int, bool) 
 func (sr *Searcher) scheduleComponent(ci int, comp []int, s int) bool {
 	const inf = int(1) << 30
 	g := sr.a.Graph
-	cd := &sr.comps[ci]
+	cd := sr.comp(ci)
 	k := len(comp)
 
 	copy(cd.deg, cd.indeg)

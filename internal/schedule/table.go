@@ -9,6 +9,7 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"softpipe/internal/depgraph"
@@ -138,20 +139,31 @@ func (t *ModTable) String() string {
 }
 
 // FlatTable is an ordinary (non-modulo) reservation table that grows on
-// demand; it backs basic-block list scheduling.
+// demand; it backs basic-block list scheduling.  Like ModTable it keeps
+// its rows in one flat slice (cycle t, resource q at index t*nres+q), so
+// growing by a cycle is an append, not an allocation per row.
 type FlatTable struct {
-	cap []int
-	use [][]int
+	cap  []int
+	nres int
+	use  []int // flat [cycle][resource] counts
 }
 
 // NewFlatTable returns an empty flat table for machine m.
 func NewFlatTable(m *machine.Machine) *FlatTable {
-	return &FlatTable{cap: m.ResourceCount}
+	return &FlatTable{cap: m.ResourceCount, nres: len(m.ResourceCount)}
 }
 
+// reset empties the table for machine m, its storage kept and sized for
+// at least rows cycles.
+func (t *FlatTable) reset(m *machine.Machine, rows int) {
+	t.cap, t.nres = m.ResourceCount, len(m.ResourceCount)
+	t.use = slices.Grow(t.use[:0], rows*t.nres)
+}
+
+// grow makes cycle n a row of the table.
 func (t *FlatTable) grow(n int) {
-	for len(t.use) <= n {
-		t.use = append(t.use, make([]int, len(t.cap)))
+	if need := (n + 1) * t.nres; len(t.use) < need {
+		t.use = append(t.use, make([]int, need-len(t.use))...)
 	}
 }
 
@@ -168,16 +180,17 @@ func (t *FlatTable) Fits(res []machine.ResUse, time int) bool {
 			break
 		}
 		t.grow(at)
-		t.use[at][u.Resource]++
+		i := at*t.nres + int(u.Resource)
+		t.use[i]++
 		placed++
-		if t.use[at][u.Resource] > t.cap[u.Resource] {
+		if t.use[i] > t.cap[u.Resource] {
 			ok = false
 			break
 		}
 	}
 	for i := 0; i < placed; i++ {
 		u := res[i]
-		t.use[time+u.Offset][u.Resource]--
+		t.use[(time+u.Offset)*t.nres+int(u.Resource)]--
 	}
 	return ok
 }
@@ -186,20 +199,25 @@ func (t *FlatTable) Fits(res []machine.ResUse, time int) bool {
 func (t *FlatTable) Place(res []machine.ResUse, time int) {
 	for _, u := range res {
 		t.grow(time + u.Offset)
-		t.use[time+u.Offset][u.Resource]++
+		t.use[(time+u.Offset)*t.nres+int(u.Resource)]++
 	}
 }
 
 // Usage returns the use count of resource r at the given cycle.
 func (t *FlatTable) Usage(time int, r machine.Resource) int {
-	if time < 0 || time >= len(t.use) {
+	if time < 0 || time >= t.Len() {
 		return 0
 	}
-	return t.use[time][int(r)]
+	return t.use[time*t.nres+int(r)]
 }
 
 // Len returns the number of occupied cycles.
-func (t *FlatTable) Len() int { return len(t.use) }
+func (t *FlatTable) Len() int {
+	if t.nres == 0 {
+		return 0
+	}
+	return len(t.use) / t.nres
+}
 
 // reservationExtent returns one past the last offset used by a pattern.
 func reservationExtent(res []machine.ResUse) int {

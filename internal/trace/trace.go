@@ -170,20 +170,66 @@ func (t *Tracer) Events() []Event {
 	return append([]Event(nil), t.events...)
 }
 
-// PhaseTotals aggregates total span wall time by span name, in
-// milliseconds — the per-phase timing summary merged into the harness
-// baseline JSON.  Nil tracers return nil.
-func (t *Tracer) PhaseTotals() map[string]float64 {
+// Phase is the wall time recorded under one span name, in milliseconds.
+// Incl sums the spans' durations; Self subtracts from each span the
+// durations of the spans nested directly inside it, so it is the time no
+// other span accounts for, and the self times of a span tree add up to
+// its root's duration.
+type Phase struct {
+	Self, Incl float64
+}
+
+// PhaseTotals aggregates span wall time by span name, self and
+// inclusive — the per-phase timing summary.  A span nests inside another
+// of the same thread that starts no later and ends no earlier (of two
+// such spans, the longer is the outer).  Nil tracers return nil.
+func (t *Tracer) PhaseTotals() map[string]Phase {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	totals := map[string]float64{}
+	spans := make([]Event, 0, len(t.events))
 	for _, e := range t.events {
 		if e.Ph == 'X' {
-			totals[e.Name] += float64(e.Dur) / 1e3
+			spans = append(spans, e)
 		}
+	}
+	t.mu.Unlock()
+	sort.SliceStable(spans, func(i, j int) bool {
+		a, b := spans[i], spans[j]
+		if a.TID != b.TID {
+			return a.TID < b.TID
+		}
+		if a.TS != b.TS {
+			return a.TS < b.TS
+		}
+		return a.Dur > b.Dur
+	})
+	// Microseconds while summing, so the identity is exact.
+	self := make([]int64, len(spans))
+	var open []int // indices of the spans enclosing the current one
+	for i, e := range spans {
+		self[i] = e.Dur
+		for len(open) > 0 {
+			p := spans[open[len(open)-1]]
+			if p.TID == e.TID && e.TS+e.Dur <= p.TS+p.Dur {
+				break
+			}
+			open = open[:len(open)-1]
+		}
+		if len(open) > 0 {
+			self[open[len(open)-1]] -= e.Dur
+		}
+		open = append(open, i)
+	}
+	us := map[string][2]int64{}
+	for i, e := range spans {
+		v := us[e.Name]
+		us[e.Name] = [2]int64{v[0] + self[i], v[1] + e.Dur}
+	}
+	totals := make(map[string]Phase, len(us))
+	for name, v := range us {
+		totals[name] = Phase{Self: float64(v[0]) / 1e3, Incl: float64(v[1]) / 1e3}
 	}
 	return totals
 }

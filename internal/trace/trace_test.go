@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"sort"
 	"testing"
 )
@@ -181,24 +182,62 @@ func TestWriteJSONValid(t *testing.T) {
 	}
 }
 
-// TestPhaseTotals checks aggregation by span name and that counters are
-// excluded.
+// TestPhaseTotals checks aggregation by span name, self time against
+// inclusive, and that counters are excluded.
 func TestPhaseTotals(t *testing.T) {
 	tr := New("totals")
 	tr.events = []Event{
-		{Name: "compile", Ph: 'X', Dur: 1500},
-		{Name: "compile", Ph: 'X', Dur: 500},
-		{Name: "sim.run", Ph: 'X', Dur: 250},
+		{Name: "sim.run", Ph: 'X', TS: 1600, Dur: 250},
+		{Name: "compile", Ph: 'X', TS: 100, Dur: 1500},
+		{Name: "compile", Ph: 'X', TS: 1700, Dur: 500},
 		{Name: "compile", Ph: 'C'}, // counter named like a phase: ignored
 	}
 	got := tr.PhaseTotals()
-	if got["compile"] != 2.0 {
-		t.Errorf("compile total = %v ms, want 2.0", got["compile"])
+	if got["compile"] != (Phase{Self: 2.0, Incl: 2.0}) {
+		t.Errorf("compile = %+v ms, want self = inclusive = 2.0", got["compile"])
 	}
-	if got["sim.run"] != 0.25 {
-		t.Errorf("sim.run total = %v ms, want 0.25", got["sim.run"])
+	if got["sim.run"] != (Phase{Self: 0.25, Incl: 0.25}) {
+		t.Errorf("sim.run = %+v ms, want 0.25", got["sim.run"])
 	}
 	if len(got) != 2 {
 		t.Errorf("PhaseTotals has %d phases, want 2: %v", len(got), got)
+	}
+}
+
+// TestPhaseSelfSumsToRoot: in a tree of spans — nested two deep, with
+// siblings, a span named like its parent, and a zero-length one at a
+// sibling's start — the self times add up to the root's inclusive time,
+// and each span's self time is what its children leave.
+func TestPhaseSelfSumsToRoot(t *testing.T) {
+	tr := New("self")
+	tr.events = []Event{
+		{Name: "leaf", Ph: 'X', TS: 20, Dur: 5},
+		{Name: "mid", Ph: 'X', TS: 10, Dur: 30},
+		{Name: "leaf", Ph: 'X', TS: 50, Dur: 0},
+		{Name: "mid", Ph: 'X', TS: 50, Dur: 20},
+		{Name: "mid", Ph: 'X', TS: 55, Dur: 10},
+		{Name: "root", Ph: 'X', TS: 0, Dur: 100},
+		{Name: "other", Ph: 'X', TS: 0, Dur: 100, TID: 1},
+	}
+	got := tr.PhaseTotals()
+	want := map[string]Phase{
+		"root":  {Self: 0.050, Incl: 0.100},
+		"mid":   {Self: 0.045, Incl: 0.060},
+		"leaf":  {Self: 0.005, Incl: 0.005},
+		"other": {Self: 0.100, Incl: 0.100},
+	}
+	for name, w := range want {
+		if g := got[name]; math.Abs(g.Self-w.Self) > 1e-12 || math.Abs(g.Incl-w.Incl) > 1e-12 {
+			t.Errorf("%s = %+v, want %+v", name, g, w)
+		}
+	}
+	sum := 0.0
+	for name, p := range got {
+		if name != "other" {
+			sum += p.Self
+		}
+	}
+	if math.Abs(sum-got["root"].Incl) > 1e-12 {
+		t.Errorf("self times of root's tree sum to %v ms, root's inclusive time is %v", sum, got["root"].Incl)
 	}
 }

@@ -8,6 +8,7 @@ package vliw
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"softpipe/internal/ir"
@@ -252,14 +253,15 @@ func (p *Program) Validate(m *machine.Machine) error {
 		lat   int
 		ring  []int
 	}
-	// Per-word state, allocated once and cleared for every word.
+	// Per-word state, allocated once and cleared for every word.  A word
+	// writes a handful of registers, so a list beats a map.
 	use := make([]int, len(m.ResourceCount))
-	written := map[dst]bool{}
+	var written []dst
 	var ringWrites []ringWrite
 	for pc := range p.Instrs {
 		in := &p.Instrs[pc]
 		clear(use)
-		clear(written)
+		written = written[:0]
 		ringWrites = ringWrites[:0]
 		for i := range in.Ops {
 			o := &in.Ops[i]
@@ -305,10 +307,10 @@ func (p *Program) Validate(m *machine.Machine) error {
 				if len(o.DstRing) > 0 {
 					ringWrites = append(ringWrites, ringWrite{float: k.float, lat: k.lat, ring: o.DstRing})
 				} else {
-					if written[k] {
+					if slices.Contains(written, k) {
 						return fmt.Errorf("vliw: @%d: write-back collision on one register in a single instruction: %s", pc, in)
 					}
-					written[k] = true
+					written = append(written, k)
 				}
 			}
 			// Only offset-0 reservations can be checked per instruction
@@ -329,7 +331,7 @@ func (p *Program) Validate(m *machine.Machine) error {
 		// rings repeat with period len(ring), so checking rrb over the
 		// pairwise lcm is exhaustive.
 		for i, rw := range ringWrites {
-			for k := range written {
+			for _, k := range written {
 				if k.float != rw.float || k.lat != rw.lat {
 					continue
 				}
