@@ -1,0 +1,146 @@
+package softpipe_test
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"softpipe"
+	"softpipe/internal/machine"
+	"softpipe/internal/workloads"
+)
+
+// TestCorpusDigest leaves exact effort out: its verdict depends on a
+// wall-clock budget.  The exact digest pins exact-effort objects where
+// that budget is never reached: the paper sources (saxpy and the
+// Livermore kernels) on Warp and on every grid machine the compile-exact
+// benchmark draws, and the RandomPrograms of its pool, each searched with
+// a budget far beyond what any of their loops needs.  A loop that falls
+// back anyway fails the test rather than being hashed.  Regenerate with
+//
+//	go test -run TestExactDigest -update
+
+// exactBudget bounds each exact search.  The whole digest takes ≈ 0.5 s
+// on two CPUs, ≈ 10 s under the race detector, so no search comes near it.
+const exactBudget = time.Minute
+
+// exactMachines are Warp and the compile-exact grid points: the rotating
+// point at width 1 and the MVE points at widths 2 and 4, each with one and
+// with two memory ports.
+func exactMachines(t *testing.T) []*softpipe.Machine {
+	t.Helper()
+	ms := []*softpipe.Machine{softpipe.Warp()}
+	for _, g := range []machine.Gen{
+		{FAdds: 1, FMuls: 1, RotatingRegs: true}, {FAdds: 2, FMuls: 2}, {FAdds: 4, FMuls: 4},
+	} {
+		for ports := 1; ports <= 2; ports++ {
+			g.MemPorts = ports
+			m, err := g.Machine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms = append(ms, m)
+		}
+	}
+	return ms
+}
+
+// exactObjects are the digest's objects: every paper source on every
+// exact machine, then every pool program on Warp.
+func exactObjects(t *testing.T) (names []string, progs []*softpipe.Program, machines []*softpipe.Machine) {
+	t.Helper()
+	src, err := os.ReadFile(filepath.Join("testdata", "saxpy.w2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type source struct{ name, src string }
+	paper := []source{{"saxpy", string(src)}}
+	for _, k := range workloads.Livermore() {
+		paper = append(paper, source{k.Name, k.Source})
+	}
+	for _, m := range exactMachines(t) {
+		for _, s := range paper {
+			p, err := softpipe.ParseSource(s.src)
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			names = append(names, s.name+"@"+m.Name)
+			progs = append(progs, p)
+			machines = append(machines, m)
+		}
+	}
+	for _, seed := range workloads.ExactSeeds() {
+		names = append(names, fmt.Sprintf("fuzz%d", seed))
+		progs = append(progs, workloads.RandomProgram(seed))
+		machines = append(machines, softpipe.Warp())
+	}
+	return names, progs, machines
+}
+
+func TestExactDigest(t *testing.T) {
+	names, progs, machines := exactObjects(t)
+	texts := make([]string, len(progs))
+	eachProgram(len(progs), func(i int) {
+		obj, err := softpipe.Compile(progs[i], machines[i],
+			softpipe.Options{Effort: softpipe.EffortExact, EffortBudget: exactBudget})
+		if err != nil {
+			texts[i] = "error: " + err.Error() + "\n"
+			return
+		}
+		var b strings.Builder
+		b.WriteString(obj.Disassemble())
+		for _, lr := range obj.Report.Loops {
+			if lr.FellBack {
+				t.Errorf("%s: loop %d fell back within %v", names[i], lr.LoopID, exactBudget)
+			}
+			fmt.Fprintf(&b, "loop %d pipelined=%v II=%d MII=%d unroll=%d stages=%d reason=%q\n",
+				lr.LoopID, lr.Pipelined, lr.II, lr.MII, lr.Unroll, lr.Stages, lr.Reason)
+		}
+		texts[i] = b.String()
+	})
+	if t.Failed() {
+		return
+	}
+
+	total := sha256.New()
+	var lines strings.Builder
+	for i, name := range names {
+		sum := sha256.Sum256([]byte(texts[i]))
+		total.Write(sum[:])
+		fmt.Fprintf(&lines, "%s sha256:%x\n", name, sum)
+	}
+	got := fmt.Sprintf("# exact digest: %d objects at exact effort, budget %v a search\n"+
+		"# regenerate: go test -run TestExactDigest -update\n"+
+		"total sha256:%x\n%s", len(names), exactBudget, total.Sum(nil), lines.String())
+
+	path := filepath.Join("testdata", "exact.digest")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing digest file (run `go test -run TestExactDigest -update`): %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	wantLines := map[string]bool{}
+	for _, l := range strings.Split(string(want), "\n") {
+		wantLines[l] = true
+	}
+	var moved []string
+	for _, l := range strings.Split(got, "\n") {
+		if l != "" && !wantLines[l] && !strings.HasPrefix(l, "total ") && !strings.HasPrefix(l, "#") {
+			moved = append(moved, strings.Fields(l)[0])
+		}
+	}
+	t.Errorf("exact-effort code or loop verdicts changed for %d objects: %s\n(run with -update if the change is intended)",
+		len(moved), strings.Join(moved, " "))
+}

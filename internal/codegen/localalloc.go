@@ -151,21 +151,26 @@ func (e *emitter) localAssign(ops []*ir.Op, times []int, period int) func() {
 	}
 }
 
-// regsNeeded estimates how many fresh float/int physical registers the
-// given virtual registers would consume if allocated now (ignoring ones
-// already mapped), accounting for the free lists.
-func (e *emitter) regsNeeded(regs map[ir.VReg]bool, extraF, extraI int) (peakF, peakI int) {
-	needF, needI := extraF, extraI
+// unmapped counts the float and int virtual registers of regs not yet
+// mapped to a physical one.
+func (e *emitter) unmapped(regs map[ir.VReg]bool) (f, i int) {
 	for r := range regs {
 		if _, ok := e.regs.get(regKey{r: r}); ok {
 			continue
 		}
 		if e.irp.Kind(r) == ir.KindFloat {
-			needF++
+			f++
 		} else {
-			needI++
+			i++
 		}
 	}
+	return f, i
+}
+
+// regsNeeded estimates the float/int physical register peaks if needF
+// and needI fresh registers were allocated now, accounting for the free
+// lists.
+func (e *emitter) regsNeeded(needF, needI int) (peakF, peakI int) {
 	peakF = e.fNext
 	if d := needF - len(e.fFree); d > 0 {
 		peakF += d

@@ -87,6 +87,18 @@ func (rep *LoopReport) notScheduled(reason string) {
 	rep.Explain = &schedule.Explain{PreFailure: reason}
 }
 
+// planFailed records why a body did not plan.  A failed II search carries
+// its per-candidate report; any earlier failure (analysis, profitability
+// guards, missing resources) is a PreFailure line.
+func (rep *LoopReport) planFailed(err error) {
+	var ie *schedule.InfeasibleError
+	if errors.As(err, &ie) {
+		rep.Reason, rep.Explain = err.Error(), ie.Explain
+	} else {
+		rep.notScheduled(err.Error())
+	}
+}
+
 // refuse records why a loop whose II search succeeded is not emitted from
 // the plan: the search's report stands, and a note on it says so.
 func (rep *LoopReport) refuse(reason string) {
@@ -355,8 +367,12 @@ func (e *emitter) span(nodes []*depgraph.Node, time []int) (extent, landed int) 
 // body: the lifted operations now run on every iteration and lengthen
 // the schedule.  The whole-arm form of Lam §3.1 is planned as well, and
 // kept, when the lifted body does not pipeline, is too short in
-// iterations for its own stages, or — where the whole-arm windows leave
-// room below the lifted II at all — lands on a higher II.
+// iterations for its own stages, or lands on a higher II.  That last
+// plan is made only where it can win: when the lifted II is above the
+// whole-arm body's floor (pipeline.Body.Floor, the II its search would
+// start from), since no plan of that body lands below it.  The part of
+// the floor the nodes give (pipeline.ResourceFloor) is read first, and
+// the body is built only where the lifted II is above that.
 func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *LoopReport) ([]*depgraph.Node, *pipeline.Plan, bool) {
 	base := *rep
 	reduce := func(lift bool, rep *LoopReport) ([]*depgraph.Node, int, bool) {
@@ -373,35 +389,67 @@ func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *L
 		return l.CountReg != ir.NoReg || ok || e.whyNotFlat(l.ID, nodes, plan, l.CountImm) == ""
 	}
 
-	nodes, hoisted, ok := reduce(!e.opts.WholeArms && !e.opts.DisableHier, rep)
+	lift := !e.opts.WholeArms && !e.opts.DisableHier
+	nodes, hoisted, ok := reduce(lift, rep)
 	if !ok {
 		return nil, nil, false
 	}
-	plan, ok := e.planNodes(l, nodes, powerOfTwo, keepMarginal, rep)
+	plan, ok := e.planNodes(l, e.reducedBody(l, nodes, powerOfTwo, keepMarginal, rep), !lift, rep)
 	if hoisted == 0 {
 		return nodes, plan, ok
 	}
 	fits := ok && runs(nodes, plan)
+	sp := e.opts.Tracer.Begin("codegen.wholearm").Arg("loop", int64(l.ID))
+	if ok {
+		sp.Arg("ii", int64(plan.II))
+	}
+	outcome := wholeSkipped
 	wrep := base
 	if whole, _, wok := reduce(false, &wrep); wok {
 		var why string
+		var wb loopBody // the whole-arm body, built once for its floor and its plan
 		switch {
 		case !ok:
 			why = "the lifted body does not pipeline (" + rep.Reason + ")"
 		case !fits:
 			why = fmt.Sprintf("the lifted body's %d stages are too many for %d iterations", plan.Stages, l.CountImm)
-		case plan.II > e.windowBound(whole):
-			why = fmt.Sprintf("the lifted body lands on II %d", plan.II)
+		default:
+			// Only a plan below the lifted II would be kept, and no plan
+			// lands below the body's floor: first the part of it the nodes
+			// give, then, where the lifted II is above that, all of it,
+			// which needs the body built.  A floor that cannot be had means
+			// a plan that cannot be had either.
+			floor, err := pipeline.ResourceFloor(whole, e.m, e.opts.Pipeline)
+			if err == nil && plan.II > floor {
+				if wb = e.reducedBody(l, whole, powerOfTwo, keepMarginal, &wrep); wb.body != nil {
+					floor, err = wb.body.Floor(wb.opts)
+				}
+			}
+			if err == nil {
+				sp.Arg("floor", int64(floor))
+				if plan.II > floor {
+					why = fmt.Sprintf("the lifted body lands on II %d", plan.II)
+				}
+			}
+		}
+		if wb.body == nil && (why != "" || wholeArmProbe != nil) {
+			wb = e.reducedBody(l, whole, powerOfTwo, keepMarginal, &wrep)
+		}
+		if wholeArmProbe != nil && wb.body != nil {
+			wholeArmProbe(l.ID, e.m, wb.body, wb.opts, why == "")
 		}
 		if why != "" {
-			wplan, planned := e.planNodes(l, whole, powerOfTwo, keepMarginal, &wrep)
+			outcome = wholePlanned
+			wplan, planned := e.planNodes(l, wb, true, &wrep)
 			if planned && runs(whole, wplan) && (!fits || wplan.II < plan.II) {
+				sp.Arg("outcome", wholeKept).End()
 				wrep.Explain.Notes = append(wrep.Explain.Notes, "whole-arm conditionals kept: "+why)
 				*rep = wrep
 				return whole, wplan, true
 			}
 		}
 	}
+	sp.Arg("outcome", outcome).End()
 	if ok {
 		rep.Hoisted = hoisted
 		e.opts.Tracer.Count("hier.hoisted_ops", int64(hoisted))
@@ -409,27 +457,38 @@ func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *L
 	return nodes, plan, ok
 }
 
-// windowBound is a search-free lower bound on the initiation interval of
-// a body: its construct windows each hold the one sequencer from end to
-// end, and the loop-back needs one more slot.
-func (e *emitter) windowBound(nodes []*depgraph.Node) int {
-	slots := 1
-	for _, nd := range nodes {
-		if nd.Payload != nil {
-			slots += nd.Len
-		}
-	}
-	return slots
+// wholeArmProbe, when set (by tests), is shown every whole-arm body
+// planBody builds for a loop, with the options it is planned under and
+// whether its plan was skipped.
+var wholeArmProbe func(loop int, m *machine.Machine, b *pipeline.Body, opts pipeline.Options, skipped bool)
+
+// The outcomes a codegen.wholearm span records: the whole-arm body was
+// not planned (it cannot win), planned and not kept, or kept.
+const (
+	wholeSkipped int64 = iota
+	wholePlanned
+	wholeKept
+)
+
+// loopBody is one reduced body of a loop, built and ready to plan: its
+// pipeline.Body, the options its plan is made under (the copy budget
+// included), and how many float and int registers it names that have no
+// physical register yet.
+type loopBody struct {
+	body         *pipeline.Body
+	opts         pipeline.Options
+	needF, needI int
 }
 
-// planNodes plans the pipelining of a reduced body, applying the
-// register copy budget, and records the outcome in rep.
-func (e *emitter) planNodes(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo, keepMarginal bool, rep *LoopReport) (*pipeline.Plan, bool) {
+// reducedBody builds the body of a loop reduced to nodes for planNodes,
+// or records in rep why it cannot be planned and returns one without a
+// body.
+func (e *emitter) reducedBody(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo, keepMarginal bool, rep *LoopReport) loopBody {
 	if e.opts.DisableHier {
 		for _, nd := range nodes {
 			if nd.Payload != nil {
 				rep.notScheduled("conditional construct (hierarchical reduction disabled)")
-				return nil, false
+				return loopBody{}
 			}
 		}
 	}
@@ -448,29 +507,40 @@ func (e *emitter) planNodes(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo, 
 			baseRegs[w.Reg] = true
 		}
 	}
-	baseF, baseI := e.regsNeeded(baseRegs, 0, 0)
+	needF, needI := e.unmapped(baseRegs)
+	baseF, baseI := e.regsNeeded(needF, needI)
 	plOpts.CopyBudgetF = e.m.FloatRegs - baseF
 	plOpts.CopyBudgetI = e.m.IntRegs - baseI - 6 // counters and count math
 	plOpts.RegKind = e.irp.Kind
 	plOpts.Tracer = e.opts.Tracer
 	body, err := pipeline.NewBody(e.opts.Ctx, nodes, l.ID, e.m, l.Independent)
-	var plan *pipeline.Plan
-	if err == nil {
-		e.bodies[l] = body
-		plan, err = body.Plan(plOpts)
-	}
 	if err != nil {
-		// A failed II search carries its per-candidate report; any earlier
-		// failure (analysis, profitability guards, missing resources) is a
-		// PreFailure line.
-		var ie *schedule.InfeasibleError
-		if errors.As(err, &ie) {
-			rep.Reason, rep.Explain = err.Error(), ie.Explain
-		} else {
-			rep.notScheduled(err.Error())
-		}
+		rep.planFailed(err)
+		return loopBody{}
+	}
+	return loopBody{body, plOpts, needF, needI}
+}
+
+// planNodes plans the pipelining of a reduced body (none: reducedBody
+// refused it), applying the register copy budget, and records the outcome
+// in rep.  whole says which form the body is, for the codegen.plan span.
+func (e *emitter) planNodes(l *ir.LoopStmt, lb loopBody, whole bool, rep *LoopReport) (*pipeline.Plan, bool) {
+	if lb.body == nil {
 		return nil, false
 	}
+	form := int64(0)
+	if whole {
+		form = 1
+	}
+	sp := e.opts.Tracer.Begin("codegen.plan").Arg("loop", int64(l.ID)).Arg("whole", form).Arg("nodes", int64(len(lb.body.Nodes)))
+	e.bodies[l] = lb.body
+	plan, err := lb.body.Plan(lb.opts)
+	if err != nil {
+		sp.End()
+		rep.planFailed(err)
+		return nil, false
+	}
+	sp.Arg("ii", int64(plan.II)).End()
 	rep.MII = plan.MII
 	rep.ResMII = plan.ResMII
 	rep.RecMII = plan.RecMII
@@ -482,7 +552,7 @@ func (e *emitter) planNodes(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo, 
 		rep.FellBack = st.FellBack
 	}
 	cf, ci := plan.CopyRegs(e.irp.Kind)
-	peakF, peakI := e.regsNeeded(baseRegs, cf, ci+6)
+	peakF, peakI := e.regsNeeded(lb.needF+cf, lb.needI+ci+6)
 	if peakF > e.m.FloatRegs || peakI > e.m.IntRegs {
 		rep.refuse("register files too small for modulo variable expansion")
 		return nil, false

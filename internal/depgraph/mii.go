@@ -35,16 +35,17 @@ func (e *MissingResourceError) Error() string {
 // It fails with a *MissingResourceError when some reserved resource has
 // zero units on m.
 func ResourceMII(g *Graph, m *machine.Machine) (int, error) {
-	return ResourceMIIExtra(g, m, nil)
+	return ResourceMIIExtra(g.Nodes, m, nil)
 }
 
-// ResourceMIIExtra is ResourceMII with additional reserved uses counted
-// (the pipeliner reserves the sequencer's branch field for the loop-back
-// branch in every steady-state window).
-func ResourceMIIExtra(g *Graph, m *machine.Machine, extra []machine.ResUse) (int, error) {
+// ResourceMIIExtra is ResourceMII of the nodes of a body, which is all it
+// reads, with additional reserved uses counted (the pipeliner reserves
+// the sequencer's branch field for the loop-back branch in every
+// steady-state window).
+func ResourceMIIExtra(nodes []*Node, m *machine.Machine, extra []machine.ResUse) (int, error) {
 	uses := make([]int, len(m.ResourceCount))
 	firstUser := make([]*Node, len(m.ResourceCount))
-	for _, n := range g.Nodes {
+	for _, n := range nodes {
 		for _, u := range n.Reservation {
 			if int(u.Resource) >= len(uses) {
 				return 0, &MissingResourceError{Resource: u.Resource, Machine: m.Name, Node: n.String()}

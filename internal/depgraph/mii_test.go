@@ -72,7 +72,7 @@ func TestResourceMIIExtraZeroUnits(t *testing.T) {
 
 	n := MustNodeFromOp(m, &ir.Op{ID: 0, Class: machine.ClassIAdd})
 	g := Build([]*Node{n}, 0)
-	_, err := ResourceMIIExtra(g, m, []machine.ResUse{{Resource: machine.ResBranch}})
+	_, err := ResourceMIIExtra(g.Nodes, m, []machine.ResUse{{Resource: machine.ResBranch}})
 	var mre *MissingResourceError
 	if !errors.As(err, &mre) {
 		t.Fatalf("error %v is not a *MissingResourceError", err)

@@ -278,11 +278,9 @@ func NewBody(ctx context.Context, nodes []*depgraph.Node, loopID int, m *machine
 	if err != nil {
 		return nil, err
 	}
-	// The loop-back branch occupies one sequencer slot of every steady-
-	// state window; fold it into the resource bound so MetLower reflects
-	// the true floor.  Computed first: a machine that lacks a reserved
+	// Computed before the list schedule: a machine that lacks a reserved
 	// resource is the error to report, and List cannot place on it.
-	resMII, err := depgraph.ResourceMIIExtra(full, m, []machine.ResUse{{Resource: machine.ResBranch}})
+	resMII, err := resourceMII(nodes, m)
 	if err != nil {
 		return nil, err
 	}
@@ -314,6 +312,79 @@ func (b *Body) Plan(opts Options) (*Plan, error) {
 	return p, err
 }
 
+// Floor is a lower bound on every initiation interval Plan(opts) can
+// return, found without a search: the bound the first attempt's search
+// starts from, the MII of the graph with every expandable register
+// expanded (none without MVE) raised to ResourceFloor.  The copy-budget
+// retries only restore edges or raise MinII, and the exact effort's
+// heuristic retry starts from the same bound, so no plan of b lands
+// below it.  It fails as that attempt's analysis would (an error
+// wrapping opts.Ctx's when it ends), and then Plan(opts) fails too.
+func (b *Body) Floor(opts Options) (int, error) {
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	a, err := depgraph.AnalyzeContext(ctx, b.Full.Filter(b.expandable(opts)), b.m)
+	if err != nil {
+		return 0, err
+	}
+	return max(a.MII, b.resMII, minII(b.Nodes, opts)), nil
+}
+
+// ResourceFloor is the part of Body.Floor that the nodes of a body give
+// without its dependence graph: the resource bound with the loop-back
+// branch, opts.MinII and the longest construct window.  Each construct
+// window holds the one sequencer for its whole length, so it is never
+// below the windows' sum plus one.  A caller asking whether any plan of
+// a body could land below some II asks this first, and builds the body
+// for Floor only if one could.  It fails, as NewBody does, when m lacks a
+// resource the nodes reserve.
+func ResourceFloor(nodes []*depgraph.Node, m *machine.Machine, opts Options) (int, error) {
+	res, err := resourceMII(nodes, m)
+	if err != nil {
+		return 0, err
+	}
+	return max(res, minII(nodes, opts)), nil
+}
+
+// resourceMII is the resource bound of a body on m.  The loop-back branch
+// occupies one sequencer slot of every steady-state window, so it is
+// counted too and MetLower reflects the true floor.
+func resourceMII(nodes []*depgraph.Node, m *machine.Machine) (int, error) {
+	return depgraph.ResourceMIIExtra(nodes, m, []machine.ResUse{{Resource: machine.ResBranch}})
+}
+
+// expandable is the set of registers the first attempt expands: every
+// one MVE may expand, none without MVE.
+func (b *Body) expandable(opts Options) map[ir.VReg]bool {
+	expanded := map[ir.VReg]bool{}
+	if !opts.DisableMVE {
+		for r, ok := range b.Full.Expandable {
+			if ok {
+				expanded[r] = true
+			}
+		}
+	}
+	return expanded
+}
+
+// minII is the floor opts and the construct windows of nodes put under
+// II: a reduced construct of length L must fit within one initiation
+// interval so that the emitted kernel can fork into its branches without
+// crossing the loop-back boundary (see DESIGN.md).  This is the paper's
+// "treating its operations as indivisible ... increases the minimum
+// initiation interval" (§4.1).
+func minII(nodes []*depgraph.Node, opts Options) int {
+	m := opts.MinII
+	for _, n := range nodes {
+		if n.Payload != nil && n.Len > m {
+			m = n.Len
+		}
+	}
+	return m
+}
+
 func (b *Body) plan(opts Options) (*Plan, error) {
 	// The §4.2 profitability guards are computed against the locally
 	// compacted body.  The threshold needs nothing else, so it goes before
@@ -323,14 +394,7 @@ func (b *Body) plan(opts Options) (*Plan, error) {
 	if b.Compact.Length > maxBodyLen {
 		return nil, fmt.Errorf("pipeline: body length %d beyond pipelining threshold %d", b.Compact.Length, maxBodyLen)
 	}
-	expanded := map[ir.VReg]bool{}
-	if !opts.DisableMVE {
-		for r, ok := range b.Full.Expandable {
-			if ok {
-				expanded[r] = true
-			}
-		}
-	}
+	expanded := b.expandable(opts)
 	for {
 		if opts.Ctx != nil {
 			if err := opts.Ctx.Err(); err != nil {
@@ -431,17 +495,7 @@ func planWith(b *Body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
 	opts.Tracer.Count("depgraph.sccs", int64(sccs))
 	a.ResMII = max(a.ResMII, b.resMII)
 	a.MII = max(a.MII, b.resMII)
-	// Construct windows: a reduced construct of length L must fit within
-	// one initiation interval so that the emitted kernel can fork into
-	// its branches without crossing the loop-back boundary (see
-	// DESIGN.md).  This is the paper's "treating its operations as
-	// indivisible ... increases the minimum initiation interval" (§4.1).
-	minII := opts.MinII
-	for _, n := range nodes {
-		if n.Payload != nil && n.Len > minII {
-			minII = n.Len
-		}
-	}
+	minII := minII(nodes, opts)
 
 	// The unpipelined comparison point is the loop that would be emitted
 	// instead (b.Period).

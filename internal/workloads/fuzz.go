@@ -265,3 +265,18 @@ func (g *fuzzGen) arith(vals *[]ir.VReg, acc ir.VReg) {
 func CorpusSeeds() []int64 {
 	return []int64{0, 1, 2, 3, 64, 101, 202, 303}
 }
+
+// ExactSeeds lists the RandomPrograms of the compile-exact benchmark's
+// pool (exactPool in benchmark/pools.go, which is frozen, so the list is
+// copied): programs whose exact-effort compile costs 3–100 ms with no loop
+// falling back.  The exact digest and the whole-arm floor's soundness test
+// compile exactly these.
+func ExactSeeds() []int64 {
+	return []int64{
+		247690514834, 478448132374, 493632754538, 1010971270642, 349911068174, 157774703170,
+		277662679890, 711112228924, 225865010728, 640020066569, 713841353641, 418344094984,
+		620311723921, 534140829865, 907093472188, 1063363943641, 619723175964, 190072199737,
+		435174880588, 879643683004, 131033212804, 361790447816, 607202158588, 704694871860,
+		847694248108, 818600059560,
+	}
+}
