@@ -28,6 +28,12 @@ import (
 // on two CPUs, ≈ 10 s under the race detector, so no search comes near it.
 const exactBudget = time.Minute
 
+// exactNodeCeiling bounds the decision-tree nodes the digest's exact
+// searches explore in all, read off the compiles' own
+// "schedule.exact_nodes" counters.  Backjumping explores about 160,000;
+// chronological backtracking explored 660,400.
+const exactNodeCeiling = 200_000
+
 // exactMachines are Warp and the compile-exact grid points: the rotating
 // point at width 1 and the MVE points at widths 2 and 4, each with one and
 // with two memory ports.
@@ -84,9 +90,10 @@ func exactObjects(t *testing.T) (names []string, progs []*softpipe.Program, mach
 func TestExactDigest(t *testing.T) {
 	names, progs, machines := exactObjects(t)
 	texts := make([]string, len(progs))
+	tr := softpipe.NewTracer("exact-digest")
 	eachProgram(len(progs), func(i int) {
 		obj, err := softpipe.Compile(progs[i], machines[i],
-			softpipe.Options{Effort: softpipe.EffortExact, EffortBudget: exactBudget})
+			softpipe.Options{Effort: softpipe.EffortExact, EffortBudget: exactBudget, Tracer: tr})
 		if err != nil {
 			texts[i] = "error: " + err.Error() + "\n"
 			return
@@ -104,6 +111,16 @@ func TestExactDigest(t *testing.T) {
 	})
 	if t.Failed() {
 		return
+	}
+	var nodes int64
+	for _, e := range tr.Events() {
+		if e.Ph == 'C' && e.Name == "schedule.exact_nodes" {
+			nodes += e.Args[0].Val
+		}
+	}
+	t.Logf("%d exact-search nodes explored", nodes)
+	if nodes > exactNodeCeiling {
+		t.Errorf("exact searches explored %d nodes, above the ceiling %d", nodes, exactNodeCeiling)
 	}
 
 	total := sha256.New()

@@ -515,10 +515,14 @@ func planWith(b *Body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
 		BranchResource: machine.ResBranch,
 		Budget:         opts.SchedBudget,
 	})
+	var exactNodes int64
 	if st != nil {
+		exactNodes = st.ExactNodes
 		opts.Tracer.Count("schedule.attempts", int64(st.Attempts))
 		opts.Tracer.Count("schedule.backtracks", int64(st.Backtracks))
+		opts.Tracer.Count("schedule.exact_nodes", exactNodes)
 	}
+	search.Arg("exact_nodes", exactNodes)
 	if err != nil {
 		search.End()
 		return nil, err

@@ -37,6 +37,30 @@ const exInf = int(1) << 28
 // scan a window of width (size-1)·(maxDelay+s) around their anchor.
 // Issue times may go negative during the search; the final schedule is
 // renormalized per component by multiples of s.
+//
+// The search backjumps (conflict-directed backjumping).  Every refuted
+// subtree returns its conflict set: the placements its failure rests on,
+// so that no schedule the search must find agrees with them.  A frame
+// whose own node is not in its child's conflict set returns that set at
+// once, without trying its other slots: the child's failure does not
+// depend on where the frame put its node, so every other slot fails the
+// same way.  The sets are built from four rules:
+//
+//   - Bounds.  Every window bound carries the placements it rests on.  A
+//     bound propagated along an arc inherits its source bound's set; the
+//     anchor's gap-compression clamp and a placement's own [t, t] rest on
+//     that placement.  A wipeout is explained by its two clashing bounds.
+//   - Resources.  A slot that does not fit the modulo table is explained
+//     by the placed nodes occupying the full cell ModTable.Conflict names.
+//   - Static rules.  The branch reservation, the payload-row rule and an
+//     anchor's [0, s) window rest on no placement.
+//   - Frames.  A frame's set is the union of its window bounds' sets, each
+//     slot's explanation and each refuted child's set, less its own node.
+//
+// Only subtrees that contain no schedule are skipped, and the search
+// visits the rest in the same order, so the first schedule found, every
+// interval's verdict and every issue time are those of plain
+// chronological backtracking; only the explored-node count falls.
 type ExactSearcher struct {
 	a    *depgraph.Analysis
 	m    *machine.Machine
@@ -58,12 +82,18 @@ type ExactSearcher struct {
 	tight    bool // current pass clamps components to the one-hop window
 	maxCompN int  // largest weak-component size
 	lo, hi   []int
+	loWhy    []uint64 // conflict set each bound rests on (see bit)
+	hiWhy    []uint64
 	placed   []bool
 	anchored []bool
 	trail    []trailEntry
 	queue    []int
 	inQueue  []bool
 	tab      *ModTable
+	cell     []uint64 // placed nodes occupying each (row, resource) cell of tab
+	cellSave []uint64 // cell words overwritten by placements, restored LIFO
+	rowSeen  []int64  // per depth and row: frame stamp of the cached fit
+	rowFits  []bool
 	brRes    [1]machine.ResUse
 
 	deadline time.Time
@@ -82,7 +112,15 @@ type trailEntry struct {
 	node int
 	isHi bool
 	old  int
+	why  uint64 // the bound's conflict set before the change
 }
+
+// bit is node v's member of a conflict set.  A set is one word: up to 64
+// nodes each has its own bit; beyond that, bit v&63 stands for every node
+// congruent to v, so a set may name nodes its failure does not rest on.
+// That only ever keeps a frame from backjumping, never makes it skip a
+// schedule, as long as no bit is cleared for one of the nodes it shares.
+func bit(v int) uint64 { return 1 << (uint(v) & 63) }
 
 // NewExactSearcher prepares the exact backend for one analyzed loop.
 func NewExactSearcher(a *depgraph.Analysis, m *machine.Machine) *ExactSearcher {
@@ -97,6 +135,8 @@ func NewExactSearcher(a *depgraph.Analysis, m *machine.Machine) *ExactSearcher {
 		comp:    make([]int, n),
 		lo:      make([]int, n),
 		hi:      make([]int, n),
+		loWhy:   make([]uint64, n),
+		hiWhy:   make([]uint64, n),
 		placed:  make([]bool, n),
 		inQueue: make([]bool, n),
 		payLen:  make([]int, n),
@@ -329,6 +369,7 @@ func (ex *ExactSearcher) decidePass(opts Options) (int, []int) {
 	s := ex.s
 	for v := 0; v < ex.n; v++ {
 		ex.lo[v], ex.hi[v] = -exInf, exInf
+		ex.loWhy[v], ex.hiWhy[v] = 0, 0
 		ex.placed[v] = false
 		ex.inQueue[v] = false
 	}
@@ -338,11 +379,16 @@ func (ex *ExactSearcher) decidePass(opts Options) (int, []int) {
 	ex.trail = ex.trail[:0]
 	ex.queue = ex.queue[:0]
 	ex.tab.Reset(s)
+	ex.cell = resize(ex.cell, s*ex.tab.nres)
+	ex.cellSave = ex.cellSave[:0]
+	ex.rowSeen = resize(ex.rowSeen, ex.n*s)
+	ex.rowFits = resize(ex.rowFits, ex.n*s)
 	if opts.ReserveBranch {
+		// The loop-back's reservation rests on no placement: no bit.
 		ex.brRes[0] = machine.ResUse{Resource: opts.BranchResource}
 		ex.tab.Place(ex.brRes[:], s-1)
 	}
-	verdict := ex.dfs(opts, 0)
+	verdict, _ := ex.dfs(opts, 0)
 	if verdict != decFeasible {
 		return verdict, nil
 	}
@@ -373,18 +419,20 @@ func (ex *ExactSearcher) decidePass(opts Options) (int, []int) {
 // dfs is the branch-and-bound core: pick the unplaced node with the
 // tightest window (deterministically), try each slot in its window
 // against the modulo reservation table, propagate difference
-// constraints, and backtrack on wipeout.
-func (ex *ExactSearcher) dfs(opts Options, depth int) int {
+// constraints, and backtrack on wipeout.  A refutation also returns its
+// conflict set (see ExactSearcher); a child's refutation that does not
+// rest on this frame's placement refutes the frame too.
+func (ex *ExactSearcher) dfs(opts Options, depth int) (int, uint64) {
 	if depth == ex.n {
-		return decFeasible
+		return decFeasible, 0
 	}
 	ex.explored++
 	if ex.explored&127 == 0 {
 		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			return decAbortCtx
+			return decAbortCtx, 0
 		}
 		if !time.Now().Before(ex.deadline) {
-			return decAbortBudget
+			return decAbortBudget, 0
 		}
 	}
 	v, anchor := ex.pickVar()
@@ -402,38 +450,94 @@ func (ex *ExactSearcher) dfs(opts Options, depth int) int {
 	} else {
 		cLo, cHi = ex.lo[v], ex.hi[v]
 	}
+	// The window's bounds exclude every slot outside it.
+	why := ex.loWhy[v] | ex.hiWhy[v]
+	self := bit(v)
 	res := ex.a.Graph.Nodes[v].Reservation
 	c := ex.comp[v]
+	// The table is the same for every slot of this frame, so whether a
+	// slot fits depends only on its row: decide each row once.
+	stamp := ex.explored
+	rowSeen := ex.rowSeen[depth*ex.s : (depth+1)*ex.s]
+	rowFits := ex.rowFits[depth*ex.s : (depth+1)*ex.s]
 	for t := cLo; t <= cHi; t++ {
-		if l := ex.payLen[v]; l > 0 {
-			if r := ((t % ex.s) + ex.s) % ex.s; r+l > ex.s {
-				continue
-			}
+		r := ex.tab.row(t)
+		if rowSeen[r] != stamp {
+			rowSeen[r] = stamp
+			rowFits[r] = ex.fits(v, res, t, r, &why)
 		}
-		if !ex.tab.Fits(res, t) {
+		if !rowFits[r] {
 			continue
 		}
 		mark := len(ex.trail)
-		ex.tab.Place(res, t)
+		ex.occupy(res, t, self)
 		ex.placed[v] = true
 		if anchor {
 			ex.anchored[c] = true
 		}
-		ok := ex.assign(v, t, anchor)
-		if ok {
-			st := ex.dfs(opts, depth+1)
-			if st != decInfeasible {
-				return st
-			}
+		jump := false
+		if ok, wipe := ex.assign(v, t, anchor); !ok {
+			why |= wipe
+		} else if st, sub := ex.dfs(opts, depth+1); st != decInfeasible {
+			return st, 0
+		} else if sub&self == 0 {
+			why, jump = sub, true
+		} else {
+			why |= sub
 		}
 		ex.placed[v] = false
 		if anchor {
 			ex.anchored[c] = false
 		}
-		ex.tab.Remove(res, t)
+		ex.vacate(res, t)
 		ex.undo(mark)
+		if jump {
+			return decInfeasible, why
+		}
 	}
-	return decInfeasible
+	if ex.n <= 64 {
+		why &^= self
+	}
+	return decInfeasible, why
+}
+
+// fits reports whether node v may issue at time t (row r), adding to
+// *why the placements that stop it: none for the payload-row rule, the
+// occupants of the full cell for the modulo table.
+func (ex *ExactSearcher) fits(v int, res []machine.ResUse, t, r int, why *uint64) bool {
+	if l := ex.payLen[v]; l > 0 && r+l > ex.s {
+		return false
+	}
+	q, row, full := ex.tab.Conflict(res, t)
+	if full {
+		*why |= ex.cell[row*ex.tab.nres+int(q)]
+	}
+	return !full
+}
+
+// occupy places a reservation pattern at time t in the table, adding the
+// placing node's bit to each cell it uses.
+func (ex *ExactSearcher) occupy(res []machine.ResUse, t int, self uint64) {
+	ex.tab.Place(res, t)
+	for _, u := range res {
+		at := ex.tab.row(t+u.Offset)*ex.tab.nres + int(u.Resource)
+		ex.cellSave = append(ex.cellSave, ex.cell[at])
+		ex.cell[at] |= self
+	}
+}
+
+// vacate undoes the matching occupy.  The cells are restored from the
+// saved words, not cleared bit by bit, because beyond 64 nodes a bit is
+// shared (see bit).
+func (ex *ExactSearcher) vacate(res []machine.ResUse, t int) {
+	ex.tab.Remove(res, t)
+	for i := len(res) - 1; i >= 0; i-- {
+		u := res[i]
+		at := ex.tab.row(t+u.Offset)*ex.tab.nres + int(u.Resource)
+		last := len(ex.cellSave) - 1
+		ex.cell[at] = ex.cellSave[last]
+		ex.cellSave = ex.cellSave[:last]
+	}
 }
 
 // pickVar returns the next node to place: nodes of already-anchored
@@ -461,10 +565,11 @@ func (ex *ExactSearcher) pickVar() (int, bool) {
 }
 
 // assign fixes node v at time t and propagates difference constraints to
-// a fixpoint; false means some window wiped out.  When v anchors its
-// component, every member is first clamped to the gap-compression window
-// around t.
-func (ex *ExactSearcher) assign(v, t int, anchor bool) bool {
+// a fixpoint; false means some window wiped out, with the conflict set
+// of the two clashing bounds.  When v anchors its component, every
+// member is first clamped to the gap-compression window around t.
+func (ex *ExactSearcher) assign(v, t int, anchor bool) (bool, uint64) {
+	self := bit(v)
 	if anchor {
 		span := ex.maxC + ex.s
 		if !ex.tight {
@@ -474,13 +579,13 @@ func (ex *ExactSearcher) assign(v, t int, anchor bool) bool {
 			if w == v {
 				continue
 			}
-			if !ex.tighten(w, t-span, t+span) {
-				return false
+			if ok, why := ex.tighten(w, t-span, t+span, self); !ok {
+				return false, why
 			}
 		}
 	}
-	if !ex.tighten(v, t, t) {
-		return false
+	if ok, why := ex.tighten(v, t, t, self); !ok {
+		return false, why
 	}
 	for len(ex.queue) > 0 {
 		u := ex.queue[len(ex.queue)-1]
@@ -493,9 +598,9 @@ func (ex *ExactSearcher) assign(v, t int, anchor bool) bool {
 			}
 			if nl := ex.lo[u] + a.w; nl > ex.lo[a.to] {
 				if nl > ex.hi[a.to] {
-					return false // undo drains the queue
+					return false, ex.loWhy[u] | ex.hiWhy[a.to] // undo drains the queue
 				}
-				ex.setLo(a.to, nl)
+				ex.setLo(a.to, nl, ex.loWhy[u])
 			}
 		}
 		for _, ai := range ex.inA[u] {
@@ -505,43 +610,44 @@ func (ex *ExactSearcher) assign(v, t int, anchor bool) bool {
 			}
 			if nh := ex.hi[u] - a.w; nh < ex.hi[a.from] {
 				if nh < ex.lo[a.from] {
-					return false // undo drains the queue
+					return false, ex.hiWhy[u] | ex.loWhy[a.from] // undo drains the queue
 				}
-				ex.setHi(a.from, nh)
+				ex.setHi(a.from, nh, ex.hiWhy[u])
 			}
 		}
 	}
-	return true
+	return true, 0
 }
 
 // tighten narrows node w's window to its intersection with [nl, nh],
-// recording changes on the trail and queueing w for propagation; false
-// means the window wiped out.
-func (ex *ExactSearcher) tighten(w, nl, nh int) bool {
+// which rests on the placements in why, recording changes on the trail
+// and queueing w for propagation; false means the window wiped out, with
+// the conflict set of the clash.
+func (ex *ExactSearcher) tighten(w, nl, nh int, why uint64) (bool, uint64) {
 	if nl > ex.lo[w] {
 		if nl > ex.hi[w] {
-			return false // undo drains the queue
+			return false, why | ex.hiWhy[w] // undo drains the queue
 		}
-		ex.setLo(w, nl)
+		ex.setLo(w, nl, why)
 	}
 	if nh < ex.hi[w] {
 		if nh < ex.lo[w] {
-			return false // undo drains the queue
+			return false, why | ex.loWhy[w] // undo drains the queue
 		}
-		ex.setHi(w, nh)
+		ex.setHi(w, nh, why)
 	}
-	return true
+	return true, 0
 }
 
-func (ex *ExactSearcher) setLo(v, nl int) {
-	ex.trail = append(ex.trail, trailEntry{node: v, isHi: false, old: ex.lo[v]})
-	ex.lo[v] = nl
+func (ex *ExactSearcher) setLo(v, nl int, why uint64) {
+	ex.trail = append(ex.trail, trailEntry{node: v, isHi: false, old: ex.lo[v], why: ex.loWhy[v]})
+	ex.lo[v], ex.loWhy[v] = nl, why
 	ex.push(v)
 }
 
-func (ex *ExactSearcher) setHi(v, nh int) {
-	ex.trail = append(ex.trail, trailEntry{node: v, isHi: true, old: ex.hi[v]})
-	ex.hi[v] = nh
+func (ex *ExactSearcher) setHi(v, nh int, why uint64) {
+	ex.trail = append(ex.trail, trailEntry{node: v, isHi: true, old: ex.hi[v], why: ex.hiWhy[v]})
+	ex.hi[v], ex.hiWhy[v] = nh, why
 	ex.push(v)
 }
 
@@ -556,9 +662,9 @@ func (ex *ExactSearcher) undo(mark int) {
 	for i := len(ex.trail) - 1; i >= mark; i-- {
 		e := ex.trail[i]
 		if e.isHi {
-			ex.hi[e.node] = e.old
+			ex.hi[e.node], ex.hiWhy[e.node] = e.old, e.why
 		} else {
-			ex.lo[e.node] = e.old
+			ex.lo[e.node], ex.loWhy[e.node] = e.old, e.why
 		}
 	}
 	ex.trail = ex.trail[:mark]

@@ -99,7 +99,11 @@ type Options struct {
 	Effort Effort
 	// EffortBudget bounds the exact backend's wall clock per loop search;
 	// 0 means schedule.DefaultExactBudget (250ms).  Ignored by the
-	// heuristic backend.
+	// heuristic backend.  A search that runs out keeps the heuristic
+	// schedule, the top of the range it refutes, so one that finishes
+	// within its budget where it used to run out (a faster host, a search
+	// that explores fewer nodes) can only turn FellBack into Proved, with
+	// the same II or a smaller one, never a larger.
 	EffortBudget time.Duration
 	// VerifyEmitted runs the independent object-code checker
 	// (internal/verify) on the emitted binary as part of compilation:
