@@ -167,7 +167,7 @@ func benchIISearch(b *testing.B, binary bool) {
 				b.Fatal(err)
 			}
 			_, rep, err := codegen.Compile(p, m, codegen.Options{
-				Pipeline: pipeline.Options{BinarySearch: binary},
+				BinarySearch: binary,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -204,7 +204,7 @@ func benchMVE(b *testing.B, disable bool) {
 			b.Fatal(err)
 		}
 		prog, _, err := codegen.Compile(p, m, codegen.Options{
-			Pipeline: pipeline.Options{DisableMVE: disable},
+			DisableMVE: disable,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -234,7 +234,7 @@ func benchPolicy(b *testing.B, pol pipeline.Policy) {
 				b.Fatal(err)
 			}
 			prog, rep, err := codegen.Compile(p, m, codegen.Options{
-				Pipeline: pipeline.Options{Policy: pol},
+				Policy: pol,
 			})
 			if err != nil {
 				b.Fatal(err)

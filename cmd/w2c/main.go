@@ -25,8 +25,8 @@
 //
 // -explain prints the explain report every compile records for each loop:
 // why every candidate initiation interval below the accepted one failed
-// (the failing op and whether a resource or a dependence bound blocked
-// it), or why a loop that is not pipelined is not.  It only adds lines.
+// (the failing op and the resource that blocked it), or why a loop that
+// is not pipelined is not.  It only adds lines.
 // -trace writes a Chrome trace_event JSON of the compile (and -run /
 // -verify) phases, viewable in chrome://tracing or Perfetto.
 package main

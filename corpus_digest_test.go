@@ -412,11 +412,11 @@ type digestOption struct {
 var digestOptions = []digestOption{
 	{name: "default"},
 	{name: "baseline", opts: softpipe.Options{Baseline: true}},
-	{name: "nomve", adjust: func(o *codegen.Options) { o.Pipeline.DisableMVE = true }},
+	{name: "nomve", adjust: func(o *codegen.Options) { o.DisableMVE = true }},
 	{name: "nohier", adjust: func(o *codegen.Options) { o.DisableHier = true }},
 	{name: "noloopred", adjust: func(o *codegen.Options) { o.DisableLoopReduction = true }},
-	{name: "binsearch", adjust: func(o *codegen.Options) { o.Pipeline.BinarySearch = true }},
-	{name: "lcm", adjust: func(o *codegen.Options) { o.Pipeline.Policy = pipeline.PolicyLCM }},
+	{name: "binsearch", adjust: func(o *codegen.Options) { o.BinarySearch = true }},
+	{name: "lcm", adjust: func(o *codegen.Options) { o.Policy = pipeline.PolicyLCM }},
 	{name: "unroll4", adjust: func(o *codegen.Options) { o.UnrollInnerTrip = 4 }},
 }
 

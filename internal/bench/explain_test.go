@@ -76,9 +76,8 @@ func TestExplainGoldenTridiagonal(t *testing.T) {
 
 // TestExplainGoldenHydro2D pins the explain report of kernel 18, the
 // only Table 4-2 kernel whose loops miss their MII on the Warp cell:
-// both sweeps are resource-bound, and every failed candidate names a
-// concrete functional-unit conflict (adder or memory read port), never
-// a dependence bound.
+// both sweeps are resource-bound, and every failed candidate names the
+// functional unit it conflicts on (adder or memory read port).
 func TestExplainGoldenHydro2D(t *testing.T) {
 	rep := compileExplain(t, "k18-2d-hydro")
 
@@ -97,9 +96,6 @@ func TestExplainGoldenHydro2D(t *testing.T) {
 	fail := exp.Attempts[0]
 	if fail.II != 14 || fail.OK {
 		t.Errorf("loop 1 attempt 0 = II=%d OK=%v, want II=14 FAIL", fail.II, fail.OK)
-	}
-	if fail.Cause.Kind != schedule.CauseResource {
-		t.Fatalf("loop 1 II=14 cause = %v, want resource conflict", fail.Cause.Kind)
 	}
 	if fail.Cause.Resource != machine.ResFAdd {
 		t.Errorf("loop 1 II=14 contended resource = %v, want FAdd", fail.Cause.Resource)
@@ -121,9 +117,6 @@ func TestExplainGoldenHydro2D(t *testing.T) {
 		if a.OK {
 			t.Errorf("loop 3 II=%d unexpectedly ok before the accepted interval", a.II)
 			continue
-		}
-		if a.Cause.Kind != schedule.CauseResource {
-			t.Errorf("loop 3 II=%d cause = %v, want resource conflict", a.II, a.Cause.Kind)
 		}
 		if r := a.Cause.Resource; r != machine.ResMemRd && r != machine.ResFAdd {
 			t.Errorf("loop 3 II=%d contended resource = %v, want MemRd or FAdd", a.II, r)

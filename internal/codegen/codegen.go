@@ -13,6 +13,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"time"
 
 	"softpipe/internal/depgraph"
 	"softpipe/internal/hier"
@@ -45,9 +46,13 @@ type Options struct {
 	// loop is planned and threaded into the II search, so a canceled or
 	// deadlined request aborts between candidate initiation intervals
 	// instead of running to MaxII.
-	Ctx      context.Context
-	Mode     Mode
-	Pipeline pipeline.Options
+	Ctx  context.Context
+	Mode Mode
+	// Effort selects the II-search backend and EffortBudget bounds the
+	// exact backend's wall clock per loop search (0 means
+	// schedule.DefaultExactBudget).
+	Effort       schedule.Effort
+	EffortBudget time.Duration
 	// VerifyEmitted runs the independent checker of internal/verify over
 	// the emitted object code against the *original* input program (so
 	// the internal unroll rewrite is verified too) and fails compilation
@@ -59,9 +64,8 @@ type Options struct {
 	// nil disables tracing at zero cost.
 	Tracer *trace.Tracer
 
-	// The comparison points: the five fields below and pipeline.Options'
-	// DisableMVE, BinarySearch and Policy.  A comparison only a benchmark
-	// or a test reads is a field here or there, reached through
+	// The comparison points: the eight fields below.  A comparison only a
+	// benchmark or a test reads is a field here, reached through
 	// softpipe.CompileWith, never a product option; a comparison the
 	// product reports (softpipe.Options.Baseline, the denominator of every
 	// speedup) is an option.
@@ -87,6 +91,18 @@ type Options struct {
 	// rotates across the loop-back into the previous iteration.
 	// TestRotationNeverLoses.
 	NoRotation bool
+	// DisableMVE plans every loop without modulo variable expansion (Lam
+	// §2.3): no expandable-register edge is removed.
+	// BenchmarkAblationMVE_* and the corpus digest's nomve point.
+	DisableMVE bool
+	// BinarySearch searches for the II by the FPS-164 compiler's binary
+	// search instead of §2.2's linear scan.  BenchmarkAblationIISearch_*
+	// and the corpus digest's binsearch point.
+	BinarySearch bool
+	// Policy is the modulo variable expansion unroll policy; PolicyLCM
+	// is §2.3's minimum-register, lcm-unroll alternative.
+	// BenchmarkAblationPolicy_* and the corpus digest's lcm point.
+	Policy pipeline.Policy
 }
 
 // LoopReport records how one loop was compiled, feeding the evaluation

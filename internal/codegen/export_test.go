@@ -44,7 +44,7 @@ func ProbeWholeArms(f func(WholeArm)) (restore func()) {
 				w.Windows += nd.Len
 			}
 		}
-		if w.ResourceFloor, w.Err = pipeline.ResourceFloor(b.Nodes, m, opts); w.Err == nil {
+		if w.ResourceFloor, w.Err = pipeline.ResourceFloor(b.Nodes, m); w.Err == nil {
 			w.Floor, w.Err = b.Floor(opts)
 		}
 		if plan, err := b.Plan(opts); err == nil {

@@ -7,7 +7,6 @@ import (
 	"softpipe/internal/codegen"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
-	"softpipe/internal/pipeline"
 	"softpipe/internal/schedule"
 	"softpipe/internal/workloads"
 )
@@ -76,7 +75,7 @@ func TestWholeArmFloorIsSound(t *testing.T) {
 		compile(append(draws, kernels...), m, codegen.Options{})
 	}
 	heuristic := skipped
-	exact := codegen.Options{Pipeline: pipeline.Options{Effort: schedule.EffortExact}}
+	exact := codegen.Options{Effort: schedule.EffortExact}
 	for _, m := range exactMachines(t) {
 		compile(kernels, m, exact)
 	}

@@ -419,7 +419,7 @@ func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *L
 			// give, then, where the lifted II is above that, all of it,
 			// which needs the body built.  A floor that cannot be had means
 			// a plan that cannot be had either.
-			floor, err := pipeline.ResourceFloor(whole, e.m, e.opts.Pipeline)
+			floor, err := pipeline.ResourceFloor(whole, e.m)
 			if err == nil && plan.II > floor {
 				if wb = e.reducedBody(l, whole, powerOfTwo, keepMarginal, &wrep); wb.body != nil {
 					floor, err = wb.body.Floor(wb.opts)
@@ -492,12 +492,6 @@ func (e *emitter) reducedBody(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo
 			}
 		}
 	}
-	plOpts := e.opts.Pipeline
-	plOpts.Ctx = e.opts.Ctx
-	plOpts.LiveOut = e.liveOutOf(l)
-	plOpts.IndependentMem = l.Independent
-	plOpts.PowerOfTwoUnroll = powerOfTwo
-	plOpts.KeepMarginal = plOpts.KeepMarginal || keepMarginal
 	baseRegs := map[ir.VReg]bool{}
 	for _, nd := range nodes {
 		for _, rd := range nd.Reads {
@@ -509,10 +503,22 @@ func (e *emitter) reducedBody(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo
 	}
 	needF, needI := e.unmapped(baseRegs)
 	baseF, baseI := e.regsNeeded(needF, needI)
-	plOpts.CopyBudgetF = e.m.FloatRegs - baseF
-	plOpts.CopyBudgetI = e.m.IntRegs - baseI - 6 // counters and count math
-	plOpts.RegKind = e.irp.Kind
-	plOpts.Tracer = e.opts.Tracer
+	plOpts := pipeline.Options{
+		Ctx:              e.opts.Ctx,
+		Policy:           e.opts.Policy,
+		BinarySearch:     e.opts.BinarySearch,
+		DisableMVE:       e.opts.DisableMVE,
+		Effort:           e.opts.Effort,
+		SchedBudget:      e.opts.EffortBudget,
+		LiveOut:          e.liveOutOf(l),
+		IndependentMem:   l.Independent,
+		PowerOfTwoUnroll: powerOfTwo,
+		CopyBudgetF:      e.m.FloatRegs - baseF,
+		CopyBudgetI:      e.m.IntRegs - baseI - 6, // counters and count math
+		RegKind:          e.irp.Kind,
+		KeepMarginal:     keepMarginal,
+		Tracer:           e.opts.Tracer,
+	}
 	body, err := pipeline.NewBody(e.opts.Ctx, nodes, l.ID, e.m, l.Independent)
 	if err != nil {
 		rep.planFailed(err)

@@ -33,8 +33,10 @@ func ring(n int, delay func(i int) int) *depgraph.Graph {
 // checkComponentPaths compares every component's PathsAt at the intervals
 // MII…MII+5, entry for entry, with the all-pairs oracle on the whole
 // graph (a path between two members of a component never leaves it), and
-// ZeroPaths with the oracle on the omega-0 subgraph.  ok=false means
-// Analyze refused g.
+// ZeroPaths with the oracle on the omega-0 subgraph.  It also holds the
+// components to reverse topological order, which the II search's
+// condensation relies on: no edge runs to a higher-numbered component.
+// ok=false means Analyze refused g.
 func checkComponentPaths(t *testing.T, name string, g *depgraph.Graph) (ok bool) {
 	t.Helper()
 	a, err := depgraph.Analyze(g, machine.Warp())
@@ -43,6 +45,11 @@ func checkComponentPaths(t *testing.T, name string, g *depgraph.Graph) (ok bool)
 			t.Fatalf("%s: Analyze refused (%v) what the oracle accepts\n%v", name, err, g)
 		}
 		return false
+	}
+	for _, e := range g.Edges {
+		if cf, ct := a.SCC.Comp[e.From], a.SCC.Comp[e.To]; cf < ct {
+			t.Fatalf("%s: edge n%d->n%d runs from component %d up to %d", name, e.From, e.To, cf, ct)
+		}
 	}
 	compare := func(what string, want [][]int, paths func(ci int) ([]int, error)) {
 		t.Helper()

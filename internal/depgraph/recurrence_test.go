@@ -71,7 +71,8 @@ func checkRecurrence(t *testing.T, name string, g *depgraph.Graph) {
 
 // TestRecurrenceMIIDifferential pins the production recurrence bound to
 // the independent formulation on every innermost-loop graph of the
-// evaluation corpora and on a synthetic doubly recurrent body.
+// evaluation corpora and on a synthetic doubly recurrent body, and holds
+// each graph's components to checkComponentPaths.
 func TestRecurrenceMIIDifferential(t *testing.T) {
 	m := machine.Warp()
 	var progs []*ir.Program
@@ -109,6 +110,7 @@ func TestRecurrenceMIIDifferential(t *testing.T) {
 	for _, p := range progs {
 		for name, g := range loopGraphs(t, p, m) {
 			checkRecurrence(t, name, g)
+			checkComponentPaths(t, name, g)
 			graphs++
 			if rec, err := depgraph.RecurrenceMII(g); err == nil && rec > 1 {
 				recurrent++

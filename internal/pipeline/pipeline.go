@@ -68,11 +68,6 @@ type Options struct {
 	// SchedBudget bounds the exact backend's wall clock per Search call;
 	// 0 means schedule.DefaultExactBudget.  Ignored by the heuristic.
 	SchedBudget time.Duration
-	// MinII forces the search to start above the natural MII (the
-	// rotating copy-budget probe of planLoop asks for II+1).  A body's
-	// construct windows raise the floor to their own length whatever MinII
-	// says.
-	MinII int
 	// LiveOut lists registers whose final values are observed after the
 	// loop; expanded registers in this set receive fix-up moves.
 	LiveOut map[ir.VReg]bool
@@ -87,7 +82,10 @@ type Options struct {
 	// CopyBudgetF/I bound the extra registers modulo variable expansion
 	// may claim; when exceeded, the costliest variables are un-expanded
 	// (their inter-iteration constraints restored) and the loop is
-	// rescheduled.  0 means unlimited.
+	// rescheduled.  A budget ≤ 0 means unlimited, not "no copies": the
+	// code generator passes its register headroom, which is ≤ 0 when the
+	// base registers fill the file, and such a plan skips the retry and
+	// meets the code generator's register check unshrunk (ROADMAP item 6).
 	CopyBudgetF int
 	CopyBudgetI int
 	// RegKind reports the kind of a register, needed to apportion the
@@ -109,9 +107,6 @@ type Plan struct {
 	// the locally compacted body and its period as the unpipelined loop,
 	// which are what pipelining is measured against.
 	*Body
-	// Graph is the scheduled graph: Body.Full without the edges modulo
-	// variable expansion removed.
-	Graph *depgraph.Graph
 
 	II       int
 	Stages   int // number of concurrently active iterations (m)
@@ -125,7 +120,7 @@ type Plan struct {
 	// instead of unroll classes (Copies[r] = Q[r]).
 	Rotating bool
 
-	MII    int // lower bound actually used (incl. construct windows)
+	MII    int // the search's floor (Body.floor)
 	ResMII int
 	RecMII int
 	// HasRecurrence reports a nontrivial dependence cycle (the paper's
@@ -190,8 +185,9 @@ func (p *Plan) CopyRegs(kind func(ir.VReg) ir.Kind) (flt, intg int) {
 	return
 }
 
-// fits reports whether the plan's copy registers stay within the budget
-// (a budget ≤ 0 is unlimited, and without RegKind nothing is budgeted).
+// fits reports whether the plan's copy registers stay within the budget.
+// A budget ≤ 0 is unlimited, so a headroom that has run out admits every
+// plan; without RegKind nothing is budgeted.
 func (o *Options) fits(p *Plan) bool {
 	if o.RegKind == nil {
 		return true
@@ -313,13 +309,13 @@ func (b *Body) Plan(opts Options) (*Plan, error) {
 }
 
 // Floor is a lower bound on every initiation interval Plan(opts) can
-// return, found without a search: the bound the first attempt's search
-// starts from, the MII of the graph with every expandable register
-// expanded (none without MVE) raised to ResourceFloor.  The copy-budget
-// retries only restore edges or raise MinII, and the exact effort's
-// heuristic retry starts from the same bound, so no plan of b lands
-// below it.  It fails as that attempt's analysis would (an error
-// wrapping opts.Ctx's when it ends), and then Plan(opts) fails too.
+// return, found without a search: the floor the first attempt's search
+// starts from, that of the graph with every expandable register expanded
+// (none without MVE).  The copy-budget retries only restore edges or
+// raise the floor, and the exact effort's heuristic retry starts from the
+// same bound, so no plan of b lands below it.  It fails as that attempt's
+// analysis would (an error wrapping opts.Ctx's when it ends), and then
+// Plan(opts) fails too.
 func (b *Body) Floor(opts Options) (int, error) {
 	ctx := opts.Ctx
 	if ctx == nil {
@@ -329,23 +325,30 @@ func (b *Body) Floor(opts Options) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return max(a.MII, b.resMII, minII(b.Nodes, opts)), nil
+	return b.floor(a, 0), nil
+}
+
+// floor is where the search of a plan analyzed as a starts, and what the
+// §4.2 99% rule and Plan.MII read: a's MII raised to ResourceFloor and to
+// minII (the rotating copy-budget probe's II+1, or 0).
+func (b *Body) floor(a *depgraph.Analysis, minII int) int {
+	return max(a.MII, b.resMII, windows(b.Nodes), minII)
 }
 
 // ResourceFloor is the part of Body.Floor that the nodes of a body give
 // without its dependence graph: the resource bound with the loop-back
-// branch, opts.MinII and the longest construct window.  Each construct
-// window holds the one sequencer for its whole length, so it is never
-// below the windows' sum plus one.  A caller asking whether any plan of
-// a body could land below some II asks this first, and builds the body
-// for Floor only if one could.  It fails, as NewBody does, when m lacks a
-// resource the nodes reserve.
-func ResourceFloor(nodes []*depgraph.Node, m *machine.Machine, opts Options) (int, error) {
+// branch and the longest construct window.  Each construct window holds
+// the one sequencer for its whole length, so it is never below the
+// windows' sum plus one.  A caller asking whether any plan of a body could
+// land below some II asks this first, and builds the body for Floor only
+// if one could.  It fails, as NewBody does, when m lacks a resource the
+// nodes reserve.
+func ResourceFloor(nodes []*depgraph.Node, m *machine.Machine) (int, error) {
 	res, err := resourceMII(nodes, m)
 	if err != nil {
 		return 0, err
 	}
-	return max(res, minII(nodes, opts)), nil
+	return max(res, windows(nodes)), nil
 }
 
 // resourceMII is the resource bound of a body on m.  The loop-back branch
@@ -369,17 +372,17 @@ func (b *Body) expandable(opts Options) map[ir.VReg]bool {
 	return expanded
 }
 
-// minII is the floor opts and the construct windows of nodes put under
-// II: a reduced construct of length L must fit within one initiation
-// interval so that the emitted kernel can fork into its branches without
-// crossing the loop-back boundary (see DESIGN.md).  This is the paper's
-// "treating its operations as indivisible ... increases the minimum
-// initiation interval" (§4.1).
-func minII(nodes []*depgraph.Node, opts Options) int {
-	m := opts.MinII
+// windows is the floor the construct windows of nodes put under II: a
+// reduced construct of length L must fit within one initiation interval
+// so that the emitted kernel can fork into its branches without crossing
+// the loop-back boundary (see DESIGN.md).  This is the paper's "treating
+// its operations as indivisible ... increases the minimum initiation
+// interval" (§4.1).
+func windows(nodes []*depgraph.Node) int {
+	m := 0
 	for _, n := range nodes {
-		if n.Payload != nil && n.Len > m {
-			m = n.Len
+		if n.Payload != nil {
+			m = max(m, n.Len)
 		}
 	}
 	return m
@@ -395,13 +398,14 @@ func (b *Body) plan(opts Options) (*Plan, error) {
 		return nil, fmt.Errorf("pipeline: body length %d beyond pipelining threshold %d", b.Compact.Length, maxBodyLen)
 	}
 	expanded := b.expandable(opts)
+	minII := 0 // raised by the rotating copy-budget probe
 	for {
 		if opts.Ctx != nil {
 			if err := opts.Ctx.Err(); err != nil {
 				return nil, fmt.Errorf("pipeline: plan aborted: %w", err)
 			}
 		}
-		p, err := planWith(b, expanded, opts)
+		p, err := planWith(b, expanded, minII, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -422,16 +426,14 @@ func (b *Body) plan(opts Options) (*Plan, error) {
 			// the cheapest victim un-expanded — and keep whichever fits
 			// the budget at the smaller interval (or whichever made more
 			// progress when neither fits yet).
-			po := opts
-			po.MinII = p.II + 1
-			pA, errA := planWith(b, expanded, po)
+			pA, errA := planWith(b, expanded, p.II+1, opts)
 			exB := make(map[ir.VReg]bool, len(expanded))
 			for r := range expanded {
 				if r != worst {
 					exB[r] = true
 				}
 			}
-			pB, errB := planWith(b, exB, opts)
+			pB, errB := planWith(b, exB, minII, opts)
 			cost := func(pp *Plan) int {
 				f, i := pp.CopyRegs(opts.RegKind)
 				return f + i
@@ -450,12 +452,12 @@ func (b *Body) plan(opts Options) (*Plan, error) {
 				case fitB:
 					return pB, nil
 				case cost(pA) < cost(pB):
-					opts.MinII = po.MinII
+					minII = p.II + 1
 				default:
 					expanded = exB
 				}
 			case errA == nil:
-				opts.MinII = po.MinII
+				minII = p.II + 1
 			case errB == nil:
 				expanded = exB
 			default:
@@ -469,7 +471,9 @@ func (b *Body) plan(opts Options) (*Plan, error) {
 	}
 }
 
-func planWith(b *Body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
+// planWith plans b with the registers in expanded expanded, its search
+// starting no lower than minII.
+func planWith(b *Body, expanded map[ir.VReg]bool, minII int, opts Options) (*Plan, error) {
 	nodes, m := b.Nodes, b.m
 	g := b.Full.Filter(expanded)
 
@@ -495,21 +499,20 @@ func planWith(b *Body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
 	opts.Tracer.Count("depgraph.sccs", int64(sccs))
 	a.ResMII = max(a.ResMII, b.resMII)
 	a.MII = max(a.MII, b.resMII)
-	minII := minII(nodes, opts)
+	floor := b.floor(a, minII)
 
 	// The unpipelined comparison point is the loop that would be emitted
 	// instead (b.Period).
-	effMII := max(a.MII, minII)
-	if !opts.KeepMarginal && effMII*100 >= b.Period*99 {
-		return nil, fmt.Errorf("pipeline: initiation interval bound %d within 99%% of unpipelined length %d", effMII, b.Period)
+	if !opts.KeepMarginal && floor*100 >= b.Period*99 {
+		return nil, fmt.Errorf("pipeline: initiation interval bound %d within 99%% of unpipelined length %d", floor, b.Period)
 	}
 
 	searcher := schedule.New(opts.Effort, a, m)
 	search := opts.Tracer.Begin("schedule.search")
 	res, st, err := searcher.Search(schedule.Options{
 		Ctx:            opts.Ctx,
-		MaxII:          schedule.DefaultMaxII(a) + minII,
-		MinII:          minII,
+		MaxII:          schedule.DefaultMaxII(a) + max(windows(nodes), minII),
+		MinII:          floor,
 		BinarySearch:   opts.BinarySearch,
 		ReserveBranch:  true,
 		BranchResource: machine.ResBranch,
@@ -543,10 +546,9 @@ func planWith(b *Body, expanded map[ir.VReg]bool, opts Options) (*Plan, error) {
 
 	p := &Plan{
 		Body:          b,
-		Graph:         g,
 		II:            res.II,
 		Time:          res.Time,
-		MII:           max(a.MII, minII),
+		MII:           floor,
 		ResMII:        a.ResMII,
 		RecMII:        a.RecMII,
 		HasRecurrence: a.HasRecurrence,

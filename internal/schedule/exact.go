@@ -205,6 +205,10 @@ func NewExactSearcher(a *depgraph.Analysis, m *machine.Machine) *ExactSearcher {
 // worse than the heuristic's; context errors abort, budget exhaustion
 // falls back.
 func (ex *ExactSearcher) Search(opts Options) (*Result, *Stats, error) {
+	floor, maxII, err := searchRange(ex.a, opts)
+	if err != nil {
+		return nil, &Stats{MII: floor, Effort: EffortExact}, err
+	}
 	budget := opts.Budget
 	if budget <= 0 {
 		budget = DefaultExactBudget
@@ -213,21 +217,10 @@ func (ex *ExactSearcher) Search(opts Options) (*Result, *Stats, error) {
 
 	hr, st, herr := ex.heur.Search(opts)
 	st.Effort = EffortExact
-
-	maxII := opts.MaxII
-	if maxII <= 0 {
-		maxII = DefaultMaxII(ex.a)
-	}
-	floor := ex.a.MII
-	if opts.MinII > floor {
-		floor = opts.MinII
-	}
-
 	if herr != nil {
 		var ie *InfeasibleError
 		if !errors.As(herr, &ie) {
-			// Context cancellation or a misconfigured MaxII: not ours to
-			// second-guess.
+			// Context cancellation: not ours to second-guess.
 			return nil, st, herr
 		}
 		// The heuristic found nothing; the exact search gets the whole
@@ -286,8 +279,7 @@ func (ex *ExactSearcher) refine(opts Options, st *Stats, floor, hiBound int, fal
 			res.Explain = ex.heur.exp
 			return res, nil
 		case decInfeasible:
-			ex.heur.record(Attempt{II: s, Node: -1, Comp: -1, Note: "exact: proved infeasible",
-				Cause: Cause{LoFrom: -1, HiFrom: -1}})
+			ex.heur.record(Attempt{II: s, Node: -1, Comp: -1, Note: "exact: proved infeasible"})
 		case decAbortCtx:
 			return nil, ctxErr(opts.Ctx, s)
 		case decAbortBudget:

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"softpipe/internal/depgraph"
 	"softpipe/internal/machine"
 )
 
@@ -13,6 +12,12 @@ import (
 // below the search floor, so no candidate interval exists) from genuine
 // infeasibility.  Callers test with errors.Is.
 var ErrMaxIIBelowMII = errors.New("MaxII below the minimum initiation interval")
+
+// errInternal marks a broken invariant of the search's inputs: a
+// component with no member it can place (an omega-0 cycle, or an empty
+// precedence-constrained range).  Analyze and exact longest paths rule
+// both out, so no accepted graph reports it.
+var errInternal = errors.New("schedule: internal")
 
 // InfeasibleError reports that no candidate interval in [MII, MaxII]
 // admitted a schedule; the per-candidate failure causes ride along.
@@ -30,59 +35,18 @@ func (e *InfeasibleError) Error() string {
 	return fmt.Sprintf("schedule: no feasible initiation interval in [%d, %d]%s", e.MII, e.MaxII, suffix)
 }
 
-// CauseKind classifies why a candidate initiation interval failed.
-type CauseKind int
-
-// Failure causes.
-const (
-	// CauseNone marks a successful attempt.
-	CauseNone CauseKind = iota
-	// CauseResource: every slot of the candidate's modulo window had a
-	// reservation-table conflict (Resource/Row name the first blocker).
-	CauseResource
-	// CauseDependence: the precedence-constrained range of the op was
-	// empty — its dependence lower bound exceeded its upper bound.
-	CauseDependence
-	// CauseMalformed: a structural invariant failed (an omega-0 cycle
-	// survived analysis); should be unreachable on accepted graphs.
-	CauseMalformed
-)
-
-// String renders the cause kind.
-func (k CauseKind) String() string {
-	switch k {
-	case CauseNone:
-		return "ok"
-	case CauseResource:
-		return "resource conflict"
-	case CauseDependence:
-		return "dependence bound"
-	case CauseMalformed:
-		return "malformed graph"
-	}
-	return fmt.Sprintf("cause(%d)", int(k))
-}
-
-// Cause pins one candidate-II failure to its binding constraint.
+// Cause pins one failed candidate interval to the resource that blocked
+// it.  Every failure of the heuristic search is a resource conflict: the
+// precedence-constrained ranges come from longest paths that are exact at
+// every candidate II ≥ MII, so a range never empties (DESIGN.md).
 type Cause struct {
-	Kind CauseKind
-
-	// Resource conflict: the first over-capacity resource and the modulo
-	// row (issue time mod II) at which it clashed, plus the scanned
-	// window [WinLo, WinHi].
+	// Resource is the first over-capacity resource and Row the modulo
+	// row (issue time mod II) at which it clashed, in the scanned window
+	// [WinLo, WinHi].
 	Resource machine.Resource
 	Row      int
 	WinLo    int
 	WinHi    int
-
-	// Dependence bound: the empty range [Lo, Hi] and the already-placed
-	// nodes whose longest paths imposed each side (-1 = unset).  When a
-	// direct dependence edge connects the pair it is attached with its
-	// delay/omega; otherwise the bound came through a longer path inside
-	// the component (its depgraph PathsAt matrix at the candidate).
-	Lo, Hi         int
-	LoFrom, HiFrom int
-	LoEdge, HiEdge *depgraph.Edge
 }
 
 // Attempt records the outcome of one candidate initiation interval.
@@ -90,8 +54,9 @@ type Attempt struct {
 	II int
 	OK bool
 	// Node is the graph index of the op that failed placement (for
-	// condensation failures of a multi-node component, its first member);
-	// -1 when no single op is implicated.
+	// condensation failures of a multi-node component, its first member),
+	// blocked as Cause says; -1 on the exact search's verdicts, which
+	// name no op.
 	Node int
 	// NodeDesc is the failing op rendered at record time, so reports
 	// need no access to the graph.
@@ -188,22 +153,9 @@ func (a *Attempt) Format() string {
 		} else {
 			fmt.Fprintf(&b, " placing %s", what)
 		}
-	}
-	c := &a.Cause
-	switch c.Kind {
-	case CauseResource:
+		c := &a.Cause
 		fmt.Fprintf(&b, ": resource conflict: %v full at row %d (scanned slots [%d, %d])",
 			c.Resource, c.Row, c.WinLo, c.WinHi)
-	case CauseDependence:
-		fmt.Fprintf(&b, ": dependence bound: empty range [%d, %d]", c.Lo, c.Hi)
-		if c.LoFrom >= 0 {
-			fmt.Fprintf(&b, "; lower bound from n%d%s", c.LoFrom, edgeSuffix(c.LoEdge))
-		}
-		if c.HiFrom >= 0 {
-			fmt.Fprintf(&b, "; upper bound from n%d%s", c.HiFrom, edgeSuffix(c.HiEdge))
-		}
-	case CauseMalformed:
-		b.WriteString(": malformed graph (cycle among omega-0 edges)")
 	}
 	if a.Note != "" {
 		fmt.Fprintf(&b, " (%s)", a.Note)
@@ -211,41 +163,17 @@ func (a *Attempt) Format() string {
 	return b.String()
 }
 
-func edgeSuffix(e *depgraph.Edge) string {
-	if e == nil {
-		return " (via closure path)"
-	}
-	return fmt.Sprintf(" (edge n%d->n%d %v delay=%d omega=%d)", e.From, e.To, e.Kind, e.Delay, e.Omega)
-}
-
 // record appends an attempt to the explain report.
 func (sr *Searcher) record(a Attempt) {
 	sr.exp.Attempts = append(sr.exp.Attempts, a)
 }
 
-// failNode fills the shared attempt fields for a failed placement of
-// graph node `node` in component `comp`.
-func failAttempt(s, node, comp int, desc string, aggregate bool, cause Cause) Attempt {
-	return Attempt{II: s, Node: node, NodeDesc: desc, Comp: comp, Aggregate: aggregate, Cause: cause}
-}
-
-// directEdge returns a dependence edge from → to when one exists in g
-// (preferring the tightest delay), or nil when the constraint came
-// through a longer path.
-func directEdge(g *depgraph.Graph, from, to int) *depgraph.Edge {
-	var best *depgraph.Edge
-	for i := range g.Edges {
-		e := &g.Edges[i]
-		if e.From != from || e.To != to {
-			continue
-		}
-		if best == nil || e.Delay > best.Delay {
-			best = e
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	c := *best
-	return &c
+// fail records that interval s failed placing graph node v of component
+// ci (its first member, when aggregate: the whole component in the
+// condensation) with reservation res: no slot of [lo, hi] fit tab, and
+// lo names the resource that blocks it.
+func (sr *Searcher) fail(s, v, ci int, aggregate bool, tab *ModTable, res []machine.ResUse, lo, hi int) {
+	r, row, _ := tab.Conflict(res, lo)
+	sr.record(Attempt{II: s, Node: v, NodeDesc: sr.a.Graph.Nodes[v].String(), Comp: ci, Aggregate: aggregate,
+		Cause: Cause{Resource: r, Row: row, WinLo: lo, WinHi: hi}})
 }

@@ -69,9 +69,6 @@ func TestExplainRecordsMIIMiss(t *testing.T) {
 	if fail.II != 2 || fail.OK {
 		t.Errorf("attempt 0 = II=%d OK=%v, want II=2 FAIL", fail.II, fail.OK)
 	}
-	if fail.Cause.Kind != CauseResource {
-		t.Fatalf("failure cause = %v, want resource conflict", fail.Cause.Kind)
-	}
 	if fail.Cause.Resource != machine.ResALU {
 		t.Errorf("contended resource = %v, want ALU", fail.Cause.Resource)
 	}
@@ -104,6 +101,9 @@ func TestInfeasibleErrorCarriesExplain(t *testing.T) {
 	if !errors.As(err, &ie) {
 		t.Fatalf("error %T (%v) is not an *InfeasibleError", err, err)
 	}
+	if got, want := err.Error(), "schedule: no feasible initiation interval in [2, 2]"; got != want {
+		t.Errorf("Error() = %q, want %q", got, want)
+	}
 	if ie.MII != 2 || ie.MaxII != 2 || ie.Binary {
 		t.Errorf("InfeasibleError = %+v, want MII=2 MaxII=2 linear", ie)
 	}
@@ -123,25 +123,31 @@ func TestInfeasibleErrorCarriesExplain(t *testing.T) {
 
 // TestMaxIIBelowMIIRejectedUpFront checks the misconfiguration guard: a
 // MaxII below the search floor fails immediately with the sentinel
-// (errors.Is), before any candidate interval is attempted.
+// (errors.Is), before any candidate interval is attempted, in the linear,
+// binary and exact searches alike.
 func TestMaxIIBelowMIIRejectedUpFront(t *testing.T) {
 	m := machine.Warp()
 	a := missMIIAnalysis(t, m)
-	_, _, err := Modulo(a, m, Options{MaxII: 1})
-	if err == nil {
-		t.Fatal("Modulo accepted MaxII=1 below MII=2")
-	}
-	if !errors.Is(err, ErrMaxIIBelowMII) {
-		t.Fatalf("error %v does not wrap ErrMaxIIBelowMII", err)
-	}
-	var ie *InfeasibleError
-	if errors.As(err, &ie) {
-		t.Errorf("MaxII misconfiguration reported as infeasibility: %v", err)
-	}
-	// Binary search validates the same way.
-	_, _, err = Modulo(a, m, Options{MaxII: 1, BinarySearch: true})
-	if !errors.Is(err, ErrMaxIIBelowMII) {
-		t.Fatalf("binary search: error %v does not wrap ErrMaxIIBelowMII", err)
+	for _, c := range []struct {
+		name string
+		s    Scheduler
+		opts Options
+	}{
+		{"linear", NewSearcher(a, m), Options{MaxII: 1}},
+		{"binary", NewSearcher(a, m), Options{MaxII: 1, BinarySearch: true}},
+		{"exact", NewExactSearcher(a, m), Options{MaxII: 1}},
+	} {
+		_, st, err := c.s.Search(c.opts)
+		if !errors.Is(err, ErrMaxIIBelowMII) {
+			t.Fatalf("%s: error %v does not wrap ErrMaxIIBelowMII", c.name, err)
+		}
+		var ie *InfeasibleError
+		if errors.As(err, &ie) {
+			t.Errorf("%s: MaxII misconfiguration reported as infeasibility: %v", c.name, err)
+		}
+		if st.Attempts != 0 {
+			t.Errorf("%s: %d candidate intervals attempted", c.name, st.Attempts)
+		}
 	}
 }
 

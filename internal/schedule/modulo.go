@@ -3,6 +3,7 @@ package schedule
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"softpipe/internal/depgraph"
@@ -106,12 +107,9 @@ type compData struct {
 
 	dense  []int // longest paths at the current candidate II (PathsAt)
 	lo, hi []int // precedence-constrained ranges
-	// loFrom/hiFrom track which already-placed member imposed each bound
-	// (-1 = unset), so the explain report can name the constraining node.
-	loFrom, hiFrom []int
-	times          []int // issue time per member
-	sched          []bool
-	deg            []int
+	times  []int // issue time per member
+	sched  []bool
+	deg    []int
 }
 
 // Searcher runs the iterative search of Lam §2.2 for one analyzed loop.
@@ -125,8 +123,11 @@ type Searcher struct {
 	a *depgraph.Analysis
 	m *machine.Machine
 
-	comps  []compData // one per cyclic component, in component order
-	cyc    []int      // cyc[ci] indexes comps for a cyclic component, -1 otherwise
+	comps []compData // one per cyclic component, in component order
+	cyc   []int      // cyc[ci] indexes comps for a cyclic component, -1 otherwise
+	// cross is sorted by source component.  TarjanSCC numbers components
+	// in reverse topological order, so every cross edge runs to a
+	// lower-numbered component than it leaves.
 	cross  []crossEdge
 	cindeg []int // condensation indegrees over cross
 
@@ -137,8 +138,6 @@ type Searcher struct {
 	cdelay  []int // per-cross-edge condensed delay of the current attempt
 	ch      []int
 	deg     []int
-	order   []int
-	ready   []int
 	vtime   []int
 	placed  []bool
 	condTab *ModTable
@@ -163,7 +162,7 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 	nc := len(a.SCC.Components)
 	// Everything per node and per component comes out of a few blocks,
 	// sized by a counting pass: the per-member scratch of every cyclic
-	// component (k members: eight int lists of k and two k×k path
+	// component (k members: six int lists of k and two k×k path
 	// matrices), its omega-0 edges, the condensation's edges and each
 	// component's reservations.
 	members, cyclic, compEdges, crosses, uses, paths := 0, 0, 0, 0, 0, 0
@@ -177,7 +176,7 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 			uses += len(g.Nodes[v].Reservation)
 		}
 	}
-	ints := make([]int, n+7*nc+8*members+len(g.Edges)+paths)
+	ints := make([]int, n+7*nc+6*members+len(g.Edges)+paths)
 	cut := func(k int) []int {
 		s := ints[:k:k]
 		ints = ints[k:]
@@ -202,7 +201,6 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 		vres:    make([][]machine.ResUse, nc),
 		ch:      cut(nc),
 		deg:     cut(nc),
-		order:   make([]int, 0, 2*nc),
 		vtime:   cut(nc),
 		placed:  make([]bool, nc+members),
 		cross:   make([]crossEdge, 0, crosses),
@@ -212,7 +210,6 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 		exp:     &Explain{ResMII: a.ResMII, RecMII: a.RecMII},
 		cyc:     cut(nc),
 	}
-	sr.order, sr.ready = sr.order[:0:nc], sr.order[nc:nc]
 	sched := sr.placed[nc:]
 	sr.placed = sr.placed[:nc:nc]
 	allUses := make([]machine.ResUse, uses)
@@ -242,8 +239,6 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 		cd.h = cut(k)
 		cd.lo = cut(k)
 		cd.hi = cut(k)
-		cd.loFrom = cut(k)
-		cd.hiFrom = cut(k)
 		cd.times = cut(k)
 		cd.deg = cut(k)
 		cd.zero, cd.dense = cut(k * k)[:0], cut(k * k)[:0]
@@ -278,6 +273,7 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 		}
 	}
 	clear(memberIdx)
+	slices.SortFunc(sr.cross, func(x, y crossEdge) int { return x.from - y.from })
 	// Heights within each component by reverse relaxation over the
 	// omega-0 edges (|comp| sweeps suffice on a DAG).
 	for ci := range sr.comps {
@@ -298,26 +294,14 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 // It may be called repeatedly (e.g. with a raised MinII); scratch
 // carries over between calls.
 func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
-	maxII := opts.MaxII
-	if maxII <= 0 {
-		maxII = DefaultMaxII(sr.a)
-	}
-	floor := sr.a.MII
-	if opts.MinII > floor {
-		floor = opts.MinII
-	}
+	floor, maxII, err := searchRange(sr.a, opts)
 	st := &Stats{MII: floor}
+	if err != nil {
+		return nil, st, err
+	}
 	sr.retries = 0
 	if opts.Ctx == nil {
 		opts.Ctx = context.Background()
-	}
-	if maxII < floor {
-		// An explicit MaxII below the search floor is a caller
-		// misconfiguration, not infeasibility: fail loudly and
-		// distinguishably instead of reporting an empty range as "no
-		// feasible initiation interval".
-		return nil, st, fmt.Errorf("schedule: Options.MaxII %d is below the search floor %d (MII %d): %w",
-			maxII, floor, sr.a.MII, ErrMaxIIBelowMII)
 	}
 	sr.exp.MII = floor
 	sr.exp.MaxII = maxII
@@ -348,6 +332,23 @@ func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
 	}
 	st.Backtracks = sr.retries
 	return nil, st, &InfeasibleError{MII: st.MII, MaxII: maxII, Explain: sr.exp}
+}
+
+// searchRange is the candidate intervals [floor, maxII] a search under
+// opts tries: from the MII, raised to opts.MinII, up to opts.MaxII
+// (0 means DefaultMaxII).  An explicit MaxII below the floor is a caller
+// misconfiguration, not infeasibility, and fails distinguishably instead
+// of reporting an empty range as "no feasible initiation interval".
+func searchRange(a *depgraph.Analysis, opts Options) (floor, maxII int, err error) {
+	floor, maxII = max(a.MII, opts.MinII), opts.MaxII
+	if maxII <= 0 {
+		maxII = DefaultMaxII(a)
+	}
+	if maxII < floor {
+		return floor, maxII, fmt.Errorf("schedule: Options.MaxII %d is below the search floor %d (MII %d): %w",
+			maxII, floor, a.MII, ErrMaxIIBelowMII)
+	}
+	return floor, maxII, nil
 }
 
 // Modulo finds the smallest feasible initiation interval ≥ the MII using
@@ -436,8 +437,8 @@ func (sr *Searcher) attempt(opts Options, s int) (*Result, error) {
 		if cd.dense, err = a.PathsAt(opts.Ctx, ci, s, cd.dense); err != nil {
 			return nil, err
 		}
-		if !sr.scheduleComponent(ci, comp, s) {
-			return nil, nil
+		if ok, err := sr.scheduleComponent(ci, comp, s); !ok {
+			return nil, err
 		}
 		minT := cd.times[0]
 		for _, t := range cd.times {
@@ -475,64 +476,20 @@ func (sr *Searcher) attempt(opts Options, s int) (*Result, error) {
 		tab.Place([]machine.ResUse{{Resource: opts.BranchResource}}, s-1)
 	}
 
-	// Priorities: critical-path height over omega-0 condensed edges.
+	// Priorities: critical-path height over omega-0 condensed edges, in
+	// one pass over sr.cross: sorted by source, with every edge running
+	// to a lower-numbered component, it reaches each target's height
+	// only after the last edge that raises it.
 	ch := sr.ch
 	for ci := range ch {
-		ext := compLen[ci]
-		if ext == 0 { // trivial component
-			ext = Extent(g.Nodes[a.SCC.Components[ci][0]])
-		}
-		ch[ci] = ext
-	}
-	// Topological order (condensation is a DAG over all edges), then
-	// heights by reverse topological sweep over omega-0 edges.
-	deg := sr.deg
-	copy(deg, sr.cindeg)
-	order := sr.order[:0]
-	ready := sr.ready[:0]
-	for i := 0; i < nc; i++ {
-		if deg[i] == 0 {
-			ready = append(ready, i)
+		ch[ci] = compLen[ci]
+		if ch[ci] == 0 { // trivial component
+			ch[ci] = Extent(g.Nodes[a.SCC.Components[ci][0]])
 		}
 	}
-	for len(ready) > 0 {
-		v := ready[0]
-		for _, w := range ready {
-			if w < v {
-				v = w
-			}
-		}
-		for i, w := range ready {
-			if w == v {
-				ready = append(ready[:i], ready[i+1:]...)
-				break
-			}
-		}
-		order = append(order, v)
-		for _, e := range sr.cross {
-			if e.from == v {
-				deg[e.to]--
-				if deg[e.to] == 0 {
-					ready = append(ready, e.to)
-				}
-			}
-		}
-	}
-	sr.order, sr.ready = order, ready
-	if len(order) != nc {
-		// Should not happen: condensation is acyclic.
-		sr.record(failAttempt(s, -1, -1, "", false, Cause{Kind: CauseMalformed, LoFrom: -1, HiFrom: -1}))
-		return nil, nil
-	}
-	for i := nc - 1; i >= 0; i-- {
-		v := order[i]
-		for ei, e := range sr.cross {
-			if e.from != v || e.omega != 0 {
-				continue
-			}
-			if c := ch[e.to] + sr.cdelay[ei]; c > ch[v] {
-				ch[v] = c
-			}
+	for ei, e := range sr.cross {
+		if e.omega == 0 {
+			ch[e.from] = max(ch[e.from], ch[e.to]+sr.cdelay[ei])
 		}
 	}
 
@@ -541,8 +498,11 @@ func (sr *Searcher) attempt(opts Options, s int) (*Result, error) {
 	for i := range placed {
 		placed[i] = false
 	}
+	deg := sr.deg
 	copy(deg, sr.cindeg)
 	for count := 0; count < nc; count++ {
+		// Some component is always ready: the highest-numbered one not
+		// yet placed, whose predecessors all number higher.
 		best := -1
 		for i := 0; i < nc; i++ {
 			if placed[i] || deg[i] > 0 {
@@ -551,10 +511,6 @@ func (sr *Searcher) attempt(opts Options, s int) (*Result, error) {
 			if best == -1 || ch[i] > ch[best] || (ch[i] == ch[best] && i < best) {
 				best = i
 			}
-		}
-		if best == -1 {
-			sr.record(failAttempt(s, -1, -1, "", false, Cause{Kind: CauseMalformed, LoFrom: -1, HiFrom: -1}))
-			return nil, nil
 		}
 		earliest := 0
 		for ei, e := range sr.cross {
@@ -573,11 +529,7 @@ func (sr *Searcher) attempt(opts Options, s int) (*Result, error) {
 		}
 		if !ok {
 			members := a.SCC.Components[best]
-			cause := Cause{Kind: CauseResource, WinLo: earliest, WinHi: earliest + s - 1, LoFrom: -1, HiFrom: -1}
-			if rr, row, blocked := tab.Conflict(sr.vres[best], earliest); blocked {
-				cause.Resource, cause.Row = rr, row
-			}
-			sr.record(failAttempt(s, members[0], best, g.Nodes[members[0]].String(), len(members) > 1, cause))
+			sr.fail(s, members[0], best, len(members) > 1, tab, sr.vres[best], earliest, earliest+s-1)
 			return nil, nil
 		}
 		tab.Place(sr.vres[best], t)
@@ -619,8 +571,8 @@ func findSlot(tab *ModTable, res []machine.ResUse, earliest, s int) (int, bool) 
 // scheduleComponent schedules one strongly connected component for target
 // interval s using the precedence-constrained-range algorithm of Lam
 // §2.2.2.  Issue times land in sr.comps[ci].times (member-index order);
-// false means failure.
-func (sr *Searcher) scheduleComponent(ci int, comp []int, s int) bool {
+// false means a resource conflict, or, with an error, a broken invariant.
+func (sr *Searcher) scheduleComponent(ci int, comp []int, s int) (bool, error) {
 	const inf = int(1) << 30
 	g := sr.a.Graph
 	cd := sr.comp(ci)
@@ -630,8 +582,6 @@ func (sr *Searcher) scheduleComponent(ci int, comp []int, s int) bool {
 	for i := 0; i < k; i++ {
 		cd.lo[i] = -inf
 		cd.hi[i] = inf
-		cd.loFrom[i] = -1
-		cd.hiFrom[i] = -1
 		cd.sched[i] = false
 	}
 	tab := sr.compTab
@@ -647,26 +597,12 @@ func (sr *Searcher) scheduleComponent(ci int, comp []int, s int) bool {
 				best = i
 			}
 		}
-		if best == -1 {
-			// Omega-0 cycle; rejected earlier by Analyze.
-			sr.record(failAttempt(s, -1, ci, "", false, Cause{Kind: CauseMalformed, LoFrom: -1, HiFrom: -1}))
-			return false
+		if best == -1 || cd.lo[best] > cd.hi[best] {
+			// Analyze rejects omega-0 cycles, and the longest paths are
+			// exact at every s ≥ MII, so no range empties (DESIGN.md).
+			return false, fmt.Errorf("%w: component %d at II=%d: no member placeable", errInternal, ci, s)
 		}
 		l, u := cd.lo[best], cd.hi[best]
-		if l > u {
-			v := comp[best]
-			cause := Cause{Kind: CauseDependence, Lo: l, Hi: u, LoFrom: -1, HiFrom: -1}
-			if f := cd.loFrom[best]; f >= 0 {
-				cause.LoFrom = comp[f]
-				cause.LoEdge = directEdge(g, comp[f], v)
-			}
-			if f := cd.hiFrom[best]; f >= 0 {
-				cause.HiFrom = comp[f]
-				cause.HiEdge = directEdge(g, v, comp[f])
-			}
-			sr.record(failAttempt(s, v, ci, g.Nodes[v].String(), false, cause))
-			return false
-		}
 		// Anchor the scan at the intra-iteration lower bound so that a
 		// node with no omega-0 constraint from the scheduled set does
 		// not drift a whole iteration early on inter-iteration slack:
@@ -704,12 +640,8 @@ func (sr *Searcher) scheduleComponent(ci int, comp []int, s int) bool {
 		}
 		if placedAt == -1 {
 			v := comp[best]
-			cause := Cause{Kind: CauseResource, WinLo: start, WinHi: limit, LoFrom: -1, HiFrom: -1}
-			if rr, row, blocked := tab.Conflict(g.Nodes[v].Reservation, start); blocked {
-				cause.Resource, cause.Row = rr, row
-			}
-			sr.record(failAttempt(s, v, ci, g.Nodes[v].String(), false, cause))
-			return false
+			sr.fail(s, v, ci, false, tab, g.Nodes[v].Reservation, start, limit)
+			return false, nil
 		}
 		tab.Place(g.Nodes[comp[best]].Reservation, placedAt)
 		cd.times[best] = placedAt
@@ -727,18 +659,12 @@ func (sr *Searcher) scheduleComponent(ci int, comp []int, s int) bool {
 				continue
 			}
 			if d := row[j]; d != depgraph.NegInf {
-				if t := placedAt + d; t > cd.lo[j] {
-					cd.lo[j] = t
-					cd.loFrom[j] = best
-				}
+				cd.lo[j] = max(cd.lo[j], placedAt+d)
 			}
 			if d := cd.dense[j*k+best]; d != depgraph.NegInf {
-				if t := placedAt - d; t < cd.hi[j] {
-					cd.hi[j] = t
-					cd.hiFrom[j] = best
-				}
+				cd.hi[j] = min(cd.hi[j], placedAt-d)
 			}
 		}
 	}
-	return true
+	return true, nil
 }

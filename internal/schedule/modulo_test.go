@@ -1,7 +1,9 @@
 package schedule
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"softpipe/internal/depgraph"
@@ -280,4 +282,69 @@ func TestLinearNeverWorseThanBinary(t *testing.T) {
 			t.Errorf("trial %d: linear II %d > binary II %d", trial, lin.II, bin.II)
 		}
 	}
+}
+
+// TestHeuristicFailsOnlyOnResources holds the invariant the explain report
+// rests on: the precedence-constrained ranges never empty, so the
+// heuristic search never reports errInternal and every candidate interval
+// it gives up on names a node, or an aggregated component, that reserves
+// the resource it blames.  It runs on randomLoop's seeds and on the
+// tighter synthLoops, linear and binary, with and without the branch
+// reservation.
+func TestHeuristicFailsOnlyOnResources(t *testing.T) {
+	m := machine.Warp()
+	type loop struct {
+		name string
+		g    *depgraph.Graph
+	}
+	var loops []loop
+	for seed := 0; seed < 150; seed++ {
+		p := randomLoop(rand.New(rand.NewSource(int64(seed))))
+		for _, expand := range []bool{false, true} {
+			loops = append(loops, loop{fmt.Sprintf("randomLoop %d (expand=%v)", seed, expand), analyze(t, p, m, expand).Graph})
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 600; i++ {
+		loops = append(loops, loop{fmt.Sprintf("synthLoop %d", i), synthLoop(rng)})
+	}
+	failed := 0
+	for _, l := range loops {
+		a, err := depgraph.Analyze(l.g, m)
+		if err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		for _, opts := range []Options{
+			{},
+			{ReserveBranch: true, BranchResource: machine.ResBranch},
+			{ReserveBranch: true, BranchResource: machine.ResBranch, BinarySearch: true},
+		} {
+			r, _, err := NewSearcher(a, m).Search(opts)
+			if err != nil { // errInternal included
+				t.Fatalf("%s %+v: %v", l.name, opts, err)
+			}
+			for _, at := range r.Explain.Attempts {
+				if at.OK {
+					continue
+				}
+				failed++
+				if at.Node < 0 || a.SCC.Comp[at.Node] != at.Comp {
+					t.Fatalf("%s %+v: II=%d names node %d outside component %d", l.name, opts, at.II, at.Node, at.Comp)
+				}
+				members := []int{at.Node}
+				if at.Aggregate {
+					members = a.SCC.Components[at.Comp]
+				}
+				if !slices.ContainsFunc(members, func(v int) bool {
+					return slices.ContainsFunc(l.g.Nodes[v].Reservation, func(u machine.ResUse) bool { return u.Resource == at.Cause.Resource })
+				}) {
+					t.Fatalf("%s %+v: %s blames %v, which nodes %v do not reserve", l.name, opts, at.Format(), at.Cause.Resource, members)
+				}
+			}
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no candidate interval failed; the test checks nothing")
+	}
+	t.Logf("%d loops, %d failed attempts", len(loops), failed)
 }

@@ -59,32 +59,18 @@ func (t *ModTable) row(time int) int {
 	return r
 }
 
-// Fits reports whether the reservation pattern can be placed at time.
-// The pattern may use the same (resource, offset) more than once (SCC
-// aggregates do), so the check places entries tentatively and unwinds.
+// Fits reports whether the reservation pattern can be placed at time:
+// whether Conflict finds nothing blocking it.
 func (t *ModTable) Fits(res []machine.ResUse, time int) bool {
-	ok := true
-	placed := 0
-	for _, u := range res {
-		at := t.row(time+u.Offset)*t.nres + int(u.Resource)
-		t.use[at]++
-		placed++
-		if t.use[at] > t.cap[u.Resource] {
-			ok = false
-			break
-		}
-	}
-	for i := 0; i < placed; i++ {
-		u := res[i]
-		t.use[t.row(time+u.Offset)*t.nres+int(u.Resource)]--
-	}
-	return ok
+	_, _, blocked := t.Conflict(res, time)
+	return !blocked
 }
 
 // Conflict reports the first over-capacity (resource, row) pair that
 // blocks placing the reservation pattern at time; ok is false when the
-// pattern actually fits.  It is the diagnostic dual of Fits, used by the
-// II-search explain report to name the binding resource.
+// pattern fits.  The pattern may use the same (resource, offset) more than
+// once (SCC aggregates do), so the check places entries tentatively and
+// unwinds.
 func (t *ModTable) Conflict(res []machine.ResUse, time int) (r machine.Resource, row int, ok bool) {
 	placed := 0
 	for _, u := range res {

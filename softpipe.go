@@ -28,7 +28,6 @@ import (
 	"softpipe/internal/ir"
 	"softpipe/internal/lang"
 	"softpipe/internal/machine"
-	"softpipe/internal/pipeline"
 	"softpipe/internal/schedule"
 	"softpipe/internal/sim"
 	"softpipe/internal/trace"
@@ -157,7 +156,8 @@ func (o Options) lower() codegen.Options {
 		Mode:          mode,
 		VerifyEmitted: o.VerifyEmitted,
 		Tracer:        o.Tracer,
-		Pipeline:      pipeline.Options{Effort: o.Effort, SchedBudget: o.EffortBudget},
+		Effort:        o.Effort,
+		EffortBudget:  o.EffortBudget,
 	}
 }
 
