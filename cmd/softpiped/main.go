@@ -1,18 +1,11 @@
 // softpiped serves the softpipe compiler over HTTP: POST /compile and
-// POST /run backed by a content-addressed artifact cache, GET /healthz,
-// GET /metrics.  See internal/service for the API and README.md for
-// usage.
+// POST /run backed by a content-addressed in-memory artifact cache,
+// GET /healthz, GET /metrics.  See internal/service for the API and
+// README.md for usage.
 //
 //	softpiped [-addr :8575] [-max-concurrent N] [-max-queue N]
-//	          [-cache-bytes N] [-cache-dir DIR]
-//	          [-default-timeout d] [-max-timeout d] [-quiet]
-//	          [-peers URL,URL,...] [-advertise URL]
-//
-// With -peers, the daemon joins a sharded compile fabric: each artifact
-// key has one owning node (consistent hashing over the advertise URLs),
-// misses are forwarded to the owner, and an unreachable owner degrades
-// to a local compile — never to a client-visible error.  -advertise is
-// this node's own URL as peers see it; it must appear in -peers.
+//	          [-cache-bytes N] [-default-timeout d] [-max-timeout d]
+//	          [-drain-timeout d] [-quiet]
 //
 // SIGINT/SIGTERM drain gracefully: /healthz flips to 503 so load
 // balancers stop routing here, in-flight requests finish (up to
@@ -27,11 +20,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"softpipe/internal/fabric"
 	"softpipe/internal/service"
 )
 
@@ -40,39 +31,23 @@ func main() {
 	maxConcurrent := flag.Int("max-concurrent", 0, "max simultaneously executing requests (0 = GOMAXPROCS)")
 	maxQueue := flag.Int("max-queue", 64, "max requests waiting for a worker before 429")
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "in-memory artifact cache budget")
-	cacheDir := flag.String("cache-dir", "", "on-disk cache tier directory (empty = memory only)")
 	defaultTimeout := flag.Duration("default-timeout", 60*time.Second, "per-request deadline when the request carries none")
 	maxTimeout := flag.Duration("max-timeout", 5*time.Minute, "cap on client-supplied deadlines")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 	quiet := flag.Bool("quiet", false, "suppress per-request logging")
-	peers := flag.String("peers", "", "comma-separated advertise URLs of every fleet member (empty = standalone)")
-	advertise := flag.String("advertise", "", "this node's URL as peers reach it (required with -peers)")
 	flag.Parse()
 
 	logf := log.Printf
 	if *quiet {
 		logf = func(string, ...any) {}
 	}
-	var fabCfg *fabric.Config
-	if *peers != "" {
-		if *advertise == "" {
-			log.Fatal("softpiped: -peers requires -advertise")
-		}
-		fabCfg = &fabric.Config{
-			Self:  *advertise,
-			Peers: strings.Split(*peers, ","),
-			Logf:  logf,
-		}
-	}
 	srv, err := service.New(service.Config{
 		MaxConcurrent:  *maxConcurrent,
 		MaxQueue:       *maxQueue,
 		CacheBytes:     *cacheBytes,
-		CacheDir:       *cacheDir,
 		DefaultTimeout: *defaultTimeout,
 		MaxTimeout:     *maxTimeout,
 		Logf:           logf,
-		Fabric:         fabCfg,
 	})
 	if err != nil {
 		log.Fatalf("softpiped: %v", err)
@@ -101,6 +76,5 @@ func main() {
 		log.Printf("softpiped: forced shutdown: %v", err)
 		os.Exit(1)
 	}
-	srv.Close() // stop fabric health probes
 	log.Printf("softpiped: drained cleanly")
 }

@@ -3,8 +3,9 @@
 // the compile output (canonicalized source, machine fingerprint, codegen
 // options), held in a byte-bounded in-memory LRU, deduplicated in flight
 // by a singleflight layer (N concurrent identical requests trigger
-// exactly one compile), and optionally spilled to an on-disk tier whose
-// entries are revalidated before use.
+// exactly one compile).  An entry's bytes come from a compute in this
+// process, or from Put, which outside tests only the frozen benchmark
+// module calls.
 //
 // The cache stores opaque byte slices.  Compiles are deterministic
 // (softpipe.Compile is read-only and map-free on every ordering-sensitive
@@ -14,8 +15,7 @@
 // Beside its bytes a resident entry may carry one view: a value its
 // caller derives from the bytes (View), built at most once per residency,
 // charged to the byte budget and dropped with the entry.  The bytes are
-// the truth — only they reach the disk tier or a peer; the cache never
-// looks inside a view.
+// the truth — the cache never looks inside a view.
 package cache
 
 import (
@@ -30,7 +30,7 @@ import (
 // Key is a content address: the SHA-256 of the compile identity.
 type Key [sha256.Size]byte
 
-// String returns the hex form of the key (also the disk-tier file name).
+// String returns the hex form of the key.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // ParseKey parses the hex form produced by Key.String.
@@ -76,13 +76,6 @@ type Stats struct {
 	Coalesced int64
 	// Evictions counts LRU entries dropped to respect MaxBytes.
 	Evictions int64
-	// DiskHits counts entries served from the disk tier (after
-	// revalidation); DiskRejects counts disk entries that failed it.
-	DiskHits    int64
-	DiskRejects int64
-	// RemoteHits counts fills satisfied from a remote tier (a fabric
-	// peer) instead of a local compute — see GetOrFill.
-	RemoteHits int64
 	// Bytes and Entries describe the current in-memory tier; Bytes is what
 	// MaxBytes bounds, value lengths plus view sizes.
 	Bytes   int64
@@ -95,14 +88,6 @@ type Config struct {
 	// sizes).  Values larger than MaxBytes are returned to the caller but
 	// not retained.  0 means 256 MiB.
 	MaxBytes int64
-	// Dir, when non-empty, enables the on-disk tier rooted there.
-	Dir string
-	// Validate, when non-nil, is run against disk-tier bytes before they
-	// are served (the service wires it to internal/verify's static
-	// checker via decode).  Entries that fail are deleted and recounted
-	// as misses, so a corrupted or stale disk tier can only cost time,
-	// never correctness.
-	Validate func(Key, []byte) error
 	// OnEvict, when non-nil, observes in-memory evictions with the bytes
 	// each one freed, view included (tests use it to pin LRU order).
 	OnEvict func(Key, int)
@@ -144,8 +129,7 @@ type call struct {
 // Cache is a concurrency-safe content-addressed store.  The lock covers
 // only index manipulation; computes run outside it.
 type Cache struct {
-	cfg  Config
-	disk *diskTier
+	cfg Config
 
 	mu      sync.Mutex
 	ll      *list.List // front = most recent
@@ -155,7 +139,8 @@ type Cache struct {
 	evictCB func(Key, int)
 }
 
-// New builds a cache.  The disk tier directory is created on demand.
+// New builds a cache.  The error is always nil; the frozen benchmark
+// module reads it.
 func New(cfg Config) (*Cache, error) {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 256 << 20
@@ -167,13 +152,6 @@ func New(cfg Config) (*Cache, error) {
 		flight:  map[Key]*call{},
 		evictCB: cfg.OnEvict,
 	}
-	if cfg.Dir != "" {
-		d, err := newDiskTier(cfg.Dir)
-		if err != nil {
-			return nil, err
-		}
-		c.disk = d
-	}
 	return c, nil
 }
 
@@ -184,23 +162,18 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// Get returns the cached bytes for key without computing: memory first,
-// then the validated disk tier.  ok is false on a miss.
+// Get returns the cached bytes for key without computing.  ok is false
+// on a miss.
 func (c *Cache) Get(key Key) (data []byte, ok bool) {
 	c.mu.Lock()
-	if el, hit := c.items[key]; hit {
-		c.ll.MoveToFront(el)
-		c.stats.Hits++
-		data = el.Value.(*entry).data
-		c.mu.Unlock()
-		return data, true
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
 	}
-	c.mu.Unlock()
-	if data, ok = c.diskGet(key); ok {
-		c.put(key, data)
-		return data, true
-	}
-	return nil, false
+	c.ll.MoveToFront(el)
+	c.stats.Hits++
+	return el.Value.(*entry).data, true
 }
 
 // GetOrCompute returns the cached bytes for key, computing them at most
@@ -210,27 +183,11 @@ func (c *Cache) Get(key Key) (data []byte, ok bool) {
 // the leader).  hit reports whether this caller avoided running compute.
 //
 // Compute errors are not cached: the in-flight slot is cleared so a later
-// request retries.
+// request retries.  A compute that panics releases every coalesced waiter
+// with an error before the panic propagates, so one poisoned compile can
+// never wedge future requests for its key behind a flight entry that will
+// never finish.
 func (c *Cache) GetOrCompute(ctx context.Context, key Key, compute func() ([]byte, error)) (data []byte, hit bool, err error) {
-	return c.GetOrFill(ctx, key, func() ([]byte, bool, error) {
-		data, err := compute()
-		return data, true, err
-	})
-}
-
-// GetOrFill is GetOrCompute with a remote-tier hook: the fill callback
-// reports whether it actually computed the bytes (computed=true, a local
-// compile) or fetched them from elsewhere (computed=false, e.g. a fabric
-// peer).  Only computed fills count toward Stats.Computes and reach the
-// disk tier — a remote fetch is a replica, memory-resident only, whose
-// durable copy lives with the key's owner; remote fetches count as
-// Stats.RemoteHits and report hit=true to the caller, since no local
-// compile ran.
-//
-// A fill that panics releases every coalesced waiter with an error before
-// the panic propagates, so one poisoned compile can never wedge future
-// requests for its key behind a flight entry that will never finish.
-func (c *Cache) GetOrFill(ctx context.Context, key Key, fill func() (data []byte, computed bool, err error)) (data []byte, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
@@ -255,56 +212,47 @@ func (c *Cache) GetOrFill(ctx context.Context, key Key, fill func() (data []byte
 	c.stats.Misses++
 	c.mu.Unlock()
 
-	// Disk tier, then fill — both outside the lock.
-	if data, ok := c.diskGet(key); ok {
-		c.finish(key, cl, data, nil, false)
-		return data, true, nil
-	}
 	finished := false
 	defer func() {
 		if !finished {
-			// fill panicked: release the waiters, then let it propagate
+			// compute panicked: release the waiters, then let it propagate
 			// (the serving layer's panic recovery turns it into a 500).
-			c.finish(key, cl, nil, fmt.Errorf("cache: fill for %s panicked", key), false)
+			c.finish(key, cl, nil, fmt.Errorf("cache: compute for %s panicked", key))
 		}
 	}()
-	data, computed, err := fill()
+	data, err = compute()
 	finished = true
 	c.mu.Lock()
-	if err == nil {
-		if computed {
-			c.stats.Computes++
-		} else {
-			c.stats.RemoteHits++
-		}
-	} else if computed {
-		c.stats.Computes++
-	}
+	c.stats.Computes++
 	c.mu.Unlock()
-	c.finish(key, cl, data, err, computed)
+	c.finish(key, cl, data, err)
 	if err != nil {
 		return nil, false, err
 	}
-	return data, !computed, nil
+	return data, false, nil
 }
 
-// Put inserts externally obtained bytes (a replica fetched from a peer)
-// into the in-memory tier without touching the disk tier or the flight
-// table.
+// GetOrFill is GetOrCompute for a fill that also says whether it
+// computed; the flag is ignored.  Only the frozen benchmark module calls
+// it.
+func (c *Cache) GetOrFill(ctx context.Context, key Key, fill func() (data []byte, computed bool, err error)) (data []byte, hit bool, err error) {
+	return c.GetOrCompute(ctx, key, func() ([]byte, error) {
+		data, _, err := fill()
+		return data, err
+	})
+}
+
+// Put inserts data into the in-memory tier without computing: it counts
+// no miss and no compute.  Outside tests only the frozen benchmark module
+// calls it, to time hits on a stand-alone cache.
 func (c *Cache) Put(key Key, data []byte) { c.put(key, data) }
 
-// finish publishes a leader's outcome: successful bytes land in the LRU
-// (and, for locally computed fills, the disk tier), every waiter is
-// released, and the flight slot clears.
-func (c *Cache) finish(key Key, cl *call, data []byte, err error, toDisk bool) {
+// finish publishes a leader's outcome: successful bytes land in the LRU,
+// every waiter is released, and the flight slot clears.
+func (c *Cache) finish(key Key, cl *call, data []byte, err error) {
 	cl.data, cl.err = data, err
 	if err == nil {
 		c.put(key, data)
-		if toDisk && c.disk != nil {
-			// Disk write failures degrade to a smaller cache, not a
-			// request failure.
-			_ = c.disk.put(key, data)
-		}
 	}
 	c.mu.Lock()
 	delete(c.flight, key)
@@ -359,7 +307,7 @@ func (c *Cache) shrink() {
 // to keep.  A build error is returned and not cached, and neither is a nil
 // value.
 //
-// data is what the caller's Get or GetOrFill just returned for key: when
+// data is what the caller's Get or GetOrCompute just returned for key: when
 // the entry is not resident (never retained, or evicted since) the value
 // is built from data and not kept.  Likewise an entry whose bytes and view
 // together exceed MaxBytes keeps serving its bytes and retains no view.
@@ -436,28 +384,4 @@ func (c *Cache) charge(e *entry, n int64) {
 	e.view.size += n
 	c.stats.Bytes += n
 	c.shrink()
-}
-
-// diskGet consults the validated disk tier.
-func (c *Cache) diskGet(key Key) ([]byte, bool) {
-	if c.disk == nil {
-		return nil, false
-	}
-	data, ok := c.disk.get(key)
-	if !ok {
-		return nil, false
-	}
-	if c.cfg.Validate != nil {
-		if err := c.cfg.Validate(key, data); err != nil {
-			c.disk.remove(key)
-			c.mu.Lock()
-			c.stats.DiskRejects++
-			c.mu.Unlock()
-			return nil, false
-		}
-	}
-	c.mu.Lock()
-	c.stats.DiskHits++
-	c.mu.Unlock()
-	return data, true
 }

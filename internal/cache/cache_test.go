@@ -270,56 +270,3 @@ func TestWaiterContextCancel(t *testing.T) {
 		t.Fatalf("leader failed: %v", err)
 	}
 }
-
-// TestDiskTierRoundTripAndValidation: entries survive a new Cache over
-// the same directory; entries failing validation are deleted and
-// recompiled.
-func TestDiskTierRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	mk := func(validate func(Key, []byte) error) *Cache {
-		c, err := New(Config{MaxBytes: 1 << 20, Dir: dir, Validate: validate})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	c1 := mk(nil)
-	want := []byte("persisted-object")
-	if _, _, err := c1.GetOrCompute(context.Background(), key("p"), func() ([]byte, error) { return want, nil }); err != nil {
-		t.Fatal(err)
-	}
-
-	// Fresh cache, same dir: a Get must be served from disk.
-	c2 := mk(func(_ Key, b []byte) error {
-		if !bytes.Equal(b, want) {
-			return fmt.Errorf("corrupt")
-		}
-		return nil
-	})
-	data, ok := c2.Get(key("p"))
-	if !ok || !bytes.Equal(data, want) {
-		t.Fatalf("disk get: ok=%v data=%q", ok, data)
-	}
-	if st := c2.Stats(); st.DiskHits != 1 {
-		t.Fatalf("DiskHits = %d", st.DiskHits)
-	}
-
-	// Rejecting validator: the entry is dropped and recomputed.
-	c3 := mk(func(Key, []byte) error { return fmt.Errorf("stale machine") })
-	if _, ok := c3.Get(key("p")); ok {
-		t.Fatal("invalid disk entry was served")
-	}
-	var recomputed atomic.Int64
-	if _, _, err := c3.GetOrCompute(context.Background(), key("p"), func() ([]byte, error) {
-		recomputed.Add(1)
-		return []byte("fresh"), nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if recomputed.Load() != 1 {
-		t.Fatal("invalid disk entry did not force a recompute")
-	}
-	if st := c3.Stats(); st.DiskRejects == 0 {
-		t.Fatalf("DiskRejects = %d, want > 0", st.DiskRejects)
-	}
-}

@@ -2,65 +2,43 @@ package cache
 
 import (
 	"context"
-	"errors"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestGetOrFillRemoteSemantics: a fill satisfied remotely must count as
-// RemoteHits (not Computes), report hit=true, stay out of the disk tier,
-// and land in memory for the next caller.
-func TestGetOrFillRemoteSemantics(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{Dir: dir})
+// TestGetOrFillIgnoresComputed: GetOrFill is GetOrCompute whatever its
+// fill reports — a fill that says it did not compute still counts as the
+// one compute for its key, reports hit=false to its caller, and serves
+// the next caller from memory.
+func TestGetOrFillIgnoresComputed(t *testing.T) {
+	c, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := key("remote")
+	k := key("fill")
 	data, hit, err := c.GetOrFill(context.Background(), k, func() ([]byte, bool, error) {
-		return []byte("replica"), false, nil
+		return []byte("bytes"), false, nil
 	})
-	if err != nil || string(data) != "replica" {
-		t.Fatalf("fill: %q %v", data, err)
+	if err != nil || string(data) != "bytes" || hit {
+		t.Fatalf("fill: %q hit=%v %v", data, hit, err)
 	}
-	if !hit {
-		t.Fatal("remote fill must report hit=true: no local compile ran")
+	if st := c.Stats(); st.Computes != 1 || st.Misses != 1 {
+		t.Fatalf("stats after fill: %+v", st)
 	}
-	st := c.Stats()
-	if st.Computes != 0 || st.RemoteHits != 1 || st.Misses != 1 {
-		t.Fatalf("stats after remote fill: %+v", st)
-	}
-	// Replicas are memory-only: the durable copy lives with the owner.
-	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-		t.Fatalf("remote fill reached the disk tier: %v", entries)
-	}
-	// And the replica serves the next caller from memory.
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("replica not retained in memory")
-	}
-
-	// A computed fill still reaches disk.
-	k2 := key("local")
-	if _, _, err := c.GetOrFill(context.Background(), k2, func() ([]byte, bool, error) {
-		return []byte("compiled"), true, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, k2.String())); err != nil {
-		t.Fatalf("computed fill missing from disk tier: %v", err)
-	}
-	if st := c.Stats(); st.Computes != 1 || st.RemoteHits != 1 {
-		t.Fatalf("stats after computed fill: %+v", st)
+	data, hit, err = c.GetOrFill(context.Background(), k, func() ([]byte, bool, error) {
+		t.Error("a resident key was filled again")
+		return nil, true, nil
+	})
+	if err != nil || string(data) != "bytes" || !hit {
+		t.Fatalf("second fill: %q hit=%v %v", data, hit, err)
 	}
 }
 
-// TestFillPanicReleasesWaiters: a panicking fill must release coalesced
-// waiters with an error (not leave them blocked forever on a flight
-// entry that never finishes), keep the key retryable, and still
+// TestFillPanicReleasesWaiters: a panicking compute must release
+// coalesced waiters with an error (not leave them blocked forever on a
+// flight entry that never finishes), keep the key retryable, and still
 // propagate the panic to the leader.
 func TestFillPanicReleasesWaiters(t *testing.T) {
 	c, err := New(Config{})
@@ -74,7 +52,7 @@ func TestFillPanicReleasesWaiters(t *testing.T) {
 	leaderPanicked := make(chan any, 1)
 	go func() {
 		defer func() { leaderPanicked <- recover() }()
-		c.GetOrFill(context.Background(), k, func() ([]byte, bool, error) {
+		c.GetOrCompute(context.Background(), k, func() ([]byte, error) {
 			close(started)
 			<-release
 			panic("compiler bug")
@@ -88,9 +66,9 @@ func TestFillPanicReleasesWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, waiterErrs[i] = c.GetOrFill(context.Background(), k, func() ([]byte, bool, error) {
-				t.Error("waiter ran its own fill while the leader was in flight")
-				return nil, true, nil
+			_, _, waiterErrs[i] = c.GetOrCompute(context.Background(), k, func() ([]byte, error) {
+				t.Error("waiter ran its own compute while the leader was in flight")
+				return nil, nil
 			})
 		}(i)
 	}
@@ -122,93 +100,35 @@ func TestFillPanicReleasesWaiters(t *testing.T) {
 		}
 	}
 	// The key is not poisoned: a later request computes normally.
-	data, _, err := c.GetOrFill(context.Background(), k, func() ([]byte, bool, error) {
-		return []byte("recovered"), true, nil
+	data, _, err := c.GetOrCompute(context.Background(), k, func() ([]byte, error) {
+		return []byte("recovered"), nil
 	})
 	if err != nil || string(data) != "recovered" {
 		t.Fatalf("post-panic retry: %q %v", data, err)
 	}
 }
 
-// TestTornDiskEntryRejectedAndEvicted: a truncated/partially written
-// artifact on disk must be rejected by the validator on load and deleted
-// — one recompile, then clean hits, never an endless reject loop.
-func TestTornDiskEntryRejectedAndEvicted(t *testing.T) {
-	dir := t.TempDir()
-	validate := func(_ Key, data []byte) error {
-		if !strings.HasSuffix(string(data), "}") {
-			return errors.New("truncated artifact")
-		}
-		return nil
-	}
-	c1, err := New(Config{Dir: dir, Validate: validate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := key("torn")
-	full := []byte(`{"binary":"...."}`)
-	if _, _, err := c1.GetOrCompute(context.Background(), k, func() ([]byte, error) {
-		return full, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, k.String())
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("artifact not on disk: %v", err)
-	}
-	// Tear it: keep a prefix, as a crash mid-write (pre-fsync) would.
-	if err := os.WriteFile(path, full[:5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh cache over the same directory must reject the torn entry,
-	// delete it, and recompute.
-	c2, err := New(Config{Dir: dir, Validate: validate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c2.Get(k); ok {
-		t.Fatal("torn disk entry was served")
-	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("torn entry not evicted from the disk index: %v", err)
-	}
-	st := c2.Stats()
-	if st.DiskRejects != 1 {
-		t.Fatalf("disk rejects = %d, want 1", st.DiskRejects)
-	}
-	// Recompute repopulates; the reject must not repeat (the torn file
-	// is gone, so this would loop forever if eviction were broken).
-	computes := 0
-	for i := 0; i < 3; i++ {
-		if _, _, err := c2.GetOrCompute(context.Background(), k, func() ([]byte, error) {
-			computes++
-			return full, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if computes != 1 {
-		t.Fatalf("recomputed %d times after torn-entry eviction, want 1", computes)
-	}
-	if st := c2.Stats(); st.DiskRejects != 1 {
-		t.Fatalf("reject loop: disk rejects climbed to %d", st.DiskRejects)
-	}
-}
-
-// TestPutIsMemoryOnly pins the replica-insertion hook's contract.
+// TestPutIsMemoryOnly pins Put's contract: the bytes are resident at
+// once, Get and GetOrCompute hit them, and Put itself counts no miss and
+// no compute.
 func TestPutIsMemoryOnly(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{Dir: dir})
+	c, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	k := key("put")
-	c.Put(k, []byte("replica"))
-	if data, ok := c.Get(k); !ok || string(data) != "replica" {
+	c.Put(k, []byte("stand-in"))
+	if data, ok := c.Get(k); !ok || string(data) != "stand-in" {
 		t.Fatalf("Put not visible to Get: %q %v", data, ok)
 	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-		t.Fatalf("Put wrote the disk tier: %v", entries)
+	data, hit, err := c.GetOrCompute(context.Background(), k, func() ([]byte, error) {
+		t.Error("a Put key was computed")
+		return nil, nil
+	})
+	if err != nil || !hit || string(data) != "stand-in" {
+		t.Fatalf("GetOrCompute after Put: %q hit=%v %v", data, hit, err)
+	}
+	if st := c.Stats(); st.Misses != 0 || st.Computes != 0 || st.Hits != 2 || st.Entries != 1 {
+		t.Fatalf("stats after Put: %+v", st)
 	}
 }

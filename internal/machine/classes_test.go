@@ -117,8 +117,9 @@ func TestDescriptorsPinned(t *testing.T) {
 }
 
 // TestFingerprintPinned holds the cache-key component of the named
-// machines to its historical value: a moved digest silently invalidates
-// every disk-tier artifact and re-records BENCH_sweep.json.
+// machines to its historical value: a moved digest changes every
+// artifact's bytes, and so every object_sha256 the daemon answers, and
+// re-records BENCH_sweep.json.
 func TestFingerprintPinned(t *testing.T) {
 	for name, want := range map[string]string{
 		"warp":   "fc680ee27df73224a819cbfaa8f93b82499851aa63c7bf6ccb828e290d078f52",

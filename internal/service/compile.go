@@ -13,7 +13,6 @@ import (
 	"softpipe/internal/cache"
 	"softpipe/internal/lang"
 	"softpipe/internal/machine"
-	"softpipe/internal/verify"
 	"softpipe/internal/vliw"
 )
 
@@ -57,11 +56,6 @@ func (o CompileOptions) resolve() (softpipe.Options, error) {
 // Rendering the resolved form is what makes "" and "heuristic" share an
 // artifact.  Every softpipe.Options field is either rendered here or on
 // the exempt list of TestOptionsKeyCoversOptions, with the reason.
-//
-// mve, hier, lred, bin, lcm (ablation switches) and unroll (an unroll
-// threshold) left the options and render as a fixed 0: every key this
-// build produces is byte-identical to the one a build that still had them
-// produced for the same request, so disk caches and a mixed fleet agree.
 func optionsKey(o softpipe.Options) string {
 	b := func(v bool) byte {
 		if v {
@@ -69,7 +63,7 @@ func optionsKey(o softpipe.Options) string {
 		}
 		return '0'
 	}
-	return fmt.Sprintf("v2:base=%c;mve=0;hier=0;lred=0;bin=0;lcm=0;unroll=0;verify=%c;effort=%s",
+	return fmt.Sprintf("v2:base=%c;verify=%c;effort=%s",
 		b(o.Baseline), b(o.VerifyEmitted), o.Effort)
 }
 
@@ -146,8 +140,8 @@ type CompileResponse struct {
 	// accepts it in place of source.
 	Key string `json:"key"`
 	// Cached reports whether this request was served without running the
-	// compiler (in-memory hit, revalidated disk hit, or coalesced onto a
-	// concurrent identical compile).
+	// compiler (a cache hit, or coalesced onto a concurrent identical
+	// compile).
 	Cached bool `json:"cached"`
 	// ObjectSHA256 is the digest of the serialized artifact — cold and
 	// warm responses for the same key carry the same digest, which the
@@ -169,9 +163,9 @@ type CompileResponse struct {
 // vliw.Program's init maps serialize stably and hits are bit-identical to
 // the miss that populated them).
 type artifact struct {
-	// MachineName and MachineFP pin the target this artifact was compiled
-	// for; the disk-tier validator rejects entries whose recomputed
-	// fingerprint disagrees (e.g. a machine model edit across restarts).
+	// MachineName and MachineFP name the target this artifact was
+	// compiled for; the fingerprint puts the machine model into the bytes
+	// and so into object_sha256.
 	MachineName string        `json:"machine"`
 	MachineFP   string        `json:"machine_fp"`
 	Binary      *vliw.Program `json:"binary"`
@@ -190,40 +184,6 @@ func resolveMachine(name string) (*machine.Machine, error) {
 	return machine.Parse(name)
 }
 
-// validateArtifact is the disk-tier revalidator: decode, re-resolve the
-// machine, check the fingerprint still matches, and re-run the static
-// object-code checks (resource legality including kernel wraparound) from
-// internal/verify on the binary — or, for the arrayArtifact a partitioned
-// compile caches under the same store, on every cell's binary.  A stale
-// or corrupted disk entry is deleted and costs one recompile, never a
-// wrong answer.
-func validateArtifact(_ cache.Key, data []byte) error {
-	var a anyArtifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return fmt.Errorf("undecodable artifact: %w", err)
-	}
-	bins, err := a.binaries()
-	if err != nil {
-		return err
-	}
-	m, err := resolveMachine(a.MachineName)
-	if err != nil {
-		return err
-	}
-	// Format the fingerprints whole: a torn or truncated disk entry can
-	// carry a MachineFP shorter than any prefix we might slice, and the
-	// revalidator must reject it, not panic.
-	if fp := m.Fingerprint(); fp != a.MachineFP {
-		return fmt.Errorf("machine %q fingerprint changed (%s != %s)", a.MachineName, fp, a.MachineFP)
-	}
-	for i, bin := range bins {
-		if err := verify.Static(bin, m); err != nil {
-			return fmt.Errorf("artifact cell %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // canonicalSource parses and pretty-prints W2 text, so the cache key
 // depends on program structure, not whitespace.  A parse error is the
 // client's: 422.
@@ -235,14 +195,13 @@ func canonicalSource(src string) (string, error) {
 	return lang.Format(ast), nil
 }
 
-// job is one compile, resolved and keyed: what every path that fills or
-// checks the cache (/compile, /run, /sweep, the peer forward) works from.
+// job is one compile, resolved and keyed: what every path that fills the
+// cache (/compile, /run, /sweep) works from.
 type job struct {
 	canon string
 	m     *machine.Machine
-	// wire is forwarded to the key's owner as received; opts is what it
-	// resolved to, and what the key is computed from.
-	wire CompileOptions
+	// opts is what the request's options resolved to, and what the key is
+	// computed from.
 	opts softpipe.Options
 	// cells > 0 marks a partitioned compile across that many cells.
 	cells int
@@ -261,7 +220,7 @@ func newJob(canon string, m *machine.Machine, wire CompileOptions, cells int) (*
 	if cells > 0 {
 		okey = fmt.Sprintf("%s;cells=%d", okey, cells)
 	}
-	return &job{canon, m, wire, opts, cells, cache.KeyOf(canon, m.Fingerprint(), okey)}, nil
+	return &job{canon, m, opts, cells, cache.KeyOf(canon, m.Fingerprint(), okey)}, nil
 }
 
 // resolveJob is the front of every source-carrying request: canonicalise
@@ -333,38 +292,18 @@ func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, *vi
 	return data, a.header(), err
 }
 
-// compileCached compiles j through the cache and returns the entry's view.
-// In a fleet, the singleflight leader for a local miss first forwards to
-// the key's owning node (see fillArtifact); a key this node owns — or any
-// unreachable owner — compiles locally.
-func (s *Server) compileCached(ctx context.Context, j *job, tracer *softpipe.Tracer) (v *view, hit bool, err error) {
-	return s.fill(ctx, j, tracer, true)
-}
-
-// fillLocal is compileCached on this node only, never consulting the
-// fabric: the owner side of a forward, and partitioned compiles.
-func (s *Server) fillLocal(ctx context.Context, j *job) (v *view, hit bool, err error) {
-	return s.fill(ctx, j, nil, false)
-}
-
-// fill is GetOrFill for j, then the entry's view.  When this request is
-// the one that compiles, the header its compile returns becomes the view
-// and the bytes it marshalled are not parsed.
-func (s *Server) fill(ctx context.Context, j *job, tracer *softpipe.Tracer, forward bool) (*view, bool, error) {
+// compileCached is GetOrCompute of j.compile, then the entry's view: the
+// one way bytes reach the cache.  When this request is the one that
+// compiles, the header its compile returns becomes the view and the bytes
+// it marshalled are not parsed.
+func (s *Server) compileCached(ctx context.Context, j *job, tracer *softpipe.Tracer) (*view, bool, error) {
 	var built *view
-	compile := func() (data []byte, err error) {
+	data, hit, err := s.cache.GetOrCompute(ctx, j.key, func() (data []byte, err error) {
 		if s.compileHook != nil {
 			s.compileHook()
 		}
 		data, built, err = j.compile(ctx, tracer)
 		return data, err
-	}
-	data, hit, err := s.cache.GetOrFill(ctx, j.key, func() ([]byte, bool, error) {
-		if forward {
-			return s.fillArtifact(ctx, j, compile)
-		}
-		data, err := compile()
-		return data, true, err
 	})
 	if err != nil {
 		return nil, false, classifyCompileErr(err)
@@ -382,15 +321,10 @@ type requestError struct {
 func (e *requestError) Error() string { return e.err.Error() }
 func (e *requestError) Unwrap() error { return e.err }
 
-// classifyCompileErr maps compiler failures to HTTP statuses: an already
-// classified error (e.g. an owner's terminal answer relayed by the
-// fabric) passes through, deadline → 504, everything else (parse,
-// validation, infeasible schedule, verifier rejection) → 422.
+// classifyCompileErr maps compiler failures to HTTP statuses: deadline →
+// 504, everything else (parse, validation, infeasible schedule, verifier
+// rejection) → 422.
 func classifyCompileErr(err error) *requestError {
-	var re *requestError
-	if errors.As(err, &re) {
-		return re
-	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return &requestError{http.StatusGatewayTimeout, err}
 	}

@@ -5,8 +5,6 @@ import (
 	"net/http"
 	"sync"
 	"time"
-
-	"softpipe/internal/fabric"
 )
 
 // histogram is a log-bucketed latency histogram: bucket i covers
@@ -92,30 +90,26 @@ type Metrics struct {
 	InFlight   int64   `json:"in_flight"`
 	QueueDepth int64   `json:"queue_depth"`
 	Requests   struct {
-		Compile  int64 `json:"compile"`
-		Run      int64 `json:"run"`
-		Sweep    int64 `json:"sweep"`
-		Artifact int64 `json:"artifact"` // peer forwards served
+		Compile int64 `json:"compile"`
+		Run     int64 `json:"run"`
+		Sweep   int64 `json:"sweep"`
 	} `json:"requests"`
 	Errors   int64 `json:"errors"`
 	Rejected int64 `json:"rejected"`
 	Panics   int64 `json:"panics"`
 	Cache    struct {
-		Hits        int64   `json:"hits"`
-		Misses      int64   `json:"misses"`
-		HitRate     float64 `json:"hit_rate"`
-		Computes    int64   `json:"computes"`
-		Coalesced   int64   `json:"coalesced"`
-		Evictions   int64   `json:"evictions"`
-		DiskHits    int64   `json:"disk_hits"`
-		DiskRejects int64   `json:"disk_rejects"`
-		RemoteHits  int64   `json:"remote_hits"`
-		Bytes       int64   `json:"bytes"` // artifact bytes plus their views
-		Entries     int64   `json:"entries"`
+		Hits      int64   `json:"hits"`
+		Misses    int64   `json:"misses"`
+		HitRate   float64 `json:"hit_rate"`
+		Computes  int64   `json:"computes"`
+		Coalesced int64   `json:"coalesced"`
+		Evictions int64   `json:"evictions"`
+		Bytes     int64   `json:"bytes"` // artifact bytes plus their views
+		Entries   int64   `json:"entries"`
 	} `json:"cache"`
 	// ArtifactDecodes counts the times a request path parsed artifact
 	// bytes: at most once per cache residency of an entry, and not at all
-	// for an entry this node compiled until something runs it.
+	// until something runs it.
 	ArtifactDecodes int64 `json:"artifact_decodes"`
 	// Array aggregates partitioned /run traffic: runs served, cells
 	// simulated, total stall cycles, and the worst input-queue
@@ -126,15 +120,10 @@ type Metrics struct {
 		StallCycles int64 `json:"stall_cycles"`
 		MaxInQueue  int64 `json:"max_in_queue"`
 	} `json:"array"`
-	// Fabric is present only on fleet members: per-peer breaker state
-	// and health, forward/fallback counters.
-	Fabric        *fabric.Stats `json:"fabric,omitempty"`
-	FallbackLocal int64         `json:"fallback_local_compiles,omitempty"`
-	Latency       struct {
-		Compile  LatencySummary `json:"compile"`
-		Run      LatencySummary `json:"run"`
-		Sweep    LatencySummary `json:"sweep"`
-		Artifact LatencySummary `json:"artifact"`
+	Latency struct {
+		Compile LatencySummary `json:"compile"`
+		Run     LatencySummary `json:"run"`
+		Sweep   LatencySummary `json:"sweep"`
 	} `json:"latency_ms"`
 }
 
@@ -146,7 +135,6 @@ func (s *Server) metrics() Metrics {
 	m.Requests.Compile = s.reqCompile.Load()
 	m.Requests.Run = s.reqRun.Load()
 	m.Requests.Sweep = s.reqSweep.Load()
-	m.Requests.Artifact = s.reqArtifact.Load()
 	m.Errors = s.errors.Load()
 	m.Rejected = s.rejected.Load()
 	m.Panics = s.panics.Load()
@@ -159,9 +147,6 @@ func (s *Server) metrics() Metrics {
 	m.Cache.Computes = cs.Computes
 	m.Cache.Coalesced = cs.Coalesced
 	m.Cache.Evictions = cs.Evictions
-	m.Cache.DiskHits = cs.DiskHits
-	m.Cache.DiskRejects = cs.DiskRejects
-	m.Cache.RemoteHits = cs.RemoteHits
 	m.Cache.Bytes = cs.Bytes
 	m.Cache.Entries = cs.Entries
 	m.ArtifactDecodes = s.decodes.Load()
@@ -169,12 +154,9 @@ func (s *Server) metrics() Metrics {
 	m.Array.Cells = s.arrCells.Load()
 	m.Array.StallCycles = s.arrStalls.Load()
 	m.Array.MaxInQueue = s.arrMaxQueue.Load()
-	m.Fabric = s.FabricStats()
-	m.FallbackLocal = s.fallbacks.Load()
 	m.Latency.Compile = s.latCompile.summary()
 	m.Latency.Run = s.latRun.summary()
 	m.Latency.Sweep = s.latSweep.summary()
-	m.Latency.Artifact = s.latArtifact.summary()
 	return m
 }
 

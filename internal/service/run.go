@@ -312,14 +312,6 @@ func (s *Server) artifactFor(ctx context.Context, req *RunRequest) (*view, bool,
 			return nil, false, &requestError{http.StatusBadRequest, err}
 		}
 		data, ok := s.cache.Get(key)
-		if !ok && s.fabric != nil && !s.fabric.Owns(key) {
-			// The key's owner may have it even though we do not (the
-			// client compiled through another node).  Fetch-only: a
-			// GET can never start a compile.
-			if data, ok = s.fabric.FetchByKey(ctx, key); ok {
-				s.cache.Put(key, data)
-			}
-		}
 		if !ok {
 			return nil, false, &requestError{http.StatusNotFound, fmt.Errorf("no cached artifact for key %s", req.Key)}
 		}
@@ -331,6 +323,24 @@ func (s *Server) artifactFor(ctx context.Context, req *RunRequest) (*view, bool,
 		return nil, false, err
 	}
 	return s.compileCached(ctx, j, nil)
+}
+
+// handleArtifact is GET /artifact/{key}: the cached bytes or 404, never a
+// compile.
+func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
+	key, err := cache.ParseKey(r.PathValue("key"))
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
+	}
+	data, ok := s.cache.Get(key)
+	if !ok {
+		s.fail(w, http.StatusNotFound, fmt.Errorf("no cached artifact for key %s", key))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(data)
 }
 
 // arrayArtifact is the cached value of a partitioned compile: one
@@ -380,10 +390,7 @@ func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter
 		s.writeRequestError(w, err)
 		return
 	}
-	// Partitioned fills always compile locally: the fabric's forward path
-	// reproduces single-cell artifacts from source and would cache the
-	// wrong shape for this key.
-	v, hit, err := s.fillLocal(ctx, j)
+	v, hit, err := s.compileCached(ctx, j, nil)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return

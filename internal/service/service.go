@@ -13,6 +13,10 @@
 //	               the rotating/MVE generator grid), returning per-machine
 //	               loop stats; cells share the /compile cache, partitioned
 //	               by machine fingerprint.
+//	GET  /artifact/{key}
+//	               the cached artifact bytes for a key /compile returned:
+//	               a lookup only, 404 for a key not resident, never a
+//	               compile.
 //	GET  /healthz  liveness (503 while draining).
 //	GET  /metrics  JSON counters: cache hit rate, in-flight, queue depth,
 //	               latency percentiles per endpoint.
@@ -22,6 +26,9 @@
 // deadlines threaded as a context through the compiler so the II search
 // aborts when the client gives up, and panic recovery so one poisoned
 // request cannot take the daemon down.
+//
+// The daemon is single-node: every byte it serves was compiled by this
+// process, and verified when the request asked.
 package service
 
 import (
@@ -37,8 +44,11 @@ import (
 	"time"
 
 	"softpipe/internal/cache"
-	"softpipe/internal/fabric"
 )
+
+// headerRequestID carries a request's ID: the client's when it sent one,
+// generated otherwise, and echoed on every response.
+const headerRequestID = "X-Request-ID"
 
 // Config tunes a Server.  The zero value is serviceable.
 type Config struct {
@@ -50,10 +60,6 @@ type Config struct {
 	MaxQueue int
 	// CacheBytes bounds the in-memory artifact cache (default 256 MiB).
 	CacheBytes int64
-	// CacheDir, when non-empty, enables the on-disk cache tier; entries
-	// loaded from it are revalidated (decode + machine fingerprint +
-	// static resource legality via internal/verify) before use.
-	CacheDir string
 	// DefaultTimeout applies when a request carries no timeout_ms
 	// (default 60s); MaxTimeout caps client-supplied deadlines
 	// (default 5m).
@@ -62,37 +68,28 @@ type Config struct {
 	// Logf, when non-nil, receives one line per served request and per
 	// recovered panic.
 	Logf func(format string, args ...any)
-	// Fabric, when non-nil with at least one peer besides Self, joins
-	// this node to a sharded compile fleet (see internal/fabric): local
-	// misses on keys owned by another node are forwarded there, and any
-	// forwarding failure degrades to a local compile.  Nil keeps the
-	// single-node behavior bit-for-bit.
-	Fabric *fabric.Config
 }
 
 // Server is the HTTP handler.  Create one with New; it is safe for
 // concurrent use and for http.Server's background goroutines.
 type Server struct {
-	cfg    Config
-	cache  *cache.Cache
-	fabric *fabric.Fabric // nil when not in a fleet
-	mux    *http.ServeMux
-	start  time.Time
+	cfg   Config
+	cache *cache.Cache
+	mux   *http.ServeMux
+	start time.Time
 
 	sem      chan struct{}
 	queued   atomic.Int64
 	inflight atomic.Int64
 	draining atomic.Bool
 
-	reqCompile  atomic.Int64
-	reqRun      atomic.Int64
-	reqSweep    atomic.Int64
-	reqArtifact atomic.Int64 // peer forwards landing here
-	errors      atomic.Int64 // 4xx/5xx responses
-	rejected    atomic.Int64 // 429s from admission control
-	panics      atomic.Int64
-	fallbacks   atomic.Int64 // local compiles of keys another node owns
-	decodes     atomic.Int64 // times a request path parsed artifact bytes
+	reqCompile atomic.Int64
+	reqRun     atomic.Int64
+	reqSweep   atomic.Int64
+	errors     atomic.Int64 // 4xx/5xx responses
+	rejected   atomic.Int64 // 429s from admission control
+	panics     atomic.Int64
+	decodes    atomic.Int64 // times a request path parsed artifact bytes
 
 	// Partitioned-array /run aggregates (see noteArrayRun).
 	arrRuns     atomic.Int64
@@ -108,10 +105,9 @@ type Server struct {
 	retrySeq    atomic.Int64
 	retryOffset int64
 
-	latCompile  histogram
-	latRun      histogram
-	latSweep    histogram
-	latArtifact histogram
+	latCompile histogram
+	latRun     histogram
+	latSweep   histogram
 
 	// compileHook, when non-nil, runs at the start of every local
 	// compile.  Test seam: fault-injection tests use it to panic or
@@ -140,61 +136,38 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.ridPrefix = hex.EncodeToString(seed[:4])
 	s.retryOffset = int64(seed[4])<<8 | int64(seed[5])
-	c, err := cache.New(cache.Config{
-		MaxBytes: cfg.CacheBytes,
-		Dir:      cfg.CacheDir,
-		Validate: validateArtifact,
-	})
+	c, err := cache.New(cache.Config{MaxBytes: cfg.CacheBytes})
 	if err != nil {
 		return nil, err
 	}
 	s.cache = c
-	if cfg.Fabric != nil {
-		f, err := fabric.New(*cfg.Fabric)
-		if err != nil {
-			return nil, err
-		}
-		if f.Enabled() {
-			s.fabric = f
-		} else {
-			f.Close() // a one-node "fleet" is just a node
-		}
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /compile", s.admit(s.handleCompile, &s.reqCompile, &s.latCompile))
 	s.mux.HandleFunc("POST /run", s.admit(s.handleRun, &s.reqRun, &s.latRun))
 	s.mux.HandleFunc("POST /sweep", s.admit(s.handleSweep, &s.reqSweep, &s.latSweep))
-	// POST /artifact/{key} is the peer forward path: it compiles, so it
-	// shares admission control with client traffic.  GET is fetch-only
-	// (cache lookup) and stays cheap and unadmitted, like /metrics.
-	s.mux.HandleFunc("POST /artifact/{key}", s.admit(s.handleArtifactPost, &s.reqArtifact, &s.latArtifact))
-	s.mux.HandleFunc("GET /artifact/{key}", s.handleArtifactGet)
+	// GET /artifact/{key} is a cache lookup and never compiles, so it
+	// stays cheap and unadmitted, like /metrics.
+	s.mux.HandleFunc("GET /artifact/{key}", s.handleArtifact)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return s, nil
 }
 
-// Close releases background resources (the fabric health prober).  It
-// does not drain in-flight requests; pair it with http.Server.Shutdown.
-func (s *Server) Close() {
-	if s.fabric != nil {
-		s.fabric.Close()
-	}
-}
+// Close does nothing: a Server holds no background resources.  The frozen
+// benchmark module calls it.
+func (s *Server) Close() {}
 
-// ServeHTTP implements http.Handler with request-ID propagation and
-// panic recovery: every request gets an X-Request-ID (the client's if it
-// sent one, generated otherwise) echoed on the response, stamped into
-// error bodies and logs, and carried on forwarded peer requests — so one
-// failure can be traced across the fleet.  A handler panic becomes a 500
-// (when nothing was written yet) and a counter, never a dead daemon.
+// ServeHTTP implements http.Handler with request IDs and panic recovery:
+// every request gets an X-Request-ID (the client's if it sent one,
+// generated otherwise) echoed on the response and stamped into error
+// bodies and logs.  A handler panic becomes a 500 (when nothing was
+// written yet) and a counter, never a dead daemon.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rid := r.Header.Get(fabric.HeaderRequestID)
+	rid := r.Header.Get(headerRequestID)
 	if rid == "" {
 		rid = fmt.Sprintf("%s-%06x", s.ridPrefix, s.ridSeq.Add(1))
 	}
-	w.Header().Set(fabric.HeaderRequestID, rid)
-	r = r.WithContext(fabric.WithRequestID(r.Context(), rid))
+	w.Header().Set(headerRequestID, rid)
 	defer func() {
 		if v := recover(); v != nil {
 			s.panics.Add(1)
@@ -266,12 +239,6 @@ func (s *Server) retryAfterMS() int64 {
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	body := map[string]any{}
-	if s.fabric != nil {
-		// Breaker states ride on /healthz so an operator (or the fleet
-		// harness) can watch a dead peer's breaker open and re-close
-		// from any surviving node.
-		body["fabric"] = s.fabric.Snapshot()
-	}
 	if s.draining.Load() {
 		body["status"] = "draining"
 		s.reply(w, http.StatusServiceUnavailable, body)
@@ -288,8 +255,7 @@ type errorResponse struct {
 	// Timeout marks deadline-exceeded compiles/runs so clients can
 	// distinguish "too slow" from "wrong".
 	Timeout bool `json:"timeout,omitempty"`
-	// RequestID echoes X-Request-ID so a logged failure is greppable
-	// across every node that touched the request.
+	// RequestID echoes X-Request-ID so a logged failure is greppable.
 	RequestID string `json:"request_id,omitempty"`
 }
 
@@ -310,7 +276,7 @@ func (s *Server) reply(w http.ResponseWriter, code int, body any) {
 
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 	s.errors.Add(1)
-	rid := w.Header().Get(fabric.HeaderRequestID)
+	rid := w.Header().Get(headerRequestID)
 	if code >= 500 || code == http.StatusGatewayTimeout {
 		s.logf("request rid=%s failed: %d %v", rid, code, err)
 	}

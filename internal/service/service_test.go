@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -452,27 +454,30 @@ func TestMetricsShape(t *testing.T) {
 	}
 }
 
-func TestDiskTierSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	s1 := newTestServer(t, Config{CacheDir: dir})
-	var cold CompileResponse
-	if code, _ := post(t, s1, "/compile", CompileRequest{Source: sumSource}, &cold); code != http.StatusOK {
-		t.Fatal("cold compile failed")
+// TestArtifactGetIsFetchOnly pins GET /artifact/{key}: the bytes of a
+// key /compile returned, hashing to its object_sha256; 404 for a key not
+// resident and 400 for one that does not parse; and never a compile.
+func TestArtifactGetIsFetchOnly(t *testing.T) {
+	s := newTestServer(t, Config{})
+	var resp CompileResponse
+	if code, _ := post(t, s, "/compile", CompileRequest{Source: sumSource}, &resp); code != http.StatusOK {
+		t.Fatal("compile failed")
 	}
-	// A fresh server over the same directory: the artifact comes back from
-	// disk (revalidated through internal/verify), bit-identical, without
-	// recompiling.
-	s2 := newTestServer(t, Config{CacheDir: dir})
-	var warm CompileResponse
-	if code, _ := post(t, s2, "/compile", CompileRequest{Source: sumSource}, &warm); code != http.StatusOK {
-		t.Fatal("restart compile failed")
+	computes := s.CacheStats().Computes
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/artifact/"+resp.Key, nil))
+	if sum := sha256.Sum256(rec.Body.Bytes()); rec.Code != http.StatusOK || hex.EncodeToString(sum[:]) != resp.ObjectSHA256 {
+		t.Fatalf("GET /artifact: status %d, bytes hash to %x, /compile said %s", rec.Code, sum, resp.ObjectSHA256)
 	}
-	if !warm.Cached || warm.ObjectSHA256 != cold.ObjectSHA256 {
-		t.Fatalf("disk tier miss after restart: cached=%v", warm.Cached)
+	var miss errorResponse
+	if code := get(t, s, "/artifact/"+cache.KeyOf("never compiled").String(), &miss); code != http.StatusNotFound || miss.Error == "" {
+		t.Fatalf("unknown key: status %d %+v", code, miss)
 	}
-	st := s2.CacheStats()
-	if st.DiskHits != 1 || st.Computes != 0 {
-		t.Fatalf("restart stats: %+v", st)
+	if code := get(t, s, "/artifact/not-a-key", &miss); code != http.StatusBadRequest {
+		t.Fatalf("malformed key: status %d", code)
+	}
+	if got := s.CacheStats().Computes; got != computes {
+		t.Fatalf("GET /artifact compiled: computes %d -> %d", computes, got)
 	}
 }
 

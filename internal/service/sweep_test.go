@@ -1,14 +1,9 @@
 package service
 
 import (
-	"context"
-	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"softpipe/internal/cache"
 	"softpipe/internal/machine"
 )
 
@@ -137,93 +132,5 @@ func TestCompileGenMachine(t *testing.T) {
 		if l.Pipelined && l.Unroll > 1 {
 			t.Fatalf("loop %d: unroll %d on a rotating machine", l.LoopID, l.Unroll)
 		}
-	}
-}
-
-// TestValidateArtifactTornFingerprint is the regression test for the
-// disk-tier revalidator panic: an artifact whose stored fingerprint is
-// shorter than the 12-character preview the old error message sliced
-// must be rejected with an error, not a panic.
-func TestValidateArtifactTornFingerprint(t *testing.T) {
-	a := artifact{MachineName: "warp", MachineFP: "torn"}
-	var full artifact
-	// Borrow a real binary so only the fingerprint is wrong.
-	data := compileTestArtifact(t)
-	if err := json.Unmarshal(data, &full); err != nil {
-		t.Fatal(err)
-	}
-	a.Binary = full.Binary
-	raw, err := json.Marshal(&a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verr := validateArtifact(cache.Key{}, raw)
-	if verr == nil {
-		t.Fatal("torn fingerprint passed revalidation")
-	}
-}
-
-// compileTestArtifact compiles sumSource on warp and returns the raw
-// cached artifact bytes.
-func compileTestArtifact(t *testing.T) []byte {
-	t.Helper()
-	s := newTestServer(t, Config{})
-	var resp CompileResponse
-	if code, _ := post(t, s, "/compile", CompileRequest{Source: sumSource}, &resp); code != http.StatusOK {
-		t.Fatal("compile failed")
-	}
-	j, err := resolveJob(sumSource, "warp", CompileOptions{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _, err := s.compileCached(context.Background(), j, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return v.data
-}
-
-// TestDiskTierTornFingerprintRecompiles: a disk entry whose machine_fp
-// was truncated (torn write, partial sync) costs one recompile on the
-// next server generation — never a panic, never a wrong answer.
-func TestDiskTierTornFingerprintRecompiles(t *testing.T) {
-	dir := t.TempDir()
-	s1 := newTestServer(t, Config{CacheDir: dir})
-	var cold CompileResponse
-	if code, _ := post(t, s1, "/compile", CompileRequest{Source: sumSource}, &cold); code != http.StatusOK {
-		t.Fatal("cold compile failed")
-	}
-	path := filepath.Join(dir, cold.Key)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entry map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &entry); err != nil {
-		t.Fatal(err)
-	}
-	entry["machine_fp"] = json.RawMessage(`"ab"`)
-	torn, err := json.Marshal(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := newTestServer(t, Config{CacheDir: dir})
-	var again CompileResponse
-	if code, _ := post(t, s2, "/compile", CompileRequest{Source: sumSource}, &again); code != http.StatusOK {
-		t.Fatalf("recompile after torn disk entry: status %d", code)
-	}
-	if again.Cached {
-		t.Fatal("torn disk entry was served as a hit")
-	}
-	if again.ObjectSHA256 != cold.ObjectSHA256 {
-		t.Fatal("recompile diverged from the original artifact")
-	}
-	st := s2.CacheStats()
-	if st.DiskRejects != 1 || st.Computes != 1 {
-		t.Fatalf("expected 1 disk reject + 1 recompile, got %+v", st)
 	}
 }

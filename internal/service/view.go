@@ -18,16 +18,17 @@ import (
 // view is what the service derives from one cached artifact, held by the
 // cache beside the bytes for as long as the entry is resident (cache.View)
 // so that a hit answers from it instead of parsing the artifact again.
-// The bytes stay the truth — the digest, the disk tier and the fabric see
-// only them — and a view is never persisted or forwarded.
+// The bytes stay the truth — the digest and GET /artifact/{key} see only
+// them.
 //
 // The reply header is filled when the view is built: by the singleflight
 // leader from the compile result it has in hand, or by one decode of the
-// bytes when they came from the disk tier, a peer or another request's
-// fill.  What only /run needs — the decoded binaries and the simulator's
-// program — is made on first use, so an entry that is compiled
-// and never run holds its header and nothing else.  Every part is charged
-// to the cache budget as it is made.
+// bytes when the request that finds the entry without a view did not
+// compile it: a coalesced waiter that asks first, or a hit on an entry
+// whose view was over budget.  What only /run needs — the decoded
+// binaries and the simulator's program — is made on first use, so an
+// entry that is compiled and never run holds its header and nothing else.
+// Every part is charged to the cache budget as it is made.
 type view struct {
 	key  cache.Key
 	data []byte // the artifact bytes, shared with the cache entry

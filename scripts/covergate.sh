@@ -9,11 +9,10 @@
 # copy budget), hierarchical reduction, the code generator, the array
 # partitioner and the independent object-code verifier — the layers
 # whose regressions silently corrupt emitted code; the simulator,
-# the single cell semantics the fast path and every array run on; and the
-# compile fabric and the service, whose fleet contract (exactly-once,
-# degrade-never-error) has no evidence but `go test`; and the cache,
-# which owns the accounting invariant (bytes plus views within MaxBytes,
-# no view outliving its entry) the service's hit path rests on.
+# the single cell semantics the fast path and every array run on; the
+# service; and the cache, which owns the accounting invariant (bytes plus
+# views within MaxBytes, no view outliving its entry) the service's hit
+# path rests on.
 # The simulator's fast path is differential-tested from
 # internal/sim/compiled, so its figure is the union over both test
 # packages (a second, small `go test -coverpkg` run).
@@ -30,7 +29,6 @@ gated=(
   softpipe/internal/codegen
   softpipe/internal/partition
   softpipe/internal/verify
-  softpipe/internal/fabric
   softpipe/internal/service
   softpipe/internal/cache
 )

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # service_smoke.sh: the one thing `go test ./internal/service` cannot see —
-# the real softpiped binary: its flags, its listener, the -cache-dir tier
-# across a restart, /metrics, and a SIGTERM drain that exits 0.  Driven by
-# curl alone; everything else about the service is held by the tests.
+# the real softpiped binary: its flags, its listener, the same object from
+# a second process after a restart, /metrics, and a SIGTERM drain that
+# exits 0.  Driven by curl alone; everything else about the service is
+# held by the tests.
 set -euo pipefail
 
 addr="127.0.0.1:8575"
@@ -14,7 +15,7 @@ python3 -c 'import json,sys; json.dump({"source": open(sys.argv[1]).read()}, sys
   testdata/saxpy.w2 >"$work/req.json"
 
 start() {
-  "$work/softpiped" -addr "$addr" -cache-dir "$work/cache" -quiet &
+  "$work/softpiped" -addr "$addr" -quiet &
   pid=$!
   for _ in $(seq 1 50); do
     curl -fsS "http://$addr/healthz" >/dev/null 2>&1 && return
@@ -32,9 +33,9 @@ start
 sha="$(compile cold)"
 [ "$(compile warm)" = "$sha" ]
 stop
-start  # same -cache-dir: the disk tier must answer
-[ "$(compile warm)" = "$sha" ]
+start  # a new process compiles again and must emit the same object
+[ "$(compile cold)" = "$sha" ]
 curl -fsS "http://$addr/metrics" | python3 -c \
   'import json,sys; m=json.load(sys.stdin); assert m["panics"]==0 and m["errors"]==0, m'
 stop
-echo "service smoke OK: softpiped compiled, cached, survived a restart and drained cleanly"
+echo "service smoke OK: softpiped compiled, cached, recompiled the same object after a restart and drained cleanly"
