@@ -12,6 +12,15 @@ import (
 
 func key(s string) Key { return KeyOf(s) }
 
+// charged is a compute's result for bytes: the value, charged its length.
+func charged(data []byte) (any, int64, error) { return data, int64(len(data)), nil }
+
+// asBytes reads a bytes value back; nil for anything else.
+func asBytes(v any) []byte {
+	b, _ := v.([]byte)
+	return b
+}
+
 func TestKeyOfLengthPrefixed(t *testing.T) {
 	// Concatenation must not collide: ("ab","c") != ("a","bc").
 	if KeyOf("ab", "c") == KeyOf("a", "bc") {
@@ -48,12 +57,12 @@ func TestSingleflightExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			data, _, err := c.GetOrCompute(context.Background(), key("hot"), func() ([]byte, error) {
+			data, _, err := c.GetOrCompute(context.Background(), key("hot"), func() (any, int64, error) {
 				computes.Add(1)
 				release.Wait() // hold every concurrent request in flight
-				return []byte("object-bytes"), nil
+				return charged([]byte("object-bytes"))
 			})
-			got[i], errs[i] = data, err
+			got[i], errs[i] = asBytes(data), err
 		}(i)
 	}
 	// Let every goroutine either become the leader or queue behind it.
@@ -99,16 +108,16 @@ func TestConcurrentMixedKeys(t *testing.T) {
 			go func(k int) {
 				defer wg.Done()
 				want := []byte(fmt.Sprintf("artifact-%03d", k))
-				data, _, err := c.GetOrCompute(context.Background(), key(fmt.Sprint(k)), func() ([]byte, error) {
+				data, _, err := c.GetOrCompute(context.Background(), key(fmt.Sprint(k)), func() (any, int64, error) {
 					counts[k].Add(1)
 					time.Sleep(time.Millisecond)
-					return want, nil
+					return charged(want)
 				})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if !bytes.Equal(data, want) {
+				if !bytes.Equal(asBytes(data), want) {
 					t.Errorf("key %d: wrong bytes %q", k, data)
 				}
 			}(k)
@@ -137,8 +146,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	put := func(name string) {
-		_, _, err := c.GetOrCompute(context.Background(), key(name), func() ([]byte, error) {
-			return bytes.Repeat([]byte{'x'}, 10), nil
+		_, _, err := c.GetOrCompute(context.Background(), key(name), func() (any, int64, error) {
+			return charged(bytes.Repeat([]byte{'x'}, 10))
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -185,8 +194,8 @@ func TestOversizedValueNotRetained(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := bytes.Repeat([]byte{'y'}, 64)
-	data, _, err := c.GetOrCompute(context.Background(), key("big"), func() ([]byte, error) { return big, nil })
-	if err != nil || !bytes.Equal(data, big) {
+	data, _, err := c.GetOrCompute(context.Background(), key("big"), func() (any, int64, error) { return charged(big) })
+	if err != nil || !bytes.Equal(asBytes(data), big) {
 		t.Fatalf("oversized compute: %v", err)
 	}
 	if _, ok := c.Get(key("big")); ok {
@@ -205,20 +214,20 @@ func TestBitIdenticalHitVsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []byte{0, 1, 2, 3, 255, 254, 77}
-	cold, hit, err := c.GetOrCompute(context.Background(), key("obj"), func() ([]byte, error) {
-		return append([]byte(nil), want...), nil
+	cold, hit, err := c.GetOrCompute(context.Background(), key("obj"), func() (any, int64, error) {
+		return charged(append([]byte(nil), want...))
 	})
 	if err != nil || hit {
 		t.Fatalf("cold: hit=%v err=%v", hit, err)
 	}
-	warm, hit, err := c.GetOrCompute(context.Background(), key("obj"), func() ([]byte, error) {
+	warm, hit, err := c.GetOrCompute(context.Background(), key("obj"), func() (any, int64, error) {
 		t.Fatal("warm path recompiled")
-		return nil, nil
+		return nil, 0, nil
 	})
 	if err != nil || !hit {
 		t.Fatalf("warm: hit=%v err=%v", hit, err)
 	}
-	if !bytes.Equal(cold, warm) {
+	if !bytes.Equal(asBytes(cold), asBytes(warm)) {
 		t.Fatalf("hit bytes differ from miss bytes: %x vs %x", cold, warm)
 	}
 }
@@ -231,11 +240,11 @@ func TestComputeErrorNotCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := fmt.Errorf("boom")
-	if _, _, err := c.GetOrCompute(context.Background(), key("bad"), func() ([]byte, error) { return nil, boom }); err != boom {
+	if _, _, err := c.GetOrCompute(context.Background(), key("bad"), func() (any, int64, error) { return nil, 0, boom }); err != boom {
 		t.Fatalf("first compute error = %v", err)
 	}
-	data, hit, err := c.GetOrCompute(context.Background(), key("bad"), func() ([]byte, error) { return []byte("ok"), nil })
-	if err != nil || hit || string(data) != "ok" {
+	data, hit, err := c.GetOrCompute(context.Background(), key("bad"), func() (any, int64, error) { return charged([]byte("ok")) })
+	if err != nil || hit || string(asBytes(data)) != "ok" {
 		t.Fatalf("retry after error: data=%q hit=%v err=%v", data, hit, err)
 	}
 }
@@ -251,9 +260,9 @@ func TestWaiterContextCancel(t *testing.T) {
 	release.Add(1)
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrCompute(context.Background(), key("slow"), func() ([]byte, error) {
+		_, _, err := c.GetOrCompute(context.Background(), key("slow"), func() (any, int64, error) {
 			release.Wait()
-			return []byte("v"), nil
+			return charged([]byte("v"))
 		})
 		leaderDone <- err
 	}()

@@ -21,7 +21,7 @@ func TestGetOrFillIgnoresComputed(t *testing.T) {
 	data, hit, err := c.GetOrFill(context.Background(), k, func() ([]byte, bool, error) {
 		return []byte("bytes"), false, nil
 	})
-	if err != nil || string(data) != "bytes" || hit {
+	if err != nil || string(asBytes(data)) != "bytes" || hit {
 		t.Fatalf("fill: %q hit=%v %v", data, hit, err)
 	}
 	if st := c.Stats(); st.Computes != 1 || st.Misses != 1 {
@@ -31,7 +31,7 @@ func TestGetOrFillIgnoresComputed(t *testing.T) {
 		t.Error("a resident key was filled again")
 		return nil, true, nil
 	})
-	if err != nil || string(data) != "bytes" || !hit {
+	if err != nil || string(asBytes(data)) != "bytes" || !hit {
 		t.Fatalf("second fill: %q hit=%v %v", data, hit, err)
 	}
 }
@@ -52,7 +52,7 @@ func TestFillPanicReleasesWaiters(t *testing.T) {
 	leaderPanicked := make(chan any, 1)
 	go func() {
 		defer func() { leaderPanicked <- recover() }()
-		c.GetOrCompute(context.Background(), k, func() ([]byte, error) {
+		c.GetOrCompute(context.Background(), k, func() (any, int64, error) {
 			close(started)
 			<-release
 			panic("compiler bug")
@@ -66,9 +66,9 @@ func TestFillPanicReleasesWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, waiterErrs[i] = c.GetOrCompute(context.Background(), k, func() ([]byte, error) {
+			_, _, waiterErrs[i] = c.GetOrCompute(context.Background(), k, func() (any, int64, error) {
 				t.Error("waiter ran its own compute while the leader was in flight")
-				return nil, nil
+				return nil, 0, nil
 			})
 		}(i)
 	}
@@ -100,10 +100,10 @@ func TestFillPanicReleasesWaiters(t *testing.T) {
 		}
 	}
 	// The key is not poisoned: a later request computes normally.
-	data, _, err := c.GetOrCompute(context.Background(), k, func() ([]byte, error) {
-		return []byte("recovered"), nil
+	data, _, err := c.GetOrCompute(context.Background(), k, func() (any, int64, error) {
+		return charged([]byte("recovered"))
 	})
-	if err != nil || string(data) != "recovered" {
+	if err != nil || string(asBytes(data)) != "recovered" {
 		t.Fatalf("post-panic retry: %q %v", data, err)
 	}
 }
@@ -118,14 +118,14 @@ func TestPutIsMemoryOnly(t *testing.T) {
 	}
 	k := key("put")
 	c.Put(k, []byte("stand-in"))
-	if data, ok := c.Get(k); !ok || string(data) != "stand-in" {
+	if data, ok := c.Get(k); !ok || string(asBytes(data)) != "stand-in" {
 		t.Fatalf("Put not visible to Get: %q %v", data, ok)
 	}
-	data, hit, err := c.GetOrCompute(context.Background(), k, func() ([]byte, error) {
+	data, hit, err := c.GetOrCompute(context.Background(), k, func() (any, int64, error) {
 		t.Error("a Put key was computed")
-		return nil, nil
+		return nil, 0, nil
 	})
-	if err != nil || !hit || string(data) != "stand-in" {
+	if err != nil || !hit || string(asBytes(data)) != "stand-in" {
 		t.Fatalf("GetOrCompute after Put: %q hit=%v %v", data, hit, err)
 	}
 	if st := c.Stats(); st.Misses != 0 || st.Computes != 0 || st.Hits != 2 || st.Entries != 1 {

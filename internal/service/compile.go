@@ -143,9 +143,9 @@ type CompileResponse struct {
 	// compiler (a cache hit, or coalesced onto a concurrent identical
 	// compile).
 	Cached bool `json:"cached"`
-	// ObjectSHA256 is the digest of the serialized artifact — cold and
-	// warm responses for the same key carry the same digest, which the
-	// load harness asserts.
+	// ObjectSHA256 is the digest of the artifact's wire form, the bytes
+	// GET /artifact/{key} serves — cold and warm responses for the same
+	// key carry the same digest, which the load harness asserts.
 	ObjectSHA256 string      `json:"object_sha256"`
 	Machine      string      `json:"machine"`
 	Instrs       int         `json:"instrs"`
@@ -158,10 +158,10 @@ type CompileResponse struct {
 	TraceJSON json.RawMessage `json:"trace,omitempty"`
 }
 
-// artifact is the cached value: everything /run needs to simulate without
-// recompiling, as deterministic JSON (encoding/json sorts map keys, so
-// vliw.Program's init maps serialize stably and hits are bit-identical to
-// the miss that populated them).
+// artifact is the wire form of a single-cell entry (entry.wire): what GET
+// /artifact/{key} serves and object_sha256 names, as deterministic JSON
+// (encoding/json sorts map keys, so vliw.Program's init maps serialize
+// stably and every marshal of one entry is the same bytes).
 type artifact struct {
 	// MachineName and MachineFP name the target this artifact was
 	// compiled for; the fingerprint puts the machine model into the bytes
@@ -237,10 +237,8 @@ func resolveJob(src, machineName string, wire CompileOptions, cells int) (*job, 
 	return newJob(canon, m, wire, cells)
 }
 
-// compile runs the compiler and serializes the outcome.  Beside the
-// bytes it returns the reply header of their view, taken from the compile
-// result so that nobody has to parse what was just marshalled.
-func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, *view, error) {
+// compile runs the compiler and fills the cache entry from the result.
+func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) (*entry, error) {
 	opts := j.opts
 	opts.Ctx, opts.Tracer = ctx, tracer
 	if j.cells > 0 {
@@ -248,14 +246,14 @@ func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, *vi
 	}
 	obj, err := softpipe.CompileSource(j.canon, j.m, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	a := artifact{
-		MachineName: j.m.Name,
-		MachineFP:   j.m.Fingerprint(),
-		Binary:      obj.Binary,
-		FRegs:       obj.Report.FRegsUsed,
-		IRegs:       obj.Report.IRegsUsed,
+	e := &entry{
+		key:   j.key,
+		m:     j.m,
+		bins:  []*vliw.Program{obj.Binary},
+		fregs: obj.Report.FRegsUsed,
+		iregs: obj.Report.IRegsUsed,
 	}
 	for _, lr := range obj.Report.Loops {
 		ls := LoopStats{
@@ -286,30 +284,29 @@ func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) ([]byte, *vi
 		if lr.Pipelined && lr.II > 0 {
 			ls.EstMFLOPS = float64(lr.Flops) * j.m.ClockMHz / float64(lr.II)
 		}
-		a.Loops = append(a.Loops, ls)
+		e.loops = append(e.loops, ls)
 	}
-	data, err := json.Marshal(a)
-	return data, a.header(), err
+	return e, nil
 }
 
-// compileCached is GetOrCompute of j.compile, then the entry's view: the
-// one way bytes reach the cache.  When this request is the one that
-// compiles, the header its compile returns becomes the view and the bytes
-// it marshalled are not parsed.
-func (s *Server) compileCached(ctx context.Context, j *job, tracer *softpipe.Tracer) (*view, bool, error) {
-	var built *view
-	data, hit, err := s.cache.GetOrCompute(ctx, j.key, func() (data []byte, err error) {
+// compileCached is GetOrCompute of j.compile: the one way entries reach
+// the cache.  The entry is sealed, and so charged, as it is filled.
+func (s *Server) compileCached(ctx context.Context, j *job, tracer *softpipe.Tracer) (*entry, bool, error) {
+	v, hit, err := s.cache.GetOrCompute(ctx, j.key, func() (any, int64, error) {
 		if s.compileHook != nil {
 			s.compileHook()
 		}
-		data, built, err = j.compile(ctx, tracer)
-		return data, err
+		e, err := j.compile(ctx, tracer)
+		if err != nil {
+			return nil, 0, err
+		}
+		charge, err := e.seal()
+		return e, charge, err
 	})
 	if err != nil {
 		return nil, false, classifyCompileErr(err)
 	}
-	v, err := s.viewOf(j.key, data, built)
-	return v, hit, err
+	return v.(*entry), hit, nil
 }
 
 // requestError pairs an HTTP status with the underlying cause.
@@ -359,7 +356,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeRequestError(w, err)
 		return
 	}
-	v, hit, err := s.compileCached(ctx, j, tracer)
+	e, hit, err := s.compileCached(ctx, j, tracer)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
@@ -367,12 +364,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	resp := CompileResponse{
 		Key:          j.key.String(),
 		Cached:       hit,
-		ObjectSHA256: v.sha,
-		Machine:      v.machine,
-		Instrs:       v.instrs,
-		FRegs:        v.fregs,
-		IRegs:        v.iregs,
-		Loops:        v.loops,
+		ObjectSHA256: e.sha,
+		Machine:      e.m.Name,
+		Instrs:       len(e.bins[0].Instrs),
+		FRegs:        e.fregs,
+		IRegs:        e.iregs,
+		Loops:        e.loops,
 		ElapsedMS:    float64(time.Since(t0).Microseconds()) / 1e3,
 	}
 	if tracer != nil && !hit {

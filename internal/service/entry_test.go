@@ -9,9 +9,13 @@ import (
 	"regexp"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"softpipe/internal/cache"
+	"softpipe/internal/machine"
+	"softpipe/internal/sim"
+	"softpipe/internal/vliw"
 	"softpipe/internal/workloads"
 )
 
@@ -54,31 +58,49 @@ var elapsedLine = regexp.MustCompile(`"(elapsed_ms|batch_runs_per_sec)": [^\n]*\
 // stable is a reply body without the fields that time the request.
 func stable(body []byte) string { return string(elapsedLine.ReplaceAll(body, nil)) }
 
-func decodes(t *testing.T, s *Server) int64 {
-	t.Helper()
-	var m Metrics
-	if code := get(t, s, "/metrics", &m); code != http.StatusOK {
-		t.Fatalf("metrics: status %d", code)
+// countPrograms counts the sim.Programs entries build for the rest of the
+// test.
+func countPrograms(t *testing.T) *atomic.Int64 {
+	var n atomic.Int64
+	decodeProgram = func(p *vliw.Program, m *machine.Machine) (*sim.Program, error) {
+		n.Add(1)
+		return sim.Decode(p, m)
 	}
-	return m.ArtifactDecodes
+	t.Cleanup(func() { decodeProgram = sim.Decode })
+	return &n
+}
+
+// resident returns the entry the cache holds for a key a reply named.
+func resident(t *testing.T, s *Server, key string) *entry {
+	t.Helper()
+	k, err := cache.ParseKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := s.cache.Get(k)
+	if !ok {
+		t.Fatalf("key %s not resident", key)
+	}
+	return v.(*entry)
 }
 
 // TestWarmHitParsesNothing pins what a hit costs: the miss that compiled
-// the artifact answers from the compile result, every later /compile from
-// the entry's view, and the artifact's bytes are parsed once — by the
+// the entry answers from the compile result, every later /compile from
+// the entry, nothing is parsed, and one sim.Program is built — by the
 // first /run — however many requests follow.  Every warm reply is
 // byte-identical to the one before it.
 func TestWarmHitParsesNothing(t *testing.T) {
 	s := newTestServer(t, Config{})
 	src := livermoreSource(t, 7)
+	programs := countPrograms(t)
 
 	var miss CompileResponse
 	code, missBody := rawPost(s, "/compile", CompileRequest{Source: src})
 	if code != http.StatusOK || json.Unmarshal(missBody, &miss) != nil || miss.Cached {
 		t.Fatalf("miss: status %d cached=%v", code, miss.Cached)
 	}
-	if n := decodes(t, s); n != 0 {
-		t.Fatalf("a local miss answered by /compile parsed its artifact %d times", n)
+	if n := programs.Load(); n != 0 {
+		t.Fatalf("a miss answered by /compile built %d sim.Programs", n)
 	}
 
 	want := map[string]string{}
@@ -110,14 +132,14 @@ func TestWarmHitParsesNothing(t *testing.T) {
 			t.Fatalf("run %d answered differently:\n%s\nvs\n%s", i, stable(body), want["run"])
 		}
 	}
-	if n := decodes(t, s); n != 1 {
-		t.Fatalf("artifact_decodes = %d after one miss, 50 warm /compile and 50 /run; want 1 (the first run)", n)
+	if n := programs.Load(); n != 1 {
+		t.Fatalf("%d sim.Programs built after one miss, 50 warm /compile and 50 /run; want 1 (the first run)", n)
 	}
 }
 
 // warmCompileAllocsCeiling is twice what a warm /compile of Livermore k7
-// allocates through the handler (request and recorder included); before
-// entries carried a view the same request made 1,666 allocations.
+// allocates through the handler (request and recorder included); when a
+// hit parsed the cached JSON the same request made 1,666 allocations.
 const warmCompileAllocsCeiling = 2 * 608
 
 func TestWarmCompileAllocs(t *testing.T) {
@@ -135,9 +157,8 @@ func TestWarmCompileAllocs(t *testing.T) {
 }
 
 // TestConcurrentRunsShareOneDecode: concurrent first runs of one entry —
-// a batch and a homogeneous array among them — wait for one decode of its
-// bytes and one sim.Program, then share them read-only (run under -race
-// in CI).
+// a batch and a homogeneous array among them — wait for one sim.Program,
+// then share it read-only (run under -race in CI).
 func TestConcurrentRunsShareOneDecode(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 8, MaxQueue: 256})
 	src := livermoreSource(t, 7)
@@ -145,7 +166,7 @@ func TestConcurrentRunsShareOneDecode(t *testing.T) {
 	if code, _ := post(t, s, "/compile", CompileRequest{Source: src}, &miss); code != http.StatusOK {
 		t.Fatalf("compile: status %d", code)
 	}
-	before := decodes(t, s)
+	programs := countPrograms(t)
 
 	const n = 32
 	resps := make([]RunResponse, 2*n+2)
@@ -194,16 +215,21 @@ func TestConcurrentRunsShareOneDecode(t *testing.T) {
 	if arr := resps[2*n+1]; arr.Cycles < ref.Cycles || fmt.Sprint(arr.Scalars) != fmt.Sprint(ref.Scalars) {
 		t.Fatalf("array run: %d cycles %v, single cell had %d cycles %v", arr.Cycles, arr.Scalars, ref.Cycles, ref.Scalars)
 	}
-	if n := decodes(t, s) - before; n != 1 {
-		t.Fatalf("artifact_decodes rose by %d over %d concurrent runs of one entry; want 1", n, len(resps))
+	if n := programs.Load(); n != 1 {
+		t.Fatalf("%d concurrent runs of one entry built %d sim.Programs; want 1", len(resps), n)
+	}
+	if e := resident(t, s, miss.Key); e.prog == nil {
+		t.Fatal("the entry does not hold the program its runs built")
 	}
 }
 
-// TestPartitionedRunsShareOneDecode: a partitioned key's cell binaries are
-// decoded by its first run and shared by the rest; its key, given to a
-// plain /run, is refused instead of running one cell's fragment alone.
+// TestPartitionedRunsShareOneDecode: every run of a partitioned key steps
+// the cell binaries its compile made, shared read-only, and none builds a
+// single-cell sim.Program; its key, given to a plain /run, is refused
+// instead of running one cell's fragment alone.
 func TestPartitionedRunsShareOneDecode(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 4, MaxQueue: 64})
+	programs := countPrograms(t)
 	req := RunRequest{Source: saxpySrc, Cells: 2, Partition: true}
 	var cold RunResponse
 	if code, _ := post(t, s, "/run", req, &cold); code != http.StatusOK || cold.Cached {
@@ -229,8 +255,11 @@ func TestPartitionedRunsShareOneDecode(t *testing.T) {
 			t.Fatalf("warm partitioned run %d:\n%+v\nthe cold run answered\n%+v", i, r, cold)
 		}
 	}
-	if n := decodes(t, s); n != 1 {
-		t.Fatalf("artifact_decodes = %d over nine partitioned runs of one key; want 1", n)
+	if n := programs.Load(); n != 0 {
+		t.Fatalf("nine partitioned runs of one key built %d sim.Programs; want 0", n)
+	}
+	if e := resident(t, s, cold.Key); e.cells != 2 || len(e.bins) != 2 || e.prog != nil {
+		t.Fatalf("partitioned entry: cells=%d binaries=%d program=%v", e.cells, len(e.bins), e.prog != nil)
 	}
 	var e errorResponse
 	if code, _ := post(t, s, "/run", RunRequest{Key: cold.Key}, &e); code != http.StatusUnprocessableEntity {
@@ -239,24 +268,17 @@ func TestPartitionedRunsShareOneDecode(t *testing.T) {
 }
 
 // TestRunDecodesOneProgram: /run by one key with engine interp, with
-// compiled and with no engine builds one sim.Program for the view — the
-// runs are charged the decoded binaries and one program, and parse the
-// artifact at most once — and all three replies are the same.
+// compiled and with no engine builds one sim.Program for the entry, all
+// three replies are the same, and the runs charge the cache nothing: the
+// program was charged when the entry was filled.
 func TestRunDecodesOneProgram(t *testing.T) {
 	s := newTestServer(t, Config{})
+	programs := countPrograms(t)
 	var miss CompileResponse
 	if code, _ := post(t, s, "/compile", CompileRequest{Source: livermoreSource(t, 7)}, &miss); code != http.StatusOK {
 		t.Fatalf("compile: status %d", code)
 	}
-	key, err := cache.ParseKey(miss.Key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, ok := s.cache.Get(key)
-	if !ok {
-		t.Fatal("artifact not cached")
-	}
-	bytes0, decodes0 := s.CacheStats().Bytes, decodes(t, s)
+	bytes0 := s.CacheStats().Bytes
 	var want string
 	for _, eng := range []string{"interp", "compiled", ""} {
 		code, body := rawPost(s, "/run", RunRequest{Key: miss.Key, Engine: eng})
@@ -269,18 +291,18 @@ func TestRunDecodesOneProgram(t *testing.T) {
 			t.Fatalf("run with engine %q answered differently:\n%s\nvs\n%s", eng, stable(body), want)
 		}
 	}
-	if n := decodes(t, s) - decodes0; n > 1 {
-		t.Fatalf("three runs of one key parsed its artifact %d times", n)
+	if n := programs.Load(); n != 1 {
+		t.Fatalf("three runs of one key built %d sim.Programs; want 1", n)
 	}
-	if grew, charge := s.CacheStats().Bytes-bytes0, int64((binariesCost+simProgramCost)*len(data)); grew != charge {
-		t.Fatalf("three runs of one key grew the view by %d bytes, want %d (binaries and one sim.Program)", grew, charge)
+	if grew := s.CacheStats().Bytes - bytes0; grew != 0 {
+		t.Fatalf("three runs of one key grew the cache's charge by %d bytes; want 0", grew)
 	}
 }
 
-// TestViewChargeCoversHeap holds the view's charges to the heap they stand
-// for: over the Livermore kernels and a dozen seeded sources, what the
-// cache is charged for headers, decoded binaries and programs is within a
-// third of what the Go heap grew by.
+// TestViewChargeCoversHeap holds entries' charges to the heap they stand
+// for: over the Livermore kernels and a dozen seeded sources, each run
+// once, what the cache is charged for headers, binaries and programs is
+// within a third of what the Go heap grew by.
 func TestViewChargeCoversHeap(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()

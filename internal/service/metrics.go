@@ -104,13 +104,9 @@ type Metrics struct {
 		Computes  int64   `json:"computes"`
 		Coalesced int64   `json:"coalesced"`
 		Evictions int64   `json:"evictions"`
-		Bytes     int64   `json:"bytes"` // artifact bytes plus their views
+		Bytes     int64   `json:"bytes"` // the resident entries' charges: binaries, headers, programs
 		Entries   int64   `json:"entries"`
 	} `json:"cache"`
-	// ArtifactDecodes counts the times a request path parsed artifact
-	// bytes: at most once per cache residency of an entry, and not at all
-	// until something runs it.
-	ArtifactDecodes int64 `json:"artifact_decodes"`
 	// Array aggregates partitioned /run traffic: runs served, cells
 	// simulated, total stall cycles, and the worst input-queue
 	// high-water mark any cell has reached.
@@ -149,7 +145,6 @@ func (s *Server) metrics() Metrics {
 	m.Cache.Evictions = cs.Evictions
 	m.Cache.Bytes = cs.Bytes
 	m.Cache.Entries = cs.Entries
-	m.ArtifactDecodes = s.decodes.Load()
 	m.Array.Runs = s.arrRuns.Load()
 	m.Array.Cells = s.arrCells.Load()
 	m.Array.StallCycles = s.arrStalls.Load()

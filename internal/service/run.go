@@ -218,18 +218,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	v, hit, err := s.artifactFor(ctx, &req)
+	e, hit, err := s.entryFor(ctx, &req)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	prog, m, err := s.simProgram(v)
+	prog, err := e.program()
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
 
-	resp := RunResponse{Key: v.key.String(), Cached: hit}
+	resp := RunResponse{Key: e.key.String(), Cached: hit}
 	switch {
 	case lanes > 0:
 		ls := make([]sim.Lane, lanes)
@@ -260,7 +260,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			resp.Flops += r.Stats.Flops
 			resp.Lanes[i] = lr
 		}
-		resp.MFLOPS = sim.Stats{Cycles: resp.Cycles, Flops: resp.Flops}.MFLOPS(m, 1)
+		resp.MFLOPS = sim.Stats{Cycles: resp.Cycles, Flops: resp.Flops}.MFLOPS(e.m, 1)
 		if elapsed > 0 {
 			resp.BatchRunsPerSec = float64(len(results)) / elapsed
 		}
@@ -278,7 +278,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		st := arr.Stats()
 		resp.Cycles, resp.Flops = st.Cycles, st.Flops
-		resp.MFLOPS = st.MFLOPS(m, 1)
+		resp.MFLOPS = st.MFLOPS(e.m, 1)
 		resp.Output = toJSONFloats(out)
 		if last != nil {
 			resp.Scalars = toJSONScalars(last.Scalars)
@@ -293,7 +293,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		st := cell.Stats()
 		resp.Cycles, resp.Flops = st.Cycles, st.Flops
-		resp.MFLOPS = st.MFLOPS(m, 1)
+		resp.MFLOPS = st.MFLOPS(e.m, 1)
 		if state != nil {
 			resp.Scalars = toJSONScalars(state.Scalars)
 		}
@@ -302,21 +302,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.reply(w, http.StatusOK, resp)
 }
 
-// artifactFor obtains the view of the compiled artifact for a run request:
-// by content address when Key is set, otherwise by compiling Source
-// through the cache.
-func (s *Server) artifactFor(ctx context.Context, req *RunRequest) (*view, bool, error) {
+// entryFor obtains the cache entry for a run request: by content address
+// when Key is set, otherwise by compiling Source through the cache.
+func (s *Server) entryFor(ctx context.Context, req *RunRequest) (*entry, bool, error) {
 	if req.Key != "" {
 		key, err := cache.ParseKey(req.Key)
 		if err != nil {
 			return nil, false, &requestError{http.StatusBadRequest, err}
 		}
-		data, ok := s.cache.Get(key)
+		v, ok := s.cache.Get(key)
 		if !ok {
 			return nil, false, &requestError{http.StatusNotFound, fmt.Errorf("no cached artifact for key %s", req.Key)}
 		}
-		v, err := s.viewOf(key, data, nil)
-		return v, true, err
+		return v.(*entry), true, nil
 	}
 	j, err := resolveJob(req.Source, req.Machine, req.Options, 0)
 	if err != nil {
@@ -325,17 +323,22 @@ func (s *Server) artifactFor(ctx context.Context, req *RunRequest) (*view, bool,
 	return s.compileCached(ctx, j, nil)
 }
 
-// handleArtifact is GET /artifact/{key}: the cached bytes or 404, never a
-// compile.
+// handleArtifact is GET /artifact/{key}: the resident entry's wire form,
+// marshalled on demand, or 404; never a compile.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	key, err := cache.ParseKey(r.PathValue("key"))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	data, ok := s.cache.Get(key)
+	v, ok := s.cache.Get(key)
 	if !ok {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("no cached artifact for key %s", key))
+		return
+	}
+	data, err := json.Marshal(v.(*entry).wire())
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -343,11 +346,11 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-// arrayArtifact is the cached value of a partitioned compile: one
-// binary per cell plus the plan facts /run reports back.  It is keyed
-// alongside single-cell artifacts (same canonical source + machine
-// fingerprint + options string) with the cell count appended, so
-// requests differing only in width never share an artifact.
+// arrayArtifact is the wire form of a partitioned entry (entry.wire): one
+// binary per cell plus the plan facts /run reports back.  A partitioned
+// compile is keyed alongside single-cell ones (same canonical source +
+// machine fingerprint + options string) with the cell count appended, so
+// requests differing only in width never share an entry.
 type arrayArtifact struct {
 	MachineName string          `json:"machine"`
 	MachineFP   string          `json:"machine_fp"`
@@ -359,26 +362,25 @@ type arrayArtifact struct {
 }
 
 // compilePartitioned is job.compile for a partitioned job: split the
-// program across j.cells cells and serialize the arrayArtifact.
-func (j *job) compilePartitioned(opts softpipe.Options) ([]byte, *view, error) {
+// program across j.cells cells and fill the entry with one binary per cell.
+func (j *job) compilePartitioned(opts softpipe.Options) (*entry, error) {
 	ao, err := softpipe.CompileSourcePartitioned(j.canon, softpipe.Machines(j.m, j.cells), opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	a := arrayArtifact{
-		MachineName: j.m.Name,
-		MachineFP:   j.m.Fingerprint(),
-		CellII:      ao.CellII(),
-		EstMII:      ao.Plan.EstMII,
-		CutWidths:   ao.Plan.CutWidths,
-		Warnings:    ao.CapacityWarnings,
+	e := &entry{
+		key:       j.key,
+		m:         j.m,
+		cellII:    ao.CellII(),
+		estMII:    ao.Plan.EstMII,
+		cutWidths: ao.Plan.CutWidths,
+		warnings:  ao.CapacityWarnings,
 	}
 	for _, c := range ao.Cells {
-		a.Binaries = append(a.Binaries, c.Binary)
+		e.bins = append(e.bins, c.Binary)
 	}
-	data, err := json.Marshal(a)
-	return data, &view{machine: a.MachineName, cells: len(a.Binaries),
-		cellII: a.CellII, estMII: a.EstMII, cutWidths: a.CutWidths}, err
+	e.cells = len(e.bins)
+	return e, nil
 }
 
 // handleRunPartitioned is POST /run with partition=true: compile the
@@ -390,17 +392,12 @@ func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter
 		s.writeRequestError(w, err)
 		return
 	}
-	v, hit, err := s.compileCached(ctx, j, nil)
+	e, hit, err := s.compileCached(ctx, j, nil)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	bins, err := s.binaries(v)
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
-	}
-	arr := sim.NewArray(bins, j.m, req.Input)
+	arr := sim.NewArray(e.bins, e.m, req.Input)
 	arr.Ctx = ctx
 	out, last, err := arr.Run()
 	if err != nil {
@@ -415,18 +412,18 @@ func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter
 		Flops:     st.Flops,
 		MFLOPS:    st.MFLOPS(j.m, 1),
 		Output:    toJSONFloats(out),
-		CutWidths: v.cutWidths,
+		CutWidths: e.cutWidths,
 	}
 	if last != nil {
 		resp.Scalars = toJSONScalars(last.Scalars)
 	}
 	for i, cm := range arr.Metrics() {
 		cs := CellRunStats{Cell: i, StallCycles: cm.StallCycles, MaxInQueue: cm.MaxInQueue}
-		if i < len(v.cellII) {
-			cs.II = v.cellII[i]
+		if i < len(e.cellII) {
+			cs.II = e.cellII[i]
 		}
-		if i < len(v.estMII) {
-			cs.EstMII = v.estMII[i]
+		if i < len(e.estMII) {
+			cs.EstMII = e.estMII[i]
 		}
 		resp.CellStats = append(resp.CellStats, cs)
 	}

@@ -14,8 +14,9 @@
 //	               loop stats; cells share the /compile cache, partitioned
 //	               by machine fingerprint.
 //	GET  /artifact/{key}
-//	               the cached artifact bytes for a key /compile returned:
-//	               a lookup only, 404 for a key not resident, never a
+//	               the wire form (JSON) of the resident entry for a key
+//	               /compile returned, the bytes object_sha256 names: a
+//	               lookup only, 404 for a key not resident, never a
 //	               compile.
 //	GET  /healthz  liveness (503 while draining).
 //	GET  /metrics  JSON counters: cache hit rate, in-flight, queue depth,
@@ -58,7 +59,9 @@ type Config struct {
 	// MaxQueue bounds requests waiting for a worker slot; beyond it the
 	// server answers 429 with Retry-After (default 64).
 	MaxQueue int
-	// CacheBytes bounds the in-memory artifact cache (default 256 MiB).
+	// CacheBytes bounds the cache: the sum of its entries' charges, each
+	// what the entry's binaries, reply header and program hold of the heap
+	// (default 256 MiB).
 	CacheBytes int64
 	// DefaultTimeout applies when a request carries no timeout_ms
 	// (default 60s); MaxTimeout caps client-supplied deadlines
@@ -89,7 +92,6 @@ type Server struct {
 	errors     atomic.Int64 // 4xx/5xx responses
 	rejected   atomic.Int64 // 429s from admission control
 	panics     atomic.Int64
-	decodes    atomic.Int64 // times a request path parsed artifact bytes
 
 	// Partitioned-array /run aggregates (see noteArrayRun).
 	arrRuns     atomic.Int64

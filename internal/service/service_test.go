@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -439,18 +440,29 @@ func TestMetricsShape(t *testing.T) {
 	if m.UptimeS < 0 || m.InFlight != 0 || m.QueueDepth != 0 {
 		t.Fatalf("gauges %+v", m)
 	}
-	// Neither the miss nor the hit parsed the artifact; the first run does,
-	// and cache.bytes then counts the decoded view beside the bytes.
-	var fields map[string]json.RawMessage
-	if get(t, s, "/metrics", &fields); string(fields["artifact_decodes"]) != "0" {
-		t.Fatalf("artifact_decodes = %s after two /compile, want 0", fields["artifact_decodes"])
+	// cache.bytes is the entry's charge, fixed when the miss filled it: the
+	// first run builds its program and charges nothing more.
+	if m.Cache.Bytes <= 0 || m.Cache.Entries != 1 {
+		t.Fatalf("after one miss: cache.bytes=%d entries=%d", m.Cache.Bytes, m.Cache.Entries)
 	}
 	post(t, s, "/run", RunRequest{Key: cold.Key}, nil)
 	var after Metrics
 	get(t, s, "/metrics", &after)
-	if after.ArtifactDecodes != 1 || after.Cache.Bytes <= m.Cache.Bytes || after.Cache.Entries != 1 {
-		t.Fatalf("after the first run: artifact_decodes=%d cache.bytes %d -> %d entries=%d",
-			after.ArtifactDecodes, m.Cache.Bytes, after.Cache.Bytes, after.Cache.Entries)
+	if after.Cache.Bytes != m.Cache.Bytes || after.Cache.Entries != 1 {
+		t.Fatalf("after the first run: cache.bytes %d -> %d entries=%d",
+			m.Cache.Bytes, after.Cache.Bytes, after.Cache.Entries)
+	}
+	// The top-level fields, and nothing else.
+	var fields map[string]json.RawMessage
+	get(t, s, "/metrics", &fields)
+	var names []string
+	for name := range fields {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	if want := []string{"array", "cache", "errors", "in_flight", "latency_ms", "panics",
+		"queue_depth", "rejected", "requests", "uptime_s"}; !slices.Equal(names, want) {
+		t.Fatalf("/metrics fields %v, want %v", names, want)
 	}
 }
 
@@ -513,26 +525,11 @@ func TestRunMatchesStepOnly(t *testing.T) {
 	if code, _ := post(t, s, "/run", RunRequest{Source: livermoreSource(t, 7)}, &fast); code != http.StatusOK {
 		t.Fatalf("run: status %d", code)
 	}
-	key, err := cache.ParseKey(fast.Key)
-	if err != nil {
-		t.Fatal(err)
+	e := resident(t, s, fast.Key)
+	if e.prog == nil || e.prog.Blocks() == 0 {
+		t.Fatal("no fast-path block to compare")
 	}
-	data, ok := s.cache.Get(key)
-	if !ok {
-		t.Fatal("artifact left the cache")
-	}
-	a, bins, err := s.decodeArtifact(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := resolveMachine(a.MachineName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p, err := sim.Decode(bins[0], m); err != nil || p.Blocks() == 0 {
-		t.Fatalf("no fast-path block to compare (%v)", err)
-	}
-	st, ref, err := sim.Run(bins[0], m)
+	st, ref, err := sim.Run(e.bins[0], e.m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,15 +116,15 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			Fingerprint: m.Fingerprint(),
 			Rotating:    m.RotatingRegs,
 		}
-		v, hit, err := s.compileCached(ctx, jobs[i], nil)
+		e, hit, err := s.compileCached(ctx, jobs[i], nil)
 		switch {
 		case err == nil:
 			cell.Key = jobs[i].key.String()
 			cell.Cached = hit
-			cell.Instrs = v.instrs
-			cell.FRegs = v.fregs
-			cell.IRegs = v.iregs
-			cell.Loops = v.loops
+			cell.Instrs = len(e.bins[0].Instrs)
+			cell.FRegs = e.fregs
+			cell.IRegs = e.iregs
+			cell.Loops = e.loops
 		case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
 			// The sweep's deadline blew: the cells already compiled are
 			// not worth a 504-with-body protocol of their own, and the

@@ -14,8 +14,9 @@ import (
 // TestOutOfRangeRegisterRejected: a register index outside its file —
 // as a destination, any source, a ring entry, or a sequencer register —
 // is a decode error on both engines, never an index panic in the cycle
-// loop.  (vliw.Program.Validate does not check these; artifacts reach the
-// simulator from disk and over HTTP.)
+// loop.  (vliw.Program.Validate does not check these; sim.Decode is the
+// simulator's own guard, and FuzzSimDecode drives it with hostile
+// programs.)
 func TestOutOfRangeRegisterRejected(t *testing.T) {
 	m := machine.Warp()
 	halt := vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}}

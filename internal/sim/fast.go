@@ -157,7 +157,7 @@ func (p *Program) buildBlocks() {
 		// Rotating kernels stay on the generic path: the fast path's
 		// delay-buffer cursors assume register identity is static, and a
 		// Rotate-marked loop-back changes it every pass.
-		if ct.Kind != vliw.CtlDBNZ || ct.Target > e || ct.Rotate {
+		if ct.Kind != vliw.CtlDBNZ || ct.Target < 0 || ct.Target > e || ct.Rotate {
 			continue
 		}
 		h := ct.Target

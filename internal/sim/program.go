@@ -113,6 +113,9 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 		ops:     make([]decOp, 0, nOps),
 		ringLen: ringLen,
 	}
+	if d.err = checkLayout(p); d.err != nil {
+		return d
+	}
 	for pc := range p.Instrs {
 		in := &p.Instrs[pc]
 		w := &d.words[pc]
@@ -185,6 +188,23 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 		}
 	}
 	return d
+}
+
+// checkLayout checks what a cell allocates and addresses before any
+// operand is read: the register files and the memory are not negative, and
+// every array lies inside the memory.
+func checkLayout(p *vliw.Program) error {
+	if p.NumFRegs < 0 || p.NumIRegs < 0 || p.MemWords < 0 {
+		return fmt.Errorf("sim: negative size: %d f registers, %d i registers, %d memory words",
+			p.NumFRegs, p.NumIRegs, p.MemWords)
+	}
+	for _, a := range p.Arrays {
+		if a.Base < 0 || a.Size < 0 || a.Base > p.MemWords-a.Size {
+			return fmt.Errorf("sim: array %s [%d, %d+%d) outside memory of %d words",
+				a.Name, a.Base, a.Base, a.Size, p.MemWords)
+		}
+	}
+	return nil
 }
 
 // checkOperand range-checks one operand of the word at pc: its static

@@ -210,6 +210,11 @@ func New(p *vliw.Program, m *machine.Machine) *Sim { return NewCell(decode(p, m)
 // initialized memory.  Cells share the Program and nothing else.
 func NewCell(p *Program) *Sim {
 	src := p.Src
+	if p.err != nil {
+		// Sized by a program that did not decode: allocate nothing, and
+		// let the first Step report why.
+		return newCell(p, nil, nil, nil, nil)
+	}
 	return newCell(p, make([]float64, src.NumFRegs), make([]int64, src.NumIRegs),
 		make([]float64, src.MemWords), make([]int64, src.MemWords))
 }
@@ -227,6 +232,9 @@ func newCell(p *Program, fregs []float64, iregs []int64, memF []float64, memI []
 		lastWF:  make([]int64, len(fregs)),
 		lastWI:  make([]int64, len(iregs)),
 		bstates: make([]*blockState, p.Blocks()),
+	}
+	if p.err != nil {
+		return s
 	}
 	for _, a := range p.Src.Arrays {
 		if a.Kind == ir.KindFloat {

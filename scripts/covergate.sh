@@ -10,8 +10,8 @@
 # partitioner and the independent object-code verifier — the layers
 # whose regressions silently corrupt emitted code; the simulator,
 # the single cell semantics the fast path and every array run on; the
-# service; and the cache, which owns the accounting invariant (bytes plus
-# views within MaxBytes, no view outliving its entry) the service's hit
+# service; and the cache, which owns the accounting invariant (charges
+# within MaxBytes, each fixed for its entry's residency) the service's hit
 # path rests on.
 # The simulator's fast path is differential-tested from
 # internal/sim/compiled, so its figure is the union over both test
