@@ -64,10 +64,11 @@ func Array(src *ir.Program, pl ArrayPlan, objs []*vliw.Program, ms []*machine.Ma
 	for _, obj := range objs {
 		capHint += termCapHint(obj)
 	}
-	itn, err := newInterner(capHint)
+	itn, err := acquireInterner(capHint)
 	if err != nil {
 		return err
 	}
+	defer itn.release()
 	sp := opts.Tracer.Begin("verify.array.ref")
 	ref, err := runRef(src, itn, opts.Input, opts.MaxSteps)
 	sp.End()

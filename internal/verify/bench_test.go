@@ -4,6 +4,7 @@ import (
 	"os"
 	"testing"
 
+	"softpipe"
 	"softpipe/internal/codegen"
 	"softpipe/internal/ir"
 	"softpipe/internal/lang"
@@ -58,18 +59,58 @@ func lastCount(tr *trace.Tracer, name string) (int64, bool) {
 	return 0, false
 }
 
-// BenchmarkVerifyProgram is the verifier's host cost on four objects of
-// different character: a short streaming loop, a memory-bound kernel, a
-// long expression over many arrays, and a rotating-register object.
-func BenchmarkVerifyProgram(b *testing.B) {
+func saxpy(tb testing.TB) *ir.Program {
+	tb.Helper()
 	src, err := os.ReadFile("../../testdata/saxpy.w2")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	saxpy, err := lang.Compile(string(src))
+	p, err := lang.Compile(string(src))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return p
+}
+
+// arrayCase is a partitioned program ready for verify.Array.
+type arrayCase struct {
+	src  *ir.Program
+	plan verify.ArrayPlan
+	objs []*vliw.Program
+	ms   []*machine.Machine
+}
+
+func (a *arrayCase) verify(opts verify.Options) error {
+	return verify.Array(a.src, a.plan, a.objs, a.ms, opts)
+}
+
+// saxpyArray is saxpy partitioned across cells Warp cells.
+func saxpyArray(tb testing.TB, cells int) *arrayCase {
+	tb.Helper()
+	p := saxpy(tb)
+	ao, err := softpipe.CompilePartitioned(p, softpipe.Machines(machine.Warp(), cells), softpipe.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a := &arrayCase{src: p, plan: verify.ArrayPlan{
+		Fragments:   ao.Plan.Fragments,
+		ArrayOwner:  ao.Plan.ArrayOwner,
+		ResultOwner: ao.Plan.ResultOwner,
+	}}
+	for _, c := range ao.Cells {
+		a.objs = append(a.objs, c.Binary)
+		a.ms = append(a.ms, c.Machine)
+	}
+	return a
+}
+
+// BenchmarkVerifyProgram is the verifier's host cost on four objects of
+// different character — a short streaming loop, a memory-bound kernel, a
+// long expression over many arrays, and a rotating-register object —
+// and on saxpy cut across two cells, whose verify.Array runs every cell
+// in one term store.
+func BenchmarkVerifyProgram(b *testing.B) {
+	saxpy := saxpy(b)
 	for _, bc := range []struct {
 		name string
 		prog *ir.Program
@@ -97,4 +138,20 @@ func BenchmarkVerifyProgram(b *testing.B) {
 			b.ReportMetric(float64(terms), "terms/op")
 		})
 	}
+	arr := saxpyArray(b, 2)
+	b.Run("saxpy/array2", func(b *testing.B) {
+		tr := trace.New("bench")
+		if err := arr.verify(verify.Options{Tracer: tr}); err != nil {
+			b.Fatal(err)
+		}
+		terms, _ := lastCount(tr, "verify.array.terms")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := arr.verify(verify.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(terms), "terms/op")
+	})
 }

@@ -25,14 +25,15 @@ type shadowResult struct {
 	iv []int64
 }
 
-// pendWB is one in-flight register write-back.
+// pendWB is one in-flight register write-back, packed into three words:
+// val holds the float's bits or the int, reg and pc fit 32 bits because
+// both were range-checked against the program.
 type pendWB struct {
-	isFloat bool
-	reg     int
-	f       float64
-	i       int64
+	val     uint64
+	reg     int32
 	t       termID
-	pc      int
+	pc      int32
+	isFloat bool
 }
 
 type pendStore struct {
@@ -64,8 +65,11 @@ type shadowExec struct {
 	memI []int64
 	memT []termID
 
-	// ring[t mod (maxLat+1)] holds write-backs landing at cycle t.
+	// ring[t & ringMask] holds write-backs landing at cycle t; its
+	// length is a power of two above the longest latency, so no two
+	// cycles in flight share an entry.
 	ring     [][]pendWB
+	ringMask int64
 	nPending int
 	// wbStampF/I[r] = cycle+1 of the register's last write-back, for
 	// same-cycle collision detection (an overwrite-while-live bug that
@@ -84,6 +88,12 @@ type shadowExec struct {
 	rrb int64 // rotating register base
 
 	stores []pendStore
+
+	// arrs[opBase[pc]+oi] is the array op oi of instruction pc loads or
+	// stores, resolved once per object; nil for other ops and for a name
+	// the program does not declare.
+	arrs   []*vliw.ArrayInfo
+	opBase []int32
 }
 
 func runShadow(p *vliw.Program, m *machine.Machine, itn *interner, input []float64, maxCycles int64) (*shadowResult, error) {
@@ -94,6 +104,10 @@ func runShadow(p *vliw.Program, m *machine.Machine, itn *interner, input []float
 // word; a nil inT mints fresh input leaves.
 func runShadowTape(p *vliw.Program, m *machine.Machine, itn *interner, input []float64, inT []termID, maxCycles int64) (*shadowResult, error) {
 	maxLat := m.MaxLatency()
+	ringLen := 1
+	for ringLen <= maxLat {
+		ringLen *= 2
+	}
 	s := &shadowExec{
 		p: p, m: m, itn: itn,
 		fv:       make([]float64, p.NumFRegs),
@@ -103,7 +117,8 @@ func runShadowTape(p *vliw.Program, m *machine.Machine, itn *interner, input []f
 		memF:     make([]float64, p.MemWords),
 		memI:     make([]int64, p.MemWords),
 		memT:     make([]termID, p.MemWords),
-		ring:     make([][]pendWB, maxLat+1),
+		ring:     make([][]pendWB, ringLen),
+		ringMask: int64(ringLen - 1),
 		wbStampF: make([]int64, p.NumFRegs),
 		wbStampI: make([]int64, p.NumIRegs),
 		input:    input,
@@ -133,6 +148,8 @@ func runShadowTape(p *vliw.Program, m *machine.Machine, itn *interner, input []f
 			copy(s.memI[a.Base:a.Base+a.Size], p.InitI[a.Name])
 		}
 	}
+
+	s.resolveArrays()
 
 	pc, t := 0, int64(0)
 	halted := false
@@ -170,14 +187,32 @@ func runShadowTape(p *vliw.Program, m *machine.Machine, itn *interner, input []f
 	}, nil
 }
 
-func (s *shadowExec) wb(due int64, pc int, isFloat bool, reg int, f float64, i int64, t termID) {
-	slot := int(due % int64(len(s.ring)))
-	s.ring[slot] = append(s.ring[slot], pendWB{isFloat: isFloat, reg: reg, f: f, i: i, t: t, pc: pc})
+// resolveArrays fills s.arrs and s.opBase.
+func (s *shadowExec) resolveArrays() {
+	s.opBase = make([]int32, len(s.p.Instrs))
+	n := 0
+	for pc := range s.p.Instrs {
+		s.opBase[pc] = int32(n)
+		n += len(s.p.Instrs[pc].Ops)
+	}
+	s.arrs = make([]*vliw.ArrayInfo, n)
+	for pc := range s.p.Instrs {
+		for oi := range s.p.Instrs[pc].Ops {
+			if o := &s.p.Instrs[pc].Ops[oi]; o.Class == machine.ClassLoad || o.Class == machine.ClassStore {
+				s.arrs[int(s.opBase[pc])+oi] = s.p.Array(o.Array)
+			}
+		}
+	}
+}
+
+func (s *shadowExec) wb(due int64, pc int, isFloat bool, reg int, val uint64, t termID) {
+	slot := due & s.ringMask
+	s.ring[slot] = append(s.ring[slot], pendWB{val: val, reg: int32(reg), t: t, pc: int32(pc), isFloat: isFloat})
 	s.nPending++
 }
 
 func (s *shadowExec) applyWritebacks(t int64) error {
-	slot := int(t % int64(len(s.ring)))
+	slot := t & s.ringMask
 	wbs := s.ring[slot]
 	if len(wbs) == 0 {
 		return nil
@@ -190,14 +225,14 @@ func (s *shadowExec) applyWritebacks(t int64) error {
 				return fmt.Errorf("shadow: write-back collision on f%d at cycle %d (pc %d): two results land on one register in the same cycle", w.reg, t, w.pc)
 			}
 			s.wbStampF[w.reg] = stamp
-			s.fv[w.reg] = w.f
+			s.fv[w.reg] = math.Float64frombits(w.val)
 			s.ft[w.reg] = w.t
 		} else {
 			if s.wbStampI[w.reg] == stamp {
 				return fmt.Errorf("shadow: write-back collision on i%d at cycle %d (pc %d): two results land on one register in the same cycle", w.reg, t, w.pc)
 			}
 			s.wbStampI[w.reg] = stamp
-			s.iv[w.reg] = w.i
+			s.iv[w.reg] = int64(w.val)
 			s.it[w.reg] = w.t
 		}
 	}
@@ -241,7 +276,7 @@ func (s *shadowExec) writeF(pc int, due int64, o *vliw.SlotOp, v float64, tm ter
 	if dst < 0 || dst >= len(s.fv) {
 		return fmt.Errorf("shadow: @%d: float register f%d out of range", pc, dst)
 	}
-	s.wb(due, pc, true, dst, v, 0, tm)
+	s.wb(due, pc, true, dst, math.Float64bits(v), tm)
 	return nil
 }
 
@@ -250,14 +285,14 @@ func (s *shadowExec) writeI(pc int, due int64, o *vliw.SlotOp, v int64, tm termI
 	if dst < 0 || dst >= len(s.iv) {
 		return fmt.Errorf("shadow: @%d: int register i%d out of range", pc, dst)
 	}
-	s.wb(due, pc, false, dst, 0, v, tm)
+	s.wb(due, pc, false, dst, uint64(v), tm)
 	return nil
 }
 
 // slot executes one operation of instruction pc at cycle t: operands
 // are read now, the result lands after the class's latency, a store
-// joins s.stores.
-func (s *shadowExec) slot(pc int, t int64, o *vliw.SlotOp) error {
+// joins s.stores.  arr is the array a load or store names.
+func (s *shadowExec) slot(pc int, t int64, o *vliw.SlotOp, arr *vliw.ArrayInfo) error {
 	d := s.m.Desc(o.Class)
 	if d == nil {
 		return fmt.Errorf("shadow: @%d: class %v unsupported on %s", pc, o.Class, s.m.Name)
@@ -392,7 +427,6 @@ func (s *shadowExec) slot(pc int, t int64, o *vliw.SlotOp) error {
 		}
 		return s.writeI(pc, due, o, v, tv)
 	case machine.ClassLoad:
-		arr := s.p.Array(o.Array)
 		if arr == nil {
 			return fmt.Errorf("shadow: @%d: unknown array %q", pc, o.Array)
 		}
@@ -409,7 +443,6 @@ func (s *shadowExec) slot(pc int, t int64, o *vliw.SlotOp) error {
 		}
 		return s.writeI(pc, due, o, s.memI[addr], s.memT[addr])
 	case machine.ClassStore:
-		arr := s.p.Array(o.Array)
 		if arr == nil {
 			return fmt.Errorf("shadow: @%d: unknown array %q", pc, o.Array)
 		}
@@ -446,8 +479,9 @@ func (s *shadowExec) issue(pc int, t int64) (next int, halted bool, err error) {
 	in := &s.p.Instrs[pc]
 	next = pc + 1
 	s.stores = s.stores[:0]
+	arrs := s.arrs[s.opBase[pc]:]
 	for oi := range in.Ops {
-		if err := s.slot(pc, t, &in.Ops[oi]); err != nil {
+		if err := s.slot(pc, t, &in.Ops[oi], arrs[oi]); err != nil {
 			return 0, false, err
 		}
 	}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
@@ -85,8 +86,17 @@ func writesBack(p *vliw.Program, o *vliw.SlotOp) (isFloat bool, ok bool) {
 // checkStructure validates the program's static encoding against the
 // machine: supported classes, operand arity, register indices within the
 // declared files (and the declared files within the machine's), branch
-// targets and registers, array layout within data memory.
+// targets and registers, array layout within data memory, and no
+// negative size among the files and the memory.
 func checkStructure(p *vliw.Program, m *machine.Machine) error {
+	for _, size := range []struct {
+		n    int
+		what string
+	}{{p.NumFRegs, "float registers"}, {p.NumIRegs, "int registers"}, {p.MemWords, "data memory words"}} {
+		if size.n < 0 {
+			return fmt.Errorf("verify: program declares %d %s", size.n, size.what)
+		}
+	}
 	if p.NumFRegs > m.FloatRegs {
 		return fmt.Errorf("verify: program declares %d float registers, machine %s has %d", p.NumFRegs, m.Name, m.FloatRegs)
 	}
@@ -232,31 +242,43 @@ func checkStructure(p *vliw.Program, m *machine.Machine) error {
 func checkResources(p *vliw.Program, m *machine.Machine) error {
 	nRes := len(m.ResourceCount)
 	maxOff := 0
-	usage := make([][]machine.ResUse, len(p.Instrs))
 	for pc := range p.Instrs {
-		in := &p.Instrs[pc]
-		var u []machine.ResUse
-		for oi := range in.Ops {
-			d := m.Desc(in.Ops[oi].Class)
+		for oi := range p.Instrs[pc].Ops {
+			o := &p.Instrs[pc].Ops[oi]
+			d := m.Desc(o.Class)
 			if d == nil {
-				return fmt.Errorf("verify: @%d: class %v unsupported on %s", pc, in.Ops[oi].Class, m.Name)
+				return fmt.Errorf("verify: @%d: class %v unsupported on %s", pc, o.Class, m.Name)
 			}
 			for _, r := range d.Reservation {
-				u = append(u, r)
-				if r.Offset > maxOff {
-					maxOff = r.Offset
+				maxOff = max(maxOff, r.Offset)
+			}
+		}
+	}
+	// uses adds row pc's reservations — its ops' tables and, when it has
+	// a control field, one Branch use — into the nRes-wide rows of acc,
+	// a reservation at offset f going to row (base+f) % period.
+	uses := func(acc []int, pc, base, period int) {
+		in := &p.Instrs[pc]
+		for oi := range in.Ops {
+			for _, r := range m.Desc(in.Ops[oi].Class).Reservation {
+				if int(r.Resource) < nRes {
+					acc[(base+r.Offset)%period*nRes+int(r.Resource)]++
 				}
 			}
 		}
 		if in.Ctl.Kind != vliw.CtlNone && int(machine.ResBranch) < nRes {
-			u = append(u, machine.ResUse{Resource: machine.ResBranch})
+			acc[base%period*nRes+int(machine.ResBranch)]++
 		}
-		usage[pc] = u
 	}
-
-	check := func(row []int, pc int, where string) error {
+	// check reports the first resource row pc oversubscribes, naming the
+	// cyclic region [T..end] it was folded in unless T < 0.
+	check := func(row []int, pc, T, end int) error {
 		for r := 0; r < nRes; r++ {
 			if row[r] > m.ResourceCount[r] {
+				where := ""
+				if T >= 0 {
+					where = fmt.Sprintf(" in cyclic region [%d..%d] mod %d", T, end, end-T+1)
+				}
 				return fmt.Errorf("verify: @%d: resource %v oversubscribed (%d > %d)%s: %s",
 					pc, machine.Resource(r), row[r], m.ResourceCount[r], where, p.Instrs[pc].String())
 			}
@@ -268,37 +290,23 @@ func checkResources(p *vliw.Program, m *machine.Machine) error {
 	// unconditional transfer, so an offset-f reservation at row q lands
 	// on row q+f of the same run.  (With maxOff == 0 this is the plain
 	// per-row check.)
-	window := make([][]int, maxOff+1)
-	for i := range window {
-		window[i] = make([]int, nRes)
-	}
-	reset := func() {
-		for i := range window {
-			for r := range window[i] {
-				window[i][r] = 0
-			}
-		}
-	}
+	W := maxOff + 1
+	window := make([]int, W*nRes)
 	for pc := range p.Instrs {
-		cur := window[pc%(maxOff+1)]
-		for _, u := range usage[pc] {
-			if int(u.Resource) < nRes && u.Offset <= maxOff {
-				window[(pc+u.Offset)%(maxOff+1)][u.Resource]++
-			}
-		}
-		if err := check(cur, pc, ""); err != nil {
+		uses(window, pc, pc, W)
+		cur := window[pc%W*nRes:][:nRes]
+		if err := check(cur, pc, -1, 0); err != nil {
 			return err
 		}
-		for r := range cur {
-			cur[r] = 0
-		}
+		clear(cur)
 		if k := p.Instrs[pc].Ctl.Kind; k == vliw.CtlJump || k == vliw.CtlHalt {
-			reset()
+			clear(window)
 		}
 	}
 
 	// Modulo view: a region [T..pc] closed by its only backward branch
 	// re-issues with period L = pc-T+1, so all reservations fold mod L.
+	var rows []int
 	for pc := range p.Instrs {
 		ctl := p.Instrs[pc].Ctl
 		if !(ctl.Kind == vliw.CtlJump || ctl.Kind == vliw.CtlDBNZ || ctl.Kind == vliw.CtlJZ || ctl.Kind == vliw.CtlJNZ) || ctl.Target > pc {
@@ -317,19 +325,13 @@ func checkResources(p *vliw.Program, m *machine.Machine) error {
 		if nested {
 			continue
 		}
-		rows := make([][]int, L)
-		for i := range rows {
-			rows[i] = make([]int, nRes)
-		}
+		rows = slices.Grow(rows[:0], L*nRes)[:L*nRes]
+		clear(rows)
 		for q := T; q <= pc; q++ {
-			for _, u := range usage[q] {
-				if int(u.Resource) < nRes {
-					rows[(q-T+u.Offset)%L][u.Resource]++
-				}
-			}
+			uses(rows, q, q-T, L)
 		}
-		for i := range rows {
-			if err := check(rows[i], T+i, fmt.Sprintf(" in cyclic region [%d..%d] mod %d", T, pc, L)); err != nil {
+		for i := 0; i < L; i++ {
+			if err := check(rows[i*nRes:][:nRes], T+i, T, pc); err != nil {
 				return err
 			}
 		}

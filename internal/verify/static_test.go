@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"strings"
 	"testing"
 
 	"softpipe/internal/ir"
@@ -47,6 +48,34 @@ func TestEncodingRulesAgreeWithClassTable(t *testing.T) {
 				if wb != (want != machine.FileNone) || (wb && isFloat != (want == machine.FileFloat)) {
 					t.Errorf("%v (arrFloat=%v selFloat=%v): writesBack = (%v, %v), table says file %d", c, arrFloat, selFloat, isFloat, wb, want)
 				}
+			}
+		}
+	}
+}
+
+// TestNegativeSizesRefused: a register file or a data memory of negative
+// size is refused by the structure check — by Static and by Program,
+// which would otherwise allocate it — with the size named.
+func TestNegativeSizesRefused(t *testing.T) {
+	m := machine.Warp()
+	src := &ir.Program{Name: "empty", Body: &ir.Block{}}
+	for _, tc := range []struct {
+		name string
+		edit func(p *vliw.Program)
+		want string
+	}{
+		{"float file", func(p *vliw.Program) { p.NumFRegs = -1 }, "-1 float registers"},
+		{"int file", func(p *vliw.Program) { p.NumIRegs = -2 }, "-2 int registers"},
+		{"data memory", func(p *vliw.Program) { p.MemWords = -3 }, "-3 data memory words"},
+	} {
+		p := &vliw.Program{NumFRegs: 1, NumIRegs: 1, MemWords: 1, Instrs: []vliw.Instr{{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}}}}
+		if err := ProgramOpts(src, p, m, Options{}); err != nil {
+			t.Fatalf("%s: the unedited program is refused: %v", tc.name, err)
+		}
+		tc.edit(p)
+		for check, err := range map[string]error{"Static": Static(p, m), "Program": Program(src, p, m)} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: %s = %v, want a refusal naming %q", tc.name, check, err, tc.want)
 			}
 		}
 	}

@@ -35,7 +35,10 @@ package verify
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"strings"
+	"sync/atomic"
 
 	"softpipe/internal/machine"
 	"softpipe/internal/vliw"
@@ -103,18 +106,34 @@ func (n *termNode) hash() uint64 {
 
 // interner hash-conses terms.  One interner is shared by the reference
 // and shadow executions of a verification run, so equal provenance means
-// equal termID on both sides.  It belongs to that run alone.
+// equal termID on both sides.  It belongs to that run alone; between
+// runs at most one store is kept for reuse (acquireInterner).
+//
+// Every slot below — table entries and leaf slots alike — holds a
+// termID plus one, so zero means free and a fresh or cleared slice is
+// empty without being filled.
 type interner struct {
 	nodes []termNode
-	// table is the hash-cons index: open addressing with linear probing
-	// over a power-of-two number of slots, at least twice cap(nodes) of
-	// them, noTerm marking a free one.  Probing starts at the top bits
-	// of the node's hash (shift = 64 - log2 len).
+	// table is the hash-cons index over the operation nodes only: open
+	// addressing with linear probing over a power-of-two number of
+	// slots, grown before ops would fill more than half of them.
+	// Probing starts at the top bits of the node's hash (shift = 64 -
+	// log2 len).
 	table []termID
 	shift uint
+	ops   int
+	// Leaves are unique by what names them, so they are numbered on
+	// first use in slices indexed by that name and never hashed:
+	// zeros[1] is the float file's power-on leaf, zeros[0] the int
+	// file's; inits[n][i] is word i of array number n; inputs[p] is
+	// input-tape word p.
+	zeros  [2]termID
+	inits  [][]termID
+	inputs []termID
 	// arrays[n] is the name of array number n, for render.
 	arrays []string
-	// lookups counts mk calls; len(nodes) of them missed.
+	// lookups counts every term request, leaves included; len(nodes) of
+	// them interned a new term.
 	lookups int64
 }
 
@@ -125,26 +144,78 @@ func newInterner(capHint int) (*interner, error) {
 		return nil, err
 	}
 	in := &interner{}
-	in.resize(max(capHint, 1))
+	in.reset(capHint)
 	return in, nil
 }
 
-// resize gives the store room for nodeCap nodes and a table they fill
-// at most half, re-entering every node: nodes and table grow together,
-// here and nowhere else.
-func (in *interner) resize(nodeCap int) {
-	in.nodes = append(make([]termNode, 0, nodeCap), in.nodes...)
-	bits := uint(1)
-	for 1<<bits < 2*nodeCap {
-		bits++
+// maxKeptBytes bounds the store kept between runs: one that grew past
+// it (a program far larger than the corpus's) is left to the collector.
+const maxKeptBytes = 4 << 20
+
+// spare is the one store kept between runs, nil while a run holds it.
+var spare atomic.Pointer[interner]
+
+// acquireInterner is newInterner reusing the kept store when no other
+// run holds it, so a run allocates its term store only when it needs a
+// larger one.  Pair it with release once the run has rendered its
+// verdict.
+func acquireInterner(capHint int) (*interner, error) {
+	in := spare.Swap(nil)
+	if in == nil {
+		return newInterner(capHint)
 	}
-	in.table = make([]termID, 1<<bits)
-	for i := range in.table {
-		in.table[i] = noTerm
+	in.reset(capHint)
+	return in, nil
+}
+
+// release offers the store to the next run unless it outgrew
+// maxKeptBytes.  The caller must not use it afterwards.
+func (in *interner) release() {
+	size := 24*cap(in.nodes) + 4*(cap(in.table)+cap(in.inputs))
+	for _, s := range in.inits[:cap(in.inits)] {
+		size += 4 * cap(s)
 	}
-	in.shift = 64 - bits
-	for id := range in.nodes {
-		in.table[in.probe(&in.nodes[id])] = termID(id)
+	if size <= maxKeptBytes {
+		spare.Store(in)
+	}
+}
+
+// reset empties the store and gives it room for capHint terms, nodes
+// and table sized once: a run whose hint holds grows neither.
+func (in *interner) reset(capHint int) {
+	capHint = max(capHint, 1)
+	if cap(in.nodes) < capHint {
+		in.nodes = make([]termNode, 0, capHint)
+	}
+	in.nodes = in.nodes[:0]
+	n := 2
+	for n < 2*capHint {
+		n *= 2
+	}
+	if cap(in.table) >= n {
+		in.table = in.table[:n]
+		clear(in.table)
+	} else {
+		in.table = make([]termID, n)
+	}
+	in.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	in.ops = 0
+	in.zeros = [2]termID{}
+	in.inits = in.inits[:0]
+	in.inputs = in.inputs[:0]
+	in.arrays = in.arrays[:0]
+	in.lookups = 0
+}
+
+// grow doubles the table and re-enters every operation node it held.
+func (in *interner) grow() {
+	old := in.table
+	in.table = make([]termID, 2*len(old))
+	in.shift--
+	for _, e := range old {
+		if e != 0 {
+			in.table[in.probe(&in.nodes[e-1])] = e
+		}
 	}
 }
 
@@ -153,26 +224,51 @@ func (in *interner) resize(nodeCap int) {
 func (in *interner) probe(n *termNode) int {
 	mask := len(in.table) - 1
 	i := int(n.hash() >> in.shift)
-	for id := in.table[i]; id != noTerm && in.nodes[id] != *n; id = in.table[i] {
+	for e := in.table[i]; e != 0 && in.nodes[e-1] != *n; e = in.table[i] {
 		i = (i + 1) & mask
 	}
 	return i
 }
 
+// mk interns an operation node through the table.
 func (in *interner) mk(n termNode) termID {
 	in.lookups++
 	i := in.probe(&n)
-	if id := in.table[i]; id != noTerm {
-		return id
+	if e := in.table[i]; e != 0 {
+		return e - 1
 	}
-	if len(in.nodes) == cap(in.nodes) {
-		in.resize(2 * cap(in.nodes))
+	if 2*(in.ops+1) > len(in.table) {
+		in.grow()
 		i = in.probe(&n)
 	}
-	id := termID(len(in.nodes))
-	in.nodes = append(in.nodes, n)
-	in.table[i] = id
+	id := in.add(n)
+	in.table[i] = id + 1
+	in.ops++
 	return id
+}
+
+// add appends a node and returns its ID.
+func (in *interner) add(n termNode) termID {
+	in.nodes = append(in.nodes, n)
+	return termID(len(in.nodes) - 1)
+}
+
+// leaf returns the leaf in *slot, numbering n first if the slot is free.
+func (in *interner) leaf(slot *termID, n termNode) termID {
+	in.lookups++
+	if *slot == 0 {
+		*slot = in.add(n) + 1
+	}
+	return *slot - 1
+}
+
+// slots returns s with at least n entries, any it adds free.
+func slots(s []termID, n int) []termID {
+	if k := len(s); n > k {
+		s = slices.Grow(s, n-k)[:n]
+		clear(s[k:])
+	}
+	return s
 }
 
 // op0, op1 and op2 intern a computation node of that many arguments.
@@ -194,7 +290,7 @@ func (in *interner) zero(float bool) termID {
 	if float {
 		imm = 1
 	}
-	return in.mk(termNode{kind: tkZero, imm: imm, a0: noTerm, a1: noTerm, a2: noTerm})
+	return in.leaf(&in.zeros[imm], termNode{kind: tkZero, imm: imm, a0: noTerm, a1: noTerm, a2: noTerm})
 }
 
 // arrayNum returns the number memInit leaves name the array by: arrays
@@ -212,15 +308,32 @@ func (in *interner) arrayNum(name string) (uint16, error) {
 	return uint16(len(in.arrays) - 1), nil
 }
 
+// initSlots returns the leaf slots of the array numbered array, with at
+// least n entries.
+func (in *interner) initSlots(array uint16, n int) []termID {
+	if k := len(in.inits); int(array) >= k {
+		// Slices kept from an earlier run lend their memory, not their
+		// slots.
+		in.inits = slices.Grow(in.inits, int(array)+1-k)[:array+1]
+		for i := k; i < len(in.inits); i++ {
+			in.inits[i] = in.inits[i][:0]
+		}
+	}
+	in.inits[array] = slots(in.inits[array], n)
+	return in.inits[array]
+}
+
 // memInit returns the leaf for the initial content of word idx of the
 // array numbered array.
 func (in *interner) memInit(array uint16, idx int64) termID {
-	return in.mk(termNode{kind: tkMemInit, sub: array, imm: uint64(idx), a0: noTerm, a1: noTerm, a2: noTerm})
+	s := in.initSlots(array, int(idx)+1)
+	return in.leaf(&s[idx], termNode{kind: tkMemInit, sub: array, imm: uint64(idx), a0: noTerm, a1: noTerm, a2: noTerm})
 }
 
 // input returns the leaf for input-tape word pos.
 func (in *interner) input(pos int) termID {
-	return in.mk(termNode{kind: tkInput, imm: uint64(pos), a0: noTerm, a1: noTerm, a2: noTerm})
+	in.inputs = slots(in.inputs, pos+1)
+	return in.leaf(&in.inputs[pos], termNode{kind: tkInput, imm: uint64(pos), a0: noTerm, a1: noTerm, a2: noTerm})
 }
 
 // render pretty-prints a term to bounded depth for diagnostics.
@@ -268,7 +381,10 @@ func (in *interner) render(id termID, depth int) string {
 
 // termCapHint estimates, from what is known before execution, how many
 // terms verifying obj interns: a leaf per memory word, and per word a
-// few operations of the loop bodies that overwrite it.
+// few operations of the loop bodies that overwrite it.  The store sizes
+// its nodes to the hint and its table to twice the hint; leaves never
+// enter the table, so the table grows only if operations alone outrun
+// the hint.
 func termCapHint(obj *vliw.Program) int {
 	return 4*obj.MemWords + len(obj.Instrs)
 }

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -49,6 +50,14 @@ func mustInterner(t *testing.T, capHint int) *interner {
 func TestTermNodeIsThreePointerFreeWords(t *testing.T) {
 	if got := unsafe.Sizeof(termNode{}); got != 24 {
 		t.Fatalf("termNode is %d bytes, want 24", got)
+	}
+}
+
+// TestPendingWriteBackIsThreeWords: the shadow queues one pendWB per
+// result in flight, so its layout is held like the term node's.
+func TestPendingWriteBackIsThreeWords(t *testing.T) {
+	if got := unsafe.Sizeof(pendWB{}); got != 24 {
+		t.Fatalf("pendWB is %d bytes, want 24", got)
 	}
 }
 
@@ -198,49 +207,71 @@ func TestStoreOneFieldApart(t *testing.T) {
 	}
 }
 
-// TestStoreGrowthAndProbeChains starts at the smallest capacity, so the
-// store doubles a dozen times, and then packs one table with nodes that
-// all start probing at its last slot, so chains are long and wrap.
+// TestStoreGrowthAndProbeChains starts at the smallest table, so it
+// doubles a dozen times on the way to 5,000 operation nodes while leaves
+// are numbered beside them, and then packs one table with nodes that all
+// start probing at its last slot, so chains are long and wrap.
 func TestStoreGrowthAndProbeChains(t *testing.T) {
 	in := mustInterner(t, 0)
-	if cap(in.nodes) != 1 || len(in.table) != 2 {
-		t.Fatalf("smallest store has room for %d nodes in %d slots, want 1 in 2", cap(in.nodes), len(in.table))
+	if len(in.table) != 2 {
+		t.Fatalf("smallest store has %d slots, want 2", len(in.table))
+	}
+	occupied := func() int {
+		k := 0
+		for _, e := range in.table {
+			if e != 0 {
+				k++
+			}
+		}
+		return k
 	}
 	const n = 5000
+	var ops, leaves []termID
 	grew := 0
 	for i := 0; i < n; i++ {
-		before := cap(in.nodes)
-		if id := in.input(i); id != termID(i) {
-			t.Fatalf("input %d interned as t%d", i, id)
-		}
-		if cap(in.nodes) != before {
+		before := len(in.table)
+		ops = append(ops, in.op0(machine.ClassIConst, uint64(i)))
+		if len(in.table) != before {
 			grew++
-			if cap(in.nodes) != 2*before {
-				t.Fatalf("growth from %d to %d nodes, want doubling", before, cap(in.nodes))
+			if len(in.table) != 2*before {
+				t.Fatalf("growth from %d to %d slots, want doubling", before, len(in.table))
 			}
-			if len(in.table)&(len(in.table)-1) != 0 || len(in.table) < 2*cap(in.nodes) {
-				t.Fatalf("table of %d slots for %d nodes", len(in.table), cap(in.nodes))
+			// The table holds the operation nodes and nothing else, and
+			// every one interned before the growth is still found.
+			if k := occupied(); k != len(ops) {
+				t.Fatalf("after growth to %d slots: %d entries for %d operations", len(in.table), k, len(ops))
 			}
-			// Everything interned before the growth is still found.
-			for j := 0; j <= i; j++ {
-				if id := in.input(j); id != termID(j) {
-					t.Fatalf("after growth to %d: input %d found as t%d", cap(in.nodes), j, id)
+			for j := range ops {
+				if id := in.op0(machine.ClassIConst, uint64(j)); id != ops[j] {
+					t.Fatalf("after growth to %d slots: operation %d found as t%d, interned as t%d", len(in.table), j, id, ops[j])
 				}
 			}
 		}
+		if 2*in.ops > len(in.table) {
+			t.Fatalf("%d operations in %d slots: more than half full", in.ops, len(in.table))
+		}
+		if i%3 == 0 {
+			leaves = append(leaves, in.input(i/3))
+		}
 	}
 	if grew < 12 {
-		t.Fatalf("store grew %d times on the way to %d nodes, want every doubling", grew, n)
+		t.Fatalf("table grew %d times on the way to %d operations, want every doubling", grew, n)
 	}
-	if len(in.nodes) != n {
-		t.Fatalf("store holds %d nodes, want %d", len(in.nodes), n)
+	if len(in.nodes) != n+len(leaves) || occupied() != n {
+		t.Fatalf("store holds %d nodes, %d in the table; want %d and %d", len(in.nodes), occupied(), n+len(leaves), n)
+	}
+	for p, id := range leaves {
+		if got := in.input(p); got != id {
+			t.Fatalf("input %d found as t%d, numbered t%d", p, got, id)
+		}
 	}
 
 	in = mustInterner(t, 32)
-	last := len(in.table) - 1
+	slots := len(in.table)
+	last := slots - 1
 	var chain []termNode
 	for imm := uint64(0); len(chain) < 24; imm++ {
-		nd := termNode{kind: tkInput, imm: imm, a0: noTerm, a1: noTerm, a2: noTerm}
+		nd := termNode{kind: tkOp, sub: uint16(machine.ClassIConst), imm: imm, a0: noTerm, a1: noTerm, a2: noTerm}
 		if int(nd.hash()>>in.shift) == last {
 			chain = append(chain, nd)
 		}
@@ -250,10 +281,12 @@ func TestStoreGrowthAndProbeChains(t *testing.T) {
 			t.Fatalf("chained node %d interned as t%d", i, id)
 		}
 	}
-	if cap(in.nodes) != 32 {
-		t.Fatalf("store grew to %d nodes while the chain was built", cap(in.nodes))
+	if len(in.table) != slots {
+		t.Fatalf("table grew from %d to %d slots while the chain was built", slots, len(in.table))
 	}
-	if in.table[last] != 0 || in.table[0] != 1 || in.table[len(chain)-2] != termID(len(chain)-1) {
+	// Slots hold a termID plus one: t0 at the last slot, t1 wrapped to
+	// slot 0, the last node len(chain)-2 slots on.
+	if in.table[last] != 1 || in.table[0] != 2 || in.table[len(chain)-2] != termID(len(chain)) {
 		t.Fatalf("chain does not wrap from the last slot: table = %v", in.table)
 	}
 	for i, nd := range chain {
@@ -263,6 +296,54 @@ func TestStoreGrowthAndProbeChains(t *testing.T) {
 	}
 	if len(in.nodes) != len(chain) {
 		t.Fatalf("store holds %d nodes, want %d", len(in.nodes), len(chain))
+	}
+}
+
+// TestReusedStoreStartsEmpty: a store reset after a run — as the kept
+// store is — hands out exactly the IDs a new store does, so no term,
+// leaf slot or array number of the earlier run stands in for a fresh
+// one.
+func TestReusedStoreStartsEmpty(t *testing.T) {
+	names := []string{"x", "y", "acc"}
+	stream := func(in *interner, seed int64) []termID {
+		rng := rand.New(rand.NewSource(seed))
+		var ids []termID
+		for len(ids) < 30_000 {
+			switch rng.Intn(4) {
+			case 0:
+				num, err := in.arrayNum(names[rng.Intn(len(names))])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := rng.Intn(800); i >= 0; i-- {
+					ids = append(ids, in.memInit(num, int64(i)))
+				}
+			case 1:
+				ids = append(ids, in.input(rng.Intn(200)))
+			case 2:
+				ids = append(ids, in.zero(rng.Intn(2) == 0))
+			default:
+				arg := func() termID { return termID(rng.Intn(len(ids)+1)) - 1 }
+				ids = append(ids, in.op2(machine.ClassFAdd, uint64(rng.Intn(3)), arg(), arg()))
+			}
+		}
+		return ids
+	}
+	for _, capHint := range []int{0, 64, 100_000} {
+		used := mustInterner(t, 5000)
+		stream(used, 1)
+		used.reset(capHint)
+		fresh := mustInterner(t, capHint)
+		got, want := stream(used, 2), stream(fresh, 2)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("cap %d, request %d: reused store gives t%d, new store t%d", capHint, i, got[i], want[i])
+			}
+		}
+		if len(used.nodes) != len(fresh.nodes) || used.lookups != fresh.lookups || !slices.Equal(used.arrays, fresh.arrays) {
+			t.Fatalf("cap %d: reused store holds %d nodes after %d lookups, arrays %v; new store %d, %d, %v", capHint,
+				len(used.nodes), used.lookups, used.arrays, len(fresh.nodes), fresh.lookups, fresh.arrays)
+		}
 	}
 }
 

@@ -64,10 +64,11 @@ func ProgramOpts(src *ir.Program, obj *vliw.Program, m *machine.Machine, opts Op
 	}
 	// One interner is shared by both executions: identical provenance
 	// interns to the identical termID, so comparison is ID equality.
-	itn, err := newInterner(termCapHint(obj))
+	itn, err := acquireInterner(termCapHint(obj))
 	if err != nil {
 		return err
 	}
+	defer itn.release()
 	sp := opts.Tracer.Begin("verify.ref")
 	ref, err := runRef(src, itn, opts.Input, opts.MaxSteps)
 	sp.End()
