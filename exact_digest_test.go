@@ -24,15 +24,17 @@ import (
 //
 //	go test -run TestExactDigest -update
 
-// exactBudget bounds each exact search.  The whole digest takes ≈ 0.5 s
-// on two CPUs, ≈ 10 s under the race detector, so no search comes near it.
+// exactBudget bounds each exact search.  The whole digest takes ≈ 0.2 s
+// on two CPUs, ≈ 1 s under the race detector, so no search comes near it.
 const exactBudget = time.Minute
 
 // exactNodeCeiling bounds the decision-tree nodes the digest's exact
 // searches explore in all, read off the compiles' own
-// "schedule.exact_nodes" counters.  Backjumping explores about 160,000;
-// chronological backtracking explored 660,400.
-const exactNodeCeiling = 200_000
+// "schedule.exact_nodes" counters.  The trajectory: chronological
+// backtracking explored 660,400, backjumping 160,061, and refuting
+// intervals from their rigid recurrence groups before searching them
+// 2,647.
+const exactNodeCeiling = 5_000
 
 // exactMachines are Warp and the compile-exact grid points: the rotating
 // point at width 1 and the MVE points at widths 2 and 4, each with one and

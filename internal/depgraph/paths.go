@@ -14,11 +14,13 @@ const NegInf = math.MinInt32
 // row-major k×k result (members in SCC.Components[ci] order) is the
 // largest total delay − s·omega over the paths from member i to member j
 // inside the component, NegInf when there is none.  No cycle is positive
-// at such an s, so one Floyd–Warshall sweep is exact; the iterative
-// search runs it once per component per candidate interval rather than
-// solving for every s symbolically up front (Lam §2.2.2; DESIGN.md,
-// "Substitutions").  dst is reused when its capacity suffices.  The
-// sweep is cubic in k and polls ctx once a pivot.
+// at such an s, so one Floyd–Warshall sweep is exact.  (Below the
+// recurrence bound a component with a positive cycle gets lengths of
+// walks, not paths, and a positive diagonal entry, which is all the exact
+// search reads there.)  The iterative search runs it once per component
+// per candidate interval rather than solving for every s symbolically up
+// front (Lam §2.2.2; DESIGN.md, "Substitutions").  dst is reused when its
+// capacity suffices.  The sweep is cubic in k and polls ctx once a pivot.
 func (a *Analysis) PathsAt(ctx context.Context, ci, s int, dst []int) ([]int, error) {
 	return a.paths(ctx, ci, s, false, dst)
 }

@@ -524,6 +524,7 @@ func planWith(b *Body, expanded map[ir.VReg]bool, minII int, opts Options) (*Pla
 		opts.Tracer.Count("schedule.attempts", int64(st.Attempts))
 		opts.Tracer.Count("schedule.backtracks", int64(st.Backtracks))
 		opts.Tracer.Count("schedule.exact_nodes", exactNodes)
+		opts.Tracer.Count("schedule.exact_rigid", int64(st.ExactRigid))
 	}
 	search.Arg("exact_nodes", exactNodes)
 	if err != nil {

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -61,6 +62,20 @@ const exInf = int(1) << 28
 // visits the rest in the same order, so the first schedule found, every
 // interval's verdict and every issue time are those of plain
 // chronological backtracking; only the explored-node count falls.
+//
+// A fifth rule refutes an interval before any search (refuteRigid).  At
+// interval s, Lam §2.2.2's closure of a recurrence component gives the
+// longest path D(u, v) between any two members, and every schedule meets
+// σ(v) − σ(u) ≥ D(u, v).  Where the paths both ways cancel, D(u, v) +
+// D(v, u) = 0, the offset σ(v) − σ(u) is forced, so the members of such
+// a rigid group issue at fixed offsets from its first member, and their
+// reservations at fixed rows of the modulo table.  A row that holds more
+// of a resource than the machine has refutes s.  It is a relaxation —
+// every other node, the loop-back's reservation and the payload-row rule
+// are left out — so what it refutes no search could schedule, and it
+// never claims a schedule: an interval it cannot refute is searched.  So
+// every verdict, schedule and explain report is the search's; the rule
+// only spares the search's nodes (Stats.ExactRigid counts the intervals).
 type ExactSearcher struct {
 	a    *depgraph.Analysis
 	m    *machine.Machine
@@ -96,8 +111,28 @@ type ExactSearcher struct {
 	rowFits  []bool
 	brRes    [1]machine.ResUse
 
+	// Rigid-group scratch (refuteRigid).
+	paths  []int // PathsAt of the current component
+	group  []int // per member position: its group's first member, or −1
+	rowUse []int // (row, resource) reservations of the current group
+	used   []int // rowUse cells the current group touched
+
 	deadline time.Time
 	explored int64
+	rigid    int // intervals refuted by refuteRigid
+}
+
+// rigidWitness is refuteRigid's evidence for one refuted interval: either
+// a member on a positive cycle, or a rigid group whose reservations put
+// Count uses of Res on one row.
+type rigidWitness struct {
+	Comp    int   // SCC index
+	Cycle   int   // graph node on a positive cycle, or −1
+	Members []int // graph nodes of the group, its first member first
+	Offsets []int // each member's forced issue offset from the first
+	Res     machine.Resource
+	Row     int // row of the full cell, relative to the first member's
+	Count   int // Res reservations the members put on Row
 }
 
 // exArc is one dependence edge with its weight instantiated at the
@@ -251,7 +286,7 @@ func (ex *ExactSearcher) Search(opts Options) (*Result, *Stats, error) {
 // was refuted, st.FellBack when the budget ran out first).  A non-nil
 // error is a context abort.
 func (ex *ExactSearcher) refine(opts Options, st *Stats, floor, hiBound int, fallback *Result) (*Result, error) {
-	defer func() { st.ExactNodes = ex.explored }()
+	defer func() { st.ExactNodes, st.ExactRigid = ex.explored, ex.rigid }()
 	if hiBound < floor {
 		// The heuristic met the search floor; nothing to prove.
 		st.Proved = fallback != nil
@@ -325,15 +360,21 @@ const (
 // decInfeasible is a completed refutation, and the abort verdicts mean
 // the search was cut short and nothing was proved.
 func (ex *ExactSearcher) decide(opts Options, s int) (int, []int) {
+	ctx := opts.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if w, err := ex.refuteRigid(ctx, s); err != nil {
+		return decAbortCtx, nil
+	} else if w != nil {
+		ex.rigid++
+		return decInfeasible, nil
+	}
 	ex.s = s
 	ex.maxC = 0
 	for i := range ex.arcs {
 		a := &ex.arcs[i]
 		a.w = a.delay - s*a.omega
-		if a.from == a.to && a.w > 0 {
-			// σ(v) − σ(v) ≥ w > 0 is unsatisfiable at this interval.
-			return decInfeasible, nil
-		}
 		if a.w > ex.maxC {
 			ex.maxC = a.w
 		}
@@ -353,6 +394,96 @@ func (ex *ExactSearcher) decide(opts Options, s int) (int, []int) {
 	}
 	ex.tight = false
 	return ex.decidePass(opts)
+}
+
+// refuteRigid is the search-free refutation of interval s (see
+// ExactSearcher): a witness when some recurrence component has a positive
+// cycle at s, or a rigid group that overfills a row; nil when neither
+// shows.  In a component with a positive cycle (below the recurrence
+// bound) the sweep's entries are walks rather than paths, but some
+// diagonal entry is positive, and that is all that is read there: the
+// groups are read only once no diagonal entry is.  The error is ctx's,
+// wrapped, from inside a sweep.
+func (ex *ExactSearcher) refuteRigid(ctx context.Context, s int) (*rigidWitness, error) {
+	nodes := ex.a.Graph.Nodes
+	nres := len(ex.m.ResourceCount)
+	ex.rowUse = resize(ex.rowUse, s*nres)
+	ex.used = ex.used[:0]
+	for ci, comp := range ex.a.SCC.Components {
+		if !ex.a.Cyclic(ci) {
+			continue
+		}
+		d, err := ex.a.PathsAt(ctx, ci, s, ex.paths)
+		if err != nil {
+			return nil, err
+		}
+		ex.paths = d
+		k := len(comp)
+		for i := 0; i < k; i++ {
+			if d[i*k+i] > 0 {
+				return &rigidWitness{Comp: ci, Cycle: comp[i]}, nil
+			}
+		}
+		group := resize(ex.group, k)
+		ex.group = group
+		for i := range group {
+			group[i] = -1
+		}
+		for r := 0; r < k; r++ {
+			if group[r] >= 0 {
+				continue
+			}
+			for j := r; j < k; j++ {
+				off := 0
+				if j != r {
+					if group[j] >= 0 || d[r*k+j]+d[j*k+r] != 0 {
+						continue
+					}
+					off = d[r*k+j]
+				}
+				group[j] = r
+				for _, u := range nodes[comp[j]].Reservation {
+					at := floorMod(off+u.Offset, s)*nres + int(u.Resource)
+					if ex.rowUse[at] == 0 {
+						ex.used = append(ex.used, at)
+					}
+					if ex.rowUse[at]++; ex.rowUse[at] > ex.m.ResourceCount[u.Resource] {
+						return ex.witness(ci, comp, d, s, r, j, u.Resource, at/nres), nil
+					}
+				}
+			}
+			for _, at := range ex.used {
+				ex.rowUse[at] = 0
+			}
+			ex.used = ex.used[:0]
+		}
+	}
+	return nil, nil
+}
+
+// witness spells out the group refuteRigid found overfilling a row at
+// interval s: the members of component ci's group rooted at position r,
+// up to position last, and their uses of res on row.
+func (ex *ExactSearcher) witness(ci int, comp, d []int, s, r, last int, res machine.Resource, row int) *rigidWitness {
+	k := len(comp)
+	w := &rigidWitness{Comp: ci, Cycle: -1, Res: res, Row: row}
+	for j := r; j <= last; j++ {
+		if ex.group[j] != r {
+			continue
+		}
+		off := 0
+		if j != r {
+			off = d[r*k+j]
+		}
+		w.Members = append(w.Members, comp[j])
+		w.Offsets = append(w.Offsets, off)
+		for _, u := range ex.a.Graph.Nodes[comp[j]].Reservation {
+			if u.Resource == res && floorMod(off+u.Offset, s) == row {
+				w.Count++
+			}
+		}
+	}
+	return w
 }
 
 // decidePass runs one exhaustive pass at the current interval and window
@@ -665,6 +796,8 @@ func (ex *ExactSearcher) undo(mark int) {
 	}
 	ex.queue = ex.queue[:0]
 }
+
+func floorMod(a, b int) int { return a - floorDiv(a, b)*b }
 
 func floorDiv(a, b int) int {
 	q := a / b

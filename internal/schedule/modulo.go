@@ -78,6 +78,10 @@ type Stats struct {
 	FellBack bool
 	// ExactNodes counts decision-tree nodes the exact search explored.
 	ExactNodes int64
+	// ExactRigid counts the candidate intervals the exact search refuted
+	// without searching, from their rigid recurrence groups (see
+	// ExactSearcher).
+	ExactRigid int
 }
 
 // compEdge is an intra-component omega-0 edge in member-index space.
