@@ -1,6 +1,7 @@
 package softpipe
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"softpipe/internal/ir"
 	"softpipe/internal/lang"
 	"softpipe/internal/machine"
+	"softpipe/internal/partition"
 	"softpipe/internal/verify"
 	"softpipe/internal/workloads"
 )
@@ -148,4 +150,38 @@ func allocsPerRun(runs int, f func()) (bytes, allocs float64) {
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs), float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// partitionAllocCeiling bounds the allocations of one
+// partition.PartitionContext of k7 on four Warp cells, the widest split
+// search of the corpus: what it takes (1,046), plus a tenth.  While every
+// candidate stage built its own dependence graph, the same plan made
+// 16,098.
+const partitionAllocCeiling = 1151
+
+// TestPartitionAllocBudget: the split search costs a candidate stage
+// without allocating, so a plan allocates what it builds once — the
+// body's graph and clusters per machine, the tables of the search, the
+// fragments it returns — and does not creep back up.
+func TestPartitionAllocBudget(t *testing.T) {
+	var k7 *ir.Program
+	for _, k := range workloads.Livermore() {
+		if k.ID == 7 {
+			var err error
+			if k7, err = k.Build(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ms := Machines(machine.Warp(), 4)
+	plan := func() {
+		if _, err := partition.PartitionContext(context.Background(), k7, ms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := testing.AllocsPerRun(20, plan)
+	t.Logf("k7 on 4 cells: %.0f allocations", got)
+	if got > partitionAllocCeiling*raceAllocSlack {
+		t.Errorf("k7 on 4 cells: a plan makes %.0f allocations, ceiling %.0f", got, partitionAllocCeiling*raceAllocSlack)
+	}
 }

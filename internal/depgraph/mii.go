@@ -110,18 +110,6 @@ type Analysis struct {
 // self-loop included.
 func (a *Analysis) Cyclic(c int) bool { return len(a.edges[c]) > 0 }
 
-// MIIBounds computes the resource and recurrence bounds of an
-// already-filtered graph: what a caller needs when it only asks how fast
-// a set of operations could run on m (the partition planner), not where
-// to place them.  The bounds and errors are Analyze's.
-func MIIBounds(g *Graph, m *machine.Machine) (Bounds, error) {
-	a, err := AnalyzeContext(context.Background(), g, m)
-	if err != nil {
-		return Bounds{}, err
-	}
-	return a.Bounds, nil
-}
-
 // Analyze performs the paper's preprocessing step on an already-filtered
 // graph: find components and derive the MII.
 func Analyze(g *Graph, m *machine.Machine) (*Analysis, error) {
@@ -160,6 +148,144 @@ func AnalyzeContext(ctx context.Context, g *Graph, m *machine.Machine) (*Analysi
 func RecurrenceMII(g *Graph) (int, error) {
 	scc := TarjanSCC(g)
 	return recurrenceMII(context.Background(), scc, scc.edges(g))
+}
+
+// Recurrence computes recurrence bounds of graphs given as bare edge
+// lists, in storage it keeps between calls: once it has grown to the
+// largest graph it is given, a bound allocates nothing.  The partition
+// planner bounds every candidate stage this way, from the edges of its
+// body graph that the stage keeps, without building a Graph.  The zero
+// value is ready to use; it is not safe for concurrent use.
+type Recurrence struct {
+	first, dist, pred, seen []int
+	edges                   []sccEdge
+}
+
+// MIIFrom returns the smallest interval s ≥ lo at which no cycle of the
+// graph on nodes 0..n-1 with the given edges has positive weight
+// delay − s·omega, i.e. max(lo, RecurrenceMII): with lo the resource
+// bound, that is the MII, and a graph already feasible at lo costs one
+// probe.  Only From, To, Delay and Omega are read.  It fails as Analyze
+// does on a cycle of zero iteration distance, and with an error wrapping
+// ctx.Err() once ctx is done (polled once a relaxation pass).
+//
+// Rather than binary-search s, it jumps: a probe that finds a positive
+// cycle moves s to that cycle's own bound ⌈delay/omega⌉, which no
+// feasible interval is below, so s never passes the answer and the first
+// probe that finds no positive cycle ends the search.
+func (r *Recurrence) MIIFrom(ctx context.Context, n int, edges []Edge, lo int) (int, error) {
+	// The edges by source in node order: a body's distance-0 edges all
+	// point forward, so one relaxation pass in that order follows every
+	// chain of them.
+	first := grow(r.first, n+1)
+	clear(first)
+	for _, e := range edges {
+		first[e.From+1]++
+	}
+	for v := 0; v < n; v++ {
+		first[v+1] += first[v]
+	}
+	all := r.edges
+	if cap(all) < len(edges) {
+		all = make([]sccEdge, len(edges), max(len(edges), 2*cap(all)))
+	}
+	all = all[:len(edges)]
+	// Any cycle with omega ≥ 1 is non-positive once s exceeds the total
+	// positive delay; one still positive there has iteration distance
+	// zero.
+	hi := 1
+	for _, e := range edges {
+		all[first[e.From]] = sccEdge{e.From, e.To, e.Delay, e.Omega}
+		first[e.From]++
+		hi += max(e.Delay, 0)
+	}
+	r.first, r.edges = first, all
+	r.dist, r.pred, r.seen = grow(r.dist, n), grow(r.pred, n), grow(r.seen, n)
+	for s := max(lo, 1); ; {
+		positive, delay, omega, err := r.cycleAt(ctx, all, s)
+		if err != nil || !positive {
+			return s, err
+		}
+		switch {
+		case s >= hi || omega == 0 && delay > 0:
+			return 0, fmt.Errorf("depgraph: dependence cycle with zero iteration distance")
+		case omega > 0:
+			s = max(s+1, ceilDiv(delay, omega))
+		default:
+			s++ // positive, but the cycle was not found
+		}
+	}
+}
+
+// cycleAt reports whether the graph with edges ce has a cycle of
+// positive weight delay − s·omega, by positiveCycleAt's relaxation, and
+// when it can name one, that cycle's total delay and omega.  It keeps
+// each node's last improving edge: a cycle of those edges is a positive
+// one (it is checked all the same), so a look for one after every pass
+// finds a positive cycle long before len(r.dist) passes prove that one
+// exists.
+func (r *Recurrence) cycleAt(ctx context.Context, ce []sccEdge, s int) (positive bool, delay, omega int, err error) {
+	dist, pred := r.dist, r.pred
+	for v := range dist {
+		dist[v], pred[v] = 0, -1
+	}
+	for range dist {
+		if err := ctx.Err(); err != nil {
+			return false, 0, 0, fmt.Errorf("depgraph: recurrence bound of a %d-node graph aborted: %w", len(dist), err)
+		}
+		changed := false
+		for x, e := range ce {
+			if d := dist[e.from] + e.delay - s*e.omega; d > dist[e.to] {
+				dist[e.to], pred[e.to] = d, x
+				changed = true
+			}
+		}
+		if !changed {
+			return false, 0, 0, nil
+		}
+		if delay, omega, ok := r.predCycle(ce); ok && delay-s*omega > 0 {
+			return true, delay, omega, nil
+		}
+	}
+	return true, 0, 0, nil
+}
+
+// predCycle looks for a cycle among the improving edges r.pred[v]
+// (indices into ce, -1 for none) and returns its total delay and omega.
+func (r *Recurrence) predCycle(ce []sccEdge) (delay, omega int, ok bool) {
+	pred, seen := r.pred, r.seen
+	for v := range seen {
+		seen[v] = -1
+	}
+	for v := range pred {
+		// Walk back from v, stamping with v; meeting v's stamp again
+		// closes a cycle, meeting another walk's stamp does not.
+		u := v
+		for seen[u] < 0 && pred[u] >= 0 {
+			seen[u] = v
+			u = ce[pred[u]].from
+		}
+		if seen[u] != v {
+			continue
+		}
+		for w := u; ; {
+			e := ce[pred[w]]
+			delay, omega = delay+e.delay, omega+e.omega
+			if w = e.from; w == u {
+				return delay, omega, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// grow returns s resized to n, reusing its storage when it is big enough
+// and at least doubling it when not.
+func grow(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n, max(n, 2*cap(s)))
+	}
+	return s[:n]
 }
 
 // recurrenceMII binary-searches each component that has edges for its

@@ -1,7 +1,9 @@
 package depgraph_test
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"softpipe/internal/depgraph"
@@ -47,9 +49,15 @@ func loopGraphs(t *testing.T, p *ir.Program, m *machine.Machine) map[string]*dep
 	return out
 }
 
-// checkRecurrence asserts the two formulations agree on g: the
-// production per-SCC positive-cycle bound and the all-pairs oracle — in
-// value, or both in refusing the graph.
+// reused is the one Recurrence every checkRecurrence call bounds its
+// graph with, so graphs of every size run in storage an earlier, larger
+// or smaller one left behind.
+var reused depgraph.Recurrence
+
+// checkRecurrence asserts the formulations agree on g: the production
+// per-SCC positive-cycle bound, the all-pairs oracle and the edge-list
+// bound in reused storage (from 1 and from above the bound) — in value,
+// or all in refusing the graph with one text.
 func checkRecurrence(t *testing.T, name string, g *depgraph.Graph) {
 	t.Helper()
 	got, gotErr := depgraph.RecurrenceMII(g)
@@ -57,6 +65,12 @@ func checkRecurrence(t *testing.T, name string, g *depgraph.Graph) {
 	if (gotErr != nil) != (oracleErr != nil) {
 		t.Errorf("%s: verdicts differ: RecurrenceMII err=%v, oracle err=%v", name, gotErr, oracleErr)
 		return
+	}
+	for _, lo := range []int{1, oracle + 2} {
+		from, fromErr := reused.MIIFrom(context.Background(), len(g.Nodes), g.Edges, lo)
+		if fmt.Sprint(fromErr) != fmt.Sprint(oracleErr) || (fromErr == nil && from != max(lo, oracle)) {
+			t.Errorf("%s: MIIFrom(%d) = %d, %v; want %d, %v", name, lo, from, fromErr, max(lo, oracle), oracleErr)
+		}
 	}
 	if gotErr != nil {
 		if gotErr.Error() != oracleErr.Error() {
@@ -166,5 +180,39 @@ func TestRecurrenceMIIRejectsTogether(t *testing.T) {
 		if err == nil && got != tc.want {
 			t.Errorf("%s: RecurrenceMII = %d, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestRecurrenceJumpsMatchOracle: Recurrence.MIIFrom jumps from one
+// positive cycle's own bound to the next instead of binary-searching, so
+// it is held to the oracle (through checkRecurrence) on graphs with many
+// competing cycles: random graphs of 1–12 nodes with negative delays,
+// iteration distances up to 3 and zero-distance cycles, and the rings of
+// TestComponentPathsMatchOracle.
+func TestRecurrenceJumpsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	refused := 0
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(12)
+		g := bareGraph(n)
+		for k := rng.Intn(3 * n); k >= 0; k-- {
+			g.Edges = append(g.Edges, depgraph.Edge{
+				From:  rng.Intn(n),
+				To:    rng.Intn(n),
+				Delay: rng.Intn(14) - 3,
+				Omega: rng.Intn(4),
+			})
+		}
+		checkRecurrence(t, fmt.Sprintf("trial %d", trial), g)
+		if _, err := depgraph.RecurrenceMIIOracle(g); err != nil {
+			refused++
+		}
+	}
+	for _, n := range []int{40, 120} {
+		checkRecurrence(t, fmt.Sprintf("ring%d", n), ring(n, func(i int) int { return 1 + i*7%13 }))
+	}
+	t.Logf("%d of 2000 random graphs refused", refused)
+	if refused == 0 || refused > 1000 {
+		t.Errorf("%d of 2000 random graphs refused: the mix of legal and illegal graphs is off", refused)
 	}
 }

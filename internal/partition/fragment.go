@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"softpipe/internal/depgraph"
@@ -37,29 +38,57 @@ func (pl *planner) replClosure(needed map[ir.VReg]bool, inSet map[int]bool) {
 type machineModel struct {
 	m *machine.Machine
 	// nodes[pos] is the scheduling node of body op pos on m; nil where m
-	// has no descriptor for the op (stageCost then reports why).
-	nodes []*depgraph.Node
+	// has no descriptor for the op.  recv and send are the nodes of a
+	// queue receive and send, nil where m has none.
+	nodes      []*depgraph.Node
+	recv, send *depgraph.Node
+	// failing[pos] marks a body op no stage holding it can be costed with
+	// on m: it has no node, or reserves a resource m does not count.
+	// recvFails and sendFails say the same of the queue ops.
+	failing              []bool
+	recvFails, sendFails bool
+	// out[pos] lists the dependences of the body graph on m that leave
+	// body op pos, endpoints as body positions.  A stage's graph is the
+	// subgraph this graph induces on the stage's ops, plus the edges of
+	// the queue ops its cuts add: a stage that holds one writer of a
+	// register holds them all (cluster and replClosure see to it), so no
+	// edge between two of its ops depends on an op it does not hold.
+	out [][]depgraph.Edge
 	// use[c][r] counts the reservations of resource r by the stage ops of
 	// clusters [0, c): a prefix sum, so any interval's resource pressure
 	// is one subtraction per resource.
 	use [][]int
-	// memo caches stage costs by cluster interval.  A homogeneous array
-	// shares one model, so each interval is evaluated once, not once per
-	// stage.
-	memo map[[2]int]stageBound
+	// memo caches stage costs by cluster interval [i..j] at i·C+j.  A
+	// homogeneous array shares one model, so each interval is evaluated
+	// once, not once per stage.
+	memo []stageBound
 }
 
-// stageBound is a memoised stageCost result.
+// stageBound is a memoised stageCost result; the zero value is an
+// interval not evaluated yet (an MII is at least 1).
 type stageBound struct {
 	mii int
 	err error
+}
+
+// costScratch is stageCost's working storage, kept between evaluations
+// so that costing an interval allocates nothing once it has grown.
+type costScratch struct {
+	local        []int // body position -> node number in the stage graph, -1 outside it
+	members      []int // the stage's body positions, in program order
+	recvs, sends []*cutValue
+	queue        []int // node numbers of one queue's accessors
+	uses         []int
+	edges        []depgraph.Edge
+	rec          depgraph.Recurrence
 }
 
 // prepareSplit builds the tables the split search reads for every
 // candidate but that depend on no candidate: each cluster's op positions
 // closed over the replicable integer ops they need (the closure of a
 // union of clusters is the union of their closures), and per distinct
-// machine the body's scheduling nodes and resource-use prefix sums.
+// machine the body's scheduling nodes, dependence graph and
+// resource-use prefix sums.
 func (pl *planner) prepareSplit() {
 	body := pl.sh.body
 	pl.closed = make([][]int, len(pl.clusters))
@@ -79,33 +108,111 @@ func (pl *planner) prepareSplit() {
 			}
 		}
 	}
-	pl.mark = make([]bool, len(body))
+	for pos, o := range body {
+		switch o.Class {
+		case machine.ClassRecv:
+			pl.recvOps = append(pl.recvOps, pos)
+		case machine.ClassSend:
+			pl.sendOps = append(pl.sendOps, pos)
+		}
+	}
+	sc := &pl.scratch
+	sc.local = make([]int, len(body))
+	for pos := range sc.local {
+		sc.local[pos] = -1
+	}
 	pl.models = map[*machine.Machine]*machineModel{}
 	for _, m := range pl.machines {
 		if pl.models[m] != nil {
 			continue
 		}
-		mm := &machineModel{m: m, nodes: make([]*depgraph.Node, len(body)), memo: map[[2]int]stageBound{}}
-		for pos, o := range body {
-			mm.nodes[pos], _ = depgraph.NodeFromOp(m, o)
+		mm := pl.newModel(m)
+		pl.models[m] = mm
+		if len(sc.uses) < len(m.ResourceCount) {
+			sc.uses = make([]int, len(m.ResourceCount))
 		}
-		mm.use = make([][]int, len(pl.clusters)+1)
-		mm.use[0] = make([]int, len(m.ResourceCount))
-		for c, ops := range pl.clusters {
-			row := append([]int(nil), mm.use[c]...)
-			for _, pos := range ops {
-				if n := mm.nodes[pos]; n != nil {
-					for _, u := range n.Reservation {
-						if int(u.Resource) < len(row) {
-							row[u.Resource]++
-						}
+	}
+}
+
+// newModel builds m's tables.  The planner's own graph, built on the
+// first machine, is that machine's body graph; any other machine builds
+// its own over the ops it has nodes for (a stage holding one it has none
+// for fails before its graph matters).
+func (pl *planner) newModel(m *machine.Machine) *machineModel {
+	body := pl.sh.body
+	mm := &machineModel{m: m, failing: make([]bool, len(body)), memo: make([]stageBound, len(pl.clusters)*len(pl.clusters))}
+	unusable := func(n *depgraph.Node) bool {
+		if n == nil {
+			return true
+		}
+		for _, u := range n.Reservation {
+			if int(u.Resource) >= len(m.ResourceCount) {
+				return true
+			}
+		}
+		return false
+	}
+	g := pl.g
+	if m == pl.machines[0] {
+		mm.nodes = pl.nodes
+	} else {
+		mm.nodes = make([]*depgraph.Node, len(body))
+		var present []*depgraph.Node
+		var posOf []int
+		for pos, o := range body {
+			if n, err := depgraph.NodeFromOp(m, o); err == nil {
+				mm.nodes[pos] = n
+				present = append(present, n)
+				posOf = append(posOf, pos)
+			}
+		}
+		g = depgraph.BuildIndep(present, pl.sh.loop.ID, pl.sh.loop.Independent)
+		for k := range g.Edges {
+			g.Edges[k].From, g.Edges[k].To = posOf[g.Edges[k].From], posOf[g.Edges[k].To]
+		}
+	}
+	for pos, n := range mm.nodes {
+		mm.failing[pos] = unusable(n)
+	}
+	// Queue ops on some register: only their timing and reservations are
+	// read.
+	mm.recv, _ = depgraph.NodeFromOp(m, &ir.Op{Class: machine.ClassRecv, Dst: 0})
+	mm.send, _ = depgraph.NodeFromOp(m, &ir.Op{Class: machine.ClassSend, Dst: ir.NoReg, Src: []ir.VReg{0}})
+	mm.recvFails, mm.sendFails = unusable(mm.recv), unusable(mm.send)
+
+	// The edges grouped by source, in one array.
+	count := make([]int, len(body)+1)
+	for _, e := range g.Edges {
+		count[e.From+1]++
+	}
+	for pos := range body {
+		count[pos+1] += count[pos]
+	}
+	all := make([]depgraph.Edge, len(g.Edges))
+	mm.out = make([][]depgraph.Edge, len(body))
+	for pos := range body {
+		mm.out[pos] = all[count[pos]:count[pos]:count[pos+1]]
+	}
+	for _, e := range g.Edges {
+		mm.out[e.From] = append(mm.out[e.From], e)
+	}
+
+	mm.use = make([][]int, len(pl.clusters)+1)
+	mm.use[0] = make([]int, len(m.ResourceCount))
+	for c, ops := range pl.clusters {
+		row := append([]int(nil), mm.use[c]...)
+		for _, pos := range ops {
+			if n := mm.nodes[pos]; n != nil {
+				for _, u := range n.Reservation {
+					if int(u.Resource) < len(row) {
+						row[u.Resource]++
 					}
 				}
 			}
-			mm.use[c+1] = row
 		}
-		pl.models[m] = mm
+		mm.use[c+1] = row
 	}
+	return mm
 }
 
 // resourceFloor is a lower bound on stageCost(i, j) that needs no graph:
@@ -122,58 +229,224 @@ func (mm *machineModel) resourceFloor(i, j int) int {
 }
 
 // stageCost estimates the MII of the fragment a stage covering clusters
-// [i..j] would compile to on mm's machine: the real dependence graph of
-// its body ops — stage ops plus the replicable integer closure they need
-// — and of the queue receives/sends the cut inserts (cut values entering
-// and leaving, pass-through forwards included), bounded with the
-// machine's resource table (so queue-port pressure and the Recv latency
-// participate in the balance, not just the float work).  Only the two
-// bounds are computed; the fragment's longest paths are the business of
-// its own compile.
-func (pl *planner) stageCost(i, j int, mm *machineModel, cuts []*cutValue) (int, error) {
-	m := mm.m
-	var nodes []*depgraph.Node
-	id := 1 << 20 // synthetic queue ops; IDs only matter for diagnostics
-	queueOp := func(op *ir.Op) error {
-		op.ID = id
-		id++
-		n, err := depgraph.NodeFromOp(m, op)
-		nodes = append(nodes, n)
-		return err
-	}
+// [i..j] would compile to on mm's machine: the resource and recurrence
+// bounds of the dependence graph depgraph.BuildIndep would build for its
+// body ops — stage ops plus the replicable integer closure they need —
+// and for the queue receives/sends the cut inserts (cut values entering
+// and leaving, pass-through forwards included), so queue-port pressure
+// and the Recv latency participate in the balance, not just the float
+// work.  The graph is not built: its edges are those mm's body graph
+// induces on the stage's ops plus the queue ops' own, gathered in the
+// planner's scratch, and the recurrence bound is searched from the
+// resource bound up.  A stage that cannot be costed fails with the
+// error building and bounding its graph would give.
+func (pl *planner) stageCost(ctx context.Context, i, j int, mm *machineModel, cuts []*cutValue) (int, error) {
+	sc := &pl.scratch
+	recvs, sends := sc.recvs[:0], sc.sends[:0]
 	for _, cv := range cuts {
 		if cv.prodStage < i && cv.lastConsum >= i {
-			if err := queueOp(&ir.Op{Class: machine.ClassRecv, Dst: cv.reg}); err != nil {
-				return 0, err
-			}
+			recvs = append(recvs, cv)
+		}
+		if cv.prodStage <= j && cv.lastConsum > j {
+			sends = append(sends, cv)
 		}
 	}
-	clear(pl.mark)
+	// Node numbers as BuildIndep gives them: receives, the body ops in
+	// program order, sends.
+	local := sc.local
+	for _, pos := range sc.members {
+		local[pos] = -1
+	}
 	for c := i; c <= j; c++ {
 		for _, pos := range pl.closed[c] {
-			pl.mark[pos] = true
+			local[pos] = 0
 		}
 	}
-	for pos, in := range pl.mark {
-		if !in {
+	members := sc.members[:0]
+	fails := len(recvs) > 0 && mm.recvFails || len(sends) > 0 && mm.sendFails
+	for pos, l := range local {
+		if l >= 0 {
+			local[pos] = len(recvs) + len(members)
+			members = append(members, pos)
+			fails = fails || mm.failing[pos]
+		}
+	}
+	sc.recvs, sc.sends, sc.members = recvs, sends, members
+	if fails {
+		return 0, pl.stageError(mm, recvs, members, sends)
+	}
+
+	// The resource bound (ResourceMII).
+	uses := sc.uses[:len(mm.m.ResourceCount)]
+	clear(uses)
+	for _, pos := range members {
+		for _, u := range mm.nodes[pos].Reservation {
+			uses[u.Resource]++
+		}
+	}
+	if len(recvs) > 0 {
+		for _, u := range mm.recv.Reservation {
+			uses[u.Resource] += len(recvs)
+		}
+	}
+	if len(sends) > 0 {
+		for _, u := range mm.send.Reservation {
+			uses[u.Resource] += len(sends)
+		}
+	}
+	res := 1
+	for r, n := range uses {
+		if n == 0 {
 			continue
 		}
-		if mm.nodes[pos] == nil {
-			_, err := depgraph.NodeFromOp(m, pl.sh.body[pos])
-			return 0, err
+		units := mm.m.ResourceCount[r]
+		if units <= 0 {
+			return 0, pl.stageError(mm, recvs, members, sends)
 		}
-		nodes = append(nodes, mm.nodes[pos])
+		res = max(res, (n+units-1)/units)
 	}
-	for _, cv := range cuts {
-		if cv.prodStage <= j && cv.lastConsum > j {
-			if err := queueOp(&ir.Op{Class: machine.ClassSend, Dst: ir.NoReg, Src: []ir.VReg{cv.reg}}); err != nil {
-				return 0, err
+
+	// The edges: the induced subgraph, then the queue ops' register
+	// dependences as regDepsFor draws them for a register a receive
+	// writes or a send reads, then their queue-order dependences.
+	edges := sc.edges[:0]
+	for _, pos := range members {
+		for _, e := range mm.out[pos] {
+			if to := local[e.To]; to >= 0 {
+				e.From, e.To = local[pos], to
+				edges = append(edges, e)
 			}
 		}
 	}
-	g := depgraph.BuildIndep(nodes, pl.sh.loop.ID, pl.sh.loop.Independent)
-	b, err := depgraph.MIIBounds(g, m)
-	return b.MII, err
+	firstSend := len(recvs) + len(members)
+	w := mm.recv.Writes[0]
+	for q, cv := range recvs {
+		// A received value is read by body ops in the stage and by a
+		// forwarding send, all after the receive: flow to each read, anti
+		// from it to the next iteration's receive, output to that receive.
+		reader := func(to int, rd depgraph.RegRead) {
+			edges = append(edges,
+				depgraph.Edge{From: q, To: to, Kind: depgraph.DepFlow, Reg: cv.reg, Delay: w.AvailLast - rd.First},
+				depgraph.Edge{From: to, To: q, Kind: depgraph.DepAnti, Reg: cv.reg, Omega: 1, Delay: rd.Last + 1 - w.AvailFirst})
+		}
+		for _, pos := range cv.readers {
+			if l := local[pos]; l >= 0 {
+				reader(l, readOf(mm.nodes[pos], cv.reg))
+			}
+		}
+		if t := slices.Index(sends, cv); t >= 0 {
+			reader(firstSend+t, mm.send.Reads[0])
+		}
+		edges = append(edges, depgraph.Edge{From: q, To: q, Kind: depgraph.DepOutput, Reg: cv.reg, Omega: 1, Delay: w.AvailLast + 1 - w.AvailFirst})
+	}
+	rd := mm.send.Reads[0]
+	for t, cv := range sends {
+		if cv.prodStage < i {
+			continue // forwarded: drawn with its receive
+		}
+		// Every writer is in the stage and every write kills, so the send
+		// reads the last write and the next iteration's first write must
+		// wait for it.
+		lastW, firstW := mm.nodes[cv.prodPos].Writes[0], mm.nodes[cv.firstPos].Writes[0]
+		edges = append(edges,
+			depgraph.Edge{From: local[cv.prodPos], To: firstSend + t, Kind: depgraph.DepFlow, Reg: cv.reg, Delay: lastW.AvailLast - rd.First},
+			depgraph.Edge{From: firstSend + t, To: local[cv.firstPos], Kind: depgraph.DepAnti, Reg: cv.reg, Omega: 1, Delay: rd.Last + 1 - firstW.AvailFirst})
+	}
+	synthetic := func(n int) bool { return n < len(recvs) || n >= firstSend }
+	queue := sc.queue[:0]
+	for q := range recvs {
+		queue = append(queue, q)
+	}
+	for _, pos := range pl.recvOps {
+		if l := local[pos]; l >= 0 {
+			queue = append(queue, l)
+		}
+	}
+	edges = queueEdges(edges, queue, synthetic, pl.sh.loop.Independent)
+	queue = queue[:0]
+	for _, pos := range pl.sendOps {
+		if l := local[pos]; l >= 0 {
+			queue = append(queue, l)
+		}
+	}
+	for t := range sends {
+		queue = append(queue, firstSend+t)
+	}
+	edges = queueEdges(edges, queue, synthetic, pl.sh.loop.Independent)
+	sc.edges, sc.queue = edges, queue
+	return sc.rec.MIIFrom(ctx, firstSend+len(sends), edges, res)
+}
+
+// readOf is n's read of register r.
+func readOf(n *depgraph.Node, r ir.VReg) depgraph.RegRead {
+	for _, rd := range n.Reads {
+		if rd.Reg == r {
+			return rd
+		}
+	}
+	panic(fmt.Sprintf("partition: %v does not read %v", n, r))
+}
+
+// queueEdges appends the memory dependences BuildIndep draws between the
+// accessors of one queue (node numbers in order) that involve a
+// synthetic queue op; those between two body ops are in the body graph.
+// Every access of a queue stores to it: each ordered pair is an output
+// dependence of delay 1, at distance 0 forward and 1 backward (dropped
+// in an `independent` loop).
+func queueEdges(edges []depgraph.Edge, acc []int, synthetic func(int) bool, independent bool) []depgraph.Edge {
+	for a, from := range acc {
+		for b, to := range acc {
+			if a == b || !synthetic(from) && !synthetic(to) || independent && b < a {
+				continue
+			}
+			edges = append(edges, depgraph.Edge{From: from, To: to, Kind: depgraph.DepMemOutput, Reg: ir.NoReg, Omega: btoi(b < a), Delay: 1})
+		}
+	}
+	return edges
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// stageError is the diagnostic of a stage that cannot be costed: the
+// error building its nodes (receives, body ops, sends, in that order) or
+// bounding their resources gives.  Only a failing stage comes here, so
+// it builds the nodes afresh.
+func (pl *planner) stageError(mm *machineModel, recvs []*cutValue, members []int, sends []*cutValue) error {
+	var nodes []*depgraph.Node
+	add := func(op *ir.Op) error {
+		n, err := depgraph.NodeFromOp(mm.m, op)
+		if err != nil {
+			return err
+		}
+		n.Index = len(nodes)
+		nodes = append(nodes, n)
+		return nil
+	}
+	id := 1 << 20 // synthetic queue ops; IDs only matter for diagnostics
+	for _, cv := range recvs {
+		if err := add(&ir.Op{ID: id, Class: machine.ClassRecv, Dst: cv.reg}); err != nil {
+			return err
+		}
+		id++
+	}
+	for _, pos := range members {
+		if err := add(pl.sh.body[pos]); err != nil {
+			return err
+		}
+	}
+	for _, cv := range sends {
+		if err := add(&ir.Op{ID: id, Class: machine.ClassSend, Dst: ir.NoReg, Src: []ir.VReg{cv.reg}}); err != nil {
+			return err
+		}
+		id++
+	}
+	_, err := depgraph.ResourceMIIExtra(nodes, mm.m, nil)
+	return err
 }
 
 // bestSplit balances the stages: dynamic programming over contiguous
@@ -187,7 +460,7 @@ func (pl *planner) stageCost(i, j int, mm *machineModel, cuts []*cutValue) (int,
 // a candidate first cluster i of stage s yields max(dp[s-1][i-1],
 // cost(i, j)).  A candidate whose dp[s-1][i-1] — or whose graph-free
 // resource floor — already reaches the incumbent dp[s][j] cannot win the
-// strict comparison, so its stage is never built.
+// strict comparison, so its stage is never costed.
 func (pl *planner) bestSplit(ctx context.Context, cuts []*cutValue) (ends []int, estMII []int, err error) {
 	C, N := len(pl.clusters), len(pl.machines)
 	if C < N {
@@ -196,27 +469,39 @@ func (pl *planner) bestSplit(ctx context.Context, cuts []*cutValue) (ends []int,
 	pl.prepareSplit()
 	pl.stats.Clusters = C
 	const inf = math.MaxInt / 2
+	models := make([]*machineModel, N)
+	for s, m := range pl.machines {
+		models[s] = pl.models[m]
+	}
 	// firstErr is the first stage-cost error met, in candidate order.
 	var firstErr error
-	cost := func(i, j, s int) int {
-		mm := pl.models[pl.machines[s]]
-		b, ok := mm.memo[[2]int{i, j}]
-		if !ok {
+	// cost fails only when ctx is done, which it polls once an evaluation
+	// (and the recurrence bound once a relaxation pass).
+	cost := func(i, j, s int) (int, error) {
+		mm := models[s]
+		b := &mm.memo[i*C+j]
+		if b.mii == 0 && b.err == nil {
 			pl.stats.CostEvals++
-			b.mii, b.err = pl.stageCost(i, j, mm, cuts)
-			mm.memo[[2]int{i, j}] = b
+			mii, err := pl.stageCost(ctx, i, j, mm, cuts)
+			if cerr := ctx.Err(); cerr != nil {
+				return 0, fmt.Errorf("partition: split search aborted: %w", cerr)
+			}
+			*b = stageBound{mii, err}
 		}
 		if b.err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("partition: stage %d on %s: %w", s, mm.m.Name, b.err)
 			}
-			return inf
+			return inf, nil
 		}
-		return b.mii
+		return b.mii, nil
 	}
-	// boundaryOK: the channel entering cluster b fits one iteration's
-	// values in the 512-word queue.
-	boundaryOK := func(b int) bool { return channelWidth(cuts, b) <= sim.QueueCapacity }
+	// fits[b]: the channel entering cluster b fits one iteration's values
+	// in the 512-word queue.
+	fits := make([]bool, C)
+	for b := range fits {
+		fits[b] = channelWidth(cuts, b) <= sim.QueueCapacity
+	}
 
 	dp := make([][]int, N)
 	choice := make([][]int, N)
@@ -242,13 +527,14 @@ func (pl *planner) bestSplit(ctx context.Context, cuts []*cutValue) (ends []int,
 			if pl.sendCluster >= 0 && N > 1 && j >= pl.sendCluster {
 				continue // host sends must land on the last cell
 			}
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("partition: split search aborted: %w", err)
+			v, err := cost(0, j, 0)
+			if err != nil {
+				return err
 			}
-			dp[0][j] = cost(0, j, 0)
+			dp[0][j] = v
 		}
 		for s := 1; s < N; s++ {
-			mm := pl.models[pl.machines[s]]
+			mm := models[s]
 			for j := s; j < C; j++ {
 				if s < N-1 {
 					if j > C-1-(N-1-s) {
@@ -260,20 +546,20 @@ func (pl *planner) bestSplit(ctx context.Context, cuts []*cutValue) (ends []int,
 				} else if j != C-1 {
 					continue
 				}
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("partition: split search aborted: %w", err)
-				}
 				for i := s; i <= j; i++ {
 					v := dp[s-1][i-1]
-					if v >= inf || !boundaryOK(i) {
+					if v >= inf || !fits[i] {
 						continue
 					}
 					if prune && (v >= dp[s][j] || mm.resourceFloor(i, j) >= dp[s][j]) {
 						pl.stats.CostSkipped++
 						continue
 					}
-					v = max(v, cost(i, j, s))
-					if v < dp[s][j] {
+					c, err := cost(i, j, s)
+					if err != nil {
+						return err
+					}
+					if v = max(v, c); v < dp[s][j] {
 						dp[s][j] = v
 						choice[s][j] = i
 					}
@@ -304,7 +590,7 @@ func (pl *planner) bestSplit(ctx context.Context, cuts []*cutValue) (ends []int,
 	estMII = make([]int, N)
 	start := 0
 	for s := 0; s < N; s++ {
-		estMII[s] = cost(start, ends[s], s)
+		estMII[s] = models[s].memo[start*C+ends[s]].mii
 		start = ends[s] + 1
 	}
 	return ends, estMII, nil

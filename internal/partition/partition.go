@@ -24,6 +24,7 @@ package partition
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"softpipe/internal/depgraph"
@@ -70,7 +71,7 @@ type PlanStats struct {
 	// over; the search considers O(Clusters²) contiguous intervals.
 	Clusters int
 	// CostEvals is the number of stage-cost evaluations: candidate
-	// stages whose dependence graph was built and bounded.
+	// stages whose resource and recurrence bounds were computed.
 	CostEvals int
 	// CostSkipped is the number of split candidates dismissed on a lower
 	// bound, without evaluating their stage.
@@ -156,8 +157,10 @@ func analyzeShape(p *ir.Program) (*shape, error) {
 type cutValue struct {
 	reg        ir.VReg
 	prodPos    int // position of the last body write (canonical order key)
+	firstPos   int // position of the first body write
 	prodStage  int
-	lastConsum int // highest stage consuming the value
+	lastConsum int   // highest stage consuming the value
+	readers    []int // positions of the body ops outside prodStage reading it
 }
 
 // planner carries the working state of one Partition call.
@@ -177,12 +180,14 @@ type planner struct {
 
 	// The split search's view of the clusters, built once by
 	// prepareSplit: closed[c] is cluster c's ops plus the replicable
-	// closure they need (ascending body positions), models holds the
-	// per-machine tables, and mark is stageCost's scratch.
-	closed [][]int
-	models map[*machine.Machine]*machineModel
-	mark   []bool
-	stats  PlanStats
+	// closure they need (ascending body positions), recvOps and sendOps
+	// the positions of the body's own queue ops, models the per-machine
+	// tables, and scratch stageCost's working storage.
+	closed           [][]int
+	recvOps, sendOps []int
+	models           map[*machine.Machine]*machineModel
+	scratch          costScratch
+	stats            PlanStats
 
 	recvCluster int // cluster holding the program's own Recv ops, -1 if none
 	sendCluster int // cluster holding the program's own Send ops, -1 if none
@@ -197,7 +202,7 @@ func Partition(p *ir.Program, machines []*machine.Machine) (*Plan, error) {
 }
 
 // PartitionContext is Partition bounded by ctx: the split search polls
-// it between the cells of its table and gives up with an error wrapping
+// it once a candidate stage it costs and gives up with an error wrapping
 // ctx.Err().
 func PartitionContext(ctx context.Context, p *ir.Program, machines []*machine.Machine) (*Plan, error) {
 	if len(machines) == 0 {
@@ -337,21 +342,17 @@ func (pl *planner) union(a, b int) bool {
 }
 
 // clusterAdj contracts the body dependence graph over the current
-// union-find roots: one deduplicated edge per ordered root pair, from
-// the omega=0 dependences between stage ops in different clusters.
-func (pl *planner) clusterAdj(stage func(int) bool) map[int][]int {
-	seen := map[[2]int]bool{}
-	adj := map[int][]int{}
+// union-find roots: adj[root] lists, once each, the roots its cluster
+// has omega=0 dependences to, between stage ops in different clusters.
+func (pl *planner) clusterAdj(stage func(int) bool) [][]int {
+	adj := make([][]int, len(pl.sh.body))
 	for _, e := range pl.g.Edges {
 		if e.Omega != 0 || !stage(e.From) || !stage(e.To) {
 			continue
 		}
-		rf, rt := pl.find(e.From), pl.find(e.To)
-		if rf == rt || seen[[2]int{rf, rt}] {
-			continue
+		if rf, rt := pl.find(e.From), pl.find(e.To); rf != rt && !slices.Contains(adj[rf], rt) {
+			adj[rf] = append(adj[rf], rt)
 		}
-		seen[[2]int{rf, rt}] = true
-		adj[rf] = append(adj[rf], rt)
 	}
 	return adj
 }
@@ -360,53 +361,49 @@ func (pl *planner) clusterAdj(stage func(int) bool) map[int][]int {
 // contracted cluster graph (Tarjan).  Components are unique, so one
 // pass leaves the cluster graph acyclic.
 func (pl *planner) mergeClusterCycles(stage func(int) bool) {
-	rootSet := map[int]bool{}
-	for i := range pl.sh.body {
-		if stage(i) {
-			rootSet[pl.find(i)] = true
+	n := len(pl.sh.body)
+	var roots []int
+	for i := 0; i < n; i++ {
+		if stage(i) && pl.find(i) == i {
+			roots = append(roots, i)
 		}
 	}
 	adj := pl.clusterAdj(stage)
-	index := map[int]int{}
-	low := map[int]int{}
-	onStack := map[int]bool{}
+	index, low := make([]int, n), make([]int, n)
+	for i := range index {
+		index[i] = -1
+	}
+	onStack := make([]bool, n)
 	var stack []int
 	next := 0
 	var strong func(v int)
 	strong = func(v int) {
-		index[v] = next
-		low[v] = next
+		index[v], low[v] = next, next
 		next++
 		stack = append(stack, v)
 		onStack[v] = true
 		for _, w := range adj[v] {
-			if _, ok := index[w]; !ok {
+			if index[w] < 0 {
 				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
+				low[v] = min(low[v], low[w])
+			} else if onStack[w] {
+				low[v] = min(low[v], index[w])
 			}
 		}
 		if low[v] == index[v] {
-			var comp []int
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[w] = false
-				comp = append(comp, w)
+				pl.union(v, w)
 				if w == v {
 					break
 				}
 			}
-			for _, w := range comp[1:] {
-				pl.union(comp[0], w)
-			}
 		}
 	}
-	for r := range rootSet {
-		if _, ok := index[r]; !ok {
+	for _, r := range roots {
+		if index[r] < 0 {
 			strong(r)
 		}
 	}
@@ -536,45 +533,28 @@ func (pl *planner) cluster() error {
 	// Materialize clusters in topological order of the (now acyclic)
 	// cluster graph, breaking ties by first op position so the order is
 	// deterministic and as close to program order as the deps allow.
-	byRoot := map[int][]int{}
+	// byRoot[r] lists root r's ops in program order; order holds the
+	// roots by first op.
+	byRoot := make([][]int, len(body))
+	var order []int
 	for i := range body {
 		if !stage(i) {
 			continue
 		}
-		byRoot[pl.find(i)] = append(byRoot[pl.find(i)], i)
+		r := pl.find(i)
+		if byRoot[r] == nil {
+			order = append(order, r)
+		}
+		byRoot[r] = append(byRoot[r], i)
 	}
-	if len(byRoot) == 0 {
+	if len(order) == 0 {
 		return fmt.Errorf("partition: loop body has no partitionable operations")
 	}
 	adj := pl.clusterAdj(stage)
-	indeg := map[int]int{}
-	for r := range byRoot {
-		indeg[r] = 0
-	}
+	indeg := make([]int, len(body))
 	for _, outs := range adj {
 		for _, t := range outs {
 			indeg[t]++
-		}
-	}
-	var roots []int
-	done := map[int]bool{}
-	for len(roots) < len(byRoot) {
-		best := -1
-		for r := range byRoot {
-			if done[r] || indeg[r] != 0 {
-				continue
-			}
-			if best < 0 || byRoot[r][0] < byRoot[best][0] {
-				best = r
-			}
-		}
-		if best < 0 {
-			return fmt.Errorf("partition: internal error: cluster graph is cyclic")
-		}
-		done[best] = true
-		roots = append(roots, best)
-		for _, t := range adj[best] {
-			indeg[t]--
 		}
 	}
 	pl.clusterOf = make([]int, len(body))
@@ -582,17 +562,31 @@ func (pl *planner) cluster() error {
 		pl.clusterOf[i] = -1
 	}
 	pl.recvCluster, pl.sendCluster = -1, -1
-	for ci, r := range roots {
-		ops := byRoot[r]
-		sort.Ints(ops)
+	done := make([]bool, len(body))
+	for ci := range order {
+		best := -1
+		for _, r := range order {
+			if !done[r] && indeg[r] == 0 {
+				best = r
+				break
+			}
+		}
+		if best < 0 {
+			return fmt.Errorf("partition: internal error: cluster graph is cyclic")
+		}
+		done[best] = true
+		for _, t := range adj[best] {
+			indeg[t]--
+		}
+		ops := byRoot[best]
 		pl.clusters = append(pl.clusters, ops)
 		for _, i := range ops {
 			pl.clusterOf[i] = ci
 		}
-		if firstRecv >= 0 && pl.find(firstRecv) == pl.find(r) {
+		if firstRecv >= 0 && pl.find(firstRecv) == best {
 			pl.recvCluster = ci
 		}
-		if firstSend >= 0 && pl.find(firstSend) == pl.find(r) {
+		if firstSend >= 0 && pl.find(firstSend) == best {
 			pl.sendCluster = ci
 		}
 	}
@@ -623,9 +617,12 @@ func (pl *planner) cutCandidates() []*cutValue {
 			}
 			cv := seen[r]
 			if cv == nil {
-				cv = &cutValue{reg: r, prodPos: sw[len(sw)-1], prodStage: prodCl, lastConsum: pl.clusterOf[i]}
+				cv = &cutValue{reg: r, prodPos: sw[len(sw)-1], firstPos: sw[0], prodStage: prodCl, lastConsum: pl.clusterOf[i]}
 				seen[r] = cv
 				cuts = append(cuts, cv)
+			}
+			if k := len(cv.readers) - 1; k < 0 || cv.readers[k] != i {
+				cv.readers = append(cv.readers, i)
 			}
 			if pl.clusterOf[i] > cv.lastConsum {
 				cv.lastConsum = pl.clusterOf[i]

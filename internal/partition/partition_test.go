@@ -575,23 +575,26 @@ func lacking(r machine.Resource) *machine.Machine {
 	return m
 }
 
-// TestPlanIdentity pins the production split search to the reference on
-// saxpy, the Livermore kernels and the chain corpus at 2 and 4
-// homogeneous cells, on one heterogeneous array, and on arrays with a
-// cell that cannot host every stage.
-func TestPlanIdentity(t *testing.T) {
+// identityArrays are 2 and 4 homogeneous cells, one heterogeneous
+// array, and arrays with a cell that cannot host every stage.
+func identityArrays() map[string][]*machine.Machine {
 	warp := machine.Warp()
-	arrays := map[string][]*machine.Machine{
+	return map[string][]*machine.Machine{
 		"warp@2":          {warp, warp},
 		"warp@4":          {warp, warp, warp, warp},
 		"warp,wide2":      {warp, machine.Wide(2)},
 		"warp,no-fmul":    {warp, lacking(machine.ResFMul)},
 		"no-fadd in four": {warp, warp, lacking(machine.ResFAdd), warp},
 	}
+}
+
+// TestPlanIdentity pins the production split search to the reference on
+// saxpy, the Livermore kernels and the chain corpus on identityArrays.
+func TestPlanIdentity(t *testing.T) {
 	var verdicts [planDiffers + 1]int
 	saved := 0
 	for _, p := range identityCorpus(t) {
-		for name, ms := range arrays {
+		for name, ms := range identityArrays() {
 			v, n := comparePlanners(t, p, name, ms)
 			verdicts[v]++
 			saved += n
