@@ -12,6 +12,8 @@ import (
 	"softpipe/internal/lang"
 	"softpipe/internal/machine"
 	"softpipe/internal/partition"
+	"softpipe/internal/sim"
+	"softpipe/internal/trace"
 	"softpipe/internal/verify"
 	"softpipe/internal/workloads"
 )
@@ -72,6 +74,103 @@ func TestCompileAllocBudget(t *testing.T) {
 		if got > ceiling*raceAllocSlack {
 			t.Errorf("%s: a compile makes %.0f allocations, ceiling %.0f", name, got, ceiling*raceAllocSlack)
 		}
+	}
+}
+
+// readMostlySrc is an all-float kernel that reads a 4,096-word table and
+// writes 64 words.
+const readMostlySrc = `
+program readmostly;
+var x: array [0..4095] of real;
+    y: array [0..63] of real;
+    i: int;
+begin
+  for i := 0 to 63 do
+    y[i] := x[i] * x[i+2048] + x[i+4000];
+end.
+`
+
+// runAllocSlack is what a run of readmostly allocates besides memory and
+// results: the decoded program (its op stream is most of it), the
+// fast-path blocks, registers, write-back ring, state maps and Result.
+// Object.Run takes 54,280 bytes of it, the step-only sim.Run 41,256.
+const runAllocSlack = 60_000
+
+// TestRunAllocBudget: a run allocates the memory its program addresses
+// and copies out only the arrays it writes.  On readmostly that is the
+// float span and y again, (4,160 + 64) × 8 bytes, plus runAllocSlack.
+// Allocating every memory word twice and copying every array out made
+// the same runs take 161,768 (Object.Run) and 148,744 (sim.Run) bytes.
+func TestRunAllocBudget(t *testing.T) {
+	obj := compileReadMostly(t, nil)
+	ceiling := float64((4096+2*64)*8+runAllocSlack) * raceAllocSlack
+	for _, run := range []struct {
+		name string
+		f    func() error
+	}{
+		{"Object.Run", func() error { _, err := obj.Run(); return err }},
+		{"sim.Run", func() error { _, _, err := sim.Run(obj.Binary, obj.Machine); return err }},
+	} {
+		bytes, _ := allocsPerRun(20, func() {
+			if err := run.f(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f bytes", run.name, bytes)
+		if bytes > ceiling {
+			t.Errorf("%s: a run of readmostly takes %.0f bytes, ceiling %.0f", run.name, bytes, ceiling)
+		}
+	}
+}
+
+// compileReadMostly compiles readmostly on Warp with x preset in full.
+func compileReadMostly(t *testing.T, tr *Tracer) *Object {
+	t.Helper()
+	p, err := ParseSource(readMostlySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := p.Array("x")
+	x.InitF = make([]float64, x.Size)
+	for i := range x.InitF {
+		x.InitF[i] = float64(i) / 64
+	}
+	obj, err := Compile(p, machine.Warp(), Options{Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obj
+}
+
+// TestRunSpanCountsWords: Object.Run's "sim.run" span holds its
+// "sim.decode" span and says how many memory words the cell allocated
+// (readmostly's float span) and how many the result copied (y).
+func TestRunSpanCountsWords(t *testing.T) {
+	tr := NewTracer("run")
+	if _, err := compileReadMostly(t, tr).Run(); err != nil {
+		t.Fatal(err)
+	}
+	var run, dec *trace.Event
+	for _, e := range tr.Events() {
+		switch e.Name {
+		case "sim.run":
+			run = &e
+		case "sim.decode":
+			dec = &e
+		}
+	}
+	if run == nil || dec == nil {
+		t.Fatalf("sim.run %v, sim.decode %v: want both spans", run, dec)
+	}
+	if dec.TS < run.TS || dec.TS+dec.Dur > run.TS+run.Dur {
+		t.Errorf("sim.decode [%d, +%d] is not inside sim.run [%d, +%d]", dec.TS, dec.Dur, run.TS, run.Dur)
+	}
+	args := map[string]int64{}
+	for _, a := range run.Args {
+		args[a.Key] = a.Val
+	}
+	if args["mem_words"] != 4096+64 || args["copied_words"] != 64 || args["cycles"] == 0 {
+		t.Errorf("sim.run args %v, want mem_words 4160, copied_words 64 and the cycles", args)
 	}
 }
 

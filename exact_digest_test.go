@@ -33,7 +33,8 @@ const exactBudget = time.Minute
 // "schedule.exact_nodes" counters.  The trajectory: chronological
 // backtracking explored 660,400, backjumping 160,061, and refuting
 // intervals from their rigid recurrence groups before searching them
-// 2,647.
+// 2,647.  Holding a modulo-expanded plan to an exhausted copy budget
+// made k18 on fa2,fm2,mem2 search one more loop body: 2,705.
 const exactNodeCeiling = 5_000
 
 // exactMachines are Warp and the compile-exact grid points: the rotating

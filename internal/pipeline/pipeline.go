@@ -82,10 +82,11 @@ type Options struct {
 	// CopyBudgetF/I bound the extra registers modulo variable expansion
 	// may claim; when exceeded, the costliest variables are un-expanded
 	// (their inter-iteration constraints restored) and the loop is
-	// rescheduled.  A budget ≤ 0 means unlimited, not "no copies": the
-	// code generator passes its register headroom, which is ≤ 0 when the
-	// base registers fill the file, and such a plan skips the retry and
-	// meets the code generator's register check unshrunk (ROADMAP item 6).
+	// rescheduled.  The code generator passes its register headroom,
+	// which is ≤ 0 when the base registers fill the file.  A modulo-
+	// expanded plan then admits no copies, so the retry un-expands it
+	// before the code generator's register check would refuse it.  A
+	// rotating plan reads a budget ≤ 0 as unlimited (ROADMAP item 6).
 	CopyBudgetF int
 	CopyBudgetI int
 	// RegKind reports the kind of a register, needed to apportion the
@@ -185,14 +186,18 @@ func (p *Plan) CopyRegs(kind func(ir.VReg) ir.Kind) (flt, intg int) {
 	return
 }
 
-// fits reports whether the plan's copy registers stay within the budget.
-// A budget ≤ 0 is unlimited, so a headroom that has run out admits every
-// plan; without RegKind nothing is budgeted.
+// fits reports whether the plan's copy registers stay within the budget;
+// without RegKind nothing is budgeted.  A modulo-expanded plan gets
+// exactly its budget, none when the headroom has run out.  A rotating
+// plan reads a budget ≤ 0 as unlimited.
 func (o *Options) fits(p *Plan) bool {
 	if o.RegKind == nil {
 		return true
 	}
 	cf, ci := p.CopyRegs(o.RegKind)
+	if !p.Rotating {
+		return cf <= max(o.CopyBudgetF, 0) && ci <= max(o.CopyBudgetI, 0)
+	}
 	return (o.CopyBudgetF <= 0 || cf <= o.CopyBudgetF) && (o.CopyBudgetI <= 0 || ci <= o.CopyBudgetI)
 }
 

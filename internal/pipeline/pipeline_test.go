@@ -162,6 +162,24 @@ func TestCopyBudgetDegrades(t *testing.T) {
 	}
 }
 
+// TestExhaustedCopyBudgetAdmitsNoCopies: a headroom at or below zero
+// gives a modulo-expanded plan no copy registers, so the retry un-expands
+// until none are left; it is not read as "unlimited".
+func TestExhaustedCopyBudgetAdmitsNoCopies(t *testing.T) {
+	m := machine.Warp()
+	nodes, loopID := innerNodes(t, longLived(), m)
+	kind := func(r ir.VReg) ir.Kind { return ir.KindFloat }
+	for _, budget := range []int{0, -3} {
+		plan, err := PlanLoop(nodes, loopID, m, Options{CopyBudgetF: budget, CopyBudgetI: budget, RegKind: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cf, ci := plan.CopyRegs(kind); cf+ci != 0 {
+			t.Errorf("budget %d: the plan keeps %d float and %d int copy registers", budget, cf, ci)
+		}
+	}
+}
+
 // Property: smallestFactorAtLeast returns a divisor of u that is >= q
 // and minimal.
 func TestSmallestFactorQuick(t *testing.T) {

@@ -12,7 +12,9 @@ import (
 type Lane struct {
 	InputTape []float64
 	// FloatArrays overrides the program's declared initial values for the
-	// named arrays in this lane; a short slice overrides a prefix.
+	// named arrays in this lane; a short slice overrides a prefix.  The
+	// lane's State reports an array no store writes as its full-length
+	// override itself, so the slices must not change while it is in use.
 	FloatArrays map[string][]float64
 }
 
@@ -39,23 +41,21 @@ type Batch struct {
 // NewBatch lays out len(lanes) cells over p in SoA arenas.
 func NewBatch(p *Program, lanes []Lane) *Batch {
 	n := len(lanes)
-	numF, numI, memW := p.Src.NumFRegs, p.Src.NumIRegs, p.Src.MemWords
+	numF, numI := p.Src.NumFRegs, p.Src.NumIRegs
+	wordsF, wordsI := p.spanF.words(), p.spanI.words()
 	b := &Batch{cells: make([]*Sim, n)}
 	fregs := make([]float64, n*numF)
 	iregs := make([]int64, n*numI)
-	memF := make([]float64, n*memW)
-	memI := make([]int64, n*memW)
+	memF := make([]float64, n*wordsF)
+	memI := make([]int64, n*wordsI)
 	for i := range lanes {
 		c := newCell(p, fregs[i*numF:(i+1)*numF], iregs[i*numI:(i+1)*numI],
-			memF[i*memW:(i+1)*memW], memI[i*memW:(i+1)*memW])
+			memF[i*wordsF:(i+1)*wordsF], memI[i*wordsI:(i+1)*wordsI])
 		c.InputTape = lanes[i].InputTape
+		c.laneF = lanes[i].FloatArrays
 		for name, vals := range lanes[i].FloatArrays {
 			if arr := p.Src.Array(name); arr != nil && arr.Kind == ir.KindFloat {
-				m := len(vals)
-				if m > arr.Size {
-					m = arr.Size
-				}
-				copy(c.memF[arr.Base:arr.Base+m], vals[:m])
+				copy(c.floatWords(arr), vals)
 			}
 		}
 		b.cells[i] = c

@@ -103,6 +103,17 @@ func FuzzSimDecode(f *testing.F) {
 		f.Add(uint8(i), []byte{7, 0, 0, 100, 7, 1, 1, 50, 8, 0, 0, 0xf0})
 		f.Add(uint8(i), []byte{2, 4, 2, 70, 3, 4, 1, 0xfe, 4, 1, 0, 0x7f})
 		f.Add(uint8(i), []byte{9, 3, 1, 0x90, 10, 0, 0, 77, 11, 1, 0, 3, 12, 2, 0, 0})
+		// Mixed kinds: an array turned int, or into no kind at all, and an
+		// int array moved past a gap to the end of a grown memory.
+		f.Add(uint8(i), []byte{7, 0, 2, 0})
+		f.Add(uint8(i), []byte{7, 1, 2, 0, 7, 0, 2, 5})
+		f.Add(uint8(i), []byte{8, 0, 0, 100, 7, 0, 2, 0, 7, 0, 0, 90})
+		// Overlapping layouts: a base moved one word down, a size grown one
+		// word, each across a kind boundary as well.
+		f.Add(uint8(i), []byte{7, 1, 0, 0xff})
+		f.Add(uint8(i), []byte{7, 0, 1, 1})
+		f.Add(uint8(i), []byte{7, 1, 2, 0, 7, 1, 0, 0xff})
+		f.Add(uint8(i), []byte{7, 0, 2, 0, 7, 0, 1, 1, 11, 0, 0, 20})
 	}
 	f.Fuzz(func(t *testing.T, base uint8, edits []byte) {
 		b := bases[int(base)%len(bases)]

@@ -26,8 +26,8 @@ type decOp struct {
 	flops    int64
 	fimm     float64
 	iimm     int64
-	disp     int64
-	arrBase  int64
+	disp     int64 // less the kind's span.lo: ireg+disp indexes memF or memI
+	arrBase  int64 // less the kind's span.lo, as arrEnd
 	arrEnd   int64 // base+size
 	arrFloat bool
 	arrName  string // diagnostics only
@@ -76,6 +76,15 @@ type Program struct {
 	ringLen int // write-back ring length: the power of two above the max latency
 	err     error
 
+	// spanF and spanI are the words of the flat data memory the float and
+	// the int arrays occupy: all a cell allocates of it (layout).
+	spanF, spanI span
+	// written has bit i set when some store names Src.Arrays[i]; arrays
+	// past the 64th always count as written.  Decode refuses overlapping
+	// arrays, so a store reaches no other array, and an unwritten array
+	// ends a run holding what the cell was initialised with (State).
+	written uint64
+
 	// blocks[pc], when non-nil, is the steady-state kernel block headed
 	// at pc that Run may engage (fast.go).  A nil slice is the step-only
 	// reference New builds: Run steps every cycle.
@@ -113,7 +122,7 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 		ops:     make([]decOp, 0, nOps),
 		ringLen: ringLen,
 	}
-	if d.err = checkLayout(p); d.err != nil {
+	if d.err = d.layout(); d.err != nil {
 		return d
 	}
 	for pc := range p.Instrs {
@@ -143,15 +152,24 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 			copy(dec.srcRing[:], o.SrcRings)
 			row := o.Class.Info()
 			if row.UsesArray() {
-				arr := p.Array(o.Array)
-				if arr == nil {
+				k := arrayIndex(p, o.Array)
+				if k < 0 {
 					d.err = fmt.Errorf("sim: @%d: unknown array %q", pc, o.Array)
 					return d
 				}
-				dec.arrBase = int64(arr.Base)
-				dec.arrEnd = int64(arr.Base + arr.Size)
+				arr := &p.Arrays[k]
 				dec.arrFloat = arr.Kind == ir.KindFloat
+				lo := int64(d.spanI.lo)
+				if dec.arrFloat {
+					lo = int64(d.spanF.lo)
+				}
+				dec.disp -= lo
+				dec.arrBase = int64(arr.Base) - lo
+				dec.arrEnd = int64(arr.Base+arr.Size) - lo
 				dec.arrName = arr.Name
+				if o.Class == machine.ClassStore && k < 64 {
+					d.written |= 1 << k
+				}
 			}
 			// The code generator marks a float select with FImm = 1.
 			dec.selFloat = row.Dst == machine.FileSelect && o.FImm != 0
@@ -190,21 +208,58 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 	return d
 }
 
-// checkLayout checks what a cell allocates and addresses before any
-// operand is read: the register files and the memory are not negative, and
-// every array lies inside the memory.
-func checkLayout(p *vliw.Program) error {
-	if p.NumFRegs < 0 || p.NumIRegs < 0 || p.MemWords < 0 {
+// span is the run [lo, hi) of flat data-memory words that the arrays of
+// one kind occupy, empty ones included, so every array's words index it.
+type span struct{ lo, hi int }
+
+func (s span) words() int { return s.hi - s.lo }
+
+// layout checks what a cell allocates and addresses before any operand is
+// read — the register files and the memory are not negative, every array
+// lies inside the memory, and no two arrays share a word — and computes
+// the float and int spans a cell allocates instead of the whole memory.
+func (p *Program) layout() error {
+	src := p.Src
+	if src.NumFRegs < 0 || src.NumIRegs < 0 || src.MemWords < 0 {
 		return fmt.Errorf("sim: negative size: %d f registers, %d i registers, %d memory words",
-			p.NumFRegs, p.NumIRegs, p.MemWords)
+			src.NumFRegs, src.NumIRegs, src.MemWords)
 	}
-	for _, a := range p.Arrays {
-		if a.Base < 0 || a.Size < 0 || a.Base > p.MemWords-a.Size {
+	p.spanF = span{lo: src.MemWords}
+	p.spanI = span{lo: src.MemWords}
+	for i := range src.Arrays {
+		a := &src.Arrays[i]
+		if a.Base < 0 || a.Size < 0 || a.Base > src.MemWords-a.Size {
 			return fmt.Errorf("sim: array %s [%d, %d+%d) outside memory of %d words",
-				a.Name, a.Base, a.Base, a.Size, p.MemWords)
+				a.Name, a.Base, a.Base, a.Size, src.MemWords)
+		}
+		for j := range i {
+			if b := &src.Arrays[j]; a.Base < b.Base+b.Size && b.Base < a.Base+a.Size {
+				return fmt.Errorf("sim: arrays %s and %s overlap in data memory", b.Name, a.Name)
+			}
+		}
+		s := &p.spanI
+		if a.Kind == ir.KindFloat {
+			s = &p.spanF
+		}
+		s.lo, s.hi = min(s.lo, a.Base), max(s.hi, a.Base+a.Size)
+	}
+	// A kind without arrays is left at {MemWords, 0}: make it empty.
+	p.spanF.lo = min(p.spanF.lo, p.spanF.hi)
+	p.spanI.lo = min(p.spanI.lo, p.spanI.hi)
+	return nil
+}
+
+// writes reports whether a store of p may write Src.Arrays[i].
+func (p *Program) writes(i int) bool { return i >= 64 || p.written&(1<<i) != 0 }
+
+// arrayIndex is the index of the first array named name in p, or -1.
+func arrayIndex(p *vliw.Program, name string) int {
+	for i := range p.Arrays {
+		if p.Arrays[i].Name == name {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // checkOperand range-checks one operand of the word at pc: its static

@@ -12,6 +12,11 @@
 //     all loads of the same instruction;
 //   - control takes effect at the next cycle (no branch delay slots).
 //
+// A cell allocates only the memory words its arrays occupy, per kind
+// (Program.spanF, spanI), and its State copies out only the arrays some
+// store can write: an unwritten array shares the initial contents the
+// cell started from and is read-only.
+//
 // The per-cycle loop is allocation-free in steady state: instructions are
 // pre-decoded into a dense form with array bases/bounds resolved, pending
 // write-backs live in a latency-bounded circular buffer indexed by
@@ -91,8 +96,15 @@ type Sim struct {
 
 	fregs []float64
 	iregs []int64
-	memF  []float64 // parallel typed views of the flat memory
-	memI  []int64
+	// memF and memI hold the flat memory's float and int arrays: the
+	// words of prog.spanF and prog.spanI, indexed by address − span.lo.
+	memF []float64
+	memI []int64
+	// laneF is a batch lane's Lane.FloatArrays (nil outside a batch):
+	// what State shares in place of InitF for the arrays it overrides.
+	laneF map[string][]float64
+	// copied counts the array words the last State copied out.
+	copied int
 
 	// ring[t mod len(ring)] holds the write-backs landing at cycle t;
 	// len(ring) is a power of two > maxLatency, so a result issued at t
@@ -216,7 +228,7 @@ func NewCell(p *Program) *Sim {
 		return newCell(p, nil, nil, nil, nil)
 	}
 	return newCell(p, make([]float64, src.NumFRegs), make([]int64, src.NumIRegs),
-		make([]float64, src.MemWords), make([]int64, src.MemWords))
+		make([]float64, p.spanF.words()), make([]int64, p.spanI.words()))
 }
 
 // newCell builds a cell over caller-provided (zeroed) register files and
@@ -236,14 +248,26 @@ func newCell(p *Program, fregs []float64, iregs []int64, memF []float64, memI []
 	if p.err != nil {
 		return s
 	}
-	for _, a := range p.Src.Arrays {
+	for i := range p.Src.Arrays {
+		a := &p.Src.Arrays[i]
 		if a.Kind == ir.KindFloat {
-			copy(s.memF[a.Base:a.Base+a.Size], p.Src.InitF[a.Name])
+			copy(s.floatWords(a), p.Src.InitF[a.Name])
 		} else {
-			copy(s.memI[a.Base:a.Base+a.Size], p.Src.InitI[a.Name])
+			copy(s.intWords(a), p.Src.InitI[a.Name])
 		}
 	}
 	return s
+}
+
+// floatWords and intWords are the cell's memory words of array a.
+func (s *Sim) floatWords(a *vliw.ArrayInfo) []float64 {
+	lo := a.Base - s.prog.spanF.lo
+	return s.memF[lo : lo+a.Size]
+}
+
+func (s *Sim) intWords(a *vliw.ArrayInfo) []int64 {
+	lo := a.Base - s.prog.spanI.lo
+	return s.memI[lo : lo+a.Size]
 }
 
 // Run executes the program until halt and returns the observable state.
@@ -588,29 +612,41 @@ func prevWriter(wbs []writeback, isFloat bool, reg int) int {
 }
 
 // State snapshots the observable program state: declared arrays and
-// result scalars.
+// result scalars.  An array some store of the program may write is a
+// fresh copy of the cell's memory.  Every other array still holds what
+// the cell was initialised with, and when that was a full-length slice —
+// the program's InitF or InitI, or a batch lane's override — State
+// returns that slice itself: shared with the program or the lane, and
+// read-only.  A short or missing initial value is copied.
 func (s *Sim) State() *ir.State {
+	src := s.prog.Src
 	var nf, ni int
-	for _, a := range s.prog.Src.Arrays {
+	for _, a := range src.Arrays {
 		if a.Kind == ir.KindFloat {
 			nf++
 		} else {
 			ni++
 		}
 	}
+	s.copied = 0
 	st := &ir.State{
 		FloatArrays: make(map[string][]float64, nf),
 		IntArrays:   make(map[string][]int64, ni),
-		Scalars:     make(map[string]float64, len(s.prog.Src.Results)),
+		Scalars:     make(map[string]float64, len(src.Results)),
 	}
-	for _, a := range s.prog.Src.Arrays {
+	for i := range src.Arrays {
+		a := &src.Arrays[i]
 		if a.Kind == ir.KindFloat {
-			st.FloatArrays[a.Name] = append([]float64(nil), s.memF[a.Base:a.Base+a.Size]...)
+			init := src.InitF[a.Name]
+			if v, ok := s.laneF[a.Name]; ok && src.Array(a.Name) == a {
+				init = v // NewBatch overrode the first array of the name
+			}
+			st.FloatArrays[a.Name] = snapshot(s.floatWords(a), init, s.prog.writes(i), &s.copied)
 		} else {
-			st.IntArrays[a.Name] = append([]int64(nil), s.memI[a.Base:a.Base+a.Size]...)
+			st.IntArrays[a.Name] = snapshot(s.intWords(a), src.InitI[a.Name], s.prog.writes(i), &s.copied)
 		}
 	}
-	for _, r := range s.prog.Src.Results {
+	for _, r := range src.Results {
 		if r.Kind == ir.KindFloat {
 			st.Scalars[r.Name] = s.fregs[r.Reg]
 		} else {
@@ -619,6 +655,23 @@ func (s *Sim) State() *ir.State {
 	}
 	return st
 }
+
+// snapshot is an array's final contents: init itself when the array is
+// unwritten and init covers it, a copy of its memory words, counted in
+// copied, otherwise.
+func snapshot[T float64 | int64](words, init []T, written bool, copied *int) []T {
+	n := len(words)
+	if !written && len(init) >= n {
+		return init[:n:n]
+	}
+	*copied += n
+	return append([]T(nil), words...)
+}
+
+// Words reports the data-memory words the cell allocated and the array
+// words its last State copied out; every other array word of that State
+// is shared with the initial values.
+func (s *Sim) Words() (allocated, copied int) { return len(s.memF) + len(s.memI), s.copied }
 
 func b2i(b bool) int64 {
 	if b {

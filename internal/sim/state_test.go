@@ -1,0 +1,258 @@
+package sim_test
+
+import (
+	"context"
+	"strings"
+	"testing"
+
+	"softpipe"
+	"softpipe/internal/ir"
+	"softpipe/internal/lang"
+	"softpipe/internal/machine"
+	"softpipe/internal/sim"
+	"softpipe/internal/vliw"
+)
+
+// readMostly reads x whole and z in part, and writes only y.
+const readMostly = `
+program readmostly;
+var x: array [0..63] of real;
+    y: array [0..15] of real;
+    z: array [0..15] of real;
+    i: int;
+begin
+  for i := 0 to 15 do
+    y[i] := y[i] + x[i] * z[i] + x[i+32];
+end.
+`
+
+// compileState compiles src for m after init has preset its arrays.
+func compileState(t *testing.T, src string, m *machine.Machine, init func(p *ir.Program)) (*ir.Program, *vliw.Program) {
+	t.Helper()
+	p, err := lang.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init(p)
+	obj, err := softpipe.Compile(p, m, softpipe.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p, obj.Binary
+}
+
+func ramp(n int, scale float64) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = float64(i+1) * scale
+	}
+	return v
+}
+
+// initReadMostly gives x and y full initial values and z a short one.
+func initReadMostly(p *ir.Program) {
+	p.Array("x").InitF = ramp(64, 0.5)
+	p.Array("y").InitF = ramp(16, 2)
+	p.Array("z").InitF = ramp(8, 0.25)
+}
+
+// fastRun decodes bin with its steady-state blocks and runs one cell.
+func fastRun(t *testing.T, bin *vliw.Program, m *machine.Machine) *ir.State {
+	t.Helper()
+	prog, err := sim.Decode(bin, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sim.NewCell(prog).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+func sameArray[T any](a, b []T) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// TestStateSharesUnwrittenInit: an array no store writes is reported as
+// the full-length initial slice itself, on the fast path and step-only;
+// a written array, or one whose initial value is short, is a fresh copy,
+// and writing to that copy changes neither the object nor the next run.
+func TestStateSharesUnwrittenInit(t *testing.T) {
+	m := machine.Warp()
+	_, bin := compileState(t, readMostly, m, initReadMostly)
+	wantY := append([]float64(nil), bin.InitF["y"]...)
+	step, _, err := sim.Run(bin, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*ir.State{"fast": fastRun(t, bin, m), "step": step} {
+		if x := st.FloatArrays["x"]; !sameArray(x, bin.InitF["x"]) || len(x) != 64 {
+			t.Errorf("%s: unwritten x with a full initial value is not that value", name)
+		}
+		if z := st.FloatArrays["z"]; sameArray(z, bin.InitF["z"]) || len(z) != 16 {
+			t.Errorf("%s: z's initial value covers 8 of 16 words, yet it is shared or of length %d", name, len(z))
+		}
+		if sameArray(st.FloatArrays["y"], bin.InitF["y"]) {
+			t.Errorf("%s: written y shares its initial value", name)
+		}
+	}
+	first := fastRun(t, bin, m)
+	y := first.FloatArrays["y"]
+	got := append([]float64(nil), y...)
+	for i := range y {
+		y[i] = -1
+	}
+	for i, v := range bin.InitF["y"] {
+		if v != wantY[i] {
+			t.Fatalf("writing a result's y changed the object's InitF[y][%d] to %v", i, v)
+		}
+	}
+	again := fastRun(t, bin, m).FloatArrays["y"]
+	for i := range got {
+		if again[i] != got[i] {
+			t.Fatalf("writing a result's y changed the next run: y[%d] = %v, was %v", i, again[i], got[i])
+		}
+	}
+}
+
+// TestBatchLaneSharesOverride: a lane reports a read-only array it
+// overrides in full as that override, one it does not override as the
+// program's initial value, and a short override as a copy of memory;
+// every lane computes what one cell computes from the same contents.
+func TestBatchLaneSharesOverride(t *testing.T) {
+	m := machine.Warp()
+	_, bin := compileState(t, readMostly, m, initReadMostly)
+	prog, err := sim.Decode(bin, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, short := ramp(64, -1), ramp(4, 3)
+	lanes := []sim.Lane{
+		{FloatArrays: map[string][]float64{"x": full}},
+		{},
+		{FloatArrays: map[string][]float64{"x": short}},
+		{FloatArrays: map[string][]float64{"y": ramp(16, 7)}},
+	}
+	res, err := sim.NewBatch(prog, lanes).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("lane %d: %v", i, r.Err)
+		}
+		// The same contents as one cell's initial values.
+		initF := map[string][]float64{}
+		for k, v := range bin.InitF {
+			initF[k] = v
+		}
+		for k, v := range lanes[i].FloatArrays {
+			initF[k] = append(v[:len(v):len(v)], bin.InitF[k][len(v):]...)
+		}
+		one := *bin
+		one.InitF = initF
+		if d := fastRun(t, &one, m).Diff(r.State); d != "" {
+			t.Errorf("lane %d differs from one cell over its contents: %s", i, d)
+		}
+	}
+	x := func(i int) []float64 { return res[i].State.FloatArrays["x"] }
+	if !sameArray(x(0), full) {
+		t.Error("lane 0 does not report its full override of read-only x")
+	}
+	if !sameArray(x(1), bin.InitF["x"]) {
+		t.Error("lane 1 does not report the program's x")
+	}
+	if sameArray(x(2), short) || sameArray(x(2), bin.InitF["x"]) || x(2)[0] != short[0] || x(2)[63] != bin.InitF["x"][63] {
+		t.Error("lane 2's x is not a copy of its short override over the program's x")
+	}
+	if sameArray(res[3].State.FloatArrays["y"], lanes[3].FloatArrays["y"]) {
+		t.Error("lane 3 shares its override of written y")
+	}
+}
+
+// TestOverlappingArraysRefused: two arrays sharing a word — float and
+// float, or float and int — are refused at decode, so a store reaches
+// only the array it names.
+func TestOverlappingArraysRefused(t *testing.T) {
+	m := machine.Warp()
+	for _, kind := range []ir.Kind{ir.KindFloat, ir.KindInt} {
+		p := &vliw.Program{
+			Instrs: []vliw.Instr{
+				{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 0, IImm: 0}}},
+				{}, {}, {}, {}, {},
+				{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: []int{0, 0}, Array: "a"}}},
+				{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}},
+			},
+			NumFRegs: 1, NumIRegs: 1, MemWords: 12,
+			Arrays: []vliw.ArrayInfo{
+				{Name: "a", Kind: ir.KindFloat, Base: 0, Size: 8},
+				{Name: "b", Kind: kind, Base: 4, Size: 8},
+			},
+		}
+		if _, err := sim.Decode(p, m); err == nil || !strings.Contains(err.Error(), "overlap") {
+			t.Errorf("%v b: Decode = %v, want an overlap refusal", kind, err)
+		}
+		if _, _, err := sim.Run(p, m); err == nil || !strings.Contains(err.Error(), "overlap") {
+			t.Errorf("%v b: step-only Run = %v, want an overlap refusal", kind, err)
+		}
+		p.Arrays[1].Base = 8
+		p.MemWords = 16
+		if _, _, err := sim.Run(p, m); err != nil {
+			t.Errorf("%v b moved apart: %v", kind, err)
+		}
+	}
+}
+
+// mixedLayout interleaves int and float arrays, so neither kind's span
+// starts at address 0 or is free of the other kind's words; n and a are
+// read, m and b written, k neither and never initialised.
+const mixedLayout = `
+program mixed;
+var n: array [0..15] of int;
+    a: array [0..15] of real;
+    m: array [0..15] of int;
+    b: array [0..15] of real;
+    k: array [0..7] of int;
+    i: int;
+begin
+  for i := 0 to 15 do begin
+    m[i] := n[i] + i;
+    b[i] := a[i] * float(n[i]) + 1.0;
+  end;
+end.
+`
+
+// TestMixedLayoutMatchesReference: on interleaved float and int arrays,
+// the fast path, step-only and the IR interpreter agree, and the read
+// arrays are their initial values.
+func TestMixedLayoutMatchesReference(t *testing.T) {
+	rot, err := machine.DefaultGrid()[1].Machine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*machine.Machine{machine.Warp(), rot} {
+		p, bin := compileState(t, mixedLayout, m, func(p *ir.Program) {
+			n := p.Array("n")
+			n.InitI = make([]int64, n.Size)
+			for i := range n.InitI {
+				n.InitI[i] = int64(3*i - 7)
+			}
+			p.Array("a").InitF = ramp(16, 0.75)
+		})
+		want, err := ir.Run(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step, _, err := sim.Run(bin, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, st := range map[string]*ir.State{"fast": fastRun(t, bin, m), "step": step} {
+			if d := want.Diff(st); d != "" {
+				t.Errorf("%s on %s differs from ir.Run: %s", name, m.Name, d)
+			}
+			if !sameArray(st.IntArrays["n"], bin.InitI["n"]) || !sameArray(st.FloatArrays["a"], bin.InitF["a"]) {
+				t.Errorf("%s on %s: read-only n or a is not its initial value", name, m.Name)
+			}
+		}
+	}
+}

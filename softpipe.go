@@ -179,6 +179,8 @@ type Object struct {
 
 // ParseSource compiles W2-like source text to IR.  Array inputs are
 // zero-filled; set Program.Array(name).InitF before compiling/running.
+// The compiled object shares InitF, and a run reports an array no store
+// writes as that slice, so InitF must not change after compiling.
 func ParseSource(src string) (*Program, error) { return lang.Compile(src) }
 
 // CompileSource parses and compiles W2-like source for machine m.
@@ -222,6 +224,9 @@ func (o *Object) Disassemble() string { return o.Binary.String() }
 
 // Result is a completed simulation.
 type Result struct {
+	// State is the final program state.  An array no store of the
+	// program writes shares its initial contents (the source's InitF or
+	// InitI) and is read-only; a written array is the result's own copy.
 	State       *State
 	Cycles      int64
 	Flops       int64
@@ -235,22 +240,25 @@ type Result struct {
 // (internal/sim/fast.go); state, stats and cycle count are bit-identical
 // to stepping every cycle, which the step-only reference sim.Run does and
 // the differential tests hold Run to.
+//
+// Its "sim.run" span holds a "sim.decode" span and carries the simulated
+// cycles, the data-memory words the cell allocated ("mem_words") and the
+// array words the result copied out ("copied_words").
 func (o *Object) Run() (*Result, error) {
 	sp := o.tracer.Begin("sim.run")
-	st, stats, err := runCell(o.Binary, o.Machine)
-	sp.Arg("cycles", stats.Cycles).End()
-	return o.result(st, stats, err)
-}
-
-// runCell decodes p for m, steady-state blocks attached, and runs one cell.
-func runCell(p *vliw.Program, m *Machine) (*State, sim.Stats, error) {
-	prog, err := sim.Decode(p, m)
+	dsp := o.tracer.Begin("sim.decode")
+	prog, err := sim.Decode(o.Binary, o.Machine)
+	dsp.End()
 	if err != nil {
-		return nil, sim.Stats{}, err
+		sp.End()
+		return nil, err
 	}
 	cell := sim.NewCell(prog)
 	st, err := cell.Run()
-	return st, cell.Stats(), err
+	stats := cell.Stats()
+	mem, copied := cell.Words()
+	sp.Arg("cycles", stats.Cycles).Arg("mem_words", int64(mem)).Arg("copied_words", int64(copied)).End()
+	return o.result(st, stats, err)
 }
 
 // result projects a finished run onto a Result.
@@ -330,7 +338,8 @@ func Interpret(p *Program) (*State, error) { return ir.Run(p) }
 
 // WithFloatData returns a copy of the object whose named float arrays are
 // re-initialized — the cheap way to run one compiled cell program on many
-// cells with per-cell data (a homogeneous Warp program).
+// cells with per-cell data (a homogeneous Warp program).  Like InitF, the
+// slices in data are shared, not copied, and must not change afterwards.
 func (o *Object) WithFloatData(data map[string][]float64) *Object {
 	bin := *o.Binary
 	bin.InitF = map[string][]float64{}
