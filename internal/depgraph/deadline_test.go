@@ -37,12 +37,22 @@ func withinDeadline(t *testing.T, f func(ctx context.Context) error) {
 	t.Fatalf("returned %v after its deadline", over)
 }
 
-// TestAnalyzeContextHonoursDeadline: on a 20,000-node ring a
-// positive-cycle probe below the recurrence bound runs all 20,000
-// relaxation passes of 20,000 edges each, and the binary search makes
-// several (seconds in all), so the probes poll their context once a pass.
+// TestAnalyzeContextHonoursDeadline: the recurrence search relaxes edges
+// in source order, so on a 20,000-node ladder whose zero-distance chain
+// runs back from node i+1 to node i a pass advances the longest path by
+// one node, and the one probe, at the bound 1, runs 20,000 passes of
+// 40,000 edges (seconds in all) before it proves no cycle positive; the
+// search polls its context once a pass.  The rungs forward, i to i+1 at
+// distance 1, close the 2-cycles that bound it and lead Tarjan's walk up
+// the chain in program order.
 func TestAnalyzeContextHonoursDeadline(t *testing.T) {
-	g := ring(20000, func(i int) int { return 1 + i*7%13 })
+	const n = 20000
+	g := bareGraph(n)
+	for i := 0; i+1 < n; i++ {
+		g.Edges = append(g.Edges,
+			depgraph.Edge{From: i, To: i + 1, Omega: 1},
+			depgraph.Edge{From: i + 1, To: i, Delay: 1})
+	}
 	withinDeadline(t, func(ctx context.Context) error {
 		_, err := depgraph.AnalyzeContext(ctx, g, machine.Warp())
 		return err

@@ -29,19 +29,13 @@ func (e *MissingResourceError) Error() string {
 	return fmt.Sprintf("depgraph: machine %s lacks resource %v required by %s", e.Machine, e.Resource, who)
 }
 
-// ResourceMII returns the lower bound on the initiation interval imposed
-// by resource usage: the maximum over resources of
+// ResourceMIIExtra returns the lower bound on the initiation interval
+// imposed by resource usage: the maximum over resources of
 // ceil(total uses / available units) (Lam §2.2, resource constraints).
-// It fails with a *MissingResourceError when some reserved resource has
-// zero units on m.
-func ResourceMII(g *Graph, m *machine.Machine) (int, error) {
-	return ResourceMIIExtra(g.Nodes, m, nil)
-}
-
-// ResourceMIIExtra is ResourceMII of the nodes of a body, which is all it
-// reads, with additional reserved uses counted (the pipeliner reserves
-// the sequencer's branch field for the loop-back branch in every
-// steady-state window).
+// It reads only the nodes of a body, and counts additional reserved uses
+// (the pipeliner reserves the sequencer's branch field for the loop-back
+// branch in every steady-state window).  It fails with a
+// *MissingResourceError when some reserved resource has zero units on m.
 func ResourceMIIExtra(nodes []*Node, m *machine.Machine, extra []machine.ResUse) (int, error) {
 	uses := make([]int, len(m.ResourceCount))
 	firstUser := make([]*Node, len(m.ResourceCount))
@@ -117,10 +111,10 @@ func Analyze(g *Graph, m *machine.Machine) (*Analysis, error) {
 }
 
 // AnalyzeContext is Analyze under a deadline: the recurrence bound's
-// positive-cycle probes poll ctx once a relaxation pass, and the analysis
-// fails with an error wrapping ctx.Err() once ctx is done.
+// relaxation passes poll ctx, and the analysis fails with an error
+// wrapping ctx.Err() once ctx is done.
 func AnalyzeContext(ctx context.Context, g *Graph, m *machine.Machine) (*Analysis, error) {
-	res, err := ResourceMII(g, m)
+	res, err := ResourceMIIExtra(g.Nodes, m, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +124,9 @@ func AnalyzeContext(ctx context.Context, g *Graph, m *machine.Machine) (*Analysi
 		a.HasRecurrence = a.HasRecurrence || len(ce) > 0
 	}
 	if a.HasRecurrence {
-		if a.RecMII, err = recurrenceMII(ctx, a.SCC, a.edges); err != nil {
+		// From 1, not from ResMII: RecMII is reported on its own.
+		var r Recurrence
+		if a.RecMII, err = r.MIIFrom(ctx, len(g.Nodes), g.Edges, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -138,24 +134,13 @@ func AnalyzeContext(ctx context.Context, g *Graph, m *machine.Machine) (*Analysi
 	return a, nil
 }
 
-// RecurrenceMII returns the recurrence bound of g: the smallest
-// initiation interval s ≥ 1 at which no dependence cycle is positive,
-// i.e. max over cycles of ceil(delay/omega) (Lam §2.2, precedence
-// constraints).  It fails when a cycle has positive delay at iteration
-// distance zero — a self-dependence included — since no interval then
-// satisfies it.  This is the production bound; RecurrenceMIIOracle is
-// the all-pairs formulation tests compare it against.
-func RecurrenceMII(g *Graph) (int, error) {
-	scc := TarjanSCC(g)
-	return recurrenceMII(context.Background(), scc, scc.edges(g))
-}
-
 // Recurrence computes recurrence bounds of graphs given as bare edge
 // lists, in storage it keeps between calls: once it has grown to the
-// largest graph it is given, a bound allocates nothing.  The partition
-// planner bounds every candidate stage this way, from the edges of its
-// body graph that the stage keeps, without building a Graph.  The zero
-// value is ready to use; it is not safe for concurrent use.
+// largest graph it is given, a bound allocates nothing.  Analyze bounds
+// RecMII this way, and the partition planner bounds every candidate
+// stage from the edges of its body graph that the stage keeps, without
+// building a Graph.  The zero value is ready to use; it is not safe for
+// concurrent use.
 type Recurrence struct {
 	first, dist, pred, seen []int
 	edges                   []sccEdge
@@ -163,16 +148,21 @@ type Recurrence struct {
 
 // MIIFrom returns the smallest interval s ≥ lo at which no cycle of the
 // graph on nodes 0..n-1 with the given edges has positive weight
-// delay − s·omega, i.e. max(lo, RecurrenceMII): with lo the resource
-// bound, that is the MII, and a graph already feasible at lo costs one
-// probe.  Only From, To, Delay and Omega are read.  It fails as Analyze
-// does on a cycle of zero iteration distance, and with an error wrapping
-// ctx.Err() once ctx is done (polled once a relaxation pass).
+// delay − s·omega, i.e. max(lo, max over cycles of ⌈delay/omega⌉) (Lam
+// §2.2, precedence constraints): with lo the resource bound, that is the
+// MII, and a graph already feasible at lo costs one probe.  Only From,
+// To, Delay and Omega are read.  It fails when a cycle has positive
+// delay at iteration distance zero — a self-dependence included — since
+// no interval then satisfies it, and with an error wrapping ctx.Err()
+// once ctx is done (polled once a relaxation pass).
 //
 // Rather than binary-search s, it jumps: a probe that finds a positive
 // cycle moves s to that cycle's own bound ⌈delay/omega⌉, which no
 // feasible interval is below, so s never passes the answer and the first
-// probe that finds no positive cycle ends the search.
+// probe that finds no positive cycle ends the search.  Cycles never
+// leave a strongly connected component, so the whole graph is searched
+// at once.  RecurrenceMIIOracle is the all-pairs formulation tests hold
+// it to.
 func (r *Recurrence) MIIFrom(ctx context.Context, n int, edges []Edge, lo int) (int, error) {
 	// The edges by source in node order: a body's distance-0 edges all
 	// point forward, so one relaxation pass in that order follows every
@@ -218,13 +208,18 @@ func (r *Recurrence) MIIFrom(ctx context.Context, n int, edges []Edge, lo int) (
 }
 
 // cycleAt reports whether the graph with edges ce has a cycle of
-// positive weight delay − s·omega, by positiveCycleAt's relaxation, and
-// when it can name one, that cycle's total delay and omega.  It keeps
+// positive weight delay − s·omega, and when it can name one, that
+// cycle's total delay and omega.  Longest paths from a virtual source
+// joined to every node by a zero edge have at most len(r.dist)−1 real
+// edges unless such a cycle exists, so a relaxation pass that still
+// improves something after that many passes proves one.  It also keeps
 // each node's last improving edge: a cycle of those edges is a positive
 // one (it is checked all the same), so a look for one after every pass
-// finds a positive cycle long before len(r.dist) passes prove that one
-// exists.
+// finds a positive cycle long before the passes prove that one exists.
 func (r *Recurrence) cycleAt(ctx context.Context, ce []sccEdge, s int) (positive bool, delay, omega int, err error) {
+	if len(ce) == 0 {
+		return false, 0, 0, nil // no edge, no cycle: not even a pass to run
+	}
 	dist, pred := r.dist, r.pred
 	for v := range dist {
 		dist[v], pred[v] = 0, -1
@@ -286,87 +281,4 @@ func grow(s []int, n int) []int {
 		return make([]int, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
-}
-
-// recurrenceMII binary-searches each component that has edges for its
-// smallest feasible interval.  Cycles never leave a component, so the
-// bound of the graph is the largest bound of any component, and a
-// component already feasible at the running maximum costs one probe.
-// A probe is a single-source longest-path relaxation (O(V·E) on the
-// component, no distance matrix).
-func recurrenceMII(ctx context.Context, scc *SCC, edges [][]sccEdge) (int, error) {
-	scratch := make([]int, len(scc.Comp))
-	rec := 1
-	for ci, ce := range edges {
-		if len(ce) == 0 {
-			continue
-		}
-		dist := scratch[:len(scc.Components[ci])]
-		positive, err := positiveCycleAt(ctx, ce, dist, rec)
-		if err != nil {
-			return 0, err
-		}
-		if !positive {
-			continue
-		}
-		// Any cycle with omega ≥ 1 is non-positive once s exceeds the
-		// component's total positive delay; one still positive there has
-		// iteration distance zero.
-		hi := 1
-		for _, e := range ce {
-			if e.delay > 0 {
-				hi += e.delay
-			}
-		}
-		if hi > rec {
-			if positive, err = positiveCycleAt(ctx, ce, dist, hi); err != nil {
-				return 0, err
-			}
-		}
-		if positive {
-			return 0, fmt.Errorf("depgraph: dependence cycle with zero iteration distance")
-		}
-		lo := rec + 1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if positive, err = positiveCycleAt(ctx, ce, dist, mid); err != nil {
-				return 0, err
-			}
-			if positive {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		rec = lo
-	}
-	return rec, nil
-}
-
-// positiveCycleAt reports whether the component has a cycle of positive
-// total weight delay − ii·omega.  Longest paths from a virtual source
-// joined to every member by a zero edge have at most len(dist)−1 real
-// edges unless such a cycle exists, so a relaxation pass that still
-// improves something after that many passes proves one.  It polls ctx
-// once a pass.
-func positiveCycleAt(ctx context.Context, edges []sccEdge, dist []int, ii int) (bool, error) {
-	for i := range dist {
-		dist[i] = 0
-	}
-	for range dist {
-		if err := ctx.Err(); err != nil {
-			return false, fmt.Errorf("depgraph: recurrence bound of a %d-node component aborted: %w", len(dist), err)
-		}
-		changed := false
-		for _, e := range edges {
-			if d := dist[e.from] + e.delay - ii*e.omega; d > dist[e.to] {
-				dist[e.to] = d
-				changed = true
-			}
-		}
-		if !changed {
-			return false, nil
-		}
-	}
-	return true, nil
 }

@@ -23,17 +23,17 @@ func zeroALUMachine() *machine.Machine {
 // TestResourceMIIZeroUnits checks the regression for the resource-MII
 // division by zero: a machine with zero units of a reserved resource
 // yields a structured *MissingResourceError naming the machine, the
-// resource, and the first op that reserves it — from ResourceMII and
-// from Analyze — instead of panicking.
+// resource, and the first op that reserves it — from ResourceMIIExtra
+// and from Analyze — instead of panicking.
 func TestResourceMIIZeroUnits(t *testing.T) {
 	m := zeroALUMachine()
 	// Build the node against the full Warp so the reservation exists.
 	n := MustNodeFromOp(machine.Warp(), &ir.Op{ID: 0, Class: machine.ClassIAdd})
 	g := Build([]*Node{n}, 0)
 
-	_, err := ResourceMII(g, m)
+	_, err := ResourceMIIExtra(g.Nodes, m, nil)
 	if err == nil {
-		t.Fatal("ResourceMII accepted a machine with 0 ALU units")
+		t.Fatal("ResourceMIIExtra accepted a machine with 0 ALU units")
 	}
 	var mre *MissingResourceError
 	if !errors.As(err, &mre) {
@@ -94,7 +94,7 @@ func TestResourceMIIOutOfRangeResource(t *testing.T) {
 	n.Reservation = []machine.ResUse{{Resource: machine.Resource(len(m.ResourceCount) + 3)}}
 	g := Build([]*Node{n}, 0)
 	var mre *MissingResourceError
-	if _, err := ResourceMII(g, m); !errors.As(err, &mre) {
+	if _, err := ResourceMIIExtra(g.Nodes, m, nil); !errors.As(err, &mre) {
 		t.Fatalf("error %v is not a *MissingResourceError", err)
 	}
 }

@@ -84,8 +84,8 @@ func ceilDiv(a, b int) int {
 // --- Concrete oracles ---------------------------------------------------
 //
 // Independent all-pairs formulations over the whole graph that tests
-// compare RecurrenceMII (mii.go) and PathsAt against; nothing on a compile
-// path calls them.
+// compare Recurrence.MIIFrom (mii.go) and PathsAt against; nothing on a
+// compile path calls them.
 
 // LongestPathsAt computes all-pairs longest paths over the whole graph at
 // a concrete initiation interval by Bellman–Ford-style relaxation.

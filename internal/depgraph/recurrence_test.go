@@ -54,16 +54,27 @@ func loopGraphs(t *testing.T, p *ir.Program, m *machine.Machine) map[string]*dep
 // or smaller one left behind.
 var reused depgraph.Recurrence
 
-// checkRecurrence asserts the formulations agree on g: the production
-// per-SCC positive-cycle bound, the all-pairs oracle and the edge-list
-// bound in reused storage (from 1 and from above the bound) — in value,
-// or all in refusing the graph with one text.
+// recMII is the recurrence bound a compile uses for g: Analyze's RecMII
+// on warp, which is 0 when g has no recurrence and so no bound above 1.
+func recMII(g *depgraph.Graph) (int, error) {
+	a, err := depgraph.Analyze(g, machine.Warp())
+	if err != nil {
+		return 0, err
+	}
+	return max(a.RecMII, 1), nil
+}
+
+// checkRecurrence asserts the one search agrees with the all-pairs
+// oracle on g, as Analyze runs it (RecMII, in fresh storage) and as the
+// partition planner does (Recurrence.MIIFrom in reused storage, from 1
+// and from above the bound) — in value, or all in refusing the graph
+// with one text.
 func checkRecurrence(t *testing.T, name string, g *depgraph.Graph) {
 	t.Helper()
-	got, gotErr := depgraph.RecurrenceMII(g)
+	got, gotErr := recMII(g)
 	oracle, oracleErr := depgraph.RecurrenceMIIOracle(g)
 	if (gotErr != nil) != (oracleErr != nil) {
-		t.Errorf("%s: verdicts differ: RecurrenceMII err=%v, oracle err=%v", name, gotErr, oracleErr)
+		t.Errorf("%s: verdicts differ: Analyze err=%v, oracle err=%v", name, gotErr, oracleErr)
 		return
 	}
 	for _, lo := range []int{1, oracle + 2} {
@@ -79,12 +90,12 @@ func checkRecurrence(t *testing.T, name string, g *depgraph.Graph) {
 		return
 	}
 	if got != oracle {
-		t.Errorf("%s: RecurrenceMII=%d oracle=%d\n%v", name, got, oracle, g)
+		t.Errorf("%s: RecMII=%d oracle=%d\n%v", name, got, oracle, g)
 	}
 }
 
-// TestRecurrenceMIIDifferential pins the production recurrence bound to
-// the independent formulation on every innermost-loop graph of the
+// TestRecurrenceMIIDifferential pins the recurrence bound a compile uses
+// to the independent formulation on every innermost-loop graph of the
 // evaluation corpora and on a synthetic doubly recurrent body, and holds
 // each graph's components to checkComponentPaths.
 func TestRecurrenceMIIDifferential(t *testing.T) {
@@ -126,7 +137,7 @@ func TestRecurrenceMIIDifferential(t *testing.T) {
 			checkRecurrence(t, name, g)
 			checkComponentPaths(t, name, g)
 			graphs++
-			if rec, err := depgraph.RecurrenceMII(g); err == nil && rec > 1 {
+			if rec, err := recMII(g); err == nil && rec > 1 {
 				recurrent++
 			}
 		}
@@ -136,59 +147,62 @@ func TestRecurrenceMIIDifferential(t *testing.T) {
 	}
 }
 
-// TestRecurrenceMIIRejectsTogether hand-builds the two illegal shapes —
-// a zero-distance dependence cycle and a self-dependence within one
-// iteration — next to their legal neighbours: both formulations refuse
-// the former and agree on the latter.
+// recurrenceRows hand-builds the two illegal shapes — a zero-distance
+// dependence cycle and a self-dependence within one iteration — next to
+// their legal neighbours, and the empty graph, whose bound is 1.
+var recurrenceRows = []struct {
+	name    string
+	g       *depgraph.Graph
+	wantErr bool
+	want    int
+}{
+	{"zero-distance-cycle", bareGraph(2,
+		depgraph.Edge{From: 0, To: 1, Delay: 7},
+		depgraph.Edge{From: 1, To: 0, Delay: 7}), true, 0},
+	{"zero-distance-cycle-beside-legal-recurrence", bareGraph(4,
+		depgraph.Edge{From: 0, To: 1, Delay: 3},
+		depgraph.Edge{From: 1, To: 0, Delay: 4, Omega: 1},
+		depgraph.Edge{From: 2, To: 3, Delay: 1},
+		depgraph.Edge{From: 3, To: 2, Delay: 1}), true, 0},
+	{"self-dependence", bareGraph(1,
+		depgraph.Edge{From: 0, To: 0, Delay: 2}), true, 0},
+	{"zero-distance-cycle-of-zero-delay", bareGraph(2,
+		depgraph.Edge{From: 0, To: 1, Delay: 0},
+		depgraph.Edge{From: 1, To: 0, Delay: 0}), false, 1},
+	{"self-recurrence", bareGraph(1,
+		depgraph.Edge{From: 0, To: 0, Delay: 7, Omega: 1}), false, 7},
+	{"two-components", bareGraph(4,
+		depgraph.Edge{From: 0, To: 1, Delay: 3},
+		depgraph.Edge{From: 1, To: 0, Delay: 4, Omega: 1},
+		depgraph.Edge{From: 1, To: 2, Delay: 9},
+		depgraph.Edge{From: 2, To: 3, Delay: 5},
+		depgraph.Edge{From: 3, To: 2, Delay: 6, Omega: 2}), false, 7},
+	{"acyclic", bareGraph(2,
+		depgraph.Edge{From: 0, To: 1, Delay: 7}), false, 1},
+	{"empty", bareGraph(0), false, 1},
+}
+
+// TestRecurrenceMIIRejectsTogether: every formulation refuses the
+// illegal rows of recurrenceRows and agrees on the legal ones.
 func TestRecurrenceMIIRejectsTogether(t *testing.T) {
-	cases := []struct {
-		name    string
-		g       *depgraph.Graph
-		wantErr bool
-		want    int
-	}{
-		{"zero-distance-cycle", bareGraph(2,
-			depgraph.Edge{From: 0, To: 1, Delay: 7},
-			depgraph.Edge{From: 1, To: 0, Delay: 7}), true, 0},
-		{"zero-distance-cycle-beside-legal-recurrence", bareGraph(4,
-			depgraph.Edge{From: 0, To: 1, Delay: 3},
-			depgraph.Edge{From: 1, To: 0, Delay: 4, Omega: 1},
-			depgraph.Edge{From: 2, To: 3, Delay: 1},
-			depgraph.Edge{From: 3, To: 2, Delay: 1}), true, 0},
-		{"self-dependence", bareGraph(1,
-			depgraph.Edge{From: 0, To: 0, Delay: 2}), true, 0},
-		{"zero-distance-cycle-of-zero-delay", bareGraph(2,
-			depgraph.Edge{From: 0, To: 1, Delay: 0},
-			depgraph.Edge{From: 1, To: 0, Delay: 0}), false, 1},
-		{"self-recurrence", bareGraph(1,
-			depgraph.Edge{From: 0, To: 0, Delay: 7, Omega: 1}), false, 7},
-		{"two-components", bareGraph(4,
-			depgraph.Edge{From: 0, To: 1, Delay: 3},
-			depgraph.Edge{From: 1, To: 0, Delay: 4, Omega: 1},
-			depgraph.Edge{From: 1, To: 2, Delay: 9},
-			depgraph.Edge{From: 2, To: 3, Delay: 5},
-			depgraph.Edge{From: 3, To: 2, Delay: 6, Omega: 2}), false, 7},
-		{"acyclic", bareGraph(2,
-			depgraph.Edge{From: 0, To: 1, Delay: 7}), false, 1},
-	}
-	for _, tc := range cases {
+	for _, tc := range recurrenceRows {
 		checkRecurrence(t, tc.name, tc.g)
-		got, err := depgraph.RecurrenceMII(tc.g)
+		got, err := recMII(tc.g)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
 		}
 		if err == nil && got != tc.want {
-			t.Errorf("%s: RecurrenceMII = %d, want %d", tc.name, got, tc.want)
+			t.Errorf("%s: RecMII = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }
 
-// TestRecurrenceJumpsMatchOracle: Recurrence.MIIFrom jumps from one
-// positive cycle's own bound to the next instead of binary-searching, so
-// it is held to the oracle (through checkRecurrence) on graphs with many
-// competing cycles: random graphs of 1–12 nodes with negative delays,
-// iteration distances up to 3 and zero-distance cycles, and the rings of
-// TestComponentPathsMatchOracle.
+// TestRecurrenceJumpsMatchOracle: the one recurrence search,
+// Recurrence.MIIFrom, jumps from one positive cycle's own bound to the
+// next instead of binary-searching, so it is held to the oracle (through
+// checkRecurrence) on graphs with many competing cycles: random graphs
+// of 1–12 nodes with negative delays, iteration distances up to 3 and
+// zero-distance cycles, and the rings of TestComponentPathsMatchOracle.
 func TestRecurrenceJumpsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	refused := 0
@@ -215,4 +229,35 @@ func TestRecurrenceJumpsMatchOracle(t *testing.T) {
 	if refused == 0 || refused > 1000 {
 		t.Errorf("%d of 2000 random graphs refused: the mix of legal and illegal graphs is off", refused)
 	}
+}
+
+// FuzzRecurrence holds the one recurrence search to the oracle (through
+// checkRecurrence) on graphs decoded from bytes: the first byte gives
+// 0–12 nodes, and every four after it one edge with delay −3…10 and
+// omega 0…3, as TestRecurrenceJumpsMatchOracle draws them, zero-distance
+// cycles included.  The rows of recurrenceRows are its seeds.
+func FuzzRecurrence(f *testing.F) {
+	for _, tc := range recurrenceRows {
+		data := []byte{byte(len(tc.g.Nodes))}
+		for _, e := range tc.g.Edges {
+			data = append(data, byte(e.From), byte(e.To), byte(e.Delay+3), byte(e.Omega))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]) % 13
+		g := bareGraph(n)
+		for b := data[1:]; n > 0 && len(b) >= 4 && len(g.Edges) < 3*n; b = b[4:] {
+			g.Edges = append(g.Edges, depgraph.Edge{
+				From:  int(b[0]) % n,
+				To:    int(b[1]) % n,
+				Delay: int(b[2])%14 - 3,
+				Omega: int(b[3]) % 4,
+			})
+		}
+		checkRecurrence(t, fmt.Sprintf("%x", data), g)
+	})
 }

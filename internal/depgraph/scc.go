@@ -104,23 +104,17 @@ func TarjanSCC(g *Graph) *SCC {
 				}
 				// Keep members in program order for deterministic
 				// scheduling.  They came off the stack latest first, so
-				// reversed they are nearly sorted already.
+				// reversed they are usually nearly sorted already, but
+				// a cycle walked against program order comes out
+				// descending, so the sort must not be quadratic.
 				comp := members[start:len(members):len(members)]
 				slices.Reverse(comp)
-				sortInts(comp)
+				slices.Sort(comp)
 				s.Components = append(s.Components, comp)
 			}
 		}
 	}
 	return s
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // sccEdge is a dependence edge inside one component, endpoints renumbered

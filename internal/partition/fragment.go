@@ -276,7 +276,7 @@ func (pl *planner) stageCost(ctx context.Context, i, j int, mm *machineModel, cu
 		return 0, pl.stageError(mm, recvs, members, sends)
 	}
 
-	// The resource bound (ResourceMII).
+	// The resource bound (depgraph.ResourceMIIExtra).
 	uses := sc.uses[:len(mm.m.ResourceCount)]
 	clear(uses)
 	for _, pos := range members {
