@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// TestObjectDigestPinned pins the wire form of three cache entries: the
+// TestObjectDigestPinned pins the wire form of four cache entries: the
 // object_sha256 /compile replies, and the digest of what GET
 // /artifact/{key} serves, which must be the same.  The values were
 // recorded when entries were stored as their JSON; an entry that now
@@ -38,6 +38,9 @@ func TestObjectDigestPinned(t *testing.T) {
 	}{
 		{"saxpy/warp", CompileRequest{Source: string(saxpy)}, "e8180d074a34ff4159cd6865b0c506f222d537031cb642903dd75dbc8e58c173"},
 		{"k7/exact", CompileRequest{Source: livermoreSource(t, 7), Options: CompileOptions{Effort: "exact"}}, "05fd967f1941d922d94090caf69c6eeee5677e7faadf9040c98e4821104b1e18"},
+		// On a rotating machine, so the wire form of DstRing and SrcRings
+		// is pinned too.
+		{"k9/rot", CompileRequest{Source: livermoreSource(t, 9), Machine: "gen:fa1,fm1,mem2,rot"}, "24705bdd1a8e45e41911366eaf5ee379d30c5f4123406b38153e8aea1c8ae139"},
 	} {
 		var resp CompileResponse
 		if code, _ := post(t, s, "/compile", c.req, &resp); code != http.StatusOK {
