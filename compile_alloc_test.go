@@ -93,7 +93,8 @@ end.
 // runAllocSlack is what a run of readmostly allocates besides memory and
 // results: the decoded program (its op stream is most of it), the
 // fast-path blocks, registers, write-back ring, state maps and Result.
-// Object.Run takes 54,280 bytes of it, the step-only sim.Run 41,256.
+// Object.Run takes 33,960 bytes of it, the step-only sim.Run 22,184
+// (54,280 and 41,256 while a decoded slot op was 232 bytes, not 72).
 const runAllocSlack = 60_000
 
 // TestRunAllocBudget: a run allocates the memory its program addresses

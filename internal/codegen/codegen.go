@@ -270,50 +270,28 @@ func Compile(p *ir.Program, m *machine.Machine, opts Options) (*vliw.Program, *R
 var outPool = sync.Pool{New: func() any { return new([]vliw.Instr) }}
 
 // pack returns the emitted code, copied out of the emitter's buffer into a
-// slice of its own length, its op lists and operand lists moved out of the
-// slabs they were carved from into one block each, sized exactly: the
-// object then holds what it uses, not a buffer's slack or the unused ends
-// of the compile's chunks.  The buffer goes back to outPool.
+// slice of its own length, its op lists moved out of the slabs they were
+// carved from into one block, sized exactly: the object then holds what it
+// uses, not a buffer's slack or the unused ends of the compile's chunks.
+// (A slot op holds its sources; the few rings are allocated each to its
+// length.)  The buffer goes back to outPool.
 func (e *emitter) pack() []vliw.Instr {
 	instrs := slices.Clone(e.out)
 	clear(e.out) // the words point into this compile's slabs: let go of them
 	*e.outBuf = e.out[:0]
 	outPool.Put(e.outBuf)
-	nops, nints := 0, 0
+	nops := 0
 	for _, in := range instrs {
 		nops += len(in.Ops)
-		nints += len(in.Ctl.RegRing)
-		for _, op := range in.Ops {
-			nints += len(op.Src) + len(op.DstRing)
-			for _, r := range op.SrcRings {
-				nints += len(r)
-			}
-		}
 	}
-	ops, ints := make([]vliw.SlotOp, nops), make([]int, nints)
-	move := func(v []int) []int {
-		if len(v) == 0 {
-			return v
-		}
-		n := copy(ints, v)
-		v, ints = ints[:n:n], ints[n:]
-		return v
-	}
+	ops := make([]vliw.SlotOp, nops)
 	for i := range instrs {
 		in := &instrs[i]
-		in.Ctl.RegRing = move(in.Ctl.RegRing)
 		if len(in.Ops) == 0 {
 			continue
 		}
 		n := copy(ops, in.Ops)
 		in.Ops, ops = ops[:n:n], ops[n:]
-		for j := range in.Ops {
-			op := &in.Ops[j]
-			op.Src, op.DstRing = move(op.Src), move(op.DstRing)
-			for k := range op.SrcRings {
-				op.SrcRings[k] = move(op.SrcRings[k])
-			}
-		}
 	}
 	return instrs
 }
@@ -348,7 +326,7 @@ type emitter struct {
 	err    error
 
 	regs         regMap
-	fFree, iFree []int
+	fFree, iFree []int32
 	fNext, iNext int
 
 	// pos assigns each op ID a sequence position; firstPos/lastPos[r]
@@ -385,11 +363,9 @@ type emitter struct {
 	// arena holds the nodes of the bodies compactRows and tryOverlapped
 	// build themselves (the reducer holds its own).
 	arena depgraph.Arena
-	// ints and slots back the operand lists and row contents of the
-	// emitted code (slotFor, ringFor, scheduleRow, compactRows,
-	// mergeRows); rowOps and rowCount are scheduleRow's and compactRows'
-	// scratch.
-	ints     slab.Of[int]
+	// slots backs the row contents of the emitted code (scheduleRow,
+	// compactRows, mergeRows); rowOps and rowCount are scheduleRow's and
+	// compactRows' scratch.
 	slots    slab.Of[vliw.SlotOp]
 	rowOps   []vliw.SlotOp
 	rowCount []int
@@ -418,6 +394,9 @@ func (e *emitter) fail(err error) {
 
 func (e *emitter) append(in vliw.Instr) { e.out = append(e.out, in) }
 
+// next is the index of the word append adds next, as a branch target.
+func (e *emitter) next() int32 { return int32(len(e.out)) }
+
 func (e *emitter) layoutMemory() {
 	base := 0
 	for _, a := range e.irp.Arrays {
@@ -432,6 +411,10 @@ func (e *emitter) layoutMemory() {
 		base += a.Size
 	}
 	e.prog.MemWords = base
+	if base > math.MaxInt32 {
+		// A slot op's displacement is an int32.
+		e.fail(fmt.Errorf("codegen: %d words of data memory, more than 2^31-1", base))
+	}
 }
 
 // prepass numbers every op and computes last-reference positions for
@@ -493,26 +476,26 @@ func (e *emitter) prepass() {
 // copies modulo variable expansion adds are a map.
 type regMap struct {
 	base   []int // base[r]: r's copy-0 physical register + 1, 0 when unmapped
-	copies map[regKey]int
+	copies map[regKey]int32
 	dead   []regKey // keys' scratch
 }
 
-func (m *regMap) get(k regKey) (int, bool) {
+func (m *regMap) get(k regKey) (int32, bool) {
 	if k.copy == 0 {
-		p := m.base[k.r] - 1
+		p := int32(m.base[k.r] - 1)
 		return p, p >= 0
 	}
 	p, ok := m.copies[k]
 	return p, ok
 }
 
-func (m *regMap) set(k regKey, p int) {
+func (m *regMap) set(k regKey, p int32) {
 	if k.copy == 0 {
-		m.base[k.r] = p + 1
+		m.base[k.r] = int(p) + 1
 		return
 	}
 	if m.copies == nil {
-		m.copies = map[regKey]int{}
+		m.copies = map[regKey]int32{}
 	}
 	m.copies[k] = p
 }
@@ -550,12 +533,12 @@ func (m *regMap) keys(out []regKey, dead func(regKey) bool) []regKey {
 }
 
 // physReg maps (vreg, copy) to a physical register, allocating on demand.
-func (e *emitter) physReg(r ir.VReg, copy int) int {
+func (e *emitter) physReg(r ir.VReg, copy int) int32 {
 	k := regKey{r: r, copy: copy}
 	if p, ok := e.regs.get(k); ok {
 		return p
 	}
-	var p int
+	var p int32
 	if e.irp.Kind(r) == ir.KindFloat {
 		p = e.allocF()
 	} else {
@@ -565,7 +548,7 @@ func (e *emitter) physReg(r ir.VReg, copy int) int {
 	return p
 }
 
-func (e *emitter) allocF() int {
+func (e *emitter) allocF() int32 {
 	if n := len(e.fFree); n > 0 {
 		p := e.fFree[n-1]
 		e.fFree = e.fFree[:n-1]
@@ -573,10 +556,10 @@ func (e *emitter) allocF() int {
 	}
 	p := e.fNext
 	e.fNext++
-	return p
+	return int32(p)
 }
 
-func (e *emitter) allocI() int {
+func (e *emitter) allocI() int32 {
 	if n := len(e.iFree); n > 0 {
 		p := e.iFree[n-1]
 		e.iFree = e.iFree[:n-1]
@@ -584,10 +567,10 @@ func (e *emitter) allocI() int {
 	}
 	p := e.iNext
 	e.iNext++
-	return p
+	return int32(p)
 }
 
-func (e *emitter) freeI(p int) { e.iFree = append(e.iFree, p) }
+func (e *emitter) freeI(p int32) { e.iFree = append(e.iFree, p) }
 
 // releaseDead returns registers of vregs whose last reference position is
 // ≤ upto to the free lists.  Callers invoke it after draining a region.
@@ -647,22 +630,24 @@ func (e *emitter) slotFor(op *ir.Op, iter int, plan *pipeline.Plan) vliw.SlotOp 
 	s := vliw.SlotOp{Class: op.Class, IImm: op.IImm, FImm: op.FImm}
 	if op.Dst != ir.NoReg {
 		s.Dst = e.physReg(op.Dst, cp(op.Dst))
-		s.DstRing = e.ringFor(op.Dst, iter, plan)
 	}
-	if len(op.Src) > 0 {
-		s.Src = e.ints.Take(len(op.Src))
-		for i, r := range op.Src {
-			s.Src[i] = e.physReg(r, cp(r))
-		}
+	for i, r := range op.Src {
+		s.Src[i] = e.physReg(r, cp(r))
 	}
 	if plan != nil && plan.Rotating {
+		var rings vliw.Rings
+		rotates := false
+		if op.Dst != ir.NoReg {
+			rings.Dst = e.ringFor(op.Dst, iter, plan)
+			rotates = rings.Dst != nil
+		}
 		for i, r := range op.Src {
-			if ring := e.ringFor(r, iter, plan); ring != nil {
-				if s.SrcRings == nil {
-					s.SrcRings = make([][]int, len(op.Src))
-				}
-				s.SrcRings[i] = ring
-			}
+			rings.Src[i] = e.ringFor(r, iter, plan)
+			rotates = rotates || rings.Src[i] != nil
+		}
+		if rotates {
+			r := rings
+			s.Rings = &r
 		}
 	}
 	if op.Class == machine.ClassISelect {
@@ -674,7 +659,11 @@ func (e *emitter) slotFor(op *ir.Op, iter int, plan *pipeline.Plan) vliw.SlotOp 
 	}
 	if op.Mem != nil {
 		s.Array = op.Mem.Array
-		s.Disp = int64(e.prog.Array(op.Mem.Array).Base) + op.Mem.Disp
+		disp := int64(e.prog.Array(op.Mem.Array).Base) + op.Mem.Disp
+		if disp != int64(int32(disp)) {
+			e.fail(fmt.Errorf("codegen: %s displacement %d does not fit a 32-bit field", op.Mem.Array, disp))
+		}
+		s.Disp = int32(disp)
 	}
 	return s
 }
@@ -686,7 +675,7 @@ func (e *emitter) slotFor(op *ir.Op, iter int, plan *pipeline.Plan) vliw.SlotOp 
 // resolves the operand to the copy of absolute iteration iter+p — which
 // is exactly the iteration the instance executes.  Nil for static
 // operands and non-rotating plans.
-func (e *emitter) ringFor(r ir.VReg, iter int, plan *pipeline.Plan) []int {
+func (e *emitter) ringFor(r ir.VReg, iter int, plan *pipeline.Plan) []int32 {
 	if plan == nil || !plan.Rotating {
 		return nil
 	}
@@ -694,7 +683,7 @@ func (e *emitter) ringFor(r ir.VReg, iter int, plan *pipeline.Plan) []int {
 	if n <= 1 {
 		return nil
 	}
-	ring := e.ints.Take(n)
+	ring := make([]int32, n)
 	for j := 0; j < n; j++ {
 		ring[j] = e.physReg(r, ((iter+j)%n+n)%n)
 	}
@@ -771,9 +760,9 @@ func (e *emitter) emitIf(s *ir.IfStmt) {
 	e.emitBlock(s.Then)
 	jmpAt := len(e.out)
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJump}})
-	e.out[jzAt].Ctl.Target = len(e.out)
+	e.out[jzAt].Ctl.Target = e.next()
 	e.emitBlock(s.Else)
-	e.out[jmpAt].Ctl.Target = len(e.out)
+	e.out[jmpAt].Ctl.Target = e.next()
 }
 
 // emitResults records the physical registers holding named results.
@@ -782,7 +771,7 @@ func (e *emitter) emitResults() {
 		e.prog.Results = append(e.prog.Results, vliw.Result{
 			Name: r.Name,
 			Kind: e.irp.Kind(r.Reg),
-			Reg:  e.physReg(r.Reg, 0),
+			Reg:  int(e.physReg(r.Reg, 0)),
 		})
 	}
 }

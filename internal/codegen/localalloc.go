@@ -105,7 +105,7 @@ func (e *emitter) localAssign(ops []*ir.Op, times []int, period int) func() {
 	})
 
 	type poolEntry struct {
-		phys  int
+		phys  int32
 		until int // last cycle occupied
 	}
 	var fpool, ipool []poolEntry
@@ -116,7 +116,7 @@ func (e *emitter) localAssign(ops []*ir.Op, times []int, period int) func() {
 		if kind == ir.KindInt {
 			pool = &ipool
 		}
-		phys := -1
+		phys := int32(-1)
 		for i := range *pool {
 			if (*pool)[i].until < s.def {
 				phys = (*pool)[i].phys

@@ -600,8 +600,8 @@ func (e *emitter) tryPipelinedRuntime(l *ir.LoopStmt, rep *LoopReport) bool {
 	// t1 = n - (stages-1); if t1 < unroll, run everything unpipelined.
 	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: m1c, IImm: int64(mm - 1)}}})
 	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: uc, IImm: int64(u)}}})
-	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassISub, Dst: t1, Src: []int{nPhys, m1c}}}})
-	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassICmp, Dst: cond, Src: []int{t1, uc}, IImm: int64(ir.PredLT)}}})
+	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassISub, Dst: t1, Src: [3]int32{nPhys, m1c}}}})
+	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassICmp, Dst: cond, Src: [3]int32{t1, uc}, IImm: int64(ir.PredLT)}}})
 	guardAt := len(e.out)
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJNZ, Reg: cond}})
 
@@ -610,18 +610,18 @@ func (e *emitter) tryPipelinedRuntime(l *ir.LoopStmt, rep *LoopReport) bool {
 	// when copy counts stay at one) the remainder is identically zero
 	// and the masked loop would be dead code.
 	if u > 1 {
-		e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIAnd, Dst: rreg, Src: []int{t1}, IImm: int64(u - 1)}}})
+		e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIAnd, Dst: rreg, Src: [3]int32{t1}, IImm: int64(u - 1)}}})
 		skipRemAt := len(e.out)
 		e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJZ, Reg: rreg}})
 		e.emitLoopBody(l, rreg, nil)
-		e.out[skipRemAt].Ctl.Target = len(e.out)
+		e.out[skipRemAt].Ctl.Target = e.next()
 		if e.err != nil {
 			return false
 		}
 	}
 
 	// Kernel passes = t1 >> log2(u) (the masked-off remainder already ran).
-	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIShr, Dst: counter, Src: []int{t1}, IImm: int64(log2u)}}})
+	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIShr, Dst: counter, Src: [3]int32{t1}, IImm: int64(log2u)}}})
 	p := &loopPayload{}
 	e.regionRows(p, nodes, plan, counter, 0)
 	e.closeRegion(p)
@@ -629,9 +629,9 @@ func (e *emitter) tryPipelinedRuntime(l *ir.LoopStmt, rep *LoopReport) bool {
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJump}})
 
 	// The unpipelined version for short counts.
-	e.out[guardAt].Ctl.Target = len(e.out)
+	e.out[guardAt].Ctl.Target = e.next()
 	e.emitUnpipelinedLoop(l, nil)
-	e.out[doneJmpAt].Ctl.Target = len(e.out)
+	e.out[doneJmpAt].Ctl.Target = e.next()
 
 	e.freeI(t1)
 	e.freeI(cond)
@@ -682,7 +682,7 @@ func (e *emitter) scheduleRow(nodes []*depgraph.Node, plan *pipeline.Plan, t, bo
 // copy alignment is the one at the end of the prolog, so the flat
 // schedule simply continues.  With tail 0 the rows are count-independent
 // and serve the two-version scheme's run-time pass count.
-func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, counter, tail int) {
+func (e *emitter) regionRows(p *loopPayload, nodes []*depgraph.Node, plan *pipeline.Plan, counter int32, tail int) {
 	sp := e.opts.Tracer.Begin("codegen.rows")
 	mm, u, s := plan.Stages, plan.Unroll, plan.II
 	if plan.Rotating {
@@ -756,9 +756,9 @@ func (e *emitter) fixupRows(plan *pipeline.Plan, last int) []rrow {
 	for _, reg := range fixupRegs(plan, class, plan.Rotating) {
 		mov := vliw.SlotOp{Class: e.movClass(reg), Dst: e.physReg(reg, 0)}
 		if ring := e.ringFor(reg, last, plan); ring != nil {
-			mov.Src, mov.SrcRings = []int{ring[0]}, [][]int{ring}
+			mov.Src[0], mov.Rings = ring[0], &vliw.Rings{Src: [3][]int32{ring}}
 		} else {
-			mov.Src = []int{e.physReg(reg, plan.CopyIndex(reg, class))}
+			mov.Src[0] = e.physReg(reg, plan.CopyIndex(reg, class))
 		}
 		rows = append(rows, rrow{ops: []vliw.SlotOp{mov}})
 	}
@@ -787,12 +787,12 @@ func (e *emitter) emitUnpipelinedLoop(l *ir.LoopStmt, rep *LoopReport) {
 	cond := e.allocI()
 	counter := e.allocI()
 	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: zero, IImm: 0}}})
-	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIMov, Dst: counter, Src: []int{count}}}})
-	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassICmp, Dst: cond, Src: []int{count, zero}, IImm: int64(ir.PredLE)}}})
+	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIMov, Dst: counter, Src: [3]int32{count}}}})
+	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassICmp, Dst: cond, Src: [3]int32{count, zero}, IImm: int64(ir.PredLE)}}})
 	guardAt := len(e.out)
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJNZ, Reg: cond}})
 	e.emitLoopBody(l, counter, rep)
-	e.out[guardAt].Ctl.Target = len(e.out)
+	e.out[guardAt].Ctl.Target = e.next()
 	e.freeI(zero)
 	e.freeI(cond)
 	e.freeI(counter)
@@ -802,7 +802,7 @@ func (e *emitter) emitUnpipelinedLoop(l *ir.LoopStmt, rep *LoopReport) {
 // caller has loaded.  A straight-line body is compacted and padded to
 // the dependence period, with the loop-back DBNZ in its final cycle;
 // anything else is compiled recursively.
-func (e *emitter) emitLoopBody(l *ir.LoopStmt, counter int, rep *LoopReport) {
+func (e *emitter) emitLoopBody(l *ir.LoopStmt, counter int32, rep *LoopReport) {
 	ops, straight := l.Body.Ops()
 	if !straight {
 		e.emitGenericLoopBody(l, counter, rep)
@@ -919,8 +919,8 @@ func (e *emitter) aborted(what string) error {
 // emitGenericLoopBody lowers a loop whose body contains control
 // constructs: the body is compiled recursively (each region drains), with
 // the loop-back branch appended at the end.
-func (e *emitter) emitGenericLoopBody(l *ir.LoopStmt, counter int, rep *LoopReport) {
-	start := len(e.out)
+func (e *emitter) emitGenericLoopBody(l *ir.LoopStmt, counter int32, rep *LoopReport) {
+	start := e.next()
 	e.loopDepth++
 	first, _ := e.posRange(l.Body)
 	e.loopBodyStart = append(e.loopBodyStart, first)
@@ -929,6 +929,6 @@ func (e *emitter) emitGenericLoopBody(l *ir.LoopStmt, counter int, rep *LoopRepo
 	e.loopDepth--
 	e.append(vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: counter, Target: start}})
 	if rep != nil && !rep.Pipelined && rep.II == 0 {
-		rep.II = len(e.out) - start
+		rep.II = len(e.out) - int(start)
 	}
 }

@@ -156,12 +156,12 @@ func (e *emitter) loopAccesses(node *depgraph.Node) {
 	p := node.Payload.(*loopPayload)
 	type phys struct {
 		float bool
-		reg   int
+		reg   int32
 	}
 	owner := map[phys]ir.VReg{}
 	for r, p := range e.regs.base {
 		if p > 0 {
-			owner[phys{e.irp.Kind(ir.VReg(r)) == ir.KindFloat, p - 1}] = ir.VReg(r)
+			owner[phys{e.irp.Kind(ir.VReg(r)) == ir.KindFloat, int32(p - 1)}] = ir.VReg(r)
 		}
 	}
 	// heldTo is the last row of the last segment starting at or before row
@@ -201,7 +201,7 @@ func (e *emitter) loopAccesses(node *depgraph.Node) {
 		store bool
 	}
 	mems := map[memKey]rowSpan{}
-	touch := func(spans map[ir.VReg]rowSpan, float bool, static int, ring []int, first, last int) {
+	touch := func(spans map[ir.VReg]rowSpan, float bool, static int32, ring []int32, first, last int) {
 		if r, ok := owner[phys{float, static}]; ok {
 			widen(spans, r, first, last)
 		}
@@ -219,16 +219,12 @@ func (e *emitter) loopAccesses(node *depgraph.Node) {
 				info := op.Class.Info()
 				arrFloat := info.UsesArray() && e.prog.Array(op.Array).Kind == ir.KindFloat
 				file := func(f machine.File) bool { return f.Resolve(arrFloat, op.FImm != 0) == machine.FileFloat }
-				for k, src := range op.Src {
-					var ring []int
-					if k < len(op.SrcRings) {
-						ring = op.SrcRings[k]
-					}
-					touch(reads, file(info.Src[k]), src, ring, j, hold(j, j))
+				for k, src := range op.Sources() {
+					touch(reads, file(info.Src[k]), src, op.SrcRing(k), j, hold(j, j))
 				}
 				if info.Dst != machine.FileNone {
 					land := j + e.m.Latency(op.Class)
-					touch(writes, file(info.Dst), op.Dst, op.DstRing, min(land, landsBy(j)), hold(j, land))
+					touch(writes, file(info.Dst), op.Dst, op.DstRing(), min(land, landsBy(j)), hold(j, land))
 				}
 				arr, store := op.Array, op.Class == machine.ClassStore
 				if q := depgraph.QueueArray(op.Class); q != "" {
@@ -405,7 +401,7 @@ func (e *emitter) tryOverlapped(l *ir.LoopStmt, rep *LoopReport) bool {
 	// Outer loop counter and emission.
 	counter := e.allocI()
 	e.append(vliw.Instr{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: counter, IImm: l.CountImm}}})
-	rows[body.period-1].ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: counter, Target: len(e.out)}
+	rows[body.period-1].ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: counter, Target: e.next()}
 	e.closeRegion(&loopPayload{rows: rows, segs: body.segs})
 	if e.err != nil {
 		return false

@@ -26,8 +26,8 @@ type rrow struct {
 // expanded condition resolves through condRing at the current rotating
 // base instead of the static cond register.
 type rcons struct {
-	cond     int
-	condRing []int
+	cond     int32
+	condRing []int32
 	length   int
 	thenRows []rrow
 	elseRows []rrow
@@ -37,7 +37,7 @@ type rcons struct {
 // rows[start:end] loop back via DBNZ on `counter`.
 type loopSeg struct {
 	start, end int
-	counter    int
+	counter    int32
 	rotate     bool // kernel of a rotating plan: DBNZ bumps the rotating base
 }
 
@@ -49,7 +49,7 @@ type loopSeg struct {
 type loopPayload struct {
 	rows     []rrow
 	segs     []loopSeg // repeated sub-ranges, in row order, disjoint
-	counters []int     // dedicated physical counters of a reduced loop, freed on rollback
+	counters []int32   // dedicated physical counters of a reduced loop, freed on rollback
 	rotating bool      // rows use the (single, global) rotating register base
 }
 
@@ -94,7 +94,7 @@ func (e *emitter) landing(rows []rrow) int {
 // patch, the join instruction its trailing jump returns to, and its rows.
 type pendElse struct {
 	jz   int
-	join int
+	join int32
 	rows []rrow
 }
 
@@ -176,10 +176,15 @@ func (e *emitter) emitRows(rows []rrow) {
 			return
 		}
 		jz := len(e.out)
-		e.append(vliw.Instr{Ops: r.ops, Ctl: vliw.Ctl{Kind: vliw.CtlJZ, Reg: c.cond, RegRing: c.condRing}})
+		ctl := vliw.Ctl{Kind: vliw.CtlJZ, Reg: c.cond}
+		if c.condRing != nil {
+			ring := c.condRing // its own header: the program outlives c
+			ctl.RegRing = &ring
+		}
+		e.append(vliw.Instr{Ops: r.ops, Ctl: ctl})
 		inner := rows[i+1 : i+c.length]
 		e.emitRows(e.mergeRows(inner, c.thenRows))
-		join := len(e.out)
+		join := e.next()
 		if c.length == 1 {
 			e.out[jz].Ctl.Target = join
 		} else {
@@ -196,7 +201,7 @@ func (e *emitter) emitSegs(p *loopPayload) {
 	cursor := 0
 	for _, sg := range p.segs {
 		e.emitRows(p.rows[cursor:sg.start])
-		p.rows[sg.end-1].ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: sg.counter, Target: len(e.out), Rotate: sg.rotate}
+		p.rows[sg.end-1].ctl = vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: sg.counter, Target: e.next(), Rotate: sg.rotate}
 		e.emitRows(p.rows[sg.start:sg.end])
 		cursor = sg.end
 	}
@@ -211,7 +216,7 @@ func (e *emitter) flushPends() {
 	for len(e.pends) > 0 {
 		p := e.pends[0]
 		e.pends = e.pends[1:]
-		e.out[p.jz].Ctl.Target = len(e.out)
+		e.out[p.jz].Ctl.Target = e.next()
 		e.emitRows(p.rows)
 		last := len(e.out) - 1
 		if e.out[last].Ctl.Kind != vliw.CtlNone {

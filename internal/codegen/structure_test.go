@@ -44,7 +44,7 @@ func TestEmittedKernelGeometry(t *testing.T) {
 			if dbnzAt != -1 {
 				t.Fatalf("more than one loop-back branch")
 			}
-			dbnzAt, target = pc, in.Ctl.Target
+			dbnzAt, target = pc, int(in.Ctl.Target)
 		}
 	}
 	if dbnzAt == -1 {

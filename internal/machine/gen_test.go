@@ -10,8 +10,8 @@ func TestStringNegativeValues(t *testing.T) {
 	if got := Resource(-1).String(); got != "Res(-1)" {
 		t.Errorf("Resource(-1).String() = %q, want Res(-1)", got)
 	}
-	if got := Class(-1).String(); got != "class(-1)" {
-		t.Errorf("Class(-1).String() = %q, want class(-1)", got)
+	if got := Class(255).String(); got != "class(255)" {
+		t.Errorf("Class(255).String() = %q, want class(255)", got)
 	}
 	if got := Resource(999).String(); got != "Res(999)" {
 		t.Errorf("Resource(999).String() = %q, want Res(999)", got)

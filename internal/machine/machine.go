@@ -102,8 +102,9 @@ type OpDesc struct {
 }
 
 // Class enumerates the operation classes the IR can produce.  Classes are
-// machine-independent; each Machine maps them to an OpDesc.
-type Class int
+// machine-independent; each Machine maps them to an OpDesc.  A byte holds
+// one, so a slot op's class field is one byte wide.
+type Class uint8
 
 // Operation classes.  The numbering is part of Machine.Fingerprint: append,
 // never insert.  What each class is lives in its row of the classes table.
@@ -232,7 +233,7 @@ var classes = func() [numClasses]ClassInfo {
 // Info returns the class's row; an unknown class has the zero row (no
 // name, no operands, not valid in IR).
 func (c Class) Info() ClassInfo {
-	if c < 0 || c >= numClasses {
+	if c >= numClasses {
 		return ClassInfo{}
 	}
 	return classes[c]
@@ -309,7 +310,7 @@ type Machine struct {
 
 // Desc returns the descriptor for class c, or nil if unsupported.
 func (m *Machine) Desc(c Class) *OpDesc {
-	if c < 0 || int(c) >= len(m.Ops) {
+	if int(c) >= len(m.Ops) {
 		return nil
 	}
 	return m.Ops[int(c)]

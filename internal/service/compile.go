@@ -166,12 +166,12 @@ type artifact struct {
 	// MachineName and MachineFP name the target this artifact was
 	// compiled for; the fingerprint puts the machine model into the bytes
 	// and so into object_sha256.
-	MachineName string        `json:"machine"`
-	MachineFP   string        `json:"machine_fp"`
-	Binary      *vliw.Program `json:"binary"`
-	FRegs       int           `json:"fregs"`
-	IRegs       int           `json:"iregs"`
-	Loops       []LoopStats   `json:"loops"`
+	MachineName string      `json:"machine"`
+	MachineFP   string      `json:"machine_fp"`
+	Binary      any         `json:"binary"` // a vliw.Program's Wire
+	FRegs       int         `json:"fregs"`
+	IRegs       int         `json:"iregs"`
+	Loops       []LoopStats `json:"loops"`
 }
 
 // resolveMachine maps a request's machine name to a model through the

@@ -12,7 +12,6 @@ import (
 	"softpipe"
 	"softpipe/internal/cache"
 	"softpipe/internal/sim"
-	"softpipe/internal/vliw"
 )
 
 // RunRequest is the body of POST /run.  Provide either Source (compiled
@@ -352,13 +351,13 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 // machine fingerprint + options string) with the cell count appended, so
 // requests differing only in width never share an entry.
 type arrayArtifact struct {
-	MachineName string          `json:"machine"`
-	MachineFP   string          `json:"machine_fp"`
-	Binaries    []*vliw.Program `json:"binaries"`
-	CellII      []int           `json:"cell_ii"`
-	EstMII      []int           `json:"est_mii"`
-	CutWidths   []int           `json:"cut_widths,omitempty"`
-	Warnings    []string        `json:"capacity_warnings,omitempty"`
+	MachineName string   `json:"machine"`
+	MachineFP   string   `json:"machine_fp"`
+	Binaries    []any    `json:"binaries"` // each a vliw.Program's Wire
+	CellII      []int    `json:"cell_ii"`
+	EstMII      []int    `json:"est_mii"`
+	CutWidths   []int    `json:"cut_widths,omitempty"`
+	Warnings    []string `json:"capacity_warnings,omitempty"`
 }
 
 // compilePartitioned is job.compile for a partitioned job: split the

@@ -29,8 +29,8 @@ func storeProgram(n int64) *vliw.Program {
 			{Ops: []vliw.SlotOp{{Class: machine.ClassRecv, Dst: 0}}},
 			{}, {},
 			{Ops: []vliw.SlotOp{
-				{Class: machine.ClassStore, Src: []int{1, 0}, Array: "a"},
-				{Class: machine.ClassIAdd, Dst: 1, Src: []int{1, 2}},
+				{Class: machine.ClassStore, Src: [3]int32{1, 0}, Array: "a"},
+				{Class: machine.ClassIAdd, Dst: 1, Src: [3]int32{1, 2}},
 			}, Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: 5}},
 			{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}},
 		},
@@ -110,7 +110,7 @@ func TestArrayHostQueueBudget(t *testing.T) {
 		Name: "runaway", NumFRegs: 1, NumIRegs: 1,
 		Instrs: []vliw.Instr{
 			{Ops: []vliw.SlotOp{{Class: machine.ClassFConst, Dst: 0, FImm: 1}}},
-			{Ops: []vliw.SlotOp{{Class: machine.ClassSend, Src: []int{0}}},
+			{Ops: []vliw.SlotOp{{Class: machine.ClassSend, Src: [3]int32{0}}},
 				Ctl: vliw.Ctl{Kind: vliw.CtlJump, Target: 1}},
 		},
 	}

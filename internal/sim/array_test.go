@@ -22,9 +22,9 @@ func relayProgram(n int64, add float64) *vliw.Program {
 			// loop body: recv (lat 2) -> fadd (lat 7) -> send
 			{Ops: []vliw.SlotOp{{Class: machine.ClassRecv, Dst: 0}}},
 			{}, {},
-			{Ops: []vliw.SlotOp{{Class: machine.ClassFAdd, Dst: 1, Src: []int{0, 2}}}},
+			{Ops: []vliw.SlotOp{{Class: machine.ClassFAdd, Dst: 1, Src: [3]int32{0, 2}}}},
 			{}, {}, {}, {}, {}, {}, {},
-			{Ops: []vliw.SlotOp{{Class: machine.ClassSend, Src: []int{1}}},
+			{Ops: []vliw.SlotOp{{Class: machine.ClassSend, Src: [3]int32{1}}},
 				Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: 8}},
 			{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}},
 		},
@@ -120,9 +120,9 @@ func TestQueueBackpressure(t *testing.T) {
 			{Ops: []vliw.SlotOp{{Class: machine.ClassFConst, Dst: 1, FImm: 0}}},
 			{}, {}, {}, {}, {},
 			// f1 += 1; send f1
-			{Ops: []vliw.SlotOp{{Class: machine.ClassFAdd, Dst: 1, Src: []int{1, 0}}}},
+			{Ops: []vliw.SlotOp{{Class: machine.ClassFAdd, Dst: 1, Src: [3]int32{1, 0}}}},
 			{}, {}, {}, {}, {}, {},
-			{Ops: []vliw.SlotOp{{Class: machine.ClassSend, Src: []int{1}}},
+			{Ops: []vliw.SlotOp{{Class: machine.ClassSend, Src: [3]int32{1}}},
 				Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: 8}},
 			{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}},
 		},

@@ -29,12 +29,12 @@ func kernelProg(iters int64) *vliw.Program {
 		// pointer arithmetic, looped back by DBNZ.
 		{
 			Ops: []vliw.SlotOp{
-				{Class: machine.ClassLoad, Dst: 1, Src: []int{1}, Array: "a"},
-				{Class: machine.ClassFMul, Dst: 2, Src: []int{1, 1}},
-				{Class: machine.ClassFAdd, Dst: 0, Src: []int{0, 2}},
-				{Class: machine.ClassStore, Src: []int{1, 2}, Array: "a"},
-				{Class: machine.ClassIAdd, Dst: 4, Src: []int{1, 2}},
-				{Class: machine.ClassIAnd, Dst: 1, Src: []int{4}, IImm: 63},
+				{Class: machine.ClassLoad, Dst: 1, Src: [3]int32{1}, Array: "a"},
+				{Class: machine.ClassFMul, Dst: 2, Src: [3]int32{1, 1}},
+				{Class: machine.ClassFAdd, Dst: 0, Src: [3]int32{0, 2}},
+				{Class: machine.ClassStore, Src: [3]int32{1, 2}, Array: "a"},
+				{Class: machine.ClassIAdd, Dst: 4, Src: [3]int32{1, 2}},
+				{Class: machine.ClassIAnd, Dst: 1, Src: [3]int32{4}, IImm: 63},
 			},
 			Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: 11},
 		},

@@ -24,9 +24,9 @@ func relay(n int64, add float64) *vliw.Program {
 			{}, {}, {}, {}, {}, {},
 			{Ops: []vliw.SlotOp{{Class: machine.ClassRecv, Dst: 0}}},
 			{}, {},
-			{Ops: []vliw.SlotOp{{Class: machine.ClassFAdd, Dst: 1, Src: []int{0, 2}}}},
+			{Ops: []vliw.SlotOp{{Class: machine.ClassFAdd, Dst: 1, Src: [3]int32{0, 2}}}},
 			{}, {}, {}, {}, {}, {}, {},
-			{Ops: []vliw.SlotOp{{Class: machine.ClassSend, Src: []int{1}}},
+			{Ops: []vliw.SlotOp{{Class: machine.ClassSend, Src: [3]int32{1}}},
 				Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: 8}},
 			{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}},
 		},

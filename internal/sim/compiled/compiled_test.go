@@ -196,9 +196,9 @@ func TestStallParityLockstep(t *testing.T) {
 			{}, {}, {}, {}, {}, {},
 			{Ops: []vliw.SlotOp{{Class: machine.ClassRecv, Dst: 0}}},
 			{}, {},
-			{Ops: []vliw.SlotOp{{Class: machine.ClassFAdd, Dst: 1, Src: []int{0, 2}}}},
+			{Ops: []vliw.SlotOp{{Class: machine.ClassFAdd, Dst: 1, Src: [3]int32{0, 2}}}},
 			{}, {}, {}, {}, {}, {}, {},
-			{Ops: []vliw.SlotOp{{Class: machine.ClassSend, Src: []int{1}}},
+			{Ops: []vliw.SlotOp{{Class: machine.ClassSend, Src: [3]int32{1}}},
 				Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: 8}},
 			{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}},
 		},
@@ -281,12 +281,12 @@ func kernelProg(iters int64) *vliw.Program {
 			{Ops: []vliw.SlotOp{{Class: machine.ClassFConst, Dst: 1, FImm: 1.000001}}},
 			{}, {}, {}, {}, {}, {},
 			{Ops: []vliw.SlotOp{
-				{Class: machine.ClassLoad, Dst: 2, Src: []int{1}, Array: "a"},
-				{Class: machine.ClassFMul, Dst: 4, Src: []int{2, 1}},
-				{Class: machine.ClassFAdd, Dst: 5, Src: []int{5, 4}},
-				{Class: machine.ClassStore, Src: []int{1, 4}, Array: "a"},
-				{Class: machine.ClassIAdd, Dst: 4, Src: []int{1, 2}},
-				{Class: machine.ClassIAnd, Dst: 1, Src: []int{4}, IImm: n - 1},
+				{Class: machine.ClassLoad, Dst: 2, Src: [3]int32{1}, Array: "a"},
+				{Class: machine.ClassFMul, Dst: 4, Src: [3]int32{2, 1}},
+				{Class: machine.ClassFAdd, Dst: 5, Src: [3]int32{5, 4}},
+				{Class: machine.ClassStore, Src: [3]int32{1, 4}, Array: "a"},
+				{Class: machine.ClassIAdd, Dst: 4, Src: [3]int32{1, 2}},
+				{Class: machine.ClassIAnd, Dst: 1, Src: [3]int32{4}, IImm: n - 1},
 			}, Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: 11}},
 			{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}},
 		},

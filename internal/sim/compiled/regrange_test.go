@@ -26,17 +26,17 @@ func TestOutOfRangeRegisterRejected(t *testing.T) {
 		instr vliw.Instr
 		want  string
 	}{
-		{"dst", op(vliw.SlotOp{Class: machine.ClassFAdd, Dst: 77, Src: []int{0, 1}}), "register f77 out of range (file has 2)"},
-		{"src0", op(vliw.SlotOp{Class: machine.ClassFAdd, Dst: 0, Src: []int{99, 1}}), "register f99 out of range (file has 2)"},
-		{"src1", op(vliw.SlotOp{Class: machine.ClassIAdd, Dst: 0, Src: []int{1, 3}}), "register i3 out of range (file has 3)"},
-		{"src2", op(vliw.SlotOp{Class: machine.ClassISelect, Dst: 0, Src: []int{0, 1, 2}, FImm: 1}), "register f2 out of range (file has 2)"},
-		{"negative", op(vliw.SlotOp{Class: machine.ClassIMov, Dst: 0, Src: []int{-1}}), "register i-1 out of range (file has 3)"},
-		{"int-load-dst", op(vliw.SlotOp{Class: machine.ClassLoad, Dst: 3, Src: []int{0}, Array: "n"}), "register i3 out of range (file has 3)"},
-		{"float-store-value", op(vliw.SlotOp{Class: machine.ClassStore, Src: []int{0, 2}, Array: "a"}), "register f2 out of range (file has 2)"},
-		{"dst-ring", op(vliw.SlotOp{Class: machine.ClassFMov, Dst: 0, Src: []int{1}, DstRing: []int{0, 5}}), "register f5 out of range (file has 2)"},
-		{"src-ring", op(vliw.SlotOp{Class: machine.ClassFMov, Dst: 0, Src: []int{1}, SrcRings: [][]int{{1, 8}}}), "register f8 out of range (file has 2)"},
+		{"dst", op(vliw.SlotOp{Class: machine.ClassFAdd, Dst: 77, Src: [3]int32{0, 1}}), "register f77 out of range (file has 2)"},
+		{"src0", op(vliw.SlotOp{Class: machine.ClassFAdd, Dst: 0, Src: [3]int32{99, 1}}), "register f99 out of range (file has 2)"},
+		{"src1", op(vliw.SlotOp{Class: machine.ClassIAdd, Dst: 0, Src: [3]int32{1, 3}}), "register i3 out of range (file has 3)"},
+		{"src2", op(vliw.SlotOp{Class: machine.ClassISelect, Dst: 0, Src: [3]int32{0, 1, 2}, FImm: 1}), "register f2 out of range (file has 2)"},
+		{"negative", op(vliw.SlotOp{Class: machine.ClassIMov, Dst: 0, Src: [3]int32{-1}}), "register i-1 out of range (file has 3)"},
+		{"int-load-dst", op(vliw.SlotOp{Class: machine.ClassLoad, Dst: 3, Src: [3]int32{0}, Array: "n"}), "register i3 out of range (file has 3)"},
+		{"float-store-value", op(vliw.SlotOp{Class: machine.ClassStore, Src: [3]int32{0, 2}, Array: "a"}), "register f2 out of range (file has 2)"},
+		{"dst-ring", op(vliw.SlotOp{Class: machine.ClassFMov, Dst: 0, Src: [3]int32{1}, Rings: &vliw.Rings{Dst: []int32{0, 5}}}), "register f5 out of range (file has 2)"},
+		{"src-ring", op(vliw.SlotOp{Class: machine.ClassFMov, Dst: 0, Src: [3]int32{1}, Rings: &vliw.Rings{Src: [3][]int32{{1, 8}}}}), "register f8 out of range (file has 2)"},
 		{"ctl-reg", vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 9, Target: 0}}, "register i9 out of range (file has 3)"},
-		{"ctl-reg-ring", vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJNZ, Reg: 0, RegRing: []int{1, 4}, Target: 0}}, "register i4 out of range (file has 3)"},
+		{"ctl-reg-ring", vliw.Instr{Ctl: vliw.Ctl{Kind: vliw.CtlJNZ, Reg: 0, RegRing: &[]int32{1, 4}, Target: 0}}, "register i4 out of range (file has 3)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &vliw.Program{
@@ -83,7 +83,7 @@ func TestOutOfRangeRegisterRejectedEveryClass(t *testing.T) {
 				if (!row.UsesArray() && !arrFloat) || (row.Dst != machine.FileSelect && !selFloat) {
 					continue // the class has one form only
 				}
-				good := vliw.SlotOp{Class: c, Src: make([]int, row.NSrc())}
+				good := vliw.SlotOp{Class: c}
 				if row.UsesArray() {
 					good.Array = map[bool]string{true: "a", false: "n"}[arrFloat]
 				}
@@ -117,16 +117,15 @@ func TestOutOfRangeRegisterRejectedEveryClass(t *testing.T) {
 					if file == "" {
 						continue // the class has no destination
 					}
-					for _, r := range []int{fileSize, -1} {
+					for _, r := range []int32{fileSize, -1} {
 						static, ring := good, good
-						static.Src = append([]int(nil), good.Src...)
+						ring.Rings = &vliw.Rings{}
 						if pos < 0 {
 							static.Dst = r
-							ring.DstRing = []int{0, r}
+							ring.Rings.Dst = []int32{0, r}
 						} else {
 							static.Src[pos] = r
-							ring.SrcRings = make([][]int, row.NSrc())
-							ring.SrcRings[pos] = []int{0, r}
+							ring.Rings.Src[pos] = []int32{0, r}
 						}
 						want := fmt.Sprintf("sim: @0: register %s%d out of range (file has %d)", file, r, fileSize)
 						for form, o := range map[string]vliw.SlotOp{"static": static, "ring": ring} {

@@ -35,7 +35,7 @@ func TestDifferentialLivermoreRotating(t *testing.T) {
 		// do not rotate bound the block count from above.
 		static := 0
 		for pc, in := range prog.Instrs {
-			if in.Ctl.Kind != vliw.CtlDBNZ || in.Ctl.Target > pc {
+			if in.Ctl.Kind != vliw.CtlDBNZ || int(in.Ctl.Target) > pc {
 				continue
 			}
 			if in.Ctl.Rotate {

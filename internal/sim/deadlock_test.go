@@ -73,7 +73,7 @@ func TestArrayDeadlockOnFullQueue(t *testing.T) {
 		NumIRegs: 1,
 		Instrs: []vliw.Instr{
 			{Ops: []vliw.SlotOp{{Class: machine.ClassFConst, Dst: 0, FImm: 1}}},
-			{Ops: []vliw.SlotOp{{Class: machine.ClassSend, Src: []int{0}}},
+			{Ops: []vliw.SlotOp{{Class: machine.ClassSend, Src: [3]int32{0}}},
 				Ctl: vliw.Ctl{Kind: vliw.CtlJump, Target: 1}},
 		},
 	}

@@ -72,7 +72,7 @@ type fastOp struct {
 	j       int
 	q       int
 	r       int
-	dst     int
+	dst     int32
 	isFloat bool
 	hasDst  bool
 	pc      int
@@ -118,7 +118,7 @@ func putI(c *Sim, off int32, mask, m int64, v int64) {
 // is from iteration n-1-q.
 type matEntry struct {
 	isFloat bool
-	reg     int
+	reg     int32
 	off     int32
 	mask    int64
 	q       int64
@@ -129,7 +129,7 @@ type block struct {
 	idx      int
 	head     int
 	ii       int
-	ctlReg   int
+	ctlReg   int32
 	ops      []fastOp
 	execs    []fastExec // slot order, staged-store applies interleaved
 	mats     []matEntry
@@ -157,10 +157,10 @@ func (p *Program) buildBlocks() {
 		// Rotating kernels stay on the generic path: the fast path's
 		// delay-buffer cursors assume register identity is static, and a
 		// Rotate-marked loop-back changes it every pass.
-		if ct.Kind != vliw.CtlDBNZ || ct.Target < 0 || ct.Target > e || ct.Rotate {
+		if ct.Kind != vliw.CtlDBNZ || ct.Target < 0 || int(ct.Target) > e || ct.Rotate {
 			continue
 		}
-		h := ct.Target
+		h := int(ct.Target)
 		if b := p.makeBlock(idx, h, e); b != nil {
 			p.blocks[h] = b
 			idx++
@@ -182,7 +182,7 @@ func (p *Program) makeBlock(idx, h, e int) *block {
 	staged := make([]bool, ii)
 	type lkey struct {
 		isFloat bool
-		reg     int
+		reg     int32
 	}
 	landers := make(map[lkey][]int) // op indices landing each register
 	seen := make(map[landKey]bool)
@@ -194,7 +194,7 @@ func (p *Program) makeBlock(idx, h, e int) *block {
 		b.flops += w.flops
 		for oi := w.lo; oi < w.hi; oi++ {
 			o := &p.ops[oi]
-			if o.rotates {
+			if o.rings != nil {
 				return nil // rotating operands: generic path only
 			}
 			switch o.class {
@@ -212,7 +212,7 @@ func (p *Program) makeBlock(idx, h, e int) *block {
 			if o.touchesIntReg(ctlReg) {
 				return nil // body uses the loop counter as data
 			}
-			fo := fastOp{j: j, pc: pc, lat: o.lat}
+			fo := fastOp{j: j, pc: pc, lat: int64(o.lat)}
 			if o.class != machine.ClassStore {
 				fo.hasDst = true
 				fo.dst = o.dst
@@ -256,7 +256,7 @@ func (p *Program) makeBlock(idx, h, e int) *block {
 	// source: the producer with the latest landing at or before jX (lag
 	// q), else the latest overall (lag q+1: last iteration's landing),
 	// else the frozen register file (loop-invariant).
-	res := func(isFloat bool, reg, jX int) opnd {
+	res := func(isFloat bool, reg int32, jX int) opnd {
 		cands := landers[lkey{isFloat, reg}]
 		best, bestR := -1, -1
 		for _, k := range cands {
@@ -274,7 +274,7 @@ func (p *Program) makeBlock(idx, h, e int) *block {
 			extra = 1
 		}
 		if best < 0 {
-			return opnd{reg: int32(reg)}
+			return opnd{reg: reg}
 		}
 		prod := &b.ops[best]
 		return opnd{pool: true, off: prod.off, mask: prod.mask, lag: int64(prod.q) + extra}
@@ -319,7 +319,7 @@ func (p *Program) makeBlock(idx, h, e int) *block {
 // state cycle (a write-back conflict in interpreter terms).
 type landKey struct {
 	isFloat bool
-	reg     int
+	reg     int32
 	r       int
 }
 
@@ -535,7 +535,7 @@ func (c *Sim) flush(b *block, n int64) {
 // fault cycle is c.t + m*II + j).  directStore applies stores straight
 // to memory (legal when no load follows a store in the cycle's slot
 // order).  Nil marks an op the fast path cannot run.
-func buildFastExec(o *decOp, fo *fastOp, pc, ii int, directStore bool, res func(isFloat bool, reg, jX int) opnd) fastExec {
+func buildFastExec(o *decOp, fo *fastOp, pc, ii int, directStore bool, res func(isFloat bool, reg int32, jX int) opnd) fastExec {
 	j := fo.j
 	dOff, dMask := fo.off, fo.mask
 	ii64, jOff := int64(ii), int64(j)
@@ -627,7 +627,7 @@ func buildFastExec(o *decOp, fo *fastOp, pc, ii int, directStore bool, res func(
 		}
 	case machine.ClassLoad:
 		adr := res(false, o.src[0], j)
-		base, end, isF, disp := o.arrBase, o.arrEnd, o.arrFloat, o.disp
+		base, end, isF, disp := int64(o.arrBase), int64(o.arrEnd), o.arrFloat, o.disp
 		if isF {
 			return func(c *Sim, m int64) {
 				addr := adr.getI(c, m) + disp
@@ -648,7 +648,7 @@ func buildFastExec(o *decOp, fo *fastOp, pc, ii int, directStore bool, res func(
 		}
 	case machine.ClassStore:
 		adr := res(false, o.src[0], j)
-		base, end, isF, disp := o.arrBase, o.arrEnd, o.arrFloat, o.disp
+		base, end, isF, disp := int64(o.arrBase), int64(o.arrEnd), o.arrFloat, o.disp
 		switch {
 		case isF && directStore:
 			v := res(true, o.src[1], j)
@@ -700,6 +700,6 @@ func buildFastExec(o *decOp, fo *fastOp, pc, ii int, directStore bool, res func(
 // slot).
 func (c *Sim) fastFault(o *decOp, pc int, cycle, addr int64) {
 	if c.fastErr == nil {
-		c.fastErr = boundsErr(o, pc, cycle, addr)
+		c.fastErr = c.boundsErr(o, pc, cycle, addr)
 	}
 }

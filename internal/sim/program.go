@@ -2,17 +2,33 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 	"softpipe/internal/vliw"
 )
 
-// decOp is one pre-decoded slot operation: latency, flop count, array
-// layout and operand files are resolved at decode time so the cycle loop
-// does no descriptor or array-table lookups.
+// decOp is one pre-decoded slot operation: latency, array layout and
+// operand files are resolved at decode time so the cycle loop does no
+// descriptor or array-table lookups.  72 bytes, what every op's issue
+// reads in the first 48: registers are int32 as in the object code, the
+// array is named by its index in Src.Arrays, and rotation rings stay in
+// the object code's own vliw.Rings.
 type decOp struct {
-	class machine.Class
+	// rings, when non-nil, makes the effective dst/src registers
+	// ring[rrb mod len(ring)] at issue time (nil rings keep the static
+	// register).  Static programs never set it, so the hot path pays one
+	// nil test per op.
+	rings *vliw.Rings
+
+	dst     int32
+	src     [3]int32
+	lat     int32
+	arrBase int32 // less the kind's span.lo, as arrEnd (layout bounds both)
+	arrEnd  int32 // base+size
+	arr     int32 // index in Src.Arrays, for diagnostics only
+	class   machine.Class
 	// dstFile and srcFile are the class's operand files
 	// (machine.ClassInfo) resolved against this op's array kind and
 	// select flag: FileFloat, FileInt, or FileNone for an operand the
@@ -20,31 +36,17 @@ type decOp struct {
 	// file/counter analysis both read them.
 	dstFile  machine.File
 	srcFile  [3]machine.File
-	dst      int
-	src      [3]int
-	lat      int64
-	flops    int64
-	fimm     float64
-	iimm     int64
-	disp     int64 // less the kind's span.lo: ireg+disp indexes memF or memI
-	arrBase  int64 // less the kind's span.lo, as arrEnd
-	arrEnd   int64 // base+size
 	arrFloat bool
-	arrName  string // diagnostics only
-	selFloat bool   // ClassISelect: float-file select
+	selFloat bool // ClassISelect: float-file select
 
-	// Rotating-register operands: when rotates is set, the effective
-	// dst/src registers are ring[rrb mod len(ring)] at issue time (nil
-	// rings keep the static register).  Static programs never set these,
-	// so the hot path pays one bool test per op.
-	rotates bool
-	dstRing []int
-	srcRing [3][]int
+	fimm float64
+	iimm int64
+	disp int64 // less the kind's span.lo: ireg+disp indexes memF or memI
 }
 
 // touchesIntReg reports whether the op reads or writes static integer
 // register r.
-func (o *decOp) touchesIntReg(r int) bool {
+func (o *decOp) touchesIntReg(r int32) bool {
 	if o.dstFile == machine.FileInt && o.dst == r {
 		return true
 	}
@@ -138,18 +140,17 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 				return d
 			}
 			dec := decOp{
-				class:   o.Class,
-				dst:     o.Dst,
-				lat:     int64(desc.Latency),
-				flops:   int64(desc.Flops),
-				fimm:    o.FImm,
-				iimm:    o.IImm,
-				disp:    o.Disp,
-				rotates: o.Rotating(),
-				dstRing: o.DstRing,
+				class: o.Class,
+				dst:   o.Dst,
+				src:   o.Src,
+				lat:   int32(desc.Latency),
+				fimm:  o.FImm,
+				iimm:  o.IImm,
+				disp:  int64(o.Disp),
 			}
-			copy(dec.src[:], o.Src)
-			copy(dec.srcRing[:], o.SrcRings)
+			if o.Rotating() {
+				dec.rings = o.Rings
+			}
 			row := o.Class.Info()
 			if row.UsesArray() {
 				k := arrayIndex(p, o.Array)
@@ -164,9 +165,9 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 					lo = int64(d.spanF.lo)
 				}
 				dec.disp -= lo
-				dec.arrBase = int64(arr.Base) - lo
-				dec.arrEnd = int64(arr.Base+arr.Size) - lo
-				dec.arrName = arr.Name
+				dec.arrBase = int32(int64(arr.Base) - lo)
+				dec.arrEnd = int32(int64(arr.Base+arr.Size) - lo)
+				dec.arr = int32(k)
 				if o.Class == machine.ClassStore && k < 64 {
 					d.written |= 1 << k
 				}
@@ -175,22 +176,22 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 			dec.selFloat = row.Dst == machine.FileSelect && o.FImm != 0
 			w.queue = w.queue || o.Class == machine.ClassRecv || o.Class == machine.ClassSend
 			dec.dstFile = row.Dst.Resolve(dec.arrFloat, dec.selFloat)
-			if d.err = d.checkOperand(pc, dec.dstFile, dec.dst, dec.dstRing); d.err != nil {
+			if d.err = d.checkOperand(pc, dec.dstFile, dec.dst, dec.ring(-1)); d.err != nil {
 				return d
 			}
 			for k, f := range row.Src {
 				dec.srcFile[k] = f.Resolve(dec.arrFloat, dec.selFloat)
-				if d.err = d.checkOperand(pc, dec.srcFile[k], dec.src[k], dec.srcRing[k]); d.err != nil {
+				if d.err = d.checkOperand(pc, dec.srcFile[k], dec.src[k], dec.ring(k)); d.err != nil {
 					return d
 				}
 			}
-			w.flops += dec.flops
+			w.flops += int64(desc.Flops)
 			d.ops = append(d.ops, dec)
 		}
 		w.hi = int32(len(d.ops))
 		switch in.Ctl.Kind {
 		case vliw.CtlDBNZ, vliw.CtlJZ, vliw.CtlJNZ:
-			if d.err = d.checkOperand(pc, machine.FileInt, in.Ctl.Reg, in.Ctl.RegRing); d.err != nil {
+			if d.err = d.checkOperand(pc, machine.FileInt, in.Ctl.Reg, in.Ctl.Ring()); d.err != nil {
 				return d
 			}
 		}
@@ -223,6 +224,9 @@ func (p *Program) layout() error {
 	if src.NumFRegs < 0 || src.NumIRegs < 0 || src.MemWords < 0 {
 		return fmt.Errorf("sim: negative size: %d f registers, %d i registers, %d memory words",
 			src.NumFRegs, src.NumIRegs, src.MemWords)
+	}
+	if src.MemWords > math.MaxInt32 {
+		return fmt.Errorf("sim: %d memory words, more than 2^31-1", src.MemWords)
 	}
 	p.spanF = span{lo: src.MemWords}
 	p.spanI = span{lo: src.MemWords}
@@ -262,15 +266,27 @@ func arrayIndex(p *vliw.Program, name string) int {
 	return -1
 }
 
+// ring returns the ring of source k, or of the destination for k = -1;
+// nil for a static operand.
+func (o *decOp) ring(k int) []int32 {
+	switch {
+	case o.rings == nil:
+		return nil
+	case k < 0:
+		return o.rings.Dst
+	}
+	return o.rings.Src[k]
+}
+
 // checkOperand range-checks one operand of the word at pc: its static
 // register and every entry of its ring.
-func (p *Program) checkOperand(pc int, f machine.File, static int, ring []int) error {
+func (p *Program) checkOperand(pc int, f machine.File, static int32, ring []int32) error {
 	if f == machine.FileNone {
 		return nil
 	}
-	err := p.checkReg(f, static)
+	err := p.checkReg(f, int(static))
 	for i := 0; err == nil && i < len(ring); i++ {
-		err = p.checkReg(f, ring[i])
+		err = p.checkReg(f, int(ring[i]))
 	}
 	if err != nil {
 		return fmt.Errorf("sim: @%d: %w", pc, err)
@@ -309,7 +325,15 @@ func (p *Program) DistinctWords() int {
 	var key []byte
 	for i := range p.words {
 		w := &p.words[i]
-		key = fmt.Appendf(key[:0], "%v", p.ops[w.lo:w.hi])
+		key = key[:0]
+		for _, o := range p.ops[w.lo:w.hi] {
+			// A ring is keyed by its entries, not its address.
+			var rings vliw.Rings
+			if o.rings != nil {
+				rings, o.rings = *o.rings, nil
+			}
+			key = fmt.Appendf(key, "%v%v;", o, rings)
+		}
 		seen[string(key)] = struct{}{}
 	}
 	return len(seen)

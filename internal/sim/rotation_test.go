@@ -51,10 +51,10 @@ func TestRingOperandsResolveAtRRB(t *testing.T) {
 		[]vliw.Instr{
 			{
 				Ops: []vliw.SlotOp{{
-					Class: machine.ClassFMov, Dst: 0, Src: []int{7},
-					DstRing: []int{1, 2, 3}, SrcRings: [][]int{{4, 5, 6}},
+					Class: machine.ClassFMov, Dst: 0, Src: [3]int32{7},
+					Rings: &vliw.Rings{Dst: []int32{1, 2, 3}, Src: [3][]int32{{4, 5, 6}}},
 				}},
-				Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: 5 + lat, Rotate: true},
+				Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: int32(5 + lat), Rotate: true},
 			},
 			halt(),
 		},
@@ -123,9 +123,9 @@ func TestRotClearResetsBase(t *testing.T) {
 		},
 		nops(lat),
 		[]vliw.Instr{
-			{Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: 1 + lat, Rotate: true}},
+			{Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: int32(1 + lat), Rotate: true}},
 			{Ctl: vliw.Ctl{Kind: vliw.CtlRotClear}},
-			{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 7, IImm: 9, DstRing: []int{1, 2, 3}}}},
+			{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 7, IImm: 9, Rings: &vliw.Rings{Dst: []int32{1, 2, 3}}}}},
 			halt(),
 		},
 	))
@@ -161,7 +161,7 @@ func TestCondBranchesThroughRegRing(t *testing.T) {
 		{vliw.CtlJNZ, 1, true},
 	} {
 		s := New(prog([]vliw.Instr{
-			{Ctl: vliw.Ctl{Kind: tc.kind, Reg: 5, RegRing: []int{1, 2}, Target: 2}},
+			{Ctl: vliw.Ctl{Kind: tc.kind, Reg: 5, RegRing: &[]int32{1, 2}, Target: 2}},
 			halt(),
 			halt(),
 		}), m)
@@ -182,20 +182,20 @@ func TestCondBranchesThroughRegRing(t *testing.T) {
 // the delay buffers assume an operand names the same register each pass.
 func TestRingOperandKeepsLoopOffFastPath(t *testing.T) {
 	m := rotMachine(t)
-	loop := func(ring []int) *vliw.Program {
+	loop := func(ring []int32) *vliw.Program {
 		return prog([]vliw.Instr{
 			{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 0, IImm: 4}}},
 			{
-				Ops: []vliw.SlotOp{{Class: machine.ClassFMov, Dst: 1, Src: []int{2}, DstRing: ring}},
+				Ops: []vliw.SlotOp{{Class: machine.ClassFMov, Dst: 1, Src: [3]int32{2}, Rings: &vliw.Rings{Dst: ring}}},
 				Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: 1},
 			},
 			halt(),
 		})
 	}
 	for _, tc := range []struct {
-		ring []int
+		ring []int32
 		want int
-	}{{nil, 1}, {[]int{1, 3}, 0}} {
+	}{{nil, 1}, {[]int32{1, 3}, 0}} {
 		p, err := Decode(loop(tc.ring), m)
 		if err != nil {
 			t.Fatal(err)

@@ -54,7 +54,7 @@ func (s Stats) MFLOPS(m *machine.Machine, cells int) float64 {
 
 type writeback struct {
 	isFloat bool
-	reg     int
+	reg     int32
 	f       float64
 	i       int64
 	pc      int // issuing instruction, for diagnostics
@@ -399,17 +399,17 @@ func (s *Sim) Step() (stalled bool, err error) {
 	stores := s.storeBuf[:0]
 	for oi := range ops {
 		o := &ops[oi]
-		if o.rotates {
+		if r := o.rings; r != nil {
 			// Resolve ring operands against the current rotating base on
 			// a scratch copy; the pre-decoded form stays position-independent.
 			ro := *o
-			ro.dst = vliw.EffReg(ro.dst, ro.dstRing, s.rrb)
+			ro.dst = vliw.EffReg(ro.dst, r.Dst, s.rrb)
 			for k := range ro.src {
-				ro.src[k] = vliw.EffReg(ro.src[k], ro.srcRing[k], s.rrb)
+				ro.src[k] = vliw.EffReg(ro.src[k], r.Src[k], s.rrb)
 			}
 			o = &ro
 		}
-		lat := o.lat
+		lat := int64(o.lat)
 		switch o.class {
 		case machine.ClassNop:
 		case machine.ClassFAdd:
@@ -479,8 +479,8 @@ func (s *Sim) Step() (stalled bool, err error) {
 			}
 		case machine.ClassLoad:
 			addr := s.iregs[o.src[0]] + o.disp
-			if addr < o.arrBase || addr >= o.arrEnd {
-				return false, boundsErr(o, pc, t, addr)
+			if addr < int64(o.arrBase) || addr >= int64(o.arrEnd) {
+				return false, s.boundsErr(o, pc, t, addr)
 			}
 			if o.arrFloat {
 				s.wb(t+lat, pc, true, o.dst, s.memF[addr], 0)
@@ -489,8 +489,8 @@ func (s *Sim) Step() (stalled bool, err error) {
 			}
 		case machine.ClassStore:
 			addr := s.iregs[o.src[0]] + o.disp
-			if addr < o.arrBase || addr >= o.arrEnd {
-				return false, boundsErr(o, pc, t, addr)
+			if addr < int64(o.arrBase) || addr >= int64(o.arrEnd) {
+				return false, s.boundsErr(o, pc, t, addr)
 			}
 			if o.arrFloat {
 				stores = append(stores, memStore{isFloat: true, addr: addr, f: s.fregs[o.src[1]]})
@@ -516,11 +516,11 @@ func (s *Sim) Step() (stalled bool, err error) {
 	case vliw.CtlHalt:
 		s.halted = true
 	case vliw.CtlJump:
-		next = ctl.Target
+		next = int(ctl.Target)
 	case vliw.CtlDBNZ:
 		s.iregs[ctl.Reg]--
 		if s.iregs[ctl.Reg] != 0 {
-			next = ctl.Target
+			next = int(ctl.Target)
 		}
 		if ctl.Rotate {
 			// The base advances once per kernel pass, taken or not, so the
@@ -528,12 +528,12 @@ func (s *Sim) Step() (stalled bool, err error) {
 			s.rrb++
 		}
 	case vliw.CtlJZ:
-		if s.iregs[vliw.EffReg(ctl.Reg, ctl.RegRing, s.rrb)] == 0 {
-			next = ctl.Target
+		if s.iregs[vliw.EffReg(ctl.Reg, ctl.Ring(), s.rrb)] == 0 {
+			next = int(ctl.Target)
 		}
 	case vliw.CtlJNZ:
-		if s.iregs[vliw.EffReg(ctl.Reg, ctl.RegRing, s.rrb)] != 0 {
-			next = ctl.Target
+		if s.iregs[vliw.EffReg(ctl.Reg, ctl.Ring(), s.rrb)] != 0 {
+			next = int(ctl.Target)
 		}
 	case vliw.CtlRotClear:
 		s.rrb = 0
@@ -547,12 +547,12 @@ func (s *Sim) Step() (stalled bool, err error) {
 // Stats reports the counters of the completed run.
 func (s *Sim) Stats() Stats { return s.stats }
 
-func boundsErr(o *decOp, pc int, t int64, addr int64) error {
+func (s *Sim) boundsErr(o *decOp, pc int, t int64, addr int64) error {
 	return fmt.Errorf("sim: @%d cycle %d: %s[%d] out of bounds (size %d)",
-		pc, t, o.arrName, addr-o.arrBase, o.arrEnd-o.arrBase)
+		pc, t, s.prog.Src.Arrays[o.arr].Name, addr-int64(o.arrBase), o.arrEnd-o.arrBase)
 }
 
-func (s *Sim) wb(due int64, pc int, isFloat bool, reg int, f float64, i int64) {
+func (s *Sim) wb(due int64, pc int, isFloat bool, reg int32, f float64, i int64) {
 	slot := int(due) & (len(s.ring) - 1)
 	r := s.ring[slot]
 	n := len(r)
@@ -602,7 +602,7 @@ func (s *Sim) applyWritebacks(t int64) error {
 
 // prevWriter finds the pc of the earlier write-back to reg in the slot
 // (diagnostics only; conflicts abort the run).
-func prevWriter(wbs []writeback, isFloat bool, reg int) int {
+func prevWriter(wbs []writeback, isFloat bool, reg int32) int {
 	for k := range wbs {
 		if wbs[k].isFloat == isFloat && wbs[k].reg == reg {
 			return wbs[k].pc

@@ -35,15 +35,15 @@ func TestWriteBackLatency(t *testing.T) {
 	// fconst f0=2 at cycle 0 lands at cycle 7; an fadd issued at cycle 1
 	// must still read the OLD f0 (zero), while one at cycle 7 reads 2.
 	p := prog([]vliw.Instr{
-		{Ops: []vliw.SlotOp{{Class: machine.ClassFConst, Dst: 0, FImm: 2}}},        // t0
-		{Ops: []vliw.SlotOp{{Class: machine.ClassFAdd, Dst: 1, Src: []int{0, 0}}}}, // t1: f1 = 0+0
+		{Ops: []vliw.SlotOp{{Class: machine.ClassFConst, Dst: 0, FImm: 2}}},           // t0
+		{Ops: []vliw.SlotOp{{Class: machine.ClassFAdd, Dst: 1, Src: [3]int32{0, 0}}}}, // t1: f1 = 0+0
 		{}, {}, {}, {}, {}, // t2..t6
-		{Ops: []vliw.SlotOp{{Class: machine.ClassFAdd, Dst: 2, Src: []int{0, 0}}}}, // t7: f2 = 2+2
-		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 0, IImm: 0}}},        // addr
-		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 1, IImm: 1}}},        //
+		{Ops: []vliw.SlotOp{{Class: machine.ClassFAdd, Dst: 2, Src: [3]int32{0, 0}}}}, // t7: f2 = 2+2
+		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 0, IImm: 0}}},           // addr
+		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 1, IImm: 1}}},           //
 		{}, {}, {}, {}, {},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: []int{0, 1}, Array: "f"}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: []int{1, 2}, Array: "f", Disp: 0}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: [3]int32{0, 1}, Array: "f"}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: [3]int32{1, 2}, Array: "f", Disp: 0}}},
 		halt(),
 	})
 	st, _, err := Run(p, m)
@@ -69,13 +69,13 @@ func TestStoreAfterLoadSameCycle(t *testing.T) {
 		{Ops: []vliw.SlotOp{{Class: machine.ClassFConst, Dst: 1, FImm: 42}}},
 		{}, {}, {}, {}, {}, {},
 		{Ops: []vliw.SlotOp{
-			{Class: machine.ClassLoad, Dst: 0, Src: []int{0}, Array: "f"},
-			{Class: machine.ClassStore, Src: []int{0, 1}, Array: "f"},
+			{Class: machine.ClassLoad, Dst: 0, Src: [3]int32{0}, Array: "f"},
+			{Class: machine.ClassStore, Src: [3]int32{0, 1}, Array: "f"},
 		}},
 		{}, {}, {},
 		// store the loaded value to f[1]
 		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 1, IImm: 1}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: []int{1, 0}, Array: "f"}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: [3]int32{1, 0}, Array: "f"}}},
 		halt(),
 	})
 	st, _, err := Run(p, m)
@@ -97,10 +97,10 @@ func TestDBNZLoop(t *testing.T) {
 		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 0, IImm: 5}}},
 		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 1, IImm: 0}}},
 		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 2, IImm: 1}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassIAdd, Dst: 1, Src: []int{1, 2}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassIAdd, Dst: 1, Src: [3]int32{1, 2}}},
 			Ctl: vliw.Ctl{Kind: vliw.CtlDBNZ, Reg: 0, Target: 3}},
 		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 3, IImm: 8}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: []int{3, 1}, Array: "n"}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: [3]int32{3, 1}, Array: "n"}}},
 		halt(),
 	})
 	st, stats, err := Run(p, m)
@@ -123,10 +123,10 @@ func TestConditionalBranches(t *testing.T) {
 		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 1, IImm: 8}}}, // addr
 		{Ctl: vliw.Ctl{Kind: vliw.CtlJZ, Reg: 0, Target: 5}},                // taken
 		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 2, IImm: 111}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: []int{1, 2}, Array: "n"}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: [3]int32{1, 2}, Array: "n"}}},
 		{Ctl: vliw.Ctl{Kind: vliw.CtlJNZ, Reg: 0, Target: 8}}, // not taken
 		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 3, IImm: 7}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: []int{1, 3}, Array: "n"}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: [3]int32{1, 3}, Array: "n"}}},
 		halt(),
 	})
 	st, _, err := Run(p, m)
@@ -149,7 +149,7 @@ func TestWriteBackConflictDetected(t *testing.T) {
 	})
 	// Force conflict: issue a second write landing the same cycle via a
 	// 7-cycle op at t0 and another at t0 in the same slot list.
-	p.Instrs[0].Ops = append(p.Instrs[0].Ops, vliw.SlotOp{Class: machine.ClassFMov, Dst: 0, Src: []int{1}})
+	p.Instrs[0].Ops = append(p.Instrs[0].Ops, vliw.SlotOp{Class: machine.ClassFMov, Dst: 0, Src: [3]int32{1}})
 	_, _, err := Run(p, m)
 	if err == nil || !strings.Contains(err.Error(), "conflict") {
 		t.Fatalf("want write-back conflict, got %v", err)
@@ -160,7 +160,7 @@ func TestOutOfBoundsDetected(t *testing.T) {
 	m := machine.Warp()
 	p := prog([]vliw.Instr{
 		{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 0, IImm: 99}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassLoad, Dst: 0, Src: []int{0}, Array: "f"}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassLoad, Dst: 0, Src: [3]int32{0}, Array: "f"}}},
 		halt(),
 	})
 	_, _, err := Run(p, m)
@@ -186,8 +186,8 @@ func TestMFLOPSAccounting(t *testing.T) {
 	m := machine.Warp()
 	p := prog([]vliw.Instr{
 		{Ops: []vliw.SlotOp{
-			{Class: machine.ClassFAdd, Dst: 0, Src: []int{1, 2}},
-			{Class: machine.ClassFMul, Dst: 3, Src: []int{1, 2}},
+			{Class: machine.ClassFAdd, Dst: 0, Src: [3]int32{1, 2}},
+			{Class: machine.ClassFMul, Dst: 3, Src: [3]int32{1, 2}},
 		}},
 		halt(),
 	})
@@ -239,26 +239,26 @@ func TestSelectAndSeedsInSim(t *testing.T) {
 		{Ops: []vliw.SlotOp{{Class: machine.ClassFConst, Dst: 1, FImm: 9}}}, // f1 = 9
 		{}, {}, {}, {}, {}, {},
 		// float select (FImm=1 marks float), picks f0
-		{Ops: []vliw.SlotOp{{Class: machine.ClassISelect, Dst: 2, Src: []int{0, 0, 1}, FImm: 1}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassISelect, Dst: 2, Src: [3]int32{0, 0, 1}, FImm: 1}}},
 		// int select, cond=1 picks i0
-		{Ops: []vliw.SlotOp{{Class: machine.ClassISelect, Dst: 1, Src: []int{0, 0, 0}}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassISelect, Dst: 1, Src: [3]int32{0, 0, 0}}}},
 		// seeds and conversions
-		{Ops: []vliw.SlotOp{{Class: machine.ClassFRecipSeed, Dst: 3, Src: []int{0}}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassFRsqrtSeed, Dst: 4, Src: []int{0}}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassF2I, Dst: 2, Src: []int{0}}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassI2F, Dst: 5, Src: []int{0}}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassFNeg, Dst: 6, Src: []int{1}}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassFSub, Dst: 7, Src: []int{1, 0}}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassIMul, Dst: 3, Src: []int{0, 0}}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassISub, Dst: 4, Src: []int{0, 3}}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassFCmp, Dst: 5, Src: []int{0, 1}, IImm: int64(ir.PredLT)}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassIShr, Dst: 6, Src: []int{0}, IImm: 0}}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassIAnd, Dst: 7, Src: []int{0}, IImm: 1}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassFRecipSeed, Dst: 3, Src: [3]int32{0}}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassFRsqrtSeed, Dst: 4, Src: [3]int32{0}}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassF2I, Dst: 2, Src: [3]int32{0}}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassI2F, Dst: 5, Src: [3]int32{0}}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassFNeg, Dst: 6, Src: [3]int32{1}}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassFSub, Dst: 7, Src: [3]int32{1, 0}}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassIMul, Dst: 3, Src: [3]int32{0, 0}}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassISub, Dst: 4, Src: [3]int32{0, 3}}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassFCmp, Dst: 5, Src: [3]int32{0, 1}, IImm: int64(ir.PredLT)}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassIShr, Dst: 6, Src: [3]int32{0}, IImm: 0}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassIAnd, Dst: 7, Src: [3]int32{0}, IImm: 1}}},
 		{}, {}, {}, {}, {}, {}, {},
 		{Ops: []vliw.SlotOp{
 			{Class: machine.ClassIConst, Dst: 0, IImm: 8},
 		}},
-		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: []int{0, 1}, Array: "n"}}}, // n[0] = isel
+		{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: [3]int32{0, 1}, Array: "n"}}}, // n[0] = isel
 		halt(),
 	})
 	st, _, err := Run(p, m)
@@ -273,7 +273,7 @@ func TestSelectAndSeedsInSim(t *testing.T) {
 func TestUnknownArrayRejected(t *testing.T) {
 	m := machine.Warp()
 	p := prog([]vliw.Instr{
-		{Ops: []vliw.SlotOp{{Class: machine.ClassLoad, Dst: 0, Src: []int{0}, Array: "ghost"}}},
+		{Ops: []vliw.SlotOp{{Class: machine.ClassLoad, Dst: 0, Src: [3]int32{0}, Array: "ghost"}}},
 		halt(),
 	})
 	if _, _, err := Run(p, m); err == nil {

@@ -179,7 +179,7 @@ func TestOverlappingArraysRefused(t *testing.T) {
 			Instrs: []vliw.Instr{
 				{Ops: []vliw.SlotOp{{Class: machine.ClassIConst, Dst: 0, IImm: 0}}},
 				{}, {}, {}, {}, {},
-				{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: []int{0, 0}, Array: "a"}}},
+				{Ops: []vliw.SlotOp{{Class: machine.ClassStore, Src: [3]int32{0, 0}, Array: "a"}}},
 				{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}},
 			},
 			NumFRegs: 1, NumIRegs: 1, MemWords: 12,

@@ -111,7 +111,7 @@ func TestStaticChecksWithoutExecution(t *testing.T) {
 	}
 	bad = *obj
 	bad.Instrs = append([]vliw.Instr(nil), obj.Instrs...)
-	bad.Instrs[0].Ctl = vliw.Ctl{Kind: vliw.CtlJump, Target: len(bad.Instrs) + 5}
+	bad.Instrs[0].Ctl = vliw.Ctl{Kind: vliw.CtlJump, Target: int32(len(bad.Instrs) + 5)}
 	if err := verify.Static(&bad, m); err == nil {
 		t.Error("static checks accept a jump past the end of the program")
 	}

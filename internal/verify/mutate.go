@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"slices"
 
 	"softpipe/internal/machine"
 	"softpipe/internal/vliw"
@@ -25,21 +26,20 @@ func CloneProgram(p *vliw.Program) *vliw.Program {
 	q.Instrs = make([]vliw.Instr, len(p.Instrs))
 	for i := range p.Instrs {
 		in := p.Instrs[i]
-		ops := make([]vliw.SlotOp, len(in.Ops))
+		in.Ops = slices.Clone(in.Ops)
 		for j := range in.Ops {
-			o := in.Ops[j]
-			o.Src = append([]int(nil), o.Src...)
-			o.DstRing = append([]int(nil), o.DstRing...)
-			if o.SrcRings != nil {
-				o.SrcRings = make([][]int, len(o.SrcRings))
-				for k, ring := range in.Ops[j].SrcRings {
-					o.SrcRings[k] = append([]int(nil), ring...)
+			if r := in.Ops[j].Rings; r != nil {
+				c := &vliw.Rings{Dst: slices.Clone(r.Dst)}
+				for k := range r.Src {
+					c.Src[k] = slices.Clone(r.Src[k])
 				}
+				in.Ops[j].Rings = c
 			}
-			ops[j] = o
 		}
-		in.Ops = ops
-		in.Ctl.RegRing = append([]int(nil), in.Ctl.RegRing...)
+		if in.Ctl.RegRing != nil {
+			ring := slices.Clone(*in.Ctl.RegRing)
+			in.Ctl.RegRing = &ring
+		}
 		q.Instrs[i] = in
 	}
 	return &q
@@ -47,7 +47,7 @@ func CloneProgram(p *vliw.Program) *vliw.Program {
 
 // rotateRing turns a rotation ring by one position in place: what a
 // pre-rotation off by one would have emitted.
-func rotateRing(ring []int) {
+func rotateRing(ring []int32) {
 	first := ring[0]
 	copy(ring, ring[1:])
 	ring[len(ring)-1] = first
@@ -73,9 +73,9 @@ func Mutations(p *vliw.Program) []Mutation {
 		for oi := range p.Instrs[pc].Ops {
 			hasRing = hasRing || p.Instrs[pc].Ops[oi].Rotating()
 		}
-		hasRing = hasRing || len(p.Instrs[pc].Ctl.RegRing) > 0
+		hasRing = hasRing || len(p.Instrs[pc].Ctl.Ring()) > 0
 	}
-	bump := func(r int, isFloat bool) int {
+	bump := func(r int32, isFloat bool) int32 {
 		size := p.NumIRegs
 		if isFloat {
 			size = p.NumFRegs
@@ -83,7 +83,7 @@ func Mutations(p *vliw.Program) []Mutation {
 		if size <= 1 {
 			return r
 		}
-		return (r + 1) % size
+		return int32((int(r) + 1) % size)
 	}
 	for pc := range p.Instrs {
 		in := &p.Instrs[pc]
@@ -93,8 +93,8 @@ func Mutations(p *vliw.Program) []Mutation {
 			if !ok {
 				continue
 			}
-			for si := 0; si < n && si < len(o.Src); si++ {
-				if si < len(o.SrcRings) && len(o.SrcRings[si]) > 0 {
+			for si := 0; si < n; si++ {
+				if len(o.SrcRing(si)) > 0 {
 					continue // the ring, not Src[si], names the register
 				}
 				pc, oi, si := pc, oi, si
@@ -109,7 +109,7 @@ func Mutations(p *vliw.Program) []Mutation {
 					})
 				}
 			}
-			if isF, wb := writesBack(p, o); wb && len(o.DstRing) == 0 {
+			if isF, wb := writesBack(p, o); wb && len(o.DstRing()) == 0 {
 				pc, oi := pc, oi
 				if nr := bump(o.Dst, isF); nr != o.Dst {
 					muts = append(muts, Mutation{
@@ -144,28 +144,28 @@ func Mutations(p *vliw.Program) []Mutation {
 					},
 				})
 			}
-			if len(o.DstRing) >= 2 {
+			if ring := o.DstRing(); len(ring) >= 2 {
 				pc, oi := pc, oi
 				muts = append(muts, Mutation{
-					Desc:  fmt.Sprintf("@%d slot %d (%s): rotate dst ring %v", pc, oi, o.Class, o.DstRing),
-					Apply: func(p *vliw.Program) { rotateRing(p.Instrs[pc].Ops[oi].DstRing) },
+					Desc:  fmt.Sprintf("@%d slot %d (%s): rotate dst ring %v", pc, oi, o.Class, ring),
+					Apply: func(p *vliw.Program) { rotateRing(p.Instrs[pc].Ops[oi].DstRing()) },
 				})
 			}
-			for si, ring := range o.SrcRings {
-				if len(ring) >= 2 {
+			for si := 0; si < n; si++ {
+				if ring := o.SrcRing(si); len(ring) >= 2 {
 					pc, oi, si := pc, oi, si
 					muts = append(muts, Mutation{
 						Desc:  fmt.Sprintf("@%d slot %d (%s): rotate src%d ring %v", pc, oi, o.Class, si, ring),
-						Apply: func(p *vliw.Program) { rotateRing(p.Instrs[pc].Ops[oi].SrcRings[si]) },
+						Apply: func(p *vliw.Program) { rotateRing(p.Instrs[pc].Ops[oi].SrcRing(si)) },
 					})
 				}
 			}
 		}
-		if len(in.Ctl.RegRing) >= 2 {
+		if ring := in.Ctl.Ring(); len(ring) >= 2 {
 			pc := pc
 			muts = append(muts, Mutation{
-				Desc:  fmt.Sprintf("@%d: rotate branch register ring %v", pc, in.Ctl.RegRing),
-				Apply: func(p *vliw.Program) { rotateRing(p.Instrs[pc].Ctl.RegRing) },
+				Desc:  fmt.Sprintf("@%d: rotate branch register ring %v", pc, ring),
+				Apply: func(p *vliw.Program) { rotateRing(p.Instrs[pc].Ctl.Ring()) },
 			})
 		}
 		if in.Ctl.Kind == vliw.CtlDBNZ && in.Ctl.Rotate && hasRing {

@@ -147,7 +147,7 @@ end.
 			kernelEnd = pc
 		}
 		for _, o := range in.Ops {
-			if o.Class == machine.ClassFMov && kernelEnd >= 0 && o.Dst == obj.Results[0].Reg {
+			if o.Class == machine.ClassFMov && kernelEnd >= 0 && int(o.Dst) == obj.Results[0].Reg {
 				fixup = pc
 			}
 		}
@@ -261,7 +261,7 @@ const k3Survivors = `
 func TestCloneProgramCopiesRings(t *testing.T) {
 	obj, _ := compileOn(t, livermore(t, 7), rotMachine)
 	// A forking branch on a rotating condition, which k7 does not have.
-	obj.Instrs[0].Ctl = vliw.Ctl{Kind: vliw.CtlJNZ, Reg: 1, Target: 1, RegRing: []int{1, 2, 3}}
+	obj.Instrs[0].Ctl = vliw.Ctl{Kind: vliw.CtlJNZ, Reg: 1, Target: 1, RegRing: &[]int32{1, 2, 3}}
 	before := obj.String()
 	clone := verify.CloneProgram(obj)
 	if clone.String() != before {
@@ -272,19 +272,19 @@ func TestCloneProgramCopiesRings(t *testing.T) {
 		in := &clone.Instrs[pc]
 		for oi := range in.Ops {
 			o := &in.Ops[oi]
-			for i := range o.DstRing {
-				o.DstRing[i]++
-				touched++
+			if o.Rings == nil {
+				continue
 			}
-			for _, ring := range o.SrcRings {
+			for _, ring := range append([][]int32{o.Rings.Dst}, o.Rings.Src[:]...) {
 				for i := range ring {
 					ring[i]++
 					touched++
 				}
 			}
 		}
-		for i := range in.Ctl.RegRing {
-			in.Ctl.RegRing[i]++
+		ring := in.Ctl.Ring()
+		for i := range ring {
+			ring[i]++
 			touched++
 		}
 	}

@@ -244,11 +244,7 @@ func (s *shadowExec) applyWritebacks(t int64) error {
 // srcReg resolves source operand i against the rotating base at issue
 // time; static programs carry no rings and EffReg is the identity.
 func (s *shadowExec) srcReg(o *vliw.SlotOp, i int) int {
-	r := o.Src[i]
-	if i < len(o.SrcRings) {
-		r = vliw.EffReg(r, o.SrcRings[i], s.rrb)
-	}
-	return r
+	return int(vliw.EffReg(o.Src[i], o.SrcRing(i), s.rrb))
 }
 
 // readF and readI read source operand i of the op at pc, bounds-checked
@@ -272,7 +268,7 @@ func (s *shadowExec) readI(pc int, o *vliw.SlotOp, i int) (int64, termID, error)
 // writeF and writeI queue the result of the op at pc for write-back at
 // cycle due into its (possibly rotating) destination.
 func (s *shadowExec) writeF(pc int, due int64, o *vliw.SlotOp, v float64, tm termID) error {
-	dst := vliw.EffReg(o.Dst, o.DstRing, s.rrb)
+	dst := int(vliw.EffReg(o.Dst, o.DstRing(), s.rrb))
 	if dst < 0 || dst >= len(s.fv) {
 		return fmt.Errorf("shadow: @%d: float register f%d out of range", pc, dst)
 	}
@@ -281,7 +277,7 @@ func (s *shadowExec) writeF(pc int, due int64, o *vliw.SlotOp, v float64, tm ter
 }
 
 func (s *shadowExec) writeI(pc int, due int64, o *vliw.SlotOp, v int64, tm termID) error {
-	dst := vliw.EffReg(o.Dst, o.DstRing, s.rrb)
+	dst := int(vliw.EffReg(o.Dst, o.DstRing(), s.rrb))
 	if dst < 0 || dst >= len(s.iv) {
 		return fmt.Errorf("shadow: @%d: int register i%d out of range", pc, dst)
 	}
@@ -434,7 +430,7 @@ func (s *shadowExec) slot(pc int, t int64, o *vliw.SlotOp, arr *vliw.ArrayInfo) 
 		if err != nil {
 			return err
 		}
-		addr := a + o.Disp
+		addr := a + int64(o.Disp)
 		if addr < int64(arr.Base) || addr >= int64(arr.Base+arr.Size) {
 			return fmt.Errorf("shadow: @%d cycle %d: load %s[%d] out of bounds (size %d)", pc, t, arr.Name, addr-int64(arr.Base), arr.Size)
 		}
@@ -450,7 +446,7 @@ func (s *shadowExec) slot(pc int, t int64, o *vliw.SlotOp, arr *vliw.ArrayInfo) 
 		if err != nil {
 			return err
 		}
-		addr := a + o.Disp
+		addr := a + int64(o.Disp)
 		if addr < int64(arr.Base) || addr >= int64(arr.Base+arr.Size) {
 			return fmt.Errorf("shadow: @%d cycle %d: store %s[%d] out of bounds (size %d)", pc, t, arr.Name, addr-int64(arr.Base), arr.Size)
 		}
@@ -501,9 +497,9 @@ func (s *shadowExec) issue(pc int, t int64) (next int, halted bool, err error) {
 	case vliw.CtlHalt:
 		halted = true
 	case vliw.CtlJump:
-		next = in.Ctl.Target
+		next = int(in.Ctl.Target)
 	case vliw.CtlDBNZ:
-		r := in.Ctl.Reg
+		r := int(in.Ctl.Reg)
 		if r < 0 || r >= len(s.iv) {
 			return 0, false, fmt.Errorf("shadow: @%d: dbnz register i%d out of range", pc, r)
 		}
@@ -513,26 +509,26 @@ func (s *shadowExec) issue(pc int, t int64) (next int, halted bool, err error) {
 		// can never alias a term the reference produces.
 		s.it[r] = s.itn.op0(machine.ClassCJump, uint64(s.iv[r]))
 		if s.iv[r] != 0 {
-			next = in.Ctl.Target
+			next = int(in.Ctl.Target)
 		}
 		if in.Ctl.Rotate {
 			s.rrb++
 		}
 	case vliw.CtlJZ:
-		r := vliw.EffReg(in.Ctl.Reg, in.Ctl.RegRing, s.rrb)
+		r := int(vliw.EffReg(in.Ctl.Reg, in.Ctl.Ring(), s.rrb))
 		if r < 0 || r >= len(s.iv) {
 			return 0, false, fmt.Errorf("shadow: @%d: jz register i%d out of range", pc, r)
 		}
 		if s.iv[r] == 0 {
-			next = in.Ctl.Target
+			next = int(in.Ctl.Target)
 		}
 	case vliw.CtlJNZ:
-		r := vliw.EffReg(in.Ctl.Reg, in.Ctl.RegRing, s.rrb)
+		r := int(vliw.EffReg(in.Ctl.Reg, in.Ctl.Ring(), s.rrb))
 		if r < 0 || r >= len(s.iv) {
 			return 0, false, fmt.Errorf("shadow: @%d: jnz register i%d out of range", pc, r)
 		}
 		if s.iv[r] != 0 {
-			next = in.Ctl.Target
+			next = int(in.Ctl.Target)
 		}
 	case vliw.CtlRotClear:
 		s.rrb = 0

@@ -84,10 +84,12 @@ func writesBack(p *vliw.Program, o *vliw.SlotOp) (isFloat bool, ok bool) {
 }
 
 // checkStructure validates the program's static encoding against the
-// machine: supported classes, operand arity, register indices within the
-// declared files (and the declared files within the machine's), branch
-// targets and registers, array layout within data memory, and no
-// negative size among the files and the memory.
+// machine: supported classes, register indices within the declared files
+// (and the declared files within the machine's), branch targets and
+// registers, array layout within data memory, and no negative size among
+// the files and the memory.  (A slot holds three sources and at most one
+// ring per operand, so an op cannot lack a source or carry a ring list
+// out of step with its sources.)
 func checkStructure(p *vliw.Program, m *machine.Machine) error {
 	for _, size := range []struct {
 		n    int
@@ -115,11 +117,11 @@ func checkStructure(p *vliw.Program, m *machine.Machine) error {
 			}
 		}
 	}
-	regOK := func(isFloat bool, r int) bool {
+	regOK := func(isFloat bool, r int32) bool {
 		if isFloat {
-			return r >= 0 && r < p.NumFRegs
+			return r >= 0 && int(r) < p.NumFRegs
 		}
-		return r >= 0 && r < p.NumIRegs
+		return r >= 0 && int(r) < p.NumIRegs
 	}
 	file := func(isFloat bool) string {
 		if isFloat {
@@ -137,9 +139,6 @@ func checkStructure(p *vliw.Program, m *machine.Machine) error {
 			n, ok := nSrc(o.Class)
 			if !ok {
 				return fmt.Errorf("verify: @%d: class %v is not a slot operation", pc, o.Class)
-			}
-			if len(o.Src) < n {
-				return fmt.Errorf("verify: @%d: %s needs %d operands, has %d", pc, o.Class, n, len(o.Src))
 			}
 			for i := 0; i < n; i++ {
 				f := srcIsFloat(p, o, i)
@@ -162,20 +161,17 @@ func checkStructure(p *vliw.Program, m *machine.Machine) error {
 				if !m.RotatingRegs {
 					return fmt.Errorf("verify: @%d: %s has rotating operands but %s has no rotating register file", pc, o.Class, m.Name)
 				}
-				if len(o.SrcRings) > 0 && len(o.SrcRings) != len(o.Src) {
-					return fmt.Errorf("verify: @%d: %s has %d source rings for %d sources", pc, o.Class, len(o.SrcRings), len(o.Src))
-				}
 				if f, wb := writesBack(p, o); wb {
-					for _, r := range o.DstRing {
+					for _, r := range o.DstRing() {
 						if !regOK(f, r) {
 							return fmt.Errorf("verify: @%d: %s destination ring entry %s%d outside the %s file", pc, o.Class, file(f), r, file(f))
 						}
 					}
-				} else if len(o.DstRing) > 0 {
+				} else if len(o.DstRing()) > 0 {
 					return fmt.Errorf("verify: @%d: %s has a destination ring but writes no register", pc, o.Class)
 				}
-				for i, ring := range o.SrcRings {
-					if n, _ := nSrc(o.Class); i >= n && len(ring) > 0 {
+				for i, ring := range o.Rings.Src {
+					if i >= n && len(ring) > 0 {
 						return fmt.Errorf("verify: @%d: %s has a ring on unused operand %d", pc, o.Class, i)
 					}
 					f := srcIsFloat(p, o, i)
@@ -189,7 +185,7 @@ func checkStructure(p *vliw.Program, m *machine.Machine) error {
 		}
 		switch in.Ctl.Kind {
 		case vliw.CtlJump, vliw.CtlDBNZ, vliw.CtlJZ, vliw.CtlJNZ:
-			if in.Ctl.Target < 0 || in.Ctl.Target >= len(p.Instrs) {
+			if in.Ctl.Target < 0 || int(in.Ctl.Target) >= len(p.Instrs) {
 				return fmt.Errorf("verify: @%d: branch target %d out of range", pc, in.Ctl.Target)
 			}
 		}
@@ -206,14 +202,14 @@ func checkStructure(p *vliw.Program, m *machine.Machine) error {
 				return fmt.Errorf("verify: @%d: Rotate on non-DBNZ sequencer field", pc)
 			}
 		}
-		if len(in.Ctl.RegRing) > 0 {
+		if ring := in.Ctl.Ring(); len(ring) > 0 {
 			if !m.RotatingRegs {
 				return fmt.Errorf("verify: @%d: sequencer register ring on %s, which has no rotating register file", pc, m.Name)
 			}
 			if in.Ctl.Kind != vliw.CtlJZ && in.Ctl.Kind != vliw.CtlJNZ {
 				return fmt.Errorf("verify: @%d: sequencer register ring on a non-JZ/JNZ field", pc)
 			}
-			for _, r := range in.Ctl.RegRing {
+			for _, r := range ring {
 				if !regOK(false, r) {
 					return fmt.Errorf("verify: @%d: sequencer ring entry i%d outside the int file", pc, r)
 				}
@@ -309,15 +305,15 @@ func checkResources(p *vliw.Program, m *machine.Machine) error {
 	var rows []int
 	for pc := range p.Instrs {
 		ctl := p.Instrs[pc].Ctl
-		if !(ctl.Kind == vliw.CtlJump || ctl.Kind == vliw.CtlDBNZ || ctl.Kind == vliw.CtlJZ || ctl.Kind == vliw.CtlJNZ) || ctl.Target > pc {
+		if !(ctl.Kind == vliw.CtlJump || ctl.Kind == vliw.CtlDBNZ || ctl.Kind == vliw.CtlJZ || ctl.Kind == vliw.CtlJNZ) || int(ctl.Target) > pc {
 			continue
 		}
-		T := ctl.Target
+		T := int(ctl.Target)
 		L := pc - T + 1
 		nested := false
 		for q := T; q < pc; q++ {
 			k := p.Instrs[q].Ctl.Kind
-			if (k == vliw.CtlJump || k == vliw.CtlDBNZ || k == vliw.CtlJZ || k == vliw.CtlJNZ) && p.Instrs[q].Ctl.Target <= q {
+			if (k == vliw.CtlJump || k == vliw.CtlDBNZ || k == vliw.CtlJZ || k == vliw.CtlJNZ) && int(p.Instrs[q].Ctl.Target) <= q {
 				nested = true // outer loop around inner kernels: rows are not all co-resident
 				break
 			}

@@ -181,7 +181,7 @@ func TestVerifyRejectsBadRegister(t *testing.T) {
 	for pc := range mut.Instrs {
 		for oi := range mut.Instrs[pc].Ops {
 			o := &mut.Instrs[pc].Ops[oi]
-			if len(o.Src) > 0 {
+			if len(o.Sources()) > 0 {
 				o.Src[0] = 1 << 20
 				if err := verify.Program(p, mut, m); err == nil {
 					t.Fatal("verifier accepted an out-of-range register")

@@ -24,8 +24,8 @@ func TestValidateResourceOversubscription(t *testing.T) {
 	p := base()
 	p.Instrs = []Instr{
 		{Ops: []SlotOp{
-			{Class: machine.ClassFAdd, Dst: 0, Src: []int{1, 2}},
-			{Class: machine.ClassFSub, Dst: 1, Src: []int{1, 2}},
+			{Class: machine.ClassFAdd, Dst: 0, Src: [3]int32{1, 2}},
+			{Class: machine.ClassFSub, Dst: 1, Src: [3]int32{1, 2}},
 		}},
 		{Ctl: Ctl{Kind: CtlHalt}},
 	}
@@ -50,7 +50,7 @@ func TestValidateUnknownArray(t *testing.T) {
 	m := machine.Warp()
 	p := base()
 	p.Instrs = []Instr{
-		{Ops: []SlotOp{{Class: machine.ClassLoad, Dst: 0, Src: []int{0}, Array: "nope"}}},
+		{Ops: []SlotOp{{Class: machine.ClassLoad, Dst: 0, Src: [3]int32{0}, Array: "nope"}}},
 	}
 	if err := p.Validate(m); err == nil {
 		t.Fatal("unknown array must fail")
@@ -61,8 +61,8 @@ func TestDisassemblyReadable(t *testing.T) {
 	p := base()
 	p.Instrs = []Instr{
 		{Ops: []SlotOp{
-			{Class: machine.ClassLoad, Dst: 2, Src: []int{1}, Array: "a", Disp: 3},
-			{Class: machine.ClassFAdd, Dst: 0, Src: []int{2, 2}},
+			{Class: machine.ClassLoad, Dst: 2, Src: [3]int32{1}, Array: "a", Disp: 3},
+			{Class: machine.ClassFAdd, Dst: 0, Src: [3]int32{2, 2}},
 		}, Ctl: Ctl{Kind: CtlDBNZ, Reg: 1, Target: 0}},
 		{Ctl: Ctl{Kind: CtlHalt}},
 	}
@@ -81,8 +81,8 @@ func TestValidateWriteBackCollision(t *testing.T) {
 	p := base()
 	p.Instrs = []Instr{
 		{Ops: []SlotOp{
-			{Class: machine.ClassIAdd, Dst: 0, Src: []int{0, 0}},
-			{Class: machine.ClassAdrAdd, Dst: 0, Src: []int{0, 0}},
+			{Class: machine.ClassIAdd, Dst: 0, Src: [3]int32{0, 0}},
+			{Class: machine.ClassAdrAdd, Dst: 0, Src: [3]int32{0, 0}},
 		}},
 		{Ctl: Ctl{Kind: CtlHalt}},
 	}
@@ -95,7 +95,7 @@ func TestValidateWriteBackCollision(t *testing.T) {
 	p = base()
 	p.Instrs = []Instr{
 		{Ops: []SlotOp{
-			{Class: machine.ClassFMov, Dst: 0, Src: []int{1}},
+			{Class: machine.ClassFMov, Dst: 0, Src: [3]int32{1}},
 			{Class: machine.ClassRecv, Dst: 0},
 		}},
 		{Ctl: Ctl{Kind: CtlHalt}},
@@ -112,8 +112,8 @@ func TestValidateWriteBackCollision(t *testing.T) {
 	p = base()
 	p.Instrs = []Instr{
 		{Ops: []SlotOp{
-			{Class: machine.ClassISelect, Dst: 0, Src: []int{1, 2, 3}, FImm: 1},
-			{Class: machine.ClassAdrAdd, Dst: 0, Src: []int{0, 0}},
+			{Class: machine.ClassISelect, Dst: 0, Src: [3]int32{1, 2, 3}, FImm: 1},
+			{Class: machine.ClassAdrAdd, Dst: 0, Src: [3]int32{0, 0}},
 		}},
 		{Ctl: Ctl{Kind: CtlHalt}},
 	}
@@ -125,8 +125,8 @@ func TestValidateWriteBackCollision(t *testing.T) {
 	p = base()
 	p.Instrs = []Instr{
 		{Ops: []SlotOp{
-			{Class: machine.ClassISelect, Dst: 0, Src: []int{1, 2, 3}},
-			{Class: machine.ClassAdrAdd, Dst: 0, Src: []int{0, 0}},
+			{Class: machine.ClassISelect, Dst: 0, Src: [3]int32{1, 2, 3}},
+			{Class: machine.ClassAdrAdd, Dst: 0, Src: [3]int32{0, 0}},
 		}},
 		{Ctl: Ctl{Kind: CtlHalt}},
 	}
@@ -151,17 +151,17 @@ func TestValidateStateDoesNotLeakBetweenWords(t *testing.T) {
 		a, b SlotOp
 	}{
 		{"static writes to one register at one latency", machine.Warp(),
-			SlotOp{Class: machine.ClassIAdd, Dst: 0, Src: []int{0, 0}},
-			SlotOp{Class: machine.ClassAdrAdd, Dst: 0, Src: []int{0, 0}}},
+			SlotOp{Class: machine.ClassIAdd, Dst: 0, Src: [3]int32{0, 0}},
+			SlotOp{Class: machine.ClassAdrAdd, Dst: 0, Src: [3]int32{0, 0}}},
 		{"ring write against a static write", rot,
-			SlotOp{Class: machine.ClassIAdd, Dst: 0, DstRing: []int{0, 1}, Src: []int{2, 2}},
-			SlotOp{Class: machine.ClassAdrAdd, Dst: 1, Src: []int{2, 2}}},
+			SlotOp{Class: machine.ClassIAdd, Dst: 0, Rings: &Rings{Dst: []int32{0, 1}}, Src: [3]int32{2, 2}},
+			SlotOp{Class: machine.ClassAdrAdd, Dst: 1, Src: [3]int32{2, 2}}},
 		{"static write against a ring write", rot,
-			SlotOp{Class: machine.ClassAdrAdd, Dst: 1, Src: []int{2, 2}},
-			SlotOp{Class: machine.ClassIAdd, Dst: 0, DstRing: []int{0, 1}, Src: []int{2, 2}}},
+			SlotOp{Class: machine.ClassAdrAdd, Dst: 1, Src: [3]int32{2, 2}},
+			SlotOp{Class: machine.ClassIAdd, Dst: 0, Rings: &Rings{Dst: []int32{0, 1}}, Src: [3]int32{2, 2}}},
 		{"two ops on one unit", machine.Warp(),
-			SlotOp{Class: machine.ClassFAdd, Dst: 0, Src: []int{1, 2}},
-			SlotOp{Class: machine.ClassFSub, Dst: 1, Src: []int{1, 2}}},
+			SlotOp{Class: machine.ClassFAdd, Dst: 0, Src: [3]int32{1, 2}},
+			SlotOp{Class: machine.ClassFSub, Dst: 1, Src: [3]int32{1, 2}}},
 	}
 	for _, c := range cases {
 		if la, lb := c.m.Latency(c.a.Class), c.m.Latency(c.b.Class); la != lb {

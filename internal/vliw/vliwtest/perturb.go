@@ -27,30 +27,25 @@ func Perturb(p *vliw.Program, edits []byte) {
 		switch kind % 13 {
 		case 0: // a destination register
 			if op != nil {
-				op.Dst = v
+				op.Dst = int32(v)
 			}
 		case 1: // a source register, past the op's arity if need be
 			if op != nil {
-				k := b % 4
-				for len(op.Src) <= k {
-					op.Src = append(op.Src, 0)
-				}
-				op.Src[k] = v
+				op.Src[b%len(op.Src)] = int32(v)
 			}
 		case 2: // a destination ring of b%4 entries
 			if op != nil {
-				op.DstRing = make([]int, b%4)
-				for i := range op.DstRing {
-					op.DstRing[i] = v + i
+				ring := make([]int32, b%4)
+				for i := range ring {
+					ring[i] = int32(v + i)
 				}
+				rings(op).Dst = ring
 			}
-		case 3: // a source ring entry
+		case 3: // a source ring entry, past the op's arity if need be
 			if op != nil {
-				k := b % 4
-				for len(op.SrcRings) <= k {
-					op.SrcRings = append(op.SrcRings, nil)
-				}
-				op.SrcRings[k] = append(op.SrcRings[k], v)
+				r := rings(op)
+				k := b % len(r.Src)
+				r.Src[k] = append(r.Src[k], int32(v))
 			}
 		case 4: // the class, in or out of the table
 			if op != nil {
@@ -58,11 +53,12 @@ func Perturb(p *vliw.Program, edits []byte) {
 			}
 		case 5: // the sequencer's kind and target
 			in.Ctl.Kind = vliw.CtlKind(b % 8)
-			in.Ctl.Target = v
+			in.Ctl.Target = int32(v)
 		case 6: // the sequencer's register, its ring and the rotate flag
-			in.Ctl.Reg = v
+			in.Ctl.Reg = int32(v)
 			if b%3 == 0 {
-				in.Ctl.RegRing = append(in.Ctl.RegRing, v)
+				ring := append(in.Ctl.Ring(), int32(v))
+				in.Ctl.RegRing = &ring
 			}
 			in.Ctl.Rotate = b%2 == 0
 		case 7: // one array's placement and kind
@@ -95,7 +91,7 @@ func Perturb(p *vliw.Program, edits []byte) {
 						op.Array = p.Arrays[v%len(p.Arrays)].Name
 					}
 				case 1:
-					op.Disp += int64(v)
+					op.Disp += int32(v)
 				case 2:
 					op.IImm = int64(v)
 				default:
@@ -133,4 +129,12 @@ func Perturb(p *vliw.Program, edits []byte) {
 			}
 		}
 	}
+}
+
+// rings returns op's rings, giving it empty ones first if it has none.
+func rings(op *vliw.SlotOp) *vliw.Rings {
+	if op.Rings == nil {
+		op.Rings = &vliw.Rings{}
+	}
+	return op.Rings
 }
