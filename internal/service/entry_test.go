@@ -300,9 +300,10 @@ func TestRunDecodesOneProgram(t *testing.T) {
 }
 
 // TestViewChargeCoversHeap holds entries' charges to the heap they stand
-// for: over the Livermore kernels and a dozen seeded sources, each run
-// once, what the cache is charged for headers, binaries and programs is
-// within a third of what the Go heap grew by.
+// for: over the Livermore kernels and a dozen seeded sources on warp, and
+// the Livermore kernels again on a rotating machine (whose ops carry
+// rings), each run once, what the cache is charged for headers, binaries
+// and programs is within a third of what the Go heap grew by.
 func TestViewChargeCoversHeap(t *testing.T) {
 	heap := func() int64 {
 		runtime.GC()
@@ -311,26 +312,28 @@ func TestViewChargeCoversHeap(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
-	var srcs []string
+	const rot = "gen:fa1,fm1,mem2,rot"
+	var reqs []RunRequest
 	for _, k := range workloads.Livermore() {
-		srcs = append(srcs, k.Source)
+		reqs = append(reqs, RunRequest{Source: k.Source}, RunRequest{Source: k.Source, Machine: rot})
 	}
 	for seed := int64(100); seed < 112; seed++ {
-		srcs = append(srcs, workloads.RandomSource(seed))
+		reqs = append(reqs, RunRequest{Source: workloads.RandomSource(seed)})
 	}
 	s := newTestServer(t, Config{})
 	// One request of each kind first, so that what the packages set up on
 	// first use is not counted.
 	post(t, s, "/run", RunRequest{Source: sumSource}, nil)
+	post(t, s, "/run", RunRequest{Source: sumSource, Machine: rot}, nil)
 
 	heap0, bytes0 := heap(), s.CacheStats().Bytes
-	for _, src := range srcs {
-		if code, body := rawPost(s, "/run", RunRequest{Source: src}); code != http.StatusOK {
+	for _, req := range reqs {
+		if code, body := rawPost(s, "/run", req); code != http.StatusOK {
 			t.Fatalf("run: status %d: %s", code, body)
 		}
 	}
 	grew, charged := heap()-heap0, s.CacheStats().Bytes-bytes0
-	t.Logf("%d entries: heap grew %d bytes, cache charged %d (%.2f×)", len(srcs), grew, charged, float64(charged)/float64(grew))
+	t.Logf("%d entries: heap grew %d bytes, cache charged %d (%.2f×)", len(reqs), grew, charged, float64(charged)/float64(grew))
 	if 3*charged < 2*grew || 3*charged > 4*grew {
 		t.Fatalf("cache charged %d bytes for entries that grew the heap by %d", charged, grew)
 	}
