@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sync"
 	"testing"
 
 	"softpipe/internal/codegen"
@@ -90,21 +91,24 @@ begin
 end.
 `
 
-// runAllocSlack is what a run of readmostly allocates besides memory and
-// results: the decoded program (its op stream is most of it), the
-// fast-path blocks, registers, write-back ring, state maps and Result.
-// Object.Run takes 33,960 bytes of it, the step-only sim.Run 22,184
-// (54,280 and 41,256 while a decoded slot op was 232 bytes, not 72).
+// runAllocSlack is what a run of readmostly allocates besides y's words:
+// the decoded program (its op stream is most of it), the fast-path
+// blocks, registers, write-back ring, array table, state maps and Result.
+// Object.Run takes 26,584 bytes of it, the step-only sim.Run 14,664
+// (33,960 and 22,184 while a run also copied y out, 54,280 and 41,256
+// while a decoded slot op was 232 bytes, not 72).
 const runAllocSlack = 60_000
 
-// TestRunAllocBudget: a run allocates the memory its program addresses
-// and copies out only the arrays it writes.  On readmostly that is the
-// float span and y again, (4,160 + 64) × 8 bytes, plus runAllocSlack.
-// Allocating every memory word twice and copying every array out made
-// the same runs take 161,768 (Object.Run) and 148,744 (sim.Run) bytes.
+// TestRunAllocBudget: a run allocates memory only for the arrays its
+// program writes and hands those words to its result.  On readmostly that
+// is y's words once, 64 × 8 bytes, plus runAllocSlack: Object.Run takes
+// 27,096 bytes and sim.Run 15,176.  Allocating the float span, x
+// included, and copying y out made them take 67,752 and 55,976;
+// allocating every memory word twice and copying every array out,
+// 161,768 and 148,744.
 func TestRunAllocBudget(t *testing.T) {
 	obj := compileReadMostly(t, nil)
-	ceiling := float64((4096+2*64)*8+runAllocSlack) * raceAllocSlack
+	ceiling := float64(64*8+runAllocSlack) * raceAllocSlack
 	for _, run := range []struct {
 		name string
 		f    func() error
@@ -145,7 +149,8 @@ func compileReadMostly(t *testing.T, tr *Tracer) *Object {
 
 // TestRunSpanCountsWords: Object.Run's "sim.run" span holds its
 // "sim.decode" span and says how many memory words the cell allocated
-// (readmostly's float span) and how many the result copied (y).
+// (y: x, which no store writes, is read in place) and how many the result
+// copied (none: a halted cell hands its words over).
 func TestRunSpanCountsWords(t *testing.T) {
 	tr := NewTracer("run")
 	if _, err := compileReadMostly(t, tr).Run(); err != nil {
@@ -170,9 +175,67 @@ func TestRunSpanCountsWords(t *testing.T) {
 	for _, a := range run.Args {
 		args[a.Key] = a.Val
 	}
-	if args["mem_words"] != 4096+64 || args["copied_words"] != 64 || args["cycles"] == 0 {
-		t.Errorf("sim.run args %v, want mem_words 4160, copied_words 64 and the cycles", args)
+	if args["mem_words"] != 64 || args["copied_words"] != 0 || args["cycles"] == 0 {
+		t.Errorf("sim.run args %v, want mem_words 64, copied_words 0 and the cycles", args)
 	}
+}
+
+// TestConcurrentRunsShareInitialData: concurrent runs of one object read
+// its input table x in place at once — eight goroutines each run
+// Object.Run and a cell of one decoded program, while a 4-lane batch runs
+// on that program too, the daemon's concurrent /runs on one cache entry —
+// and every result is the step-only reference's.  Under the race
+// detector it also shows that no run writes the shared table.
+func TestConcurrentRunsShareInitialData(t *testing.T) {
+	obj := compileReadMostly(t, nil)
+	want, wantStats, err := sim.Run(obj.Binary, obj.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := sim.Decode(obj.Binary, obj.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(who string, st *State, cycles, flops int64, err error) {
+		switch {
+		case err != nil:
+			t.Errorf("%s: %v", who, err)
+		case cycles != wantStats.Cycles || flops != wantStats.Flops:
+			t.Errorf("%s: %d cycles, %d flops; want %d, %d", who, cycles, flops, wantStats.Cycles, wantStats.Flops)
+		default:
+			if d := want.Diff(st); d != "" {
+				t.Errorf("%s differs from step-only: %s", who, d)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res, err := obj.Run(); err != nil {
+				check(fmt.Sprintf("goroutine %d Object.Run", g), nil, 0, 0, err)
+			} else {
+				check(fmt.Sprintf("goroutine %d Object.Run", g), res.State, res.Cycles, res.Flops, nil)
+			}
+			cell := sim.NewCell(prog)
+			st, err := cell.Run()
+			check(fmt.Sprintf("goroutine %d cell", g), st, cell.Stats().Cycles, cell.Stats().Flops, err)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		res, err := sim.NewBatch(prog, make([]sim.Lane, 4)).Run(context.Background())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i, r := range res {
+			check(fmt.Sprintf("lane %d", i), r.State, r.Stats.Cycles, r.Stats.Flops, r.Err)
+		}
+	}()
+	wg.Wait()
 }
 
 // verifyAllocCeilings bound the bytes and allocations of one

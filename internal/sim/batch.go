@@ -13,8 +13,9 @@ type Lane struct {
 	InputTape []float64
 	// FloatArrays overrides the program's declared initial values for the
 	// named arrays in this lane; a short slice overrides a prefix.  The
-	// lane's State reports an array no store writes as its full-length
-	// override itself, so the slices must not change while it is in use.
+	// lane reads an array no store writes from its full-length override in
+	// place and reports it as that slice, so the slices must not change
+	// while it is in use; a written array gets the lane's own words.
 	FloatArrays map[string][]float64
 }
 
@@ -27,8 +28,8 @@ type LaneResult struct {
 }
 
 // Batch executes N independent cells over one decoded program.  The
-// lanes' register files and memories are slices of shared struct-of-
-// arrays arenas (four allocations for the whole batch), and the decode
+// lanes' register files, memories and array tables are slices of shared
+// struct-of-arrays arenas (five allocations for the whole batch), and the decode
 // cost of the program is amortized across all lanes — the point of the
 // /run batch mode: throughput scales with requests, not cycles×requests.
 type Batch struct {
@@ -48,16 +49,17 @@ func NewBatch(p *Program, lanes []Lane) *Batch {
 	iregs := make([]int64, n*numI)
 	memF := make([]float64, n*wordsF)
 	memI := make([]int64, n*wordsI)
+	numA := len(p.Src.Arrays)
+	arrays := make([]cellArray, n*numA)
 	for i := range lanes {
-		c := newCell(p, fregs[i*numF:(i+1)*numF], iregs[i*numI:(i+1)*numI],
-			memF[i*wordsF:(i+1)*wordsF], memI[i*wordsI:(i+1)*wordsI])
+		c := newCell(p, cellMem{
+			fregs:  fregs[i*numF : (i+1)*numF],
+			iregs:  iregs[i*numI : (i+1)*numI],
+			memF:   memF[i*wordsF : (i+1)*wordsF],
+			memI:   memI[i*wordsI : (i+1)*wordsI],
+			arrays: arrays[i*numA : (i+1)*numA],
+		}, lanes[i].FloatArrays)
 		c.InputTape = lanes[i].InputTape
-		c.laneF = lanes[i].FloatArrays
-		for name, vals := range lanes[i].FloatArrays {
-			if arr := p.Src.Array(name); arr != nil && arr.Kind == ir.KindFloat {
-				copy(c.floatWords(arr), vals)
-			}
-		}
 		b.cells[i] = c
 	}
 	return b

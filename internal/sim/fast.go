@@ -627,8 +627,18 @@ func buildFastExec(o *decOp, fo *fastOp, pc, ii int, directStore bool, res func(
 		}
 	case machine.ClassLoad:
 		adr := res(false, o.src[0], j)
-		base, end, isF, disp := int64(o.arrBase), int64(o.arrEnd), o.arrFloat, o.disp
-		if isF {
+		base, end, disp, k := int64(o.arrBase), int64(o.arrEnd), o.disp, o.arr
+		switch {
+		case o.arrFloat && o.inPlace:
+			return func(c *Sim, m int64) {
+				addr := adr.getI(c, m) + disp
+				if addr < base || addr >= end {
+					c.fastFault(o, pc, c.t+m*ii64+jOff, addr)
+					return
+				}
+				putF(c, dOff, dMask, m, c.arrays[k].f[addr])
+			}
+		case o.arrFloat:
 			return func(c *Sim, m int64) {
 				addr := adr.getI(c, m) + disp
 				if addr < base || addr >= end {
@@ -637,14 +647,24 @@ func buildFastExec(o *decOp, fo *fastOp, pc, ii int, directStore bool, res func(
 				}
 				putF(c, dOff, dMask, m, c.memF[addr])
 			}
-		}
-		return func(c *Sim, m int64) {
-			addr := adr.getI(c, m) + disp
-			if addr < base || addr >= end {
-				c.fastFault(o, pc, c.t+m*ii64+jOff, addr)
-				return
+		case o.inPlace:
+			return func(c *Sim, m int64) {
+				addr := adr.getI(c, m) + disp
+				if addr < base || addr >= end {
+					c.fastFault(o, pc, c.t+m*ii64+jOff, addr)
+					return
+				}
+				putI(c, dOff, dMask, m, c.arrays[k].i[addr])
 			}
-			putI(c, dOff, dMask, m, c.memI[addr])
+		default:
+			return func(c *Sim, m int64) {
+				addr := adr.getI(c, m) + disp
+				if addr < base || addr >= end {
+					c.fastFault(o, pc, c.t+m*ii64+jOff, addr)
+					return
+				}
+				putI(c, dOff, dMask, m, c.memI[addr])
+			}
 		}
 	case machine.ClassStore:
 		adr := res(false, o.src[0], j)

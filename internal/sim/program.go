@@ -25,9 +25,9 @@ type decOp struct {
 	dst     int32
 	src     [3]int32
 	lat     int32
-	arrBase int32 // less the kind's span.lo, as arrEnd (layout bounds both)
+	arrBase int32 // less the kind's span.lo (inPlace: the array's base), as arrEnd
 	arrEnd  int32 // base+size
-	arr     int32 // index in Src.Arrays, for diagnostics only
+	arr     int32 // index in Src.Arrays: Sim.arrays for inPlace, else diagnostics
 	class   machine.Class
 	// dstFile and srcFile are the class's operand files
 	// (machine.ClassInfo) resolved against this op's array kind and
@@ -38,10 +38,14 @@ type decOp struct {
 	srcFile  [3]machine.File
 	arrFloat bool
 	selFloat bool // ClassISelect: float-file select
+	// inPlace marks a load from an array no store writes: its bounds
+	// and disp are relative to the array itself, and it reads the cell's
+	// initial slice Sim.arrays[arr] instead of memF or memI.
+	inPlace bool
 
 	fimm float64
 	iimm int64
-	disp int64 // less the kind's span.lo: ireg+disp indexes memF or memI
+	disp int64 // less what arrBase is less: ireg+disp indexes the words read
 }
 
 // touchesIntReg reports whether the op reads or writes static integer
@@ -78,13 +82,13 @@ type Program struct {
 	ringLen int // write-back ring length: the power of two above the max latency
 	err     error
 
-	// spanF and spanI are the words of the flat data memory the float and
-	// the int arrays occupy: all a cell allocates of it (layout).
+	// spanF and spanI are the words of the flat data memory the written
+	// float and int arrays occupy: all a cell allocates of it (layout).
 	spanF, spanI span
 	// written has bit i set when some store names Src.Arrays[i]; arrays
 	// past the 64th always count as written.  Decode refuses overlapping
-	// arrays, so a store reaches no other array, and an unwritten array
-	// ends a run holding what the cell was initialised with (State).
+	// arrays, so a store reaches no other array, and a cell reads an
+	// unwritten array in place from its initial slice (Sim.arrays).
 	written uint64
 
 	// blocks[pc], when non-nil, is the steady-state kernel block headed
@@ -114,16 +118,27 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 	for maxLat := m.MaxLatency(); ringLen <= maxLat; {
 		ringLen <<= 1
 	}
-	nOps := 0
-	for i := range p.Instrs {
-		nOps += len(p.Instrs[i].Ops)
-	}
 	d := &Program{
 		Src:     p,
 		words:   make([]decWord, len(p.Instrs)),
-		ops:     make([]decOp, 0, nOps),
 		ringLen: ringLen,
 	}
+	// Which arrays a store names is known before layout, which spans only
+	// those; a store naming no array is refused below.
+	nOps := 0
+	for i := range p.Instrs {
+		for oi := range p.Instrs[i].Ops {
+			o := &p.Instrs[i].Ops[oi]
+			if o.Class != machine.ClassStore {
+				continue
+			}
+			if k := arrayIndex(p, o.Array); k >= 0 && k < 64 {
+				d.written |= 1 << k
+			}
+		}
+		nOps += len(p.Instrs[i].Ops)
+	}
+	d.ops = make([]decOp, 0, nOps)
 	if d.err = d.layout(); d.err != nil {
 		return d
 	}
@@ -160,17 +175,18 @@ func decode(p *vliw.Program, m *machine.Machine) *Program {
 				}
 				arr := &p.Arrays[k]
 				dec.arrFloat = arr.Kind == ir.KindFloat
+				dec.inPlace = !d.writes(k)
 				lo := int64(d.spanI.lo)
-				if dec.arrFloat {
+				switch {
+				case dec.inPlace:
+					lo = int64(arr.Base)
+				case dec.arrFloat:
 					lo = int64(d.spanF.lo)
 				}
 				dec.disp -= lo
 				dec.arrBase = int32(int64(arr.Base) - lo)
 				dec.arrEnd = int32(int64(arr.Base+arr.Size) - lo)
 				dec.arr = int32(k)
-				if o.Class == machine.ClassStore && k < 64 {
-					d.written |= 1 << k
-				}
 			}
 			// The code generator marks a float select with FImm = 1.
 			dec.selFloat = row.Dst == machine.FileSelect && o.FImm != 0
@@ -218,7 +234,8 @@ func (s span) words() int { return s.hi - s.lo }
 // layout checks what a cell allocates and addresses before any operand is
 // read — the register files and the memory are not negative, every array
 // lies inside the memory, and no two arrays share a word — and computes
-// the float and int spans a cell allocates instead of the whole memory.
+// the float and int spans of the written arrays, which a cell allocates
+// instead of the whole memory.
 func (p *Program) layout() error {
 	src := p.Src
 	if src.NumFRegs < 0 || src.NumIRegs < 0 || src.MemWords < 0 {
@@ -241,13 +258,16 @@ func (p *Program) layout() error {
 				return fmt.Errorf("sim: arrays %s and %s overlap in data memory", b.Name, a.Name)
 			}
 		}
+		if !p.writes(i) {
+			continue
+		}
 		s := &p.spanI
 		if a.Kind == ir.KindFloat {
 			s = &p.spanF
 		}
 		s.lo, s.hi = min(s.lo, a.Base), max(s.hi, a.Base+a.Size)
 	}
-	// A kind without arrays is left at {MemWords, 0}: make it empty.
+	// A kind without written arrays is left at {MemWords, 0}: make it empty.
 	p.spanF.lo = min(p.spanF.lo, p.spanF.hi)
 	p.spanI.lo = min(p.spanI.lo, p.spanI.hi)
 	return nil

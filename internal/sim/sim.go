@@ -12,10 +12,12 @@
 //     all loads of the same instruction;
 //   - control takes effect at the next cycle (no branch delay slots).
 //
-// A cell allocates only the memory words its arrays occupy, per kind
-// (Program.spanF, spanI), and its State copies out only the arrays some
-// store can write: an unwritten array shares the initial contents the
-// cell started from and is read-only.
+// A cell allocates memory only for the arrays some store can write, the
+// words they span per kind (Program.spanF, spanI).  It reads every other
+// array in place from the initial slice it started from — the program's
+// InitF or InitI, or a batch lane's override — which it shares and never
+// writes.  The State of a halted cell hands over its written words
+// themselves.
 //
 // The per-cycle loop is allocation-free in steady state: instructions are
 // pre-decoded into a dense form with array bases/bounds resolved, pending
@@ -96,13 +98,15 @@ type Sim struct {
 
 	fregs []float64
 	iregs []int64
-	// memF and memI hold the flat memory's float and int arrays: the
-	// words of prog.spanF and prog.spanI, indexed by address − span.lo.
+	// memF and memI hold the flat memory's written float and int arrays:
+	// the words of prog.spanF and prog.spanI, indexed by address − span.lo.
 	memF []float64
 	memI []int64
-	// laneF is a batch lane's Lane.FloatArrays (nil outside a batch):
-	// what State shares in place of InitF for the arrays it overrides.
-	laneF map[string][]float64
+	// arrays[i] is the words of prog.Src.Arrays[i] in this cell: a written
+	// array's part of memF or memI, an unwritten one's initial slice, read
+	// in place (a zero-padded copy, counted in padded, when that is short).
+	arrays []cellArray
+	padded int
 	// copied counts the array words the last State copied out.
 	copied int
 
@@ -219,55 +223,97 @@ func (q *Queue) contents() []float64 { return q.buf[q.head:] }
 func New(p *vliw.Program, m *machine.Machine) *Sim { return NewCell(decode(p, m)) }
 
 // NewCell prepares an execution instance of a decoded program with
-// initialized memory.  Cells share the Program and nothing else.
+// initialized memory.  Cells share the Program and the initial slices of
+// the arrays no store writes, and nothing else.
 func NewCell(p *Program) *Sim {
 	src := p.Src
 	if p.err != nil {
 		// Sized by a program that did not decode: allocate nothing, and
 		// let the first Step report why.
-		return newCell(p, nil, nil, nil, nil)
+		return newCell(p, cellMem{}, nil)
 	}
-	return newCell(p, make([]float64, src.NumFRegs), make([]int64, src.NumIRegs),
-		make([]float64, p.spanF.words()), make([]int64, p.spanI.words()))
+	return newCell(p, cellMem{
+		fregs:  make([]float64, src.NumFRegs),
+		iregs:  make([]int64, src.NumIRegs),
+		memF:   make([]float64, p.spanF.words()),
+		memI:   make([]int64, p.spanI.words()),
+		arrays: make([]cellArray, len(src.Arrays)),
+	}, nil)
 }
 
-// newCell builds a cell over caller-provided (zeroed) register files and
-// memories; a Batch lays its lanes out in shared arenas through it.
-func newCell(p *Program, fregs []float64, iregs []int64, memF []float64, memI []int64) *Sim {
+// cellArray is one array's words in a cell: f for a float array, i for an
+// int array.
+type cellArray struct {
+	f []float64
+	i []int64
+}
+
+// cellMem is the zeroed storage a cell runs in — register files, the
+// written arrays' spans, one cellArray per array — which a Batch carves
+// out of shared arenas for its lanes.
+type cellMem struct {
+	fregs  []float64
+	iregs  []int64
+	memF   []float64
+	memI   []int64
+	arrays []cellArray
+}
+
+// newCell builds a cell over mem with its arrays initialised: the
+// program's InitF or InitI, with over (a batch lane's FloatArrays, nil
+// for a lone cell) laid on the first float array of each name it holds.
+func newCell(p *Program, mem cellMem, over map[string][]float64) *Sim {
 	s := &Sim{
 		prog:    p,
-		fregs:   fregs,
-		iregs:   iregs,
-		memF:    memF,
-		memI:    memI,
+		fregs:   mem.fregs,
+		iregs:   mem.iregs,
+		memF:    mem.memF,
+		memI:    mem.memI,
+		arrays:  mem.arrays,
 		ring:    make([][]writeback, p.ringLen),
-		lastWF:  make([]int64, len(fregs)),
-		lastWI:  make([]int64, len(iregs)),
+		lastWF:  make([]int64, len(mem.fregs)),
+		lastWI:  make([]int64, len(mem.iregs)),
 		bstates: make([]*blockState, p.Blocks()),
 	}
 	if p.err != nil {
 		return s
 	}
-	for i := range p.Src.Arrays {
-		a := &p.Src.Arrays[i]
+	src := p.Src
+	for i := range src.Arrays {
+		a := &src.Arrays[i]
 		if a.Kind == ir.KindFloat {
-			copy(s.floatWords(a), p.Src.InitF[a.Name])
+			var ov []float64
+			if v, ok := over[a.Name]; ok && src.Array(a.Name) == a {
+				ov = v
+			}
+			s.arrays[i].f = initWords(p.writes(i), s.memF, a.Base-p.spanF.lo, a.Size, src.InitF[a.Name], ov, &s.padded)
 		} else {
-			copy(s.intWords(a), p.Src.InitI[a.Name])
+			s.arrays[i].i = initWords(p.writes(i), s.memI, a.Base-p.spanI.lo, a.Size, src.InitI[a.Name], nil, &s.padded)
 		}
 	}
 	return s
 }
 
-// floatWords and intWords are the cell's memory words of array a.
-func (s *Sim) floatWords(a *vliw.ArrayInfo) []float64 {
-	lo := a.Base - s.prog.spanF.lo
-	return s.memF[lo : lo+a.Size]
-}
-
-func (s *Sim) intWords(a *vliw.ArrayInfo) []int64 {
-	lo := a.Base - s.prog.spanI.lo
-	return s.memI[lo : lo+a.Size]
+// initWords is an array's n words at the start of a run, init with over
+// laid on it and zeros past both.  A written array's words are mem[off:],
+// filled in.  An unwritten one is read in place: over or init itself when
+// it covers the array, else a zero-padded copy, counted in *padded.
+func initWords[T float64 | int64](written bool, mem []T, off, n int, init, over []T, padded *int) []T {
+	var w []T
+	switch {
+	case written:
+		w = mem[off : off+n : off+n]
+	case len(over) >= n:
+		return over[:n:n]
+	case len(over) == 0 && len(init) >= n:
+		return init[:n:n]
+	default:
+		w = make([]T, n)
+		*padded += n
+	}
+	copy(w, init)
+	copy(w, over)
+	return w
 }
 
 // Run executes the program until halt and returns the observable state.
@@ -483,9 +529,17 @@ func (s *Sim) Step() (stalled bool, err error) {
 				return false, s.boundsErr(o, pc, t, addr)
 			}
 			if o.arrFloat {
-				s.wb(t+lat, pc, true, o.dst, s.memF[addr], 0)
+				mem := s.memF
+				if o.inPlace {
+					mem = s.arrays[o.arr].f
+				}
+				s.wb(t+lat, pc, true, o.dst, mem[addr], 0)
 			} else {
-				s.wb(t+lat, pc, false, o.dst, 0, s.memI[addr])
+				mem := s.memI
+				if o.inPlace {
+					mem = s.arrays[o.arr].i
+				}
+				s.wb(t+lat, pc, false, o.dst, 0, mem[addr])
 			}
 		case machine.ClassStore:
 			addr := s.iregs[o.src[0]] + o.disp
@@ -612,12 +666,12 @@ func prevWriter(wbs []writeback, isFloat bool, reg int32) int {
 }
 
 // State snapshots the observable program state: declared arrays and
-// result scalars.  An array some store of the program may write is a
-// fresh copy of the cell's memory.  Every other array still holds what
-// the cell was initialised with, and when that was a full-length slice —
-// the program's InitF or InitI, or a batch lane's override — State
-// returns that slice itself: shared with the program or the lane, and
-// read-only.  A short or missing initial value is copied.
+// result scalars.  An array no store of the program writes is the slice
+// the cell read it from: the program's InitF or InitI, or a batch lane's
+// override, shared and read-only, or the cell's zero-padded copy of a
+// short one.  A written array is the cell's own words once it has
+// halted, handed over (a second State returns the same slices), and a
+// fresh copy while it may still run.
 func (s *Sim) State() *ir.State {
 	src := s.prog.Src
 	var nf, ni int
@@ -636,14 +690,11 @@ func (s *Sim) State() *ir.State {
 	}
 	for i := range src.Arrays {
 		a := &src.Arrays[i]
+		live := !s.halted && s.prog.writes(i)
 		if a.Kind == ir.KindFloat {
-			init := src.InitF[a.Name]
-			if v, ok := s.laneF[a.Name]; ok && src.Array(a.Name) == a {
-				init = v // NewBatch overrode the first array of the name
-			}
-			st.FloatArrays[a.Name] = snapshot(s.floatWords(a), init, s.prog.writes(i), &s.copied)
+			st.FloatArrays[a.Name] = snapshot(s.arrays[i].f, live, &s.copied)
 		} else {
-			st.IntArrays[a.Name] = snapshot(s.intWords(a), src.InitI[a.Name], s.prog.writes(i), &s.copied)
+			st.IntArrays[a.Name] = snapshot(s.arrays[i].i, live, &s.copied)
 		}
 	}
 	for _, r := range src.Results {
@@ -656,22 +707,25 @@ func (s *Sim) State() *ir.State {
 	return st
 }
 
-// snapshot is an array's final contents: init itself when the array is
-// unwritten and init covers it, a copy of its memory words, counted in
-// copied, otherwise.
-func snapshot[T float64 | int64](words, init []T, written bool, copied *int) []T {
-	n := len(words)
-	if !written && len(init) >= n {
-		return init[:n:n]
+// snapshot is an array's words as State reports them: the words
+// themselves, or a copy, counted in copied, while a store may still
+// change them.
+func snapshot[T float64 | int64](words []T, live bool, copied *int) []T {
+	if !live {
+		return words
 	}
-	*copied += n
+	*copied += len(words)
 	return append([]T(nil), words...)
 }
 
-// Words reports the data-memory words the cell allocated and the array
-// words its last State copied out; every other array word of that State
-// is shared with the initial values.
-func (s *Sim) Words() (allocated, copied int) { return len(s.memF) + len(s.memI), s.copied }
+// Words reports the data-memory words the cell allocated — the written
+// arrays' spans and any zero-padded copy of a short initial value — and
+// the array words its last State copied out; every other array word of
+// that State is the cell's own, handed over, or shared with the initial
+// values.
+func (s *Sim) Words() (allocated, copied int) {
+	return len(s.memF) + len(s.memI) + s.padded, s.copied
+}
 
 func b2i(b bool) int64 {
 	if b {

@@ -114,10 +114,12 @@ func TestStateSharesUnwrittenInit(t *testing.T) {
 	}
 }
 
-// TestBatchLaneSharesOverride: a lane reports a read-only array it
-// overrides in full as that override, one it does not override as the
-// program's initial value, and a short override as a copy of memory;
-// every lane computes what one cell computes from the same contents.
+// TestBatchLaneSharesOverride: a lane reads a read-only array it
+// overrides in full in place and reports it as that override, one it does
+// not override as the program's initial value, and a short override as a
+// zero-padded copy; a lane that overrides a written array gets its own
+// words and leaves the override as it was.  Every lane computes what one
+// cell computes from the same contents.
 func TestBatchLaneSharesOverride(t *testing.T) {
 	m := machine.Warp()
 	_, bin := compileState(t, readMostly, m, initReadMostly)
@@ -125,12 +127,13 @@ func TestBatchLaneSharesOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, short := ramp(64, -1), ramp(4, 3)
+	full, short, overY := ramp(64, -1), ramp(4, 3), ramp(16, 7)
 	lanes := []sim.Lane{
 		{FloatArrays: map[string][]float64{"x": full}},
 		{},
 		{FloatArrays: map[string][]float64{"x": short}},
-		{FloatArrays: map[string][]float64{"y": ramp(16, 7)}},
+		{FloatArrays: map[string][]float64{"y": overY}},
+		{FloatArrays: map[string][]float64{"y": overY, "x": full}},
 	}
 	res, err := sim.NewBatch(prog, lanes).Run(context.Background())
 	if err != nil {
@@ -164,8 +167,191 @@ func TestBatchLaneSharesOverride(t *testing.T) {
 	if sameArray(x(2), short) || sameArray(x(2), bin.InitF["x"]) || x(2)[0] != short[0] || x(2)[63] != bin.InitF["x"][63] {
 		t.Error("lane 2's x is not a copy of its short override over the program's x")
 	}
-	if sameArray(res[3].State.FloatArrays["y"], lanes[3].FloatArrays["y"]) {
-		t.Error("lane 3 shares its override of written y")
+	if !sameArray(x(4), full) {
+		t.Error("lane 4 does not report its full override of read-only x")
+	}
+	y3, y4 := res[3].State.FloatArrays["y"], res[4].State.FloatArrays["y"]
+	if sameArray(y3, overY) || sameArray(y4, overY) || sameArray(y3, y4) {
+		t.Error("lanes 3 and 4 do not each own the words of written y they override")
+	}
+	for i, v := range ramp(16, 7) {
+		if overY[i] != v {
+			t.Fatalf("a lane wrote its override of y: y[%d] = %v, was %v", i, overY[i], v)
+		}
+	}
+}
+
+// TestCellsOfOneProgramAreIndependent: two cells of one decoded program,
+// run back to back, start from the same contents: the second never sees
+// the first's writes, and the first's State, whose written words are
+// that cell's own, does not change when the second runs.  A halted
+// cell's State hands those words over, so a second State returns the
+// same slices and copies nothing.
+func TestCellsOfOneProgramAreIndependent(t *testing.T) {
+	m := machine.Warp()
+	_, bin := compileState(t, readMostly, m, initReadMostly)
+	prog, err := sim.Decode(bin, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := sim.NewCell(prog)
+	st1, err := first.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	y1 := append([]float64(nil), st1.FloatArrays["y"]...)
+	st2, err := sim.NewCell(prog).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := st1.Diff(st2); d != "" {
+		t.Errorf("the second cell differs from the first: %s", d)
+	}
+	for i, v := range st1.FloatArrays["y"] {
+		if v != y1[i] {
+			t.Fatalf("the second run changed the first's y[%d] to %v, was %v", i, v, y1[i])
+		}
+	}
+	if sameArray(st1.FloatArrays["y"], st2.FloatArrays["y"]) {
+		t.Error("two cells report the same words of written y")
+	}
+	if again := first.State(); !sameArray(again.FloatArrays["y"], st1.FloatArrays["y"]) {
+		t.Error("a halted cell's second State copied written y")
+	}
+	if alloc, copied := first.Words(); alloc != 16+16 || copied != 0 {
+		t.Errorf("Words() = %d allocated, %d copied; want y and z's padded copy (32) and none", alloc, copied)
+	}
+}
+
+// TestStateOfUnhaltedCellCopies: a cell stopped by MaxCycles may still
+// run, so its State copies the written arrays (each State afresh) and
+// shares only the read-only ones.
+func TestStateOfUnhaltedCellCopies(t *testing.T) {
+	m := machine.Warp()
+	_, bin := compileState(t, readMostly, m, initReadMostly)
+	prog, err := sim.Decode(bin, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sim.NewCell(prog)
+	c.MaxCycles = 20
+	if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "exceeded 20 cycles") {
+		t.Fatalf("Run with MaxCycles 20 = %v, want a cycle overrun", err)
+	}
+	a, b := c.State(), c.State()
+	if sameArray(a.FloatArrays["y"], b.FloatArrays["y"]) {
+		t.Error("an unhalted cell's State hands out written y")
+	}
+	if !sameArray(a.FloatArrays["x"], bin.InitF["x"]) {
+		t.Error("an unhalted cell's State copies read-only x")
+	}
+	if _, copied := c.Words(); copied != 16 {
+		t.Errorf("an unhalted cell's State copied %d words, want y's 16", copied)
+	}
+}
+
+// shortInit reads a float array with a short initial value, one with none
+// and an int array with a short one.
+const shortInit = `
+program shortinit;
+var a: array [0..31] of real;
+    b: array [0..31] of real;
+    n: array [0..31] of int;
+    y: array [0..31] of real;
+    i: int;
+begin
+  for i := 0 to 31 do
+    y[i] := a[i] + b[i] + float(n[i]);
+end.
+`
+
+// TestShortInitReadsZeros: a read-only array whose initial value is
+// short, or missing, reads zeros past its end, on the fast path and
+// step-only, and is reported as the cell's zero-padded copy.
+func TestShortInitReadsZeros(t *testing.T) {
+	m := machine.Warp()
+	_, bin := compileState(t, shortInit, m, func(p *ir.Program) {
+		p.Array("a").InitF = ramp(8, 1)
+		p.Array("n").InitI = []int64{100, 200, 300, 400}
+	})
+	step, _, err := sim.Run(bin, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*ir.State{"fast": fastRun(t, bin, m), "step": step} {
+		for i, v := range st.FloatArrays["y"] {
+			want := 0.0
+			if i < 8 {
+				want += float64(i + 1)
+			}
+			if i < 4 {
+				want += float64(100 * (i + 1))
+			}
+			if v != want {
+				t.Errorf("%s: y[%d] = %v, want %v", name, i, v, want)
+			}
+		}
+		a, b, n := st.FloatArrays["a"], st.FloatArrays["b"], st.IntArrays["n"]
+		if len(a) != 32 || len(b) != 32 || len(n) != 32 || a[7] != 8 || a[8] != 0 || b[31] != 0 || n[3] != 400 || n[4] != 0 {
+			t.Errorf("%s: a, b, n = %v, %v, %v: want 32 words each, zero past the initial values", name, a, b, n)
+		}
+		if sameArray(a, bin.InitF["a"]) || sameArray(n, bin.InitI["n"]) {
+			t.Errorf("%s: a short initial value is reported as itself", name)
+		}
+	}
+}
+
+// oobLoad reads x, which no store writes, one word past its end at
+// i = 64; oobStore stores one word past y, which it writes.
+const (
+	oobLoad = `
+program oobload;
+var x: array [0..63] of real;
+    y: array [0..99] of real;
+    i: int;
+begin
+  for i := 0 to 99 do
+    y[i] := x[i] * 2.0;
+end.
+`
+	oobStore = `
+program oobstore;
+var x: array [0..99] of real;
+    y: array [0..63] of real;
+    i: int;
+begin
+  for i := 0 to 99 do
+    y[i] := x[i] * 2.0;
+end.
+`
+)
+
+// TestBoundsErrorsPinned: an out-of-bounds load from a read-only array,
+// read in place, and a store past a written one fail with the same text,
+// pc and cycle on the fast path (a 100-iteration kernel that faults in
+// its 65th) and step-only, as they did when every array lived in one
+// cell memory.
+func TestBoundsErrorsPinned(t *testing.T) {
+	m := machine.Warp()
+	for _, c := range []struct{ src, want string }{
+		{oobLoad, "sim: @19 cycle 73: x[64] out of bounds (size 64)"},
+		{oobStore, "sim: @19 cycle 83: y[64] out of bounds (size 64)"},
+	} {
+		_, bin := compileState(t, c.src, m, func(*ir.Program) {})
+		prog, err := sim.Decode(bin, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.Blocks() == 0 {
+			t.Fatal("no fast-path block to fault in")
+		}
+		_, fastErr := sim.NewCell(prog).Run()
+		_, _, stepErr := sim.Run(bin, m)
+		for name, err := range map[string]error{"fast": fastErr, "step": stepErr} {
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s: %v, want %q", name, err, c.want)
+			}
+		}
 	}
 }
 

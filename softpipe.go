@@ -179,8 +179,9 @@ type Object struct {
 
 // ParseSource compiles W2-like source text to IR.  Array inputs are
 // zero-filled; set Program.Array(name).InitF before compiling/running.
-// The compiled object shares InitF, and a run reports an array no store
-// writes as that slice, so InitF must not change after compiling.
+// The compiled object shares InitF, and a run reads an array no store
+// writes from that slice in place and reports it as that slice, so InitF
+// must not change after compiling.
 func ParseSource(src string) (*Program, error) { return lang.Compile(src) }
 
 // CompileSource parses and compiles W2-like source for machine m.
@@ -226,7 +227,8 @@ func (o *Object) Disassemble() string { return o.Binary.String() }
 type Result struct {
 	// State is the final program state.  An array no store of the
 	// program writes shares its initial contents (the source's InitF or
-	// InitI) and is read-only; a written array is the result's own copy.
+	// InitI) and is read-only; a written array is the result's own: the
+	// words the run wrote, handed over, not a copy.
 	State       *State
 	Cycles      int64
 	Flops       int64
