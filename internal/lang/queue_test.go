@@ -8,6 +8,7 @@ import (
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 	"softpipe/internal/sim"
+	"softpipe/internal/vliw"
 )
 
 // TestPaperReadAddWrite realizes the paper's §2 example on its real
@@ -73,7 +74,7 @@ end.
 
 	// Ten cells chained: each adds 1.0, and the array stays pipelined
 	// across cells (wall clock well under 10 sequential passes).
-	arr := sim.NewHomogeneousArray(prog, m, 10, input)
+	arr := homogeneousArray(prog, m, 10, input)
 	out, _, err := arr.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ end.
 		t.Fatalf("not pipelined: %+v", rep.Loops[0])
 	}
 	input := make([]float64, 64)
-	arr := sim.NewHomogeneousArray(prog, m, 4, input)
+	arr := homogeneousArray(prog, m, 4, input)
 	out, _, err := arr.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -300,4 +301,14 @@ end.
 	if err == nil || !strings.Contains(err.Error(), "unroll must precede a for loop") {
 		t.Fatalf("want parse error, got %v", err)
 	}
+}
+
+// homogeneousArray runs prog on n cells of one decoded program.
+func homogeneousArray(prog *vliw.Program, m *machine.Machine, n int, input []float64) *sim.Array {
+	var d sim.Decoded
+	cells := make([]*sim.Sim, n)
+	for i := range cells {
+		cells[i] = d.Cell(prog, m, nil)
+	}
+	return sim.NewArrayCells(cells, input)
 }

@@ -9,7 +9,7 @@ import (
 
 // Effort selects the scheduling backend: the paper's near-optimal
 // heuristic, or the exact branch-and-bound search that proves optimality
-// (ROADMAP item 2; cf. Roorda's SMT formulation and the Lund CP study).
+// (ROADMAP item 23; cf. Roorda's SMT formulation and the Lund CP study).
 type Effort int
 
 // Efforts.

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sync"
 
 	"softpipe/internal/cache"
 	"softpipe/internal/machine"
@@ -16,8 +15,8 @@ import (
 
 // entry is what the cache holds for one compile: the compiled object
 // itself, never its JSON.  job.compile fills it from the compile result
-// it has in hand; after that everything but prog is read-only, shared by
-// every request that finds the entry.
+// it has in hand; after that everything but the decoded programs in progs
+// is read-only, shared by every request that finds the entry.
 type entry struct {
 	key cache.Key
 	// sha is object_sha256, the digest of the entry's wire form (wire),
@@ -37,25 +36,18 @@ type entry struct {
 	estMII    []int
 	cutWidths []int
 	warnings  []string
-
-	// mu guards prog, the single-cell binary decoded for the simulator,
-	// fast-path blocks attached: built by the first /run and shared by
-	// every later one (a sim.Program is immutable, cells hold all run
-	// state).
-	mu   sync.Mutex
-	prog *sim.Program
+	// progs[i] is bins[i] decoded for the simulator, built by the first
+	// /run that needs it and shared by every later one.
+	progs []sim.Decoded
 }
-
-// decodeProgram is sim.Decode; the tests count its calls.
-var decodeProgram = sim.Decode
 
 // What an entry is charged, in bytes: a base for the entry itself, its
 // machine model and the cache's bookkeeping; per instruction word and per
 // slot operation as the compiler holds them (a 48-byte vliw.Instr, a
 // 64-byte vliw.SlotOp), and per rotating operand the rings behind it (a
-// 96-byte vliw.Rings an op, four bytes a ring register); the one
-// sim.Program a /run decodes from them (a single-cell entry only); per
-// word of initial data; and the reply header's loop table.  The base is
+// 96-byte vliw.Rings an op, four bytes a ring register); the sim.Program
+// a /run decodes from each binary; per word of initial data; and the
+// reply header's loop table.  The base is
 // measured on the live heap of the Livermore kernels and seeded sources
 // compiled without a run.  The decoded costs are fitted: charged at fill,
 // they stand for a program most cold entries never build, and they keep
@@ -75,10 +67,12 @@ const (
 	loopCost     = 160
 )
 
-// seal finishes a filled entry: it hashes the wire form for object_sha256
-// and returns the entry's charge, which covers its binaries, its reply
-// header and, for a single-cell entry, the sim.Program a /run will build.
+// seal finishes a filled entry: it makes room for its binaries' decoded
+// forms, hashes the wire form for object_sha256 and returns the entry's
+// charge, which covers its binaries, its reply header and the sim.Program
+// a /run will build from each binary.
 func (e *entry) seal() (int64, error) {
+	e.progs = make([]sim.Decoded, len(e.bins))
 	data, err := json.Marshal(e.wire())
 	if err != nil {
 		return 0, err
@@ -91,15 +85,11 @@ func (e *entry) seal() (int64, error) {
 		l := &e.loops[i]
 		n += int64(loopCost + len(l.Reason) + len(l.Effort) + len(l.Explain))
 	}
-	wordCost, opCost := int64(binWordCost), int64(binOpCost)
-	if e.cells == 0 {
-		wordCost, opCost = wordCost+progWordCost, opCost+progOpCost
-	}
 	for _, b := range e.bins {
-		n += wordCost * int64(len(b.Instrs))
+		n += (binWordCost + progWordCost) * int64(len(b.Instrs))
 		for i := range b.Instrs {
 			in := &b.Instrs[i]
-			n += opCost * int64(len(in.Ops))
+			n += (binOpCost + progOpCost) * int64(len(in.Ops))
 			n += ringRegCost * int64(len(in.Ctl.Ring()))
 			for j := range in.Ops {
 				if r := in.Ops[j].Rings; r != nil {
@@ -147,21 +137,15 @@ func (e *entry) wire() any {
 	}
 }
 
-// program returns the single-cell binary decoded for the simulator, made
-// by the first run that needs it.
+// program returns the single-cell binary decoded for the simulator.
 func (e *entry) program() (*sim.Program, error) {
 	if e.cells > 0 {
 		return nil, &requestError{http.StatusUnprocessableEntity,
 			errors.New("key names a partitioned artifact: run it from source with partition set")}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.prog == nil {
-		p, err := decodeProgram(e.bins[0], e.m)
-		if err != nil {
-			return nil, &requestError{http.StatusUnprocessableEntity, err}
-		}
-		e.prog = p
+	p, err := e.progs[0].Program(e.bins[0], e.m)
+	if err != nil {
+		return nil, &requestError{http.StatusUnprocessableEntity, err}
 	}
-	return e.prog, nil
+	return p, nil
 }

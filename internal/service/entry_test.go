@@ -9,13 +9,10 @@ import (
 	"regexp"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"softpipe/internal/cache"
-	"softpipe/internal/machine"
 	"softpipe/internal/sim"
-	"softpipe/internal/vliw"
 	"softpipe/internal/workloads"
 )
 
@@ -58,16 +55,11 @@ var elapsedLine = regexp.MustCompile(`"(elapsed_ms|batch_runs_per_sec)": [^\n]*\
 // stable is a reply body without the fields that time the request.
 func stable(body []byte) string { return string(elapsedLine.ReplaceAll(body, nil)) }
 
-// countPrograms counts the sim.Programs entries build for the rest of the
-// test.
-func countPrograms(t *testing.T) *atomic.Int64 {
-	var n atomic.Int64
-	decodeProgram = func(p *vliw.Program, m *machine.Machine) (*sim.Program, error) {
-		n.Add(1)
-		return sim.Decode(p, m)
-	}
-	t.Cleanup(func() { decodeProgram = sim.Decode })
-	return &n
+// countPrograms returns how many programs the process has decoded since
+// it was called, partitioned cells and step-only runs included.
+func countPrograms() func() int64 {
+	n0 := sim.Decodes()
+	return func() int64 { return sim.Decodes() - n0 }
 }
 
 // resident returns the entry the cache holds for a key a reply named.
@@ -92,14 +84,14 @@ func resident(t *testing.T, s *Server, key string) *entry {
 func TestWarmHitParsesNothing(t *testing.T) {
 	s := newTestServer(t, Config{})
 	src := livermoreSource(t, 7)
-	programs := countPrograms(t)
+	programs := countPrograms()
 
 	var miss CompileResponse
 	code, missBody := rawPost(s, "/compile", CompileRequest{Source: src})
 	if code != http.StatusOK || json.Unmarshal(missBody, &miss) != nil || miss.Cached {
 		t.Fatalf("miss: status %d cached=%v", code, miss.Cached)
 	}
-	if n := programs.Load(); n != 0 {
+	if n := programs(); n != 0 {
 		t.Fatalf("a miss answered by /compile built %d sim.Programs", n)
 	}
 
@@ -132,7 +124,7 @@ func TestWarmHitParsesNothing(t *testing.T) {
 			t.Fatalf("run %d answered differently:\n%s\nvs\n%s", i, stable(body), want["run"])
 		}
 	}
-	if n := programs.Load(); n != 1 {
+	if n := programs(); n != 1 {
 		t.Fatalf("%d sim.Programs built after one miss, 50 warm /compile and 50 /run; want 1 (the first run)", n)
 	}
 }
@@ -166,7 +158,7 @@ func TestConcurrentRunsShareOneDecode(t *testing.T) {
 	if code, _ := post(t, s, "/compile", CompileRequest{Source: src}, &miss); code != http.StatusOK {
 		t.Fatalf("compile: status %d", code)
 	}
-	programs := countPrograms(t)
+	programs := countPrograms()
 
 	const n = 32
 	resps := make([]RunResponse, 2*n+2)
@@ -215,21 +207,21 @@ func TestConcurrentRunsShareOneDecode(t *testing.T) {
 	if arr := resps[2*n+1]; arr.Cycles < ref.Cycles || fmt.Sprint(arr.Scalars) != fmt.Sprint(ref.Scalars) {
 		t.Fatalf("array run: %d cycles %v, single cell had %d cycles %v", arr.Cycles, arr.Scalars, ref.Cycles, ref.Scalars)
 	}
-	if n := programs.Load(); n != 1 {
+	if n := programs(); n != 1 {
 		t.Fatalf("%d concurrent runs of one entry built %d sim.Programs; want 1", len(resps), n)
 	}
-	if e := resident(t, s, miss.Key); e.prog == nil {
-		t.Fatal("the entry does not hold the program its runs built")
+	if _, err := resident(t, s, miss.Key).program(); err != nil || programs() != 1 {
+		t.Fatalf("the entry does not hold the program its runs built (%v)", err)
 	}
 }
 
-// TestPartitionedRunsShareOneDecode: every run of a partitioned key steps
-// the cell binaries its compile made, shared read-only, and none builds a
-// single-cell sim.Program; its key, given to a plain /run, is refused
-// instead of running one cell's fragment alone.
+// TestPartitionedRunsShareOneDecode: nine runs of a partitioned key, eight
+// of them at once, step the cell binaries its compile made, each decoded
+// once by the entry and shared read-only; its key, given to a plain /run,
+// is refused instead of running one cell's fragment alone.
 func TestPartitionedRunsShareOneDecode(t *testing.T) {
 	s := newTestServer(t, Config{MaxConcurrent: 4, MaxQueue: 64})
-	programs := countPrograms(t)
+	programs := countPrograms()
 	req := RunRequest{Source: saxpySrc, Cells: 2, Partition: true}
 	var cold RunResponse
 	if code, _ := post(t, s, "/run", req, &cold); code != http.StatusOK || cold.Cached {
@@ -255,11 +247,11 @@ func TestPartitionedRunsShareOneDecode(t *testing.T) {
 			t.Fatalf("warm partitioned run %d:\n%+v\nthe cold run answered\n%+v", i, r, cold)
 		}
 	}
-	if n := programs.Load(); n != 0 {
-		t.Fatalf("nine partitioned runs of one key built %d sim.Programs; want 0", n)
+	if n := programs(); n != 2 {
+		t.Fatalf("nine partitioned runs of one key on two cells decoded %d programs; want 2", n)
 	}
-	if e := resident(t, s, cold.Key); e.cells != 2 || len(e.bins) != 2 || e.prog != nil {
-		t.Fatalf("partitioned entry: cells=%d binaries=%d program=%v", e.cells, len(e.bins), e.prog != nil)
+	if e := resident(t, s, cold.Key); e.cells != 2 || len(e.bins) != 2 || len(e.progs) != 2 {
+		t.Fatalf("partitioned entry: cells=%d binaries=%d programs=%d", e.cells, len(e.bins), len(e.progs))
 	}
 	var e errorResponse
 	if code, _ := post(t, s, "/run", RunRequest{Key: cold.Key}, &e); code != http.StatusUnprocessableEntity {
@@ -273,7 +265,7 @@ func TestPartitionedRunsShareOneDecode(t *testing.T) {
 // program was charged when the entry was filled.
 func TestRunDecodesOneProgram(t *testing.T) {
 	s := newTestServer(t, Config{})
-	programs := countPrograms(t)
+	programs := countPrograms()
 	var miss CompileResponse
 	if code, _ := post(t, s, "/compile", CompileRequest{Source: livermoreSource(t, 7)}, &miss); code != http.StatusOK {
 		t.Fatalf("compile: status %d", code)
@@ -291,7 +283,7 @@ func TestRunDecodesOneProgram(t *testing.T) {
 			t.Fatalf("run with engine %q answered differently:\n%s\nvs\n%s", eng, stable(body), want)
 		}
 	}
-	if n := programs.Load(); n != 1 {
+	if n := programs(); n != 1 {
 		t.Fatalf("three runs of one key built %d sim.Programs; want 1", n)
 	}
 	if grew := s.CacheStats().Bytes - bytes0; grew != 0 {

@@ -212,20 +212,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Partition {
-		s.handleRunPartitioned(ctx, w, &req, t0)
-		return
-	}
 
 	e, hit, err := s.entryFor(ctx, &req)
 	if err != nil {
 		s.writeRequestError(w, err)
 		return
 	}
-	prog, err := e.program()
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
+	// A partitioned entry has no single-cell program to run.
+	var prog *sim.Program
+	if !req.Partition {
+		if prog, err = e.program(); err != nil {
+			s.writeRequestError(w, err)
+			return
+		}
 	}
 
 	resp := RunResponse{Key: e.key.String(), Cached: hit}
@@ -264,9 +263,16 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			resp.BatchRunsPerSec = float64(len(results)) / elapsed
 		}
 	case req.Cells > 1:
-		cells := make([]*sim.Sim, req.Cells)
+		// A homogeneous array's cells share the entry's one program; cell i
+		// of a partitioned array starts from binary i.
+		n := req.Cells
+		if req.Partition {
+			n = e.cells
+		}
+		cells := make([]*sim.Sim, n)
 		for i := range cells {
-			cells[i] = sim.NewCell(prog)
+			j := i % len(e.bins)
+			cells[i] = e.progs[j].Cell(e.bins[j], e.m, nil)
 		}
 		arr := sim.NewArrayCells(cells, req.Input)
 		arr.Ctx = ctx
@@ -281,6 +287,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		resp.Output = toJSONFloats(out)
 		if last != nil {
 			resp.Scalars = toJSONScalars(last.Scalars)
+		}
+		if req.Partition {
+			resp.CutWidths = e.cutWidths
+			for i, cm := range arr.Metrics() {
+				cs := CellRunStats{Cell: i, StallCycles: cm.StallCycles, MaxInQueue: cm.MaxInQueue}
+				if i < len(e.cellII) {
+					cs.II = e.cellII[i]
+				}
+				if i < len(e.estMII) {
+					cs.EstMII = e.estMII[i]
+				}
+				resp.CellStats = append(resp.CellStats, cs)
+			}
+			s.noteArrayRun(resp.CellStats)
 		}
 	default:
 		cell := sim.NewCell(prog)
@@ -302,9 +322,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // entryFor obtains the cache entry for a run request: by content address
-// when Key is set, otherwise by compiling Source through the cache.
+// when Key is set, otherwise by compiling Source through the cache, split
+// across Cells cells when Partition is set.
 func (s *Server) entryFor(ctx context.Context, req *RunRequest) (*entry, bool, error) {
-	if req.Key != "" {
+	if req.Key != "" && !req.Partition {
 		key, err := cache.ParseKey(req.Key)
 		if err != nil {
 			return nil, false, &requestError{http.StatusBadRequest, err}
@@ -315,7 +336,11 @@ func (s *Server) entryFor(ctx context.Context, req *RunRequest) (*entry, bool, e
 		}
 		return v.(*entry), true, nil
 	}
-	j, err := resolveJob(req.Source, req.Machine, req.Options, 0)
+	cells := 0
+	if req.Partition {
+		cells = req.Cells
+	}
+	j, err := resolveJob(req.Source, req.Machine, req.Options, cells)
 	if err != nil {
 		return nil, false, err
 	}
@@ -380,55 +405,6 @@ func (j *job) compilePartitioned(opts softpipe.Options) (*entry, error) {
 	}
 	e.cells = len(e.bins)
 	return e, nil
-}
-
-// handleRunPartitioned is POST /run with partition=true: compile the
-// source as an auto-partitioned array (through the cache), run it on
-// the array, and report per-cell II/stall/occupancy stats.
-func (s *Server) handleRunPartitioned(ctx context.Context, w http.ResponseWriter, req *RunRequest, t0 time.Time) {
-	j, err := resolveJob(req.Source, req.Machine, req.Options, req.Cells)
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
-	}
-	e, hit, err := s.compileCached(ctx, j, nil)
-	if err != nil {
-		s.writeRequestError(w, err)
-		return
-	}
-	arr := sim.NewArray(e.bins, e.m, req.Input)
-	arr.Ctx = ctx
-	out, last, err := arr.Run()
-	if err != nil {
-		s.writeRequestError(w, classifyRunErr(err))
-		return
-	}
-	st := arr.Stats()
-	resp := RunResponse{
-		Key:       j.key.String(),
-		Cached:    hit,
-		Cycles:    st.Cycles,
-		Flops:     st.Flops,
-		MFLOPS:    st.MFLOPS(j.m, 1),
-		Output:    toJSONFloats(out),
-		CutWidths: e.cutWidths,
-	}
-	if last != nil {
-		resp.Scalars = toJSONScalars(last.Scalars)
-	}
-	for i, cm := range arr.Metrics() {
-		cs := CellRunStats{Cell: i, StallCycles: cm.StallCycles, MaxInQueue: cm.MaxInQueue}
-		if i < len(e.cellII) {
-			cs.II = e.cellII[i]
-		}
-		if i < len(e.estMII) {
-			cs.EstMII = e.estMII[i]
-		}
-		resp.CellStats = append(resp.CellStats, cs)
-	}
-	s.noteArrayRun(resp.CellStats)
-	resp.ElapsedMS = float64(time.Since(t0).Microseconds()) / 1e3
-	s.reply(w, http.StatusOK, resp)
 }
 
 // classifyRunErr maps simulator failures: deadline → 504, deadlock or

@@ -526,8 +526,8 @@ func TestRunMatchesStepOnly(t *testing.T) {
 		t.Fatalf("run: status %d", code)
 	}
 	e := resident(t, s, fast.Key)
-	if e.prog == nil || e.prog.Blocks() == 0 {
-		t.Fatal("no fast-path block to compare")
+	if p, err := e.program(); err != nil || p.Blocks() == 0 {
+		t.Fatalf("no fast-path block to compare (%v)", err)
 	}
 	st, ref, err := sim.Run(e.bins[0], e.m)
 	if err != nil {

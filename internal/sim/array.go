@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"softpipe/internal/ir"
-	"softpipe/internal/machine"
-	"softpipe/internal/vliw"
 )
 
 // Array simulates a linear Warp array: cells connected by bounded FIFO
@@ -57,22 +55,13 @@ func (a *Array) Metrics() []CellMetrics { return a.metrics }
 // QueueCapacity matches the Warp cell's 512-word channel queues.
 const QueueCapacity = 512
 
-// NewArray builds an array of len(progs) cells.  The host input is
-// preloaded on the first cell's input channel; the last cell's sends
-// accumulate as the array output.
-func NewArray(progs []*vliw.Program, m *machine.Machine, input []float64) *Array {
-	cells := make([]*Sim, len(progs))
-	for i, p := range progs {
-		cells[i] = New(p, m)
-	}
-	return NewArrayCells(cells, input)
-}
-
-// NewArrayCells wires pre-built cells into a linear array: bounded queues
-// between adjacent cells, unbounded host queues at both ends, input
-// preloaded on the first cell's channel.  An array only ever Steps its
-// cells, so whether their program carries fast-path blocks makes no
-// difference here.
+// NewArrayCells wires cells into a linear array: bounded queues between
+// adjacent cells, unbounded host queues at both ends, input preloaded on
+// the first cell's channel; the last cell's sends accumulate as the array
+// output.  Cells of one program share it (Decoded.Cell, NewCell: the
+// shape of all the paper's measured applications, §4.1).  An array only
+// ever Steps its cells, so whether their program carries fast-path
+// blocks makes no difference here.
 func NewArrayCells(cells []*Sim, input []float64) *Array {
 	a := &Array{Cells: cells}
 	a.queues = make([]*Queue, len(cells)+1)
@@ -89,17 +78,6 @@ func NewArrayCells(cells []*Sim, input []float64) *Array {
 	}
 	a.metrics = make([]CellMetrics, len(cells))
 	return a
-}
-
-// NewHomogeneousArray runs the same cell program on n cells (the shape of
-// all the paper's measured applications, §4.1), decoded once and shared.
-func NewHomogeneousArray(p *vliw.Program, m *machine.Machine, n int, input []float64) *Array {
-	prog := decode(p, m)
-	cells := make([]*Sim, n)
-	for i := range cells {
-		cells[i] = NewCell(prog)
-	}
-	return NewArrayCells(cells, input)
 }
 
 // Run steps every cell until all halt, then drains in-flight writes.

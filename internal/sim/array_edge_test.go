@@ -51,7 +51,7 @@ func TestArraySingleCellIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := NewArray([]*vliw.Program{storeProgram(4)}, m, input)
+	a := stepArray([]*vliw.Program{storeProgram(4)}, m, input)
 	out, ast, err := a.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestArraySingleCellIdentity(t *testing.T) {
 func TestArrayStallForeverNamesCell(t *testing.T) {
 	m := machine.Warp()
 	// Producer sends 5 words and halts; consumer wants 10.
-	a := NewArray([]*vliw.Program{relayProgram(5, 0), relayProgram(10, 0)}, m, []float64{1, 2, 3, 4, 5})
+	a := stepArray([]*vliw.Program{relayProgram(5, 0), relayProgram(10, 0)}, m, []float64{1, 2, 3, 4, 5})
 	_, _, err := a.Run()
 	if err == nil {
 		t.Fatal("starved consumer must deadlock")
@@ -114,7 +114,7 @@ func TestArrayHostQueueBudget(t *testing.T) {
 				Ctl: vliw.Ctl{Kind: vliw.CtlJump, Target: 1}},
 		},
 	}
-	a := NewArray([]*vliw.Program{runaway}, m, nil)
+	a := stepArray([]*vliw.Program{runaway}, m, nil)
 	a.HostQueueBudget = 1000
 	_, _, err := a.Run()
 	if err == nil {

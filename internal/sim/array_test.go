@@ -58,11 +58,20 @@ func TestTapeUnderflowDetected(t *testing.T) {
 	}
 }
 
+// stepArray is NewArrayCells over a step-only cell of each program.
+func stepArray(progs []*vliw.Program, m *machine.Machine, input []float64) *Array {
+	cells := make([]*Sim, len(progs))
+	for i, p := range progs {
+		cells[i] = New(p, m)
+	}
+	return NewArrayCells(cells, input)
+}
+
 func TestArrayRelayChain(t *testing.T) {
 	m := machine.Warp()
 	// Three cells each add 10; input 1..5 → output 31..35.
 	progs := []*vliw.Program{relayProgram(5, 10), relayProgram(5, 10), relayProgram(5, 10)}
-	a := NewArray(progs, m, []float64{1, 2, 3, 4, 5})
+	a := stepArray(progs, m, []float64{1, 2, 3, 4, 5})
 	out, _, err := a.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +110,7 @@ func TestArrayDeadlockDetected(t *testing.T) {
 			{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}},
 		},
 	}
-	a := NewArray([]*vliw.Program{p}, m, nil)
+	a := stepArray([]*vliw.Program{p}, m, nil)
 	if _, _, err := a.Run(); err == nil {
 		t.Fatal("empty-input receive must deadlock, not hang")
 	}
@@ -128,7 +137,7 @@ func TestQueueBackpressure(t *testing.T) {
 		},
 	}
 	consumer := relayProgram(600, 0)
-	a := NewArray([]*vliw.Program{producer, consumer}, m, nil)
+	a := stepArray([]*vliw.Program{producer, consumer}, m, nil)
 	out, _, err := a.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -40,7 +40,7 @@ func TestArrayMixedEngines(t *testing.T) {
 	m := machine.Warp()
 	input := []float64{1, 2, 3, 4, 5}
 
-	ref := sim.NewArray([]*vliw.Program{relay(5, 10), relay(5, 10)}, m, input)
+	ref := sim.NewArrayCells([]*sim.Sim{sim.New(relay(5, 10), m), sim.New(relay(5, 10), m)}, input)
 	wantOut, _, err := ref.Run()
 	if err != nil {
 		t.Fatal(err)

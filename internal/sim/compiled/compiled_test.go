@@ -112,7 +112,7 @@ func TestDifferentialArray(t *testing.T) {
 
 	runBoth := func(t *testing.T, mk func() *sim.Sim, cells int, input []float64) {
 		t.Helper()
-		ref := sim.NewHomogeneousArray(cellProg, m, cells, input)
+		ref := stepArray(cellProg, m, cells, input)
 		wantOut, wantSt, wantErr := ref.Run()
 
 		cc := make([]*sim.Sim, cells)
@@ -155,7 +155,7 @@ func TestDifferentialArray(t *testing.T) {
 	t.Run("mixed-engines", func(t *testing.T) {
 		// Interleave interpreter and compiled cells in one array: the
 		// Cell interface promises they are interchangeable mid-pipeline.
-		ref := sim.NewHomogeneousArray(cellProg, m, 4, input)
+		ref := stepArray(cellProg, m, 4, input)
 		wantOut, wantSt, err := ref.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -450,4 +450,14 @@ func compileW2(t *testing.T, src string, m *machine.Machine) *vliw.Program {
 		t.Fatal(err)
 	}
 	return bin
+}
+
+// stepArray is the step-only reference array: n cells of p, each built by
+// sim.New.
+func stepArray(p *vliw.Program, m *machine.Machine, n int, input []float64) *sim.Array {
+	cells := make([]*sim.Sim, n)
+	for i := range cells {
+		cells[i] = sim.New(p, m)
+	}
+	return sim.NewArrayCells(cells, input)
 }

@@ -37,7 +37,7 @@ func recvForever() *vliw.Program {
 // operation, and the queue occupancy.
 func TestArrayDeadlockFailsFast(t *testing.T) {
 	m := machine.Warp()
-	a := NewArray([]*vliw.Program{haltOnly(), recvForever()}, m, nil)
+	a := stepArray([]*vliw.Program{haltOnly(), recvForever()}, m, nil)
 	a.MaxCycles = 1_000_000
 	_, _, err := a.Run()
 	if err == nil {
@@ -90,7 +90,7 @@ func TestArrayDeadlockOnFullQueue(t *testing.T) {
 		},
 	}
 	m := machine.Warp()
-	a := NewArray([]*vliw.Program{producer, consumer}, m, nil)
+	a := stepArray([]*vliw.Program{producer, consumer}, m, nil)
 	a.MaxCycles = 1_000_000
 	_, _, err := a.Run()
 	if err == nil {

@@ -3,9 +3,12 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
+	"softpipe/internal/trace"
 	"softpipe/internal/vliw"
 )
 
@@ -102,17 +105,58 @@ type Program struct {
 // and attaches the steady-state blocks Run may engage (fast.go); Step is
 // unaffected.
 func Decode(p *vliw.Program, m *machine.Machine) (*Program, error) {
-	d := decode(p, m)
-	if d.err != nil {
-		return nil, d.err
-	}
-	d.buildBlocks()
-	return d, nil
+	return new(Decoded).Program(p, m)
 }
+
+// Decoded is one binary's decoded form, built on first use and shared
+// read-only after.  Its zero value is ready, and its first use may be
+// concurrent.  It must not be copied: a copy of an object whose binary
+// then changes must decode that binary for itself.
+type Decoded struct {
+	once sync.Once
+	prog *Program
+}
+
+// load decodes p for m on the first call, traced as a "sim.decode" span
+// on tr, and returns that program on every call.
+func (d *Decoded) load(p *vliw.Program, m *machine.Machine, tr *trace.Tracer) *Program {
+	d.once.Do(func() {
+		sp := tr.Begin("sim.decode")
+		if d.prog = decode(p, m); d.prog.err == nil {
+			d.prog.buildBlocks()
+		}
+		sp.End()
+	})
+	return d.prog
+}
+
+// Program is Decode(p, m) made on the first call and returned by every
+// later one; p and m must be the same on every call.
+func (d *Decoded) Program(p *vliw.Program, m *machine.Machine) (*Program, error) {
+	prog := d.load(p, m, nil)
+	if prog.err != nil {
+		return nil, prog.err
+	}
+	return prog, nil
+}
+
+// Cell is a new cell of Program(p, m), whose decode, if this call makes
+// it, is traced on tr.  If p does not decode, the cell says why on its
+// first Step, as New's does.
+func (d *Decoded) Cell(p *vliw.Program, m *machine.Machine, tr *trace.Tracer) *Sim {
+	return NewCell(d.load(p, m, tr))
+}
+
+var decodes atomic.Int64
+
+// Decodes counts the programs this process has decoded, step-only ones
+// included: the tests hold each run surface to one decode a binary.
+func Decodes() int64 { return decodes.Load() }
 
 // decode is Decode without blocks; a failure is kept in the program's err
 // (New defers it to the first Step).
 func decode(p *vliw.Program, m *machine.Machine) *Program {
+	decodes.Add(1)
 	// A power of two, so a due cycle's ring slot is a mask, not a division.
 	ringLen := 2
 	for maxLat := m.MaxLatency(); ringLen <= maxLat; {

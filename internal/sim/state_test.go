@@ -3,6 +3,7 @@ package sim_test
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"softpipe"
@@ -220,6 +221,71 @@ func TestCellsOfOneProgramAreIndependent(t *testing.T) {
 	}
 	if alloc, copied := first.Words(); alloc != 16+16 || copied != 0 {
 		t.Errorf("Words() = %d allocated, %d copied; want y and z's padded copy (32) and none", alloc, copied)
+	}
+}
+
+// TestDecodedDecodesOnce: a zero sim.Decoded decodes on first use, once,
+// when eight goroutines use it first at once, and all of them and every
+// later cell share that program, blocks attached.  A binary that does not
+// decode gives every caller Decode's error, decoded once too, and a cell
+// of it reports that error on its first Step, as a step-only cell does.
+func TestDecodedDecodesOnce(t *testing.T) {
+	m := machine.Warp()
+	_, bin := compileState(t, readMostly, m, initReadMostly)
+	n0 := sim.Decodes()
+	var d sim.Decoded
+	progs := make([]*sim.Program, 8)
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p, err := d.Program(bin, m)
+			if err != nil {
+				t.Error(err)
+			}
+			progs[i] = p
+		}()
+	}
+	wg.Wait()
+	if n := sim.Decodes() - n0; n != 1 {
+		t.Fatalf("eight first uses decoded %d programs; want 1", n)
+	}
+	for i, p := range progs {
+		if p != progs[0] || p.Blocks() == 0 {
+			t.Fatalf("goroutine %d: program %p with %d blocks; goroutine 0 has %p", i, p, p.Blocks(), progs[0])
+		}
+	}
+	if _, err := d.Cell(bin, m, nil).Run(); err != nil || sim.Decodes()-n0 != 1 {
+		t.Fatalf("a cell of the decoded program: %v after %d decodes; want 1", err, sim.Decodes()-n0)
+	}
+
+	bad := &vliw.Program{
+		Name: "ghost",
+		Instrs: []vliw.Instr{
+			{Ops: []vliw.SlotOp{{Class: machine.ClassLoad, Array: "ghost"}}},
+			{Ctl: vliw.Ctl{Kind: vliw.CtlHalt}},
+		},
+		NumFRegs: 1,
+		NumIRegs: 1,
+	}
+	_, want := sim.Decode(bad, m)
+	_, step := sim.New(bad, m).Step()
+	if want == nil || step == nil || step.Error() != want.Error() {
+		t.Fatalf("Decode: %v; a step-only cell's first Step: %v; want one error", want, step)
+	}
+	var b sim.Decoded
+	n0 = sim.Decodes()
+	for range 2 {
+		if _, err := b.Program(bad, m); err == nil || err.Error() != want.Error() {
+			t.Fatalf("Program: %v, want %v", err, want)
+		}
+		if _, err := b.Cell(bad, m, nil).Step(); err == nil || err.Error() != want.Error() {
+			t.Fatalf("a cell's first Step: %v, want %v", err, want)
+		}
+	}
+	if n := sim.Decodes() - n0; n != 1 {
+		t.Fatalf("four uses of a binary that does not decode decoded it %d times; want 1", n)
 	}
 }
 

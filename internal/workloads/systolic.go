@@ -82,7 +82,7 @@ func runSystolic(m *machine.Machine, p *ir.Program, n, cells, w int, a, b []floa
 	}
 	// One compile, per-cell data: each cell binary shares the code but
 	// carries its own B block and forward count.
-	progs := make([]*vliw.Program, cells)
+	sims := make([]*sim.Sim, cells)
 	for cell := 0; cell < cells; cell++ {
 		cp := *bin
 		cp.InitF = map[string][]float64{}
@@ -97,7 +97,7 @@ func runSystolic(m *machine.Machine, p *ir.Program, n, cells, w int, a, b []floa
 		}
 		cp.InitF["b"] = block
 		cp.InitF["fwd"] = []float64{float64(cell * n * w)}
-		progs[cell] = &cp
+		sims[cell] = sim.New(&cp, m)
 	}
 	// Input: rows of A streamed once per row per cell pass.
 	input := make([]float64, 0, n*n)
@@ -106,7 +106,7 @@ func runSystolic(m *machine.Machine, p *ir.Program, n, cells, w int, a, b []floa
 			input = append(input, a[i*n+k])
 		}
 	}
-	arr := sim.NewArray(progs, m, input)
+	arr := sim.NewArrayCells(sims, input)
 	out, _, err := arr.Run()
 	if err != nil {
 		return nil, sim.Stats{}, nil, err

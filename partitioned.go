@@ -142,7 +142,7 @@ func CompilePartitioned(p *Program, machines []*Machine, opts Options) (*ArrayOb
 func (ao *ArrayObject) RunArray(input []float64, _ Engine) (*ArrayResult, error) {
 	cells := make([]*sim.Sim, len(ao.Cells))
 	for i, o := range ao.Cells {
-		cells[i] = sim.New(o.Binary, o.Machine)
+		cells[i] = o.prog.Cell(o.Binary, o.Machine, o.tracer)
 	}
 	sp := ao.tracer.Begin("sim.array")
 	arr := sim.NewArrayCells(cells, input)

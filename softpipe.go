@@ -168,13 +168,16 @@ type LoopInfo = codegen.LoopReport
 // Report aggregates per-loop compilation outcomes.
 type Report = codegen.Report
 
-// Object is a compiled VLIW binary plus its compilation report.
+// Object is a compiled VLIW binary plus its compilation report.  Its
+// runs share the program its first run decodes, so Binary and Machine
+// must not change once it has run.
 type Object struct {
 	Binary  *vliw.Program
 	Report  *Report
 	Machine *Machine
 	source  *Program
 	tracer  *Tracer // from Options.Tracer; spans Run/Verify phases
+	prog    sim.Decoded
 }
 
 // ParseSource compiles W2-like source text to IR.  Array inputs are
@@ -237,25 +240,20 @@ type Result struct {
 }
 
 // Run executes the object program on its machine's cycle-accurate model.
-// The program is decoded with its steady-state blocks, so Run retires
-// kernel loops whole iterations at a time on the dataflow fast path
-// (internal/sim/fast.go); state, stats and cycle count are bit-identical
-// to stepping every cycle, which the step-only reference sim.Run does and
-// the differential tests hold Run to.
+// The program is decoded once, by the object's first run, with its
+// steady-state blocks, so Run retires kernel loops whole iterations at a
+// time on the dataflow fast path (internal/sim/fast.go); state, stats and
+// cycle count are bit-identical to stepping every cycle, which the
+// step-only reference sim.Run does and the differential tests hold Run
+// to.
 //
-// Its "sim.run" span holds a "sim.decode" span and carries the simulated
-// cycles, the data-memory words the cell allocated ("mem_words") and the
-// array words the result copied out ("copied_words").
+// Its "sim.run" span carries the simulated cycles, the data-memory words
+// the cell allocated ("mem_words") and the array words the result copied
+// out ("copied_words"); in the run that decodes, it holds a "sim.decode"
+// span.
 func (o *Object) Run() (*Result, error) {
 	sp := o.tracer.Begin("sim.run")
-	dsp := o.tracer.Begin("sim.decode")
-	prog, err := sim.Decode(o.Binary, o.Machine)
-	dsp.End()
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	cell := sim.NewCell(prog)
+	cell := o.prog.Cell(o.Binary, o.Machine, o.tracer)
 	st, err := cell.Run()
 	stats := cell.Stats()
 	mem, copied := cell.Words()
@@ -301,7 +299,7 @@ func (o *Object) RunEngine(eng Engine) (*Result, error) {
 // (cycle, pc, instruction) for the first `cycles` issued instruction
 // words to w (0 traces everything).
 func (o *Object) Trace(w io.Writer, cycles int64) error {
-	s := sim.New(o.Binary, o.Machine)
+	s := o.prog.Cell(o.Binary, o.Machine, o.tracer)
 	s.Trace = w
 	s.TraceCycles = cycles
 	_, err := s.Run()
@@ -342,6 +340,7 @@ func Interpret(p *Program) (*State, error) { return ir.Run(p) }
 // re-initialized — the cheap way to run one compiled cell program on many
 // cells with per-cell data (a homogeneous Warp program).  Like InitF, the
 // slices in data are shared, not copied, and must not change afterwards.
+// The copy decodes its own binary: its decoded form carries its data.
 func (o *Object) WithFloatData(data map[string][]float64) *Object {
 	bin := *o.Binary
 	bin.InitF = map[string][]float64{}
@@ -351,9 +350,7 @@ func (o *Object) WithFloatData(data map[string][]float64) *Object {
 	for k, v := range data {
 		bin.InitF[k] = v
 	}
-	c := *o
-	c.Binary = &bin
-	return &c
+	return &Object{Binary: &bin, Report: o.Report, Machine: o.Machine, source: o.source, tracer: o.tracer}
 }
 
 // ArrayResult is a completed array simulation.
@@ -381,14 +378,14 @@ func RunArray(cells []*Object, input []float64) (*ArrayResult, error) {
 		return nil, fmt.Errorf("softpipe: empty array")
 	}
 	m := cells[0].Machine
-	progs := make([]*vliw.Program, len(cells))
+	cs := make([]*sim.Sim, len(cells))
 	for i, c := range cells {
 		if c.Machine != m {
 			return nil, fmt.Errorf("softpipe: cells target different machines")
 		}
-		progs[i] = c.Binary
+		cs[i] = c.prog.Cell(c.Binary, m, c.tracer)
 	}
-	arr := sim.NewArray(progs, m, input)
+	arr := sim.NewArrayCells(cs, input)
 	out, last, err := arr.Run()
 	if err != nil {
 		return nil, err

@@ -302,6 +302,9 @@ end.
 	}
 }
 
+// TestWithFloatData: each per-cell copy runs on its own data, alone and
+// chained, though the object it was copied from had run first and holds
+// a decoded program with its own data.
 func TestWithFloatData(t *testing.T) {
 	src := `
 program scale;
@@ -316,18 +319,28 @@ end.
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := obj.WithFloatData(map[string][]float64{"w": {2}})
-	c2 := obj.WithFloatData(map[string][]float64{"w": {3}})
 	input := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-	res, err := softpipe.RunArray([]*softpipe.Object{c1, c2}, input)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range res.Output {
-		if v != 6 {
-			t.Fatalf("out[%d] = %v, want 6", i, v)
+	check := func(name string, cells []*softpipe.Object, want float64) {
+		t.Helper()
+		res, err := softpipe.RunArray(cells, input)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(res.Output) != len(input) {
+			t.Fatalf("%s: %d outputs, want %d", name, len(res.Output), len(input))
+		}
+		for i, v := range res.Output {
+			if v != want {
+				t.Fatalf("%s: out[%d] = %v, want %v", name, i, v, want)
+			}
 		}
 	}
+	check("original", []*softpipe.Object{obj}, 0)
+	c1 := obj.WithFloatData(map[string][]float64{"w": {2}})
+	c2 := obj.WithFloatData(map[string][]float64{"w": {3}})
+	check("w=2", []*softpipe.Object{c1}, 2)
+	check("w=3", []*softpipe.Object{c2}, 3)
+	check("chained", []*softpipe.Object{c1, c2}, 6)
 }
 
 // TestWithFloatDataKeepsTracer: a per-cell copy is the same object with
