@@ -29,7 +29,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("livermore: ")
 	shared := cliflags.Bind(flag.CommandLine, "machine", "verify=true", "parallel", "explain",
-		"effort", "effort-budget", "trace", "cpuprofile", "memprofile")
+		"trace", "cpuprofile", "memprofile")
 	flag.Parse()
 	run, err := shared.Open("livermore")
 	if err != nil {

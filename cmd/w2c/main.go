@@ -8,8 +8,7 @@
 //
 // Usage:
 //
-//	w2c [-machine warp|scalar|wideN|gen:...] [-effort heuristic|exact]
-//	    [-effort-budget d] [-baseline] [-timeout d]
+//	w2c [-machine warp|scalar|wideN|gen:...] [-baseline] [-timeout d]
 //	    [-S] [-kernel] [-run] [-exectrace N] [-verify] [-explain]
 //	    [-trace out.json] [-cells N [-partition] [-input tape]] file.w2
 //	w2c -fmt file.w2
@@ -71,7 +70,7 @@ func splitNote(lr softpipe.LoopInfo) string {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("w2c: ")
-	shared := cliflags.Bind(flag.CommandLine, "machine", "verify", "effort", "effort-budget", "explain", "trace")
+	shared := cliflags.Bind(flag.CommandLine, "machine", "verify", "explain", "trace")
 	baseline := flag.Bool("baseline", false, "disable software pipelining (locally compacted code)")
 	kernel := flag.Bool("kernel", false, "print each pipelined loop's steady-state kernel schedule")
 	cells := flag.Int("cells", 0, "run the program on an N-cell array, streaming -input through the inter-cell queues")

@@ -8,7 +8,6 @@
 //
 //	warpbench [-table41] [-fig41] [-fig42] [-stats] [-verify]
 //	          [-machine warp|scalar|wideN|gen:...] [-parallel N]
-//	          [-effort heuristic|exact] [-effort-budget d]
 //	          [-cpuprofile f] [-memprofile f] [-trace out.json]
 //	          [-gap] [-gapout f]
 //	          [-sweep] [-machines "a;b;..."] [-sweepout f]
@@ -16,14 +15,15 @@
 //
 // With no selection flags, everything runs.  -parallel sizes the
 // compile/simulate worker pool (0 = GOMAXPROCS, 1 = sequential).
-// -effort selects the II-search backend for the table/figure compiles.
 // (How fast the harness itself runs is benchmark/run.sh's to say; see
 // README.)
 // -gap instead compiles the gap corpus (saxpy +
-// Livermore + the checked-in fuzz seeds) under both scheduler backends,
-// prints the per-loop heuristic-vs-optimal II table, and exits nonzero
-// if the exact backend is ever worse than the heuristic; -gapout also
-// writes the BENCH_gap.json artifact.  -sweep instead compiles the sweep
+// Livermore + the checked-in fuzz seeds) twice, at the default and with
+// the heuristic alone (codegen.Options.HeuristicOnly), prints the
+// per-loop heuristic-vs-kept II table with each workload's simulated
+// cycles, and exits nonzero if the default is ever slower than the
+// heuristic alone or keeps a higher II; -gapout also writes the
+// BENCH_gap.json artifact.  -sweep instead compiles the sweep
 // corpus (saxpy + the Livermore kernels) on every machine of the default
 // generator grid (or -machines), verified, and prints the per-machine
 // pipelining table comparing rotating register files against modulo
@@ -53,7 +53,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("warpbench: ")
 	shared := cliflags.Bind(flag.CommandLine, "machine", "verify", "parallel",
-		"effort", "effort-budget", "trace", "cpuprofile", "memprofile")
+		"trace", "cpuprofile", "memprofile")
 	t41 := flag.Bool("table41", false, "Table 4-1: application kernels")
 	f41 := flag.Bool("fig41", false, "Figure 4-1: MFLOPS histogram")
 	f42 := flag.Bool("fig42", false, "Figure 4-2: speedup histogram")

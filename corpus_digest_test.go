@@ -399,10 +399,10 @@ func digestMachines(t *testing.T) []*softpipe.Machine {
 	return ms
 }
 
-// digestOptions are the deterministic option points (exact effort is
-// left out: its verdict depends on a wall-clock budget).  The paper's
-// ablations and the inner-loop unroll threshold are not product options;
-// adjust sets them in the back end's.
+// digestOptions are the option points.  Every one runs the II search's
+// branch-and-bound, within its node budget, so every verdict is
+// deterministic.  The paper's ablations and the inner-loop unroll
+// threshold are not product options; adjust sets them in the back end's.
 type digestOption struct {
 	name   string
 	opts   softpipe.Options

@@ -2,7 +2,9 @@ package softpipe_test
 
 import (
 	"fmt"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -81,7 +83,7 @@ func entries(p *softpipe.Program) map[int]int64 {
 	return out
 }
 
-// TestCyclesModelPredictsSimulator: the back end's two keep-the-shorter
+// TestCyclesModelPredictsSimulator: the back end's three keep-the-shorter
 // choices read one cycles model, and the model is exact.  On warp and the
 // first rotating grid point:
 //   - A loop too short for one kernel pass is its flat schedule or the
@@ -95,11 +97,18 @@ func entries(p *softpipe.Program) map[int]int64 {
 //     digest program, the default object less the NoRotation one is the sum,
 //     over the nests that rotated, of the model's rotated less plain cycles
 //     times how often the nest is entered.
+//   - A loop the search lands below the heuristic's II on keeps the searched
+//     plan or the heuristic's, whichever the model says takes fewer cycles
+//     as countedRows emits it (its counted region, flat schedule or the
+//     unpipelined loop).  Over the one-loop programs among the digest's and
+//     the exact objects, the default object less the HeuristicOnly one is
+//     the model's searched less heuristic cycles where the searched plan
+//     was kept, and 0 where it was not.
 func TestCyclesModelPredictsSimulator(t *testing.T) {
 	machines := digestMachines(t)
 	rot := slices.IndexFunc(machines, func(m *softpipe.Machine) bool { return m.RotatingRegs })
 	machines = []*softpipe.Machine{machines[0], machines[rot]}
-	var taken, refused, rotated, kept atomic.Int64
+	var taken, refused, rotated, kept, searched, heuristic atomic.Int64
 
 	// flatChoice checks the one flat-or-unpipelined choice of a one-loop
 	// program, if it made one.
@@ -140,6 +149,56 @@ func TestCyclesModelPredictsSimulator(t *testing.T) {
 			}
 		}
 	}
+	// planChoice checks the one searched-or-heuristic choice of a one-loop
+	// program, if it made one: its explain note gives both counts.
+	heuristicOnly := func(o *codegen.Options) { o.HeuristicOnly = true }
+	counts := regexp.MustCompile(`iterations take (\d+) cycles at the searched II \d+, (\d+) at`)
+	planChoice := func(p *softpipe.Program, m *softpipe.Machine, at string) {
+		obj, err := softpipe.Compile(p, m, softpipe.Options{})
+		if err != nil {
+			t.Errorf("%s: %v", at, err)
+			return
+		}
+		var c choice
+		for _, note := range obj.Report.Loops[0].Explain.Notes {
+			if mm := counts.FindStringSubmatch(note); mm != nil {
+				c.cycles, _ = strconv.ParseInt(mm[1], 10, 64)
+				c.against, _ = strconv.ParseInt(mm[2], 10, 64)
+			}
+		}
+		if c.cycles == 0 {
+			return
+		}
+		other, err := softpipe.CompileWith(p, m, softpipe.Options{}, heuristicOnly)
+		if err != nil {
+			t.Errorf("%s: %v", at, err)
+			return
+		}
+		if other.Report.Loops[0].Hoisted != obj.Report.Loops[0].Hoisted {
+			return // the two compiles kept different bodies of a conditional
+		}
+		got, err := difference(obj, p, m, softpipe.Options{}, heuristicOnly)
+		switch {
+		case err != nil:
+			t.Errorf("%s: %v", at, err)
+		case c.cycles < c.against:
+			searched.Add(1)
+			if got != c.cycles-c.against {
+				t.Errorf("%s: searched plan kept at %d cycles against %d, predicted %+d; simulated %+d", at, c.cycles, c.against, c.cycles-c.against, got)
+			}
+		default:
+			heuristic.Add(1)
+			if got != 0 {
+				t.Errorf("%s: heuristic's plan kept at %d cycles against %d; simulated %+d", at, c.against, c.cycles, got)
+			}
+		}
+	}
+	names, exact, ms := exactObjects(t)
+	eachProgram(len(exact), func(i int) {
+		if len(entries(exact[i])) == 1 {
+			planChoice(exact[i], ms[i], names[i])
+		}
+	})
 	for _, m := range machines {
 		for _, body := range countedBodies {
 			p, err := softpipe.ParseSource(fmt.Sprintf(body.src, 99))
@@ -169,6 +228,7 @@ func TestCyclesModelPredictsSimulator(t *testing.T) {
 			at := progs[i].name + " on " + m.Name
 			if len(runs) == 1 {
 				flatChoice(p, m, at)
+				planChoice(p, m, at)
 			}
 			obj, cs, err := choices(p, m, "codegen.rotate")
 			if err != nil {
@@ -203,8 +263,9 @@ func TestCyclesModelPredictsSimulator(t *testing.T) {
 			}
 		}
 	})
-	t.Logf("flat taken %d, refused %d; rotated %d, kept in program order %d", taken.Load(), refused.Load(), rotated.Load(), kept.Load())
-	if taken.Load() == 0 || refused.Load() == 0 || rotated.Load() == 0 || kept.Load() == 0 {
+	t.Logf("flat taken %d, refused %d; rotated %d, kept in program order %d; searched plan kept %d, heuristic's %d",
+		taken.Load(), refused.Load(), rotated.Load(), kept.Load(), searched.Load(), heuristic.Load())
+	if taken.Load() == 0 || refused.Load() == 0 || rotated.Load() == 0 || kept.Load() == 0 || searched.Load() == 0 || heuristic.Load() == 0 {
 		t.Error("a side of a choice is never exercised: the test checks less than it claims")
 	}
 }

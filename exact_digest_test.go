@@ -6,27 +6,25 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"softpipe"
+	"softpipe/internal/codegen"
 	"softpipe/internal/machine"
+	"softpipe/internal/schedule"
 	"softpipe/internal/workloads"
 )
 
-// TestCorpusDigest leaves exact effort out: its verdict depends on a
-// wall-clock budget.  The exact digest pins exact-effort objects where
-// that budget is never reached: the paper sources (saxpy and the
+// The exact digest pins the objects the branch-and-bound below the
+// heuristic's II works hardest on: the paper sources (saxpy and the
 // Livermore kernels) on Warp and on every grid machine the compile-exact
-// benchmark draws, and the RandomPrograms of its pool, each searched with
-// a budget far beyond what any of their loops needs.  A loop that falls
-// back anyway fails the test rather than being hashed.  Regenerate with
+// benchmark draws, and the RandomPrograms of its pool.  Every compile
+// runs that search (schedule.New) within a node budget, so the digest
+// depends on neither a clock nor the thread count; a loop that runs out of
+// budget anyway fails the test rather than being hashed.  Regenerate with
 //
 //	go test -run TestExactDigest -update
-
-// exactBudget bounds each exact search.  The whole digest takes ≈ 0.2 s
-// on two CPUs, ≈ 1 s under the race detector, so no search comes near it.
-const exactBudget = time.Minute
 
 // exactNodeCeiling bounds the decision-tree nodes the digest's exact
 // searches explore in all, read off the compiles' own
@@ -34,7 +32,9 @@ const exactBudget = time.Minute
 // backtracking explored 660,400, backjumping 160,061, and refuting
 // intervals from their rigid recurrence groups before searching them
 // 2,647.  Holding a modulo-expanded plan to an exhausted copy budget
-// made k18 on fa2,fm2,mem2 search one more loop body: 2,705.
+// made k18 on fa2,fm2,mem2 search one more loop body: 2,705.  Planning the
+// heuristic's plan beside every searched plan below its II searches no
+// more: the heuristic alone makes it.
 const exactNodeCeiling = 5_000
 
 // exactMachines are Warp and the compile-exact grid points: the rotating
@@ -95,8 +95,7 @@ func TestExactDigest(t *testing.T) {
 	texts := make([]string, len(progs))
 	tr := softpipe.NewTracer("exact-digest")
 	eachProgram(len(progs), func(i int) {
-		obj, err := softpipe.Compile(progs[i], machines[i],
-			softpipe.Options{Effort: softpipe.EffortExact, EffortBudget: exactBudget, Tracer: tr})
+		obj, err := softpipe.Compile(progs[i], machines[i], softpipe.Options{Tracer: tr})
 		if err != nil {
 			texts[i] = "error: " + err.Error() + "\n"
 			return
@@ -105,7 +104,7 @@ func TestExactDigest(t *testing.T) {
 		b.WriteString(obj.Disassemble())
 		for _, lr := range obj.Report.Loops {
 			if lr.FellBack {
-				t.Errorf("%s: loop %d fell back within %v", names[i], lr.LoopID, exactBudget)
+				t.Errorf("%s: loop %d ran out of the search's node budget", names[i], lr.LoopID)
 			}
 			fmt.Fprintf(&b, "loop %d pipelined=%v II=%d MII=%d unroll=%d stages=%d reason=%q\n",
 				lr.LoopID, lr.Pipelined, lr.II, lr.MII, lr.Unroll, lr.Stages, lr.Reason)
@@ -133,9 +132,9 @@ func TestExactDigest(t *testing.T) {
 		total.Write(sum[:])
 		fmt.Fprintf(&lines, "%s sha256:%x\n", name, sum)
 	}
-	got := fmt.Sprintf("# exact digest: %d objects at exact effort, budget %v a search\n"+
+	got := fmt.Sprintf("# exact digest: %d objects, budget %d nodes a search\n"+
 		"# regenerate: go test -run TestExactDigest -update\n"+
-		"total sha256:%x\n%s", len(names), exactBudget, total.Sum(nil), lines.String())
+		"total sha256:%x\n%s", len(names), schedule.NodeBudget, total.Sum(nil), lines.String())
 
 	path := filepath.Join("testdata", "exact.digest")
 	if *update {
@@ -161,6 +160,58 @@ func TestExactDigest(t *testing.T) {
 			moved = append(moved, strings.Fields(l)[0])
 		}
 	}
-	t.Errorf("exact-effort code or loop verdicts changed for %d objects: %s\n(run with -update if the change is intended)",
+	t.Errorf("code or loop verdicts changed for %d objects: %s\n(run with -update if the change is intended)",
 		len(moved), strings.Join(moved, " "))
+}
+
+// TestExactNeverLosesToHeuristic: the search below the heuristic's II
+// lands on a lower II only to have the code generator keep the faster of
+// the two plans, so no object may take more simulated cycles than its
+// HeuristicOnly twin.  The objects are the exact digest's, its pool on the
+// other compile-exact machines too, and draw/1046 on the corpus digest's
+// machines: places where a lower II runs slower at the loop's trip count
+// (draw/1046: 238 cycles at the heuristic's II against 274), or is refused
+// for it where the heuristic's plan pipelines (fuzz131033212804 on
+// fa4,fm4,mem2: 79 cycles against 119 unpipelined).
+func TestExactNeverLosesToHeuristic(t *testing.T) {
+	names, progs, machines := exactObjects(t)
+	for _, m := range exactMachines(t)[1:] {
+		for _, seed := range workloads.ExactSeeds() {
+			names = append(names, fmt.Sprintf("fuzz%d@%s", seed, m.Name))
+			progs = append(progs, workloads.RandomProgram(seed))
+			machines = append(machines, m)
+		}
+	}
+	for _, m := range digestMachines(t) {
+		names = append(names, "draw/1046@"+m.Name)
+		progs = append(progs, workloads.RandomProgram(1046))
+		machines = append(machines, m)
+	}
+	var faster, kept atomic.Int64
+	heuristicOnly := func(o *codegen.Options) { o.HeuristicOnly = true }
+	eachProgram(len(progs), func(i int) {
+		var cycles [2]int64
+		for k, adjust := range []func(*codegen.Options){nil, heuristicOnly} {
+			obj, err := softpipe.CompileWith(progs[i], machines[i], softpipe.Options{}, adjust)
+			if err == nil {
+				var res *softpipe.Result
+				if res, err = obj.Run(); err == nil {
+					cycles[k] = res.Cycles
+				}
+			}
+			if err != nil {
+				t.Errorf("%s: %v", names[i], err)
+				return
+			}
+		}
+		switch {
+		case cycles[0] > cycles[1]:
+			t.Errorf("%s: %d cycles, %d with the heuristic alone", names[i], cycles[0], cycles[1])
+		case cycles[0] < cycles[1]:
+			faster.Add(1)
+		default:
+			kept.Add(1)
+		}
+	})
+	t.Logf("%d objects faster than with the heuristic alone, %d as fast", faster.Load(), kept.Load())
 }

@@ -38,7 +38,9 @@ func Run(p *ir.Program, m *machine.Machine, cfg Config) (*RunResult, error) {
 			return nil, fmt.Errorf("bench: interpret %s: %w", p.Name, err)
 		}
 	}
-	obj, err := softpipe.CompileWith(p, m, cfg.Options, func(o *codegen.Options) { o.WholeArms = cfg.WholeArms })
+	obj, err := softpipe.CompileWith(p, m, cfg.Options, func(o *codegen.Options) {
+		o.WholeArms, o.HeuristicOnly = cfg.WholeArms, cfg.HeuristicOnly
+	})
 	if err != nil {
 		return nil, fmt.Errorf("bench: compile %s: %w", p.Name, err)
 	}

@@ -31,6 +31,9 @@ type Config struct {
 	// does (codegen.Options.WholeArms): Figure 4-2 in the paper's own
 	// configuration.  No softpipe.Options field reaches it.
 	WholeArms bool
+	// HeuristicOnly plans with Lam's heuristic alone
+	// (codegen.Options.HeuristicOnly): the gap report's comparison point.
+	HeuristicOnly bool
 }
 
 // Job is one point of the (program × machine × options) grid.
@@ -55,7 +58,7 @@ func Measure(cfg Config, jobs []Job) ([]*RunResult, error) {
 		j := jobs[i]
 		j.Options.Tracer = t
 		sp := t.Begin(j.Name)
-		r, err := Run(j.Prog, j.Machine, Config{Options: j.Options, WholeArms: cfg.WholeArms})
+		r, err := Run(j.Prog, j.Machine, Config{Options: j.Options, WholeArms: cfg.WholeArms, HeuristicOnly: cfg.HeuristicOnly})
 		sp.End()
 		if err != nil {
 			return fmt.Errorf("bench: %s: %w", j.Name, err)

@@ -63,7 +63,6 @@ type SweepMachine struct {
 // SweepReport is the artifact behind BENCH_sweep.json.
 type SweepReport struct {
 	Set      string         `json:"set"`
-	Effort   string         `json:"effort"`
 	Verified bool           `json:"verified"`
 	Machines []SweepMachine `json:"machines"`
 }
@@ -104,7 +103,6 @@ func MeasureSweep(names []string, set string, cfg Config) (*SweepReport, error) 
 
 	rep := &SweepReport{
 		Set:      set,
-		Effort:   cfg.Options.Effort.String(),
 		Verified: cfg.Options.VerifyEmitted,
 	}
 	for mi, m := range ms {
@@ -194,7 +192,7 @@ func (rep *SweepReport) RotPartner(i int) int {
 // only in the register file.
 func FormatSweepReport(rep *SweepReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "machine sweep (%s corpus, %s effort", rep.Set, rep.Effort)
+	fmt.Fprintf(&b, "machine sweep (%s corpus", rep.Set)
 	if rep.Verified {
 		b.WriteString(", verified")
 	}

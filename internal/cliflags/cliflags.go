@@ -21,15 +21,13 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"softpipe"
 )
 
 // Set holds the raw values of the shared flags bound to one FlagSet.
 type Set struct {
-	machine, effort               string
-	effortBudget                  time.Duration
+	machine                       string
 	verify, explain               bool
 	parallel                      int
 	trace, cpuprofile, memprofile string
@@ -45,10 +43,6 @@ func Bind(fs *flag.FlagSet, names ...string) *Set {
 		switch name {
 		case "machine":
 			fs.StringVar(&s.machine, name, "warp", "target machine: warp, scalar, wideN (e.g. wide4), or gen:... (e.g. gen:fa2,fm2,mem2,rot)")
-		case "effort":
-			fs.StringVar(&s.effort, name, "heuristic", "II search effort: heuristic (Lam's algorithm) or exact (prove the minimal II, falling back to the heuristic on budget exhaustion)")
-		case "effort-budget":
-			fs.DurationVar(&s.effortBudget, name, 0, "per-compile budget of the exact II search (0 means the built-in default)")
 		case "verify":
 			fs.BoolVar(&s.verify, name, false, "run the independent object-code verifier on every emitted binary and check every simulation against the reference interpreter")
 		case "explain":
@@ -78,8 +72,8 @@ func Bind(fs *flag.FlagSet, names ...string) *Set {
 // Run is the parsed, opened state of the shared flags.
 type Run struct {
 	Machine *softpipe.Machine
-	// Options carries what the flags say about a compile: Effort,
-	// EffortBudget and — with -trace — a Tracer named after the run.
+	// Options carries what the flags say about a compile: with -trace, a
+	// Tracer named after the run.
 	// -verify is reported separately: w2c verifies the finished object,
 	// the harness drivers set Options.VerifyEmitted.
 	Options softpipe.Options
@@ -99,13 +93,9 @@ type Run struct {
 func (s *Set) Open(traceName string) (*Run, error) {
 	r := &Run{Verify: s.verify, Explain: s.explain, Workers: s.parallel, trace: s.trace, memprofile: s.memprofile}
 	var err error
-	if r.Options.Effort, err = softpipe.ParseEffort(s.effort); err != nil {
-		return nil, err
-	}
 	if r.Machine, err = softpipe.ParseMachine(s.machine); err != nil {
 		return nil, err
 	}
-	r.Options.EffortBudget = s.effortBudget
 	if s.trace != "" {
 		r.Options.Tracer = softpipe.NewTracer(traceName)
 	}

@@ -6,9 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
-
-	"softpipe"
 )
 
 func bind(t *testing.T, names []string, args ...string) (*Set, *flag.FlagSet, error) {
@@ -26,13 +23,13 @@ func TestBindOnlyNamedFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fs.Lookup("effort") != nil || fs.Lookup("parallel") != nil {
+	if fs.Lookup("explain") != nil || fs.Lookup("parallel") != nil {
 		t.Error("unbound shared flags were declared")
 	}
 	if f := fs.Lookup("verify"); f == nil || f.DefValue != "true" || f.Value.String() != "true" {
 		t.Errorf("verify=true did not become the default: %+v", f)
 	}
-	if _, _, err := bind(t, []string{"machine"}, "-effort", "exact"); err == nil {
+	if _, _, err := bind(t, []string{"machine"}, "-explain"); err == nil {
 		t.Error("a flag the driver did not bind was accepted")
 	}
 }
@@ -51,9 +48,8 @@ func TestBindUnknownNamePanics(t *testing.T) {
 func TestOpenResolves(t *testing.T) {
 	dir := t.TempDir()
 	trace, mem := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.prof")
-	s, _, err := bind(t, []string{"machine", "effort", "effort-budget", "verify", "explain", "parallel", "trace", "memprofile"},
-		"-machine", "wide2", "-effort", "exact", "-effort-budget", "2s",
-		"-verify", "-explain", "-parallel", "3", "-trace", trace, "-memprofile", mem)
+	s, _, err := bind(t, []string{"machine", "verify", "explain", "parallel", "trace", "memprofile"},
+		"-machine", "wide2", "-verify", "-explain", "-parallel", "3", "-trace", trace, "-memprofile", mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +61,7 @@ func TestOpenResolves(t *testing.T) {
 		t.Errorf("resolved %s verify=%v explain=%v workers=%d", r.Machine.Name, r.Verify, r.Explain, r.Workers)
 	}
 	o := r.Options
-	if o.Effort != softpipe.EffortExact || o.EffortBudget != 2*time.Second || o.Tracer == nil || o.VerifyEmitted {
+	if o.Tracer == nil || o.VerifyEmitted {
 		t.Errorf("options %+v", o)
 	}
 	r.Close()
@@ -77,8 +73,8 @@ func TestOpenResolves(t *testing.T) {
 }
 
 func TestOpenRejectsBadValues(t *testing.T) {
-	for _, args := range [][]string{{"-machine", "nope"}, {"-effort", "maximal"}} {
-		s, _, err := bind(t, []string{"machine", "effort"}, args...)
+	for _, args := range [][]string{{"-machine", "nope"}} {
+		s, _, err := bind(t, []string{"machine"}, args...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"time"
 
 	"softpipe/internal/depgraph"
 	"softpipe/internal/hier"
@@ -48,11 +47,6 @@ type Options struct {
 	// instead of running to MaxII.
 	Ctx  context.Context
 	Mode Mode
-	// Effort selects the II-search backend and EffortBudget bounds the
-	// exact backend's wall clock per loop search (0 means
-	// schedule.DefaultExactBudget).
-	Effort       schedule.Effort
-	EffortBudget time.Duration
 	// VerifyEmitted runs the independent checker of internal/verify over
 	// the emitted object code against the *original* input program (so
 	// the internal unroll rewrite is verified too) and fails compilation
@@ -64,7 +58,7 @@ type Options struct {
 	// nil disables tracing at zero cost.
 	Tracer *trace.Tracer
 
-	// The comparison points: the eight fields below.  A comparison only a
+	// The comparison points: the nine fields below.  A comparison only a
 	// benchmark or a test reads is a field here, reached through
 	// softpipe.CompileWith, never a product option; a comparison the
 	// product reports (softpipe.Options.Baseline, the denominator of every
@@ -78,6 +72,9 @@ type Options struct {
 	// DisableHier turns off hierarchical reduction (§3.1): loops containing
 	// conditionals are then never pipelined.  BenchmarkAblationHier_*.
 	DisableHier bool
+	// HeuristicOnly plans with Lam's heuristic alone, no search below its
+	// II.  warpbench -gap and TestExactNeverLosesToHeuristic.
+	HeuristicOnly bool
 	// DisableLoopReduction turns off §3.2 loop reduction: outer bodies
 	// then emit inner loops between scheduling barriers.
 	// BenchmarkAblationLoopReduction_* and
@@ -129,11 +126,10 @@ type LoopReport struct {
 	// count, since each pass takes the branch it takes.
 	II       int
 	MetLower bool
-	// Effort names the II-search backend that scheduled the loop;
-	// Proved means the exact backend refuted every smaller interval (II
-	// is optimal, not just heuristically good), FellBack that it hit its
-	// time budget and kept the heuristic schedule.
-	Effort   schedule.Effort
+	// Proved means the search refuted every interval below the kept
+	// plan's II (it is optimal, not just heuristically good), FellBack
+	// that the branch-and-bound ran out of schedule.NodeBudget and kept
+	// the heuristic schedule.
 	Proved   bool
 	FellBack bool
 	Unroll   int

@@ -7,7 +7,6 @@ import (
 	"softpipe/internal/codegen"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
-	"softpipe/internal/schedule"
 	"softpipe/internal/workloads"
 )
 
@@ -16,11 +15,11 @@ import (
 // true lower bound.  Every whole-arm body the back end builds is planned
 // here anyway, and its II must be at least its floor, which must be at
 // least the one sequencer's bound (its construct windows and the
-// loop-back).  Heuristic effort covers the digest's RandomProgram draws
-// and the Livermore kernels on the sixteen digest machines; exact effort
-// the Livermore kernels on Warp and on the compile-exact grid points, and
-// the compile-exact pool on Warp.  Enough plans must have been skipped
-// that the test says something.
+// loop-back).  The compiles cover the digest's RandomProgram draws and
+// the Livermore kernels on the sixteen digest machines, then the Livermore
+// kernels on Warp and on the compile-exact grid points, and the
+// compile-exact pool on Warp.  Enough plans must have been skipped in each
+// part that the test says something.
 func TestWholeArmFloorIsSound(t *testing.T) {
 	// The compiles run one at a time, so the probe needs no lock.
 	var probed, skipped int
@@ -74,27 +73,24 @@ func TestWholeArmFloorIsSound(t *testing.T) {
 	for _, m := range digestMachines(t) {
 		compile(append(draws, kernels...), m, codegen.Options{})
 	}
-	heuristic := skipped
-	exact := codegen.Options{Effort: schedule.EffortExact}
+	digest := skipped
 	for _, m := range exactMachines(t) {
-		compile(kernels, m, exact)
+		compile(kernels, m, codegen.Options{})
 	}
-	compile(pool, warp, exact)
-	t.Logf("%d whole-arm bodies, %d plans skipped (%d at heuristic effort, %d at exact)",
-		probed, skipped, heuristic, skipped-heuristic)
-	if heuristic < minSkippedHeuristic || skipped-heuristic < minSkippedExact {
-		t.Errorf("skipped %d heuristic and %d exact whole-arm plans, want at least %d and %d",
-			heuristic, skipped-heuristic, minSkippedHeuristic, minSkippedExact)
+	compile(pool, warp, codegen.Options{})
+	t.Logf("%d whole-arm bodies, %d plans skipped (%d on the digest machines, %d on the compile-exact ones)",
+		probed, skipped, digest, skipped-digest)
+	if digest < minSkippedDigest || skipped-digest < minSkippedExact {
+		t.Errorf("skipped %d whole-arm plans on the digest machines and %d on the compile-exact ones, want at least %d and %d",
+			digest, skipped-digest, minSkippedDigest, minSkippedExact)
 	}
 }
 
 // The whole-arm plans TestWholeArmFloorIsSound must see skipped, a little
-// under the counts it logs (259 and 21).  The exact count has more room:
-// a search that runs out of budget lands on a higher II, and a higher
-// lifted II skips fewer plans.
+// under the counts it logs.
 const (
-	minSkippedHeuristic = 250
-	minSkippedExact     = 15
+	minSkippedDigest = 250
+	minSkippedExact  = 15
 )
 
 // digestMachines are the sixteen machines of the corpus digest: Warp, the

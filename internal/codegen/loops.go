@@ -221,7 +221,7 @@ func (e *emitter) tryPipelined(l *ir.LoopStmt, rep *LoopReport) bool {
 // No iteration runs unpipelined: with r, passes = plan.Split(n) the form
 // is prolog, kernel × passes and a tail that starts the r left-over
 // iterations itself, the pass count loaded in the prolog where a row has
-// room for it (loadCounter).  A loop too short for one kernel pass is
+// room for it (counterRow).  A loop too short for one kernel pass is
 // its flat schedule — n iterations started II apart, no kernel and no
 // counter — when that takes fewer cycles than the unpipelined loop
 // (whyNotFlat); otherwise countedRows reports false with the reason
@@ -232,7 +232,14 @@ func (e *emitter) countedRows(p *loopPayload, nodes []*depgraph.Node, plan *pipe
 		p.counters = append(p.counters, counter)
 		start := len(p.rows)
 		e.regionRows(p, nodes, plan, counter, int(r))
-		e.loadCounter(p, start, vliw.SlotOp{Class: machine.ClassIConst, Dst: counter, IImm: passes})
+		load := vliw.SlotOp{Class: machine.ClassIConst, Dst: counter, IImm: passes}
+		if at := e.counterRow(nodes, plan); at >= 0 {
+			p.rows[start+at].ops = append(p.rows[start+at].ops, load)
+		} else {
+			p.rows = slices.Insert(p.rows, start, rrow{ops: []vliw.SlotOp{load}})
+			p.segs[len(p.segs)-1].start++
+			p.segs[len(p.segs)-1].end++
+		}
 		rep.Passes, rep.Tail = passes, r
 	} else if why := e.whyNotFlat(rep.LoopID, nodes, plan, n); why == "" {
 		// No loop-back advances a rotating base, so copies are addressed
@@ -251,34 +258,41 @@ func (e *emitter) countedRows(p *loopPayload, nodes []*depgraph.Node, plan *pipe
 	return true
 }
 
-// loadCounter places the kernel's pass-count load, the region's rows
-// starting at row start: in the latest row before the kernel where the
-// load's units are free and its value lands by the kernel's loop-back,
-// or, when no row qualifies (an empty prolog, a full one), in a row of
-// its own in front of the region.
-func (e *emitter) loadCounter(p *loopPayload, start int, load vliw.SlotOp) {
-	kernel := &p.segs[len(p.segs)-1]
+// counterRow is the row of plan's region, from its first, that takes the
+// kernel's pass-count load: the latest before the kernel where the load's
+// units are free and its value lands by the loop-back; -1 when none does
+// and the load takes a row of its own in front.  It reads the prolog off
+// the plan, so the cycles model (regionForm) and countedRows agree.
+func (e *emitter) counterRow(nodes []*depgraph.Node, plan *pipeline.Plan) int {
+	rot := 0
 	use := machine.Usage{}
-	for i := start; i < kernel.start; i++ {
-		e.accumulateRowUsage(p.rows[i], i, use)
+	if plan.Rotating {
+		rot = 1 // the rotating-base clear
+		use.Add(machine.ResBranch, 0, 1)
+	}
+	prolog := (plan.Stages - 1) * plan.II
+	kstart, kend := rot+prolog, rot+prolog+plan.Unroll*plan.II
+	for i, nd := range nodes {
+		for t := plan.Time[i]; t < prolog; t += plan.II {
+			for _, u := range nd.Reservation {
+				use.Add(u.Resource, rot+t+u.Offset, 1)
+			}
+		}
 	}
 	fits := func(at int) bool {
-		for _, u := range e.m.Desc(load.Class).Reservation {
-			if at+u.Offset >= kernel.start || use[machine.ResUse{Resource: u.Resource, Offset: at + u.Offset}] >= e.m.ResourceCount[u.Resource] {
+		for _, u := range e.m.Desc(machine.ClassIConst).Reservation {
+			if at+u.Offset >= kstart || use[machine.ResUse{Resource: u.Resource, Offset: at + u.Offset}] >= e.m.ResourceCount[u.Resource] {
 				return false
 			}
 		}
-		return at+e.m.Latency(load.Class) <= kernel.end-1
+		return at+e.m.Latency(machine.ClassIConst) <= kend-1
 	}
-	for at := kernel.start - 1; at >= start; at-- {
+	for at := kstart - 1; at >= 0; at-- {
 		if fits(at) {
-			p.rows[at].ops = append(p.rows[at].ops, load)
-			return
+			return at
 		}
 	}
-	p.rows = slices.Insert(p.rows, start, rrow{ops: []vliw.SlotOp{load}})
-	kernel.start++
-	kernel.end++
+	return -1
 }
 
 // whyNotFlat says why n iterations of loop are not its flat schedule, ""
@@ -288,7 +302,7 @@ func (e *emitter) whyNotFlat(loop int, nodes []*depgraph.Node, plan *pipeline.Pl
 	if slices.ContainsFunc(nodes, func(nd *depgraph.Node) bool { return nd.Op == nil }) {
 		return "flat schedule not offered: the body has a conditional"
 	}
-	flat, unpipelined := e.compare("codegen.flat", loop, e.flatForm(nodes, plan, int(n)), e.repeatedForm(1, nodes, plan.Compact.Time, plan.Period), n)
+	flat, unpipelined := e.compare("codegen.flat", loop, e.planForm(0, nodes, plan, int(n), false), e.repeatedForm(1, nodes, plan.Compact.Time, plan.Period), n)
 	if flat < unpipelined {
 		return ""
 	}
@@ -298,9 +312,10 @@ func (e *emitter) whyNotFlat(loop int, nodes []*depgraph.Node, plan *pipeline.Pl
 // form is one way to emit a loop, as the cycles model sees it: lead cycles
 // before its first iteration, period cycles from one iteration's start to
 // the next's, and last cycles from the last one's start until everything
-// it wrote has landed.  Both keep-the-shorter choices of the back end,
-// whyNotFlat (Lam §2.4) and tryRotation (§3.2), compare cycles(form, n)
-// before either form is emitted; TestCyclesModelPredictsSimulator pins it.
+// it wrote has landed.  The back end's keep-the-shorter choices — whyNotFlat
+// (Lam §2.4), tryRotation (§3.2) and keepFaster (the searched plan or the
+// heuristic's) — compare cycles(form, n) before any form is emitted;
+// TestCyclesModelPredictsSimulator pins it.
 type form struct{ lead, period, last int }
 
 // cycles is what n ≥ 1 iterations of f take.
@@ -314,16 +329,30 @@ func (e *emitter) repeatedForm(lead int, nodes []*depgraph.Node, time []int, per
 	return form{lead, period, max(period, landed)}
 }
 
-// flatForm is the plan's flat schedule of n iterations: the iterations II
-// apart, then the live-out fix-up moves, one a row.
-func (e *emitter) flatForm(nodes []*depgraph.Node, plan *pipeline.Plan, n int) form {
+// planForm is n iterations of plan started II apart after lead cycles,
+// then the drain and iteration n-1's live-out fix-up moves, one a row,
+// through the rotating base when rotating (lead 0, static: the flat form).
+func (e *emitter) planForm(lead int, nodes []*depgraph.Node, plan *pipeline.Plan, n int, rotating bool) form {
 	_, landed := e.span(nodes, plan.Time)
-	moves := fixupRegs(plan, n-1, false)
+	moves := fixupRegs(plan, n-1, rotating)
 	last := landed + len(moves)
 	for i, reg := range moves {
 		last = max(last, landed+i+e.m.Latency(e.movClass(reg)))
 	}
-	return form{0, plan.II, last}
+	return form{lead, plan.II, last}
+}
+
+// regionForm is plan's region of n iterations (regionRows), behind the
+// rotating-base clear and a counted region's pass-count row, if emitted.
+func (e *emitter) regionForm(nodes []*depgraph.Node, plan *pipeline.Plan, n int, counted bool) form {
+	lead := 0
+	if plan.Rotating {
+		lead++
+	}
+	if counted && e.counterRow(nodes, plan) < 0 {
+		lead++
+	}
+	return e.planForm(lead, nodes, plan, n, plan.Rotating)
 }
 
 // compare is one choice between forms a and b of a loop: what n iterations
@@ -441,7 +470,7 @@ func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *L
 		if why != "" {
 			outcome = wholePlanned
 			wplan, planned := e.planNodes(l, wb, true, &wrep)
-			if planned && runs(whole, wplan) && (!fits || wplan.II < plan.II) {
+			if planned && runs(whole, wplan) && (!fits || e.wholeWins(l, whole, wplan, nodes, plan)) {
 				sp.Arg("outcome", wholeKept).End()
 				wrep.Explain.Notes = append(wrep.Explain.Notes, "whole-arm conditionals kept: "+why)
 				*rep = wrep
@@ -455,6 +484,18 @@ func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *L
 		e.opts.Tracer.Count("hier.hoisted_ops", int64(hoisted))
 	}
 	return nodes, plan, ok
+}
+
+// wholeWins: a whole-arm plan beats the lifted one with a lower II, or,
+// where either is searched below its heuristic's II, fewer cycles.
+func (e *emitter) wholeWins(l *ir.LoopStmt, whole []*depgraph.Node, wplan *pipeline.Plan, lifted []*depgraph.Node, plan *pipeline.Plan) bool {
+	if l.CountReg == ir.NoReg && (plan.SchedStats.Heuristic != plan.II || wplan.SchedStats.Heuristic != wplan.II) {
+		cw, okW := e.loopCycles(whole, wplan, l.CountImm)
+		if cl, okL := e.loopCycles(lifted, plan, l.CountImm); okW && okL {
+			return cw < cl
+		}
+	}
+	return wplan.II < plan.II
 }
 
 // wholeArmProbe, when set (by tests), is shown every whole-arm body
@@ -508,8 +549,7 @@ func (e *emitter) reducedBody(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo
 		Policy:           e.opts.Policy,
 		BinarySearch:     e.opts.BinarySearch,
 		DisableMVE:       e.opts.DisableMVE,
-		Effort:           e.opts.Effort,
-		SchedBudget:      e.opts.EffortBudget,
+		HeuristicOnly:    e.opts.HeuristicOnly,
 		LiveOut:          e.liveOutOf(l),
 		IndependentMem:   l.Independent,
 		PowerOfTwoUnroll: powerOfTwo,
@@ -528,7 +568,8 @@ func (e *emitter) reducedBody(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo
 }
 
 // planNodes plans the pipelining of a reduced body (none: reducedBody
-// refused it), applying the register copy budget, and records the outcome
+// refused it), applying the register copy budget, keeps the faster of the
+// search's plan and the heuristic's (keepFaster), and records the outcome
 // in rep.  whole says which form the body is, for the codegen.plan span.
 func (e *emitter) planNodes(l *ir.LoopStmt, lb loopBody, whole bool, rep *LoopReport) (*pipeline.Plan, bool) {
 	if lb.body == nil {
@@ -547,25 +588,99 @@ func (e *emitter) planNodes(l *ir.LoopStmt, lb loopBody, whole bool, rep *LoopRe
 		return nil, false
 	}
 	sp.Arg("ii", int64(plan.II)).End()
+	plan = e.keepFaster(l, lb, plan)
 	rep.MII = plan.MII
 	rep.ResMII = plan.ResMII
 	rep.RecMII = plan.RecMII
 	rep.HasRecur = plan.HasRecurrence
 	rep.Explain = plan.Explain
 	if st := plan.SchedStats; st != nil {
-		rep.Effort = st.Effort
 		rep.Proved = st.Proved
 		rep.FellBack = st.FellBack
 	}
-	cf, ci := plan.CopyRegs(e.irp.Kind)
-	peakF, peakI := e.regsNeeded(lb.needF+cf, lb.needI+ci+6)
-	if peakF > e.m.FloatRegs || peakI > e.m.IntRegs {
+	if !e.regsFit(lb, plan) {
 		rep.refuse("register files too small for modulo variable expansion")
 		return nil, false
 	}
 	rep.Rotating = plan.Rotating
-	rep.CopyRegsF, rep.CopyRegsI = cf, ci
+	rep.CopyRegsF, rep.CopyRegsI = plan.CopyRegs(e.irp.Kind)
 	return plan, true
+}
+
+// regsFit reports whether the register files hold the body's registers,
+// the plan's expanded copies and the loop's counters.
+func (e *emitter) regsFit(lb loopBody, plan *pipeline.Plan) bool {
+	cf, ci := plan.CopyRegs(e.irp.Kind)
+	peakF, peakI := e.regsNeeded(lb.needF+cf, lb.needI+ci+6)
+	return peakF <= e.m.FloatRegs && peakI <= e.m.IntRegs
+}
+
+// keepFaster chooses between the searched plan and, where the search
+// landed below the heuristic's II, the heuristic's (plan.Heuristic): the
+// searched plan only if it fits the register files and the cycles model
+// says it is faster.  The kept plan's explain report says which and why.
+func (e *emitter) keepFaster(l *ir.LoopStmt, lb loopBody, plan *pipeline.Plan) *pipeline.Plan {
+	h := plan.Heuristic
+	if h == nil {
+		return plan
+	}
+	var keep bool
+	var why string
+	switch nodes := lb.body.Nodes; {
+	case !e.regsFit(lb, plan) || !e.regsFit(lb, h):
+		keep, why = e.regsFit(lb, plan), "the other does not fit the register files"
+	case l.CountReg != ir.NoReg:
+		keep = e.runtimeWins(nodes, plan, h)
+		why = fmt.Sprintf("compared at every run-time count, searched II %d against the heuristic's II %d", plan.II, h.II)
+	default:
+		cs, okS := e.loopCycles(nodes, plan, l.CountImm)
+		ch, okH := e.loopCycles(nodes, h, l.CountImm)
+		why = "a plan too short for a kernel pass leaves a conditional body unpipelined, which the model does not price"
+		if okS && okH {
+			keep, why = cs < ch, fmt.Sprintf("%d iterations take %d cycles at the searched II %d, %d at the heuristic's II %d", l.CountImm, cs, plan.II, ch, h.II)
+		}
+	}
+	kept, name := h, "heuristic's"
+	if keep {
+		kept, name = plan, "searched"
+	}
+	kept.Explain.Notes = append(kept.Explain.Notes, fmt.Sprintf("kept the %s plan (II %d): %s", name, kept.II, why))
+	return kept
+}
+
+// loopCycles is what n iterations take as countedRows emits plan: its
+// region, else the shorter of its flat schedule and the unpipelined loop;
+// false when that is the control flow of a body with a conditional.
+func (e *emitter) loopCycles(nodes []*depgraph.Node, plan *pipeline.Plan, n int64) (int64, bool) {
+	if _, _, ok := plan.Split(n); ok {
+		return cycles(e.regionForm(nodes, plan, int(n), true), n), true
+	}
+	if slices.ContainsFunc(nodes, func(nd *depgraph.Node) bool { return nd.Op == nil }) {
+		return 0, false
+	}
+	return min(cycles(e.planForm(0, nodes, plan, int(n), false), n), cycles(e.repeatedForm(1, nodes, plan.Compact.Time, plan.Period), n)), true
+}
+
+// runtimeWins reports whether s is faster than h at every run-time count
+// (tryPipelinedRuntime: below Stages-1+Unroll all n, else the remainder of
+// Plan.Split, unpipelined, then the region), pricing only the iterations'
+// rows.  s's II is the lower, so checking up to one unroll period past the
+// later start suffices.
+func (e *emitter) runtimeWins(nodes []*depgraph.Node, s, h *pipeline.Plan) bool {
+	at := func(p *pipeline.Plan, n int64) int64 {
+		r, _, ok := p.Split(n)
+		if !ok {
+			return n * int64(p.Period)
+		}
+		return r*int64(p.Period) + cycles(e.regionForm(nodes, p, int(n-r), false), n-r)
+	}
+	start := func(p *pipeline.Plan) int { return p.Stages - 1 + p.Unroll }
+	for n := min(start(s), start(h)); n < max(start(s), start(h))+max(s.Unroll, h.Unroll); n++ {
+		if at(s, int64(n)) >= at(h, int64(n)) {
+			return false
+		}
+	}
+	return true
 }
 
 // tryPipelinedRuntime implements the two-version scheme of Lam §2.4 for

@@ -3,14 +3,12 @@ package pipeline_test
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"softpipe/internal/depgraph"
 	"softpipe/internal/hier"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 	"softpipe/internal/pipeline"
-	"softpipe/internal/schedule"
 	"softpipe/internal/workloads"
 )
 
@@ -96,38 +94,38 @@ func TestRotatingCopyBudgetProbe(t *testing.T) {
 	}
 }
 
-// TestExactRetriesHeuristic: a tighter exact schedule can fail a check
-// downstream of the II search that the heuristic schedule passes — here
-// the exact II stretches one lifetime to 33 copies, past the unroll
-// limit — and exact effort must never pipeline less than the heuristic,
-// so PlanLoop hands back the heuristic plan instead of the error.
+// TestExactRetriesHeuristic: a plan below the heuristic's II
+// can fail a check downstream of the II search that the heuristic's plan
+// passes — here the searched II stretches one lifetime to 33 copies, past
+// the unroll limit — and the default must never pipeline less than the
+// heuristic alone, so PlanLoop hands back the heuristic's plan instead of
+// the error.
 func TestExactRetriesHeuristic(t *testing.T) {
 	_, l, m, nodes := suiteLoop(t, 5, 1, "gen:fa1,fm1,mem1")
-	heur, err := pipeline.PlanLoop(nodes, l.ID, m, pipeline.Options{})
+	heur, err := pipeline.PlanLoop(nodes, l.ID, m, pipeline.Options{HeuristicOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The budget only has to outlast a search that takes milliseconds.
-	exact, err := pipeline.PlanLoop(nodes, l.ID, m, pipeline.Options{Effort: schedule.EffortExact, SchedBudget: time.Minute})
+	plan, err := pipeline.PlanLoop(nodes, l.ID, m, pipeline.Options{})
 	if err != nil {
-		t.Fatalf("exact effort refused a loop the heuristic pipelines: %v", err)
+		t.Fatalf("the default refused a loop the heuristic pipelines: %v", err)
 	}
-	if exact.SchedStats.Effort != schedule.EffortHeuristic || exact.II != heur.II || exact.Unroll != heur.Unroll {
-		t.Errorf("rescued plan: effort %v II %d unroll %d, want the heuristic's (II %d unroll %d)",
-			exact.SchedStats.Effort, exact.II, exact.Unroll, heur.II, heur.Unroll)
+	if plan.Heuristic != nil || plan.SchedStats.Heuristic != plan.II || plan.II != heur.II || plan.Unroll != heur.Unroll {
+		t.Errorf("rescued plan: II %d (heuristic's %d) unroll %d, want the heuristic's plan (II %d unroll %d) alone",
+			plan.II, plan.SchedStats.Heuristic, plan.Unroll, heur.II, heur.Unroll)
 	}
 	if heur.II <= heur.MII {
-		t.Errorf("heuristic II %d at its bound %d: the exact search had nothing tighter to find", heur.II, heur.MII)
+		t.Errorf("heuristic II %d at its bound %d: the search had nothing tighter to find", heur.II, heur.MII)
 	}
 }
 
-// TestExactRetryKeepsFirstError: when the heuristic retry fails too, the
-// caller sees the exact attempt's error.
+// TestExactRetryKeepsFirstError: when the heuristic's plan fails too,
+// the caller sees the search's error.
 func TestExactRetryKeepsFirstError(t *testing.T) {
 	_, l, m, nodes := suiteLoop(t, 5, 1, "gen:fa1,fm1,mem1")
 	m.ResourceCount = append([]int(nil), m.ResourceCount...)
 	m.ResourceCount[machine.ResBranch] = 0
-	_, err := pipeline.PlanLoop(nodes, l.ID, m, pipeline.Options{Effort: schedule.EffortExact})
+	_, err := pipeline.PlanLoop(nodes, l.ID, m, pipeline.Options{})
 	if err == nil || !strings.Contains(err.Error(), "Branch") {
 		t.Fatalf("err = %v, want the missing-branch-unit error", err)
 	}

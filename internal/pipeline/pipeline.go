@@ -54,19 +54,17 @@ type Options struct {
 	// it between reschedules, so a deadlined compile request aborts
 	// instead of running to the largest candidate interval.
 	Ctx context.Context
-	// Policy, BinarySearch and DisableMVE are comparison points (see
-	// codegen.Options): §2.3's lcm unroll, §2.2's FPS-style binary search
-	// for the II, and §2.3 without modulo variable expansion (no
-	// expandable-register edge is removed).
-	Policy       Policy
-	BinarySearch bool
-	DisableMVE   bool
-	// Effort selects the II-search backend: the paper's heuristic
-	// (default) or the exact optimality-proving search with heuristic
-	// fallback (schedule.EffortExact).
-	Effort schedule.Effort
-	// SchedBudget bounds the exact backend's wall clock per Search call;
-	// 0 means schedule.DefaultExactBudget.  Ignored by the heuristic.
+	// Policy, BinarySearch, DisableMVE and HeuristicOnly are comparison
+	// points (see codegen.Options): §2.3's lcm unroll, §2.2's FPS-style
+	// binary search for the II, §2.3 without modulo variable expansion (no
+	// expandable-register edge is removed), and the heuristic alone.
+	Policy        Policy
+	BinarySearch  bool
+	DisableMVE    bool
+	HeuristicOnly bool
+	// Effort and SchedBudget are accepted and ignored until ROADMAP item 3
+	// deletes them: every plan runs the one search (schedule.New).
+	Effort      schedule.Effort
 	SchedBudget time.Duration
 	// LiveOut lists registers whose final values are observed after the
 	// loop; expanded registers in this set receive fix-up moves.
@@ -140,6 +138,11 @@ type Plan struct {
 	SchedStats *schedule.Stats
 	// Explain is the II-search explain report.
 	Explain *schedule.Explain
+
+	// Heuristic is the plan HeuristicOnly makes of the same body where a
+	// search of this plan landed below the heuristic's II, else nil: the
+	// code generator keeps whichever of the two is faster.
+	Heuristic *Plan
 }
 
 // CopyIndex returns which register copy iteration `iter` (the relative
@@ -250,8 +253,8 @@ func PlanLoop(nodes []*depgraph.Node, loopID int, m *machine.Machine, opts Optio
 // which omega-1 edges they drop, and none of this reads those: the
 // resource bound reads reservations, the list schedule omega-0 edges, and
 // the period the full graph, because the unpipelined loop keeps every
-// edge.  So the retries, the exact effort's heuristic retry and the code
-// generator's unpipelined form of the loop all read one Body.
+// edge.  So the retries, the heuristic's plan beside the search's and the
+// code generator's unpipelined form of the loop all read one Body.
 type Body struct {
 	Nodes []*depgraph.Node
 	// Full is the dependence graph with every edge.
@@ -294,31 +297,45 @@ func NewBody(ctx context.Context, nodes []*depgraph.Node, loopID int, m *machine
 }
 
 // Plan is PlanLoop on a body already built (opts.IndependentMem is then
-// the body's own and not read).
+// the body's own and not read).  Where a search landed below the
+// heuristic's II, the HeuristicOnly plan is made too: the plan's
+// Heuristic, or the plan returned when the searched one fails downstream
+// (a lower II can stretch a lifetime past the unroll limit).  The tracer
+// counts the plans made (pipeline.replans).
 func (b *Body) Plan(opts Options) (*Plan, error) {
-	p, err := b.plan(opts)
-	if err != nil && opts.Effort == schedule.EffortExact &&
-		(opts.Ctx == nil || opts.Ctx.Err() == nil) {
-		// A tighter exact schedule can fail checks downstream of the II
-		// search — the MVE unroll limit, the copy budget — that the
-		// heuristic schedule would have passed.  Exact
-		// effort must never pipeline less than the heuristic, so retry
-		// the loop without it before giving up.
-		ho := opts
-		ho.Effort = schedule.EffortHeuristic
-		if hp, herr := b.plan(ho); herr == nil {
-			return hp, nil
-		}
+	pl := &planner{Body: b, opts: opts}
+	defer func() { opts.Tracer.Count("pipeline.replans", int64(pl.plans)) }()
+	p, err := pl.plan()
+	if !pl.below || opts.HeuristicOnly || (opts.Ctx != nil && opts.Ctx.Err() != nil) {
+		return p, err
 	}
-	return p, err
+	pl.opts.HeuristicOnly = true
+	hp, herr := pl.plan()
+	switch {
+	case herr != nil:
+		return p, err
+	case err != nil:
+		return hp, nil
+	}
+	p.Heuristic = hp
+	return p, nil
+}
+
+// planner is one Body.Plan call: how many plans it made and whether a
+// search landed below the heuristic's II.
+type planner struct {
+	*Body
+	opts  Options
+	plans int
+	below bool
 }
 
 // Floor is a lower bound on every initiation interval Plan(opts) can
 // return, found without a search: the floor the first attempt's search
 // starts from, that of the graph with every expandable register expanded
 // (none without MVE).  The copy-budget retries only restore edges or
-// raise the floor, and the exact effort's heuristic retry starts from the
-// same bound, so no plan of b lands below it.  It fails as that attempt's
+// raise the floor, and the heuristic's plan starts from the same bound,
+// so no plan of b lands below it.  It fails as that attempt's
 // analysis would (an error wrapping opts.Ctx's when it ends), and then
 // Plan(opts) fails too.
 func (b *Body) Floor(opts Options) (int, error) {
@@ -393,7 +410,9 @@ func windows(nodes []*depgraph.Node) int {
 	return m
 }
 
-func (b *Body) plan(opts Options) (*Plan, error) {
+// plan makes the plan of the body under pl.opts.
+func (pl *planner) plan() (*Plan, error) {
+	b, opts := pl.Body, pl.opts
 	// The §4.2 profitability guards are computed against the locally
 	// compacted body.  The threshold needs nothing else, so it goes before
 	// the dependence analysis and the search — whose longest-path sweeps
@@ -410,7 +429,7 @@ func (b *Body) plan(opts Options) (*Plan, error) {
 				return nil, fmt.Errorf("pipeline: plan aborted: %w", err)
 			}
 		}
-		p, err := planWith(b, expanded, minII, opts)
+		p, err := pl.planWith(expanded, minII)
 		if err != nil {
 			return nil, err
 		}
@@ -431,14 +450,14 @@ func (b *Body) plan(opts Options) (*Plan, error) {
 			// the cheapest victim un-expanded — and keep whichever fits
 			// the budget at the smaller interval (or whichever made more
 			// progress when neither fits yet).
-			pA, errA := planWith(b, expanded, p.II+1, opts)
+			pA, errA := pl.planWith(expanded, p.II+1)
 			exB := make(map[ir.VReg]bool, len(expanded))
 			for r := range expanded {
 				if r != worst {
 					exB[r] = true
 				}
 			}
-			pB, errB := planWith(b, exB, minII, opts)
+			pB, errB := pl.planWith(exB, minII)
 			cost := func(pp *Plan) int {
 				f, i := pp.CopyRegs(opts.RegKind)
 				return f + i
@@ -476,9 +495,11 @@ func (b *Body) plan(opts Options) (*Plan, error) {
 	}
 }
 
-// planWith plans b with the registers in expanded expanded, its search
-// starting no lower than minII.
-func planWith(b *Body, expanded map[ir.VReg]bool, minII int, opts Options) (*Plan, error) {
+// planWith plans the body with the registers in expanded expanded, its
+// search starting no lower than minII.
+func (pl *planner) planWith(expanded map[ir.VReg]bool, minII int) (*Plan, error) {
+	pl.plans++
+	b, opts := pl.Body, pl.opts
 	nodes, m := b.Nodes, b.m
 	g := b.Full.Filter(expanded)
 
@@ -512,7 +533,10 @@ func planWith(b *Body, expanded map[ir.VReg]bool, minII int, opts Options) (*Pla
 		return nil, fmt.Errorf("pipeline: initiation interval bound %d within 99%% of unpipelined length %d", floor, b.Period)
 	}
 
-	searcher := schedule.New(opts.Effort, a, m)
+	var searcher schedule.Scheduler = schedule.NewExactSearcher(a, m)
+	if opts.HeuristicOnly {
+		searcher = schedule.NewSearcher(a, m)
+	}
 	search := opts.Tracer.Begin("schedule.search")
 	res, st, err := searcher.Search(schedule.Options{
 		Ctx:            opts.Ctx,
@@ -521,7 +545,6 @@ func planWith(b *Body, expanded map[ir.VReg]bool, minII int, opts Options) (*Pla
 		BinarySearch:   opts.BinarySearch,
 		ReserveBranch:  true,
 		BranchResource: machine.ResBranch,
-		Budget:         opts.SchedBudget,
 	})
 	var exactNodes int64
 	if st != nil {
@@ -536,6 +559,7 @@ func planWith(b *Body, expanded map[ir.VReg]bool, minII int, opts Options) (*Pla
 		search.End()
 		return nil, err
 	}
+	pl.below = pl.below || st.Heuristic != res.II
 	search.Arg("ii", int64(res.II)).End()
 	if verr := schedule.Verify(g, m, res); verr != nil {
 		return nil, fmt.Errorf("pipeline: internal schedule verification failed: %w", verr)

@@ -9,7 +9,6 @@ import (
 	"softpipe/internal/depgraph"
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
-	"softpipe/internal/schedule"
 )
 
 func innerNodes(t *testing.T, p *ir.Program, m *machine.Machine) ([]*depgraph.Node, int) {
@@ -357,7 +356,7 @@ func TestProfitabilityGuards(t *testing.T) {
 		{"marginal loop kept on request", accumulate(), Options{KeepMarginal: true}, ""},
 		{"body at the threshold planned", chain(42), Options{}, ""},
 		{"body beyond the threshold refused", chain(43), Options{}, "beyond pipelining threshold 300"},
-		{"threshold holds at exact effort too", chain(43), Options{Effort: schedule.EffortExact}, "beyond pipelining threshold 300"},
+		{"threshold holds with the heuristic alone too", chain(43), Options{HeuristicOnly: true}, "beyond pipelining threshold 300"},
 	} {
 		nodes, loopID := innerNodes(t, tc.prog, m)
 		plan, err := PlanLoop(nodes, loopID, m, tc.opts)

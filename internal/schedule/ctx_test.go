@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
@@ -63,7 +62,7 @@ func TestExactSearchAbortsOnCanceledContext(t *testing.T) {
 	a := analyze(t, p, m, true)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := New(EffortExact, a, m).Search(Options{Ctx: ctx})
+	_, _, err := NewExactSearcher(a, m).Search(Options{Ctx: ctx})
 	if err == nil {
 		t.Fatal("exact search with a canceled context succeeded")
 	}
@@ -94,7 +93,7 @@ func TestExactSearchAbortsMidSearch(t *testing.T) {
 	// (II 7, 8, 9) and once a pivot of every longest-path sweep; a
 	// countdown of exactly that many lets it finish and cancels on the
 	// exact refinement's first probe.
-	opts := Options{ReserveBranch: true, BranchResource: machine.ResBranch, Budget: time.Minute}
+	opts := Options{ReserveBranch: true, BranchResource: machine.ResBranch}
 	count := &countdownCtx{Context: context.Background(), n: math.MaxInt}
 	opts.Ctx = count
 	_, hst, err := Modulo(a, m, opts)
@@ -102,7 +101,7 @@ func TestExactSearchAbortsMidSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Ctx = &countdownCtx{Context: context.Background(), n: math.MaxInt - count.n}
-	r, st, err := New(EffortExact, a, m).Search(opts)
+	r, st, err := NewExactSearcher(a, m).Search(opts)
 	if st.Attempts != hst.Attempts {
 		t.Fatalf("canceled after %d of the heuristic's %d attempts, not past them", st.Attempts, hst.Attempts)
 	}
@@ -124,17 +123,17 @@ func TestExactBudgetFallsBackToHeuristic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A 1µs budget is exhausted by the heuristic pass alone, so the
-	// exact backend must return the heuristic schedule bit-identically,
-	// as a success, with the fallback recorded.
-	bopts := opts
-	bopts.Budget = time.Microsecond
-	er, est, err := New(EffortExact, a, m).Search(bopts)
+	// A node budget of zero is exhausted by the branch-and-bound's first
+	// node, so the search must return the heuristic schedule
+	// bit-identically, as a success, with the fallback recorded.
+	ex := NewExactSearcher(a, m)
+	ex.budget = 0
+	er, est, err := ex.Search(opts)
 	if err != nil {
 		t.Fatalf("budget exhaustion surfaced as an error: %v", err)
 	}
 	if !est.FellBack {
-		t.Fatal("1µs budget did not trigger the heuristic fallback")
+		t.Fatal("a zero node budget did not trigger the heuristic fallback")
 	}
 	if est.Proved {
 		t.Fatal("fallback result is marked proved")
@@ -147,13 +146,14 @@ func TestExactBudgetFallsBackToHeuristic(t *testing.T) {
 
 func TestExactBudgetFallbackExplainNote(t *testing.T) {
 	a, m := gapLoopAnalysis(t)
-	opts := Options{ReserveBranch: true, BranchResource: machine.ResBranch, Budget: time.Microsecond}
-	er, est, err := New(EffortExact, a, m).Search(opts)
+	ex := NewExactSearcher(a, m)
+	ex.budget = 0
+	er, est, err := ex.Search(Options{ReserveBranch: true, BranchResource: machine.ResBranch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !est.FellBack {
-		t.Fatal("1µs budget did not trigger the heuristic fallback")
+		t.Fatal("a zero node budget did not trigger the heuristic fallback")
 	}
 	if er.Explain == nil || len(er.Explain.Notes) == 0 {
 		t.Fatal("fallback left no note in the explain report")

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"softpipe/internal/depgraph"
 	"softpipe/internal/hier"
@@ -48,8 +47,8 @@ func provedII(t *testing.T, g *depgraph.Graph, m *machine.Machine) (int, bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, st, err := schedule.New(schedule.EffortExact, a, m).Search(schedule.Options{
-		ReserveBranch: true, BranchResource: machine.ResBranch, Budget: 10 * time.Second,
+	r, st, err := schedule.NewExactSearcher(a, m).Search(schedule.Options{
+		ReserveBranch: true, BranchResource: machine.ResBranch,
 	})
 	if err != nil || !st.Proved {
 		return 0, false

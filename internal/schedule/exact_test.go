@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"softpipe/internal/depgraph"
 	"softpipe/internal/machine"
@@ -14,7 +13,7 @@ import (
 // a test-friendly budget: generous enough that the tiny corpus loops
 // always decide, so the tests are deterministic.
 func exactTestOpts() Options {
-	return Options{ReserveBranch: true, BranchResource: machine.ResBranch, Budget: 10 * time.Second}
+	return Options{ReserveBranch: true, BranchResource: machine.ResBranch}
 }
 
 // gapLoopAnalysis rebuilds the pinned corpus loop (randomLoop seed 0,
@@ -40,7 +39,7 @@ func TestExactClosesKnownGap(t *testing.T) {
 	if hst.MetLower {
 		t.Fatalf("pinned loop no longer misses the floor (heuristic II %d, MII %d); pick a new seed", hr.II, a.MII)
 	}
-	er, est, err := New(EffortExact, a, m).Search(exactTestOpts())
+	er, est, err := NewExactSearcher(a, m).Search(exactTestOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +76,7 @@ func TestExactPinsKnownGap(t *testing.T) {
 	if hst.MetLower {
 		t.Fatalf("pinned loop no longer misses the floor (heuristic II %d, MII %d); pick a new seed", hr.II, a.MII)
 	}
-	er, est, err := New(EffortExact, a, m).Search(exactTestOpts())
+	er, est, err := NewExactSearcher(a, m).Search(exactTestOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +106,7 @@ func TestExactNeverWorseThanHeuristicRandom(t *testing.T) {
 		for _, expand := range []bool{false, true} {
 			a := analyze(t, p, m, expand)
 			hr, _, herr := Modulo(a, m, Options{ReserveBranch: true, BranchResource: machine.ResBranch})
-			er, est, eerr := New(EffortExact, a, m).Search(exactTestOpts())
+			er, est, eerr := NewExactSearcher(a, m).Search(exactTestOpts())
 			if herr != nil {
 				t.Fatalf("trial %d (expand=%v): heuristic: %v", trial, expand, herr)
 			}
@@ -132,11 +131,11 @@ func TestExactNeverWorseThanHeuristicRandom(t *testing.T) {
 
 func TestExactSearchDeterministic(t *testing.T) {
 	a, m := gapLoopAnalysis(t)
-	r1, _, err := New(EffortExact, a, m).Search(exactTestOpts())
+	r1, _, err := NewExactSearcher(a, m).Search(exactTestOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := New(EffortExact, a, m).Search(exactTestOpts())
+	r2, _, err := NewExactSearcher(a, m).Search(exactTestOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func TestExactMinimalityCertificate(t *testing.T) {
 		a := analyze(t, p, m, false)
 		// No branch reservation here: the proof must cover exactly the
 		// constraint set Verify checks (dependences + machine resources).
-		er, est, err := New(EffortExact, a, m).Search(Options{Budget: 10 * time.Second})
+		er, est, err := NewExactSearcher(a, m).Search(Options{})
 		if err != nil {
 			t.Fatalf("seed %d: exact: %v", seed, err)
 		}

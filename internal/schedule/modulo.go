@@ -35,10 +35,8 @@ type Options struct {
 	// BranchResource identifies the sequencer resource when
 	// ReserveBranch is set.
 	BranchResource machine.Resource
-	// Budget bounds the wall-clock time of one Search call of the exact
-	// backend (EffortExact), measured from entry; past it the exact
-	// search stops and the heuristic schedule is kept (Stats.FellBack).
-	// 0 means DefaultExactBudget.  The heuristic backend ignores it.
+	// Budget is accepted and ignored (NodeBudget and Ctx bound a search)
+	// until ROADMAP item 3 deletes it.
 	Budget time.Duration
 }
 
@@ -67,14 +65,14 @@ type Stats struct {
 	// scanned and rejected before finding a fit (or giving up).
 	Backtracks int
 	MetLower   bool
-	// Effort names the backend that produced the result.
-	Effort Effort
-	// Proved reports that the exact backend exhaustively refuted every
-	// candidate interval below Achieved: the schedule is optimal, not
-	// just heuristically good.
+	// Heuristic is the II the heuristic found (0: none).
+	Heuristic int
+	// Proved reports that the search refuted every candidate interval
+	// below Achieved: the schedule is optimal, not just heuristically
+	// good.
 	Proved bool
-	// FellBack reports that the exact backend hit its time budget and
-	// returned the heuristic schedule unchanged.
+	// FellBack reports that the branch-and-bound ran out of NodeBudget
+	// and returned the heuristic schedule unchanged.
 	FellBack bool
 	// ExactNodes counts decision-tree nodes the exact search explored.
 	ExactNodes int64
@@ -326,7 +324,7 @@ func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
 			return nil, st, err
 		}
 		if r != nil {
-			st.Achieved = s
+			st.Achieved, st.Heuristic = s, s
 			st.MetLower = s == st.MII
 			st.Backtracks = sr.retries
 			sr.exp.Achieved = s
@@ -386,7 +384,7 @@ func (sr *Searcher) searchBinary(opts Options, floor, maxII int, st *Stats) (*Re
 	if best == nil {
 		return nil, &InfeasibleError{MII: floor, MaxII: maxII, Binary: true, Explain: sr.exp}
 	}
-	st.Achieved = bestII
+	st.Achieved, st.Heuristic = bestII, bestII
 	st.MetLower = bestII == st.MII
 	sr.exp.Achieved = bestII
 	best.Explain = sr.exp

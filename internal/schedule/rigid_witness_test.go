@@ -145,7 +145,7 @@ func TestRigidWitnessesCheck(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			hr, _, err := schedule.New(schedule.EffortHeuristic, a, o.m).Search(schedule.Options{ReserveBranch: true, BranchResource: machine.ResBranch})
+			hr, _, err := schedule.NewSearcher(a, o.m).Search(schedule.Options{ReserveBranch: true, BranchResource: machine.ResBranch})
 			if err != nil {
 				continue
 			}

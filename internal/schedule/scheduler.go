@@ -7,27 +7,18 @@ import (
 	"softpipe/internal/machine"
 )
 
-// Effort selects the scheduling backend: the paper's near-optimal
-// heuristic, or the exact branch-and-bound search that proves optimality
-// (ROADMAP item 23; cf. Roorda's SMT formulation and the Lund CP study).
+// Effort selects nothing: there is one search (New).  The type, its
+// constants and ParseEffort stay for the frozen benchmark module and the
+// service's cache key until ROADMAP item 3 deletes them.
 type Effort int
 
-// Efforts.
+// Efforts, both accepted and ignored.
 const (
-	// EffortHeuristic is Lam §2.2: iterative list scheduling with
-	// precedence-constrained ranges.  Fast, near-optimal, may miss the
-	// true minimum initiation interval.
 	EffortHeuristic Effort = iota
-	// EffortExact runs the heuristic first, then tries to prove each
-	// smaller II feasible or infeasible by exhaustive CP-style search
-	// over the modulo reservation table with dependence-range
-	// propagation, under a per-loop time budget.  On budget exhaustion
-	// it falls back to the heuristic schedule (never worse, never an
-	// error).
 	EffortExact
 )
 
-// String renders the effort as its flag spelling.
+// String renders the effort as its old flag spelling.
 func (e Effort) String() string {
 	switch e {
 	case EffortHeuristic:
@@ -38,8 +29,8 @@ func (e Effort) String() string {
 	return fmt.Sprintf("effort(%d)", int(e))
 }
 
-// ParseEffort maps a -effort flag value to an Effort ("" means
-// heuristic).
+// ParseEffort maps an old -effort spelling to an Effort ("" means
+// heuristic), and fails on any other.
 func ParseEffort(s string) (Effort, error) {
 	switch s {
 	case "", "heuristic":
@@ -59,12 +50,9 @@ type Scheduler interface {
 	Search(opts Options) (*Result, *Stats, error)
 }
 
-// New returns the scheduler implementing the requested effort for the
-// analyzed loop.  EffortHeuristic is the Searcher of Lam §2.2;
-// EffortExact wraps it with the optimality-proving backend.
-func New(effort Effort, a *depgraph.Analysis, m *machine.Machine) Scheduler {
-	if effort == EffortExact {
-		return NewExactSearcher(a, m)
-	}
-	return NewSearcher(a, m)
+// New returns the one II search for the analyzed loop, ExactSearcher; the
+// Effort is ignored.  NewSearcher alone is the heuristic, the comparison
+// point codegen.Options.HeuristicOnly reaches.
+func New(_ Effort, a *depgraph.Analysis, m *machine.Machine) Scheduler {
+	return NewExactSearcher(a, m)
 }

@@ -28,10 +28,8 @@ type CompileOptions struct {
 	// Verify runs the independent object-code verifier as part of the
 	// compile; a verified artifact is cached like any other.
 	Verify bool `json:"verify,omitempty"`
-	// Effort selects the II-search backend: "" or "heuristic" (default),
-	// or "exact" for the optimality-proving search with heuristic
-	// fallback — users who will pay compile latency for the best
-	// schedule.  Invalid values are rejected with 400 before keying.
+	// Effort is accepted ("", "heuristic", "exact"; else 400) and keyed,
+	// but selects nothing (softpipe.Options.Effort) until ROADMAP item 3.
 	Effort string `json:"effort,omitempty"`
 }
 
@@ -100,15 +98,13 @@ type LoopStats struct {
 	RecMII    int    `json:"rec_mii"`
 	II        int    `json:"ii"`
 	MetLower  bool   `json:"met_lower"`
-	// Effort names the II-search backend that scheduled the loop; with
-	// effort=exact, Proved reports that II is optimal (every smaller
-	// interval exhaustively refuted) and FellBack that the exact search
-	// hit its budget and kept the heuristic schedule.
-	Effort   string `json:"effort,omitempty"`
-	Proved   bool   `json:"proved,omitempty"`
-	FellBack bool   `json:"fell_back,omitempty"`
-	Unroll   int    `json:"unroll,omitempty"`
-	Stages   int    `json:"stages,omitempty"`
+	// Proved reports that II is optimal (every smaller interval refuted)
+	// and FellBack that the search ran out of its node budget and kept
+	// the heuristic schedule.
+	Proved   bool `json:"proved,omitempty"`
+	FellBack bool `json:"fell_back,omitempty"`
+	Unroll   int  `json:"unroll,omitempty"`
+	Stages   int  `json:"stages,omitempty"`
 	// Passes, Tail and Flat say how a pipelined loop's compile-time trip
 	// count was split: Stages-1 iterations start in the prolog, Unroll in
 	// each of Passes kernel passes and Tail in the epilog; a Flat loop was
@@ -276,8 +272,7 @@ func (j *job) compile(ctx context.Context, tracer *softpipe.Tracer) (*entry, err
 			Flops:     lr.Flops,
 			Explain:   lr.Explain.Format(),
 		}
-		if lr.Pipelined && lr.Effort != softpipe.EffortHeuristic {
-			ls.Effort = lr.Effort.String()
+		if lr.Pipelined {
 			ls.Proved = lr.Proved
 			ls.FellBack = lr.FellBack
 		}

@@ -83,7 +83,7 @@ func (e *entry) seal() (int64, error) {
 	n := int64(entryCost + 8*(len(e.cellII)+len(e.estMII)+len(e.cutWidths)))
 	for i := range e.loops {
 		l := &e.loops[i]
-		n += int64(loopCost + len(l.Reason) + len(l.Effort) + len(l.Explain))
+		n += int64(loopCost + len(l.Reason) + len(l.Explain))
 	}
 	for _, b := range e.bins {
 		n += (binWordCost + progWordCost) * int64(len(b.Instrs))

@@ -91,18 +91,12 @@ type Options struct {
 	// Baseline disables software pipelining: loop bodies are locally
 	// compacted but iterations never overlap (the Figure 4-2 baseline).
 	Baseline bool
-	// Effort selects the II-search backend: EffortHeuristic (default) is
-	// Lam's near-optimal iterative scheduler; EffortExact additionally
-	// proves optimality by exhaustive search below the heuristic's II,
-	// falling back to the heuristic schedule when EffortBudget runs out.
-	Effort Effort
-	// EffortBudget bounds the exact backend's wall clock per loop search;
-	// 0 means schedule.DefaultExactBudget (250ms).  Ignored by the
-	// heuristic backend.  A search that runs out keeps the heuristic
-	// schedule, the top of the range it refutes, so one that finishes
-	// within its budget where it used to run out (a faster host, a search
-	// that explores fewer nodes) can only turn FellBack into Proved, with
-	// the same II or a smaller one, never a larger.
+	// Effort and EffortBudget are accepted and ignored, as are
+	// EffortHeuristic, EffortExact and ParseEffort: every compile runs one
+	// II search and keeps the faster plan (schedule.New, codegen's
+	// keepFaster).  They stay for the frozen benchmark module and the
+	// service's cache key until ROADMAP item 3 deletes them.
+	Effort       Effort
 	EffortBudget time.Duration
 	// VerifyEmitted runs the independent object-code checker
 	// (internal/verify) on the emitted binary as part of compilation:
@@ -129,21 +123,17 @@ func NewTracer(name string) *Tracer { return trace.New(name) }
 // why the loop never reached the search.  cmd/w2c -explain prints it.
 type ExplainReport = schedule.Explain
 
-// Effort selects the II-search backend; see schedule.Effort.
+// Effort is accepted and ignored; see Options.Effort.
 type Effort = schedule.Effort
 
-// Efforts.
+// Efforts, accepted and ignored; see Options.Effort.
 const (
-	// EffortHeuristic is the paper's iterative modulo scheduler.
 	EffortHeuristic = schedule.EffortHeuristic
-	// EffortExact proves the initiation interval optimal (or falls back
-	// to the heuristic on budget exhaustion); users pay compile latency
-	// for the best schedule.
-	EffortExact = schedule.EffortExact
+	EffortExact     = schedule.EffortExact
 )
 
-// ParseEffort maps a -effort flag value to an Effort ("" means
-// heuristic).
+// ParseEffort maps an old -effort spelling to an Effort ("" means
+// heuristic) and fails on any other; the service still rejects a bad one.
 func ParseEffort(s string) (Effort, error) { return schedule.ParseEffort(s) }
 
 func (o Options) lower() codegen.Options {
@@ -156,8 +146,6 @@ func (o Options) lower() codegen.Options {
 		Mode:          mode,
 		VerifyEmitted: o.VerifyEmitted,
 		Tracer:        o.Tracer,
-		Effort:        o.Effort,
-		EffortBudget:  o.EffortBudget,
 	}
 }
 
