@@ -338,7 +338,7 @@ const partitionAllocCeiling = 1151
 
 // TestPartitionAllocBudget: the split search costs a candidate stage
 // without allocating, so a plan allocates what it builds once — the
-// body's graph and clusters per machine, the tables of the search, the
+// body's graph and clusters, the tables of the search, the
 // fragments it returns — and does not creep back up.
 func TestPartitionAllocBudget(t *testing.T) {
 	var k7 *ir.Program

@@ -23,7 +23,9 @@ import (
 // The eight goldens pin eight programs on warp at default options.  The
 // corpus digest pins everything the back end emits: one SHA-256 over the
 // disassembly and the per-loop scheduling facts of every corpus program
-// on every digest machine at every option point.  A refactor of codegen,
+// on every digest machine at every option point, and of each object the
+// II search's branch-and-bound works hardest on (exactObjects, at the
+// default options).  A refactor of codegen,
 // pipeline or hier that changes a single emitted word, register number
 // or loop verdict anywhere in that product changes the digest;
 // regenerate with
@@ -482,15 +484,26 @@ func TestCorpusDigest(t *testing.T) {
 		h.Sum(sums[i][:0])
 	})
 
+	// One digest per exact object.
+	exactNames, exactProgs, exactMachs := exactObjects(t)
+	exactSums := make([][sha256.Size]byte, len(exactNames))
+	eachProgram(len(exactNames), func(i int) {
+		exactSums[i] = sha256.Sum256([]byte(digestObject(exactProgs[i], exactMachs[i], digestOptions[0])))
+	})
+
 	total := sha256.New()
 	var lines strings.Builder
 	for i, p := range progs {
 		total.Write(sums[i][:])
 		fmt.Fprintf(&lines, "%s sha256:%x\n", p.name, sums[i])
 	}
-	got := fmt.Sprintf("# corpus digest: %d programs x %d machines x %d option points = %d objects\n"+
+	for i, name := range exactNames {
+		total.Write(exactSums[i][:])
+		fmt.Fprintf(&lines, "exact/%s sha256:%x\n", name, exactSums[i])
+	}
+	got := fmt.Sprintf("# corpus digest: %d programs x %d machines x %d option points = %d objects, and %d exact objects\n"+
 		"# regenerate: go test -run TestCorpusDigest -update\n"+
-		"total sha256:%x\n%s", len(progs), len(machines), len(digestOptions), objects, total.Sum(nil), lines.String())
+		"total sha256:%x\n%s", len(progs), len(machines), len(digestOptions), objects, len(exactNames), total.Sum(nil), lines.String())
 
 	path := filepath.Join("testdata", "corpus.digest")
 	if *update {
@@ -516,7 +529,7 @@ func TestCorpusDigest(t *testing.T) {
 			moved = append(moved, strings.Fields(l)[0])
 		}
 	}
-	t.Errorf("emitted code or loop verdicts changed for %d corpus programs: %s\n(run with -update if the change is intended)",
+	t.Errorf("emitted code or loop verdicts changed for %d corpus programs or exact objects: %s\n(run with -update if the change is intended)",
 		len(moved), strings.Join(moved, " "))
 }
 

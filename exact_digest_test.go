@@ -1,30 +1,26 @@
 package softpipe_test
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync/atomic"
 	"testing"
 
 	"softpipe"
 	"softpipe/internal/codegen"
 	"softpipe/internal/machine"
-	"softpipe/internal/schedule"
 	"softpipe/internal/workloads"
 )
 
-// The exact digest pins the objects the branch-and-bound below the
-// heuristic's II works hardest on: the paper sources (saxpy and the
-// Livermore kernels) on Warp and on every grid machine the compile-exact
-// benchmark draws, and the RandomPrograms of its pool.  Every compile
-// runs that search (schedule.New) within a node budget, so the digest
-// depends on neither a clock nor the thread count; a loop that runs out of
-// budget anyway fails the test rather than being hashed.  Regenerate with
-//
-//	go test -run TestExactDigest -update
+// The exact objects are those the branch-and-bound below the heuristic's
+// II works hardest on: the paper sources (saxpy and the Livermore
+// kernels) on Warp and on every grid machine the compile-exact benchmark
+// draws, and the RandomPrograms of its pool.  Every compile runs that
+// search (schedule.New) within a node budget, so what they compile to
+// depends on neither a clock nor the thread count.  TestCorpusDigest
+// hashes them, one line each in testdata/corpus.digest; TestExactDigest
+// holds the search's work on them.
 
 // exactNodeCeiling bounds the decision-tree nodes the digest's exact
 // searches explore in all, read off the compiles' own
@@ -90,30 +86,24 @@ func exactObjects(t *testing.T) (names []string, progs []*softpipe.Program, mach
 	return names, progs, machines
 }
 
+// TestExactDigest: no loop of an exact object runs out of the search's
+// node budget (it would be hashed at the heuristic's plan, not the
+// proved one), and the searches explore at most exactNodeCeiling nodes
+// in all.
 func TestExactDigest(t *testing.T) {
 	names, progs, machines := exactObjects(t)
-	texts := make([]string, len(progs))
 	tr := softpipe.NewTracer("exact-digest")
 	eachProgram(len(progs), func(i int) {
 		obj, err := softpipe.Compile(progs[i], machines[i], softpipe.Options{Tracer: tr})
 		if err != nil {
-			texts[i] = "error: " + err.Error() + "\n"
-			return
+			return // hashed as its error text by TestCorpusDigest
 		}
-		var b strings.Builder
-		b.WriteString(obj.Disassemble())
 		for _, lr := range obj.Report.Loops {
 			if lr.FellBack {
 				t.Errorf("%s: loop %d ran out of the search's node budget", names[i], lr.LoopID)
 			}
-			fmt.Fprintf(&b, "loop %d pipelined=%v II=%d MII=%d unroll=%d stages=%d reason=%q\n",
-				lr.LoopID, lr.Pipelined, lr.II, lr.MII, lr.Unroll, lr.Stages, lr.Reason)
 		}
-		texts[i] = b.String()
 	})
-	if t.Failed() {
-		return
-	}
 	var nodes int64
 	for _, e := range tr.Events() {
 		if e.Ph == 'C' && e.Name == "schedule.exact_nodes" {
@@ -124,44 +114,6 @@ func TestExactDigest(t *testing.T) {
 	if nodes > exactNodeCeiling {
 		t.Errorf("exact searches explored %d nodes, above the ceiling %d", nodes, exactNodeCeiling)
 	}
-
-	total := sha256.New()
-	var lines strings.Builder
-	for i, name := range names {
-		sum := sha256.Sum256([]byte(texts[i]))
-		total.Write(sum[:])
-		fmt.Fprintf(&lines, "%s sha256:%x\n", name, sum)
-	}
-	got := fmt.Sprintf("# exact digest: %d objects, budget %d nodes a search\n"+
-		"# regenerate: go test -run TestExactDigest -update\n"+
-		"total sha256:%x\n%s", len(names), schedule.NodeBudget, total.Sum(nil), lines.String())
-
-	path := filepath.Join("testdata", "exact.digest")
-	if *update {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing digest file (run `go test -run TestExactDigest -update`): %v", err)
-	}
-	if got == string(want) {
-		return
-	}
-	wantLines := map[string]bool{}
-	for _, l := range strings.Split(string(want), "\n") {
-		wantLines[l] = true
-	}
-	var moved []string
-	for _, l := range strings.Split(got, "\n") {
-		if l != "" && !wantLines[l] && !strings.HasPrefix(l, "total ") && !strings.HasPrefix(l, "#") {
-			moved = append(moved, strings.Fields(l)[0])
-		}
-	}
-	t.Errorf("code or loop verdicts changed for %d objects: %s\n(run with -update if the change is intended)",
-		len(moved), strings.Join(moved, " "))
 }
 
 // TestExactNeverLosesToHeuristic: the search below the heuristic's II

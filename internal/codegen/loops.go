@@ -396,12 +396,15 @@ func (e *emitter) span(nodes []*depgraph.Node, time []int) (extent, landed int) 
 // body: the lifted operations now run on every iteration and lengthen
 // the schedule.  The whole-arm form of Lam §3.1 is planned as well, and
 // kept, when the lifted body does not pipeline, is too short in
-// iterations for its own stages, or lands on a higher II.  That last
-// plan is made only where it can win: when the lifted II is above the
-// whole-arm body's floor (pipeline.Body.Floor, the II its search would
-// start from), since no plan of that body lands below it.  The part of
-// the floor the nodes give (pipeline.ResourceFloor) is read first, and
-// the body is built only where the lifted II is above that.
+// iterations for its own stages, or loses to it (wholeWins: a lower II,
+// or, where a search landed below a heuristic's II, fewer cycles).  That
+// last plan is made only where the lifted II is above the whole-arm
+// body's floor (pipeline.Body.Floor, the II its search would start
+// from), so only where it could land on a lower II.  A whole-arm plan at
+// an equal or higher II that wholeWins would keep on cycles is never
+// made: the prune gives that case up to skip the plans.  The part of the
+// floor the nodes give (pipeline.ResourceFloor) is read first, and the
+// body is built only where the lifted II is above that.
 func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *LoopReport) ([]*depgraph.Node, *pipeline.Plan, bool) {
 	base := *rep
 	reduce := func(lift bool, rep *LoopReport) ([]*depgraph.Node, int, bool) {
@@ -443,11 +446,11 @@ func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *L
 		case !fits:
 			why = fmt.Sprintf("the lifted body's %d stages are too many for %d iterations", plan.Stages, l.CountImm)
 		default:
-			// Only a plan below the lifted II would be kept, and no plan
-			// lands below the body's floor: first the part of it the nodes
-			// give, then, where the lifted II is above that, all of it,
-			// which needs the body built.  A floor that cannot be had means
-			// a plan that cannot be had either.
+			// Planned only where it could land below the lifted II, and no
+			// plan lands below the body's floor: first the part of it the
+			// nodes give, then, where the lifted II is above that, all of
+			// it, which needs the body built.  A floor that cannot be had
+			// means a plan that cannot be had either.
 			floor, err := pipeline.ResourceFloor(whole, e.m)
 			if err == nil && plan.II > floor {
 				if wb = e.reducedBody(l, whole, powerOfTwo, keepMarginal, &wrep); wb.body != nil {

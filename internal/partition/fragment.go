@@ -33,20 +33,14 @@ func (pl *planner) replClosure(needed map[ir.VReg]bool, inSet map[int]bool) {
 	}
 }
 
-// machineModel is what the split search knows about one target machine,
-// built once however many stages it hosts and intervals it is tried on.
+// machineModel is what the split search knows about the cell machine,
+// built once however many stages and intervals it is tried on.
 type machineModel struct {
 	m *machine.Machine
-	// nodes[pos] is the scheduling node of body op pos on m; nil where m
-	// has no descriptor for the op.  recv and send are the nodes of a
-	// queue receive and send, nil where m has none.
+	// nodes[pos] is the scheduling node of body op pos on m; recv and
+	// send are the nodes of a queue receive and send.
 	nodes      []*depgraph.Node
 	recv, send *depgraph.Node
-	// failing[pos] marks a body op no stage holding it can be costed with
-	// on m: it has no node, or reserves a resource m does not count.
-	// recvFails and sendFails say the same of the queue ops.
-	failing              []bool
-	recvFails, sendFails bool
 	// out[pos] lists the dependences of the body graph on m that leave
 	// body op pos, endpoints as body positions.  A stage's graph is the
 	// subgraph this graph induces on the stage's ops, plus the edges of
@@ -58,17 +52,10 @@ type machineModel struct {
 	// clusters [0, c): a prefix sum, so any interval's resource pressure
 	// is one subtraction per resource.
 	use [][]int
-	// memo caches stage costs by cluster interval [i..j] at i·C+j.  A
-	// homogeneous array shares one model, so each interval is evaluated
-	// once, not once per stage.
-	memo []stageBound
-}
-
-// stageBound is a memoised stageCost result; the zero value is an
-// interval not evaluated yet (an MII is at least 1).
-type stageBound struct {
-	mii int
-	err error
+	// memo caches stage costs by cluster interval [i..j] at i·C+j, so
+	// each interval is evaluated once, not once per stage; 0 is an
+	// interval not evaluated yet (an MII is at least 1).
+	memo []int
 }
 
 // costScratch is stageCost's working storage, kept between evaluations
@@ -86,9 +73,8 @@ type costScratch struct {
 // prepareSplit builds the tables the split search reads for every
 // candidate but that depend on no candidate: each cluster's op positions
 // closed over the replicable integer ops they need (the closure of a
-// union of clusters is the union of their closures), and per distinct
-// machine the body's scheduling nodes, dependence graph and
-// resource-use prefix sums.
+// union of clusters is the union of their closures), and the machine
+// model's edge lists, resource-use prefix sums and memo.
 func (pl *planner) prepareSplit() {
 	body := pl.sh.body
 	pl.closed = make([][]int, len(pl.clusters))
@@ -121,98 +107,38 @@ func (pl *planner) prepareSplit() {
 	for pos := range sc.local {
 		sc.local[pos] = -1
 	}
-	pl.models = map[*machine.Machine]*machineModel{}
-	for _, m := range pl.machines {
-		if pl.models[m] != nil {
-			continue
-		}
-		mm := pl.newModel(m)
-		pl.models[m] = mm
-		if len(sc.uses) < len(m.ResourceCount) {
-			sc.uses = make([]int, len(m.ResourceCount))
-		}
-	}
-}
-
-// newModel builds m's tables.  The planner's own graph, built on the
-// first machine, is that machine's body graph; any other machine builds
-// its own over the ops it has nodes for (a stage holding one it has none
-// for fails before its graph matters).
-func (pl *planner) newModel(m *machine.Machine) *machineModel {
-	body := pl.sh.body
-	mm := &machineModel{m: m, failing: make([]bool, len(body)), memo: make([]stageBound, len(pl.clusters)*len(pl.clusters))}
-	unusable := func(n *depgraph.Node) bool {
-		if n == nil {
-			return true
-		}
-		for _, u := range n.Reservation {
-			if int(u.Resource) >= len(m.ResourceCount) {
-				return true
-			}
-		}
-		return false
-	}
-	g := pl.g
-	if m == pl.machines[0] {
-		mm.nodes = pl.nodes
-	} else {
-		mm.nodes = make([]*depgraph.Node, len(body))
-		var present []*depgraph.Node
-		var posOf []int
-		for pos, o := range body {
-			if n, err := depgraph.NodeFromOp(m, o); err == nil {
-				mm.nodes[pos] = n
-				present = append(present, n)
-				posOf = append(posOf, pos)
-			}
-		}
-		g = depgraph.BuildIndep(present, pl.sh.loop.ID, pl.sh.loop.Independent)
-		for k := range g.Edges {
-			g.Edges[k].From, g.Edges[k].To = posOf[g.Edges[k].From], posOf[g.Edges[k].To]
-		}
-	}
-	for pos, n := range mm.nodes {
-		mm.failing[pos] = unusable(n)
-	}
-	// Queue ops on some register: only their timing and reservations are
-	// read.
-	mm.recv, _ = depgraph.NodeFromOp(m, &ir.Op{Class: machine.ClassRecv, Dst: 0})
-	mm.send, _ = depgraph.NodeFromOp(m, &ir.Op{Class: machine.ClassSend, Dst: ir.NoReg, Src: []ir.VReg{0}})
-	mm.recvFails, mm.sendFails = unusable(mm.recv), unusable(mm.send)
+	mm := &pl.mm
+	sc.uses = make([]int, len(mm.m.ResourceCount))
+	mm.memo = make([]int, len(pl.clusters)*len(pl.clusters))
 
 	// The edges grouped by source, in one array.
 	count := make([]int, len(body)+1)
-	for _, e := range g.Edges {
+	for _, e := range pl.g.Edges {
 		count[e.From+1]++
 	}
 	for pos := range body {
 		count[pos+1] += count[pos]
 	}
-	all := make([]depgraph.Edge, len(g.Edges))
+	all := make([]depgraph.Edge, len(pl.g.Edges))
 	mm.out = make([][]depgraph.Edge, len(body))
 	for pos := range body {
 		mm.out[pos] = all[count[pos]:count[pos]:count[pos+1]]
 	}
-	for _, e := range g.Edges {
+	for _, e := range pl.g.Edges {
 		mm.out[e.From] = append(mm.out[e.From], e)
 	}
 
 	mm.use = make([][]int, len(pl.clusters)+1)
-	mm.use[0] = make([]int, len(m.ResourceCount))
+	mm.use[0] = make([]int, len(mm.m.ResourceCount))
 	for c, ops := range pl.clusters {
 		row := append([]int(nil), mm.use[c]...)
 		for _, pos := range ops {
-			if n := mm.nodes[pos]; n != nil {
-				for _, u := range n.Reservation {
-					if int(u.Resource) < len(row) {
-						row[u.Resource]++
-					}
-				}
+			for _, u := range mm.nodes[pos].Reservation {
+				row[u.Resource]++
 			}
 		}
 		mm.use[c+1] = row
 	}
-	return mm
 }
 
 // resourceFloor is a lower bound on stageCost(i, j) that needs no graph:
@@ -221,7 +147,7 @@ func (pl *planner) newModel(m *machine.Machine) *machineModel {
 func (mm *machineModel) resourceFloor(i, j int) int {
 	floor := 1
 	for r, units := range mm.m.ResourceCount {
-		if uses := mm.use[j+1][r] - mm.use[i][r]; units > 0 && uses > floor*units {
+		if uses := mm.use[j+1][r] - mm.use[i][r]; uses > floor*units {
 			floor = (uses + units - 1) / units
 		}
 	}
@@ -229,7 +155,7 @@ func (mm *machineModel) resourceFloor(i, j int) int {
 }
 
 // stageCost estimates the MII of the fragment a stage covering clusters
-// [i..j] would compile to on mm's machine: the resource and recurrence
+// [i..j] would compile to on the cell machine: the resource and recurrence
 // bounds of the dependence graph depgraph.BuildIndep would build for its
 // body ops — stage ops plus the replicable integer closure they need —
 // and for the queue receives/sends the cut inserts (cut values entering
@@ -238,10 +164,12 @@ func (mm *machineModel) resourceFloor(i, j int) int {
 // work.  The graph is not built: its edges are those mm's body graph
 // induces on the stage's ops plus the queue ops' own, gathered in the
 // planner's scratch, and the recurrence bound is searched from the
-// resource bound up.  A stage that cannot be costed fails with the
-// error building and bounding its graph would give.
-func (pl *planner) stageCost(ctx context.Context, i, j int, mm *machineModel, cuts []*cutValue) (int, error) {
-	sc := &pl.scratch
+// resource bound up.  No stage lacks a unit (newPlanner refuses such a
+// machine), so it fails only as the recurrence bound does: once ctx is
+// done, or on a cycle at distance zero, which the stage graph's forward
+// distance-0 edges never close.
+func (pl *planner) stageCost(ctx context.Context, i, j int, cuts []*cutValue) (int, error) {
+	sc, mm := &pl.scratch, &pl.mm
 	recvs, sends := sc.recvs[:0], sc.sends[:0]
 	for _, cv := range cuts {
 		if cv.prodStage < i && cv.lastConsum >= i {
@@ -263,18 +191,13 @@ func (pl *planner) stageCost(ctx context.Context, i, j int, mm *machineModel, cu
 		}
 	}
 	members := sc.members[:0]
-	fails := len(recvs) > 0 && mm.recvFails || len(sends) > 0 && mm.sendFails
 	for pos, l := range local {
 		if l >= 0 {
 			local[pos] = len(recvs) + len(members)
 			members = append(members, pos)
-			fails = fails || mm.failing[pos]
 		}
 	}
 	sc.recvs, sc.sends, sc.members = recvs, sends, members
-	if fails {
-		return 0, pl.stageError(mm, recvs, members, sends)
-	}
 
 	// The resource bound (depgraph.ResourceMIIExtra).
 	uses := sc.uses[:len(mm.m.ResourceCount)]
@@ -296,14 +219,10 @@ func (pl *planner) stageCost(ctx context.Context, i, j int, mm *machineModel, cu
 	}
 	res := 1
 	for r, n := range uses {
-		if n == 0 {
-			continue
+		if n > 0 {
+			units := mm.m.ResourceCount[r]
+			res = max(res, (n+units-1)/units)
 		}
-		units := mm.m.ResourceCount[r]
-		if units <= 0 {
-			return 0, pl.stageError(mm, recvs, members, sends)
-		}
-		res = max(res, (n+units-1)/units)
 	}
 
 	// The edges: the induced subgraph, then the queue ops' register
@@ -412,43 +331,6 @@ func btoi(b bool) int {
 	return 0
 }
 
-// stageError is the diagnostic of a stage that cannot be costed: the
-// error building its nodes (receives, body ops, sends, in that order) or
-// bounding their resources gives.  Only a failing stage comes here, so
-// it builds the nodes afresh.
-func (pl *planner) stageError(mm *machineModel, recvs []*cutValue, members []int, sends []*cutValue) error {
-	var nodes []*depgraph.Node
-	add := func(op *ir.Op) error {
-		n, err := depgraph.NodeFromOp(mm.m, op)
-		if err != nil {
-			return err
-		}
-		n.Index = len(nodes)
-		nodes = append(nodes, n)
-		return nil
-	}
-	id := 1 << 20 // synthetic queue ops; IDs only matter for diagnostics
-	for _, cv := range recvs {
-		if err := add(&ir.Op{ID: id, Class: machine.ClassRecv, Dst: cv.reg}); err != nil {
-			return err
-		}
-		id++
-	}
-	for _, pos := range members {
-		if err := add(pl.sh.body[pos]); err != nil {
-			return err
-		}
-	}
-	for _, cv := range sends {
-		if err := add(&ir.Op{ID: id, Class: machine.ClassSend, Dst: ir.NoReg, Src: []ir.VReg{cv.reg}}); err != nil {
-			return err
-		}
-		id++
-	}
-	_, err := depgraph.ResourceMIIExtra(nodes, mm.m, nil)
-	return err
-}
-
 // bestSplit balances the stages: dynamic programming over contiguous
 // splits of the topologically ordered clusters, minimizing the maximum
 // per-stage MII (the array throughput bound), subject to the pinning
@@ -462,39 +344,30 @@ func (pl *planner) stageError(mm *machineModel, recvs []*cutValue, members []int
 // resource floor — already reaches the incumbent dp[s][j] cannot win the
 // strict comparison, so its stage is never costed.
 func (pl *planner) bestSplit(ctx context.Context, cuts []*cutValue) (ends []int, estMII []int, err error) {
-	C, N := len(pl.clusters), len(pl.machines)
+	C, N := len(pl.clusters), pl.cells
 	if C < N {
 		return nil, nil, fmt.Errorf("partition: program decomposes into only %d pipeline stage(s); cannot fill %d cells", C, N)
 	}
 	pl.prepareSplit()
 	pl.stats.Clusters = C
 	const inf = math.MaxInt / 2
-	models := make([]*machineModel, N)
-	for s, m := range pl.machines {
-		models[s] = pl.models[m]
-	}
-	// firstErr is the first stage-cost error met, in candidate order.
-	var firstErr error
-	// cost fails only when ctx is done, which it polls once an evaluation
-	// (and the recurrence bound once a relaxation pass).
-	cost := func(i, j, s int) (int, error) {
-		mm := models[s]
-		b := &mm.memo[i*C+j]
-		if b.mii == 0 && b.err == nil {
+	memo := pl.mm.memo
+	// cost fails when stageCost does or ctx is done, which it polls once
+	// an evaluation (and the recurrence bound once a relaxation pass).
+	cost := func(i, j int) (int, error) {
+		b := &memo[i*C+j]
+		if *b == 0 {
 			pl.stats.CostEvals++
-			mii, err := pl.stageCost(ctx, i, j, mm, cuts)
+			mii, err := pl.stageCost(ctx, i, j, cuts)
 			if cerr := ctx.Err(); cerr != nil {
 				return 0, fmt.Errorf("partition: split search aborted: %w", cerr)
 			}
-			*b = stageBound{mii, err}
-		}
-		if b.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("partition: stage %d on %s: %w", s, mm.m.Name, b.err)
+			if err != nil {
+				return 0, fmt.Errorf("partition: %w", err)
 			}
-			return inf, nil
+			*b = mii
 		}
-		return b.mii, nil
+		return *b, nil
 	}
 	// fits[b]: the channel entering cluster b fits one iteration's values
 	// in the 512-word queue.
@@ -508,78 +381,55 @@ func (pl *planner) bestSplit(ctx context.Context, cuts []*cutValue) (ends []int,
 	for s := range dp {
 		dp[s] = make([]int, C)
 		choice[s] = make([]int, C)
-	}
-	// fill runs the recurrence; it fails only when ctx is done.  With
-	// prune off every candidate is evaluated; the tables come out the same
-	// either way.
-	fill := func(prune bool) error {
-		firstErr = nil
-		for s := range dp {
-			for j := range dp[s] {
-				dp[s][j] = inf
-				choice[s][j] = -1
-			}
+		for j := range dp[s] {
+			dp[s][j] = inf
+			choice[s][j] = -1
 		}
-		for j := 0; j <= C-N; j++ {
-			if pl.recvCluster >= 0 && j < pl.recvCluster {
-				continue // host receives must land on cell 0
-			}
-			if pl.sendCluster >= 0 && N > 1 && j >= pl.sendCluster {
-				continue // host sends must land on the last cell
-			}
-			v, err := cost(0, j, 0)
-			if err != nil {
-				return err
-			}
-			dp[0][j] = v
-		}
-		for s := 1; s < N; s++ {
-			mm := models[s]
-			for j := s; j < C; j++ {
-				if s < N-1 {
-					if j > C-1-(N-1-s) {
-						continue // not enough clusters left for later stages
-					}
-					if pl.sendCluster >= 0 && j >= pl.sendCluster {
-						continue
-					}
-				} else if j != C-1 {
-					continue
-				}
-				for i := s; i <= j; i++ {
-					v := dp[s-1][i-1]
-					if v >= inf || !fits[i] {
-						continue
-					}
-					if prune && (v >= dp[s][j] || mm.resourceFloor(i, j) >= dp[s][j]) {
-						pl.stats.CostSkipped++
-						continue
-					}
-					c, err := cost(i, j, s)
-					if err != nil {
-						return err
-					}
-					if v = max(v, c); v < dp[s][j] {
-						dp[s][j] = v
-						choice[s][j] = i
-					}
-				}
-			}
-		}
-		return nil
 	}
-	if err := fill(true); err != nil {
-		return nil, nil, err
-	}
-	if dp[N-1][C-1] >= inf {
-		// Declining.  The diagnostic is the first stage-cost error among
-		// all candidates, so look at the ones pruning passed over too.
-		if err := fill(false); err != nil {
+	for j := 0; j <= C-N; j++ {
+		if pl.recvCluster >= 0 && j < pl.recvCluster {
+			continue // host receives must land on cell 0
+		}
+		if pl.sendCluster >= 0 && j >= pl.sendCluster {
+			continue // host sends must land on the last cell
+		}
+		if dp[0][j], err = cost(0, j); err != nil {
 			return nil, nil, err
 		}
-		if firstErr != nil {
-			return nil, nil, firstErr
+	}
+	for s := 1; s < N; s++ {
+		for j := s; j < C; j++ {
+			if s < N-1 {
+				if j > C-1-(N-1-s) {
+					continue // not enough clusters left for later stages
+				}
+				if pl.sendCluster >= 0 && j >= pl.sendCluster {
+					continue
+				}
+			} else if j != C-1 {
+				continue
+			}
+			for i := s; i <= j; i++ {
+				v := dp[s-1][i-1]
+				if v >= inf || !fits[i] {
+					continue
+				}
+				if v >= dp[s][j] || pl.mm.resourceFloor(i, j) >= dp[s][j] {
+					pl.stats.CostSkipped++
+					continue
+				}
+				c, err := cost(i, j)
+				if err != nil {
+					return nil, nil, err
+				}
+				if v = max(v, c); v < dp[s][j] {
+					dp[s][j] = v
+					choice[s][j] = i
+				}
+			}
 		}
+	}
+	if dp[N-1][C-1] >= inf {
 		return nil, nil, fmt.Errorf("partition: no feasible %d-cell split (pinning or queue-capacity constraints unsatisfiable)", N)
 	}
 	ends = make([]int, N)
@@ -590,7 +440,7 @@ func (pl *planner) bestSplit(ctx context.Context, cuts []*cutValue) (ends []int,
 	estMII = make([]int, N)
 	start := 0
 	for s := 0; s < N; s++ {
-		estMII[s] = models[s].memo[start*C+ends[s]].mii
+		estMII[s] = memo[start*C+ends[s]]
 		start = ends[s] + 1
 	}
 	return ends, estMII, nil
@@ -605,7 +455,7 @@ type stageCut struct {
 
 // emit materializes the chosen split as per-cell programs.
 func (pl *planner) emit(ends []int, estMII []int, cuts []*cutValue) (*Plan, error) {
-	N := len(pl.machines)
+	N := pl.cells
 	stageOfCluster := make([]int, len(pl.clusters))
 	s := 0
 	for ci := range pl.clusters {
@@ -669,7 +519,7 @@ func (pl *planner) emit(ends []int, estMII []int, cuts []*cutValue) (*Plan, erro
 	}
 
 	plan := &Plan{
-		Machines:    pl.machines,
+		Machine:     pl.mm.m,
 		ArrayOwner:  map[string]int{},
 		ResultOwner: resultOwner,
 		EstMII:      estMII,
@@ -876,7 +726,7 @@ func (pl *planner) emitStage(s, ci0, ci1 int, live []*stageCut, tailStage int, e
 			f.Results = append(f.Results, ir.ScalarResult{Name: res.Name, Reg: mapReg(res.Reg)})
 		}
 	}
-	if err := f.Validate(pl.machines[s]); err != nil {
+	if err := f.Validate(pl.mm.m); err != nil {
 		return nil, nil, fmt.Errorf("partition: fragment for cell %d invalid: %w", s, err)
 	}
 	return f, stagePos, nil

@@ -5,8 +5,8 @@
 // forward stages, duplicates cheap integer address/counter arithmetic
 // into every cell that needs it, and wires the cut values through queue
 // Send/Receive pairs — so each fragment is an ordinary single-cell
-// program the existing software pipeliner compiles independently,
-// possibly for heterogeneous machines.
+// program the existing software pipeliner compiles independently.  The
+// cells are identical, as on Warp (§4.1): one machine, one cost model.
 //
 // Cuts only ever cross forward: every register value travelling between
 // stages flows from a lower-numbered cell to a higher-numbered one
@@ -39,9 +39,8 @@ type Plan struct {
 	// Fragments are the per-cell programs in array order (cell 0 sees the
 	// host input, the last cell produces the host output).
 	Fragments []*ir.Program
-	// Machines are the targets the fragments were planned against,
-	// parallel to Fragments.
-	Machines []*machine.Machine
+	// Machine is the target every cell's fragment was planned against.
+	Machine *machine.Machine
 	// ArrayOwner maps each source array to the cell whose copy holds its
 	// final contents (the only cell storing to it; read-only arrays are
 	// replicated and owned by the lowest cell holding a copy).
@@ -165,11 +164,13 @@ type cutValue struct {
 
 // planner carries the working state of one Partition call.
 type planner struct {
-	p        *ir.Program
-	machines []*machine.Machine
-	sh       *shape
-	nodes    []*depgraph.Node
-	g        *depgraph.Graph
+	p     *ir.Program
+	cells int
+	sh    *shape
+	g     *depgraph.Graph
+	// mm is the cell machine and what the split search knows of it; its
+	// nodes are the body graph's.
+	mm machineModel
 
 	repl    []bool // body op index -> replicable
 	writers map[ir.VReg][]int
@@ -181,11 +182,10 @@ type planner struct {
 	// The split search's view of the clusters, built once by
 	// prepareSplit: closed[c] is cluster c's ops plus the replicable
 	// closure they need (ascending body positions), recvOps and sendOps
-	// the positions of the body's own queue ops, models the per-machine
-	// tables, and scratch stageCost's working storage.
+	// the positions of the body's own queue ops, and scratch stageCost's
+	// working storage.
 	closed           [][]int
 	recvOps, sendOps []int
-	models           map[*machine.Machine]*machineModel
 	scratch          costScratch
 	stats            PlanStats
 
@@ -193,25 +193,33 @@ type planner struct {
 	sendCluster int // cluster holding the program's own Send ops, -1 if none
 }
 
-// Partition splits p across len(machines) cells.  machines[0] hosts the
-// first stage (fed by the host input), the last machine the final stage
-// (producing the host output).  A single machine yields the trivial
-// one-cell plan.
+// Partition splits p across len(machines) cells, which must all be the
+// same machine.  Cell 0 hosts the first stage (fed by the host input),
+// the last cell the final stage (producing the host output).  A single
+// machine yields the trivial one-cell plan.
 func Partition(p *ir.Program, machines []*machine.Machine) (*Plan, error) {
 	return PartitionContext(context.Background(), p, machines)
 }
 
 // PartitionContext is Partition bounded by ctx: the split search polls
 // it once a candidate stage it costs and gives up with an error wrapping
-// ctx.Err().
+// ctx.Err().  It refuses a list whose machines differ.
 func PartitionContext(ctx context.Context, p *ir.Program, machines []*machine.Machine) (*Plan, error) {
 	if len(machines) == 0 {
 		return nil, fmt.Errorf("partition: need at least one machine")
 	}
-	if len(machines) == 1 {
-		return trivialPlan(p, machines[0])
+	m := machines[0]
+	for c, o := range machines[1:] {
+		// Machines(m, n) repeats one pointer, so the fingerprint is
+		// rarely needed.
+		if o != m && o.Fingerprint() != m.Fingerprint() {
+			return nil, fmt.Errorf("partition: cells 0 and %d are different machines (%s, %s); an array partitions across identical cells", c+1, m.Name, o.Name)
+		}
 	}
-	pl, cuts, err := newPlanner(p, machines)
+	if len(machines) == 1 {
+		return trivialPlan(p, m)
+	}
+	pl, cuts, err := newPlanner(p, m, len(machines))
 	if err != nil {
 		return nil, err
 	}
@@ -227,15 +235,15 @@ func PartitionContext(ctx context.Context, p *ir.Program, machines []*machine.Ma
 	return plan, nil
 }
 
-// newPlanner runs everything that precedes the split search: shape
-// check, body dependence graph, replicable-op classification, clustering
-// and the cut candidates between clusters.
-func newPlanner(p *ir.Program, machines []*machine.Machine) (*planner, []*cutValue, error) {
+// newPlanner runs everything that precedes the split search for cells
+// copies of m: shape check, body dependence graph, replicable-op
+// classification, clustering and the cut candidates between clusters.
+func newPlanner(p *ir.Program, m *machine.Machine, cells int) (*planner, []*cutValue, error) {
 	sh, err := analyzeShape(p)
 	if err != nil {
 		return nil, nil, err
 	}
-	pl := &planner{p: p, machines: machines, sh: sh}
+	pl := &planner{p: p, cells: cells, sh: sh, mm: machineModel{m: m}}
 	if err := pl.buildGraph(); err != nil {
 		return nil, nil, err
 	}
@@ -250,7 +258,7 @@ func newPlanner(p *ir.Program, machines []*machine.Machine) (*planner, []*cutVal
 func trivialPlan(p *ir.Program, m *machine.Machine) (*Plan, error) {
 	plan := &Plan{
 		Fragments:   []*ir.Program{p.Clone()},
-		Machines:    []*machine.Machine{m},
+		Machine:     m,
 		ArrayOwner:  map[string]int{},
 		ResultOwner: map[string]int{},
 		EstMII:      []int{0},
@@ -265,17 +273,34 @@ func trivialPlan(p *ir.Program, m *machine.Machine) (*Plan, error) {
 	return plan, nil
 }
 
+// buildGraph builds the body's nodes and dependence graph on the cell
+// machine, and the nodes of a queue receive and send on some register
+// (only their timing and reservations are read).  It refuses a machine
+// lacking a unit the body or a queue op reserves: every stage holds some
+// of the body and the queue ops its cuts add, so that check once spares
+// costing each stage against it.
 func (pl *planner) buildGraph() error {
-	pl.nodes = make([]*depgraph.Node, len(pl.sh.body))
+	mm := &pl.mm
+	mm.nodes = make([]*depgraph.Node, len(pl.sh.body))
 	for i, o := range pl.sh.body {
-		n, err := depgraph.NodeFromOp(pl.machines[0], o)
+		n, err := depgraph.NodeFromOp(mm.m, o)
 		if err != nil {
 			return fmt.Errorf("partition: %w", err)
 		}
 		n.Index = i
-		pl.nodes[i] = n
+		mm.nodes[i] = n
 	}
-	pl.g = depgraph.BuildIndep(pl.nodes, pl.sh.loop.ID, pl.sh.loop.Independent)
+	var err error
+	if mm.recv, err = depgraph.NodeFromOp(mm.m, &ir.Op{Class: machine.ClassRecv, Dst: 0}); err != nil {
+		return fmt.Errorf("partition: %w", err)
+	}
+	if mm.send, err = depgraph.NodeFromOp(mm.m, &ir.Op{Class: machine.ClassSend, Dst: ir.NoReg, Src: []ir.VReg{0}}); err != nil {
+		return fmt.Errorf("partition: %w", err)
+	}
+	if _, err := depgraph.ResourceMIIExtra(mm.nodes, mm.m, slices.Concat(mm.recv.Reservation, mm.send.Reservation)); err != nil {
+		return fmt.Errorf("partition: %w", err)
+	}
+	pl.g = depgraph.BuildIndep(mm.nodes, pl.sh.loop.ID, pl.sh.loop.Independent)
 	pl.writers = map[ir.VReg][]int{}
 	for i, o := range pl.sh.body {
 		if o.Dst != ir.NoReg {

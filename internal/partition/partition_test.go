@@ -54,10 +54,20 @@ end.`)
 	return p
 }
 
+// warps is n Warp cells, each its own *machine.Machine.
 func warps(n int) []*machine.Machine {
 	ms := make([]*machine.Machine, n)
 	for i := range ms {
 		ms[i] = machine.Warp()
+	}
+	return ms
+}
+
+// cellsOf is n cells of m, one pointer repeated.
+func cellsOf(m *machine.Machine, n int) []*machine.Machine {
+	ms := make([]*machine.Machine, n)
+	for i := range ms {
+		ms[i] = m
 	}
 	return ms
 }
@@ -128,11 +138,11 @@ func compileAndRunArray(t *testing.T, plan *Plan, input []float64) ([]*ir.State,
 	t.Helper()
 	cells := make([]*sim.Sim, len(plan.Fragments))
 	for i, f := range plan.Fragments {
-		obj, _, err := codegen.Compile(f, plan.Machines[i], codegen.Options{})
+		obj, _, err := codegen.Compile(f, plan.Machine, codegen.Options{})
 		if err != nil {
 			t.Fatalf("cell %d compile: %v", i, err)
 		}
-		cells[i] = sim.New(obj, plan.Machines[i])
+		cells[i] = sim.New(obj, plan.Machine)
 	}
 	arr := sim.NewArrayCells(cells, input)
 	out, _, err := arr.Run()
@@ -249,14 +259,15 @@ func TestPartitionVerifyArray(t *testing.T) {
 		}
 		objs := make([]*vliw.Program, plan.Cells())
 		for i, f := range plan.Fragments {
-			obj, _, err := codegen.Compile(f, plan.Machines[i], codegen.Options{})
+			obj, _, err := codegen.Compile(f, plan.Machine, codegen.Options{})
 			if err != nil {
 				t.Fatalf("%s cell %d compile: %v", p.Name, i, err)
 			}
 			objs[i] = obj
 		}
 		ap := verify.ArrayPlan{Fragments: plan.Fragments, ArrayOwner: plan.ArrayOwner, ResultOwner: plan.ResultOwner}
-		if err := verify.Array(p, ap, objs, plan.Machines, verify.Options{}); err != nil {
+		ms := cellsOf(plan.Machine, plan.Cells())
+		if err := verify.Array(p, ap, objs, ms, verify.Options{}); err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
 		verified++
@@ -264,7 +275,7 @@ func TestPartitionVerifyArray(t *testing.T) {
 		// Negative path: objects that don't realize their fragments
 		// (here: cells swapped) must be caught.
 		swapped := []*vliw.Program{objs[1], objs[0]}
-		if err := verify.Array(p, ap, swapped, plan.Machines, verify.Options{}); err == nil {
+		if err := verify.Array(p, ap, swapped, ms, verify.Options{}); err == nil {
 			t.Fatalf("%s: swapped cell objects not detected", p.Name)
 		}
 	}
@@ -316,7 +327,7 @@ func TestPartitionSingleCellIsClone(t *testing.T) {
 // --- Reference split search -----------------------------------------------
 //
 // The planner as it stood before stage costs went closure-free, memoised
-// per machine and pruned: every candidate of the recurrence evaluated, one
+// per interval and pruned: every candidate of the recurrence evaluated, one
 // memo entry per (interval, stage index), each evaluation a fresh node
 // set, a map-and-sort op list and the full depgraph.Analyze (oracle-free
 // now, but closures and all).  It exists only so TestPlanIdentity can pin
@@ -349,9 +360,9 @@ func (pl *planner) refIntervalOps(i, j int, cuts []*cutValue) (ins, outs []*cutV
 	return ins, outs, included
 }
 
-func (pl *planner) refStageCost(i, j, s int, cuts []*cutValue) (int, error) {
+func (pl *planner) refStageCost(i, j int, cuts []*cutValue) (int, error) {
 	ins, outs, included := pl.refIntervalOps(i, j, cuts)
-	m := pl.machines[s]
+	m := pl.mm.m
 	var ops []*ir.Op
 	id := 1 << 20
 	for _, cv := range ins {
@@ -369,38 +380,36 @@ func (pl *planner) refStageCost(i, j, s int, cuts []*cutValue) (int, error) {
 	for k, o := range ops {
 		n, err := depgraph.NodeFromOp(m, o)
 		if err != nil {
-			return 0, fmt.Errorf("partition: stage %d on %s: %w", s, m.Name, err)
+			return 0, err
 		}
 		nodes[k] = n
 	}
 	g := depgraph.BuildIndep(nodes, pl.sh.loop.ID, pl.sh.loop.Independent)
 	an, err := depgraph.Analyze(g, m)
 	if err != nil {
-		return 0, fmt.Errorf("partition: stage %d on %s: %w", s, m.Name, err)
+		return 0, err
 	}
 	return an.MII, nil
 }
 
 // refBestSplit also reports how many stage costs it evaluated.
 func (pl *planner) refBestSplit(cuts []*cutValue) (ends []int, estMII []int, evals int, err error) {
-	C, N := len(pl.clusters), len(pl.machines)
+	C, N := len(pl.clusters), pl.cells
 	if C < N {
 		return nil, nil, 0, fmt.Errorf("partition: program decomposes into only %d pipeline stage(s); cannot fill %d cells", C, N)
 	}
 	const inf = math.MaxInt / 2
 	type key struct{ i, j, s int }
 	memo := map[key]int{}
-	var firstErr error
+	var costErr error
 	cost := func(i, j, s int) int {
 		k := key{i, j, s}
 		if v, ok := memo[k]; ok {
 			return v
 		}
-		v, cerr := pl.refStageCost(i, j, s, cuts)
+		v, cerr := pl.refStageCost(i, j, cuts)
 		if cerr != nil {
-			if firstErr == nil {
-				firstErr = cerr
-			}
+			costErr = fmt.Errorf("partition: stage %d [%d..%d]: %w", s, i, j, cerr)
 			v = inf
 		}
 		memo[k] = v
@@ -455,10 +464,10 @@ func (pl *planner) refBestSplit(cuts []*cutValue) (ends []int, estMII []int, eva
 			}
 		}
 	}
+	if costErr != nil {
+		return nil, nil, len(memo), costErr
+	}
 	if dp[N-1][C-1] >= inf {
-		if firstErr != nil {
-			return nil, nil, len(memo), firstErr
-		}
 		return nil, nil, len(memo), fmt.Errorf("partition: no feasible %d-cell split (pinning or queue-capacity constraints unsatisfiable)", N)
 	}
 	ends = make([]int, N)
@@ -506,16 +515,15 @@ func identityCorpus(t *testing.T) []*ir.Program {
 const (
 	planAccepted = iota
 	planDeclined
-	planDeclinedOnCost // declined with a stage-cost error as the diagnostic
 	planDiffers
 )
 
 // comparePlanners runs the production and the reference split search on
-// p over ms and fails the test unless they agree: the same verdict and
-// error text, and on acceptance the same split, estimates, cut widths,
-// stage lists, owners and fragment text.  saved is the number of stage
-// costs the production search did not evaluate.
-func comparePlanners(t *testing.T, p *ir.Program, name string, ms []*machine.Machine) (verdict, saved int) {
+// p over cells copies of m and fails the test unless they agree: the
+// same verdict and error text, and on acceptance the same split,
+// estimates, cut widths, stage lists, owners and fragment text.  saved is
+// the number of stage costs the production search did not evaluate.
+func comparePlanners(t *testing.T, p *ir.Program, name string, a array) (verdict, saved int) {
 	t.Helper()
 	sameErr := func(what string, err, refErr error) bool {
 		if (err != nil) != (refErr != nil) || (err != nil && err.Error() != refErr.Error()) {
@@ -524,8 +532,8 @@ func comparePlanners(t *testing.T, p *ir.Program, name string, ms []*machine.Mac
 		}
 		return true
 	}
-	pl, cuts, err := newPlanner(p, ms)
-	ref, refCuts, refErr := newPlanner(p, ms)
+	pl, cuts, err := newPlanner(p, a.m, a.cells)
+	ref, refCuts, refErr := newPlanner(p, a.m, a.cells)
 	if !sameErr("front end", err, refErr) {
 		return planDiffers, 0
 	}
@@ -538,9 +546,6 @@ func comparePlanners(t *testing.T, p *ir.Program, name string, ms []*machine.Mac
 		return planDiffers, 0
 	}
 	if err != nil {
-		if errors.As(err, new(*depgraph.MissingResourceError)) {
-			return planDeclinedOnCost, 0
-		}
 		return planDeclined, 0
 	}
 	if !slices.Equal(ends, refEnds) || !slices.Equal(est, refEst) {
@@ -565,8 +570,7 @@ func comparePlanners(t *testing.T, p *ir.Program, name string, ms []*machine.Mac
 	return planAccepted, refEvals - pl.stats.CostEvals
 }
 
-// lacking returns a Warp without units of resource r: every stage that
-// reserves r on it fails to cost.
+// lacking returns a Warp without units of resource r.
 func lacking(r machine.Resource) *machine.Machine {
 	m := machine.Warp()
 	m.Name = fmt.Sprintf("warp-no-%v", r)
@@ -575,16 +579,29 @@ func lacking(r machine.Resource) *machine.Machine {
 	return m
 }
 
-// identityArrays are 2 and 4 homogeneous cells, one heterogeneous
-// array, and arrays with a cell that cannot host every stage.
-func identityArrays() map[string][]*machine.Machine {
+// array is a homogeneous array: cells copies of m.
+type array struct {
+	m     *machine.Machine
+	cells int
+}
+
+// identityArrays are homogeneous arrays of Warp at 2, 3 and 4 cells and
+// of three other machines: twice Warp's units, a generated grid point,
+// and one unit of each kind.
+func identityArrays(t *testing.T) map[string]array {
+	t.Helper()
 	warp := machine.Warp()
-	return map[string][]*machine.Machine{
-		"warp@2":          {warp, warp},
-		"warp@4":          {warp, warp, warp, warp},
-		"warp,wide2":      {warp, machine.Wide(2)},
-		"warp,no-fmul":    {warp, lacking(machine.ResFMul)},
-		"no-fadd in four": {warp, warp, lacking(machine.ResFAdd), warp},
+	gen, err := machine.Parse("gen:fa2,fm2,mem2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]array{
+		"warp@2":             {warp, 2},
+		"warp@3":             {warp, 3},
+		"warp@4":             {warp, 4},
+		"wide2@2":            {machine.Wide(2), 2},
+		"gen:fa2,fm2,mem2@3": {gen, 3},
+		"scalar@2":           {machine.Scalar(), 2},
 	}
 }
 
@@ -593,51 +610,60 @@ func identityArrays() map[string][]*machine.Machine {
 func TestPlanIdentity(t *testing.T) {
 	var verdicts [planDiffers + 1]int
 	saved := 0
+	arrays := identityArrays(t)
 	for _, p := range identityCorpus(t) {
-		for name, ms := range identityArrays() {
-			v, n := comparePlanners(t, p, name, ms)
+		for name, a := range arrays {
+			v, n := comparePlanners(t, p, name, a)
 			verdicts[v]++
 			saved += n
 		}
 	}
-	t.Logf("accepted %d, declined %d + %d on a stage-cost error, stage-cost evaluations saved %d",
-		verdicts[planAccepted], verdicts[planDeclined], verdicts[planDeclinedOnCost], saved)
-	if verdicts[planAccepted] < 40 || verdicts[planDeclined] < 40 || verdicts[planDeclinedOnCost] == 0 || saved == 0 {
-		t.Errorf("corpus no longer exercises both verdicts, the stage-cost error path and the pruning")
+	t.Logf("accepted %d, declined %d, stage-cost evaluations saved %d",
+		verdicts[planAccepted], verdicts[planDeclined], saved)
+	if verdicts[planAccepted] < 40 || verdicts[planDeclined] < 40 || saved == 0 {
+		t.Errorf("corpus no longer exercises both verdicts and the pruning")
 	}
 }
 
-// TestDeclineDiagnosticSurvivesPruning is the one shape where pruning
-// could change an answer: the reference's first stage-cost error sits on
-// a candidate the production search prunes.  Chain a is one cluster that
-// sends nothing forward, so on the middle cell (no receive port) the
-// first candidate of every table cell — starting at chain d's loads —
-// needs no receive and costs fine, while the later ones do and fail;
-// their predecessors cost as much as the incumbent (a's recurrence), so
-// they are pruned.  The last cell cannot store, so the split is declined
-// anyway — with the middle cell's error, as the reference reports it.
-func TestDeclineDiagnosticSurvivesPruning(t *testing.T) {
-	p, err := lang.Compile(`program twochains;
-const n = 64;
-var a: array [0..64] of real;
-    b, c, d: array [0..63] of real;
-    i: int;
-begin
-  for i := 0 to n-1 do begin
-    a[i+1] := a[i] * 2.0;
-    d[i] := (b[i] + c[i]) * b[i];
-  end;
-end.`)
-	if err != nil {
-		t.Fatal(err)
+// TestPartitionRefusesMixedCells: an array partitions across one
+// machine, so a list naming two is refused up front, with both names,
+// before the split search (which a context already done would abort).
+// The same machine built twice is one machine.
+func TestPartitionRefusesMixedCells(t *testing.T) {
+	p := buildSaxpy(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, ms := range [][]*machine.Machine{
+		{machine.Warp(), machine.Wide(2)},
+		{machine.Warp(), machine.Warp(), lacking(machine.ResFMul)},
+	} {
+		first, other := ms[0].Name, ms[len(ms)-1].Name
+		_, err := PartitionContext(ctx, p, ms)
+		if err == nil || !strings.Contains(err.Error(), first) || !strings.Contains(err.Error(), other) ||
+			errors.Is(err, context.Canceled) {
+			t.Errorf("%s … %s: error %v, want a refusal naming both", first, other, err)
+		}
 	}
-	ms := []*machine.Machine{machine.Warp(), lacking(machine.ResQRecv), lacking(machine.ResMemWr)}
-	if v, _ := comparePlanners(t, p, "warp,no-qrecv,no-memwr", ms); v != planDeclinedOnCost {
-		t.Fatalf("verdict %d, want a decline on a stage-cost error", v)
+	if _, err := Partition(p, warps(3)); err != nil {
+		t.Errorf("three Warps built apart: %v", err)
 	}
-	_, err = Partition(p, ms)
-	if err == nil || !strings.Contains(err.Error(), "stage 1 on warp-no-QRecv") {
-		t.Errorf("diagnostic %v does not name the first failing candidate (stage 1 on warp-no-QRecv)", err)
+}
+
+// TestPartitionRefusesMachineLackingUnit: a cell machine without a unit
+// the body reserves (FMul for saxpy's multiply), or that the queue ops a
+// cut inserts reserve, is refused before the split search, with the
+// missing resource.
+func TestPartitionRefusesMachineLackingUnit(t *testing.T) {
+	p := buildSaxpy(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, r := range []machine.Resource{machine.ResFMul, machine.ResQRecv, machine.ResQSend} {
+		m := lacking(r)
+		_, err := PartitionContext(ctx, p, cellsOf(m, 2))
+		var missing *depgraph.MissingResourceError
+		if !errors.As(err, &missing) || missing.Resource != r || missing.Machine != m.Name {
+			t.Errorf("%s: error %v, want a refusal for lacking %v", m.Name, err, r)
+		}
 	}
 }
 

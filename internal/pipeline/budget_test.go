@@ -9,6 +9,7 @@ import (
 	"softpipe/internal/ir"
 	"softpipe/internal/machine"
 	"softpipe/internal/pipeline"
+	"softpipe/internal/trace"
 	"softpipe/internal/workloads"
 )
 
@@ -47,7 +48,9 @@ func suiteLoop(t *testing.T, prog, loopID int, spec string) (*ir.Program, *ir.Lo
 // kept, B: the current interval with the shortest-lived variable
 // un-expanded — and the rows name which way each case goes; what is
 // asserted is where the plan lands (interval, expansions given up
-// against the unbudgeted plan) and that it fits.
+// against the unbudgeted plan), that it fits, and how many plans it took
+// (pipeline.replans): when neither probe fits, the one chosen is where
+// the next round starts, not planned again.
 func TestRotatingCopyBudgetProbe(t *testing.T) {
 	for _, tc := range []struct {
 		outcome string
@@ -56,14 +59,15 @@ func TestRotatingCopyBudgetProbe(t *testing.T) {
 		budget  int
 		wantII  int
 		dropped int
+		plans   int64
 	}{
-		{"budget never binds: the unbudgeted plan", 50, "gen:fa4,fm4,mem1,rot", 40, 2, 0},
-		{"only A fits", 42, "gen:fa2,fm2,mem1,rot", 6, 4, 0},
-		{"only B fits", 49, "gen:fa2,fm2,mem1,rot", 2, 15, 1},
-		{"both fit, A at the smaller interval", 49, "gen:fa4,fm4,mem1,rot", 4, 3, 0},
-		{"both fit, B at the smaller interval", 50, "gen:fa2,fm2,mem1,rot", 2, 3, 1},
-		{"neither fits, A cheaper: the floor moves twice, then B wins", 42, "gen:fa1,fm1,mem1,rot", 2, 8, 1},
-		{"neither fits, B cheaper: a victim goes, then B wins again", 50, "gen:fa4,fm4,mem1,rot", 2, 2, 2},
+		{"budget never binds: the unbudgeted plan", 50, "gen:fa4,fm4,mem1,rot", 40, 2, 0, 1},
+		{"only A fits", 42, "gen:fa2,fm2,mem1,rot", 6, 4, 0, 3},
+		{"only B fits", 49, "gen:fa2,fm2,mem1,rot", 2, 15, 1, 3},
+		{"both fit, A at the smaller interval", 49, "gen:fa4,fm4,mem1,rot", 4, 3, 0, 3},
+		{"both fit, B at the smaller interval", 50, "gen:fa2,fm2,mem1,rot", 2, 3, 1, 3},
+		{"neither fits, A cheaper: the floor moves twice, then B wins", 42, "gen:fa1,fm1,mem1,rot", 2, 8, 1, 7},
+		{"neither fits, B cheaper: a victim goes, then B wins again", 50, "gen:fa4,fm4,mem1,rot", 2, 2, 2, 5},
 	} {
 		t.Run(tc.outcome, func(t *testing.T) {
 			p, l, m, nodes := suiteLoop(t, tc.prog, 0, tc.machine)
@@ -71,11 +75,21 @@ func TestRotatingCopyBudgetProbe(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr := trace.New("budget")
 			plan, err := pipeline.PlanLoop(nodes, l.ID, m, pipeline.Options{
-				CopyBudgetF: tc.budget, CopyBudgetI: tc.budget, RegKind: p.Kind, IndependentMem: l.Independent,
+				CopyBudgetF: tc.budget, CopyBudgetI: tc.budget, RegKind: p.Kind, IndependentMem: l.Independent, Tracer: tr,
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			var plans int64
+			for _, e := range tr.Events() {
+				if e.Name == "pipeline.replans" {
+					plans += e.Args[0].Val
+				}
+			}
+			if plans != tc.plans {
+				t.Errorf("%d plans made, want %d", plans, tc.plans)
 			}
 			if !plan.Rotating || plan.Unroll != 1 {
 				t.Fatalf("rotating=%v unroll=%d on a rotating machine", plan.Rotating, plan.Unroll)

@@ -422,16 +422,19 @@ func (pl *planner) plan() (*Plan, error) {
 		return nil, fmt.Errorf("pipeline: body length %d beyond pipelining threshold %d", b.Compact.Length, maxBodyLen)
 	}
 	expanded := b.expandable(opts)
-	minII := 0 // raised by the rotating copy-budget probe
+	minII := 0  // raised by the rotating copy-budget probe
+	var p *Plan // the plan of expanded at minII, nil until made
 	for {
 		if opts.Ctx != nil {
 			if err := opts.Ctx.Err(); err != nil {
 				return nil, fmt.Errorf("pipeline: plan aborted: %w", err)
 			}
 		}
-		p, err := pl.planWith(expanded, minII)
-		if err != nil {
-			return nil, err
+		if p == nil {
+			var err error
+			if p, err = pl.planWith(expanded, minII); err != nil {
+				return nil, err
+			}
 		}
 		if opts.fits(p) {
 			return p, nil
@@ -449,7 +452,8 @@ func (pl *planner) plan() (*Plan, error) {
 			// with every expansion kept, and the current interval with
 			// the cheapest victim un-expanded — and keep whichever fits
 			// the budget at the smaller interval (or whichever made more
-			// progress when neither fits yet).
+			// progress when neither fits yet, the next round starting from
+			// that probe's plan).
 			pA, errA := pl.planWith(expanded, p.II+1)
 			exB := make(map[ir.VReg]bool, len(expanded))
 			for r := range expanded {
@@ -476,14 +480,14 @@ func (pl *planner) plan() (*Plan, error) {
 				case fitB:
 					return pB, nil
 				case cost(pA) < cost(pB):
-					minII = p.II + 1
+					minII, p = p.II+1, pA
 				default:
-					expanded = exB
+					expanded, p = exB, pB
 				}
 			case errA == nil:
-				minII = p.II + 1
+				minII, p = p.II+1, pA
 			case errB == nil:
-				expanded = exB
+				expanded, p = exB, pB
 			default:
 				// Neither remedy schedules; hand back the over-budget plan
 				// and let the final register-file check rule on it.
@@ -492,6 +496,7 @@ func (pl *planner) plan() (*Plan, error) {
 			continue
 		}
 		delete(expanded, worst)
+		p = nil
 	}
 }
 

@@ -13,10 +13,11 @@ import (
 // explores; past it the heuristic schedule is kept (Stats.FellBack).  A
 // count, not a time, so a verdict is the same on every host and thread
 // count (Options.Ctx is the only clock).  Sized from the largest searches
-// at the default: 1,484 nodes (fuzz277662679890 on Warp, exact digest), at
-// most 222 on the corpus digest's default point, which holds the gap
-// report's corpus.  Its nomve and unroll4 points search up to 45,145 and
-// 837,437 nodes (≈ 1 µs each); those past the budget keep the heuristic's.
+// at the default: 1,484 nodes (fuzz277662679890 on Warp, one of the
+// corpus digest's exact objects), at most 222 on the corpus digest's
+// default point, which holds the gap report's corpus.  Its nomve and
+// unroll4 points search up to 45,145 and 837,437 nodes (≈ 1 µs each);
+// those past the budget keep the heuristic's.
 const NodeBudget = 10_000
 
 const exInf = int(1) << 28

@@ -89,7 +89,7 @@ func longestFrom(g *depgraph.Graph, s, src int, reversed bool) ([]int, bool) {
 	return dist, false
 }
 
-// TestRigidWitnessesCheck replays TestExactDigest's innermost loops from
+// TestRigidWitnessesCheck replays the exact objects' innermost loops from
 // outside, as the compile-exact benchmark replays them: the paper sources
 // on Warp and the six compile-exact grid points, the pool programs on
 // Warp, each loop's conditionals reduced and its expandable registers

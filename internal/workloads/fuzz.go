@@ -269,7 +269,8 @@ func CorpusSeeds() []int64 {
 // ExactSeeds lists the RandomPrograms of the compile-exact benchmark's
 // pool (exactPool in benchmark/pools.go, which is frozen, so the list is
 // copied): programs the branch-and-bound below the heuristic's II spent
-// 3–100 ms on, with no loop falling back, when it was screened.  The exact digest and the whole-arm floor's soundness test
+// 3–100 ms on, with no loop falling back, when it was screened.  The
+// corpus digest's exact objects and the whole-arm floor's soundness test
 // compile exactly these.
 func ExactSeeds() []int64 {
 	return []int64{

@@ -87,8 +87,8 @@ func CompileSourcePartitioned(src string, machines []*Machine, opts Options) (*A
 // CompilePartitioned splits p across len(machines) cells (see
 // internal/partition for the planner: forward-only queue cuts over the
 // dependence graph, stages balanced by per-fragment MII) and compiles
-// each fragment for its machine.  The machines may be heterogeneous —
-// a stage with more floating-point work can target a wider gen: cell.
+// each fragment for the cell machine.  The cells are identical: a list
+// whose machines differ is refused, so build it with Machines.
 // opts.Ctx bounds the planner's split search as well as the per-cell
 // compiles.
 func CompilePartitioned(p *Program, machines []*Machine, opts Options) (*ArrayObject, error) {
@@ -107,7 +107,7 @@ func CompilePartitioned(p *Program, machines []*Machine, opts Options) (*ArrayOb
 		Arg("cost_skipped", int64(plan.Stats.CostSkipped)).End()
 	ao := &ArrayObject{Plan: plan, source: p, tracer: opts.Tracer}
 	for i, frag := range plan.Fragments {
-		obj, err := Compile(frag, plan.Machines[i], opts)
+		obj, err := Compile(frag, plan.Machine, opts)
 		if err != nil {
 			return nil, fmt.Errorf("softpipe: cell %d (%s): %w", i, frag.Name, err)
 		}
