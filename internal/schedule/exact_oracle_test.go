@@ -294,6 +294,49 @@ func padPast64(core *depgraph.Graph) *depgraph.Graph {
 	return g
 }
 
+// oracleLoop is one loop of the oracle tests' pools: g is searched, core
+// (g itself, unless g is padded) is what the oracle decides, from the
+// MII−from upward.
+type oracleLoop struct {
+	name    string
+	g, core *depgraph.Graph
+	from    int
+}
+
+// oracleLoops builds the oracle tests' pools on Warp: the randomLoop
+// bodies of the given seeds with at most 9 nodes, with and without
+// expansion, decided from below intervals under the MII; synths
+// synthLoops and padded padded ones, from the MII; and payloadGraphs.
+func oracleLoops(t *testing.T, seeds, synths, padded, below int) []oracleLoop {
+	m := machine.Warp()
+	var loops []oracleLoop
+	for seed := 0; seed < seeds; seed++ {
+		p := randomLoop(rand.New(rand.NewSource(int64(seed))))
+		if err := p.Validate(m); err != nil {
+			t.Fatalf("seed %d: validate: %v", seed, err)
+		}
+		for _, expand := range []bool{false, true} {
+			if a := analyze(t, p, m, expand); len(a.Graph.Nodes) <= 9 {
+				loops = append(loops, oracleLoop{fmt.Sprintf("randomLoop %d (expand=%v)", seed, expand), a.Graph, a.Graph, below})
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < synths; i++ {
+		g := synthLoop(rng)
+		loops = append(loops, oracleLoop{fmt.Sprintf("synthLoop %d", i), g, g, 0})
+	}
+	rng = rand.New(rand.NewSource(2))
+	for i := 0; i < padded; i++ {
+		core := synthLoop(rng)
+		loops = append(loops, oracleLoop{fmt.Sprintf("padded synthLoop %d", i), padPast64(core), core, 0})
+	}
+	for i, g := range payloadGraphs() {
+		loops = append(loops, oracleLoop{fmt.Sprintf("payload graph %d", i), g, g, below})
+	}
+	return loops
+}
+
 // TestExactDecideMatchesRowOracle holds decide's verdict — tight pass,
 // full gap-compression pass and backjumping together — to rowOracle on
 // every small loop: every refutation must be one the oracle makes, and
@@ -311,36 +354,7 @@ func TestExactDecideMatchesRowOracle(t *testing.T) {
 	// never asks for an interval below the MII (it starts there), and on
 	// the tighter synthLoops refuting one through the table can take it
 	// millions of nodes, so those start at the MII.
-	type loop struct {
-		name    string
-		g, core *depgraph.Graph
-		from    int
-	}
-	var loops []loop
-	for seed := 0; seed < seeds; seed++ {
-		p := randomLoop(rand.New(rand.NewSource(int64(seed))))
-		if err := p.Validate(m); err != nil {
-			t.Fatalf("seed %d: validate: %v", seed, err)
-		}
-		for _, expand := range []bool{false, true} {
-			if a := analyze(t, p, m, expand); len(a.Graph.Nodes) <= 9 {
-				loops = append(loops, loop{fmt.Sprintf("randomLoop %d (expand=%v)", seed, expand), a.Graph, a.Graph, below})
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < synths; i++ {
-		g := synthLoop(rng)
-		loops = append(loops, loop{fmt.Sprintf("synthLoop %d", i), g, g, 0})
-	}
-	rng = rand.New(rand.NewSource(2))
-	for i := 0; i < padded; i++ {
-		core := synthLoop(rng)
-		loops = append(loops, loop{fmt.Sprintf("padded synthLoop %d", i), padPast64(core), core, 0})
-	}
-	for i, g := range payloadGraphs() {
-		loops = append(loops, loop{fmt.Sprintf("payload graph %d", i), g, g, below})
-	}
+	loops := oracleLoops(t, seeds, synths, padded, below)
 	decisions, infeasible := 0, 0
 	for _, l := range loops {
 		g := l.g

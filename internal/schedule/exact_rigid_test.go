@@ -3,8 +3,6 @@ package schedule
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -24,33 +22,7 @@ func TestRigidRefutationsAreOracleInfeasible(t *testing.T) {
 	if testing.Short() {
 		seeds, synths, padded, below, above = 50, 150, 50, 1, 1
 	}
-	type loop struct {
-		name    string
-		g, core *depgraph.Graph
-		from    int
-	}
-	var loops []loop
-	for seed := 0; seed < seeds; seed++ {
-		p := randomLoop(rand.New(rand.NewSource(int64(seed))))
-		for _, expand := range []bool{false, true} {
-			if a := analyze(t, p, m, expand); len(a.Graph.Nodes) <= 9 {
-				loops = append(loops, loop{fmt.Sprintf("randomLoop %d (expand=%v)", seed, expand), a.Graph, a.Graph, below})
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < synths; i++ {
-		g := synthLoop(rng)
-		loops = append(loops, loop{fmt.Sprintf("synthLoop %d", i), g, g, 0})
-	}
-	rng = rand.New(rand.NewSource(2))
-	for i := 0; i < padded; i++ {
-		core := synthLoop(rng)
-		loops = append(loops, loop{fmt.Sprintf("padded synthLoop %d", i), padPast64(core), core, 0})
-	}
-	for i, g := range payloadGraphs() {
-		loops = append(loops, loop{fmt.Sprintf("payload graph %d", i), g, g, below})
-	}
+	loops := oracleLoops(t, seeds, synths, padded, below)
 	intervals, infeasible, refuted := 0, 0, 0
 	for _, l := range loops {
 		a, err := depgraph.Analyze(l.g, m)
