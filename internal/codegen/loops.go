@@ -514,6 +514,12 @@ const (
 	wholeKept
 )
 
+// pipelineIntRegs is the int registers a pipelined loop's own code claims
+// beside its body's: tryPipelinedRuntime's trip-count temporary, branch
+// condition, remainder, kernel-pass counter and its stages−1 and unroll
+// constants.  The copy budget leaves them free and regsFit counts them.
+const pipelineIntRegs = 6
+
 // loopBody is one reduced body of a loop, built and ready to plan: its
 // pipeline.Body, the options its plan is made under (the copy budget
 // included), and how many float and int registers it names that have no
@@ -557,7 +563,7 @@ func (e *emitter) reducedBody(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo
 		IndependentMem:   l.Independent,
 		PowerOfTwoUnroll: powerOfTwo,
 		CopyBudgetF:      e.m.FloatRegs - baseF,
-		CopyBudgetI:      e.m.IntRegs - baseI - 6, // counters and count math
+		CopyBudgetI:      e.m.IntRegs - baseI - pipelineIntRegs,
 		RegKind:          e.irp.Kind,
 		KeepMarginal:     keepMarginal,
 		Tracer:           e.opts.Tracer,
@@ -614,7 +620,7 @@ func (e *emitter) planNodes(l *ir.LoopStmt, lb loopBody, whole bool, rep *LoopRe
 // the plan's expanded copies and the loop's counters.
 func (e *emitter) regsFit(lb loopBody, plan *pipeline.Plan) bool {
 	cf, ci := plan.CopyRegs(e.irp.Kind)
-	peakF, peakI := e.regsNeeded(lb.needF+cf, lb.needI+ci+6)
+	peakF, peakI := e.regsNeeded(lb.needF+cf, lb.needI+ci+pipelineIntRegs)
 	return peakF <= e.m.FloatRegs && peakI <= e.m.IntRegs
 }
 

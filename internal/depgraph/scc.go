@@ -13,8 +13,13 @@ type SCC struct {
 }
 
 // TarjanSCC runs Tarjan's algorithm on g.
-func TarjanSCC(g *Graph) *SCC {
-	n, m := len(g.Nodes), len(g.Edges)
+func TarjanSCC(g *Graph) *SCC { return Tarjan(len(g.Nodes), g.Edges) }
+
+// Tarjan runs Tarjan's algorithm on the graph of n nodes and the given
+// edges (only From and To are read).  Components come out in reverse
+// topological order, each one's members sorted.
+func Tarjan(n int, edges []Edge) *SCC {
+	m := len(edges)
 	// One block of scratch: successor lists in edge order, packed (node
 	// v's are succ[first[v]:first[v+1]]), Tarjan's index and low-link per
 	// node, and its stack.
@@ -25,14 +30,14 @@ func TarjanSCC(g *Graph) *SCC {
 	index, block := block[:n], block[n:]
 	low, block := block[:n], block[n:]
 	stack := block[:0:n]
-	for _, e := range g.Edges {
+	for _, e := range edges {
 		first[e.From+1]++
 	}
 	for v := 0; v < n; v++ {
 		first[v+1] += first[v]
 	}
 	copy(fill, first[:n])
-	for _, e := range g.Edges {
+	for _, e := range edges {
 		succ[fill[e.From]] = e.To
 		fill[e.From]++
 	}

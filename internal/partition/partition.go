@@ -383,53 +383,23 @@ func (pl *planner) clusterAdj(stage func(int) bool) [][]int {
 }
 
 // mergeClusterCycles unions every strongly connected component of the
-// contracted cluster graph (Tarjan).  Components are unique, so one
-// pass leaves the cluster graph acyclic.
+// contracted cluster graph (depgraph.Tarjan).  Components are unique, so
+// one pass leaves the cluster graph acyclic.
 func (pl *planner) mergeClusterCycles(stage func(int) bool) {
-	n := len(pl.sh.body)
-	var roots []int
-	for i := 0; i < n; i++ {
-		if stage(i) && pl.find(i) == i {
-			roots = append(roots, i)
-		}
-	}
 	adj := pl.clusterAdj(stage)
-	index, low := make([]int, n), make([]int, n)
-	for i := range index {
-		index[i] = -1
+	m := 0
+	for _, outs := range adj {
+		m += len(outs)
 	}
-	onStack := make([]bool, n)
-	var stack []int
-	next := 0
-	var strong func(v int)
-	strong = func(v int) {
-		index[v], low[v] = next, next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if index[w] < 0 {
-				strong(w)
-				low[v] = min(low[v], low[w])
-			} else if onStack[w] {
-				low[v] = min(low[v], index[w])
-			}
-		}
-		if low[v] == index[v] {
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				pl.union(v, w)
-				if w == v {
-					break
-				}
-			}
+	edges := make([]depgraph.Edge, 0, m)
+	for from, outs := range adj {
+		for _, to := range outs {
+			edges = append(edges, depgraph.Edge{From: from, To: to})
 		}
 	}
-	for _, r := range roots {
-		if index[r] < 0 {
-			strong(r)
+	for _, comp := range depgraph.Tarjan(len(pl.sh.body), edges).Components {
+		for _, v := range comp[1:] {
+			pl.union(comp[0], v)
 		}
 	}
 }

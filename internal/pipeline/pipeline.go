@@ -538,10 +538,11 @@ func (pl *planner) planWith(expanded map[ir.VReg]bool, minII int) (*Plan, error)
 		return nil, fmt.Errorf("pipeline: initiation interval bound %d within 99%% of unpipelined length %d", floor, b.Period)
 	}
 
-	var searcher schedule.Scheduler = schedule.NewExactSearcher(a, m)
+	newSearcher := schedule.NewExactSearcher
 	if opts.HeuristicOnly {
-		searcher = schedule.NewSearcher(a, m)
+		newSearcher = schedule.NewSearcher
 	}
+	searcher := newSearcher(a, m)
 	search := opts.Tracer.Begin("schedule.search")
 	res, st, err := searcher.Search(schedule.Options{
 		Ctx:            opts.Ctx,
@@ -558,6 +559,7 @@ func (pl *planner) planWith(expanded map[ir.VReg]bool, minII int) (*Plan, error)
 		opts.Tracer.Count("schedule.backtracks", int64(st.Backtracks))
 		opts.Tracer.Count("schedule.exact_nodes", exactNodes)
 		opts.Tracer.Count("schedule.exact_rigid", int64(st.ExactRigid))
+		opts.Tracer.Count("schedule.paths", int64(st.Paths))
 	}
 	search.Arg("exact_nodes", exactNodes)
 	if err != nil {

@@ -72,8 +72,9 @@ func TestExactSearchAbortsOnCanceledContext(t *testing.T) {
 }
 
 // countdownCtx reports itself canceled after its first n Err() probes:
-// the deterministic way to cancel between the heuristic pass and the
-// exact refinement, exercising the mid-search abort path.
+// the deterministic way to cancel between the heuristic's attempt at an
+// interval and the exact search's decision there, exercising the
+// mid-search abort path.
 type countdownCtx struct {
 	context.Context
 	n int
@@ -89,24 +90,25 @@ func (c *countdownCtx) Err() error {
 
 func TestExactSearchAbortsMidSearch(t *testing.T) {
 	a, m := gapLoopAnalysis(t)
-	// The heuristic on this loop probes the context once per candidate
-	// (II 7, 8, 9) and once a pivot of every longest-path sweep; a
-	// countdown of exactly that many lets it finish and cancels on the
-	// exact refinement's first probe.
-	opts := Options{ReserveBranch: true, BranchResource: machine.ResBranch}
+	// The heuristic's failed attempt at the floor (II 7) probes the
+	// context once before the candidate and once a pivot of every
+	// longest-path sweep; a countdown of exactly that many lets it finish
+	// and cancels on the next probe, in the exact search's decision at the
+	// floor or before the next candidate.
+	opts := Options{ReserveBranch: true, BranchResource: machine.ResBranch, MaxII: a.MII}
 	count := &countdownCtx{Context: context.Background(), n: math.MaxInt}
 	opts.Ctx = count
-	_, hst, err := Modulo(a, m, opts)
-	if err != nil {
-		t.Fatal(err)
+	if _, _, err := Modulo(a, m, opts); err == nil {
+		t.Fatalf("the heuristic schedules the floor %d; the test needs a loop where it fails there", a.MII)
 	}
+	opts.MaxII = 0
 	opts.Ctx = &countdownCtx{Context: context.Background(), n: math.MaxInt - count.n}
 	r, st, err := NewExactSearcher(a, m).Search(opts)
-	if st.Attempts != hst.Attempts {
-		t.Fatalf("canceled after %d of the heuristic's %d attempts, not past them", st.Attempts, hst.Attempts)
+	if st.Attempts != 1 {
+		t.Fatalf("canceled after %d attempts, not in the first", st.Attempts)
 	}
 	if err == nil {
-		t.Fatalf("exact search canceled mid-refinement returned II %d instead of an error", r.II)
+		t.Fatalf("exact search canceled mid-search returned II %d instead of an error", r.II)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-search error %v does not wrap context.Canceled", err)
@@ -126,9 +128,9 @@ func TestExactBudgetFallsBackToHeuristic(t *testing.T) {
 	// A node budget of zero is exhausted by the branch-and-bound's first
 	// node, so the search must return the heuristic schedule
 	// bit-identically, as a success, with the fallback recorded.
-	ex := NewExactSearcher(a, m)
-	ex.budget = 0
-	er, est, err := ex.Search(opts)
+	sr := NewExactSearcher(a, m)
+	sr.ex.budget = 0
+	er, est, err := sr.Search(opts)
 	if err != nil {
 		t.Fatalf("budget exhaustion surfaced as an error: %v", err)
 	}
@@ -146,9 +148,9 @@ func TestExactBudgetFallsBackToHeuristic(t *testing.T) {
 
 func TestExactBudgetFallbackExplainNote(t *testing.T) {
 	a, m := gapLoopAnalysis(t)
-	ex := NewExactSearcher(a, m)
-	ex.budget = 0
-	er, est, err := ex.Search(Options{ReserveBranch: true, BranchResource: machine.ResBranch})
+	sr := NewExactSearcher(a, m)
+	sr.ex.budget = 0
+	er, est, err := sr.Search(Options{ReserveBranch: true, BranchResource: machine.ResBranch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,15 +2,13 @@ package schedule
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"softpipe/internal/depgraph"
 	"softpipe/internal/machine"
 )
 
 // NodeBudget bounds the decision nodes one Search's branch-and-bound
-// explores; past it the heuristic schedule is kept (Stats.FellBack).  A
+// explores; past it the heuristic searches on alone (Stats.FellBack).  A
 // count, not a time, so a verdict is the same on every host and thread
 // count (Options.Ctx is the only clock).  Sized from the largest searches
 // at the default: 1,484 nodes (fuzz277662679890 on Warp, one of the
@@ -22,69 +20,12 @@ const NodeBudget = 10_000
 
 const exInf = int(1) << 28
 
-// ExactSearcher is the II search every compile runs (New): it runs the
-// heuristic Searcher first, and only where that lands above the search
-// floor tries to prove each smaller initiation interval feasible or
-// infeasible by exhaustive branch-and-bound over the modulo reservation
-// table with dependence-range (difference-constraint) propagation.  The
-// first feasible interval found this way is by construction the optimum;
-// if every interval below the heuristic's is refuted within NodeBudget,
-// the heuristic schedule is returned with Stats.Proved set.
-//
-// Completeness rests on two symmetries of modulo schedules: shifting a
-// weakly connected component of the dependence graph by a multiple of
-// the candidate interval changes neither the reservation-table rows nor
-// any difference constraint (components share no edges), so the first
-// node placed in each component need only scan the s slots [0, s); and
-// any feasible schedule can be "gap-compressed" — a suffix of a
-// component, sorted by issue time, shifted down by s whenever a gap
-// exceeds maxDelay+s — so the remaining nodes of a component need only
-// scan a window of width (size-1)·(maxDelay+s) around their anchor.
-// Issue times may go negative during the search; the final schedule is
-// renormalized per component by multiples of s.
-//
-// The search backjumps (conflict-directed backjumping).  Every refuted
-// subtree returns its conflict set: the placements its failure rests on,
-// so that no schedule the search must find agrees with them.  A frame
-// whose own node is not in its child's conflict set returns that set at
-// once, without trying its other slots: the child's failure does not
-// depend on where the frame put its node, so every other slot fails the
-// same way.  The sets are built from four rules:
-//
-//   - Bounds.  Every window bound carries the placements it rests on.  A
-//     bound propagated along an arc inherits its source bound's set; the
-//     anchor's gap-compression clamp and a placement's own [t, t] rest on
-//     that placement.  A wipeout is explained by its two clashing bounds.
-//   - Resources.  A slot that does not fit the modulo table is explained
-//     by the placed nodes occupying the full cell ModTable.Conflict names.
-//   - Static rules.  The branch reservation, the payload-row rule and an
-//     anchor's [0, s) window rest on no placement.
-//   - Frames.  A frame's set is the union of its window bounds' sets, each
-//     slot's explanation and each refuted child's set, less its own node.
-//
-// Only subtrees that contain no schedule are skipped, and the search
-// visits the rest in the same order, so the first schedule found, every
-// interval's verdict and every issue time are those of plain
-// chronological backtracking; only the explored-node count falls.
-//
-// A fifth rule refutes an interval before any search (refuteRigid).  At
-// interval s, Lam §2.2.2's closure of a recurrence component gives the
-// longest path D(u, v) between any two members, and every schedule meets
-// σ(v) − σ(u) ≥ D(u, v).  Where the paths both ways cancel, D(u, v) +
-// D(v, u) = 0, the offset σ(v) − σ(u) is forced, so the members of such
-// a rigid group issue at fixed offsets from its first member, and their
-// reservations at fixed rows of the modulo table.  A row that holds more
-// of a resource than the machine has refutes s.  It is a relaxation —
-// every other node, the loop-back's reservation and the payload-row rule
-// are left out — so what it refutes no search could schedule, and it
-// never claims a schedule: an interval it cannot refute is searched.  So
-// every verdict, schedule and explain report is the search's; the rule
-// only spares the search's nodes (Stats.ExactRigid counts the intervals).
-type ExactSearcher struct {
-	a    *depgraph.Analysis
-	m    *machine.Machine
-	heur *Searcher
-
+// exact is a Searcher's exact search (see Searcher): the branch-and-
+// bound's arcs, windows, trail and modulo table, built on the first
+// interval it searches (prepare), its node budget, and refuteRigid's
+// scratch.
+type exact struct {
+	nodes   []*depgraph.Node
 	n       int
 	arcs    []exArc
 	outA    [][]int32 // arc indices with From == v
@@ -116,7 +57,6 @@ type ExactSearcher struct {
 	brRes    [1]machine.ResUse
 
 	// Rigid-group scratch (refuteRigid).
-	paths  []int // PathsAt of the current component
 	group  []int // per member position: its group's first member, or −1
 	rowUse []int // (row, resource) reservations of the current group
 	used   []int // rowUse cells the current group touched
@@ -161,26 +101,30 @@ type trailEntry struct {
 // schedule, as long as no bit is cleared for one of the nodes it shares.
 func bit(v int) uint64 { return 1 << (uint(v) & 63) }
 
-// NewExactSearcher prepares the II search for an analyzed loop; the
-// branch-and-bound's scratch is built on first use (prepare).
-func NewExactSearcher(a *depgraph.Analysis, m *machine.Machine) *ExactSearcher {
-	return &ExactSearcher{a: a, m: m, heur: NewSearcher(a, m), budget: NodeBudget}
+// NewExactSearcher prepares the II search for an analyzed loop, the
+// exact search included (New); the branch-and-bound's scratch is built on
+// first use (prepare).
+func NewExactSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
+	sr := NewSearcher(a, m)
+	sr.ex = &exact{budget: NodeBudget}
+	return sr
 }
 
-// prepare builds the branch-and-bound's scratch once: most loops never
-// search, because the heuristic meets the floor or refuteRigid suffices.
-func (ex *ExactSearcher) prepare() {
+// prepare builds the branch-and-bound's scratch for g on m once: most
+// loops never search, because the heuristic meets the floor or
+// refuteRigid suffices.
+func (ex *exact) prepare(g *depgraph.Graph, m *machine.Machine) {
 	if ex.tab != nil {
 		return
 	}
-	g := ex.a.Graph
+	ex.nodes = g.Nodes
 	n := len(g.Nodes)
 	ex.n = n
 	ex.outA, ex.inA = make([][]int32, n), make([][]int32, n)
 	ex.comp, ex.lo, ex.hi, ex.payLen = make([]int, n), make([]int, n), make([]int, n), make([]int, n)
 	ex.loWhy, ex.hiWhy = make([]uint64, n), make([]uint64, n)
 	ex.placed, ex.inQueue = make([]bool, n), make([]bool, n)
-	ex.tab = NewModTable(1, ex.m)
+	ex.tab = NewModTable(1, m)
 	// Reduced constructs must fit within one interval row so the emitted
 	// kernel can fork into their branches without crossing the loop-back
 	// boundary; the pipeline treats a schedule that breaks this as an
@@ -238,108 +182,6 @@ func (ex *ExactSearcher) prepare() {
 	}
 }
 
-// Search runs the heuristic search, then, below its II, spends up to
-// NodeBudget decision nodes proving smaller intervals feasible or
-// infeasible.  The result's II is never above the heuristic's; context
-// errors abort, budget exhaustion falls back.  Options.Budget is ignored.
-func (ex *ExactSearcher) Search(opts Options) (*Result, *Stats, error) {
-	floor, maxII, err := searchRange(ex.a, opts)
-	if err != nil {
-		return nil, &Stats{MII: floor}, err
-	}
-	ex.explored, ex.rigid = 0, 0
-
-	hr, st, herr := ex.heur.Search(opts)
-	if herr != nil {
-		var ie *InfeasibleError
-		if !errors.As(herr, &ie) {
-			// Context cancellation: not ours to second-guess.
-			return nil, st, herr
-		}
-		// The heuristic found nothing; the exact search gets the whole
-		// range.  Any feasible interval it finds is the optimum.
-		r, aerr := ex.refine(opts, st, floor, maxII, nil)
-		if aerr != nil {
-			return nil, st, aerr
-		}
-		if r != nil {
-			return r, st, nil
-		}
-		return nil, st, herr
-	}
-
-	r, aerr := ex.refine(opts, st, floor, hr.II-1, hr)
-	if aerr != nil {
-		return nil, st, aerr
-	}
-	if r != nil {
-		return r, st, nil
-	}
-	return hr, st, nil
-}
-
-// refine scans candidate intervals [floor, hiBound] in increasing order,
-// deciding each exactly.  It returns a better result than the fallback,
-// or nil to keep the fallback (with st.Proved set when every candidate
-// was refuted, st.FellBack when the budget ran out first).  A non-nil
-// error is a context abort.
-func (ex *ExactSearcher) refine(opts Options, st *Stats, floor, hiBound int, fallback *Result) (*Result, error) {
-	defer func() { st.ExactNodes, st.ExactRigid = ex.explored, ex.rigid }()
-	if hiBound < floor {
-		// The heuristic met the search floor; nothing to prove.
-		st.Proved = fallback != nil
-		return nil, nil
-	}
-	for s := floor; s <= hiBound; s++ {
-		if err := ctxErr(opts.Ctx, s); err != nil {
-			return nil, err
-		}
-		st.Attempts++
-		verdict, times := ex.decide(opts, s)
-		switch verdict {
-		case decFeasible:
-			st.Achieved = s
-			st.MetLower = s == st.MII
-			st.Proved = true
-			st.FellBack = false
-			res := ex.buildResult(s, times)
-			ex.heur.record(Attempt{II: s, OK: true, Node: -1, Comp: -1, Note: "exact: feasible"})
-			ex.heur.exp.Achieved = s
-			res.Explain = ex.heur.exp
-			return res, nil
-		case decInfeasible:
-			ex.heur.record(Attempt{II: s, Node: -1, Comp: -1, Note: "exact: proved infeasible"})
-		case decAbortCtx:
-			return nil, ctxErr(opts.Ctx, s)
-		case decAbortBudget:
-			ex.fellBack(st, s, hiBound)
-			return nil, nil
-		}
-	}
-	if fallback != nil {
-		// Every interval below the heuristic's was exhaustively refuted:
-		// the heuristic schedule is optimal.
-		st.Proved = true
-	}
-	return nil, nil
-}
-
-func (ex *ExactSearcher) fellBack(st *Stats, s, hiBound int) {
-	st.FellBack = true
-	ex.heur.exp.Notes = append(ex.heur.exp.Notes, fmt.Sprintf(
-		"exact search node budget exhausted with candidates [%d, %d] undecided; heuristic schedule kept", s, hiBound))
-}
-
-func (ex *ExactSearcher) buildResult(s int, times []int) *Result {
-	res := &Result{II: s, Time: times}
-	for v, t := range times {
-		if e := t + Extent(ex.a.Graph.Nodes[v]); e > res.Length {
-			res.Length = e
-		}
-	}
-	return res
-}
-
 // Decision verdicts.
 const (
 	decFeasible = iota
@@ -353,18 +195,19 @@ const (
 // normalized so each component's earliest node lands in [0, s)),
 // decInfeasible is a completed refutation, and the abort verdicts mean
 // the search was cut short and nothing was proved.
-func (ex *ExactSearcher) decide(opts Options, s int) (int, []int) {
+func (sr *Searcher) decide(opts Options, s int) (int, []int) {
 	ctx := opts.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if w, err := ex.refuteRigid(ctx, s); err != nil {
+	ex := sr.ex
+	if w, err := sr.refuteRigid(ctx, s); err != nil {
 		return decAbortCtx, nil
 	} else if w != nil {
 		ex.rigid++
 		return decInfeasible, nil
 	}
-	ex.prepare()
+	ex.prepare(sr.a.Graph, sr.m)
 	ex.s = s
 	ex.maxC = 0
 	for i := range ex.arcs {
@@ -392,27 +235,28 @@ func (ex *ExactSearcher) decide(opts Options, s int) (int, []int) {
 }
 
 // refuteRigid is the search-free refutation of interval s (see
-// ExactSearcher): a witness when some recurrence component has a positive
+// Searcher): a witness when some recurrence component has a positive
 // cycle at s, or a rigid group that overfills a row; nil when neither
-// shows.  In a component with a positive cycle (below the recurrence
+// shows.  It reads the heuristic's longest paths at s where the heuristic
+// computed them (pathsAt).  In a component with a positive cycle (below the recurrence
 // bound) the sweep's entries are walks rather than paths, but some
 // diagonal entry is positive, and that is all that is read there: the
 // groups are read only once no diagonal entry is.  The error is ctx's,
 // wrapped, from inside a sweep.
-func (ex *ExactSearcher) refuteRigid(ctx context.Context, s int) (*rigidWitness, error) {
-	nodes := ex.a.Graph.Nodes
-	nres := len(ex.m.ResourceCount)
+func (sr *Searcher) refuteRigid(ctx context.Context, s int) (*rigidWitness, error) {
+	ex := sr.ex
+	nodes := sr.a.Graph.Nodes
+	nres := len(sr.m.ResourceCount)
 	ex.rowUse = resize(ex.rowUse, s*nres)
 	ex.used = ex.used[:0]
-	for ci, comp := range ex.a.SCC.Components {
-		if !ex.a.Cyclic(ci) {
+	for ci, comp := range sr.a.SCC.Components {
+		if !sr.a.Cyclic(ci) {
 			continue
 		}
-		d, err := ex.a.PathsAt(ctx, ci, s, ex.paths)
+		d, err := sr.pathsAt(ctx, ci, s)
 		if err != nil {
 			return nil, err
 		}
-		ex.paths = d
 		k := len(comp)
 		for i := 0; i < k; i++ {
 			if d[i*k+i] > 0 {
@@ -442,8 +286,8 @@ func (ex *ExactSearcher) refuteRigid(ctx context.Context, s int) (*rigidWitness,
 					if ex.rowUse[at] == 0 {
 						ex.used = append(ex.used, at)
 					}
-					if ex.rowUse[at]++; ex.rowUse[at] > ex.m.ResourceCount[u.Resource] {
-						return ex.witness(ci, comp, d, s, r, j, u.Resource, at/nres), nil
+					if ex.rowUse[at]++; ex.rowUse[at] > sr.m.ResourceCount[u.Resource] {
+						return sr.witness(ci, comp, d, s, r, j, u.Resource, at/nres), nil
 					}
 				}
 			}
@@ -459,11 +303,11 @@ func (ex *ExactSearcher) refuteRigid(ctx context.Context, s int) (*rigidWitness,
 // witness spells out the group refuteRigid found overfilling a row at
 // interval s: the members of component ci's group rooted at position r,
 // up to position last, and their uses of res on row.
-func (ex *ExactSearcher) witness(ci int, comp, d []int, s, r, last int, res machine.Resource, row int) *rigidWitness {
+func (sr *Searcher) witness(ci int, comp, d []int, s, r, last int, res machine.Resource, row int) *rigidWitness {
 	k := len(comp)
 	w := &rigidWitness{Comp: ci, Cycle: -1, Res: res, Row: row}
 	for j := r; j <= last; j++ {
-		if ex.group[j] != r {
+		if sr.ex.group[j] != r {
 			continue
 		}
 		off := 0
@@ -472,7 +316,7 @@ func (ex *ExactSearcher) witness(ci int, comp, d []int, s, r, last int, res mach
 		}
 		w.Members = append(w.Members, comp[j])
 		w.Offsets = append(w.Offsets, off)
-		for _, u := range ex.a.Graph.Nodes[comp[j]].Reservation {
+		for _, u := range sr.a.Graph.Nodes[comp[j]].Reservation {
 			if u.Resource == res && floorMod(off+u.Offset, s) == row {
 				w.Count++
 			}
@@ -483,7 +327,7 @@ func (ex *ExactSearcher) witness(ci int, comp, d []int, s, r, last int, res mach
 
 // decidePass runs one exhaustive pass at the current interval and window
 // policy.
-func (ex *ExactSearcher) decidePass(opts Options) (int, []int) {
+func (ex *exact) decidePass(opts Options) (int, []int) {
 	s := ex.s
 	for v := 0; v < ex.n; v++ {
 		ex.lo[v], ex.hi[v] = -exInf, exInf
@@ -538,9 +382,9 @@ func (ex *ExactSearcher) decidePass(opts Options) (int, []int) {
 // tightest window (deterministically), try each slot in its window
 // against the modulo reservation table, propagate difference
 // constraints, and backtrack on wipeout.  A refutation also returns its
-// conflict set (see ExactSearcher); a child's refutation that does not
+// conflict set (see Searcher); a child's refutation that does not
 // rest on this frame's placement refutes the frame too.
-func (ex *ExactSearcher) dfs(opts Options, depth int) (int, uint64) {
+func (ex *exact) dfs(opts Options, depth int) (int, uint64) {
 	if depth == ex.n {
 		return decFeasible, 0
 	}
@@ -569,7 +413,7 @@ func (ex *ExactSearcher) dfs(opts Options, depth int) (int, uint64) {
 	// The window's bounds exclude every slot outside it.
 	why := ex.loWhy[v] | ex.hiWhy[v]
 	self := bit(v)
-	res := ex.a.Graph.Nodes[v].Reservation
+	res := ex.nodes[v].Reservation
 	c := ex.comp[v]
 	// The table is the same for every slot of this frame, so whether a
 	// slot fits depends only on its row: decide each row once.
@@ -620,7 +464,7 @@ func (ex *ExactSearcher) dfs(opts Options, depth int) (int, uint64) {
 // fits reports whether node v may issue at time t (row r), adding to
 // *why the placements that stop it: none for the payload-row rule, the
 // occupants of the full cell for the modulo table.
-func (ex *ExactSearcher) fits(v int, res []machine.ResUse, t, r int, why *uint64) bool {
+func (ex *exact) fits(v int, res []machine.ResUse, t, r int, why *uint64) bool {
 	if l := ex.payLen[v]; l > 0 && r+l > ex.s {
 		return false
 	}
@@ -633,7 +477,7 @@ func (ex *ExactSearcher) fits(v int, res []machine.ResUse, t, r int, why *uint64
 
 // occupy places a reservation pattern at time t in the table, adding the
 // placing node's bit to each cell it uses.
-func (ex *ExactSearcher) occupy(res []machine.ResUse, t int, self uint64) {
+func (ex *exact) occupy(res []machine.ResUse, t int, self uint64) {
 	ex.tab.Place(res, t)
 	for _, u := range res {
 		at := ex.tab.row(t+u.Offset)*ex.tab.nres + int(u.Resource)
@@ -645,7 +489,7 @@ func (ex *ExactSearcher) occupy(res []machine.ResUse, t int, self uint64) {
 // vacate undoes the matching occupy.  The cells are restored from the
 // saved words, not cleared bit by bit, because beyond 64 nodes a bit is
 // shared (see bit).
-func (ex *ExactSearcher) vacate(res []machine.ResUse, t int) {
+func (ex *exact) vacate(res []machine.ResUse, t int) {
 	ex.tab.Remove(res, t)
 	for i := len(res) - 1; i >= 0; i-- {
 		u := res[i]
@@ -660,7 +504,7 @@ func (ex *ExactSearcher) vacate(res []machine.ResUse, t int) {
 // components ordered by (window width asc, height desc, index asc);
 // when none remain, the highest node of a fresh component becomes its
 // anchor.
-func (ex *ExactSearcher) pickVar() (int, bool) {
+func (ex *exact) pickVar() (int, bool) {
 	best, bestW := -1, 0
 	bestAnchor := false
 	for v := 0; v < ex.n; v++ {
@@ -684,7 +528,7 @@ func (ex *ExactSearcher) pickVar() (int, bool) {
 // a fixpoint; false means some window wiped out, with the conflict set
 // of the two clashing bounds.  When v anchors its component, every
 // member is first clamped to the gap-compression window around t.
-func (ex *ExactSearcher) assign(v, t int, anchor bool) (bool, uint64) {
+func (ex *exact) assign(v, t int, anchor bool) (bool, uint64) {
 	self := bit(v)
 	if anchor {
 		span := ex.maxC + ex.s
@@ -739,7 +583,7 @@ func (ex *ExactSearcher) assign(v, t int, anchor bool) (bool, uint64) {
 // which rests on the placements in why, recording changes on the trail
 // and queueing w for propagation; false means the window wiped out, with
 // the conflict set of the clash.
-func (ex *ExactSearcher) tighten(w, nl, nh int, why uint64) (bool, uint64) {
+func (ex *exact) tighten(w, nl, nh int, why uint64) (bool, uint64) {
 	if nl > ex.lo[w] {
 		if nl > ex.hi[w] {
 			return false, why | ex.hiWhy[w] // undo drains the queue
@@ -755,26 +599,26 @@ func (ex *ExactSearcher) tighten(w, nl, nh int, why uint64) (bool, uint64) {
 	return true, 0
 }
 
-func (ex *ExactSearcher) setLo(v, nl int, why uint64) {
+func (ex *exact) setLo(v, nl int, why uint64) {
 	ex.trail = append(ex.trail, trailEntry{node: v, isHi: false, old: ex.lo[v], why: ex.loWhy[v]})
 	ex.lo[v], ex.loWhy[v] = nl, why
 	ex.push(v)
 }
 
-func (ex *ExactSearcher) setHi(v, nh int, why uint64) {
+func (ex *exact) setHi(v, nh int, why uint64) {
 	ex.trail = append(ex.trail, trailEntry{node: v, isHi: true, old: ex.hi[v], why: ex.hiWhy[v]})
 	ex.hi[v], ex.hiWhy[v] = nh, why
 	ex.push(v)
 }
 
-func (ex *ExactSearcher) push(v int) {
+func (ex *exact) push(v int) {
 	if !ex.inQueue[v] {
 		ex.inQueue[v] = true
 		ex.queue = append(ex.queue, v)
 	}
 }
 
-func (ex *ExactSearcher) undo(mark int) {
+func (ex *exact) undo(mark int) {
 	for i := len(ex.trail) - 1; i >= mark; i-- {
 		e := ex.trail[i]
 		if e.isHi {

@@ -362,12 +362,12 @@ func TestExactDecideMatchesRowOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", l.name, err)
 		}
-		ex := NewExactSearcher(a, m)
-		ex.budget = 1 << 62 // the oracle decides every interval; no budget may cut it short
+		sr := NewExactSearcher(a, m)
+		sr.ex.budget = 1 << 62 // the oracle decides every interval; no budget may cut it short
 		for s := max(1, a.MII-l.from); s <= a.MII+above; s++ {
 			for _, reserve := range []bool{false, true} {
 				opts := Options{ReserveBranch: reserve, BranchResource: machine.ResBranch}
-				verdict, times := ex.decide(opts, s)
+				verdict, times := sr.decide(opts, s)
 				want := rowOracle(l.core, m, s, reserve)
 				decisions++
 				where := fmt.Sprintf("%s, s=%d, reserveBranch=%v", l.name, s, reserve)

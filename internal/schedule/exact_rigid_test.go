@@ -29,9 +29,9 @@ func TestRigidRefutationsAreOracleInfeasible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", l.name, err)
 		}
-		ex := NewExactSearcher(a, m)
+		sr := NewExactSearcher(a, m)
 		for s := max(1, a.MII-l.from); s <= a.MII+above; s++ {
-			w, err := ex.refuteRigid(context.Background(), s)
+			w, err := sr.refuteRigid(context.Background(), s)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,8 +58,8 @@ func TestRigidRefutationsAreOracleInfeasible(t *testing.T) {
 // TestRigidRefutationHonoursDeadline: before its search, deciding an
 // interval closes every recurrence component into longest paths, cubic in
 // the component's size (seconds on a 2,000-node ring), so the sweep's
-// once-a-pivot poll must end the decision, and refine must return the
-// context's error, soon after the deadline.
+// once-a-pivot poll must end refuteRigid with the context's error soon
+// after the deadline.
 func TestRigidRefutationHonoursDeadline(t *testing.T) {
 	const n = 2000
 	m := machine.Warp()
@@ -76,15 +76,14 @@ func TestRigidRefutationHonoursDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := NewExactSearcher(a, m)
-	ex.budget = 1 << 62 // only the context may stop this search
+	sr := NewExactSearcher(a, m)
 	// Wall clock on a shared host: one miss is retried, as in depgraph's
 	// deadline tests.
 	var over time.Duration
 	for attempt := 0; attempt < 3; attempt++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		start := time.Now()
-		_, err := ex.refine(Options{Ctx: ctx}, &Stats{}, a.MII, a.MII, nil)
+		_, err := sr.refuteRigid(ctx, a.MII)
 		over = time.Since(start) - 100*time.Millisecond
 		cancel()
 		if !errors.Is(err, context.DeadlineExceeded) {

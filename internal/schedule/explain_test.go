@@ -130,7 +130,7 @@ func TestMaxIIBelowMIIRejectedUpFront(t *testing.T) {
 	a := missMIIAnalysis(t, m)
 	for _, c := range []struct {
 		name string
-		s    Scheduler
+		s    *Searcher
 		opts Options
 	}{
 		{"linear", NewSearcher(a, m), Options{MaxII: 1}},

@@ -12,8 +12,9 @@ import (
 
 // Options tunes the modulo scheduler.
 type Options struct {
-	// Ctx, when non-nil, is checked between candidate initiation
-	// intervals and once a pivot of each longest-path sweep inside one: a
+	// Ctx, when non-nil, is checked before each candidate initiation
+	// interval's heuristic attempt and exact decision, once a pivot of
+	// each longest-path sweep and every 128 branch-and-bound nodes: a
 	// canceled or deadlined context aborts the search with an error
 	// wrapping ctx.Err() instead of running to MaxII.  The serving layer
 	// threads per-request deadlines through here.
@@ -23,10 +24,12 @@ type Options struct {
 	// MinII raises the search floor above the natural MII (the pipeliner
 	// passes the longest construct window, which must fit in one interval).
 	MinII int
-	// BinarySearch switches the II search from the paper's linear scan
-	// to the FPS-164 compiler's binary search (Touzeau 1984).  Lam §2.2
-	// argues linear search is preferable because schedulability is not
-	// monotonic in II; the flag exists for the ablation benchmark.
+	// BinarySearch switches the heuristic's II search from the paper's
+	// linear scan to the FPS-164 compiler's binary search (Touzeau 1984);
+	// the exact search then scans the intervals below the binary search's
+	// alone.  Lam §2.2 argues linear search is preferable because
+	// schedulability is not monotonic in II; the flag exists for the
+	// ablation benchmark.
 	BinarySearch bool
 	// ReserveBranch pre-reserves the sequencer's branch field in the
 	// last kernel cycle (offset II-1) for the loop-back branch, so body
@@ -65,21 +68,25 @@ type Stats struct {
 	// scanned and rejected before finding a fit (or giving up).
 	Backtracks int
 	MetLower   bool
-	// Heuristic is the II the heuristic found (0: none).
+	// Heuristic is the II the heuristic found (0: none, or the exact
+	// search scheduled an interval first).
 	Heuristic int
 	// Proved reports that the search refuted every candidate interval
 	// below Achieved: the schedule is optimal, not just heuristically
 	// good.
 	Proved bool
 	// FellBack reports that the branch-and-bound ran out of NodeBudget
-	// and returned the heuristic schedule unchanged.
+	// and the heuristic searched on alone.
 	FellBack bool
 	// ExactNodes counts decision-tree nodes the exact search explored.
 	ExactNodes int64
 	// ExactRigid counts the candidate intervals the exact search refuted
 	// without searching, from their rigid recurrence groups (see
-	// ExactSearcher).
+	// Searcher).
 	ExactRigid int
+	// Paths counts the longest-path matrices (depgraph PathsAt) the
+	// search computed: at most one per cyclic component per interval.
+	Paths int
 }
 
 // compEdge is an intra-component omega-0 edge in member-index space.
@@ -98,7 +105,7 @@ type crossEdge struct {
 }
 
 // compData is the per-component preprocessing and scratch of the
-// searcher.  Everything except dense, lo, hi, times, sched, deg is
+// searcher.  Everything except dense, denseAt, lo, hi, times, sched, deg is
 // independent of the candidate initiation interval and computed once.
 type compData struct {
 	edges  []compEdge // omega-0 intra-component edges, from != to
@@ -107,20 +114,87 @@ type compData struct {
 	zero   []int      // intra-iteration longest paths (ZeroPaths), once zeroed
 	zeroed bool
 
-	dense  []int // longest paths at the current candidate II (PathsAt)
-	lo, hi []int // precedence-constrained ranges
-	times  []int // issue time per member
-	sched  []bool
-	deg    []int
+	dense   []int // longest paths at interval denseAt (PathsAt), 0: none
+	denseAt int
+	lo, hi  []int // precedence-constrained ranges
+	times   []int // issue time per member
+	sched   []bool
+	deg     []int
 }
 
-// Searcher runs the iterative search of Lam §2.2 for one analyzed loop.
-// It front-loads every II-independent computation (SCC member indexing,
-// intra-component edge lists, list priorities, condensation edges) and
-// keeps all scheduling scratch — modulo reservation tables and distance
-// matrices included — alive across candidate intervals, so trying
-// II = s+1 after s fails allocates almost nothing.  A Searcher is not
-// safe for concurrent use; compile pipelines create one per loop.
+// Searcher is the II search every compile runs (New): the iterative
+// search of Lam §2.2, trying candidate intervals upward from the search
+// floor.  At each interval the heuristic attempts a schedule first
+// (attempt); where it fails, the exact search decides the interval:
+// refuteRigid, then an exhaustive branch-and-bound over the modulo
+// reservation table with dependence-range (difference-constraint)
+// propagation, within NodeBudget decision nodes a Search.  The first
+// interval either schedules is the answer.  When the exact search decided
+// every interval below it, that is the optimum (Stats.Proved); once the
+// budget runs out the heuristic searches on alone (Stats.FellBack).  A
+// Searcher without the exact search (NewSearcher) is the heuristic alone,
+// the comparison point codegen.Options.HeuristicOnly reaches.
+//
+// The heuristic front-loads every II-independent computation (SCC member
+// indexing, intra-component edge lists, list priorities, condensation
+// edges) and keeps all scheduling scratch — modulo reservation tables and
+// distance matrices included — alive across candidate intervals, so
+// trying II = s+1 after s fails allocates almost nothing.  Each cyclic
+// component's longest paths at an interval are computed once, and the
+// heuristic and refuteRigid read the same matrix (pathsAt).
+//
+// The branch-and-bound's completeness rests on two symmetries of modulo
+// schedules: shifting a weakly connected component of the dependence
+// graph by a multiple of the candidate interval changes neither the
+// reservation-table rows nor any difference constraint (components share
+// no edges), so the first node placed in each component need only scan
+// the s slots [0, s); and any feasible schedule can be "gap-compressed" —
+// a suffix of a component, sorted by issue time, shifted down by s
+// whenever a gap exceeds maxDelay+s — so the remaining nodes of a
+// component need only scan a window of width (size-1)·(maxDelay+s)
+// around their anchor.  Issue times may go negative during the search;
+// the final schedule is renormalized per component by multiples of s.
+//
+// The branch-and-bound backjumps (conflict-directed backjumping).  Every
+// refuted subtree returns its conflict set: the placements its failure
+// rests on, so that no schedule the search must find agrees with them.  A
+// frame whose own node is not in its child's conflict set returns that set
+// at once, without trying its other slots: the child's failure does not
+// depend on where the frame put its node, so every other slot fails the
+// same way.  The sets are built from four rules:
+//
+//   - Bounds.  Every window bound carries the placements it rests on.  A
+//     bound propagated along an arc inherits its source bound's set; the
+//     anchor's gap-compression clamp and a placement's own [t, t] rest on
+//     that placement.  A wipeout is explained by its two clashing bounds.
+//   - Resources.  A slot that does not fit the modulo table is explained
+//     by the placed nodes occupying the full cell ModTable.Conflict names.
+//   - Static rules.  The branch reservation, the payload-row rule and an
+//     anchor's [0, s) window rest on no placement.
+//   - Frames.  A frame's set is the union of its window bounds' sets, each
+//     slot's explanation and each refuted child's set, less its own node.
+//
+// Only subtrees that contain no schedule are skipped, and the search
+// visits the rest in the same order, so the first schedule found, every
+// interval's verdict and every issue time are those of plain
+// chronological backtracking; only the explored-node count falls.
+//
+// A fifth rule refutes an interval before any search (refuteRigid).  At
+// interval s, Lam §2.2.2's closure of a recurrence component gives the
+// longest path D(u, v) between any two members, and every schedule meets
+// σ(v) − σ(u) ≥ D(u, v).  Where the paths both ways cancel, D(u, v) +
+// D(v, u) = 0, the offset σ(v) − σ(u) is forced, so the members of such
+// a rigid group issue at fixed offsets from its first member, and their
+// reservations at fixed rows of the modulo table.  A row that holds more
+// of a resource than the machine has refutes s.  It is a relaxation —
+// every other node, the loop-back's reservation and the payload-row rule
+// are left out — so what it refutes no search could schedule, and it
+// never claims a schedule: an interval it cannot refute is searched.  So
+// every verdict, schedule and explain report is the search's; the rule
+// only spares the search's nodes (Stats.ExactRigid counts the intervals).
+//
+// A Searcher is not safe for concurrent use; compile pipelines create one
+// per loop.
 type Searcher struct {
 	a *depgraph.Analysis
 	m *machine.Machine
@@ -150,8 +224,11 @@ type Searcher struct {
 	// calls on the same Searcher and lands in Result.Explain (or
 	// InfeasibleError.Explain on total failure).
 	exp *Explain
-	// retries counts failed placement probes of the current Search call.
-	retries int
+	// retries counts failed placement probes of the current Search call,
+	// paths the longest-path matrices it computed.
+	retries, paths int
+
+	ex *exact // nil: the heuristic alone
 }
 
 // comp is cyclic component ci's preprocessing and scratch.
@@ -291,49 +368,129 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 	return sr
 }
 
-// Search finds the smallest feasible initiation interval ≥ the MII using
-// the iterative approach of Lam §2.2 and returns the kernel schedule.
-// It may be called repeatedly (e.g. with a raised MinII); scratch
-// carries over between calls.
+// Search finds the smallest feasible initiation interval ≥ the search
+// floor by one upward scan (see Searcher) and returns the kernel
+// schedule; with Options.BinarySearch the heuristic's binary search runs
+// first and the scan covers the intervals below its answer.  It may be
+// called repeatedly (e.g. with a raised MinII); scratch carries over
+// between calls.  Context errors abort; Options.Budget is ignored.
 func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
 	floor, maxII, err := searchRange(sr.a, opts)
 	st := &Stats{MII: floor}
 	if err != nil {
 		return nil, st, err
 	}
-	sr.retries = 0
 	if opts.Ctx == nil {
 		opts.Ctx = context.Background()
 	}
-	sr.exp.MII = floor
-	sr.exp.MaxII = maxII
-	if opts.BinarySearch {
-		r, err := sr.searchBinary(opts, floor, maxII, st)
-		st.Backtracks = sr.retries
-		return r, st, err
+	sr.retries, sr.paths = 0, 0
+	if sr.ex != nil {
+		sr.ex.explored, sr.ex.rigid = 0, 0
 	}
-	for s := floor; s <= maxII; s++ {
+	sr.exp.MII, sr.exp.MaxII = floor, maxII
+	var r *Result
+	hi := maxII
+	if opts.BinarySearch {
+		if r, err = sr.searchBinary(opts, floor, maxII, st); r != nil {
+			hi = r.II - 1
+		}
+	}
+	if err == nil {
+		var below *Result
+		if below, err = sr.scan(opts, floor, hi, !opts.BinarySearch, st); below != nil {
+			r = below
+		}
+	}
+	st.Backtracks, st.Paths = sr.retries, sr.paths
+	if sr.ex != nil {
+		st.ExactNodes, st.ExactRigid = sr.ex.explored, sr.ex.rigid
+	}
+	if err != nil {
+		return nil, st, err
+	}
+	if r == nil {
+		return nil, st, &InfeasibleError{MII: floor, MaxII: maxII, Binary: opts.BinarySearch, Explain: sr.exp}
+	}
+	st.Achieved, st.MetLower = r.II, r.II == floor
+	st.Proved = sr.ex != nil && !st.FellBack
+	sr.exp.Achieved = r.II
+	r.Explain = sr.exp
+	return r, st, nil
+}
+
+// scan tries the candidate intervals [lo, hi] upward and returns the
+// first schedule found, or nil.  At each interval the heuristic attempts
+// one (when heur is set); where it fails, the exact search decides the
+// interval while its node budget lasts.  An error is a context abort or a
+// broken invariant.
+func (sr *Searcher) scan(opts Options, lo, hi int, heur bool, st *Stats) (*Result, error) {
+	deciding := sr.ex != nil
+	undecided := 0 // the first interval the node budget left undecided
+	for s := lo; s <= hi && (heur || deciding); s++ {
 		if err := ctxErr(opts.Ctx, s); err != nil {
-			st.Backtracks = sr.retries
-			return nil, st, err
+			return nil, err
 		}
 		st.Attempts++
-		r, err := sr.attempt(opts, s)
-		if err != nil {
-			st.Backtracks = sr.retries
-			return nil, st, err
+		if heur {
+			r, err := sr.attempt(opts, s)
+			if err != nil {
+				return nil, err
+			}
+			if r != nil {
+				st.Heuristic = s
+				sr.noteUndecided(undecided, s-1)
+				return r, nil
+			}
 		}
-		if r != nil {
-			st.Achieved, st.Heuristic = s, s
-			st.MetLower = s == st.MII
-			st.Backtracks = sr.retries
-			sr.exp.Achieved = s
-			r.Explain = sr.exp
-			return r, st, nil
+		if !deciding {
+			continue
+		}
+		if err := ctxErr(opts.Ctx, s); err != nil {
+			return nil, err
+		}
+		switch verdict, times := sr.decide(opts, s); verdict {
+		case decFeasible:
+			sr.record(Attempt{II: s, OK: true, Node: -1, Comp: -1, Note: "exact: feasible"})
+			r := &Result{II: s, Time: times}
+			for v, t := range times {
+				r.Length = max(r.Length, t+Extent(sr.a.Graph.Nodes[v]))
+			}
+			return r, nil
+		case decInfeasible:
+			sr.record(Attempt{II: s, Node: -1, Comp: -1, Note: "exact: proved infeasible"})
+		case decAbortCtx:
+			return nil, ctxErr(opts.Ctx, s)
+		case decAbortBudget:
+			st.FellBack, deciding, undecided = true, false, s
 		}
 	}
-	st.Backtracks = sr.retries
-	return nil, st, &InfeasibleError{MII: st.MII, MaxII: maxII, Explain: sr.exp}
+	sr.noteUndecided(undecided, hi)
+	return nil, nil
+}
+
+// noteUndecided records in the explain report that the node budget left
+// the intervals [from, to] to the heuristic alone (from 0: it did not).
+func (sr *Searcher) noteUndecided(from, to int) {
+	if from > 0 {
+		sr.exp.Notes = append(sr.exp.Notes, fmt.Sprintf(
+			"exact search node budget exhausted with candidates [%d, %d] undecided; heuristic schedule kept", from, to))
+	}
+}
+
+// pathsAt returns cyclic component ci's longest paths at interval s,
+// computing them only when the matrix held is not s's.
+func (sr *Searcher) pathsAt(ctx context.Context, ci, s int) ([]int, error) {
+	cd := sr.comp(ci)
+	if cd.denseAt != s {
+		cd.denseAt = 0 // a sweep the context ends leaves no matrix
+		d, err := sr.a.PathsAt(ctx, ci, s, cd.dense)
+		if err != nil {
+			return nil, err
+		}
+		cd.dense, cd.denseAt = d, s
+		sr.paths++
+	}
+	return cd.dense, nil
 }
 
 // searchRange is the candidate intervals [floor, maxII] a search under
@@ -355,15 +512,17 @@ func searchRange(a *depgraph.Analysis, opts Options) (floor, maxII int, err erro
 
 // Modulo finds the smallest feasible initiation interval ≥ the MII using
 // the iterative approach of Lam §2.2 and returns the kernel schedule.
-// It is the one-shot form of NewSearcher(a, m).Search(opts).
+// It is the one-shot form of NewSearcher(a, m).Search(opts): the
+// heuristic alone.
 func Modulo(a *depgraph.Analysis, m *machine.Machine, opts Options) (*Result, *Stats, error) {
 	return NewSearcher(a, m).Search(opts)
 }
 
+// searchBinary is the FPS-164 compiler's binary search for the smallest
+// interval in [floor, maxII] the heuristic schedules; nil if none.
 func (sr *Searcher) searchBinary(opts Options, floor, maxII int, st *Stats) (*Result, error) {
 	lo, hi := floor, maxII
 	var best *Result
-	bestII := -1
 	for lo <= hi {
 		mid := (lo + hi) / 2
 		if err := ctxErr(opts.Ctx, mid); err != nil {
@@ -375,19 +534,12 @@ func (sr *Searcher) searchBinary(opts Options, floor, maxII int, st *Stats) (*Re
 			return nil, err
 		}
 		if r != nil {
-			best, bestII = r, mid
-			hi = mid - 1
+			best, hi = r, mid-1
+			st.Heuristic = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	if best == nil {
-		return nil, &InfeasibleError{MII: floor, MaxII: maxII, Binary: true, Explain: sr.exp}
-	}
-	st.Achieved, st.Heuristic = bestII, bestII
-	st.MetLower = bestII == st.MII
-	sr.exp.Achieved = bestII
-	best.Explain = sr.exp
 	return best, nil
 }
 
@@ -436,7 +588,7 @@ func (sr *Searcher) attempt(opts Options, s int) (*Result, error) {
 			}
 			cd.zeroed = true
 		}
-		if cd.dense, err = a.PathsAt(opts.Ctx, ci, s, cd.dense); err != nil {
+		if _, err = sr.pathsAt(opts.Ctx, ci, s); err != nil {
 			return nil, err
 		}
 		if ok, err := sr.scheduleComponent(ci, comp, s); !ok {

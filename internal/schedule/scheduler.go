@@ -9,7 +9,7 @@ import (
 
 // Effort selects nothing: there is one search (New).  The type, its
 // constants and ParseEffort stay for the frozen benchmark module and the
-// service's cache key until ROADMAP item 3 deletes them.
+// service's accepted "effort" until ROADMAP item 3 deletes them.
 type Effort int
 
 // Efforts, both accepted and ignored.
@@ -41,18 +41,9 @@ func ParseEffort(s string) (Effort, error) {
 	return 0, fmt.Errorf("schedule: unknown effort %q (want %q or %q)", s, EffortHeuristic, EffortExact)
 }
 
-// Scheduler finds the smallest feasible initiation interval for one
-// analyzed loop and returns its kernel schedule.  Search may be called
-// repeatedly on one Scheduler, say with a raised Options.MinII;
-// implementations carry scratch and the accumulating explain report
-// across calls.  A Scheduler is not safe for concurrent use.
-type Scheduler interface {
-	Search(opts Options) (*Result, *Stats, error)
-}
-
-// New returns the one II search for the analyzed loop, ExactSearcher; the
-// Effort is ignored.  NewSearcher alone is the heuristic, the comparison
-// point codegen.Options.HeuristicOnly reaches.
-func New(_ Effort, a *depgraph.Analysis, m *machine.Machine) Scheduler {
+// New returns the one II search for the analyzed loop,
+// NewExactSearcher's; the Effort is ignored.  NewSearcher alone is the
+// heuristic, the comparison point codegen.Options.HeuristicOnly reaches.
+func New(_ Effort, a *depgraph.Analysis, m *machine.Machine) *Searcher {
 	return NewExactSearcher(a, m)
 }

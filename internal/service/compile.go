@@ -28,8 +28,9 @@ type CompileOptions struct {
 	// Verify runs the independent object-code verifier as part of the
 	// compile; a verified artifact is cached like any other.
 	Verify bool `json:"verify,omitempty"`
-	// Effort is accepted ("", "heuristic", "exact"; else 400) and keyed,
-	// but selects nothing (softpipe.Options.Effort) until ROADMAP item 3.
+	// Effort is accepted ("", "heuristic", "exact"; else 400) and
+	// ignored: it selects nothing (softpipe.Options.Effort) and is not
+	// keyed, so every effort shares the default's cache entry.
 	Effort string `json:"effort,omitempty"`
 }
 
@@ -49,11 +50,11 @@ func (o CompileOptions) resolve() (softpipe.Options, error) {
 }
 
 // optionsKey renders resolved options as a stable string for cache
-// keying.  Field order is fixed; adding a field here is a
-// cache-invalidating change by construction (v1 → v2 added effort).
-// Rendering the resolved form is what makes "" and "heuristic" share an
-// artifact.  Every softpipe.Options field is either rendered here or on
-// the exempt list of TestOptionsKeyCoversOptions, with the reason.
+// keying.  Field order is fixed; adding or dropping a field here is a
+// cache-invalidating change by construction (v1 → v2 added effort, v3
+// dropped it again).  Every softpipe.Options field is either rendered
+// here or on the exempt list of TestOptionsKeyCoversOptions, with the
+// reason.
 func optionsKey(o softpipe.Options) string {
 	b := func(v bool) byte {
 		if v {
@@ -61,8 +62,7 @@ func optionsKey(o softpipe.Options) string {
 		}
 		return '0'
 	}
-	return fmt.Sprintf("v2:base=%c;verify=%c;effort=%s",
-		b(o.Baseline), b(o.VerifyEmitted), o.Effort)
+	return fmt.Sprintf("v3:base=%c;verify=%c", b(o.Baseline), b(o.VerifyEmitted))
 }
 
 // CompileRequest is the body of POST /compile.

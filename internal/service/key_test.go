@@ -37,13 +37,17 @@ func wireKey(t *testing.T, o CompileOptions) string {
 }
 
 // TestKeyCoversEveryWireField: setting any one field of the request's
-// options to a non-zero value must move the cache key.  A wire field
-// added to CompileOptions but dropped by resolve or optionsKey fails
-// here.
+// options to a non-zero value must move the cache key, unless the option
+// it sets is on optionsKey's exempt list under the same name (Effort,
+// accepted and ignored).  A wire field added to CompileOptions but
+// dropped by resolve or optionsKey fails here.
 func TestKeyCoversEveryWireField(t *testing.T) {
 	zero := wireKey(t, CompileOptions{})
 	typ := reflect.TypeOf(CompileOptions{})
 	for i := 0; i < typ.NumField(); i++ {
+		if _, exempt := optionsKeyExempt[typ.Field(i).Name]; exempt {
+			continue
+		}
 		var o CompileOptions
 		if !setNonZero(reflect.ValueOf(&o).Elem().Field(i)) {
 			t.Fatalf("CompileOptions.%s: kind %s — teach setNonZero a value for it", typ.Field(i).Name, typ.Field(i).Type.Kind())
@@ -62,6 +66,7 @@ var optionsKeyExempt = map[string]string{
 	"Ctx":          "non-semantic: bounds the compile, never changes its result",
 	"Tracer":       "non-semantic: observes the compile, never changes its result",
 	"EffortBudget": "left 0 (the backend's default) by resolve — no wire field sets it; when one does, it must be keyed",
+	"Effort":       "accepted and ignored: every effort compiles the one II search's object",
 }
 
 // TestOptionsKeyCoversOptions: every softpipe.Options field is rendered
@@ -104,7 +109,7 @@ func TestOptionsKeyCoversOptions(t *testing.T) {
 // rendering, the cell-count suffix — shows up as a deliberate edit here
 // rather than silently.  No key outlives its process, so a re-pin costs
 // nothing but the review; the one property the values themselves carry
-// is that "heuristic" and "" share an artifact.
+// is that every effort shares the default's artifact.
 func TestKeyPinned(t *testing.T) {
 	every := CompileOptions{Baseline: true, Verify: true, Effort: "exact"}
 	for i := 0; i < reflect.TypeOf(every).NumField(); i++ {
@@ -117,9 +122,10 @@ func TestKeyPinned(t *testing.T) {
 		opts CompileOptions
 		want string
 	}{
-		{"zero options on warp", CompileOptions{}, "f04e20241b18edd7a8f7779ca17929326209e52e56f642dfee96bf79137cfac9"},
-		{"every wire field set", every, "d8b432f3bf1766ef8e85e06604401d956fb1a9634440d735bb2836ba7124844a"},
-		{`effort "heuristic" is effort ""`, CompileOptions{Effort: "heuristic"}, "f04e20241b18edd7a8f7779ca17929326209e52e56f642dfee96bf79137cfac9"},
+		{"zero options on warp", CompileOptions{}, "f3057114b1804dd7f0199498e60ce82ee09f085548b0e1350b91104e080675c3"},
+		{"every wire field set", every, "b12868690f8d7bc0dddffabba330d4a6474747455d34471a51947a894f0e7d04"},
+		{`effort "heuristic" is effort ""`, CompileOptions{Effort: "heuristic"}, "f3057114b1804dd7f0199498e60ce82ee09f085548b0e1350b91104e080675c3"},
+		{`effort "exact" is effort ""`, CompileOptions{Effort: "exact"}, "f3057114b1804dd7f0199498e60ce82ee09f085548b0e1350b91104e080675c3"},
 	} {
 		if got := wireKey(t, c.opts); got != c.want {
 			t.Errorf("%s: key %s, want %s", c.name, got, c.want)
@@ -130,7 +136,7 @@ func TestKeyPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := j.key.String(), "d098547b79893af5c5010ba2ac30a454ee8bb11196a7fa7277e57bfb80544f82"; got != want {
+	if got, want := j.key.String(), "68715a17927c0dc47c11458aff323504cc573f415f5f675f379e509d6e984192"; got != want {
 		t.Errorf("partitioned key %s, want %s", got, want)
 	}
 }

@@ -581,11 +581,10 @@ func TestRunBatch(t *testing.T) {
 	}
 }
 
-// TestCompileEffortPartitionsCache: the request's effort is accepted and
-// ignored.  "exact" still keys its own entry (the key keeps its effort
-// until it is re-pinned) but compiles the default's object, and the
+// TestCompileEffortSharesCache: the request's effort is accepted and
+// ignored.  "exact" and "heuristic" hit the default's cache entry, and the
 // default reports which loops it proved optimal.
-func TestCompileEffortPartitionsCache(t *testing.T) {
+func TestCompileEffortSharesCache(t *testing.T) {
 	s := newTestServer(t, Config{})
 	var heur, exact, canon CompileResponse
 	if code, _ := post(t, s, "/compile", CompileRequest{Source: sumSource}, &heur); code != http.StatusOK {
@@ -595,11 +594,8 @@ func TestCompileEffortPartitionsCache(t *testing.T) {
 		Options: CompileOptions{Effort: "exact"}}, &exact); code != http.StatusOK {
 		t.Fatalf("exact compile: status %d", code)
 	}
-	if exact.Cached || exact.Key == heur.Key {
-		t.Fatal("effort did not partition the key space")
-	}
-	if exact.ObjectSHA256 != heur.ObjectSHA256 {
-		t.Fatal("effort \"exact\" compiled a different object: it selects nothing")
+	if !exact.Cached || exact.Key != heur.Key {
+		t.Fatal("effort \"exact\" missed the default's cache entry")
 	}
 	var proved bool
 	for _, l := range heur.Loops {

@@ -95,7 +95,7 @@ type Options struct {
 	// EffortHeuristic, EffortExact and ParseEffort: every compile runs one
 	// II search and keeps the faster plan (schedule.New, codegen's
 	// keepFaster).  They stay for the frozen benchmark module and the
-	// service's cache key until ROADMAP item 3 deletes them.
+	// service's accepted "effort" until ROADMAP item 3 deletes them.
 	Effort       Effort
 	EffortBudget time.Duration
 	// VerifyEmitted runs the independent object-code checker
