@@ -154,39 +154,6 @@ func BenchmarkFig42_Speedup(b *testing.B) {
 	b.ReportMetric(metPct, "pctMetBound")
 }
 
-// --- Ablation: linear vs binary II search (§2.2) ------------------------
-
-func benchIISearch(b *testing.B, binary bool) {
-	m := machine.Warp()
-	var sumII, attempts float64
-	for i := 0; i < b.N; i++ {
-		sumII, attempts = 0, 0
-		for _, k := range workloads.Livermore() {
-			p, err := k.Build()
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, rep, err := codegen.Compile(p, m, codegen.Options{
-				BinarySearch: binary,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, lr := range rep.Loops {
-				if lr.Pipelined {
-					sumII += float64(lr.II)
-					attempts++
-				}
-			}
-		}
-	}
-	b.ReportMetric(sumII, "totalII")
-	b.ReportMetric(attempts, "pipelinedLoops")
-}
-
-func BenchmarkAblationIISearch_Linear(b *testing.B) { benchIISearch(b, false) }
-func BenchmarkAblationIISearch_Binary(b *testing.B) { benchIISearch(b, true) }
-
 // --- Ablation: modulo variable expansion on/off (§2.3) ------------------
 
 func benchMVE(b *testing.B, disable bool) {

@@ -417,7 +417,6 @@ var digestOptions = []digestOption{
 	{name: "nomve", adjust: func(o *codegen.Options) { o.DisableMVE = true }},
 	{name: "nohier", adjust: func(o *codegen.Options) { o.DisableHier = true }},
 	{name: "noloopred", adjust: func(o *codegen.Options) { o.DisableLoopReduction = true }},
-	{name: "binsearch", adjust: func(o *codegen.Options) { o.BinarySearch = true }},
 	{name: "lcm", adjust: func(o *codegen.Options) { o.Policy = pipeline.PolicyLCM }},
 	{name: "unroll4", adjust: func(o *codegen.Options) { o.UnrollInnerTrip = 4 }},
 }

@@ -92,10 +92,6 @@ type Options struct {
 	// §2.3): no expandable-register edge is removed.
 	// BenchmarkAblationMVE_* and the corpus digest's nomve point.
 	DisableMVE bool
-	// BinarySearch searches for the II by the FPS-164 compiler's binary
-	// search instead of §2.2's linear scan.  BenchmarkAblationIISearch_*
-	// and the corpus digest's binsearch point.
-	BinarySearch bool
 	// Policy is the modulo variable expansion unroll policy; PolicyLCM
 	// is §2.3's minimum-register, lcm-unroll alternative.
 	// BenchmarkAblationPolicy_* and the corpus digest's lcm point.

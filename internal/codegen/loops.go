@@ -342,14 +342,14 @@ func (e *emitter) planForm(lead int, nodes []*depgraph.Node, plan *pipeline.Plan
 	return form{lead, plan.II, last}
 }
 
-// regionForm is plan's region of n iterations (regionRows), behind the
-// rotating-base clear and a counted region's pass-count row, if emitted.
-func (e *emitter) regionForm(nodes []*depgraph.Node, plan *pipeline.Plan, n int, counted bool) form {
+// regionForm is plan's counted region of n iterations (regionRows),
+// behind the rotating-base clear and the pass-count row, if emitted.
+func (e *emitter) regionForm(nodes []*depgraph.Node, plan *pipeline.Plan, n int) form {
 	lead := 0
 	if plan.Rotating {
 		lead++
 	}
-	if counted && e.counterRow(nodes, plan) < 0 {
+	if e.counterRow(nodes, plan) < 0 {
 		lead++
 	}
 	return e.planForm(lead, nodes, plan, n, plan.Rotating)
@@ -396,13 +396,10 @@ func (e *emitter) span(nodes []*depgraph.Node, time []int) (extent, landed int) 
 // body: the lifted operations now run on every iteration and lengthen
 // the schedule.  The whole-arm form of Lam §3.1 is planned as well, and
 // kept, when the lifted body does not pipeline, is too short in
-// iterations for its own stages, or loses to it (wholeWins: a lower II,
-// or, where a search landed below a heuristic's II, fewer cycles).  That
-// last plan is made only where the lifted II is above the whole-arm
+// iterations for its own stages, or loses to it (wholeWins: a lower II).
+// That last plan is made only where the lifted II is above the whole-arm
 // body's floor (pipeline.Body.Floor, the II its search would start
-// from), so only where it could land on a lower II.  A whole-arm plan at
-// an equal or higher II that wholeWins would keep on cycles is never
-// made: the prune gives that case up to skip the plans.  The part of the
+// from), so only where it could land on a lower II.  The part of the
 // floor the nodes give (pipeline.ResourceFloor) is read first, and the
 // body is built only where the lifted II is above that.
 func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *LoopReport) ([]*depgraph.Node, *pipeline.Plan, bool) {
@@ -489,16 +486,19 @@ func (e *emitter) planBody(l *ir.LoopStmt, powerOfTwo, keepMarginal bool, rep *L
 	return nodes, plan, ok
 }
 
-// wholeWins: a whole-arm plan beats the lifted one with a lower II, or,
-// where either is searched below its heuristic's II, fewer cycles.
+// wholeWins: a whole-arm plan beats the lifted one with a lower II, and,
+// where the exact search scheduled either, fewer cycles.
 func (e *emitter) wholeWins(l *ir.LoopStmt, whole []*depgraph.Node, wplan *pipeline.Plan, lifted []*depgraph.Node, plan *pipeline.Plan) bool {
-	if l.CountReg == ir.NoReg && (plan.SchedStats.Heuristic != plan.II || wplan.SchedStats.Heuristic != wplan.II) {
+	if wplan.II >= plan.II {
+		return false
+	}
+	if l.CountReg == ir.NoReg && (plan.SchedStats.Exact || wplan.SchedStats.Exact) {
 		cw, okW := e.loopCycles(whole, wplan, l.CountImm)
 		if cl, okL := e.loopCycles(lifted, plan, l.CountImm); okW && okL {
 			return cw < cl
 		}
 	}
-	return wplan.II < plan.II
+	return true
 }
 
 // wholeArmProbe, when set (by tests), is shown every whole-arm body
@@ -556,7 +556,6 @@ func (e *emitter) reducedBody(l *ir.LoopStmt, nodes []*depgraph.Node, powerOfTwo
 	plOpts := pipeline.Options{
 		Ctx:              e.opts.Ctx,
 		Policy:           e.opts.Policy,
-		BinarySearch:     e.opts.BinarySearch,
 		DisableMVE:       e.opts.DisableMVE,
 		HeuristicOnly:    e.opts.HeuristicOnly,
 		LiveOut:          e.liveOutOf(l),
@@ -626,8 +625,10 @@ func (e *emitter) regsFit(lb loopBody, plan *pipeline.Plan) bool {
 
 // keepFaster chooses between the searched plan and, where the search
 // landed below the heuristic's II, the heuristic's (plan.Heuristic): the
-// searched plan only if it fits the register files and the cycles model
-// says it is faster.  The kept plan's explain report says which and why.
+// searched plan only if it fits the register files, the trip count is
+// known and the cycles model says it is faster.  At a run-time count the
+// heuristic's plan is kept, never slower than the heuristic alone.  The
+// kept plan's explain report says which and why.
 func (e *emitter) keepFaster(l *ir.LoopStmt, lb loopBody, plan *pipeline.Plan) *pipeline.Plan {
 	h := plan.Heuristic
 	if h == nil {
@@ -639,8 +640,7 @@ func (e *emitter) keepFaster(l *ir.LoopStmt, lb loopBody, plan *pipeline.Plan) *
 	case !e.regsFit(lb, plan) || !e.regsFit(lb, h):
 		keep, why = e.regsFit(lb, plan), "the other does not fit the register files"
 	case l.CountReg != ir.NoReg:
-		keep = e.runtimeWins(nodes, plan, h)
-		why = fmt.Sprintf("compared at every run-time count, searched II %d against the heuristic's II %d", plan.II, h.II)
+		why = "the trip count is a run-time value"
 	default:
 		cs, okS := e.loopCycles(nodes, plan, l.CountImm)
 		ch, okH := e.loopCycles(nodes, h, l.CountImm)
@@ -662,34 +662,12 @@ func (e *emitter) keepFaster(l *ir.LoopStmt, lb loopBody, plan *pipeline.Plan) *
 // false when that is the control flow of a body with a conditional.
 func (e *emitter) loopCycles(nodes []*depgraph.Node, plan *pipeline.Plan, n int64) (int64, bool) {
 	if _, _, ok := plan.Split(n); ok {
-		return cycles(e.regionForm(nodes, plan, int(n), true), n), true
+		return cycles(e.regionForm(nodes, plan, int(n)), n), true
 	}
 	if slices.ContainsFunc(nodes, func(nd *depgraph.Node) bool { return nd.Op == nil }) {
 		return 0, false
 	}
 	return min(cycles(e.planForm(0, nodes, plan, int(n), false), n), cycles(e.repeatedForm(1, nodes, plan.Compact.Time, plan.Period), n)), true
-}
-
-// runtimeWins reports whether s is faster than h at every run-time count
-// (tryPipelinedRuntime: below Stages-1+Unroll all n, else the remainder of
-// Plan.Split, unpipelined, then the region), pricing only the iterations'
-// rows.  s's II is the lower, so checking up to one unroll period past the
-// later start suffices.
-func (e *emitter) runtimeWins(nodes []*depgraph.Node, s, h *pipeline.Plan) bool {
-	at := func(p *pipeline.Plan, n int64) int64 {
-		r, _, ok := p.Split(n)
-		if !ok {
-			return n * int64(p.Period)
-		}
-		return r*int64(p.Period) + cycles(e.regionForm(nodes, p, int(n-r), false), n-r)
-	}
-	start := func(p *pipeline.Plan) int { return p.Stages - 1 + p.Unroll }
-	for n := min(start(s), start(h)); n < max(start(s), start(h))+max(s.Unroll, h.Unroll); n++ {
-		if at(s, int64(n)) >= at(h, int64(n)) {
-			return false
-		}
-	}
-	return true
 }
 
 // tryPipelinedRuntime implements the two-version scheme of Lam §2.4 for

@@ -124,9 +124,9 @@ func TestExactRetriesHeuristic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the default refused a loop the heuristic pipelines: %v", err)
 	}
-	if plan.Heuristic != nil || plan.SchedStats.Heuristic != plan.II || plan.II != heur.II || plan.Unroll != heur.Unroll {
-		t.Errorf("rescued plan: II %d (heuristic's %d) unroll %d, want the heuristic's plan (II %d unroll %d) alone",
-			plan.II, plan.SchedStats.Heuristic, plan.Unroll, heur.II, heur.Unroll)
+	if plan.Heuristic != nil || plan.SchedStats.Exact || plan.II != heur.II || plan.Unroll != heur.Unroll {
+		t.Errorf("rescued plan: II %d (exact search scheduled it: %v) unroll %d, want the heuristic's plan (II %d unroll %d) alone",
+			plan.II, plan.SchedStats.Exact, plan.Unroll, heur.II, heur.Unroll)
 	}
 	if heur.II <= heur.MII {
 		t.Errorf("heuristic II %d at its bound %d: the search had nothing tighter to find", heur.II, heur.MII)

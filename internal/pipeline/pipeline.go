@@ -54,12 +54,11 @@ type Options struct {
 	// it between reschedules, so a deadlined compile request aborts
 	// instead of running to the largest candidate interval.
 	Ctx context.Context
-	// Policy, BinarySearch, DisableMVE and HeuristicOnly are comparison
-	// points (see codegen.Options): §2.3's lcm unroll, §2.2's FPS-style
-	// binary search for the II, §2.3 without modulo variable expansion (no
-	// expandable-register edge is removed), and the heuristic alone.
+	// Policy, DisableMVE and HeuristicOnly are comparison points (see
+	// codegen.Options): §2.3's lcm unroll, §2.3 without modulo variable
+	// expansion (no expandable-register edge is removed), and the
+	// heuristic alone.
 	Policy        Policy
-	BinarySearch  bool
 	DisableMVE    bool
 	HeuristicOnly bool
 	// Effort and SchedBudget are accepted and ignored until ROADMAP item 3
@@ -548,7 +547,6 @@ func (pl *planner) planWith(expanded map[ir.VReg]bool, minII int) (*Plan, error)
 		Ctx:            opts.Ctx,
 		MaxII:          schedule.DefaultMaxII(a) + max(windows(nodes), minII),
 		MinII:          floor,
-		BinarySearch:   opts.BinarySearch,
 		ReserveBranch:  true,
 		BranchResource: machine.ResBranch,
 	})
@@ -566,7 +564,7 @@ func (pl *planner) planWith(expanded map[ir.VReg]bool, minII int) (*Plan, error)
 		search.End()
 		return nil, err
 	}
-	pl.below = pl.below || st.Heuristic != res.II
+	pl.below = pl.below || st.Exact
 	search.Arg("ii", int64(res.II)).End()
 	if verr := schedule.Verify(g, m, res); verr != nil {
 		return nil, fmt.Errorf("pipeline: internal schedule verification failed: %w", verr)

@@ -24,12 +24,12 @@ type Options struct {
 	// MinII raises the search floor above the natural MII (the pipeliner
 	// passes the longest construct window, which must fit in one interval).
 	MinII int
-	// BinarySearch switches the heuristic's II search from the paper's
-	// linear scan to the FPS-164 compiler's binary search (Touzeau 1984);
-	// the exact search then scans the intervals below the binary search's
-	// alone.  Lam §2.2 argues linear search is preferable because
-	// schedulability is not monotonic in II; the flag exists for the
-	// ablation benchmark.
+	// BinarySearch replaces the upward scan with the FPS-164 compiler's
+	// binary search (Touzeau 1984) by the heuristic alone: the exact
+	// search does not run and Stats.Proved is false.  Lam §2.2 argues
+	// linear search is preferable because schedulability is not
+	// monotonic in II; the flag is that comparison, for the tests that
+	// hold the linear scan to it.
 	BinarySearch bool
 	// ReserveBranch pre-reserves the sequencer's branch field in the
 	// last kernel cycle (offset II-1) for the loop-back branch, so body
@@ -68,9 +68,9 @@ type Stats struct {
 	// scanned and rejected before finding a fit (or giving up).
 	Backtracks int
 	MetLower   bool
-	// Heuristic is the II the heuristic found (0: none, or the exact
-	// search scheduled an interval first).
-	Heuristic int
+	// Exact reports that the exact search scheduled the interval the
+	// search returned, one the heuristic failed.
+	Exact bool
 	// Proved reports that the search refuted every candidate interval
 	// below Achieved: the schedule is optimal, not just heuristically
 	// good.
@@ -370,10 +370,10 @@ func NewSearcher(a *depgraph.Analysis, m *machine.Machine) *Searcher {
 
 // Search finds the smallest feasible initiation interval ≥ the search
 // floor by one upward scan (see Searcher) and returns the kernel
-// schedule; with Options.BinarySearch the heuristic's binary search runs
-// first and the scan covers the intervals below its answer.  It may be
-// called repeatedly (e.g. with a raised MinII); scratch carries over
-// between calls.  Context errors abort; Options.Budget is ignored.
+// schedule; with Options.BinarySearch it is the heuristic's binary search
+// alone.  It may be called repeatedly (e.g. with a raised MinII); scratch
+// carries over between calls.  Context errors abort; Options.Budget is
+// ignored.
 func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
 	floor, maxII, err := searchRange(sr.a, opts)
 	st := &Stats{MII: floor}
@@ -389,17 +389,10 @@ func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
 	}
 	sr.exp.MII, sr.exp.MaxII = floor, maxII
 	var r *Result
-	hi := maxII
 	if opts.BinarySearch {
-		if r, err = sr.searchBinary(opts, floor, maxII, st); r != nil {
-			hi = r.II - 1
-		}
-	}
-	if err == nil {
-		var below *Result
-		if below, err = sr.scan(opts, floor, hi, !opts.BinarySearch, st); below != nil {
-			r = below
-		}
+		r, err = sr.searchBinary(opts, floor, maxII, st)
+	} else {
+		r, err = sr.scan(opts, floor, maxII, st)
 	}
 	st.Backtracks, st.Paths = sr.retries, sr.paths
 	if sr.ex != nil {
@@ -412,7 +405,7 @@ func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
 		return nil, st, &InfeasibleError{MII: floor, MaxII: maxII, Binary: opts.BinarySearch, Explain: sr.exp}
 	}
 	st.Achieved, st.MetLower = r.II, r.II == floor
-	st.Proved = sr.ex != nil && !st.FellBack
+	st.Proved = sr.ex != nil && !st.FellBack && !opts.BinarySearch
 	sr.exp.Achieved = r.II
 	r.Explain = sr.exp
 	return r, st, nil
@@ -420,27 +413,23 @@ func (sr *Searcher) Search(opts Options) (*Result, *Stats, error) {
 
 // scan tries the candidate intervals [lo, hi] upward and returns the
 // first schedule found, or nil.  At each interval the heuristic attempts
-// one (when heur is set); where it fails, the exact search decides the
-// interval while its node budget lasts.  An error is a context abort or a
-// broken invariant.
-func (sr *Searcher) scan(opts Options, lo, hi int, heur bool, st *Stats) (*Result, error) {
+// one; where it fails, the exact search decides the interval while its
+// node budget lasts.  An error is a context abort or a broken invariant.
+func (sr *Searcher) scan(opts Options, lo, hi int, st *Stats) (*Result, error) {
 	deciding := sr.ex != nil
 	undecided := 0 // the first interval the node budget left undecided
-	for s := lo; s <= hi && (heur || deciding); s++ {
+	for s := lo; s <= hi; s++ {
 		if err := ctxErr(opts.Ctx, s); err != nil {
 			return nil, err
 		}
 		st.Attempts++
-		if heur {
-			r, err := sr.attempt(opts, s)
-			if err != nil {
-				return nil, err
-			}
-			if r != nil {
-				st.Heuristic = s
-				sr.noteUndecided(undecided, s-1)
-				return r, nil
-			}
+		r, err := sr.attempt(opts, s)
+		if err != nil {
+			return nil, err
+		}
+		if r != nil {
+			sr.noteUndecided(undecided, s-1)
+			return r, nil
 		}
 		if !deciding {
 			continue
@@ -450,6 +439,7 @@ func (sr *Searcher) scan(opts Options, lo, hi int, heur bool, st *Stats) (*Resul
 		}
 		switch verdict, times := sr.decide(opts, s); verdict {
 		case decFeasible:
+			st.Exact = true
 			sr.record(Attempt{II: s, OK: true, Node: -1, Comp: -1, Note: "exact: feasible"})
 			r := &Result{II: s, Time: times}
 			for v, t := range times {
@@ -535,7 +525,6 @@ func (sr *Searcher) searchBinary(opts Options, floor, maxII int, st *Stats) (*Re
 		}
 		if r != nil {
 			best, hi = r, mid-1
-			st.Heuristic = mid
 		} else {
 			lo = mid + 1
 		}

@@ -189,6 +189,35 @@ func TestBinarySearchFindsFeasible(t *testing.T) {
 	}
 }
 
+// TestBinarySearchIsHeuristicAlone: with Options.BinarySearch the exact
+// search does not run, whatever the searcher, so an exact searcher's
+// schedule is the heuristic's, explored no node and is not Proved.  On
+// TestSearchPinned's oracle pools, on Warp with the loop-back reserved.
+func TestBinarySearchIsHeuristicAlone(t *testing.T) {
+	m := machine.Warp()
+	opts := Options{BinarySearch: true, ReserveBranch: true, BranchResource: machine.ResBranch}
+	for _, l := range oracleLoops(t, 150, 600, 200, 0) {
+		a, err := depgraph.Analyze(l.g, m)
+		if err != nil {
+			continue
+		}
+		h, _, herr := NewSearcher(a, m).Search(opts)
+		r, st, err := NewExactSearcher(a, m).Search(opts)
+		if (err != nil) != (herr != nil) {
+			t.Fatalf("%s: exact searcher error %v, heuristic's %v", l.name, err, herr)
+		}
+		if err != nil {
+			continue
+		}
+		if r.II != h.II || !slices.Equal(r.Time, h.Time) {
+			t.Fatalf("%s: exact searcher II %d times %v, heuristic's II %d times %v", l.name, r.II, r.Time, h.II, h.Time)
+		}
+		if st.Proved || st.FellBack || st.Exact || st.ExactNodes != 0 || st.ExactRigid != 0 {
+			t.Fatalf("%s: the exact search ran: %+v", l.name, st)
+		}
+	}
+}
+
 // randomLoop builds a random but legal straight-line loop body.
 func randomLoop(rng *rand.Rand) *ir.Program {
 	b := ir.NewBuilder("rnd")

@@ -15,14 +15,16 @@ import (
 )
 
 // searchPin is the SHA-256 TestSearchPinned reads.
-const searchPin = "177dfd849e5c9bf049107ac806cc1acf26ffb1f7febea3a90f4a6a499a8550a1"
+const searchPin = "a09ecac4d9df41ed566254aa632fc7d0731539893f200ae7b30296de8462e5bd"
 
 // TestSearchPinned pins what the II search decides for each loop: its
 // interval, issue times, Proved and FellBack flags and exact-search
-// counts, linear and binary, on Warp with the loop-back's slot reserved.
-// The loops are the oracle tests' pools and every innermost loop of the
-// compile-exact pool programs, conditionals reduced and expandable
-// registers filtered.  A refactor of the search must leave the hash alone.
+// counts, on Warp with the loop-back's slot reserved.  The loops are the
+// oracle tests' pools and every innermost loop of the compile-exact pool
+// programs, conditionals reduced and expandable registers filtered.  A
+// refactor of the search must leave the hash alone.  Each line keeps the
+// "binary=false" label of the linear half of the pin when it also covered
+// the binary search, so the hash is that half's.
 func TestSearchPinned(t *testing.T) {
 	m := machine.Warp()
 	names, graphs := pinnedLoops(t, m)
@@ -33,18 +35,16 @@ func TestSearchPinned(t *testing.T) {
 			fmt.Fprintf(h, "%s: %v\n", names[i], err)
 			continue
 		}
-		for _, binary := range []bool{false, true} {
-			r, st, err := schedule.New(schedule.EffortExact, a, m).Search(schedule.Options{
-				BinarySearch: binary, ReserveBranch: true, BranchResource: machine.ResBranch,
-			})
-			fmt.Fprintf(h, "%s binary=%v: ", names[i], binary)
-			if err != nil {
-				fmt.Fprintf(h, "%v\n", err)
-				continue
-			}
-			fmt.Fprintf(h, "II %d times %v proved %v fellback %v nodes %d rigid %d\n",
-				r.II, r.Time, st.Proved, st.FellBack, st.ExactNodes, st.ExactRigid)
+		r, st, err := schedule.New(schedule.EffortExact, a, m).Search(schedule.Options{
+			ReserveBranch: true, BranchResource: machine.ResBranch,
+		})
+		fmt.Fprintf(h, "%s binary=false: ", names[i])
+		if err != nil {
+			fmt.Fprintf(h, "%v\n", err)
+			continue
 		}
+		fmt.Fprintf(h, "II %d times %v proved %v fellback %v nodes %d rigid %d\n",
+			r.II, r.Time, st.Proved, st.FellBack, st.ExactNodes, st.ExactRigid)
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != searchPin {
 		t.Fatalf("search pin %s, want %s (%d loops)", got, searchPin, len(graphs))

@@ -78,3 +78,61 @@ func TestRunValidatesBeforeCompile(t *testing.T) {
 		t.Fatalf("well-formed run: %d computes, want 1", got)
 	}
 }
+
+// TestRunFaultAnswers422: a run the simulator stops on a fault answers
+// 422 with the simulator's text: here saxpy stores y[i+100] into its
+// 200-word y.
+func TestRunFaultAnswers422(t *testing.T) {
+	const oob = `
+program saxpy;
+const n = 200;
+var x, y: array [0..199] of real;
+    a: real;
+    i: int;
+begin
+  a := 3.0;
+  for i := 0 to n-1 do
+    y[i+100] := y[i] + a * x[i];
+end.
+`
+	s := newTestServer(t, Config{})
+	var e errorResponse
+	if code, _ := post(t, s, "/run", RunRequest{Source: oob}, &e); code != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422 (%+v)", code, e)
+	}
+	if !strings.HasPrefix(e.Error, "sim: ") || !strings.Contains(e.Error, "y[200] out of bounds (size 200)") || e.Timeout {
+		t.Fatalf("error %+v, want the simulator's out-of-bounds text", e)
+	}
+}
+
+// TestRunDeadlineAnswers504: a run whose deadline ends mid-simulation
+// answers 504 with the timeout flag.  The program is compiled first with
+// no deadline and run by key, so only the simulator sees the deadline.
+// Its 10,000,000 inner iterations take at least as many cycles, 2 s at
+// Warp's 5 MHz: 2,000 times the 1 ms deadline.
+func TestRunDeadlineAnswers504(t *testing.T) {
+	const spin = `
+program spin;
+var x: array [0..999] of real;
+    s: real;
+    i, j: int;
+begin
+  s := 0.0;
+  for j := 0 to 9999 do
+    for i := 0 to 999 do
+      s := s + x[i];
+end.
+`
+	s := newTestServer(t, Config{})
+	var c CompileResponse
+	if code, _ := post(t, s, "/compile", CompileRequest{Source: spin}, &c); code != http.StatusOK {
+		t.Fatalf("compile: status %d", code)
+	}
+	var e errorResponse
+	if code, _ := post(t, s, "/run", RunRequest{Key: c.Key, TimeoutMS: 1}, &e); code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504 (%+v)", code, e)
+	}
+	if !e.Timeout || !strings.Contains(e.Error, "sim: run aborted at cycle") {
+		t.Fatalf("error %+v, want the simulator's deadline abort", e)
+	}
+}

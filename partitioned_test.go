@@ -3,9 +3,11 @@ package softpipe
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"softpipe/internal/ir"
 	"softpipe/internal/workloads"
 )
 
@@ -84,4 +86,101 @@ func TestCompilePartitionedHonorsCtx(t *testing.T) {
 	if !strings.Contains(err.Error(), "split search aborted") {
 		t.Errorf("%v: the planner ran to completion and a cell compile noticed the context", err)
 	}
+}
+
+// TestCompilePartitionedTailAndRuntimeCount: the partitioner's post-loop
+// tail and a loop counted by a run-time register, each on 2 and 3 cells.
+// The array verifies; the tail (t := s * 2.0 after a loop summing into s)
+// sits on exactly one cell, the one owning t; and every cell, all of them
+// looping, sets up the count (n := 150) its loop reads.
+func TestCompilePartitionedTailAndRuntimeCount(t *testing.T) {
+	const tail = `program saxpytail;
+const n = 200;
+var x, y: array [0..199] of real;
+    a, s, t: real;
+    i: int;
+begin
+  a := 3.0;
+  s := 0.0;
+  for i := 0 to n-1 do begin
+    y[i] := y[i] + a * x[i];
+    s := s + y[i];
+  end;
+  t := s * 2.0;
+end.`
+	const count = `program saxpycount;
+var x, y: array [0..199] of real;
+    a: real;
+    i, n: int;
+begin
+  a := 3.0;
+  n := 150;
+  for i := 0 to n-1 do
+    y[i] := y[i] + a * x[i];
+end.`
+	for _, cells := range []int{2, 3} {
+		ao, err := CompileSourcePartitioned(tail, Machines(Warp(), cells), Options{})
+		if err != nil {
+			t.Fatalf("tail, %d cells: %v", cells, err)
+		}
+		if err := ao.Verify(nil); err != nil {
+			t.Fatalf("tail, %d cells: %v", cells, err)
+		}
+		var with []int
+		for i, f := range ao.Plan.Fragments {
+			if _, after := splitAtLoop(t, f); len(after) > 0 {
+				with = append(with, i)
+			}
+		}
+		if len(with) != 1 || with[0] != ao.Plan.ResultOwner["t"] {
+			t.Errorf("tail, %d cells: post-loop code on cells %v, want exactly the owner of t (cell %d)", cells, with, ao.Plan.ResultOwner["t"])
+		}
+
+		ao, err = CompileSourcePartitioned(count, Machines(Warp(), cells), Options{})
+		if err != nil {
+			t.Fatalf("count, %d cells: %v", cells, err)
+		}
+		if err := ao.Verify(nil); err != nil {
+			t.Fatalf("count, %d cells: %v", cells, err)
+		}
+		for i, f := range ao.Plan.Fragments {
+			before, _ := splitAtLoop(t, f)
+			l := loopOf(f)
+			if l.CountReg == ir.NoReg || !slices.ContainsFunc(before, func(o *ir.Op) bool { return o.Dst == l.CountReg }) {
+				t.Errorf("count, %d cells: cell %d's loop count %v is not set up before its loop", cells, i, l.CountReg)
+			}
+		}
+	}
+}
+
+// splitAtLoop is fragment f's top-level ops before and after its one loop.
+func splitAtLoop(t *testing.T, f *ir.Program) (before, after []*ir.Op) {
+	t.Helper()
+	if loopOf(f) == nil {
+		t.Fatalf("%s has no loop", f.Name)
+	}
+	seen := false
+	for _, st := range f.Body.Stmts {
+		switch st := st.(type) {
+		case *ir.LoopStmt:
+			seen = true
+		case *ir.OpStmt:
+			if seen {
+				after = append(after, st.Op)
+			} else {
+				before = append(before, st.Op)
+			}
+		}
+	}
+	return before, after
+}
+
+// loopOf is fragment f's top-level loop, or nil.
+func loopOf(f *ir.Program) *ir.LoopStmt {
+	for _, st := range f.Body.Stmts {
+		if l, ok := st.(*ir.LoopStmt); ok {
+			return l
+		}
+	}
+	return nil
 }

@@ -77,9 +77,9 @@ func NewBuilder(name string) *Builder { return ir.NewBuilder(name) }
 type State = ir.State
 
 // Options tunes compilation.  The paper's ablations (MVE off, the lcm
-// unroll policy, hierarchical and loop reduction off, binary II search)
-// are not options: they are codegen.Options/pipeline.Options fields a
-// benchmark or test reaches through CompileWith.  Nor is full unrolling
+// unroll policy, hierarchical and loop reduction off) are not options:
+// they are codegen.Options/pipeline.Options fields a benchmark or test
+// reaches through CompileWith.  Nor is full unrolling
 // of inner loops: the `unroll` source directive asks for it per loop.
 type Options struct {
 	// Ctx, when non-nil, bounds the compile: a canceled or deadlined
